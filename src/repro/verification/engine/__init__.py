@@ -1,20 +1,24 @@
 """Symmetry-reduced, parallel-capable verification engine.
 
-The engine is the repo's Murphi stand-in, rebuilt from the seed's flat BFS
-explorer into four cooperating modules:
+The engine is the repo's Murphi stand-in.  One loop searches; everything
+else plugs into it:
 
+* :mod:`~repro.verification.engine.driver` -- the one search loop (budget
+  clip, checkpoint save, depth counter) and the two per-state expanders,
+  object and compiled;
+* :mod:`~repro.verification.engine.search` -- the strategies (BFS, DFS,
+  parallel BFS: which frontier order and which expander the driver gets)
+  and the vectorized batch expander;
+* :mod:`~repro.verification.engine.parallel` /
+  :mod:`~repro.verification.engine.shard` -- the fourth expander, a fleet
+  of forked workers: zero-copy frontier arenas, work-stealing chunk claims,
+  and digest-sharded (disk-spillable) visited sets;
+* :mod:`~repro.verification.engine.checkpoint` -- budget checkpoint/resume,
+  one file shape for all of the above;
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation
   algebra and scalarset-style state canonicalization;
 * :mod:`~repro.verification.engine.store` -- interned state store with
   columnar parent links and optional hash compaction;
-* :mod:`~repro.verification.engine.search` -- pluggable search strategies
-  (BFS, DFS, fork-based parallel BFS);
-* :mod:`~repro.verification.engine.parallel` /
-  :mod:`~repro.verification.engine.shard` -- the shared-memory parallel
-  scale-out: zero-copy frontier arenas, work-stealing chunk claims, and
-  digest-sharded (disk-spillable) visited sets;
-* :mod:`~repro.verification.engine.checkpoint` -- budget checkpoint/resume
-  for all of the above;
 * :mod:`~repro.verification.engine.core` -- the :func:`verify` facade tying
   them together, including permutation-correct counterexample traces.
 

@@ -1,25 +1,20 @@
 """Checkpoint/resume for budgeted searches.
 
 A checkpoint is one pickle file capturing everything a search needs to
-continue *bit-identically*: the store's columnar trace links (plus, for
-in-process searches, the intern keys in ID order), the pending frontier, the
-running counters, and -- for a search whose visited set lives sharded across
-worker processes -- the concatenated shard digests instead of keys.
+continue *bit-identically*, in one shape for every strategy and backend:
+the pending frontier as ``(state_id, packed_key)`` pairs, the depth it
+stands at, the store's columnar trace links with the intern keys in ID
+order, and the running counters.  A search whose visited set has moved to
+the worker fleet's shards has no keys in its store; its checkpoint carries
+the workers' shard digests instead (re-shardable under a different worker
+count on resume).
 
-Three frontier shapes cover the engine's strategies:
-
-* ``mode="deque"`` -- the serial BFS/DFS worklist, saved mid-level exactly
-  as it stood when the ``max_states`` budget hit; resuming continues with
-  the very next pop, so the completed search is bit-identical to an
-  uninterrupted one (IDs, counts, verdict, trace).
-* ``mode="level"`` -- a level-synchronous search (vectorized BFS, or the
-  parallel strategy before its pool spins up) saved at a level boundary:
-  when the next level would cross the budget the whole level is saved
-  *unclipped* instead of partially expanded, so the resumed run explores
-  the identical level sequence.
-* ``mode="sharded"`` -- the shared-memory parallel engine past spin-up:
-  the parent holds no key dict, so the checkpoint carries the workers'
-  shard digests (re-shardable under a different worker count on resume).
+The driver is the only writer.  A BFS saves at a level boundary: when the
+next level would cross the ``max_states`` budget the whole level is saved
+*unclipped* instead of partially expanded, so the resumed run explores the
+identical level sequence.  A DFS saves the exact stack, so resuming
+continues with the very next pop.  Either way the completed search is
+bit-identical to an uninterrupted one (IDs, counts, verdict, trace).
 
 The **fingerprint** binds a checkpoint to the search that wrote it: codec
 index tables, cache/address counts, workload, symmetry group size, backend,
@@ -35,11 +30,17 @@ import os
 import pickle
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+#: The payload's keys (:func:`save` writes them, :func:`load` reads them).
+_FIELDS = frozenset({"version", "fingerprint", "level", "frontier", "store",
+                     "explored", "transitions", "complete_states", "shards"})
 
 
 class CheckpointMismatch(ValueError):
-    """The checkpoint on disk was written by an incompatible search."""
+    """The checkpoint on disk is unreadable, or was written by an
+    incompatible search."""
 
 
 def fingerprint(ctx) -> str:
@@ -66,22 +67,20 @@ def fingerprint(ctx) -> str:
     return hashlib.blake2b(material, digest_size=16).hexdigest()
 
 
-def save(ctx, *, mode: str, frontier, level: int | None,
-         shard_blobs: list[bytes] | None = None) -> None:
+def save(ctx, frontier, level: int, shard_blobs: list[bytes] | None) -> None:
     """Write *ctx*'s search state to ``ctx.checkpoint_path`` atomically.
 
-    *frontier* is a list of ``(state_id, packed_key)`` pairs in pop order.
-    ``mode="sharded"`` passes the workers' digest dumps in *shard_blobs*
-    and omits the store's key column (the parent no longer has one).
+    *frontier* is the driver's pending frontier as ``(state_id,
+    packed_key)`` pairs, in its order; *level* the depth it stands at.  *shard_blobs* are the worker fleet's
+    digest dumps, when the visited set lives there and not in the store.
     """
     path = ctx.checkpoint_path
     payload = {
         "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint(ctx),
-        "mode": mode,
         "level": level,
         "frontier": list(frontier),
-        "store": ctx.store.snapshot(with_keys=mode != "sharded"),
+        "store": ctx.store.snapshot(),
         "explored": ctx.explored,
         "transitions": ctx.transitions,
         "complete_states": ctx.complete_states,
@@ -96,29 +95,42 @@ def save(ctx, *, mode: str, frontier, level: int | None,
 def load(ctx) -> dict | None:
     """Read, validate and apply the checkpoint at ``ctx.checkpoint_path``.
 
-    Returns the payload (the caller's strategy picks the frontier up from
-    ``ctx.resume``) or ``None`` when no checkpoint file exists.  Raises
-    :class:`CheckpointMismatch` when the file was written by a different
-    search configuration or payload version.
+    Returns the payload (the strategy picks frontier, level and shards up
+    from ``ctx.resume``) or ``None`` when no checkpoint file exists.  Raises
+    :class:`CheckpointMismatch` -- before anything is restored -- when the
+    file cannot be read back (truncated, not a checkpoint) or was written
+    by a different search configuration or payload version.
     """
     path = ctx.checkpoint_path
     if path is None or not os.path.exists(path):
         return None
-    with open(path, "rb") as f:
-        payload = pickle.load(f)
-    if payload.get("version") != CHECKPOINT_VERSION:
+    try:
+        with open(path, "rb") as f:
+            payload = pickle.load(f)
+    except Exception as exc:
+        # A damaged pickle stream raises nearly anything (UnpicklingError,
+        # EOFError, ValueError, AttributeError, ...): all of it means this.
+        raise CheckpointMismatch(
+            f"checkpoint {path!r} is unreadable ({type(exc).__name__}: {exc}); "
+            "delete it to start over"
+        ) from exc
+    if not isinstance(payload, dict) or not _FIELDS <= payload.keys():
+        raise CheckpointMismatch(
+            f"checkpoint {path!r} is not a checkpoint payload; "
+            "delete it to start over"
+        )
+    if payload["version"] != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
             f"checkpoint {path!r} has payload version "
-            f"{payload.get('version')!r}, expected {CHECKPOINT_VERSION}"
+            f"{payload['version']!r}, expected {CHECKPOINT_VERSION}"
         )
-    expected = fingerprint(ctx)
-    if payload.get("fingerprint") != expected:
+    if payload["fingerprint"] != fingerprint(ctx):
         raise CheckpointMismatch(
             f"checkpoint {path!r} was written by a different search "
             "configuration (protocol/workload/symmetry/backend/strategy "
             "mismatch); delete it to start over"
         )
-    ctx.store.restore(payload["store"])
+    ctx.store.restore(payload.pop("store"))
     ctx.explored = payload["explored"]
     ctx.transitions = payload["transitions"]
     ctx.complete_states = payload["complete_states"]

@@ -11,9 +11,10 @@ composes three orthogonal pieces:
   dense integer IDs and columnar parent links instead of a
   ``dict[GlobalState, (GlobalState, SystemEvent)]`` parent map, with
   optional hash compaction;
-* **pluggable search strategies** (:mod:`repro.verification.engine.search`)
-  -- breadth-first (default), depth-first, and a fork-based multiprocessing
-  breadth-first search that shards the frontier across worker processes.
+* **one search driver** (:mod:`repro.verification.engine.driver`) run by
+  pluggable strategies (:mod:`repro.verification.engine.search`) --
+  breadth-first (default), depth-first, and a breadth-first search that
+  moves wide levels onto a fleet of forked worker processes.
 
 Counterexample traces remain valid under symmetry reduction: every stored
 transition records the permutation that canonicalized its successor, and
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.system.system import GlobalState, System, SystemEvent
+from repro.system.system import System, SystemEvent
 from repro.verification.engine.canonical import (
     Permutation,
     canonicalize_encoded,
@@ -161,13 +162,13 @@ class Exploration:
         #: frontier-batch BFS, or None.  Requires ``kernel`` (the compiled
         #: kernel stays on as the memo-miss oracle and the fallback).
         self.vkernel = vkernel
-        #: Set by the strategy that actually ran ("vectorized") to override
+        #: Set by the expander that actually ran ("vectorized") to override
         #: the kernel/backed-off naming in :meth:`_result`; None means the
         #: compiled/object naming applies.
         self.kernel_name: str | None = None
         #: Batch telemetry (vectorized searches): levels expanded as one
         #: batch, total rows across those batches, and the split of applied
-        #: transitions between the batch path and the serial-replay fallback.
+        #: transitions between the batch path and the per-state fallback.
         self.expansion_batches = 0
         self.batch_rows = 0
         self.vectorized_transitions = 0
@@ -192,10 +193,12 @@ class Exploration:
         #: Directory for the parallel workers' cold visited-set runs; None
         #: keeps every shard fully in memory.
         self.spill_dir = spill_dir
-        #: Loaded checkpoint payload (set by ``checkpoint.load``); strategies
-        #: pick their frontier up from here instead of the root.
+        #: Loaded checkpoint payload, less the store snapshot (set by
+        #: ``checkpoint.load``); strategies pick their frontier up from
+        #: here instead of the root.
         self.resume: dict | None = None
-        #: Frontier level the loaded checkpoint stopped at (None = fresh run).
+        #: Depth the loaded checkpoint stopped at -- BFS levels, or DFS pops
+        #: (None = fresh run).
         self.resume_level: int | None = None
         #: Shared-memory engine telemetry: chunk claims beyond one per worker
         #: per round (work actually stolen), states expanded per worker, and
@@ -206,12 +209,10 @@ class Exploration:
         # Decode baseline: the codec is cached per system, so its counter
         # carries history from earlier searches; stats report the delta.
         self._decode_base = self.codec.decode_count
-        self.root: tuple[int, GlobalState] | None = None
-        #: Packed encoding of the (canonical) root, for strategies that ship
-        #: encoded frontiers instead of state objects.
+        #: Store ID and packed encoding of the (canonical) root: the
+        #: frontier every fresh search starts from.
+        self.root_id: int | None = None
         self.root_key: bytes | None = None
-        #: Flat int-tuple encoding of the (canonical) root (compiled mode).
-        self.root_enc: tuple | None = None
 
     # -- setup -----------------------------------------------------------------
     def seed(self) -> VerificationResult | None:
@@ -229,13 +230,11 @@ class Exploration:
             if root_perm != self.perms[0]:
                 initial = codec.decode(enc)
         self.root_key = codec.pack(enc)
-        self.root_enc = enc
-        root_id, _ = self.store.intern(self.root_key, perm=root_perm)
-        self.root = (root_id, initial)
+        self.root_id, _ = self.store.intern(self.root_key, perm=root_perm)
         for invariant in self.invariants:
             violation = invariant(self.system, initial)
             if violation is not None:
-                return self.failure(violation=violation, leaf_id=root_id)
+                return self.failure(violation=violation, leaf_id=self.root_id)
         return None
 
     # -- trace reconstruction ----------------------------------------------------
@@ -442,9 +441,10 @@ def verify(
         State budget: the search aborts cleanly once the budget is reached
         and returns a **partial** result (``result.partial`` /
         ``result.truncated`` set, counters and any found violation intact)
-        instead of running unbounded.  The parallel strategy enforces the
-        budget per frontier level, so its cut can land up to one level
-        earlier than the serial strategies'.
+        instead of running unbounded.  One driver enforces it for every
+        strategy and backend: the BFS level that would cross the budget is
+        clipped to it (DFS stops at the exact state), so without a
+        checkpoint exactly ``max_states`` states are expanded.
     ``deadlock``
         Also report *workload deadlocks*: a canonically-reachable quiescent
         state whose caches still hold unissued workload budget but where no
@@ -460,13 +460,14 @@ def verify(
         verdict; counterexample traces are relabeled back to the concrete
         frame and stay replayable.
     ``strategy``
-        ``"bfs"`` (default), ``"dfs"``, ``"parallel"`` (fork-based
-        multiprocessing BFS), or a
+        ``"bfs"`` (default), ``"dfs"``, ``"parallel"`` (BFS that moves wide
+        levels onto forked shared-memory workers), or a
         :class:`~repro.verification.engine.search.SearchStrategy` instance.
         All strategies explore the same state set and report the same
         verdicts; BFS yields shortest counterexamples.
     ``processes``
-        Worker count for the parallel strategy (ignored otherwise).
+        Worker count for the parallel strategy (ignored otherwise); by
+        default the cores this process may be scheduled on, within 2..8.
     ``hash_compaction``
         Key the visited-set by a 128-bit digest of each state instead of the
         state object, trading a vanishing collision risk for memory.
@@ -491,12 +492,17 @@ def verify(
     ``checkpoint``
         Path of a resumable budget checkpoint.  When the search stops at the
         ``max_states`` budget it saves its frontier, store links and
-        counters there (atomically); a later ``verify`` call with the same
-        configuration and the same path resumes where it stopped -- under a
-        fresh budget -- and the completed search reports counters, verdict
-        and trace identical to an uninterrupted run.  A completed (non-
-        partial) search deletes the file.  A checkpoint written by a
-        different configuration raises
+        counters there (atomically) -- one file shape for every strategy and
+        backend; a later ``verify`` call with the same configuration and the
+        same path resumes where it stopped -- under a fresh budget -- and
+        the completed search reports counters, verdict and trace identical
+        to an uninterrupted run.  With a checkpoint path a BFS does not
+        clip the level that would cross the budget: it stops at the last
+        level boundary inside it and saves that level whole (so a leg can
+        end below its budget, and a budget narrower than the pending level
+        makes no progress); DFS saves at the exact state.  A completed
+        (non-partial) search deletes the file.  A file that cannot be read
+        back, or one written by a different configuration, raises
         :class:`~repro.verification.engine.checkpoint.CheckpointMismatch`.
     ``spill_dir``
         Directory where the parallel engine's worker shards may spill cold

@@ -1,0 +1,321 @@
+"""The one search loop and the per-state expanders it drives.
+
+Every strategy, backend and worker process runs the same two pieces:
+
+* :func:`drive` -- the only loop in the engine that reads ``max_states``.
+  It alone owns the budget clip, the checkpoint save, and the depth
+  counter; it knows nothing about how a state is expanded.
+* an **expander** -- ``lift`` / ``lower`` convert between the portable
+  frontier (``(state_id, packed_key)`` pairs, the checkpoint's and the
+  arenas' currency) and the expander's native one, and ``expand(level)``
+  consumes one native level and returns ``(next_level, result)``: the
+  successors that turned out new, or the :class:`VerificationResult` that
+  ends the search.  A native level is a list, or anything else with
+  ``len()`` and slicing.
+
+:class:`ObjectExpander` and :class:`CompiledExpander` hold the only two
+per-state bodies in ``src/`` (enabled events -> leaf verdict -> apply ->
+raw-successor dedup -> canonicalize -> pack -> intern -> invariant check).
+The vectorized batch expander subclasses the compiled one
+(:mod:`~repro.verification.engine.search`), and the worker fleet is both a
+fourth expander in the parent and a *user* of the per-state ones in every
+worker, against a context whose ``store.intern`` is the shard sink
+(:mod:`~repro.verification.engine.parallel`).  This module imports neither,
+so both can import it.
+"""
+
+from __future__ import annotations
+
+from time import perf_counter
+
+from repro.verification.engine import checkpoint as checkpoint_mod
+from repro.verification.engine.canonical import canonicalizer_for
+
+#: Bound on the raw-successor dedup sets of the symmetry-reduced searches: a
+#: raw successor reached twice maps to the same canonical representative, so
+#: its second occurrence can skip canonicalize/pack/intern entirely (~38 % of
+#: transitions on the reference MSI workload).  The set is an optimization
+#: only -- clearing it when full merely re-pays the canonicalization, so the
+#: bound caps memory without affecting any count or verdict.
+_RAW_SEEN_LIMIT = 1 << 19
+
+
+def start_point(ctx):
+    """``(frontier pairs, depth)`` a search starts from: the loaded
+    checkpoint's, else the root at depth 0."""
+    if ctx.resume is not None:
+        return ctx.resume["frontier"], ctx.resume["level"]
+    return [(ctx.root_id, ctx.root_key)], 0
+
+
+def drive(ctx, expander, frontier, depth, lifo=False):
+    """Expand *frontier* to exhaustion, budget or failure; returns the result.
+
+    FIFO hands the expander the whole level, so *depth* counts BFS levels;
+    LIFO hands it the top of the stack and pushes what comes back, so DFS
+    rides the same loop (and *depth* counts pops).  Either way the visit
+    order is the historical one: level cuts are arbitrary cuts of the same
+    FIFO stream.
+
+    A level wider than the remaining ``max_states`` budget is clipped to it
+    -- unless a checkpoint path is set: then the level is saved *unclipped*
+    and the search stops at that boundary, so the resumed run explores the
+    identical level sequence and ends with an uninterrupted run's exact
+    counters (for DFS the boundary is the exact pop).
+    """
+    level = expander.lift(frontier)
+    while level:
+        remaining = ctx.max_states - ctx.explored
+        if (1 if lifo else len(level)) > remaining:
+            ctx.truncated = True
+            if ctx.checkpoint_path is not None:
+                checkpoint_mod.save(
+                    ctx, expander.lower(level), depth, expander.shard_blobs()
+                )
+                break
+            if remaining <= 0:
+                break
+            level = level[:remaining]
+        # BFS: ``batch`` *is* the level, and ``expand`` consumes it.
+        batch = [level.pop()] if lifo else level
+        successors, result = expander.expand(batch)
+        if result is not None:
+            return result
+        if lifo:
+            level += successors
+        else:
+            level = successors
+        depth += 1
+    return ctx.success()
+
+
+class Expander:
+    """Interface; the defaults suit an expander whose native frontier *is*
+    the portable one and whose visited set lives in ``ctx.store``."""
+
+    def lift(self, pairs):
+        """Native frontier for ``(state_id, packed_key)`` *pairs*."""
+        return pairs
+
+    def lower(self, level):
+        """``(state_id, packed_key)`` pairs for a native *level*."""
+        return level
+
+    def expand(self, level):
+        """Consume native *level*; return ``(next_level, result)``."""
+        raise NotImplementedError
+
+    def shard_blobs(self):
+        """Visited-set digests held outside ``ctx.store`` (fleet only)."""
+        return None
+
+
+class ObjectExpander(Expander):
+    """Per-state expansion through ``System.apply`` (the differential
+    oracle's body, and the backend of ``System`` subclasses).
+
+    The frontier holds decoded canonical state objects (expansion needs
+    them); the visited set holds only packed encodings.  With symmetry off
+    the raw successor *is* canonical, so no state is ever re-decoded; with
+    symmetry on, only genuinely new representatives that changed under
+    relabeling pay a decode.
+    """
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        system = ctx.system
+        self.quiescent = system.is_quiescent
+        self.unfinished = lambda state: not system.is_complete(state)
+        self.canonicalize = (
+            canonicalizer_for(ctx.codec, ctx.perms).canonicalize
+            if ctx.perms is not None
+            else None
+        )
+        self.raw_seen: set = set()
+
+    def lift(self, pairs):
+        decode_packed = self.ctx.codec.decode_packed
+        return [(sid, decode_packed(key)) for sid, key in pairs]
+
+    def lower(self, level):
+        codec = self.ctx.codec
+        return [(sid, codec.pack(codec.encode(state))) for sid, state in level]
+
+    def leaf(self, sid, state):
+        """Verdict for a state with no enabled events (failure or None).
+
+        Fine if nothing is actually outstanding (quiescent); otherwise it
+        is a deadlock.  A quiescent state that still holds workload budget
+        can never absorb it -- reported only under ``deadlock=True``.
+        """
+        ctx = self.ctx
+        if self.quiescent(state):
+            if ctx.check_workload_deadlock and self.unfinished(state):
+                return ctx.failure(deadlock=True, leaf_id=sid)
+            ctx.complete_states += 1
+            return None
+        if ctx.check_deadlock:
+            return ctx.failure(deadlock=True, leaf_id=sid)
+        return None
+
+    def violation(self, state):
+        """The first invariant violation of a native *state*, or None."""
+        ctx = self.ctx
+        for invariant in ctx.invariants:
+            violation = invariant(ctx.system, state)
+            if violation is not None:
+                return violation
+        return None
+
+    def expand(self, level):
+        ctx = self.ctx
+        system = ctx.system
+        codec = ctx.codec
+        identity = ctx.perms[0] if ctx.perms is not None else None
+        canonicalize = self.canonicalize
+        raw_seen = self.raw_seen
+        encode = codec.encode
+        pack = codec.pack
+        intern = ctx.store.intern
+        successors: list = []
+        # Consume the level rather than iterate it: each expanded state is
+        # released at once, so one level is resident, not two.
+        level.reverse()
+        while level:
+            sid, state = level.pop()
+            ctx.explored += 1
+            events = system.enabled_events(state)
+            if not events:
+                failure = self.leaf(sid, state)
+                if failure is not None:
+                    return None, failure
+                continue
+            for event in events:
+                ctx.transitions += 1
+                outcome = system.apply(state, event)
+                if outcome.error is not None:
+                    return None, ctx.failure(
+                        error=outcome.error, leaf_id=sid, final_event=event
+                    )
+                successor = outcome.state
+                enc = encode(successor)
+                perm = None
+                if canonicalize is not None:
+                    # A raw successor seen before canonicalized to an
+                    # interned representative then, so everything below
+                    # would no-op (the add + length check costs a single
+                    # tuple hash).
+                    grown = len(raw_seen) + 1
+                    raw_seen.add(enc)
+                    if len(raw_seen) != grown:
+                        continue
+                    if grown >= _RAW_SEEN_LIMIT:
+                        raw_seen.clear()
+                    start = perf_counter()
+                    enc, perm = canonicalize(enc)
+                    ctx.canon_seconds += perf_counter() - start
+                new_id, is_new = intern(pack(enc), sid, event, perm)
+                if not is_new:
+                    continue
+                if perm is not None and perm != identity:
+                    successor = codec.decode(enc)
+                violation = self.violation(successor)
+                if violation is not None:
+                    return None, ctx.failure(violation=violation, leaf_id=new_id)
+                successors.append((new_id, successor))
+        return successors, None
+
+
+class CompiledExpander(ObjectExpander):
+    """Per-state expansion on the compiled kernel: the frontier and the
+    visited set both hold encodings; nothing decodes until a failure is
+    reported (asserted by the codec's ``decode_count`` instrumentation)."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.quiescent = ctx.kernel.is_quiescent
+        self.unfinished = ctx.kernel.workload_remaining
+
+    def lift(self, pairs):
+        unpack = self.ctx.codec.unpack
+        return [(sid, unpack(key)) for sid, key in pairs]
+
+    def lower(self, level):
+        pack = self.ctx.codec.pack
+        return [(sid, pack(enc)) for sid, enc in level]
+
+    def violation(self, enc):
+        ctx = self.ctx
+        if ctx.kernel.check(enc, ctx.kernel_codes):
+            return None
+        return super().violation(ctx.codec.decode(enc))
+
+    def expand(self, level):
+        ctx = self.ctx
+        codec = ctx.codec
+        codes = ctx.kernel_codes
+        canonicalize = self.canonicalize
+        raw_seen = self.raw_seen
+        timer = perf_counter
+        pack = codec.pack
+        intern = ctx.store.intern
+        enabled = ctx.kernel.enabled
+        check = ctx.kernel.check
+        successors: list = []
+        level.reverse()  # consumed, like the object body's
+        while level:
+            sid, enc = level.pop()
+            ctx.explored += 1
+            plans, net = enabled(enc)
+            if not plans:
+                failure = self.leaf(sid, enc)
+                if failure is not None:
+                    return None, failure
+                continue
+            for plan in plans:
+                ctx.transitions += 1
+                succ = plan[0](enc, plan, net)
+                if succ is None:
+                    # The kernel returns None instead of reproducing error
+                    # behaviour; replaying the single event through
+                    # ``System.apply`` yields the exact seed-identical error
+                    # (or, for benign corner cases, the successor state) --
+                    # the object executor is the oracle.
+                    event = codec.decode_event(plan[1])
+                    outcome = ctx.system.apply(codec.decode(enc), event)
+                    if outcome.error is not None:
+                        return None, ctx.failure(
+                            error=outcome.error, leaf_id=sid, final_event=event
+                        )
+                    succ = codec.encode(outcome.state)
+                perm = None
+                if canonicalize is not None:
+                    grown = len(raw_seen) + 1
+                    raw_seen.add(succ)
+                    if len(raw_seen) != grown:
+                        continue
+                    if grown >= _RAW_SEEN_LIMIT:
+                        raw_seen.clear()
+                    start = timer()
+                    succ, perm = canonicalize(succ)
+                    ctx.canon_seconds += timer() - start
+                new_id, is_new = intern(pack(succ), sid, plan[1], perm)
+                if not is_new:
+                    continue
+                if not check(succ, codes):
+                    violation = self.violation(succ)
+                    if violation is not None:
+                        return None, ctx.failure(
+                            violation=violation, leaf_id=new_id
+                        )
+                successors.append((new_id, succ))
+        return successors, None
+
+
+def per_state_expander(ctx) -> ObjectExpander:
+    """The per-state expander for *ctx*'s transition backend."""
+    return CompiledExpander(ctx) if ctx.kernel is not None else ObjectExpander(ctx)
+
+
+__all__ = ["CompiledExpander", "Expander", "ObjectExpander", "drive",
+           "per_state_expander", "start_point"]

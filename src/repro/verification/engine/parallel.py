@@ -1,11 +1,12 @@
 """The shared-memory parallel BFS engine: zero-copy frontiers, work-stealing
 chunk claims, digest-sharded visited sets, and a key-free parent.
 
-This replaces the pickled-``pool.map`` level exchange of the original
-parallel strategy.  The search still proceeds in rounds (a round is one
-frontier level -- the budget and verdict semantics of level-synchronous BFS
-are part of the engine's contract), but *within* a round nothing is pickled
-and nobody waits on a static partition:
+:class:`ShmEngine` is the driver's fourth expander: its ``expand`` is one
+*round* -- one frontier level fanned out to a fleet of forked workers --
+and :func:`~repro.verification.engine.driver.drive` supplies the budget,
+checkpoint and verdict semantics of level-synchronous BFS exactly as it
+does for the in-process expanders.  *Within* a round nothing is pickled and
+nobody waits on a static partition:
 
 * **Zero-copy frontier exchange.**  The parent lays the round's frontier
   out in a ``multiprocessing.shared_memory`` arena as length-prefixed
@@ -21,34 +22,42 @@ and nobody waits on a static partition:
   comes back for more -- claims past the first per worker are steals, and
   the tail imbalance of a round is one chunk instead of one shard.
 
+* **The same per-state bodies.**  A worker expands its chunks with the
+  ordinary per-state expander against a :class:`_WorkerState` that
+  duck-types the exploration context: its ``store.intern`` is the sink
+  below, its ``failure`` records coordinates instead of building a result.
+
 * **Digest-sharded visited set.**  Every canonical successor is hashed to
   the 128-bit BLAKE2b digest the store's hash compaction uses; the digest's
   owner shard (``digest % workers``) is the only process that ever answers
   membership for it (:class:`~repro.verification.engine.shard.SpillableKeySet`,
   optionally spilling cold partitions to disk).  Producers bucket candidate
-  records per owner; after the round's expand phase each worker dedups its
-  own bucket column, checks invariants on the genuinely new states, and
-  publishes the accepted records.  The parent then assigns dense IDs and
-  appends trace links **without keeping any key dict at all**
+  records per owner (never reporting one as new, so the expander checks no
+  invariant and builds no next level); after the round's expand phase each
+  worker dedups its own bucket column, checks invariants on the genuinely
+  new states, and publishes the accepted records.  The parent then assigns
+  dense IDs and appends trace links **without keeping any key dict at all**
   (:meth:`~repro.verification.engine.store.StateStore.append_link` /
   ``drop_index``) -- its per-state footprint is three column appends, which
   is what keeps peak RSS roughly flat as searches grow.
 
 * **Failure semantics.**  Errors and deadlocks are found during expansion,
   invariant violations during owner dedup; all candidates carry their
-  ``(frontier position, plan ordinal)`` coordinates and the parent reports
-  the minimum -- the earliest failure *of the round* in serial order.  As
-  with the vectorized driver, a failing round may have interned/counted
-  states past the serial stopping point; verdicts and traces stay valid
-  (every stored chain to the failing state is a real counterexample).  On
-  passing runs all exploration counts are schedule-independent and match
-  the serial strategies exactly.
+  ``(frontier position, sequence)`` coordinates and the parent reports the
+  minimum -- the earliest failure *of the round* in serial order.  A worker
+  stops claiming chunks after its first expansion failure (everything
+  before it in serial order was claimed earlier and is finished by whoever
+  holds it, so the minimum is unaffected).  As with the vectorized
+  expander, a failing round may have interned/counted states past the
+  serial stopping point; verdicts and traces stay valid (every stored chain
+  to the failing state is a real counterexample).  On passing runs all
+  exploration counts are schedule-independent and match the serial
+  strategies exactly.
 
-Checkpoint/resume: at a round boundary the parent can ask every worker to
-dump its shard digests and write a ``mode="sharded"`` checkpoint; resuming
-re-seeds the shards from the concatenated digests (re-sharded, so the
-worker count may change between runs) and continues with the saved
-frontier.
+Checkpoint/resume: a checkpoint saved at a round boundary carries every
+worker's shard digests (:meth:`ShmEngine.shard_blobs`) in place of store
+keys; resuming re-seeds the shards from the concatenated digests
+(re-sharded, so the worker count may change between runs).
 """
 
 from __future__ import annotations
@@ -58,10 +67,8 @@ import struct
 import traceback
 from array import array
 from multiprocessing import shared_memory
-from time import perf_counter
 
-from repro.verification.engine import checkpoint as checkpoint_mod
-from repro.verification.engine.canonical import canonicalizer_for
+from repro.verification.engine.driver import Expander, drive, per_state_expander
 from repro.verification.engine.shard import (
     DIGEST_BYTES,
     SpillableKeySet,
@@ -69,8 +76,8 @@ from repro.verification.engine.shard import (
     shard_of,
 )
 
-#: ``(item, plan_ordinal, perm_index, eev_len, key_len)`` record header.
-_REC_HEADER = "<IHHBxI"
+#: ``(item, sequence, perm_index, eev_len, key_len)`` record header.
+_REC_HEADER = "<IIHBxI"
 _REC_HEADER_SIZE = struct.calcsize(_REC_HEADER)
 #: ``(state_id, key_len)`` input-record header.
 _IN_HEADER = "<QI"
@@ -80,7 +87,8 @@ _IN_HEADER_SIZE = struct.calcsize(_IN_HEADER)
 _NO_PERM = 0xFFFF
 
 #: Bound on the workers' emitted-digest suppression caches (an optimization
-#: like the raw-seen sets: clearing only re-pays IPC, never correctness).
+#: like the expanders' raw-seen sets: clearing only re-pays IPC, never
+#: correctness).
 _EMITTED_LIMIT = 1 << 19
 
 
@@ -134,37 +142,77 @@ class _WorkerCrash(RuntimeError):
 
 
 class _WorkerState:
-    """Per-process expansion context (built once, after fork)."""
+    """Per-process expansion context (built once, after fork).
+
+    Duck-types what a per-state expander uses of an ``Exploration``: the
+    system with a private codec/kernel, the deadlock switches, the running
+    counters (here: of the current round), ``store`` (itself -- see
+    :meth:`intern`) and :meth:`failure`.
+    """
 
     def __init__(self, wid, cfg, seed_blob):
-        (system, invariants, perms, kernel_codes, check_deadlock,
-         check_workload_deadlock, spill_dir, nworkers) = cfg
+        (self.system, self.invariants, self.perms, self.kernel_codes,
+         self.check_deadlock, self.check_workload_deadlock, spill_dir,
+         self.nworkers) = cfg
         self.wid = wid
-        self.nworkers = nworkers
-        self.system = system
-        self.invariants = invariants
-        self.perms = perms
-        self.codes = kernel_codes
-        self.check_deadlock = check_deadlock
-        self.check_workload_deadlock = check_workload_deadlock
-        self.codec = system.codec()
-        self.kernel = system.kernel() if kernel_codes is not None else None
-        self.canonicalize = (
-            canonicalizer_for(self.codec, perms).canonicalize
-            if perms is not None
-            else None
-        )
-        self.perm_index = (
-            {perm: i for i, perm in enumerate(perms)}
-            if perms is not None
-            else {}
-        )
+        self.codec = self.system.codec()
+        self.kernel = self.system.kernel() if self.kernel_codes is not None else None
+        self.perm_index = {perm: i for i, perm in enumerate(self.perms or ())}
+        self.perm_index[None] = _NO_PERM
         self.shard = SpillableKeySet(spill_dir, tag=f"w{wid}")
-        self.shard.seed(seed_blob, nworkers, wid)
-        self.raw_seen: set = set()
+        self.shard.seed(seed_blob, self.nworkers, wid)
         self.emitted: set = set()
         self.bucket_arena = _Arena()
         self.accepted_arena = _Arena()
+        self.store = self
+        self.expander = per_state_expander(self)
+
+    def begin_round(self) -> None:
+        self.explored = 0
+        self.transitions = 0
+        self.complete_states = 0
+        self.canon_seconds = 0.0
+        self.failures: list = []
+        self.buckets = [bytearray() for _ in range(self.nworkers)]
+
+    def intern(self, key, item, event, perm):
+        """The expanders' ``store.intern``: digest *key* and bucket the
+        candidate for its owning shard.
+
+        Successors this worker already knows (own shard) or already emitted
+        (bounded cache) never leave the process.  Nothing is ever reported
+        new here -- the owner decides that in the dedup phase.  *item* is
+        the parent's frontier position; the applied-transition count orders
+        one item's candidates in plan order.
+        """
+        digest = digest128(key)
+        emitted = self.emitted
+        if digest in emitted:
+            return None, False
+        owner = shard_of(digest, self.nworkers)
+        if owner == self.wid and digest in self.shard:
+            return None, False
+        if len(emitted) >= _EMITTED_LIMIT:
+            emitted.clear()
+        emitted.add(digest)
+        eev = event if self.kernel is not None else self.codec.encode_event(event)
+        self.buckets[owner] += (
+            struct.pack(_REC_HEADER, item, self.transitions,
+                        self.perm_index[perm], len(eev), len(key))
+            + digest
+            + struct.pack(f"<{len(eev)}i", *eev)
+            + key
+        )
+        return None, False
+
+    def failure(self, *, leaf_id, deadlock=False, error=None, final_event=None):
+        """Record an expansion failure's coordinates for the parent."""
+        if deadlock:
+            self.failures.append((leaf_id, -1, "dead", None))
+        else:
+            eev = self.codec.encode_event(final_event)
+            self.failures.append((leaf_id, self.transitions, "err", (eev, error)))
+        return True
 
     def close(self):
         self.bucket_arena.destroy()
@@ -198,165 +246,43 @@ def _worker_main(wid, cfg, ctrl, results, claim, claim_lock, seed_blob):
         ws.close()
 
 
-def _encode_record(item, plan_ord, perm_idx, eev, digest, key) -> bytes:
-    return (
-        struct.pack(_REC_HEADER, item, plan_ord, perm_idx, len(eev), len(key))
-        + digest
-        + struct.pack(f"<{len(eev)}i", *eev)
-        + key
-    )
-
-
 def _worker_expand(ws, msg, results, claim, claim_lock):
     """Claim chunks of the round's frontier and expand them.
 
-    Candidate successors are canonicalized, packed, digested and bucketed
-    per owning shard; successors this worker already knows (own shard) or
-    already emitted (bounded cache) never leave the process.  Errors and
-    deadlock leaves become failure candidates tagged with their
-    ``(frontier position, plan ordinal)`` so the parent can pick the round's
-    serial-order minimum.
+    Each chunk goes through the worker's per-state expander as a level
+    whose state IDs are frontier positions: the coordinates the parent
+    needs, on bucketed candidates and recorded failures alike, to pick the
+    round's serial-order minimum.
     """
     _op, arena_name, count, chunk = msg
-    wid = ws.wid
-    nworkers = ws.nworkers
-    codec = ws.codec
-    kernel = ws.kernel
-    system = ws.system
-    canonicalize = ws.canonicalize
-    perm_index = ws.perm_index
-    shard = ws.shard
-    raw_seen = ws.raw_seen
-    emitted = ws.emitted
-    unpack = codec.unpack
-    pack = codec.pack
-    decode_base = codec.decode_count
-    canon_seconds = 0.0
-    buckets = [bytearray() for _ in range(nworkers)]
-    failures: list = []
-    applied = 0
-    expanded = 0
-    complete = 0
+    expander = ws.expander
+    decode_base = ws.codec.decode_count
+    ws.begin_round()
     chunks = 0
     shm = _attach(arena_name)
     buf = shm.buf
     offsets = buf[8 : 8 + 8 * count].cast("q")
     try:
-        while True:
+        while not ws.failures:
             with claim_lock:
                 start = claim.value
                 claim.value = start + chunk
             if start >= count:
                 break
             chunks += 1
+            pairs = []
             for i in range(start, min(count, start + chunk)):
-                expanded += 1
-                off = offsets[i]
-                _sid, klen = struct.unpack_from(_IN_HEADER, buf, off)
-                key = bytes(buf[off + _IN_HEADER_SIZE : off + _IN_HEADER_SIZE + klen])
-                if kernel is not None:
-                    enc = unpack(key)
-                    plans, net = kernel.enabled(enc)
-                    if not plans:
-                        if kernel.is_quiescent(enc):
-                            if ws.check_workload_deadlock and kernel.workload_remaining(enc):
-                                failures.append((i, -1, "dead", None))
-                            else:
-                                complete += 1
-                        elif ws.check_deadlock:
-                            failures.append((i, -1, "dead", None))
-                        continue
-                    for plan_ord, plan in enumerate(plans):
-                        applied += 1
-                        eev = plan[1]
-                        succ = plan[0](enc, plan, net)
-                        if succ is None:
-                            outcome = system.apply(
-                                codec.decode(enc), codec.decode_event(eev)
-                            )
-                            if outcome.error is not None:
-                                failures.append(
-                                    (i, plan_ord, "err", (eev, outcome.error))
-                                )
-                                break
-                            succ = codec.encode(outcome.state)
-                        perm_idx = _NO_PERM
-                        if canonicalize is not None:
-                            grown = len(raw_seen) + 1
-                            raw_seen.add(succ)
-                            if len(raw_seen) != grown:
-                                continue
-                            if grown >= _EMITTED_LIMIT:
-                                raw_seen.clear()
-                            t0 = perf_counter()
-                            succ, perm = canonicalize(succ)
-                            canon_seconds += perf_counter() - t0
-                            perm_idx = perm_index[perm]
-                        skey = pack(succ)
-                        digest = digest128(skey)
-                        if digest in emitted:
-                            continue
-                        owner = shard_of(digest, nworkers)
-                        if owner == wid and digest in shard:
-                            continue
-                        if len(emitted) >= _EMITTED_LIMIT:
-                            emitted.clear()
-                        emitted.add(digest)
-                        buckets[owner] += _encode_record(
-                            i, plan_ord, perm_idx, eev, digest, skey
-                        )
-                else:
-                    state = codec.decode_packed(key)
-                    events = system.enabled_events(state)
-                    if not events:
-                        if system.is_quiescent(state):
-                            if ws.check_workload_deadlock and not system.is_complete(state):
-                                failures.append((i, -1, "dead", None))
-                            else:
-                                complete += 1
-                        elif ws.check_deadlock:
-                            failures.append((i, -1, "dead", None))
-                        continue
-                    for plan_ord, event in enumerate(events):
-                        applied += 1
-                        outcome = system.apply(state, event)
-                        if outcome.error is not None:
-                            failures.append((
-                                i, plan_ord, "err",
-                                (codec.encode_event(event), outcome.error),
-                            ))
-                            break
-                        enc = codec.encode(outcome.state)
-                        perm_idx = _NO_PERM
-                        if canonicalize is not None:
-                            grown = len(raw_seen) + 1
-                            raw_seen.add(enc)
-                            if len(raw_seen) != grown:
-                                continue
-                            if grown >= _EMITTED_LIMIT:
-                                raw_seen.clear()
-                            t0 = perf_counter()
-                            enc, perm = canonicalize(enc)
-                            canon_seconds += perf_counter() - t0
-                            perm_idx = perm_index[perm]
-                        skey = pack(enc)
-                        digest = digest128(skey)
-                        if digest in emitted:
-                            continue
-                        owner = shard_of(digest, nworkers)
-                        if owner == wid and digest in shard:
-                            continue
-                        if len(emitted) >= _EMITTED_LIMIT:
-                            emitted.clear()
-                        emitted.add(digest)
-                        buckets[owner] += _encode_record(
-                            i, plan_ord, perm_idx,
-                            codec.encode_event(event), digest, skey,
-                        )
+                _sid, klen = struct.unpack_from(_IN_HEADER, buf, offsets[i])
+                off = offsets[i] + _IN_HEADER_SIZE
+                pairs.append((i, bytes(buf[off : off + klen])))
+            expander.expand(expander.lift(pairs))
     finally:
         offsets.release()
         del buf
         shm.close()
+    # Hand the buckets over rather than keep them on ``ws``: they are dead
+    # once copied into the arena, and the dedup phase allocates next.
+    buckets, ws.buckets = ws.buckets, None
     blob = b"".join(buckets)
     out = ws.bucket_arena.ensure(len(blob))
     out.buf[: len(blob)] = blob
@@ -366,14 +292,14 @@ def _worker_expand(ws, msg, results, claim, claim_lock):
         spans.append((pos, len(bucket)))
         pos += len(bucket)
     results.put((
-        "expanded", ws.wid, out.name, spans, failures,
+        "expanded", ws.wid, out.name, spans, ws.failures,
         {
-            "applied": applied,
-            "expanded": expanded,
-            "complete": complete,
+            "applied": ws.transitions,
+            "expanded": ws.explored,
+            "complete": ws.complete_states,
             "chunks": chunks,
-            "canon_seconds": canon_seconds,
-            "decodes": codec.decode_count - decode_base,
+            "canon_seconds": ws.canon_seconds,
+            "decodes": ws.codec.decode_count - decode_base,
         },
     ))
 
@@ -382,21 +308,16 @@ def _worker_dedup(ws, msg, results):
     """Owner phase: dedup this worker's bucket column, check invariants.
 
     Walks every producer's bucket for this shard in producer order, accepts
-    records whose digest is genuinely new (inserting it), evaluates the
-    compiled invariant codes on each accepted state (object invariants when
-    running the object backend), and republishes the accepted records
-    verbatim for the parent's ID assignment.
+    records whose digest is genuinely new (inserting it), asks the worker's
+    expander for each accepted state's invariant verdict, and republishes
+    the accepted records verbatim for the parent's ID assignment.
     """
     _op, directory = msg
     wid = ws.wid
-    codec = ws.codec
-    kernel = ws.kernel
-    codes = ws.codes
-    system = ws.system
-    invariants = ws.invariants
     shard = ws.shard
-    unpack = codec.unpack
-    decode_base = codec.decode_count
+    lift = ws.expander.lift
+    violation_of = ws.expander.violation
+    decode_base = ws.codec.decode_count
     accepted = bytearray()
     n_accepted = 0
     failures: list = []
@@ -411,7 +332,7 @@ def _worker_dedup(ws, msg, results):
             end = off + length
             while pos < end:
                 rec_start = pos
-                item, plan_ord, perm_idx, eev_len, klen = struct.unpack_from(
+                item, seq, perm_idx, eev_len, klen = struct.unpack_from(
                     _REC_HEADER, buf, pos
                 )
                 pos += _REC_HEADER_SIZE
@@ -424,25 +345,11 @@ def _worker_dedup(ws, msg, results):
                     continue
                 shard.add(digest)
                 key = bytes(buf[eev_end:key_end])
-                violation = None
-                if kernel is not None:
-                    enc = unpack(key)
-                    if not kernel.check(enc, codes):
-                        state = codec.decode(enc)
-                        for invariant in invariants:
-                            violation = invariant(system, state)
-                            if violation is not None:
-                                break
-                else:
-                    state = codec.decode_packed(key)
-                    for invariant in invariants:
-                        violation = invariant(system, state)
-                        if violation is not None:
-                            break
+                violation = violation_of(lift([(item, key)])[0][1])
                 if violation is not None:
                     eev = tuple(struct.unpack_from(f"<{eev_len}i", buf, pos))
                     failures.append(
-                        (item, plan_ord, "vio", (violation, eev, perm_idx, key))
+                        (item, seq, "vio", (violation, eev, perm_idx, key))
                     )
                     pos = key_end
                     continue
@@ -457,7 +364,7 @@ def _worker_dedup(ws, msg, results):
     results.put((
         "deduped", wid, out.name, len(accepted), n_accepted, failures,
         {
-            "decodes": codec.decode_count - decode_base,
+            "decodes": ws.codec.decode_count - decode_base,
             "spill_bytes": shard.spill_bytes,
             "shard_len": len(shard),
         },
@@ -467,8 +374,10 @@ def _worker_dedup(ws, msg, results):
 # -- parent side ---------------------------------------------------------------
 
 
-class ShmEngine:
-    """Parent driver of the shared-memory worker fleet (one per search)."""
+class ShmEngine(Expander):
+    """The worker fleet as an expander (one per search): the native
+    frontier is the portable one, ``expand`` is one :meth:`_round`, and the
+    visited set lives in the workers' shards."""
 
     def __init__(self, ctx, mp_ctx, processes: int):
         self.ctx = ctx
@@ -488,7 +397,7 @@ class ShmEngine:
 
         *seed_keys* comes from the in-process phase's store (packed keys,
         or digests already under hash compaction); *seed_blobs* comes from
-        a ``mode="sharded"`` checkpoint.  Either way the blob is inherited
+        a checkpoint saved past spin-up.  Either way the blob is inherited
         by fork -- zero-copy -- and each worker keeps only its shard.
         """
         # Start the resource tracker *before* forking so every worker
@@ -548,30 +457,7 @@ class ShmEngine:
     def drive(self, frontier, level: int):
         """Run rounds until the frontier drains, the budget hits, or a
         failure surfaces; returns the search's VerificationResult."""
-        ctx = self.ctx
-        while frontier:
-            remaining = ctx.max_states - ctx.explored
-            over_budget = remaining <= 0
-            if not over_budget and len(frontier) > remaining:
-                if ctx.checkpoint_path is not None:
-                    # Budgeted-with-checkpoint: stop at the round boundary
-                    # (save the level unclipped) so the resumed search
-                    # explores the identical level sequence.
-                    over_budget = True
-                else:
-                    ctx.truncated = True
-                    frontier = frontier[:remaining]
-            if over_budget:
-                ctx.truncated = True
-                if ctx.checkpoint_path is not None:
-                    self._save_checkpoint(frontier, level)
-                break
-            ctx.explored += len(frontier)
-            frontier, failure = self._round(frontier)
-            if failure is not None:
-                return failure
-            level += 1
-        return ctx.success()
+        return drive(self.ctx, self, frontier, level)
 
     def _broadcast(self, msg) -> None:
         for queue in self.ctrl:
@@ -598,6 +484,7 @@ class ShmEngine:
         ctx = self.ctx
         nworkers = self.nworkers
         count = len(frontier)
+        ctx.explored += count
         round_sids = [sid for sid, _key in frontier]
 
         # Lay the frontier out in the input arena: offsets table + records.
@@ -660,7 +547,7 @@ class ShmEngine:
             try:
                 pos = 0
                 for _ in range(n_accepted):
-                    item, _plan_ord, perm_idx, eev_len, klen = struct.unpack_from(
+                    item, _seq, perm_idx, eev_len, klen = struct.unpack_from(
                         _REC_HEADER, buf, pos
                     )
                     pos += _REC_HEADER_SIZE + DIGEST_BYTES
@@ -683,15 +570,13 @@ class ShmEngine:
     def _report_failure(self, failures, round_sids):
         """Report the round's earliest failure in serial (state, plan) order.
 
-        Like the vectorized driver, a canonical violating state reached by
+        Like the vectorized expander, a canonical violating state reached by
         several parents in one round is attributed to whichever producer's
         record its owner deduped first -- the chain is a valid
         counterexample either way and the verdict is identical.
         """
         ctx = self.ctx
-        item, plan_ord, kind, payload = min(
-            failures, key=lambda f: (f[0], f[1])
-        )
+        item, _seq, kind, payload = min(failures, key=lambda f: (f[0], f[1]))
         sid = round_sids[item]
         if kind == "dead":
             return ctx.failure(deadlock=True, leaf_id=sid)
@@ -707,17 +592,15 @@ class ShmEngine:
         leaf_id = ctx.store.append_link(sid, eev, perm)
         return ctx.failure(violation=violation, leaf_id=leaf_id)
 
-    # -- checkpointing ---------------------------------------------------------
-    def _save_checkpoint(self, frontier, level: int) -> None:
+    def expand(self, level):
+        # Looked up per call, not aliased: ``_round`` is what outside-in
+        # tracers (bench/trace.py) replace on the class.
+        return self._round(level)
+
+    def shard_blobs(self):
+        """Every worker's shard digests, for a checkpoint."""
         self._broadcast(("dump",))
-        dumps = self._collect("dump")
-        checkpoint_mod.save(
-            self.ctx,
-            mode="sharded",
-            frontier=frontier,
-            level=level,
-            shard_blobs=[msg[2] for msg in dumps],
-        )
+        return [msg[2] for msg in self._collect("dump")]
 
 
 __all__ = ["ShmEngine"]

@@ -1,580 +1,78 @@
-"""Pluggable search strategies over the shared exploration context.
+"""Search strategies: which frontier order, and which expander, the one
+driver (:func:`~repro.verification.engine.driver.drive`) runs.
 
-Three strategies are provided:
+* :class:`BreadthFirst` -- the default; hands the driver whole levels.
+  Identical exploration order (and, with symmetry off, identical state
+  counts) to the seed explorer, and the shortest counterexamples.
+* :class:`DepthFirst` -- hands the driver the top of a stack instead;
+  explores the same state set and reports the same verdicts, typically
+  finding *some* counterexample sooner at the cost of longer traces.
+* :class:`ParallelBreadthFirst` -- BFS whose expander changes under way:
+  per-state and in-process while levels are narrow, and from the first
+  level wider than :data:`POOL_SPINUP_FRONTIER` the **shared-memory worker
+  fleet** (:mod:`repro.verification.engine.parallel`), seeded with the
+  visited set.  From there the parent keeps no key dict at all -- it only
+  appends columnar trace links -- so traces work exactly as in the serial
+  strategies while the parent's per-state footprint stays flat.  Falls
+  back to serial BFS when ``fork`` is unavailable or fewer than two workers
+  are requested.
 
-* :class:`BreadthFirst` -- the default; identical exploration order (and,
-  with symmetry off, identical state counts) to the seed explorer, and the
-  shortest counterexamples.
-* :class:`DepthFirst` -- LIFO frontier; explores the same state set and
-  reports the same verdicts, typically finding *some* counterexample sooner
-  at the cost of longer traces.
-* :class:`ParallelBreadthFirst` -- level-synchronous BFS over the
-  **shared-memory worker engine**
-  (:mod:`repro.verification.engine.parallel`).  Narrow levels expand
-  in-process; the first level wide enough forks persistent workers, after
-  which frontiers travel as zero-copy shared-memory arenas of packed
-  encodings, workers claim chunks off a shared cursor (work-stealing)
-  instead of receiving static shards, and the visited set lives sharded
-  across the workers keyed by the 128-bit hash-compaction digest
-  (optionally spilling cold partitions to disk).  The parent keeps no key
-  dict at all past spin-up -- it only appends columnar trace links
-  (:meth:`~repro.verification.engine.store.StateStore.append_link`) -- so
-  counterexample traces work exactly as in the serial strategies while the
-  parent's per-state footprint stays flat.  Falls back to serial BFS when
-  ``fork`` is unavailable or fewer than two workers are requested.  Around
-  the ``max_states`` bound the explored-state count may differ from the
-  serial strategies by up to one frontier level (the bound is enforced per
-  level, not per state).
-
-Every strategy runs on one of two **transition backends**, chosen by
-``verify(..., kernel=...)`` and carried on the exploration context:
-
-* the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
-  encoded states end-to-end -- enabled events, successors, quiescence and
-  invariant verdicts all computed on flat int tuples, with the frontier
-  carrying encodings and the store interning packed bytes.  States and
-  events decode lazily, only to report a failure (the object executor then
-  reproduces the exact error/violation text as the differential oracle);
-* the **object backend** interprets ``System.apply`` over dataclass trees
-  (the pre-compilation behaviour), used for ``System`` subclasses and
-  custom invariants.
-
-Both backends visit the same states in the same order and report
-identically-shaped results.
+There are four expanders.  Two are per-state and live beside the driver:
+the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
+encoded states end-to-end, decoding only to report a failure, and the
+**object backend** interprets ``System.apply`` over dataclass trees (for
+``System`` subclasses and custom invariants).  :class:`VectorizedExpander`
+below expands a whole BFS level as NumPy operations and *is* a compiled
+expander for every level it cannot express; the fourth is the fleet.  All
+visit the same states in the same order, report identically-shaped
+results, and get the same ``max_states`` semantics from the driver: per
+level (a level that would cross the budget is clipped, or saved whole when
+a checkpoint path is set), which for DFS is per state.
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
-from collections import deque
 from time import perf_counter
 
-from repro.verification.engine import checkpoint as checkpoint_mod
 from repro.verification.engine.canonical import (
     SAVED_ORBIT,
     _tie_break_encoded,
     canonicalizer_for,
 )
+from repro.verification.engine.driver import (
+    _RAW_SEEN_LIMIT,
+    CompiledExpander,
+    Expander,
+    drive,
+    per_state_expander,
+    start_point,
+)
 from repro.verification.engine.parallel import ShmEngine
 
-#: Bound on the raw-successor dedup sets of the symmetry-reduced searches: a
-#: raw successor reached twice maps to the same canonical representative, so
-#: its second occurrence can skip canonicalize/pack/intern entirely (~38 % of
-#: transitions on the reference MSI workload).  The set is an optimization
-#: only -- clearing it when full merely re-pays the canonicalization, so the
-#: bound caps memory without affecting any count or verdict.
-_RAW_SEEN_LIMIT = 1 << 19
 
-# -- worker-process state (populated via fork + Pool initializer) --------------
+class _Lanes:
+    """The vectorized expander's native level: state IDs, the lane matrix
+    of their prefixes (one row each) and their network-section IDs."""
 
-_WORKER: tuple | None = None
+    __slots__ = ("ids", "F", "sids")
 
+    def __init__(self, ids, F, sids):
+        self.ids = ids
+        self.F = F
+        self.sids = sids
 
-def _init_worker(system, invariants, perms, kernel_codes) -> None:
-    """Install the per-process search context (runs once per worker).
+    def __len__(self):
+        return len(self.ids)
 
-    The codec (and compiled kernel, when *kernel_codes* is not ``None``) is
-    (re)built here rather than inherited so each worker owns private memo
-    tables; with the ``fork`` start method the system and invariants arrive
-    by address-space inheritance, never by pickling.
-    """
-    global _WORKER
-    # Workers inherit the parent's paused GC via fork only on the first
-    # level; disabling here keeps collection off for the pool's lifetime
-    # (the expansion hot path allocates cycle-free data exclusively).
-    gc.disable()
-    kernel = system.kernel() if kernel_codes is not None else None
-    _WORKER = (
-        system,
-        invariants,
-        perms,
-        system.codec(),
-        set(),  # canonical packed keys this worker has emitted
-        kernel,
-        kernel_codes,
-        set(),  # raw successor encodings (pre-canonicalization dedup)
-    )
+    def __getitem__(self, cut: slice):
+        return _Lanes(self.ids[cut], self.F[cut], self.sids[cut])
 
 
-def _leaf_record(sid, quiescent, stuck):
-    return ("leaf", sid, quiescent, stuck)
-
-
-def _expand_batch(batch):
-    """Expand a batch of ``(state_id, packed_encoding)`` pairs in a worker.
-
-    Returns ``(records, canon_seconds, decode_count)`` — the records (one
-    per state, in input order), the wall-clock this batch spent inside
-    canonicalization, and the number of ``GlobalState`` decodes it performed
-    (both feed ``VerificationResult.stats``).  Records are:
-
-    * ``("leaf", sid, quiescent, stuck)`` -- no enabled events; ``stuck``
-      flags a quiescent state that still holds unissued workload budget
-      (the ``deadlock=True`` report);
-    * ``("exp", sid, applied, succs, err, vio)`` -- ``succs`` is a list of
-      pre-interned-at-the-source ``(encoded_event, packed_successor, perm)``
-      triples ready for the parent's batch intern, ``err`` is ``None`` or
-      ``(encoded_event, error_message)`` for an event whose application
-      failed (expansion of that state stops there, as in the serial
-      search), and ``vio`` is ``None`` or ``(index, violation)`` naming the
-      first successor in ``succs`` that violates an invariant.
-
-    De-duplication is persistent per worker: the seen-set carries over
-    between levels, so a canonical state this worker has emitted in *any*
-    earlier batch crosses the process boundary exactly once.  The parent's
-    intern loop would have discarded the duplicates anyway (``is_new=False``);
-    suppressing them at the source amortizes the IPC.  ``applied`` still
-    counts every applied event, so transition counts match the serial
-    strategies.
-    """
-    if _WORKER[5] is not None:
-        return _expand_batch_compiled(batch)
-    system, invariants, perms, codec, seen, _, _, raw_seen = _WORKER
-    identity = perms[0] if perms is not None else None
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    decode_base = codec.decode_count
-    canon_seconds = 0.0
-    decode_packed = codec.decode_packed
-    encode = codec.encode
-    pack = codec.pack
-    encode_event = codec.encode_event
-    records = []
-    for sid, key in batch:
-        state = decode_packed(key)
-        events = system.enabled_events(state)
-        if not events:
-            quiescent = system.is_quiescent(state)
-            stuck = quiescent and not system.is_complete(state)
-            records.append(_leaf_record(sid, quiescent, stuck))
-            continue
-        succs = []
-        err = None
-        vio = None
-        applied = 0
-        for event in events:
-            applied += 1
-            outcome = system.apply(state, event)
-            if outcome.error is not None:
-                err = (encode_event(event), outcome.error)
-                break
-            enc = encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                # set.add + length check = one hash: a no-growth add means
-                # this raw successor was canonicalized (and emitted or
-                # suppressed) before.
-                grown = len(raw_seen) + 1
-                raw_seen.add(enc)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = perf_counter()
-                enc, perm = canonicalize(enc)
-                canon_seconds += perf_counter() - start
-            successor_key = pack(enc)
-            if successor_key in seen:
-                # Invariants are functions of the state alone, so the first
-                # emission already carried this state's verdict.
-                continue
-            seen.add(successor_key)
-            if vio is None:
-                successor = (
-                    outcome.state
-                    if perm is None or perm == identity
-                    else codec.decode(enc)
-                )
-                for invariant in invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        vio = (len(succs), violation)
-                        break
-            succs.append((encode_event(event), successor_key, perm))
-        records.append(("exp", sid, applied, succs, err, vio))
-    return records, canon_seconds, codec.decode_count - decode_base
-
-
-def _slow_outcome(system, codec, enc, eev):
-    """The object-executor outcome for one event the kernel flagged.
-
-    The compiled kernel returns ``None`` instead of reproducing error
-    behaviour; replaying the single event through ``System.apply`` yields
-    the exact seed-identical error outcome (or, for benign corner cases, the
-    successor state) -- the object executor is the oracle.
-    """
-    return system.apply(codec.decode(enc), codec.decode_event(eev))
-
-
-def _expand_batch_compiled(batch):
-    """Compiled-kernel twin of :func:`_expand_batch`: states stay encoded."""
-    system, invariants, perms, codec, seen, kernel, codes, raw_seen = _WORKER
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    decode_base = codec.decode_count
-    canon_seconds = 0.0
-    unpack = codec.unpack
-    pack = codec.pack
-    records = []
-    for sid, key in batch:
-        enc = unpack(key)
-        plans, net = kernel.enabled(enc)
-        if not plans:
-            quiescent = kernel.is_quiescent(enc)
-            stuck = quiescent and kernel.workload_remaining(enc)
-            records.append(_leaf_record(sid, quiescent, stuck))
-            continue
-        succs = []
-        err = None
-        vio = None
-        applied = 0
-        for plan in plans:
-            applied += 1
-            eev = plan[1]
-            succ = plan[0](enc, plan, net)
-            if succ is None:
-                outcome = _slow_outcome(system, codec, enc, eev)
-                if outcome.error is not None:
-                    err = (eev, outcome.error)
-                    break
-                succ = codec.encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                grown = len(raw_seen) + 1
-                raw_seen.add(succ)
-                if len(raw_seen) != grown:
-                    # Canonicalized (and emitted or suppressed) before.
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = perf_counter()
-                succ, perm = canonicalize(succ)
-                canon_seconds += perf_counter() - start
-            successor_key = pack(succ)
-            if successor_key in seen:
-                continue
-            seen.add(successor_key)
-            if vio is None and not kernel.check(succ, codes):
-                successor = codec.decode(succ)
-                for invariant in invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        vio = (len(succs), violation)
-                        break
-            succs.append((eev, successor_key, perm))
-        records.append(("exp", sid, applied, succs, err, vio))
-    return records, canon_seconds, codec.decode_count - decode_base
-
-
-# -- strategies ----------------------------------------------------------------
-
-
-class SearchStrategy:
-    """Interface: run the exploration described by a context to completion."""
-
-    name = "base"
-
-    def run(self, ctx):
-        raise NotImplementedError
-
-
-def _run_serial(ctx, *, lifo: bool):
-    """Shared serial worklist search (FIFO = BFS, LIFO = DFS)."""
-    if ctx.vkernel is not None and not lifo:
-        return _run_vectorized(ctx)
-    if ctx.kernel is not None:
-        return _run_serial_compiled(ctx, lifo=lifo)
-    return _run_serial_object(ctx, lifo=lifo)
-
-
-def _run_serial_object(ctx, *, lifo: bool):
-    """Object-backend serial search (the differential oracle's loop).
-
-    The frontier holds decoded canonical state objects (expansion needs
-    them); the visited set holds only packed encodings.  With symmetry off
-    the raw successor *is* canonical, so no state is ever re-decoded; with
-    symmetry on, only genuinely new representatives that changed under
-    relabeling pay a decode.
-    """
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    perms = ctx.perms
-    identity = perms[0] if perms is not None else None
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    raw_seen: set | None = set() if canonicalize is not None else None
-    encode = codec.encode
-    pack = codec.pack
-    if ctx.resume is not None:
-        # A "deque" checkpoint is the exact mid-level worklist: resuming
-        # continues with the very next pop, bit-identically (IDs included).
-        decode_packed = codec.decode_packed
-        frontier: deque = deque(
-            (sid, decode_packed(key)) for sid, key in ctx.resume["frontier"]
-        )
-    else:
-        frontier = deque([ctx.root])
-    pop = frontier.pop if lifo else frontier.popleft
-    while frontier:
-        if ctx.explored >= ctx.max_states:
-            ctx.truncated = True
-            if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx,
-                    mode="deque",
-                    frontier=[(s, pack(encode(st))) for s, st in frontier],
-                    level=None,
-                )
-            break
-        sid, state = pop()
-        ctx.explored += 1
-        events = system.enabled_events(state)
-        if not events:
-            # A state with no enabled events is fine if nothing is actually
-            # outstanding (quiescent); otherwise it is a deadlock.  A
-            # quiescent state that still holds workload budget can never
-            # absorb it -- reported only under `deadlock=True`.
-            if system.is_quiescent(state):
-                if ctx.check_workload_deadlock and not system.is_complete(state):
-                    return ctx.failure(deadlock=True, leaf_id=sid)
-                ctx.complete_states += 1
-                continue
-            if ctx.check_deadlock:
-                return ctx.failure(deadlock=True, leaf_id=sid)
-            continue
-        for event in events:
-            ctx.transitions += 1
-            outcome = system.apply(state, event)
-            if outcome.error is not None:
-                return ctx.failure(error=outcome.error, leaf_id=sid, final_event=event)
-            successor = outcome.state
-            enc = encode(successor)
-            perm = None
-            if canonicalize is not None:
-                # A raw successor seen before canonicalized to an interned
-                # representative then, so everything below would no-op (the
-                # add + length check costs a single tuple hash).
-                grown = len(raw_seen) + 1
-                raw_seen.add(enc)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = perf_counter()
-                enc, perm = canonicalize(enc)
-                ctx.canon_seconds += perf_counter() - start
-            new_id, is_new = store.intern(pack(enc), sid, event, perm)
-            if not is_new:
-                continue
-            if perm is not None and perm != identity:
-                successor = codec.decode(enc)
-            for invariant in ctx.invariants:
-                violation = invariant(system, successor)
-                if violation is not None:
-                    return ctx.failure(violation=violation, leaf_id=new_id)
-            frontier.append((new_id, successor))
-    return ctx.success()
-
-
-def _run_serial_compiled(ctx, *, lifo: bool):
-    """Compiled-kernel serial search: the frontier and the visited set both
-    hold encodings; nothing decodes until a failure is reported (asserted by
-    the codec's ``decode_count`` instrumentation)."""
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    perms = ctx.perms
-    kernel = ctx.kernel
-    codes = ctx.kernel_codes
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    raw_seen: set | None = set() if canonicalize is not None else None
-    timer = perf_counter
-    pack = codec.pack
-    intern = store.intern
-    enabled = kernel.enabled
-    check = kernel.check
-    if ctx.resume is not None:
-        # Exact mid-level worklist: the resumed search is bit-identical to
-        # an uninterrupted one (IDs, counts, verdict, trace).
-        unpack = codec.unpack
-        frontier: deque = deque(
-            (sid, unpack(key)) for sid, key in ctx.resume["frontier"]
-        )
-    else:
-        frontier = deque([(ctx.root[0], ctx.root_enc)])
-    pop = frontier.pop if lifo else frontier.popleft
-    while frontier:
-        if ctx.explored >= ctx.max_states:
-            ctx.truncated = True
-            if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx,
-                    mode="deque",
-                    frontier=[(s, pack(e)) for s, e in frontier],
-                    level=None,
-                )
-            break
-        sid, enc = pop()
-        ctx.explored += 1
-        plans, net = enabled(enc)
-        if not plans:
-            if kernel.is_quiescent(enc):
-                if ctx.check_workload_deadlock and kernel.workload_remaining(enc):
-                    return ctx.failure(deadlock=True, leaf_id=sid)
-                ctx.complete_states += 1
-                continue
-            if ctx.check_deadlock:
-                return ctx.failure(deadlock=True, leaf_id=sid)
-            continue
-        for plan in plans:
-            ctx.transitions += 1
-            succ = plan[0](enc, plan, net)
-            if succ is None:
-                outcome = _slow_outcome(system, codec, enc, plan[1])
-                if outcome.error is not None:
-                    return ctx.failure(
-                        error=outcome.error,
-                        leaf_id=sid,
-                        final_event=codec.decode_event(plan[1]),
-                    )
-                succ = codec.encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                # A raw successor seen before canonicalized to an interned
-                # representative then, so everything below would no-op (the
-                # add + length check costs a single tuple hash).
-                grown = len(raw_seen) + 1
-                raw_seen.add(succ)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = timer()
-                succ, perm = canonicalize(succ)
-                ctx.canon_seconds += timer() - start
-            new_id, is_new = intern(pack(succ), sid, plan[1], perm)
-            if not is_new:
-                continue
-            if not check(succ, codes):
-                successor = codec.decode(succ)
-                for invariant in ctx.invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        return ctx.failure(violation=violation, leaf_id=new_id)
-            frontier.append((new_id, succ))
-    return ctx.success()
-
-
-def _vectorized_leaf(ctx, leaf, F, sids, vk):
-    """Leaf handling for one zero-plan row of a vectorized level; mirrors
-    the serial loops' quiescence/deadlock branch exactly."""
-    _seq, state_id, pos = leaf
-    kernel = ctx.kernel
-    enc = tuple(F[pos].tolist()) + vk.section_tail(sids[pos])
-    if kernel.is_quiescent(enc):
-        if ctx.check_workload_deadlock and kernel.workload_remaining(enc):
-            return ctx.failure(deadlock=True, leaf_id=state_id)
-        ctx.complete_states += 1
-        return None
-    if ctx.check_deadlock:
-        return ctx.failure(deadlock=True, leaf_id=state_id)
-    return None
-
-
-def _expand_level_serial(ctx, ids, prefixes, sids, raw_seen, canonicalize):
-    """Replay one frontier level through the compiled per-state loop.
-
-    The vectorized driver routes a whole level here whenever *any* of its
-    rows needs the slow path (unexpected message, ambiguous guards, object
-    errors): re-running the complete level with the exact
-    :func:`_run_serial_compiled` body -- same row order, same per-plan
-    order, sharing the raw-successor dedup set with the batch path --
-    guarantees failures surface in the identical serial position.  Every
-    transition applied here counts as a fallback transition (pinned to zero
-    on the fault-free single-address hot path).  Returns ``(failure | None,
-    next_ids, next_prefixes, next_sids)``.
-    """
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    kernel = ctx.kernel
-    codes = ctx.kernel_codes
-    vk = ctx.vkernel
-    timer = perf_counter
-    pack = codec.pack
-    intern = store.intern
-    enabled = kernel.enabled
-    check = kernel.check
-    net_offset = vk.net_offset
-    section_tail = vk.section_tail
-    intern_section = vk.intern_section
-    next_ids: list = []
-    next_prefixes: list = []
-    next_sids: list = []
-    nxt = (None, next_ids, next_prefixes, next_sids)
-    for sid, prefix, sec in zip(ids, prefixes, sids):
-        enc = prefix + section_tail(sec)
-        plans, net = enabled(enc)
-        if not plans:
-            if kernel.is_quiescent(enc):
-                if ctx.check_workload_deadlock and kernel.workload_remaining(enc):
-                    return (ctx.failure(deadlock=True, leaf_id=sid),) + nxt[1:]
-                ctx.complete_states += 1
-                continue
-            if ctx.check_deadlock:
-                return (ctx.failure(deadlock=True, leaf_id=sid),) + nxt[1:]
-            continue
-        for plan in plans:
-            ctx.transitions += 1
-            ctx.fallback_transitions += 1
-            succ = plan[0](enc, plan, net)
-            if succ is None:
-                outcome = _slow_outcome(system, codec, enc, plan[1])
-                if outcome.error is not None:
-                    failure = ctx.failure(
-                        error=outcome.error,
-                        leaf_id=sid,
-                        final_event=codec.decode_event(plan[1]),
-                    )
-                    return (failure,) + nxt[1:]
-                succ = codec.encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                grown = len(raw_seen) + 1
-                raw_seen.add(succ)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = timer()
-                succ, perm = canonicalize(succ)
-                ctx.canon_seconds += timer() - start
-            new_id, is_new = intern(pack(succ), sid, plan[1], perm)
-            if not is_new:
-                continue
-            if not check(succ, codes):
-                successor = codec.decode(succ)
-                for invariant in ctx.invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        failure = ctx.failure(violation=violation, leaf_id=new_id)
-                        return (failure,) + nxt[1:]
-            next_ids.append(new_id)
-            next_prefixes.append(succ[:net_offset])
-            next_sids.append(intern_section(succ[net_offset:]))
-    return nxt
-
-
-def _run_vectorized(ctx):
-    """Frontier-batch BFS over the NumPy lane matrix (``kernel="vectorized"``).
+class VectorizedExpander(CompiledExpander):
+    """Frontier-batch expansion over the NumPy lane matrix
+    (``kernel="vectorized"``).
 
     Each level: one memo-probing collection pass enumerates every row's
     plans (:meth:`VectorizedKernel.collect_level`), one gather/scatter/
@@ -587,97 +85,90 @@ def _run_vectorized(ctx):
     exploration counts are bit-identical to the serial strategies; on a
     *failing* search the level batching may intern/count up to one level
     beyond the serial stopping point (the verdict, the failing state ID and
-    the trace still match exactly).  A level containing any row the batch
-    path cannot express replays wholesale through
-    :func:`_expand_level_serial`.
+    the trace still match exactly).
+
+    A level containing *any* row the batch path cannot express (unexpected
+    message, ambiguous guards, object errors) replays wholesale through the
+    inherited per-state body -- same row order, same per-plan order, same
+    raw-successor dedup set -- which guarantees failures surface in the
+    identical serial position.  Every transition applied there counts as a
+    fallback transition (pinned to zero on the fault-free single-address
+    hot path).
     """
-    vk = ctx.vkernel
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    perms = ctx.perms
-    kernel = ctx.kernel
-    codes = ctx.kernel_codes
-    canonicalizer = canonicalizer_for(codec, perms) if perms is not None else None
-    canonicalize = canonicalizer.canonicalize if canonicalizer is not None else None
-    # Batch canonicalization (one orbit classification per distinct cache-
-    # block region per level instead of one canonicalize call per state)
-    # relies on the sorted-signature argument, i.e. the full symmetric
-    # group -- exactly the condition EncodedCanonicalizer.canonicalize
-    # itself requires before consulting the orbit memo.
-    batch_canon = (
-        canonicalizer is not None
-        and len(perms) > 1
-        and canonicalizer._full_group
-    )
-    raw_seen: set | None = set() if canonicalize is not None else None
-    timer = perf_counter
-    pack = codec.pack
-    check = kernel.check
-    np = vk.np
-    net_offset = vk.net_offset
-    intern_section = vk.intern_section
-    sinfo = vk._section_info  # (tail, fake_enc, net, deliveries, packed_tail)
-    ctx.kernel_name = "vectorized"
-    if ctx.resume is not None:
-        # A "level" checkpoint holds a whole unexpanded frontier level;
-        # rebuild the lane matrix and section IDs from the packed keys.
-        unpack = codec.unpack
-        ids = []
-        prefixes = []
-        sids = []
-        for sid, key in ctx.resume["frontier"]:
-            enc = unpack(key)
-            ids.append(sid)
-            prefixes.append(enc[:net_offset])
-            sids.append(intern_section(enc[net_offset:]))
-        F = np.asarray(prefixes, dtype=vk.dtype)
-        depth = ctx.resume_level
-    else:
-        root_enc = ctx.root_enc
-        ids = [ctx.root[0]]
-        F = np.asarray([root_enc[:net_offset]], dtype=vk.dtype)
-        sids = [intern_section(root_enc[net_offset:])]
-        depth = 0
-    while ids:
-        remaining = ctx.max_states - ctx.explored
-        over_budget = remaining <= 0
-        if not over_budget and len(ids) > remaining:
-            if ctx.checkpoint_path is not None:
-                # Stop at the level boundary (save the level unclipped) so
-                # the resumed search explores the identical level sequence
-                # and ends with an uninterrupted run's exact counters.
-                over_budget = True
-            else:
-                ctx.truncated = True
-                ids = ids[:remaining]
-                F = F[:remaining]
-                sids = sids[:remaining]
-        if over_budget:
-            ctx.truncated = True
-            if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx,
-                    mode="level",
-                    frontier=[
-                        (sid, pack(tuple(row) + sinfo[sec][0]))
-                        for sid, row, sec in zip(ids, F.tolist(), sids)
-                    ],
-                    level=depth,
-                )
-            break
-        level = vk.collect_level(ids, F, sids)
-        ctx.explored += len(ids)
-        depth += 1
-        if level.fallbacks:
-            prefixes = [tuple(row) for row in F.tolist()]
-            failure, ids, next_prefixes, sids = _expand_level_serial(
-                ctx, ids, prefixes, sids, raw_seen, canonicalize
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        ctx.kernel_name = "vectorized"
+        self.canonicalizer = self.batch_canon = None
+        if ctx.perms is not None:
+            self.canonicalizer = canonicalizer_for(ctx.codec, ctx.perms)
+            # Batch canonicalization (one orbit classification per distinct
+            # cache-block region per level instead of one canonicalize call
+            # per state) relies on the sorted-signature argument, i.e. the
+            # full symmetric group -- exactly the condition
+            # EncodedCanonicalizer.canonicalize itself requires before
+            # consulting the orbit memo.
+            self.batch_canon = (
+                len(ctx.perms) > 1 and self.canonicalizer._full_group
             )
+
+    def _lanes(self, level) -> _Lanes:
+        """Lane form of a compiled-native *level* (``(sid, enc)`` pairs)."""
+        vk = self.ctx.vkernel
+        net_offset = vk.net_offset
+        intern_section = vk.intern_section
+        return _Lanes(
+            [sid for sid, _enc in level],
+            vk.np.asarray([enc[:net_offset] for _sid, enc in level], dtype=vk.dtype),
+            [intern_section(enc[net_offset:]) for _sid, enc in level],
+        )
+
+    def _encodings(self, lanes) -> list:
+        tail = self.ctx.vkernel.section_tail
+        return [
+            (sid, tuple(row) + tail(sec))
+            for sid, row, sec in zip(lanes.ids, lanes.F.tolist(), lanes.sids)
+        ]
+
+    def lift(self, pairs):
+        return self._lanes(super().lift(pairs))
+
+    def lower(self, lanes):
+        return super().lower(self._encodings(lanes))
+
+    def _leaf_row(self, leaf, F, sids):
+        """Leaf verdict for one zero-plan row of a batch level."""
+        _seq, state_id, pos = leaf
+        enc = tuple(F[pos].tolist()) + self.ctx.vkernel.section_tail(sids[pos])
+        return self.leaf(state_id, enc)
+
+    def expand(self, lanes):
+        ctx = self.ctx
+        vk = ctx.vkernel
+        ids, F, sids = lanes.ids, lanes.F, lanes.sids
+        level = vk.collect_level(ids, F, sids)
+        if level.fallbacks:
+            before = ctx.transitions
+            successors, failure = super().expand(self._encodings(lanes))
+            ctx.fallback_transitions += ctx.transitions - before
             if failure is not None:
-                return failure
-            F = np.asarray(next_prefixes, dtype=vk.dtype)
-            continue
+                return None, failure
+            return self._lanes(successors), None
+        codec = ctx.codec
+        store = ctx.store
+        codes = ctx.kernel_codes
+        canonicalizer = self.canonicalizer
+        canonicalize = self.canonicalize
+        batch_canon = self.batch_canon
+        raw_seen = self.raw_seen
+        timer = perf_counter
+        pack = codec.pack
+        check = ctx.kernel.check
+        np = vk.np
+        net_offset = vk.net_offset
+        intern_section = vk.intern_section
+        sinfo = vk._section_info  # (tail, fake_enc, net, deliveries, packed_tail)
+        ctx.explored += len(ids)
         ctx.transitions += level.transitions
         ctx.vectorized_transitions += level.transitions
         ctx.expansion_batches += 1
@@ -863,9 +354,9 @@ def _run_vectorized(ctx):
         for j, new_id in enumerate(new_ids):
             u = entry_us[j]
             while li < n_leaves and leaves[li][0] <= u:
-                failure = _vectorized_leaf(ctx, leaves[li], F, sids, vk)
+                failure = self._leaf_row(leaves[li], F, sids)
                 if failure is not None:
-                    return failure
+                    return None, failure
                 li += 1
             if new_id < 0:
                 continue
@@ -887,11 +378,9 @@ def _run_vectorized(ctx):
                     + sinfo[out_sids[u]][0]
                 )
             if (not row_ok) if row_ok is not None else (not check(enc, codes)):
-                successor = codec.decode(enc)
-                for invariant in ctx.invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        return ctx.failure(violation=violation, leaf_id=new_id)
+                violation = self.violation(enc)
+                if violation is not None:
+                    return None, ctx.failure(violation=violation, leaf_id=new_id)
             rsid = entry_rsids[j]
             if rsid < 0:  # relabeled tail: intern its section once
                 rsid = intern_section(enc[net_offset:])
@@ -899,52 +388,114 @@ def _run_vectorized(ctx):
             next_prefixes.append(enc[:net_offset])
             next_sids.append(rsid)
         while li < n_leaves:
-            failure = _vectorized_leaf(ctx, leaves[li], F, sids, vk)
+            failure = self._leaf_row(leaves[li], F, sids)
             if failure is not None:
-                return failure
+                return None, failure
             li += 1
-        ids, sids = next_ids, next_sids
-        F = np.asarray(next_prefixes, dtype=vk.dtype)
-    return ctx.success()
+        return (
+            _Lanes(next_ids, np.asarray(next_prefixes, dtype=vk.dtype), next_sids),
+            None,
+        )
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+class SearchStrategy:
+    """Interface: run the exploration described by a context to completion."""
+
+    name = "base"
+
+    def run(self, ctx):
+        raise NotImplementedError
 
 
 class BreadthFirst(SearchStrategy):
     name = "bfs"
 
     def run(self, ctx):
-        return _run_serial(ctx, lifo=False)
+        expander = (
+            VectorizedExpander(ctx)
+            if ctx.vkernel is not None
+            else per_state_expander(ctx)
+        )
+        return drive(ctx, expander, *start_point(ctx))
 
 
 class DepthFirst(SearchStrategy):
     name = "dfs"
 
     def run(self, ctx):
-        return _run_serial(ctx, lifo=True)
+        return drive(ctx, per_state_expander(ctx), *start_point(ctx), lifo=True)
 
 
 #: Frontier width above which the parallel strategy spins up its worker
-#: pool.  The pool + first-level IPC costs a fixed ~0.2 s; at the measured
+#: fleet.  The fork + first-round IPC costs a fixed ~0.2 s; at the measured
 #: ~28 k serial reduced states/s that buys ~5-6 k states of serial work, so
 #: levels narrower than a couple thousand states never amortize it.  Small
 #: searches (every level below the threshold) therefore run entirely
-#: in-process and pay nothing; the pool forks lazily on the first level
+#: in-process and pay nothing; the fleet forks lazily on the first level
 #: wide enough to feed it.
 POOL_SPINUP_FRONTIER = 2048
 
 
-class ParallelBreadthFirst(SearchStrategy):
-    """Level-synchronous BFS over the shared-memory worker engine.
+def _schedulable_cores() -> int:
+    """Cores this process may run on: ``os.cpu_count()`` reports the host's
+    CPUs even inside a cgroup/affinity-limited container."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platform without affinity
+        return os.cpu_count() or 2
 
-    The worker fleet spins up **lazily**: levels are expanded in-process
-    (through the same record-based code path, forked-state free) until one
-    exceeds :data:`POOL_SPINUP_FRONTIER`, so searches too small to amortize
-    the fixed fork + IPC startup never pay it.  Once a level is wide enough
-    the engine (:class:`~repro.verification.engine.parallel.ShmEngine`)
-    forks persistent workers seeded with the visited set, the parent drops
-    its key index entirely, and all further levels run through zero-copy
-    shared-memory frontier exchange with work-stealing chunk claims and
-    digest-sharded dedup -- see :mod:`repro.verification.engine.parallel`.
+
+def _run_fleet(engine, frontier, depth):
+    try:
+        return engine.drive(frontier, depth)
+    finally:
+        engine.shutdown()
+
+
+class _LazyFleet(Expander):
+    """The parallel strategy's expander: per-state and in-process until a
+    level exceeds :data:`POOL_SPINUP_FRONTIER`, so searches too small to
+    amortize the fixed fork + IPC start-up never pay it.  That level is
+    lowered and handed to a freshly forked
+    :class:`~repro.verification.engine.parallel.ShmEngine`, whose own drive
+    finishes the search; its result ends this one.
     """
+
+    def __init__(self, ctx, mp, processes, depth):
+        self.ctx = ctx
+        self.mp = mp
+        self.processes = processes
+        #: Levels below the one ``expand`` is handed (the fleet's start).
+        self.depth = depth
+        self.narrow = per_state_expander(ctx)
+        self.lift = self.narrow.lift
+        self.lower = self.narrow.lower
+
+    def expand(self, level):
+        if len(level) <= POOL_SPINUP_FRONTIER:
+            self.depth += 1
+            return self.narrow.expand(level)
+        ctx = self.ctx
+        frontier = self.narrow.lower(level)
+        level.clear()
+        engine = ShmEngine(ctx, self.mp, self.processes)
+        # Seed worker shards with everything interned so far (post-_key
+        # keys: under hash compaction these already ARE the 128-bit
+        # digests), then drop the parent's key index -- from here on
+        # membership lives on the workers and the parent only appends
+        # trace links.
+        engine.spinup(seed_keys=list(ctx.store.iter_keys()))
+        ctx.store.drop_index()
+        return None, _run_fleet(engine, frontier, self.depth)
+
+
+class ParallelBreadthFirst(SearchStrategy):
+    """Level-synchronous BFS that moves onto the shared-memory worker fleet
+    (:mod:`repro.verification.engine.parallel`) once a level is wide enough
+    to feed it -- see :class:`_LazyFleet`."""
 
     name = "parallel"
 
@@ -952,142 +503,25 @@ class ParallelBreadthFirst(SearchStrategy):
         self.processes = processes
 
     def run(self, ctx):
-        global _WORKER
         try:
             mp = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platform without fork
-            return self._fallback(ctx)
-        processes = self.processes or max(2, min(8, os.cpu_count() or 2))
-        if processes <= 1:
-            return self._fallback(ctx)
-
-        resume = ctx.resume
-        if resume is not None and resume["mode"] == "sharded":
-            # Past-spin-up checkpoint: the store snapshot has no keys; the
-            # visited set rides in the shard digest dumps, re-sharded here
-            # under whatever worker count this run uses.
+            mp = None
+        processes = self.processes or max(2, min(8, _schedulable_cores()))
+        if mp is None or processes <= 1:
+            # Serial BFS stand-in; relabel the result so it is not
+            # attributed to the parallel strategy.
+            ctx.strategy_name = BreadthFirst.name
+            return BreadthFirst().run(ctx)
+        frontier, depth = start_point(ctx)
+        if ctx.resume is not None and ctx.resume["shards"] is not None:
+            # Checkpoint from past spin-up: the store snapshot has no keys;
+            # the visited set rides in the shard digest dumps, re-sharded
+            # here under whatever worker count this run uses.
             engine = ShmEngine(ctx, mp, processes)
-            engine.spinup(seed_blobs=resume["shards"])
-            try:
-                return engine.drive(
-                    [tuple(pair) for pair in resume["frontier"]],
-                    resume["level"],
-                )
-            finally:
-                engine.shutdown()
-        if resume is not None:
-            frontier = [tuple(pair) for pair in resume["frontier"]]
-            depth = resume["level"]
-        else:
-            root_id, _ = ctx.root
-            frontier = [(root_id, ctx.root_key)]
-            depth = 0
-        initargs = (ctx.system, ctx.invariants, ctx.perms, ctx.kernel_codes)
-        try:
-            # In-process phase: install the worker context in this process
-            # and expand narrow levels directly (identical records, no IPC).
-            _init_worker(*initargs)
-            while frontier:
-                remaining = ctx.max_states - ctx.explored
-                over_budget = remaining <= 0
-                if not over_budget and len(frontier) > remaining:
-                    if ctx.checkpoint_path is not None:
-                        # Stop at the level boundary (unclipped) so a
-                        # resumed run matches an uninterrupted one exactly.
-                        over_budget = True
-                    else:
-                        ctx.truncated = True
-                        frontier = frontier[:remaining]
-                if over_budget:
-                    ctx.truncated = True
-                    if ctx.checkpoint_path is not None:
-                        checkpoint_mod.save(
-                            ctx, mode="level", frontier=frontier, level=depth
-                        )
-                    break
-                if len(frontier) > POOL_SPINUP_FRONTIER:
-                    engine = ShmEngine(ctx, mp, processes)
-                    # Seed worker shards with everything interned so far
-                    # (post-_key keys: under hash compaction these already
-                    # ARE the 128-bit digests), then drop the parent's key
-                    # index -- from here on membership lives on the workers
-                    # and the parent only appends trace links.
-                    engine.spinup(seed_keys=list(ctx.store.iter_keys()))
-                    ctx.store.drop_index()
-                    try:
-                        return engine.drive(frontier, depth)
-                    finally:
-                        engine.shutdown()
-                ctx.explored += len(frontier)
-                records, canon_seconds, _decodes = _expand_batch(frontier)
-                ctx.canon_seconds += canon_seconds
-                # In-process expansion shares ctx.codec, whose decode
-                # counter the stats already read; nothing to sum here.
-                next_frontier = []
-                for record in records:
-                    failure = self._absorb(ctx, record, next_frontier)
-                    if failure is not None:
-                        return failure
-                frontier = next_frontier
-                depth += 1
-        finally:
-            _WORKER = None
-        return ctx.success()
-
-    @staticmethod
-    def _fallback(ctx):
-        """Serial BFS stand-in; relabel the result so it is not attributed
-        to the parallel strategy."""
-        ctx.strategy_name = BreadthFirst.name
-        return _run_serial(ctx, lifo=False)
-
-    @staticmethod
-    def _absorb(ctx, record, next_frontier):
-        """Merge one worker record into the store; return a failure result or None.
-
-        Workers already canonicalize, pack and de-duplicate successors at
-        the source, so on the overwhelmingly common no-failure path the
-        parent's only remaining work is the batch intern
-        (:meth:`~repro.verification.engine.store.StateStore.intern_children`)
-        -- violations ride out-of-band in the record and fall back to the
-        per-successor loop only when one actually occurred.
-        """
-        if record[0] == "leaf":
-            _, sid, quiescent, stuck = record
-            if quiescent:
-                if ctx.check_workload_deadlock and stuck:
-                    return ctx.failure(deadlock=True, leaf_id=sid)
-                ctx.complete_states += 1
-                return None
-            if ctx.check_deadlock:
-                return ctx.failure(deadlock=True, leaf_id=sid)
-            return None
-        _, sid, applied, succs, err, vio = record
-        ctx.transitions += applied
-        if vio is not None:
-            # The worker checks invariants before cross-worker dedup; a hit
-            # on an already-known state is still a valid counterexample (the
-            # stored chain reaches the same canonical state).  Successors
-            # past the violating one are dropped, exactly as the pre-batch
-            # absorb loop did.
-            index, violation = vio
-            next_frontier.extend(ctx.store.intern_children(sid, succs[:index]))
-            encoded_event, successor_key, perm = succs[index]
-            leaf_id, _ = ctx.store.intern(
-                successor_key, parent=sid, event=encoded_event, perm=perm
-            )
-            return ctx.failure(violation=violation, leaf_id=leaf_id)
-        # Events are stored in their encoded form; counterexample traces
-        # decode them lazily (Exploration.trace_events), on failure only.
-        next_frontier.extend(ctx.store.intern_children(sid, succs))
-        if err is not None:
-            encoded_event, message = err
-            return ctx.failure(
-                error=message,
-                leaf_id=sid,
-                final_event=ctx.codec.decode_event(encoded_event),
-            )
-        return None
+            engine.spinup(seed_blobs=ctx.resume["shards"])
+            return _run_fleet(engine, frontier, depth)
+        return drive(ctx, _LazyFleet(ctx, mp, processes, depth), frontier, depth)
 
 
 def resolve_strategy(spec, *, processes: int | None = None) -> SearchStrategy:

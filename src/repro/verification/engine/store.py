@@ -178,16 +178,15 @@ class StateStore:
         self._ids = None
 
     # -- checkpoint support --------------------------------------------------------
-    def snapshot(self, *, with_keys: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Picklable copy of the store for a checkpoint.
 
-        ``with_keys=False`` omits the intern keys (the sharded parallel
-        engine's parent does not have them; the checkpoint carries worker
-        shard digests instead).  Keys are saved in dense ID order so
-        :meth:`restore` rebuilds the exact same ID assignment.
+        Keys are saved in dense ID order so :meth:`restore` rebuilds the
+        exact same ID assignment; after :meth:`drop_index` there are none
+        (the checkpoint carries the worker shards' digests instead).
         """
         keys = None
-        if with_keys and self._ids is not None:
+        if self._ids is not None:
             keys = [None] * len(self._parent)
             for key, state_id in self._ids.items():
                 keys[state_id] = key

@@ -11,13 +11,16 @@ The contract under test (``verify(..., checkpoint=PATH)``):
   counterexample trace -- as a single uninterrupted run;
 * a completed run consumes its checkpoint file;
 * a checkpoint written by a *different* search configuration (symmetry,
-  workload, backend, payload version) refuses to resume with
-  :class:`CheckpointMismatch` instead of silently corrupting the search.
+  workload, backend, payload version), or one that cannot be read back
+  (truncated, garbage), refuses to resume with :class:`CheckpointMismatch`
+  instead of silently corrupting the search.
 
-Covers the serial mid-level ``deque`` shape (compiled and object kernels,
-both symmetry modes, hash compaction) and the level-synchronous shape the
-vectorized kernel saves.  The sharded parallel shape has its own suite in
-``test_parallel_engine.py``.
+There is one checkpoint shape; what varies is who lowers the frontier into
+it.  Covered here: the per-state expanders under BFS (compiled and object
+kernels, both symmetry modes, hash compaction) and DFS (whose boundary is
+the exact pop), the vectorized expander, and the parallel strategy below
+its spin-up threshold.  Past spin-up the checkpoint carries shard digests;
+that has its own suite in ``test_parallel_engine.py``.
 """
 
 import os
@@ -57,10 +60,10 @@ def run_sliced(system, path, budgets, **mode):
     return result
 
 
-# Every checkpoint shape except the parallel engine's sharded one: the
-# serial deque (compiled / object / symmetry / hash-compaction axes) and
-# the vectorized kernel's level-synchronous save, with and without
-# symmetry reduction.
+# Every expander that writes the checkpoint from this process: per-state
+# under BFS (compiled / object / symmetry / hash-compaction axes) and DFS,
+# the vectorized one, and the parallel strategy while its levels stay under
+# POOL_SPINUP_FRONTIER (these 2-cache spaces never reach it).
 CHECKPOINT_MODES = [
     dict(),
     dict(kernel="object"),
@@ -68,6 +71,11 @@ CHECKPOINT_MODES = [
     dict(symmetry=True, hash_compaction=True),
     dict(kernel="vectorized"),
     dict(symmetry=True, kernel="vectorized"),
+    dict(strategy="dfs"),
+    dict(strategy="dfs", kernel="object"),
+    dict(strategy="dfs", symmetry=True),
+    dict(strategy="parallel", processes=2),
+    dict(strategy="parallel", processes=2, symmetry=True),
 ]
 
 
@@ -128,7 +136,7 @@ class TestCheckpointLifecycle:
         assert not os.path.exists(path)
 
     def test_resume_level_reported_in_stats(self, msi_nonstalling, tmp_path):
-        """The level-synchronous shapes surface where the resume picked up."""
+        """A resumed search surfaces the depth its checkpoint stood at."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         path = str(tmp_path / "run.ckpt")
@@ -181,6 +189,19 @@ class TestMismatchRejection:
         with open(path, "wb") as f:
             pickle.dump(payload, f)
         with pytest.raises(CheckpointMismatch):
+            verify(system, max_states=40_000, checkpoint=path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_unreadable_file(self, saved_checkpoint, damage):
+        """A file that cannot be unpickled is a mismatch naming the path,
+        not a bare pickle error."""
+        system, path = saved_checkpoint
+        with open(path, "rb") as f:
+            blob = f.read()
+        with open(path, "wb") as f:
+            f.write(blob[: len(blob) // 2] if damage == "truncated"
+                    else b"not a checkpoint\n" * 8)
+        with pytest.raises(CheckpointMismatch, match="run.ckpt"):
             verify(system, max_states=40_000, checkpoint=path)
 
     def test_budget_and_worker_count_are_not_bound(self, msi_nonstalling,

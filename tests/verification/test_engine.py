@@ -161,13 +161,6 @@ class TestStateStore:
 
 
 class TestBackwardCompatibility:
-    def test_explorer_module_still_exports_verify(self):
-        from repro.verification import explorer
-        from repro.verification.engine.core import VerificationResult as EngineResult
-
-        assert explorer.verify is verify
-        assert explorer.VerificationResult is EngineResult
-
     def test_default_arguments_match_seed_counts(self, msi_nonstalling):
         """With no new arguments the engine reproduces the seed explorer's
         exact exploration (state and transition counts)."""

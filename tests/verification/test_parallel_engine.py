@@ -89,6 +89,20 @@ def test_forked_search_matches_serial_counts(msi_nonstalling, mode):
     assert sum(result.stats["worker_states"]) > 0
 
 
+def test_default_fleet_size_follows_schedulable_cores(msi_nonstalling,
+                                                      monkeypatch):
+    """Without ``processes`` the fleet is sized from the cores this process
+    may run on (affinity/cgroup aware), not from the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=1))
+    result = forced_parallel(system, processes=None)
+    assert result.ok
+    assert len(result.stats["worker_states"]) == 3
+
+
 class TestForkedFailureVerdicts:
     def test_protocol_error_trace(self, msi_missing_inv_mutant):
         system = System(msi_missing_inv_mutant, num_caches=2,
