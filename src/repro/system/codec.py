@@ -178,6 +178,9 @@ class StateCodec:
             for slot in range(NUM_SAVED_SLOTS)
         )
         self._net_items_memo: dict[tuple, tuple] = {}
+        #: Event-encoding intern table (see :meth:`intern_event`): a few
+        #: hundred distinct tuples however many states a search stores.
+        self._events: dict[tuple, tuple] = {}
         self._net_relabel_memo: dict[tuple, list] = {}
         self._net_key_memo: dict[tuple, tuple] = {}
         self._dir_key_memo: dict[tuple, tuple] = {}
@@ -530,16 +533,24 @@ class StateCodec:
         return self.parsed_network(enc)[0]
 
     def parsed_network(self, enc: tuple):
-        """``(items, offsets)`` — the memoized parse handle of *enc*'s section.
+        """``(items, offsets, deliveries)`` — the memoized parse handle of
+        *enc*'s section.
 
         *items* is what :meth:`network_items` returns; *offsets* maps each
         item to its lanes: ``offsets[i]`` is the lane index of channel
         (or record) *i* relative to ``net_offset`` (``offsets[0] == 1``,
         past the count lane) and ``offsets[n]`` is the section length, so
         item *i* occupies ``enc[net_offset + offsets[i] : net_offset +
-        offsets[i + 1]]``.  The kernel threads this handle from
-        ``enabled`` into ``apply``, where the network re-normalization
-        copies untouched channels as single slices through the offsets.
+        offsets[i + 1]]``.  *deliveries* lists the deliverable messages in
+        delivery order as ``(where, record, eev)`` -- channel heads when
+        ordered, the distinct records of the sorted bag when unordered
+        (identical in-flight messages lead to the same successor; the
+        object model de-duplicates them the same way) -- with *eev* the
+        interned delivery-event encoding (:meth:`intern_event`), so
+        enumerating a state's deliveries allocates nothing.  The kernel
+        threads this handle from ``enabled`` into ``apply``, where the
+        network re-normalization copies untouched channels as single slices
+        through the offsets.
         """
         section = enc[self.net_offset :]
         memo = self._net_items_memo
@@ -555,8 +566,8 @@ class StateCodec:
     def _parse_section(self, enc: tuple, start: int):
         """Parse one network section beginning at lane *start*.
 
-        Returns ``(items, offsets)`` with offsets relative to *start*
-        (``offsets[0] == 1``, ``offsets[-1]`` the section length)."""
+        Returns ``(items, offsets, deliveries)`` with offsets relative to
+        *start* (``offsets[0] == 1``, ``offsets[-1]`` the section length)."""
         pos = start
         count = enc[pos]
         pos += 1
@@ -564,6 +575,10 @@ class StateCodec:
         if not self.ordered:
             items = [enc[pos + i * mw : pos + (i + 1) * mw] for i in range(count)]
             offsets = tuple(1 + i * mw for i in range(count + 1))
+            heads = [
+                (i, rec) for i, rec in enumerate(items)
+                if i == 0 or rec != items[i - 1]
+            ]
         else:
             items = []
             offs = [1]
@@ -577,17 +592,20 @@ class StateCodec:
                 items.append((src, dst, vnet, msgs))
                 offs.append(pos - start)
             offsets = tuple(offs)
-        return (items, offsets)
+            heads = [(i, item[3][0]) for i, item in enumerate(items)]
+        intern = self.intern_event
+        deliveries = tuple((i, rec, intern((1,) + rec)) for i, rec in heads)
+        return (items, offsets, deliveries)
 
     def parsed_planes(self, enc: tuple):
-        """Per-address ``(items, offsets, start)`` handles (absolute starts).
+        """Per-address ``(items, offsets, deliveries, start)`` handles
+        (absolute starts; the first three as in :meth:`parsed_network`).
 
         The general (multi-address / fault-model) kernel path threads this
         from ``enabled`` into ``apply`` the same way the single-plane path
         threads :meth:`parsed_network`.  Memoized per distinct suffix."""
         if self.num_addresses == 1:
-            items, offsets = self.parsed_network(enc)
-            return ((items, offsets, self.net_offset),)
+            return (self.parsed_network(enc) + (self.net_offset,),)
         key = enc[self.net_offset :]
         memo = self._planes_memo
         parsed = memo.get(key)
@@ -598,9 +616,9 @@ class StateCodec:
         planes = []
         pos = self.net_offset
         for _ in range(self.num_addresses):
-            items, offsets = self._parse_section(enc, pos)
-            planes.append((items, offsets, pos))
-            pos += offsets[-1]
+            section = self._parse_section(enc, pos)
+            planes.append(section + (pos,))
+            pos += section[1][-1]
         parsed = tuple(planes)
         memo[key] = parsed
         return parsed
@@ -730,6 +748,16 @@ class StateCodec:
             return fields
         addr = getattr(event, "addr", 0)
         return fields + (addr,)
+
+    def intern_event(self, eev: tuple) -> tuple:
+        """The one shared tuple equal to the event encoding *eev*.
+
+        Every stored state keeps the event that reached it
+        (``StateStore._event``); distinct events number in the hundreds, so
+        producers hand the store the interned object instead of a fresh
+        equal tuple per state.
+        """
+        return self._events.setdefault(eev, eev)
 
     def decode_event(self, fields: tuple) -> SystemEvent:
         """Inverse of :meth:`encode_event`."""

@@ -224,6 +224,15 @@ class TransitionKernel:
             )
             for row in self.spec.cache.on_access
         )
+        #: Interned access-event encodings, ``[cache_id][access_index]``:
+        #: every plan (and through it every stored state) shares these.
+        self._access_eevs = tuple(
+            tuple(
+                codec.intern_event((0, cid, ai))
+                for ai in range(len(codec.access_kinds))
+            )
+            for cid in range(self.num_caches)
+        )
 
     # -- event enumeration -------------------------------------------------------
     def enabled(self, enc: tuple) -> tuple[list, tuple]:
@@ -240,8 +249,9 @@ class TransitionKernel:
         the network (channel index when ordered, record index when
         unordered).  *net* is the state's parsed-network handle — opaque to
         callers, who only thread it back into :meth:`apply` (internally the
-        memoized ``(items, channel lane offsets)`` pair of the codec, parsed
-        once per distinct section).
+        codec's memoized ``(items, channel lane offsets, deliveries)``
+        triple, parsed once per distinct section).  Every ``eev`` is the
+        codec's interned tuple for that event, never a fresh one.
         """
         if not self._simple:
             return self._enabled_general(enc)
@@ -250,6 +260,7 @@ class TransitionKernel:
         apply_delivery = self._apply_delivery_plan
         stable = self.spec.cache.stable
         access_plans = self._access_plans
+        access_eevs = self._access_eevs
         width = CACHE_ENCODED_WIDTH
         max_accesses = self.max_accesses
         for cid in range(self.num_caches):
@@ -258,10 +269,10 @@ class TransitionKernel:
                 continue
             si = enc[base]
             if stable[si]:
+                eevs = access_eevs[cid]
                 for ai, ct, fn in access_plans[si]:
-                    plans.append((apply_access, (0, cid, ai), cid, ct, fn))
+                    plans.append((apply_access, eevs[ai], cid, ct, fn))
         net = self.codec.parsed_network(enc)
-        items = net[0]
         # Delivery planning, inlined (one call per in-flight message adds up):
         # pick the receiving controller's candidate row, resolve the unique
         # unguarded candidate without the `_select` call, and drop stalled
@@ -271,19 +282,7 @@ class TransitionKernel:
         cache_fns = self._cache_fns
         d0 = self.dir_offset
         select = self._select
-        if self.ordered:
-            deliverable = enumerate(item[3][0] for item in items)
-        else:
-            def _deduped(records):
-                # Identical in-flight messages lead to the same successor;
-                # the object model de-duplicates them the same way.
-                previous = None
-                for idx, rec in enumerate(records):
-                    if rec != previous:
-                        previous = rec
-                        yield idx, rec
-            deliverable = _deduped(items)
-        for idx, rec in deliverable:
+        for idx, rec, eev in net[2]:
             fn = None
             if rec[2] == 1:  # destination is the directory (id -1, +2 shift)
                 cands = dir_rows[enc[d0]].get(rec[0])
@@ -303,18 +302,8 @@ class TransitionKernel:
                         fn = cache_fns[id(ct)]
             else:
                 ct = None
-            plans.append((apply_delivery, (1,) + rec, rec, ct, idx, fn))
+            plans.append((apply_delivery, eev, rec, ct, idx, fn))
         return plans, net
-
-    @staticmethod
-    def _deduped_records(records):
-        """Distinct unordered-network records (the bag is sorted, so equal
-        records are adjacent); mirrors ``UnorderedNetwork.deliverable``."""
-        previous = None
-        for idx, rec in enumerate(records):
-            if rec != previous:
-                previous = rec
-                yield idx, rec
 
     def _enabled_general(self, enc: tuple) -> tuple[list, tuple]:
         """Plane-aware twin of :meth:`enabled` for multi-address, fault-model
@@ -328,7 +317,8 @@ class TransitionKernel:
         stride = self.plane_stride
         width = CACHE_ENCODED_WIDTH
         stable = self.spec.cache.stable
-        single = num_addresses == 1
+        event = self._event
+        access_eevs = self._access_eevs
         apply_access = self._apply_access_plan_general
         if self._litmus_ops is not None:
             on_access = self.spec.cache.on_access
@@ -349,7 +339,7 @@ class TransitionKernel:
                 ct = on_access[enc[addr * stride + cid * width]][ai]
                 if ct is None or ct.stall:
                     continue
-                eev = (0, cid, ai) if single else (0, cid, ai, addr)
+                eev = event(access_eevs[cid][ai], addr)
                 plans.append(
                     (apply_access, eev, cid, ct, self._cache_fns[id(ct)], addr)
                 )
@@ -364,7 +354,7 @@ class TransitionKernel:
                     si = enc[base]
                     if stable[si]:
                         for ai, ct, fn in access_plans[si]:
-                            eev = (0, cid, ai) if single else (0, cid, ai, addr)
+                            eev = event(access_eevs[cid][ai], addr)
                             plans.append((apply_access, eev, cid, ct, fn, addr))
         apply_delivery = self._apply_delivery_plan_general
         dir_rows = self.spec.directory.on_message
@@ -401,17 +391,13 @@ class TransitionKernel:
                                     fn = cache_fns[id(ct)]
                         else:
                             ct = None
-                        eev = (1,) + rec if single else (1,) + rec + (addr,)
+                        eev = event((1,) + rec, addr)
                         plans.append(
                             (apply_delivery, eev, rec, ct, idx, fn, addr, pos)
                         )
                         break
                 continue
-            if self.ordered:
-                deliverable = enumerate(item[3][0] for item in items)
-            else:
-                deliverable = self._deduped_records(items)
-            for idx, rec in deliverable:
+            for idx, rec, eev in planes[addr][2]:
                 fn = None
                 if rec[2] == 1:  # destination is the directory
                     cands = dir_rows[enc[d0]].get(rec[0])
@@ -431,20 +417,15 @@ class TransitionKernel:
                             fn = cache_fns[id(ct)]
                 else:
                     ct = None
-                eev = (1,) + rec if single else (1,) + rec + (addr,)
+                eev = event(eev, addr)
                 plans.append((apply_delivery, eev, rec, ct, idx, fn, addr, 0))
         fault_lane = self.fault_offset
         if fault_lane is not None and enc[fault_lane] < self.fault_budget:
             if self.fault_duplicate:
                 apply_dup = self._apply_duplicate_plan
                 for addr in range(num_addresses):
-                    items = planes[addr][0]
-                    if self.ordered:
-                        candidates = enumerate(item[3][0] for item in items)
-                    else:
-                        candidates = self._deduped_records(items)
-                    for idx, rec in candidates:
-                        eev = (2,) + rec if single else (2,) + rec + (addr,)
+                    for idx, rec, _eev in planes[addr][2]:
+                        eev = event((2,) + rec, addr)
                         plans.append((apply_dup, eev, addr, idx))
             if self.fault_reorder and self.ordered:
                 apply_reorder = self._apply_reorder_plan
@@ -453,13 +434,16 @@ class TransitionKernel:
                     for idx, (src, dst, vnet, msgs) in enumerate(items):
                         for pos in range(len(msgs) - 1):
                             if msgs[pos] != msgs[pos + 1]:
-                                eev = (
-                                    (3, src, dst, vnet, pos)
-                                    if single
-                                    else (3, src, dst, vnet, pos, addr)
-                                )
+                                eev = event((3, src, dst, vnet, pos), addr)
                                 plans.append((apply_reorder, eev, addr, idx, pos))
         return plans, planes
+
+    def _event(self, fields: tuple, addr: int) -> tuple:
+        """The codec's interned event encoding for *fields* on plane *addr*
+        (the plane is one trailing lane, present only with several)."""
+        if self.num_addresses > 1:
+            fields += (addr,)
+        return self.codec.intern_event(fields)
 
     def _select(
         self, cands: tuple, rec: tuple, enc: tuple, base: int | None, d0: int
@@ -576,10 +560,11 @@ class TransitionKernel:
     def _emit_net_plane(self, out, enc, planes, addr, where, sends, pos=0):
         """Emit the successor's network sections: earlier planes verbatim,
         plane *addr* through :meth:`_emit_net`, later planes verbatim."""
-        items, offsets, start = planes[addr]
-        end = start + offsets[-1]
+        plane = planes[addr]
+        start = plane[3]
+        end = start + plane[1][-1]
         out.extend(enc[self.net_offset : start])
-        self._emit_net(out, enc, (items, offsets), where, sends, start, end, pos)
+        self._emit_net(out, enc, plane, where, sends, start, end, pos)
         out.extend(enc[end:])
 
     def _apply_access_plan_general(self, enc: tuple, plan: tuple, planes: tuple):
@@ -641,7 +626,7 @@ class TransitionKernel:
         record into its section (behind the head for ordered channels,
         adjacent to its twin in the sorted unordered bag)."""
         addr, where = plan[2], plan[3]
-        items, offsets, start = planes[addr]
+        _items, offsets, _deliveries, start = planes[addr]
         end = start + offsets[-1]
         mw = MESSAGE_ENCODED_WIDTH
         out = list(enc[: self.net_offset])
@@ -665,7 +650,7 @@ class TransitionKernel:
     def _apply_reorder_plan(self, enc: tuple, plan: tuple, planes: tuple):
         """Decode-free reorder: swap two adjacent message records in place."""
         addr, chan, pos = plan[2], plan[3], plan[4]
-        offsets, start = planes[addr][1], planes[addr][2]
+        offsets, start = planes[addr][1], planes[addr][3]
         mw = MESSAGE_ENCODED_WIDTH
         out = list(enc[: self.net_offset])
         out[self.fault_offset] += 1
@@ -898,7 +883,7 @@ class TransitionKernel:
         if not sends and where is None:
             out.extend(enc[no:end])
             return
-        items, offsets = net
+        items, offsets = net[0], net[1]
         mw = MESSAGE_ENCODED_WIDTH
         if not self.ordered:
             if not sends:

@@ -171,13 +171,6 @@ class VectorizedKernel:
         spec = self.kernel.spec
         self._perm_table = _np.asarray(spec.cache.permission, dtype=_np.int8)
         self._stable_table = _np.asarray(spec.cache.stable, dtype=bool)
-        # Batch canonicalization side table: raw region bytes -> orbit
-        # record (:meth:`EncodedCanonicalizer.orbit_for`).  Region orbits
-        # are classified once per distinct cache-block region, found in
-        # bulk by the driver's per-level ``np.unique`` over the successor
-        # matrix.  Sound because ``verify`` only ever canonicalizes with
-        # the system's full symmetric group (records are perm-set pure).
-        self._region_orbits: dict[bytes, tuple] = {}
 
     def _lane_ops_confined(self) -> bool:
         """Every compiled transition's footprint fits the batch model.
@@ -214,14 +207,9 @@ class VectorizedKernel:
             self._section_ids[tail] = sid
             fake_enc = self._zero_prefix + tail
             net = self.codec.parsed_network(fake_enc)
-            items = net[0]
-            if self.kernel.ordered:
-                pairs = [(idx, item[3][0]) for idx, item in enumerate(items)]
-            else:
-                pairs = list(self.kernel._deduped_records(items))
             rec_ids = self._rec_ids
             deliveries = []
-            for where, rec in pairs:
+            for where, rec, _eev in net[2]:
                 rid = rec_ids.get(rec)
                 if rid is None:
                     rid = rec_ids[rec] = len(rec_ids)
@@ -531,9 +519,10 @@ class VectorizedKernel:
                 continue
             cols, vals = delta
             s = tuple(sends)
-            acc.append(
-                ((0, cid, ai), cols, vals, len(cols), s, self._intern_sends(s))
-            )
+            acc.append((
+                k._access_eevs[cid][ai], cols, vals, len(cols), s,
+                self._intern_sends(s),
+            ))
         return tuple(acc)
 
     def _compute_delivery(self, rec: tuple, base, cid, prefix: tuple, dkey: tuple):
@@ -581,7 +570,8 @@ class VectorizedKernel:
             return _FALLBACK
         cols, vals = delta
         s = tuple(sends)
-        return ((1,) + rec, cols, vals, len(cols), s, self._intern_sends(s))
+        eev = self.codec.intern_event((1,) + rec)
+        return (eev, cols, vals, len(cols), s, self._intern_sends(s))
 
     def _emit_tail(self, sid: int, where, sends: tuple, tkey: tuple) -> int:
         """Successor section ID for ``(section, delivered slot, sends id)``,

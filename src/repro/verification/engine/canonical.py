@@ -180,13 +180,16 @@ def _signature_orbit(
     return None, candidates
 
 
-#: Orbit-memo sentinel: this cache-block region holds saved requestor IDs,
-#: so its signatures are permutation-dependent (encoded brute force applies).
-_SAVED = (None, None)
-
-#: Public alias for the sentinel, for callers of
-#: :meth:`EncodedCanonicalizer.orbit_for` outside this module.
-SAVED_ORBIT = _SAVED
+#: ``_ORDER3[(b0 < b1, b1 < b2, b0 < b2)]``: the sorting permutation of three
+#: pairwise-distinct cache blocks (the reference tier's common case).
+_ORDER3 = {
+    (True, True, True): (0, 1, 2),
+    (True, False, True): (0, 2, 1),
+    (True, False, False): (1, 2, 0),
+    (False, True, True): (1, 0, 2),
+    (False, True, False): (2, 0, 1),
+    (False, False, False): (2, 1, 0),
+}
 
 
 class EncodedCanonicalizer:
@@ -194,18 +197,21 @@ class EncodedCanonicalizer:
 
     Wraps :func:`canonicalize_encoded`'s logic in an object that hoists the
     per-call invariants (identity permutation, full-group check) and keeps
-    the **orbit memo**: signature sort + orbit pruning depend only on the
-    cache-block region of an encoding, and those regions recur across far
-    more states than they have distinct values, so each region is classified
-    once — subsequent states with the same cache blocks skip straight to the
-    (memoized) tie-break keys.  Obtain instances through
-    :func:`canonicalizer_for`; they are cached on the codec so the memo
-    warms across searches of the same system.
+    the **region memo**, the pipeline's only per-region cache: signature
+    sort, orbit pruning and the saved-requestor block ranking all depend
+    only on the cache-block region of an encoding, and those regions recur
+    across far more states than they have distinct values, so each region
+    is classified once -- subsequent states with the same cache blocks skip
+    straight to the (memoized) tie-break keys.  The memo is keyed by the
+    region's *packed bytes* -- a slice of the state's visited-set key, a
+    third the size of the lane tuple and hashed at C speed.  Obtain
+    instances through :func:`canonicalizer_for`; they are cached on the
+    codec so the memo warms across searches of the same system.
     """
 
     __slots__ = (
         "codec", "perms", "identity", "_full_group", "_orbit_memo",
-        "_saved_probe", "_saved_memo",
+        "_saved_probe", "_region_bytes", "_identity_orbit", "_tied_orbits",
     )
 
     def __init__(self, codec, perms: tuple[Permutation, ...]):
@@ -213,76 +219,59 @@ class EncodedCanonicalizer:
         self.perms = perms
         self.identity = perms[0]
         self._full_group = len(perms) == math.factorial(codec.num_caches)
-        # region -> (identity, None) | (perm, relabeled_prefix)
-        #         | (None, candidates) | _SAVED
-        self._orbit_memo: dict[tuple, tuple] = {}
+        # packed region -> orbit record (see `orbit_for`)
+        self._orbit_memo: dict[bytes, tuple] = {}
+        self._region_bytes = codec.dir_offset * codec.lane_bytes
+        # Records are shared wherever regions agree on them: one for every
+        # identity winner, one per distinct (candidate set, saved) pair.
+        self._identity_orbit = (self.identity, None, False)
+        self._tied_orbits: dict[tuple, tuple] = {}
         # One C-level gather of every saved-requestor lane in the region:
         # `any()` over its result replaces 2n slice-and-scan steps.
         self._saved_probe = itemgetter(*codec._saved_lanes)
-        # Saved-requestor regions: region -> cache-key-minimal permutations.
-        # The brute-force cache-key ranking (including the per-permutation
-        # saved-slot translation) reads nothing outside the cache-block
-        # region, so its surviving candidate list is a pure function of the
-        # region -- memoizing it turns the per-state O(n! * n) block ranking
-        # into a probe plus the staged tie-break.
-        self._saved_memo: dict[tuple, tuple] = {}
 
-    def orbit_for(self, region: tuple) -> tuple:
-        """Memoized orbit record for one cache-block region.
+    @property
+    def memo_entries(self) -> int:
+        """Distinct regions the memo currently holds."""
+        return len(self._orbit_memo)
 
-        ``(identity, None)`` -- the region is already minimal;
-        ``(perm, relabeled_prefix)`` -- a unique non-identity winner (the
-        relabeled cache-block prefix rides along as a list, see below);
-        ``(None, candidates)`` -- equal-signature ties, resolved per state
-        by :func:`_tie_break_encoded`; or the :data:`SAVED_ORBIT` sentinel
-        -- saved-requestor slots are occupied, signatures are permutation-
-        dependent and the state needs the encoded brute force.  Shared by
-        :meth:`canonicalize` and the vectorized engine's batch
-        canonicalization (which classifies each distinct region once per
-        level via ``np.unique`` and then only assembles).
+    def orbit_for(self, region: bytes) -> tuple:
+        """Memoized ``(best, extra, saved)`` record for one packed
+        cache-block region (``codec.pack(enc)[:region_bytes]``).
+
+        ``(identity, None, False)`` -- the region is already minimal;
+        ``(perm, relabeled_prefix, False)`` -- a unique non-identity winner:
+        it is a pure function of the region, and so is the relabeled
+        cache-block prefix, which rides along as a list so repeat regions
+        relabel by list concatenation instead of re-gathering lane by lane;
+        ``(None, candidates, saved)`` -- the winner depends on the rest of
+        the state and :func:`_tie_break_encoded` picks it among
+        *candidates*: the orbit of the equal-signature groups, or, when
+        saved-requestor slots are occupied (*saved*; signatures are then
+        permutation-dependent), the cache-key-minimal permutations of the
+        encoded brute force (:func:`_saved_tied`).  Shared by
+        :meth:`canonicalize` and the vectorized expander's batch
+        canonicalization (which looks each distinct region of a level up
+        once via ``np.unique`` and then only assembles).
         """
         memo = self._orbit_memo
         orbit = memo.get(region)
         if orbit is None:
             if len(memo) >= _ORBIT_MEMO_LIMIT:
                 memo.clear()
-            orbit = self._classify(region)
-            if orbit is not _SAVED:
-                best, candidates = orbit
-                if best is None:
-                    orbit = (None, candidates)
-                elif best == self.identity:
-                    orbit = (best, None)
-                else:
-                    # A unique non-identity winner is a pure function of
-                    # the region -- and so is the relabeled cache-block
-                    # prefix, so cache it on the orbit record: repeat
-                    # regions then relabel by list concatenation instead of
-                    # re-gathering lane by lane.
-                    orbit = (best, list(self.codec.perm_tables(best)[0](region)))
-            memo[region] = orbit
+            orbit = memo[region] = self._classify(self.codec.unpack(region))
         return orbit
 
-    def saved_candidates(self, region: tuple) -> tuple:
-        """Memoized cache-key-minimal permutations for a saved-requestor region.
+    def canonicalize(
+        self, enc: tuple, key: bytes | None = None
+    ) -> tuple[tuple, Permutation]:
+        """``(canonical_encoding, witness_perm)`` — see :func:`canonicalize_encoded`.
 
-        Exactly the ``tied`` list :func:`canonicalize_bruteforce_encoded`
-        builds -- the permutations whose placed (saved-slot-translated)
-        cache blocks compare minimal -- which depends on nothing outside
-        the cache-block region.  The per-state remainder is only the staged
-        directory/network tie-break, so repeats of a region skip the
-        ``O(n! * n)`` block ranking entirely.
+        *key* is ``codec.pack(enc)`` when the caller already holds it (the
+        searches do: it is their raw-successor dedup key), which makes the
+        region-memo probe one slice of it.  An identity winner returns
+        *enc* itself, so such a caller's *key* is also the canonical key.
         """
-        memo = self._saved_memo
-        tied = memo.get(region)
-        if tied is None:
-            if len(memo) >= _ORBIT_MEMO_LIMIT:
-                memo.clear()
-            tied = memo[region] = _saved_tied(self.codec, region, self.perms)
-        return tied
-
-    def canonicalize(self, enc: tuple) -> tuple[tuple, Permutation]:
-        """``(canonical_encoding, witness_perm)`` — see :func:`canonicalize_encoded`."""
         perms = self.perms
         if len(perms) == 1:
             return enc, self.identity
@@ -292,25 +281,17 @@ class EncodedCanonicalizer:
             # (the orbit permutations must all be available); fall back to
             # trying exactly the permutations the caller supplied.
             return canonicalize_bruteforce_encoded(enc, codec, perms)
-        orbit = self.orbit_for(enc[: codec.dir_offset])
-        if orbit is _SAVED:
-            # Saved-requestor slots hold cache IDs: signatures are
-            # permutation-dependent, but the cache-key-minimal candidate
-            # set is still a pure function of the region -- rank once per
-            # distinct region, then only tie-break per state.
-            tied = self.saved_candidates(enc[: codec.dir_offset])
-            best_perm = _tie_break_encoded(enc, codec, tied)
-            if best_perm == self.identity:
-                return enc, best_perm
-            return codec.relabel_via_tables(enc, best_perm), best_perm
-        best_perm, extra = orbit
+        if key is None:
+            region = codec.pack_tail(enc[: codec.dir_offset])
+        else:
+            region = key[: self._region_bytes]
+        best_perm, extra, saved = self.orbit_for(region)
         if best_perm is None:
             best_perm = _tie_break_encoded(enc, codec, extra)
             if best_perm == self.identity:
                 return enc, best_perm
-            # The orbit classification proved no saved-requestor slot is
-            # occupied, so the relabel can skip the slot-translation pass.
-            return codec.relabel_via_tables(enc, best_perm, saved=False), best_perm
+            # Only a saved-requestor region needs the slot-translation pass.
+            return codec.relabel_via_tables(enc, best_perm, saved=saved), best_perm
         if extra is None:
             return enc, best_perm
         # Cached relabeled prefix + memoized relabeled suffix: the canonical
@@ -321,36 +302,36 @@ class EncodedCanonicalizer:
             best_perm,
         )
 
-    def _classify(self, region: tuple) -> tuple:
-        """Signature-sort/orbit record for one cache-block region."""
+    def _classify(self, lanes: tuple) -> tuple:
+        """The orbit record of one cache-block region, given as lanes."""
         codec = self.codec
-        if any(self._saved_probe(region)):
-            return _SAVED
+        if any(self._saved_probe(lanes)):
+            # The brute-force cache-key ranking (including the per-
+            # permutation saved-slot translation) reads nothing outside the
+            # region, so ranking once per region leaves only the staged
+            # tie-break per state.
+            return self._tied(_saved_tied(codec, lanes, self.perms), True)
         width = codec.cache_width
         n = codec.num_caches
-        if n == 3:
-            # The reference tier: resolve the all-distinct case (the vast
-            # majority of regions) with three direct block comparisons
-            # instead of the generic sort-and-group walk.
-            b0 = region[:width]
-            b1 = region[width : 2 * width]
-            b2 = region[2 * width :]
-            if b0 != b1 and b1 != b2 and b0 != b2:
-                if b0 < b1:
-                    if b1 < b2:
-                        return ((0, 1, 2), None)
-                    if b0 < b2:
-                        return ((0, 2, 1), None)
-                    return ((1, 2, 0), None)
-                if b0 < b2:
-                    return ((1, 0, 2), None)
-                if b1 < b2:
-                    return ((2, 0, 1), None)
-                return ((2, 1, 0), None)
-            blocks = [b0, b1, b2]
+        blocks = [lanes[i * width : (i + 1) * width] for i in range(n)]
+        if n == 3 and len(set(blocks)) == 3:
+            # The reference tier: the all-distinct case (the vast majority
+            # of regions) skips the generic sort-and-group walk.
+            b0, b1, b2 = blocks
+            best, candidates = _ORDER3[(b0 < b1, b1 < b2, b0 < b2)], None
         else:
-            blocks = [region[i * width : (i + 1) * width] for i in range(n)]
-        return _signature_orbit(blocks)
+            best, candidates = _signature_orbit(blocks)
+        if best is None:
+            return self._tied(tuple(candidates), False)
+        if best == self.identity:
+            return self._identity_orbit
+        return (best, list(codec.perm_tables(best)[0](lanes)), False)
+
+    def _tied(self, candidates: tuple, saved: bool) -> tuple:
+        """The shared ``(None, candidates, saved)`` record: candidate sets
+        number a handful, the regions mapping to them tens of thousands."""
+        key = (candidates, saved)
+        return self._tied_orbits.setdefault(key, (None, candidates, saved))
 
 
 def canonicalizer_for(codec, perms: tuple[Permutation, ...]) -> EncodedCanonicalizer:
@@ -439,8 +420,8 @@ def _saved_tied(codec, enc, perms: tuple[Permutation, ...]) -> tuple:
     The block ranking -- including the per-permutation saved-slot
     translation through ``t1`` -- reads only the cache-block region, so
     callers may pass either a full encoding or just ``enc[:dir_offset]``;
-    :meth:`EncodedCanonicalizer.saved_candidates` memoizes the result per
-    region on exactly that property.
+    :meth:`EncodedCanonicalizer.orbit_for` memoizes the result per region on
+    exactly that property.
     """
     n = codec.num_caches
     width = codec.cache_width

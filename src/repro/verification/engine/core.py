@@ -35,6 +35,7 @@ from repro.system.system import System, SystemEvent
 from repro.verification.engine.canonical import (
     Permutation,
     canonicalize_encoded,
+    canonicalizer_for,
     compose,
     invert,
     relabel_event,
@@ -76,13 +77,15 @@ class VerificationResult:
     #: instead of inference: ``kernel`` / ``strategy`` (the backends that
     #: ran), ``decode_count`` (``GlobalState`` decodes across the search,
     #: worker processes included -- 0 for a passing compiled-kernel search,
-    #: reduced or not), ``canonicalization_seconds`` (CPU seconds inside
-    #: symmetry canonicalization; summed across workers for the parallel
-    #: strategy) and ``expansion_seconds`` (everything else: successor
-    #: generation, interning, invariant checks).  For multi-process
-    #: searches the worker CPU sum is not comparable against the parent's
-    #: wall-clock, so ``expansion_seconds`` is ``None`` there instead of a
-    #: bogus subtraction.
+    #: reduced or not), ``raw_seen_entries`` / ``orbit_memo_entries`` (sizes
+    #: of the symmetry pipeline's two caches in this process at search end;
+    #: ``None`` with symmetry off), ``canonicalization_seconds`` (CPU
+    #: seconds inside symmetry canonicalization; summed across workers for
+    #: the parallel strategy) and ``expansion_seconds`` (everything else:
+    #: successor generation, interning, invariant checks).  For
+    #: multi-process searches the worker CPU sum is not comparable against
+    #: the parent's wall-clock, so ``expansion_seconds`` is ``None`` there
+    #: instead of a bogus subtraction.
     stats: dict = field(default_factory=dict)
 
     @property
@@ -181,6 +184,9 @@ class Exploration:
         #: Wall-clock spent inside canonicalization (strategies accumulate;
         #: workers report their share per batch).
         self.canon_seconds = 0.0
+        #: The expanders' raw-successor dedup set (see
+        #: ``driver._RAW_SEEN_LIMIT``); None with symmetry off.
+        self.raw_seen: set | None = set() if perms is not None else None
         #: ``GlobalState`` decodes reported back by worker processes (their
         #: codecs are private copies, so the parent counter cannot see them).
         self.worker_decodes = 0
@@ -296,6 +302,13 @@ class Exploration:
             ),
         }
         stats["resume_level"] = self.resume_level
+        reduced = self.perms is not None
+        stats["raw_seen_entries"] = len(self.raw_seen) if reduced else None
+        stats["orbit_memo_entries"] = (
+            canonicalizer_for(self.codec, self.perms).memo_entries
+            if reduced
+            else None
+        )
         if self.worker_states is not None:
             stats["steal_count"] = self.steal_count
             stats["worker_states"] = list(self.worker_states)

@@ -15,7 +15,7 @@ Every strategy, backend and worker process runs the same two pieces:
 
 :class:`ObjectExpander` and :class:`CompiledExpander` hold the only two
 per-state bodies in ``src/`` (enabled events -> leaf verdict -> apply ->
-raw-successor dedup -> canonicalize -> pack -> intern -> invariant check).
+pack -> raw-successor dedup -> canonicalize -> intern -> invariant check).
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
 fourth expander in the parent and a *user* of the per-state ones in every
@@ -33,10 +33,13 @@ from repro.verification.engine.canonical import canonicalizer_for
 
 #: Bound on the raw-successor dedup sets of the symmetry-reduced searches: a
 #: raw successor reached twice maps to the same canonical representative, so
-#: its second occurrence can skip canonicalize/pack/intern entirely (~38 % of
-#: transitions on the reference MSI workload).  The set is an optimization
-#: only -- clearing it when full merely re-pays the canonicalization, so the
-#: bound caps memory without affecting any count or verdict.
+#: its second occurrence can skip canonicalize/intern entirely (~38 % of
+#: transitions on the reference MSI workload).  Members are packed bytes --
+#: for a successor that is its own representative the very object the store
+#: keys on, so only relabeled successors cost a second key.  The set is an
+#: optimization only -- clearing it when full merely re-pays the
+#: canonicalization, so the bound caps memory without affecting any count or
+#: verdict.
 _RAW_SEEN_LIMIT = 1 << 19
 
 
@@ -131,7 +134,7 @@ class ObjectExpander(Expander):
             if ctx.perms is not None
             else None
         )
-        self.raw_seen: set = set()
+        self.raw_seen = ctx.raw_seen
 
     def lift(self, pairs):
         decode_packed = self.ctx.codec.decode_packed
@@ -199,22 +202,27 @@ class ObjectExpander(Expander):
                     )
                 successor = outcome.state
                 enc = encode(successor)
+                key = pack(enc)
                 perm = None
                 if canonicalize is not None:
                     # A raw successor seen before canonicalized to an
                     # interned representative then, so everything below
                     # would no-op (the add + length check costs a single
-                    # tuple hash).
+                    # bytes hash).
                     grown = len(raw_seen) + 1
-                    raw_seen.add(enc)
+                    raw_seen.add(key)
                     if len(raw_seen) != grown:
                         continue
                     if grown >= _RAW_SEEN_LIMIT:
                         raw_seen.clear()
                     start = perf_counter()
-                    enc, perm = canonicalize(enc)
+                    canonical, perm = canonicalize(enc, key)
                     ctx.canon_seconds += perf_counter() - start
-                new_id, is_new = intern(pack(enc), sid, event, perm)
+                    if canonical is not enc:
+                        # Relabeled: a second key, and a decode if it is new.
+                        enc = canonical
+                        key = pack(enc)
+                new_id, is_new = intern(key, sid, event, perm)
                 if not is_new:
                     continue
                 if perm is not None and perm != identity:
@@ -288,18 +296,22 @@ class CompiledExpander(ObjectExpander):
                             error=outcome.error, leaf_id=sid, final_event=event
                         )
                     succ = codec.encode(outcome.state)
+                key = pack(succ)
                 perm = None
                 if canonicalize is not None:
                     grown = len(raw_seen) + 1
-                    raw_seen.add(succ)
+                    raw_seen.add(key)
                     if len(raw_seen) != grown:
                         continue
                     if grown >= _RAW_SEEN_LIMIT:
                         raw_seen.clear()
                     start = timer()
-                    succ, perm = canonicalize(succ)
+                    canonical, perm = canonicalize(succ, key)
                     ctx.canon_seconds += timer() - start
-                new_id, is_new = intern(pack(succ), sid, plan[1], perm)
+                    if canonical is not succ:
+                        succ = canonical
+                        key = pack(succ)
+                new_id, is_new = intern(key, sid, plan[1], perm)
                 if not is_new:
                     continue
                 if not check(succ, codes):

@@ -162,6 +162,7 @@ class _WorkerState:
         self.shard = SpillableKeySet(spill_dir, tag=f"w{wid}")
         self.shard.seed(seed_blob, self.nworkers, wid)
         self.emitted: set = set()
+        self.raw_seen: set = set()
         self.bucket_arena = _Arena()
         self.accepted_arena = _Arena()
         self.store = self
@@ -534,6 +535,7 @@ class ShmEngine(Expander):
         # Absorb phase: assign dense IDs and append trace links (no keys).
         next_frontier: list = []
         append_link = ctx.store.append_link
+        intern_event = ctx.codec.intern_event
         perms = ctx.perms
         for msg in deduped:
             _kind, wid, name, blob_len, n_accepted, worker_failures, stats = msg
@@ -551,7 +553,9 @@ class ShmEngine(Expander):
                         _REC_HEADER, buf, pos
                     )
                     pos += _REC_HEADER_SIZE + DIGEST_BYTES
-                    eev = tuple(struct.unpack_from(f"<{eev_len}i", buf, pos))
+                    eev = intern_event(
+                        tuple(struct.unpack_from(f"<{eev_len}i", buf, pos))
+                    )
                     pos += 4 * eev_len
                     key = bytes(buf[pos : pos + klen])
                     pos += klen

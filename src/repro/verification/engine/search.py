@@ -37,7 +37,6 @@ import os
 from time import perf_counter
 
 from repro.verification.engine.canonical import (
-    SAVED_ORBIT,
     _tie_break_encoded,
     canonicalizer_for,
 )
@@ -149,7 +148,14 @@ class VectorizedExpander(CompiledExpander):
         level = vk.collect_level(ids, F, sids)
         if level.fallbacks:
             before = ctx.transitions
+            # The per-state body dedups raw successors on packed keys, this
+            # one on widened row bytes, and with 32-bit lanes one state's row
+            # can equal another's key: never let the two meet in one set.
+            if self.raw_seen:
+                self.raw_seen.clear()
             successors, failure = super().expand(self._encodings(lanes))
+            if self.raw_seen:
+                self.raw_seen.clear()
             ctx.fallback_transitions += ctx.transitions - before
             if failure is not None:
                 return None, failure
@@ -205,24 +211,15 @@ class VectorizedExpander(CompiledExpander):
         entry_rsids: list = []  # canonical section ID, or -1 = intern later
         if batch_canon:
             # Orbit classification in bulk: one np.unique over the region
-            # columns, one orbit_for per distinct never-seen region.
+            # columns, one orbit_for per distinct region of the level (the
+            # region's lane bytes are its packed form, the memo's key).
             d0 = vk.dir_offset
             region_bytes = d0 * V.dtype.itemsize
             R = np.ascontiguousarray(V[:, :d0])
             rb = R.view(np.dtype((np.void, region_bytes))).ravel()
-            runiq, rfirst, rinv = np.unique(
-                rb, return_index=True, return_inverse=True
-            )
-            region_orbits = vk._region_orbits
-            recs = []
-            for vb, fi in zip(runiq, rfirst.tolist()):
-                rkey = vb.tobytes()
-                rec = region_orbits.get(rkey)
-                if rec is None:
-                    rec = region_orbits[rkey] = canonicalizer.orbit_for(
-                        tuple(rows_list[fi][:d0])
-                    )
-                recs.append(rec)
+            runiq, rinv = np.unique(rb, return_inverse=True)
+            orbit_for = canonicalizer.orbit_for
+            recs = [orbit_for(vb.tobytes()) for vb in runiq]
             rinv_list = rinv.tolist()
             identity = canonicalizer.identity
             for j, u in enumerate(order_list):
@@ -233,72 +230,50 @@ class VectorizedExpander(CompiledExpander):
                 if grown >= _RAW_SEEN_LIMIT:
                     raw_seen.clear()
                 sid2 = out_sids[u]
-                orbit = recs[rinv_list[j]]
-                if orbit is SAVED_ORBIT:
-                    # Saved-requestor IDs: permutation-dependent signatures,
-                    # per-state encoded brute force (exactly what the serial
-                    # canonicalize would do for this state).
+                best, extra, saved = recs[rinv_list[j]]
+                if best is None:
+                    # Ties (equal signatures, or saved-requestor IDs): the
+                    # per-state tie-break over the region's candidates,
+                    # then one table relabel -- exactly what the serial
+                    # canonicalize does for this state.
                     enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
                     start = timer()
-                    cenc, perm = canonicalize(enc)
+                    best = _tie_break_encoded(enc, codec, extra)
+                    if best == identity:
+                        key = (
+                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
+                            + sinfo[sid2][4]
+                        )
+                        rsid = sid2
+                    else:
+                        enc = codec.relabel_via_tables(enc, best, saved=saved)
+                        key = pack(enc)
+                        rsid = -1
                     ctx.canon_seconds += timer() - start
-                    if cenc is enc:
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
-                        )
-                        rsid = sid2
-                    else:
-                        enc = cenc
-                        key = pack(enc)
-                        rsid = -1
                     entry_encs.append(enc)
+                elif extra is None:
+                    # Identity winner: the raw successor is canonical; its
+                    # bytes are already the intern key and the tuple is
+                    # only built (in phase 3) if it is new.
+                    key = (
+                        vbytes[j * rowsize : j * rowsize + prefix_bytes]
+                        + sinfo[sid2][4]
+                    )
+                    rsid = sid2
+                    entry_encs.append(None)
                 else:
-                    best, extra = orbit
-                    if best is None:
-                        # Equal-signature ties: per-state tie-break over the
-                        # orbit candidates, then one table relabel.
-                        enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
-                        start = timer()
-                        best = _tie_break_encoded(enc, codec, extra)
-                        if best == identity:
-                            key = (
-                                vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                                + sinfo[sid2][4]
-                            )
-                            rsid = sid2
-                        else:
-                            enc = codec.relabel_via_tables(enc, best, saved=False)
-                            key = pack(enc)
-                            rsid = -1
-                        ctx.canon_seconds += timer() - start
-                        perm = best
-                        entry_encs.append(enc)
-                    elif extra is None:
-                        # Identity winner: the raw successor is canonical;
-                        # its bytes are already the intern key and the
-                        # tuple is only built (in phase 3) if it is new.
-                        perm = best
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
-                        )
-                        rsid = sid2
-                        entry_encs.append(None)
-                    else:
-                        # Unique non-identity winner: canonical encoding
-                        # assembles from the orbit-cached relabeled prefix
-                        # and the codec's memoized relabeled suffix.
-                        start = timer()
-                        enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
-                        t2 = codec.perm_tables(best)[2]
-                        enc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
-                        ctx.canon_seconds += timer() - start
-                        perm = best
-                        key = pack(enc)
-                        rsid = -1
-                        entry_encs.append(enc)
-                entries.append((key, ids[parent_pos[u]], eevs[u], perm))
+                    # Unique non-identity winner: canonical encoding
+                    # assembles from the orbit-cached relabeled prefix and
+                    # the codec's memoized relabeled suffix.
+                    start = timer()
+                    enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
+                    t2 = codec.perm_tables(best)[2]
+                    enc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
+                    ctx.canon_seconds += timer() - start
+                    key = pack(enc)
+                    rsid = -1
+                    entry_encs.append(enc)
+                entries.append((key, ids[parent_pos[u]], eevs[u], best))
                 entry_us.append(u)
                 entry_rows.append(j)
                 entry_rsids.append(rsid)
@@ -500,19 +475,21 @@ class ParallelBreadthFirst(SearchStrategy):
     name = "parallel"
 
     def __init__(self, processes: int | None = None):
-        self.processes = processes
+        try:
+            self.mp = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - platform without fork
+            self.mp = None
+        self.processes = processes or max(2, min(8, _schedulable_cores()))
+        if self.mp is None or self.processes <= 1:
+            # Serial BFS stand-in, named so from construction: the name is
+            # part of the checkpoint fingerprint (taken before ``run``), and
+            # the result must not be attributed to the parallel strategy.
+            self.name = BreadthFirst.name
 
     def run(self, ctx):
-        try:
-            mp = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            mp = None
-        processes = self.processes or max(2, min(8, _schedulable_cores()))
-        if mp is None or processes <= 1:
-            # Serial BFS stand-in; relabel the result so it is not
-            # attributed to the parallel strategy.
-            ctx.strategy_name = BreadthFirst.name
+        if self.name == BreadthFirst.name:
             return BreadthFirst().run(ctx)
+        mp, processes = self.mp, self.processes
         frontier, depth = start_point(ctx)
         if ctx.resume is not None and ctx.resume["shards"] is not None:
             # Checkpoint from past spin-up: the store snapshot has no keys;

@@ -63,7 +63,10 @@ def run_sliced(system, path, budgets, **mode):
 # Every expander that writes the checkpoint from this process: per-state
 # under BFS (compiled / object / symmetry / hash-compaction axes) and DFS,
 # the vectorized one, and the parallel strategy while its levels stay under
-# POOL_SPINUP_FRONTIER (these 2-cache spaces never reach it).
+# POOL_SPINUP_FRONTIER (these 2-cache spaces never reach it).  The last mode
+# is the parallel strategy's serial stand-in: it used to take the name "bfs"
+# only inside ``run``, after the resuming leg had fingerprinted "parallel",
+# and so rejected its own file.
 CHECKPOINT_MODES = [
     dict(),
     dict(kernel="object"),
@@ -76,6 +79,7 @@ CHECKPOINT_MODES = [
     dict(strategy="dfs", symmetry=True),
     dict(strategy="parallel", processes=2),
     dict(strategy="parallel", processes=2, symmetry=True),
+    dict(strategy="parallel", processes=1),
 ]
 
 

@@ -29,7 +29,7 @@ from repro.verification import (
     canonicalize_bruteforce_encoded,
     canonicalize_encoded,
 )
-from repro.verification.engine.canonical import invert
+from repro.verification.engine.canonical import canonicalizer_for, invert
 
 from verification_helpers import sample_reachable_states
 
@@ -130,6 +130,22 @@ class TestRoundTrip:
         assert seen > 0
 
 
+def canonicalize_both_ways(enc, codec, perms):
+    """The encoded pipeline's ``(representative, witness)`` for *enc*,
+    asserted identical whether or not the caller hands over the packed key
+    (the searches do, and the region memo is then probed with a slice of
+    it), and through the :func:`canonicalize_encoded` facade."""
+    canonicalizer = canonicalizer_for(codec, perms)
+    key = codec.pack(enc)
+    keyed = canonicalizer.canonicalize(enc, key)
+    assert canonicalizer.canonicalize(enc) == keyed
+    assert canonicalize_encoded(enc, codec, perms) == keyed
+    assert key[: canonicalizer._region_bytes] == codec.pack_tail(
+        enc[: codec.dir_offset]
+    )
+    return keyed
+
+
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 class TestEncodedCanonicalAgreement:
     def test_same_representative_and_witness(self, sampled_by_protocol, name):
@@ -138,7 +154,9 @@ class TestEncodedCanonicalAgreement:
         perms = system.symmetry_permutations()
         for state in states:
             rep_obj, perm_obj = canonicalize(state, perms)
-            rep_enc, perm_enc = canonicalize_encoded(codec.encode(state), codec, perms)
+            rep_enc, perm_enc = canonicalize_both_ways(
+                codec.encode(state), codec, perms
+            )
             assert perm_enc == perm_obj
             assert rep_enc == codec.encode(rep_obj)
 
@@ -163,7 +181,7 @@ class TestEncodedCanonicalAgreement:
             enc = codec.encode(state)
             assert codec.has_saved_ids(enc)
             rep_obj, perm_obj = canonicalize(state, perms)
-            rep_enc, perm_enc = canonicalize_encoded(enc, codec, perms)
+            rep_enc, perm_enc = canonicalize_both_ways(enc, codec, perms)
             assert perm_enc == perm_obj
             assert rep_enc == codec.encode(rep_obj)
 
@@ -215,7 +233,9 @@ class TestEncodedBruteforceOracleAgreement:
             )
             assert perm_enc == perm_obj
             assert rep_enc == codec.encode(rep_obj)
-            via_encoded = canonicalize_encoded(codec.encode(state), codec, restricted)
+            via_encoded = canonicalize_both_ways(
+                codec.encode(state), codec, restricted
+            )
             assert via_encoded == (rep_enc, perm_enc)
 
 
@@ -237,7 +257,7 @@ def test_mosi_saved_requestor_states_agree_on_all_pipelines(all_generated):
         assert canonicalize(state, perms) == (rep_obj, perm_obj)
         for rep_enc, perm_enc in (
             canonicalize_bruteforce_encoded(enc, codec, perms),
-            canonicalize_encoded(enc, codec, perms),
+            canonicalize_both_ways(enc, codec, perms),
         ):
             assert perm_enc == perm_obj
             assert rep_enc == codec.encode(rep_obj)
@@ -269,6 +289,7 @@ def test_msi_unordered_late_absorb_states_agree_on_all_pipelines(all_generated):
         rep_enc, perm_enc = canonicalize_bruteforce_encoded(enc, codec, perms)
         assert perm_enc == perm_obj
         assert rep_enc == codec.encode(rep_obj)
+        assert canonicalize_both_ways(enc, codec, perms) == (rep_enc, perm_enc)
         for perm in perms:
             assert codec.relabel_via_tables(enc, perm) == codec.relabel(enc, perm)
 

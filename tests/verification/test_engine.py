@@ -21,6 +21,11 @@ from repro.verification.engine import (
     StateStore,
     resolve_strategy,
 )
+from repro.verification.engine import core as core_mod
+from repro.verification.engine.canonical import (
+    EncodedCanonicalizer,
+    canonicalizer_for,
+)
 from repro.verification.random_walk import random_walk
 
 from verification_helpers import (
@@ -247,6 +252,19 @@ class TestSearchStats:
         result = verify(system)
         assert result.stats["canonicalization_seconds"] == 0.0
 
+    def test_symmetry_cache_sizes(self, msi_nonstalling):
+        """The symmetry pipeline's two caches report their sizes at search
+        end (distinct raw successors canonicalized, distinct cache-block
+        regions classified); without symmetry there is nothing to report."""
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        full = verify(system).stats
+        assert full["raw_seen_entries"] is None
+        assert full["orbit_memo_entries"] is None
+        reduced = verify(system, symmetry=True).stats
+        assert reduced["raw_seen_entries"] == 1052
+        assert reduced["orbit_memo_entries"] == 577
+
     def test_object_backend_counts_its_decodes(self, msi_nonstalling):
         """The object backend decodes by design (the differential baseline);
         its stats must say so rather than pretend otherwise."""
@@ -366,3 +384,109 @@ class TestSearchStats:
             pytest.skip("parallel strategy unavailable on this platform")
         assert result.ok
         assert result.stats["expansion_seconds"] is None
+
+
+@pytest.fixture
+def explorations(monkeypatch):
+    """Every ``Exploration`` that ``verify`` builds during the test."""
+    made = []
+
+    class Recorded(core_mod.Exploration):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(core_mod, "Exploration", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("cell", [
+    ("MSI", "nonstalling", 2, 2),
+    ("MSI-Unordered", "nonstalling", 3, 1),
+], ids=lambda cell: f"{cell[0]}-{cell[2]}c{cell[3]}a")
+class TestRetainedObjects:
+    """What a symmetry-reduced search keeps per state is packed bytes or a
+    shared object, never a lane tuple of its own -- structure only: no
+    clock, no megabytes."""
+
+    @pytest.fixture
+    def ctx(self, all_generated, explorations, cell):
+        name, policy, num_caches, accesses = cell
+        system = System(all_generated[(name, policy)], num_caches=num_caches,
+                        workload=Workload(max_accesses_per_cache=accesses))
+        result = verify(system, symmetry=True)
+        assert result.ok and result.kernel == "compiled"
+        return explorations[-1]
+
+    def test_raw_seen_holds_packed_keys(self, ctx):
+        assert ctx.raw_seen
+        assert all(type(key) is bytes for key in ctx.raw_seen)
+
+    def test_identity_winner_key_is_the_raw_seen_entry(self, ctx):
+        """A raw successor that is its own representative costs one bytes
+        object: the raw-seen member *is* the store key."""
+        store = ctx.store
+        identity = ctx.perms[0]
+        raw = {key: key for key in ctx.raw_seen}
+        shared = 0
+        for key, state_id in store._ids.items():
+            if state_id != ctx.root_id and store._perm[state_id] == identity:
+                assert raw[key] is key
+                shared += 1
+        assert shared > 0
+
+    def test_one_region_memo_keyed_by_packed_regions(self, ctx):
+        from repro.system.vectorized import VectorizedKernel, VectorizedUnavailable
+
+        canonicalizer = canonicalizer_for(ctx.codec, ctx.perms)
+        assert not hasattr(canonicalizer, "_saved_memo")
+        assert not hasattr(EncodedCanonicalizer, "saved_candidates")
+        try:
+            vkernel = VectorizedKernel(ctx.system)
+        except VectorizedUnavailable:  # no NumPy here: nothing to look at
+            vkernel = None
+        assert not hasattr(vkernel, "_region_orbits")
+        width = ctx.codec.dir_offset * ctx.codec.lane_bytes
+        assert canonicalizer._orbit_memo
+        for region in canonicalizer._orbit_memo:
+            assert type(region) is bytes and len(region) == width
+        # The memo serves exactly the raw successors the search canonicalized.
+        assert {key[:width] for key in ctx.raw_seen} <= set(
+            canonicalizer._orbit_memo
+        )
+
+    def test_stored_events_are_shared_tuples(self, ctx):
+        events = ctx.store._event[1:]  # the root has none
+        assert all(type(event) is tuple for event in events)
+        assert len({id(event) for event in events}) == len(set(events))
+
+
+@pytest.mark.parametrize("axes", [
+    dict(faults=dict(duplicate=True, reorder=True)),
+    dict(num_addresses=2),
+    dict(spinup=True),
+], ids=lambda axes: "-".join(axes))
+def test_stored_events_are_shared_off_the_hot_loop(
+        msi_nonstalling, explorations, monkeypatch, axes):
+    """The general (fault / multi-address) enumeration and the fleet's
+    absorb loop hand the store the same interned event tuples the simple
+    per-state path does."""
+    from repro.system.system import FaultModel
+    from repro.verification.engine import search as search_mod
+
+    axes = dict(axes)
+    mode = {}
+    if axes.pop("spinup", False):
+        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+        mode = dict(strategy="parallel", processes=2)
+    if "faults" in axes:
+        axes["faults"] = FaultModel(**axes["faults"])
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=1), **axes)
+    result = verify(system, **mode)
+    assert result.ok and result.kernel == "compiled"
+    if mode and result.strategy != "parallel":
+        pytest.skip("parallel strategy unavailable on this platform")
+    events = explorations[-1].store._event[1:]
+    assert len(events) > 50
+    assert len({id(event) for event in events}) == len(set(events))
