@@ -17,6 +17,8 @@ canonicalization property tests, across all six bundled protocols (the
 MSI-Unordered cells exercise the unordered-network section layout).
 """
 
+from array import array
+
 import pytest
 
 from repro import protocols
@@ -68,6 +70,11 @@ class TestRoundTrip:
             packed = codec.pack(enc)
             assert isinstance(packed, bytes)
             assert codec.unpack(packed) == enc
+            # The packed form is a flat native-order lane dump: what NumPy
+            # row bytes and region-memo keys are compared against.
+            assert packed == array(codec.typecode, enc).tobytes()
+            cut = codec.net_offset
+            assert packed == codec.pack_tail(enc[:cut]) + codec.pack_tail(enc[cut:])
             assert codec.decode_packed(codec.encode_packed(state)) == state
 
     def test_encoding_is_injective_on_the_sample(self, sampled_by_protocol, name):
@@ -349,6 +356,7 @@ class TestLaneWidening:
         assert codec.decode(enc) == state
         packed = codec.pack(enc)
         assert len(packed) == 4 * len(enc)
+        assert packed == array(codec.typecode, enc).tobytes()
         assert codec.unpack(packed) == enc
         assert codec.decode_packed(codec.encode_packed(state)) == state
 
