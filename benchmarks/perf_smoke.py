@@ -14,9 +14,10 @@ records states/second.  ``--checkpoint PATH`` makes the budgeted run
 resumable (a later invocation with the same configuration continues it),
 ``--workers N`` sizes the parallel engine's fleet and ``--spill-dir DIR``
 lets its worker shards spill cold visited-set partitions to disk; worker
-telemetry (states per worker, chunk steals, spill bytes, resume level)
-rides in the recorded ``stats``.  ``--symmetry {on,off}`` sweeps the reduction axis
-(bare ``--symmetry`` keeps meaning ``on``), the measured
+telemetry (states per worker, rounds, cross-shard share, spill bytes,
+resume level) rides in the recorded ``stats``.  ``--symmetry {on,off}``
+sweeps the reduction axis (bare ``--symmetry`` keeps meaning ``on``), the
+measured
 ``result.stats`` split (canonicalization vs expansion, decode count) is
 printed and recorded with every entry, and ``--fail-on-regression RATIO``
 gates the run's throughput against the committed trajectory median for the
@@ -195,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{stats.get('decode_count')}")
         if "worker_states" in stats:
             print(f"  workers: states/worker {stats['worker_states']}, "
-                  f"chunk steals {stats['steal_count']}, spilled "
+                  f"{stats['round_count']} rounds, cross-shard share "
+                  f"{stats['cross_shard_share']:.3f}, spilled "
                   f"{stats['spill_bytes']} bytes")
         if stats.get("resume_level") is not None:
             print(f"  resumed from checkpoint at level {stats['resume_level']}")

@@ -62,7 +62,8 @@ def test_engine_throughput_serial_vs_parallel(benchmark, generated):
     if "worker_states" in parallel_result.stats:
         print(f"  states per worker        : "
               f"{parallel_result.stats['worker_states']} "
-              f"(chunk steals: {parallel_result.stats['steal_count']})")
+              f"({parallel_result.stats['round_count']} rounds, cross-shard "
+              f"share {parallel_result.stats['cross_shard_share']:.3f})")
 
     assert serial_result.ok and object_result.ok and parallel_result.ok
     assert serial_result.kernel == "compiled" and object_result.kernel == "object"

@@ -174,8 +174,8 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
     digest dumps).  Leg 2 resumes from it under the full budget and must
     land on the exact uninterrupted totals -- checkpoint/resume at nightly
     scale, not just in the unit suite.  Throughput, peak memory and the
-    engine's worker telemetry (states per worker, chunk steals, spill
-    bytes) are recorded to ``BENCH_results.json``.
+    engine's worker telemetry (states per worker, rounds, cross-shard
+    share, spill bytes) are recorded to ``BENCH_results.json``.
     """
     budget = 30_000_000
     protocol = generated[("MSI", "stalling")]
@@ -220,7 +220,8 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
     print(f"  resumed at level        : {result.stats['resume_level']}")
     print(f"  states/second           : {entry['states_per_second']}")
     print(f"  states per worker       : {result.stats['worker_states']}")
-    print(f"  chunk steals            : {result.stats['steal_count']}")
+    print(f"  rounds / cross-shard    : {result.stats['round_count']} / "
+          f"{result.stats['cross_shard_share']:.3f}")
     print(f"  peak RSS                : {rss_after_kb / 1024:.0f} MB "
           f"(+{entry['peak_rss_delta_kb'] / 1024:.0f} MB during the search)")
     print(f"  resumed leg wall-clock  : {elapsed:.0f}s "

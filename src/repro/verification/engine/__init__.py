@@ -11,8 +11,10 @@ else plugs into it:
   and the vectorized batch expander;
 * :mod:`~repro.verification.engine.parallel` /
   :mod:`~repro.verification.engine.shard` -- the fourth expander, a fleet
-  of forked workers: zero-copy frontier arenas, work-stealing chunk claims,
-  and digest-sharded (disk-spillable) visited sets;
+  of forked workers in owner-computes rounds: a state is deduped, checked,
+  kept and expanded by the worker that owns its digest (disk-spillable
+  visited shards), only foreign successors cross a shared-memory arena,
+  and the parent receives trace-link columns, never keys;
 * :mod:`~repro.verification.engine.checkpoint` -- budget checkpoint/resume,
   one file shape for all of the above;
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation

@@ -85,7 +85,11 @@ class VerificationResult:
     #: successor generation, interning, invariant checks).  For
     #: multi-process searches the worker CPU sum is not comparable against
     #: the parent's wall-clock, so ``expansion_seconds`` is ``None`` there
-    #: instead of a bogus subtraction.
+    #: instead of a bogus subtraction.  ``round_count`` (rounds the worker
+    #: fleet ran) and ``cross_shard_share`` (candidates serialised to
+    #: another owner / transitions) are ``None`` for a search that never
+    #: forked; ``worker_states`` / ``spill_bytes`` / ``steal_count``
+    #: (always 0) appear only for one that did.
     stats: dict = field(default_factory=dict)
 
     @property
@@ -206,9 +210,13 @@ class Exploration:
         #: Depth the loaded checkpoint stopped at -- BFS levels, or DFS pops
         #: (None = fresh run).
         self.resume_level: int | None = None
-        #: Shared-memory engine telemetry: chunk claims beyond one per worker
-        #: per round (work actually stolen), states expanded per worker, and
-        #: bytes of visited-set digests currently spilled to disk.
+        #: Worker-fleet telemetry: rounds run, candidates serialised to
+        #: another owner, states expanded per worker, and bytes of
+        #: visited-set digests currently spilled to disk.  ``steal_count``
+        #: is always 0 (nothing is stolen under the hash partition); it
+        #: stays until ``bench/worker.py`` stops summing it.
+        self.round_count = 0
+        self.cross_shard_candidates = 0
         self.steal_count = 0
         self.worker_states: list[int] | None = None
         self.spill_bytes = 0
@@ -309,7 +317,14 @@ class Exploration:
             if reduced
             else None
         )
-        if self.worker_states is not None:
+        fleet = self.worker_states is not None
+        stats["round_count"] = self.round_count if fleet else None
+        stats["cross_shard_share"] = (
+            round(self.cross_shard_candidates / max(1, self.transitions), 6)
+            if fleet
+            else None
+        )
+        if fleet:
             stats["steal_count"] = self.steal_count
             stats["worker_states"] = list(self.worker_states)
             stats["spill_bytes"] = self.spill_bytes

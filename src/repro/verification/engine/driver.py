@@ -6,20 +6,21 @@ Every strategy, backend and worker process runs the same two pieces:
   It alone owns the budget clip, the checkpoint save, and the depth
   counter; it knows nothing about how a state is expanded.
 * an **expander** -- ``lift`` / ``lower`` convert between the portable
-  frontier (``(state_id, packed_key)`` pairs, the checkpoint's and the
-  arenas' currency) and the expander's native one, and ``expand(level)``
-  consumes one native level and returns ``(next_level, result)``: the
-  successors that turned out new, or the :class:`VerificationResult` that
-  ends the search.  A native level is a list, or anything else with
-  ``len()`` and slicing.
+  frontier (``(state_id, packed_key)`` pairs, the checkpoint's currency
+  and what the fleet is handed at spin-up) and the expander's native one,
+  and ``expand(level)`` consumes one native level and returns
+  ``(next_level, result)``: the successors that turned out new, or the
+  :class:`VerificationResult` that ends the search.  A native level is a
+  list, or anything else with ``len()`` and slicing.
 
 :class:`ObjectExpander` and :class:`CompiledExpander` hold the only two
 per-state bodies in ``src/`` (enabled events -> leaf verdict -> apply ->
 pack -> raw-successor dedup -> canonicalize -> intern -> invariant check).
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
-fourth expander in the parent and a *user* of the per-state ones in every
-worker, against a context whose ``store.intern`` is the shard sink
+fourth expander in the parent (its native level is a count per owner) and
+a *user* of the per-state ones in every worker, against a context whose
+``store.intern`` is the shard sink
 (:mod:`~repro.verification.engine.parallel`).  This module imports neither,
 so both can import it.
 """

@@ -1,63 +1,58 @@
-"""The shared-memory parallel BFS engine: zero-copy frontiers, work-stealing
-chunk claims, digest-sharded visited sets, and a key-free parent.
+"""The shared-memory parallel BFS engine: owner-computes rounds over a
+digest-partitioned state space, and a parent that never sees a key.
 
 :class:`ShmEngine` is the driver's fourth expander: its ``expand`` is one
-*round* -- one frontier level fanned out to a fleet of forked workers --
-and :func:`~repro.verification.engine.driver.drive` supplies the budget,
+*round* -- one frontier level expanded by a fleet of forked workers -- and
+:func:`~repro.verification.engine.driver.drive` supplies the budget,
 checkpoint and verdict semantics of level-synchronous BFS exactly as it
-does for the in-process expanders.  *Within* a round nothing is pickled and
-nobody waits on a static partition:
+does for the in-process expanders.  The layout is parallel Murphi's:
 
-* **Zero-copy frontier exchange.**  The parent lays the round's frontier
-  out in a ``multiprocessing.shared_memory`` arena as length-prefixed
-  ``(state_id, packed_key)`` records behind an offsets table; workers map
-  the arena and read records in place.  Worker results (candidate
-  successors, then accepted successors) travel back through worker-owned
-  arenas the same way.  All arenas are grow-only rings: they are reused
-  round after round and only recreated bigger when a round outgrows them.
+* **A state lives on the worker that owns it.**  Every canonical state is
+  hashed to the 128-bit BLAKE2b digest the store's hash compaction uses,
+  and the digest's owner (``digest % workers``) is the one process that
+  answers membership for it
+  (:class:`~repro.verification.engine.shard.SpillableKeySet`, optionally
+  spilling cold partitions to disk), checks its invariants, keeps it in
+  its own native next level and expands it.  The hash partition is the
+  work split; nothing is claimed or stolen, so for a given worker count
+  state IDs, per-worker counts and traces repeat exactly from run to run.
 
-* **Work-stealing chunk claims.**  Instead of pre-sharding the frontier,
-  workers repeatedly claim the next chunk of records from a shared atomic
-  cursor (``RawValue`` + lock).  A worker that drew cheap states simply
-  comes back for more -- claims past the first per worker are steals, and
-  the tail imbalance of a round is one chunk instead of one shard.
-
-* **The same per-state bodies.**  A worker expands its chunks with the
+* **The same per-state bodies.**  A worker expands its level with the
   ordinary per-state expander against a :class:`_WorkerState` that
   duck-types the exploration context: its ``store.intern`` is the sink
   below, its ``failure`` records coordinates instead of building a result.
 
-* **Digest-sharded visited set.**  Every canonical successor is hashed to
-  the 128-bit BLAKE2b digest the store's hash compaction uses; the digest's
-  owner shard (``digest % workers``) is the only process that ever answers
-  membership for it (:class:`~repro.verification.engine.shard.SpillableKeySet`,
-  optionally spilling cold partitions to disk).  Producers bucket candidate
-  records per owner (never reporting one as new, so the expander checks no
-  invariant and builds no next level); after the round's expand phase each
-  worker dedups its own bucket column, checks invariants on the genuinely
-  new states, and publishes the accepted records.  The parent then assigns
-  dense IDs and appends trace links **without keeping any key dict at all**
-  (:meth:`~repro.verification.engine.store.StateStore.append_link` /
-  ``drop_index``) -- its per-state footprint is three column appends, which
-  is what keeps peak RSS roughly flat as searches grow.
+* **Only foreign successors travel.**  A successor the producer owns is
+  deduped against its shard at once, invariant-checked on the lanes already
+  in hand and appended to its next level.  The others are serialised once,
+  as packed records in the producer's ``multiprocessing.shared_memory``
+  bucket arena (grow-only, reused round after round), one span per owner;
+  after the round's expand phase every owner walks the spans addressed to
+  it, dedups, unpacks the new keys once, checks them and appends them.
 
-* **Failure semantics.**  Errors and deadlocks are found during expansion,
-  invariant violations during owner dedup; all candidates carry their
-  ``(frontier position, sequence)`` coordinates and the parent reports the
-  minimum -- the earliest failure *of the round* in serial order.  A worker
-  stops claiming chunks after its first expansion failure (everything
-  before it in serial order was claimed earlier and is finished by whoever
-  holds it, so the minimum is unaffected).  As with the vectorized
-  expander, a failing round may have interned/counted states past the
-  serial stopping point; verdicts and traces stay valid (every stored chain
-  to the failing state is a real counterexample).  On passing runs all
-  exploration counts are schedule-independent and match the serial
-  strategies exactly.
+* **The parent is off the data path.**  Per round and worker it receives a
+  count and three packed link columns -- parent ID, index into the worker's
+  list of the round's distinct events, permutation index -- extends the
+  store's trace columns with them
+  (:meth:`~repro.verification.engine.store.StateStore.extend_links`) and
+  tells the worker the dense-ID base of its block.  Its native level
+  (:class:`_FleetLevel`) is one count per owner; keys come back to it only
+  when a checkpoint asks (:meth:`ShmEngine.lower`).
+
+* **Failure semantics.**  Errors and deadlocks are found during expansion
+  (a worker stops expanding at its first), invariant violations wherever a
+  state is accepted; each carries ``(parent state ID, applied-transition
+  sequence)`` and the parent reports the round's minimum, so verdict and
+  trace are deterministic.  As with the vectorized expander, a failing
+  round may have counted states past the serial stopping point; every
+  stored chain to the failing state is still a real counterexample.  On
+  passing runs all exploration counts match the serial strategies exactly.
 
 Checkpoint/resume: a checkpoint saved at a round boundary carries every
 worker's shard digests (:meth:`ShmEngine.shard_blobs`) in place of store
-keys; resuming re-seeds the shards from the concatenated digests
-(re-sharded, so the worker count may change between runs).
+keys, and the owners' pending pairs; resuming re-seeds the shards from the
+digests and :meth:`ShmEngine.lift` deals the pairs out by owner (so the
+worker count may change between runs).
 """
 
 from __future__ import annotations
@@ -76,15 +71,10 @@ from repro.verification.engine.shard import (
     shard_of,
 )
 
-#: ``(item, sequence, perm_index, eev_len, key_len)`` record header.
-_REC_HEADER = "<IIHBxI"
+#: ``(parent_id, sequence, perm_index, eev_len, key_len)`` header of a
+#: candidate record; the digest, the event lanes and the key follow.
+_REC_HEADER = "<qIHBxI"
 _REC_HEADER_SIZE = struct.calcsize(_REC_HEADER)
-#: ``(state_id, key_len)`` input-record header.
-_IN_HEADER = "<QI"
-_IN_HEADER_SIZE = struct.calcsize(_IN_HEADER)
-
-#: Permutation index meaning "no permutation recorded".
-_NO_PERM = 0xFFFF
 
 #: Bound on the workers' emitted-digest suppression caches (an optimization
 #: like the expanders' raw-seen sets: clearing only re-pays IPC, never
@@ -96,32 +86,29 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment (creator keeps cleanup ownership).
 
     On Python < 3.13 attaching re-registers the segment with the resource
-    tracker, but the fleet is fork-homogeneous -- every process talks to the
-    *same* tracker, whose per-type cache is a set -- so the re-register is
-    idempotent and the creator's ``unlink`` clears the single entry.  (An
-    explicit ``unregister`` here would double-remove and raise in the
-    tracker instead.)
+    tracker, but every process of the forked fleet talks to the *same*
+    tracker, whose per-type cache is a set: the re-register is idempotent
+    and one ``unlink`` clears the entry (an ``unregister`` here would
+    double-remove and raise in the tracker).
     """
     return shared_memory.SharedMemory(name=name)
 
 
 class _Arena:
-    """A grow-only shared-memory buffer (created fresh when capacity grows)."""
+    """A grow-only shared-memory buffer (created fresh when a blob outgrows
+    it, reused otherwise)."""
 
-    __slots__ = ("shm", "capacity")
+    shm = None
 
-    def __init__(self):
-        self.shm = None
-        self.capacity = 0
-
-    def ensure(self, size: int) -> shared_memory.SharedMemory:
-        if self.shm is None or self.capacity < size:
+    def publish(self, blob: bytes) -> str:
+        """Copy *blob* in; returns the segment name readers attach to."""
+        if self.shm is None or self.shm.size < len(blob):
             self.destroy()
             self.shm = shared_memory.SharedMemory(
-                create=True, size=max(1, size)
+                create=True, size=max(1, len(blob))
             )
-            self.capacity = self.shm.size
-        return self.shm
+        self.shm.buf[: len(blob)] = blob
+        return self.shm.name
 
     def destroy(self) -> None:
         if self.shm is not None:
@@ -131,11 +118,31 @@ class _Arena:
             except FileNotFoundError:  # pragma: no cover - double-clean race
                 pass
             self.shm = None
-            self.capacity = 0
 
 
 class _WorkerCrash(RuntimeError):
-    """A worker process died; carries its traceback text."""
+    """A worker process died: its traceback text, or its exit code when it
+    went without reporting (SIGKILL, OOM)."""
+
+
+class _FleetLevel:
+    """The fleet's native level: how many pending states each owner holds
+    (the states themselves stay with their owners)."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def __len__(self):
+        return sum(self.counts)
+
+    def __getitem__(self, cut: slice):
+        """The driver's budget clip: the first ``cut.stop`` states, owner
+        by owner (each owner expands a prefix of its level)."""
+        room, counts = cut.stop, []
+        for count in self.counts:
+            counts.append(min(count, room))
+            room -= counts[-1]
+        return _FleetLevel(counts)
 
 
 # -- worker side ---------------------------------------------------------------
@@ -147,58 +154,93 @@ class _WorkerState:
     Duck-types what a per-state expander uses of an ``Exploration``: the
     system with a private codec/kernel, the deadlock switches, the running
     counters (here: of the current round), ``store`` (itself -- see
-    :meth:`intern`) and :meth:`failure`.
+    :meth:`intern`) and :meth:`failure`.  State IDs inside the worker are
+    *positions* in its level; :attr:`ids` maps them to the store's.
     """
 
-    def __init__(self, wid, cfg, seed_blob):
-        (self.system, self.invariants, self.perms, self.kernel_codes,
-         self.check_deadlock, self.check_workload_deadlock, spill_dir,
-         self.nworkers) = cfg
+    def __init__(self, wid, nworkers, ctx, seed_blob):
         self.wid = wid
+        self.nworkers = nworkers
+        self.system = ctx.system
+        self.invariants = ctx.invariants
+        self.perms = ctx.perms
+        self.kernel_codes = ctx.kernel_codes
+        self.check_deadlock = ctx.check_deadlock
+        self.check_workload_deadlock = ctx.check_workload_deadlock
         self.codec = self.system.codec()
         self.kernel = self.system.kernel() if self.kernel_codes is not None else None
         self.perm_index = {perm: i for i, perm in enumerate(self.perms or ())}
-        self.perm_index[None] = _NO_PERM
-        self.shard = SpillableKeySet(spill_dir, tag=f"w{wid}")
+        self.perm_index[None] = len(self.perm_index)
+        #: Link-column form of an expander's event: the compiled kernel
+        #: already hands over the encoding.
+        self.encode_event = (
+            self.codec.encode_event if self.kernel is None else lambda eev: eev
+        )
+        self.shard = SpillableKeySet(ctx.spill_dir, tag=f"w{wid}")
         self.shard.seed(seed_blob, self.nworkers, wid)
         self.emitted: set = set()
         self.raw_seen: set = set()
         self.bucket_arena = _Arena()
-        self.accepted_arena = _Arena()
         self.store = self
         self.expander = per_state_expander(self)
+        #: The owned pending level in the expander's native form, and the
+        #: store ID of each position in it.
+        self.level: list = []
+        self.ids = ()
 
     def begin_round(self) -> None:
-        self.explored = 0
-        self.transitions = 0
-        self.complete_states = 0
+        self.decode_base = self.codec.decode_count
+        self.explored = self.transitions = self.complete_states = self.sent = 0
         self.canon_seconds = 0.0
         self.failures: list = []
         self.buckets = [bytearray() for _ in range(self.nworkers)]
+        #: Trace links of the states accepted this round, by next-level
+        #: position: parent ID, index into ``events``, permutation index.
+        self.events: dict = {}
+        self.link_parent = array("q")
+        self.link_event = array("I")
+        self.link_perm = array("H")
 
-    def intern(self, key, item, event, perm):
-        """The expanders' ``store.intern``: digest *key* and bucket the
-        candidate for its owning shard.
+    def accept(self, parent_id, eev, perm_idx) -> int:
+        """Record a new owned state's trace link; returns its position in
+        the next level."""
+        self.link_parent.append(parent_id)
+        self.link_event.append(self.events.setdefault(eev, len(self.events)))
+        self.link_perm.append(perm_idx)
+        return len(self.link_perm) - 1
 
-        Successors this worker already knows (own shard) or already emitted
-        (bounded cache) never leave the process.  Nothing is ever reported
-        new here -- the owner decides that in the dedup phase.  *item* is
-        the parent's frontier position; the applied-transition count orders
-        one item's candidates in plan order.
+    def intern(self, key, parent, event, perm):
+        """The expanders' ``store.intern``: digest *key* and let its owner
+        decide.
+
+        An owned successor is decided here and now -- new ones are reported
+        new, so the expander checks their invariants and keeps them for the
+        next level.  A foreign one is bucketed for its owner unless this
+        worker already sent it (bounded cache), and never reported new.
+        *parent* is a position in the current level; the applied-transition
+        count orders one parent's candidates in plan order.
         """
         digest = digest128(key)
+        owner = shard_of(digest, self.nworkers)
+        if owner == self.wid:
+            shard = self.shard
+            if digest in shard:
+                return None, False
+            shard.add(digest)
+            position = self.accept(
+                self.ids[parent], self.encode_event(event), self.perm_index[perm]
+            )
+            return position, True
         emitted = self.emitted
         if digest in emitted:
-            return None, False
-        owner = shard_of(digest, self.nworkers)
-        if owner == self.wid and digest in self.shard:
             return None, False
         if len(emitted) >= _EMITTED_LIMIT:
             emitted.clear()
         emitted.add(digest)
-        eev = event if self.kernel is not None else self.codec.encode_event(event)
+        eev = self.encode_event(event)
+        self.sent += 1
         self.buckets[owner] += (
-            struct.pack(_REC_HEADER, item, self.transitions,
+            struct.pack(_REC_HEADER, self.ids[parent], self.transitions,
                         self.perm_index[perm], len(eev), len(key))
             + digest
             + struct.pack(f"<{len(eev)}i", *eev)
@@ -206,191 +248,161 @@ class _WorkerState:
         )
         return None, False
 
-    def failure(self, *, leaf_id, deadlock=False, error=None, final_event=None):
-        """Record an expansion failure's coordinates for the parent."""
-        if deadlock:
-            self.failures.append((leaf_id, -1, "dead", None))
+    def failure(self, *, leaf_id, deadlock=False, error=None, final_event=None,
+                violation=None):
+        """Record a failure's coordinates for the parent.  *leaf_id* is the
+        failing position in the current level, or for a violation the
+        position :meth:`accept` just gave the violating successor."""
+        if violation is not None:
+            self.failures.append((
+                self.link_parent[leaf_id], self.transitions, "vio",
+                (violation, list(self.events)[self.link_event[leaf_id]],
+                 self.link_perm[leaf_id]),
+            ))
+        elif deadlock:
+            self.failures.append((self.ids[leaf_id], -1, "dead", None))
         else:
             eev = self.codec.encode_event(final_event)
-            self.failures.append((leaf_id, self.transitions, "err", (eev, error)))
+            self.failures.append(
+                (self.ids[leaf_id], self.transitions, "err", (eev, error))
+            )
         return True
 
-    def close(self):
-        self.bucket_arena.destroy()
-        self.accepted_arena.destroy()
-        self.shard.close()
 
-
-def _worker_main(wid, cfg, ctrl, results, claim, claim_lock, seed_blob):
-    """Worker loop: expand -> dedup -> (dump|expand|...) until "stop"."""
+def _worker_main(wid, nworkers, ctx, conn, seed_blob):
+    """Worker loop: serve the parent's commands until "stop"."""
     gc.disable()
-    ws = _WorkerState(wid, cfg, seed_blob)
+    ws = _WorkerState(wid, nworkers, ctx, seed_blob)
     del seed_blob  # parent's copy serves resumes; drop the fork duplicate
     try:
         while True:
-            msg = ctrl.get()
+            msg = conn.recv()
             op = msg[0]
             if op == "expand":
-                _worker_expand(ws, msg, results, claim, claim_lock)
+                conn.send(_worker_expand(ws, msg[1]))
             elif op == "dedup":
-                _worker_dedup(ws, msg, results)
+                conn.send(_worker_dedup(ws, msg[1]))
+            elif op == "base":
+                ws.ids = range(msg[1], msg[1] + len(ws.level))
+            elif op == "load":  # a portable level: spin-up or resume
+                ws.ids, ws.level = msg[1], ws.expander.lift(list(enumerate(msg[2])))
+            elif op == "lower":
+                pairs = ws.expander.lower(ws.level)
+                conn.send(("lowered", wid, [(ws.ids[pos], key) for pos, key in pairs]))
             elif op == "dump":
-                results.put(("dump", wid, ws.shard.dump()))
+                conn.send(("dump", wid, ws.shard.dump()))
             elif op == "stop":
                 break
     except Exception:  # pragma: no cover - surfaced as _WorkerCrash in parent
         try:
-            results.put(("crash", wid, traceback.format_exc()))
+            conn.send(("crash", wid, traceback.format_exc()))
         except Exception:
             pass
     finally:
-        ws.close()
+        ws.bucket_arena.destroy()
+        ws.shard.close()
 
 
-def _worker_expand(ws, msg, results, claim, claim_lock):
-    """Claim chunks of the round's frontier and expand them.
+def _worker_expand(ws, limit):
+    """Expand the first *limit* states of the owned level.
 
-    Each chunk goes through the worker's per-state expander as a level
-    whose state IDs are frontier positions: the coordinates the parent
-    needs, on bucketed candidates and recorded failures alike, to pick the
-    round's serial-order minimum.
+    The per-state expander keeps the owned new successors (they become the
+    next level) and buckets the foreign ones, which are published through
+    the bucket arena for their owners' dedup phase.
     """
-    _op, arena_name, count, chunk = msg
-    expander = ws.expander
-    decode_base = ws.codec.decode_count
     ws.begin_round()
-    chunks = 0
-    shm = _attach(arena_name)
-    buf = shm.buf
-    offsets = buf[8 : 8 + 8 * count].cast("q")
-    try:
-        while not ws.failures:
-            with claim_lock:
-                start = claim.value
-                claim.value = start + chunk
-            if start >= count:
-                break
-            chunks += 1
-            pairs = []
-            for i in range(start, min(count, start + chunk)):
-                _sid, klen = struct.unpack_from(_IN_HEADER, buf, offsets[i])
-                off = offsets[i] + _IN_HEADER_SIZE
-                pairs.append((i, bytes(buf[off : off + klen])))
-            expander.expand(expander.lift(pairs))
-    finally:
-        offsets.release()
-        del buf
-        shm.close()
+    level = ws.level
+    del level[limit:]
+    successors, _failed = ws.expander.expand(level)
+    ws.level = successors or []
     # Hand the buckets over rather than keep them on ``ws``: they are dead
     # once copied into the arena, and the dedup phase allocates next.
     buckets, ws.buckets = ws.buckets, None
-    blob = b"".join(buckets)
-    out = ws.bucket_arena.ensure(len(blob))
-    out.buf[: len(blob)] = blob
-    spans = []
-    pos = 0
+    spans, pos = [], 0
     for bucket in buckets:
         spans.append((pos, len(bucket)))
         pos += len(bucket)
-    results.put((
-        "expanded", ws.wid, out.name, spans, ws.failures,
-        {
-            "applied": ws.transitions,
-            "expanded": ws.explored,
-            "complete": ws.complete_states,
-            "chunks": chunks,
-            "canon_seconds": ws.canon_seconds,
-            "decodes": ws.codec.decode_count - decode_base,
-        },
-    ))
+    return "expanded", ws.wid, ws.bucket_arena.publish(b"".join(buckets)), spans
 
 
-def _worker_dedup(ws, msg, results):
-    """Owner phase: dedup this worker's bucket column, check invariants.
+def _worker_dedup(ws, directory):
+    """Owner phase: take in the candidates the other workers sent.
 
-    Walks every producer's bucket for this shard in producer order, accepts
-    records whose digest is genuinely new (inserting it), asks the worker's
-    expander for each accepted state's invariant verdict, and republishes
-    the accepted records verbatim for the parent's ID assignment.
+    Walks every producer's span for this shard in producer order; a record
+    whose digest is genuinely new is inserted, unpacked (once), checked and
+    appended to the owned next level.  The reply carries the whole round:
+    its trace links (owned successors first), its failures, and what it
+    adds to the context's counters, by attribute name.
     """
-    _op, directory = msg
     wid = ws.wid
     shard = ws.shard
+    level = ws.level
     lift = ws.expander.lift
     violation_of = ws.expander.violation
-    decode_base = ws.codec.decode_count
-    accepted = bytearray()
-    n_accepted = 0
-    failures: list = []
-    for _pwid, arena_name, spans in directory:
+    failures = ws.failures
+    for arena_name, spans in directory:
         off, length = spans[wid]
         if length == 0:
             continue
         shm = _attach(arena_name)
         buf = shm.buf
         try:
-            pos = off
-            end = off + length
+            pos, end = off, off + length
             while pos < end:
-                rec_start = pos
-                item, seq, perm_idx, eev_len, klen = struct.unpack_from(
+                parent_id, seq, perm_idx, eev_len, klen = struct.unpack_from(
                     _REC_HEADER, buf, pos
                 )
                 pos += _REC_HEADER_SIZE
                 digest = bytes(buf[pos : pos + DIGEST_BYTES])
-                pos += DIGEST_BYTES
-                eev_end = pos + 4 * eev_len
-                key_end = eev_end + klen
+                eev_at = pos + DIGEST_BYTES
+                key_at = eev_at + 4 * eev_len
+                pos = key_at + klen
                 if digest in shard:
-                    pos = key_end
                     continue
                 shard.add(digest)
-                key = bytes(buf[eev_end:key_end])
-                violation = violation_of(lift([(item, key)])[0][1])
+                eev = struct.unpack_from(f"<{eev_len}i", buf, eev_at)
+                native = lift([(len(level), bytes(buf[key_at:pos]))])[0]
+                violation = violation_of(native[1])
                 if violation is not None:
-                    eev = tuple(struct.unpack_from(f"<{eev_len}i", buf, pos))
-                    failures.append(
-                        (item, seq, "vio", (violation, eev, perm_idx, key))
-                    )
-                    pos = key_end
+                    failures.append((parent_id, seq, "vio", (violation, eev, perm_idx)))
                     continue
-                accepted += buf[rec_start:key_end]
-                n_accepted += 1
-                pos = key_end
+                ws.accept(parent_id, eev, perm_idx)
+                level.append(native)
         finally:
             del buf
             shm.close()
-    out = ws.accepted_arena.ensure(len(accepted))
-    out.buf[: len(accepted)] = accepted
-    results.put((
-        "deduped", wid, out.name, len(accepted), n_accepted, failures,
+    links = len(level), ws.link_parent, ws.link_event, ws.link_perm, list(ws.events)
+    return (
+        "deduped", wid, links, failures, shard.spill_bytes,
         {
-            "decodes": ws.codec.decode_count - decode_base,
-            "spill_bytes": shard.spill_bytes,
-            "shard_len": len(shard),
+            "explored": ws.explored,
+            "transitions": ws.transitions,
+            "complete_states": ws.complete_states,
+            "cross_shard_candidates": ws.sent,
+            "canon_seconds": ws.canon_seconds,
+            "worker_decodes": ws.codec.decode_count - ws.decode_base,
         },
-    ))
+    )
 
 
 # -- parent side ---------------------------------------------------------------
 
 
 class ShmEngine(Expander):
-    """The worker fleet as an expander (one per search): the native
-    frontier is the portable one, ``expand`` is one :meth:`_round`, and the
-    visited set lives in the workers' shards."""
+    """The worker fleet as an expander (one per search): the native level
+    is a :class:`_FleetLevel`, ``expand`` is one :meth:`_round`, and both
+    the visited set and the pending states live in the workers."""
 
     def __init__(self, ctx, mp_ctx, processes: int):
         self.ctx = ctx
         self.mp = mp_ctx
         self.nworkers = processes
-        self.claim = mp_ctx.RawValue("q", 0)
-        self.claim_lock = mp_ctx.Lock()
-        self.ctrl = [mp_ctx.SimpleQueue() for _ in range(processes)]
-        self.results = mp_ctx.SimpleQueue()
         self.procs: list = []
-        self.input_arena = _Arena()
-        self._spill_by_worker = [0] * processes
+        #: Parent ends of the per-worker command/reply pipes.
+        self.conns: list = []
+        #: Every worker-owned arena the parent was told of (see ``shutdown``).
+        self.arena_names: set = set()
+        self.perm_table = (*(ctx.perms or ()), None)
 
     # -- lifecycle -------------------------------------------------------------
     def spinup(self, *, seed_keys=None, seed_blobs=None) -> None:
@@ -410,40 +422,33 @@ class ShmEngine(Expander):
 
         resource_tracker.ensure_running()
         ctx = self.ctx
-        if seed_keys is not None:
-            if ctx.store.hash_compaction:
-                seed_blob = b"".join(seed_keys)
-            else:
-                seed_blob = b"".join(digest128(key) for key in seed_keys)
-        else:
+        if seed_keys is None:
             seed_blob = b"".join(seed_blobs or [])
-        cfg = (
-            ctx.system,
-            ctx.invariants,
-            ctx.perms,
-            ctx.kernel_codes,
-            ctx.check_deadlock,
-            ctx.check_workload_deadlock,
-            ctx.spill_dir,
-            self.nworkers,
-        )
+        elif ctx.store.hash_compaction:
+            seed_blob = b"".join(seed_keys)
+        else:
+            seed_blob = b"".join(map(digest128, seed_keys))
         for wid in range(self.nworkers):
+            ours, theirs = self.mp.Pipe()
             proc = self.mp.Process(
                 target=_worker_main,
-                args=(wid, cfg, self.ctrl[wid], self.results,
-                      self.claim, self.claim_lock, seed_blob),
+                args=(wid, self.nworkers, ctx, theirs, seed_blob),
                 daemon=True,
             )
             proc.start()
+            # The worker holds the only other copy of its end (later forks
+            # never see it), so its death reads as EOF here.
+            theirs.close()
             self.procs.append(proc)
+            self.conns.append(ours)
         ctx.parallel_workers = self.nworkers
         ctx.worker_states = [0] * self.nworkers
 
     def shutdown(self) -> None:
-        for queue in self.ctrl:
+        for conn in self.conns:
             try:
-                queue.put(("stop",))
-            except Exception:  # pragma: no cover - worker already gone
+                conn.send(("stop",))
+            except OSError:  # worker already gone
                 pass
         for proc in self.procs:
             proc.join(timeout=10)
@@ -451,8 +456,20 @@ class ShmEngine(Expander):
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2)
+        for conn in self.conns:
+            conn.close()
         self.procs = []
-        self.input_arena.destroy()
+        self.conns = []
+        # A worker unlinks its arena on the way out; one that was killed or
+        # terminated leaves it behind.
+        for name in self.arena_names:
+            try:
+                leftover = _attach(name)
+            except FileNotFoundError:
+                continue
+            leftover.close()
+            leftover.unlink()
+        self.arena_names.clear()
 
     # -- the round loop --------------------------------------------------------
     def drive(self, frontier, level: int):
@@ -460,140 +477,123 @@ class ShmEngine(Expander):
         failure surfaces; returns the search's VerificationResult."""
         return drive(self.ctx, self, frontier, level)
 
+    def _send(self, wid: int, msg) -> None:
+        try:
+            self.conns[wid].send(msg)
+        except OSError:  # broken pipe: nobody is reading any more
+            self._died(wid)
+
     def _broadcast(self, msg) -> None:
-        for queue in self.ctrl:
-            queue.put(msg)
+        for wid in range(self.nworkers):
+            self._send(wid, msg)
 
     def _collect(self, kind: str) -> list:
-        """Gather one *kind* message per worker (crashes surface here)."""
+        """Gather one *kind* message per worker.  Crashes surface here: it
+        waits on the workers' exit sentinels beside their pipes, so one that
+        dies without a word (SIGKILL, OOM) cannot hang the search."""
+        # Loaded with the fleet (``Pipe()`` imports it): serial searches skip it.
+        from multiprocessing.connection import wait
+
         out = [None] * self.nworkers
-        pending = self.nworkers
+        pending = {conn: wid for wid, conn in enumerate(self.conns)}
+        sentinels = {proc.sentinel: wid for wid, proc in enumerate(self.procs)}
         while pending:
-            msg = self.results.get()
-            if msg[0] == "crash":
-                raise _WorkerCrash(
-                    f"parallel worker {msg[1]} crashed:\n{msg[2]}"
-                )
-            if msg[0] != kind:  # pragma: no cover - protocol violation
-                raise RuntimeError(f"unexpected worker message {msg[0]!r}")
-            out[msg[1]] = msg
-            pending -= 1
+            ready = wait([*pending, *sentinels])
+            readable = [conn for conn in ready if conn in pending]
+            if not readable:
+                self._died(sentinels[ready[0]])
+            for conn in readable:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):  # closed, or reset mid-message
+                    self._died(pending[conn])
+                if msg[0] == "crash":
+                    raise _WorkerCrash(
+                        f"parallel worker {msg[1]} crashed:\n{msg[2]}"
+                    )
+                if msg[0] != kind:  # pragma: no cover - protocol violation
+                    raise RuntimeError(f"unexpected worker message {msg[0]!r}")
+                out[pending.pop(conn)] = msg
         return out
 
-    def _round(self, frontier):
-        """One expand/dedup/absorb round over *frontier*."""
-        ctx = self.ctx
+    def _died(self, wid: int):
+        proc = self.procs[wid]
+        proc.join(timeout=2)
+        raise _WorkerCrash(
+            f"parallel worker {wid} died without reporting "
+            f"(exit code {proc.exitcode})"
+        )
+
+    def lift(self, pairs):
+        """Deal ``(state_id, packed_key)`` *pairs* out to their owners."""
         nworkers = self.nworkers
-        count = len(frontier)
-        ctx.explored += count
-        round_sids = [sid for sid, _key in frontier]
+        owned = [([], []) for _ in range(nworkers)]
+        for sid, key in pairs:
+            sids, keys = owned[shard_of(digest128(key), nworkers)]
+            sids.append(sid)
+            keys.append(key)
+        for wid, (sids, keys) in enumerate(owned):
+            self._send(wid, ("load", sids, keys))
+        return _FleetLevel([len(sids) for sids, _keys in owned])
 
-        # Lay the frontier out in the input arena: offsets table + records.
-        offsets = array("q")
-        parts = []
-        off = 8 + 8 * count
-        for sid, key in frontier:
-            offsets.append(off)
-            parts.append(struct.pack(_IN_HEADER, sid, len(key)))
-            parts.append(key)
-            off += _IN_HEADER_SIZE + len(key)
-        shm = self.input_arena.ensure(off)
-        buf = shm.buf
-        struct.pack_into("<Q", buf, 0, count)
-        buf[8 : 8 + 8 * count] = offsets.tobytes()
-        buf[8 + 8 * count : off] = b"".join(parts)
-        del buf
+    def lower(self, level):
+        """The owners' pending pairs (a checkpoint is the only caller)."""
+        self._broadcast(("lower",))
+        return [pair for msg in self._collect("lowered") for pair in msg[2]]
 
-        # Expand phase: workers claim chunks off the shared cursor.
-        self.claim.value = 0
-        chunk = max(1, min(8192, count // (nworkers * 8) or 1))
-        self._broadcast(("expand", shm.name, count, chunk))
-        expanded = self._collect("expanded")
-
-        failures: list = []
-        round_chunks = 0
-        for msg in expanded:
-            _kind, wid, _name, _spans, worker_failures, stats = msg
-            failures.extend(worker_failures)
-            ctx.transitions += stats["applied"]
-            ctx.complete_states += stats["complete"]
-            ctx.canon_seconds += stats["canon_seconds"]
-            ctx.worker_decodes += stats["decodes"]
-            ctx.worker_states[wid] += stats["expanded"]
-            round_chunks += stats["chunks"]
-        # Every chunk claim past one per worker was work stolen from the
-        # shared queue rather than a static pre-assigned shard.
-        ctx.steal_count += max(0, round_chunks - nworkers)
-
-        # Dedup phase: each worker walks its own bucket column.
-        directory = [
-            (msg[1], msg[2], msg[3]) for msg in expanded
-        ]
+    def _round(self, level):
+        """One owner-computes round: every worker expands its share of
+        *level*, takes in what the others sent it, and reports links."""
+        ctx = self.ctx
+        ctx.round_count += 1
+        for wid, limit in enumerate(level.counts):
+            self._send(wid, ("expand", limit))
+        directory = [msg[2:] for msg in self._collect("expanded")]
+        self.arena_names.update(name for name, _spans in directory)
         self._broadcast(("dedup", directory))
         deduped = self._collect("deduped")
 
-        # Absorb phase: assign dense IDs and append trace links (no keys).
-        next_frontier: list = []
-        append_link = ctx.store.append_link
-        intern_event = ctx.codec.intern_event
-        perms = ctx.perms
-        for msg in deduped:
-            _kind, wid, name, blob_len, n_accepted, worker_failures, stats = msg
+        failures: list = []
+        for _kind, wid, _links, worker_failures, _spilled, counters in deduped:
             failures.extend(worker_failures)
-            ctx.worker_decodes += stats["decodes"]
-            self._spill_by_worker[wid] = stats["spill_bytes"]
-            if n_accepted == 0:
-                continue
-            acc = _attach(name)
-            buf = acc.buf
-            try:
-                pos = 0
-                for _ in range(n_accepted):
-                    item, _seq, perm_idx, eev_len, klen = struct.unpack_from(
-                        _REC_HEADER, buf, pos
-                    )
-                    pos += _REC_HEADER_SIZE + DIGEST_BYTES
-                    eev = intern_event(
-                        tuple(struct.unpack_from(f"<{eev_len}i", buf, pos))
-                    )
-                    pos += 4 * eev_len
-                    key = bytes(buf[pos : pos + klen])
-                    pos += klen
-                    perm = None if perm_idx == _NO_PERM else perms[perm_idx]
-                    new_id = append_link(round_sids[item], eev, perm)
-                    next_frontier.append((new_id, key))
-            finally:
-                del buf
-                acc.close()
-        ctx.spill_bytes = sum(self._spill_by_worker)
-
+            ctx.worker_states[wid] += counters["explored"]
+            for name, value in counters.items():
+                setattr(ctx, name, getattr(ctx, name) + value)
+        ctx.spill_bytes = sum(msg[4] for msg in deduped)
         if failures:
-            return None, self._report_failure(failures, round_sids)
-        return next_frontier, None
+            return None, self._report_failure(failures)
 
-    def _report_failure(self, failures, round_sids):
-        """Report the round's earliest failure in serial (state, plan) order.
+        # Dense IDs: one block per worker, in worker order.
+        intern_event = ctx.codec.intern_event
+        perm_of = self.perm_table.__getitem__
+        counts = []
+        for _kind, wid, (count, parents, event_ix, perm_ix, events), *_ in deduped:
+            events = [intern_event(eev) for eev in events]
+            base = ctx.store.extend_links(
+                parents, map(events.__getitem__, event_ix), map(perm_of, perm_ix)
+            )
+            self._send(wid, ("base", base))
+            counts.append(count)
+        return _FleetLevel(counts), None
+
+    def _report_failure(self, failures):
+        """Report the round's earliest failure in (state ID, plan) order.
 
         Like the vectorized expander, a canonical violating state reached by
         several parents in one round is attributed to whichever producer's
-        record its owner deduped first -- the chain is a valid
+        record its owner took in first -- the chain is a valid
         counterexample either way and the verdict is identical.
         """
         ctx = self.ctx
-        item, _seq, kind, payload = min(failures, key=lambda f: (f[0], f[1]))
-        sid = round_sids[item]
+        sid, _seq, kind, payload = min(failures, key=lambda f: (f[0], f[1]))
         if kind == "dead":
             return ctx.failure(deadlock=True, leaf_id=sid)
         if kind == "err":
             eev, message = payload
-            return ctx.failure(
-                error=message,
-                leaf_id=sid,
-                final_event=ctx.codec.decode_event(eev),
-            )
-        violation, eev, perm_idx, _key = payload
-        perm = None if perm_idx == _NO_PERM else ctx.perms[perm_idx]
-        leaf_id = ctx.store.append_link(sid, eev, perm)
+            final_event = ctx.codec.decode_event(eev)
+            return ctx.failure(error=message, leaf_id=sid, final_event=final_event)
+        violation, eev, perm_idx = payload
+        leaf_id = ctx.store.append_link(sid, eev, self.perm_table[perm_idx])
         return ctx.failure(violation=violation, leaf_id=leaf_id)
 
     def expand(self, level):

@@ -11,11 +11,11 @@ driver (:func:`~repro.verification.engine.driver.drive`) runs.
   per-state and in-process while levels are narrow, and from the first
   level wider than :data:`POOL_SPINUP_FRONTIER` the **shared-memory worker
   fleet** (:mod:`repro.verification.engine.parallel`), seeded with the
-  visited set.  From there the parent keeps no key dict at all -- it only
-  appends columnar trace links -- so traces work exactly as in the serial
-  strategies while the parent's per-state footprint stays flat.  Falls
-  back to serial BFS when ``fork`` is unavailable or fewer than two workers
-  are requested.
+  visited set.  From there every state stays on the worker that owns its
+  digest and the parent keeps no key at all -- it only extends columnar
+  trace links -- so traces work exactly as in the serial strategies while
+  the parent's per-state footprint stays flat.  Falls back to serial BFS
+  when ``fork`` is unavailable or fewer than two workers are requested.
 
 There are four expanders.  Two are per-state and live beside the driver:
 the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
@@ -405,12 +405,18 @@ class DepthFirst(SearchStrategy):
 
 
 #: Frontier width above which the parallel strategy spins up its worker
-#: fleet.  The fork + first-round IPC costs a fixed ~0.2 s; at the measured
-#: ~28 k serial reduced states/s that buys ~5-6 k states of serial work, so
-#: levels narrower than a couple thousand states never amortize it.  Small
-#: searches (every level below the threshold) therefore run entirely
-#: in-process and pay nothing; the fleet forks lazily on the first level
-#: wide enough to feed it.
+#: fleet.  Measured with two workers on the 2-core reference host: the fork
+#: is ``parallel.spinup_s`` ~ 0.01 s on bench ``full-3c-par2`` (the visited
+#: set is inherited; each worker then filters its shard out of it), and a
+#: round carries ~1 ms of fixed cost (two pipe barriers: a 36-state round
+#: takes 0.9 ms end to end), so forcing the fleet onto a 1 702-state,
+#: 19-level space costs 0.058 s against 0.017 s in-process.  The fork alone
+#: is worth only ~400 states of serial work at ~38 k states/s; what the
+#: threshold buys is that searches whose levels never get wide -- where
+#: every round would be mostly barrier -- stay in-process and pay nothing,
+#: and the fleet forks on the first level that hands each of two workers
+#: about a thousand states.  The value has not been re-tuned since the
+#: rounds became owner-computes.
 POOL_SPINUP_FRONTIER = 2048
 
 
@@ -433,10 +439,11 @@ def _run_fleet(engine, frontier, depth):
 class _LazyFleet(Expander):
     """The parallel strategy's expander: per-state and in-process until a
     level exceeds :data:`POOL_SPINUP_FRONTIER`, so searches too small to
-    amortize the fixed fork + IPC start-up never pay it.  That level is
+    amortize the fleet's fixed costs never pay them.  That level is
     lowered and handed to a freshly forked
-    :class:`~repro.verification.engine.parallel.ShmEngine`, whose own drive
-    finishes the search; its result ends this one.
+    :class:`~repro.verification.engine.parallel.ShmEngine`, which deals it
+    out by owner and whose own drive finishes the search; its result ends
+    this one.
     """
 
     def __init__(self, ctx, mp, processes, depth):
@@ -460,8 +467,8 @@ class _LazyFleet(Expander):
         # Seed worker shards with everything interned so far (post-_key
         # keys: under hash compaction these already ARE the 128-bit
         # digests), then drop the parent's key index -- from here on
-        # membership lives on the workers and the parent only appends
-        # trace links.
+        # membership and the pending states live on the workers and the
+        # parent only extends trace links.
         engine.spinup(seed_keys=list(ctx.store.iter_keys()))
         ctx.store.drop_index()
         return None, _run_fleet(engine, frontier, self.depth)

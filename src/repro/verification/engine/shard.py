@@ -4,11 +4,13 @@ The shared-memory parallel engine (:mod:`repro.verification.engine.parallel`)
 never keeps one global visited dict: each worker *owns* the slice of the
 canonical state space whose 128-bit BLAKE2b digest (the same hash-compaction
 digest :class:`~repro.verification.engine.store.StateStore` uses for
-``hash_compaction=True``) lands in its shard, and membership/insert for a
-candidate successor happens exactly once, on the owning worker.  The parent
-process keeps only the columnar trace links -- no key dict at all once the
-pool is up -- which is what holds peak RSS roughly flat as the state count
-grows.
+``hash_compaction=True``) lands in its shard.  :func:`shard_of` is the whole
+partition: it decides who answers membership for a candidate successor
+(exactly once, at once when the producer is the owner), who keeps the state
+in its pending level and who expands it, and it is how the parent deals a
+portable frontier out at spin-up and on resume.  The parent process keeps
+only the columnar trace links -- no key dict at all once the pool is up --
+which is what holds its footprint flat as the state count grows.
 
 :class:`SpillableKeySet` is one worker's shard.  It is an insert-only set of
 16-byte digests with two tiers:

@@ -156,17 +156,23 @@ class StateStore:
         """Append a trace link for a key deduplicated *elsewhere*; returns its ID.
 
         The shared-memory parallel engine dedups candidate successors on the
-        worker that owns their digest shard, so by the time a state reaches
-        the parent it is known new -- the parent records only the columnar
-        parent/event/perm link and never touches (or keeps) a key dict.
-        That asymmetry is the engine's memory win: the parent's footprint is
-        three appends per state regardless of key size.
+        worker that owns their digest shard, so the parent records only the
+        columnar parent/event/perm link and never touches (or keeps) a key
+        dict: its footprint is three column entries per state regardless of
+        key size.
         """
-        new_id = len(self._parent)
-        self._parent.append(parent)
-        self._event.append(event)
-        self._perm.append(perm)
-        return new_id
+        return self.extend_links((parent,), (event,), (perm,))
+
+    def extend_links(self, parents, events, perms) -> int:
+        """:meth:`append_link` for a whole block: three equally long
+        iterables, one per column; returns the block's first ID (the rest
+        follow densely).  The fleet's rounds land here as packed columns,
+        so a level costs the parent three ``list.extend`` calls."""
+        base = len(self._parent)
+        self._parent.extend(parents)
+        self._event.extend(events)
+        self._perm.extend(perms)
+        return base
 
     def drop_index(self) -> None:
         """Release the key dict (membership moves to the workers' shards).

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import GenerationConfig, generate
 from repro import protocols
+from repro.verification.engine import core as engine_core
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,17 @@ def all_generated():
         result[(name, "nonstalling")] = generate(spec, GenerationConfig.nonstalling())
         result[(name, "stalling")] = generate(spec, GenerationConfig.stalling())
     return result
+
+
+@pytest.fixture
+def explorations(monkeypatch):
+    """Every ``Exploration`` that ``verify`` builds during the test."""
+    made = []
+
+    class Recorded(engine_core.Exploration):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(engine_core, "Exploration", Recorded)
+    return made

@@ -10,6 +10,8 @@ tests replay each reported counterexample step-by-step through
 violation / error / deadlock is reproduced.
 """
 
+from array import array
+
 import pytest
 
 from repro.system import System, Workload
@@ -21,7 +23,6 @@ from repro.verification.engine import (
     StateStore,
     resolve_strategy,
 )
-from repro.verification.engine import core as core_mod
 from repro.verification.engine.canonical import (
     EncodedCanonicalizer,
     canonicalizer_for,
@@ -154,6 +155,25 @@ class TestStateStore:
         assert initial in store and successor in store
         chain = store.chain(child)
         assert [e for e, _ in chain] == [None, event]
+
+    def test_extend_links_equals_repeated_append_link(self):
+        """The fleet lands a round's trace links as three columns; the block
+        must read back exactly as the same links appended one by one."""
+        parents = array("q", [0, 0, 1, 3, 2])
+        events = [(0, 1, 0), (1, 4, 0, 1), (0, 1, 0), None, (2, 4, 1, 0)]
+        perms = [None, (1, 0), (0, 1), None, (1, 0)]
+        one_by_one, blockwise = StateStore(), StateStore()
+        for store in (one_by_one, blockwise):
+            store.intern(b"root")
+        ids = [one_by_one.append_link(*link)
+               for link in zip(parents, events, perms)]
+        base = blockwise.extend_links(parents, iter(events), iter(perms))
+        assert ids == list(range(base, base + len(parents))) == [1, 2, 3, 4, 5]
+        assert len(blockwise) == len(one_by_one) == 6
+        for state_id in range(6):
+            assert blockwise.link(state_id) == one_by_one.link(state_id)
+        assert blockwise.chain(5) == one_by_one.chain(5)
+        assert blockwise.extend_links((), (), ()) == 6 and len(blockwise) == 6
 
     def test_hash_compaction_matches_exact_counts(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,
@@ -351,9 +371,15 @@ class TestSearchStats:
         stats = result.stats
         assert len(stats["worker_states"]) == 2
         assert sum(stats["worker_states"]) > 0
-        assert stats["steal_count"] >= 0
+        # Nothing is stolen under the hash partition (the key stays for the
+        # bench harness, which sums it).
+        assert stats["steal_count"] == 0
         assert stats["spill_bytes"] == 0
         assert stats["resume_level"] is None
+        # One round per BFS level past spin-up; with two owners some, but
+        # fewer than all, candidates cross to the other shard.
+        assert 0 < stats["round_count"] < result.states_explored
+        assert 0.0 < stats["cross_shard_share"] < 1.0
 
     def test_in_process_search_reports_no_worker_telemetry(
         self, msi_nonstalling
@@ -366,6 +392,8 @@ class TestSearchStats:
         assert "worker_states" not in result.stats
         assert "steal_count" not in result.stats
         assert "spill_bytes" not in result.stats
+        assert result.stats["round_count"] is None
+        assert result.stats["cross_shard_share"] is None
         assert result.stats["resume_level"] is None
 
     def test_parallel_pool_spinup_suppresses_expansion_split(
@@ -384,20 +412,6 @@ class TestSearchStats:
             pytest.skip("parallel strategy unavailable on this platform")
         assert result.ok
         assert result.stats["expansion_seconds"] is None
-
-
-@pytest.fixture
-def explorations(monkeypatch):
-    """Every ``Exploration`` that ``verify`` builds during the test."""
-    made = []
-
-    class Recorded(core_mod.Exploration):
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(core_mod, "Exploration", Recorded)
-    return made
 
 
 @pytest.mark.parametrize("cell", [
