@@ -1,6 +1,6 @@
 """Execution substrate: caches, directory, interconnect, whole-system model."""
 
-from repro.system.codec import StateCodec
+from repro.system.codec import LaneOverflow, StateCodec
 from repro.system.kernel import TransitionKernel
 from repro.system.message import DIRECTORY_ID, Message
 from repro.system.network import Network, OrderedNetwork, UnorderedNetwork, make_network
@@ -30,6 +30,7 @@ __all__ = [
     "FaultModel",
     "GlobalState",
     "IssueAccess",
+    "LaneOverflow",
     "LitmusWorkload",
     "Message",
     "Network",

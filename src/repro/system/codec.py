@@ -37,9 +37,11 @@ asserted against: :attr:`StateCodec.decode_count` increments on every
 :meth:`decode`, and a compiled-kernel symmetry-reduced search must leave it
 flat outside failure reporting.
 
-Layout (lanes are ``array('H')`` by default; a protocol whose name catalogs
-or workload-bounded values exceed the 16-bit range automatically widens to
-32-bit lanes -- see ``typecode``)::
+Layout (lanes are as narrow as the configuration's static bound on every
+lane value allows: ``array('B')`` for all bundled protocols at every pinned
+configuration, ``'H'`` or ``'I'`` for larger catalogs, cache counts or
+workloads -- a derived detail, see ``typecode``; a value that does not fit
+its lane raises :class:`LaneOverflow`, it never wraps)::
 
     [cache 0 block | ... | cache n-1 block | directory block |
      latest_version | network section]
@@ -47,8 +49,10 @@ or workload-bounded values exceed the 16-bit range automatically widens to
 with fixed-width cache/directory blocks (:data:`~repro.system.node_state.CACHE_ENCODED_WIDTH`,
 ``3 + num_caches``) and a variable-length network section (message records
 are :data:`~repro.system.message.MESSAGE_ENCODED_WIDTH` ints).  The packed
-``bytes`` form (:meth:`StateCodec.pack`) is what the visited set keys on and
-what the parallel search ships between processes.
+``bytes`` form (:meth:`StateCodec.pack`) is what the visited set keys on, what
+the search frontiers hold between levels, what the network-parse memo is
+keyed by (the section's slice of it) and what the parallel search ships
+between processes; the lane tuple lives only while one state is expanded.
 
 Multi-address systems repeat the fixed-width part once per address plane
 (``plane_stride`` lanes each) and append one network section per plane;
@@ -101,12 +105,23 @@ _SAVED_OFFSET = 5
 _MEMO_LIMIT = 1 << 20
 
 
+class LaneOverflow(ValueError):
+    """A lane value does not fit the codec's lane width.
+
+    The width comes from a static bound on every lane (see
+    ``StateCodec.__init__``); its estimate of the in-flight message counts
+    is not a proof, so the packers check instead of wrapping: a state that
+    outgrows its lanes ends the search with this error, never with a
+    truncated key and a wrong verdict.
+    """
+
+
 class StateCodec:
     """Bidirectional ``GlobalState`` <-> flat-int-tuple <-> ``bytes`` codec."""
 
     def __init__(self, protocol, num_caches: int, *, ordered: bool,
                  value_bound: int = 0, num_addresses: int = 1,
-                 faults: bool = False):
+                 faults: bool = False, fault_budget: int = 0):
         self.num_caches = num_caches
         self.num_addresses = num_addresses
         self.faults = faults
@@ -121,22 +136,39 @@ class StateCodec:
         self._dir_index = {name: i for i, name in enumerate(self.dir_states)}
         self._mtype_index = {name: i for i, name in enumerate(self.mtypes)}
         self._access_index = {kind: i for i, kind in enumerate(self.access_kinds)}
-        # Lane selection: uint16 lanes cover every bundled protocol; a
-        # protocol whose catalogs (or whose workload-bounded data versions,
-        # via *value_bound*) no longer fit below 0xFFFF widens every lane to
-        # 32 bits instead of erroring out.  All orderings and offsets are
-        # lane-width independent; only `pack`/`unpack` change.
+        # Lane selection: the narrowest unsigned lane that holds the static
+        # bound on every lane value -- 8 bits for every bundled protocol at
+        # every pinned configuration, 16 or 32 for bigger catalogs, cache
+        # counts or workloads.  All orderings and offsets are lane-width
+        # independent; only `pack`/`unpack` (and the NumPy dtype of
+        # `layout`) change.  The bound covers the index lanes (catalogs,
+        # +2-shifted node IDs), the data lanes (*value_bound* ghost
+        # versions, +2-shifted, which also bounds the issued/ack counters)
+        # and the count lanes: the channels of a section (one per (src,
+        # dst, vnet)) and the messages in flight on one plane -- at most one
+        # transaction per cache, each costing at most a request, a response,
+        # and an invalidation plus its ack per other cache, a writeback
+        # pair, and one more per injected fault (so ``faults_used`` is
+        # covered too).  That last figure is an estimate, which is why
+        # `pack` checks.
+        in_flight = num_caches * (2 * num_caches + 2) + fault_budget
         largest = max(
             len(self.cache_states), len(self.dir_states), len(self.mtypes),
             num_caches + 2, value_bound + 2,
+            2 * (num_caches + 1) ** 2, in_flight,
         )
-        if largest < 0xFFFF:
+        if largest < 0xFF:
+            self.typecode = "B"
+        elif largest < 0xFFFF:
             self.typecode = "H"
         else:
             self.typecode = "I" if array("I").itemsize == 4 else "L"
             if largest >= 0xFFFF_FFFF:  # pragma: no cover - absurd inputs
                 raise ValueError("protocol too large for the 32-bit state encoding")
         self.lane_bytes = array(self.typecode).itemsize
+        #: Largest value a lane holds (NumPy casts wrap where `pack` raises,
+        #: so batch code compares against this before it narrows).
+        self.lane_max = (1 << (8 * self.lane_bytes)) - 1
         # lane count -> compiled ``struct`` layout of that many lanes (see
         # `pack`); encodings come in a few dozen lengths.
         self._layouts: dict[int, struct.Struct] = {}
@@ -181,15 +213,24 @@ class StateCodec:
             for cid in range(num_caches)
             for slot in range(NUM_SAVED_SLOTS)
         )
-        self._net_items_memo: dict[tuple, tuple] = {}
+        #: Byte offset of the network sections inside a packed key.
+        self.net_byte_offset = self.net_offset * self.lane_bytes
+        #: Parse memo: packed network section -> parse handle (see
+        #: :meth:`parsed_network`).
+        self._net_items_memo: dict[bytes, tuple] = {}
         #: Event-encoding intern table (see :meth:`intern_event`): a few
         #: hundred distinct tuples however many states a search stores.
         self._events: dict[tuple, tuple] = {}
+        #: Intern table of what parse handles are made of -- message records,
+        #: channel items, ``(where, record, eev)`` delivery triples and lane
+        #: offset tuples: tens of thousands of distinct sections share a few
+        #: hundred distinct parts.
+        self._parts: dict[tuple, tuple] = {}
         self._net_relabel_memo: dict[tuple, list] = {}
         self._net_key_memo: dict[tuple, tuple] = {}
         self._dir_key_memo: dict[tuple, tuple] = {}
         self._suffix_memo: dict[tuple, list] = {}
-        self._planes_memo: dict[tuple, tuple] = {}
+        self._planes_memo: dict[bytes, tuple] = {}
 
     @classmethod
     def for_system(cls, system) -> "StateCodec":
@@ -202,6 +243,7 @@ class StateCodec:
             value_bound=system.value_bound(),
             num_addresses=system.num_addresses,
             faults=system.faults is not None,
+            fault_budget=system.faults.budget if system.faults is not None else 0,
         )
 
     # -- encoding ----------------------------------------------------------------
@@ -325,11 +367,24 @@ class StateCodec:
         """Pack an encoding into ``bytes`` (the visited-set / IPC form): the
         bytes of ``array(typecode, enc).tobytes()``, built ~3x faster by a
         compiled ``struct`` layout -- the searches pack once per transition.
+        Raises :class:`LaneOverflow` for a value wider than a lane.
         """
         try:
-            return self._layouts[len(enc)].pack(*enc)
+            layout = self._layouts[len(enc)]
         except KeyError:
-            return self._layout(len(enc)).pack(*enc)
+            layout = self._layout(len(enc))
+        try:
+            return layout.pack(*enc)
+        except struct.error as exc:
+            raise self.overflow(max(enc)) from exc
+
+    def overflow(self, value: int) -> LaneOverflow:
+        """The error for a lane *value* above :attr:`lane_max`."""
+        return LaneOverflow(
+            f"lane value {value} does not fit the codec's {8 * self.lane_bytes}-bit "
+            f"lanes (typecode {self.typecode!r}): the state outgrew the static "
+            "bound the lane width was derived from"
+        )
 
     def unpack(self, packed: bytes) -> tuple:
         """Inverse of :meth:`pack`."""
@@ -366,7 +421,7 @@ class StateCodec:
             "fault_offset": self.fault_offset,
             "net_offset": self.net_offset,
             "lane_bytes": self.lane_bytes,
-            "numpy_dtype": {2: "uint16", 4: "uint32", 8: "uint64"}[self.lane_bytes],
+            "numpy_dtype": f"uint{8 * self.lane_bytes}",
             "saved_lanes": self._saved_lanes,
             "message_width": MESSAGE_ENCODED_WIDTH,
         }
@@ -541,14 +596,18 @@ class StateCodec:
         Ordered networks yield ``[(src, dst, vnet, (msg record, ...)), ...]``
         (encoded node IDs, FIFO message order); unordered networks yield a
         flat list of message records.  Sections recur across huge numbers of
-        global states, so the parse is cached keyed by the raw section; the
-        returned list is shared — callers must not mutate it.
+        global states, so the parse is cached keyed by the packed section;
+        the returned list is shared — callers must not mutate it.
         """
         return self.parsed_network(enc)[0]
 
-    def parsed_network(self, enc: tuple):
+    def parsed_network(self, enc: tuple, key: bytes | None = None):
         """``(items, offsets, deliveries)`` — the memoized parse handle of
         *enc*'s section.
+
+        *key* is ``pack(enc)`` when the caller holds it (the searches do:
+        it is the frontier entry being expanded), which makes the memo
+        probe one slice of it; without it the section is packed here.
 
         *items* is what :meth:`network_items` returns; *offsets* maps each
         item to its lanes: ``offsets[i]`` is the lane index of channel
@@ -561,21 +620,33 @@ class StateCodec:
         (identical in-flight messages lead to the same successor; the
         object model de-duplicates them the same way) -- with *eev* the
         interned delivery-event encoding (:meth:`intern_event`), so
-        enumerating a state's deliveries allocates nothing.  The kernel
+        enumerating a state's deliveries allocates nothing.  Records,
+        channel items, delivery triples and offset tuples are interned
+        (equal parts of different sections are one object).  The kernel
         threads this handle from ``enabled`` into ``apply``, where the
         network re-normalization copies untouched channels as single slices
         through the offsets.
         """
-        section = enc[self.net_offset :]
+        if key is None:
+            return self.parsed_section(self.pack(enc[self.net_offset :]))
+        return self.parsed_section(key[self.net_byte_offset :])
+
+    def parsed_section(self, section: bytes):
+        """:meth:`parsed_network` for a packed section on its own (what the
+        batch kernel hash-conses)."""
         memo = self._net_items_memo
         parsed = memo.get(section)
-        if parsed is not None:
-            return parsed
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        parsed = self._parse_section(enc, self.net_offset)
-        memo[section] = parsed
+        if parsed is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            parsed = memo[section] = self._parse_section(self.unpack(section), 0)
         return parsed
+
+    @property
+    def parse_memo_entries(self) -> int:
+        """Distinct packed sections (or multi-plane suffixes) the parse memo
+        currently holds."""
+        return len(self._net_items_memo) + len(self._planes_memo)
 
     def _parse_section(self, enc: tuple, start: int):
         """Parse one network section beginning at lane *start*.
@@ -586,8 +657,12 @@ class StateCodec:
         count = enc[pos]
         pos += 1
         mw = MESSAGE_ENCODED_WIDTH
+        part = self._parts.setdefault
         if not self.ordered:
-            items = [enc[pos + i * mw : pos + (i + 1) * mw] for i in range(count)]
+            items = []
+            for i in range(count):
+                rec = enc[pos + i * mw : pos + (i + 1) * mw]
+                items.append(part(rec, rec))
             offsets = tuple(1 + i * mw for i in range(count + 1))
             heads = [
                 (i, rec) for i, rec in enumerate(items)
@@ -599,30 +674,41 @@ class StateCodec:
             for _ in range(count):
                 src, dst, vnet, nmsgs = enc[pos : pos + 4]
                 pos += 4
-                msgs = tuple(
-                    enc[pos + i * mw : pos + (i + 1) * mw] for i in range(nmsgs)
-                )
+                msgs = []
+                for i in range(nmsgs):
+                    rec = enc[pos + i * mw : pos + (i + 1) * mw]
+                    msgs.append(part(rec, rec))
                 pos += nmsgs * mw
-                items.append((src, dst, vnet, msgs))
+                item = (src, dst, vnet, tuple(msgs))
+                items.append(part(item, item))
                 offs.append(pos - start)
             offsets = tuple(offs)
             heads = [(i, item[3][0]) for i, item in enumerate(items)]
+        offsets = part(offsets, offsets)
         intern = self.intern_event
-        deliveries = tuple((i, rec, intern((1,) + rec)) for i, rec in heads)
-        return (items, offsets, deliveries)
+        deliveries = []
+        for i, rec in heads:
+            triple = (i, rec, intern((1,) + rec))
+            deliveries.append(part(triple, triple))
+        return (items, offsets, tuple(deliveries))
 
-    def parsed_planes(self, enc: tuple):
+    def parsed_planes(self, enc: tuple, key: bytes | None = None):
         """Per-address ``(items, offsets, deliveries, start)`` handles
-        (absolute starts; the first three as in :meth:`parsed_network`).
+        (absolute starts; the first three as in :meth:`parsed_network`,
+        *key* likewise).
 
         The general (multi-address / fault-model) kernel path threads this
         from ``enabled`` into ``apply`` the same way the single-plane path
-        threads :meth:`parsed_network`.  Memoized per distinct suffix."""
+        threads :meth:`parsed_network`.  Memoized per distinct packed
+        suffix."""
         if self.num_addresses == 1:
-            return (self.parsed_network(enc) + (self.net_offset,),)
-        key = enc[self.net_offset :]
+            return (self.parsed_network(enc, key) + (self.net_offset,),)
+        if key is None:
+            suffix = self.pack(enc[self.net_offset :])
+        else:
+            suffix = key[self.net_byte_offset :]
         memo = self._planes_memo
-        parsed = memo.get(key)
+        parsed = memo.get(suffix)
         if parsed is not None:
             return parsed
         if len(memo) >= _MEMO_LIMIT:
@@ -633,8 +719,7 @@ class StateCodec:
             section = self._parse_section(enc, pos)
             planes.append(section + (pos,))
             pos += section[1][-1]
-        parsed = tuple(planes)
-        memo[key] = parsed
+        parsed = memo[suffix] = tuple(planes)
         return parsed
 
     def _relabeled_net_section(self, items, perm: tuple[int, ...]) -> list[int]:
@@ -808,4 +893,4 @@ class StateCodec:
         return self.decode(self.unpack(packed))
 
 
-__all__ = ["StateCodec"]
+__all__ = ["LaneOverflow", "StateCodec"]

@@ -235,9 +235,12 @@ class TransitionKernel:
         )
 
     # -- event enumeration -------------------------------------------------------
-    def enabled(self, enc: tuple) -> tuple[list, tuple]:
+    def enabled(self, enc: tuple, key: bytes | None = None) -> tuple[list, tuple]:
         """``(plans, net)`` for *enc*: one plan per enabled event, in exactly
         the order :meth:`repro.system.System.enabled_events` yields them.
+        *key* is ``codec.pack(enc)`` when the caller holds it (a search
+        unpacked *enc* from it): the network-parse memo is keyed by a slice
+        of it.
 
         A plan is ``(handler, eev, cache_id, ct)`` for an access or
         ``(handler, eev, record, ct, where)`` for a delivery -- ``handler``
@@ -250,11 +253,11 @@ class TransitionKernel:
         unordered).  *net* is the state's parsed-network handle — opaque to
         callers, who only thread it back into :meth:`apply` (internally the
         codec's memoized ``(items, channel lane offsets, deliveries)``
-        triple, parsed once per distinct section).  Every ``eev`` is the
+        triple, parsed once per distinct packed section).  Every ``eev`` is the
         codec's interned tuple for that event, never a fresh one.
         """
         if not self._simple:
-            return self._enabled_general(enc)
+            return self._enabled_general(enc, key)
         plans: list = []
         apply_access = self._apply_access_plan
         apply_delivery = self._apply_delivery_plan
@@ -272,7 +275,7 @@ class TransitionKernel:
                 eevs = access_eevs[cid]
                 for ai, ct, fn in access_plans[si]:
                     plans.append((apply_access, eevs[ai], cid, ct, fn))
-        net = self.codec.parsed_network(enc)
+        net = self.codec.parsed_network(enc, key)
         # Delivery planning, inlined (one call per in-flight message adds up):
         # pick the receiving controller's candidate row, resolve the unique
         # unguarded candidate without the `_select` call, and drop stalled
@@ -305,14 +308,14 @@ class TransitionKernel:
             plans.append((apply_delivery, eev, rec, ct, idx, fn))
         return plans, net
 
-    def _enabled_general(self, enc: tuple) -> tuple[list, tuple]:
+    def _enabled_general(self, enc: tuple, key: bytes | None) -> tuple[list, tuple]:
         """Plane-aware twin of :meth:`enabled` for multi-address, fault-model
         and litmus configurations.  Returns ``(plans, planes)`` where
         *planes* is the :meth:`StateCodec.parsed_planes` handle; plan order
         mirrors :meth:`repro.system.System.enabled_events` exactly
         (accesses, then deliveries plane by plane, then faults)."""
         plans: list = []
-        planes = self.codec.parsed_planes(enc)
+        planes = self.codec.parsed_planes(enc, key)
         num_addresses = self.num_addresses
         stride = self.plane_stride
         width = CACHE_ENCODED_WIDTH

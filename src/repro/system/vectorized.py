@@ -142,11 +142,11 @@ class VectorizedKernel:
         self.net_offset = layout["net_offset"]
         self.dtype = _np.dtype(layout["numpy_dtype"])
         self.supported = self.kernel._simple and self._lane_ops_confined()
-        # Hash-consed network sections: tail tuple <-> dense section ID.
-        self._section_ids: dict[tuple, int] = {}
-        # Per-ID (tail, fake_enc, net_handle, deliveries, packed_tail).
+        # Hash-consed network sections: packed tail <-> dense section ID.
+        self._section_ids: dict[bytes, int] = {}
+        # Per-ID (packed tail, net handle, deliveries); the tail's lanes are
+        # unpacked where something reads them (see `section_tail`).
         self._section_info: list[tuple] = []
-        self._zero_prefix = (0,) * self.net_offset
         # Hot-loop key compression: guard-lane slices (cache block + version,
         # directory block), message records and send lists are interned to
         # dense small ints at first sight, so every memo probe on the
@@ -199,14 +199,14 @@ class VectorizedKernel:
         return True
 
     # -- network-section interning -------------------------------------------------
-    def intern_section(self, tail: tuple) -> int:
-        """Dense ID for a network-section lane tuple (hash-consed)."""
-        sid = self._section_ids.get(tail)
+    def intern_section(self, packed_tail: bytes) -> int:
+        """Dense ID for a packed network section (hash-consed): the bytes
+        past ``codec.net_byte_offset`` of a state's key."""
+        sid = self._section_ids.get(packed_tail)
         if sid is None:
             sid = len(self._section_info)
-            self._section_ids[tail] = sid
-            fake_enc = self._zero_prefix + tail
-            net = self.codec.parsed_network(fake_enc)
+            self._section_ids[packed_tail] = sid
+            net = self.codec.parsed_section(packed_tail)
             rec_ids = self._rec_ids
             deliveries = []
             for where, rec, _eev in net[2]:
@@ -214,16 +214,17 @@ class VectorizedKernel:
                 if rid is None:
                     rid = rec_ids[rec] = len(rec_ids)
                 deliveries.append((where, rec, rid))
-            self._section_info.append(
-                (tail, fake_enc, net, tuple(deliveries), self.codec.pack_tail(tail))
-            )
+            self._section_info.append((packed_tail, net, tuple(deliveries)))
         return sid
 
     def section_tail(self, sid: int) -> tuple:
-        return self._section_info[sid][0]
+        """The section's lanes -- rebuilt per call: they are read on memo
+        misses, leaf rows and relabels only, and a resident copy per
+        section would cost more than the packed tails themselves."""
+        return self.codec.unpack(self._section_info[sid][0])
 
     def section_packed(self, sid: int) -> bytes:
-        return self._section_info[sid][4]
+        return self._section_info[sid][0]
 
     # -- level collection ----------------------------------------------------------
     def _guard_ids_level(self, F):
@@ -333,7 +334,7 @@ class VectorizedKernel:
                 if fallback:
                     break
             if not fallback:
-                for where, rec, rec_id in section_info[sid][3]:
+                for where, rec, rec_id in section_info[sid][2]:
                     dst = rec[2]
                     if dst == 1:
                         dkey = (rec_id, -1, dgid_rows[pos])
@@ -407,19 +408,16 @@ class VectorizedKernel:
             S[rows, np.asarray(level.flat_cols, dtype=np.intp)] = np.asarray(
                 level.flat_vals, dtype=self.dtype
             )
-        # Widen each row with its successor section ID (split across lanes
-        # when the lane dtype is narrower than 32 bits) so one void view of
-        # the row bytes keys the whole raw successor -- prefix and tail.
+        # Widen each row with its successor section ID -- a 32-bit value
+        # viewed as however many lanes it spans (4, 2 or 1) -- so one void
+        # view of the row bytes keys the whole raw successor, prefix and
+        # tail.
         itemsize = S.dtype.itemsize
         extra = max(1, 4 // itemsize)
-        sid_arr = np.asarray(level.sids, dtype=np.uint64)
+        sid_lanes = np.asarray(level.sids, dtype=np.uint32).view(S.dtype)
         M = np.empty((S.shape[0], S.shape[1] + extra), dtype=S.dtype)
         M[:, : S.shape[1]] = S
-        if extra == 1:
-            M[:, -1] = sid_arr.astype(S.dtype)
-        else:
-            M[:, -2] = (sid_arr >> 16).astype(S.dtype)
-            M[:, -1] = (sid_arr & 0xFFFF).astype(S.dtype)
+        M[:, S.shape[1] :] = sid_lanes.reshape(S.shape[0], extra)
         row_bytes = np.ascontiguousarray(M).view(
             np.dtype((np.void, M.shape[1] * itemsize))
         ).ravel()
@@ -473,6 +471,10 @@ class VectorizedKernel:
             if old != new:
                 cols.append(lane)
                 vals.append(new)
+        # The scatter narrows these to the lane dtype, and NumPy wraps
+        # where ``codec.pack`` raises: check here, once per distinct delta.
+        if vals and max(vals) > self.codec.lane_max:
+            raise self.codec.overflow(max(vals))
         if base is None:
             lo, hi = self.dir_offset, self.version_offset
             for lane in cols:
@@ -576,13 +578,11 @@ class VectorizedKernel:
     def _emit_tail(self, sid: int, where, sends: tuple, tkey: tuple) -> int:
         """Successor section ID for ``(section, delivered slot, sends id)``,
         via the compiled kernel's exact re-normalization."""
-        _tail, fake_enc, net, _deliv, _packed = self._section_info[sid]
+        tail = self.section_tail(sid)
+        net = self._section_info[sid][1]
         out: list = []
-        self.kernel._emit_net(
-            out, fake_enc, net, where, list(sends),
-            self.net_offset, len(fake_enc),
-        )
-        sid2 = self.intern_section(tuple(out))
+        self.kernel._emit_net(out, tail, net, where, list(sends), 0, len(tail))
+        sid2 = self.intern_section(self.codec.pack_tail(out))
         if len(self._tail_memo) >= _MEMO_LIMIT:
             self._tail_memo.clear()
         self._tail_memo[tkey] = sid2

@@ -17,10 +17,12 @@ continues with the very next pop.  Either way the completed search is
 bit-identical to an uninterrupted one (IDs, counts, verdict, trace).
 
 The **fingerprint** binds a checkpoint to the search that wrote it: codec
-index tables, cache/address counts, workload, symmetry group size, backend,
-strategy and invariant names.  ``max_states`` and the worker count are
-deliberately excluded -- continuing a budgeted nightly run under a new
-budget (or on a box with different cores) is the whole point.
+index tables and lane width (the frontier and the visited set are packed
+keys: keys of another width can never match), cache/address counts,
+workload, symmetry group size, backend, strategy and invariant names.
+``max_states`` and the worker count are deliberately excluded --
+continuing a budgeted nightly run under a new budget (or on a box with
+different cores) is the whole point.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def fingerprint(ctx) -> str:
         codec.dir_states,
         codec.mtypes,
         codec.access_kinds,
+        codec.typecode,
         system.num_caches,
         system.num_addresses,
         repr(system.workload),
@@ -127,8 +130,8 @@ def load(ctx) -> dict | None:
     if payload["fingerprint"] != fingerprint(ctx):
         raise CheckpointMismatch(
             f"checkpoint {path!r} was written by a different search "
-            "configuration (protocol/workload/symmetry/backend/strategy "
-            "mismatch); delete it to start over"
+            "configuration (protocol/lane width/workload/symmetry/backend/"
+            "strategy mismatch); delete it to start over"
         )
     ctx.store.restore(payload.pop("store"))
     ctx.explored = payload["explored"]

@@ -77,8 +77,11 @@ class VerificationResult:
     #: instead of inference: ``kernel`` / ``strategy`` (the backends that
     #: ran), ``decode_count`` (``GlobalState`` decodes across the search,
     #: worker processes included -- 0 for a passing compiled-kernel search,
-    #: reduced or not), ``raw_seen_entries`` / ``orbit_memo_entries`` (sizes
-    #: of the symmetry pipeline's two caches in this process at search end;
+    #: reduced or not), ``lane_bytes`` (1/2/4: the width the codec derived
+    #: for every lane of a packed key), ``parse_memo_entries`` (distinct
+    #: packed network sections in the codec's parse memo in this process at
+    #: search end), ``raw_seen_entries`` / ``orbit_memo_entries`` (sizes
+    #: of the symmetry pipeline's two caches, likewise;
     #: ``None`` with symmetry off), ``canonicalization_seconds`` (CPU
     #: seconds inside symmetry canonicalization; summed across workers for
     #: the parallel strategy) and ``expansion_seconds`` (everything else:
@@ -310,6 +313,8 @@ class Exploration:
             ),
         }
         stats["resume_level"] = self.resume_level
+        stats["lane_bytes"] = self.codec.lane_bytes
+        stats["parse_memo_entries"] = self.codec.parse_memo_entries
         reduced = self.perms is not None
         stats["raw_seen_entries"] = len(self.raw_seen) if reduced else None
         stats["orbit_memo_entries"] = (

@@ -5,13 +5,17 @@ Every strategy, backend and worker process runs the same two pieces:
 * :func:`drive` -- the only loop in the engine that reads ``max_states``.
   It alone owns the budget clip, the checkpoint save, and the depth
   counter; it knows nothing about how a state is expanded.
-* an **expander** -- ``lift`` / ``lower`` convert between the portable
-  frontier (``(state_id, packed_key)`` pairs, the checkpoint's currency
-  and what the fleet is handed at spin-up) and the expander's native one,
-  and ``expand(level)`` consumes one native level and returns
-  ``(next_level, result)``: the successors that turned out new, or the
-  :class:`VerificationResult` that ends the search.  A native level is a
-  list, or anything else with ``len()`` and slicing.
+* an **expander** -- ``expand(level)`` consumes one native level and
+  returns ``(next_level, result)``: the successors that turned out new, or
+  the :class:`VerificationResult` that ends the search.  The portable
+  frontier is ``(state_id, packed_key)`` pairs -- the checkpoint's currency
+  and what the fleet is handed at spin-up -- and for the compiled expander
+  it *is* the native one: a state at rest is the ``bytes`` the store keys
+  on, unpacked into lanes only while it is expanded, so no lane tuple
+  outlives a level.  The expanders whose native level is something else
+  (decoded objects, a lane matrix, per-owner counts) convert with ``lift``
+  / ``lower``.  A native level is a list, or anything else with ``len()``
+  and slicing.
 
 :class:`ObjectExpander` and :class:`CompiledExpander` hold the only two
 per-state bodies in ``src/`` (enabled events -> leaf verdict -> apply ->
@@ -114,36 +118,21 @@ class Expander:
         return None
 
 
-class ObjectExpander(Expander):
-    """Per-state expansion through ``System.apply`` (the differential
-    oracle's body, and the backend of ``System`` subclasses).
+class _PerState(Expander):
+    """What the two per-state bodies share: the symmetry plumbing, the leaf
+    verdict and the object-level invariant walk.  ``quiescent`` /
+    ``unfinished`` take whatever form of a state the body expands."""
 
-    The frontier holds decoded canonical state objects (expansion needs
-    them); the visited set holds only packed encodings.  With symmetry off
-    the raw successor *is* canonical, so no state is ever re-decoded; with
-    symmetry on, only genuinely new representatives that changed under
-    relabeling pay a decode.
-    """
-
-    def __init__(self, ctx):
+    def __init__(self, ctx, quiescent, unfinished):
         self.ctx = ctx
-        system = ctx.system
-        self.quiescent = system.is_quiescent
-        self.unfinished = lambda state: not system.is_complete(state)
+        self.quiescent = quiescent
+        self.unfinished = unfinished
         self.canonicalize = (
             canonicalizer_for(ctx.codec, ctx.perms).canonicalize
             if ctx.perms is not None
             else None
         )
         self.raw_seen = ctx.raw_seen
-
-    def lift(self, pairs):
-        decode_packed = self.ctx.codec.decode_packed
-        return [(sid, decode_packed(key)) for sid, key in pairs]
-
-    def lower(self, level):
-        codec = self.ctx.codec
-        return [(sid, codec.pack(codec.encode(state))) for sid, state in level]
 
     def leaf(self, sid, state):
         """Verdict for a state with no enabled events (failure or None).
@@ -163,13 +152,42 @@ class ObjectExpander(Expander):
         return None
 
     def violation(self, state):
-        """The first invariant violation of a native *state*, or None."""
+        """The first invariant violation of a native level payload --
+        whatever ``lift`` pairs with a state ID; here a decoded *state* --
+        or None.  The one seam for a caller that holds a state only as its
+        packed key (the fleet's owners): lift the key, pass the payload."""
         ctx = self.ctx
         for invariant in ctx.invariants:
             violation = invariant(ctx.system, state)
             if violation is not None:
                 return violation
         return None
+
+
+class ObjectExpander(_PerState):
+    """Per-state expansion through ``System.apply`` (the differential
+    oracle's body, and the backend of ``System`` subclasses).
+
+    The frontier holds decoded canonical state objects (expansion needs
+    them); the visited set holds only packed encodings.  With symmetry off
+    the raw successor *is* canonical, so no state is ever re-decoded; with
+    symmetry on, only genuinely new representatives that changed under
+    relabeling pay a decode.
+    """
+
+    def __init__(self, ctx):
+        system = ctx.system
+        super().__init__(
+            ctx, system.is_quiescent, lambda state: not system.is_complete(state)
+        )
+
+    def lift(self, pairs):
+        decode_packed = self.ctx.codec.decode_packed
+        return [(sid, decode_packed(key)) for sid, key in pairs]
+
+    def lower(self, level):
+        codec = self.ctx.codec
+        return [(sid, codec.pack(codec.encode(state))) for sid, state in level]
 
     def expand(self, level):
         ctx = self.ctx
@@ -235,26 +253,22 @@ class ObjectExpander(Expander):
         return successors, None
 
 
-class CompiledExpander(ObjectExpander):
-    """Per-state expansion on the compiled kernel: the frontier and the
-    visited set both hold encodings; nothing decodes until a failure is
-    reported (asserted by the codec's ``decode_count`` instrumentation)."""
+class CompiledExpander(_PerState):
+    """Per-state expansion on the compiled kernel.  The native level is the
+    portable one -- ``(state_id, packed_key)`` pairs whose key is the very
+    ``bytes`` object the store keys on -- so ``lift``/``lower`` are the
+    base-class identity and a checkpoint saves the frontier as it stands.
+    Nothing decodes until a failure is reported (asserted by the codec's
+    ``decode_count`` instrumentation)."""
 
     def __init__(self, ctx):
-        super().__init__(ctx)
-        self.quiescent = ctx.kernel.is_quiescent
-        self.unfinished = ctx.kernel.workload_remaining
+        super().__init__(
+            ctx, ctx.kernel.is_quiescent, ctx.kernel.workload_remaining
+        )
 
-    def lift(self, pairs):
-        unpack = self.ctx.codec.unpack
-        return [(sid, unpack(key)) for sid, key in pairs]
-
-    def lower(self, level):
-        pack = self.ctx.codec.pack
-        return [(sid, pack(enc)) for sid, enc in level]
-
-    def violation(self, enc):
+    def violation(self, key):
         ctx = self.ctx
+        enc = ctx.codec.unpack(key)
         if ctx.kernel.check(enc, ctx.kernel_codes):
             return None
         return super().violation(ctx.codec.decode(enc))
@@ -267,15 +281,18 @@ class CompiledExpander(ObjectExpander):
         raw_seen = self.raw_seen
         timer = perf_counter
         pack = codec.pack
+        unpack = codec.unpack
         intern = ctx.store.intern
         enabled = ctx.kernel.enabled
         check = ctx.kernel.check
         successors: list = []
         level.reverse()  # consumed, like the object body's
         while level:
-            sid, enc = level.pop()
+            sid, packed = level.pop()
             ctx.explored += 1
-            plans, net = enabled(enc)
+            # The lanes live from here to the end of this iteration.
+            enc = unpack(packed)
+            plans, net = enabled(enc, packed)
             if not plans:
                 failure = self.leaf(sid, enc)
                 if failure is not None:
@@ -316,16 +333,16 @@ class CompiledExpander(ObjectExpander):
                 if not is_new:
                     continue
                 if not check(succ, codes):
-                    violation = self.violation(succ)
+                    violation = self.violation(key)
                     if violation is not None:
                         return None, ctx.failure(
                             violation=violation, leaf_id=new_id
                         )
-                successors.append((new_id, succ))
+                successors.append((new_id, key))
         return successors, None
 
 
-def per_state_expander(ctx) -> ObjectExpander:
+def per_state_expander(ctx) -> _PerState:
     """The per-state expander for *ctx*'s transition backend."""
     return CompiledExpander(ctx) if ctx.kernel is not None else ObjectExpander(ctx)
 

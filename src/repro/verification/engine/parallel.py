@@ -28,7 +28,10 @@ does for the in-process expanders.  The layout is parallel Murphi's:
   as packed records in the producer's ``multiprocessing.shared_memory``
   bucket arena (grow-only, reused round after round), one span per owner;
   after the round's expand phase every owner walks the spans addressed to
-  it, dedups, unpacks the new keys once, checks them and appends them.
+  it, dedups, lifts the new keys into its expander's native level (for the
+  compiled expander the key itself: a worker's pending states are packed
+  bytes, like the serial frontier) and checks their invariants through the
+  expander's ``violation`` seam.
 
 * **The parent is off the data path.**  Per round and worker it receives a
   count and three packed link columns -- parent ID, index into the worker's
@@ -63,6 +66,7 @@ import traceback
 from array import array
 from multiprocessing import shared_memory
 
+from repro.system.codec import LaneOverflow
 from repro.verification.engine.driver import Expander, drive, per_state_expander
 from repro.verification.engine.shard import (
     DIGEST_BYTES,
@@ -183,8 +187,9 @@ class _WorkerState:
         self.bucket_arena = _Arena()
         self.store = self
         self.expander = per_state_expander(self)
-        #: The owned pending level in the expander's native form, and the
-        #: store ID of each position in it.
+        #: The owned pending level in the expander's native form
+        #: (``(position, packed_key)`` pairs on the compiled kernel), and
+        #: the store ID of each position in it.
         self.level: list = []
         self.ids = ()
 
@@ -293,6 +298,8 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
                 conn.send(("dump", wid, ws.shard.dump()))
             elif op == "stop":
                 break
+    except LaneOverflow as exc:  # a verdict on the configuration, not a crash
+        conn.send(("overflow", wid, str(exc)))
     except Exception:  # pragma: no cover - surfaced as _WorkerCrash in parent
         try:
             conn.send(("crash", wid, traceback.format_exc()))
@@ -329,8 +336,10 @@ def _worker_dedup(ws, directory):
     """Owner phase: take in the candidates the other workers sent.
 
     Walks every producer's span for this shard in producer order; a record
-    whose digest is genuinely new is inserted, unpacked (once), checked and
-    appended to the owned next level.  The reply carries the whole round:
+    whose digest is genuinely new is inserted, lifted to the expander's
+    native payload, checked through its ``violation`` seam (which takes
+    exactly that payload, whichever expander runs) and appended to the
+    owned next level.  The reply carries the whole round:
     its trace links (owned successors first), its failures, and what it
     adds to the context's counters, by attribute name.
     """
@@ -511,6 +520,8 @@ class ShmEngine(Expander):
                     raise _WorkerCrash(
                         f"parallel worker {msg[1]} crashed:\n{msg[2]}"
                     )
+                if msg[0] == "overflow":
+                    raise LaneOverflow(msg[2])
                 if msg[0] != kind:  # pragma: no cover - protocol violation
                     raise RuntimeError(f"unexpected worker message {msg[0]!r}")
                 out[pending.pop(conn)] = msg

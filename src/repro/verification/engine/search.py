@@ -19,11 +19,15 @@ driver (:func:`~repro.verification.engine.driver.drive`) runs.
 
 There are four expanders.  Two are per-state and live beside the driver:
 the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
-encoded states end-to-end, decoding only to report a failure, and the
+encoded states end-to-end, decoding only to report a failure -- its level
+is the portable ``(state_id, packed_key)`` frontier itself, each key
+unpacked into lanes only while that state is expanded -- and the
 **object backend** interprets ``System.apply`` over dataclass trees (for
 ``System`` subclasses and custom invariants).  :class:`VectorizedExpander`
-below expands a whole BFS level as NumPy operations and *is* a compiled
-expander for every level it cannot express; the fourth is the fleet.  All
+below expands a whole BFS level as NumPy operations -- its level is the
+keys' prefix bytes stacked into a lane matrix plus one hash-consed section
+ID per row -- and *is* a compiled expander for every level it cannot
+express; the fourth is the fleet.  All
 visit the same states in the same order, report identically-shaped
 results, and get the same ``max_states`` semantics from the driver: per
 level (a level that would cross the budget is clipped, or saved whole when
@@ -111,29 +115,33 @@ class VectorizedExpander(CompiledExpander):
                 len(ctx.perms) > 1 and self.canonicalizer._full_group
             )
 
-    def _lanes(self, level) -> _Lanes:
-        """Lane form of a compiled-native *level* (``(sid, enc)`` pairs)."""
+    def _level(self, ids, prefixes, sids) -> _Lanes:
+        """A native level from its states' prefix bytes (slices of their
+        keys), which stack into the matrix as they are."""
         vk = self.ctx.vkernel
-        net_offset = vk.net_offset
-        intern_section = vk.intern_section
-        return _Lanes(
-            [sid for sid, _enc in level],
-            vk.np.asarray([enc[:net_offset] for _sid, enc in level], dtype=vk.dtype),
-            [intern_section(enc[net_offset:]) for _sid, enc in level],
+        F = vk.np.frombuffer(b"".join(prefixes), dtype=vk.dtype)
+        return _Lanes(ids, F.reshape(len(ids), vk.net_offset), sids)
+
+    def lift(self, pairs) -> _Lanes:
+        """Lane form of ``(state_id, packed_key)`` *pairs*: prefix bytes into
+        the matrix, packed tails hash-consed to section IDs -- no lane tuple
+        is built."""
+        cut = self.ctx.codec.net_byte_offset
+        intern_section = self.ctx.vkernel.intern_section
+        return self._level(
+            [sid for sid, _key in pairs],
+            [key[:cut] for _sid, key in pairs],
+            [intern_section(key[cut:]) for _sid, key in pairs],
         )
 
-    def _encodings(self, lanes) -> list:
-        tail = self.ctx.vkernel.section_tail
-        return [
-            (sid, tuple(row) + tail(sec))
-            for sid, row, sec in zip(lanes.ids, lanes.F.tolist(), lanes.sids)
-        ]
-
-    def lift(self, pairs):
-        return self._lanes(super().lift(pairs))
-
     def lower(self, lanes):
-        return super().lower(self._encodings(lanes))
+        packed = self.ctx.vkernel.section_packed
+        rows = lanes.F.tobytes()
+        cut = self.ctx.codec.net_byte_offset
+        return [
+            (sid, rows[pos * cut : (pos + 1) * cut] + packed(sec))
+            for pos, (sid, sec) in enumerate(zip(lanes.ids, lanes.sids))
+        ]
 
     def _leaf_row(self, leaf, F, sids):
         """Leaf verdict for one zero-plan row of a batch level."""
@@ -153,13 +161,13 @@ class VectorizedExpander(CompiledExpander):
             # can equal another's key: never let the two meet in one set.
             if self.raw_seen:
                 self.raw_seen.clear()
-            successors, failure = super().expand(self._encodings(lanes))
+            successors, failure = super().expand(self.lower(lanes))
             if self.raw_seen:
                 self.raw_seen.clear()
             ctx.fallback_transitions += ctx.transitions - before
             if failure is not None:
                 return None, failure
-            return self._lanes(successors), None
+            return self.lift(successors), None
         codec = ctx.codec
         store = ctx.store
         codes = ctx.kernel_codes
@@ -169,11 +177,13 @@ class VectorizedExpander(CompiledExpander):
         raw_seen = self.raw_seen
         timer = perf_counter
         pack = codec.pack
+        unpack = codec.unpack
         check = ctx.kernel.check
         np = vk.np
         net_offset = vk.net_offset
         intern_section = vk.intern_section
-        sinfo = vk._section_info  # (tail, fake_enc, net, deliveries, packed_tail)
+        sinfo = vk._section_info  # (packed_tail, net, deliveries)
+        section_tail = vk.section_tail
         ctx.explored += len(ids)
         ctx.transitions += level.transitions
         ctx.vectorized_transitions += level.transitions
@@ -195,7 +205,6 @@ class VectorizedExpander(CompiledExpander):
         vbytes = V.tobytes()
         rowsize = V.shape[1] * V.dtype.itemsize
         prefix_bytes = net_offset * V.dtype.itemsize
-        rows_list = V.tolist()
         order_list = order.tolist()
         # Default-invariant verdicts for the whole level as one lane-mask
         # reduction over the successor matrix (None for non-default codes:
@@ -205,7 +214,6 @@ class VectorizedExpander(CompiledExpander):
         level_ok = vk.check_level(V, codes)
         ok_list = level_ok.tolist() if level_ok is not None else None
         entries: list = []
-        entry_encs: list = []  # canonical tuple, or None = raw (build lazily)
         entry_us: list = []
         entry_rows: list = []
         entry_rsids: list = []  # canonical section ID, or -1 = intern later
@@ -236,13 +244,13 @@ class VectorizedExpander(CompiledExpander):
                     # per-state tie-break over the region's candidates,
                     # then one table relabel -- exactly what the serial
                     # canonicalize does for this state.
-                    enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
+                    enc = unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes]) + section_tail(sid2)
                     start = timer()
                     best = _tie_break_encoded(enc, codec, extra)
                     if best == identity:
                         key = (
                             vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
+                            + sinfo[sid2][0]
                         )
                         rsid = sid2
                     else:
@@ -250,29 +258,26 @@ class VectorizedExpander(CompiledExpander):
                         key = pack(enc)
                         rsid = -1
                     ctx.canon_seconds += timer() - start
-                    entry_encs.append(enc)
                 elif extra is None:
                     # Identity winner: the raw successor is canonical; its
-                    # bytes are already the intern key and the tuple is
-                    # only built (in phase 3) if it is new.
+                    # bytes are already the intern key and no lane tuple is
+                    # built for it at all.
                     key = (
                         vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                        + sinfo[sid2][4]
+                        + sinfo[sid2][0]
                     )
                     rsid = sid2
-                    entry_encs.append(None)
                 else:
                     # Unique non-identity winner: canonical encoding
                     # assembles from the orbit-cached relabeled prefix and
                     # the codec's memoized relabeled suffix.
                     start = timer()
-                    enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
+                    enc = unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes]) + section_tail(sid2)
                     t2 = codec.perm_tables(best)[2]
                     enc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
                     ctx.canon_seconds += timer() - start
                     key = pack(enc)
                     rsid = -1
-                    entry_encs.append(enc)
                 entries.append((key, ids[parent_pos[u]], eevs[u], best))
                 entry_us.append(u)
                 entry_rows.append(j)
@@ -288,28 +293,25 @@ class VectorizedExpander(CompiledExpander):
                     if grown >= _RAW_SEEN_LIMIT:
                         raw_seen.clear()
                     sid2 = out_sids[u]
-                    enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
+                    enc = unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes]) + section_tail(sid2)
                     start = timer()
                     cenc, perm = canonicalize(enc)
                     ctx.canon_seconds += timer() - start
                     if cenc is enc:
                         key = (
                             vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
+                            + sinfo[sid2][0]
                         )
                         rsid = sid2
                     else:
-                        enc = cenc
-                        key = pack(enc)
+                        key = pack(cenc)
                         rsid = -1
-                    entry_encs.append(enc)
                 else:
                     sid2 = out_sids[u]
                     key = (
                         vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                        + sinfo[sid2][4]
+                        + sinfo[sid2][0]
                     )
-                    entry_encs.append(None)
                     rsid = sid2
                 entries.append((key, ids[parent_pos[u]], eevs[u], perm))
                 entry_us.append(u)
@@ -319,7 +321,9 @@ class VectorizedExpander(CompiledExpander):
         new_ids = store.intern_batch(entries)
         # Phase 3 -- replay leaves and new states interleaved in stream
         # order (leaf ``(k, ...)`` precedes successor ``u`` iff ``k <= u``),
-        # preserving the exact serial failure order.
+        # preserving the exact serial failure order.  The next level is
+        # built from the new keys themselves: prefix bytes into the matrix,
+        # packed tail to a section ID.
         next_ids: list = []
         next_prefixes: list = []
         next_sids: list = []
@@ -335,42 +339,28 @@ class VectorizedExpander(CompiledExpander):
                 li += 1
             if new_id < 0:
                 continue
+            key = entries[j][0]
             row_ok = ok_list[entry_rows[j]] if ok_list is not None else None
-            enc = entry_encs[j]
-            if enc is None and row_ok:
-                # Passing identity row: the mask already cleared it, the
-                # prefix lanes come straight off the matrix and its section
-                # is interned -- the encoded tuple is never built at all.
-                next_ids.append(new_id)
-                next_prefixes.append(
-                    tuple(rows_list[entry_rows[j]][:net_offset])
-                )
-                next_sids.append(entry_rsids[j])
-                continue
-            if enc is None:  # the raw successor is canonical: build it now
-                enc = (
-                    tuple(rows_list[entry_rows[j]][:net_offset])
-                    + sinfo[out_sids[u]][0]
-                )
-            if (not row_ok) if row_ok is not None else (not check(enc, codes)):
-                violation = self.violation(enc)
+            if row_ok is None:
+                # No level mask for these codes: the per-state check, on
+                # lanes unpacked only here.
+                row_ok = check(unpack(key), codes)
+            if not row_ok:
+                violation = self.violation(key)
                 if violation is not None:
                     return None, ctx.failure(violation=violation, leaf_id=new_id)
             rsid = entry_rsids[j]
             if rsid < 0:  # relabeled tail: intern its section once
-                rsid = intern_section(enc[net_offset:])
+                rsid = intern_section(key[prefix_bytes:])
             next_ids.append(new_id)
-            next_prefixes.append(enc[:net_offset])
+            next_prefixes.append(key[:prefix_bytes])
             next_sids.append(rsid)
         while li < n_leaves:
             failure = self._leaf_row(leaves[li], F, sids)
             if failure is not None:
                 return None, failure
             li += 1
-        return (
-            _Lanes(next_ids, np.asarray(next_prefixes, dtype=vk.dtype), next_sids),
-            None,
-        )
+        return self._level(next_ids, next_prefixes, next_sids), None
 
 
 # -- strategies ----------------------------------------------------------------
@@ -461,7 +451,9 @@ class _LazyFleet(Expander):
             self.depth += 1
             return self.narrow.expand(level)
         ctx = self.ctx
-        frontier = self.narrow.lower(level)
+        # A copy: ``lower`` is the identity for the compiled expander, and
+        # the level is cleared so no forked worker inherits native states.
+        frontier = list(self.narrow.lower(level))
         level.clear()
         engine = ShmEngine(ctx, self.mp, self.processes)
         # Seed worker shards with everything interned so far (post-_key

@@ -185,6 +185,23 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch):
             verify(other, max_states=40_000, checkpoint=path)
 
+    def test_lane_width_mismatch(self, msi_nonstalling, tmp_path, monkeypatch):
+        """The frontier and the visited set are packed keys: a payload saved
+        under wider lanes could never match one key of this search, so it
+        must be refused, not resumed into re-exploring everything."""
+        path = str(tmp_path / "wide.ckpt")
+        workload = Workload(max_accesses_per_cache=2)
+        with monkeypatch.context() as forced:
+            forced.setattr(System, "value_bound", lambda self: 300)
+            wide = System(msi_nonstalling, num_caches=2, workload=workload)
+            assert wide.codec().typecode == "H"
+            leg = verify(wide, max_states=300, checkpoint=path)
+            assert leg.partial and os.path.exists(path)
+        narrow = System(msi_nonstalling, num_caches=2, workload=workload)
+        assert narrow.codec().typecode == "B"
+        with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
+            verify(narrow, max_states=40_000, checkpoint=path)
+
     def test_stale_payload_version(self, saved_checkpoint):
         system, path = saved_checkpoint
         with open(path, "rb") as f:

@@ -322,13 +322,15 @@ class _SyntheticProtocol:
 
 
 class TestLaneWidening:
-    """The codec auto-selects a 32-bit lane layout when any field can exceed
-    the uint16 range (it used to raise a hard error)."""
+    """The codec derives its lane width from a static bound on every lane:
+    8 bits wherever they fit, 16 or 32 above (it never errors out, and no
+    caller chooses)."""
 
-    def test_bundled_protocols_keep_the_16_bit_layout(self, sampled_by_protocol):
+    def test_bundled_protocols_take_the_8_bit_layout(self, sampled_by_protocol):
         for system, _ in sampled_by_protocol.values():
             codec = system.codec()
-            assert codec.typecode == "H" and codec.lane_bytes == 2
+            assert codec.typecode == "B" and codec.lane_bytes == 1
+            assert codec.layout()["numpy_dtype"] == "uint8"
 
     def test_huge_state_catalog_selects_32_bit_lanes_and_round_trips(self):
         from repro.system import StateCodec
@@ -370,6 +372,76 @@ class TestLaneWidening:
         wide = StateCodec(protocol, 2, ordered=True, value_bound=100_000)
         assert narrow.typecode == "H"
         assert wide.lane_bytes == 4
+
+    def test_width_boundaries(self):
+        """A lane holds its bound with one value to spare: the largest
+        bounded value 0xFE still takes 8-bit lanes, 0xFF takes 16."""
+        from repro.system import StateCodec
+
+        protocol = _SyntheticProtocol(
+            cache_states=["I", "M"], dir_states=["DI"], mtypes=["Get"]
+        )
+
+        def typecode(value_bound):
+            return StateCodec(
+                protocol, 2, ordered=True, value_bound=value_bound
+            ).typecode
+
+        # ``value_bound + 2`` is the largest lane value the bound allows.
+        assert typecode(0xFE - 2) == "B" and typecode(0xFF - 2) == "H"
+        assert typecode(0xFFFE - 2) == "H" and typecode(0xFFFF - 2) == "I"
+
+    def test_the_bound_covers_the_count_lanes(self):
+        """Catalogs and data versions are not the only lanes: the fault
+        counter, the channel count of an ordered section and the messages
+        in flight widen the lanes too."""
+        from repro.system import StateCodec
+
+        protocol = _SyntheticProtocol(
+            cache_states=["I", "M"], dir_states=["DI"], mtypes=["Get"]
+        )
+        assert StateCodec(protocol, 2, ordered=True).typecode == "B"
+        assert StateCodec(
+            protocol, 2, ordered=True, faults=True, fault_budget=300
+        ).typecode == "H"
+        # 11 caches: 2 * 12 * 12 = 288 possible (src, dst, vnet) channels.
+        assert StateCodec(protocol, 10, ordered=True).typecode == "B"
+        assert StateCodec(protocol, 11, ordered=True).typecode == "H"
+
+    @pytest.mark.parametrize("bound, typecode", [(5, "B"), (300, "H"), (70_000, "I")])
+    def test_pack_is_the_array_dump_at_every_width(
+        self, msi_nonstalling, monkeypatch, bound, typecode
+    ):
+        """One pack/unpack for all three widths: the bytes of
+        ``array(typecode, enc)``, whichever width the bound derives."""
+        from repro.system import System, Workload
+
+        monkeypatch.setattr(System, "value_bound", lambda self: bound)
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        codec = system.codec()
+        assert codec.typecode == typecode
+        assert codec.layout()["numpy_dtype"] == f"uint{8 * codec.lane_bytes}"
+        for state in sample_reachable_states(system, seed=3)[:100]:
+            enc = codec.encode(state)
+            packed = codec.pack(enc)
+            assert packed == array(typecode, enc).tobytes()
+            assert codec.unpack(packed) == enc
+            cut = codec.net_offset
+            assert packed[codec.net_byte_offset:] == codec.pack_tail(enc[cut:])
+
+    def test_a_value_wider_than_its_lane_raises_by_name(self, msi_nonstalling):
+        """``struct`` raises where a NumPy cast would wrap; the codec names
+        the error so no caller mistakes it for a crash."""
+        from repro.system import LaneOverflow, System, Workload
+
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        codec = system.codec()
+        enc = codec.encode(system.initial_state())
+        assert codec.pack(enc[:-1] + (codec.lane_max,))
+        with pytest.raises(LaneOverflow, match="8-bit lanes"):
+            codec.pack(enc[:-1] + (codec.lane_max + 1,))
 
     def test_deep_workload_system_still_verifies(self, msi_nonstalling):
         """End to end through the system hook: a workload whose version bound

@@ -285,6 +285,22 @@ class TestSearchStats:
         assert reduced["raw_seen_entries"] == 1052
         assert reduced["orbit_memo_entries"] == 577
 
+    def test_lane_width_and_parse_memo_size(self, msi_nonstalling):
+        """Beside the two symmetry caches: the lane width the codec derived
+        and the distinct packed network sections its parse memo holds (the
+        object backend never parses an encoded section)."""
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        full = verify(system).stats
+        assert full["lane_bytes"] == 1
+        assert full["parse_memo_entries"] == 442
+        fresh = System(msi_nonstalling, num_caches=2,
+                       workload=Workload(max_accesses_per_cache=2))
+        assert verify(fresh, symmetry=True).stats["parse_memo_entries"] == 340
+        fresh = System(msi_nonstalling, num_caches=2,
+                       workload=Workload(max_accesses_per_cache=2))
+        assert verify(fresh, kernel="object").stats["parse_memo_entries"] == 0
+
     def test_object_backend_counts_its_decodes(self, msi_nonstalling):
         """The object backend decodes by design (the differential baseline);
         its stats must say so rather than pretend otherwise."""
@@ -414,6 +430,120 @@ class TestSearchStats:
         assert result.stats["expansion_seconds"] is None
 
 
+class TestNoSilentWrap:
+    """A lane that outgrows its width ends the search with the codec's named
+    error on every path -- NumPy casts wrap where ``struct.pack`` raises, so
+    none of them may get that far -- never with a truncated key and a PASS.
+
+    The width is forced one size too narrow by ageing the initial state:
+    ``value_bound`` promises data versions below 6, the search starts at
+    version 254, and the first data message carries lane value 256.
+    """
+
+    @pytest.fixture
+    def aged(self, msi_nonstalling, monkeypatch):
+        from dataclasses import replace
+
+        fresh_state = System.initial_state
+
+        def aged_state(self):
+            state = fresh_state(self)
+            return replace(state, latest_version=254,
+                           directory=replace(state.directory, memory=254))
+
+        monkeypatch.setattr(System, "initial_state", aged_state)
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        assert system.codec().typecode == "B"
+        return system
+
+    @pytest.mark.parametrize("kernel", ["compiled", "vectorized", "object"])
+    def test_serial_paths_raise(self, aged, kernel):
+        from repro.system import LaneOverflow
+
+        if kernel == "vectorized":
+            pytest.importorskip("numpy")
+        with pytest.raises(LaneOverflow, match="lane value 256"):
+            verify(aged, kernel=kernel)
+
+    def test_the_fleet_raises_the_same_error(self, aged, monkeypatch):
+        import multiprocessing
+
+        from repro.system import LaneOverflow
+        from repro.verification.engine import search as search_mod
+
+        if resolve_strategy("parallel", processes=2).name != "parallel":
+            pytest.skip("parallel strategy unavailable on this platform")
+        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+        with pytest.raises(LaneOverflow, match="lane value 256"):
+            verify(aged, strategy="parallel", processes=2)
+        assert not multiprocessing.active_children()
+
+    def test_wide_enough_lanes_run_the_same_search(self, aged, monkeypatch):
+        """The same aged search on the width its values need: no error."""
+        monkeypatch.setattr(System, "value_bound", lambda self: 300)
+        wide = System(aged.protocol, num_caches=2, workload=aged.workload)
+        assert wide.codec().typecode == "H"
+        result = verify(wide)
+        assert result.ok and result.states_explored == 1702
+
+
+#: ``System.value_bound`` values that derive each lane width.
+LANE_WIDTHS = {"B": 5, "H": 300, "I": 70_000}
+
+
+@pytest.mark.parametrize("typecode", LANE_WIDTHS)
+class TestLaneWidthParity:
+    """Lane width is a derived codec detail: every backend runs the same
+    functions at 8, 16 and 32 bits and counts the same states."""
+
+    @pytest.fixture
+    def system(self, msi_nonstalling, monkeypatch, typecode):
+        monkeypatch.setattr(
+            System, "value_bound", lambda self: LANE_WIDTHS[typecode]
+        )
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        assert system.codec().typecode == typecode
+        return system
+
+    @pytest.mark.parametrize("kernel", ["compiled", "vectorized", "object"])
+    def test_full_search_counts(self, system, kernel):
+        if kernel == "vectorized":
+            pytest.importorskip("numpy")
+        result = verify(system, kernel=kernel)
+        assert result.ok and result.kernel == kernel
+        assert result.states_explored == 1702
+        assert result.transitions_explored == 3078
+        assert result.stats["lane_bytes"] == system.codec().lane_bytes
+        if kernel == "vectorized":
+            assert result.stats["fallback_transitions"] == 0
+
+    @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
+    def test_reduced_search_counts_and_cache_sizes(self, system, kernel):
+        if kernel == "vectorized":
+            pytest.importorskip("numpy")
+        result = verify(system, symmetry=True, kernel=kernel)
+        assert result.ok and result.kernel == kernel
+        assert (result.states_explored, result.transitions_explored) == (862, 1557)
+        assert result.stats["raw_seen_entries"] == 1052
+        assert result.stats["orbit_memo_entries"] == 577
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_fleet_counts(self, system, monkeypatch, symmetry):
+        from repro.verification.engine import search as search_mod
+
+        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+        result = verify(system, symmetry=symmetry, strategy="parallel",
+                        processes=2)
+        if result.strategy != "parallel":  # fork unavailable: serial fallback
+            pytest.skip("parallel strategy unavailable on this platform")
+        assert result.ok and sum(result.stats["worker_states"]) > 0
+        assert (result.states_explored, result.transitions_explored) == (
+            (862, 1557) if symmetry else (1702, 3078)
+        )
+
+
 @pytest.mark.parametrize("cell", [
     ("MSI", "nonstalling", 2, 2),
     ("MSI-Unordered", "nonstalling", 3, 1),
@@ -473,6 +603,81 @@ class TestRetainedObjects:
         events = ctx.store._event[1:]  # the root has none
         assert all(type(event) is tuple for event in events)
         assert len({id(event) for event in events}) == len(set(events))
+
+    def test_parse_memo_is_keyed_by_packed_sections(self, ctx):
+        codec = ctx.codec
+        assert codec._net_items_memo
+        for memo in (codec._net_items_memo, codec._planes_memo):
+            assert all(type(section) is bytes for section in memo)
+        # Every section is a slice of some stored key.
+        tails = {key[codec.net_byte_offset:] for key in ctx.store._ids}
+        assert tails <= set(codec._net_items_memo)
+
+    def test_parse_handles_share_their_message_records(self, ctx):
+        """Tens of thousands of sections hold a few hundred distinct
+        records: each is one object, like the interned events."""
+        codec = ctx.codec
+        records = []
+        for items, _offsets, deliveries in codec._net_items_memo.values():
+            for item in items:
+                records.extend(item[3] if codec.ordered else (item,))
+            records.extend(rec for _where, rec, _eev in deliveries)
+        assert len(records) > 100
+        assert len({id(rec) for rec in records}) == len(set(records))
+        triples = [
+            triple
+            for _items, _offsets, deliveries in codec._net_items_memo.values()
+            for triple in deliveries
+        ]
+        assert len({id(triple) for triple in triples}) == len(set(triples))
+
+    def test_compiled_levels_hold_the_stores_own_keys(
+            self, ctx, explorations, monkeypatch):
+        """Every entry a compiled ``expand`` receives and returns is
+        ``(state_id, packed_key)`` and the key *is* the object the store
+        keys on: a state at rest costs no second copy."""
+        from repro.verification.engine.driver import CompiledExpander
+
+        seen = []
+        real_expand = CompiledExpander.expand
+
+        def spying_expand(expander, level):
+            received = list(level)
+            successors, result = real_expand(expander, level)
+            seen.append((received, list(successors or ())))
+            return successors, result
+
+        monkeypatch.setattr(CompiledExpander, "expand", spying_expand)
+        fresh = System(ctx.system.protocol, num_caches=ctx.system.num_caches,
+                       workload=ctx.system.workload)
+        result = verify(fresh)
+        assert result.ok and result.kernel == "compiled"
+        store_keys = {key: key for key in explorations[-1].store._ids}
+        entries = [entry for pair in seen for level in pair for entry in level]
+        assert len(entries) >= 2 * result.states_explored - 1
+        for state_id, key in entries:
+            assert type(state_id) is int and type(key) is bytes
+            assert store_keys[key] is key
+
+    def test_no_second_frontier_form_survives(self, ctx):
+        from repro.system.vectorized import VectorizedKernel, VectorizedUnavailable
+        from repro.verification.engine.driver import CompiledExpander, Expander
+
+        assert "lift" not in vars(CompiledExpander)
+        assert "lower" not in vars(CompiledExpander)
+        assert CompiledExpander.lift is Expander.lift
+        assert CompiledExpander.lower is Expander.lower
+        try:
+            vkernel = VectorizedKernel(ctx.system)
+        except VectorizedUnavailable:  # no NumPy here: nothing to look at
+            return
+        sid = vkernel.intern_section(ctx.root_key[ctx.codec.net_byte_offset:])
+        # (packed tail, parse handle, deliveries): no lane tuple, let alone
+        # a zero-prefixed fake encoding, per hash-consed section.
+        packed, net, _deliveries = vkernel._section_info[sid]
+        assert type(packed) is bytes and not hasattr(vkernel, "_zero_prefix")
+        assert net is ctx.codec.parsed_section(packed)
+        assert vkernel.section_tail(sid) == ctx.codec.unpack(packed)
 
 
 @pytest.mark.parametrize("axes", [

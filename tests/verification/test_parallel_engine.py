@@ -271,6 +271,63 @@ def test_fleet_level_is_per_owner_counts(msi_nonstalling, monkeypatch):
             assert not hasattr(engine, gone)
 
 
+@pytest.mark.parametrize("kernel", ["compiled", "object"])
+def test_spinup_hands_the_fleet_the_whole_level(msi_nonstalling, monkeypatch,
+                                                kernel):
+    """The compiled expander's ``lower`` is the identity, so the level the
+    lazy fleet clears and the frontier it deals out must not be one list
+    (cleared first, the search ended at spin-up with idle workers)."""
+    monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 50)
+    dealt = []
+    real_lift = parallel_mod.ShmEngine.lift
+
+    def spying_lift(engine, pairs):
+        dealt.append(list(pairs))
+        return real_lift(engine, pairs)
+
+    monkeypatch.setattr(parallel_mod.ShmEngine, "lift", spying_lift)
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    result = forced_parallel(system, kernel=kernel)
+    assert result.ok and result.states_explored == 1702
+    (pairs,) = dealt
+    assert len(pairs) > 50
+    assert all(type(sid) is int and type(key) is bytes for sid, key in pairs)
+    assert sum(result.stats["worker_states"]) > len(pairs)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "object"])
+def test_owners_check_foreign_states_through_the_expander_seam(
+        msi_swmr_mutant, explorations, kernel):
+    """An owner holds a foreign successor only as its packed key; it lifts
+    the key and hands the payload to ``violation`` -- one call that suits
+    both per-state expanders (a key for the compiled one, a decoded state
+    for the object one), so the worker never branches on the backend."""
+    from repro.verification.engine.driver import per_state_expander
+
+    system = System(msi_swmr_mutant, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    result = forced_parallel(system, kernel=kernel)
+    assert not result.ok and result.violation.name == "SWMR"
+    replay_and_check(system, result)
+
+    ctx = explorations[-1]
+    state = system.initial_state()
+    for event in result.trace_events:
+        state = system.apply(state, event).state
+    expander = per_state_expander(ctx)
+    assert type(expander).__name__ == (
+        "CompiledExpander" if kernel == "compiled" else "ObjectExpander"
+    )
+    for packed, violated in ((ctx.root_key, False),
+                             (ctx.codec.encode_packed(state), True)):
+        ((position, payload),) = expander.lift([(7, packed)])
+        assert position == 7
+        violation = expander.violation(payload)
+        assert (violation is not None) == violated
+    assert violation.name == "SWMR"
+
+
 # -- robustness: dead workers, leaked segments ---------------------------------
 
 

@@ -83,7 +83,7 @@ class TestExpansionParity:
                     break
                 serial.append((plan[1], succ))
             F = np.asarray([enc[:net_offset]], dtype=vk.dtype)
-            sid = vk.intern_section(enc[net_offset:])
+            sid = vk.intern_section(codec.pack(enc[net_offset:]))
             level = vk.collect_level([0], F, [sid])
             if level.fallbacks:
                 # The batch path may only refuse rows the compiled path also
@@ -110,6 +110,61 @@ class TestExpansionParity:
             assert batch == [succ for _eev, succ in serial]
             compared += 1
         assert compared >= 10, f"only {compared} states compared"
+
+
+#: ``System.value_bound`` values that derive each lane width.
+LANE_WIDTHS = {"uint8": 5, "uint16": 300, "uint32": 70_000}
+
+
+@pytest.mark.parametrize("dtype", LANE_WIDTHS)
+class TestRawSuccessorRows:
+    """``assemble`` keys a raw successor on its row bytes: prefix lanes plus
+    the section ID spread over however many lanes 32 bits take."""
+
+    @pytest.fixture
+    def vk(self, msi_nonstalling, monkeypatch, dtype):
+        monkeypatch.setattr(System, "value_bound", lambda self: LANE_WIDTHS[dtype])
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        vk = system.vectorized_kernel()
+        assert vk.dtype == np.dtype(dtype)
+        return vk
+
+    @pytest.mark.parametrize("sids", [
+        (256, 512), (255, 255 + 65_536), (7, 7 + (1 << 24)), (0, 1),
+    ])
+    def test_section_ids_past_one_lane_stay_distinct(self, vk, sids):
+        """Two successors that differ only in their section ID are two raw
+        successors, whichever lanes the difference lands in (at 8-bit lanes
+        the 16-bit split used to leave two lanes unwritten and truncate the
+        rest: 69 of full-3c's 174 189 states went missing in a PASS)."""
+        from repro.system.vectorized import LevelExpansion
+
+        F = np.zeros((1, vk.net_offset), dtype=vk.dtype)
+        level = LevelExpansion()
+        level.parent_pos = [0, 0, 0]
+        level.sids = [sids[0], sids[1], sids[0]]
+        level.lens = [0, 0, 0]
+        M, order = vk.assemble(F, level)
+        assert order.tolist() == [0, 1]
+        extra = max(1, 4 // vk.dtype.itemsize)
+        assert M.shape == (3, vk.net_offset + extra)
+        assert M[0].tobytes() == M[2].tobytes() != M[1].tobytes()
+
+    def test_a_delta_wider_than_a_lane_raises(self, vk):
+        """The scatter narrows deltas to the lane dtype; the memo-miss
+        evaluation refuses a value the cast would wrap."""
+        from repro.system import LaneOverflow
+
+        prefix = (0,) * vk.net_offset
+        out = list(prefix)
+        out[vk.dir_offset] = vk.codec.lane_max
+        assert vk._confined_delta(prefix, out, None) == (
+            (vk.dir_offset,), (vk.codec.lane_max,)
+        )
+        out[vk.dir_offset] += 1
+        with pytest.raises(LaneOverflow):
+            vk._confined_delta(prefix, out, None)
 
 
 class TestWholeSearchParity:
