@@ -851,10 +851,11 @@ class StateCodec:
     def intern_event(self, eev: tuple) -> tuple:
         """The one shared tuple equal to the event encoding *eev*.
 
-        Every stored state keeps the event that reached it
-        (``StateStore._event``); distinct events number in the hundreds, so
-        producers hand the store the interned object instead of a fresh
-        equal tuple per state.
+        Every parse handle keeps the delivery events of its section and
+        every memoized outcome the event it applies; distinct events number
+        in the hundreds, so producers share the interned object instead of
+        holding a fresh equal tuple each (the store keeps one of each in
+        its event side table whatever it is handed).
         """
         return self._events.setdefault(eev, eev)
 

@@ -93,6 +93,25 @@ INV_SINGLE_OWNER = "single_owner"
 #: checker can recognize exactly the code tuple the fused pass covers.
 _DEFAULT_CODES = DEFAULT_CODES = (INV_SWMR, INV_SINGLE_OWNER)
 
+#: Generated transition source -> its function, process-wide.  The generated
+#: functions close over nothing -- every constant is burned into the text --
+#: so equal text means an interchangeable function: a kernel build makes
+#: thousands of per-transition calls for a few hundred distinct sources (one
+#: ``matrix-2c`` pass: 13 282 for 154), and every kernel of a process shares
+#: them.  Grows by one small function per distinct source and is never
+#: cleared.
+_COMPILED_SOURCES: dict[str, object] = {}
+
+
+def _compiled(source: str):
+    """The ``fn`` that *source* defines, ``exec``-ed on first sight only."""
+    fn = _COMPILED_SOURCES.get(source)
+    if fn is None:
+        namespace: dict = {}
+        exec(source, namespace)  # noqa: S102 - trusted generated source
+        fn = _COMPILED_SOURCES[source] = namespace["fn"]
+    return fn
+
 
 class TransitionKernel:
     """Successor generation and invariant checking on encoded states."""
@@ -759,9 +778,7 @@ class TransitionKernel:
                 emit("  else:  # replacement: the block leaves the cache")
                 emit(f"   out[base + {CF_DATA}] = 0")
         emit(" return True")
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated source
-        return namespace["fn"]
+        return _compiled("\n".join(lines))
 
     def _apply_directory(self, enc, rec, ct, net, where):
         out = list(enc[: self.net_offset])
@@ -857,9 +874,7 @@ class TransitionKernel:
             emit(f" run.extend(0 for _ in range({n} - len(run)))")
             emit(" out[d0 + 2:mem_i] = run")
         emit(" return True")
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated source
-        return namespace["fn"]
+        return _compiled("\n".join(lines))
 
     def _emit_net(
         self, out: list, enc: tuple, net: tuple, where: int | None, sends: list,

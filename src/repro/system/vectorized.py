@@ -29,8 +29,15 @@ specialized function (:meth:`TransitionKernel._compile_cache_fn` /
 ``_compile_directory_fn``) on a representative row and diffing -- exact by
 construction -- and the resulting lane delta is scattered into every
 matching row of the successor matrix with NumPy fancy indexing.  Raw
-successors then dedup **vectorized**: one ``np.unique`` over the packed row
-bytes (+ section-ID column) per level replaces per-successor set probes.
+successors then dedup **vectorized**: one ``np.unique`` over the row bytes
+(prefix lanes + section-ID lanes, :meth:`VectorizedKernel.widen`) per level
+replaces per-successor set probes.  Because sections are hash-consed, such
+a row is a bijection with the state's packed key, so the search keeps its
+visited set as a table of these very rows
+(:class:`repro.verification.engine.store.RowTable`) and a packed key is
+built only at a boundary: :meth:`~VectorizedKernel.rows_of` /
+:meth:`~VectorizedKernel.keys_of` convert, for a checkpoint, a per-state
+fallback level or a violation report.
 
 The compiled interpreter stays on as the differential oracle and the
 fallback: any plan the batch path cannot express (unexpected message,
@@ -44,6 +51,8 @@ fallback transitions and zero object decodes in the engine tests.
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.core.fsm import (
     CompilationUnsupported,
@@ -66,6 +75,10 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 class VectorizedUnavailable(RuntimeError):
     """``kernel="vectorized"`` was requested but NumPy is not installed."""
 
+
+#: A row's section ID: 32 bits in native order, the layout of
+#: :meth:`VectorizedKernel.widen`.
+_SECTION_ID = struct.Struct("=I")
 
 #: Memo outcome: this plan must take the compiled/object slow path.
 _FALLBACK = object()
@@ -141,6 +154,8 @@ class VectorizedKernel:
         self.version_offset = layout["version_offset"]
         self.net_offset = layout["net_offset"]
         self.dtype = _np.dtype(layout["numpy_dtype"])
+        #: Lanes of a whole-state row: the prefix plus a 32-bit section ID.
+        self.row_lanes = self.net_offset + max(1, 4 // self.dtype.itemsize)
         self.supported = self.kernel._simple and self._lane_ops_confined()
         # Hash-consed network sections: packed tail <-> dense section ID.
         self._section_ids: dict[bytes, int] = {}
@@ -225,6 +240,60 @@ class VectorizedKernel:
 
     def section_packed(self, sid: int) -> bytes:
         return self._section_info[sid][0]
+
+    # -- rows: a whole state as one fixed-width matrix row -------------------------
+    def widen(self, prefixes, sids):
+        """The row matrix of states given as a prefix-lane matrix and their
+        section IDs: each prefix row followed by its section ID -- a 32-bit
+        value viewed as however many lanes it spans (4, 2 or 1).  Sections
+        are hash-consed, so a row's bytes are a bijection with the state's
+        packed key: one void view of them keys the whole state, prefix and
+        tail, and the search's visited set stores exactly these rows."""
+        np = self.np
+        n, lanes = prefixes.shape
+        M = np.empty((n, self.row_lanes), dtype=self.dtype)
+        M[:, :lanes] = prefixes
+        M[:, lanes:] = (
+            np.asarray(sids, dtype=np.uint32)
+            .view(self.dtype)
+            .reshape(n, self.row_lanes - lanes)
+        )
+        return M
+
+    def sids_of(self, M) -> list:
+        """The section ID of each row of row matrix *M*."""
+        np = self.np
+        tail = np.ascontiguousarray(M[:, self.net_offset :])
+        return tail.view(np.uint32).ravel().tolist()
+
+    def rows_of(self, keys):
+        """Row matrix of packed *keys*: prefix bytes stacked as they are,
+        packed tails hash-consed to section IDs -- no lane tuple is built."""
+        cut = self.codec.net_byte_offset
+        prefixes = self.np.frombuffer(
+            b"".join([key[:cut] for key in keys]), dtype=self.dtype
+        )
+        return self.widen(
+            prefixes.reshape(len(keys), self.net_offset),
+            [self.intern_section(key[cut:]) for key in keys],
+        )
+
+    def row_bytes_of(self, enc: tuple) -> bytes:
+        """The bytes of the row of one encoded state (what :meth:`widen`
+        would lay out for it)."""
+        no = self.net_offset
+        pack = self.codec.pack
+        return pack(enc[:no]) + _SECTION_ID.pack(self.intern_section(pack(enc[no:])))
+
+    def keys_of(self, M) -> list:
+        """Packed keys of the rows of *M* (inverse of :meth:`rows_of`)."""
+        cut = self.codec.net_byte_offset
+        prefixes = self.np.ascontiguousarray(M[:, : self.net_offset]).tobytes()
+        info = self._section_info
+        return [
+            prefixes[pos * cut : (pos + 1) * cut] + info[sid][0]
+            for pos, sid in enumerate(self.sids_of(M))
+        ]
 
     # -- level collection ----------------------------------------------------------
     def _guard_ids_level(self, F):
@@ -393,33 +462,25 @@ class VectorizedKernel:
         ``gather`` (parent rows fan out to successor rows via fancy
         indexing), ``scatter`` (every collected lane delta lands in one
         flat indexed assignment), ``dedup`` (one ``np.unique`` over the
-        packed row bytes + section-ID lanes).  Returns ``(M, order)``: the
-        widened successor matrix (prefix lanes plus section-ID lanes, so a
-        row's bytes key the whole raw successor) and the indices of the
-        distinct raw successors in first-occurrence (serial stream) order.
+        row bytes).  Returns ``(M, order)``: the successor row matrix
+        (:meth:`widen`: a row's bytes key the whole raw successor) and the
+        indices of the distinct raw successors in first-occurrence (serial
+        stream) order.
         """
         np = self.np
-        S = F[np.asarray(level.parent_pos, dtype=np.intp)]
+        M = self.widen(
+            F[np.asarray(level.parent_pos, dtype=np.intp)], level.sids
+        )
         if level.flat_cols:
             rows = np.repeat(
                 np.arange(len(level.lens), dtype=np.intp),
                 np.asarray(level.lens, dtype=np.intp),
             )
-            S[rows, np.asarray(level.flat_cols, dtype=np.intp)] = np.asarray(
+            M[rows, np.asarray(level.flat_cols, dtype=np.intp)] = np.asarray(
                 level.flat_vals, dtype=self.dtype
             )
-        # Widen each row with its successor section ID -- a 32-bit value
-        # viewed as however many lanes it spans (4, 2 or 1) -- so one void
-        # view of the row bytes keys the whole raw successor, prefix and
-        # tail.
-        itemsize = S.dtype.itemsize
-        extra = max(1, 4 // itemsize)
-        sid_lanes = np.asarray(level.sids, dtype=np.uint32).view(S.dtype)
-        M = np.empty((S.shape[0], S.shape[1] + extra), dtype=S.dtype)
-        M[:, : S.shape[1]] = S
-        M[:, S.shape[1] :] = sid_lanes.reshape(S.shape[0], extra)
-        row_bytes = np.ascontiguousarray(M).view(
-            np.dtype((np.void, M.shape[1] * itemsize))
+        row_bytes = M.view(
+            np.dtype((np.void, M.shape[1] * M.dtype.itemsize))
         ).ravel()
         _, first = np.unique(row_bytes, return_index=True)
         first.sort()

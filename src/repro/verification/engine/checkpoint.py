@@ -3,11 +3,18 @@
 A checkpoint is one pickle file capturing everything a search needs to
 continue *bit-identically*, in one shape for every strategy and backend:
 the pending frontier as ``(state_id, packed_key)`` pairs, the depth it
-stands at, the store's columnar trace links with the intern keys in ID
-order, and the running counters.  A search whose visited set has moved to
-the worker fleet's shards has no keys in its store; its checkpoint carries
-the workers' shard digests instead (re-shardable under a different worker
+stands at, the store's typed trace-link columns with the intern keys in ID
+order (the batch search's row table is saved as the keys its rows stand
+for: a row names its network section by a process-local ID), and the
+running counters.  A search whose visited set has moved to the worker
+fleet's shards has no keys in its store; its checkpoint carries the
+workers' shard digests instead (re-shardable under a different worker
 count on resume).
+
+The pickle body is followed by its BLAKE2b digest, verified before
+anything is unpickled: a file that was cut short *or* had a bit flipped
+inside a key or a column raises :class:`CheckpointMismatch` instead of
+resuming from damaged state.
 
 The driver is the only writer.  A BFS saves at a level boundary: when the
 next level would cross the ``max_states`` budget the whole level is saved
@@ -32,7 +39,10 @@ import os
 import pickle
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+#: Length of the payload checksum that ends the file.
+_CHECKSUM_BYTES = 32
 
 
 #: The payload's keys (:func:`save` writes them, :func:`load` reads them).
@@ -91,8 +101,41 @@ def save(ctx, frontier, level: int, shard_blobs: list[bytes] | None) -> None:
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
-        pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
+        body = _Checksummed(f)
+        pickle.dump(payload, body, protocol=pickle.HIGHEST_PROTOCOL)
+        f.write(body.digest.digest())
     os.replace(tmp, path)
+
+
+class _Checksummed:
+    """A write-only file wrapper that digests what passes through, so the
+    payload is streamed to disk and checksummed in one pass."""
+
+    def __init__(self, file):
+        self.file = file
+        self.digest = hashlib.blake2b(digest_size=_CHECKSUM_BYTES)
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self.file.write(data)
+
+
+def _read_verified(path: str) -> dict:
+    """Unpickle the payload at *path* after checking its checksum."""
+    with open(path, "rb") as f:
+        body_bytes = os.fstat(f.fileno()).st_size - _CHECKSUM_BYTES
+        digest = hashlib.blake2b(digest_size=_CHECKSUM_BYTES)
+        left = body_bytes
+        while left > 0:
+            chunk = f.read(min(left, 1 << 20))
+            if not chunk:
+                break
+            digest.update(chunk)
+            left -= len(chunk)
+        if body_bytes <= 0 or f.read() != digest.digest():
+            raise ValueError("payload checksum mismatch: the file is damaged")
+        f.seek(0)
+        return pickle.load(f)
 
 
 def load(ctx) -> dict | None:
@@ -101,18 +144,19 @@ def load(ctx) -> dict | None:
     Returns the payload (the strategy picks frontier, level and shards up
     from ``ctx.resume``) or ``None`` when no checkpoint file exists.  Raises
     :class:`CheckpointMismatch` -- before anything is restored -- when the
-    file cannot be read back (truncated, not a checkpoint) or was written
-    by a different search configuration or payload version.
+    file cannot be read back (truncated, damaged, not a checkpoint) or was
+    written by a different search configuration or payload version.
     """
     path = ctx.checkpoint_path
     if path is None or not os.path.exists(path):
         return None
     try:
-        with open(path, "rb") as f:
-            payload = pickle.load(f)
+        payload = _read_verified(path)
     except Exception as exc:
-        # A damaged pickle stream raises nearly anything (UnpicklingError,
-        # EOFError, ValueError, AttributeError, ...): all of it means this.
+        # A truncated or bit-flipped file fails the checksum; a stream that
+        # was never a checkpoint raises nearly anything from pickle
+        # (UnpicklingError, EOFError, AttributeError, ...): all of it means
+        # this.
         raise CheckpointMismatch(
             f"checkpoint {path!r} is unreadable ({type(exc).__name__}: {exc}); "
             "delete it to start over"

@@ -8,9 +8,10 @@ composes three orthogonal pieces:
   scalarsets; off by default so existing callers see bit-identical state
   counts, enabled with ``verify(system, symmetry=True)``;
 * **an interned state store** (:mod:`repro.verification.engine.store`) --
-  dense integer IDs and columnar parent links instead of a
+  dense integer IDs and typed parent-link columns instead of a
   ``dict[GlobalState, (GlobalState, SystemEvent)]`` parent map, with
-  optional hash compaction;
+  optional hash compaction for the per-state searches and an exact
+  open-addressed row table as the batch search's visited set;
 * **one search driver** (:mod:`repro.verification.engine.driver`) run by
   pluggable strategies (:mod:`repro.verification.engine.search`) --
   breadth-first (default), depth-first, and a breadth-first search that
@@ -80,9 +81,12 @@ class VerificationResult:
     #: reduced or not), ``lane_bytes`` (1/2/4: the width the codec derived
     #: for every lane of a packed key), ``parse_memo_entries`` (distinct
     #: packed network sections in the codec's parse memo in this process at
-    #: search end), ``raw_seen_entries`` / ``orbit_memo_entries`` (sizes
-    #: of the symmetry pipeline's two caches, likewise;
-    #: ``None`` with symmetry off), ``canonicalization_seconds`` (CPU
+    #: search end), ``visited_bytes`` (bytes of the visited set where it is
+    #: the batch path's row table -- rows in use plus the slot table, so
+    #: bytes per state is a reported count; ``None`` where it is a dict or
+    #: lives in the worker shards), ``raw_seen_entries`` /
+    #: ``orbit_memo_entries`` (sizes of the symmetry pipeline's two caches,
+    #: likewise; ``None`` with symmetry off), ``canonicalization_seconds`` (CPU
     #: seconds inside symmetry canonicalization; summed across workers for
     #: the parallel strategy) and ``expansion_seconds`` (everything else:
     #: successor generation, interning, invariant checks).  For
@@ -315,6 +319,7 @@ class Exploration:
         stats["resume_level"] = self.resume_level
         stats["lane_bytes"] = self.codec.lane_bytes
         stats["parse_memo_entries"] = self.codec.parse_memo_entries
+        stats["visited_bytes"] = self.store.visited_bytes
         reduced = self.perms is not None
         stats["raw_seen_entries"] = len(self.raw_seen) if reduced else None
         stats["orbit_memo_entries"] = (
@@ -503,7 +508,10 @@ def verify(
         default the cores this process may be scheduled on, within 2..8.
     ``hash_compaction``
         Key the visited-set by a 128-bit digest of each state instead of the
-        state object, trading a vanishing collision risk for memory.
+        state object, trading a vanishing collision risk for memory.  The
+        batch path (``kernel="vectorized"`` on BFS) ignores it and keeps
+        exact rows: a row is already smaller than a digest plus its
+        ``bytes`` header, so compaction would cost memory and exactness.
     ``kernel``
         ``"compiled"`` (default) expands states with the compiled transition
         kernel (:mod:`repro.system.kernel`): the generated protocol is
@@ -541,7 +549,8 @@ def verify(
         Directory where the parallel engine's worker shards may spill cold
         visited-set partitions as sorted digest runs, bounding resident
         memory on searches whose visited set would not fit otherwise
-        (ignored by the in-process strategies, which keep the store's dict).
+        (ignored by the in-process strategies, which keep the visited set in
+        the store).
     """
     from repro.verification.engine.search import resolve_strategy
 
@@ -570,7 +579,8 @@ def verify(
     )
     kernel_impl, kernel_codes = _resolve_kernel(system, kernel, invariant_tuple)
     vkernel = None
-    if kernel == "vectorized" and kernel_impl is not None:
+    # Only BFS batches whole levels; DFS and the fleet expand per state.
+    if kernel == "vectorized" and kernel_impl is not None and strat.name == "bfs":
         from repro.system.vectorized import VectorizedUnavailable
 
         try:
@@ -583,7 +593,8 @@ def verify(
         system=system,
         invariants=invariant_tuple,
         perms=perms,
-        store=StateStore(hash_compaction=hash_compaction),
+        # The batch path keeps exact rows whatever ``hash_compaction`` says.
+        store=StateStore(hash_compaction=hash_compaction and vkernel is None),
         max_states=max_states,
         check_deadlock=check_deadlock,
         strategy_name=strat.name,

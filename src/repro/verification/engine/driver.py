@@ -13,7 +13,7 @@ Every strategy, backend and worker process runs the same two pieces:
   it *is* the native one: a state at rest is the ``bytes`` the store keys
   on, unpacked into lanes only while it is expanded, so no lane tuple
   outlives a level.  The expanders whose native level is something else
-  (decoded objects, a lane matrix, per-owner counts) convert with ``lift``
+  (decoded objects, a row matrix, per-owner counts) convert with ``lift``
   / ``lower``.  A native level is a list, or anything else with ``len()``
   and slicing.
 

@@ -575,11 +575,9 @@ class ShmEngine(Expander):
             return None, self._report_failure(failures)
 
         # Dense IDs: one block per worker, in worker order.
-        intern_event = ctx.codec.intern_event
         perm_of = self.perm_table.__getitem__
         counts = []
         for _kind, wid, (count, parents, event_ix, perm_ix, events), *_ in deduped:
-            events = [intern_event(eev) for eev in events]
             base = ctx.store.extend_links(
                 parents, map(events.__getitem__, event_ix), map(perm_of, perm_ix)
             )

@@ -24,10 +24,12 @@ is the portable ``(state_id, packed_key)`` frontier itself, each key
 unpacked into lanes only while that state is expanded -- and the
 **object backend** interprets ``System.apply`` over dataclass trees (for
 ``System`` subclasses and custom invariants).  :class:`VectorizedExpander`
-below expands a whole BFS level as NumPy operations -- its level is the
-keys' prefix bytes stacked into a lane matrix plus one hash-consed section
-ID per row -- and *is* a compiled expander for every level it cannot
-express; the fourth is the fleet.  All
+below expands a whole BFS level as NumPy operations -- its level is a row
+matrix (prefix lanes plus one hash-consed section ID per row), its visited
+set the store's :class:`~repro.verification.engine.store.RowTable` of
+those same rows, so a state is never a packed key on its way from birth to
+rest -- and *is* a compiled expander for every level it cannot express;
+the fourth is the fleet.  All
 visit the same states in the same order, report identically-shaped
 results, and get the same ``max_states`` semantics from the driver: per
 level (a level that would cross the budget is clipped, or saved whole when
@@ -53,36 +55,44 @@ from repro.verification.engine.driver import (
     start_point,
 )
 from repro.verification.engine.parallel import ShmEngine
+from repro.verification.engine.store import RowTable
 
 
 class _Lanes:
-    """The vectorized expander's native level: state IDs, the lane matrix
-    of their prefixes (one row each) and their network-section IDs."""
+    """The vectorized expander's native level: state IDs (an integer array)
+    and the states themselves as a row matrix
+    (:meth:`VectorizedKernel.widen`: prefix lanes, then the section ID)."""
 
-    __slots__ = ("ids", "F", "sids")
+    __slots__ = ("ids", "M")
 
-    def __init__(self, ids, F, sids):
+    def __init__(self, ids, M):
         self.ids = ids
-        self.F = F
-        self.sids = sids
+        self.M = M
 
     def __len__(self):
         return len(self.ids)
 
     def __getitem__(self, cut: slice):
-        return _Lanes(self.ids[cut], self.F[cut], self.sids[cut])
+        return _Lanes(self.ids[cut], self.M[cut])
 
 
 class VectorizedExpander(CompiledExpander):
     """Frontier-batch expansion over the NumPy lane matrix
     (``kernel="vectorized"``).
 
-    Each level: one memo-probing collection pass enumerates every row's
-    plans (:meth:`VectorizedKernel.collect_level`), one gather/scatter/
-    ``np.unique`` pass assembles and dedups the raw successor matrix
-    (:meth:`~VectorizedKernel.assemble`), and one
-    :meth:`~StateStore.intern_batch` call commits the level's distinct
-    canonical successors.  Distinct raw successors are processed in
+    A state is a matrix row from birth to rest.  Each level: one
+    memo-probing collection pass enumerates every row's plans
+    (:meth:`VectorizedKernel.collect_level`), one gather/scatter/
+    ``np.unique`` pass assembles and dedups the raw successor rows
+    (:meth:`~VectorizedKernel.assemble`), one lane-mask reduction gives
+    their invariant verdicts (:meth:`~VectorizedKernel.check_level`), and
+    one :meth:`~StateStore.intern_batch` call probes them against the
+    store's :class:`~repro.verification.engine.store.RowTable` -- the
+    visited set holds the very rows the kernel computes on, compared whole,
+    and the next level is the new ones.  No packed key is built on the way;
+    Python runs per row only where it must: leaf verdicts, the first
+    failing row, and (under symmetry) the raw-successor set and the
+    relabeled representatives.  Distinct raw successors are processed in
     first-occurrence stream order and leaves replay interleaved by their
     sequence numbers, so verdicts, traces and (on passing searches) all
     exploration counts are bit-identical to the serial strategies; on a
@@ -93,15 +103,22 @@ class VectorizedExpander(CompiledExpander):
     A level containing *any* row the batch path cannot express (unexpected
     message, ambiguous guards, object errors) replays wholesale through the
     inherited per-state body -- same row order, same per-plan order, same
-    raw-successor dedup set -- which guarantees failures surface in the
-    identical serial position.  Every transition applied there counts as a
-    fallback transition (pinned to zero on the fault-free single-address
-    hot path).
+    raw-successor dedup set, its keys converted to rows one
+    :meth:`~StateStore.intern` at a time -- which guarantees failures
+    surface in the identical serial position.  Every transition applied
+    there counts as a fallback transition (pinned to zero on the fault-free
+    single-address hot path).
     """
 
     def __init__(self, ctx):
         super().__init__(ctx)
         ctx.kernel_name = "vectorized"
+        vk = ctx.vkernel
+        # The visited set moves into row form before the first level: the
+        # root of a fresh search, or everything a checkpoint restored.
+        ctx.store.adopt_rows(
+            RowTable(vk.np, vk.row_lanes * vk.dtype.itemsize), vk
+        )
         self.canonicalizer = self.batch_canon = None
         if ctx.perms is not None:
             self.canonicalizer = canonicalizer_for(ctx.codec, ctx.perms)
@@ -115,50 +132,135 @@ class VectorizedExpander(CompiledExpander):
                 len(ctx.perms) > 1 and self.canonicalizer._full_group
             )
 
-    def _level(self, ids, prefixes, sids) -> _Lanes:
-        """A native level from its states' prefix bytes (slices of their
-        keys), which stack into the matrix as they are."""
-        vk = self.ctx.vkernel
-        F = vk.np.frombuffer(b"".join(prefixes), dtype=vk.dtype)
-        return _Lanes(ids, F.reshape(len(ids), vk.net_offset), sids)
-
     def lift(self, pairs) -> _Lanes:
-        """Lane form of ``(state_id, packed_key)`` *pairs*: prefix bytes into
-        the matrix, packed tails hash-consed to section IDs -- no lane tuple
-        is built."""
-        cut = self.ctx.codec.net_byte_offset
-        intern_section = self.ctx.vkernel.intern_section
-        return self._level(
-            [sid for sid, _key in pairs],
-            [key[:cut] for _sid, key in pairs],
-            [intern_section(key[cut:]) for _sid, key in pairs],
+        vk = self.ctx.vkernel
+        return _Lanes(
+            vk.np.asarray([sid for sid, _key in pairs], dtype=vk.np.int64),
+            vk.rows_of([key for _sid, key in pairs]),
         )
 
     def lower(self, lanes):
-        packed = self.ctx.vkernel.section_packed
-        rows = lanes.F.tobytes()
-        cut = self.ctx.codec.net_byte_offset
-        return [
-            (sid, rows[pos * cut : (pos + 1) * cut] + packed(sec))
-            for pos, (sid, sec) in enumerate(zip(lanes.ids, lanes.sids))
-        ]
+        return list(zip(lanes.ids.tolist(), self.ctx.vkernel.keys_of(lanes.M)))
 
-    def _leaf_row(self, leaf, F, sids):
-        """Leaf verdict for one zero-plan row of a batch level."""
-        _seq, state_id, pos = leaf
-        enc = tuple(F[pos].tolist()) + self.ctx.vkernel.section_tail(sids[pos])
-        return self.leaf(state_id, enc)
+    def _leaves(self, leaves, done, upto, F, sids):
+        """Leaf verdicts for ``leaves[done:]`` that precede successor *upto*
+        in stream order (leaf ``(k, ...)`` precedes successor ``u`` iff
+        ``k <= u``; ``None`` = all that remain).  Returns ``(done,
+        failure)``."""
+        section_tail = self.ctx.vkernel.section_tail
+        while done < len(leaves) and (upto is None or leaves[done][0] <= upto):
+            _seq, state_id, pos = leaves[done]
+            enc = tuple(F[pos].tolist()) + section_tail(sids[pos])
+            failure = self.leaf(int(state_id), enc)
+            if failure is not None:
+                return done, failure
+            done += 1
+        return done, None
+
+    def _representatives(self, V, out_sids):
+        """Symmetry reduction of the distinct raw successor rows *V* (their
+        section IDs in *out_sids*), in stream order: drop the rows the
+        raw-successor set has seen, and turn each of the others into its
+        canonical representative.  Returns ``(kept, perms, C)``: the
+        positions in *V* that survive, the permutation that canonicalized
+        each, and their representatives' rows (the raw row itself wherever
+        the identity wins)."""
+        ctx = self.ctx
+        vk = ctx.vkernel
+        np = vk.np
+        codec = ctx.codec
+        raw_seen = self.raw_seen
+        timer = perf_counter
+        unpack = codec.unpack
+        section_tail = vk.section_tail
+        row_bytes_of = vk.row_bytes_of
+        vbytes = V.tobytes()
+        rowsize = V.shape[1] * V.dtype.itemsize
+        prefix_bytes = vk.net_offset * V.dtype.itemsize
+        if self.batch_canon:
+            # Orbit classification in bulk: one np.unique over the region
+            # columns, one orbit_for per distinct region of the level (the
+            # region's lane bytes are its packed form, the memo's key).
+            d0 = vk.dir_offset
+            R = np.ascontiguousarray(V[:, :d0])
+            rb = R.view(np.dtype((np.void, d0 * V.dtype.itemsize))).ravel()
+            runiq, rinv = np.unique(rb, return_inverse=True)
+            orbit_for = self.canonicalizer.orbit_for
+            recs = [orbit_for(vb.tobytes()) for vb in runiq]
+            rinv_list = rinv.tolist()
+            identity = self.canonicalizer.identity
+        else:
+            canonicalize = self.canonicalize
+        batch_canon = self.batch_canon
+        kept: list = []
+        perms: list = []
+        moved: list = []       # positions in ``kept`` whose row is relabeled
+        moved_rows: list = []  # ... and the relabeled row's bytes
+        for j in range(len(V)):
+            grown = len(raw_seen) + 1
+            raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
+            if len(raw_seen) != grown:
+                continue
+            if grown >= _RAW_SEEN_LIMIT:
+                raw_seen.clear()
+            if batch_canon:
+                best, extra, saved = recs[rinv_list[j]]
+                if best is not None and extra is None:
+                    # Identity winner: the raw row is the representative
+                    # and no lane tuple is built for it at all.
+                    kept.append(j)
+                    perms.append(best)
+                    continue
+            start = timer()
+            enc = (
+                unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes])
+                + section_tail(out_sids[j])
+            )
+            if not batch_canon:
+                cenc, best = canonicalize(enc)
+            elif best is None:
+                # Ties (equal signatures, or saved-requestor IDs): the
+                # per-state tie-break over the region's candidates, then
+                # one table relabel -- exactly what the serial canonicalize
+                # does for this state.
+                best = _tie_break_encoded(enc, codec, extra)
+                cenc = (
+                    enc
+                    if best == identity
+                    else codec.relabel_via_tables(enc, best, saved=saved)
+                )
+            else:
+                # Unique non-identity winner: the canonical encoding
+                # assembles from the orbit-cached relabeled prefix and the
+                # codec's memoized relabeled suffix.
+                t2 = codec.perm_tables(best)[2]
+                cenc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
+            ctx.canon_seconds += timer() - start
+            if cenc is not enc:
+                moved.append(len(kept))
+                moved_rows.append(row_bytes_of(cenc))
+            kept.append(j)
+            perms.append(best)
+        C = V[kept]
+        if moved:
+            C[moved] = np.frombuffer(b"".join(moved_rows), dtype=V.dtype).reshape(
+                len(moved), V.shape[1]
+            )
+        return kept, perms, C
 
     def expand(self, lanes):
         ctx = self.ctx
         vk = ctx.vkernel
-        ids, F, sids = lanes.ids, lanes.F, lanes.sids
+        np = vk.np
+        ids = lanes.ids
+        F = lanes.M[:, : vk.net_offset]
+        sids = vk.sids_of(lanes.M)
         level = vk.collect_level(ids, F, sids)
         if level.fallbacks:
             before = ctx.transitions
             # The per-state body dedups raw successors on packed keys, this
-            # one on widened row bytes, and with 32-bit lanes one state's row
-            # can equal another's key: never let the two meet in one set.
+            # one on row bytes, and with 32-bit lanes one state's row can
+            # equal another's key: never let the two meet in one set.
             if self.raw_seen:
                 self.raw_seen.clear()
             successors, failure = super().expand(self.lower(lanes))
@@ -168,199 +270,65 @@ class VectorizedExpander(CompiledExpander):
             if failure is not None:
                 return None, failure
             return self.lift(successors), None
-        codec = ctx.codec
-        store = ctx.store
         codes = ctx.kernel_codes
-        canonicalizer = self.canonicalizer
-        canonicalize = self.canonicalize
-        batch_canon = self.batch_canon
-        raw_seen = self.raw_seen
-        timer = perf_counter
-        pack = codec.pack
-        unpack = codec.unpack
-        check = ctx.kernel.check
-        np = vk.np
-        net_offset = vk.net_offset
-        intern_section = vk.intern_section
-        sinfo = vk._section_info  # (packed_tail, net, deliveries)
-        section_tail = vk.section_tail
         ctx.explored += len(ids)
         ctx.transitions += level.transitions
         ctx.vectorized_transitions += level.transitions
         ctx.expansion_batches += 1
         ctx.batch_rows += len(ids)
         M, order = vk.assemble(F, level)
-        # Phase 1 -- distinct raw successors in stream order: cross-level
-        # raw dedup (keyed on the widened row bytes -- prefix lanes plus the
-        # global section-ID lanes -- sliced in bulk from the matrix),
-        # canonicalize, pack (no failure can occur here).  A raw successor
-        # whose canonical form is itself (``canonicalize`` returns the input
-        # tuple) builds its intern key from its prefix bytes plus the
-        # section's packed tail -- byte-identical to ``codec.pack`` --
-        # skipping the per-state repack entirely.
-        eevs = level.eevs
-        out_sids = level.sids
-        parent_pos = level.parent_pos
+        # The distinct raw successors, in stream order: ``us`` are their
+        # positions in the level's successor stream.
+        us = order
         V = M[order]
-        vbytes = V.tobytes()
-        rowsize = V.shape[1] * V.dtype.itemsize
-        prefix_bytes = net_offset * V.dtype.itemsize
-        order_list = order.tolist()
+        del M
         # Default-invariant verdicts for the whole level as one lane-mask
-        # reduction over the successor matrix (None for non-default codes:
-        # phase 3 then falls back to the per-state fused check).  The mask is
-        # computed on the *raw* rows, which is sound because the default
-        # invariants are cache-permutation-symmetric (see check_level).
-        level_ok = vk.check_level(V, codes)
-        ok_list = level_ok.tolist() if level_ok is not None else None
-        entries: list = []
-        entry_us: list = []
-        entry_rows: list = []
-        entry_rsids: list = []  # canonical section ID, or -1 = intern later
-        if batch_canon:
-            # Orbit classification in bulk: one np.unique over the region
-            # columns, one orbit_for per distinct region of the level (the
-            # region's lane bytes are its packed form, the memo's key).
-            d0 = vk.dir_offset
-            region_bytes = d0 * V.dtype.itemsize
-            R = np.ascontiguousarray(V[:, :d0])
-            rb = R.view(np.dtype((np.void, region_bytes))).ravel()
-            runiq, rinv = np.unique(rb, return_inverse=True)
-            orbit_for = canonicalizer.orbit_for
-            recs = [orbit_for(vb.tobytes()) for vb in runiq]
-            rinv_list = rinv.tolist()
-            identity = canonicalizer.identity
-            for j, u in enumerate(order_list):
-                grown = len(raw_seen) + 1
-                raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                sid2 = out_sids[u]
-                best, extra, saved = recs[rinv_list[j]]
-                if best is None:
-                    # Ties (equal signatures, or saved-requestor IDs): the
-                    # per-state tie-break over the region's candidates,
-                    # then one table relabel -- exactly what the serial
-                    # canonicalize does for this state.
-                    enc = unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes]) + section_tail(sid2)
-                    start = timer()
-                    best = _tie_break_encoded(enc, codec, extra)
-                    if best == identity:
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][0]
-                        )
-                        rsid = sid2
-                    else:
-                        enc = codec.relabel_via_tables(enc, best, saved=saved)
-                        key = pack(enc)
-                        rsid = -1
-                    ctx.canon_seconds += timer() - start
-                elif extra is None:
-                    # Identity winner: the raw successor is canonical; its
-                    # bytes are already the intern key and no lane tuple is
-                    # built for it at all.
-                    key = (
-                        vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                        + sinfo[sid2][0]
-                    )
-                    rsid = sid2
-                else:
-                    # Unique non-identity winner: canonical encoding
-                    # assembles from the orbit-cached relabeled prefix and
-                    # the codec's memoized relabeled suffix.
-                    start = timer()
-                    enc = unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes]) + section_tail(sid2)
-                    t2 = codec.perm_tables(best)[2]
-                    enc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
-                    ctx.canon_seconds += timer() - start
-                    key = pack(enc)
-                    rsid = -1
-                entries.append((key, ids[parent_pos[u]], eevs[u], best))
-                entry_us.append(u)
-                entry_rows.append(j)
-                entry_rsids.append(rsid)
-        else:
-            for j, u in enumerate(order_list):
-                perm = None
-                if canonicalize is not None:
-                    grown = len(raw_seen) + 1
-                    raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
-                    if len(raw_seen) != grown:
-                        continue
-                    if grown >= _RAW_SEEN_LIMIT:
-                        raw_seen.clear()
-                    sid2 = out_sids[u]
-                    enc = unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes]) + section_tail(sid2)
-                    start = timer()
-                    cenc, perm = canonicalize(enc)
-                    ctx.canon_seconds += timer() - start
-                    if cenc is enc:
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][0]
-                        )
-                        rsid = sid2
-                    else:
-                        key = pack(cenc)
-                        rsid = -1
-                else:
-                    sid2 = out_sids[u]
-                    key = (
-                        vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                        + sinfo[sid2][0]
-                    )
-                    rsid = sid2
-                entries.append((key, ids[parent_pos[u]], eevs[u], perm))
-                entry_us.append(u)
-                entry_rows.append(j)
-                entry_rsids.append(rsid)
-        # Phase 2 -- one batch intern for the whole level.
-        new_ids = store.intern_batch(entries)
-        # Phase 3 -- replay leaves and new states interleaved in stream
-        # order (leaf ``(k, ...)`` precedes successor ``u`` iff ``k <= u``),
-        # preserving the exact serial failure order.  The next level is
-        # built from the new keys themselves: prefix bytes into the matrix,
-        # packed tail to a section ID.
-        next_ids: list = []
-        next_prefixes: list = []
-        next_sids: list = []
+        # reduction (None for non-default codes).  The mask is computed on
+        # the *raw* rows, which is sound because the default invariants are
+        # cache-permutation-symmetric (see check_level).
+        ok = vk.check_level(V, codes)
+        perms = None
+        if self.canonicalize is not None:
+            out_sids = level.sids
+            kept, perms, V = self._representatives(
+                V, [out_sids[u] for u in order.tolist()]
+            )
+            us = order[kept]
+            if ok is not None:
+                ok = ok[kept]
+        eevs = level.eevs
+        new_ids = ctx.store.intern_batch(
+            V,
+            ids[np.asarray(level.parent_pos, dtype=np.intp)[us]],
+            [eevs[u] for u in us.tolist()],
+            perms,
+        )
+        fresh = new_ids >= 0
+        if ok is None:
+            # No level mask for these codes: the per-state check, on lanes
+            # unpacked only here, for the new rows only.
+            at = np.flatnonzero(fresh)
+            check = ctx.kernel.check
+            unpack = ctx.codec.unpack
+            ok = np.ones(len(fresh), dtype=bool)
+            ok[at] = [check(unpack(key), codes) for key in vk.keys_of(V[at])]
+        # Failures surface in stream order: the leaves that precede a new
+        # row failing its check, then that row.
         leaves = level.leaves
-        n_leaves = len(leaves)
-        li = 0
-        for j, new_id in enumerate(new_ids):
-            u = entry_us[j]
-            while li < n_leaves and leaves[li][0] <= u:
-                failure = self._leaf_row(leaves[li], F, sids)
-                if failure is not None:
-                    return None, failure
-                li += 1
-            if new_id < 0:
-                continue
-            key = entries[j][0]
-            row_ok = ok_list[entry_rows[j]] if ok_list is not None else None
-            if row_ok is None:
-                # No level mask for these codes: the per-state check, on
-                # lanes unpacked only here.
-                row_ok = check(unpack(key), codes)
-            if not row_ok:
-                violation = self.violation(key)
-                if violation is not None:
-                    return None, ctx.failure(violation=violation, leaf_id=new_id)
-            rsid = entry_rsids[j]
-            if rsid < 0:  # relabeled tail: intern its section once
-                rsid = intern_section(key[prefix_bytes:])
-            next_ids.append(new_id)
-            next_prefixes.append(key[:prefix_bytes])
-            next_sids.append(rsid)
-        while li < n_leaves:
-            failure = self._leaf_row(leaves[li], F, sids)
+        done = 0
+        for j in np.flatnonzero(fresh & ~ok).tolist():
+            done, failure = self._leaves(leaves, done, int(us[j]), F, sids)
             if failure is not None:
                 return None, failure
-            li += 1
-        return self._level(next_ids, next_prefixes, next_sids), None
+            violation = self.violation(vk.keys_of(V[j : j + 1])[0])
+            if violation is not None:
+                return None, ctx.failure(
+                    violation=violation, leaf_id=int(new_ids[j])
+                )
+        done, failure = self._leaves(leaves, done, None, F, sids)
+        if failure is not None:
+            return None, failure
+        return _Lanes(new_ids[fresh], V[fresh]), None
 
 
 # -- strategies ----------------------------------------------------------------

@@ -23,6 +23,7 @@ its spin-up threshold.  Past spin-up the checkpoint carries shard digests;
 that has its own suite in ``test_parallel_engine.py``.
 """
 
+import hashlib
 import os
 import pickle
 
@@ -203,13 +204,15 @@ class TestMismatchRejection:
             verify(narrow, max_states=40_000, checkpoint=path)
 
     def test_stale_payload_version(self, saved_checkpoint):
+        """An intact file (its checksum holds) of another payload version."""
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
         payload["version"] = -1
+        body = pickle.dumps(payload)
         with open(path, "wb") as f:
-            pickle.dump(payload, f)
-        with pytest.raises(CheckpointMismatch):
+            f.write(body + hashlib.blake2b(body, digest_size=32).digest())
+        with pytest.raises(CheckpointMismatch, match="version"):
             verify(system, max_states=40_000, checkpoint=path)
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage"])
@@ -224,6 +227,39 @@ class TestMismatchRejection:
                     else b"not a checkpoint\n" * 8)
         with pytest.raises(CheckpointMismatch, match="run.ckpt"):
             verify(system, max_states=40_000, checkpoint=path)
+
+    @pytest.mark.parametrize("mode", [
+        dict(),
+        dict(kernel="vectorized"),
+        dict(strategy="parallel", processes=2, spinup=True),
+    ], ids=["serial", "vectorized", "fleet"])
+    def test_flipped_byte_is_refused(self, msi_nonstalling, tmp_path,
+                                     monkeypatch, mode):
+        """A checkpoint still unpickles with one byte flipped inside a key
+        or a column; the payload checksum is what refuses it -- whoever
+        wrote the file: the serial store, the row table, the fleet's
+        shard dumps."""
+        mode = dict(mode)
+        if mode.pop("spinup", False):
+            from repro.verification.engine import search as search_mod
+
+            monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        path = str(tmp_path / "run.ckpt")
+        leg = verify(system, max_states=600, checkpoint=path, **mode)
+        assert leg.partial and os.path.exists(path)
+        if "strategy" in mode and leg.strategy != "parallel":
+            pytest.skip("parallel strategy unavailable on this platform")
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
+        # Past spin-up the visited set is in the shard dumps, not the store.
+        assert (pickle.loads(blob)["shards"] is not None) == ("strategy" in mode)
+        blob[len(blob) // 2] ^= 0x01
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(CheckpointMismatch, match="run.ckpt.*checksum"):
+            verify(system, max_states=40_000, checkpoint=path, **mode)
 
     def test_budget_and_worker_count_are_not_bound(self, msi_nonstalling,
                                                    saved_checkpoint):

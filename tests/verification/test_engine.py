@@ -301,6 +301,24 @@ class TestSearchStats:
                        workload=Workload(max_accesses_per_cache=2))
         assert verify(fresh, kernel="object").stats["parse_memo_entries"] == 0
 
+    def test_visited_bytes_is_the_row_table(self, msi_nonstalling):
+        """Bytes per stored state as a reported count: the batch path's row
+        table is its rows in use (28 prefix lanes + a 4-byte section ID at
+        8-bit lanes) plus the int32 slot table; a dict or the fleet's
+        shards are not measurable from the store and report None."""
+        pytest.importorskip("numpy")
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        full = verify(system, kernel="vectorized")
+        assert (full.kernel, full.states_explored) == ("vectorized", 1702)
+        assert full.stats["visited_bytes"] == 1702 * 32 + 4096 * 4
+        reduced = verify(system, kernel="vectorized", symmetry=True)
+        assert reduced.stats["visited_bytes"] == 862 * 32 + 2048 * 4
+        for mode in (dict(), dict(kernel="object"),
+                     dict(kernel="vectorized", strategy="dfs"),
+                     dict(strategy="parallel", processes=2)):
+            assert verify(system, **mode).stats["visited_bytes"] is None, mode
+
     def test_object_backend_counts_its_decodes(self, msi_nonstalling):
         """The object backend decodes by design (the differential baseline);
         its stats must say so rather than pretend otherwise."""
@@ -574,7 +592,7 @@ class TestRetainedObjects:
         raw = {key: key for key in ctx.raw_seen}
         shared = 0
         for key, state_id in store._ids.items():
-            if state_id != ctx.root_id and store._perm[state_id] == identity:
+            if state_id != ctx.root_id and store.link(state_id)[2] == identity:
                 assert raw[key] is key
                 shared += 1
         assert shared > 0
@@ -600,7 +618,8 @@ class TestRetainedObjects:
         )
 
     def test_stored_events_are_shared_tuples(self, ctx):
-        events = ctx.store._event[1:]  # the root has none
+        store = ctx.store  # the root has no event
+        events = [store.link(state_id)[1] for state_id in range(1, len(store))]
         assert all(type(event) is tuple for event in events)
         assert len({id(event) for event in events}) == len(set(events))
 
@@ -706,6 +725,7 @@ def test_stored_events_are_shared_off_the_hot_loop(
     assert result.ok and result.kernel == "compiled"
     if mode and result.strategy != "parallel":
         pytest.skip("parallel strategy unavailable on this platform")
-    events = explorations[-1].store._event[1:]
+    store = explorations[-1].store
+    events = [store.link(state_id)[1] for state_id in range(1, len(store))]
     assert len(events) > 50
     assert len({id(event) for event in events}) == len(set(events))

@@ -326,3 +326,47 @@ class TestEmitNetDifferential:
             if where is None and not sends:
                 continue
             self._assert_matches_oracle(msi_system, network, where, sends)
+
+
+class TestGeneratedSourceIsCompiledOnce:
+    """The per-transition functions close over nothing, so one ``exec`` per
+    distinct generated source serves every transition -- and every kernel --
+    that produces the same text."""
+
+    @staticmethod
+    def _system(generated):
+        # A fresh System per build: ``System.kernel()`` caches its kernel.
+        return System(generated, num_caches=2,
+                      workload=Workload(max_accesses_per_cache=2))
+
+    def test_one_kernel_build_execs_no_source_twice(self, msi_spec, monkeypatch):
+        from repro.system import kernel as kernel_mod
+
+        executed = []
+
+        def counting_exec(source, namespace):
+            executed.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(kernel_mod, "_COMPILED_SOURCES", {})
+        monkeypatch.setattr(kernel_mod, "exec", counting_exec, raising=False)
+        generated = generate(msi_spec, GenerationConfig.nonstalling())
+        built = self._system(generated).kernel()
+        functions = [fn for fn in built._cache_fns.values() if fn is not None]
+        functions += built._dir_fns.values()
+        assert len(executed) == len(set(executed)) > 0
+        assert len(executed) == len(set(functions)) < len(functions)
+        # A second kernel of the same protocol compiles nothing at all.
+        self._system(generated).kernel()
+        assert len(executed) == len(set(functions))
+
+    def test_two_kernels_share_their_functions(self, msi_nonstalling):
+        first = self._system(msi_nonstalling).kernel()
+        second = self._system(msi_nonstalling).kernel()
+        assert first is not second
+        for table in ("_cache_fns", "_dir_fns"):
+            # Keyed by ``id(ct)`` of each kernel's own spec, in table order.
+            ours = list(getattr(first, table).values())
+            theirs = list(getattr(second, table).values())
+            assert len(ours) == len(theirs) > 0
+            assert all(a is b for a, b in zip(ours, theirs))

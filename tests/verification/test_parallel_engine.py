@@ -223,10 +223,8 @@ def test_passing_runs_repeat_exactly(msi_nonstalling, explorations, processes):
     first, second = (ctx.store for ctx in explorations[-2:])
     assert runs[0].stats["worker_states"] == runs[1].stats["worker_states"]
     assert runs[0].stats["round_count"] == runs[1].stats["round_count"]
-    assert first._parent == second._parent
-    assert first._event == second._event
-    assert first._perm == second._perm
-    assert len(first) == runs[0].states_explored
+    assert len(first) == len(second) == runs[0].states_explored
+    assert all(first.link(i) == second.link(i) for i in range(len(first)))
 
 
 # -- budget, retained objects --------------------------------------------------
