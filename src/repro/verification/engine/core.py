@@ -552,7 +552,7 @@ def verify(
         (ignored by the in-process strategies, which keep the visited set in
         the store).
     """
-    from repro.verification.engine.search import resolve_strategy
+    from repro.verification.engine.search import BreadthFirst, resolve_strategy
 
     invariant_tuple = (
         tuple(invariants) if invariants is not None else tuple(default_invariants())
@@ -580,7 +580,11 @@ def verify(
     kernel_impl, kernel_codes = _resolve_kernel(system, kernel, invariant_tuple)
     vkernel = None
     # Only BFS batches whole levels; DFS and the fleet expand per state.
-    if kernel == "vectorized" and kernel_impl is not None and strat.name == "bfs":
+    if (
+        kernel == "vectorized"
+        and kernel_impl is not None
+        and strat.name == BreadthFirst.name
+    ):
         from repro.system.vectorized import VectorizedUnavailable
 
         try:
