@@ -238,9 +238,6 @@ class VectorizedKernel:
         section would cost more than the packed tails themselves."""
         return self.codec.unpack(self._section_info[sid][0])
 
-    def section_packed(self, sid: int) -> bytes:
-        return self._section_info[sid][0]
-
     # -- rows: a whole state as one fixed-width matrix row -------------------------
     def widen(self, prefixes, sids):
         """The row matrix of states given as a prefix-lane matrix and their

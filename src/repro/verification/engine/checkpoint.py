@@ -123,16 +123,13 @@ class _Checksummed:
 def _read_verified(path: str) -> dict:
     """Unpickle the payload at *path* after checking its checksum."""
     with open(path, "rb") as f:
-        body_bytes = os.fstat(f.fileno()).st_size - _CHECKSUM_BYTES
+        left = os.fstat(f.fileno()).st_size - _CHECKSUM_BYTES
+        intact = left > 0
         digest = hashlib.blake2b(digest_size=_CHECKSUM_BYTES)
-        left = body_bytes
-        while left > 0:
-            chunk = f.read(min(left, 1 << 20))
-            if not chunk:
-                break
+        while left > 0 and (chunk := f.read(min(left, 1 << 20))):
             digest.update(chunk)
             left -= len(chunk)
-        if body_bytes <= 0 or f.read() != digest.digest():
+        if not intact or f.read() != digest.digest():
             raise ValueError("payload checksum mismatch: the file is damaged")
         f.seek(0)
         return pickle.load(f)

@@ -342,7 +342,7 @@ class StateStore:
         """Batch :meth:`intern` of a matrix of *rows* against the row table
         (:meth:`adopt_rows`): one vectorized probe for a whole level.
 
-        *parents* (an integer array), *events* and *perms* (sequences;
+        *parents* (an ``int64`` array), *events* and *perms* (sequences;
         ``None`` = no permutation anywhere) match *rows* positionally.
         Returns an integer array, again positional: the new ID of each
         genuinely new row -- consecutive, in row order, first occurrence
@@ -355,7 +355,7 @@ class StateStore:
         new = np.flatnonzero(fresh)
         picked = new.tolist()
         column = array("q")
-        column.frombytes(parents[new].astype(np.int64, copy=False).tobytes())
+        column.frombytes(parents[new].tobytes())
         base = self.extend_links(
             column,
             [events[i] for i in picked],
@@ -409,8 +409,9 @@ class StateStore:
         (``rows_of(keys) -> matrix``, ``keys_of(matrix) -> keys``).  The
         keys interned so far enter the table in ID order, so from here on
         a state's ID *is* its arena index; the dict is dropped as at fleet
-        spin-up, :meth:`intern_batch` becomes valid, and :meth:`intern`
-        keeps working on packed keys.  The store must hold exact keys
+        spin-up (so :meth:`__contains__` and :meth:`iter_keys` are invalid),
+        :meth:`intern_batch` becomes valid, and :meth:`intern` keeps
+        working on packed keys.  The store must hold exact keys
         (no hash compaction): a digest cannot become a row.
         """
         if self.hash_compaction:
@@ -480,8 +481,8 @@ class StateStore:
             self._ids = {key: state_id for state_id, key in enumerate(keys)}
 
     def iter_keys(self):
-        """The intern keys (post-:meth:`_key`), in ID order."""
-        return iter(self._keys())
+        """The key dict's keys (post-:meth:`_key`), in ID order."""
+        return iter(self._ids)
 
     def link(self, state_id: int) -> tuple[int, SystemEvent | None, Permutation | None]:
         """The ``(parent_id, event, perm)`` triple recorded for *state_id*."""
@@ -508,6 +509,4 @@ class StateStore:
         return len(self._parent)
 
     def __contains__(self, state: object) -> bool:
-        if self._rows is not None:
-            return self._rows.find(self._row_codec.rows_of((state,)))[0] >= 0
         return self._key(state) in self._ids
