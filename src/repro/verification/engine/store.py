@@ -44,6 +44,7 @@ state ID; and packed keys reappear only at the boundaries (a checkpoint's
 from __future__ import annotations
 
 import hashlib
+import mmap  # already loaded by the fleet's shared_memory: no new import
 from array import array
 
 from repro.system.system import GlobalState, SystemEvent
@@ -68,7 +69,10 @@ class RowTable:
     probe's -- there is no digest and no filter, so membership is exact
     whatever the hash does.  The slot table is rebuilt from the arena
     before its load passes one half (the old one is released first); the
-    arena grows in place, so growth never holds two copies of the rows.
+    arena is an anonymous private mapping that the kernel extends in place
+    (``mremap``: pages move, bytes are not copied), so growth never holds
+    two copies of the rows, and capacity the rows have not reached yet is
+    address space, not resident memory.
 
     *np* is the NumPy module (handed in by the batch kernel, which is the
     only code that imports it), *row_bytes* the width of a row.
@@ -84,7 +88,10 @@ class RowTable:
         word = next(w for w in (8, 4, 2, 1) if row_bytes % w == 0)
         self._word = np.dtype(f"uint{8 * word}")
         self._words = row_bytes // word
-        self._arena = np.empty((0, self._words), dtype=self._word)
+        self._map = mmap.mmap(
+            -1, 64 * row_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
+        self._arena = self._mapped()
         self._count = 0
         self._slots = np.full(64, _EMPTY, dtype=np.int32)
 
@@ -154,19 +161,22 @@ class RowTable:
                 pend = pend[lost]
                 at = (at[lost] + 1) & mask
 
+    def _mapped(self):
+        """The mapping as a matrix of row words."""
+        return self.np.frombuffer(self._map, dtype=self._word).reshape(
+            -1, self._words
+        )
+
     def _reserve_rows(self, total: int) -> None:
         capacity = len(self._arena)
         if total <= capacity:
             return
-        shape = (max(total, capacity + capacity // 8), self._words)
-        try:
-            # In place (realloc): refuses only while a view of the arena is
-            # alive somewhere, and then the rows are copied instead.
-            self._arena.resize(shape)
-        except ValueError:
-            grown = self.np.empty(shape, dtype=self._word)
-            grown[: self._count] = self._arena[: self._count]
-            self._arena = grown
+        # The mapping cannot move under a live array: drop ours first (a
+        # view of the arena still held elsewhere makes ``resize`` raise
+        # ``BufferError`` rather than leave it dangling).
+        self._arena = None
+        self._map.resize(max(total, 2 * capacity) * self.row_bytes)
+        self._arena = self._mapped()
 
     def add(self, rows):
         """Insert the rows of matrix *rows* that the set does not hold.
