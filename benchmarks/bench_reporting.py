@@ -1,12 +1,14 @@
 """Machine-readable benchmark reporting.
 
 Benchmarks used to print their measured numbers into the pytest log, where
-no tool could compare one run against the next.  :func:`record_run` appends
+no tool could compare one run against the next.  :func:`record_run` builds
 one JSON entry per verification run -- states explored, wall-clock, and
-states/second, plus the run configuration -- to ``BENCH_results.json`` at
-the repository root, so the perf trajectory across PRs (and across CI runs,
-which upload the file as an artifact) is finally tracked in a form scripts
-can diff.
+states/second, plus the run configuration -- and appends it to the file the
+``BENCH_RESULTS_PATH`` environment variable names.  Without the variable
+nothing is written: a test run must leave the work tree as it found it, and
+``BENCH_results.json`` at the repository root is tracked.  The CI jobs that
+upload that file as an artifact set the variable to it; reads (the
+perf-smoke regression baseline) default to the committed file either way.
 
 Kept out of ``conftest.py`` on purpose (same reason as
 ``tests/verification/verification_helpers.py``): test modules import this
@@ -22,14 +24,21 @@ import platform
 import time
 from pathlib import Path
 
-#: Default results file: ``<repo root>/BENCH_results.json`` (override with
-#: the ``BENCH_RESULTS_PATH`` environment variable, e.g. in CI).
+#: The committed trajectory, ``<repo root>/BENCH_results.json``: what reads
+#: default to.
 DEFAULT_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
 
 
-def results_path() -> Path:
+def record_path() -> Path | None:
+    """Where :func:`record_run` appends: the file ``BENCH_RESULTS_PATH``
+    names, or nowhere."""
     override = os.environ.get("BENCH_RESULTS_PATH")
-    return Path(override) if override else DEFAULT_RESULTS_PATH
+    return Path(override) if override else None
+
+
+def results_path() -> Path:
+    """Where reads look: ``BENCH_RESULTS_PATH``, else the committed file."""
+    return record_path() or DEFAULT_RESULTS_PATH
 
 
 def load_results(path: Path | None = None) -> list[dict]:
@@ -52,10 +61,10 @@ def record_run(
     accesses: int,
     symmetry: bool,
     processes: int | None = None,
-    path: Path | None = None,
     extra: dict | None = None,
 ) -> dict:
-    """Append one :class:`VerificationResult` measurement and return the entry.
+    """Build one :class:`VerificationResult` measurement, append it to
+    :func:`record_path` when there is one, and return the entry.
 
     *extra* merges additional benchmark-specific fields into the entry (e.g.
     peak memory for the nightly full-space runs).  When the result carries
@@ -88,10 +97,11 @@ def record_run(
         entry["stats"] = stats
     if extra:
         entry.update(extra)
-    target = path or results_path()
-    entries = load_results(target)
-    entries.append(entry)
-    target.write_text(json.dumps(entries, indent=2) + "\n")
+    target = record_path()
+    if target is not None:
+        entries = load_results(target)
+        entries.append(entry)
+        target.write_text(json.dumps(entries, indent=2) + "\n")
     return entry
 
 

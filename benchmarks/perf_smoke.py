@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""Perf-smoke runner: one budgeted verification, recorded to BENCH_results.json.
+"""Perf-smoke runner: one budgeted verification, recorded to $BENCH_RESULTS_PATH.
 
 Used by the CI perf-smoke job (and handy locally) to keep a machine-readable
-perf trajectory without running a full benchmark suite::
+perf trajectory without running a full benchmark suite (the entry is
+appended to the file ``BENCH_RESULTS_PATH`` names -- CI sets it to the
+committed ``BENCH_results.json`` -- and only printed when it is unset)::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py \
         --protocol MSI --config stalling --caches 3 --accesses 2 \
@@ -34,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_reporting import baseline_states_per_second, record_run, results_path
+from bench_reporting import baseline_states_per_second, record_path, record_run
 
 from repro import protocols
 from repro.core import GenerationConfig, generate
@@ -204,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         if repeats > 1:
             rates = ", ".join(f"{r:.0f}" for r in sorted(throughputs))
             print(f"  best of {repeats} runs ({rates} states/s)")
-        print(f"recorded {entry['states_per_second']} states/s "
-              f"-> {results_path()}")
+        print(f"measured {entry['states_per_second']} states/s -> "
+              f"{record_path() or 'not recorded (BENCH_RESULTS_PATH unset)'}")
         return result, entry, baseline
 
     def regressed(entry, baseline) -> bool:

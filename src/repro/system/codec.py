@@ -17,20 +17,22 @@ The encoding is designed around three invariants the engine relies on:
    are indexed through *sorted* name lists, optional ints are shifted so
    ``None`` lands below every real value, sharer sets become zero-padded
    ascending runs.  Canonicalization (pick the permutation minimizing the
-   state key) can therefore run entirely on encoded arrays and still pick
-   the *same* representative as the object-level oracle
-   (:func:`repro.verification.engine.canonical.canonicalize_bruteforce`).
+   state key) therefore runs entirely on encoded arrays
+   (:class:`repro.verification.engine.canonical.EncodedCanonicalizer`) and
+   still picks the representative its definition on the object model names,
+   ``min(perms, key=lambda p: state.relabeled(p).sort_key())`` -- which the
+   tests check it against.
 3. **Relabelable.**  Cache-ID permutations apply directly to the encoded
    form: cache blocks move to their permuted positions, saved-requestor
    slots, directory owner/sharers and message endpoints are remapped in
    place, and order-normalized sections (sharers, channels, unordered
-   messages) are re-sorted.  The hot path (:meth:`StateCodec.relabel_via_tables`)
-   runs on per-permutation tables precomputed at first use — a lane-gather
-   index map for the fixed-width prefix plus value-translation arrays for
-   the two cache-ID lane shifts (:meth:`StateCodec.perm_tables`) — so a
-   relabel is a single-pass gather instead of a recursive tuple rebuild;
-   :meth:`StateCodec.relabel` keeps the original field-by-field construction
-   as the property-test oracle.
+   messages) are re-sorted.  :meth:`StateCodec.relabel_via_tables`, the one
+   encoded relabel, runs on per-permutation tables precomputed at first use
+   — a lane-gather index map for the fixed-width prefix plus
+   value-translation arrays for the two cache-ID lane shifts
+   (:meth:`StateCodec.perm_tables`) — so a relabel is a single-pass gather
+   instead of a recursive tuple rebuild; it equals
+   ``encode(decode(enc).relabeled(perm))``, property-tested.
 
 The codec also carries the instrumentation the zero-decode invariant is
 asserted against: :attr:`StateCodec.decode_count` increments on every
@@ -77,7 +79,6 @@ from repro.system.message import (
     MESSAGE_ENCODED_WIDTH,
     Message,
     decode_message,
-    relabel_encoded_message,
     translate_encoded_message,
 )
 from repro.system.network import Network, OrderedNetwork, UnorderedNetwork
@@ -462,30 +463,30 @@ class StateCodec:
     def relabel_via_tables(
         self, enc: tuple, perm: tuple[int, ...], *, saved: bool = True
     ) -> tuple:
-        """:meth:`relabel` on the precomputed :meth:`perm_tables` (hot path).
+        """``encode(decode(enc).relabeled(perm))`` computed on the encoding,
+        through the precomputed :meth:`perm_tables`.
 
         One gather over the fixed-width prefix, table lookups on the few
         cache-ID lanes, and the two order-normalized runs re-sorted through
         their memo tables (the directory block via
         :meth:`relabeled_directory_key`, the network section per distinct
-        section).  Bit-identical to :meth:`relabel`, which is kept as the
-        property-test oracle.  Callers that already know no saved-requestor
-        slot is occupied (the signature-sort path proved it) pass
-        ``saved=False`` to skip the slot-translation pass.
+        section).  Single-plane layouts only (symmetry reduction is gated
+        off for multi-address systems at ``System`` construction).  Callers
+        that already know no saved-requestor slot is occupied (the
+        signature-sort path proved it) pass ``saved=False`` to skip the
+        slot-translation pass.
         """
-        gather, t1, t2 = self.perm_tables(perm)
+        gather, t1, _t2 = self.perm_tables(perm)
         out = list(gather(enc))
         if saved:
             for lane in self._saved_lanes:
                 value = out[lane]
                 if value:
                     out[lane] = t1[value]
-        out.extend(self._relabeled_suffix(enc, perm, t2))
+        out.extend(self._relabeled_suffix(enc, perm))
         return tuple(out)
 
-    def _relabeled_suffix(
-        self, enc: tuple, perm: tuple[int, ...], t2: tuple[int, ...]
-    ) -> list[int]:
+    def _relabeled_suffix(self, enc: tuple, perm: tuple[int, ...]) -> list[int]:
         """Relabeled directory + version + network lanes, memoized as one unit.
 
         The suffix past the cache blocks recurs across far more states than
@@ -503,12 +504,12 @@ class StateCodec:
         out = list(self.relabeled_directory_key(enc, perm))
         # version lane plus the (perm-invariant) fault lane when present
         out.extend(enc[self.version_offset : self.net_offset])
-        out.extend(self._relabeled_net_section_tables(enc, perm, t2))
+        out.extend(self._relabeled_net_section_tables(enc, perm))
         memo[key] = out
         return out
 
     def _relabeled_net_section_tables(
-        self, enc: tuple, perm: tuple[int, ...], t2: tuple[int, ...]
+        self, enc: tuple, perm: tuple[int, ...]
     ) -> list[int]:
         """Relabeled flat network section, memoized per (section, perm).
 
@@ -523,6 +524,7 @@ class StateCodec:
             return out
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
+        t2 = self.perm_tables(perm)[2]
         items = self.network_items(enc)
         out = [len(items)]
         if not self.ordered:
@@ -545,49 +547,6 @@ class StateCodec:
                     out.extend(record)
         memo[key] = out
         return out
-
-    def relabel(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
-        """``encode(decode(enc).relabeled(perm))`` computed on the encoding.
-
-        Single-plane layouts only (symmetry reduction is gated off for
-        multi-address systems at the engine level)."""
-        if self.num_addresses != 1:
-            raise ValueError("encoded relabeling supports single-address layouts only")
-        width = self.cache_width
-        blocks: list[tuple | None] = [None] * self.num_caches
-        for old in range(self.num_caches):
-            block = enc[old * width : (old + 1) * width]
-            saved = block[_SAVED_OFFSET : _SAVED_OFFSET + NUM_SAVED_SLOTS]
-            if any(saved):
-                block = (
-                    block[:_SAVED_OFFSET]
-                    + tuple(s if s == 0 else perm[s - 1] + 1 for s in saved)
-                    + block[_SAVED_OFFSET + NUM_SAVED_SLOTS :]
-                )
-            blocks[perm[old]] = block
-        out: list[int] = []
-        for block in blocks:
-            out.extend(block)  # type: ignore[arg-type]
-        out.extend(self._relabeled_dir_block(enc, perm))
-        out.extend(enc[self.version_offset : self.net_offset])
-        out.extend(self._relabeled_net_section(self.network_items(enc), perm))
-        return tuple(out)
-
-    def _relabeled_dir_block(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
-        block = enc[self.dir_offset : self.version_offset]
-        owner = block[1]
-        if owner >= 2:
-            owner = perm[owner - 2] + 2
-        sharers = sorted(
-            s if s - 2 < 0 else perm[s - 2] + 2 for s in block[2:-1] if s != 0
-        )
-        return (
-            block[0],
-            owner,
-            *sharers,
-            *((0,) * (self.num_caches - len(sharers))),
-            block[-1],
-        )
 
     # -- network section helpers --------------------------------------------------
     def network_items(self, enc: tuple):
@@ -722,38 +681,10 @@ class StateCodec:
         parsed = memo[suffix] = tuple(planes)
         return parsed
 
-    def _relabeled_net_section(self, items, perm: tuple[int, ...]) -> list[int]:
-        out = [len(items)]
-        if not self.ordered:
-            for record in sorted(relabel_encoded_message(m, perm) for m in items):
-                out.extend(record)
-            return out
-        relabeled = []
-        for src, dst, vnet, msgs in items:
-            relabeled.append(
-                (
-                    src if src - 2 < 0 else perm[src - 2] + 2,
-                    dst if dst - 2 < 0 else perm[dst - 2] + 2,
-                    vnet,
-                    tuple(relabel_encoded_message(m, perm) for m in msgs),
-                )
-            )
-        relabeled.sort(key=lambda item: item[:3])
-        for src, dst, vnet, msgs in relabeled:
-            out.extend((src, dst, vnet, len(msgs)))
-            for record in msgs:
-                out.extend(record)
-        return out
-
     # -- canonicalization keys -----------------------------------------------------
-    def cache_blocks(self, enc: tuple) -> list[tuple]:
-        """The per-cache fixed-width blocks (order-isomorphic signatures)."""
-        width = self.cache_width
-        return [enc[i * width : (i + 1) * width] for i in range(self.num_caches)]
-
     def has_saved_ids(self, enc: tuple) -> bool:
         """True when any cache block holds a saved requestor ID (these states
-        have permutation-dependent signatures and take the brute-force path)."""
+        have permutation-dependent signatures: no signature sort)."""
         width = self.cache_width
         for i in range(self.num_caches):
             base = i * width + _SAVED_OFFSET
@@ -762,7 +693,8 @@ class StateCodec:
         return False
 
     def relabeled_directory_key(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
-        """Order-isomorphic to ``DirectoryNodeState.relabeled_sort_key(perm)``.
+        """Order-isomorphic to ``directory.relabeled(perm).sort_key()``; its
+        lanes are the relabeled directory block.
 
         Memoized per (directory block, perm): the tie-break stage of
         canonicalization evaluates this once per candidate permutation, and
@@ -790,7 +722,7 @@ class StateCodec:
         return result
 
     def relabeled_network_key(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
-        """Order-isomorphic to ``Network.relabeled_sort_key(perm)``.
+        """Order-isomorphic to ``network.relabeled(perm).sort_key()``.
 
         The nested tuple shape mirrors the object-level key exactly
         (channels sorted by their relabeled channel key, message records

@@ -25,32 +25,6 @@ def message_sort_key(message: "Message") -> tuple:
     )
 
 
-def relabeled_message_sort_key(message: "Message", perm: tuple[int, ...]) -> tuple:
-    """``message_sort_key(message.relabeled(perm))`` without building the message.
-
-    Canonicalization tie-breaking only needs relabeled *keys*, never the
-    relabeled message objects; skipping ``dataclasses.replace`` keeps the
-    symmetry-reduction hot path allocation-free.
-    """
-
-    def m(i):
-        return i if i < 0 else perm[i]
-
-    def k(value):
-        return (0, 0) if value is None else (1, value)
-
-    requestor = message.requestor
-    return (
-        message.mtype,
-        m(message.src),
-        m(message.dst),
-        message.vnet,
-        k(requestor if requestor is None or requestor < 0 else perm[requestor]),
-        k(message.data),
-        k(message.ack_count),
-    )
-
-
 #: Number of integers in one encoded message record (see :meth:`Message.encoded`).
 MESSAGE_ENCODED_WIDTH = 10
 
@@ -72,36 +46,15 @@ def decode_message(fields: tuple, mtypes: tuple[str, ...]) -> "Message":
     )
 
 
-def relabel_encoded_message(fields: tuple, perm: tuple[int, ...]) -> tuple:
-    """``message.relabeled(perm).encoded(...)`` computed on the encoded record."""
-
-    def node(e: int) -> int:
-        raw = e - 2
-        return perm[raw] + 2 if raw >= 0 else e
-
-    requestor = fields[5]
-    if fields[4] == 1 and requestor - 2 >= 0:
-        requestor = perm[requestor - 2] + 2
-    return (
-        fields[0],
-        node(fields[1]),
-        node(fields[2]),
-        fields[3],
-        fields[4],
-        requestor,
-        *fields[6:],
-    )
-
-
 def translate_encoded_message(fields: tuple, table: tuple[int, ...]) -> tuple:
-    """:func:`relabel_encoded_message` through a precomputed +2-shift table.
+    """``message.relabeled(perm).encoded(...)`` computed on the encoded
+    record, through a precomputed +2-shift table.
 
     *table* maps every encoded node-ID lane value to its relabeled value
     (``table[0] = 0`` for the absent-requestor placeholder, ``table[1] = 1``
     for the directory, ``table[v] = perm[v - 2] + 2`` for caches — see
-    :meth:`repro.system.codec.StateCodec.perm_tables`), so the branchy
-    per-value arithmetic of :func:`relabel_encoded_message` collapses into
-    three lookups.  Both entry points produce bit-identical records.
+    :meth:`repro.system.codec.StateCodec.perm_tables`), so relabeling a
+    record is three lookups.
     """
     return (
         fields[0],

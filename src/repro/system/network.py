@@ -23,7 +23,6 @@ from repro.system.message import (
     Message,
     decode_message,
     message_sort_key,
-    relabeled_message_sort_key,
 )
 
 
@@ -82,16 +81,6 @@ class Network:
 
     def sort_key(self) -> tuple:
         """Total-order key over networks (symmetry-canonicalization hook)."""
-        raise NotImplementedError
-
-    def relabeled_sort_key(self, perm: tuple[int, ...]) -> tuple:
-        """``self.relabeled(perm).sort_key()`` without building the network.
-
-        Tie-breaking in :func:`repro.verification.engine.canonical.canonicalize`
-        evaluates this once per candidate permutation; computing the key
-        directly avoids materializing relabeled message and network objects
-        on the search hot path.
-        """
         raise NotImplementedError
 
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
@@ -212,24 +201,6 @@ class OrderedNetwork(Network):
             for key, msgs in self.channels
         )
 
-    def relabeled_sort_key(self, perm: tuple[int, ...]) -> tuple:
-        return tuple(
-            sorted(
-                (
-                    (
-                        (
-                            src if src < 0 else perm[src],
-                            dst if dst < 0 else perm[dst],
-                            vnet,
-                        ),
-                        tuple(relabeled_message_sort_key(m, perm) for m in msgs),
-                    )
-                    for (src, dst, vnet), msgs in self.channels
-                ),
-                key=lambda item: item[0],
-            )
-        )
-
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
         """``(n_channels, then per channel: src+2, dst+2, vnet, count, msgs...)``.
 
@@ -315,11 +286,6 @@ class UnorderedNetwork(Network):
 
     def sort_key(self) -> tuple:
         return tuple(message_sort_key(m) for m in self.messages)
-
-    def relabeled_sort_key(self, perm: tuple[int, ...]) -> tuple:
-        return tuple(
-            sorted(relabeled_message_sort_key(m, perm) for m in self.messages)
-        )
 
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
         """``(n_messages, then the message records in stored order)``.

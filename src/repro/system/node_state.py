@@ -1,14 +1,16 @@
 """Immutable per-node states used in global system snapshots.
 
-Both node-state classes expose two symmetry hooks consumed by the
-verification engine (:mod:`repro.verification.engine`):
+Both node-state classes carry their part of the *definition* of cache-ID
+symmetry (``GlobalState.relabeled`` / ``GlobalState.sort_key``; the engine's
+canonicalizer evaluates it on encodings and the tests execute it as
+written):
 
 * ``relabeled(perm)`` -- remap every cache-ID reference held in auxiliary
   state (saved requestor slots, directory owner / sharer sets) through a
   cache permutation ``perm`` (``perm[old] = new``);
-* ``sort_key()`` -- a total-order key over node states, used to pick the
-  lexicographically smallest permutation of a global state as its canonical
-  representative (the Murphi scalarset trick).
+* ``sort_key()`` -- a total-order key over node states: the canonical
+  representative of a global state is its relabeling with the smallest key
+  (the Murphi scalarset trick), and ``encoded`` blocks compare like it.
 """
 
 from __future__ import annotations
@@ -104,19 +106,6 @@ class CacheNodeState:
             self.last_observed,
         )
 
-    def relabeled_sort_key(self, perm: tuple[int, ...]) -> tuple:
-        """``self.relabeled(perm).sort_key()`` without building the node state."""
-        return (
-            self.fsm_state,
-            self.issued,
-            -1 if self.data is None else self.data,
-            -1 if self.acks_expected is None else self.acks_expected,
-            self.acks_received,
-            tuple(-1 if s is None else s if s < 0 else perm[s] for s in self.saved),
-            "" if self.pending_access is None else self.pending_access.value,
-            self.last_observed,
-        )
-
     def encoded(self, state_index: dict[str, int], access_index: dict) -> tuple:
         """Flat fixed-width int block, order-isomorphic to :meth:`sort_key`.
 
@@ -169,16 +158,6 @@ class DirectoryNodeState:
             self.fsm_state,
             -2 if self.owner is None else self.owner,
             tuple(sorted(self.sharers)),
-            self.memory,
-        )
-
-    def relabeled_sort_key(self, perm: tuple[int, ...]) -> tuple:
-        """``self.relabeled(perm).sort_key()`` without building the node state."""
-        owner = self.owner
-        return (
-            self.fsm_state,
-            -2 if owner is None else owner if owner < 0 else perm[owner],
-            tuple(sorted(s if s < 0 else perm[s] for s in self.sharers)),
             self.memory,
         )
 

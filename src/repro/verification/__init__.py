@@ -9,9 +9,11 @@ invariant (enforced inside the execution substrate) and deadlock freedom.
 The checker lives in the :mod:`repro.verification.engine` subsystem and
 mirrors Murphi's scalarset machinery: ``verify(system, symmetry=True)``
 canonicalizes cache IDs before de-duplication (up to ``num_caches!`` fewer
-states, identical verdicts, replayable counterexample traces), states are
-interned in a compact store with optional hash compaction, and the search
-strategy is pluggable (BFS, DFS, or a fork-based parallel BFS).
+states, identical verdicts, replayable counterexample traces) -- through one
+canonicalizer, which searches, seeding and ``random_walk`` coverage all
+share (:func:`repro.verification.engine.canonical.canonicalizer_for`) --
+states are interned in a compact store with optional hash compaction, and
+the search strategy is pluggable (BFS, DFS, or a fork-based parallel BFS).
 """
 
 from repro.verification.engine import (
@@ -21,10 +23,6 @@ from repro.verification.engine import (
     SearchStrategy,
     StateStore,
     VerificationResult,
-    canonicalize,
-    canonicalize_bruteforce,
-    canonicalize_bruteforce_encoded,
-    canonicalize_encoded,
     relabel_event,
     verify,
 )
@@ -58,10 +56,6 @@ __all__ = [
     "SearchStrategy",
     "StateStore",
     "VerificationResult",
-    "canonicalize",
-    "canonicalize_bruteforce",
-    "canonicalize_bruteforce_encoded",
-    "canonicalize_encoded",
     "coherent_read_read",
     "default_invariants",
     "message_passing",

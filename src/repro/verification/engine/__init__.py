@@ -18,7 +18,10 @@ else plugs into it:
 * :mod:`~repro.verification.engine.checkpoint` -- budget checkpoint/resume,
   one file shape for all of the above;
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation
-  algebra and scalarset-style state canonicalization;
+  algebra and the one scalarset-style canonicalizer
+  (:func:`canonicalizer_for`: the smallest relabeling of a state, evaluated
+  on encodings; the definition itself, ``GlobalState.relabeled`` +
+  ``sort_key``, is executed only by the tests that check it);
 * :mod:`~repro.verification.engine.store` -- interned state store with
   columnar parent links and optional hash compaction;
 * :mod:`~repro.verification.engine.core` -- the :func:`verify` facade tying
@@ -32,10 +35,7 @@ workloads tractable (E7--E10).
 
 from repro.verification.engine.canonical import (
     Permutation,
-    canonicalize,
-    canonicalize_bruteforce,
-    canonicalize_bruteforce_encoded,
-    canonicalize_encoded,
+    canonicalizer_for,
     compose,
     identity_permutation,
     invert,
@@ -67,10 +67,7 @@ __all__ = [
     "StateStore",
     "VerificationResult",
     "digest128",
-    "canonicalize",
-    "canonicalize_bruteforce",
-    "canonicalize_bruteforce_encoded",
-    "canonicalize_encoded",
+    "canonicalizer_for",
     "compose",
     "identity_permutation",
     "invert",

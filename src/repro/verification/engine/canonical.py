@@ -7,11 +7,25 @@ caches of a reachable global state therefore yields another reachable global
 state with identical invariant verdicts -- exactly the property Murphi
 exploits with ``scalarset`` types.
 
-:func:`canonicalize` picks one representative per equivalence class: the
-relabeling of the state that is smallest under :meth:`GlobalState.sort_key`.
-De-duplicating on representatives shrinks the explored state space by up to
-``num_caches!`` while preserving every verdict (safety violations, protocol
-errors, deadlocks).
+**The definition** lives on the object model and is three lines long: the
+representative of a state is its smallest relabeling,
+``min(perms, key=lambda p: state.relabeled(p).sort_key())`` -- the first
+minimum in permutation order, so ties resolve to the identity and a
+representative canonicalizes to itself.  De-duplicating on representatives
+shrinks the explored state space by up to ``num_caches!`` while preserving
+every verdict (safety violations, protocol errors, deadlocks).
+
+**The implementation** is :class:`EncodedCanonicalizer`, the only
+canonicalizer in ``src/``: it evaluates that definition on
+:class:`~repro.system.codec.StateCodec` encodings (order-isomorphic to
+``sort_key``) without building a single relabeled state -- signature sort,
+orbit pruning and a region memo decide most states from their cache blocks
+alone, staged tie-breaks on memoized keys decide the rest.  Every search,
+:meth:`Exploration.seed` and ``random_walk``'s coverage count obtain it
+through :func:`canonicalizer_for`.  The definition itself is executed only
+by the tests (``reference_canonicalize`` in
+``tests/verification/verification_helpers.py``), which pin the two to the
+same representative *and* witness permutation.
 
 Permutations are tuples with ``perm[old_id] = new_id``.  The helpers here are
 the small group-theory toolkit the engine needs to keep counterexample traces
@@ -23,7 +37,6 @@ through the inverse of the accumulated permutation chain.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import replace
 from operator import itemgetter
 
@@ -31,7 +44,6 @@ from repro.system.node_state import NUM_SAVED_SLOTS
 from repro.system.system import (
     DeliverMessage,
     DuplicateMessage,
-    GlobalState,
     IssueAccess,
     ReorderMessage,
     SystemEvent,
@@ -91,56 +103,6 @@ def relabel_event(event: SystemEvent, perm: Permutation | None) -> SystemEvent:
     return event
 
 
-def canonicalize(
-    state: GlobalState, perms: tuple[Permutation, ...]
-) -> tuple[GlobalState, Permutation]:
-    """Return ``(representative, perm)`` with ``representative == state.relabeled(perm)``.
-
-    *perms* must start with the identity permutation (see
-    :meth:`repro.system.System.symmetry_permutations`): ties then resolve to
-    the identity, which makes canonicalization idempotent --
-    ``canonicalize(rep, perms) == (rep, identity)`` for any representative.
-
-    This is the search hot path (one call per explored transition).  The
-    canonicalization pipeline has three stages:
-
-    1. **Signature sort.**  When no cache holds a saved requestor ID, each
-       per-cache key is permutation-invariant, so the minimal placement is
-       simply the caches sorted by their signatures -- ``O(n log n)`` instead
-       of ``n!`` key placements.
-    2. **Orbit pruning.**  Only permutations that keep the sorted signature
-       order can be minimal; they form the orbit of the equal-signature
-       groups (a product of factorials that is 1 for fully distinguished
-       states), and only those few candidates are ever materialized.
-    3. **Tie-break permutations.**  The surviving candidates are ranked by
-       the relabeled (directory, network) key -- the expensive relabels run
-       only to break genuine ties, exactly as in the brute-force search.
-
-    States whose saved-requestor slots hold cache IDs have permutation-
-    *dependent* signatures and fall back to :func:`canonicalize_bruteforce`.
-    Both paths return the representative a full
-    ``min(state.relabeled(p).sort_key())`` would pick.
-    """
-    if len(perms) == 1:
-        return state, perms[0]
-    caches = state.caches
-    if len(perms) != math.factorial(len(caches)) or any(
-        any(s is not None and s >= 0 for s in c.saved) for c in caches
-    ):
-        # The sorted-signature argument needs the full symmetric group (the
-        # orbit permutations must all be available); saved-requestor slots
-        # make per-cache signatures permutation-dependent.  Either way, fall
-        # back to trying exactly the permutations the caller supplied.
-        return canonicalize_bruteforce(state, perms)
-    keys = [c.sort_key() for c in caches]
-    best_perm, candidates = _signature_orbit(keys)
-    if best_perm is None:
-        best_perm = _tie_break(state, candidates)
-    if best_perm == perms[0]:
-        return state, best_perm
-    return state.relabeled(best_perm), best_perm
-
-
 def _signature_orbit(
     keys: list,
 ) -> tuple[Permutation | None, list[Permutation]]:
@@ -150,9 +112,8 @@ def _signature_orbit(
     distinguished (the minimal placement is unique), or ``(None,
     candidates)`` with the orbit of the equal-signature groups -- the only
     permutations that can be minimal -- sorted lexicographically so that
-    first-minimum tie-breaking matches the brute-force iteration order
-    (identity-first when applicable).  Shared by the object-level and
-    encoded canonicalization paths; *keys* only need a total order.
+    first-minimum tie-breaking matches the definition's iteration order
+    (identity-first when applicable).  *keys* only need a total order.
     """
     n = len(keys)
     order = sorted(range(n), key=keys.__getitem__)  # position -> old cache ID
@@ -193,38 +154,70 @@ _ORDER3 = {
 
 
 class EncodedCanonicalizer:
-    """The encoded symmetry pipeline, specialized to one ``(codec, perms)``.
+    """The symmetry pipeline, specialized to one ``(codec, perms)``.
 
-    Wraps :func:`canonicalize_encoded`'s logic in an object that hoists the
-    per-call invariants (identity permutation, full-group check) and keeps
-    the **region memo**, the pipeline's only per-region cache: signature
-    sort, orbit pruning and the saved-requestor block ranking all depend
-    only on the cache-block region of an encoding, and those regions recur
-    across far more states than they have distinct values, so each region
-    is classified once -- subsequent states with the same cache blocks skip
-    straight to the (memoized) tie-break keys.  The memo is keyed by the
+    Evaluates the module's definition on encodings.  Encoded cache blocks
+    are order-isomorphic to the per-cache sort keys, so three stages pick
+    the same representative and witness as the ``min`` over relabeled
+    states:
+
+    1. **Signature sort.**  When no cache holds a saved requestor ID, each
+       cache block is a permutation-invariant signature, so the minimal
+       placement is the caches sorted by block -- ``O(n log n)`` instead of
+       ``n!`` placements.
+    2. **Orbit pruning.**  Only permutations that keep the sorted order can
+       be minimal: the orbit of the equal-signature groups (a single
+       permutation for fully distinguished states).  Saved-requestor slots
+       holding cache IDs make signatures permutation-dependent; those
+       regions rank every permutation by its relabeled cache blocks instead
+       (:func:`_saved_tied`) and keep the minimal ones.
+    3. **Staged tie-breaks.**  Surviving candidates rank by the relabeled
+       directory key, then -- only for genuine ties -- the relabeled network
+       key, both memoized per (section, permutation) in the codec.
+
+    Stages 1 and 2 read nothing outside the cache-block *region* of an
+    encoding, and regions recur across far more states than they have
+    distinct values, so each is classified once into the **region memo**
+    (:meth:`orbit_for`), the pipeline's only per-region cache, keyed by the
     region's *packed bytes* -- a slice of the state's visited-set key, a
-    third the size of the lane tuple and hashed at C speed.  Obtain
-    instances through :func:`canonicalizer_for`; they are cached on the
-    codec so the memo warms across searches of the same system.
+    third the size of the lane tuple and hashed at C speed.
+
+    *perms* must be the full symmetric group on the codec's caches in
+    lexicographic order, identity first -- what
+    :meth:`repro.system.System.symmetry_permutations` returns: stages 1 and
+    2 assume every permutation is available, and the lexicographic candidate
+    order is what makes "first minimum" resolve ties to the identity.
+    Anything else is a ``ValueError``.  Obtain instances through
+    :func:`canonicalizer_for`; they are cached on the codec so the memo
+    warms across searches of the same system.
     """
 
     __slots__ = (
-        "codec", "perms", "identity", "_full_group", "_orbit_memo",
-        "_saved_probe", "_region_bytes", "_identity_orbit", "_tied_orbits",
+        "codec", "perms", "identity", "identity_orbit", "_orbit_memo",
+        "_saved_probe", "_region_bytes", "_tied_orbits",
     )
 
     def __init__(self, codec, perms: tuple[Permutation, ...]):
+        n = codec.num_caches
+        if perms != tuple(itertools.permutations(range(n))):
+            raise ValueError(
+                f"EncodedCanonicalizer needs the full symmetric group on the "
+                f"{n} caches in lexicographic order, identity first "
+                f"(System.symmetry_permutations()): signature sort and orbit "
+                f"pruning assume every permutation is available; got "
+                f"{len(perms)} permutation(s) starting with {perms[:1]}"
+            )
         self.codec = codec
         self.perms = perms
         self.identity = perms[0]
-        self._full_group = len(perms) == math.factorial(codec.num_caches)
         # packed region -> orbit record (see `orbit_for`)
         self._orbit_memo: dict[bytes, tuple] = {}
         self._region_bytes = codec.dir_offset * codec.lane_bytes
-        # Records are shared wherever regions agree on them: one for every
-        # identity winner, one per distinct (candidate set, saved) pair.
-        self._identity_orbit = (self.identity, None, False)
+        # Records are shared wherever regions agree on them: one per
+        # distinct (candidate set, saved) pair and, public because batch
+        # callers test for it by identity, one for every region that is
+        # already minimal (:meth:`resolve` then returns its argument).
+        self.identity_orbit = (self.identity, None, False)
         self._tied_orbits: dict[tuple, tuple] = {}
         # One C-level gather of every saved-requestor lane in the region:
         # `any()` over its result replaces 2n slice-and-scan steps.
@@ -236,23 +229,23 @@ class EncodedCanonicalizer:
         return len(self._orbit_memo)
 
     def orbit_for(self, region: bytes) -> tuple:
-        """Memoized ``(best, extra, saved)`` record for one packed
-        cache-block region (``codec.pack(enc)[:region_bytes]``).
+        """The memoized orbit record of one packed cache-block region
+        (``codec.pack(enc)[:region_bytes]``): what stages 1 and 2 decide
+        about every state with these cache blocks.  Opaque outside this
+        module except for :attr:`identity_orbit`; :meth:`resolve` turns it
+        and a state into that state's representative.
 
-        ``(identity, None, False)`` -- the region is already minimal;
+        A record is ``(best, extra, saved)``:
+        ``(identity, None, False)`` -- the region is already minimal (the
+        one shared :attr:`identity_orbit`);
         ``(perm, relabeled_prefix, False)`` -- a unique non-identity winner:
         it is a pure function of the region, and so is the relabeled
         cache-block prefix, which rides along as a list so repeat regions
         relabel by list concatenation instead of re-gathering lane by lane;
         ``(None, candidates, saved)`` -- the winner depends on the rest of
-        the state and :func:`_tie_break_encoded` picks it among
-        *candidates*: the orbit of the equal-signature groups, or, when
-        saved-requestor slots are occupied (*saved*; signatures are then
-        permutation-dependent), the cache-key-minimal permutations of the
-        encoded brute force (:func:`_saved_tied`).  Shared by
-        :meth:`canonicalize` and the vectorized expander's batch
-        canonicalization (which looks each distinct region of a level up
-        once via ``np.unique`` and then only assembles).
+        the state and the staged tie-break picks it among *candidates*: the
+        orbit of the equal-signature groups, or, when saved-requestor slots
+        are occupied (*saved*), the cache-key-minimal permutations.
         """
         memo = self._orbit_memo
         orbit = memo.get(region)
@@ -265,27 +258,26 @@ class EncodedCanonicalizer:
     def canonicalize(
         self, enc: tuple, key: bytes | None = None
     ) -> tuple[tuple, Permutation]:
-        """``(canonical_encoding, witness_perm)`` — see :func:`canonicalize_encoded`.
+        """``(canonical_encoding, witness_perm)`` with ``canonical_encoding
+        == codec.relabel_via_tables(enc, witness_perm)``.
 
         *key* is ``codec.pack(enc)`` when the caller already holds it (the
         searches do: it is their raw-successor dedup key), which makes the
         region-memo probe one slice of it.  An identity winner returns
         *enc* itself, so such a caller's *key* is also the canonical key.
         """
-        perms = self.perms
-        if len(perms) == 1:
-            return enc, self.identity
-        codec = self.codec
-        if not self._full_group:
-            # The sorted-signature argument needs the full symmetric group
-            # (the orbit permutations must all be available); fall back to
-            # trying exactly the permutations the caller supplied.
-            return canonicalize_bruteforce_encoded(enc, codec, perms)
         if key is None:
-            region = codec.pack_tail(enc[: codec.dir_offset])
+            region = self.codec.pack_tail(enc[: self.codec.dir_offset])
         else:
             region = key[: self._region_bytes]
-        best_perm, extra, saved = self.orbit_for(region)
+        return self.resolve(enc, self.orbit_for(region))
+
+    def resolve(self, enc: tuple, orbit: tuple) -> tuple[tuple, Permutation]:
+        """:meth:`canonicalize` for a caller that already holds *enc*'s
+        region record (the batch expander classifies each distinct region
+        of a level once): stage 3 and the relabel."""
+        best_perm, extra, saved = orbit
+        codec = self.codec
         if best_perm is None:
             best_perm = _tie_break_encoded(enc, codec, extra)
             if best_perm == self.identity:
@@ -296,20 +288,16 @@ class EncodedCanonicalizer:
             return enc, best_perm
         # Cached relabeled prefix + memoized relabeled suffix: the canonical
         # encoding assembles from two shared parts, no per-lane work.
-        t2 = codec.perm_tables(best_perm)[2]
-        return (
-            tuple(extra + codec._relabeled_suffix(enc, best_perm, t2)),
-            best_perm,
-        )
+        return tuple(extra + codec._relabeled_suffix(enc, best_perm)), best_perm
 
     def _classify(self, lanes: tuple) -> tuple:
         """The orbit record of one cache-block region, given as lanes."""
         codec = self.codec
         if any(self._saved_probe(lanes)):
-            # The brute-force cache-key ranking (including the per-
-            # permutation saved-slot translation) reads nothing outside the
-            # region, so ranking once per region leaves only the staged
-            # tie-break per state.
+            # Ranking every permutation by its relabeled cache blocks
+            # (including the per-permutation saved-slot translation) reads
+            # nothing outside the region, so ranking once per region leaves
+            # only the staged tie-break per state.
             return self._tied(_saved_tied(codec, lanes, self.perms), True)
         width = codec.cache_width
         n = codec.num_caches
@@ -324,7 +312,7 @@ class EncodedCanonicalizer:
         if best is None:
             return self._tied(tuple(candidates), False)
         if best == self.identity:
-            return self._identity_orbit
+            return self.identity_orbit
         return (best, list(codec.perm_tables(best)[0](lanes)), False)
 
     def _tied(self, candidates: tuple, saved: bool) -> tuple:
@@ -343,27 +331,17 @@ def canonicalizer_for(codec, perms: tuple[Permutation, ...]) -> EncodedCanonical
     return canonicalizer
 
 
-def canonicalize_encoded(
-    enc: tuple, codec, perms: tuple[Permutation, ...]
-) -> tuple[tuple, Permutation]:
-    """:func:`canonicalize` operating on a :class:`~repro.system.codec.StateCodec`
-    encoding; returns ``(canonical_encoding, perm)``.
-
-    Picks the *same* representative (and the same witness permutation) as
-    the object-level pipeline: encoded cache blocks are order-isomorphic to
-    the per-cache sort keys, so the signature sort, orbit pruning and staged
-    tie-breaks run directly on the int arrays.  States with saved-requestor
-    IDs have permutation-dependent signatures and take
-    :func:`canonicalize_bruteforce_encoded` -- still entirely on int lanes;
-    the object-level :func:`canonicalize_bruteforce` is kept as the
-    differential-test oracle, never called on the reduced hot path
-    (property-tested bit-exact agreement either way).
-    """
-    return canonicalizer_for(codec, perms).canonicalize(enc)
-
-
 def _tie_break_encoded(enc: tuple, codec, tied: list[Permutation]) -> Permutation:
-    """Encoded mirror of :func:`_tie_break` (directory key, then network key)."""
+    """Stage 3: the minimum of *tied* by the relabeled (directory, network)
+    key.
+
+    ``latest_version`` is permutation-invariant, so the directory and network
+    components are all that remains of the lexicographic state key once the
+    cache components compare equal.  The comparison is staged: the cheap
+    directory key prunes first, and the network key -- the expensive relabel
+    -- is only computed for permutations still tied after that.  Keeps the
+    first minimum, preserving identity-first (lexicographic) tie-breaking.
+    """
     if len(tied) == 1:
         return tied[0]
     best_dir: tuple | None = None
@@ -387,41 +365,16 @@ def _tie_break_encoded(enc: tuple, codec, tied: list[Permutation]) -> Permutatio
     return best_perm
 
 
-def canonicalize_bruteforce_encoded(
-    enc: tuple, codec, perms: tuple[Permutation, ...]
-) -> tuple[tuple, Permutation]:
-    """Full-enumeration canonicalization directly on an encoding.
-
-    The encoded twin of :func:`canonicalize_bruteforce`, covering the states
-    the signature sort cannot handle -- saved-requestor slots holding cache
-    IDs (permutation-dependent signatures) and caller-restricted permutation
-    sets.  Per-cache blocks are computed once; only the saved-requestor
-    lanes are re-translated per permutation (through the codec's ``t1``
-    table), and the directory/network keys -- the expensive relabels -- are
-    evaluated only to break ties, exactly like the object oracle.  Because
-    encoded blocks are order-isomorphic to the per-cache sort keys and the
-    permutations are tried in the same order, the winner (representative
-    *and* witness permutation) is identical to
-    ``canonicalize_bruteforce(codec.decode(enc), perms)`` -- property-tested
-    -- without materializing a single object.
-    """
-    if len(perms) == 1:
-        return enc, perms[0]
-    tied = _saved_tied(codec, enc, perms)
-    best_perm = _tie_break_encoded(enc, codec, tied)
-    if best_perm == perms[0]:
-        return enc, best_perm
-    return codec.relabel_via_tables(enc, best_perm), best_perm
-
-
 def _saved_tied(codec, enc, perms: tuple[Permutation, ...]) -> tuple:
-    """Cache-key-minimal permutations of *enc* (region prefix suffices).
+    """Cache-key-minimal permutations of a region whose saved-requestor
+    slots hold cache IDs, in *perms* order.
 
-    The block ranking -- including the per-permutation saved-slot
-    translation through ``t1`` -- reads only the cache-block region, so
-    callers may pass either a full encoding or just ``enc[:dir_offset]``;
-    :meth:`EncodedCanonicalizer.orbit_for` memoizes the result per region on
-    exactly that property.
+    Per-cache blocks are taken once and only permuted in position; the
+    saved lanes -- the one cache-local field a relabeling rewrites -- are
+    re-translated per permutation through the codec's ``t1`` table.  The
+    ranking reads only the cache-block region (*enc* may be just
+    ``enc[:dir_offset]``), which is the property
+    :meth:`EncodedCanonicalizer.orbit_for` memoizes it on.
     """
     n = codec.num_caches
     width = codec.cache_width
@@ -448,81 +401,3 @@ def _saved_tied(codec, enc, perms: tuple[Permutation, ...]) -> tuple:
         elif cache_key == best_cache_key:
             tied.append(perm)
     return tuple(tied)
-
-
-def _tie_break(state: GlobalState, tied: list[Permutation]) -> Permutation:
-    """Pick the minimum of *tied* by the relabeled (directory, network) key.
-
-    ``latest_version`` is permutation-invariant, so the directory and network
-    components are all that remains of the lexicographic state key once the
-    cache components compare equal.  The comparison is staged: the cheap
-    directory key prunes first, and the network key -- the expensive relabel
-    -- is only computed for permutations still tied after that.  Keeps the
-    first minimum, preserving identity-first (lexicographic) tie-breaking.
-    """
-    if len(tied) == 1:
-        return tied[0]
-    directory = state.directory
-    best_dir: tuple | None = None
-    survivors: list[Permutation] = []
-    for perm in tied:
-        key = directory.relabeled_sort_key(perm)
-        if best_dir is None or key < best_dir:
-            best_dir = key
-            survivors = [perm]
-        elif key == best_dir:
-            survivors.append(perm)
-    if len(survivors) == 1:
-        return survivors[0]
-    network = state.network
-    best_perm = survivors[0]
-    best_net: tuple | None = None
-    for perm in survivors:
-        key = network.relabeled_sort_key(perm)
-        if best_net is None or key < best_net:
-            best_net = key
-            best_perm = perm
-    return best_perm
-
-
-def canonicalize_bruteforce(
-    state: GlobalState, perms: tuple[Permutation, ...]
-) -> tuple[GlobalState, Permutation]:
-    """Full-enumeration canonicalization: try every permutation in *perms*.
-
-    Minimizes the state key lazily instead of materializing every relabeled
-    state: per-cache keys are computed once and only permuted in position
-    (saved-requestor slots are the one cache-local field that needs
-    re-keying, and only when they actually hold cache IDs); the directory
-    and network components -- the expensive relabels -- are evaluated only
-    to break ties between permutations whose cache components compare equal.
-    The winner is identical to a full ``min(state.relabeled(p).sort_key())``.
-    """
-    if len(perms) == 1:
-        return state, perms[0]
-    caches = state.caches
-    base_keys = [c.sort_key() for c in caches]
-    saved_has_ids = [
-        any(s is not None and s >= 0 for s in c.saved) for c in caches
-    ]
-    tied: list[Permutation] = []
-    best_cache_key: tuple | None = None
-    for perm in perms:
-        parts: list[tuple | None] = [None] * len(caches)
-        for old_id, cache in enumerate(caches):
-            key = (
-                cache.relabeled_sort_key(perm)
-                if saved_has_ids[old_id]
-                else base_keys[old_id]
-            )
-            parts[perm[old_id]] = key
-        cache_key = tuple(parts)
-        if best_cache_key is None or cache_key < best_cache_key:
-            best_cache_key = cache_key
-            tied = [perm]
-        elif cache_key == best_cache_key:
-            tied.append(perm)
-    best_perm = _tie_break(state, tied)
-    if best_perm == perms[0]:
-        return state, best_perm
-    return state.relabeled(best_perm), best_perm

@@ -35,7 +35,6 @@ from typing import Sequence
 from repro.system.system import System, SystemEvent
 from repro.verification.engine.canonical import (
     Permutation,
-    canonicalize_encoded,
     canonicalizer_for,
     compose,
     invert,
@@ -86,7 +85,15 @@ class VerificationResult:
     #: bytes per state is a reported count; ``None`` where it is a dict or
     #: lives in the worker shards), ``raw_seen_entries`` /
     #: ``orbit_memo_entries`` (sizes of the symmetry pipeline's two caches,
-    #: likewise; ``None`` with symmetry off), ``canonicalization_seconds`` (CPU
+    #: likewise; ``None`` with symmetry off), ``omission_bound`` (what a
+    #: digest can miss: wherever membership is decided by 128-bit digest --
+    #: ``hash_compaction=True`` on a per-state search, or any search that
+    #: forked the fleet -- two distinct states sharing a digest would make
+    #: the search silently skip one, and for the ``n`` states stored that
+    #: happens with probability at most ``n(n-1)/2 / 2**128``; ``None``
+    #: where keys or rows are compared whole, which includes
+    #: ``kernel="vectorized"`` whatever ``hash_compaction`` says),
+    #: ``canonicalization_seconds`` (CPU
     #: seconds inside symmetry canonicalization; summed across workers for
     #: the parallel strategy) and ``expansion_seconds`` (everything else:
     #: successor generation, interning, invariant checks).  For
@@ -247,7 +254,7 @@ class Exploration:
         enc = codec.encode(initial)
         root_perm: Permutation | None = None
         if self.perms is not None:
-            enc, root_perm = canonicalize_encoded(enc, codec, self.perms)
+            enc, root_perm = canonicalizer_for(codec, self.perms).canonicalize(enc)
             if root_perm != self.perms[0]:
                 initial = codec.decode(enc)
         self.root_key = codec.pack(enc)
@@ -320,6 +327,13 @@ class Exploration:
         stats["lane_bytes"] = self.codec.lane_bytes
         stats["parse_memo_entries"] = self.codec.parse_memo_entries
         stats["visited_bytes"] = self.store.visited_bytes
+        fleet = self.worker_states is not None
+        stored = len(self.store)
+        stats["omission_bound"] = (
+            stored * (stored - 1) // 2 / 2**128
+            if self.store.hash_compaction or fleet
+            else None
+        )
         reduced = self.perms is not None
         stats["raw_seen_entries"] = len(self.raw_seen) if reduced else None
         stats["orbit_memo_entries"] = (
@@ -327,7 +341,6 @@ class Exploration:
             if reduced
             else None
         )
-        fleet = self.worker_states is not None
         stats["round_count"] = self.round_count if fleet else None
         stats["cross_shard_share"] = (
             round(self.cross_shard_candidates / max(1, self.transitions), 6)

@@ -127,9 +127,14 @@ class _PerState(Expander):
         self.ctx = ctx
         self.quiescent = quiescent
         self.unfinished = unfinished
-        self.canonicalize = (
-            canonicalizer_for(ctx.codec, ctx.perms).canonicalize
+        self.canonicalizer = (
+            canonicalizer_for(ctx.codec, ctx.perms)
             if ctx.perms is not None
+            else None
+        )
+        self.canonicalize = (
+            self.canonicalizer.canonicalize
+            if self.canonicalizer is not None
             else None
         )
         self.raw_seen = ctx.raw_seen

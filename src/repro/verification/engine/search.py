@@ -42,10 +42,6 @@ import multiprocessing
 import os
 from time import perf_counter
 
-from repro.verification.engine.canonical import (
-    _tie_break_encoded,
-    canonicalizer_for,
-)
 from repro.verification.engine.driver import (
     _RAW_SEEN_LIMIT,
     CompiledExpander,
@@ -119,18 +115,6 @@ class VectorizedExpander(CompiledExpander):
         ctx.store.adopt_rows(
             RowTable(vk.np, vk.row_lanes * vk.dtype.itemsize), vk
         )
-        self.canonicalizer = self.batch_canon = None
-        if ctx.perms is not None:
-            self.canonicalizer = canonicalizer_for(ctx.codec, ctx.perms)
-            # Batch canonicalization (one orbit classification per distinct
-            # cache-block region per level instead of one canonicalize call
-            # per state) relies on the sorted-signature argument, i.e. the
-            # full symmetric group -- exactly the condition
-            # EncodedCanonicalizer.canonicalize itself requires before
-            # consulting the orbit memo.
-            self.batch_canon = (
-                len(ctx.perms) > 1 and self.canonicalizer._full_group
-            )
 
     def lift(self, pairs) -> _Lanes:
         vk = self.ctx.vkernel
@@ -168,30 +152,28 @@ class VectorizedExpander(CompiledExpander):
         ctx = self.ctx
         vk = ctx.vkernel
         np = vk.np
-        codec = ctx.codec
         raw_seen = self.raw_seen
         timer = perf_counter
-        unpack = codec.unpack
+        unpack = ctx.codec.unpack
         section_tail = vk.section_tail
         row_bytes_of = vk.row_bytes_of
         vbytes = V.tobytes()
         rowsize = V.shape[1] * V.dtype.itemsize
         prefix_bytes = vk.net_offset * V.dtype.itemsize
-        if self.batch_canon:
-            # Orbit classification in bulk: one np.unique over the region
-            # columns, one orbit_for per distinct region of the level (the
-            # region's lane bytes are its packed form, the memo's key).
-            d0 = vk.dir_offset
-            R = np.ascontiguousarray(V[:, :d0])
-            rb = R.view(np.dtype((np.void, d0 * V.dtype.itemsize))).ravel()
-            runiq, rinv = np.unique(rb, return_inverse=True)
-            orbit_for = self.canonicalizer.orbit_for
-            recs = [orbit_for(vb.tobytes()) for vb in runiq]
-            rinv_list = rinv.tolist()
-            identity = self.canonicalizer.identity
-        else:
-            canonicalize = self.canonicalize
-        batch_canon = self.batch_canon
+        # Orbit classification in bulk: one np.unique over the region
+        # columns, one orbit_for per distinct region of the level (the
+        # region's lane bytes are its packed form, the memo's key).
+        d0 = vk.dir_offset
+        R = np.ascontiguousarray(V[:, :d0])
+        rb = R.view(np.dtype((np.void, d0 * V.dtype.itemsize))).ravel()
+        runiq, rinv = np.unique(rb, return_inverse=True)
+        canonicalizer = self.canonicalizer
+        orbit_for = canonicalizer.orbit_for
+        orbits = [orbit_for(vb.tobytes()) for vb in runiq]
+        rinv_list = rinv.tolist()
+        resolve = canonicalizer.resolve
+        identity = canonicalizer.identity
+        identity_orbit = canonicalizer.identity_orbit
         kept: list = []
         perms: list = []
         moved: list = []       # positions in ``kept`` whose row is relabeled
@@ -203,38 +185,19 @@ class VectorizedExpander(CompiledExpander):
                 continue
             if grown >= _RAW_SEEN_LIMIT:
                 raw_seen.clear()
-            if batch_canon:
-                best, extra, saved = recs[rinv_list[j]]
-                if best is not None and extra is None:
-                    # Identity winner: the raw row is the representative
-                    # and no lane tuple is built for it at all.
-                    kept.append(j)
-                    perms.append(best)
-                    continue
+            orbit = orbits[rinv_list[j]]
+            if orbit is identity_orbit:
+                # The region is already minimal: the raw row is the
+                # representative and no lane tuple is built for it at all.
+                kept.append(j)
+                perms.append(identity)
+                continue
             start = timer()
             enc = (
                 unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes])
                 + section_tail(out_sids[j])
             )
-            if not batch_canon:
-                cenc, best = canonicalize(enc)
-            elif best is None:
-                # Ties (equal signatures, or saved-requestor IDs): the
-                # per-state tie-break over the region's candidates, then
-                # one table relabel -- exactly what the serial canonicalize
-                # does for this state.
-                best = _tie_break_encoded(enc, codec, extra)
-                cenc = (
-                    enc
-                    if best == identity
-                    else codec.relabel_via_tables(enc, best, saved=saved)
-                )
-            else:
-                # Unique non-identity winner: the canonical encoding
-                # assembles from the orbit-cached relabeled prefix and the
-                # codec's memoized relabeled suffix.
-                t2 = codec.perm_tables(best)[2]
-                cenc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
+            cenc, best = resolve(enc, orbit)
             ctx.canon_seconds += timer() - start
             if cenc is not enc:
                 moved.append(len(kept))

@@ -8,10 +8,11 @@ finds the same classes of races the exhaustive search finds, and it scales to
 more caches and longer workloads.
 
 With ``track_coverage=True`` the walk also counts the distinct states it
-visits, canonicalized through the engine's cache-ID symmetry reduction
-(:mod:`repro.verification.engine.canonical`), so coverage numbers are
-comparable with the symmetry-reduced exhaustive search: two visits that
-differ only by a renaming of the caches count as one state.
+visits -- as packed keys, canonicalized by the canonicalizer the
+symmetry-reduced exhaustive search runs
+(:func:`repro.verification.engine.canonical.canonicalizer_for`), so coverage
+numbers are comparable with it: two visits that differ only by a renaming of
+the caches count as one state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.system.system import System
-from repro.verification.engine.canonical import canonicalize
+from repro.verification.engine.canonical import canonicalizer_for
 from repro.verification.invariants import Invariant, InvariantViolation, default_invariants
 
 
@@ -75,10 +76,11 @@ def random_walk(
     start = time.perf_counter()
     total_steps = 0
 
-    perms = None
-    seen: set | None = None
+    canonicalize = None
+    seen: set[bytes] | None = None
     if track_coverage:
         seen = set()
+        codec = system.codec()
         if symmetry and system.num_caches > 1:
             if not system.supports_symmetry:
                 raise ValueError(
@@ -86,12 +88,17 @@ def random_walk(
                     "(litmus workloads and num_addresses>1 distinguish the "
                     "caches); pass symmetry=False to count raw states"
                 )
-            perms = system.symmetry_permutations()
+            canonicalize = canonicalizer_for(
+                codec, system.symmetry_permutations()
+            ).canonicalize
 
     def note(state) -> None:
         if seen is None:
             return
-        seen.add(canonicalize(state, perms)[0] if perms is not None else state)
+        enc = codec.encode(state)
+        if canonicalize is not None:
+            enc = canonicalize(enc)[0]
+        seen.add(codec.pack(enc))
 
     def finish(**kwargs) -> RandomWalkResult:
         return RandomWalkResult(

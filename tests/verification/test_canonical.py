@@ -1,8 +1,12 @@
 """Property-based tests for cache-ID symmetry canonicalization.
 
-Hand-rolled generators (deterministic seeded random walks over MSI / MESI /
-MOSI systems) produce random reachable global states; the properties mirror
-what Murphi guarantees for scalarsets:
+Every property is asserted on the pipeline the searches run
+(``canonicalizer_for(codec, perms).canonicalize``, through
+``production_canonicalize``) and checked against the definition executed as
+written (``reference_canonicalize``: the smallest relabeling, first minimum
+in permutation order).  Hand-rolled generators (deterministic seeded random
+walks over MSI / MESI / MOSI systems) produce random reachable global
+states; the properties mirror what Murphi guarantees for scalarsets:
 
 * canonicalization is **idempotent** -- the representative canonicalizes to
   itself under the identity permutation;
@@ -19,19 +23,19 @@ what Murphi guarantees for scalarsets:
 import pytest
 
 from repro.system import System, Workload
-from repro.verification import (
-    canonicalize,
-    canonicalize_bruteforce,
-    default_invariants,
-    relabel_event,
-)
+from repro.verification import default_invariants, relabel_event
 from repro.verification.engine.canonical import (
+    EncodedCanonicalizer,
     compose,
     identity_permutation,
     invert,
 )
 
-from verification_helpers import sample_reachable_states
+from verification_helpers import (
+    production_canonicalize,
+    reference_canonicalize,
+    sample_reachable_states,
+)
 
 
 def _system(protocol, num_caches=3):
@@ -64,13 +68,33 @@ class TestPermutationAlgebra:
         assert composed == tuple(outer[inner[i]] for i in range(3))
 
 
+class TestCanonicalizerConstruction:
+    """The canonicalizer takes exactly what ``symmetry_permutations()``
+    returns -- signature sort and orbit pruning assume the whole group --
+    and says so instead of enumerating whatever it is handed."""
+
+    def test_rejects_a_proper_subgroup(self, msi_nonstalling):
+        system = _system(msi_nonstalling)
+        full = system.symmetry_permutations()
+        with pytest.raises(ValueError, match="full symmetric group on the 3 caches"):
+            EncodedCanonicalizer(system.codec(), (full[0], full[-1]))
+
+    def test_rejects_a_group_that_does_not_start_with_the_identity(
+        self, msi_nonstalling
+    ):
+        system = _system(msi_nonstalling)
+        full = system.symmetry_permutations()
+        with pytest.raises(ValueError, match="identity first"):
+            EncodedCanonicalizer(system.codec(), full[1:] + full[:1])
+
+
 class TestCanonicalizationProperties:
     def test_idempotent(self, sampled):
         system, states = sampled
         perms = system.symmetry_permutations()
         for state in states:
-            rep, _ = canonicalize(state, perms)
-            again, perm = canonicalize(rep, perms)
+            rep, _ = production_canonicalize(system, state)
+            again, perm = production_canonicalize(system, rep)
             assert again == rep
             assert perm == perms[0], "a representative must canonicalize via the identity"
 
@@ -78,10 +102,10 @@ class TestCanonicalizationProperties:
         system, states = sampled
         perms = system.symmetry_permutations()
         for state in states:
-            rep, _ = canonicalize(state, perms)
+            rep, _ = production_canonicalize(system, state)
             for perm in perms:
                 relabeled = state.relabeled(perm)
-                rep2, _ = canonicalize(relabeled, perms)
+                rep2, _ = production_canonicalize(system, relabeled)
                 assert rep2 == rep
 
     def test_relabel_roundtrip(self, sampled):
@@ -93,27 +117,25 @@ class TestCanonicalizationProperties:
 
     def test_canonicalize_returns_witness_permutation(self, sampled):
         system, states = sampled
-        perms = system.symmetry_permutations()
         for state in states:
-            rep, perm = canonicalize(state, perms)
+            rep, perm = production_canonicalize(system, state)
             assert state.relabeled(perm) == rep
 
     def test_canonical_key_is_minimal(self, sampled):
-        """The fast (lazy, tie-breaking) canonicalization must agree with the
-        brute-force minimum over all fully-relabeled states."""
+        """The pipeline (signature sort, orbit pruning, staged tie-breaks,
+        all on encodings) must pick the minimum over all fully-relabeled
+        states, and the first permutation that attains it."""
         system, states = sampled
         perms = system.symmetry_permutations()
         for state in states:
-            rep, _ = canonicalize(state, perms)
-            brute = min((state.relabeled(p) for p in perms), key=lambda s: s.sort_key())
-            assert rep.sort_key() == brute.sort_key()
-            assert rep == brute
+            rep, perm = production_canonicalize(system, state)
+            assert rep.sort_key() == min(state.relabeled(p).sort_key() for p in perms)
+            assert (rep, perm) == reference_canonicalize(state, perms)
 
     def test_invariant_verdicts_preserved(self, sampled):
         system, states = sampled
-        perms = system.symmetry_permutations()
         for state in states:
-            rep, _ = canonicalize(state, perms)
+            rep, _ = production_canonicalize(system, state)
             for invariant in default_invariants():
                 original = invariant(system, state)
                 canonical = invariant(system, rep)
@@ -125,10 +147,11 @@ class TestCanonicalizationProperties:
 class TestSortedSignaturePrecanonicalization:
     """The 4-cache fast path: signature sort -> orbit pruning -> tie-break.
 
-    :func:`canonicalize` avoids enumerating all ``4! = 24`` permutations when
+    The canonicalizer avoids enumerating all ``4! = 24`` permutations when
     no cache holds a saved requestor ID; these properties pin its exact
-    agreement with the brute-force enumeration on random reachable 4-cache
-    states (both sampled and adversarially symmetric ones).
+    agreement with the enumeration the definition prescribes on random
+    reachable 4-cache states (both sampled and adversarially symmetric
+    ones).
     """
 
     @pytest.fixture(scope="class", params=["stalling", "nonstalling"])
@@ -151,27 +174,25 @@ class TestSortedSignaturePrecanonicalization:
         system, states = four_cache_sampled
         perms = system.symmetry_permutations()
         for state in states:
-            rep, perm = canonicalize(state, perms)
-            brute_rep, brute_perm = canonicalize_bruteforce(state, perms)
-            assert rep == brute_rep
-            assert perm == brute_perm
+            rep, perm = production_canonicalize(system, state)
+            assert (rep, perm) == reference_canonicalize(state, perms)
             assert state.relabeled(perm) == rep
 
     def test_permutation_invariant(self, four_cache_sampled):
         system, states = four_cache_sampled
         perms = system.symmetry_permutations()
         for state in states[:60]:
-            rep, _ = canonicalize(state, perms)
+            rep, _ = production_canonicalize(system, state)
             for perm in perms:
-                rep2, _ = canonicalize(state.relabeled(perm), perms)
+                rep2, _ = production_canonicalize(system, state.relabeled(perm))
                 assert rep2 == rep
 
     def test_idempotent(self, four_cache_sampled):
         system, states = four_cache_sampled
         perms = system.symmetry_permutations()
         for state in states:
-            rep, _ = canonicalize(state, perms)
-            again, perm = canonicalize(rep, perms)
+            rep, _ = production_canonicalize(system, state)
+            again, perm = production_canonicalize(system, rep)
             assert again == rep
             assert perm == perms[0]
 
@@ -182,13 +203,14 @@ class TestSortedSignaturePrecanonicalization:
         system, _ = four_cache_sampled
         perms = system.symmetry_permutations()
         initial = system.initial_state()
-        rep, perm = canonicalize(initial, perms)
+        rep, perm = production_canonicalize(system, initial)
         assert rep == initial
         assert perm == perms[0]
 
     def test_saved_requestor_states_fall_back_consistently(self, four_cache_sampled):
-        """States whose saved slots hold cache IDs take the brute-force path;
-        their representatives must still agree across every relabeling."""
+        """States whose saved slots hold cache IDs have no signature sort
+        (every permutation's cache blocks are ranked); their representatives
+        must still agree across every relabeling."""
         system, states = four_cache_sampled
         perms = system.symmetry_permutations()
         with_saved = [
@@ -196,9 +218,9 @@ class TestSortedSignaturePrecanonicalization:
             if any(any(v is not None and v >= 0 for v in c.saved) for c in s.caches)
         ][:40]
         for state in with_saved:
-            rep, _ = canonicalize(state, perms)
+            rep, _ = production_canonicalize(system, state)
             for perm in perms[:8]:
-                rep2, _ = canonicalize(state.relabeled(perm), perms)
+                rep2, _ = production_canonicalize(system, state.relabeled(perm))
                 assert rep2 == rep
 
 

@@ -7,10 +7,12 @@ states, so two properties carry the whole correctness argument:
   ``decode(encode(s)) == s`` exactly (and through the packed ``bytes`` form),
   which is what keeps ``verify()`` defaults bit-compatible with the seed
   explorer;
-* encoded **canonicalization agrees with the object-level oracle** -- same
+* encoded **canonicalization agrees with its definition** -- same
   representative *and* same witness permutation as
-  ``canonicalize``/``canonicalize_bruteforce``, including the states whose
-  saved-requestor slots force the brute-force fallback.
+  ``reference_canonicalize`` (``min`` over the relabeled states' sort keys,
+  executed on objects), including the states whose saved-requestor slots
+  rule out the signature sort -- and the one encoded relabel,
+  ``relabel_via_tables``, equals ``encode(decode(enc).relabeled(perm))``.
 
 States are sampled with the deterministic random-walk generator used by the
 canonicalization property tests, across all six bundled protocols (the
@@ -22,18 +24,15 @@ from array import array
 import pytest
 
 from repro import protocols
-from repro.core import GenerationConfig, generate
-from repro.dsl.types import AccessKind
 from repro.system import System, Workload
-from repro.verification import (
-    canonicalize,
-    canonicalize_bruteforce,
-    canonicalize_bruteforce_encoded,
-    canonicalize_encoded,
-)
 from repro.verification.engine.canonical import canonicalizer_for, invert
 
-from verification_helpers import sample_reachable_states
+from verification_helpers import (
+    production_canonicalize,
+    reference_canonicalize,
+    sample_reachable_states,
+    two_access_workload,
+)
 
 ALL_PROTOCOLS = protocols.available_protocols()
 
@@ -84,32 +83,24 @@ class TestRoundTrip:
         assert len({codec.encode(s) for s in distinct}) == len(distinct)
 
     def test_relabel_commutes_with_object_relabeling(self, sampled_by_protocol, name):
+        """The gather-table relabel is the object model's ``relabeled``
+        computed on the encoding, on every sampled state and every
+        permutation — including the saved-requestor states whose slots hold
+        cache IDs — and a group action like it."""
         system, states = sampled_by_protocol[name]
         codec = system.codec()
         perms = system.symmetry_permutations()
         for state in states[:120]:
             enc = codec.encode(state)
             for perm in perms:
-                assert codec.relabel(enc, perm) == codec.encode(state.relabeled(perm))
-                assert codec.relabel(codec.relabel(enc, perm), invert(perm)) == enc
-
-    def test_relabel_via_tables_matches_the_oracle(self, sampled_by_protocol, name):
-        """The gather-table relabel must be bit-identical to the
-        field-by-field :meth:`StateCodec.relabel` (kept as the oracle) on
-        every sampled state and every permutation — including the
-        saved-requestor states whose slots hold cache IDs."""
-        system, states = sampled_by_protocol[name]
-        codec = system.codec()
-        perms = system.symmetry_permutations()
-        for state in states[:120]:
-            enc = codec.encode(state)
-            for perm in perms:
-                assert codec.relabel_via_tables(enc, perm) == codec.relabel(enc, perm)
+                relabeled = codec.relabel_via_tables(enc, perm)
+                assert relabeled == codec.encode(state.relabeled(perm))
+                assert codec.relabel_via_tables(relabeled, invert(perm)) == enc
 
     def test_relabel_via_tables_saved_free_shortcut(self, sampled_by_protocol, name):
         """``saved=False`` (the signature-sort path's shortcut) is only
         valid on states without occupied saved slots; pin that it agrees
-        with the oracle exactly there."""
+        with the object relabel exactly there."""
         system, states = sampled_by_protocol[name]
         codec = system.codec()
         perms = system.symmetry_permutations()
@@ -121,7 +112,7 @@ class TestRoundTrip:
             for perm in perms:
                 assert (
                     codec.relabel_via_tables(enc, perm, saved=False)
-                    == codec.relabel(enc, perm)
+                    == codec.encode(state.relabeled(perm))
                 )
             checked += 1
         assert checked > 0
@@ -137,120 +128,69 @@ class TestRoundTrip:
         assert seen > 0
 
 
-def canonicalize_both_ways(enc, codec, perms):
-    """The encoded pipeline's ``(representative, witness)`` for *enc*,
-    asserted identical whether or not the caller hands over the packed key
-    (the searches do, and the region memo is then probed with a slice of
-    it), and through the :func:`canonicalize_encoded` facade."""
+#: Cache states of the MSI-Unordered late-absorb redirects (the PR 2 fix):
+#: their unordered network sections are the largest relabel surfaces.
+LATE_ABSORB_STATES = {"IM_AD_I", "IM_AD_SI", "IM_A_I", "IM_A_SI", "SM_AD_I",
+                      "SM_A_I", "IS_D_I"}
+
+
+@pytest.mark.parametrize("num_caches", [3, 4])
+@pytest.mark.parametrize("policy", ["nonstalling", "stalling"])
+@pytest.mark.parametrize("name", ALL_PROTOCOLS)
+def test_production_canonicalizer_agrees_with_the_definition(
+    all_generated, name, policy, num_caches
+):
+    """The canonicalizer every search runs returns the representative *and*
+    the witness the three-line definition names -- with and without the
+    packed key -- on every sampled state of every bundled configuration.
+    The sample must contain what the pipeline treats specially:
+    saved-requestor states (permutation-dependent signatures, reached by
+    every nonstalling protocol) and MSI-Unordered's late-absorb states."""
+    system = System(all_generated[(name, policy)], num_caches=num_caches,
+                    workload=two_access_workload(name))
+    codec = system.codec()
+    perms = system.symmetry_permutations()
     canonicalizer = canonicalizer_for(codec, perms)
-    key = codec.pack(enc)
-    keyed = canonicalizer.canonicalize(enc, key)
-    assert canonicalizer.canonicalize(enc) == keyed
-    assert canonicalize_encoded(enc, codec, perms) == keyed
-    assert key[: canonicalizer._region_bytes] == codec.pack_tail(
-        enc[: codec.dir_offset]
+    states = sample_reachable_states(
+        system, seed=len(name) + num_caches, walks=10, max_steps=50
     )
-    return keyed
+    if policy == "nonstalling":
+        assert any(codec.has_saved_ids(codec.encode(s)) for s in states), (
+            "sample never reached a saved-requestor state"
+        )
+        if name == "MSI-Unordered":
+            assert any(
+                cache.fsm_state in LATE_ABSORB_STATES
+                for s in states for cache in s.caches
+            ), "sample never reached a late-absorb state"
+    for state in states:
+        rep, perm = reference_canonicalize(state, perms)
+        enc = codec.encode(state)
+        assert canonicalizer.canonicalize(enc, codec.pack(enc)) == (
+            codec.encode(rep), perm
+        )
+        assert canonicalizer.canonicalize(enc) == (codec.encode(rep), perm)
 
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 class TestEncodedCanonicalAgreement:
-    def test_same_representative_and_witness(self, sampled_by_protocol, name):
-        system, states = sampled_by_protocol[name]
-        codec = system.codec()
-        perms = system.symmetry_permutations()
-        for state in states:
-            rep_obj, perm_obj = canonicalize(state, perms)
-            rep_enc, perm_enc = canonicalize_both_ways(
-                codec.encode(state), codec, perms
-            )
-            assert perm_enc == perm_obj
-            assert rep_enc == codec.encode(rep_obj)
-
-    def test_saved_requestor_states_are_exercised_and_agree(
-        self, sampled_by_protocol, name
-    ):
-        """The brute-force fallback path must be hit by the sample (except
-        for protocols that never defer) and agree with the object oracle."""
-        system, states = sampled_by_protocol[name]
-        codec = system.codec()
-        perms = system.symmetry_permutations()
-        with_saved = [
-            s
-            for s in states
-            if any(any(v is not None and v >= 0 for v in c.saved) for c in s.caches)
-        ]
-        if name != "TSO-CC":
-            # Every deferring protocol reaches saved-requestor states on this
-            # workload; TSO-CC rarely does, so it only checks when sampled.
-            assert with_saved, "sample never reached a saved-requestor state"
-        for state in with_saved:
-            enc = codec.encode(state)
-            assert codec.has_saved_ids(enc)
-            rep_obj, perm_obj = canonicalize(state, perms)
-            rep_enc, perm_enc = canonicalize_both_ways(enc, codec, perms)
-            assert perm_enc == perm_obj
-            assert rep_enc == codec.encode(rep_obj)
-
     def test_idempotent_on_encodings(self, sampled_by_protocol, name):
         system, states = sampled_by_protocol[name]
         codec = system.codec()
         perms = system.symmetry_permutations()
+        canonicalize = canonicalizer_for(codec, perms).canonicalize
         for state in states[:100]:
-            rep_enc, _ = canonicalize_encoded(codec.encode(state), codec, perms)
-            again, perm = canonicalize_encoded(rep_enc, codec, perms)
+            rep_enc, _ = canonicalize(codec.encode(state))
+            again, perm = canonicalize(rep_enc)
             assert again == rep_enc
             assert perm == perms[0]
-
-
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-class TestEncodedBruteforceOracleAgreement:
-    """:func:`canonicalize_bruteforce_encoded` vs the object-level oracle.
-
-    The encoded brute force is what keeps saved-requestor states (and
-    caller-restricted permutation sets) on the int lanes; the object-level
-    :func:`canonicalize_bruteforce` is demoted to a differential-test oracle
-    here — the two must agree on the representative *and* the witness
-    permutation, bit for bit, on every sampled state.
-    """
-
-    def test_exact_agreement_with_object_bruteforce(self, sampled_by_protocol, name):
-        system, states = sampled_by_protocol[name]
-        codec = system.codec()
-        perms = system.symmetry_permutations()
-        for state in states:
-            rep_obj, perm_obj = canonicalize_bruteforce(state, perms)
-            rep_enc, perm_enc = canonicalize_bruteforce_encoded(
-                codec.encode(state), codec, perms
-            )
-            assert perm_enc == perm_obj
-            assert rep_enc == codec.encode(rep_obj)
-
-    def test_agreement_on_restricted_permutation_sets(self, sampled_by_protocol, name):
-        """A non-full permutation group (no signature-sort argument) must
-        route both pipelines through the same enumeration and winner."""
-        system, states = sampled_by_protocol[name]
-        codec = system.codec()
-        full = system.symmetry_permutations()
-        restricted = (full[0], full[-1])
-        for state in states[:60]:
-            rep_obj, perm_obj = canonicalize_bruteforce(state, restricted)
-            rep_enc, perm_enc = canonicalize_bruteforce_encoded(
-                codec.encode(state), codec, restricted
-            )
-            assert perm_enc == perm_obj
-            assert rep_enc == codec.encode(rep_obj)
-            via_encoded = canonicalize_both_ways(
-                codec.encode(state), codec, restricted
-            )
-            assert via_encoded == (rep_enc, perm_enc)
 
 
 def test_mosi_saved_requestor_states_agree_on_all_pipelines(all_generated):
     """MOSI nonstalling reaches deferred-send states whose saved slots hold
     cache IDs (the owner-recall `requestor_from_slot` stamping): the exact
-    states that used to decode into the object brute force.  Pin all three
-    encoded entry points against the object oracles on them."""
+    states that used to decode into an object brute force.  Pin the
+    production pipeline against the definition on them."""
     system = System(all_generated[("MOSI", "nonstalling")], num_caches=3,
                     workload=Workload(max_accesses_per_cache=2))
     codec = system.codec()
@@ -259,46 +199,36 @@ def test_mosi_saved_requestor_states_agree_on_all_pipelines(all_generated):
     with_saved = [s for s in states if codec.has_saved_ids(codec.encode(s))]
     assert with_saved, "sampling never reached a saved-requestor state"
     for state in with_saved:
-        enc = codec.encode(state)
-        rep_obj, perm_obj = canonicalize_bruteforce(state, perms)
-        assert canonicalize(state, perms) == (rep_obj, perm_obj)
-        for rep_enc, perm_enc in (
-            canonicalize_bruteforce_encoded(enc, codec, perms),
-            canonicalize_both_ways(enc, codec, perms),
-        ):
-            assert perm_enc == perm_obj
-            assert rep_enc == codec.encode(rep_obj)
+        assert production_canonicalize(system, state) == reference_canonicalize(
+            state, perms
+        )
 
 
 def test_msi_unordered_late_absorb_states_agree_on_all_pipelines(all_generated):
     """MSI-Unordered nonstalling reaches the late-absorb redirect states of
     the PR 2 fix (IM_AD_I and friends); their unordered network sections are
-    the largest relabel surfaces, so pin the encoded brute force and the
-    table relabel against the object oracles through them."""
-    system = System(
-        all_generated[("MSI-Unordered", "nonstalling")], num_caches=3,
-        workload=Workload(max_accesses_per_cache=2,
-                          access_kinds=(AccessKind.LOAD, AccessKind.STORE)),
-    )
+    the largest relabel surfaces, so pin the canonicalizer and the table
+    relabel against the object model through them."""
+    system = System(all_generated[("MSI-Unordered", "nonstalling")],
+                    num_caches=3,
+                    workload=two_access_workload("MSI-Unordered"))
     codec = system.codec()
     perms = system.symmetry_permutations()
     states = sample_reachable_states(system, seed=43, walks=10, max_steps=60)
-    absorb_states = {"IM_AD_I", "IM_AD_SI", "IM_A_I", "IM_A_SI", "SM_AD_I",
-                     "SM_A_I", "IS_D_I"}
     touched = [
         s for s in states
-        if any(cache.fsm_state in absorb_states for cache in s.caches)
+        if any(cache.fsm_state in LATE_ABSORB_STATES for cache in s.caches)
     ]
     assert touched, "sampling never reached a late-absorb state"
     for state in touched:
+        assert production_canonicalize(system, state) == reference_canonicalize(
+            state, perms
+        )
         enc = codec.encode(state)
-        rep_obj, perm_obj = canonicalize_bruteforce(state, perms)
-        rep_enc, perm_enc = canonicalize_bruteforce_encoded(enc, codec, perms)
-        assert perm_enc == perm_obj
-        assert rep_enc == codec.encode(rep_obj)
-        assert canonicalize_both_ways(enc, codec, perms) == (rep_enc, perm_enc)
         for perm in perms:
-            assert codec.relabel_via_tables(enc, perm) == codec.relabel(enc, perm)
+            assert codec.relabel_via_tables(enc, perm) == codec.encode(
+                state.relabeled(perm)
+            )
 
 
 class _NameTable:

@@ -10,6 +10,7 @@ tests replay each reported counterexample step-by-step through
 violation / error / deadlock is reproduced.
 """
 
+import importlib.util
 from array import array
 
 import pytest
@@ -199,15 +200,37 @@ class TestBackwardCompatibility:
 
 
 class TestRandomWalkCoverage:
-    def test_coverage_counts_canonical_states(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
+    @pytest.mark.parametrize("num_caches, raw_count, reduced_count",
+                             [(2, 191, 162), (3, 361, 310)])
+    def test_coverage_counts_canonical_states(
+        self, msi_nonstalling, monkeypatch, num_caches, raw_count, reduced_count
+    ):
+        """Coverage is counted on the searches' own terms: packed keys,
+        canonicalized by the searches' canonicalizer.  The figures are the
+        ones the walk reported when it kept whole ``GlobalState`` trees
+        canonicalized on the object model."""
+        import sys
+
+        made = []
+
+        class Recorded(set):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        # The walk's one ``set()`` call builds its coverage set.
+        monkeypatch.setattr(sys.modules["repro.verification.random_walk"],
+                            "set", Recorded, raising=False)
+        system = System(msi_nonstalling, num_caches=num_caches,
                         workload=Workload(max_accesses_per_cache=2))
         raw = random_walk(system, runs=20, max_steps=120, seed=5,
                           track_coverage=True, symmetry=False)
         reduced = random_walk(system, runs=20, max_steps=120, seed=5,
                               track_coverage=True)
         assert raw.ok and reduced.ok
-        assert 0 < reduced.unique_states <= raw.unique_states
+        assert (raw.unique_states, reduced.unique_states) == (raw_count, reduced_count)
+        assert [len(seen) for seen in made] == [raw_count, reduced_count]
+        assert all(type(key) is bytes for seen in made for key in seen)
         # The exhaustive search bounds the walk's canonical coverage.
         exhaustive = verify(system, symmetry=True)
         assert reduced.unique_states <= exhaustive.states_explored
@@ -318,6 +341,37 @@ class TestSearchStats:
                      dict(kernel="vectorized", strategy="dfs"),
                      dict(strategy="parallel", processes=2)):
             assert verify(system, **mode).stats["visited_bytes"] is None, mode
+
+    def test_omission_bound_says_what_a_digest_can_miss(
+        self, msi_nonstalling, monkeypatch
+    ):
+        """Membership by 128-bit digest can merge two distinct states; the
+        result states the birthday bound on that over the states stored.
+        Where keys or rows are compared whole there is nothing to bound."""
+        from repro.verification.engine import search as search_mod
+
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        bound = 1702 * 1701 / 2 / 2**128
+        assert 0 < bound < 1e-32
+        compact = verify(system, hash_compaction=True)
+        assert compact.states_explored == 1702
+        assert compact.stats["omission_bound"] == bound
+        assert verify(system).stats["omission_bound"] is None
+        # An unforked parallel search keeps exact keys in the parent.
+        assert verify(system, strategy="parallel", processes=2
+                      ).stats["omission_bound"] is None
+        if importlib.util.find_spec("numpy") is not None:
+            # The batch path keeps exact rows whatever ``hash_compaction`` says.
+            rows = verify(system, kernel="vectorized", hash_compaction=True)
+            assert rows.kernel == "vectorized"
+            assert rows.stats["omission_bound"] is None
+        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+        fleet = verify(system, strategy="parallel", processes=2)
+        if fleet.strategy != "parallel":  # fork unavailable: serial fallback
+            pytest.skip("parallel strategy unavailable on this platform")
+        assert fleet.states_explored == 1702
+        assert fleet.stats["omission_bound"] == bound
 
     def test_object_backend_counts_its_decodes(self, msi_nonstalling):
         """The object backend decodes by design (the differential baseline);

@@ -1,5 +1,10 @@
-"""Shared helpers for the verification-layer tests: protocol mutants and
-random reachable-state sampling (hand-rolled, deterministic generators).
+"""Shared helpers for the verification-layer tests: protocol mutants,
+random reachable-state sampling (hand-rolled, deterministic generators) and
+the two **reference oracles** the engine is checked against -- the
+definition of symmetry canonicalization executed as written
+(:func:`reference_canonicalize`) and a plain-``set`` breadth-first search
+built on it (:func:`reference_search`).  Neither touches the codec, the
+store, a kernel or the engine's canonicalizer.
 
 Kept out of conftest.py on purpose: test modules import these helpers by
 module name, and ``conftest`` is ambiguous once several test roots (tests/,
@@ -8,15 +13,17 @@ benchmarks/) each carry their own conftest on sys.path."""
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
 from repro.core import GenerationConfig, generate
 from repro.core.fsm import MessageEvent, event_key
-from repro.dsl.types import Permission
-from repro.system import System
+from repro.dsl.types import AccessKind, Permission
+from repro.system import System, Workload
 from repro.system.system import DeliverMessage, GlobalState
 from repro.verification import default_invariants
+from repro.verification.engine.canonical import canonicalizer_for
 
 
 def replay_and_check(system, result):
@@ -125,6 +132,15 @@ class MessageDroppingSystem(System):
         ]
 
 
+def two_access_workload(name: str) -> Workload:
+    """Two accesses per cache for protocol *name*: every access kind, except
+    for MSI-Unordered, which has no eviction path by design."""
+    if name == "MSI-Unordered":
+        return Workload(max_accesses_per_cache=2,
+                        access_kinds=(AccessKind.LOAD, AccessKind.STORE))
+    return Workload(max_accesses_per_cache=2)
+
+
 def sample_reachable_states(
     system: System, *, seed: int, walks: int = 8, max_steps: int = 40
 ) -> list[GlobalState]:
@@ -143,3 +159,60 @@ def sample_reachable_states(
             state = outcome.state
             states.append(state)
     return states
+
+
+def reference_canonicalize(state: GlobalState, perms) -> tuple[GlobalState, tuple]:
+    """The definition of the canonical representative, executed literally:
+    the smallest relabeling of *state*, first minimum in *perms* order.
+    Returns ``(representative, witness)`` with ``representative ==
+    state.relabeled(witness)``."""
+    perm = min(perms, key=lambda p: state.relabeled(p).sort_key())
+    return state.relabeled(perm), perm
+
+
+def production_canonicalize(system: System, state: GlobalState):
+    """``(representative, witness)`` of *state* from the pipeline the
+    searches run (:func:`canonicalizer_for`), decoded back to an object.
+    Asserts on the way that handing over the packed key -- the searches do,
+    and the region memo is then probed with a slice of it -- changes
+    nothing."""
+    codec = system.codec()
+    canonicalizer = canonicalizer_for(codec, system.symmetry_permutations())
+    enc = codec.encode(state)
+    key = codec.pack(enc)
+    rep_enc, perm = canonicalizer.canonicalize(enc, key)
+    assert canonicalizer.canonicalize(enc) == (rep_enc, perm)
+    assert key[: canonicalizer._region_bytes] == codec.pack_tail(
+        enc[: codec.dir_offset]
+    )
+    return codec.decode(rep_enc), perm
+
+
+def reference_search(system: System, symmetry: bool) -> tuple[int, int]:
+    """``(states, transitions)`` of *system*'s reachable space by the
+    plainest search there is: a FIFO of ``GlobalState`` objects, a Python
+    ``set`` of them as the visited set, ``System.enabled_events`` /
+    ``System.apply`` for successors, one representative per orbit by
+    :func:`reference_canonicalize` when *symmetry* is set, every applied
+    transition counted.  It shares ``System`` with the engine and nothing
+    else."""
+    perms = system.symmetry_permutations()
+
+    def representative(state):
+        return reference_canonicalize(state, perms)[0] if symmetry else state
+
+    root = representative(system.initial_state())
+    seen = {root}
+    frontier = deque([root])
+    transitions = 0
+    while frontier:
+        state = frontier.popleft()
+        for event in system.enabled_events(state):
+            transitions += 1
+            outcome = system.apply(state, event)
+            assert outcome.error is None, outcome.error
+            successor = representative(outcome.state)
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return len(seen), transitions
