@@ -1,10 +1,11 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixture and banner for the paper-table suite.
 
-Every benchmark module regenerates one artifact of the paper's evaluation
-(a table, a figure, or a quantitative claim) and prints the corresponding
-rows so the output can be compared against the paper side by side; the
-pytest-benchmark timings measure the cost of the reproduction itself
-(generation and verification runtimes).
+Every module here regenerates one artifact of the paper's evaluation (a
+table, a figure, or a quantitative claim), prints the corresponding rows so
+the output can be compared against the paper side by side, and asserts its
+counts and verdicts.  Nothing here measures: numbers come from
+``bench/run.py`` (the one clock reading is E11's, the paper's own
+"well under a second").
 """
 
 from __future__ import annotations

@@ -13,15 +13,12 @@ from repro.system import System, Workload
 from repro.verification import single_owner_invariant, swmr_invariant, verify
 
 
-def test_tso_cc_generation_and_verification(benchmark, generated):
+def test_tso_cc_generation_and_verification(generated):
     protocol = generated[("TSO-CC", "nonstalling")]
-
-    def check():
-        system = System(protocol, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        return verify(system, invariants=[single_owner_invariant])
-
-    result = benchmark.pedantic(check, rounds=1, iterations=1)
+    result = verify(
+        System(protocol, num_caches=2, workload=Workload(max_accesses_per_cache=2)),
+        invariants=[single_owner_invariant],
+    )
 
     # SWMR in physical time is expected to fail: stale untracked readers can
     # coexist with a writer.  That is the protocol's design point, not a bug.

@@ -1,10 +1,14 @@
 """E11 -- Section VI-E: generation runtime.
 
 The paper reports that ProtoGen's runtime is "always well less than one
-second on an Intel i5".  This benchmark times the full generation pipeline
-(validation, preprocessing, cache and directory generation) for every bundled
-protocol in the non-stalling configuration.
+second on an Intel i5".  This is the one clock reading in ``benchmarks/``:
+the full generation pipeline (validation, preprocessing, cache and directory
+generation) for every bundled protocol in the non-stalling configuration,
+best of three against the paper's one-second claim (measured 2-7 ms).  How
+fast generation is from commit to commit is ``bench/``'s ``generate-family``.
 """
+
+import time
 
 import pytest
 from conftest import banner
@@ -14,14 +18,18 @@ from repro.core import GenerationConfig, generate
 
 
 @pytest.mark.parametrize("name", protocols.available_protocols())
-def test_generation_runtime(benchmark, name):
+def test_generation_runtime(name):
     spec = protocols.load(name)
-    generated = benchmark(lambda: generate(spec, GenerationConfig.nonstalling()))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        generated = generate(spec, GenerationConfig.nonstalling())
+        best = min(best, time.perf_counter() - start)
 
     banner(f"E11 -- generation runtime for {name}")
     print(f"  cache states: {generated.cache.num_states}, "
           f"directory states: {generated.directory.num_states}")
-    print("  paper: always well under one second; see the pytest-benchmark table")
+    print(f"  generate(): {best * 1000:.1f} ms (paper: always well under one second)")
 
     # The paper's claim, with a wide margin for the Python implementation.
-    assert benchmark.stats.stats.mean < 1.0
+    assert best < 1.0

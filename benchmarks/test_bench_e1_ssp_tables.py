@@ -1,7 +1,7 @@
 """E1 -- Tables I and II: the atomic MSI stable state protocol.
 
-Regenerates the content of the paper's input tables from the bundled MSI SSP
-and times SSP construction + validation (the "front end" of the tool).
+Regenerates the content of the paper's input tables from the bundled MSI SSP,
+built and strictly validated (the "front end" of the tool).
 """
 
 from conftest import banner
@@ -17,8 +17,8 @@ def _build_and_validate():
     return spec
 
 
-def test_table1_and_table2_msi_ssp(benchmark):
-    spec = benchmark(_build_and_validate)
+def test_table1_and_table2_msi_ssp():
+    spec = _build_and_validate()
 
     banner("Table I -- specification of cache in atomic MSI protocol")
     cache = spec.cache

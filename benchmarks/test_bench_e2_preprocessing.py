@@ -11,8 +11,8 @@ from repro import protocols
 from repro.core.preprocess import forwarded_arrival_states, preprocess
 
 
-def test_mosi_forwarded_request_renaming(benchmark):
-    result = benchmark(lambda: preprocess(protocols.load("MOSI")))
+def test_mosi_forwarded_request_renaming():
+    result = preprocess(protocols.load("MOSI"))
 
     original = protocols.load("MOSI")
     banner("Table III -- MOSI SSP before preprocessing")

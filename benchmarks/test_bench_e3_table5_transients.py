@@ -12,10 +12,8 @@ from repro.core.fsm import AccessEvent, MessageEvent
 from repro.dsl.types import AccessKind, describe_action
 
 
-def test_table5_transient_states_without_concurrency(benchmark):
-    generated = benchmark(
-        lambda: generate(protocols.load("MSI"), GenerationConfig.nonstalling())
-    )
+def test_table5_transient_states_without_concurrency():
+    generated = generate(protocols.load("MSI"), GenerationConfig.nonstalling())
     cache = generated.cache
 
     banner("Table V -- adding transient states (no concurrency), I->M transaction")

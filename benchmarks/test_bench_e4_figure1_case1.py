@@ -10,10 +10,8 @@ from repro.core.fsm import MessageEvent
 from repro.dsl.types import describe_action
 
 
-def test_figure1_case1_earlier_ordered_transaction(benchmark):
-    generated = benchmark(
-        lambda: generate(protocols.load("MSI"), GenerationConfig.nonstalling())
-    )
+def test_figure1_case1_earlier_ordered_transaction():
+    generated = generate(protocols.load("MSI"), GenerationConfig.nonstalling())
     cache = generated.cache
 
     banner("Figure 1 -- cache S->M transaction with T_other -> T_own")

@@ -9,10 +9,8 @@ from repro.core.fsm import MessageEvent
 from repro.dsl.types import PerformAccess, Send, describe_action
 
 
-def test_figure2_isi_immediate_transition_and_response(benchmark):
-    generated = benchmark(
-        lambda: generate(protocols.load("MSI"), GenerationConfig.nonstalling())
-    )
+def test_figure2_isi_immediate_transition_and_response():
+    generated = generate(protocols.load("MSI"), GenerationConfig.nonstalling())
     cache = generated.cache
 
     banner("Figure 2 -- the I->S transition and the ISI state")

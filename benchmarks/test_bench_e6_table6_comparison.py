@@ -17,10 +17,8 @@ from repro.core import GenerationConfig, generate
 from repro.protocols import primer
 
 
-def test_table6_nonstalling_msi_vs_primer(benchmark):
-    generated = benchmark(
-        lambda: generate(protocols.load("MSI"), GenerationConfig.nonstalling())
-    )
+def test_table6_nonstalling_msi_vs_primer():
+    generated = generate(protocols.load("MSI"), GenerationConfig.nonstalling())
     baseline = primer.nonstalling_msi_cache()
     report = compare_with_baseline(generated.cache, baseline)
 

@@ -12,27 +12,20 @@ runs at one access per cache as the seed did.
 
 import os
 import resource
-import time
 
 import pytest
 from conftest import banner
 
-from bench_reporting import record_run
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.verification import verify
 
 
 @pytest.mark.parametrize("name", ["MSI", "MESI", "MOSI"])
-def test_stalling_protocol_verification(benchmark, generated, name):
+def test_stalling_protocol_verification(generated, name):
     protocol = generated[(name, "stalling")]
-
-    def check():
-        system = System(protocol, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        return verify(system)
-
-    result = benchmark.pedantic(check, rounds=1, iterations=1)
+    result = verify(System(protocol, num_caches=2,
+                           workload=Workload(max_accesses_per_cache=2)))
 
     three_system = System(protocol, num_caches=3, workload=Workload(
         max_accesses_per_cache=1,
@@ -56,23 +49,14 @@ def test_stalling_protocol_verification(benchmark, generated, name):
     assert three_reduced.states_explored < three_full.states_explored
 
 
-def test_stalling_msi_three_caches_full_workload(benchmark, generated):
+def test_stalling_msi_three_caches_full_workload(generated):
     """The paper's Murphi configuration: three caches, two accesses per
     cache, full access mix -- tractable thanks to symmetry reduction (the
     unreduced search is ~6x larger: 174k vs 29.5k states)."""
     protocol = generated[("MSI", "stalling")]
-
-    def check():
-        system = System(protocol, num_caches=3,
-                        workload=Workload(max_accesses_per_cache=2))
-        return verify(system, symmetry=True)
-
-    result = benchmark.pedantic(check, rounds=1, iterations=1)
-    record_run(
-        "e7-msi-3c2a-reduced", result,
-        protocol="MSI", config="stalling",
-        num_caches=3, accesses=2, symmetry=True,
-    )
+    system = System(protocol, num_caches=3,
+                    workload=Workload(max_accesses_per_cache=2))
+    result = verify(system, symmetry=True)
 
     banner("E7 -- stalling MSI, 3 caches x 2 accesses (symmetry-reduced)")
     print(f"  {result.summary}")
@@ -89,13 +73,9 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
     """The full (unreduced) 174 189-state Murphi configuration, run once per
     transition kernel: the reference workload for the backend ladder.
     (The count moved from the 158 007 pinned at compiled-kernel time when
-    fault hardening grew the generated protocols.)  All
-    three runs are recorded to BENCH_results.json; each backend must
-    reproduce the object executor's exploration exactly, the compiled kernel
-    at least 2x faster than the object executor (typically 3-4x), and the
-    batch-vectorized frontier kernel no slower than the compiled one
-    (typically ~2x on this unreduced workload, where canonicalization does
-    not dilute the batch win)."""
+    fault hardening grew the generated protocols.)  Each backend must
+    reproduce the object executor's exploration exactly; how fast each one
+    does it is ``bench/``'s ``full-3c`` vs ``full-3c-vec``."""
     protocol = generated[("MSI", "stalling")]
     system = System(protocol, num_caches=3,
                     workload=Workload(max_accesses_per_cache=2))
@@ -103,25 +83,11 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
     compiled = verify(system)
     objected = verify(system, kernel="object")
     vectorized = verify(system, kernel="vectorized")
-    for bench_id, result in [
-        ("e7-msi-3c2a-full-compiled", compiled),
-        ("e7-msi-3c2a-full-object", objected),
-        ("e7-msi-3c2a-full-vectorized", vectorized),
-    ]:
-        record_run(
-            bench_id, result,
-            protocol="MSI", config="stalling",
-            num_caches=3, accesses=2, symmetry=False,
-        )
 
     banner("E7 -- stalling MSI, 3 caches x 2 accesses (full, kernel axis)")
     print(f"  compiled kernel   : {compiled.summary}")
     print(f"  object kernel     : {objected.summary}")
     print(f"  vectorized kernel : {vectorized.summary}")
-    print(f"  compiled/object   : "
-          f"{objected.elapsed_seconds / compiled.elapsed_seconds:.2f}x")
-    print(f"  vectorized/compiled: "
-          f"{compiled.elapsed_seconds / vectorized.elapsed_seconds:.2f}x")
 
     assert compiled.ok and objected.ok and vectorized.ok
     assert vectorized.kernel == "vectorized"
@@ -130,27 +96,10 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
     assert (compiled.transitions_explored == objected.transitions_explored
             == vectorized.transitions_explored)
     assert vectorized.stats["fallback_transitions"] == 0
-    assert compiled.elapsed_seconds * 2 <= objected.elapsed_seconds, (
-        f"compiled kernel {compiled.elapsed_seconds:.2f}s is not 2x faster "
-        f"than the object executor {objected.elapsed_seconds:.2f}s"
-    )
-    assert vectorized.elapsed_seconds <= compiled.elapsed_seconds, (
-        f"vectorized kernel {vectorized.elapsed_seconds:.2f}s is slower than "
-        f"the compiled kernel {compiled.elapsed_seconds:.2f}s"
-    )
 
 
-#: Worker count of the nightly parallel run and the wall-clock the resumed
-#: leg must finish within when the host actually has the cores for it.
+#: Worker count of the nightly parallel run.
 NIGHTLY_WORKERS = 4
-NIGHTLY_WALL_CLOCK_SECONDS = 300
-
-
-def _schedulable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @pytest.mark.slow
@@ -163,19 +112,15 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
     4! = 24 orbit bound).  The serial compiled kernel covered it in ~25 min
     at ~17 k states/s with 14.5 GB peak RSS; the parallel engine shards the
     visited set across ``NIGHTLY_WORKERS`` worker processes (the parent
-    keeps no key dict at all) and is expected under
-    ``NIGHTLY_WALL_CLOCK_SECONDS`` wall-clock on a host with enough
-    schedulable cores -- the gate is skipped, with the measurement still
-    recorded, on smaller machines where the processes would just time-slice
-    one core.
+    keeps no key dict at all).
 
     Leg 1 is the **resume smoke**: a 2M-state budgeted run stops at a round
     boundary and persists the sharded checkpoint (store links + worker
     digest dumps).  Leg 2 resumes from it under the full budget and must
     land on the exact uninterrupted totals -- checkpoint/resume at nightly
-    scale, not just in the unit suite.  Throughput, peak memory and the
-    engine's worker telemetry (states per worker, rounds, cross-shard
-    share, spill bytes) are recorded to ``BENCH_results.json``.
+    scale, not just in the unit suite.  The summary line (with its elapsed
+    time), peak memory and the engine's worker telemetry (states per
+    worker, rounds, cross-shard share) are printed.
     """
     budget = 30_000_000
     protocol = generated[("MSI", "stalling")]
@@ -194,38 +139,20 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
     # keeps the clean partial-abort path as the backstop if the space ever
     # grows, while the assertions below demand full coverage.
     rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    start = time.perf_counter()
     result = verify(system, max_states=budget, strategy="parallel",
                     processes=NIGHTLY_WORKERS, hash_compaction=True,
                     checkpoint=checkpoint)
-    elapsed = time.perf_counter() - start
     rss_after_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    entry = record_run(
-        "e7-msi-4c2a-full-nightly", result,
-        protocol="MSI", config="stalling",
-        num_caches=4, accesses=2, symmetry=False,
-        processes=NIGHTLY_WORKERS,
-        extra={
-            "max_states": budget,
-            "peak_rss_kb": rss_after_kb,
-            "peak_rss_delta_kb": max(0, rss_after_kb - rss_before_kb),
-            "resumed_leg_seconds": round(elapsed, 3),
-        },
-    )
-
-    cores = _schedulable_cores()
     banner("E7 -- stalling MSI, 4 caches x 2 accesses (full, parallel nightly)")
     print(f"  {result.summary}")
     print(f"  resumed at level        : {result.stats['resume_level']}")
-    print(f"  states/second           : {entry['states_per_second']}")
     print(f"  states per worker       : {result.stats['worker_states']}")
     print(f"  rounds / cross-shard    : {result.stats['round_count']} / "
           f"{result.stats['cross_shard_share']:.3f}")
     print(f"  peak RSS                : {rss_after_kb / 1024:.0f} MB "
-          f"(+{entry['peak_rss_delta_kb'] / 1024:.0f} MB during the search)")
-    print(f"  resumed leg wall-clock  : {elapsed:.0f}s "
-          f"({cores} schedulable cores)")
+          f"(+{max(0, rss_after_kb - rss_before_kb) / 1024:.0f} MB during "
+          f"the search)")
 
     assert result.ok
     assert result.strategy == "parallel"
@@ -238,11 +165,3 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
     assert result.states_explored == 24_579_648
     assert result.transitions_explored == 80_091_260
     assert sum(result.stats["worker_states"]) > 0
-    if cores > NIGHTLY_WORKERS:
-        assert elapsed < NIGHTLY_WALL_CLOCK_SECONDS, (
-            f"resumed nightly leg took {elapsed:.0f}s on {cores} cores "
-            f"(gate: {NIGHTLY_WALL_CLOCK_SECONDS}s)"
-        )
-    else:
-        print(f"  wall-clock gate skipped: {cores} schedulable cores <= "
-              f"{NIGHTLY_WORKERS} workers")

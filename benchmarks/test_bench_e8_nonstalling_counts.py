@@ -15,16 +15,11 @@ from repro.verification import verify
 
 
 @pytest.mark.parametrize("name", ["MSI", "MESI", "MOSI"])
-def test_nonstalling_protocol_counts_and_verification(benchmark, generated, name):
+def test_nonstalling_protocol_counts_and_verification(generated, name):
     protocol = generated[(name, "nonstalling")]
     metrics = protocol_metrics(protocol)
-
-    def check():
-        system = System(protocol, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        return verify(system)
-
-    result = benchmark.pedantic(check, rounds=1, iterations=1)
+    result = verify(System(protocol, num_caches=2,
+                           workload=Workload(max_accesses_per_cache=2)))
 
     reduced = verify(
         System(protocol, num_caches=2, workload=Workload(max_accesses_per_cache=2)),

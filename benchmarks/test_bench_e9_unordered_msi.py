@@ -15,7 +15,6 @@ exact state counts -- instead of documenting the failure.
 
 from conftest import banner
 
-from bench_reporting import record_run
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.verification import verify
@@ -26,20 +25,15 @@ DEEP_FULL_STATES = 449_102
 DEEP_REDUCED_STATES = 75_148
 
 
-def test_unordered_msi_verification(benchmark, generated):
+def test_unordered_msi_verification(generated):
     protocol = generated[("MSI-Unordered", "nonstalling")]
-
-    def check():
-        system = System(
-            protocol,
-            num_caches=2,
-            workload=Workload(max_accesses_per_cache=2,
-                              access_kinds=(AccessKind.LOAD, AccessKind.STORE)),
-            ordered=False,
-        )
-        return verify(system)
-
-    result = benchmark.pedantic(check, rounds=1, iterations=1)
+    result = verify(System(
+        protocol,
+        num_caches=2,
+        workload=Workload(max_accesses_per_cache=2,
+                          access_kinds=(AccessKind.LOAD, AccessKind.STORE)),
+        ordered=False,
+    ))
 
     three_system = System(
         protocol,
@@ -67,21 +61,6 @@ def test_unordered_msi_verification(benchmark, generated):
     # counts on this unordered-network deep run (its hardest parity case:
     # unordered sections dedupe in-flight multiset permutations).
     deep_reduced_vec = verify(deep_system, symmetry=True, kernel="vectorized")
-    record_run(
-        "e9-msi-unordered-3c2a-full", deep_full,
-        protocol="MSI-Unordered", config="nonstalling",
-        num_caches=3, accesses=2, symmetry=False,
-    )
-    record_run(
-        "e9-msi-unordered-3c2a-reduced", deep_reduced,
-        protocol="MSI-Unordered", config="nonstalling",
-        num_caches=3, accesses=2, symmetry=True,
-    )
-    record_run(
-        "e9-msi-unordered-3c2a-reduced-vectorized", deep_reduced_vec,
-        protocol="MSI-Unordered", config="nonstalling",
-        num_caches=3, accesses=2, symmetry=True,
-    )
 
     banner("E9 -- MSI for an unordered network")
     print(f"  cache states: {protocol.cache.num_states} "

@@ -176,9 +176,16 @@ class TransitionKernel:
                 codec.access_kinds.index(kind) for kind in workload.access_kinds
             )
             self._litmus_ops = None
-        #: Single-plane, fault-free, non-litmus configs keep the historical
-        #: fast enumeration/apply path bit-for-bit; everything else routes
-        #: through the general (plane-aware) path.
+        #: Which of the two enumeration/apply forks runs: the simple one for
+        #: a single plane with no fault lane and no litmus program, the
+        #: general (plane-aware) one for everything else.  The general fork
+        #: expands a simple configuration identically (``test_kernel.py``
+        #: forces it over whole 2c x 2a spaces) -- both stay because it is
+        #: slower there: a plane tuple per state, an ``_event`` call and two
+        #: more fields per plan.  Forced onto bench ``full-3c`` it costs
+        #: ``pass_cpu_s`` 3.05 -> 3.83 s (+25 %, higher in 6 of 6 pairs), on
+        #: ``reduced-3c`` 0.99 -> 1.05 s (+6 %, 5 of 6); ``matrix-2c`` is the
+        #: workload on the general side.
         self._simple = (
             self.num_addresses == 1
             and self.fault_offset is None
@@ -1012,7 +1019,9 @@ class TransitionKernel:
         is the parent's lanes with one or two local edits, emitted as slice
         copies around them.  Bit-identical to the general merge (*pos* is the
         absorbed record's index in channel *where*; non-zero only under
-        fault-mode re-queue bypass).
+        fault-mode re-queue bypass), which handles one send too: sending
+        every single send through the merge costs bench ``full-3c``
+        ``pass_cpu_s`` 3.05 -> 3.27 s (+7 %, higher in 5 of 6 pairs).
         """
         mw = MESSAGE_ENCODED_WIDTH
         k0, k1, k2 = m[1], m[2], m[3]

@@ -6,10 +6,10 @@ the pending frontier as ``(state_id, packed_key)`` pairs, the depth it
 stands at, the store's typed trace-link columns with the intern keys in ID
 order (the batch search's row table is saved as the keys its rows stand
 for: a row names its network section by a process-local ID), and the
-running counters.  A search whose visited set has moved to the worker
-fleet's shards has no keys in its store; its checkpoint carries the
-workers' shard digests instead (re-shardable under a different worker
-count on resume).
+running counters.  A search on the worker fleet has no keys in its store
+(its visited set lives in the workers' shards from the root on); its
+checkpoint carries the workers' shard digests instead (re-shardable under
+a different worker count on resume).
 
 The pickle body is followed by its BLAKE2b digest, verified before
 anything is unpickled: a file that was cut short *or* had a bit flipped
@@ -39,7 +39,10 @@ import os
 import pickle
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
-CHECKPOINT_VERSION = 3
+#: 4: a ``parallel`` payload always carries ``shards``.  A version-3 file
+#: could hold a parallel search saved before its fleet forked (keys in the
+#: store, ``shards`` None), which nothing can seed a fleet from.
+CHECKPOINT_VERSION = 4
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32

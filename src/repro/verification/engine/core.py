@@ -1,21 +1,19 @@
 """The :func:`verify` facade and its shared exploration context.
 
-This module replaces the seed's monolithic BFS explorer with an engine that
-composes three orthogonal pieces:
+The engine composes three orthogonal pieces:
 
 * **symmetry reduction** (:mod:`repro.verification.engine.canonical`) --
   cache-ID canonicalization before de-duplication, mirroring Murphi
-  scalarsets; off by default so existing callers see bit-identical state
-  counts, enabled with ``verify(system, symmetry=True)``;
+  scalarsets; off unless ``verify(system, symmetry=True)`` (or the
+  ``System``) asks for it;
 * **an interned state store** (:mod:`repro.verification.engine.store`) --
-  dense integer IDs and typed parent-link columns instead of a
-  ``dict[GlobalState, (GlobalState, SystemEvent)]`` parent map, with
-  optional hash compaction for the per-state searches and an exact
-  open-addressed row table as the batch search's visited set;
+  dense integer IDs and typed parent-link columns, with optional hash
+  compaction for the per-state searches and an exact open-addressed row
+  table as the batch search's visited set;
 * **one search driver** (:mod:`repro.verification.engine.driver`) run by
   pluggable strategies (:mod:`repro.verification.engine.search`) --
-  breadth-first (default), depth-first, and a breadth-first search that
-  moves wide levels onto a fleet of forked worker processes.
+  breadth-first (default), depth-first, and breadth-first on a fleet of
+  forked worker processes.
 
 Counterexample traces remain valid under symmetry reduction: every stored
 transition records the permutation that canonicalized its successor, and
@@ -71,7 +69,9 @@ class VerificationResult:
     #: Name of the search strategy that produced this result.
     strategy: str = "bfs"
     #: Which transition backend expanded states: "compiled" (the lowered
-    #: table kernel over encoded states) or "object" (the dataclass executor).
+    #: table kernel over encoded states, one state at a time), "vectorized"
+    #: (the same tables over whole BFS levels as NumPy lane matrices) or
+    #: "object" (the dataclass executor).
     kernel: str = "object"
     #: Measured search breakdown, so bottleneck claims come from numbers
     #: instead of inference: ``kernel`` / ``strategy`` (the backends that
@@ -87,11 +87,11 @@ class VerificationResult:
     #: ``orbit_memo_entries`` (sizes of the symmetry pipeline's two caches,
     #: likewise; ``None`` with symmetry off), ``omission_bound`` (what a
     #: digest can miss: wherever membership is decided by 128-bit digest --
-    #: ``hash_compaction=True`` on a per-state search, or any search that
-    #: forked the fleet -- two distinct states sharing a digest would make
-    #: the search silently skip one, and for the ``n`` states stored that
-    #: happens with probability at most ``n(n-1)/2 / 2**128``; ``None``
-    #: where keys or rows are compared whole, which includes
+    #: ``hash_compaction=True`` on a per-state search, or any search on
+    #: the parallel strategy's fleet -- two distinct states sharing a digest
+    #: would make the search silently skip one, and for the ``n`` states
+    #: stored that happens with probability at most ``n(n-1)/2 / 2**128``;
+    #: ``None`` where keys or rows are compared whole, which includes
     #: ``kernel="vectorized"`` whatever ``hash_compaction`` says),
     #: ``canonicalization_seconds`` (CPU
     #: seconds inside symmetry canonicalization; summed across workers for
@@ -101,9 +101,9 @@ class VerificationResult:
     #: the parent's wall-clock, so ``expansion_seconds`` is ``None`` there
     #: instead of a bogus subtraction.  ``round_count`` (rounds the worker
     #: fleet ran) and ``cross_shard_share`` (candidates serialised to
-    #: another owner / transitions) are ``None`` for a search that never
-    #: forked; ``worker_states`` / ``spill_bytes`` / ``steal_count``
-    #: (always 0) appear only for one that did.
+    #: another owner / transitions) are ``None`` unless the strategy is
+    #: ``parallel``; ``worker_states`` / ``spill_bytes`` / ``steal_count``
+    #: (always 0) appear only when it is.
     stats: dict = field(default_factory=dict)
 
     @property
@@ -112,9 +112,9 @@ class VerificationResult:
 
         A partial PASS means *no violation was found within the budget*, not
         that the protocol is verified: only the explored prefix of the state
-        space is covered.  The perf-smoke CI job and the benchmark reporter
-        use budgeted runs; callers that need full coverage should check this
-        flag (or ``truncated``, its storage field) before trusting ``ok``.
+        space is covered.  Callers that need full coverage should check
+        this flag (or ``truncated``, its storage field) before trusting
+        ``ok``.
         """
         return self.truncated
 
@@ -485,9 +485,16 @@ def verify(
 ) -> VerificationResult:
     """Exhaustively explore *system* and check all invariants.
 
-    Parameters beyond the seed API (all optional, defaults preserve the
-    seed's exact behaviour and state counts):
+    Every parameter but *system* is optional; the defaults are an
+    exhaustive serial BFS on the compiled kernel without symmetry reduction.
 
+    ``invariants``
+        The predicates every reachable state must satisfy
+        (:func:`~repro.verification.invariants.default_invariants` when
+        omitted).
+    ``check_deadlock``
+        Report a non-quiescent state with no enabled event as a deadlock
+        (on by default).
     ``max_states``
         State budget: the search aborts cleanly once the budget is reached
         and returns a **partial** result (``result.partial`` /
@@ -501,9 +508,8 @@ def verify(
         state whose caches still hold unissued workload budget but where no
         transition is enabled can never absorb the remaining accesses; with
         ``deadlock=True`` it is reported as a deadlock failure with a
-        replayable trace instead of being counted as a completed run.  Off
-        by default: the seed explorer counts such states as complete, and a
-        mid-search failure would cut the pinned state counts short.
+        replayable trace instead of being counted as a completed run
+        (``result.complete_states``).  Off by default.
     ``symmetry``
         Canonicalize cache IDs before de-duplication (Murphi scalarset
         reduction).  Explores one representative per cache-permutation orbit
@@ -511,8 +517,8 @@ def verify(
         verdict; counterexample traces are relabeled back to the concrete
         frame and stay replayable.
     ``strategy``
-        ``"bfs"`` (default), ``"dfs"``, ``"parallel"`` (BFS that moves wide
-        levels onto forked shared-memory workers), or a
+        ``"bfs"`` (default), ``"dfs"``, ``"parallel"`` (BFS on forked
+        shared-memory workers, every level from the root's on), or a
         :class:`~repro.verification.engine.search.SearchStrategy` instance.
         All strategies explore the same state set and report the same
         verdicts; BFS yields shortest counterexamples.

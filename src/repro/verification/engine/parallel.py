@@ -289,7 +289,7 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
                 conn.send(_worker_dedup(ws, msg[1]))
             elif op == "base":
                 ws.ids = range(msg[1], msg[1] + len(ws.level))
-            elif op == "load":  # a portable level: spin-up or resume
+            elif op == "load":  # a portable level: the root's, or a resumed one
                 ws.ids, ws.level = msg[1], ws.expander.lift(list(enumerate(msg[2])))
             elif op == "lower":
                 pairs = ws.expander.lower(ws.level)
@@ -414,13 +414,14 @@ class ShmEngine(Expander):
         self.perm_table = (*(ctx.perms or ()), None)
 
     # -- lifecycle -------------------------------------------------------------
-    def spinup(self, *, seed_keys=None, seed_blobs=None) -> None:
-        """Fork the workers, seeding their shards with the visited set.
-
-        *seed_keys* comes from the in-process phase's store (packed keys,
-        or digests already under hash compaction); *seed_blobs* comes from
-        a checkpoint saved past spin-up.  Either way the blob is inherited
-        by fork -- zero-copy -- and each worker keeps only its shard.
+    def spinup(self) -> None:
+        """Fork the workers, seeding their shards with the visited set: the
+        root's digest on a fresh search, the checkpoint's shard dumps on a
+        resumed one (re-sharded under whatever worker count this run uses).
+        The blob is inherited by fork -- zero-copy -- and each worker keeps
+        only its shard.  From here on membership and the pending states
+        live on the workers: the parent drops its key index and only
+        extends trace links.
         """
         # Start the resource tracker *before* forking so every worker
         # inherits the parent's tracker (one shared registry with set
@@ -431,12 +432,11 @@ class ShmEngine(Expander):
 
         resource_tracker.ensure_running()
         ctx = self.ctx
-        if seed_keys is None:
-            seed_blob = b"".join(seed_blobs or [])
-        elif ctx.store.hash_compaction:
-            seed_blob = b"".join(seed_keys)
+        if ctx.resume is not None:
+            seed_blob = b"".join(ctx.resume["shards"])
         else:
-            seed_blob = b"".join(map(digest128, seed_keys))
+            seed_blob = digest128(ctx.root_key)
+        ctx.store.drop_index()
         for wid in range(self.nworkers):
             ours, theirs = self.mp.Pipe()
             proc = self.mp.Process(

@@ -7,15 +7,13 @@ driver (:func:`~repro.verification.engine.driver.drive`) runs.
 * :class:`DepthFirst` -- hands the driver the top of a stack instead;
   explores the same state set and reports the same verdicts, typically
   finding *some* counterexample sooner at the cost of longer traces.
-* :class:`ParallelBreadthFirst` -- BFS whose expander changes under way:
-  per-state and in-process while levels are narrow, and from the first
-  level wider than :data:`POOL_SPINUP_FRONTIER` the **shared-memory worker
-  fleet** (:mod:`repro.verification.engine.parallel`), seeded with the
-  visited set.  From there every state stays on the worker that owns its
-  digest and the parent keeps no key at all -- it only extends columnar
-  trace links -- so traces work exactly as in the serial strategies while
-  the parent's per-state footprint stays flat.  Falls back to serial BFS
-  when ``fork`` is unavailable or fewer than two workers are requested.
+* :class:`ParallelBreadthFirst` -- BFS on the **shared-memory worker
+  fleet** (:mod:`repro.verification.engine.parallel`), forked before the
+  first level.  Every state stays on the worker that owns its digest and
+  the parent keeps no key at all -- it only extends columnar trace links --
+  so traces work exactly as in the serial strategies while the parent's
+  per-state footprint stays flat.  Falls back to serial BFS when ``fork``
+  is unavailable or fewer than two workers are requested.
 
 There are four expanders.  Two are per-state and live beside the driver:
 the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
@@ -45,7 +43,6 @@ from time import perf_counter
 from repro.verification.engine.driver import (
     _RAW_SEEN_LIMIT,
     CompiledExpander,
-    Expander,
     drive,
     per_state_expander,
     start_point,
@@ -325,22 +322,6 @@ class DepthFirst(SearchStrategy):
         return drive(ctx, per_state_expander(ctx), *start_point(ctx), lifo=True)
 
 
-#: Frontier width above which the parallel strategy spins up its worker
-#: fleet.  Measured with two workers on the 2-core reference host: the fork
-#: is ``parallel.spinup_s`` ~ 0.01 s on bench ``full-3c-par2`` (the visited
-#: set is inherited; each worker then filters its shard out of it), and a
-#: round carries ~1 ms of fixed cost (two pipe barriers: a 36-state round
-#: takes 0.9 ms end to end), so forcing the fleet onto a 1 702-state,
-#: 19-level space costs 0.058 s against 0.017 s in-process.  The fork alone
-#: is worth only ~400 states of serial work at ~38 k states/s; what the
-#: threshold buys is that searches whose levels never get wide -- where
-#: every round would be mostly barrier -- stay in-process and pay nothing,
-#: and the fleet forks on the first level that hands each of two workers
-#: about a thousand states.  The value has not been re-tuned since the
-#: rounds became owner-computes.
-POOL_SPINUP_FRONTIER = 2048
-
-
 def _schedulable_cores() -> int:
     """Cores this process may run on: ``os.cpu_count()`` reports the host's
     CPUs even inside a cgroup/affinity-limited container."""
@@ -350,57 +331,12 @@ def _schedulable_cores() -> int:
         return os.cpu_count() or 2
 
 
-def _run_fleet(engine, frontier, depth):
-    try:
-        return engine.drive(frontier, depth)
-    finally:
-        engine.shutdown()
-
-
-class _LazyFleet(Expander):
-    """The parallel strategy's expander: per-state and in-process until a
-    level exceeds :data:`POOL_SPINUP_FRONTIER`, so searches too small to
-    amortize the fleet's fixed costs never pay them.  That level is
-    lowered and handed to a freshly forked
-    :class:`~repro.verification.engine.parallel.ShmEngine`, which deals it
-    out by owner and whose own drive finishes the search; its result ends
-    this one.
-    """
-
-    def __init__(self, ctx, mp, processes, depth):
-        self.ctx = ctx
-        self.mp = mp
-        self.processes = processes
-        #: Levels below the one ``expand`` is handed (the fleet's start).
-        self.depth = depth
-        self.narrow = per_state_expander(ctx)
-        self.lift = self.narrow.lift
-        self.lower = self.narrow.lower
-
-    def expand(self, level):
-        if len(level) <= POOL_SPINUP_FRONTIER:
-            self.depth += 1
-            return self.narrow.expand(level)
-        ctx = self.ctx
-        # A copy: ``lower`` is the identity for the compiled expander, and
-        # the level is cleared so no forked worker inherits native states.
-        frontier = list(self.narrow.lower(level))
-        level.clear()
-        engine = ShmEngine(ctx, self.mp, self.processes)
-        # Seed worker shards with everything interned so far (post-_key
-        # keys: under hash compaction these already ARE the 128-bit
-        # digests), then drop the parent's key index -- from here on
-        # membership and the pending states live on the workers and the
-        # parent only extends trace links.
-        engine.spinup(seed_keys=list(ctx.store.iter_keys()))
-        ctx.store.drop_index()
-        return None, _run_fleet(engine, frontier, self.depth)
-
-
 class ParallelBreadthFirst(SearchStrategy):
-    """Level-synchronous BFS that moves onto the shared-memory worker fleet
-    (:mod:`repro.verification.engine.parallel`) once a level is wide enough
-    to feed it -- see :class:`_LazyFleet`."""
+    """Level-synchronous BFS on the shared-memory worker fleet
+    (:mod:`repro.verification.engine.parallel`), from the root: asking for
+    workers forks them, whatever the size of the space (two pipe barriers a
+    round: 0.07-0.12 s against 0.02-0.03 s in-process on a 1 702-state,
+    19-level one)."""
 
     name = "parallel"
 
@@ -419,16 +355,12 @@ class ParallelBreadthFirst(SearchStrategy):
     def run(self, ctx):
         if self.name == BreadthFirst.name:
             return BreadthFirst().run(ctx)
-        mp, processes = self.mp, self.processes
-        frontier, depth = start_point(ctx)
-        if ctx.resume is not None and ctx.resume["shards"] is not None:
-            # Checkpoint from past spin-up: the store snapshot has no keys;
-            # the visited set rides in the shard digest dumps, re-sharded
-            # here under whatever worker count this run uses.
-            engine = ShmEngine(ctx, mp, processes)
-            engine.spinup(seed_blobs=ctx.resume["shards"])
-            return _run_fleet(engine, frontier, depth)
-        return drive(ctx, _LazyFleet(ctx, mp, processes, depth), frontier, depth)
+        engine = ShmEngine(ctx, self.mp, self.processes)
+        try:
+            engine.spinup()
+            return engine.drive(*start_point(ctx))
+        finally:
+            engine.shutdown()
 
 
 def resolve_strategy(spec, *, processes: int | None = None) -> SearchStrategy:

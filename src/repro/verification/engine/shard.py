@@ -8,9 +8,9 @@ digest :class:`~repro.verification.engine.store.StateStore` uses for
 partition: it decides who answers membership for a candidate successor
 (exactly once, at once when the producer is the owner), who keeps the state
 in its pending level and who expands it, and it is how the parent deals a
-portable frontier out at spin-up and on resume.  The parent process keeps
-only the columnar trace links -- no key dict at all once the pool is up --
-which is what holds its footprint flat as the state count grows.
+portable frontier out (the root, or a resumed checkpoint's).  The parent
+process keeps only the columnar trace links -- no key dict at all -- which
+is what holds its footprint flat as the state count grows.
 
 :class:`SpillableKeySet` is one worker's shard.  It is an insert-only set of
 16-byte digests with two tiers:

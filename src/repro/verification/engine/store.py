@@ -1,10 +1,7 @@
 """Interned state store: dense integer IDs plus columnar parent links.
 
-The seed explorer kept a ``dict[GlobalState, tuple[GlobalState | None,
-SystemEvent | None]]`` -- every entry held two full state objects, and each
-membership test plus insert hashed the nested dataclasses twice.  The store
-interns each (canonical) state exactly once, hands out a dense integer ID,
-and records the search tree column-wise:
+The store interns each (canonical) state exactly once, hands out a dense
+integer ID, and records the search tree column-wise:
 
 * ``parent[id]`` -- ID of the state this one was first reached from (-1 for
   the root);
@@ -14,11 +11,10 @@ and records the search tree column-wise:
   successor into the stored representative (``None`` when symmetry reduction
   is off or the successor was already canonical).
 
-Since the encoded-state core landed, the search strategies intern the
-**packed codec encoding** (:meth:`repro.system.codec.StateCodec.pack`) of
-each canonical state rather than the object tree: the visited set then keys
-on compact ``bytes``, which hash at C speed and cost tens of bytes per state
-instead of kilobytes of linked dataclasses.  The store itself is agnostic --
+Every expander interns the **packed codec encoding**
+(:meth:`repro.system.codec.StateCodec.pack`) of a canonical state, never
+the object tree: the visited set keys on compact ``bytes``, which hash at C
+speed and cost tens of bytes per state.  The store itself is agnostic --
 any hashable key works, so object-keyed use (tests, tooling) stays valid.
 
 Because traces are rebuilt by *replaying events* (not by reading back stored
@@ -419,7 +415,7 @@ class StateStore:
         (``rows_of(keys) -> matrix``, ``keys_of(matrix) -> keys``).  The
         keys interned so far enter the table in ID order, so from here on
         a state's ID *is* its arena index; the dict is dropped as at fleet
-        spin-up (so :meth:`__contains__` and :meth:`iter_keys` are invalid),
+        spin-up (so :meth:`__contains__` is invalid),
         :meth:`intern_batch` becomes valid, and :meth:`intern` keeps
         working on packed keys.  The store must hold exact keys
         (no hash compaction): a digest cannot become a row.
@@ -489,10 +485,6 @@ class StateStore:
             self._ids = None
         else:
             self._ids = {key: state_id for state_id, key in enumerate(keys)}
-
-    def iter_keys(self):
-        """The key dict's keys (post-:meth:`_key`), in ID order."""
-        return iter(self._ids)
 
     def link(self, state_id: int) -> tuple[int, SystemEvent | None, Permutation | None]:
         """The ``(parent_id, event, perm)`` triple recorded for *state_id*."""

@@ -18,9 +18,9 @@ The contract under test (``verify(..., checkpoint=PATH)``):
 There is one checkpoint shape; what varies is who lowers the frontier into
 it.  Covered here: the per-state expanders under BFS (compiled and object
 kernels, both symmetry modes, hash compaction) and DFS (whose boundary is
-the exact pop), the vectorized expander, and the parallel strategy below
-its spin-up threshold.  Past spin-up the checkpoint carries shard digests;
-that has its own suite in ``test_parallel_engine.py``.
+the exact pop), the vectorized expander, and the worker fleet, whose
+checkpoint carries shard digests in place of store keys (resuming under a
+different worker count is in ``test_parallel_engine.py``).
 """
 
 import hashlib
@@ -32,6 +32,7 @@ import pytest
 from repro.system import System, Workload
 from repro.verification import verify
 from repro.verification.engine import CheckpointMismatch
+from repro.verification.engine.checkpoint import CHECKPOINT_VERSION
 
 from verification_helpers import make_swmr_mutant
 
@@ -61,13 +62,11 @@ def run_sliced(system, path, budgets, **mode):
     return result
 
 
-# Every expander that writes the checkpoint from this process: per-state
-# under BFS (compiled / object / symmetry / hash-compaction axes) and DFS,
-# the vectorized one, and the parallel strategy while its levels stay under
-# POOL_SPINUP_FRONTIER (these 2-cache spaces never reach it).  The last mode
-# is the parallel strategy's serial stand-in: it used to take the name "bfs"
-# only inside ``run``, after the resuming leg had fingerprinted "parallel",
-# and so rejected its own file.
+# Every expander that lowers a frontier into the checkpoint: per-state under
+# BFS (compiled / object / symmetry / hash-compaction axes) and DFS, the
+# vectorized one, and the fleet.  The last mode is the parallel strategy's
+# serial stand-in: it used to take the name "bfs" only inside ``run``, after
+# the resuming leg had fingerprinted "parallel", and so rejected its own file.
 CHECKPOINT_MODES = [
     dict(),
     dict(kernel="object"),
@@ -203,16 +202,18 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    def test_stale_payload_version(self, saved_checkpoint):
-        """An intact file (its checksum holds) of another payload version."""
+    @pytest.mark.parametrize("version", [-1, CHECKPOINT_VERSION - 1])
+    def test_stale_payload_version(self, saved_checkpoint, version):
+        """An intact file (its checksum holds) of another payload version
+        -- the previous one included: no reader is kept for it."""
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
-        payload["version"] = -1
+        payload["version"] = version
         body = pickle.dumps(payload)
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
-        with pytest.raises(CheckpointMismatch, match="version"):
+        with pytest.raises(CheckpointMismatch, match=f"version {version},"):
             verify(system, max_states=40_000, checkpoint=path)
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage"])
@@ -231,19 +232,13 @@ class TestMismatchRejection:
     @pytest.mark.parametrize("mode", [
         dict(),
         dict(kernel="vectorized"),
-        dict(strategy="parallel", processes=2, spinup=True),
+        dict(strategy="parallel", processes=2),
     ], ids=["serial", "vectorized", "fleet"])
-    def test_flipped_byte_is_refused(self, msi_nonstalling, tmp_path,
-                                     monkeypatch, mode):
+    def test_flipped_byte_is_refused(self, msi_nonstalling, tmp_path, mode):
         """A checkpoint still unpickles with one byte flipped inside a key
         or a column; the payload checksum is what refuses it -- whoever
         wrote the file: the serial store, the row table, the fleet's
         shard dumps."""
-        mode = dict(mode)
-        if mode.pop("spinup", False):
-            from repro.verification.engine import search as search_mod
-
-            monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         path = str(tmp_path / "run.ckpt")
@@ -253,7 +248,7 @@ class TestMismatchRejection:
             pytest.skip("parallel strategy unavailable on this platform")
         with open(path, "rb") as f:
             blob = bytearray(f.read())
-        # Past spin-up the visited set is in the shard dumps, not the store.
+        # The fleet's visited set is in the shard dumps, not the store.
         assert (pickle.loads(blob)["shards"] is not None) == ("strategy" in mode)
         blob[len(blob) // 2] ^= 0x01
         with open(path, "wb") as f:

@@ -342,14 +342,10 @@ class TestSearchStats:
                      dict(strategy="parallel", processes=2)):
             assert verify(system, **mode).stats["visited_bytes"] is None, mode
 
-    def test_omission_bound_says_what_a_digest_can_miss(
-        self, msi_nonstalling, monkeypatch
-    ):
+    def test_omission_bound_says_what_a_digest_can_miss(self, msi_nonstalling):
         """Membership by 128-bit digest can merge two distinct states; the
         result states the birthday bound on that over the states stored.
         Where keys or rows are compared whole there is nothing to bound."""
-        from repro.verification.engine import search as search_mod
-
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         bound = 1702 * 1701 / 2 / 2**128
@@ -358,15 +354,11 @@ class TestSearchStats:
         assert compact.states_explored == 1702
         assert compact.stats["omission_bound"] == bound
         assert verify(system).stats["omission_bound"] is None
-        # An unforked parallel search keeps exact keys in the parent.
-        assert verify(system, strategy="parallel", processes=2
-                      ).stats["omission_bound"] is None
         if importlib.util.find_spec("numpy") is not None:
             # The batch path keeps exact rows whatever ``hash_compaction`` says.
             rows = verify(system, kernel="vectorized", hash_compaction=True)
             assert rows.kernel == "vectorized"
             assert rows.stats["omission_bound"] is None
-        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
         fleet = verify(system, strategy="parallel", processes=2)
         if fleet.strategy != "parallel":  # fork unavailable: serial fallback
             pytest.skip("parallel strategy unavailable on this platform")
@@ -433,24 +425,12 @@ class TestSearchStats:
             pytest.skip("parallel strategy unavailable on this platform")
         assert result.stats["decode_count"] == 0
         assert result.stats["canonicalization_seconds"] > 0.0
-        # This search never grows a level past POOL_SPINUP_FRONTIER, so the
-        # lazy pool never forks and the whole run stays in-process: the
-        # wall-clock time split is meaningful and must be reported.  (Only
-        # once workers actually run does expansion_seconds become None --
-        # worker canonicalization time is CPU summed across processes, not
-        # comparable to the parent's wall-clock.)
-        assert result.stats["expansion_seconds"] is not None
 
-    def test_forked_parallel_run_reports_worker_telemetry(
-        self, msi_nonstalling, monkeypatch
-    ):
-        """Once the shared-memory fleet forks, the result must say what the
-        workers did: states expanded per worker, chunks stolen beyond the
+    def test_forked_parallel_run_reports_worker_telemetry(self, msi_nonstalling):
+        """A search on the shared-memory fleet must say what the workers
+        did: states expanded per worker, chunks stolen beyond the
         one-per-worker baseline, and bytes spilled (zero without a
         spill dir)."""
-        from repro.verification.engine import search as search_mod
-
-        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, symmetry=True, strategy="parallel", processes=2)
@@ -464,7 +444,7 @@ class TestSearchStats:
         assert stats["steal_count"] == 0
         assert stats["spill_bytes"] == 0
         assert stats["resume_level"] is None
-        # One round per BFS level past spin-up; with two owners some, but
+        # One round per BFS level; with two owners some, but
         # fewer than all, candidates cross to the other shard.
         assert 0 < stats["round_count"] < result.states_explored
         assert 0.0 < stats["cross_shard_share"] < 1.0
@@ -485,14 +465,10 @@ class TestSearchStats:
         assert result.stats["resume_level"] is None
 
     def test_parallel_pool_spinup_suppresses_expansion_split(
-        self, msi_nonstalling, monkeypatch
+        self, msi_nonstalling
     ):
-        """Force the lazy pool to fork (threshold 0) and check the original
-        multi-process contract: worker CPU time is summed, so no wall-clock
-        expansion figure is fabricated."""
-        from repro.verification.engine import search as search_mod
-
-        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+        """The multi-process contract: worker CPU time is summed, so no
+        wall-clock expansion figure is fabricated."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, symmetry=True, strategy="parallel", processes=2)
@@ -538,15 +514,13 @@ class TestNoSilentWrap:
         with pytest.raises(LaneOverflow, match="lane value 256"):
             verify(aged, kernel=kernel)
 
-    def test_the_fleet_raises_the_same_error(self, aged, monkeypatch):
+    def test_the_fleet_raises_the_same_error(self, aged):
         import multiprocessing
 
         from repro.system import LaneOverflow
-        from repro.verification.engine import search as search_mod
 
         if resolve_strategy("parallel", processes=2).name != "parallel":
             pytest.skip("parallel strategy unavailable on this platform")
-        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
         with pytest.raises(LaneOverflow, match="lane value 256"):
             verify(aged, strategy="parallel", processes=2)
         assert not multiprocessing.active_children()
@@ -602,10 +576,7 @@ class TestLaneWidthParity:
         assert result.stats["orbit_memo_entries"] == 577
 
     @pytest.mark.parametrize("symmetry", [False, True])
-    def test_fleet_counts(self, system, monkeypatch, symmetry):
-        from repro.verification.engine import search as search_mod
-
-        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
+    def test_fleet_counts(self, system, symmetry):
         result = verify(system, symmetry=symmetry, strategy="parallel",
                         processes=2)
         if result.strategy != "parallel":  # fork unavailable: serial fallback
@@ -756,21 +727,19 @@ class TestRetainedObjects:
 @pytest.mark.parametrize("axes", [
     dict(faults=dict(duplicate=True, reorder=True)),
     dict(num_addresses=2),
-    dict(spinup=True),
+    dict(strategy="parallel"),
 ], ids=lambda axes: "-".join(axes))
 def test_stored_events_are_shared_off_the_hot_loop(
-        msi_nonstalling, explorations, monkeypatch, axes):
+        msi_nonstalling, explorations, axes):
     """The general (fault / multi-address) enumeration and the fleet's
     absorb loop hand the store the same interned event tuples the simple
     per-state path does."""
     from repro.system.system import FaultModel
-    from repro.verification.engine import search as search_mod
 
     axes = dict(axes)
     mode = {}
-    if axes.pop("spinup", False):
-        monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
-        mode = dict(strategy="parallel", processes=2)
+    if "strategy" in axes:
+        mode = dict(strategy=axes.pop("strategy"), processes=2)
     if "faults" in axes:
         axes["faults"] = FaultModel(**axes["faults"])
     system = System(msi_nonstalling, num_caches=2,

@@ -140,6 +140,44 @@ def test_whole_search_parity_with_object_backend(all_generated, name, config_lab
     assert compiled.complete_states == objected.complete_states
 
 
+@pytest.mark.parametrize("name", ["MSI", "MSI-Unordered"])
+def test_general_fork_expands_a_simple_configuration_like_the_simple_one(
+        all_generated, name):
+    """``enabled`` picks the plane-aware fork for multi-address, fault and
+    litmus configurations and the simple one for the rest, so no search runs
+    the general fork on a *simple* configuration.  Forced onto one, it must
+    enumerate the same events and build the same successors, state for
+    state over the whole reachable space, and search it to the same counts."""
+    def fresh_kernel():
+        return System(all_generated[(name, "nonstalling")], num_caches=2,
+                      workload=_workload(name)).kernel()
+
+    simple, general = fresh_kernel(), fresh_kernel()
+    assert simple._simple and general._simple
+    general._simple = False
+    root = simple.codec.encode(simple.system.initial_state())
+    seen, pending, transitions = {root}, [root], 0
+    while pending:
+        enc = pending.pop()
+        plans, net = simple.enabled(enc)
+        general_plans, planes = general.enabled(enc)
+        assert [plan[1] for plan in general_plans] == [plan[1] for plan in plans]
+        transitions += len(plans)
+        for plan, general_plan in zip(plans, general_plans):
+            succ = simple.apply(enc, plan, net)
+            assert general.apply(enc, general_plan, planes) == succ
+            if succ is not None and succ not in seen:
+                seen.add(succ)
+                pending.append(succ)
+    result = verify(general.system)  # runs on ``general``: kernels are cached
+    assert result.ok and result.kernel == "compiled"
+    assert (result.states_explored, result.transitions_explored) == (
+        len(seen), transitions
+    )
+    if name == "MSI":
+        assert (len(seen), transitions) == (1702, 3078)
+
+
 def test_pinned_seed_counts_on_compiled_kernel(msi_nonstalling):
     """The compiled default reproduces the seed explorer bit-exactly."""
     system = System(msi_nonstalling, num_caches=2,

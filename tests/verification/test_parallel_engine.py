@@ -1,11 +1,9 @@
-"""Shared-memory parallel engine: forced spin-up correctness suite.
+"""Shared-memory parallel engine: correctness suite.
 
-The engine only forks its worker fleet once a frontier crosses
-``POOL_SPINUP_FRONTIER``; these tests pin the threshold to 0 so every
-search -- even the small two-cache spaces the fast tier can afford --
-actually exercises the owner-computes rounds (hash-partitioned levels,
-bucket arenas, owner dedup, link columns) and the sharded checkpoint,
-rather than the in-process warm-up path.
+``strategy="parallel"`` forks its worker fleet before the first level, so
+even the small two-cache spaces the fast tier can afford exercise the
+owner-computes rounds (hash-partitioned levels, bucket arenas, owner dedup,
+link columns) and the sharded checkpoint.
 
 Contracts under test:
 
@@ -27,8 +25,8 @@ Contracts under test:
   digest dumps are re-sharded on seed and the pending pairs re-dealt by
   owner -- and still lands on the serial totals;
 * robustness: a worker killed outright ends the search with an error
-  naming it, and no run -- passing, failing or killed -- leaves a child
-  process or a ``/dev/shm`` segment behind.
+  naming it, and no run -- passing, failing, killed or interrupted in the
+  parent -- leaves a child process or a ``/dev/shm`` segment behind.
 """
 
 import multiprocessing
@@ -41,7 +39,6 @@ import pytest
 from repro.system import System, Workload
 from repro.verification import verify
 from repro.verification.engine import parallel as parallel_mod
-from repro.verification.engine import search as search_mod
 from repro.verification.engine.shard import SpillableKeySet
 
 from verification_helpers import (
@@ -50,11 +47,6 @@ from verification_helpers import (
     make_swmr_mutant,
     replay_and_check,
 )
-
-
-@pytest.fixture(autouse=True)
-def force_spinup(monkeypatch):
-    monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 0)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +59,7 @@ def msi_swmr_mutant(msi_spec):
     return make_swmr_mutant(msi_spec)
 
 
-def forced_parallel(system, **kwargs):
+def on_the_fleet(system, **kwargs):
     kwargs.setdefault("processes", 2)
     result = verify(system, strategy="parallel", **kwargs)
     if result.strategy != "parallel":  # fork unavailable: serial fallback
@@ -95,7 +87,7 @@ def test_forked_search_matches_serial_counts(msi_nonstalling, tmp_path, mode,
     mode = dict(mode)
     fleet_only = {"spill_dir": str(tmp_path)} if mode.pop("spill_dir", None) else {}
     serial = verify(system, **mode)
-    result = forced_parallel(system, processes=processes, **mode, **fleet_only)
+    result = on_the_fleet(system, processes=processes, **mode, **fleet_only)
 
     assert result.ok == serial.ok is True
     assert result.states_explored == serial.states_explored
@@ -103,6 +95,21 @@ def test_forked_search_matches_serial_counts(msi_nonstalling, tmp_path, mode,
     assert result.complete_states == serial.complete_states
     assert len(result.stats["worker_states"]) == processes
     assert sum(result.stats["worker_states"]) > 0
+
+
+def test_asking_for_workers_forks_them_from_the_root(msi_nonstalling):
+    """The fleet runs every level, the root's included: one round per BFS
+    level of the space, every state expanded on a worker, and -- the worker
+    CPU sum not being comparable with the parent's wall-clock -- no
+    expansion split."""
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    result = on_the_fleet(system)
+    assert result.ok
+    assert (result.states_explored, result.transitions_explored) == (1702, 3078)
+    assert sum(result.stats["worker_states"]) == 1702
+    assert result.stats["round_count"] == 19
+    assert result.stats["expansion_seconds"] is None
 
 
 def test_default_fleet_size_follows_schedulable_cores(msi_nonstalling,
@@ -114,7 +121,7 @@ def test_default_fleet_size_follows_schedulable_cores(msi_nonstalling,
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=1))
-    result = forced_parallel(system, processes=None)
+    result = on_the_fleet(system, processes=None)
     assert result.ok
     assert len(result.stats["worker_states"]) == 3
 
@@ -122,7 +129,7 @@ def test_default_fleet_size_follows_schedulable_cores(msi_nonstalling,
 def failing_twice(system):
     """The fleet's verdict on a broken *system* -- reached twice: nothing is
     claimed or stolen, so the second run must report the very same trace."""
-    result, again = (forced_parallel(system, symmetry=True) for _ in range(2))
+    result, again = (on_the_fleet(system, symmetry=True) for _ in range(2))
     assert not result.ok and result.trace, "a counterexample must be reported"
     assert again.trace == result.trace
     return result
@@ -172,8 +179,8 @@ def test_spill_dir_bounds_shards_without_changing_counts(
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
     serial = verify(system, symmetry=True, hash_compaction=True)
-    result = forced_parallel(system, symmetry=True, hash_compaction=True,
-                             spill_dir=str(tmp_path))
+    result = on_the_fleet(system, symmetry=True, hash_compaction=True,
+                          spill_dir=str(tmp_path))
 
     assert result.ok
     assert result.states_explored == serial.states_explored
@@ -193,13 +200,12 @@ def test_sharded_checkpoint_resumes_under_different_worker_count(
     path = str(tmp_path / "run.ckpt")
 
     cut = max(2, serial.states_explored // 2)
-    leg = forced_parallel(system, symmetry=True, max_states=cut,
-                          checkpoint=path)
+    leg = on_the_fleet(system, symmetry=True, max_states=cut, checkpoint=path)
     assert leg.partial and leg.ok
     assert os.path.exists(path), "the budgeted leg must persist a checkpoint"
 
-    result = forced_parallel(system, symmetry=True, processes=3,
-                             max_states=10 ** 6, checkpoint=path)
+    result = on_the_fleet(system, symmetry=True, processes=3,
+                          max_states=10 ** 6, checkpoint=path)
     assert result.ok and not result.partial
     assert result.stats["resume_level"] is not None
     assert result.states_explored == serial.states_explored
@@ -218,7 +224,7 @@ def test_passing_runs_repeat_exactly(msi_nonstalling, explorations, processes):
     stored trace link (hence every state ID) repeat from run to run."""
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    runs = [forced_parallel(system, symmetry=True, processes=processes)
+    runs = [on_the_fleet(system, symmetry=True, processes=processes)
             for _ in range(2)]
     first, second = (ctx.store for ctx in explorations[-2:])
     assert runs[0].stats["worker_states"] == runs[1].stats["worker_states"]
@@ -236,17 +242,17 @@ def test_budget_clip_past_spinup_ends_partial(msi_nonstalling):
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
     budget = 700
-    result = forced_parallel(system, max_states=budget)
+    result = on_the_fleet(system, max_states=budget)
     assert result.ok and result.partial
     assert 0 < result.states_explored <= budget
     assert sum(result.stats["worker_states"]) <= budget
-    assert result.stats["round_count"] > 1, "the clip must land past spin-up"
+    assert result.stats["round_count"] > 1, "the clip must land mid-search"
 
 
 def test_fleet_level_is_per_owner_counts(msi_nonstalling, monkeypatch):
-    """Past spin-up the parent holds no state: the level the driver loops
-    over is one count per owner, and the engine owns no input arena and no
-    claim cursor."""
+    """The parent holds no state: the level the driver loops over is one
+    count per owner, and the engine owns no input arena and no claim
+    cursor."""
     seen = []
     real_expand = parallel_mod.ShmEngine.expand
 
@@ -257,7 +263,7 @@ def test_fleet_level_is_per_owner_counts(msi_nonstalling, monkeypatch):
     monkeypatch.setattr(parallel_mod.ShmEngine, "expand", spying_expand)
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    result = forced_parallel(system, processes=3)
+    result = on_the_fleet(system, processes=3)
     assert result.ok and len(seen) == result.stats["round_count"]
     widest = max(len(level) for _engine, level in seen)
     assert widest > 100, "the space must be wide enough to tell"
@@ -267,31 +273,6 @@ def test_fleet_level_is_per_owner_counts(msi_nonstalling, monkeypatch):
         assert all(isinstance(count, int) for count in level.counts)
         for gone in ("input_arena", "claim", "claim_lock"):
             assert not hasattr(engine, gone)
-
-
-@pytest.mark.parametrize("kernel", ["compiled", "object"])
-def test_spinup_hands_the_fleet_the_whole_level(msi_nonstalling, monkeypatch,
-                                                kernel):
-    """The compiled expander's ``lower`` is the identity, so the level the
-    lazy fleet clears and the frontier it deals out must not be one list
-    (cleared first, the search ended at spin-up with idle workers)."""
-    monkeypatch.setattr(search_mod, "POOL_SPINUP_FRONTIER", 50)
-    dealt = []
-    real_lift = parallel_mod.ShmEngine.lift
-
-    def spying_lift(engine, pairs):
-        dealt.append(list(pairs))
-        return real_lift(engine, pairs)
-
-    monkeypatch.setattr(parallel_mod.ShmEngine, "lift", spying_lift)
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    result = forced_parallel(system, kernel=kernel)
-    assert result.ok and result.states_explored == 1702
-    (pairs,) = dealt
-    assert len(pairs) > 50
-    assert all(type(sid) is int and type(key) is bytes for sid, key in pairs)
-    assert sum(result.stats["worker_states"]) > len(pairs)
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "object"])
@@ -305,7 +286,7 @@ def test_owners_check_foreign_states_through_the_expander_seam(
 
     system = System(msi_swmr_mutant, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    result = forced_parallel(system, kernel=kernel)
+    result = on_the_fleet(system, kernel=kernel)
     assert not result.ok and result.violation.name == "SWMR"
     replay_and_check(system, result)
 
@@ -355,16 +336,29 @@ def test_killed_worker_ends_the_search_with_a_named_error(
                     workload=Workload(max_accesses_per_cache=2))
     started = time.monotonic()
     with pytest.raises(RuntimeError, match=r"worker 0 died .*exit code -9"):
-        forced_parallel(system)
+        on_the_fleet(system)
     assert time.monotonic() - started < 30, "a dead worker must not hang verify"
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("run", ["passing", "failing", "killed"])
+def interrupt_the_parent_in_round(monkeypatch, round_no):
+    """Ctrl-C in the parent while round *round_no*'s workers are expanding."""
+    real_collect = parallel_mod.ShmEngine._collect
+
+    def interrupted_collect(engine, kind):
+        if engine.ctx.round_count == round_no:
+            raise KeyboardInterrupt
+        return real_collect(engine, kind)
+
+    monkeypatch.setattr(parallel_mod.ShmEngine, "_collect", interrupted_collect)
+
+
+@pytest.mark.parametrize("run", ["passing", "failing", "killed", "interrupted"])
 def test_no_shared_memory_segment_outlives_a_run(
         msi_nonstalling, msi_swmr_mutant, monkeypatch, run):
     """Workers unlink their own arenas on the way out; the parent unlinks
-    what a killed (or terminated) one left behind."""
+    what a killed (or terminated) one left behind, and does both on its way
+    out of a ``KeyboardInterrupt``."""
     before = shm_listing()
     generated = msi_swmr_mutant if run == "failing" else msi_nonstalling
     system = System(generated, num_caches=2,
@@ -372,8 +366,12 @@ def test_no_shared_memory_segment_outlives_a_run(
     if run == "killed":
         kill_a_worker_in_round(monkeypatch, 3)
         with pytest.raises(RuntimeError, match="died"):
-            forced_parallel(system)
+            on_the_fleet(system)
+    elif run == "interrupted":
+        interrupt_the_parent_in_round(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            on_the_fleet(system)
     else:
-        assert forced_parallel(system).ok == (run == "passing")
+        assert on_the_fleet(system).ok == (run == "passing")
     assert multiprocessing.active_children() == []
     assert shm_listing() == before
