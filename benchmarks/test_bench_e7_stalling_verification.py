@@ -94,8 +94,13 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
     assert (compiled.states_explored == objected.states_explored
             == vectorized.states_explored == 174_189)
     assert (compiled.transitions_explored == objected.transitions_explored
-            == vectorized.transitions_explored)
+            == vectorized.transitions_explored == 449_079)
     assert vectorized.stats["fallback_transitions"] == 0
+    # What the batch kernel's plan tables hold at the end: one entry per
+    # distinct network section and per distinct (section, delivered slot,
+    # sends) splice -- the counts the dicts they replaced held.
+    assert vectorized.stats["section_entries"] == 16_092
+    assert vectorized.stats["tail_memo_entries"] == 56_049
 
 
 #: Worker count of the nightly parallel run.

@@ -1,12 +1,11 @@
 """Batch-vectorized frontier expansion: the NumPy lane-matrix kernel.
 
 The compiled kernel (:mod:`repro.system.kernel`) already runs on flat int
-tuples, but it still pays one Python dispatch per state per transition --
-the measured ~11-12 us/transition bound of ROADMAP direction 1.  This module
-shifts the unit of work from *one state* to *one frontier level*: states
-become rows of a 2-D NumPy lane matrix, and expansion becomes batch
-gather / mask / scatter operations plus per-distinct-input Python work that
-is shared across every row it applies to.
+tuples, but it still pays one Python dispatch per state per transition.
+This module shifts the unit of work from *one state* to *one frontier
+level*: states become rows of a 2-D NumPy lane matrix, and expansion becomes
+batch gather / mask / scatter operations plus per-distinct-input Python work
+that is shared across every row it applies to.
 
 The design splits an encoding at the network boundary:
 
@@ -27,10 +26,35 @@ keys recur across far more rows than they have distinct values.  Each
 distinct key is evaluated **once**, by running the existing per-transition
 specialized function (:meth:`TransitionKernel._compile_cache_fn` /
 ``_compile_directory_fn``) on a representative row and diffing -- exact by
-construction -- and the resulting lane delta is scattered into every
-matching row of the successor matrix with NumPy fancy indexing.  Raw
-successors then dedup **vectorized**: one ``np.unique`` over the row bytes
-(prefix lanes + section-ID lanes, :meth:`VectorizedKernel.widen`) per level
+construction -- and what it yields is kept in **append-only plan tables**
+that a level indexes as a whole, so no Python statement runs per row:
+
+* **guard IDs** -- every distinct ``(cache block, version)`` slice of each
+  cache, and every distinct directory block, is a dense int drawn from one
+  counter (so a guard ID names its receiver);
+* the **outcome table** -- every distinct ``(event, lane delta, sends)``
+  has a dense outcome ID: its interned event tuple, the ID of its send
+  list, and its delta in CSR form.  A cache guard's access plans are a CSR
+  ``guard ID -> outcome IDs``; a delivery is memoized as ``(message record
+  ID, receiver guard ID) -> outcome ID``, *stalled* or *fallback*;
+* the **section table** -- next to each hash-consed section's packed tail
+  and parse handle, its deliverable messages as a CSR ``section ID ->
+  (slot, message record ID)``, a record ID naming the interned message and
+  its destination;
+* the **tail memo** -- ``(section ID, delivered slot, send-list ID) ->
+  successor section ID`` as two sorted arrays, probed with one
+  ``searchsorted`` per level; a miss runs the compiled kernel's exact
+  network re-normalization (:meth:`TransitionKernel._emit_net`) once.
+
+:meth:`VectorizedKernel.collect_level` gathers a level's successors out of
+these tables as three integer arrays -- parent row, outcome ID, successor
+section ID -- in exact serial plan order, and
+:meth:`~VectorizedKernel.assemble` scatters the outcomes' lane deltas into
+the gathered parent rows.  Python runs once per *distinct* guard, delivery
+key and tail key of a level (a dict probe, or on a first sight the
+transition code itself), never per row or per successor.  Raw successors
+then dedup **vectorized**: one ``np.unique`` over the row bytes (prefix
+lanes + section-ID lanes, :meth:`VectorizedKernel.widen`) per level
 replaces per-successor set probes.  Because sections are hash-consed, such
 a row is a bijection with the state's packed key, so the search keeps its
 visited set as a table of these very rows
@@ -42,17 +66,19 @@ fallback level or a violation report.
 The compiled interpreter stays on as the differential oracle and the
 fallback: any plan the batch path cannot express (unexpected message,
 ambiguous guards, missing data/requestor -- anything the compiled kernel
-itself would route to the object executor) flips its whole frontier level
-to the per-state compiled loop, preserving the exact serial failure order;
-fault models, multi-address planes and litmus workloads fall back
-whole-search (``VectorizedKernel.supported`` is False).  The fault-free
-single-address hot path never leaves the batch loop -- pinned as zero
-fallback transitions and zero object decodes in the engine tests.
+itself would route to the object executor -- or a tail key wider than its
+bit field) flips its whole frontier level to the per-state compiled loop,
+preserving the exact serial failure order; fault models, multi-address
+planes and litmus workloads fall back whole-search
+(``VectorizedKernel.supported`` is False).  The fault-free single-address
+hot path never leaves the batch loop -- pinned as zero fallback transitions
+and zero object decodes in the engine tests.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
 from repro.core.fsm import (
     CompilationUnsupported,
@@ -80,44 +106,59 @@ class VectorizedUnavailable(RuntimeError):
 #: :meth:`VectorizedKernel.widen`.
 _SECTION_ID = struct.Struct("=I")
 
-#: Memo outcome: this plan must take the compiled/object slow path.
-_FALLBACK = object()
-#: Memo probe miss sentinel (distinguishes from the ``None`` = stalled entry).
-_MISS = object()
+#: In place of an outcome ID: a stalled delivery (not an enabled plan).
+_STALLED = -1
+#: In place of an outcome ID: this plan must take the compiled/object slow
+#: path.
+_FALLBACK = -2
 
-#: Bound on the per-kernel outcome/tail memos (cleared when hit, like the
-#: codec's component memos -- correctness never depends on a memo hit).
+#: Bound on the per-kernel delivery/tail memos (cleared when hit, like the
+#: codec's component memos -- correctness never depends on a memo hit, and
+#: a clear drops keys only: outcome, send-list and section IDs stay valid).
 _MEMO_LIMIT = 1 << 20
+
+#: Bits of a tail-memo key given to the delivered slot and to the send-list
+#: ID each (the section ID takes the rest); a level holding a wider value
+#: replays per state instead of wrapping.
+_TAIL_FIELD_BITS = 16
+
+
+def _ranges(np, starts, counts):
+    """Gather plan for the CSR ranges ``[starts[i], starts[i] + counts[i])``:
+    ``(owner, index)`` -- for every element of every range, range after
+    range, the *i* it belongs to and its position in the CSR data."""
+    ends = np.cumsum(counts, dtype=np.intp)
+    owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    index = np.arange(len(owner), dtype=np.intp)
+    index += np.repeat(starts - (ends - counts), counts)
+    return owner, index
 
 
 class LevelExpansion:
     """One collected frontier level, ready for matrix assembly.
 
-    Parallel per-successor arrays (``parent_pos``/``eevs``/``sids`` plus the
-    flat scatter triple) in exact serial plan order; ``leaves`` are the
-    zero-plan rows and ``fallbacks`` the row positions that need the
-    compiled per-state path (non-empty ``fallbacks`` invalidates the
-    collected successors -- the driver re-runs the level serially).  A leaf
-    records the number of successors collected before it, which totally
-    orders leaves against successors: leaf ``(k, ...)`` precedes successor
-    index ``u`` exactly when ``k <= u``, so failure detection replays in
-    exact serial stream order without per-successor sequence bookkeeping.
+    Three parallel integer arrays, one entry per successor in exact serial
+    plan order: ``parent_pos`` (the parent's row in the level), ``oids``
+    (the outcome that produced it: event and lane delta live in the
+    kernel's outcome table) and ``sids`` (its network-section ID).
+    ``leaves`` are the zero-plan rows and ``fallbacks`` the row positions
+    that need the compiled per-state path (non-empty ``fallbacks`` means no
+    successors were collected -- the driver re-runs the level serially).  A
+    leaf records the number of successors collected before it, which
+    totally orders leaves against successors: leaf ``(k, ...)`` precedes
+    successor index ``u`` exactly when ``k <= u``, so failure detection
+    replays in exact serial stream order without per-successor sequence
+    bookkeeping.
     """
 
-    __slots__ = (
-        "parent_pos", "eevs", "sids",
-        "flat_cols", "flat_vals", "lens", "leaves", "fallbacks",
-    )
+    __slots__ = ("parent_pos", "oids", "sids", "leaves", "fallbacks")
 
-    def __init__(self):
-        self.parent_pos: list[int] = []   # parent row index per successor
-        self.eevs: list[tuple] = []       # encoded event per successor
-        self.sids: list[int] = []         # successor network-section ID
-        self.flat_cols: list[int] = []    # scatter columns, flattened
-        self.flat_vals: list[int] = []    # scatter values, flattened
-        self.lens: list[int] = []         # delta width per successor
-        self.leaves: list[tuple] = []     # (successors_before, state_id, row_pos)
-        self.fallbacks: list[int] = []    # row positions needing slow path
+    def __init__(self, parent_pos, oids, sids, leaves=(), fallbacks=()):
+        self.parent_pos = parent_pos      # parent row index per successor
+        self.oids = oids                  # outcome ID per successor
+        self.sids = sids                  # successor network-section ID
+        self.leaves = leaves              # (successors_before, state_id, row_pos)
+        self.fallbacks = fallbacks        # row positions needing slow path
 
     @property
     def transitions(self) -> int:
@@ -157,30 +198,49 @@ class VectorizedKernel:
         #: Lanes of a whole-state row: the prefix plus a 32-bit section ID.
         self.row_lanes = self.net_offset + max(1, 4 // self.dtype.itemsize)
         self.supported = self.kernel._simple and self._lane_ops_confined()
-        # Hash-consed network sections: packed tail <-> dense section ID.
+        # The plan tables (module docstring).  All are append-only typed
+        # arrays read through NumPy views taken per level -- a view pins its
+        # array's size, so none outlives the method that takes it -- and
+        # every ID is dense, first-sight ordered and never reused.
+        #
+        # Section table: packed tail <-> dense section ID; per ID the
+        # (packed tail, parse handle) pair -- the tail's lanes are unpacked
+        # where something reads them (`section_tail`) -- and its deliverable
+        # messages as a CSR.
         self._section_ids: dict[bytes, int] = {}
-        # Per-ID (packed tail, net handle, deliveries); the tail's lanes are
-        # unpacked where something reads them (see `section_tail`).
         self._section_info: list[tuple] = []
-        # Hot-loop key compression: guard-lane slices (cache block + version,
-        # directory block), message records and send lists are interned to
-        # dense small ints at first sight, so every memo probe on the
-        # per-row path hashes a tuple of 2-3 machine ints instead of 10-20
-        # lane values.  Guard interning itself is vectorized: one
-        # ``np.unique`` per cache per level maps every row to its guard ID
-        # and access-outcome tuple (computed once per distinct guard through
-        # the compiled per-transition functions).  The tables are unbounded
-        # but tiny -- they key on *distinct component values*, which
-        # saturate early -- and IDs stay valid across memo clears.
-        self._guard_tables: list[dict] = [{} for _ in range(self.num_caches)]
-        self._dir_table: dict[bytes, int] = {}
-        self._next_gid = 0
+        self._sec_ptr = array("i", [0])
+        self._sec_where = array("i")     # slot in the parse handle's items
+        self._sec_rec = array("i")       # message record ID
         self._rec_ids: dict[tuple, int] = {}
+        self._recs: list[tuple] = []
+        self._rec_dst = array("i")       # a record's encoded destination node
+        # Guard IDs: per receiver (0: the directory, ``1 + cid``: a cache)
+        # its guard slice's bytes -- the directory block, or the cache
+        # block + version -- to one shared counter.  The access CSR is
+        # indexed by it (a directory guard's range is empty) and holds
+        # outcome IDs, or `_FALLBACK`.  Unbounded but tiny: distinct
+        # component values saturate early.
+        self._guards: list[dict] = [{} for _ in range(1 + self.num_caches)]
+        self._acc_ptr = array("i", [0])
+        self._acc_oids = array("i")
+        # Outcome table: (event, delta columns, delta values, sends) <->
+        # dense outcome ID; send lists are interned the same way.
+        self._outcome_ids: dict[tuple, int] = {}
+        self._out_eevs: list[tuple] = []
+        self._out_sends = array("i")     # send-list ID
+        self._out_ptr = array("i", [0])
+        self._out_cols = array("i")
+        self._out_vals = array(codec.typecode)
         self._sends_ids: dict[tuple, int] = {(): 0}
-        # Outcome memos (see class docstring): distinct keys are evaluated
-        # once through the compiled per-transition functions.
-        self._deliv_memo: dict[tuple, object] = {}
-        self._tail_memo: dict[tuple, int] = {}
+        self._sends: list[tuple] = [()]
+        # Delivery memo: ``rec_id << 32 | gid`` -> outcome ID, `_STALLED`
+        # or `_FALLBACK`.
+        self._deliv_memo: dict[int, int] = {}
+        # Tail memo: sorted keys and their successor section IDs.  The last
+        # key is a sentinel above every real one, so a probe's insertion
+        # point always indexes the arrays.
+        self._reset_tails()
         # Invariant lane tables for the batch checker: permission/stability
         # of each cache FSM state, indexed by the cache-state lane value.
         spec = self.kernel.spec
@@ -213,6 +273,22 @@ class VectorizedKernel:
             return False
         return True
 
+    # -- what a search retains (``result.stats``) ----------------------------------
+    @property
+    def section_entries(self) -> int:
+        """Distinct network sections hash-consed so far."""
+        return len(self._section_info)
+
+    @property
+    def tail_memo_entries(self) -> int:
+        """``(section, delivered slot, sends)`` keys the tail memo holds."""
+        return len(self._tail_keys) - 1
+
+    @property
+    def outcome_entries(self) -> int:
+        """Distinct ``(event, lane delta, sends)`` outcomes evaluated so far."""
+        return len(self._out_eevs)
+
     # -- network-section interning -------------------------------------------------
     def intern_section(self, packed_tail: bytes) -> int:
         """Dense ID for a packed network section (hash-consed): the bytes
@@ -223,13 +299,16 @@ class VectorizedKernel:
             self._section_ids[packed_tail] = sid
             net = self.codec.parsed_section(packed_tail)
             rec_ids = self._rec_ids
-            deliveries = []
             for where, rec, _eev in net[2]:
                 rid = rec_ids.get(rec)
                 if rid is None:
-                    rid = rec_ids[rec] = len(rec_ids)
-                deliveries.append((where, rec, rid))
-            self._section_info.append((packed_tail, net, tuple(deliveries)))
+                    rid = rec_ids[rec] = len(self._recs)
+                    self._recs.append(rec)
+                    self._rec_dst.append(rec[2])
+                self._sec_where.append(where)
+                self._sec_rec.append(rid)
+            self._sec_ptr.append(len(self._sec_where))
+            self._section_info.append((packed_tail, net))
         return sid
 
     def section_tail(self, sid: int) -> tuple:
@@ -257,11 +336,12 @@ class VectorizedKernel:
         )
         return M
 
-    def sids_of(self, M) -> list:
-        """The section ID of each row of row matrix *M*."""
+    def sids_of(self, M):
+        """The section ID of each row of row matrix *M* (a ``uint32``
+        array)."""
         np = self.np
         tail = np.ascontiguousarray(M[:, self.net_offset :])
-        return tail.view(np.uint32).ravel().tolist()
+        return tail.view(np.uint32).ravel()
 
     def rows_of(self, keys):
         """Row matrix of packed *keys*: prefix bytes stacked as they are,
@@ -289,193 +369,252 @@ class VectorizedKernel:
         info = self._section_info
         return [
             prefixes[pos * cut : (pos + 1) * cut] + info[sid][0]
-            for pos, sid in enumerate(self.sids_of(M))
+            for pos, sid in enumerate(self.sids_of(M).tolist())
         ]
 
-    # -- level collection ----------------------------------------------------------
-    def _guard_ids_level(self, F):
-        """Vectorized guard interning for one frontier matrix.
+    def events_of(self, oids) -> list:
+        """The interned encoded event of each outcome ID in *oids*."""
+        return list(map(self._out_eevs.__getitem__, oids.tolist()))
 
-        One ``np.unique`` per cache maps every row to its guard ID (a dense
-        int naming the distinct ``(cache block, version)`` slice) and its
-        access-outcome tuple; one more handles the directory block.  Memo
-        misses -- the only place transition code actually runs -- evaluate
-        the compiled per-transition functions on the first row carrying the
-        guard as the representative.  Returns ``(acc_rows, gid_rows,
-        dgid_rows)``: per-cache outcome/ID lists indexed by row position,
-        plus the per-row directory guard IDs.
-        """
+    # -- level collection ----------------------------------------------------------
+    def _intern_guards(self, lanes, receiver: int, F):
+        """Guard IDs of the rows of *lanes* (*receiver*'s guard slice of
+        frontier *F*, C-contiguous): one ``np.unique`` over the row bytes,
+        one table probe per distinct slice of the level.  A first sight
+        draws the next ID and, for a cache (the directory has no access
+        plans), evaluates its access plans on the first row carrying it."""
+        np = self.np
+        table = self._guards[receiver]
+        size = lanes.shape[1] * lanes.dtype.itemsize
+        uniq, first, inv = np.unique(
+            lanes.view(np.dtype((np.void, size))).ravel(),
+            return_index=True, return_inverse=True,
+        )
+        buf = uniq.tobytes()
+        gids = []
+        for k in range(len(uniq)):
+            key = buf[k * size : (k + 1) * size]
+            gid = table.get(key)
+            if gid is None:
+                gid = table[key] = len(self._acc_ptr) - 1
+                if receiver:
+                    self._acc_oids.extend(self._compute_access(
+                        receiver - 1, tuple(F[first[k]].tolist())
+                    ))
+                self._acc_ptr.append(len(self._acc_oids))
+            gids.append(gid)
+        return np.asarray(gids, dtype=np.int32)[inv]
+
+    def _guard_ids(self, F):
+        """The guard IDs of frontier matrix *F* as one ``(1 + caches) x
+        rows`` array, a row per receiver: row 0 the directory's, row ``1 +
+        cid`` cache *cid*'s -- the row a message to encoded destination
+        ``dst`` reads is ``dst - 1``."""
         np = self.np
         width = self.cache_width
         vo = self.version_offset
-        d0 = self.dir_offset
-        nrows = F.shape[0]
-        itemsize = F.dtype.itemsize
-        acc_rows = []
-        gid_rows = []
+        G = np.empty((1 + self.num_caches, F.shape[0]), dtype=np.int32)
+        G[0] = self._intern_guards(
+            np.ascontiguousarray(F[:, self.dir_offset : vo]), 0, F
+        )
+        block = np.empty((F.shape[0], width + 1), dtype=F.dtype)
+        block[:, width] = F[:, vo]
         for cid in range(self.num_caches):
-            base = cid * width
-            gsub = np.empty((nrows, width + 1), dtype=F.dtype)
-            gsub[:, :width] = F[:, base : base + width]
-            gsub[:, width] = F[:, vo]
-            gb = gsub.view(np.dtype((np.void, (width + 1) * itemsize))).ravel()
-            uniq, first, inv = np.unique(
-                gb, return_index=True, return_inverse=True
+            block[:, :width] = F[:, cid * width : (cid + 1) * width]
+            G[1 + cid] = self._intern_guards(block, 1 + cid, F)
+        return G
+
+    def _access_successors(self, G):
+        """Per cache, the access successors of every row: ``(parent_pos,
+        oids)`` array pairs gathered from the access CSR on the cache's
+        guard row."""
+        np = self.np
+        ptr = np.frombuffer(self._acc_ptr, dtype=np.int32)
+        data = np.frombuffer(self._acc_oids, dtype=np.int32)
+        segments = []
+        for cid in range(self.num_caches):
+            g = G[1 + cid]
+            starts = ptr[g]
+            owner, index = _ranges(np, starts, ptr[g + 1] - starts)
+            segments.append((owner, data[index]))
+        return segments
+
+    def _delivery_successors(self, F, sids, G):
+        """The delivery plans of every row: ``(parent_pos, oids, where)``
+        gathered from the section CSR on *sids*, their outcomes resolved
+        once per distinct ``(message record, receiver guard)`` key of the
+        level -- a memo probe, or a miss evaluated on the first row that
+        carries it, in first-occurrence order -- stalled ones dropped."""
+        np = self.np
+        ptr = np.frombuffer(self._sec_ptr, dtype=np.int32)
+        starts = ptr[sids]
+        owner, index = _ranges(np, starts, ptr[sids + 1] - starts)
+        # A miss below may raise (LaneOverflow): leave no view behind in a
+        # frame the traceback keeps, where it would pin its table's size.
+        del ptr
+        where = np.frombuffer(self._sec_where, dtype=np.int32)[index]
+        rec = np.frombuffer(self._sec_rec, dtype=np.int32)[index]
+        dst = np.frombuffer(self._rec_dst, dtype=np.int32)[rec]
+        keys = rec.astype(np.int64) << 32 | G[dst - 1, owner]
+        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        uniq = uniq.tolist()
+        memo = self._deliv_memo
+        found = list(map(memo.get, uniq))
+        misses = [k for k, oid in enumerate(found) if oid is None]
+        misses.sort(key=first.__getitem__)
+        for k in misses:
+            at = first[k]
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            found[k] = memo[uniq[k]] = self._compute_delivery(
+                self._recs[rec[at]], tuple(F[owner[at]].tolist())
             )
-            table = self._guard_tables[cid]
-            pairs = []
-            for vb, fi in zip(uniq, first.tolist()):
-                key = vb.tobytes()
-                pair = table.get(key)
-                if pair is None:
-                    prefix = tuple(F[fi].tolist())
-                    gid = self._next_gid
-                    self._next_gid = gid + 1
-                    pair = table[key] = (gid, self._compute_access(cid, prefix))
-                pairs.append(pair)
-            inv_list = inv.tolist()
-            gid_rows.append([pairs[k][0] for k in inv_list])
-            acc_rows.append([pairs[k][1] for k in inv_list])
-        dsub = np.ascontiguousarray(F[:, d0:vo])
-        db = dsub.view(np.dtype((np.void, (vo - d0) * itemsize))).ravel()
-        uniq, _first, inv = np.unique(db, return_index=True, return_inverse=True)
-        dtable = self._dir_table
-        dgids = []
-        for vb in uniq:
-            key = vb.tobytes()
-            dgid = dtable.get(key)
-            if dgid is None:
-                dgid = dtable[key] = len(dtable)
-            dgids.append(dgid)
-        dgid_rows = [dgids[k] for k in inv.tolist()]
-        return acc_rows, gid_rows, dgid_rows
+        oids = np.asarray(found, dtype=np.int32)[inv]
+        enabled = np.flatnonzero(oids != _STALLED)
+        return owner[enabled], oids[enabled], where[enabled]
 
-    def collect_level(self, ids: list, F, sids: list) -> LevelExpansion:
-        """Enumerate every row's plans in exact serial order via memo probes.
+    def collect_level(self, ids, F, sids) -> LevelExpansion:
+        """Enumerate every row's plans in exact serial order, a level at a
+        time, out of the plan tables.
 
-        Guard lanes are interned in bulk (:meth:`_guard_ids_level`), so the
-        per-row loop -- the batch path's only per-row Python code -- touches
-        nothing but small-int list lookups and small-int-tuple memo probes
-        while emitting flat successor/delta arrays for :meth:`assemble`.
+        Guard IDs come first (:meth:`_guard_ids`); each cache's access
+        successors are one CSR gather on its guard row, the deliveries one
+        CSR gather on *sids* (the rows' section IDs, an integer array) plus
+        one memo probe per distinct delivery key.  The segments are
+        concatenated ``[cache 0, ..., cache n-1, deliveries]``, each in row
+        order, so one stable sort on the row index *is* the serial plan
+        order -- state IDs, traces and counts stay bit-identical to the
+        per-state kernels.  Successor sections come from the tail memo
+        (:meth:`_successor_sections`); leaves from a ``bincount`` of the
+        parents.  Python runs per distinct guard, delivery key and tail key
+        of the level (and per leaf), never per row or per successor.
         """
-        n = self.num_caches
-        width = self.cache_width
-        deliv_memo = self._deliv_memo
-        tail_memo = self._tail_memo
-        section_info = self._section_info
-        acc_rows, gid_rows, dgid_rows = self._guard_ids_level(F)
-        level = LevelExpansion()
-        parent_pos = level.parent_pos
-        eevs = level.eevs
-        out_sids = level.sids
-        flat_cols = level.flat_cols
-        flat_vals = level.flat_vals
-        lens = level.lens
+        np = self.np
         nrows = F.shape[0]
-        for pos in range(nrows):
-            succ_start = len(parent_pos)
-            flat_start = len(flat_cols)
-            fallback = False
-            sid = sids[pos]
-            row_prefix = None  # built lazily, only on a delivery-memo miss
-            for cid in range(n):
-                for out in acc_rows[cid][pos]:
-                    if out is _FALLBACK:
-                        fallback = True
-                        break
-                    eev, cols, vals, nlanes, sends, sends_id = out
-                    if sends_id:
-                        tkey = (sid, -1, sends_id)
-                        sid2 = tail_memo.get(tkey)
-                        if sid2 is None:
-                            sid2 = self._emit_tail(sid, None, sends, tkey)
-                    else:
-                        sid2 = sid  # no sends, nothing delivered: same section
-                    parent_pos.append(pos)
-                    eevs.append(eev)
-                    out_sids.append(sid2)
-                    flat_cols.extend(cols)
-                    flat_vals.extend(vals)
-                    lens.append(nlanes)
-                if fallback:
-                    break
-            if not fallback:
-                for where, rec, rec_id in section_info[sid][2]:
-                    dst = rec[2]
-                    if dst == 1:
-                        dkey = (rec_id, -1, dgid_rows[pos])
-                        out = deliv_memo.get(dkey, _MISS)
-                        if out is _MISS:
-                            if row_prefix is None:
-                                row_prefix = tuple(F[pos].tolist())
-                            out = self._compute_delivery(
-                                rec, None, None, row_prefix, dkey
-                            )
-                    else:
-                        cid = dst - 2
-                        dkey = (rec_id, cid, gid_rows[cid][pos])
-                        out = deliv_memo.get(dkey, _MISS)
-                        if out is _MISS:
-                            if row_prefix is None:
-                                row_prefix = tuple(F[pos].tolist())
-                            out = self._compute_delivery(
-                                rec, cid * width, cid, row_prefix, dkey
-                            )
-                    if out is None:  # stalled delivery: not an enabled plan
-                        continue
-                    if out is _FALLBACK:
-                        fallback = True
-                        break
-                    eev, cols, vals, nlanes, sends, sends_id = out
-                    tkey = (sid, where, sends_id)
-                    sid2 = tail_memo.get(tkey)
-                    if sid2 is None:
-                        sid2 = self._emit_tail(sid, where, sends, tkey)
-                    parent_pos.append(pos)
-                    eevs.append(eev)
-                    out_sids.append(sid2)
-                    flat_cols.extend(cols)
-                    flat_vals.extend(vals)
-                    lens.append(nlanes)
-            if fallback:
-                # Invalidate the row's collected successors; the driver
-                # replays the whole level through the compiled per-state
-                # loop to preserve exact serial failure order.
-                del parent_pos[succ_start:]
-                del eevs[succ_start:]
-                del out_sids[succ_start:]
-                del flat_cols[flat_start:]
-                del flat_vals[flat_start:]
-                del lens[succ_start:]
-                level.fallbacks.append(pos)
-                continue
-            if len(parent_pos) == succ_start:
-                level.leaves.append((succ_start, ids[pos], pos))
-        return level
+        sids = np.asarray(sids, dtype=np.uint32)
+        G = self._guard_ids(F)
+        segments = self._access_successors(G)
+        d_parent, d_oids, d_where = self._delivery_successors(F, sids, G)
+        parent = np.concatenate([owner for owner, _oids in segments] + [d_parent])
+        oids = np.concatenate([oids for _owner, oids in segments] + [d_oids])
+        # Delivered slot + 1; zero where nothing is delivered (an access).
+        slot = np.zeros(len(parent), dtype=np.int32)
+        slot[len(parent) - len(d_parent) :] = d_where + 1
+        # Row positions as narrow as the level allows: a stable sort of
+        # 16-bit keys is a radix sort.
+        parent = parent.astype(np.uint16 if nrows <= 1 << 16 else np.uint32)
+        order = np.argsort(parent, kind="stable")
+        parent, oids, slot = parent[order], oids[order], slot[order]
+        refused = oids == _FALLBACK
+        if not refused.any():
+            sends = np.frombuffer(self._out_sends, dtype=np.int32)[oids]
+            refused = (slot | sends) >> _TAIL_FIELD_BITS != 0
+        if refused.any():
+            # The driver replays the whole level through the compiled
+            # per-state loop to preserve exact serial failure order.
+            return LevelExpansion(
+                parent[:0], oids[:0], sids[:0],
+                fallbacks=np.unique(parent[refused]).tolist(),
+            )
+        counts = np.bincount(parent, minlength=nrows)
+        leaf_rows = np.flatnonzero(counts == 0)
+        before = np.cumsum(counts)[leaf_rows]  # a leaf adds nothing itself
+        return LevelExpansion(
+            parent, oids, self._successor_sections(sids[parent], slot, sends),
+            leaves=list(zip(
+                before.tolist(), np.asarray(ids)[leaf_rows].tolist(),
+                leaf_rows.tolist(),
+            )),
+        )
+
+    def _reset_tails(self) -> None:
+        """Empty the tail memo: the sentinel key alone."""
+        np = self.np
+        self._tail_keys = np.asarray([np.iinfo(np.int64).max], dtype=np.int64)
+        self._tail_sids = np.zeros(1, dtype=np.uint32)
+
+    def _successor_sections(self, src, slot, sends):
+        """Successor section IDs for parallel arrays of source section ID,
+        delivered slot + 1 (0: none) and send-list ID, each field within
+        its bits: one ``searchsorted`` against the tail memo; the distinct
+        missing keys are emitted once each and merged back in."""
+        np = self.np
+        bits = _TAIL_FIELD_BITS
+        out = src.copy()
+        # Nothing delivered, nothing sent: the section is the parent's.
+        at = np.flatnonzero(slot | sends)
+        keys = src[at].astype(np.int64)
+        keys <<= bits
+        keys |= slot[at]
+        keys <<= bits
+        keys |= sends[at]
+        table = self._tail_keys
+        where = np.searchsorted(table, keys)
+        found = self._tail_sids[where]
+        missed = np.flatnonzero(table[where] != keys)
+        if len(missed):
+            new_keys, inv = np.unique(keys[missed], return_inverse=True)
+            new_sids = np.asarray(self._emit_tails(new_keys.tolist()), dtype=np.uint32)
+            found[missed] = new_sids[inv]
+            if len(table) > _MEMO_LIMIT:
+                self._reset_tails()
+            # Two sorted runs: a stable sort of their concatenation is one
+            # merge pass.
+            merged = np.concatenate((self._tail_keys, new_keys))
+            order = np.argsort(merged, kind="stable")
+            self._tail_keys = merged[order]
+            self._tail_sids = np.concatenate((self._tail_sids, new_sids))[order]
+        out[at] = found
+        return out
+
+    def _emit_tails(self, keys: list) -> list:
+        """Successor section IDs for sorted distinct tail-memo *keys*, each
+        via the compiled kernel's exact re-normalization.  Sorted keys are
+        grouped by source section, whose lanes and parse handle are fetched
+        once per group."""
+        bits = _TAIL_FIELD_BITS
+        mask = (1 << bits) - 1
+        emit = self.kernel._emit_net
+        pack_tail = self.codec.pack_tail
+        intern = self.intern_section
+        sends_of = self._sends
+        out_sids = []
+        current = -1
+        for key in keys:
+            sid = key >> 2 * bits
+            if sid != current:
+                current = sid
+                tail = self.section_tail(sid)
+                net = self._section_info[sid][1]
+                end = len(tail)
+            slot = key >> bits & mask
+            out: list = []
+            emit(
+                out, tail, net, slot - 1 if slot else None,
+                list(sends_of[key & mask]), 0, end,
+            )
+            out_sids.append(intern(pack_tail(out)))
+        return out_sids
 
     def assemble(self, F, level: LevelExpansion):
         """Build the successor lane matrix and dedup it, all vectorized.
 
         ``gather`` (parent rows fan out to successor rows via fancy
-        indexing), ``scatter`` (every collected lane delta lands in one
-        flat indexed assignment), ``dedup`` (one ``np.unique`` over the
-        row bytes).  Returns ``(M, order)``: the successor row matrix
-        (:meth:`widen`: a row's bytes key the whole raw successor) and the
-        indices of the distinct raw successors in first-occurrence (serial
-        stream) order.
+        indexing), ``scatter`` (the successors' lane deltas, gathered from
+        the outcome table's CSR by outcome ID, land in one flat indexed
+        assignment), ``dedup`` (one ``np.unique`` over the row bytes).
+        Returns ``(M, order)``: the successor row matrix (:meth:`widen`: a
+        row's bytes key the whole raw successor) and the indices of the
+        distinct raw successors in first-occurrence (serial stream) order.
         """
         np = self.np
-        M = self.widen(
-            F[np.asarray(level.parent_pos, dtype=np.intp)], level.sids
+        M = self.widen(F[level.parent_pos], level.sids)
+        ptr = np.frombuffer(self._out_ptr, dtype=np.int32)
+        starts = ptr[level.oids]
+        rows, index = _ranges(np, starts, ptr[level.oids + 1] - starts)
+        M[rows, np.frombuffer(self._out_cols, dtype=np.int32)[index]] = (
+            np.frombuffer(self._out_vals, dtype=self.dtype)[index]
         )
-        if level.flat_cols:
-            rows = np.repeat(
-                np.arange(len(level.lens), dtype=np.intp),
-                np.asarray(level.lens, dtype=np.intp),
-            )
-            M[rows, np.asarray(level.flat_cols, dtype=np.intp)] = np.asarray(
-                level.flat_vals, dtype=self.dtype
-            )
         row_bytes = M.view(
             np.dtype((np.void, M.shape[1] * M.dtype.itemsize))
         ).ravel()
@@ -546,21 +685,37 @@ class VectorizedKernel:
                     return None
         return (tuple(cols), tuple(vals))
 
-    def _intern_sends(self, sends: tuple) -> int:
-        """Dense integer ID for an outbound-message tuple (``() -> 0``)."""
-        sends_id = self._sends_ids.get(sends)
-        if sends_id is None:
-            sends_id = self._sends_ids[sends] = len(self._sends_ids)
-        return sends_id
+    def _intern_outcome(self, eev: tuple, prefix: tuple, out: list, base, sends: list):
+        """Outcome ID for event *eev* turning *prefix* into *out* and
+        sending *sends* (`_FALLBACK` if the change is not confined)."""
+        delta = self._confined_delta(prefix, out, base)
+        if delta is None:
+            return _FALLBACK
+        sends = tuple(sends)
+        key = (eev, *delta, sends)
+        oid = self._outcome_ids.get(key)
+        if oid is None:
+            oid = self._outcome_ids[key] = len(self._out_eevs)
+            sends_id = self._sends_ids.get(sends)
+            if sends_id is None:
+                sends_id = self._sends_ids[sends] = len(self._sends)
+                self._sends.append(sends)
+            self._out_eevs.append(eev)
+            self._out_sends.append(sends_id)
+            self._out_cols.extend(delta[0])
+            self._out_vals.extend(delta[1])
+            self._out_ptr.append(len(self._out_cols))
+        return oid
 
-    def _compute_access(self, cid: int, prefix: tuple) -> tuple:
-        """All access outcomes for one distinct cache guard slice; computed
-        once per guard ID and stored in the guard table by the caller."""
+    def _compute_access(self, cid: int, prefix: tuple) -> list:
+        """The access plans of one distinct cache guard slice, as outcome
+        IDs (or `_FALLBACK`) in plan order; computed once per guard ID and
+        stored in the access CSR by the caller."""
         k = self.kernel
         base = cid * self.cache_width
         si = prefix[base + CF_STATE]
         if prefix[base + 1] >= k.max_accesses or not k.spec.cache.stable[si]:
-            return ()  # CF_ISSUED budget spent / transient: no plans
+            return []  # CF_ISSUED budget spent / transient: no plans
         acc = []
         for ai, ct, fn in k._access_plans[si]:
             out = list(prefix)
@@ -573,34 +728,25 @@ class VectorizedKernel:
             out[base + CF_STATE] = ct.next_state
             if ct.has_perform:
                 out[base + CF_PENDING] = 0
-            delta = self._confined_delta(prefix, out, base)
-            if delta is None:
-                acc.append(_FALLBACK)
-                continue
-            cols, vals = delta
-            s = tuple(sends)
-            acc.append((
-                k._access_eevs[cid][ai], cols, vals, len(cols), s,
-                self._intern_sends(s),
+            acc.append(self._intern_outcome(
+                k._access_eevs[cid][ai], prefix, out, base, sends
             ))
-        return tuple(acc)
+        return acc
 
-    def _compute_delivery(self, rec: tuple, base, cid, prefix: tuple, dkey: tuple):
-        """Outcome for one delivery key; mirrors ``TransitionKernel.enabled``
-        + ``apply`` for a single plan, minus the network splice (which is
-        keyed separately on the section).  Stores into the memo itself."""
+    def _compute_delivery(self, rec: tuple, prefix: tuple) -> int:
+        """Outcome ID (or `_STALLED` / `_FALLBACK`) of message record *rec*
+        reaching its destination in a row with lanes *prefix*; mirrors
+        ``TransitionKernel.enabled`` + ``apply`` for a single plan, minus
+        the network splice (which is keyed separately on the section).
+        Computed once per delivery key and memoized by the caller."""
         k = self.kernel
-        if base is None:  # directory delivery
+        if rec[2] == 1:  # directory delivery
+            base = cid = None
             cands = k.spec.directory.on_message[prefix[self.dir_offset]].get(rec[0])
         else:
+            cid = rec[2] - 2
+            base = cid * self.cache_width
             cands = k.spec.cache.on_message[prefix[base + CF_STATE]].get(rec[0])
-        outcome = self._delivery_outcome(k, rec, base, cid, prefix, cands)
-        if len(self._deliv_memo) >= _MEMO_LIMIT:
-            self._deliv_memo.clear()
-        self._deliv_memo[dkey] = outcome
-        return outcome
-
-    def _delivery_outcome(self, k, rec, base, cid, prefix, cands):
         if not cands:
             return _FALLBACK  # unexpected message -> object-executor error
         if len(cands) == 1 and cands[0].guard == 0:
@@ -610,7 +756,7 @@ class VectorizedKernel:
         if ct is None or ct is AMBIGUOUS:
             return _FALLBACK
         if ct.stall:
-            return None
+            return _STALLED
         out = list(prefix)
         sends: list = []
         if base is None:
@@ -625,26 +771,9 @@ class VectorizedKernel:
             out[base + CF_STATE] = ct.next_state
             if ct.has_perform:
                 out[base + CF_PENDING] = 0
-        delta = self._confined_delta(prefix, out, base)
-        if delta is None:
-            return _FALLBACK
-        cols, vals = delta
-        s = tuple(sends)
-        eev = self.codec.intern_event((1,) + rec)
-        return (eev, cols, vals, len(cols), s, self._intern_sends(s))
-
-    def _emit_tail(self, sid: int, where, sends: tuple, tkey: tuple) -> int:
-        """Successor section ID for ``(section, delivered slot, sends id)``,
-        via the compiled kernel's exact re-normalization."""
-        tail = self.section_tail(sid)
-        net = self._section_info[sid][1]
-        out: list = []
-        self.kernel._emit_net(out, tail, net, where, list(sends), 0, len(tail))
-        sid2 = self.intern_section(self.codec.pack_tail(out))
-        if len(self._tail_memo) >= _MEMO_LIMIT:
-            self._tail_memo.clear()
-        self._tail_memo[tkey] = sid2
-        return sid2
+        return self._intern_outcome(
+            self.codec.intern_event((1,) + rec), prefix, out, base, sends
+        )
 
 
 __all__ = ["VectorizedKernel", "VectorizedUnavailable", "LevelExpansion"]

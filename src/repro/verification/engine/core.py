@@ -360,6 +360,9 @@ class Exploration:
             )
             stats["vectorized_transitions"] = self.vectorized_transitions
             stats["fallback_transitions"] = self.fallback_transitions
+            stats["section_entries"] = self.vkernel.section_entries
+            stats["tail_memo_entries"] = self.vkernel.tail_memo_entries
+            stats["outcome_entries"] = self.vkernel.outcome_entries
         return VerificationResult(
             ok=ok,
             states_explored=self.explored,

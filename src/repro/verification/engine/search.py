@@ -74,18 +74,25 @@ class VectorizedExpander(CompiledExpander):
     (``kernel="vectorized"``).
 
     A state is a matrix row from birth to rest.  Each level: one
-    memo-probing collection pass enumerates every row's plans
-    (:meth:`VectorizedKernel.collect_level`), one gather/scatter/
-    ``np.unique`` pass assembles and dedups the raw successor rows
-    (:meth:`~VectorizedKernel.assemble`), one lane-mask reduction gives
-    their invariant verdicts (:meth:`~VectorizedKernel.check_level`), and
-    one :meth:`~StateStore.intern_batch` call probes them against the
-    store's :class:`~repro.verification.engine.store.RowTable` -- the
-    visited set holds the very rows the kernel computes on, compared whole,
-    and the next level is the new ones.  No packed key is built on the way;
-    Python runs per row only where it must: leaf verdicts, the first
-    failing row, and (under symmetry) the raw-successor set and the
-    relabeled representatives.  Distinct raw successors are processed in
+    collection pass gathers every row's plans out of the kernel's plan
+    tables as integer arrays -- parent row, outcome ID, successor section
+    ID per successor (:meth:`VectorizedKernel.collect_level`) -- one
+    gather/scatter/``np.unique`` pass assembles and dedups the raw
+    successor rows (:meth:`~VectorizedKernel.assemble`), one lane-mask
+    reduction gives their invariant verdicts
+    (:meth:`~VectorizedKernel.check_level`), and one
+    :meth:`~StateStore.intern_batch` call probes them against the store's
+    :class:`~repro.verification.engine.store.RowTable` -- the visited set
+    holds the very rows the kernel computes on, compared whole, and the
+    next level is the new ones; a new row's parent is ``ids[parent_pos]``
+    and its event the outcome table's.  No packed key is built on the way,
+    and no statement here iterates over rows or successors: Python runs
+    per leaf (its verdict), per distinct raw successor (its event, one
+    C-level table lookup; under symmetry also the raw-successor set and
+    the relabeled representatives), per new row (the store's link columns)
+    and for the first failing row, and inside the kernel per *distinct*
+    guard, delivery key and tail key of the level.  Distinct raw
+    successors are processed in
     first-occurrence stream order and leaves replay interleaved by their
     sequence numbers, so verdicts, traces and (on passing searches) all
     exploration counts are bit-identical to the serial strategies; on a
@@ -94,7 +101,8 @@ class VectorizedExpander(CompiledExpander):
     the trace still match exactly).
 
     A level containing *any* row the batch path cannot express (unexpected
-    message, ambiguous guards, object errors) replays wholesale through the
+    message, ambiguous guards, object errors, a tail-memo key field wider
+    than its bits) replays wholesale through the
     inherited per-state body -- same row order, same per-plan order, same
     raw-successor dedup set, its keys converted to rows one
     :meth:`~StateStore.intern` at a time -- which guarantees failures
@@ -249,19 +257,14 @@ class VectorizedExpander(CompiledExpander):
         ok = vk.check_level(V, codes)
         perms = None
         if self.canonicalize is not None:
-            out_sids = level.sids
             kept, perms, V = self._representatives(
-                V, [out_sids[u] for u in order.tolist()]
+                V, level.sids[order].tolist()
             )
             us = order[kept]
             if ok is not None:
                 ok = ok[kept]
-        eevs = level.eevs
         new_ids = ctx.store.intern_batch(
-            V,
-            ids[np.asarray(level.parent_pos, dtype=np.intp)[us]],
-            [eevs[u] for u in us.tolist()],
-            perms,
+            V, ids[level.parent_pos[us]], vk.events_of(level.oids[us]), perms
         )
         fresh = new_ids >= 0
         if ok is None:

@@ -342,6 +342,30 @@ class TestSearchStats:
                      dict(strategy="parallel", processes=2)):
             assert verify(system, **mode).stats["visited_bytes"] is None, mode
 
+    def test_batch_kernel_says_what_it_retains(self, msi_nonstalling):
+        """The plan tables a batch search leaves behind, as counts that
+        repeat exactly: hash-consed network sections, tail-memo keys
+        ``(section, delivered slot, sends)`` and distinct ``(event, lane
+        delta, sends)`` outcomes.  Absent on the other backends, like
+        ``expansion_batches``."""
+        pytest.importorskip("numpy")
+
+        def stats(**mode):
+            fresh = System(msi_nonstalling, num_caches=2,
+                           workload=Workload(max_accesses_per_cache=2))
+            return verify(fresh, **mode).stats
+
+        tables = ("section_entries", "tail_memo_entries", "outcome_entries")
+        full = stats(kernel="vectorized")
+        assert [full[name] for name in tables] == [442, 1142, 258]
+        # Every section was parsed once, by the codec's memo.
+        assert full["section_entries"] == full["parse_memo_entries"]
+        reduced = stats(kernel="vectorized", symmetry=True)
+        assert [reduced[name] for name in tables] == [340, 700, 199]
+        for mode in (dict(), dict(kernel="object"),
+                     dict(kernel="vectorized", strategy="dfs")):
+            assert not set(tables) & set(stats(**mode)), mode
+
     def test_omission_bound_says_what_a_digest_can_miss(self, msi_nonstalling):
         """Membership by 128-bit digest can merge two distinct states; the
         result states the birthday bound on that over the states stored.
@@ -716,9 +740,11 @@ class TestRetainedObjects:
         except VectorizedUnavailable:  # no NumPy here: nothing to look at
             return
         sid = vkernel.intern_section(ctx.root_key[ctx.codec.net_byte_offset:])
-        # (packed tail, parse handle, deliveries): no lane tuple, let alone
-        # a zero-prefixed fake encoding, per hash-consed section.
-        packed, net, _deliveries = vkernel._section_info[sid]
+        # (packed tail, parse handle): no lane tuple, let alone a
+        # zero-prefixed fake encoding, per hash-consed section -- and its
+        # deliveries are rows of the kernel's typed section table, not a
+        # tuple of triples each.
+        packed, net = vkernel._section_info[sid]
         assert type(packed) is bytes and not hasattr(vkernel, "_zero_prefix")
         assert net is ctx.codec.parsed_section(packed)
         assert vkernel.section_tail(sid) == ctx.codec.unpack(packed)

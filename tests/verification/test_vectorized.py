@@ -9,7 +9,8 @@ pin that contract:
 * **Expansion parity** -- for sampled reachable states, one
   :meth:`VectorizedKernel.collect_level` call must enumerate exactly the
   plans (same encoded events, same successor encodings, same order) that
-  ``TransitionKernel.enabled`` + per-plan apply produce.
+  ``TransitionKernel.enabled`` + per-plan apply produce -- state by state,
+  and with all of them as the rows of one level.
 * **Whole-search parity** -- every bundled protocol x {stalling,
   nonstalling} x {plain, symmetry-reduced}, plus failing mutants, compared
   across all three kernels.
@@ -55,8 +56,40 @@ def _invariants(name: str):
     return None
 
 
+def _serial_stream(kernel, enc):
+    """``enabled`` + ``apply`` of one encoded state: its ``(event,
+    successor)`` pairs in plan order (``None``: a plan needs the slow path)."""
+    plans, net = kernel.enabled(enc)
+    stream = []
+    for plan in plans:
+        succ = plan[0](enc, plan, net)
+        if succ is None:
+            return None
+        stream.append((plan[1], succ))
+    return stream
+
+
+def _batch_stream(vk, F, level):
+    """What a collected level stands for, successor by successor: ``(parent
+    row, event, successor encoding)`` -- the parent's prefix with the
+    outcome's lane delta applied (read from the outcome table's CSR, as
+    ``assemble`` does) followed by the successor section's lanes."""
+    stream = []
+    for pos, oid, sid, eev in zip(
+        level.parent_pos.tolist(), level.oids.tolist(), level.sids.tolist(),
+        vk.events_of(level.oids),
+    ):
+        out = F[pos].tolist()
+        lo, hi = vk._out_ptr[oid], vk._out_ptr[oid + 1]
+        for col, val in zip(vk._out_cols[lo:hi], vk._out_vals[lo:hi]):
+            out[col] = val
+        stream.append((pos, eev, tuple(out) + vk.section_tail(sid)))
+    return stream
+
+
 class TestExpansionParity:
-    """collect_level against enabled+apply, state by state."""
+    """collect_level against enabled+apply: state by state, then with the
+    same states as one level."""
 
     @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
     @pytest.mark.parametrize("name", protocols.available_protocols())
@@ -73,43 +106,84 @@ class TestExpansionParity:
         compared = 0
         for state in sample_reachable_states(system, seed=20):
             enc = codec.encode(state)
-            plans, net = kernel.enabled(enc)
-            serial = []
-            slow = False
-            for plan in plans:
-                succ = plan[0](enc, plan, net)
-                if succ is None:
-                    slow = True
-                    break
-                serial.append((plan[1], succ))
+            serial = _serial_stream(kernel, enc)
             F = np.asarray([enc[:net_offset]], dtype=vk.dtype)
             sid = vk.intern_section(codec.pack(enc[net_offset:]))
             level = vk.collect_level([0], F, [sid])
             if level.fallbacks:
                 # The batch path may only refuse rows the compiled path also
                 # finds hard (slow-path applies); it must never *drop* rows.
-                assert slow or level.fallbacks == [0]
+                assert serial is None or level.fallbacks == [0]
                 continue
-            assert not slow
-            # Same plans, same order, same encoded events.
-            assert level.eevs == [plan[1] for plan in plans]
-            # Same successor encodings, reconstructed from the deltas.
-            prefix = list(enc[:net_offset])
-            off = 0
-            batch = []
-            for i in range(level.transitions):
-                out = prefix.copy()
-                nlanes = level.lens[i]
-                for col, val in zip(
-                    level.flat_cols[off : off + nlanes],
-                    level.flat_vals[off : off + nlanes],
-                ):
-                    out[col] = val
-                off += nlanes
-                batch.append(tuple(out) + vk.section_tail(level.sids[i]))
-            assert batch == [succ for _eev, succ in serial]
+            assert serial is not None
+            # Same plans, same order, same encoded events, same successor
+            # encodings, reconstructed from the deltas.
+            assert _batch_stream(vk, F, level) == [
+                (0, eev, succ) for eev, succ in serial
+            ]
             compared += 1
         assert compared >= 10, f"only {compared} states compared"
+
+    @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
+    @pytest.mark.parametrize("name", protocols.available_protocols())
+    def test_a_whole_level_is_the_concatenation_of_its_rows(
+        self, all_generated, name, config_label
+    ):
+        """One-row levels cannot see an ordering bug: the order *between*
+        rows, and between a row's access and delivery plans, is what the
+        level's one stable sort decides.  The sampled states as one level
+        -- duplicate rows included, leaf rows in the middle -- must read as
+        the per-state ``enabled`` + ``apply`` streams end to end."""
+        generated = all_generated[(name, config_label)]
+        system = System(generated, num_caches=3, workload=_workload(name))
+        vk = system.vectorized_kernel()
+        kernel = system.kernel()
+        codec = system.codec()
+        net_offset = vk.net_offset
+        # Walks run to their end, so each contributes its terminal state (a
+        # leaf) before the next one starts over near the root.
+        states = sample_reachable_states(system, seed=20, max_steps=400)
+        encs = [codec.encode(state) for state in states]
+        encs += encs[:5] + encs[-5:]
+        assert len(set(encs)) < len(encs)
+        streams = [_serial_stream(kernel, enc) for enc in encs]
+        assert None not in streams
+        ids = np.arange(1000, 1000 + len(encs))
+        F = np.asarray([enc[:net_offset] for enc in encs], dtype=vk.dtype)
+        sids = np.asarray(
+            [vk.intern_section(codec.pack(enc[net_offset:])) for enc in encs],
+            dtype=np.uint32,
+        )
+        level = vk.collect_level(ids, F, sids)
+        assert not level.fallbacks
+        for column in (level.parent_pos, level.oids, level.sids):
+            assert isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+            assert len(column) == level.transitions
+        expected = [
+            (pos, eev, succ)
+            for pos, stream in enumerate(streams)
+            for eev, succ in stream
+        ]
+        assert _batch_stream(vk, F, level) == expected
+        # Leaves: (successors before, state ID, row), in row order.
+        leaves, before = [], 0
+        for pos, stream in enumerate(streams):
+            if not stream:
+                leaves.append((before, 1000 + pos, pos))
+            before += len(stream)
+        assert level.leaves == leaves
+        assert any(0 < pos < len(encs) - 1 for _k, _id, pos in leaves)
+        # ... and `assemble` lays out those very encodings, naming the
+        # distinct ones in first-occurrence order.
+        M, order = vk.assemble(F, level)
+        assert vk.sids_of(M).tolist() == level.sids.tolist()
+        assert [tuple(row) for row in M[:, :net_offset].tolist()] == [
+            succ[:net_offset] for _pos, _eev, succ in expected
+        ]
+        first_seen: dict = {}
+        for u, (_pos, _eev, succ) in enumerate(expected):
+            first_seen.setdefault(succ, u)
+        assert order.tolist() == sorted(first_seen.values())
 
 
 #: ``System.value_bound`` values that derive each lane width.
@@ -141,10 +215,13 @@ class TestRawSuccessorRows:
         from repro.system.vectorized import LevelExpansion
 
         F = np.zeros((1, vk.net_offset), dtype=vk.dtype)
-        level = LevelExpansion()
-        level.parent_pos = [0, 0, 0]
-        level.sids = [sids[0], sids[1], sids[0]]
-        level.lens = [0, 0, 0]
+        prefix = (0,) * vk.net_offset
+        unchanged = vk._intern_outcome((0,), prefix, list(prefix), None, [])
+        level = LevelExpansion(
+            np.zeros(3, dtype=np.uint16),
+            np.full(3, unchanged, dtype=np.int32),
+            np.asarray([sids[0], sids[1], sids[0]], dtype=np.uint32),
+        )
         M, order = vk.assemble(F, level)
         assert order.tolist() == [0, 1]
         extra = max(1, 4 // vk.dtype.itemsize)
@@ -256,6 +333,44 @@ class TestFailureTraceParity:
         assert compiled.error is not None and vectorized.error is not None
         assert vectorized.error == compiled.error
         assert vectorized.trace == compiled.trace
+
+
+class TestTailKeyOverflow:
+    """A tail-memo key packs ``(section ID, delivered slot, send-list ID)``
+    into one integer; a slot or send-list ID too wide for its bit field
+    sends the level to the per-state replay -- it never wraps into another
+    key's successor section."""
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("bits", [1, 5])
+    def test_a_field_wider_than_its_bits_replays_the_level(
+        self, msi_nonstalling, explorations, monkeypatch, bits, symmetry
+    ):
+        import repro.system.vectorized as vec
+
+        def fresh():  # a fresh kernel: every key it holds has *bits*-wide fields
+            return System(msi_nonstalling, num_caches=2,
+                          workload=Workload(max_accesses_per_cache=2))
+
+        compiled = verify(fresh(), symmetry=symmetry)
+        monkeypatch.setattr(vec, "_TAIL_FIELD_BITS", bits)
+        vectorized = verify(fresh(), symmetry=symmetry, kernel="vectorized")
+        assert vectorized.ok and vectorized.kernel == "vectorized"
+        assert (
+            (vectorized.states_explored, vectorized.transitions_explored)
+            == (compiled.states_explored, compiled.transitions_explored)
+            == ((862, 1557) if symmetry else (1702, 3078))
+        )
+        # Some levels still fit (the first ones: few slots, few send lists),
+        # the others replay, and the two kinds of level hand over to each
+        # other without a state changing its ID.
+        stats = vectorized.stats
+        assert stats["fallback_transitions"] > 0
+        assert stats["vectorized_transitions"] > 0
+        assert (stats["fallback_transitions"] + stats["vectorized_transitions"]
+                == vectorized.transitions_explored)
+        by_key, by_row = (ctx.store for ctx in explorations[-2:])
+        assert by_row.snapshot() == by_key.snapshot()
 
 
 class TestExplicitFallbackContract:
