@@ -16,6 +16,8 @@ import resource
 import pytest
 from conftest import banner
 
+from repro import protocols
+from repro.core import GenerationConfig, generate
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.verification import verify
@@ -97,35 +99,40 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
             == vectorized.transitions_explored == 449_079)
     assert vectorized.stats["fallback_transitions"] == 0
     # What the batch kernel's plan tables hold at the end: one entry per
-    # distinct network section and per distinct (section, delivered slot,
-    # sends) splice -- the counts the dicts they replaced held.
+    # distinct network section and per distinct (section, delivered record,
+    # sends) splice, the sections made of a few hundred channel contents.
     assert vectorized.stats["section_entries"] == 16_092
     assert vectorized.stats["tail_memo_entries"] == 56_049
-
-
-#: Worker count of the nightly parallel run.
-NIGHTLY_WORKERS = 4
+    assert vectorized.stats["cell_entries"] == 369
+    assert vectorized.stats["record_entries"] == 171
 
 
 @pytest.mark.slow
 def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
-    """Nightly 4-cache x 2-access *full* (unreduced) MSI exploration, on the
-    shared-memory parallel engine, in two legs.
+    """Nightly 4-cache x 2-access *full* (unreduced) MSI exploration, one
+    process on the batch kernel, in two legs.
 
-    The space measures **24 579 648 states / 80 091 260 transitions**
-    (23.4x the reduced space's 1 052 239 canonical states, right at the
-    4! = 24 orbit bound).  The serial compiled kernel covered it in ~25 min
-    at ~17 k states/s with 14.5 GB peak RSS; the parallel engine shards the
-    visited set across ``NIGHTLY_WORKERS`` worker processes (the parent
-    keeps no key dict at all).
+    The space measures **28 632 320 states / 92 874 792 transitions**: the
+    default, fault-hardened protocol's (23.4x its reduced space's 1 224 363
+    canonical states, right at the 4! = 24 orbit bound).  The 24 579 648 /
+    1 052 239 this test and the README pinned until PR 21 are
+    ``harden=False``'s -- the protocol as the paper generates it, see
+    :func:`test_unhardened_msi_four_caches_reduced_space` -- and were never
+    re-taken when hardening became the default.  ``kernel="vectorized"``
+    covers it with **exact** membership (a row table compared whole:
+    ``omission_bound`` is ``None``), zero fallback transitions and zero
+    decodes; the run made at this commit (2-core / 15 GB VM, alone on the
+    box) took **4 min 31 s** of ``verify()`` -- leg 1 32 s, leg 2 239 s at
+    112 k states/s -- peak RSS **4 819 MB**, ``visited_bytes`` 1 785 MiB
+    (65.4 B a state).
 
-    Leg 1 is the **resume smoke**: a 2M-state budgeted run stops at a round
-    boundary and persists the sharded checkpoint (store links + worker
-    digest dumps).  Leg 2 resumes from it under the full budget and must
-    land on the exact uninterrupted totals -- checkpoint/resume at nightly
-    scale, not just in the unit suite.  The summary line (with its elapsed
-    time), peak memory and the engine's worker telemetry (states per
-    worker, rounds, cross-shard share) are printed.
+    Leg 1 is the **resume smoke**: a 2M-state budgeted run stops at the
+    last level boundary inside its budget and persists the checkpoint (the
+    row table saved as the packed keys its rows stand for).  Leg 2 resumes
+    from it under the full budget and must land on the exact uninterrupted
+    totals -- checkpoint/resume at nightly scale, not just in the unit
+    suite.  The summary line, throughput, peak memory and the visited
+    set's size are printed (CI copies them to the job summary).
     """
     budget = 30_000_000
     protocol = generated[("MSI", "stalling")]
@@ -133,40 +140,60 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
                     workload=Workload(max_accesses_per_cache=2))
     checkpoint = str(tmp_path / "e7-nightly.ckpt")
 
-    # Leg 1 -- budgeted prefix, checkpoint saved at a round boundary.
-    partial = verify(system, max_states=2_000_000, strategy="parallel",
-                     processes=NIGHTLY_WORKERS, hash_compaction=True,
+    # Leg 1 -- budgeted prefix, checkpoint saved at a level boundary.
+    partial = verify(system, max_states=2_000_000, kernel="vectorized",
                      checkpoint=checkpoint)
-    assert partial.ok and partial.partial
+    assert partial.ok and partial.partial and partial.kernel == "vectorized"
     assert os.path.exists(checkpoint), "budgeted leg must persist a checkpoint"
 
     # Leg 2 -- resume under the full budget; head-room above the known size
     # keeps the clean partial-abort path as the backstop if the space ever
     # grows, while the assertions below demand full coverage.
-    rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    result = verify(system, max_states=budget, strategy="parallel",
-                    processes=NIGHTLY_WORKERS, hash_compaction=True,
+    result = verify(system, max_states=budget, kernel="vectorized",
                     checkpoint=checkpoint)
-    rss_after_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    visited = result.stats["visited_bytes"]
+    resumed = result.states_explored - partial.states_explored
 
-    banner("E7 -- stalling MSI, 4 caches x 2 accesses (full, parallel nightly)")
+    banner("E7 -- stalling MSI, 4 caches x 2 accesses (full, vectorized nightly)")
     print(f"  {result.summary}")
-    print(f"  resumed at level        : {result.stats['resume_level']}")
-    print(f"  states per worker       : {result.stats['worker_states']}")
-    print(f"  rounds / cross-shard    : {result.stats['round_count']} / "
-          f"{result.stats['cross_shard_share']:.3f}")
-    print(f"  peak RSS                : {rss_after_kb / 1024:.0f} MB "
-          f"(+{max(0, rss_after_kb - rss_before_kb) / 1024:.0f} MB during "
-          f"the search)")
+    print(f"  resumed at level        : {result.stats['resume_level']} "
+          f"({partial.states_explored} states in, {partial.elapsed_seconds:.0f} s)")
+    print(f"  states/s (leg 2)        : "
+          f"{resumed / result.elapsed_seconds:,.0f}")
+    print(f"  peak RSS                : {rss_kb / 1024:.0f} MB")
+    print(f"  visited_bytes           : {visited / 2**20:.0f} MB "
+          f"({visited / result.states_explored:.1f} B a state)")
 
     assert result.ok
-    assert result.strategy == "parallel"
+    assert result.kernel == "vectorized"
     assert result.stats["resume_level"] is not None, "leg 2 must resume leg 1"
     assert not os.path.exists(checkpoint), "a completed run consumes its checkpoint"
     # Resume parity at scale: the two-leg search must land on the exact
-    # uninterrupted totals (cross-checked against the reduced
-    # 1 052 239-state search: 23.4x, within the 4! orbit bound).
+    # uninterrupted totals.
     assert not result.partial
-    assert result.states_explored == 24_579_648
-    assert result.transitions_explored == 80_091_260
-    assert sum(result.stats["worker_states"]) > 0
+    assert result.states_explored == 28_632_320
+    assert result.transitions_explored == 92_874_792
+    assert result.stats["fallback_transitions"] == 0
+    assert result.stats["decode_count"] == 0
+    assert result.stats["omission_bound"] is None
+
+
+@pytest.mark.slow
+def test_unhardened_msi_four_caches_reduced_space():
+    """Whose pins 24 579 648 / 1 052 239 were: the protocol generated with
+    ``harden=False`` -- the paper's, without the fault-tolerance pass that
+    is this repo's default.  Its symmetry-reduced 4c x 2a space is exactly
+    the 1 052 239 canonical states the README's reduction table carried
+    (the full space, 24 579 648, is 23.4x that)."""
+    protocol = generate(protocols.load("MSI"),
+                        GenerationConfig.stalling(harden=False))
+    system = System(protocol, num_caches=4,
+                    workload=Workload(max_accesses_per_cache=2))
+    result = verify(system, symmetry=True, kernel="vectorized")
+
+    banner("E7 -- stalling MSI, harden=False, 4 caches x 2 accesses (reduced)")
+    print(f"  {result.summary}")
+
+    assert result.ok and not result.partial
+    assert result.states_explored == 1_052_239

@@ -15,55 +15,84 @@ The design splits an encoding at the network boundary:
   of section IDs, so each row is ``(prefix lanes..., section id)`` and the
   matrix stays rectangular.
 
+The network itself is a *product of channels* -- per-``(src, dst, vnet)``
+FIFO queues, or one bag for an unordered interconnect -- and it is
+hash-consed as one: a **column** is a channel of a static, sorted universe
+(``(src, dst, vnet)`` over all node pairs when ordered; ``(mtype, src)``, a
+prefix of the record, when not), a **cell** is the hash-consed content of
+one channel (a tuple of message-record IDs: FIFO order, or a bag sorted by
+record; cell 0 is empty), and a **section** is its fixed-width vector of
+cell IDs, a row of an exact :class:`~repro.system.rowtable.RowTable` whose
+arena index *is* the section ID.  Sections multiply as a product of channel
+contents; the channel contents themselves saturate after a few hundred
+values, so everything that needs Python runs per cell, not per section.
+
 Expansion then exploits the locality the lane-op descriptors
 (:func:`repro.core.fsm.transition_lane_ops`) prove: a compiled transition
 reads and writes nothing outside *its controller's block*, the shared
 version lane, the delivered message, and the network section.  Its effect
 is therefore a pure function of a small key -- ``(message, receiver block,
 version)`` for deliveries, ``(cache id, block, version)`` for accesses,
-``(section id, delivered slot, sends)`` for the network splice -- and those
-keys recur across far more rows than they have distinct values.  Each
-distinct key is evaluated **once**, by running the existing per-transition
-specialized function (:meth:`TransitionKernel._compile_cache_fn` /
-``_compile_directory_fn``) on a representative row and diffing -- exact by
-construction -- and what it yields is kept in **append-only plan tables**
-that a level indexes as a whole, so no Python statement runs per row:
+``(section id, delivered record, sends)`` for the network splice -- and
+those keys recur across far more rows than they have distinct values.  Each
+distinct delivery or access key is evaluated **once**, by running the
+existing per-transition specialized function
+(:meth:`TransitionKernel._compile_cache_fn` / ``_compile_directory_fn``) on
+a representative row and diffing -- exact by construction -- and what it
+yields is kept in **append-only plan tables** that a level indexes as a
+whole, so no Python statement runs per row:
 
 * **guard IDs** -- every distinct ``(cache block, version)`` slice of each
   cache, and every distinct directory block, is a dense int drawn from one
   counter (so a guard ID names its receiver);
 * the **outcome table** -- every distinct ``(event, lane delta, sends)``
   has a dense outcome ID: its interned event tuple, the ID of its send
-  list, and its delta in CSR form.  A cache guard's access plans are a CSR
-  ``guard ID -> outcome IDs``; a delivery is memoized as ``(message record
-  ID, receiver guard ID) -> outcome ID``, *stalled* or *fallback*;
-* the **section table** -- next to each hash-consed section's packed tail
-  and parse handle, its deliverable messages as a CSR ``section ID ->
-  (slot, message record ID)``, a record ID naming the interned message and
-  its destination;
-* the **tail memo** -- ``(section ID, delivered slot, send-list ID) ->
-  successor section ID`` as two sorted arrays, probed with one
-  ``searchsorted`` per level; a miss runs the compiled kernel's exact
-  network re-normalization (:meth:`TransitionKernel._emit_net`) once.
+  list (record IDs, a CSR), and its delta in CSR form.  A cache guard's
+  access plans are a CSR ``guard ID -> outcome IDs``; a delivery is
+  memoized as ``(message record ID, receiver guard ID) -> outcome ID``,
+  *stalled* or *fallback*;
+* the **section table** -- the cell-ID vectors, and next to each its
+  deliverable messages as a CSR ``section ID -> message record IDs``
+  (every non-empty cell's head, or a bag's distinct records, columns in
+  order -- the serial delivery order), a record ID naming the interned
+  message, its destination and its column;
+* the **tail memo** -- ``(section ID, delivered record ID + 1, send-list
+  ID) -> successor section ID`` as two sorted arrays, probed with one
+  ``searchsorted`` per level.  The distinct keys a level misses are spliced
+  *together* as array operations (:meth:`VectorizedKernel._emit_tails`):
+  gather the source vectors, replace the delivered record's column by
+  ``remove(cell, record)``, each send's column by ``insert(cell, record)``,
+  intern the vectors with one table probe -- ``remove`` / ``insert`` being
+  two memoized functions on cells, the only place the network kinds differ
+  (FIFO append vs sorted insert; first record vs distinct records).
 
 :meth:`VectorizedKernel.collect_level` gathers a level's successors out of
 these tables as three integer arrays -- parent row, outcome ID, successor
 section ID -- in exact serial plan order, and
 :meth:`~VectorizedKernel.assemble` scatters the outcomes' lane deltas into
 the gathered parent rows.  Python runs once per *distinct* guard, delivery
-key and tail key of a level (a dict probe, or on a first sight the
-transition code itself), never per row or per successor.  Raw successors
+key and ``(cell, record, operation)`` of a level (a dict probe, or on a
+first sight the transition code itself / one tuple), never per row, per
+successor, per tail key or per section.  Raw successors
 then dedup **vectorized**: one ``np.unique`` over the row bytes (prefix
 lanes + section-ID lanes, :meth:`VectorizedKernel.widen`) per level
 replaces per-successor set probes.  Because sections are hash-consed, such
 a row is a bijection with the state's packed key, so the search keeps its
 visited set as a table of these very rows
-(:class:`repro.verification.engine.store.RowTable`) and a packed key is
-built only at a boundary: :meth:`~VectorizedKernel.rows_of` /
-:meth:`~VectorizedKernel.keys_of` convert, for a checkpoint, a per-state
-fallback level or a violation report.
+(:class:`~repro.system.rowtable.RowTable` again) and a packed key -- or a
+section's packed tail, or its lanes -- is built only at a boundary:
+:meth:`~VectorizedKernel.rows_of` / :meth:`~VectorizedKernel.keys_of`
+convert, for a checkpoint, a per-state fallback level or a violation
+report; :meth:`~VectorizedKernel.packed_tails` /
+:meth:`~VectorizedKernel.section_tail` rebuild a section's tail, for a
+level's symmetry relabels or a leaf row.  Each boundary works on all it is handed at once (the
+distinct unknown tails parsed, then one table probe) and keeps a bounded
+cache, so a section the hot path created has no packed tail and no parse
+handle unless something asked.
 
-The compiled interpreter stays on as the differential oracle and the
+The compiled interpreter stays on as the differential oracle (its
+:meth:`TransitionKernel._emit_net` is what the array splice is tested
+against) and the
 fallback: any plan the batch path cannot express (unexpected message,
 ambiguous guards, missing data/requestor -- anything the compiled kernel
 itself would route to the object executor -- or a tail key wider than its
@@ -77,8 +106,9 @@ and zero object decodes in the engine tests.
 
 from __future__ import annotations
 
-import struct
 from array import array
+from bisect import bisect_right
+from itertools import groupby
 
 from repro.core.fsm import (
     CompilationUnsupported,
@@ -91,6 +121,7 @@ from repro.system.kernel import (
     DEFAULT_CODES,
     TransitionKernel,
 )
+from repro.system.rowtable import RowTable
 
 try:  # NumPy is an optional dependency of the engine (requirements-dev).
     import numpy as _np
@@ -102,24 +133,22 @@ class VectorizedUnavailable(RuntimeError):
     """``kernel="vectorized"`` was requested but NumPy is not installed."""
 
 
-#: A row's section ID: 32 bits in native order, the layout of
-#: :meth:`VectorizedKernel.widen`.
-_SECTION_ID = struct.Struct("=I")
-
 #: In place of an outcome ID: a stalled delivery (not an enabled plan).
 _STALLED = -1
 #: In place of an outcome ID: this plan must take the compiled/object slow
 #: path.
 _FALLBACK = -2
 
-#: Bound on the per-kernel delivery/tail memos (cleared when hit, like the
-#: codec's component memos -- correctness never depends on a memo hit, and
-#: a clear drops keys only: outcome, send-list and section IDs stay valid).
+#: Bound on each of the per-kernel memos -- delivery, tail, cell-operation,
+#: and the two boundary caches between packed tails and section IDs
+#: (cleared when hit, like the codec's component memos -- correctness never
+#: depends on a memo hit, and a clear drops keys only: outcome, send-list,
+#: record, cell and section IDs stay valid).
 _MEMO_LIMIT = 1 << 20
 
-#: Bits of a tail-memo key given to the delivered slot and to the send-list
-#: ID each (the section ID takes the rest); a level holding a wider value
-#: replays per state instead of wrapping.
+#: Bits of a tail-memo key given to the delivered record ID + 1 and to the
+#: send-list ID each (the section ID takes the rest); a level holding a
+#: wider value replays per state instead of wrapping.
 _TAIL_FIELD_BITS = 16
 
 
@@ -203,18 +232,51 @@ class VectorizedKernel:
         # array's size, so none outlives the method that takes it -- and
         # every ID is dense, first-sight ordered and never reused.
         #
-        # Section table: packed tail <-> dense section ID; per ID the
-        # (packed tail, parse handle) pair -- the tail's lanes are unpacked
-        # where something reads them (`section_tail`) -- and its deliverable
-        # messages as a CSR.
-        self._section_ids: dict[bytes, int] = {}
-        self._section_info: list[tuple] = []
-        self._sec_ptr = array("i", [0])
-        self._sec_where = array("i")     # slot in the parse handle's items
-        self._sec_rec = array("i")       # message record ID
+        # Message records: a record ID names the interned 10-lane record,
+        # its destination node and its column (below).
         self._rec_ids: dict[tuple, int] = {}
         self._recs: list[tuple] = []
         self._rec_dst = array("i")       # a record's encoded destination node
+        self._rec_col = array("i")       # ... and the column it travels in
+        # The network as a product of channels.  A *column* is one channel
+        # of the static, sorted universe: ``(src, dst, vnet)`` when ordered,
+        # ``(mtype, src)`` when not -- either way a slice of the record's
+        # own lanes that sorts like the record, so "columns in order, each
+        # cell's records in order" is the section's normalized lane order.
+        # A *cell* is the hash-consed content of one channel -- record IDs
+        # in FIFO order, or as a bag sorted by record -- with its
+        # deliverable records (the head; a bag's distinct records) as a CSR;
+        # cell 0 is the empty channel.
+        nodes = range(1, self.num_caches + 2)
+        if codec.ordered:
+            vnets = sorted(set(self.kernel.spec.mtype_vnet))
+            columns = [(src, dst, vnet) for src in nodes for dst in nodes
+                       if src != dst for vnet in vnets]
+            self._col_lanes = slice(1, 4)
+        else:
+            columns = [(mtype, src) for mtype in range(len(codec.mtypes))
+                       for src in nodes]
+            self._col_lanes = slice(0, 2)
+        self._col_of = {key: col for col, key in enumerate(sorted(columns))}
+        self._cell_ids: dict[tuple, int] = {(): 0}
+        self._cells: list[tuple] = [()]
+        self._cell_len = array("i", [0])
+        self._cell_ptr = array("i", [0, 0])
+        self._cell_heads = array("i")
+        # ``(cell, record, insert?) -> cell``: the two functions a splice
+        # is made of, memoized.
+        self._cell_ops: dict[int, int] = {}
+        # Section table: a section is its vector of cell IDs over the
+        # columns, hash-consed in an exact row table whose arena index is
+        # the section ID; per ID its deliverable records, in delivery
+        # order, as a CSR.
+        self._sections = RowTable(_np, 4 * len(columns))
+        self._sec_ptr = array("i", [0])
+        self._sec_rec = array("i")       # message record ID
+        # The boundary caches: packed tail -> section ID (`intern_sections`)
+        # and section ID -> packed tail (`packed_tails`).
+        self._tail_ids: dict[bytes, int] = {}
+        self._packed: dict[int, bytes] = {}
         # Guard IDs: per receiver (0: the directory, ``1 + cid``: a cache)
         # its guard slice's bytes -- the directory block, or the cache
         # block + version -- to one shared counter.  The access CSR is
@@ -225,7 +287,8 @@ class VectorizedKernel:
         self._acc_ptr = array("i", [0])
         self._acc_oids = array("i")
         # Outcome table: (event, delta columns, delta values, sends) <->
-        # dense outcome ID; send lists are interned the same way.
+        # dense outcome ID; send lists (tuples of record IDs) are interned
+        # the same way.
         self._outcome_ids: dict[tuple, int] = {}
         self._out_eevs: list[tuple] = []
         self._out_sends = array("i")     # send-list ID
@@ -233,7 +296,8 @@ class VectorizedKernel:
         self._out_cols = array("i")
         self._out_vals = array(codec.typecode)
         self._sends_ids: dict[tuple, int] = {(): 0}
-        self._sends: list[tuple] = [()]
+        self._sends_ptr = array("i", [0, 0])
+        self._sends_rec = array("i")     # the send lists' record IDs, a CSR
         # Delivery memo: ``rec_id << 32 | gid`` -> outcome ID, `_STALLED`
         # or `_FALLBACK`.
         self._deliv_memo: dict[int, int] = {}
@@ -277,11 +341,21 @@ class VectorizedKernel:
     @property
     def section_entries(self) -> int:
         """Distinct network sections hash-consed so far."""
-        return len(self._section_info)
+        return len(self._sections)
+
+    @property
+    def cell_entries(self) -> int:
+        """Distinct non-empty channel contents hash-consed so far."""
+        return len(self._cells) - 1
+
+    @property
+    def record_entries(self) -> int:
+        """Distinct message records interned so far."""
+        return len(self._recs)
 
     @property
     def tail_memo_entries(self) -> int:
-        """``(section, delivered slot, sends)`` keys the tail memo holds."""
+        """``(section, delivered record, sends)`` keys the tail memo holds."""
         return len(self._tail_keys) - 1
 
     @property
@@ -289,33 +363,202 @@ class VectorizedKernel:
         """Distinct ``(event, lane delta, sends)`` outcomes evaluated so far."""
         return len(self._out_eevs)
 
-    # -- network-section interning -------------------------------------------------
+    # -- records, cells, sections --------------------------------------------------
+    def _record_id(self, rec: tuple) -> int:
+        """Dense ID of message record *rec*.  A first sight is where a lane
+        value that outgrew its width is caught: the hot path packs no tail,
+        so nothing downstream would."""
+        rid = self._rec_ids.get(rec)
+        if rid is None:
+            if max(rec) > self.codec.lane_max:
+                raise self.codec.overflow(max(rec))
+            col = self._col_of.get(rec[self._col_lanes])
+            if col is None:
+                raise ValueError(
+                    f"message record {rec} travels no channel of the batch "
+                    "kernel's column universe (a node sending to itself, or "
+                    "an unknown virtual network); use kernel=\"compiled\""
+                )
+            rid = self._rec_ids[rec] = len(self._recs)
+            self._recs.append(rec)
+            self._rec_dst.append(rec[2])
+            self._rec_col.append(col)
+        return rid
+
+    def _cell_id(self, rids: tuple) -> int:
+        """Dense ID of the channel content *rids* (record IDs in the
+        channel's order); a first sight files its deliverable records."""
+        cell = self._cell_ids.get(rids)
+        if cell is None:
+            if len(rids) > self.codec.lane_max:
+                raise self.codec.overflow(len(rids))
+            cell = self._cell_ids[rids] = len(self._cells)
+            self._cells.append(rids)
+            self._cell_len.append(len(rids))
+            if self.codec.ordered:
+                self._cell_heads.append(rids[0])
+            else:
+                # Identical in-flight messages lead to the same successor:
+                # the bag's distinct records (equal ones are adjacent).
+                self._cell_heads.extend(
+                    rid for at, rid in enumerate(rids)
+                    if at == 0 or rid != rids[at - 1]
+                )
+            self._cell_ptr.append(len(self._cell_heads))
+        return cell
+
+    def _cell_op(self, cell: int, rid: int, insert: int) -> int:
+        """The cell that *cell* becomes when record *rid* is sent into it
+        (*insert*: FIFO append, or sorted insert by record) or delivered
+        out of it (a FIFO only ever loses its head, a bag one occurrence)."""
+        rids = self._cells[cell]
+        if not insert:
+            at = rids.index(rid)
+            return self._cell_id(rids[:at] + rids[at + 1 :])
+        if self.codec.ordered:
+            return self._cell_id(rids + (rid,))
+        recs = self._recs
+        at = bisect_right(rids, recs[rid], key=recs.__getitem__)
+        return self._cell_id(rids[:at] + (rid,) + rids[at:])
+
+    def _cell_ops_of(self, cells, rids, insert: int):
+        """:meth:`_cell_op` over parallel arrays of cell and record IDs:
+        one memo probe per distinct pair."""
+        np = self.np
+        keys = (cells.astype(np.int64) << 32 | rids) << 1 | insert
+        uniq, inv = np.unique(keys, return_inverse=True)
+        uniq = uniq.tolist()
+        memo = self._cell_ops
+        found = list(map(memo.get, uniq))
+        for k, cell in enumerate(found):
+            if cell is None:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                key = uniq[k]
+                found[k] = memo[key] = self._cell_op(
+                    key >> 33, key >> 1 & 0xFFFF_FFFF, insert
+                )
+        return np.asarray(found, dtype=np.uint32)[inv]
+
+    def _intern_vectors(self, V):
+        """Section IDs (a ``uint32`` array) of the rows of *V*, cell-ID
+        vectors over the columns: one table probe, and the deliveries of
+        the sections it had not seen -- every non-empty cell's deliverable
+        records, columns in order -- appended to the section CSR."""
+        np = self.np
+        known = len(self._sections)
+        sids = self._sections.intern(V).astype(np.uint32)
+        if len(self._sections) == known:
+            return sids
+        W = self._sections.rows(np.uint32)[known:]
+        owner, column = np.nonzero(W)  # row-major: a section's columns in order
+        cells = W[owner, column]
+        del W  # an arena view dies before the table's next insertion
+        # The packed tail's count lane, which nobody packs here: the
+        # channels of an ordered section, the messages of an unordered one.
+        load = np.bincount(
+            owner, minlength=len(self._sections) - known,
+            weights=None if self.codec.ordered
+            else np.frombuffer(self._cell_len, dtype=np.int32)[cells],
+        )
+        ptr = np.frombuffer(self._cell_ptr, dtype=np.int32)
+        starts = ptr[cells]
+        cell_of, index = _ranges(np, starts, ptr[cells + 1] - starts)
+        del ptr  # the raise below must leave no view in its traceback
+        self._sec_rec.frombytes(
+            np.frombuffer(self._cell_heads, dtype=np.int32)[index].tobytes()
+        )
+        ends = np.bincount(owner[cell_of], minlength=len(load)).cumsum()
+        ends += self._sec_ptr[-1]
+        self._sec_ptr.frombytes(ends.astype(np.int32).tobytes())
+        if load.max() > self.codec.lane_max:
+            raise self.codec.overflow(int(load.max()))
+        return sids
+
+    def _cells_of(self, packed_tail: bytes) -> list:
+        """``(column, cell ID)`` of every non-empty channel of a packed
+        section, through the codec's (memoized) parse."""
+        items = self.codec.parsed_section(packed_tail)[0]
+        col_of = self._rec_col
+        if self.codec.ordered:
+            groups = [tuple(map(self._record_id, item[3])) for item in items]
+        else:
+            groups = [
+                tuple(group) for _, group in
+                groupby(map(self._record_id, items), key=col_of.__getitem__)
+            ]
+        return [(col_of[rids[0]], self._cell_id(rids)) for rids in groups]
+
+    def intern_sections(self, packed_tails):
+        """Section IDs (a ``uint32`` array) of packed network sections (the
+        bytes past ``codec.net_byte_offset`` of a state's key): the boundary
+        into the batch kernel.  The distinct tails the boundary cache does
+        not hold are parsed into vectors and probed against the section
+        table together."""
+        np = self.np
+        memo = self._tail_ids
+        found = list(map(memo.get, packed_tails))
+        missing = dict.fromkeys(
+            tail for tail, sid in zip(packed_tails, found) if sid is None
+        )
+        if missing:
+            V = np.zeros((len(missing), len(self._col_of)), dtype=np.uint32)
+            for row, tail in enumerate(missing):
+                for col, cell in self._cells_of(tail):
+                    V[row, col] = cell
+            for tail, sid in zip(missing, self._intern_vectors(V).tolist()):
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                missing[tail] = memo[tail] = sid
+            found = [
+                missing[tail] if sid is None else sid
+                for tail, sid in zip(packed_tails, found)
+            ]
+        return np.asarray(found, dtype=np.uint32)
+
     def intern_section(self, packed_tail: bytes) -> int:
-        """Dense ID for a packed network section (hash-consed): the bytes
-        past ``codec.net_byte_offset`` of a state's key."""
-        sid = self._section_ids.get(packed_tail)
-        if sid is None:
-            sid = len(self._section_info)
-            self._section_ids[packed_tail] = sid
-            net = self.codec.parsed_section(packed_tail)
-            rec_ids = self._rec_ids
-            for where, rec, _eev in net[2]:
-                rid = rec_ids.get(rec)
-                if rid is None:
-                    rid = rec_ids[rec] = len(self._recs)
-                    self._recs.append(rec)
-                    self._rec_dst.append(rec[2])
-                self._sec_where.append(where)
-                self._sec_rec.append(rid)
-            self._sec_ptr.append(len(self._sec_where))
-            self._section_info.append((packed_tail, net))
-        return sid
+        """:meth:`intern_sections` for one packed section."""
+        return int(self.intern_sections((packed_tail,))[0])
+
+    def packed_tails(self, sids) -> list:
+        """The packed tail of each section ID in *sids* (a sequence of
+        ints), rebuilt from its vector (columns in order, each cell's
+        records in order) where the boundary cache does not hold it: the
+        boundary out of the batch kernel, a batch at a time."""
+        memo = self._packed
+        tails = list(map(memo.get, sids))
+        missing = [k for k, tail in enumerate(tails) if tail is None]
+        if missing:
+            vectors = self._sections.rows(self.np.uint32)[
+                [sids[k] for k in missing]
+            ].tolist()
+            ordered = self.codec.ordered
+            cells = self._cells
+            recs = self._recs
+            for k, vector in zip(missing, vectors):
+                lanes = [0]
+                for cell in filter(None, vector):
+                    rids = cells[cell]
+                    if ordered:
+                        lanes[0] += 1
+                        lanes.extend(recs[rids[0]][1:4])
+                        lanes.append(len(rids))
+                    else:
+                        lanes[0] += len(rids)
+                    for rid in rids:
+                        lanes.extend(recs[rid])
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                tails[k] = memo[sids[k]] = self.codec.pack(lanes)
+        return tails
 
     def section_tail(self, sid: int) -> tuple:
-        """The section's lanes -- rebuilt per call: they are read on memo
-        misses, leaf rows and relabels only, and a resident copy per
-        section would cost more than the packed tails themselves."""
-        return self.codec.unpack(self._section_info[sid][0])
+        """The section's lanes -- unpacked per call from the boundary
+        cache's packed tail: they are read on leaf rows only."""
+        packed = self._packed.get(sid)
+        if packed is None:
+            packed = self.packed_tails((sid,))[0]
+        return self.codec.unpack(packed)
 
     # -- rows: a whole state as one fixed-width matrix row -------------------------
     def widen(self, prefixes, sids):
@@ -345,31 +588,26 @@ class VectorizedKernel:
 
     def rows_of(self, keys):
         """Row matrix of packed *keys*: prefix bytes stacked as they are,
-        packed tails hash-consed to section IDs -- no lane tuple is built."""
+        packed tails hash-consed to section IDs together
+        (:meth:`intern_sections`) -- no lane tuple is built."""
         cut = self.codec.net_byte_offset
         prefixes = self.np.frombuffer(
             b"".join([key[:cut] for key in keys]), dtype=self.dtype
         )
         return self.widen(
             prefixes.reshape(len(keys), self.net_offset),
-            [self.intern_section(key[cut:]) for key in keys],
+            self.intern_sections([key[cut:] for key in keys]),
         )
-
-    def row_bytes_of(self, enc: tuple) -> bytes:
-        """The bytes of the row of one encoded state (what :meth:`widen`
-        would lay out for it)."""
-        no = self.net_offset
-        pack = self.codec.pack
-        return pack(enc[:no]) + _SECTION_ID.pack(self.intern_section(pack(enc[no:])))
 
     def keys_of(self, M) -> list:
         """Packed keys of the rows of *M* (inverse of :meth:`rows_of`)."""
         cut = self.codec.net_byte_offset
         prefixes = self.np.ascontiguousarray(M[:, : self.net_offset]).tobytes()
-        info = self._section_info
+        uniq, inv = self.np.unique(self.sids_of(M), return_inverse=True)
+        tails = self.packed_tails(uniq.tolist())
         return [
-            prefixes[pos * cut : (pos + 1) * cut] + info[sid][0]
-            for pos, sid in enumerate(self.sids_of(M).tolist())
+            prefixes[pos * cut : (pos + 1) * cut] + tails[k]
+            for pos, k in enumerate(inv.tolist())
         ]
 
     def events_of(self, oids) -> list:
@@ -440,11 +678,12 @@ class VectorizedKernel:
         return segments
 
     def _delivery_successors(self, F, sids, G):
-        """The delivery plans of every row: ``(parent_pos, oids, where)``
-        gathered from the section CSR on *sids*, their outcomes resolved
-        once per distinct ``(message record, receiver guard)`` key of the
-        level -- a memo probe, or a miss evaluated on the first row that
-        carries it, in first-occurrence order -- stalled ones dropped."""
+        """The delivery plans of every row: ``(parent_pos, oids, rec)``
+        gathered from the section CSR on *sids* -- *rec* the delivered
+        message record's ID -- their outcomes resolved once per distinct
+        ``(message record, receiver guard)`` key of the level -- a memo
+        probe, or a miss evaluated on the first row that carries it, in
+        first-occurrence order -- stalled ones dropped."""
         np = self.np
         ptr = np.frombuffer(self._sec_ptr, dtype=np.int32)
         starts = ptr[sids]
@@ -452,7 +691,6 @@ class VectorizedKernel:
         # A miss below may raise (LaneOverflow): leave no view behind in a
         # frame the traceback keeps, where it would pin its table's size.
         del ptr
-        where = np.frombuffer(self._sec_where, dtype=np.int32)[index]
         rec = np.frombuffer(self._sec_rec, dtype=np.int32)[index]
         dst = np.frombuffer(self._rec_dst, dtype=np.int32)[rec]
         keys = rec.astype(np.int64) << 32 | G[dst - 1, owner]
@@ -471,7 +709,7 @@ class VectorizedKernel:
             )
         oids = np.asarray(found, dtype=np.int32)[inv]
         enabled = np.flatnonzero(oids != _STALLED)
-        return owner[enabled], oids[enabled], where[enabled]
+        return owner[enabled], oids[enabled], rec[enabled]
 
     def collect_level(self, ids, F, sids) -> LevelExpansion:
         """Enumerate every row's plans in exact serial order, a level at a
@@ -494,12 +732,13 @@ class VectorizedKernel:
         sids = np.asarray(sids, dtype=np.uint32)
         G = self._guard_ids(F)
         segments = self._access_successors(G)
-        d_parent, d_oids, d_where = self._delivery_successors(F, sids, G)
+        d_parent, d_oids, d_rec = self._delivery_successors(F, sids, G)
         parent = np.concatenate([owner for owner, _oids in segments] + [d_parent])
         oids = np.concatenate([oids for _owner, oids in segments] + [d_oids])
-        # Delivered slot + 1; zero where nothing is delivered (an access).
+        # Delivered record ID + 1 (a record names its channel); zero where
+        # nothing is delivered (an access).
         slot = np.zeros(len(parent), dtype=np.int32)
-        slot[len(parent) - len(d_parent) :] = d_where + 1
+        slot[len(parent) - len(d_parent) :] = d_rec + 1
         # Row positions as narrow as the level allows: a stable sort of
         # 16-bit keys is a radix sort.
         parent = parent.astype(np.uint16 if nrows <= 1 << 16 else np.uint32)
@@ -535,9 +774,10 @@ class VectorizedKernel:
 
     def _successor_sections(self, src, slot, sends):
         """Successor section IDs for parallel arrays of source section ID,
-        delivered slot + 1 (0: none) and send-list ID, each field within
-        its bits: one ``searchsorted`` against the tail memo; the distinct
-        missing keys are emitted once each and merged back in."""
+        delivered record ID + 1 (0: none) and send-list ID, each field
+        within its bits: one ``searchsorted`` against the tail memo; the
+        distinct missing keys are spliced together (:meth:`_emit_tails`)
+        and merged back in."""
         np = self.np
         bits = _TAIL_FIELD_BITS
         out = src.copy()
@@ -554,7 +794,7 @@ class VectorizedKernel:
         missed = np.flatnonzero(table[where] != keys)
         if len(missed):
             new_keys, inv = np.unique(keys[missed], return_inverse=True)
-            new_sids = np.asarray(self._emit_tails(new_keys.tolist()), dtype=np.uint32)
+            new_sids = self._emit_tails(new_keys)
             found[missed] = new_sids[inv]
             if len(table) > _MEMO_LIMIT:
                 self._reset_tails()
@@ -567,34 +807,42 @@ class VectorizedKernel:
         out[at] = found
         return out
 
-    def _emit_tails(self, keys: list) -> list:
-        """Successor section IDs for sorted distinct tail-memo *keys*, each
-        via the compiled kernel's exact re-normalization.  Sorted keys are
-        grouped by source section, whose lanes and parse handle are fetched
-        once per group."""
+    def _emit_tails(self, keys):
+        """Successor section IDs (a ``uint32`` array) for the distinct
+        tail-memo *keys* a level missed, all spliced at once: gather the
+        source sections' vectors, replace each delivered record's column by
+        its cell minus the record, then send *j* of every key's send list
+        in one step -- the record's column by its cell plus the record,
+        ``j = 0 .. longest list`` -- and intern the vectors with one table
+        probe.  Exactly ``Network.deliver`` + ``Network.send``: a channel
+        emptied and re-opened passes through cell 0, and a key's sends into
+        one FIFO append in list order.  Python runs per distinct ``(cell,
+        record, operation)`` (:meth:`_cell_ops_of`), never per key."""
+        np = self.np
         bits = _TAIL_FIELD_BITS
         mask = (1 << bits) - 1
-        emit = self.kernel._emit_net
-        pack_tail = self.codec.pack_tail
-        intern = self.intern_section
-        sends_of = self._sends
-        out_sids = []
-        current = -1
-        for key in keys:
-            sid = key >> 2 * bits
-            if sid != current:
-                current = sid
-                tail = self.section_tail(sid)
-                net = self._section_info[sid][1]
-                end = len(tail)
-            slot = key >> bits & mask
-            out: list = []
-            emit(
-                out, tail, net, slot - 1 if slot else None,
-                list(sends_of[key & mask]), 0, end,
-            )
-            out_sids.append(intern(pack_tail(out)))
-        return out_sids
+        slot = keys >> bits & mask
+        sends = keys & mask
+        rec_col = np.frombuffer(self._rec_col, dtype=np.int32)
+        ptr = np.frombuffer(self._sends_ptr, dtype=np.int32)
+        data = np.frombuffer(self._sends_rec, dtype=np.int32)
+        # The whole plan first, as (rows, record, column, insert?) steps:
+        # a cell operation below may raise (LaneOverflow), and must leave
+        # no view behind in a frame the traceback keeps.
+        rows = np.flatnonzero(slot)
+        rids = slot[rows] - 1
+        steps = [(rows, rids, rec_col[rids], 0)]
+        starts = ptr[sends]
+        lengths = ptr[sends + 1] - starts
+        for j in range(int(lengths.max())):
+            rows = np.flatnonzero(lengths > j)
+            rids = data[starts[rows] + j]
+            steps.append((rows, rids, rec_col[rids], 1))
+        del rec_col, ptr, data
+        V = self._sections.rows(np.uint32)[keys >> 2 * bits]
+        for rows, rids, cols, insert in steps:
+            V[rows, cols] = self._cell_ops_of(V[rows, cols], rids, insert)
+        return self._intern_vectors(V)
 
     def assemble(self, F, level: LevelExpansion):
         """Build the successor lane matrix and dedup it, all vectorized.
@@ -691,15 +939,16 @@ class VectorizedKernel:
         delta = self._confined_delta(prefix, out, base)
         if delta is None:
             return _FALLBACK
-        sends = tuple(sends)
+        sends = tuple(map(self._record_id, sends))
         key = (eev, *delta, sends)
         oid = self._outcome_ids.get(key)
         if oid is None:
             oid = self._outcome_ids[key] = len(self._out_eevs)
             sends_id = self._sends_ids.get(sends)
             if sends_id is None:
-                sends_id = self._sends_ids[sends] = len(self._sends)
-                self._sends.append(sends)
+                sends_id = self._sends_ids[sends] = len(self._sends_ptr) - 1
+                self._sends_rec.extend(sends)
+                self._sends_ptr.append(len(self._sends_rec))
             self._out_eevs.append(eev)
             self._out_sends.append(sends_id)
             self._out_cols.extend(delta[0])

@@ -80,7 +80,10 @@ class VerificationResult:
     #: reduced or not), ``lane_bytes`` (1/2/4: the width the codec derived
     #: for every lane of a packed key), ``parse_memo_entries`` (distinct
     #: packed network sections in the codec's parse memo in this process at
-    #: search end), ``visited_bytes`` (bytes of the visited set where it is
+    #: search end -- on ``kernel="vectorized"`` the boundary parses only:
+    #: the sections of keys handed to the batch kernel, 1 on a fresh full
+    #: search, the root's; the sections it creates are never packed or
+    #: parsed), ``visited_bytes`` (bytes of the visited set where it is
     #: the batch path's row table -- rows in use plus the slot table, so
     #: bytes per state is a reported count; ``None`` where it is a dict or
     #: lives in the worker shards), ``raw_seen_entries`` /
@@ -103,7 +106,11 @@ class VerificationResult:
     #: fleet ran) and ``cross_shard_share`` (candidates serialised to
     #: another owner / transitions) are ``None`` unless the strategy is
     #: ``parallel``; ``worker_states`` / ``spill_bytes`` / ``steal_count``
-    #: (always 0) appear only when it is.
+    #: (always 0) appear only when it is.  ``kernel="vectorized"`` adds the
+    #: sizes of the batch kernel's plan tables: ``section_entries`` /
+    #: ``cell_entries`` / ``record_entries`` (hash-consed network sections,
+    #: and the distinct channel contents and message records they are made
+    #: of), ``tail_memo_entries`` and ``outcome_entries``.
     stats: dict = field(default_factory=dict)
 
     @property
@@ -363,6 +370,8 @@ class Exploration:
             stats["section_entries"] = self.vkernel.section_entries
             stats["tail_memo_entries"] = self.vkernel.tail_memo_entries
             stats["outcome_entries"] = self.vkernel.outcome_entries
+            stats["cell_entries"] = self.vkernel.cell_entries
+            stats["record_entries"] = self.vkernel.record_entries
         return VerificationResult(
             ok=ok,
             states_explored=self.explored,

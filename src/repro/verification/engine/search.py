@@ -5,8 +5,8 @@ driver (:func:`~repro.verification.engine.driver.drive`) runs.
   Identical exploration order (and, with symmetry off, identical state
   counts) to the seed explorer, and the shortest counterexamples.
 * :class:`DepthFirst` -- hands the driver the top of a stack instead;
-  explores the same state set and reports the same verdicts, typically
-  finding *some* counterexample sooner at the cost of longer traces.
+  explores the same state set and reports the same verdicts, with longer
+  counterexample traces.
 * :class:`ParallelBreadthFirst` -- BFS on the **shared-memory worker
   fleet** (:mod:`repro.verification.engine.parallel`), forked before the
   first level.  Every state stays on the worker that owns its digest and
@@ -24,7 +24,7 @@ unpacked into lanes only while that state is expanded -- and the
 ``System`` subclasses and custom invariants).  :class:`VectorizedExpander`
 below expands a whole BFS level as NumPy operations -- its level is a row
 matrix (prefix lanes plus one hash-consed section ID per row), its visited
-set the store's :class:`~repro.verification.engine.store.RowTable` of
+set the store's :class:`~repro.system.rowtable.RowTable` of
 those same rows, so a state is never a packed key on its way from birth to
 rest -- and *is* a compiled expander for every level it cannot express;
 the fourth is the fleet.  All
@@ -82,17 +82,18 @@ class VectorizedExpander(CompiledExpander):
     reduction gives their invariant verdicts
     (:meth:`~VectorizedKernel.check_level`), and one
     :meth:`~StateStore.intern_batch` call probes them against the store's
-    :class:`~repro.verification.engine.store.RowTable` -- the visited set
+    :class:`~repro.system.rowtable.RowTable` -- the visited set
     holds the very rows the kernel computes on, compared whole, and the
     next level is the new ones; a new row's parent is ``ids[parent_pos]``
     and its event the outcome table's.  No packed key is built on the way,
     and no statement here iterates over rows or successors: Python runs
     per leaf (its verdict), per distinct raw successor (its event, one
     C-level table lookup; under symmetry also the raw-successor set and
-    the relabeled representatives), per new row (the store's link columns)
+    the relabeled representatives, whose rows come back from the kernel's
+    boundary in one call a level), per new row (the store's link columns)
     and for the first failing row, and inside the kernel per *distinct*
-    guard, delivery key and tail key of the level.  Distinct raw
-    successors are processed in
+    guard, delivery key and ``(cell, record, operation)`` of the level.
+    Distinct raw successors are processed in
     first-occurrence stream order and leaves replay interleaved by their
     sequence numbers, so verdicts, traces and (on passing searches) all
     exploration counts are bit-identical to the serial strategies; on a
@@ -139,7 +140,7 @@ class VectorizedExpander(CompiledExpander):
         section_tail = self.ctx.vkernel.section_tail
         while done < len(leaves) and (upto is None or leaves[done][0] <= upto):
             _seq, state_id, pos = leaves[done]
-            enc = tuple(F[pos].tolist()) + section_tail(sids[pos])
+            enc = tuple(F[pos].tolist()) + section_tail(int(sids[pos]))
             failure = self.leaf(int(state_id), enc)
             if failure is not None:
                 return done, failure
@@ -160,8 +161,11 @@ class VectorizedExpander(CompiledExpander):
         raw_seen = self.raw_seen
         timer = perf_counter
         unpack = ctx.codec.unpack
-        section_tail = vk.section_tail
-        row_bytes_of = vk.row_bytes_of
+        pack = ctx.codec.pack
+        # The level's sections as packed tails: one trip through the
+        # kernel's boundary, whichever rows turn out to need their lanes.
+        sections = sorted(set(out_sids))
+        tail_of = dict(zip(sections, vk.packed_tails(sections)))
         vbytes = V.tobytes()
         rowsize = V.shape[1] * V.dtype.itemsize
         prefix_bytes = vk.net_offset * V.dtype.itemsize
@@ -182,7 +186,7 @@ class VectorizedExpander(CompiledExpander):
         kept: list = []
         perms: list = []
         moved: list = []       # positions in ``kept`` whose row is relabeled
-        moved_rows: list = []  # ... and the relabeled row's bytes
+        moved_keys: list = []  # ... and the relabeled state's packed key
         for j in range(len(V)):
             grown = len(raw_seen) + 1
             raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
@@ -200,20 +204,19 @@ class VectorizedExpander(CompiledExpander):
             start = timer()
             enc = (
                 unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes])
-                + section_tail(out_sids[j])
+                + unpack(tail_of[out_sids[j]])
             )
             cenc, best = resolve(enc, orbit)
             ctx.canon_seconds += timer() - start
             if cenc is not enc:
                 moved.append(len(kept))
-                moved_rows.append(row_bytes_of(cenc))
+                moved_keys.append(pack(cenc))
             kept.append(j)
             perms.append(best)
         C = V[kept]
         if moved:
-            C[moved] = np.frombuffer(b"".join(moved_rows), dtype=V.dtype).reshape(
-                len(moved), V.shape[1]
-            )
+            # ... and one trip back for the relabeled ones.
+            C[moved] = vk.rows_of(moved_keys)
         return kept, perms, C
 
     def expand(self, lanes):

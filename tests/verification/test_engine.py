@@ -345,9 +345,10 @@ class TestSearchStats:
     def test_batch_kernel_says_what_it_retains(self, msi_nonstalling):
         """The plan tables a batch search leaves behind, as counts that
         repeat exactly: hash-consed network sections, tail-memo keys
-        ``(section, delivered slot, sends)`` and distinct ``(event, lane
-        delta, sends)`` outcomes.  Absent on the other backends, like
-        ``expansion_batches``."""
+        ``(section, delivered record, sends)``, distinct ``(event, lane
+        delta, sends)`` outcomes, and what sections are made of -- distinct
+        channel contents (cells) and message records.  Absent on the other
+        backends, like ``expansion_batches``."""
         pytest.importorskip("numpy")
 
         def stats(**mode):
@@ -355,13 +356,17 @@ class TestSearchStats:
                            workload=Workload(max_accesses_per_cache=2))
             return verify(fresh, **mode).stats
 
-        tables = ("section_entries", "tail_memo_entries", "outcome_entries")
+        tables = ("section_entries", "tail_memo_entries", "outcome_entries",
+                  "cell_entries", "record_entries")
         full = stats(kernel="vectorized")
-        assert [full[name] for name in tables] == [442, 1142, 258]
-        # Every section was parsed once, by the codec's memo.
-        assert full["section_entries"] == full["parse_memo_entries"]
+        assert [full[name] for name in tables] == [442, 1142, 258, 84, 64]
+        # A section the batch path creates is never parsed (nor packed):
+        # the codec's memo holds the boundary parses only -- here the root.
+        assert full["parse_memo_entries"] == 1
         reduced = stats(kernel="vectorized", symmetry=True)
-        assert [reduced[name] for name in tables] == [340, 700, 199]
+        assert [reduced[name] for name in tables] == [340, 700, 199, 79, 62]
+        # ... and under symmetry the relabeled representatives' sections.
+        assert 1 < reduced["parse_memo_entries"] < reduced["section_entries"]
         for mode in (dict(), dict(kernel="object"),
                      dict(kernel="vectorized", strategy="dfs")):
             assert not set(tables) & set(stats(**mode)), mode
@@ -735,19 +740,41 @@ class TestRetainedObjects:
         assert "lower" not in vars(CompiledExpander)
         assert CompiledExpander.lift is Expander.lift
         assert CompiledExpander.lower is Expander.lower
+        # A fresh system: a codec whose parse memo the compiled search
+        # above has not filled.
+        fresh = System(ctx.system.protocol, num_caches=ctx.system.num_caches,
+                       workload=ctx.system.workload)
+        codec = fresh.codec()
         try:
-            vkernel = VectorizedKernel(ctx.system)
+            vkernel = VectorizedKernel(fresh)
         except VectorizedUnavailable:  # no NumPy here: nothing to look at
             return
-        sid = vkernel.intern_section(ctx.root_key[ctx.codec.net_byte_offset:])
-        # (packed tail, parse handle): no lane tuple, let alone a
-        # zero-prefixed fake encoding, per hash-consed section -- and its
-        # deliveries are rows of the kernel's typed section table, not a
-        # tuple of triples each.
-        packed, net = vkernel._section_info[sid]
-        assert type(packed) is bytes and not hasattr(vkernel, "_zero_prefix")
-        assert net is ctx.codec.parsed_section(packed)
-        assert vkernel.section_tail(sid) == ctx.codec.unpack(packed)
+        root = vkernel.rows_of([ctx.root_key])
+        level = vkernel.collect_level(
+            [ctx.root_id], root[:, : vkernel.net_offset], vkernel.sids_of(root)
+        )
+        created = set(level.sids.tolist()) - set(vkernel.sids_of(root).tolist())
+        assert created and not level.fallbacks
+        # A section is a row of cell IDs in the kernel's section table and
+        # its deliveries rows of the typed section CSR: for one the hot
+        # path created there is no packed tail and no parse handle, let
+        # alone a lane tuple or a zero-prefixed fake encoding -- only the
+        # root's, which crossed the boundary, was parsed.
+        assert not hasattr(vkernel, "_zero_prefix")
+        assert not hasattr(vkernel, "_section_info")
+        assert len(vkernel._sections) == 1 + len(created)
+        assert list(vkernel._tail_ids.values()) == vkernel.sids_of(root).tolist()
+        assert not vkernel._packed
+        assert list(codec._net_items_memo) == [
+            ctx.root_key[codec.net_byte_offset:]
+        ]
+        # The packed tail is rebuilt at the boundary, on request, and what
+        # it rebuilds is what the compiled kernel would have packed.
+        for sid in created:
+            tail = vkernel.section_tail(sid)
+            assert vkernel.intern_section(codec.pack(tail)) == sid
+        assert set(vkernel._packed) == created
+        assert codec.parse_memo_entries == 1 + len(created)
 
 
 @pytest.mark.parametrize("axes", [

@@ -2,7 +2,9 @@
 
 Four bounded caches sit on the search hot paths, each cleared whole when it
 reaches its limit and each documented as "correctness never depends on a
-hit": the batch kernel's delivery/tail memos (``vectorized._MEMO_LIMIT``),
+hit": the batch kernel's memos (``vectorized._MEMO_LIMIT``: delivery, tail,
+``(cell, record, operation)``, and the two boundary caches -- packed tail
+-> section ID and section ID -> packed tail),
 the codec's component and parse memos (``codec._MEMO_LIMIT``), the
 canonicalizer's region memo (``canonical._ORBIT_MEMO_LIMIT``) and the
 raw-successor set (``driver._RAW_SEEN_LIMIT``).  No bundled tier-1 space is
@@ -11,7 +13,9 @@ big enough to reach a limit, so here each limit is forced down to 8 entries
 
 For the batch kernel's plan tables this is also the test that an ID handed
 out before a clear stays valid: a cleared delivery memo re-evaluates to the
-same outcome IDs, and a reset tail memo re-emits to the same section IDs.
+same outcome IDs, a reset tail memo re-splices to the same section IDs, a
+cleared cell-operation memo re-derives the same cell IDs, and a boundary
+cache that forgot a section finds it again in the section table.
 """
 
 import pytest
@@ -59,12 +63,17 @@ def _outcome(all_generated, space, kernel, symmetry):
                     workload=workload)
     result = verify(system, kernel=kernel, symmetry=symmetry)
     assert result.kernel == kernel
+    if kernel == "vectorized":
+        vk = system.vectorized_kernel()
+        for memo in (vk._deliv_memo, vk._cell_ops, vk._tail_ids, vk._packed):
+            assert len(memo) <= vectorized_module._MEMO_LIMIT
     # The batch kernel's table sizes ride along (None on the compiled
-    # kernel): a clear must not mint a second ID for a section or an
-    # outcome it has already numbered.
+    # kernel): a clear must not mint a second ID for a section, a cell, a
+    # record or an outcome it has already numbered.
     return (result.ok, result.states_explored, result.transitions_explored,
             *map(result.stats.get,
-                 ("fallback_transitions", "section_entries", "outcome_entries")))
+                 ("fallback_transitions", "section_entries", "outcome_entries",
+                  "cell_entries", "record_entries")))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s[0]}-{s[2]}c{s[3]}a")

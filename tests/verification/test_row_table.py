@@ -39,6 +39,9 @@ class _Reference:
             self.ids.setdefault(key, len(self.ids))
         return fresh
 
+    def intern(self, rows) -> list:
+        return [self.ids.setdefault(row.tobytes(), len(self.ids)) for row in rows]
+
     def find(self, rows) -> list:
         return [self.ids.get(row.tobytes(), -1) for row in rows]
 
@@ -107,9 +110,59 @@ class TestRowTable:
         probe = np.concatenate([batch, batch + 1])
         assert table.find(probe).tolist() == reference.find(probe)
 
+    @pytest.mark.parametrize("constant_hash", [False, True])
+    def test_intern_agrees_with_a_dict(self, width, monkeypatch, constant_hash):
+        """``intern`` is ``add`` answering with IDs: every row's arena
+        index, new or known, the first of equal rows in a batch naming the
+        rest -- one probe, interleaved here with ``add`` on the same table,
+        and exact under a constant hash too."""
+        if constant_hash:
+            monkeypatch.setattr(
+                RowTable, "_hash",
+                lambda self, words: np.zeros(len(words), dtype=np.uint64),
+            )
+        rng = np.random.default_rng(width + 7)
+        table, reference = RowTable(np, width), _Reference()
+        sizes = dict(count=8, size=60, pool=150) if constant_hash else dict(
+            count=40, size=300, pool=4000)
+        repeats = 0
+        for turn, batch in enumerate(_batches(rng, width, **sizes)):
+            repeats += len(batch) - len({row.tobytes() for row in batch})
+            if turn % 3 == 2:
+                assert table.add(batch).tolist() == reference.add(batch)
+            else:
+                ids = table.intern(batch)
+                assert ids.tolist() == reference.intern(batch)
+                assert ids.dtype.kind == "i" and len(ids) == len(batch)
+            assert len(table) == len(reference.ids)
+        assert repeats > 0, "no batch held a row twice"
+        assert [row.tobytes() for row in table.rows(np.uint8)] == list(reference.ids)
+        everything = table.rows(np.uint8).copy()
+        assert table.intern(everything).tolist() == list(range(len(table)))
+        empty = np.empty((0, width), dtype=np.uint8)
+        assert table.intern(empty).tolist() == []
+
     def test_a_matrix_of_another_width_is_refused(self, width):
         with pytest.raises(ValueError, match=f"{width}-byte rows"):
             RowTable(np, width).add(np.zeros((2, width + 1), dtype=np.uint8))
+
+
+def test_the_table_is_a_leaf_both_layers_import():
+    """One class, homed below both of its users: the batch kernel's section
+    table does not make ``repro.system`` import the verification package."""
+    from repro.system.rowtable import RowTable as leaf
+
+    assert leaf is RowTable
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.system; "
+         "print(sorted(m for m in sys.modules if m.startswith('repro.verification')))"],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("width", [44, 16])
@@ -183,6 +236,27 @@ def test_arena_index_is_the_compiled_searchs_state_id(
                 assert new_id == len(known)
                 known[key] = new_id
     assert len(known) == compiled.states_explored
+
+
+@pytest.mark.parametrize("cell, counts", [
+    (("MSI", "stalling", 4, 1), (14_990, 37_180)),
+    (("MOSI", "nonstalling", 4, 1), (22_413, 50_256)),
+], ids=["MSI-stalling-4c1a", "MOSI-nonstalling-4c1a"])
+def test_four_caches_are_forty_columns(all_generated, explorations, cell, counts):
+    """The batch kernel past 3 caches: a section is a vector over the 40
+    ``(src, dst, vnet)`` channels of five nodes, and every state still gets
+    the compiled search's ID."""
+    system = _system(all_generated, cell)
+    assert len(system.vectorized_kernel()._col_of) == 40
+    compiled = verify(system)
+    vectorized = verify(system, kernel="vectorized")
+    assert compiled.ok and vectorized.ok
+    assert (compiled.kernel, vectorized.kernel) == ("compiled", "vectorized")
+    assert (vectorized.states_explored, vectorized.transitions_explored) == counts
+    assert (compiled.states_explored, compiled.transitions_explored) == counts
+    assert vectorized.stats["fallback_transitions"] == 0
+    by_key, by_row = (ctx.store for ctx in explorations[-2:])
+    assert by_row.snapshot() == by_key.snapshot()
 
 
 def test_two_raw_successors_of_one_representative_intern_once(

@@ -186,6 +186,109 @@ class TestExpansionParity:
         assert order.tolist() == sorted(first_seen.values())
 
 
+class TestSectionAlgebra:
+    """The network as a product of channels: a section is a vector of cell
+    IDs, and a splice -- deliver one record, send a list -- is cell
+    operations on the touched columns.  The oracle is the compiled kernel's
+    lane-splicing :meth:`TransitionKernel._emit_net` (itself checked
+    against the object network in ``test_kernel.py``), on the same
+    ``(section, delivered, sends)`` matrix: every deliverable message of
+    every sampled section, or none, against a pool of send lists."""
+
+    @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
+    @pytest.mark.parametrize("name", protocols.available_protocols())
+    def test_array_splices_equal_the_compiled_kernels(
+        self, all_generated, name, config_label
+    ):
+        import repro.system.vectorized as vec
+
+        generated = all_generated[(name, config_label)]
+        system = System(generated, num_caches=3, workload=_workload(name))
+        vk = system.vectorized_kernel()
+        kernel = system.kernel()
+        codec = system.codec()
+        no = vk.net_offset
+        encs = list(dict.fromkeys(
+            codec.encode(state)
+            for state in sample_reachable_states(system, seed=21, max_steps=60)
+        ))
+        keys = [codec.pack(enc) for enc in encs]
+        M = vk.rows_of(keys)
+        # The boundary, both ways, before the hot path has run at all.
+        assert vk.keys_of(M) == keys
+        sids = vk.sids_of(M)
+        # One level over the samples fills the send-list table with what
+        # this protocol really sends.
+        level = vk.collect_level(np.arange(len(encs)), M[:, :no], sids)
+        assert not level.fallbacks
+        prefix = (0,) * no
+
+        def send_list_id(sends):
+            oid = vk._intern_outcome((0,), prefix, list(prefix), None, sends)
+            return vk._out_sends[oid]
+
+        real = [
+            [vk._recs[rid] for rid in
+             vk._sends_rec[vk._sends_ptr[k] : vk._sends_ptr[k + 1]]]
+            for k in range(min(10, len(vk._sends_ptr) - 1))
+        ]
+        assert [] in real and max(map(len, real)) >= 1
+        bits = vec._TAIL_FIELD_BITS
+        splices = []  # (tail-memo key, the lanes `_emit_net` emits for it)
+        reopened = False
+        for enc, sid in zip(encs, sids.tolist()):
+            tail = enc[no:]
+            assert vk.section_tail(sid) == tail
+            net = codec.parsed_network(enc)
+            for where, rec, _eev in ((None, None, None), *net[2]):
+                pool = list(real)
+                if rec is not None:
+                    # Back into the channel it left (re-opening it where it
+                    # was alone), and twice over: a FIFO of two, or a bag
+                    # holding one message twice.
+                    pool += [[rec], [rec, rec]]
+                    reopened |= (
+                        len(net[0][where][3]) == 1 if codec.ordered
+                        else net[0].count(rec) == 1
+                    )
+                for sends in pool:
+                    if where is None and not sends:
+                        continue
+                    out: list = []
+                    kernel._emit_net(out, tail, net, where, list(sends), 0, len(tail))
+                    slot = 0 if rec is None else vk._rec_ids[rec] + 1
+                    splices.append((
+                        (sid << bits | slot) << bits | send_list_id(sends),
+                        tuple(out),
+                    ))
+        assert reopened and len(splices) > 200
+        successors = vk._emit_tails(
+            np.asarray([key for key, _lanes in splices], dtype=np.int64)
+        ).tolist()
+        hot = set(successors) - set(sids.tolist())
+        assert hot and not hot & set(vk._packed)  # created, never packed
+        for (key, lanes), succ in zip(splices, successors):
+            assert vk.section_tail(succ) == lanes, (name, config_label, key)
+            # ... and the boundary names the same section for those lanes.
+            assert vk.intern_section(codec.pack(lanes)) == succ
+        # Every section is one row: equal lanes, equal ID, and back.
+        assert len({lanes for _key, lanes in splices}) == len(set(successors))
+        emitted = [
+            codec.parsed_section(codec.pack(lanes))[0] for _key, lanes in splices
+        ]
+        if codec.ordered:  # a FIFO of two or more ...
+            assert any(len(item[3]) >= 2 for items in emitted for item in items)
+        else:  # ... a bag holding one message twice
+            assert any(len(set(items)) < len(items) for items in emitted)
+        # Whole states, through the boundary and back: the samples spliced
+        # onto their successors' sections.
+        spliced = [
+            keys[k % len(keys)][: codec.net_byte_offset] + codec.pack(lanes)
+            for k, (_key, lanes) in enumerate(splices)
+        ]
+        assert vk.keys_of(vk.rows_of(spliced)) == spliced
+
+
 #: ``System.value_bound`` values that derive each lane width.
 LANE_WIDTHS = {"uint8": 5, "uint16": 300, "uint32": 70_000}
 
@@ -336,13 +439,13 @@ class TestFailureTraceParity:
 
 
 class TestTailKeyOverflow:
-    """A tail-memo key packs ``(section ID, delivered slot, send-list ID)``
-    into one integer; a slot or send-list ID too wide for its bit field
-    sends the level to the per-state replay -- it never wraps into another
-    key's successor section."""
+    """A tail-memo key packs ``(section ID, delivered record ID + 1,
+    send-list ID)`` into one integer; a record or send-list ID too wide for
+    its bit field sends the level to the per-state replay -- it never wraps
+    into another key's successor section."""
 
     @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("bits", [1, 5])
+    @pytest.mark.parametrize("bits", [3, 5])
     def test_a_field_wider_than_its_bits_replays_the_level(
         self, msi_nonstalling, explorations, monkeypatch, bits, symmetry
     ):
@@ -361,9 +464,10 @@ class TestTailKeyOverflow:
             == (compiled.states_explored, compiled.transitions_explored)
             == ((862, 1557) if symmetry else (1702, 3078))
         )
-        # Some levels still fit (the first ones: few slots, few send lists),
-        # the others replay, and the two kinds of level hand over to each
-        # other without a state changing its ID.
+        # Some levels still fit (the first ones: few records, few send
+        # lists -- and the last: leaves only), the others replay, and the two
+        # kinds of level hand over to each other, both ways, without a state
+        # changing its ID.
         stats = vectorized.stats
         assert stats["fallback_transitions"] > 0
         assert stats["vectorized_transitions"] > 0
