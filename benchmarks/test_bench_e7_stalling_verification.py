@@ -105,6 +105,11 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
     assert vectorized.stats["tail_memo_entries"] == 56_049
     assert vectorized.stats["cell_entries"] == 369
     assert vectorized.stats["record_entries"] == 171
+    # ... and the controller columns of its 174 189 rows of a few hundred
+    # blocks (one table for the three caches).
+    assert vectorized.stats["cache_block_entries"] == 229
+    assert vectorized.stats["dir_block_entries"] == 105
+    assert vectorized.stats["plan_entries"] == 2_190
 
 
 @pytest.mark.slow
@@ -121,10 +126,12 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
     re-taken when hardening became the default.  ``kernel="vectorized"``
     covers it with **exact** membership (a row table compared whole:
     ``omission_bound`` is ``None``), zero fallback transitions and zero
-    decodes; the run made at this commit (2-core / 15 GB VM, alone on the
-    box) took **4 min 31 s** of ``verify()`` -- leg 1 32 s, leg 2 239 s at
-    112 k states/s -- peak RSS **4 819 MB**, ``visited_bytes`` 1 785 MiB
-    (65.4 B a state).
+    decodes; the run made at this commit (PR 23: a row is seven ``uint32``
+    IDs; 2-core / 15 GB VM, alone on the box) took **3 min 09 s** of
+    ``verify()`` -- leg 1 25 s, leg 2 164 s at 163 k states/s -- peak RSS
+    **3 131 MB**, ``visited_bytes`` 1 021 MiB (37.4 B a state: the 28-byte
+    row plus its share of the slot table), where PR 21's lane rows read
+    271 s, 4 819 MB and 65.4 B.
 
     Leg 1 is the **resume smoke**: a 2M-state budgeted run stops at the
     last level boundary inside its budget and persists the checkpoint (the

@@ -89,7 +89,7 @@ INV_SWMR = "swmr"
 INV_SINGLE_OWNER = "single_owner"
 
 #: The default invariant pair, fused into one pass by :meth:`TransitionKernel.check`.
-#: Public under ``DEFAULT_CODES`` so the vectorized kernel's lane-mask batch
+#: Public under ``DEFAULT_CODES`` so the vectorized kernel's batch
 #: checker can recognize exactly the code tuple the fused pass covers.
 _DEFAULT_CODES = DEFAULT_CODES = (INV_SWMR, INV_SINGLE_OWNER)
 

@@ -35,7 +35,8 @@ class RowTable:
     only code that imports it), *row_bytes* the width of a row.
     """
 
-    #: Rows rehashed at a time when the slot table is rebuilt.
+    #: Rows probed at a time by an insertion, and rehashed at a time when
+    #: the slot table is rebuilt.
     _CHUNK = 1 << 16
 
     def __init__(self, np, row_bytes: int):
@@ -76,17 +77,18 @@ class RowTable:
         return rows.view(self._word)
 
     def _hash(self, words):
-        """One 64-bit hash per row of *words* (FNV-1a over the row's words,
-        then folded so the low bits -- the slot index -- see every byte)."""
+        """One 64-bit hash per row of *words*: a multiply-and-fold round
+        per word, so every word is mixed before the next enters -- rows of
+        small integers (ID vectors) collide under a plain FNV-1a chain --
+        and the low bits, the slot index, see every byte."""
         np = self.np
         h = np.full(len(words), 0xCBF29CE484222325, dtype=np.uint64)
-        prime = np.uint64(0x100000001B3)
+        multiplier = np.uint64(0xBF58476D1CE4E5B9)
+        fold = np.uint64(32)
         for column in range(self._words):
             h ^= words[:, column]
-            h *= prime
-        h ^= h >> np.uint64(29)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(32)
+            h *= multiplier
+            h ^= h >> fold
         return h
 
     def _home(self, words):
@@ -151,9 +153,22 @@ class RowTable:
         return self._insert(rows)[1]
 
     def _insert(self, rows):
-        """``(new mask, arena indices)`` of :meth:`add` / :meth:`intern`."""
+        """``(new mask, arena indices)`` of :meth:`add` / :meth:`intern`:
+        the batch probed a chunk at a time, in order, so the probe's
+        temporaries -- and the slots reserved for rows that turn out to be
+        repeats -- are bounded by the chunk, not by the batch."""
         np = self.np
         words = self._as_words(rows)
+        if len(words) <= self._CHUNK:
+            return self._insert_chunk(words)
+        parts = [
+            self._insert_chunk(words[lo : lo + self._CHUNK])
+            for lo in range(0, len(words), self._CHUNK)
+        ]
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def _insert_chunk(self, words):
+        np = self.np
         n = len(words)
         # What each row's probe ended at: an arena index, or while the
         # batch is in flight ``-2 - i`` for the batch row *i* it equals.

@@ -1,19 +1,31 @@
-"""Batch-vectorized frontier expansion: the NumPy lane-matrix kernel.
+"""Batch-vectorized frontier expansion: the NumPy block-ID kernel.
 
 The compiled kernel (:mod:`repro.system.kernel`) already runs on flat int
 tuples, but it still pays one Python dispatch per state per transition.
 This module shifts the unit of work from *one state* to *one frontier
-level*: states become rows of a 2-D NumPy lane matrix, and expansion becomes
+level*: states become rows of a 2-D NumPy matrix, and expansion becomes
 batch gather / mask / scatter operations plus per-distinct-input Python work
 that is shared across every row it applies to.
 
-The design splits an encoding at the network boundary:
+The system is *n* cache controllers and one directory controller joined by
+channels, and a state is stored as that product.  A **row** is a fixed-width
+``uint32`` vector of hash-consed IDs, independent of the lane width::
 
-* the **fixed-width prefix** (cache blocks, directory block, latest
-  version -- ``codec.layout()["net_offset"]`` lanes) lives in the matrix;
+    [block ID of cache 0 ... cache n-1, directory block ID, version, section ID]
+
+* a **cache block** is the hash-consed ``cache_width`` lanes of one cache --
+  one table for all caches, so relabeling the caches is a column permutation
+  plus a per-block remap, and a store rewrites one column; a first sight
+  checks the lanes against the lane width (:class:`LaneOverflow`) and files
+  the block's permission / stability for :meth:`VectorizedKernel.check_level`;
+* a **directory block** is the hash-consed directory lanes;
+* the **version** is its own column (in the block it would multiply IDs);
 * the **variable-width network section** is hash-consed into a side table
-  of section IDs, so each row is ``(prefix lanes..., section id)`` and the
-  matrix stays rectangular.
+  of section IDs, so the matrix stays rectangular.
+
+Controller states saturate after a few hundred blocks (229 cache blocks x
+105 directory blocks make all 174 189 states of MSI 3c x 2a), so a row is a
+bijection with the state's packed key at 4 x (caches + 3) bytes.
 
 The network itself is a *product of channels* -- per-``(src, dst, vnet)``
 FIFO queues, or one bag for an unordered interconnect -- and it is
@@ -34,23 +46,30 @@ version lane, the delivered message, and the network section.  Its effect
 is therefore a pure function of a small key -- ``(message, receiver block,
 version)`` for deliveries, ``(cache id, block, version)`` for accesses,
 ``(section id, delivered record, sends)`` for the network splice -- and
-those keys recur across far more rows than they have distinct values.  Each
-distinct delivery or access key is evaluated **once**, by running the
-existing per-transition specialized function
-(:meth:`TransitionKernel._compile_cache_fn` / ``_compile_directory_fn``) on
-a representative row and diffing -- exact by construction -- and what it
-yields is kept in **append-only plan tables** that a level indexes as a
-whole, so no Python statement runs per row:
+those keys recur across far more rows than they have distinct values.  The
+keys are integers read straight off a row's columns.  Each distinct delivery
+or access key is evaluated **once**, by running the existing per-transition
+specialized function (:meth:`TransitionKernel._compile_cache_fn` /
+``_compile_directory_fn``) on the lanes of a representative row, rebuilt
+from the block tables -- exact by construction -- and what it yields is kept
+in **append-only plan tables** that a level indexes as a whole, so no Python
+statement runs per row:
 
-* **guard IDs** -- every distinct ``(cache block, version)`` slice of each
-  cache, and every distinct directory block, is a dense int drawn from one
-  counter (so a guard ID names its receiver);
-* the **outcome table** -- every distinct ``(event, lane delta, sends)``
-  has a dense outcome ID: its interned event tuple, the ID of its send
-  list (record IDs, a CSR), and its delta in CSR form.  A cache guard's
-  access plans are a CSR ``guard ID -> outcome IDs``; a delivery is
-  memoized as ``(message record ID, receiver guard ID) -> outcome ID``,
-  *stalled* or *fallback*;
+* **guard IDs** -- every distinct ``(block ID, version)`` pair of each cache
+  is a dense int drawn from one counter (so a guard ID names its cache); the
+  directory's guard is its block ID (its transitions never read the
+  version);
+* the **outcome table** -- every distinct ``(event, sends)`` has a dense
+  outcome ID: its interned event tuple and the ID of its send list (record
+  IDs, a CSR);
+* the **plan table** -- what a transition does to a row: ``(outcome ID,
+  receiver column, new block ID, new version | unchanged)``, a dense plan
+  ID each.  The version is "unchanged" unless the transition wrote it: the
+  directory's key has no version, so its plan must not stamp the version of
+  the row it was evaluated on onto the others.  A cache guard's access
+  plans are a CSR ``guard ID -> plan IDs``; a delivery is memoized as
+  ``(message record ID, receiver guard ID) -> plan ID``, *stalled* or
+  *fallback*;
 * the **section table** -- the cell-ID vectors, and next to each its
   deliverable messages as a CSR ``section ID -> message record IDs``
   (every non-empty cell's head, or a bag's distinct records, columns in
@@ -67,36 +86,40 @@ whole, so no Python statement runs per row:
   (FIFO append vs sorted insert; first record vs distinct records).
 
 :meth:`VectorizedKernel.collect_level` gathers a level's successors out of
-these tables as three integer arrays -- parent row, outcome ID, successor
+these tables as three integer arrays -- parent row, plan ID, successor
 section ID -- in exact serial plan order, and
-:meth:`~VectorizedKernel.assemble` scatters the outcomes' lane deltas into
-the gathered parent rows.  Python runs once per *distinct* guard, delivery
+:meth:`~VectorizedKernel.assemble` makes them rows: the gathered parent
+rows with three columns assigned (the plan's block, its version where it
+wrote one, the section).  Python runs once per *distinct* guard, delivery
 key and ``(cell, record, operation)`` of a level (a dict probe, or on a
 first sight the transition code itself / one tuple), never per row, per
-successor, per tail key or per section.  Raw successors
-then dedup **vectorized**: one ``np.unique`` over the row bytes (prefix
-lanes + section-ID lanes, :meth:`VectorizedKernel.widen`) per level
-replaces per-successor set probes.  Because sections are hash-consed, such
-a row is a bijection with the state's packed key, so the search keeps its
-visited set as a table of these very rows
-(:class:`~repro.system.rowtable.RowTable` again) and a packed key -- or a
-section's packed tail, or its lanes -- is built only at a boundary:
-:meth:`~VectorizedKernel.rows_of` / :meth:`~VectorizedKernel.keys_of`
-convert, for a checkpoint, a per-state fallback level or a violation
-report; :meth:`~VectorizedKernel.packed_tails` /
-:meth:`~VectorizedKernel.section_tail` rebuild a section's tail, for a
-level's symmetry relabels or a leaf row.  Each boundary works on all it is handed at once (the
-distinct unknown tails parsed, then one table probe) and keeps a bounded
-cache, so a section the hot path created has no packed tail and no parse
-handle unless something asked.
+successor, per tail key or per section.  The raw successors are **not**
+deduplicated here: the search hands the whole level to its visited set, a
+table of these very rows (:class:`~repro.system.rowtable.RowTable` again),
+whose one probe is the only dedup there is.  Lanes -- a packed key, a
+section's packed tail -- reappear only at a boundary:
+:meth:`~VectorizedKernel.rows_of` / :meth:`~VectorizedKernel.keys_of` /
+:meth:`~VectorizedKernel.prefixes_of` convert a batch at a time (blocks
+interned with one ``np.unique`` and one probe per distinct block; block
+tables gathered as arrays), for a checkpoint, a per-state fallback level, a
+level's symmetry relabels or a violation report;
+:meth:`~VectorizedKernel.encodings_of` rebuilds whole encodings, for a
+level's leaves or its symmetry relabels;
+:meth:`~VectorizedKernel.packed_tails` /
+:meth:`~VectorizedKernel.section_tail` rebuild a section's tail.  Each
+boundary works on all it is handed at once (the distinct unknown tails
+parsed, then one table probe) and keeps a bounded cache, so a section the
+hot path created has no packed tail and no parse handle unless something
+asked.
 
 The compiled interpreter stays on as the differential oracle (its
 :meth:`TransitionKernel._emit_net` is what the array splice is tested
 against) and the
 fallback: any plan the batch path cannot express (unexpected message,
 ambiguous guards, missing data/requestor -- anything the compiled kernel
-itself would route to the object executor -- or a tail key wider than its
-bit field) flips its whole frontier level to the per-state compiled loop,
+itself would route to the object executor -- a write outside the
+controller's block, or a tail key wider than its bit field) flips its whole
+frontier level to the per-state compiled loop,
 preserving the exact serial failure order; fault models, multi-address
 planes and litmus workloads fall back whole-search
 (``VectorizedKernel.supported`` is False).  The fault-free single-address
@@ -164,12 +187,13 @@ def _ranges(np, starts, counts):
 
 
 class LevelExpansion:
-    """One collected frontier level, ready for matrix assembly.
+    """One collected frontier level, ready for row assembly.
 
     Three parallel integer arrays, one entry per successor in exact serial
-    plan order: ``parent_pos`` (the parent's row in the level), ``oids``
-    (the outcome that produced it: event and lane delta live in the
-    kernel's outcome table) and ``sids`` (its network-section ID).
+    plan order: ``parent_pos`` (the parent's row in the level), ``pids``
+    (the plan that produced it: event, receiver column, new block and
+    version live in the kernel's plan table) and ``sids`` (its
+    network-section ID).
     ``leaves`` are the zero-plan rows and ``fallbacks`` the row positions
     that need the compiled per-state path (non-empty ``fallbacks`` means no
     successors were collected -- the driver re-runs the level serially).  A
@@ -180,11 +204,11 @@ class LevelExpansion:
     bookkeeping.
     """
 
-    __slots__ = ("parent_pos", "oids", "sids", "leaves", "fallbacks")
+    __slots__ = ("parent_pos", "pids", "sids", "leaves", "fallbacks")
 
-    def __init__(self, parent_pos, oids, sids, leaves=(), fallbacks=()):
+    def __init__(self, parent_pos, pids, sids, leaves=(), fallbacks=()):
         self.parent_pos = parent_pos      # parent row index per successor
-        self.oids = oids                  # outcome ID per successor
+        self.pids = pids                  # plan ID per successor
         self.sids = sids                  # successor network-section ID
         self.leaves = leaves              # (successors_before, state_id, row_pos)
         self.fallbacks = fallbacks        # row positions needing slow path
@@ -195,7 +219,7 @@ class LevelExpansion:
 
 
 class VectorizedKernel:
-    """Frontier-batch expansion over a NumPy lane matrix.
+    """Frontier-batch expansion over a NumPy matrix of block-ID rows.
 
     Wraps a system's :class:`TransitionKernel` (the lowering input and the
     oracle for memo misses) and its codec.  Construction requires NumPy
@@ -224,8 +248,9 @@ class VectorizedKernel:
         self.version_offset = layout["version_offset"]
         self.net_offset = layout["net_offset"]
         self.dtype = _np.dtype(layout["numpy_dtype"])
-        #: Lanes of a whole-state row: the prefix plus a 32-bit section ID.
-        self.row_lanes = self.net_offset + max(1, 4 // self.dtype.itemsize)
+        #: ``uint32`` columns of a whole-state row: a block ID per cache,
+        #: the directory's, the version and the section ID.
+        self.row_width = self.num_caches + 3
         self.supported = self.kernel._simple and self._lane_ops_confined()
         # The plan tables (module docstring).  All are append-only typed
         # arrays read through NumPy views taken per level -- a view pins its
@@ -277,39 +302,44 @@ class VectorizedKernel:
         # and section ID -> packed tail (`packed_tails`).
         self._tail_ids: dict[bytes, int] = {}
         self._packed: dict[int, bytes] = {}
-        # Guard IDs: per receiver (0: the directory, ``1 + cid``: a cache)
-        # its guard slice's bytes -- the directory block, or the cache
-        # block + version -- to one shared counter.  The access CSR is
-        # indexed by it (a directory guard's range is empty) and holds
-        # outcome IDs, or `_FALLBACK`.  Unbounded but tiny: distinct
-        # component values saturate early.
-        self._guards: list[dict] = [{} for _ in range(1 + self.num_caches)]
+        # The controllers' blocks: lanes <-> dense block ID, the lanes also
+        # flat in a typed array so a boundary gathers them as one matrix.
+        # One table serves every cache; next to each cache block what the
+        # batch checker counts of its FSM state (`check_level`).
+        # Unbounded but tiny: controller states saturate early.
+        self._cblock_ids: dict[tuple, int] = {}
+        self._cb_lanes = array(codec.typecode)
+        self._cb_check = array("I")
+        self._dblock_ids: dict[tuple, int] = {}
+        self._db_lanes = array(codec.typecode)
+        # Guard IDs: per cache, ``block ID << 32 | version`` to one shared
+        # counter.  The access CSR is indexed by it and holds plan IDs, or
+        # `_FALLBACK`.  (The directory's guard is its block ID.)
+        self._guards: list[dict] = [{} for _ in range(self.num_caches)]
         self._acc_ptr = array("i", [0])
-        self._acc_oids = array("i")
-        # Outcome table: (event, delta columns, delta values, sends) <->
-        # dense outcome ID; send lists (tuples of record IDs) are interned
-        # the same way.
+        self._acc_pids = array("i")
+        # Outcome table: (event, send-list ID) <-> dense outcome ID; send
+        # lists (tuples of record IDs) are interned the same way.
         self._outcome_ids: dict[tuple, int] = {}
         self._out_eevs: list[tuple] = []
         self._out_sends = array("i")     # send-list ID
-        self._out_ptr = array("i", [0])
-        self._out_cols = array("i")
-        self._out_vals = array(codec.typecode)
         self._sends_ids: dict[tuple, int] = {(): 0}
         self._sends_ptr = array("i", [0, 0])
         self._sends_rec = array("i")     # the send lists' record IDs, a CSR
-        # Delivery memo: ``rec_id << 32 | gid`` -> outcome ID, `_STALLED`
-        # or `_FALLBACK`.
+        # Plan table: (outcome ID, receiver column, new block ID, new
+        # version or -1: unchanged) <-> dense plan ID.
+        self._plan_ids: dict[tuple, int] = {}
+        self._plan_oid = array("i")
+        self._plan_col = array("i")
+        self._plan_block = array("I")
+        self._plan_ver = array("q")
+        # Delivery memo: ``rec_id << 32 | gid`` -> plan ID, `_STALLED` or
+        # `_FALLBACK`.
         self._deliv_memo: dict[int, int] = {}
         # Tail memo: sorted keys and their successor section IDs.  The last
         # key is a sentinel above every real one, so a probe's insertion
         # point always indexes the arrays.
         self._reset_tails()
-        # Invariant lane tables for the batch checker: permission/stability
-        # of each cache FSM state, indexed by the cache-state lane value.
-        spec = self.kernel.spec
-        self._perm_table = _np.asarray(spec.cache.permission, dtype=_np.int8)
-        self._stable_table = _np.asarray(spec.cache.stable, dtype=bool)
 
     def _lane_ops_confined(self) -> bool:
         """Every compiled transition's footprint fits the batch model.
@@ -360,8 +390,70 @@ class VectorizedKernel:
 
     @property
     def outcome_entries(self) -> int:
-        """Distinct ``(event, lane delta, sends)`` outcomes evaluated so far."""
+        """Distinct ``(event, send list)`` outcomes evaluated so far."""
         return len(self._out_eevs)
+
+    @property
+    def plan_entries(self) -> int:
+        """Distinct ``(outcome, receiver column, new block, new version |
+        unchanged)`` plans filed so far."""
+        return len(self._plan_oid)
+
+    @property
+    def cache_block_entries(self) -> int:
+        """Distinct cache blocks hash-consed so far (all caches share them)."""
+        return len(self._cblock_ids)
+
+    @property
+    def dir_block_entries(self) -> int:
+        """Distinct directory blocks hash-consed so far."""
+        return len(self._dblock_ids)
+
+    # -- blocks: a controller's lanes as one ID ------------------------------------
+    def _block_id(self, ids: dict, flat, lanes: tuple) -> int:
+        """Dense ID of a controller's block *lanes* in the table ``(ids,
+        flat)``.  A first sight is where a lane value that outgrew its
+        width is caught: nothing downstream packs the lanes."""
+        bid = ids.get(lanes)
+        if bid is None:
+            if max(lanes) > self.codec.lane_max:
+                raise self.codec.overflow(max(lanes))
+            bid = ids[lanes] = len(ids)
+            flat.extend(lanes)
+        return bid
+
+    def _cache_block_id(self, lanes: tuple) -> int:
+        """Dense ID of one cache's block *lanes*; a first sight files what
+        :meth:`check_level` counts of its FSM state -- writer, reader,
+        stable writer, a byte each."""
+        bid = self._block_id(self._cblock_ids, self._cb_lanes, lanes)
+        if bid == len(self._cb_check):
+            cache = self.kernel.spec.cache
+            state = lanes[CF_STATE]
+            writer = cache.permission[state] == 2
+            self._cb_check.append(
+                writer
+                | (cache.permission[state] == 1) << 8
+                | (writer and bool(cache.stable[state])) << 16
+            )
+        return bid
+
+    def _dir_block_id(self, lanes: tuple) -> int:
+        """Dense ID of the directory's block *lanes*."""
+        return self._block_id(self._dblock_ids, self._db_lanes, lanes)
+
+    def _intern_blocks(self, lanes, block_id):
+        """Block IDs (a ``uint32`` array) of the rows of the C-contiguous
+        lane matrix *lanes*: one ``np.unique`` over the row bytes, one
+        *block_id* probe per distinct block."""
+        np = self.np
+        size = lanes.shape[1] * lanes.dtype.itemsize
+        uniq, inv = np.unique(
+            lanes.view(np.dtype((np.void, size))).ravel(), return_inverse=True
+        )
+        blocks = uniq.view(lanes.dtype).reshape(len(uniq), lanes.shape[1]).tolist()
+        found = [block_id(tuple(block)) for block in blocks]
+        return np.asarray(found, dtype=np.uint32)[inv]
 
     # -- records, cells, sections --------------------------------------------------
     def _record_id(self, rec: tuple) -> int:
@@ -554,121 +646,128 @@ class VectorizedKernel:
 
     def section_tail(self, sid: int) -> tuple:
         """The section's lanes -- unpacked per call from the boundary
-        cache's packed tail: they are read on leaf rows only."""
+        cache's packed tail: nothing on the hot path reads them."""
         packed = self._packed.get(sid)
         if packed is None:
             packed = self.packed_tails((sid,))[0]
         return self.codec.unpack(packed)
 
-    # -- rows: a whole state as one fixed-width matrix row -------------------------
-    def widen(self, prefixes, sids):
-        """The row matrix of states given as a prefix-lane matrix and their
-        section IDs: each prefix row followed by its section ID -- a 32-bit
-        value viewed as however many lanes it spans (4, 2 or 1).  Sections
-        are hash-consed, so a row's bytes are a bijection with the state's
-        packed key: one void view of them keys the whole state, prefix and
-        tail, and the search's visited set stores exactly these rows."""
-        np = self.np
-        n, lanes = prefixes.shape
-        M = np.empty((n, self.row_lanes), dtype=self.dtype)
-        M[:, :lanes] = prefixes
-        M[:, lanes:] = (
-            np.asarray(sids, dtype=np.uint32)
-            .view(self.dtype)
-            .reshape(n, self.row_lanes - lanes)
-        )
-        return M
-
-    def sids_of(self, M):
-        """The section ID of each row of row matrix *M* (a ``uint32``
-        array)."""
-        np = self.np
-        tail = np.ascontiguousarray(M[:, self.net_offset :])
-        return tail.view(np.uint32).ravel()
-
+    # -- rows: a whole state as one fixed-width vector of IDs -----------------------
     def rows_of(self, keys):
-        """Row matrix of packed *keys*: prefix bytes stacked as they are,
-        packed tails hash-consed to section IDs together
-        (:meth:`intern_sections`) -- no lane tuple is built."""
+        """Row matrix of packed *keys*: the boundary into the batch kernel.
+        Prefix bytes are stacked as they are and every controller's block
+        hash-consed (:meth:`_intern_blocks`: all caches of all keys against
+        the one cache table), packed tails hash-consed to section IDs
+        together (:meth:`intern_sections`) -- no lane tuple is built per
+        key."""
+        np = self.np
+        n = self.num_caches
         cut = self.codec.net_byte_offset
-        prefixes = self.np.frombuffer(
+        P = np.frombuffer(
             b"".join([key[:cut] for key in keys]), dtype=self.dtype
+        ).reshape(len(keys), self.net_offset)
+        R = np.empty((len(keys), self.row_width), dtype=np.uint32)
+        R[:, :n] = self._intern_blocks(
+            np.ascontiguousarray(P[:, : self.dir_offset]).reshape(
+                -1, self.cache_width
+            ),
+            self._cache_block_id,
+        ).reshape(-1, n)
+        R[:, n] = self._intern_blocks(
+            np.ascontiguousarray(P[:, self.dir_offset : self.version_offset]),
+            self._dir_block_id,
         )
-        return self.widen(
-            prefixes.reshape(len(keys), self.net_offset),
-            self.intern_sections([key[cut:] for key in keys]),
-        )
+        R[:, n + 1] = P[:, self.version_offset]
+        R[:, n + 2] = self.intern_sections([key[cut:] for key in keys])
+        return R
 
-    def keys_of(self, M) -> list:
-        """Packed keys of the rows of *M* (inverse of :meth:`rows_of`)."""
+    def regions_of(self, B):
+        """The cache-block region's lanes (a matrix, ``dir_offset`` lanes a
+        row) of each row of *B*, an ``n``-column matrix of cache block IDs:
+        the block table gathered as an array."""
+        table = self.np.frombuffer(self._cb_lanes, dtype=self.dtype)
+        return table.reshape(-1, self.cache_width)[B].reshape(len(B), self.dir_offset)
+
+    def prefixes_of(self, R):
+        """The prefix-lane matrix of the rows of *R* (``net_offset`` lanes a
+        row: what :meth:`StateCodec.unpack` reads up to the network
+        section), gathered from the block tables."""
+        np = self.np
+        n = self.num_caches
+        do, vo = self.dir_offset, self.version_offset
+        P = np.empty((len(R), self.net_offset), dtype=self.dtype)
+        P[:, :do] = self.regions_of(R[:, :n])
+        table = np.frombuffer(self._db_lanes, dtype=self.dtype)
+        P[:, do:vo] = table.reshape(-1, vo - do)[R[:, n]]
+        P[:, vo] = R[:, n + 1]
+        return P
+
+    def keys_of(self, R) -> list:
+        """Packed keys of the rows of *R* (inverse of :meth:`rows_of`)."""
         cut = self.codec.net_byte_offset
-        prefixes = self.np.ascontiguousarray(M[:, : self.net_offset]).tobytes()
-        uniq, inv = self.np.unique(self.sids_of(M), return_inverse=True)
+        prefixes = self.prefixes_of(R).tobytes()
+        uniq, inv = self.np.unique(R[:, -1], return_inverse=True)
         tails = self.packed_tails(uniq.tolist())
         return [
             prefixes[pos * cut : (pos + 1) * cut] + tails[k]
             for pos, k in enumerate(inv.tolist())
         ]
 
-    def events_of(self, oids) -> list:
-        """The interned encoded event of each outcome ID in *oids*."""
+    def encodings_of(self, R) -> list:
+        """The whole lane encoding (a tuple) of each row of *R* -- for the
+        rows that need one: a level's leaves, its symmetry relabels, a
+        test -- prefixes and the distinct sections' tails a batch each."""
+        uniq, inv = self.np.unique(R[:, -1], return_inverse=True)
+        tails = list(map(self.codec.unpack, self.packed_tails(uniq.tolist())))
+        return [
+            tuple(prefix) + tails[k]
+            for prefix, k in zip(self.prefixes_of(R).tolist(), inv.tolist())
+        ]
+
+    def events_of(self, pids) -> list:
+        """The interned encoded event of each plan ID in *pids*."""
+        oids = self.np.frombuffer(self._plan_oid, dtype=self.np.int32)[pids]
         return list(map(self._out_eevs.__getitem__, oids.tolist()))
 
     # -- level collection ----------------------------------------------------------
-    def _intern_guards(self, lanes, receiver: int, F):
-        """Guard IDs of the rows of *lanes* (*receiver*'s guard slice of
-        frontier *F*, C-contiguous): one ``np.unique`` over the row bytes,
-        one table probe per distinct slice of the level.  A first sight
-        draws the next ID and, for a cache (the directory has no access
-        plans), evaluates its access plans on the first row carrying it."""
+    def _guard_ids(self, R):
+        """The guard IDs of row matrix *R* as one ``(1 + caches) x rows``
+        array, a row per receiver: row 0 the directory's (its block IDs),
+        row ``1 + cid`` cache *cid*'s -- the row a message to encoded
+        destination ``dst`` reads is ``dst - 1``.  A cache's guard keys are
+        integers off two columns: one ``np.unique``, one table probe per
+        distinct ``(block, version)`` of the level.  A first sight draws
+        the next ID and evaluates the guard's access plans on the first row
+        carrying it."""
         np = self.np
-        table = self._guards[receiver]
-        size = lanes.shape[1] * lanes.dtype.itemsize
-        uniq, first, inv = np.unique(
-            lanes.view(np.dtype((np.void, size))).ravel(),
-            return_index=True, return_inverse=True,
-        )
-        buf = uniq.tobytes()
-        gids = []
-        for k in range(len(uniq)):
-            key = buf[k * size : (k + 1) * size]
-            gid = table.get(key)
-            if gid is None:
-                gid = table[key] = len(self._acc_ptr) - 1
-                if receiver:
-                    self._acc_oids.extend(self._compute_access(
-                        receiver - 1, tuple(F[first[k]].tolist())
-                    ))
-                self._acc_ptr.append(len(self._acc_oids))
-            gids.append(gid)
-        return np.asarray(gids, dtype=np.int32)[inv]
-
-    def _guard_ids(self, F):
-        """The guard IDs of frontier matrix *F* as one ``(1 + caches) x
-        rows`` array, a row per receiver: row 0 the directory's, row ``1 +
-        cid`` cache *cid*'s -- the row a message to encoded destination
-        ``dst`` reads is ``dst - 1``."""
-        np = self.np
-        width = self.cache_width
-        vo = self.version_offset
-        G = np.empty((1 + self.num_caches, F.shape[0]), dtype=np.int32)
-        G[0] = self._intern_guards(
-            np.ascontiguousarray(F[:, self.dir_offset : vo]), 0, F
-        )
-        block = np.empty((F.shape[0], width + 1), dtype=F.dtype)
-        block[:, width] = F[:, vo]
-        for cid in range(self.num_caches):
-            block[:, :width] = F[:, cid * width : (cid + 1) * width]
-            G[1 + cid] = self._intern_guards(block, 1 + cid, F)
+        n = self.num_caches
+        G = np.empty((1 + n, len(R)), dtype=np.int32)
+        G[0] = R[:, n]
+        version = R[:, n + 1].astype(np.int64)
+        for cid, table in enumerate(self._guards):
+            uniq, first, inv = np.unique(
+                R[:, cid].astype(np.int64) << 32 | version,
+                return_index=True, return_inverse=True,
+            )
+            uniq = uniq.tolist()
+            gids = list(map(table.get, uniq))
+            misses = [k for k, gid in enumerate(gids) if gid is None]
+            if misses:
+                prefixes = self.prefixes_of(R[first[misses]]).tolist()
+                for k, prefix in zip(misses, prefixes):
+                    gids[k] = table[uniq[k]] = len(self._acc_ptr) - 1
+                    self._acc_pids.extend(self._compute_access(cid, tuple(prefix)))
+                    self._acc_ptr.append(len(self._acc_pids))
+            G[1 + cid] = np.asarray(gids, dtype=np.int32)[inv]
         return G
 
     def _access_successors(self, G):
         """Per cache, the access successors of every row: ``(parent_pos,
-        oids)`` array pairs gathered from the access CSR on the cache's
+        pids)`` array pairs gathered from the access CSR on the cache's
         guard row."""
         np = self.np
         ptr = np.frombuffer(self._acc_ptr, dtype=np.int32)
-        data = np.frombuffer(self._acc_oids, dtype=np.int32)
+        data = np.frombuffer(self._acc_pids, dtype=np.int32)
         segments = []
         for cid in range(self.num_caches):
             g = G[1 + cid]
@@ -677,14 +776,15 @@ class VectorizedKernel:
             segments.append((owner, data[index]))
         return segments
 
-    def _delivery_successors(self, F, sids, G):
-        """The delivery plans of every row: ``(parent_pos, oids, rec)``
-        gathered from the section CSR on *sids* -- *rec* the delivered
-        message record's ID -- their outcomes resolved once per distinct
-        ``(message record, receiver guard)`` key of the level -- a memo
-        probe, or a miss evaluated on the first row that carries it, in
-        first-occurrence order -- stalled ones dropped."""
+    def _delivery_successors(self, R, G):
+        """The delivery plans of every row: ``(parent_pos, pids, rec)``
+        gathered from the section CSR on the rows' section IDs -- *rec* the
+        delivered message record's ID -- their plans resolved once per
+        distinct ``(message record, receiver guard)`` key of the level -- a
+        memo probe, or a miss evaluated on the first row that carries it,
+        in first-occurrence order -- stalled ones dropped."""
         np = self.np
+        sids = R[:, -1]
         ptr = np.frombuffer(self._sec_ptr, dtype=np.int32)
         starts = ptr[sids]
         owner, index = _ranges(np, starts, ptr[sids + 1] - starts)
@@ -698,29 +798,32 @@ class VectorizedKernel:
         uniq = uniq.tolist()
         memo = self._deliv_memo
         found = list(map(memo.get, uniq))
-        misses = [k for k, oid in enumerate(found) if oid is None]
-        misses.sort(key=first.__getitem__)
-        for k in misses:
-            at = first[k]
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            found[k] = memo[uniq[k]] = self._compute_delivery(
-                self._recs[rec[at]], tuple(F[owner[at]].tolist())
-            )
-        oids = np.asarray(found, dtype=np.int32)[inv]
-        enabled = np.flatnonzero(oids != _STALLED)
-        return owner[enabled], oids[enabled], rec[enabled]
+        misses = [k for k, pid in enumerate(found) if pid is None]
+        if misses:
+            misses.sort(key=first.__getitem__)
+            at = first[misses]
+            prefixes = self.prefixes_of(R[owner[at]]).tolist()
+            for k, rid, prefix in zip(misses, rec[at].tolist(), prefixes):
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                found[k] = memo[uniq[k]] = self._compute_delivery(
+                    self._recs[rid], tuple(prefix)
+                )
+        pids = np.asarray(found, dtype=np.int32)[inv]
+        enabled = np.flatnonzero(pids != _STALLED)
+        return owner[enabled], pids[enabled], rec[enabled]
 
-    def collect_level(self, ids, F, sids) -> LevelExpansion:
+    def collect_level(self, ids, R) -> LevelExpansion:
         """Enumerate every row's plans in exact serial order, a level at a
-        time, out of the plan tables.
+        time, out of the plan tables.  *ids* are the state IDs of the rows
+        of *R*, a ``uint32`` row matrix (module docstring).
 
-        Guard IDs come first (:meth:`_guard_ids`); each cache's access
-        successors are one CSR gather on its guard row, the deliveries one
-        CSR gather on *sids* (the rows' section IDs, an integer array) plus
-        one memo probe per distinct delivery key.  The segments are
-        concatenated ``[cache 0, ..., cache n-1, deliveries]``, each in row
-        order, so one stable sort on the row index *is* the serial plan
+        Guard IDs come first (:meth:`_guard_ids`: integers off the block and
+        version columns); each cache's access successors are one CSR gather
+        on its guard row, the deliveries one CSR gather on the section
+        column plus one memo probe per distinct delivery key.  The segments
+        are concatenated ``[cache 0, ..., cache n-1, deliveries]``, each in
+        row order, so one stable sort on the row index *is* the serial plan
         order -- state IDs, traces and counts stay bit-identical to the
         per-state kernels.  Successor sections come from the tail memo
         (:meth:`_successor_sections`); leaves from a ``bincount`` of the
@@ -728,13 +831,13 @@ class VectorizedKernel:
         of the level (and per leaf), never per row or per successor.
         """
         np = self.np
-        nrows = F.shape[0]
-        sids = np.asarray(sids, dtype=np.uint32)
-        G = self._guard_ids(F)
+        nrows = len(R)
+        sids = R[:, -1]
+        G = self._guard_ids(R)
         segments = self._access_successors(G)
-        d_parent, d_oids, d_rec = self._delivery_successors(F, sids, G)
-        parent = np.concatenate([owner for owner, _oids in segments] + [d_parent])
-        oids = np.concatenate([oids for _owner, oids in segments] + [d_oids])
+        d_parent, d_pids, d_rec = self._delivery_successors(R, G)
+        parent = np.concatenate([owner for owner, _pids in segments] + [d_parent])
+        pids = np.concatenate([pids for _owner, pids in segments] + [d_pids])
         # Delivered record ID + 1 (a record names its channel); zero where
         # nothing is delivered (an access).
         slot = np.zeros(len(parent), dtype=np.int32)
@@ -743,23 +846,24 @@ class VectorizedKernel:
         # 16-bit keys is a radix sort.
         parent = parent.astype(np.uint16 if nrows <= 1 << 16 else np.uint32)
         order = np.argsort(parent, kind="stable")
-        parent, oids, slot = parent[order], oids[order], slot[order]
-        refused = oids == _FALLBACK
+        parent, pids, slot = parent[order], pids[order], slot[order]
+        refused = pids == _FALLBACK
         if not refused.any():
+            oids = np.frombuffer(self._plan_oid, dtype=np.int32)[pids]
             sends = np.frombuffer(self._out_sends, dtype=np.int32)[oids]
             refused = (slot | sends) >> _TAIL_FIELD_BITS != 0
         if refused.any():
             # The driver replays the whole level through the compiled
             # per-state loop to preserve exact serial failure order.
             return LevelExpansion(
-                parent[:0], oids[:0], sids[:0],
+                parent[:0], pids[:0], sids[:0],
                 fallbacks=np.unique(parent[refused]).tolist(),
             )
         counts = np.bincount(parent, minlength=nrows)
         leaf_rows = np.flatnonzero(counts == 0)
         before = np.cumsum(counts)[leaf_rows]  # a leaf adds nothing itself
         return LevelExpansion(
-            parent, oids, self._successor_sections(sids[parent], slot, sends),
+            parent, pids, self._successor_sections(sids[parent], slot, sends),
             leaves=list(zip(
                 before.tolist(), np.asarray(ids)[leaf_rows].tolist(),
                 leaf_rows.tolist(),
@@ -844,57 +948,49 @@ class VectorizedKernel:
             V[rows, cols] = self._cell_ops_of(V[rows, cols], rids, insert)
         return self._intern_vectors(V)
 
-    def assemble(self, F, level: LevelExpansion):
-        """Build the successor lane matrix and dedup it, all vectorized.
-
-        ``gather`` (parent rows fan out to successor rows via fancy
-        indexing), ``scatter`` (the successors' lane deltas, gathered from
-        the outcome table's CSR by outcome ID, land in one flat indexed
-        assignment), ``dedup`` (one ``np.unique`` over the row bytes).
-        Returns ``(M, order)``: the successor row matrix (:meth:`widen`: a
-        row's bytes key the whole raw successor) and the indices of the
-        distinct raw successors in first-occurrence (serial stream) order.
-        """
+    def assemble(self, R, level: LevelExpansion):
+        """The raw successor rows of a collected *level* of *R*, one per
+        successor in stream order: the parent rows gathered, then three
+        column assignments -- each plan's new block into its receiver's
+        column, its version where it wrote one (a plan that did not leaves
+        the parent's, whichever row it was first evaluated on), and the
+        successor section.  Nothing is deduplicated here: the visited set's
+        one probe (:meth:`StateStore.intern_batch`) names the new rows and
+        the first of equal ones."""
         np = self.np
-        M = self.widen(F[level.parent_pos], level.sids)
-        ptr = np.frombuffer(self._out_ptr, dtype=np.int32)
-        starts = ptr[level.oids]
-        rows, index = _ranges(np, starts, ptr[level.oids + 1] - starts)
-        M[rows, np.frombuffer(self._out_cols, dtype=np.int32)[index]] = (
-            np.frombuffer(self._out_vals, dtype=self.dtype)[index]
+        n = self.num_caches
+        S = R[level.parent_pos]
+        pids = level.pids
+        S[np.arange(len(S)), np.frombuffer(self._plan_col, dtype=np.int32)[pids]] = (
+            np.frombuffer(self._plan_block, dtype=np.uint32)[pids]
         )
-        row_bytes = M.view(
-            np.dtype((np.void, M.shape[1] * M.dtype.itemsize))
-        ).ravel()
-        _, first = np.unique(row_bytes, return_index=True)
-        first.sort()
-        return M, first
+        version = np.frombuffer(self._plan_ver, dtype=np.int64)[pids]
+        wrote = np.flatnonzero(version >= 0)
+        S[wrote, n + 1] = version[wrote]
+        S[:, n + 2] = level.sids
+        return S
 
     def check_level(self, V, codes: tuple):
-        """Default-invariant verdicts for a successor matrix, as a lane mask.
+        """Default-invariant verdicts for a row matrix, as a mask.
 
-        *V* is any matrix whose leading lanes are codec prefix lanes (the
-        driver passes the widened distinct-successor matrix; trailing
-        section-ID lanes are ignored).  Returns a boolean row mask -- True
-        where SWMR **and** single-owner hold -- or ``None`` when *codes* is
-        not the fused default pair (custom/litmus codes keep the per-row
-        ``TransitionKernel.check``).  Soundness note: SWMR and single-owner
-        aggregate over the cache-state lanes symmetrically, so the mask
-        computed on *raw* successor rows equals the verdicts of their
-        canonical representatives -- which is what lets the driver mask the
-        whole level before any per-row canonical encoding is even built.
+        Returns a boolean row mask over *V* -- True where SWMR **and**
+        single-owner hold, counted off what each cache block filed at its
+        first sight (one byte each: writer, reader, stable writer; a row's
+        counts are the sum over its cache columns) -- or ``None`` when
+        *codes* is not the fused default pair (custom/litmus codes keep the
+        per-row ``TransitionKernel.check``).  SWMR and single-owner
+        aggregate over the caches symmetrically, so the verdict of a raw
+        successor is its canonical representative's.
         """
         if codes != DEFAULT_CODES:
             return None
-        np = self.np
-        width = self.cache_width
-        cols = np.arange(self.num_caches, dtype=np.intp) * width
-        S = V[:, cols].astype(np.intp, copy=False)
-        P = self._perm_table[S]
-        is_writer = P == 2
-        writers = is_writer.sum(axis=1)
-        readers = (P == 1).sum(axis=1)
-        stable_writers = (is_writer & self._stable_table[S]).sum(axis=1)
+        filed = self.np.frombuffer(self._cb_check, dtype=self.np.uint32)
+        counts = filed[V[:, 0]]
+        for cid in range(1, self.num_caches):
+            counts += filed[V[:, cid]]
+        writers = counts & 0xFF
+        readers = counts >> 8 & 0xFF
+        stable_writers = counts >> 16
         return ~(
             (writers > 1)
             | ((writers > 0) & (readers > 0))
@@ -902,64 +998,60 @@ class VectorizedKernel:
         )
 
     # -- memo-miss evaluation (the only transition code on the batch path) ---------
-    def _confined_delta(self, prefix: tuple, out: list, base):
-        """Changed-lane delta, verified confined to the expected block.
-
-        *base* is the cache-block offset (allowed lanes: the block plus the
-        version lane) or ``None`` for the directory (allowed lanes: the
-        directory block).  A write outside the allowance would make the
-        memo key unsound, so it routes to the fallback instead.
-        """
-        cols = []
-        vals = []
-        for lane, (old, new) in enumerate(zip(prefix, out)):
-            if old != new:
-                cols.append(lane)
-                vals.append(new)
-        # The scatter narrows these to the lane dtype, and NumPy wraps
-        # where ``codec.pack`` raises: check here, once per distinct delta.
-        if vals and max(vals) > self.codec.lane_max:
-            raise self.codec.overflow(max(vals))
-        if base is None:
-            lo, hi = self.dir_offset, self.version_offset
-            for lane in cols:
-                if not lo <= lane < hi:
-                    return None
+    def _intern_plan(self, eev: tuple, prefix: tuple, out: list, cid, sends: list):
+        """Plan ID for event *eev* turning the lanes *prefix* into *out*
+        inside controller *cid* (``None``: the directory) and sending
+        *sends* -- `_FALLBACK` if the change is not confined to the
+        controller's block (plus, for a cache, the version lane): a write
+        outside it would make the memo key unsound."""
+        vo = self.version_offset
+        out = tuple(out)
+        if cid is None:
+            lo, hi, column = self.dir_offset, vo, self.num_caches
+            confined = out[:lo] == prefix[:lo] and out[vo:] == prefix[vo:]
         else:
-            hi = base + self.cache_width
-            vo = self.version_offset
-            for lane in cols:
-                if not (base <= lane < hi or lane == vo):
-                    return None
-        return (tuple(cols), tuple(vals))
-
-    def _intern_outcome(self, eev: tuple, prefix: tuple, out: list, base, sends: list):
-        """Outcome ID for event *eev* turning *prefix* into *out* and
-        sending *sends* (`_FALLBACK` if the change is not confined)."""
-        delta = self._confined_delta(prefix, out, base)
-        if delta is None:
+            lo = cid * self.cache_width
+            hi, column = lo + self.cache_width, cid
+            confined = out[:lo] == prefix[:lo] and out[hi:vo] == prefix[hi:vo]
+        if not confined:
             return _FALLBACK
+        # "Unchanged" unless written: a directory plan is keyed without the
+        # version, so it is applied to rows of other versions than this one.
+        version = -1
+        if out[vo] != prefix[vo]:
+            version = out[vo]
+            if version > self.codec.lane_max:
+                raise self.codec.overflow(version)
+        lanes = out[lo:hi]
+        block = (
+            self._dir_block_id(lanes) if cid is None else self._cache_block_id(lanes)
+        )
         sends = tuple(map(self._record_id, sends))
-        key = (eev, *delta, sends)
-        oid = self._outcome_ids.get(key)
+        sends_id = self._sends_ids.get(sends)
+        if sends_id is None:
+            sends_id = self._sends_ids[sends] = len(self._sends_ptr) - 1
+            self._sends_rec.extend(sends)
+            self._sends_ptr.append(len(self._sends_rec))
+        oid = self._outcome_ids.get((eev, sends_id))
         if oid is None:
-            oid = self._outcome_ids[key] = len(self._out_eevs)
-            sends_id = self._sends_ids.get(sends)
-            if sends_id is None:
-                sends_id = self._sends_ids[sends] = len(self._sends_ptr) - 1
-                self._sends_rec.extend(sends)
-                self._sends_ptr.append(len(self._sends_rec))
+            oid = self._outcome_ids[eev, sends_id] = len(self._out_eevs)
             self._out_eevs.append(eev)
             self._out_sends.append(sends_id)
-            self._out_cols.extend(delta[0])
-            self._out_vals.extend(delta[1])
-            self._out_ptr.append(len(self._out_cols))
-        return oid
+        plan = (oid, column, block, version)
+        pid = self._plan_ids.get(plan)
+        if pid is None:
+            pid = self._plan_ids[plan] = len(self._plan_oid)
+            self._plan_oid.append(oid)
+            self._plan_col.append(column)
+            self._plan_block.append(block)
+            self._plan_ver.append(version)
+        return pid
 
     def _compute_access(self, cid: int, prefix: tuple) -> list:
-        """The access plans of one distinct cache guard slice, as outcome
-        IDs (or `_FALLBACK`) in plan order; computed once per guard ID and
-        stored in the access CSR by the caller."""
+        """The access plans of one distinct cache guard, as plan IDs (or
+        `_FALLBACK`) in plan order, evaluated on the lanes *prefix* of a row
+        carrying it; computed once per guard ID and stored in the access
+        CSR by the caller."""
         k = self.kernel
         base = cid * self.cache_width
         si = prefix[base + CF_STATE]
@@ -977,13 +1069,13 @@ class VectorizedKernel:
             out[base + CF_STATE] = ct.next_state
             if ct.has_perform:
                 out[base + CF_PENDING] = 0
-            acc.append(self._intern_outcome(
-                k._access_eevs[cid][ai], prefix, out, base, sends
+            acc.append(self._intern_plan(
+                k._access_eevs[cid][ai], prefix, out, cid, sends
             ))
         return acc
 
     def _compute_delivery(self, rec: tuple, prefix: tuple) -> int:
-        """Outcome ID (or `_STALLED` / `_FALLBACK`) of message record *rec*
+        """Plan ID (or `_STALLED` / `_FALLBACK`) of message record *rec*
         reaching its destination in a row with lanes *prefix*; mirrors
         ``TransitionKernel.enabled`` + ``apply`` for a single plan, minus
         the network splice (which is keyed separately on the section).
@@ -1020,8 +1112,8 @@ class VectorizedKernel:
             out[base + CF_STATE] = ct.next_state
             if ct.has_perform:
                 out[base + CF_PENDING] = 0
-        return self._intern_outcome(
-            self.codec.intern_event((1,) + rec), prefix, out, base, sends
+        return self._intern_plan(
+            self.codec.intern_event((1,) + rec), prefix, out, cid, sends
         )
 
 

@@ -70,7 +70,7 @@ class VerificationResult:
     strategy: str = "bfs"
     #: Which transition backend expanded states: "compiled" (the lowered
     #: table kernel over encoded states, one state at a time), "vectorized"
-    #: (the same tables over whole BFS levels as NumPy lane matrices) or
+    #: (the same tables over whole BFS levels as NumPy matrices of IDs) or
     #: "object" (the dataclass executor).
     kernel: str = "object"
     #: Measured search breakdown, so bottleneck claims come from numbers
@@ -107,10 +107,18 @@ class VerificationResult:
     #: another owner / transitions) are ``None`` unless the strategy is
     #: ``parallel``; ``worker_states`` / ``spill_bytes`` / ``steal_count``
     #: (always 0) appear only when it is.  ``kernel="vectorized"`` adds the
-    #: sizes of the batch kernel's plan tables: ``section_entries`` /
+    #: sizes of the batch kernel's tables: ``section_entries`` /
     #: ``cell_entries`` / ``record_entries`` (hash-consed network sections,
     #: and the distinct channel contents and message records they are made
-    #: of), ``tail_memo_entries`` and ``outcome_entries``.
+    #: of), ``cache_block_entries`` / ``dir_block_entries`` (the hash-consed
+    #: controller blocks a state row is made of; one table serves every
+    #: cache), ``tail_memo_entries``, ``outcome_entries`` (distinct
+    #: ``(event, send list)`` pairs -- what a transition says and sends,
+    #: whatever it does to the state) and ``plan_entries`` (distinct
+    #: ``(outcome, receiver column, new block, new version | unchanged)``:
+    #: what it does to a row).  There ``raw_seen_entries`` is the length of
+    #: the raw-successor row table (plus the key set's, if a level fell
+    #: back to the per-state body).
     stats: dict = field(default_factory=dict)
 
     @property
@@ -212,6 +220,10 @@ class Exploration:
         #: The expanders' raw-successor dedup set (see
         #: ``driver._RAW_SEEN_LIMIT``); None with symmetry off.
         self.raw_seen: set | None = set() if perms is not None else None
+        #: The batch expander's counterpart for its raw successor *rows*
+        #: (a ``RowTable``; the set above serves its per-state fallback
+        #: levels); None on the per-state expanders.
+        self.raw_rows = None
         #: ``GlobalState`` decodes reported back by worker processes (their
         #: codecs are private copies, so the parent counter cannot see them).
         self.worker_decodes = 0
@@ -342,7 +354,9 @@ class Exploration:
             else None
         )
         reduced = self.perms is not None
-        stats["raw_seen_entries"] = len(self.raw_seen) if reduced else None
+        stats["raw_seen_entries"] = (
+            len(self.raw_seen) + len(self.raw_rows or ()) if reduced else None
+        )
         stats["orbit_memo_entries"] = (
             canonicalizer_for(self.codec, self.perms).memo_entries
             if reduced
@@ -372,6 +386,9 @@ class Exploration:
             stats["outcome_entries"] = self.vkernel.outcome_entries
             stats["cell_entries"] = self.vkernel.cell_entries
             stats["record_entries"] = self.vkernel.record_entries
+            stats["cache_block_entries"] = self.vkernel.cache_block_entries
+            stats["dir_block_entries"] = self.vkernel.dir_block_entries
+            stats["plan_entries"] = self.vkernel.plan_entries
         return VerificationResult(
             ok=ok,
             states_explored=self.explored,
@@ -554,7 +571,8 @@ def verify(
         automatically for ``System`` subclasses, unrecognized invariant
         callables, or protocols the table form cannot express.
         ``"vectorized"`` expands whole frontier levels at once as NumPy
-        operations over a 2-D lane matrix (:mod:`repro.system.vectorized`);
+        operations over a 2-D matrix of hash-consed block, version and
+        section IDs (:mod:`repro.system.vectorized`);
         it requires NumPy (clear :class:`VectorizedUnavailable` error from
         ``System.vectorized_kernel()`` otherwise, with ``verify()`` falling
         back to the compiled kernel) and runs on the BFS strategy for

@@ -23,7 +23,8 @@ unpacked into lanes only while that state is expanded -- and the
 **object backend** interprets ``System.apply`` over dataclass trees (for
 ``System`` subclasses and custom invariants).  :class:`VectorizedExpander`
 below expands a whole BFS level as NumPy operations -- its level is a row
-matrix (prefix lanes plus one hash-consed section ID per row), its visited
+matrix (a state is a ``uint32`` vector of hash-consed IDs: a block per
+controller, the version, the network section), its visited
 set the store's :class:`~repro.system.rowtable.RowTable` of
 those same rows, so a state is never a packed key on its way from birth to
 rest -- and *is* a compiled expander for every level it cannot express;
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from array import array
+from itertools import repeat
 from time import perf_counter
 
 from repro.verification.engine.driver import (
@@ -51,62 +54,67 @@ from repro.verification.engine.parallel import ShmEngine
 from repro.verification.engine.store import RowTable
 
 
-class _Lanes:
+class _Rows:
     """The vectorized expander's native level: state IDs (an integer array)
-    and the states themselves as a row matrix
-    (:meth:`VectorizedKernel.widen`: prefix lanes, then the section ID)."""
+    and the states themselves as a row matrix (``uint32`` block, version and
+    section IDs: :mod:`repro.system.vectorized`)."""
 
-    __slots__ = ("ids", "M")
+    __slots__ = ("ids", "R")
 
-    def __init__(self, ids, M):
+    def __init__(self, ids, R):
         self.ids = ids
-        self.M = M
+        self.R = R
 
     def __len__(self):
         return len(self.ids)
 
     def __getitem__(self, cut: slice):
-        return _Lanes(self.ids[cut], self.M[cut])
+        return _Rows(self.ids[cut], self.R[cut])
 
 
 class VectorizedExpander(CompiledExpander):
-    """Frontier-batch expansion over the NumPy lane matrix
+    """Frontier-batch expansion over the NumPy row matrix
     (``kernel="vectorized"``).
 
     A state is a matrix row from birth to rest.  Each level: one
     collection pass gathers every row's plans out of the kernel's plan
-    tables as integer arrays -- parent row, outcome ID, successor section
-    ID per successor (:meth:`VectorizedKernel.collect_level`) -- one
-    gather/scatter/``np.unique`` pass assembles and dedups the raw
-    successor rows (:meth:`~VectorizedKernel.assemble`), one lane-mask
-    reduction gives their invariant verdicts
-    (:meth:`~VectorizedKernel.check_level`), and one
-    :meth:`~StateStore.intern_batch` call probes them against the store's
-    :class:`~repro.system.rowtable.RowTable` -- the visited set
-    holds the very rows the kernel computes on, compared whole, and the
-    next level is the new ones; a new row's parent is ``ids[parent_pos]``
-    and its event the outcome table's.  No packed key is built on the way,
+    tables as integer arrays -- parent row, plan ID, successor section ID
+    per successor (:meth:`VectorizedKernel.collect_level`) -- one gather
+    and three column assignments make them the raw successor rows
+    (:meth:`~VectorizedKernel.assemble`), and one
+    :meth:`~StateStore.intern_batch` call hands the *whole* raw level to
+    the store's :class:`~repro.system.rowtable.RowTable` -- the visited set
+    holds the very rows the kernel computes on, compared whole, and its one
+    probe is the only dedup: first occurrence wins and new rows take
+    consecutive IDs in stream order, exactly the serial numbering.  The
+    next level is the new rows; events, link columns
+    (a new row's parent is ``ids[parent_pos]``, its event the plan's) and
+    invariant verdicts (:meth:`~VectorizedKernel.check_level`) are computed
+    for those only.  Under symmetry one more exact ``RowTable`` stands
+    between the two: it drops the raw successors seen before (in this level
+    or an earlier one; restarted between levels once past
+    ``_RAW_SEEN_LIMIT``), and the others become their canonical
+    representatives' rows.  No packed key is built on the way,
     and no statement here iterates over rows or successors: Python runs
-    per leaf (its verdict), per distinct raw successor (its event, one
-    C-level table lookup; under symmetry also the raw-successor set and
-    the relabeled representatives, whose rows come back from the kernel's
-    boundary in one call a level), per new row (the store's link columns)
-    and for the first failing row, and inside the kernel per *distinct*
+    per leaf (its verdict), per new row (its event, one C-level table
+    lookup, and the store's link columns), under symmetry per first-seen
+    raw successor whose cache-block region is not already minimal (its
+    relabel; the rows come back from the kernel's boundary in one call a
+    level), for the first failing row, and inside the kernel per *distinct*
     guard, delivery key and ``(cell, record, operation)`` of the level.
-    Distinct raw successors are processed in
-    first-occurrence stream order and leaves replay interleaved by their
-    sequence numbers, so verdicts, traces and (on passing searches) all
-    exploration counts are bit-identical to the serial strategies; on a
-    *failing* search the level batching may intern/count up to one level
-    beyond the serial stopping point (the verdict, the failing state ID and
-    the trace still match exactly).
+    Raw successors are in serial stream order and leaves replay interleaved
+    by their sequence numbers, so verdicts, traces and (on passing
+    searches) all exploration counts are bit-identical to the serial
+    strategies; on a *failing* search the level batching may intern/count
+    up to one level beyond the serial stopping point (the verdict, the
+    failing state ID and the trace still match exactly).
 
     A level containing *any* row the batch path cannot express (unexpected
     message, ambiguous guards, object errors, a tail-memo key field wider
     than its bits) replays wholesale through the
-    inherited per-state body -- same row order, same per-plan order, same
-    raw-successor dedup set, its keys converted to rows one
-    :meth:`~StateStore.intern` at a time -- which guarantees failures
+    inherited per-state body -- same row order, same per-plan order, its
+    own raw-successor dedup set of packed keys, its keys converted to rows
+    one :meth:`~StateStore.intern` at a time -- which guarantees failures
     surface in the identical serial position.  Every transition applied
     there counts as a fallback transition (pinned to zero on the fault-free
     single-address hot path).
@@ -118,172 +126,146 @@ class VectorizedExpander(CompiledExpander):
         vk = ctx.vkernel
         # The visited set moves into row form before the first level: the
         # root of a fresh search, or everything a checkpoint restored.
-        ctx.store.adopt_rows(
-            RowTable(vk.np, vk.row_lanes * vk.dtype.itemsize), vk
-        )
+        ctx.store.adopt_rows(self._row_table(), vk)
+        if self.canonicalize is not None:
+            ctx.raw_rows = self._row_table()
 
-    def lift(self, pairs) -> _Lanes:
+    def _row_table(self) -> RowTable:
         vk = self.ctx.vkernel
-        return _Lanes(
+        return RowTable(vk.np, 4 * vk.row_width)
+
+    def lift(self, pairs) -> _Rows:
+        vk = self.ctx.vkernel
+        return _Rows(
             vk.np.asarray([sid for sid, _key in pairs], dtype=vk.np.int64),
             vk.rows_of([key for _sid, key in pairs]),
         )
 
-    def lower(self, lanes):
-        return list(zip(lanes.ids.tolist(), self.ctx.vkernel.keys_of(lanes.M)))
+    def lower(self, level):
+        return list(zip(level.ids.tolist(), self.ctx.vkernel.keys_of(level.R)))
 
-    def _leaves(self, leaves, done, upto, F, sids):
-        """Leaf verdicts for ``leaves[done:]`` that precede successor *upto*
-        in stream order (leaf ``(k, ...)`` precedes successor ``u`` iff
-        ``k <= u``; ``None`` = all that remain).  Returns ``(done,
-        failure)``."""
-        section_tail = self.ctx.vkernel.section_tail
+    def _leaves(self, leaves, encs, done, upto):
+        """Leaf verdicts for ``leaves[done:]`` (their encodings in *encs*)
+        that precede successor *upto* in stream order (leaf ``(k, ...)``
+        precedes successor ``u`` iff ``k <= u``; ``None`` = all that
+        remain).  Returns ``(done, failure)``."""
         while done < len(leaves) and (upto is None or leaves[done][0] <= upto):
-            _seq, state_id, pos = leaves[done]
-            enc = tuple(F[pos].tolist()) + section_tail(int(sids[pos]))
-            failure = self.leaf(int(state_id), enc)
+            failure = self.leaf(leaves[done][1], encs[done])
             if failure is not None:
                 return done, failure
             done += 1
         return done, None
 
-    def _representatives(self, V, out_sids):
-        """Symmetry reduction of the distinct raw successor rows *V* (their
-        section IDs in *out_sids*), in stream order: drop the rows the
-        raw-successor set has seen, and turn each of the others into its
-        canonical representative.  Returns ``(kept, perms, C)``: the
-        positions in *V* that survive, the permutation that canonicalized
-        each, and their representatives' rows (the raw row itself wherever
-        the identity wins)."""
+    def _representatives(self, V):
+        """Symmetry reduction of the first-seen raw successor rows *V*, in
+        stream order: returns ``(perms, C)``, the permutation that
+        canonicalized each and their representatives' rows (*V* itself,
+        the relabeled rows overwritten)."""
         ctx = self.ctx
         vk = ctx.vkernel
         np = vk.np
-        raw_seen = self.raw_seen
-        timer = perf_counter
-        unpack = ctx.codec.unpack
-        pack = ctx.codec.pack
-        # The level's sections as packed tails: one trip through the
-        # kernel's boundary, whichever rows turn out to need their lanes.
-        sections = sorted(set(out_sids))
-        tail_of = dict(zip(sections, vk.packed_tails(sections)))
-        vbytes = V.tobytes()
-        rowsize = V.shape[1] * V.dtype.itemsize
-        prefix_bytes = vk.net_offset * V.dtype.itemsize
-        # Orbit classification in bulk: one np.unique over the region
-        # columns, one orbit_for per distinct region of the level (the
-        # region's lane bytes are its packed form, the memo's key).
-        d0 = vk.dir_offset
-        R = np.ascontiguousarray(V[:, :d0])
-        rb = R.view(np.dtype((np.void, d0 * V.dtype.itemsize))).ravel()
-        runiq, rinv = np.unique(rb, return_inverse=True)
+        n = vk.num_caches
         canonicalizer = self.canonicalizer
-        orbit_for = canonicalizer.orbit_for
-        orbits = [orbit_for(vb.tobytes()) for vb in runiq]
-        rinv_list = rinv.tolist()
+        # Orbit classification in bulk: the region is the n block-ID
+        # columns -- one np.unique over them, one orbit_for per distinct
+        # region of the level, on its packed lanes (the memo's key).
+        region = np.ascontiguousarray(V[:, :n])
+        uniq, inv = np.unique(
+            region.view(np.dtype((np.void, 4 * n))).ravel(), return_inverse=True
+        )
+        lanes = vk.regions_of(uniq.view(np.uint32).reshape(-1, n))
+        orbits = [canonicalizer.orbit_for(row.tobytes()) for row in lanes]
+        minimal = np.asarray(
+            [orbit is canonicalizer.identity_orbit for orbit in orbits], dtype=bool
+        )
+        # Where the region is already minimal the raw row is the
+        # representative and no lane tuple is built for it at all.
+        perms = [canonicalizer.identity] * len(V)
+        rest = np.flatnonzero(~minimal[inv])
+        if not len(rest):
+            return perms, V
+        # The others' lanes: one trip through the kernel's boundary ...
+        pack = ctx.codec.pack
         resolve = canonicalizer.resolve
-        identity = canonicalizer.identity
-        identity_orbit = canonicalizer.identity_orbit
-        kept: list = []
-        perms: list = []
-        moved: list = []       # positions in ``kept`` whose row is relabeled
+        moved: list = []       # positions in *V* whose row is relabeled
         moved_keys: list = []  # ... and the relabeled state's packed key
-        for j in range(len(V)):
-            grown = len(raw_seen) + 1
-            raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
-            if len(raw_seen) != grown:
-                continue
-            if grown >= _RAW_SEEN_LIMIT:
-                raw_seen.clear()
-            orbit = orbits[rinv_list[j]]
-            if orbit is identity_orbit:
-                # The region is already minimal: the raw row is the
-                # representative and no lane tuple is built for it at all.
-                kept.append(j)
-                perms.append(identity)
-                continue
-            start = timer()
-            enc = (
-                unpack(vbytes[j * rowsize : j * rowsize + prefix_bytes])
-                + unpack(tail_of[out_sids[j]])
-            )
-            cenc, best = resolve(enc, orbit)
-            ctx.canon_seconds += timer() - start
+        start = perf_counter()
+        for j, enc, orbit in zip(
+            rest.tolist(), vk.encodings_of(V[rest]), inv[rest].tolist()
+        ):
+            cenc, perms[j] = resolve(enc, orbits[orbit])
             if cenc is not enc:
-                moved.append(len(kept))
+                moved.append(j)
                 moved_keys.append(pack(cenc))
-            kept.append(j)
-            perms.append(best)
-        C = V[kept]
+        ctx.canon_seconds += perf_counter() - start
         if moved:
             # ... and one trip back for the relabeled ones.
-            C[moved] = vk.rows_of(moved_keys)
-        return kept, perms, C
+            V[moved] = vk.rows_of(moved_keys)
+        return perms, V
 
-    def expand(self, lanes):
+    def expand(self, level):
         ctx = self.ctx
         vk = ctx.vkernel
         np = vk.np
-        ids = lanes.ids
-        F = lanes.M[:, : vk.net_offset]
-        sids = vk.sids_of(lanes.M)
-        level = vk.collect_level(ids, F, sids)
-        if level.fallbacks:
+        ids, R = level.ids, level.R
+        plans = vk.collect_level(ids, R)
+        if plans.fallbacks:
             before = ctx.transitions
-            # The per-state body dedups raw successors on packed keys, this
-            # one on row bytes, and with 32-bit lanes one state's row can
-            # equal another's key: never let the two meet in one set.
-            if self.raw_seen:
-                self.raw_seen.clear()
-            successors, failure = super().expand(self.lower(lanes))
-            if self.raw_seen:
-                self.raw_seen.clear()
+            successors, failure = super().expand(self.lower(level))
             ctx.fallback_transitions += ctx.transitions - before
             if failure is not None:
                 return None, failure
             return self.lift(successors), None
-        codes = ctx.kernel_codes
         ctx.explored += len(ids)
-        ctx.transitions += level.transitions
-        ctx.vectorized_transitions += level.transitions
+        ctx.transitions += plans.transitions
+        ctx.vectorized_transitions += plans.transitions
         ctx.expansion_batches += 1
         ctx.batch_rows += len(ids)
-        M, order = vk.assemble(F, level)
-        # The distinct raw successors, in stream order: ``us`` are their
-        # positions in the level's successor stream.
-        us = order
-        V = M[order]
-        del M
-        # Default-invariant verdicts for the whole level as one lane-mask
-        # reduction (None for non-default codes).  The mask is computed on
-        # the *raw* rows, which is sound because the default invariants are
-        # cache-permutation-symmetric (see check_level).
-        ok = vk.check_level(V, codes)
-        perms = None
+        # The candidates, in stream order: every raw successor, or under
+        # symmetry the representatives of those never seen before, ``us``
+        # their positions in the level's successor stream.
+        S = vk.assemble(R, plans)
+        us = perms = None
         if self.canonicalize is not None:
-            kept, perms, V = self._representatives(
-                V, level.sids[order].tolist()
+            us = np.flatnonzero(ctx.raw_rows.add(S))
+            perms, S = self._representatives(S[us])
+            if len(ctx.raw_rows) >= _RAW_SEEN_LIMIT:
+                ctx.raw_rows = self._row_table()
+
+        def links(new):
+            at = new if us is None else us[new]
+            parents = array("q")
+            parents.frombytes(ids[plans.parent_pos[at]].tobytes())
+            return (
+                parents,
+                vk.events_of(plans.pids[at]),
+                repeat(None, len(new)) if perms is None
+                else map(perms.__getitem__, new.tolist()),
             )
-            us = order[kept]
-            if ok is not None:
-                ok = ok[kept]
-        new_ids = ctx.store.intern_batch(
-            V, ids[level.parent_pos[us]], vk.events_of(level.oids[us]), perms
-        )
-        fresh = new_ids >= 0
+
+        new_ids = ctx.store.intern_batch(S, links)
+        fresh = np.flatnonzero(new_ids >= 0)
+        new_ids, V = new_ids[fresh], S[fresh]
+        del S
+        # Default-invariant verdicts of the new rows as one mask (None for
+        # non-default codes: then the per-state check, on lanes unpacked
+        # only here).
+        ok = vk.check_level(V, ctx.kernel_codes)
         if ok is None:
-            # No level mask for these codes: the per-state check, on lanes
-            # unpacked only here, for the new rows only.
-            at = np.flatnonzero(fresh)
             check = ctx.kernel.check
             unpack = ctx.codec.unpack
-            ok = np.ones(len(fresh), dtype=bool)
-            ok[at] = [check(unpack(key), codes) for key in vk.keys_of(V[at])]
+            ok = np.asarray(
+                [check(unpack(key), ctx.kernel_codes) for key in vk.keys_of(V)],
+                dtype=bool,
+            )
         # Failures surface in stream order: the leaves that precede a new
         # row failing its check, then that row.
-        leaves = level.leaves
+        leaves = plans.leaves
+        encs = vk.encodings_of(R[[pos for _seq, _state_id, pos in leaves]])
         done = 0
-        for j in np.flatnonzero(fresh & ~ok).tolist():
-            done, failure = self._leaves(leaves, done, int(us[j]), F, sids)
+        for j in np.flatnonzero(~ok).tolist():
+            u = fresh[j] if us is None else us[fresh[j]]
+            done, failure = self._leaves(leaves, encs, done, int(u))
             if failure is not None:
                 return None, failure
             violation = self.violation(vk.keys_of(V[j : j + 1])[0])
@@ -291,10 +273,10 @@ class VectorizedExpander(CompiledExpander):
                 return None, ctx.failure(
                     violation=violation, leaf_id=int(new_ids[j])
                 )
-        done, failure = self._leaves(leaves, done, None, F, sids)
+        done, failure = self._leaves(leaves, encs, done, None)
         if failure is not None:
             return None, failure
-        return _Lanes(new_ids[fresh], V[fresh]), None
+        return _Rows(new_ids, V), None
 
 
 # -- strategies ----------------------------------------------------------------

@@ -155,31 +155,25 @@ class StateStore:
                 out.append((new_id, key))
         return out
 
-    def intern_batch(self, rows, parents, events, perms=None):
+    def intern_batch(self, rows, links):
         """Batch :meth:`intern` of a matrix of *rows* against the row table
-        (:meth:`adopt_rows`): one vectorized probe for a whole level.
+        (:meth:`adopt_rows`): one vectorized probe for a whole level, raw --
+        equal rows and known rows included; the table is the only dedup.
 
-        *parents* (an ``int64`` array), *events* and *perms* (sequences;
-        ``None`` = no permutation anywhere) match *rows* positionally.
-        Returns an integer array, again positional: the new ID of each
+        Returns an integer array positional with *rows*: the new ID of each
         genuinely new row -- consecutive, in row order, first occurrence
         winning among equal rows -- and ``-1`` for a known one.  The caller
         builds the next level, and locates a violating successor, from it.
+        *links* maps the positions of the new rows (an index array) to
+        their three link columns ``(parents, events, perms)``, so a link is
+        only ever computed for a row that got an ID.
         """
         table = self._rows
         np = table.np
-        fresh = table.add(rows)
-        new = np.flatnonzero(fresh)
-        picked = new.tolist()
-        column = array("q")
-        column.frombytes(parents[new].tobytes())
-        base = self.extend_links(
-            column,
-            [events[i] for i in picked],
-            [perms[i] for i in picked] if perms is not None else (None,) * len(picked),
-        )
-        out = np.full(len(fresh), -1, dtype=np.int64)
-        out[new] = np.arange(base, base + len(picked))
+        new = np.flatnonzero(table.add(rows))
+        base = self.extend_links(*links(new))
+        out = np.full(len(rows), -1, dtype=np.int64)
+        out[new] = np.arange(base, base + len(new))
         return out
 
     def append_link(
@@ -249,8 +243,8 @@ class StateStore:
     def _keys(self) -> list | None:
         """The intern keys in ID order (None: the visited set is elsewhere)."""
         if self._rows is not None:
-            codec = self._row_codec
-            return codec.keys_of(self._rows.rows(codec.dtype))
+            table = self._rows
+            return self._row_codec.keys_of(table.rows(table.np.uint32))
         if self._ids is not None:
             return list(self._ids)
         return None

@@ -326,17 +326,18 @@ class TestSearchStats:
 
     def test_visited_bytes_is_the_row_table(self, msi_nonstalling):
         """Bytes per stored state as a reported count: the batch path's row
-        table is its rows in use (28 prefix lanes + a 4-byte section ID at
-        8-bit lanes) plus the int32 slot table; a dict or the fleet's
-        shards are not measurable from the store and report None."""
+        table is its rows in use (five ``uint32`` IDs at 2 caches: a block
+        per cache, the directory's, the version, the section) plus the
+        int32 slot table; a dict or the fleet's shards are not measurable
+        from the store and report None."""
         pytest.importorskip("numpy")
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         full = verify(system, kernel="vectorized")
         assert (full.kernel, full.states_explored) == ("vectorized", 1702)
-        assert full.stats["visited_bytes"] == 1702 * 32 + 4096 * 4
+        assert full.stats["visited_bytes"] == 1702 * 20 + 4096 * 4
         reduced = verify(system, kernel="vectorized", symmetry=True)
-        assert reduced.stats["visited_bytes"] == 862 * 32 + 2048 * 4
+        assert reduced.stats["visited_bytes"] == 862 * 20 + 2048 * 4
         for mode in (dict(), dict(kernel="object"),
                      dict(kernel="vectorized", strategy="dfs"),
                      dict(strategy="parallel", processes=2)):
@@ -345,10 +346,12 @@ class TestSearchStats:
     def test_batch_kernel_says_what_it_retains(self, msi_nonstalling):
         """The plan tables a batch search leaves behind, as counts that
         repeat exactly: hash-consed network sections, tail-memo keys
-        ``(section, delivered record, sends)``, distinct ``(event, lane
-        delta, sends)`` outcomes, and what sections are made of -- distinct
-        channel contents (cells) and message records.  Absent on the other
-        backends, like ``expansion_batches``."""
+        ``(section, delivered record, sends)``, distinct ``(event, sends)``
+        outcomes, what sections are made of -- distinct channel contents
+        (cells) and message records -- what the controller columns are made
+        of -- distinct cache and directory blocks -- and the distinct
+        ``(outcome, column, new block, new version)`` plans.  Absent on the
+        other backends, like ``expansion_batches``."""
         pytest.importorskip("numpy")
 
         def stats(**mode):
@@ -357,14 +360,19 @@ class TestSearchStats:
             return verify(fresh, **mode).stats
 
         tables = ("section_entries", "tail_memo_entries", "outcome_entries",
-                  "cell_entries", "record_entries")
+                  "cell_entries", "record_entries", "cache_block_entries",
+                  "dir_block_entries", "plan_entries")
         full = stats(kernel="vectorized")
-        assert [full[name] for name in tables] == [442, 1142, 258, 84, 64]
+        assert [full[name] for name in tables] == [
+            442, 1142, 134, 84, 64, 168, 35, 448
+        ]
         # A section the batch path creates is never parsed (nor packed):
         # the codec's memo holds the boundary parses only -- here the root.
         assert full["parse_memo_entries"] == 1
         reduced = stats(kernel="vectorized", symmetry=True)
-        assert [reduced[name] for name in tables] == [340, 700, 199, 79, 62]
+        assert [reduced[name] for name in tables] == [
+            340, 700, 112, 79, 62, 151, 35, 325
+        ]
         # ... and under symmetry the relabeled representatives' sections.
         assert 1 < reduced["parse_memo_entries"] < reduced["section_entries"]
         for mode in (dict(), dict(kernel="object"),
@@ -750,10 +758,8 @@ class TestRetainedObjects:
         except VectorizedUnavailable:  # no NumPy here: nothing to look at
             return
         root = vkernel.rows_of([ctx.root_key])
-        level = vkernel.collect_level(
-            [ctx.root_id], root[:, : vkernel.net_offset], vkernel.sids_of(root)
-        )
-        created = set(level.sids.tolist()) - set(vkernel.sids_of(root).tolist())
+        level = vkernel.collect_level([ctx.root_id], root)
+        created = set(level.sids.tolist()) - set(root[:, -1].tolist())
         assert created and not level.fallbacks
         # A section is a row of cell IDs in the kernel's section table and
         # its deliveries rows of the typed section CSR: for one the hot
@@ -763,7 +769,7 @@ class TestRetainedObjects:
         assert not hasattr(vkernel, "_zero_prefix")
         assert not hasattr(vkernel, "_section_info")
         assert len(vkernel._sections) == 1 + len(created)
-        assert list(vkernel._tail_ids.values()) == vkernel.sids_of(root).tolist()
+        assert list(vkernel._tail_ids.values()) == root[:, -1].tolist()
         assert not vkernel._packed
         assert list(codec._net_items_memo) == [
             ctx.root_key[codec.net_byte_offset:]

@@ -7,7 +7,9 @@ hit": the batch kernel's memos (``vectorized._MEMO_LIMIT``: delivery, tail,
 -> section ID and section ID -> packed tail),
 the codec's component and parse memos (``codec._MEMO_LIMIT``), the
 canonicalizer's region memo (``canonical._ORBIT_MEMO_LIMIT``) and the
-raw-successor set (``driver._RAW_SEEN_LIMIT``).  No bundled tier-1 space is
+raw-successor set (``driver._RAW_SEEN_LIMIT``: a set of packed keys on the
+per-state searches, a ``RowTable`` of raw rows restarted between levels on
+the batch path).  No bundled tier-1 space is
 big enough to reach a limit, so here each limit is forced down to 8 entries
 -- every search then clears constantly -- and the counts must not move.
 
@@ -69,11 +71,12 @@ def _outcome(all_generated, space, kernel, symmetry):
             assert len(memo) <= vectorized_module._MEMO_LIMIT
     # The batch kernel's table sizes ride along (None on the compiled
     # kernel): a clear must not mint a second ID for a section, a cell, a
-    # record or an outcome it has already numbered.
+    # record, an outcome, a block or a plan it has already numbered.
     return (result.ok, result.states_explored, result.transitions_explored,
             *map(result.stats.get,
                  ("fallback_transitions", "section_entries", "outcome_entries",
-                  "cell_entries", "record_entries")))
+                  "cell_entries", "record_entries", "cache_block_entries",
+                  "dir_block_entries", "plan_entries")))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s[0]}-{s[2]}c{s[3]}a")

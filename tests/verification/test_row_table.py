@@ -77,6 +77,23 @@ class TestRowTable:
         assert table.find(probe).tolist() == reference.find(probe)
         assert table.nbytes == len(table) * width + table._slots.nbytes
 
+    def test_a_batch_is_probed_a_chunk_at_a_time(self, width, monkeypatch):
+        """A raw level is one batch of millions of rows, mostly repeats: it
+        is probed in chunks, in order -- the same mask and the same IDs as
+        one probe (a row first seen in one chunk is known to the next), and
+        slots are reserved per chunk, not for every repeat of the batch."""
+        monkeypatch.setattr(RowTable, "_CHUNK", 64)
+        rng = np.random.default_rng(width + 3)
+        table, reference = RowTable(np, width), _Reference()
+        for turn, batch in enumerate(_batches(rng, width, count=6, size=1000, pool=300)):
+            if turn % 2:
+                assert table.add(batch).tolist() == reference.add(batch)
+            else:
+                assert table.intern(batch).tolist() == reference.intern(batch)
+        assert len(table) == len(reference.ids) <= 300
+        assert [row.tobytes() for row in table.rows(np.uint8)] == list(reference.ids)
+        assert len(table._slots) == 1024  # 2 x (300 + a chunk), not 2 x 1300
+
     def test_rows_differing_in_one_trailing_byte(self, width):
         """The last prefix lane and every byte of the section ID are part
         of the row: two rows that differ only there are two states."""
@@ -145,6 +162,28 @@ class TestRowTable:
     def test_a_matrix_of_another_width_is_refused(self, width):
         with pytest.raises(ValueError, match=f"{width}-byte rows"):
             RowTable(np, width).add(np.zeros((2, width + 1), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("columns", [5, 6, 7], ids=lambda c: f"{c - 3}-caches")
+def test_rows_of_small_integers_hash_apart(columns):
+    """The batch path's rows are vectors of small ``uint32`` IDs (block,
+    version, section), hashed as 64-bit words where those tile the row, and
+    the hash is all that spreads them over the slots.  Distinct rows get
+    distinct 64-bit hashes, and the low bits -- the slot index -- spread
+    like a random function's, on the shape such rows have: a few columns
+    varying together over dense ranges (a plain FNV-1a chain over whole
+    words maps this grid, at 3 caches, to 16 384 hashes: a directory block
+    one up cancels against a section 435 up)."""
+    grid = np.indices((20, 9000), dtype=np.uint32).reshape(2, -1).T
+    rows = np.full((len(grid), columns), 3, dtype=np.uint32)
+    rows[:, -3] = grid[:, 0]  # directory block
+    rows[:, -1] = grid[:, 1]  # section
+    table = RowTable(np, 4 * columns)
+    hashes = table._hash(table._as_words(rows))
+    assert len(np.unique(hashes)) == len(rows) == 180_000
+    low = np.unique(hashes & np.uint64((1 << 20) - 1))
+    expected = (1 << 20) * (1 - np.exp(-len(rows) / (1 << 20)))
+    assert len(low) > 0.98 * expected
 
 
 def test_the_table_is_a_leaf_both_layers_import():
@@ -294,10 +333,10 @@ def test_forced_wide_lanes_read_the_pinned_counts(msi_nonstalling, monkeypatch,
         result = verify(system, symmetry=symmetry, kernel="vectorized")
         assert result.ok and result.kernel == "vectorized"
         assert (result.states_explored, result.transitions_explored) == counts
-        lanes = system.vectorized_kernel().row_lanes
+        # A row is 4 x (caches + 3) bytes whatever the lane width.
+        assert system.vectorized_kernel().row_width == 5
         assert result.stats["visited_bytes"] == (
-            counts[0] * lanes * system.codec().lane_bytes
-            + (4096 if counts[0] == 1702 else 2048) * 4
+            counts[0] * 20 + (4096 if counts[0] == 1702 else 2048) * 4
         )
 
 

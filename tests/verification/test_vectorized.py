@@ -10,7 +10,11 @@ pin that contract:
   :meth:`VectorizedKernel.collect_level` call must enumerate exactly the
   plans (same encoded events, same successor encodings, same order) that
   ``TransitionKernel.enabled`` + per-plan apply produce -- state by state,
-  and with all of them as the rows of one level.
+  and with all of them as the rows of one level.  A state is a row of
+  block, version and section IDs there; the successor rows ``assemble``
+  lays out are read back through the block tables.
+* **The row boundary** -- packed keys in, rows out, and back, at every
+  lane width.
 * **Whole-search parity** -- every bundled protocol x {stalling,
   nonstalling} x {plain, symmetry-reduced}, plus failing mutants, compared
   across all three kernels.
@@ -37,6 +41,8 @@ from verification_helpers import (
 )
 
 np = pytest.importorskip("numpy")
+
+from repro.system.rowtable import RowTable
 
 KERNELS = ("compiled", "vectorized", "object")
 
@@ -69,22 +75,15 @@ def _serial_stream(kernel, enc):
     return stream
 
 
-def _batch_stream(vk, F, level):
+def _batch_stream(vk, R, level):
     """What a collected level stands for, successor by successor: ``(parent
-    row, event, successor encoding)`` -- the parent's prefix with the
-    outcome's lane delta applied (read from the outcome table's CSR, as
-    ``assemble`` does) followed by the successor section's lanes."""
-    stream = []
-    for pos, oid, sid, eev in zip(
-        level.parent_pos.tolist(), level.oids.tolist(), level.sids.tolist(),
-        vk.events_of(level.oids),
-    ):
-        out = F[pos].tolist()
-        lo, hi = vk._out_ptr[oid], vk._out_ptr[oid + 1]
-        for col, val in zip(vk._out_cols[lo:hi], vk._out_vals[lo:hi]):
-            out[col] = val
-        stream.append((pos, eev, tuple(out) + vk.section_tail(sid)))
-    return stream
+    row, event, successor encoding)`` -- the rows ``assemble`` makes of it,
+    read back into lanes through the block and section tables."""
+    return list(zip(
+        level.parent_pos.tolist(),
+        vk.events_of(level.pids),
+        vk.encodings_of(vk.assemble(R, level)),
+    ))
 
 
 class TestExpansionParity:
@@ -102,14 +101,12 @@ class TestExpansionParity:
         assert vk.supported, f"{name}/{config_label} should support batching"
         kernel = system.kernel()
         codec = system.codec()
-        net_offset = vk.net_offset
         compared = 0
         for state in sample_reachable_states(system, seed=20):
             enc = codec.encode(state)
             serial = _serial_stream(kernel, enc)
-            F = np.asarray([enc[:net_offset]], dtype=vk.dtype)
-            sid = vk.intern_section(codec.pack(enc[net_offset:]))
-            level = vk.collect_level([0], F, [sid])
+            R = vk.rows_of([codec.pack(enc)])
+            level = vk.collect_level([0], R)
             if level.fallbacks:
                 # The batch path may only refuse rows the compiled path also
                 # finds hard (slow-path applies); it must never *drop* rows.
@@ -117,8 +114,8 @@ class TestExpansionParity:
                 continue
             assert serial is not None
             # Same plans, same order, same encoded events, same successor
-            # encodings, reconstructed from the deltas.
-            assert _batch_stream(vk, F, level) == [
+            # encodings, reconstructed from the rows.
+            assert _batch_stream(vk, R, level) == [
                 (0, eev, succ) for eev, succ in serial
             ]
             compared += 1
@@ -139,7 +136,6 @@ class TestExpansionParity:
         vk = system.vectorized_kernel()
         kernel = system.kernel()
         codec = system.codec()
-        net_offset = vk.net_offset
         # Walks run to their end, so each contributes its terminal state (a
         # leaf) before the next one starts over near the root.
         states = sample_reachable_states(system, seed=20, max_steps=400)
@@ -149,14 +145,11 @@ class TestExpansionParity:
         streams = [_serial_stream(kernel, enc) for enc in encs]
         assert None not in streams
         ids = np.arange(1000, 1000 + len(encs))
-        F = np.asarray([enc[:net_offset] for enc in encs], dtype=vk.dtype)
-        sids = np.asarray(
-            [vk.intern_section(codec.pack(enc[net_offset:])) for enc in encs],
-            dtype=np.uint32,
-        )
-        level = vk.collect_level(ids, F, sids)
+        R = vk.rows_of([codec.pack(enc) for enc in encs])
+        assert R.dtype == np.uint32 and R.shape == (len(encs), vk.row_width)
+        level = vk.collect_level(ids, R)
         assert not level.fallbacks
-        for column in (level.parent_pos, level.oids, level.sids):
+        for column in (level.parent_pos, level.pids, level.sids):
             assert isinstance(column, np.ndarray) and column.dtype.kind in "iu"
             assert len(column) == level.transitions
         expected = [
@@ -164,7 +157,7 @@ class TestExpansionParity:
             for pos, stream in enumerate(streams)
             for eev, succ in stream
         ]
-        assert _batch_stream(vk, F, level) == expected
+        assert _batch_stream(vk, R, level) == expected
         # Leaves: (successors before, state ID, row), in row order.
         leaves, before = [], 0
         for pos, stream in enumerate(streams):
@@ -173,17 +166,58 @@ class TestExpansionParity:
             before += len(stream)
         assert level.leaves == leaves
         assert any(0 < pos < len(encs) - 1 for _k, _id, pos in leaves)
-        # ... and `assemble` lays out those very encodings, naming the
-        # distinct ones in first-occurrence order.
-        M, order = vk.assemble(F, level)
-        assert vk.sids_of(M).tolist() == level.sids.tolist()
-        assert [tuple(row) for row in M[:, :net_offset].tolist()] == [
-            succ[:net_offset] for _pos, _eev, succ in expected
-        ]
+        # ... and `assemble` lays out those very states, raw: a row per
+        # successor, equal ones included; the visited set's probe is what
+        # names the distinct ones, in first-occurrence order.
+        S = vk.assemble(R, level)
+        assert S.dtype == np.uint32 and S.shape == (len(expected), vk.row_width)
+        assert S[:, -1].tolist() == level.sids.tolist()
+        assert vk.keys_of(S) == [codec.pack(succ) for _pos, _eev, succ in expected]
         first_seen: dict = {}
         for u, (_pos, _eev, succ) in enumerate(expected):
             first_seen.setdefault(succ, u)
-        assert order.tolist() == sorted(first_seen.values())
+        assert len(first_seen) < len(expected)
+        fresh = RowTable(np, 4 * vk.row_width).add(S)
+        assert np.flatnonzero(fresh).tolist() == sorted(first_seen.values())
+
+    @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
+    @pytest.mark.parametrize("name", protocols.available_protocols())
+    def test_a_directory_plan_keeps_each_rows_version(
+        self, all_generated, name, config_label
+    ):
+        """The directory's delivery key has no version in it, so one plan
+        serves rows of different versions: it is evaluated on the first row
+        carrying the key and must not stamp that row's version on the
+        others (a plan's version is "unchanged" unless the transition wrote
+        it).  Every sampled state next to its twin one version on, as one
+        level, on a kernel that has evaluated nothing yet."""
+        generated = all_generated[(name, config_label)]
+        system = System(generated, num_caches=3, workload=_workload(name))
+        vk = system.vectorized_kernel()
+        kernel = system.kernel()
+        codec = system.codec()
+        vo = vk.version_offset
+        encs, streams = [], []
+        for state in sample_reachable_states(system, seed=22):
+            enc = codec.encode(state)
+            pair = [enc, enc[:vo] + (enc[vo] + 1,) + enc[vo + 1 :]]
+            serial = [_serial_stream(kernel, enc) for enc in pair]
+            if None not in serial:  # the twin may be a state nothing reaches
+                encs += pair
+                streams += serial
+        to_directory = sum(
+            eev[0] == 1 and eev[3] == 1 for stream in streams for eev, _ in stream
+        )
+        assert to_directory > 10, "no delivery to the directory sampled"
+        R = vk.rows_of([codec.pack(enc) for enc in encs])
+        assert (R[1::2, -2] == R[::2, -2] + 1).all()
+        level = vk.collect_level(np.arange(len(encs)), R)
+        assert not level.fallbacks
+        assert _batch_stream(vk, R, level) == [
+            (pos, eev, succ)
+            for pos, stream in enumerate(streams)
+            for eev, succ in stream
+        ]
 
 
 class TestSectionAlgebra:
@@ -213,19 +247,19 @@ class TestSectionAlgebra:
             for state in sample_reachable_states(system, seed=21, max_steps=60)
         ))
         keys = [codec.pack(enc) for enc in encs]
-        M = vk.rows_of(keys)
+        R = vk.rows_of(keys)
         # The boundary, both ways, before the hot path has run at all.
-        assert vk.keys_of(M) == keys
-        sids = vk.sids_of(M)
+        assert vk.keys_of(R) == keys
+        sids = R[:, -1]
         # One level over the samples fills the send-list table with what
         # this protocol really sends.
-        level = vk.collect_level(np.arange(len(encs)), M[:, :no], sids)
+        level = vk.collect_level(np.arange(len(encs)), R)
         assert not level.fallbacks
         prefix = (0,) * no
 
         def send_list_id(sends):
-            oid = vk._intern_outcome((0,), prefix, list(prefix), None, sends)
-            return vk._out_sends[oid]
+            pid = vk._intern_plan((0,), prefix, list(prefix), None, sends)
+            return vk._out_sends[vk._plan_oid[pid]]
 
         real = [
             [vk._recs[rid] for rid in
@@ -295,56 +329,103 @@ LANE_WIDTHS = {"uint8": 5, "uint16": 300, "uint32": 70_000}
 
 @pytest.mark.parametrize("dtype", LANE_WIDTHS)
 class TestRawSuccessorRows:
-    """``assemble`` keys a raw successor on its row bytes: prefix lanes plus
-    the section ID spread over however many lanes 32 bits take."""
+    """A state row is ``uint32`` IDs -- a block per controller, the version,
+    the section -- whatever the lane width; lanes exist in the block tables
+    and at the boundary only.  (The section-ID-over-lanes split, and the
+    test that two section IDs differing past one lane stayed distinct, went
+    with the lane rows.)"""
 
     @pytest.fixture
-    def vk(self, msi_nonstalling, monkeypatch, dtype):
+    def widened(self, monkeypatch, dtype):
         monkeypatch.setattr(System, "value_bound", lambda self: LANE_WIDTHS[dtype])
+
+    @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
+    @pytest.mark.parametrize("name", protocols.available_protocols())
+    def test_the_boundary_round_trips(
+        self, all_generated, widened, dtype, name, config_label
+    ):
+        """``keys_of(rows_of(keys)) == keys``, and ``prefixes_of`` gathers
+        from the block tables the very lanes ``codec.unpack`` reads."""
+        generated = all_generated[(name, config_label)]
+        system = System(generated, num_caches=3, workload=_workload(name))
+        vk = system.vectorized_kernel()
+        codec = system.codec()
+        assert vk.dtype == np.dtype(dtype)
+        keys = list(dict.fromkeys(
+            codec.pack(codec.encode(state))
+            for state in sample_reachable_states(system, seed=23)
+        ))
+        assert len(keys) > 50
+        R = vk.rows_of(keys)
+        assert R.dtype == np.uint32 and R.shape == (len(keys), 3 + 3)
+        assert vk.keys_of(R) == keys
+        # Equal rows are equal keys: a row is a bijection with its key.
+        assert len({row.tobytes() for row in R}) == len(keys)
+        assert vk.keys_of(vk.rows_of(keys[::-1] + keys)) == keys[::-1] + keys
+        P = vk.prefixes_of(R)
+        assert P.dtype == vk.dtype and P.shape == (len(keys), vk.net_offset)
+        encs = [codec.unpack(key) for key in keys]
+        assert [tuple(row) for row in P.tolist()] == [
+            enc[: vk.net_offset] for enc in encs
+        ]
+        assert vk.encodings_of(R) == encs
+        # All three caches share one block table: far fewer blocks than
+        # (state, cache) pairs.
+        assert R[:, :3].max() + 1 == vk.cache_block_entries < len(keys)
+        assert R[:, 3].max() + 1 == vk.dir_block_entries
+
+    def test_a_first_seen_block_wider_than_a_lane_raises(
+        self, msi_nonstalling, widened, dtype
+    ):
+        """Nothing downstream of a plan packs its lanes, and NumPy wraps
+        where ``codec.pack`` raises: the block tables refuse a lane value
+        the lane dtype cannot hold, once, at the block's first sight --
+        and so does a plan's version."""
+        from repro.system import LaneOverflow
+
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         vk = system.vectorized_kernel()
         assert vk.dtype == np.dtype(dtype)
-        return vk
-
-    @pytest.mark.parametrize("sids", [
-        (256, 512), (255, 255 + 65_536), (7, 7 + (1 << 24)), (0, 1),
-    ])
-    def test_section_ids_past_one_lane_stay_distinct(self, vk, sids):
-        """Two successors that differ only in their section ID are two raw
-        successors, whichever lanes the difference lands in (at 8-bit lanes
-        the 16-bit split used to leave two lanes unwritten and truncate the
-        rest: 69 of full-3c's 174 189 states went missing in a PASS)."""
-        from repro.system.vectorized import LevelExpansion
-
-        F = np.zeros((1, vk.net_offset), dtype=vk.dtype)
+        lane_max = vk.codec.lane_max
         prefix = (0,) * vk.net_offset
-        unchanged = vk._intern_outcome((0,), prefix, list(prefix), None, [])
-        level = LevelExpansion(
-            np.zeros(3, dtype=np.uint16),
-            np.full(3, unchanged, dtype=np.int32),
-            np.asarray([sids[0], sids[1], sids[0]], dtype=np.uint32),
-        )
-        M, order = vk.assemble(F, level)
-        assert order.tolist() == [0, 1]
-        extra = max(1, 4 // vk.dtype.itemsize)
-        assert M.shape == (3, vk.net_offset + extra)
-        assert M[0].tobytes() == M[2].tobytes() != M[1].tobytes()
-
-    def test_a_delta_wider_than_a_lane_raises(self, vk):
-        """The scatter narrows deltas to the lane dtype; the memo-miss
-        evaluation refuses a value the cast would wrap."""
-        from repro.system import LaneOverflow
-
-        prefix = (0,) * vk.net_offset
+        for cid, lane in ((None, vk.dir_offset), (1, vk.cache_width + 2)):
+            out = list(prefix)
+            out[lane] = lane_max
+            pid = vk._intern_plan((0,), prefix, out, cid, [])
+            assert pid >= 0 and vk._plan_ver[pid] == -1
+            out[lane] += 1
+            with pytest.raises(LaneOverflow):
+                vk._intern_plan((0,), prefix, out, cid, [])
         out = list(prefix)
-        out[vk.dir_offset] = vk.codec.lane_max
-        assert vk._confined_delta(prefix, out, None) == (
-            (vk.dir_offset,), (vk.codec.lane_max,)
-        )
-        out[vk.dir_offset] += 1
+        out[vk.version_offset] = lane_max
+        assert vk._plan_ver[vk._intern_plan((0,), prefix, out, 0, [])] == lane_max
+        out[vk.version_offset] += 1
         with pytest.raises(LaneOverflow):
-            vk._confined_delta(prefix, out, None)
+            vk._intern_plan((0,), prefix, out, 0, [])
+
+    def test_a_write_outside_the_controllers_block_is_refused(
+        self, msi_nonstalling, widened, dtype
+    ):
+        """A plan replaces one column (and maybe the version): a transition
+        that changed anything else cannot be one, and falls back."""
+        import repro.system.vectorized as vec
+
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        vk = system.vectorized_kernel()
+        prefix = (0,) * vk.net_offset
+        for cid, lane in (
+            (0, vk.cache_width),        # cache 0 writing cache 1's block
+            (1, 0),                     # cache 1 writing cache 0's
+            (0, vk.dir_offset),         # a cache writing the directory's
+            (None, 0),                  # the directory writing a cache's
+            (None, vk.version_offset),  # the directory writing the version
+        ):
+            out = list(prefix)
+            out[lane] = 1
+            assert vk._intern_plan((0,), prefix, out, cid, []) == vec._FALLBACK
+        assert vk.plan_entries == 0
 
 
 class TestWholeSearchParity:
