@@ -26,12 +26,13 @@ The encoding is designed around three invariants the engine relies on:
    form: cache blocks move to their permuted positions, saved-requestor
    slots, directory owner/sharers and message endpoints are remapped in
    place, and order-normalized sections (sharers, channels, unordered
-   messages) are re-sorted.  :meth:`StateCodec.relabel_via_tables`, the one
-   encoded relabel, runs on per-permutation tables precomputed at first use
-   — a lane-gather index map for the fixed-width prefix plus
-   value-translation arrays for the two cache-ID lane shifts
-   (:meth:`StateCodec.perm_tables`) — so a relabel is a single-pass gather
-   instead of a recursive tuple rebuild; it equals
+   messages) are re-sorted.  Everything past the cache blocks relabels as
+   one memoized unit on *packed bytes* (:meth:`StateCodec.relabeled_suffix`:
+   what the symmetry pipeline concatenates a representative's key from, see
+   :class:`~repro.verification.engine.canonical.EncodedCanonicalizer`);
+   :meth:`StateCodec.relabel_via_tables` is the plain lane-level relabel of
+   a whole encoding through the per-permutation tables
+   (:meth:`StateCodec.perm_tables`), equal to
    ``encode(decode(enc).relabeled(perm))``, property-tested.
 
 The codec also carries the instrumentation the zero-decode invariant is
@@ -214,7 +215,9 @@ class StateCodec:
             for cid in range(num_caches)
             for slot in range(NUM_SAVED_SLOTS)
         )
-        #: Byte offset of the network sections inside a packed key.
+        #: Byte offsets of the directory block and of the network sections
+        #: inside a packed key.
+        self.dir_byte_offset = self.dir_offset * self.lane_bytes
         self.net_byte_offset = self.net_offset * self.lane_bytes
         #: Parse memo: packed network section -> parse handle (see
         #: :meth:`parsed_network`).
@@ -227,10 +230,10 @@ class StateCodec:
         #: offset tuples: tens of thousands of distinct sections share a few
         #: hundred distinct parts.
         self._parts: dict[tuple, tuple] = {}
-        self._net_relabel_memo: dict[tuple, list] = {}
+        # All three keyed ``(packed lanes, perm)``: slices of a visited-set key.
         self._net_key_memo: dict[tuple, tuple] = {}
         self._dir_key_memo: dict[tuple, tuple] = {}
-        self._suffix_memo: dict[tuple, list] = {}
+        self._packed_suffixes: dict[tuple, bytes] = {}
         self._planes_memo: dict[bytes, tuple] = {}
 
     @classmethod
@@ -460,106 +463,83 @@ class StateCodec:
             self._perm_tables[perm] = tables
         return tables
 
-    def relabel_via_tables(
-        self, enc: tuple, perm: tuple[int, ...], *, saved: bool = True
-    ) -> tuple:
+    def relabel_via_tables(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
         """``encode(decode(enc).relabeled(perm))`` computed on the encoding,
-        through the precomputed :meth:`perm_tables`.
-
-        One gather over the fixed-width prefix, table lookups on the few
-        cache-ID lanes, and the two order-normalized runs re-sorted through
-        their memo tables (the directory block via
-        :meth:`relabeled_directory_key`, the network section per distinct
-        section).  Single-plane layouts only (symmetry reduction is gated
-        off for multi-address systems at ``System`` construction).  Callers
-        that already know no saved-requestor slot is occupied (the
-        signature-sort path proved it) pass ``saved=False`` to skip the
-        slot-translation pass.
+        through the precomputed :meth:`perm_tables`: one gather over the
+        cache blocks, a table lookup on every saved-requestor lane, and the
+        relabeled suffix.  Single-plane layouts only (symmetry reduction is
+        gated off for multi-address systems at ``System`` construction).
+        The searches never call it -- they relabel packed keys a cache block
+        at a time -- it is what the tests pin that path against.
         """
         gather, t1, _t2 = self.perm_tables(perm)
         out = list(gather(enc))
-        if saved:
-            for lane in self._saved_lanes:
-                value = out[lane]
-                if value:
-                    out[lane] = t1[value]
-        out.extend(self._relabeled_suffix(enc, perm))
+        for lane in self._saved_lanes:
+            out[lane] = t1[out[lane]]
+        suffix = self.pack(enc[self.dir_offset :])
+        out.extend(self.unpack(self.relabeled_suffix(suffix, perm)))
         return tuple(out)
 
-    def _relabeled_suffix(self, enc: tuple, perm: tuple[int, ...]) -> list[int]:
-        """Relabeled directory + version + network lanes, memoized as one unit.
+    def relabeled_suffix(self, suffix: bytes, perm: tuple[int, ...]) -> bytes:
+        """The packed relabeled directory + version + network lanes of a
+        packed *suffix* (``key[dir_byte_offset:]``), memoized as one unit.
 
         The suffix past the cache blocks recurs across far more states than
-        it has distinct values, so one ``(suffix, perm)`` lookup replaces
-        separate directory-key and network-section memo probes on the
-        relabel hot path.  The returned list is shared — ``extend`` only.
+        it has distinct values, so a representative's key is its relabeled
+        cache blocks plus one ``(suffix, perm)`` lookup: no lane tuple and
+        no second :meth:`pack`.
         """
-        key = (enc[self.dir_offset :], perm)
-        memo = self._suffix_memo
+        key = (suffix, perm)
+        memo = self._packed_suffixes
         out = memo.get(key)
-        if out is not None:
-            return out
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        out = list(self.relabeled_directory_key(enc, perm))
-        # version lane plus the (perm-invariant) fault lane when present
-        out.extend(enc[self.version_offset : self.net_offset])
-        out.extend(self._relabeled_net_section_tables(enc, perm))
-        memo[key] = out
+        if out is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            net = self.net_byte_offset - self.dir_byte_offset
+            cut = self.dir_width * self.lane_bytes
+            out = memo[key] = (
+                self.pack(self.relabeled_directory_key(suffix[:cut], perm))
+                # version lane plus the (perm-invariant) fault lane when present
+                + suffix[cut:net]
+                + self._relabeled_net_section(suffix[net:], perm)
+            )
         return out
 
-    def _relabeled_net_section_tables(
-        self, enc: tuple, perm: tuple[int, ...]
-    ) -> list[int]:
-        """Relabeled flat network section, memoized per (section, perm).
-
-        Network sections recur across huge numbers of global states, so each
-        distinct section is translated and re-sorted once per permutation.
-        The returned list is shared — callers must only ``extend`` from it.
-        """
-        key = (enc[self.net_offset :], perm)
-        memo = self._net_relabel_memo
-        out = memo.get(key)
-        if out is not None:
-            return out
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
+    def _relabeled_items(self, section: bytes, perm: tuple[int, ...]) -> list:
+        """The content of the packed *section* under *perm*, re-normalized:
+        the sorted translated records of an unordered network, the
+        ``((src, dst, vnet), (record, ...))`` channels of an ordered one
+        sorted by their relabeled channel key."""
         t2 = self.perm_tables(perm)[2]
-        items = self.network_items(enc)
-        out = [len(items)]
+        items = self.parsed_section(section)[0]
         if not self.ordered:
-            for record in sorted(translate_encoded_message(m, t2) for m in items):
-                out.extend(record)
-        else:
-            relabeled = [
+            return sorted(translate_encoded_message(m, t2) for m in items)
+        return sorted(
+            (
                 (
-                    t2[src],
-                    t2[dst],
-                    vnet,
+                    (t2[src], t2[dst], vnet),
                     tuple(translate_encoded_message(m, t2) for m in msgs),
                 )
                 for src, dst, vnet, msgs in items
-            ]
-            relabeled.sort(key=lambda item: item[:3])
-            for src, dst, vnet, msgs in relabeled:
-                out.extend((src, dst, vnet, len(msgs)))
+            ),
+            key=lambda item: item[0],
+        )
+
+    def _relabeled_net_section(self, section: bytes, perm: tuple[int, ...]) -> bytes:
+        """The packed *section*, translated and re-sorted under *perm*."""
+        items = self._relabeled_items(section, perm)
+        out = [len(items)]
+        if not self.ordered:
+            for record in items:
+                out.extend(record)
+        else:
+            for channel, msgs in items:
+                out.extend((*channel, len(msgs)))
                 for record in msgs:
                     out.extend(record)
-        memo[key] = out
-        return out
+        return self.pack(out)
 
     # -- network section helpers --------------------------------------------------
-    def network_items(self, enc: tuple):
-        """Parse the network section once per distinct section (memoized).
-
-        Ordered networks yield ``[(src, dst, vnet, (msg record, ...)), ...]``
-        (encoded node IDs, FIFO message order); unordered networks yield a
-        flat list of message records.  Sections recur across huge numbers of
-        global states, so the parse is cached keyed by the packed section;
-        the returned list is shared — callers must not mutate it.
-        """
-        return self.parsed_network(enc)[0]
-
     def parsed_network(self, enc: tuple, key: bytes | None = None):
         """``(items, offsets, deliveries)`` — the memoized parse handle of
         *enc*'s section.
@@ -568,12 +548,15 @@ class StateCodec:
         it is the frontier entry being expanded), which makes the memo
         probe one slice of it; without it the section is packed here.
 
-        *items* is what :meth:`network_items` returns; *offsets* maps each
-        item to its lanes: ``offsets[i]`` is the lane index of channel
-        (or record) *i* relative to ``net_offset`` (``offsets[0] == 1``,
-        past the count lane) and ``offsets[n]`` is the section length, so
-        item *i* occupies ``enc[net_offset + offsets[i] : net_offset +
-        offsets[i + 1]]``.  *deliveries* lists the deliverable messages in
+        *items* is the section's content -- ordered networks yield
+        ``[(src, dst, vnet, (msg record, ...)), ...]`` (encoded node IDs,
+        FIFO message order), unordered networks a flat list of message
+        records; the list is shared, callers must not mutate it -- and
+        *offsets* maps each item to its lanes: ``offsets[i]`` is the lane
+        index of channel (or record) *i* relative to ``net_offset``
+        (``offsets[0] == 1``, past the count lane) and ``offsets[n]`` is the
+        section length, so item *i* occupies ``enc[net_offset + offsets[i] :
+        net_offset + offsets[i + 1]]``.  *deliveries* lists the deliverable messages in
         delivery order as ``(where, record, eev)`` -- channel heads when
         ordered, the distinct records of the sorted bag when unordered
         (identical in-flight messages lead to the same successor; the
@@ -692,15 +675,15 @@ class StateCodec:
                 return True
         return False
 
-    def relabeled_directory_key(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
+    def relabeled_directory_key(self, block: bytes, perm: tuple[int, ...]) -> tuple:
         """Order-isomorphic to ``directory.relabeled(perm).sort_key()``; its
-        lanes are the relabeled directory block.
+        lanes are the relabeled directory block.  *block* is the packed
+        directory block (``key[dir_byte_offset:][: dir_width * lane_bytes]``).
 
         Memoized per (directory block, perm): the tie-break stage of
         canonicalization evaluates this once per candidate permutation, and
         directory blocks recur across many states.
         """
-        block = enc[self.dir_offset : self.version_offset]
         key = (block, perm)
         memo = self._dir_key_memo
         result = memo.get(key)
@@ -709,20 +692,22 @@ class StateCodec:
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
         t2 = self.perm_tables(perm)[2]
-        owner = block[1]
-        sharers = sorted(t2[s] for s in block[2:-1] if s != 0)
+        lanes = self.unpack(block)
+        owner = lanes[1]
+        sharers = sorted(t2[s] for s in lanes[2:-1] if s != 0)
         result = (
-            block[0],
+            lanes[0],
             t2[owner] if owner >= 2 else owner,
             *sharers,
             *((0,) * (self.num_caches - len(sharers))),
-            block[-1],
+            lanes[-1],
         )
         memo[key] = result
         return result
 
-    def relabeled_network_key(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
-        """Order-isomorphic to ``network.relabeled(perm).sort_key()``.
+    def relabeled_network_key(self, section: bytes, perm: tuple[int, ...]) -> tuple:
+        """Order-isomorphic to ``network.relabeled(perm).sort_key()``, for
+        the packed *section* (``key[net_byte_offset:]``).
 
         The nested tuple shape mirrors the object-level key exactly
         (channels sorted by their relabeled channel key, message records
@@ -730,31 +715,14 @@ class StateCodec:
         same winner.  Memoized per (network section, perm) — this is the
         expensive final tie-break stage, and sections recur heavily.
         """
-        key = (enc[self.net_offset :], perm)
+        key = (section, perm)
         memo = self._net_key_memo
         result = memo.get(key)
         if result is not None:
             return result
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
-        t2 = self.perm_tables(perm)[2]
-        items = self.network_items(enc)
-        if not self.ordered:
-            result = tuple(sorted(translate_encoded_message(m, t2) for m in items))
-        else:
-            result = tuple(
-                sorted(
-                    (
-                        (
-                            (t2[src], t2[dst], vnet),
-                            tuple(translate_encoded_message(m, t2) for m in msgs),
-                        )
-                        for src, dst, vnet, msgs in items
-                    ),
-                    key=lambda item: item[0],
-                )
-            )
-        memo[key] = result
+        result = memo[key] = tuple(self._relabeled_items(section, perm))
         return result
 
     # -- events ------------------------------------------------------------------

@@ -104,7 +104,7 @@ interned with one ``np.unique`` and one probe per distinct block; block
 tables gathered as arrays), for a checkpoint, a per-state fallback level, a
 level's symmetry relabels or a violation report;
 :meth:`~VectorizedKernel.encodings_of` rebuilds whole encodings, for a
-level's leaves or its symmetry relabels;
+level's leaves;
 :meth:`~VectorizedKernel.packed_tails` /
 :meth:`~VectorizedKernel.section_tail` rebuild a section's tail.  Each
 boundary works on all it is handed at once (the distinct unknown tails
@@ -715,8 +715,8 @@ class VectorizedKernel:
 
     def encodings_of(self, R) -> list:
         """The whole lane encoding (a tuple) of each row of *R* -- for the
-        rows that need one: a level's leaves, its symmetry relabels, a
-        test -- prefixes and the distinct sections' tails a batch each."""
+        rows that need one: a level's leaves, a test -- prefixes and the
+        distinct sections' tails a batch each."""
         uniq, inv = self.np.unique(R[:, -1], return_inverse=True)
         tails = list(map(self.codec.unpack, self.packed_tails(uniq.tolist())))
         return [

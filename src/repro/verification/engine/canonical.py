@@ -16,11 +16,13 @@ shrinks the explored state space by up to ``num_caches!`` while preserving
 every verdict (safety violations, protocol errors, deadlocks).
 
 **The implementation** is :class:`EncodedCanonicalizer`, the only
-canonicalizer in ``src/``: it evaluates that definition on
-:class:`~repro.system.codec.StateCodec` encodings (order-isomorphic to
-``sort_key``) without building a single relabeled state -- signature sort,
-orbit pruning and a region memo decide most states from their cache blocks
-alone, staged tie-breaks on memoized keys decide the rest.  Every search,
+canonicalizer in ``src/``: it evaluates that definition on packed
+:class:`~repro.system.codec.StateCodec` keys (their lanes order-isomorphic
+to ``sort_key``) without building a relabeled state or unpacking a key --
+a per-block translation table, signature sort, orbit pruning and a region
+memo decide most states from their cache blocks alone, staged tie-breaks
+on memoized keys decide the rest, and the representative's key is two
+memoized byte strings concatenated.  Every search,
 :meth:`Exploration.seed` and ``random_walk``'s coverage count obtain it
 through :func:`canonicalizer_for`.  The definition itself is executed only
 by the tests (``reference_canonicalize`` in
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from operator import itemgetter
 
 from repro.system.node_state import NUM_SAVED_SLOTS
 from repro.system.system import (
@@ -54,7 +55,8 @@ Permutation = tuple[int, ...]
 #: First saved-requestor lane inside an encoded cache block (codec layout).
 _SAVED_OFFSET = 5
 
-#: Bound on the per-codec orbit memo (see :class:`EncodedCanonicalizer`).
+#: Bound on the region memo and on the block table (see
+#: :class:`EncodedCanonicalizer`).
 _ORBIT_MEMO_LIMIT = 1 << 20
 
 
@@ -156,10 +158,10 @@ _ORDER3 = {
 class EncodedCanonicalizer:
     """The symmetry pipeline, specialized to one ``(codec, perms)``.
 
-    Evaluates the module's definition on encodings.  Encoded cache blocks
-    are order-isomorphic to the per-cache sort keys, so three stages pick
-    the same representative and witness as the ``min`` over relabeled
-    states:
+    Evaluates the module's definition on *packed keys*, one cache block at
+    a time.  Encoded cache blocks are order-isomorphic to the per-cache
+    sort keys, so three stages pick the same representative and witness as
+    the ``min`` over relabeled states:
 
     1. **Signature sort.**  When no cache holds a saved requestor ID, each
        cache block is a permutation-invariant signature, so the minimal
@@ -167,20 +169,28 @@ class EncodedCanonicalizer:
        ``n!`` placements.
     2. **Orbit pruning.**  Only permutations that keep the sorted order can
        be minimal: the orbit of the equal-signature groups (a single
-       permutation for fully distinguished states).  Saved-requestor slots
-       holding cache IDs make signatures permutation-dependent; those
-       regions rank every permutation by its relabeled cache blocks instead
-       (:func:`_saved_tied`) and keep the minimal ones.
+       permutation for fully distinguished states).  A saved-requestor slot
+       holding a cache ID makes its block permutation-dependent; a region
+       with one is ranked position by position over the surviving
+       permutations instead (:meth:`_rank`), each block's translations read
+       from the block table.
     3. **Staged tie-breaks.**  Surviving candidates rank by the relabeled
        directory key, then -- only for genuine ties -- the relabeled network
-       key, both memoized per (section, permutation) in the codec.
+       key, both memoized per (packed section, permutation) in the codec.
 
-    Stages 1 and 2 read nothing outside the cache-block *region* of an
-    encoding, and regions recur across far more states than they have
+    Two tables carry it.  The **block table** maps a packed cache block to
+    its lanes and, if a saved slot is occupied, its translation under every
+    permutation (lanes for comparing -- bytes only order like lanes at 8
+    bits -- and bytes for emitting; any other block is its own
+    translation): a few hundred entries however many states a search
+    stores.  Stages 1 and 2 read nothing outside the cache-block *region*
+    of a key, and regions recur across far more states than they have
     distinct values, so each is classified once into the **region memo**
-    (:meth:`orbit_for`), the pipeline's only per-region cache, keyed by the
-    region's *packed bytes* -- a slice of the state's visited-set key, a
-    third the size of the lane tuple and hashed at C speed.
+    (:meth:`orbit_for`), keyed by the region's packed bytes -- a slice of
+    the state's visited-set key -- by slicing its blocks out and looking
+    them up; nothing is unpacked.  A representative's key is then two
+    memoized byte strings: the relabeled region (on the record, or joined
+    from block-table entries) plus :meth:`StateCodec.relabeled_suffix`.
 
     *perms* must be the full symmetric group on the codec's caches in
     lexicographic order, identity first -- what
@@ -188,13 +198,14 @@ class EncodedCanonicalizer:
     2 assume every permutation is available, and the lexicographic candidate
     order is what makes "first minimum" resolve ties to the identity.
     Anything else is a ``ValueError``.  Obtain instances through
-    :func:`canonicalizer_for`; they are cached on the codec so the memo
-    warms across searches of the same system.
+    :func:`canonicalizer_for`; they are cached on the codec so the tables
+    warm across searches of the same system.
     """
 
     __slots__ = (
-        "codec", "perms", "identity", "identity_orbit", "_orbit_memo",
-        "_saved_probe", "_region_bytes", "_tied_orbits",
+        "codec", "perms", "identity", "identity_orbit", "classifications",
+        "_orbit_memo", "_blocks", "_cuts", "_region_bytes",
+        "_inverses", "_index", "_tied_orbits",
     )
 
     def __init__(self, codec, perms: tuple[Permutation, ...]):
@@ -210,116 +221,203 @@ class EncodedCanonicalizer:
         self.codec = codec
         self.perms = perms
         self.identity = perms[0]
+        #: Regions classified so far (region-memo misses).
+        self.classifications = 0
         # packed region -> orbit record (see `orbit_for`)
         self._orbit_memo: dict[bytes, tuple] = {}
-        self._region_bytes = codec.dir_offset * codec.lane_bytes
+        # packed cache block -> (lanes, translations | None) (see `_entry`)
+        self._blocks: dict[bytes, tuple] = {}
+        self._region_bytes = codec.dir_byte_offset
+        width = codec.cache_width * codec.lane_bytes
+        # where each packed cache block sits in a key
+        self._cuts = [slice(at, at + width) for at in range(0, self._region_bytes, width)]
+        # ``_inverses[k][pos]``: the cache ``perms[k]`` moves to position *pos*
+        self._inverses = tuple(map(invert, perms))
+        self._index = {perm: k for k, perm in enumerate(perms)}
         # Records are shared wherever regions agree on them: one per
-        # distinct (candidate set, saved) pair and, public because batch
-        # callers test for it by identity, one for every region that is
-        # already minimal (:meth:`resolve` then returns its argument).
-        self.identity_orbit = (self.identity, None, False)
+        # distinct candidate set and, public because batch callers test for
+        # it by identity, one for every region that is already minimal
+        # (:meth:`resolve` then returns its argument).
+        self.identity_orbit = (self.identity, None)
         self._tied_orbits: dict[tuple, tuple] = {}
-        # One C-level gather of every saved-requestor lane in the region:
-        # `any()` over its result replaces 2n slice-and-scan steps.
-        self._saved_probe = itemgetter(*codec._saved_lanes)
 
     @property
     def memo_entries(self) -> int:
         """Distinct regions the memo currently holds."""
         return len(self._orbit_memo)
 
+    @property
+    def block_entries(self) -> int:
+        """Distinct cache blocks the block table currently holds."""
+        return len(self._blocks)
+
     def orbit_for(self, region: bytes) -> tuple:
         """The memoized orbit record of one packed cache-block region
-        (``codec.pack(enc)[:region_bytes]``): what stages 1 and 2 decide
-        about every state with these cache blocks.  Opaque outside this
-        module except for :attr:`identity_orbit`; :meth:`resolve` turns it
-        and a state into that state's representative.
+        (``key[:dir_byte_offset]``): what stages 1 and 2 decide about every
+        state with these cache blocks.  Opaque outside this module except
+        for :attr:`identity_orbit`; :meth:`resolve` turns it and a state's
+        key into that state's representative.
 
-        A record is ``(best, extra, saved)``:
-        ``(identity, None, False)`` -- the region is already minimal (the
-        one shared :attr:`identity_orbit`);
-        ``(perm, relabeled_prefix, False)`` -- a unique non-identity winner:
-        it is a pure function of the region, and so is the relabeled
-        cache-block prefix, which rides along as a list so repeat regions
-        relabel by list concatenation instead of re-gathering lane by lane;
-        ``(None, candidates, saved)`` -- the winner depends on the rest of
-        the state and the staged tie-break picks it among *candidates*: the
-        orbit of the equal-signature groups, or, when saved-requestor slots
-        are occupied (*saved*), the cache-key-minimal permutations.
+        A record is ``(best, extra)``:
+        ``(identity, None)`` -- the region is already minimal (the one
+        shared :attr:`identity_orbit`);
+        ``(perm, relabeled_region)`` -- a unique non-identity winner,
+        whether or not saved slots are occupied: it is a pure function of
+        the region, and so is the relabeled region, which rides along as
+        packed bytes so repeat regions relabel by one concatenation;
+        ``(None, candidates)`` -- the winner depends on the rest of the
+        state and the staged tie-break picks it among *candidates*, the
+        cache-key-minimal permutations (one shared record per distinct
+        candidate set).
         """
         memo = self._orbit_memo
         orbit = memo.get(region)
         if orbit is None:
             if len(memo) >= _ORBIT_MEMO_LIMIT:
                 memo.clear()
-            orbit = memo[region] = self._classify(self.codec.unpack(region))
+            self.classifications += 1
+            orbit = memo[region] = self._classify(region)
         return orbit
 
-    def canonicalize(
-        self, enc: tuple, key: bytes | None = None
-    ) -> tuple[tuple, Permutation]:
-        """``(canonical_encoding, witness_perm)`` with ``canonical_encoding
-        == codec.relabel_via_tables(enc, witness_perm)``.
+    def canonicalize(self, key: bytes) -> tuple[bytes, Permutation]:
+        """``(canonical_key, witness_perm)`` for the packed *key*, with
+        ``canonical_key == pack(relabel_via_tables(unpack(key),
+        witness_perm))``.  An identity winner returns *key* itself."""
+        region = key[: self._region_bytes]
+        # The memo hit inline: `orbit_for` runs per classification here.
+        return self.resolve(key, self._orbit_memo.get(region) or self.orbit_for(region))
 
-        *key* is ``codec.pack(enc)`` when the caller already holds it (the
-        searches do: it is their raw-successor dedup key), which makes the
-        region-memo probe one slice of it.  An identity winner returns
-        *enc* itself, so such a caller's *key* is also the canonical key.
-        """
-        if key is None:
-            region = self.codec.pack_tail(enc[: self.codec.dir_offset])
-        else:
-            region = key[: self._region_bytes]
-        return self.resolve(enc, self.orbit_for(region))
-
-    def resolve(self, enc: tuple, orbit: tuple) -> tuple[tuple, Permutation]:
-        """:meth:`canonicalize` for a caller that already holds *enc*'s
+    def resolve(self, key: bytes, orbit: tuple) -> tuple[bytes, Permutation]:
+        """:meth:`canonicalize` for a caller that already holds *key*'s
         region record (the batch expander classifies each distinct region
         of a level once): stage 3 and the relabel."""
-        best_perm, extra, saved = orbit
-        codec = self.codec
-        if best_perm is None:
-            best_perm = _tie_break_encoded(enc, codec, extra)
-            if best_perm == self.identity:
-                return enc, best_perm
-            # Only a saved-requestor region needs the slot-translation pass.
-            return codec.relabel_via_tables(enc, best_perm, saved=saved), best_perm
-        if extra is None:
-            return enc, best_perm
-        # Cached relabeled prefix + memoized relabeled suffix: the canonical
-        # encoding assembles from two shared parts, no per-lane work.
-        return tuple(extra + codec._relabeled_suffix(enc, best_perm)), best_perm
+        best, region = orbit
+        if best is None:
+            best = self._tie_break(key, region)
+            if best == self.identity:
+                return key, best
+            region = self._relabeled(*self._lookup(key), best)
+        elif region is None:
+            return key, best
+        suffix = key[self._region_bytes :]
+        return region + self.codec.relabeled_suffix(suffix, best), best
 
-    def _classify(self, lanes: tuple) -> tuple:
-        """The orbit record of one cache-block region, given as lanes."""
+    def _lookup(self, region: bytes) -> tuple[list[bytes], list[tuple]]:
+        """The packed cache blocks of *region* (or of a whole key) and the
+        block-table entry of each (see :meth:`_entry`)."""
+        blocks = [region[cut] for cut in self._cuts]
+        entries = list(map(self._blocks.get, blocks))
+        if None in entries:
+            entries = [
+                entry or self._entry(block) for block, entry in zip(blocks, entries)
+            ]
+        return blocks, entries
+
+    def _entry(self, block: bytes) -> tuple:
+        """Files and returns the block-table entry of a packed cache block
+        seen for the first time: ``(lanes, None)``, or ``(lanes,
+        translations)`` when a saved-requestor slot holds a cache ID -- the
+        one cache-local field a relabeling rewrites -- with
+        ``translations[k]`` the block's ``(lanes, packed bytes)`` under
+        ``perms[k]``."""
+        if len(self._blocks) >= _ORBIT_MEMO_LIMIT:
+            self._blocks.clear()
         codec = self.codec
-        if any(self._saved_probe(lanes)):
-            # Ranking every permutation by its relabeled cache blocks
-            # (including the per-permutation saved-slot translation) reads
-            # nothing outside the region, so ranking once per region leaves
-            # only the staged tie-break per state.
-            return self._tied(_saved_tied(codec, lanes, self.perms), True)
-        width = codec.cache_width
-        n = codec.num_caches
-        blocks = [lanes[i * width : (i + 1) * width] for i in range(n)]
-        if n == 3 and len(set(blocks)) == 3:
+        lanes = codec.unpack(block)
+        lo, hi = _SAVED_OFFSET, _SAVED_OFFSET + NUM_SAVED_SLOTS
+        translations = None
+        if any(lanes[lo:hi]):
+            translations = []
+            for perm in self.perms:
+                t1 = codec.perm_tables(perm)[1]
+                moved = lanes[:lo] + tuple(t1[v] for v in lanes[lo:hi]) + lanes[hi:]
+                translations.append((moved, codec.pack(moved)))
+        entry = self._blocks[block] = (lanes, translations)
+        return entry
+
+    def _relabeled(self, blocks: list, entries: list, perm: Permutation) -> bytes:
+        """The packed region of *blocks* (their table *entries* beside
+        them) relabeled through *perm*."""
+        k = self._index[perm]
+        return b"".join([
+            blocks[old] if entries[old][1] is None else entries[old][1][k][1]
+            for old in self._inverses[k]
+        ])
+
+    def _classify(self, region: bytes) -> tuple:
+        """The orbit record of one packed cache-block region."""
+        blocks, entries = self._lookup(region)
+        if any(translations for _lanes, translations in entries):
+            candidates = self._rank(entries)
+            best = candidates[0] if len(candidates) == 1 else None
+        elif len(blocks) == 3 and len(set(blocks)) == 3:
             # The reference tier: the all-distinct case (the vast majority
             # of regions) skips the generic sort-and-group walk.
-            b0, b1, b2 = blocks
-            best, candidates = _ORDER3[(b0 < b1, b1 < b2, b0 < b2)], None
+            (b0, _), (b1, _), (b2, _) = entries
+            best = _ORDER3[(b0 < b1, b1 < b2, b0 < b2)]
         else:
-            best, candidates = _signature_orbit(blocks)
+            best, candidates = _signature_orbit([lanes for lanes, _ in entries])
         if best is None:
-            return self._tied(tuple(candidates), False)
+            # Candidate sets number a handful, the regions mapping to them
+            # tens of thousands.
+            candidates = tuple(candidates)
+            return self._tied_orbits.setdefault(candidates, (None, candidates))
         if best == self.identity:
             return self.identity_orbit
-        return (best, list(codec.perm_tables(best)[0](lanes)), False)
+        return (best, self._relabeled(blocks, entries, best))
 
-    def _tied(self, candidates: tuple, saved: bool) -> tuple:
-        """The shared ``(None, candidates, saved)`` record: candidate sets
-        number a handful, the regions mapping to them tens of thousands."""
-        key = (candidates, saved)
-        return self._tied_orbits.setdefault(key, (None, candidates, saved))
+    def _rank(self, entries: list) -> list[Permutation]:
+        """The cache-key-minimal permutations, in *perms* order, of a
+        region some of whose blocks (*entries*) are permutation-dependent:
+        the relabeled cache keys compare lexicographically, so each
+        position in turn keeps the permutations that put the smallest
+        translated block there."""
+        survivors = range(len(self.perms))
+        inverses = self._inverses
+        for pos in range(len(entries)):
+            smallest = None
+            kept: list[int] = []
+            for k in survivors:
+                lanes, translations = entries[inverses[k][pos]]
+                if translations is not None:
+                    lanes = translations[k][0]
+                if smallest is None or lanes < smallest:
+                    smallest = lanes
+                    kept = [k]
+                elif lanes == smallest:
+                    kept.append(k)
+            survivors = kept
+            if len(survivors) == 1:
+                break
+        return [self.perms[k] for k in survivors]
+
+    def _tie_break(self, key: bytes, tied: tuple) -> Permutation:
+        """Stage 3: the minimum of *tied* by the relabeled (directory,
+        network) key of the state packed as *key*.
+
+        ``latest_version`` is permutation-invariant, so the directory and
+        network components are all that remains of the lexicographic state
+        key once the cache components compare equal.  The comparison is
+        staged: the cheap directory key prunes first, and the network key
+        -- the expensive relabel -- is only computed for permutations still
+        tied after that.  Keeps the first minimum, preserving
+        identity-first (lexicographic) tie-breaking.
+        """
+        codec = self.codec
+        block = key[self._region_bytes : codec.version_offset * codec.lane_bytes]
+        best_dir: tuple | None = None
+        survivors: list[Permutation] = []
+        for perm in tied:
+            dir_key = codec.relabeled_directory_key(block, perm)
+            if best_dir is None or dir_key < best_dir:
+                best_dir = dir_key
+                survivors = [perm]
+            elif dir_key == best_dir:
+                survivors.append(perm)
+        if len(survivors) == 1:
+            return survivors[0]
+        section = key[codec.net_byte_offset :]
+        return min(survivors, key=lambda perm: codec.relabeled_network_key(section, perm))
 
 
 def canonicalizer_for(codec, perms: tuple[Permutation, ...]) -> EncodedCanonicalizer:
@@ -329,75 +427,3 @@ def canonicalizer_for(codec, perms: tuple[Permutation, ...]) -> EncodedCanonical
     if canonicalizer is None:
         canonicalizer = cache[perms] = EncodedCanonicalizer(codec, perms)
     return canonicalizer
-
-
-def _tie_break_encoded(enc: tuple, codec, tied: list[Permutation]) -> Permutation:
-    """Stage 3: the minimum of *tied* by the relabeled (directory, network)
-    key.
-
-    ``latest_version`` is permutation-invariant, so the directory and network
-    components are all that remains of the lexicographic state key once the
-    cache components compare equal.  The comparison is staged: the cheap
-    directory key prunes first, and the network key -- the expensive relabel
-    -- is only computed for permutations still tied after that.  Keeps the
-    first minimum, preserving identity-first (lexicographic) tie-breaking.
-    """
-    if len(tied) == 1:
-        return tied[0]
-    best_dir: tuple | None = None
-    survivors: list[Permutation] = []
-    for perm in tied:
-        key = codec.relabeled_directory_key(enc, perm)
-        if best_dir is None or key < best_dir:
-            best_dir = key
-            survivors = [perm]
-        elif key == best_dir:
-            survivors.append(perm)
-    if len(survivors) == 1:
-        return survivors[0]
-    best_perm = survivors[0]
-    best_net: tuple | None = None
-    for perm in survivors:
-        key = codec.relabeled_network_key(enc, perm)
-        if best_net is None or key < best_net:
-            best_net = key
-            best_perm = perm
-    return best_perm
-
-
-def _saved_tied(codec, enc, perms: tuple[Permutation, ...]) -> tuple:
-    """Cache-key-minimal permutations of a region whose saved-requestor
-    slots hold cache IDs, in *perms* order.
-
-    Per-cache blocks are taken once and only permuted in position; the
-    saved lanes -- the one cache-local field a relabeling rewrites -- are
-    re-translated per permutation through the codec's ``t1`` table.  The
-    ranking reads only the cache-block region (*enc* may be just
-    ``enc[:dir_offset]``), which is the property
-    :meth:`EncodedCanonicalizer.orbit_for` memoizes it on.
-    """
-    n = codec.num_caches
-    width = codec.cache_width
-    blocks = [enc[i * width : (i + 1) * width] for i in range(n)]
-    lo, hi = _SAVED_OFFSET, _SAVED_OFFSET + NUM_SAVED_SLOTS
-    saved_has_ids = [any(block[lo:hi]) for block in blocks]
-    tied: list[Permutation] = []
-    best_cache_key: tuple | None = None
-    for perm in perms:
-        t1 = codec.perm_tables(perm)[1]
-        parts: list[tuple | None] = [None] * n
-        for old_id, block in enumerate(blocks):
-            if saved_has_ids[old_id]:
-                block = (
-                    block[:lo]
-                    + tuple(t1[v] for v in block[lo:hi])
-                    + block[hi:]
-                )
-            parts[perm[old_id]] = block
-        cache_key = tuple(parts)
-        if best_cache_key is None or cache_key < best_cache_key:
-            best_cache_key = cache_key
-            tied = [perm]
-        elif cache_key == best_cache_key:
-            tied.append(perm)
-    return tuple(tied)

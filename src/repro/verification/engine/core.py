@@ -87,8 +87,11 @@ class VerificationResult:
     #: the batch path's row table -- rows in use plus the slot table, so
     #: bytes per state is a reported count; ``None`` where it is a dict or
     #: lives in the worker shards), ``raw_seen_entries`` /
-    #: ``orbit_memo_entries`` (sizes of the symmetry pipeline's two caches,
-    #: likewise; ``None`` with symmetry off), ``omission_bound`` (what a
+    #: ``orbit_memo_entries`` / ``block_table_entries`` (sizes of the
+    #: symmetry pipeline's caches, likewise) and ``orbit_classifications``
+    #: (regions classified, i.e. region-memo misses, over the cached
+    #: canonicalizer's life; all ``None`` with symmetry off),
+    #: ``omission_bound`` (what a
     #: digest can miss: wherever membership is decided by 128-bit digest --
     #: ``hash_compaction=True`` on a per-state search, or any search on
     #: the parallel strategy's fleet -- two distinct states sharing a digest
@@ -270,14 +273,14 @@ class Exploration:
         """
         codec = self.codec
         initial = self.system.initial_state()
-        enc = codec.encode(initial)
+        key = codec.encode_packed(initial)
         root_perm: Permutation | None = None
         if self.perms is not None:
-            enc, root_perm = canonicalizer_for(codec, self.perms).canonicalize(enc)
+            key, root_perm = canonicalizer_for(codec, self.perms).canonicalize(key)
             if root_perm != self.perms[0]:
-                initial = codec.decode(enc)
-        self.root_key = codec.pack(enc)
-        self.root_id, _ = self.store.intern(self.root_key, perm=root_perm)
+                initial = codec.decode_packed(key)
+        self.root_key = key
+        self.root_id, _ = self.store.intern(key, perm=root_perm)
         for invariant in self.invariants:
             violation = invariant(self.system, initial)
             if violation is not None:
@@ -357,11 +360,12 @@ class Exploration:
         stats["raw_seen_entries"] = (
             len(self.raw_seen) + len(self.raw_rows or ()) if reduced else None
         )
-        stats["orbit_memo_entries"] = (
-            canonicalizer_for(self.codec, self.perms).memo_entries
-            if reduced
-            else None
+        canonicalizer = canonicalizer_for(self.codec, self.perms) if reduced else None
+        stats["orbit_memo_entries"] = canonicalizer.memo_entries if reduced else None
+        stats["orbit_classifications"] = (
+            canonicalizer.classifications if reduced else None
         )
+        stats["block_table_entries"] = canonicalizer.block_entries if reduced else None
         stats["round_count"] = self.round_count if fleet else None
         stats["cross_shard_share"] = (
             round(self.cross_shard_candidates / max(1, self.transitions), 6)

@@ -201,8 +201,7 @@ class ObjectExpander(_PerState):
         identity = ctx.perms[0] if ctx.perms is not None else None
         canonicalize = self.canonicalize
         raw_seen = self.raw_seen
-        encode = codec.encode
-        pack = codec.pack
+        encode_packed = codec.encode_packed
         intern = ctx.store.intern
         successors: list = []
         # Consume the level rather than iterate it: each expanded state is
@@ -225,8 +224,7 @@ class ObjectExpander(_PerState):
                         error=outcome.error, leaf_id=sid, final_event=event
                     )
                 successor = outcome.state
-                enc = encode(successor)
-                key = pack(enc)
+                key = encode_packed(successor)
                 perm = None
                 if canonicalize is not None:
                     # A raw successor seen before canonicalized to an
@@ -240,17 +238,14 @@ class ObjectExpander(_PerState):
                     if grown >= _RAW_SEEN_LIMIT:
                         raw_seen.clear()
                     start = perf_counter()
-                    canonical, perm = canonicalize(enc, key)
+                    key, perm = canonicalize(key)
                     ctx.canon_seconds += perf_counter() - start
-                    if canonical is not enc:
-                        # Relabeled: a second key, and a decode if it is new.
-                        enc = canonical
-                        key = pack(enc)
                 new_id, is_new = intern(key, sid, event, perm)
                 if not is_new:
                     continue
                 if perm is not None and perm != identity:
-                    successor = codec.decode(enc)
+                    # Relabeled: a decode, now that it turned out new.
+                    successor = codec.decode_packed(key)
                 violation = self.violation(successor)
                 if violation is not None:
                     return None, ctx.failure(violation=violation, leaf_id=new_id)
@@ -329,14 +324,17 @@ class CompiledExpander(_PerState):
                     if grown >= _RAW_SEEN_LIMIT:
                         raw_seen.clear()
                     start = timer()
-                    canonical, perm = canonicalize(succ, key)
+                    canonical, perm = canonicalize(key)
                     ctx.canon_seconds += timer() - start
-                    if canonical is not succ:
-                        succ = canonical
-                        key = pack(succ)
+                    if canonical is not key:
+                        # Relabeled: its lanes only if it turns out new.
+                        key = canonical
+                        succ = None
                 new_id, is_new = intern(key, sid, plan[1], perm)
                 if not is_new:
                     continue
+                if succ is None:
+                    succ = unpack(key)
                 if not check(succ, codes):
                     violation = self.violation(key)
                     if violation is not None:

@@ -94,12 +94,13 @@ class VectorizedExpander(CompiledExpander):
     between the two: it drops the raw successors seen before (in this level
     or an earlier one; restarted between levels once past
     ``_RAW_SEEN_LIMIT``), and the others become their canonical
-    representatives' rows.  No packed key is built on the way,
-    and no statement here iterates over rows or successors: Python runs
-    per leaf (its verdict), per new row (its event, one C-level table
-    lookup, and the store's link columns), under symmetry per first-seen
-    raw successor whose cache-block region is not already minimal (its
-    relabel; the rows come back from the kernel's boundary in one call a
+    representatives' rows.  No packed key is built on the way except
+    under symmetry, and no statement here iterates over rows or successors:
+    Python runs per leaf (its verdict), per new row (its event, one C-level
+    table lookup, and the store's link columns), under symmetry per
+    first-seen raw successor whose cache-block region is not already
+    minimal (its packed key and the relabel of it; keys go out through the
+    kernel's boundary and the relabeled ones come back in one call each a
     level), for the first failing row, and inside the kernel per *distinct*
     guard, delivery key and ``(cell, record, operation)`` of the level.
     Raw successors are in serial stream order and leaves replay interleaved
@@ -166,6 +167,7 @@ class VectorizedExpander(CompiledExpander):
         np = vk.np
         n = vk.num_caches
         canonicalizer = self.canonicalizer
+        start = perf_counter()
         # Orbit classification in bulk: the region is the n block-ID
         # columns -- one np.unique over them, one orbit_for per distinct
         # region of the level, on its packed lanes (the memo's key).
@@ -179,28 +181,25 @@ class VectorizedExpander(CompiledExpander):
             [orbit is canonicalizer.identity_orbit for orbit in orbits], dtype=bool
         )
         # Where the region is already minimal the raw row is the
-        # representative and no lane tuple is built for it at all.
+        # representative and no key is built for it at all.
         perms = [canonicalizer.identity] * len(V)
         rest = np.flatnonzero(~minimal[inv])
-        if not len(rest):
-            return perms, V
-        # The others' lanes: one trip through the kernel's boundary ...
-        pack = ctx.codec.pack
-        resolve = canonicalizer.resolve
-        moved: list = []       # positions in *V* whose row is relabeled
-        moved_keys: list = []  # ... and the relabeled state's packed key
-        start = perf_counter()
-        for j, enc, orbit in zip(
-            rest.tolist(), vk.encodings_of(V[rest]), inv[rest].tolist()
-        ):
-            cenc, perms[j] = resolve(enc, orbits[orbit])
-            if cenc is not enc:
-                moved.append(j)
-                moved_keys.append(pack(cenc))
+        if len(rest):
+            # The others' keys: one trip through the kernel's boundary ...
+            resolve = canonicalizer.resolve
+            moved: list = []       # positions in *V* whose row is relabeled
+            moved_keys: list = []  # ... and the relabeled state's packed key
+            for j, key, orbit in zip(
+                rest.tolist(), vk.keys_of(V[rest]), inv[rest].tolist()
+            ):
+                canonical, perms[j] = resolve(key, orbits[orbit])
+                if canonical is not key:
+                    moved.append(j)
+                    moved_keys.append(canonical)
+            if moved:
+                # ... and one trip back for the relabeled ones.
+                V[moved] = vk.rows_of(moved_keys)
         ctx.canon_seconds += perf_counter() - start
-        if moved:
-            # ... and one trip back for the relabeled ones.
-            V[moved] = vk.rows_of(moved_keys)
         return perms, V
 
     def expand(self, level):

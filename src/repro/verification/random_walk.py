@@ -95,10 +95,10 @@ def random_walk(
     def note(state) -> None:
         if seen is None:
             return
-        enc = codec.encode(state)
+        key = codec.encode_packed(state)
         if canonicalize is not None:
-            enc = canonicalize(enc)[0]
-        seen.add(codec.pack(enc))
+            key = canonicalize(key)[0]
+        seen.add(key)
 
     def finish(**kwargs) -> RandomWalkResult:
         return RandomWalkResult(

@@ -22,19 +22,23 @@ states; the properties mirror what Murphi guarantees for scalarsets:
 
 import pytest
 
+from repro import protocols
 from repro.system import System, Workload
 from repro.verification import default_invariants, relabel_event
 from repro.verification.engine.canonical import (
     EncodedCanonicalizer,
+    canonicalizer_for,
     compose,
     identity_permutation,
     invert,
 )
 
 from verification_helpers import (
+    LATE_ABSORB_STATES,
     production_canonicalize,
     reference_canonicalize,
     sample_reachable_states,
+    two_access_workload,
 )
 
 
@@ -86,6 +90,109 @@ class TestCanonicalizerConstruction:
         full = system.symmetry_permutations()
         with pytest.raises(ValueError, match="identity first"):
             EncodedCanonicalizer(system.codec(), full[1:] + full[:1])
+
+
+@pytest.mark.parametrize("typecode", ["B", "H"])
+@pytest.mark.parametrize("num_caches", [3, 4])
+@pytest.mark.parametrize("policy", ["nonstalling", "stalling"])
+@pytest.mark.parametrize("name", protocols.available_protocols())
+def test_packed_representative_and_witness_equal_the_definition(
+    all_generated, monkeypatch, name, policy, num_caches, typecode
+):
+    """The canonicalizer every search runs returns, for a packed key, the
+    packed representative *and* the witness the three-line definition names
+    on every sampled state of every bundled configuration -- at the bundled
+    8-bit lanes and under a codec forced to 16-bit ones, where packed bytes
+    no longer order like lanes (compare lanes, emit bytes).  The sample
+    must contain what the pipeline treats specially: saved-requestor states
+    (permutation-dependent blocks, reached by every nonstalling protocol)
+    and MSI-Unordered's late-absorb states."""
+    if typecode == "H":
+        monkeypatch.setattr(System, "value_bound", lambda self: 300)
+    system = System(all_generated[(name, policy)], num_caches=num_caches,
+                    workload=two_access_workload(name))
+    codec = system.codec()
+    assert codec.typecode == typecode
+    perms = system.symmetry_permutations()
+    canonicalizer = canonicalizer_for(codec, perms)
+    states = sample_reachable_states(
+        system, seed=len(name) + num_caches, walks=10, max_steps=50
+    )
+    if policy == "nonstalling":
+        assert any(codec.has_saved_ids(codec.encode(s)) for s in states), (
+            "sample never reached a saved-requestor state"
+        )
+        if name == "MSI-Unordered":
+            assert any(
+                cache.fsm_state in LATE_ABSORB_STATES
+                for s in states for cache in s.caches
+            ), "sample never reached a late-absorb state"
+    for state in states:
+        rep, perm = reference_canonicalize(state, perms)
+        assert canonicalizer.canonicalize(codec.encode_packed(state)) == (
+            codec.encode_packed(rep), perm
+        )
+
+
+def test_region_records_say_what_the_cache_blocks_alone_decide(msi_nonstalling):
+    """A region's record is the cache-key-minimal permutations of its
+    blocks, whatever its saved-requestor slots hold: the shared
+    ``identity_orbit`` (what the batch path's ``minimal`` mask tests by
+    identity) when the identity alone is minimal, ``(winner, relabeled
+    region)`` for any other unique winner -- a saved-requestor region used
+    to be filed as tied there and relabeled the slow way on every state --
+    and the tied candidates otherwise."""
+    system = _system(msi_nonstalling)
+    codec = system.codec()
+    perms = system.symmetry_permutations()
+    canonicalizer = canonicalizer_for(codec, perms)
+    seen = set()
+    for state in sample_reachable_states(system, seed=7, walks=10, max_steps=60):
+        enc = codec.encode(state)
+        if not codec.has_saved_ids(enc):
+            continue
+        keys = {p: tuple(c.sort_key() for c in state.relabeled(p).caches)
+                for p in perms}
+        minimal = tuple(p for p in perms if keys[p] == min(keys.values()))
+        record = canonicalizer.orbit_for(codec.pack(enc[: codec.dir_offset]))
+        if len(minimal) > 1:
+            assert record == (None, minimal)
+            seen.add("tied")
+        elif minimal == perms[:1]:
+            assert record is canonicalizer.identity_orbit
+            seen.add("identity")
+        else:
+            relabeled = codec.encode(state.relabeled(minimal[0]))
+            assert record == (minimal[0], codec.pack(relabeled[: codec.dir_offset]))
+            seen.add("unique")
+    assert seen == {"tied", "identity", "unique"}, "sample missed a record shape"
+
+
+def test_wide_lanes_are_compared_as_lanes_not_bytes(msi_nonstalling, monkeypatch):
+    """At 16 bits a packed block no longer orders like its lanes (256 packs
+    as ``00 01``, below 1's ``01 00`` on a little-endian host): blocks are
+    sliced and emitted as bytes but ranked by the block table's lanes.  The
+    FSM lanes are overwritten with 256 / 1 / 2 so the two orders disagree
+    on every sampled region, sorted (saved-free) and ranked (saved) alike;
+    encodings are order-isomorphic to sort keys, so the definition is the
+    first minimum over the relabeled lane tuples."""
+    monkeypatch.setattr(System, "value_bound", lambda self: 300)
+    system = _system(msi_nonstalling)
+    codec = system.codec()
+    assert codec.lane_bytes == 2
+    perms = system.symmetry_permutations()
+    canonicalizer = canonicalizer_for(codec, perms)
+    saved = set()
+    for state in sample_reachable_states(system, seed=7, walks=10, max_steps=60):
+        lanes = list(codec.encode(state))
+        lanes[: codec.dir_offset : codec.cache_width] = (256, 1, 2)
+        enc = tuple(lanes)
+        saved.add(codec.has_saved_ids(enc))
+        perm = min(perms, key=lambda p: codec.relabel_via_tables(enc, p))
+        assert canonicalizer.canonicalize(codec.pack(enc)) == (
+            codec.pack(codec.relabel_via_tables(enc, perm)), perm
+        )
+    assert saved == {True, False}
 
 
 class TestCanonicalizationProperties:

@@ -11,8 +11,10 @@ states, so two properties carry the whole correctness argument:
   representative *and* same witness permutation as
   ``reference_canonicalize`` (``min`` over the relabeled states' sort keys,
   executed on objects), including the states whose saved-requestor slots
-  rule out the signature sort -- and the one encoded relabel,
-  ``relabel_via_tables``, equals ``encode(decode(enc).relabeled(perm))``.
+  rule out the signature sort (the whole matrix is in ``test_canonical.py``)
+  -- and the lane-level relabel that pipeline's packed one is pinned
+  against, ``relabel_via_tables``, equals
+  ``encode(decode(enc).relabeled(perm))``.
 
 States are sampled with the deterministic random-walk generator used by the
 canonicalization property tests, across all six bundled protocols (the
@@ -28,6 +30,7 @@ from repro.system import System, Workload
 from repro.verification.engine.canonical import canonicalizer_for, invert
 
 from verification_helpers import (
+    LATE_ABSORB_STATES,
     production_canonicalize,
     reference_canonicalize,
     sample_reachable_states,
@@ -97,26 +100,6 @@ class TestRoundTrip:
                 assert relabeled == codec.encode(state.relabeled(perm))
                 assert codec.relabel_via_tables(relabeled, invert(perm)) == enc
 
-    def test_relabel_via_tables_saved_free_shortcut(self, sampled_by_protocol, name):
-        """``saved=False`` (the signature-sort path's shortcut) is only
-        valid on states without occupied saved slots; pin that it agrees
-        with the object relabel exactly there."""
-        system, states = sampled_by_protocol[name]
-        codec = system.codec()
-        perms = system.symmetry_permutations()
-        checked = 0
-        for state in states[:120]:
-            enc = codec.encode(state)
-            if codec.has_saved_ids(enc):
-                continue
-            for perm in perms:
-                assert (
-                    codec.relabel_via_tables(enc, perm, saved=False)
-                    == codec.encode(state.relabeled(perm))
-                )
-            checked += 1
-        assert checked > 0
-
     def test_event_codec_round_trips(self, sampled_by_protocol, name):
         system, states = sampled_by_protocol[name]
         codec = system.codec()
@@ -128,50 +111,6 @@ class TestRoundTrip:
         assert seen > 0
 
 
-#: Cache states of the MSI-Unordered late-absorb redirects (the PR 2 fix):
-#: their unordered network sections are the largest relabel surfaces.
-LATE_ABSORB_STATES = {"IM_AD_I", "IM_AD_SI", "IM_A_I", "IM_A_SI", "SM_AD_I",
-                      "SM_A_I", "IS_D_I"}
-
-
-@pytest.mark.parametrize("num_caches", [3, 4])
-@pytest.mark.parametrize("policy", ["nonstalling", "stalling"])
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_production_canonicalizer_agrees_with_the_definition(
-    all_generated, name, policy, num_caches
-):
-    """The canonicalizer every search runs returns the representative *and*
-    the witness the three-line definition names -- with and without the
-    packed key -- on every sampled state of every bundled configuration.
-    The sample must contain what the pipeline treats specially:
-    saved-requestor states (permutation-dependent signatures, reached by
-    every nonstalling protocol) and MSI-Unordered's late-absorb states."""
-    system = System(all_generated[(name, policy)], num_caches=num_caches,
-                    workload=two_access_workload(name))
-    codec = system.codec()
-    perms = system.symmetry_permutations()
-    canonicalizer = canonicalizer_for(codec, perms)
-    states = sample_reachable_states(
-        system, seed=len(name) + num_caches, walks=10, max_steps=50
-    )
-    if policy == "nonstalling":
-        assert any(codec.has_saved_ids(codec.encode(s)) for s in states), (
-            "sample never reached a saved-requestor state"
-        )
-        if name == "MSI-Unordered":
-            assert any(
-                cache.fsm_state in LATE_ABSORB_STATES
-                for s in states for cache in s.caches
-            ), "sample never reached a late-absorb state"
-    for state in states:
-        rep, perm = reference_canonicalize(state, perms)
-        enc = codec.encode(state)
-        assert canonicalizer.canonicalize(enc, codec.pack(enc)) == (
-            codec.encode(rep), perm
-        )
-        assert canonicalizer.canonicalize(enc) == (codec.encode(rep), perm)
-
-
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 class TestEncodedCanonicalAgreement:
     def test_idempotent_on_encodings(self, sampled_by_protocol, name):
@@ -180,9 +119,9 @@ class TestEncodedCanonicalAgreement:
         perms = system.symmetry_permutations()
         canonicalize = canonicalizer_for(codec, perms).canonicalize
         for state in states[:100]:
-            rep_enc, _ = canonicalize(codec.encode(state))
-            again, perm = canonicalize(rep_enc)
-            assert again == rep_enc
+            rep_key, _ = canonicalize(codec.encode_packed(state))
+            again, perm = canonicalize(rep_key)
+            assert again is rep_key, "an identity winner returns its argument"
             assert perm == perms[0]
 
 

@@ -5,8 +5,10 @@ reaches its limit and each documented as "correctness never depends on a
 hit": the batch kernel's memos (``vectorized._MEMO_LIMIT``: delivery, tail,
 ``(cell, record, operation)``, and the two boundary caches -- packed tail
 -> section ID and section ID -> packed tail),
-the codec's component and parse memos (``codec._MEMO_LIMIT``), the
-canonicalizer's region memo (``canonical._ORBIT_MEMO_LIMIT``) and the
+the codec's component, parse and relabel memos (``codec._MEMO_LIMIT``; the
+packed-suffix memo a representative's key is concatenated from is one), the
+canonicalizer's region memo and block table
+(``canonical._ORBIT_MEMO_LIMIT``) and the
 raw-successor set (``driver._RAW_SEEN_LIMIT``: a set of packed keys on the
 per-state searches, a ``RowTable`` of raw rows restarted between levels on
 the batch path).  No bundled tier-1 space is
@@ -65,6 +67,11 @@ def _outcome(all_generated, space, kernel, symmetry):
                     workload=workload)
     result = verify(system, kernel=kernel, symmetry=symmetry)
     assert result.kernel == kernel
+    if symmetry:
+        codec = system.codec()
+        assert 0 < len(codec._packed_suffixes) <= codec_module._MEMO_LIMIT
+        for entries in ("orbit_memo_entries", "block_table_entries"):
+            assert 0 < result.stats[entries] <= canonical._ORBIT_MEMO_LIMIT
     if kernel == "vectorized":
         vk = system.vectorized_kernel()
         for memo in (vk._deliv_memo, vk._cell_ops, vk._tail_ids, vk._packed):
