@@ -187,6 +187,26 @@ def test_stalling_msi_four_caches_full_budgeted_nightly(generated, tmp_path):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
+def test_stalling_msi_four_caches_reduced_space(generated, kernel):
+    """The default protocol's symmetry-reduced 4c x 2a space on both
+    in-process kernels: 1 224 363 canonical states, 3 974 095 transitions,
+    membership decided by the store alone (whole keys on the compiled
+    kernel, whole rows on the batch one)."""
+    system = System(generated[("MSI", "stalling")], num_caches=4,
+                    workload=Workload(max_accesses_per_cache=2))
+    result = verify(system, symmetry=True, kernel=kernel)
+
+    banner(f"E7 -- stalling MSI, 4 caches x 2 accesses (reduced, {kernel})")
+    print(f"  {result.summary}")
+
+    assert result.ok and not result.partial and result.kernel == kernel
+    assert (result.states_explored, result.transitions_explored) == (
+        1_224_363, 3_974_095)
+    assert result.stats["omission_bound"] is None
+
+
+@pytest.mark.slow
 def test_unhardened_msi_four_caches_reduced_space():
     """Whose pins 24 579 648 / 1 052 239 were: the protocol generated with
     ``harden=False`` -- the paper's, without the fault-tolerance pass that

@@ -1,15 +1,17 @@
-"""Murphi backend: emit the generated protocol as Murphi model-checker source.
+"""Murphi backend: a listing of the generated tables in Murphi syntax.
 
 The paper verifies its generated protocols with the Murphi model checker; the
 original ProtoGen implementation has a Murphi backend.  This module emits a
-self-contained ``.m`` description of the generated protocol: constant and type
-declarations, per-node state records, the network, and one rule per generated
-transition.  The output follows the structure of the classic Murphi coherence
-models (the ones distributed with the primer), so it can be fed to an external
-``mu`` compiler when one is available; within this repository the *internal*
-model checker (:mod:`repro.verification`) plays Murphi's role, and the tests
-only check that the emitted source is well-formed and complete (every state,
-message and transition appears).
+``.m`` listing of the generated protocol: constant and type declarations,
+per-node state records, the network, and one rule per generated transition,
+laid out like the classic Murphi coherence models (the ones distributed with
+the primer).  It is a listing, not a model a Murphi compiler accepts: the
+``Value`` and ``Node`` types and the ``Send`` procedure are used but never
+declared, and the rules' binders (``c``, ``msg``, ``access``) are never
+bound by a ``ruleset``.  Within this repository the *internal* model checker
+(:mod:`repro.verification`) plays Murphi's role, and the tests only check
+that the listing is well-formed and complete (every state, message and
+transition appears).
 """
 
 from __future__ import annotations

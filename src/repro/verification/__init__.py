@@ -12,7 +12,7 @@ canonicalizes cache IDs before de-duplication (up to ``num_caches!`` fewer
 states, identical verdicts, replayable counterexample traces) -- through one
 canonicalizer, which searches, seeding and ``random_walk`` coverage all
 share (:func:`repro.verification.engine.canonical.canonicalizer_for`) --
-states are interned in a compact store with optional hash compaction, and
+states are interned in a compact, exact store, and
 the search strategy is pluggable (BFS, DFS, or a fork-based parallel BFS).
 """
 

@@ -23,7 +23,8 @@ else plugs into it:
   on encodings; the definition itself, ``GlobalState.relabeled`` +
   ``sort_key``, is executed only by the tests that check it);
 * :mod:`~repro.verification.engine.store` -- interned state store with
-  columnar parent links and optional hash compaction;
+  columnar parent links: the one, exact, visited set of an in-process
+  search;
 * :mod:`~repro.verification.engine.core` -- the :func:`verify` facade tying
   them together, including permutation-correct counterexample traces.
 

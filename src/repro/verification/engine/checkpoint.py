@@ -4,9 +4,9 @@ A checkpoint is one pickle file capturing everything a search needs to
 continue *bit-identically*, in one shape for every strategy and backend:
 the pending frontier as ``(state_id, packed_key)`` pairs, the depth it
 stands at, the store's typed trace-link columns with the intern keys in ID
-order (the batch search's row table is saved as the keys its rows stand
-for: a row names its network section by a process-local ID), and the
-running counters.  A search on the worker fleet has no keys in its store
+order -- the exact visited set, whole keys (the batch search's row table is
+saved as the keys its rows stand for: a row names its network section by a
+process-local ID) -- and the running counters.  A search on the worker fleet has no keys in its store
 (its visited set lives in the workers' shards from the root on); its
 checkpoint carries the workers' shard digests instead (re-shardable under
 a different worker count on resume).
@@ -39,10 +39,8 @@ import os
 import pickle
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
-#: 4: a ``parallel`` payload always carries ``shards``.  A version-3 file
-#: could hold a parallel search saved before its fleet forked (keys in the
-#: store, ``shards`` None), which nothing can seed a fleet from.
-CHECKPOINT_VERSION = 4
+#: 5: the store snapshot and the fingerprint material lost the hash-compaction flag.
+CHECKPOINT_VERSION = 5
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32
@@ -78,7 +76,6 @@ def fingerprint(ctx) -> str:
         tuple(getattr(inv, "__name__", repr(inv)) for inv in ctx.invariants),
         ctx.check_deadlock,
         ctx.check_workload_deadlock,
-        ctx.store.hash_compaction,
     )).encode()
     return hashlib.blake2b(material, digest_size=16).hexdigest()
 

@@ -7,9 +7,9 @@ The engine composes three orthogonal pieces:
   scalarsets; off unless ``verify(system, symmetry=True)`` (or the
   ``System``) asks for it;
 * **an interned state store** (:mod:`repro.verification.engine.store`) --
-  dense integer IDs and typed parent-link columns, with optional hash
-  compaction for the per-state searches and an exact open-addressed row
-  table as the batch search's visited set;
+  dense integer IDs and typed parent-link columns; the only dedup a
+  successor meets in this process, and an exact one: whole packed keys, or
+  on the batch search whole rows of an open-addressed row table;
 * **one search driver** (:mod:`repro.verification.engine.driver`) run by
   pluggable strategies (:mod:`repro.verification.engine.search`) --
   breadth-first (default), depth-first, and breadth-first on a fleet of
@@ -86,19 +86,16 @@ class VerificationResult:
     #: parsed), ``visited_bytes`` (bytes of the visited set where it is
     #: the batch path's row table -- rows in use plus the slot table, so
     #: bytes per state is a reported count; ``None`` where it is a dict or
-    #: lives in the worker shards), ``raw_seen_entries`` /
-    #: ``orbit_memo_entries`` / ``block_table_entries`` (sizes of the
-    #: symmetry pipeline's caches, likewise) and ``orbit_classifications``
-    #: (regions classified, i.e. region-memo misses, over the cached
-    #: canonicalizer's life; all ``None`` with symmetry off),
-    #: ``omission_bound`` (what a
-    #: digest can miss: wherever membership is decided by 128-bit digest --
-    #: ``hash_compaction=True`` on a per-state search, or any search on
-    #: the parallel strategy's fleet -- two distinct states sharing a digest
-    #: would make the search silently skip one, and for the ``n`` states
-    #: stored that happens with probability at most ``n(n-1)/2 / 2**128``;
-    #: ``None`` where keys or rows are compared whole, which includes
-    #: ``kernel="vectorized"`` whatever ``hash_compaction`` says),
+    #: lives in the worker shards), ``orbit_memo_entries`` /
+    #: ``block_table_entries`` (sizes of the symmetry pipeline's caches,
+    #: likewise) and ``orbit_classifications`` (regions classified, i.e.
+    #: region-memo misses, over the cached canonicalizer's life; all
+    #: ``None`` with symmetry off), ``omission_bound`` (what a digest can
+    #: miss: the parallel strategy's fleet decides membership by 128-bit
+    #: digest, so two distinct states sharing one would make it silently
+    #: skip one, and for the ``n`` states stored that happens with
+    #: probability at most ``n(n-1)/2 / 2**128``; ``None`` on every other
+    #: search, where keys or rows are compared whole),
     #: ``canonicalization_seconds`` (CPU
     #: seconds inside symmetry canonicalization; summed across workers for
     #: the parallel strategy) and ``expansion_seconds`` (everything else:
@@ -119,9 +116,7 @@ class VerificationResult:
     #: ``(event, send list)`` pairs -- what a transition says and sends,
     #: whatever it does to the state) and ``plan_entries`` (distinct
     #: ``(outcome, receiver column, new block, new version | unchanged)``:
-    #: what it does to a row).  There ``raw_seen_entries`` is the length of
-    #: the raw-successor row table (plus the key set's, if a level fell
-    #: back to the per-state body).
+    #: what it does to a row).
     stats: dict = field(default_factory=dict)
 
     @property
@@ -220,13 +215,6 @@ class Exploration:
         #: Wall-clock spent inside canonicalization (strategies accumulate;
         #: workers report their share per batch).
         self.canon_seconds = 0.0
-        #: The expanders' raw-successor dedup set (see
-        #: ``driver._RAW_SEEN_LIMIT``); None with symmetry off.
-        self.raw_seen: set | None = set() if perms is not None else None
-        #: The batch expander's counterpart for its raw successor *rows*
-        #: (a ``RowTable``; the set above serves its per-state fallback
-        #: levels); None on the per-state expanders.
-        self.raw_rows = None
         #: ``GlobalState`` decodes reported back by worker processes (their
         #: codecs are private copies, so the parent counter cannot see them).
         self.worker_decodes = 0
@@ -352,14 +340,9 @@ class Exploration:
         fleet = self.worker_states is not None
         stored = len(self.store)
         stats["omission_bound"] = (
-            stored * (stored - 1) // 2 / 2**128
-            if self.store.hash_compaction or fleet
-            else None
+            stored * (stored - 1) // 2 / 2**128 if fleet else None
         )
         reduced = self.perms is not None
-        stats["raw_seen_entries"] = (
-            len(self.raw_seen) + len(self.raw_rows or ()) if reduced else None
-        )
         canonicalizer = canonicalizer_for(self.codec, self.perms) if reduced else None
         stats["orbit_memo_entries"] = canonicalizer.memo_entries if reduced else None
         stats["orbit_classifications"] = (
@@ -511,15 +494,17 @@ def verify(
     symmetry: bool | None = None,
     strategy: object = "bfs",
     processes: int | None = None,
-    hash_compaction: bool = False,
     kernel: str = "compiled",
     checkpoint: str | None = None,
     spill_dir: str | None = None,
 ) -> VerificationResult:
     """Exhaustively explore *system* and check all invariants.
 
-    Every parameter but *system* is optional; the defaults are an
-    exhaustive serial BFS on the compiled kernel without symmetry reduction.
+    Every parameter but *system* is optional -- ten keywords; the defaults
+    are an exhaustive serial BFS on the compiled kernel without symmetry
+    reduction.  Every in-process search deduplicates successors in one
+    place, the state store, and compares whole keys (or whole rows) there;
+    only the parallel strategy's worker shards decide membership by digest.
 
     ``invariants``
         The predicates every reachable state must satisfy
@@ -558,12 +543,6 @@ def verify(
     ``processes``
         Worker count for the parallel strategy (ignored otherwise); by
         default the cores this process may be scheduled on, within 2..8.
-    ``hash_compaction``
-        Key the visited-set by a 128-bit digest of each state instead of the
-        state object, trading a vanishing collision risk for memory.  The
-        batch path (``kernel="vectorized"`` on BFS) ignores it and keeps
-        exact rows: a row is already smaller than a digest plus its
-        ``bytes`` header, so compaction would cost memory and exactness.
     ``kernel``
         ``"compiled"`` (default) expands states with the compiled transition
         kernel (:mod:`repro.system.kernel`): the generated protocol is
@@ -650,8 +629,7 @@ def verify(
         system=system,
         invariants=invariant_tuple,
         perms=perms,
-        # The batch path keeps exact rows whatever ``hash_compaction`` says.
-        store=StateStore(hash_compaction=hash_compaction and vkernel is None),
+        store=StateStore(),
         max_states=max_states,
         check_deadlock=check_deadlock,
         strategy_name=strat.name,

@@ -19,7 +19,8 @@ Every strategy, backend and worker process runs the same two pieces:
 
 :class:`ObjectExpander` and :class:`CompiledExpander` hold the only two
 per-state bodies in ``src/`` (enabled events -> leaf verdict -> apply ->
-pack -> raw-successor dedup -> canonicalize -> intern -> invariant check).
+pack -> canonicalize -> intern -> invariant check); ``intern`` is the only
+dedup a successor meets.
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
 fourth expander in the parent (its native level is a count per owner) and
@@ -35,17 +36,6 @@ from time import perf_counter
 
 from repro.verification.engine import checkpoint as checkpoint_mod
 from repro.verification.engine.canonical import canonicalizer_for
-
-#: Bound on the raw-successor dedup sets of the symmetry-reduced searches: a
-#: raw successor reached twice maps to the same canonical representative, so
-#: its second occurrence can skip canonicalize/intern entirely (~38 % of
-#: transitions on the reference MSI workload).  Members are packed bytes --
-#: for a successor that is its own representative the very object the store
-#: keys on, so only relabeled successors cost a second key.  The set is an
-#: optimization only -- clearing it when full merely re-pays the
-#: canonicalization, so the bound caps memory without affecting any count or
-#: verdict.
-_RAW_SEEN_LIMIT = 1 << 19
 
 
 def start_point(ctx):
@@ -137,7 +127,6 @@ class _PerState(Expander):
             if self.canonicalizer is not None
             else None
         )
-        self.raw_seen = ctx.raw_seen
 
     def leaf(self, sid, state):
         """Verdict for a state with no enabled events (failure or None).
@@ -200,7 +189,6 @@ class ObjectExpander(_PerState):
         codec = ctx.codec
         identity = ctx.perms[0] if ctx.perms is not None else None
         canonicalize = self.canonicalize
-        raw_seen = self.raw_seen
         encode_packed = codec.encode_packed
         intern = ctx.store.intern
         successors: list = []
@@ -227,16 +215,6 @@ class ObjectExpander(_PerState):
                 key = encode_packed(successor)
                 perm = None
                 if canonicalize is not None:
-                    # A raw successor seen before canonicalized to an
-                    # interned representative then, so everything below
-                    # would no-op (the add + length check costs a single
-                    # bytes hash).
-                    grown = len(raw_seen) + 1
-                    raw_seen.add(key)
-                    if len(raw_seen) != grown:
-                        continue
-                    if grown >= _RAW_SEEN_LIMIT:
-                        raw_seen.clear()
                     start = perf_counter()
                     key, perm = canonicalize(key)
                     ctx.canon_seconds += perf_counter() - start
@@ -278,7 +256,6 @@ class CompiledExpander(_PerState):
         codec = ctx.codec
         codes = ctx.kernel_codes
         canonicalize = self.canonicalize
-        raw_seen = self.raw_seen
         timer = perf_counter
         pack = codec.pack
         unpack = codec.unpack
@@ -317,12 +294,6 @@ class CompiledExpander(_PerState):
                 key = pack(succ)
                 perm = None
                 if canonicalize is not None:
-                    grown = len(raw_seen) + 1
-                    raw_seen.add(key)
-                    if len(raw_seen) != grown:
-                        continue
-                    if grown >= _RAW_SEEN_LIMIT:
-                        raw_seen.clear()
                     start = timer()
                     canonical, perm = canonicalize(key)
                     ctx.canon_seconds += timer() - start

@@ -8,8 +8,8 @@ checkpoint and verdict semantics of level-synchronous BFS exactly as it
 does for the in-process expanders.  The layout is parallel Murphi's:
 
 * **A state lives on the worker that owns it.**  Every canonical state is
-  hashed to the 128-bit BLAKE2b digest the store's hash compaction uses,
-  and the digest's owner (``digest % workers``) is the one process that
+  hashed to a 128-bit BLAKE2b digest of its packed key, and the digest's
+  owner (``digest % workers``) is the one process that
   answers membership for it
   (:class:`~repro.verification.engine.shard.SpillableKeySet`, optionally
   spilling cold partitions to disk), checks its invariants, keeps it in
@@ -80,9 +80,8 @@ from repro.verification.engine.shard import (
 _REC_HEADER = "<qIHBxI"
 _REC_HEADER_SIZE = struct.calcsize(_REC_HEADER)
 
-#: Bound on the workers' emitted-digest suppression caches (an optimization
-#: like the expanders' raw-seen sets: clearing only re-pays IPC, never
-#: correctness).
+#: Bound on the workers' emitted-digest suppression caches (an optimization:
+#: clearing only re-pays IPC, never correctness).
 _EMITTED_LIMIT = 1 << 19
 
 
@@ -183,7 +182,6 @@ class _WorkerState:
         self.shard = SpillableKeySet(ctx.spill_dir, tag=f"w{wid}")
         self.shard.seed(seed_blob, self.nworkers, wid)
         self.emitted: set = set()
-        self.raw_seen: set = set()
         self.bucket_arena = _Arena()
         self.store = self
         self.expander = per_state_expander(self)

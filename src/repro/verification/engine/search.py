@@ -44,7 +44,6 @@ from itertools import repeat
 from time import perf_counter
 
 from repro.verification.engine.driver import (
-    _RAW_SEEN_LIMIT,
     CompiledExpander,
     drive,
     per_state_expander,
@@ -90,18 +89,15 @@ class VectorizedExpander(CompiledExpander):
     next level is the new rows; events, link columns
     (a new row's parent is ``ids[parent_pos]``, its event the plan's) and
     invariant verdicts (:meth:`~VectorizedKernel.check_level`) are computed
-    for those only.  Under symmetry one more exact ``RowTable`` stands
-    between the two: it drops the raw successors seen before (in this level
-    or an earlier one; restarted between levels once past
-    ``_RAW_SEEN_LIMIT``), and the others become their canonical
-    representatives' rows.  No packed key is built on the way except
-    under symmetry, and no statement here iterates over rows or successors:
-    Python runs per leaf (its verdict), per new row (its event, one C-level
-    table lookup, and the store's link columns), under symmetry per
-    first-seen raw successor whose cache-block region is not already
-    minimal (its packed key and the relabel of it; keys go out through the
-    kernel's boundary and the relabeled ones come back in one call each a
-    level), for the first failing row, and inside the kernel per *distinct*
+    for those only.  Under symmetry every raw successor row becomes its
+    canonical representative's row before that probe.  No packed key is
+    built on the way except under symmetry, and no statement here iterates
+    over rows or successors: Python runs per leaf (its verdict), per new
+    row (its event, one C-level table lookup, and the store's link
+    columns), under symmetry per raw successor whose cache-block region is
+    not already minimal (its packed key and the relabel of it; keys go out
+    through the kernel's boundary and the relabeled ones come back in one
+    call each a level), for the first failing row, and inside the kernel per *distinct*
     guard, delivery key and ``(cell, record, operation)`` of the level.
     Raw successors are in serial stream order and leaves replay interleaved
     by their sequence numbers, so verdicts, traces and (on passing
@@ -114,8 +110,8 @@ class VectorizedExpander(CompiledExpander):
     message, ambiguous guards, object errors, a tail-memo key field wider
     than its bits) replays wholesale through the
     inherited per-state body -- same row order, same per-plan order, its
-    own raw-successor dedup set of packed keys, its keys converted to rows
-    one :meth:`~StateStore.intern` at a time -- which guarantees failures
+    keys converted to rows one :meth:`~StateStore.intern` at a time -- which
+    guarantees failures
     surface in the identical serial position.  Every transition applied
     there counts as a fallback transition (pinned to zero on the fault-free
     single-address hot path).
@@ -127,13 +123,7 @@ class VectorizedExpander(CompiledExpander):
         vk = ctx.vkernel
         # The visited set moves into row form before the first level: the
         # root of a fresh search, or everything a checkpoint restored.
-        ctx.store.adopt_rows(self._row_table(), vk)
-        if self.canonicalize is not None:
-            ctx.raw_rows = self._row_table()
-
-    def _row_table(self) -> RowTable:
-        vk = self.ctx.vkernel
-        return RowTable(vk.np, 4 * vk.row_width)
+        ctx.store.adopt_rows(RowTable(vk.np, 4 * vk.row_width), vk)
 
     def lift(self, pairs) -> _Rows:
         vk = self.ctx.vkernel
@@ -157,11 +147,10 @@ class VectorizedExpander(CompiledExpander):
             done += 1
         return done, None
 
-    def _representatives(self, V):
-        """Symmetry reduction of the first-seen raw successor rows *V*, in
-        stream order: returns ``(perms, C)``, the permutation that
-        canonicalized each and their representatives' rows (*V* itself,
-        the relabeled rows overwritten)."""
+    def _representatives(self, S):
+        """Symmetry reduction of the level's raw successor rows *S*, in
+        place and in stream order: each row becomes its representative's,
+        and the permutation that canonicalized each is returned."""
         ctx = self.ctx
         vk = ctx.vkernel
         np = vk.np
@@ -171,7 +160,7 @@ class VectorizedExpander(CompiledExpander):
         # Orbit classification in bulk: the region is the n block-ID
         # columns -- one np.unique over them, one orbit_for per distinct
         # region of the level, on its packed lanes (the memo's key).
-        region = np.ascontiguousarray(V[:, :n])
+        region = np.ascontiguousarray(S[:, :n])
         uniq, inv = np.unique(
             region.view(np.dtype((np.void, 4 * n))).ravel(), return_inverse=True
         )
@@ -182,15 +171,15 @@ class VectorizedExpander(CompiledExpander):
         )
         # Where the region is already minimal the raw row is the
         # representative and no key is built for it at all.
-        perms = [canonicalizer.identity] * len(V)
+        perms = [canonicalizer.identity] * len(S)
         rest = np.flatnonzero(~minimal[inv])
         if len(rest):
             # The others' keys: one trip through the kernel's boundary ...
             resolve = canonicalizer.resolve
-            moved: list = []       # positions in *V* whose row is relabeled
+            moved: list = []       # positions in *S* whose row is relabeled
             moved_keys: list = []  # ... and the relabeled state's packed key
             for j, key, orbit in zip(
-                rest.tolist(), vk.keys_of(V[rest]), inv[rest].tolist()
+                rest.tolist(), vk.keys_of(S[rest]), inv[rest].tolist()
             ):
                 canonical, perms[j] = resolve(key, orbits[orbit])
                 if canonical is not key:
@@ -198,9 +187,9 @@ class VectorizedExpander(CompiledExpander):
                     moved_keys.append(canonical)
             if moved:
                 # ... and one trip back for the relabeled ones.
-                V[moved] = vk.rows_of(moved_keys)
+                S[moved] = vk.rows_of(moved_keys)
         ctx.canon_seconds += perf_counter() - start
-        return perms, V
+        return perms
 
     def expand(self, level):
         ctx = self.ctx
@@ -221,23 +210,18 @@ class VectorizedExpander(CompiledExpander):
         ctx.expansion_batches += 1
         ctx.batch_rows += len(ids)
         # The candidates, in stream order: every raw successor, or under
-        # symmetry the representatives of those never seen before, ``us``
-        # their positions in the level's successor stream.
+        # symmetry its representative.
         S = vk.assemble(R, plans)
-        us = perms = None
+        perms = None
         if self.canonicalize is not None:
-            us = np.flatnonzero(ctx.raw_rows.add(S))
-            perms, S = self._representatives(S[us])
-            if len(ctx.raw_rows) >= _RAW_SEEN_LIMIT:
-                ctx.raw_rows = self._row_table()
+            perms = self._representatives(S)
 
         def links(new):
-            at = new if us is None else us[new]
             parents = array("q")
-            parents.frombytes(ids[plans.parent_pos[at]].tobytes())
+            parents.frombytes(ids[plans.parent_pos[new]].tobytes())
             return (
                 parents,
-                vk.events_of(plans.pids[at]),
+                vk.events_of(plans.pids[new]),
                 repeat(None, len(new)) if perms is None
                 else map(perms.__getitem__, new.tolist()),
             )
@@ -263,8 +247,7 @@ class VectorizedExpander(CompiledExpander):
         encs = vk.encodings_of(R[[pos for _seq, _state_id, pos in leaves]])
         done = 0
         for j in np.flatnonzero(~ok).tolist():
-            u = fresh[j] if us is None else us[fresh[j]]
-            done, failure = self._leaves(leaves, encs, done, int(u))
+            done, failure = self._leaves(leaves, encs, done, int(fresh[j]))
             if failure is not None:
                 return None, failure
             violation = self.violation(vk.keys_of(V[j : j + 1])[0])

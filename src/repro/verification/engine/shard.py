@@ -2,9 +2,9 @@
 
 The shared-memory parallel engine (:mod:`repro.verification.engine.parallel`)
 never keeps one global visited dict: each worker *owns* the slice of the
-canonical state space whose 128-bit BLAKE2b digest (the same hash-compaction
-digest :class:`~repro.verification.engine.store.StateStore` uses for
-``hash_compaction=True``) lands in its shard.  :func:`shard_of` is the whole
+canonical state space whose 128-bit BLAKE2b digest (:func:`digest128`) lands
+in its shard -- the only place the engine decides membership by digest
+(``stats["omission_bound"]``).  :func:`shard_of` is the whole
 partition: it decides who answers membership for a candidate successor
 (exactly once, at once when the producer is the owner), who keeps the state
 in its pending level and who expands it, and it is how the parent deals a
@@ -26,9 +26,8 @@ is what holds its footprint flat as the state count grows.
 Spilling is *opt-in* (``spill_dir=None`` keeps everything hot) because the
 membership probes against disk runs cost more than a set hit; it exists to
 trade that CPU for bounded memory on searches whose visited set would not
-fit otherwise.  Clearing or losing a run is never sound here (unlike the
-engines' raw-seen caches, this set IS the dedup ground truth), so runs live
-until :meth:`close`.
+fit otherwise.  Clearing or losing a run is never sound here (this set IS
+the dedup ground truth), so runs live until :meth:`close`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import heapq
 import mmap
 import os
 
-#: Digest width in bytes; 128 bits, matching the store's hash compaction.
+#: Digest width in bytes (128 bits).
 DIGEST_BYTES = 16
 
 #: Hot-tier size at which a spill-enabled set flushes a sorted run to disk.
@@ -49,12 +48,7 @@ _MAX_RUNS = 8
 
 
 def digest128(key: bytes) -> bytes:
-    """The engine's 128-bit state digest (BLAKE2b-16 over the packed key).
-
-    Identical to the digest ``StateStore`` interns under
-    ``hash_compaction=True``, so the sharded visited set is exactly "the
-    128-bit hash-compaction keyed across workers".
-    """
+    """The fleet's 128-bit state digest (BLAKE2b-16 over the packed key)."""
     return hashlib.blake2b(key, digest_size=DIGEST_BYTES).digest()
 
 

@@ -16,12 +16,8 @@ Every expander interns the **packed codec encoding**
 the object tree: the visited set keys on compact ``bytes``, which hash at C
 speed and cost tens of bytes per state.  The store itself is agnostic --
 any hashable key works, so object-keyed use (tests, tooling) stays valid.
-
-Because traces are rebuilt by *replaying events* (not by reading back stored
-states), the store also supports **hash compaction**: instead of keying the
-intern table by the full key it can key by a 128-bit BLAKE2b digest, cutting
-resident memory for big runs at a vanishing collision risk -- the same trade
-Murphi offers with ``-b``/hash compaction.
+It is the only place a search in this process deduplicates a successor,
+and it is exact: keys (or rows, below) are compared whole, never a digest.
 
 The three link columns are typed arrays: ``array('q')`` parent IDs, and
 small-int event / permutation columns indexing two side tables of the
@@ -40,11 +36,10 @@ state ID; and packed keys reappear only at the boundaries (a checkpoint's
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 
 from repro.system.rowtable import RowTable
-from repro.system.system import GlobalState, SystemEvent
+from repro.system.system import SystemEvent
 
 from repro.verification.engine.canonical import Permutation
 
@@ -74,10 +69,9 @@ class StateStore:
     """Intern table + columnar search-tree links for explored states."""
 
     __slots__ = ("_ids", "_rows", "_row_codec", "_parent", "_event", "_perm",
-                 "_events", "_perms", "hash_compaction")
+                 "_events", "_perms")
 
-    def __init__(self, *, hash_compaction: bool = False):
-        self.hash_compaction = hash_compaction
+    def __init__(self):
         self._ids: dict[object, int] | None = {}
         #: The visited set as a :class:`RowTable` (see :meth:`adopt_rows`),
         #: with the object that converts packed keys to rows and back.
@@ -91,17 +85,6 @@ class StateStore:
         self._events = _Interned()
         self._perms = _Interned()
 
-    def _key(self, state: object) -> object:
-        if not self.hash_compaction:
-            return state
-        if isinstance(state, bytes):
-            material = state
-        elif isinstance(state, GlobalState):
-            material = repr(state.sort_key()).encode()
-        else:
-            material = repr(state).encode()
-        return hashlib.blake2b(material, digest_size=16).digest()
-
     def intern(
         self,
         state: object,
@@ -112,7 +95,7 @@ class StateStore:
         """Return ``(id, is_new)``; records the parent link only when new.
 
         *state* is any hashable key -- the packed codec encoding on the
-        search hot path, or a :class:`GlobalState` in object-keyed use.
+        search hot path, or a ``GlobalState`` in object-keyed use.
         The link arguments may be passed positionally (the serial search
         interns once per transition; keyword binding is measurable there).
         Once the visited set is a row table (:meth:`adopt_rows`) *state*
@@ -121,12 +104,11 @@ class StateStore:
         ids = self._ids
         if ids is None:
             return self._intern_row(state, parent, event, perm)
-        key = self._key(state) if self.hash_compaction else state
-        existing = ids.get(key)
+        existing = ids.get(state)
         if existing is not None:
             return existing, False
         new_id = len(self._parent)
-        ids[key] = new_id
+        ids[state] = new_id
         self._parent.append(parent)
         self._event.append(self._events[event])
         self._perm.append(self._perms[perm])
@@ -222,11 +204,8 @@ class StateStore:
         a state's ID *is* its arena index; the dict is dropped as at fleet
         spin-up (so :meth:`__contains__` is invalid),
         :meth:`intern_batch` becomes valid, and :meth:`intern` keeps
-        working on packed keys.  The store must hold exact keys
-        (no hash compaction): a digest cannot become a row.
+        working on packed keys.
         """
-        if self.hash_compaction:
-            raise ValueError("a hash-compacting store holds no keys to adopt")
         keys = list(self._ids)  # insertion order is ID order
         if not table.add(row_codec.rows_of(keys)).all() or len(table) != len(self):
             raise ValueError("the row table must start out empty")
@@ -261,7 +240,6 @@ class StateStore:
         without the tail it names.
         """
         return {
-            "hash_compaction": self.hash_compaction,
             "keys": self._keys(),
             "parent": array("q", self._parent),
             "event": array("I", self._event),
@@ -273,12 +251,9 @@ class StateStore:
     def restore(self, snapshot: dict) -> None:
         """Replace this store's contents with a :meth:`snapshot` payload.
 
-        Snapshot keys were already passed through :meth:`_key` when first
-        interned, so they are re-installed verbatim (digests stay digests
-        under hash compaction).  The visited set comes back as the key dict
-        whatever it was saved from; the batch search re-adopts it.
+        The visited set comes back as the key dict whatever it was saved
+        from; the batch search re-adopts it.
         """
-        self.hash_compaction = snapshot["hash_compaction"]
         self._parent = array("q", snapshot["parent"])
         self._event = array("I", snapshot["event"])
         self._perm = array("H", snapshot["perm"])
@@ -316,4 +291,4 @@ class StateStore:
         return len(self._parent)
 
     def __contains__(self, state: object) -> bool:
-        return self._key(state) in self._ids
+        return state in self._ids

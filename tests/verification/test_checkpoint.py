@@ -17,8 +17,8 @@ The contract under test (``verify(..., checkpoint=PATH)``):
 
 There is one checkpoint shape; what varies is who lowers the frontier into
 it.  Covered here: the per-state expanders under BFS (compiled and object
-kernels, both symmetry modes, hash compaction) and DFS (whose boundary is
-the exact pop), the vectorized expander, and the worker fleet, whose
+kernels, both symmetry modes) and DFS (whose boundary is the exact pop),
+the vectorized expander, and the worker fleet, whose
 checkpoint carries shard digests in place of store keys (resuming under a
 different worker count is in ``test_parallel_engine.py``).
 """
@@ -26,8 +26,10 @@ different worker count is in ``test_parallel_engine.py``).
 import hashlib
 import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.system import System, Workload
 from repro.verification import verify
@@ -63,15 +65,15 @@ def run_sliced(system, path, budgets, **mode):
 
 
 # Every expander that lowers a frontier into the checkpoint: per-state under
-# BFS (compiled / object / symmetry / hash-compaction axes) and DFS, the
-# vectorized one, and the fleet.  The last mode is the parallel strategy's
-# serial stand-in: it used to take the name "bfs" only inside ``run``, after
-# the resuming leg had fingerprinted "parallel", and so rejected its own file.
+# BFS (compiled / object / symmetry axes) and DFS, the vectorized one, and
+# the fleet.  The last mode is the parallel strategy's serial stand-in: it
+# used to take the name "bfs" only inside ``run``, after the resuming leg
+# had fingerprinted "parallel", and so rejected its own file.
 CHECKPOINT_MODES = [
     dict(),
     dict(kernel="object"),
     dict(symmetry=True),
-    dict(symmetry=True, hash_compaction=True),
+    dict(symmetry=True, kernel="object"),
     dict(kernel="vectorized"),
     dict(symmetry=True, kernel="vectorized"),
     dict(strategy="dfs"),
@@ -127,6 +129,52 @@ class TestResumeParity:
         # A failing resumed run is finished, not truncated: the checkpoint
         # is consumed like any other completed search's.
         assert not os.path.exists(path)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """Uninterrupted runs, by ``(mutant, kernel, symmetry, strategy)``: the
+    property below compares every drawn budget against the same one."""
+    return {}
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("symmetry", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("kernel", ["compiled", "object", "vectorized"])
+@pytest.mark.parametrize("mutant", [False, True], ids=["msi", "swmr-mutant"])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+def test_resume_at_any_budget_equals_the_uninterrupted_run(
+        msi_nonstalling, msi_swmr_mutant, uninterrupted, mutant, kernel,
+        symmetry, strategy, data):
+    """Checkpoint at a drawn budget, resume on a fresh ``System``: the end
+    is the uninterrupted run's -- counts and complete states, and on the
+    SWMR mutant its verdict and trace."""
+    protocol = msi_swmr_mutant if mutant else msi_nonstalling
+    workload = Workload(max_accesses_per_cache=2)
+    mode = dict(kernel=kernel, symmetry=symmetry, strategy=strategy)
+    run = (mutant, kernel, symmetry, strategy)
+    if run not in uninterrupted:
+        uninterrupted[run] = verify(
+            System(protocol, num_caches=2, workload=workload), **mode)
+    whole = uninterrupted[run]
+    assert whole.ok == (not mutant) and not whole.partial
+    budget = data.draw(st.integers(1, whole.states_explored - 1), label="budget")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "run.ckpt")
+        leg = verify(System(protocol, num_caches=2, workload=workload),
+                     max_states=budget, checkpoint=path, **mode)
+        assert leg.partial and leg.ok and os.path.exists(path)
+        resumed = verify(System(protocol, num_caches=2, workload=workload),
+                         max_states=10 ** 6, checkpoint=path, **mode)
+        assert not os.path.exists(path)
+    assert resumed.stats["resume_level"] is not None
+    assert (resumed.ok, resumed.states_explored, resumed.transitions_explored,
+            resumed.complete_states) == (
+        whole.ok, whole.states_explored, whole.transitions_explored,
+        whole.complete_states)
+    assert str(resumed.violation) == str(whole.violation)
+    assert resumed.trace == whole.trace
 
 
 class TestCheckpointLifecycle:
@@ -202,19 +250,30 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [-1, CHECKPOINT_VERSION - 1])
-    def test_stale_payload_version(self, saved_checkpoint, version):
+    @pytest.mark.parametrize("version", [-1, 4])
+    @pytest.mark.parametrize("fingerprint", ["kept", "foreign"])
+    def test_stale_payload_version(self, saved_checkpoint, version, fingerprint):
         """An intact file (its checksum holds) of another payload version
-        -- the previous one included: no reader is kept for it."""
+        -- the previous one included: no reader is kept for it.  Version 4
+        kept the hash-compaction flag in its store snapshot and its
+        fingerprint material, so its fingerprint never matches one taken
+        now: the refusal names the version, not a different search
+        configuration."""
+        assert CHECKPOINT_VERSION == 5
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
         payload["version"] = version
+        if fingerprint == "foreign":
+            payload["fingerprint"] = hashlib.blake2b(
+                b"another search", digest_size=16).hexdigest()
         body = pickle.dumps(payload)
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
-        with pytest.raises(CheckpointMismatch, match=f"version {version},"):
+        with pytest.raises(CheckpointMismatch,
+                           match=f"version {version}, expected 5") as refused:
             verify(system, max_states=40_000, checkpoint=path)
+        assert "configuration" not in str(refused.value)
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage"])
     def test_unreadable_file(self, saved_checkpoint, damage):

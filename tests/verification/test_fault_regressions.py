@@ -225,3 +225,36 @@ class TestHardenedReorderReplay:
     def test_search_passes(self, hardened_reorder_system):
         result = verify(hardened_reorder_system)
         assert result.ok and not result.deadlock, result.summary
+
+
+#: ``(policy, fault axis, accesses) -> (BFS, DFS)`` states explored up to
+#: the first failure, on the benchmark's four expected-FAIL ``matrix-2c``
+#: cells (``bare-dup`` / ``bare-reorder-strict`` x stalling / nonstalling).
+FIRST_FAILURE_STATES = {
+    ("stalling", "duplicate", 1): (65, 7),
+    ("stalling", "reorder-strict", 2): (71, 46),
+    ("nonstalling", "duplicate", 1): (65, 7),
+    ("nonstalling", "reorder-strict", 2): (442, 46),
+}
+
+
+@pytest.mark.parametrize("cell", FIRST_FAILURE_STATES,
+                         ids=lambda cell: f"{cell[1]}-{cell[0]}")
+def test_depth_first_reaches_a_failure_in_fewer_states(
+        bare_msi_stalling, bare_msi_nonstalling, cell):
+    """What ``strategy="dfs"`` is measured to win: on every expected-FAIL
+    cell it stops at a counterexample after fewer explored states than BFS
+    (a count, not a clock).  The failure kind is not compared: on the
+    stalling reorder cell BFS meets the deadlock first, DFS an error."""
+    policy, axis, accesses = cell
+    protocol = bare_msi_stalling if policy == "stalling" else bare_msi_nonstalling
+    faults = (
+        FaultModel(duplicate=True) if axis == "duplicate"
+        else FaultModel(reorder=True, requeue=False)
+    )
+    system = System(protocol, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=accesses),
+                    faults=faults)
+    bfs, dfs = (verify(system, strategy=strategy) for strategy in ("bfs", "dfs"))
+    assert not bfs.ok and not dfs.ok
+    assert (bfs.states_explored, dfs.states_explored) == FIRST_FAILURE_STATES[cell]

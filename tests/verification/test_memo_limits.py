@@ -1,19 +1,16 @@
 """Memo clears never change a verdict.
 
-Four bounded caches sit on the search hot paths, each cleared whole when it
-reaches its limit and each documented as "correctness never depends on a
-hit": the batch kernel's memos (``vectorized._MEMO_LIMIT``: delivery, tail,
-``(cell, record, operation)``, and the two boundary caches -- packed tail
--> section ID and section ID -> packed tail),
-the codec's component, parse and relabel memos (``codec._MEMO_LIMIT``; the
-packed-suffix memo a representative's key is concatenated from is one), the
-canonicalizer's region memo and block table
-(``canonical._ORBIT_MEMO_LIMIT``) and the
-raw-successor set (``driver._RAW_SEEN_LIMIT``: a set of packed keys on the
-per-state searches, a ``RowTable`` of raw rows restarted between levels on
-the batch path).  No bundled tier-1 space is
-big enough to reach a limit, so here each limit is forced down to 8 entries
--- every search then clears constantly -- and the counts must not move.
+Three limits bound the caches on the search hot paths, each cache cleared
+whole when it reaches its limit and each documented as "correctness never
+depends on a hit": the batch kernel's memos (``vectorized._MEMO_LIMIT``:
+delivery, tail, ``(cell, record, operation)``, and the two boundary caches
+-- packed tail -> section ID and section ID -> packed tail), the codec's
+component, parse and relabel memos (``codec._MEMO_LIMIT``; the
+packed-suffix memo a representative's key is concatenated from is one), and
+the canonicalizer's region memo and block table
+(``canonical._ORBIT_MEMO_LIMIT``).  No bundled tier-1 space is big enough
+to reach a limit, so here each limit is forced down to 8 entries -- every
+search then clears constantly -- and the counts must not move.
 
 For the batch kernel's plan tables this is also the test that an ID handed
 out before a clear stays valid: a cleared delivery memo re-evaluates to the
@@ -29,7 +26,7 @@ from repro.system import System, Workload
 from repro.system import codec as codec_module
 from repro.system import vectorized as vectorized_module
 from repro.verification import verify
-from repro.verification.engine import canonical, driver, search
+from repro.verification.engine import canonical
 
 pytest.importorskip("numpy")
 
@@ -44,13 +41,11 @@ SPACES = {
     ("MSI-Unordered", "nonstalling", 3, 1, _LOAD_STORE): ((2274, 4890), (410, 893)),
 }
 
-#: Where each limit is read from (the raw-seen one is bound in two modules).
+#: Where each limit is read from.
 LIMITS = {
     "vectorized._MEMO_LIMIT": [(vectorized_module, "_MEMO_LIMIT")],
     "codec._MEMO_LIMIT": [(codec_module, "_MEMO_LIMIT")],
     "canonical._ORBIT_MEMO_LIMIT": [(canonical, "_ORBIT_MEMO_LIMIT")],
-    "driver._RAW_SEEN_LIMIT": [(driver, "_RAW_SEEN_LIMIT"),
-                               (search, "_RAW_SEEN_LIMIT")],
 }
 
 

@@ -7,8 +7,8 @@ link columns) and the sharded checkpoint.
 
 Contracts under test:
 
-* count parity with the serial engine across the symmetry / hash-compaction
-  / kernel / spill axes and two fleet sizes (the engine shares the serial
+* count parity with the serial engine across the symmetry / kernel / spill
+  axes and two fleet sizes (the engine shares the serial
   search's canonical frames, so states, transitions and complete-state
   counts must match exactly);
 * failure verdicts (protocol error, SWMR violation, deadlock) survive the
@@ -70,9 +70,8 @@ def on_the_fleet(system, **kwargs):
 PARITY_MODES = [
     dict(),
     dict(symmetry=True),
-    dict(hash_compaction=True),
-    dict(symmetry=True, hash_compaction=True),
     dict(kernel="object"),
+    dict(symmetry=True, kernel="object"),
     dict(spill_dir=True),  # stands for the test's tmp_path
 ]
 
@@ -178,9 +177,8 @@ def test_spill_dir_bounds_shards_without_changing_counts(
     monkeypatch.setattr(parallel_mod, "SpillableKeySet", TinySpill)
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    serial = verify(system, symmetry=True, hash_compaction=True)
-    result = on_the_fleet(system, symmetry=True, hash_compaction=True,
-                          spill_dir=str(tmp_path))
+    serial = verify(system, symmetry=True)
+    result = on_the_fleet(system, symmetry=True, spill_dir=str(tmp_path))
 
     assert result.ok
     assert result.states_explored == serial.states_explored

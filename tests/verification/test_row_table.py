@@ -354,22 +354,6 @@ def test_search_is_exact_under_a_constant_hash(msi_nonstalling, monkeypatch):
     assert (result.states_explored, result.transitions_explored) == (1702, 3078)
 
 
-def test_hash_compaction_keeps_exact_rows_on_the_batch_path(msi_nonstalling,
-                                                            explorations):
-    """A row is smaller than a digest plus its ``bytes`` header: the batch
-    path ignores ``hash_compaction`` and stays exact."""
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    result = verify(system, kernel="vectorized", hash_compaction=True)
-    assert result.ok and result.kernel == "vectorized"
-    assert (result.states_explored, result.transitions_explored) == (1702, 3078)
-    store = explorations[-1].store
-    assert not store.hash_compaction and len(store._rows) == 1702
-    # Where the batch path does not run, compaction does.
-    verify(system, kernel="vectorized", strategy="dfs", hash_compaction=True)
-    assert explorations[-1].store.hash_compaction
-
-
 def test_failing_search_goes_through_the_key_taking_intern(
         msi_spec, explorations, monkeypatch):
     """A level the batch path cannot express replays per state, and every
