@@ -150,10 +150,6 @@ class CacheGenContext:
         self.worklist: deque[str] = deque()
         #: (original request, reinterpreted request) pairs discovered during Case 1
         self.reinterpretations: set[tuple[str, str]] = set()
-        #: arrival classes (stable states reachable from each other by silent
-        #: transactions); forwarded requests arriving anywhere within a class
-        #: are exempt from renaming and treated uniformly
-        self.silent_classes: list[frozenset[str]] = compute_silent_classes(spec)
 
     # -- stable states ---------------------------------------------------------
     def add_stable_states(self) -> None:
@@ -272,12 +268,6 @@ class CacheGenContext:
         if descriptor.chain or descriptor.stale:
             return advanced
         return replace(advanced, membership=advanced.reachable_finals())
-
-    def arrival_class(self, stable_state: str) -> frozenset[str]:
-        for cls in self.silent_classes:
-            if stable_state in cls:
-                return cls
-        return frozenset({stable_state})
 
 
 def compute_silent_classes(spec: ProtocolSpec) -> list[frozenset[str]]:

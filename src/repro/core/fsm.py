@@ -246,9 +246,6 @@ class ControllerFsm:
         key = (state, event_key(event))
         return list(self._index.get(key, []))
 
-    def events_handled_in(self, state: str) -> set[Event]:
-        return {t.event for t in self.transitions_from(state)}
-
     def messages_handled_in(self, state: str) -> set[str]:
         return {
             t.event.message

@@ -9,8 +9,6 @@ forwarded GetS, ``IM_AD_SI`` after a subsequent Invalidation (these appear as
 
 from __future__ import annotations
 
-from repro.dsl.types import AccessKind
-
 
 def transient_name(start: str, final: str, stage: str) -> str:
     """Name of a Step-2 transient state (no concurrency observed yet)."""
@@ -44,7 +42,3 @@ def directory_transient_name(start: str, final: str, stage: str) -> str:
     of the primer (e.g. ``S_D`` while the directory waits for data from the
     owner before settling in S)."""
     return f"{final}_{stage}"
-
-
-def describe_access(access: AccessKind) -> str:
-    return {"load": "Load", "store": "Store", "replacement": "Replacement"}[access.value]

@@ -33,11 +33,6 @@ class StateSets:
     def members(self, stable: str) -> frozenset[str]:
         return frozenset(self._members[stable])
 
-    def membership_of(self, state_name: str) -> frozenset[str]:
-        return frozenset(
-            stable for stable, members in self._members.items() if state_name in members
-        )
-
     def as_dict(self) -> dict[str, frozenset[str]]:
         return {stable: frozenset(members) for stable, members in self._members.items()}
 

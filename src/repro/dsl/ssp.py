@@ -206,12 +206,6 @@ class Reaction:
         if self.guard not in self.VALID_GUARDS:
             raise SpecError(f"unknown reaction guard {self.guard!r}")
 
-    @property
-    def is_absorb(self) -> bool:
-        """True for a no-action self-loop: the message is consumed
-        idempotently (duplicate-tolerant absorption)."""
-        return self.next_state == self.state and not self.actions
-
 
 @dataclass
 class ControllerSpec:

@@ -255,7 +255,6 @@ class System:
         ordered: bool | None = None,
         num_addresses: int | None = None,
         faults: FaultModel | None = None,
-        symmetry: bool = False,
     ):
         if num_caches < 1:
             raise ValueError("need at least one cache")
@@ -282,23 +281,6 @@ class System:
             raise ValueError("need at least one address")
         self.num_addresses = num_addresses
         self.faults = faults
-        # Declaring symmetry intent up front fails fast: the unsupported
-        # combinations are rejected here, at construction, instead of
-        # surfacing from deep inside a verify/random-walk run.
-        if symmetry and num_caches > 1:
-            if isinstance(self.workload, LitmusWorkload):
-                raise ValueError(
-                    "symmetry=True is unsupported with a litmus workload: "
-                    "litmus programs distinguish the caches, so permuting "
-                    "cache IDs is unsound"
-                )
-            if num_addresses > 1:
-                raise ValueError(
-                    f"symmetry=True is unsupported with num_addresses="
-                    f"{num_addresses}: the encoded canonicalizer only "
-                    "handles single-plane layouts"
-                )
-        self.symmetry = symmetry
         if ordered is None:
             ordered = getattr(protocol.source_spec, "ordered_network", True)
         self.ordered = ordered

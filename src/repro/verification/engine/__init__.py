@@ -9,12 +9,12 @@ else plugs into it:
 * :mod:`~repro.verification.engine.search` -- the strategies (BFS, DFS,
   parallel BFS: which frontier order and which expander the driver gets)
   and the vectorized batch expander;
-* :mod:`~repro.verification.engine.parallel` /
-  :mod:`~repro.verification.engine.shard` -- the fourth expander, a fleet
-  of forked workers in owner-computes rounds: a state is deduped, checked,
-  kept and expanded by the worker that owns its digest (disk-spillable
-  visited shards), only foreign successors cross a shared-memory arena,
-  and the parent receives trace-link columns, never keys;
+* :mod:`~repro.verification.engine.parallel` -- the fourth expander, a
+  fleet of forked workers in owner-computes rounds: a state is deduped,
+  checked, kept and expanded by the worker that owns its digest (one
+  in-memory digest set per worker), only foreign successors cross a
+  shared-memory arena, and the parent receives trace-link columns, never
+  keys;
 * :mod:`~repro.verification.engine.checkpoint` -- budget checkpoint/resume,
   one file shape for all of the above;
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation
@@ -45,7 +45,6 @@ from repro.verification.engine.canonical import (
 from repro.verification.engine.checkpoint import CheckpointMismatch
 from repro.verification.engine.core import Exploration, VerificationResult, verify
 from repro.verification.engine.parallel import ShmEngine
-from repro.verification.engine.shard import SpillableKeySet, digest128
 from repro.verification.engine.search import (
     BreadthFirst,
     DepthFirst,
@@ -64,10 +63,8 @@ __all__ = [
     "Permutation",
     "SearchStrategy",
     "ShmEngine",
-    "SpillableKeySet",
     "StateStore",
     "VerificationResult",
-    "digest128",
     "canonicalizer_for",
     "compose",
     "identity_permutation",

@@ -7,8 +7,8 @@ stands at, the store's typed trace-link columns with the intern keys in ID
 order -- the exact visited set, whole keys (the batch search's row table is
 saved as the keys its rows stand for: a row names its network section by a
 process-local ID) -- and the running counters.  A search on the worker fleet has no keys in its store
-(its visited set lives in the workers' shards from the root on); its
-checkpoint carries the workers' shard digests instead (re-shardable under
+(its visited set lives in the workers' digest sets from the root on); its
+checkpoint carries those digests instead (re-shardable under
 a different worker count on resume).
 
 The pickle body is followed by its BLAKE2b digest, verified before
@@ -39,8 +39,8 @@ import os
 import pickle
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
-#: 5: the store snapshot and the fingerprint material lost the hash-compaction flag.
-CHECKPOINT_VERSION = 5
+#: 6: the fingerprint material lost the (now always-on) deadlock-check flag.
+CHECKPOINT_VERSION = 6
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32
@@ -74,7 +74,6 @@ def fingerprint(ctx) -> str:
         ctx.kernel is not None,
         ctx.strategy_name,
         tuple(getattr(inv, "__name__", repr(inv)) for inv in ctx.invariants),
-        ctx.check_deadlock,
         ctx.check_workload_deadlock,
     )).encode()
     return hashlib.blake2b(material, digest_size=16).hexdigest()

@@ -4,8 +4,7 @@ The engine composes three orthogonal pieces:
 
 * **symmetry reduction** (:mod:`repro.verification.engine.canonical`) --
   cache-ID canonicalization before de-duplication, mirroring Murphi
-  scalarsets; off unless ``verify(system, symmetry=True)`` (or the
-  ``System``) asks for it;
+  scalarsets; off unless ``verify(system, symmetry=True)`` asks for it;
 * **an interned state store** (:mod:`repro.verification.engine.store`) --
   dense integer IDs and typed parent-link columns; the only dedup a
   successor meets in this process, and an exact one: whole packed keys, or
@@ -86,10 +85,11 @@ class VerificationResult:
     #: parsed), ``visited_bytes`` (bytes of the visited set where it is
     #: the batch path's row table -- rows in use plus the slot table, so
     #: bytes per state is a reported count; ``None`` where it is a dict or
-    #: lives in the worker shards), ``orbit_memo_entries`` /
-    #: ``block_table_entries`` (sizes of the symmetry pipeline's caches,
-    #: likewise) and ``orbit_classifications`` (regions classified, i.e.
-    #: region-memo misses, over the cached canonicalizer's life; all
+    #: lives in the workers' in-memory digest sets, one per worker),
+    #: ``orbit_memo_entries`` / ``block_table_entries`` (sizes of the
+    #: symmetry pipeline's caches, likewise) and ``orbit_classifications``
+    #: (regions classified, i.e. region-memo misses, over the cached
+    #: canonicalizer's life; all
     #: ``None`` with symmetry off), ``omission_bound`` (what a digest can
     #: miss: the parallel strategy's fleet decides membership by 128-bit
     #: digest, so two distinct states sharing one would make it silently
@@ -105,8 +105,8 @@ class VerificationResult:
     #: instead of a bogus subtraction.  ``round_count`` (rounds the worker
     #: fleet ran) and ``cross_shard_share`` (candidates serialised to
     #: another owner / transitions) are ``None`` unless the strategy is
-    #: ``parallel``; ``worker_states`` / ``spill_bytes`` / ``steal_count``
-    #: (always 0) appear only when it is.  ``kernel="vectorized"`` adds the
+    #: ``parallel``; ``worker_states`` / ``steal_count`` (always 0) appear
+    #: only when it is.  ``kernel="vectorized"`` adds the
     #: sizes of the batch kernel's tables: ``section_entries`` /
     #: ``cell_entries`` / ``record_entries`` (hash-consed network sections,
     #: and the distinct channel contents and message records they are made
@@ -167,14 +167,12 @@ class Exploration:
         perms: tuple[Permutation, ...] | None,
         store: StateStore,
         max_states: int,
-        check_deadlock: bool,
         strategy_name: str,
         kernel=None,
         kernel_codes: tuple[str, ...] | None = None,
         check_workload_deadlock: bool = False,
         vkernel=None,
         checkpoint_path: str | None = None,
-        spill_dir: str | None = None,
     ):
         self.system = system
         self.codec = system.codec()
@@ -182,7 +180,6 @@ class Exploration:
         self.perms = perms
         self.store = store
         self.max_states = max_states
-        self.check_deadlock = check_deadlock
         self.strategy_name = strategy_name
         #: Compiled :class:`~repro.system.kernel.TransitionKernel`, or None
         #: to interpret the object model (``System.apply``) directly.
@@ -224,9 +221,6 @@ class Exploration:
         #: Where to save (and look for) a resumable budget checkpoint; None
         #: disables checkpointing entirely.
         self.checkpoint_path = checkpoint_path
-        #: Directory for the parallel workers' cold visited-set runs; None
-        #: keeps every shard fully in memory.
-        self.spill_dir = spill_dir
         #: Loaded checkpoint payload, less the store snapshot (set by
         #: ``checkpoint.load``); strategies pick their frontier up from
         #: here instead of the root.
@@ -235,15 +229,13 @@ class Exploration:
         #: (None = fresh run).
         self.resume_level: int | None = None
         #: Worker-fleet telemetry: rounds run, candidates serialised to
-        #: another owner, states expanded per worker, and bytes of
-        #: visited-set digests currently spilled to disk.  ``steal_count``
+        #: another owner and states expanded per worker.  ``steal_count``
         #: is always 0 (nothing is stolen under the hash partition); it
         #: stays until ``bench/worker.py`` stops summing it.
         self.round_count = 0
         self.cross_shard_candidates = 0
         self.steal_count = 0
         self.worker_states: list[int] | None = None
-        self.spill_bytes = 0
         # Decode baseline: the codec is cached per system, so its counter
         # carries history from earlier searches; stats report the delta.
         self._decode_base = self.codec.decode_count
@@ -358,7 +350,6 @@ class Exploration:
         if fleet:
             stats["steal_count"] = self.steal_count
             stats["worker_states"] = list(self.worker_states)
-            stats["spill_bytes"] = self.spill_bytes
         if kernel == "vectorized":
             stats["expansion_batches"] = self.expansion_batches
             stats["mean_batch_width"] = (
@@ -489,30 +480,26 @@ def verify(
     *,
     invariants: Sequence[Invariant] | None = None,
     max_states: int = 2_000_000,
-    check_deadlock: bool = True,
     deadlock: bool = False,
-    symmetry: bool | None = None,
-    strategy: object = "bfs",
+    symmetry: bool = False,
+    strategy: str = "bfs",
     processes: int | None = None,
     kernel: str = "compiled",
     checkpoint: str | None = None,
-    spill_dir: str | None = None,
 ) -> VerificationResult:
     """Exhaustively explore *system* and check all invariants.
 
-    Every parameter but *system* is optional -- ten keywords; the defaults
+    Every parameter but *system* is optional -- eight keywords; the defaults
     are an exhaustive serial BFS on the compiled kernel without symmetry
     reduction.  Every in-process search deduplicates successors in one
     place, the state store, and compares whole keys (or whole rows) there;
-    only the parallel strategy's worker shards decide membership by digest.
+    only the parallel strategy decides membership by digest, in one
+    in-memory digest set per worker.
 
     ``invariants``
         The predicates every reachable state must satisfy
         (:func:`~repro.verification.invariants.default_invariants` when
         omitted).
-    ``check_deadlock``
-        Report a non-quiescent state with no enabled event as a deadlock
-        (on by default).
     ``max_states``
         State budget: the search aborts cleanly once the budget is reached
         and returns a **partial** result (``result.partial`` /
@@ -522,12 +509,14 @@ def verify(
         clipped to it (DFS stops at the exact state), so without a
         checkpoint exactly ``max_states`` states are expanded.
     ``deadlock``
-        Also report *workload deadlocks*: a canonically-reachable quiescent
-        state whose caches still hold unissued workload budget but where no
-        transition is enabled can never absorb the remaining accesses; with
-        ``deadlock=True`` it is reported as a deadlock failure with a
-        replayable trace instead of being counted as a completed run
-        (``result.complete_states``).  Off by default.
+        A non-quiescent state with no enabled event is always reported as a
+        deadlock.  This keyword also reports *workload deadlocks*: a
+        canonically-reachable quiescent state whose caches still hold
+        unissued workload budget but where no transition is enabled can
+        never absorb the remaining accesses; with ``deadlock=True`` it is
+        reported as a deadlock failure with a replayable trace instead of
+        being counted as a completed run (``result.complete_states``).  Off
+        by default.
     ``symmetry``
         Canonicalize cache IDs before de-duplication (Murphi scalarset
         reduction).  Explores one representative per cache-permutation orbit
@@ -535,9 +524,8 @@ def verify(
         verdict; counterexample traces are relabeled back to the concrete
         frame and stay replayable.
     ``strategy``
-        ``"bfs"`` (default), ``"dfs"``, ``"parallel"`` (BFS on forked
-        shared-memory workers, every level from the root's on), or a
-        :class:`~repro.verification.engine.search.SearchStrategy` instance.
+        ``"bfs"`` (default), ``"dfs"`` or ``"parallel"`` (BFS on forked
+        shared-memory workers, every level from the root's on).
         All strategies explore the same state set and report the same
         verdicts; BFS yields shortest counterexamples.
     ``processes``
@@ -577,12 +565,6 @@ def verify(
         (non-partial) search deletes the file.  A file that cannot be read
         back, or one written by a different configuration, raises
         :class:`~repro.verification.engine.checkpoint.CheckpointMismatch`.
-    ``spill_dir``
-        Directory where the parallel engine's worker shards may spill cold
-        visited-set partitions as sorted digest runs, bounding resident
-        memory on searches whose visited set would not fit otherwise
-        (ignored by the in-process strategies, which keep the visited set in
-        the store).
     """
     from repro.verification.engine.search import BreadthFirst, resolve_strategy
 
@@ -590,9 +572,6 @@ def verify(
         tuple(invariants) if invariants is not None else tuple(default_invariants())
     )
     strat = resolve_strategy(strategy, processes=processes)
-    if symmetry is None:
-        # Symmetry intent declared at System construction (validated there).
-        symmetry = system.symmetry
     if symmetry and system.num_caches > 1 and not system.supports_symmetry:
         combination = (
             "a litmus workload (litmus programs distinguish the caches)"
@@ -600,10 +579,7 @@ def verify(
             else f"num_addresses={system.num_addresses} (the encoded "
             "canonicalizer only handles single-plane layouts)"
         )
-        raise ValueError(
-            f"symmetry=True is unsupported with {combination}; construct the "
-            "System with symmetry=True to get this error at construction time"
-        )
+        raise ValueError(f"symmetry=True is unsupported with {combination}")
     perms = (
         system.symmetry_permutations()
         if symmetry and system.num_caches > 1
@@ -631,14 +607,12 @@ def verify(
         perms=perms,
         store=StateStore(),
         max_states=max_states,
-        check_deadlock=check_deadlock,
         strategy_name=strat.name,
         kernel=kernel_impl,
         kernel_codes=kernel_codes,
         check_workload_deadlock=deadlock,
         vkernel=vkernel,
         checkpoint_path=checkpoint,
-        spill_dir=spill_dir,
     )
     early = ctx.seed()
     if early is not None:

@@ -141,9 +141,7 @@ class _PerState(Expander):
                 return ctx.failure(deadlock=True, leaf_id=sid)
             ctx.complete_states += 1
             return None
-        if ctx.check_deadlock:
-            return ctx.failure(deadlock=True, leaf_id=sid)
-        return None
+        return ctx.failure(deadlock=True, leaf_id=sid)
 
     def violation(self, state):
         """The first invariant violation of a native level payload --

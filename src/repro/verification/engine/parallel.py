@@ -9,13 +9,12 @@ does for the in-process expanders.  The layout is parallel Murphi's:
 
 * **A state lives on the worker that owns it.**  Every canonical state is
   hashed to a 128-bit BLAKE2b digest of its packed key, and the digest's
-  owner (``digest % workers``) is the one process that
-  answers membership for it
-  (:class:`~repro.verification.engine.shard.SpillableKeySet`, optionally
-  spilling cold partitions to disk), checks its invariants, keeps it in
-  its own native next level and expands it.  The hash partition is the
-  work split; nothing is claimed or stolen, so for a given worker count
-  state IDs, per-worker counts and traces repeat exactly from run to run.
+  owner (``digest % workers``) is the one process that answers membership
+  for it (a plain in-memory ``set`` of 16-byte digests: its shard), checks
+  its invariants, keeps it in its own native next level and expands it.
+  The hash partition is the work split; nothing is claimed or stolen, so
+  for a given worker count state IDs, per-worker counts and traces repeat
+  exactly from run to run.
 
 * **The same per-state bodies.**  A worker expands its level with the
   ordinary per-state expander against a :class:`_WorkerState` that
@@ -61,6 +60,7 @@ worker count may change between runs).
 from __future__ import annotations
 
 import gc
+import hashlib
 import struct
 import traceback
 from array import array
@@ -68,12 +68,9 @@ from multiprocessing import shared_memory
 
 from repro.system.codec import LaneOverflow
 from repro.verification.engine.driver import Expander, drive, per_state_expander
-from repro.verification.engine.shard import (
-    DIGEST_BYTES,
-    SpillableKeySet,
-    digest128,
-    shard_of,
-)
+
+#: Digest width in bytes (128 bits).
+DIGEST_BYTES = 16
 
 #: ``(parent_id, sequence, perm_index, eev_len, key_len)`` header of a
 #: candidate record; the digest, the event lanes and the key follow.
@@ -83,6 +80,16 @@ _REC_HEADER_SIZE = struct.calcsize(_REC_HEADER)
 #: Bound on the workers' emitted-digest suppression caches (an optimization:
 #: clearing only re-pays IPC, never correctness).
 _EMITTED_LIMIT = 1 << 19
+
+
+def digest128(key: bytes) -> bytes:
+    """The fleet's 128-bit state digest (BLAKE2b-16 over the packed key)."""
+    return hashlib.blake2b(key, digest_size=DIGEST_BYTES).digest()
+
+
+def shard_of(digest: bytes, num_shards: int) -> int:
+    """Owning shard of a digest: its low 64 bits modulo the shard count."""
+    return int.from_bytes(digest[-8:], "little") % num_shards
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -155,8 +162,8 @@ class _WorkerState:
     """Per-process expansion context (built once, after fork).
 
     Duck-types what a per-state expander uses of an ``Exploration``: the
-    system with a private codec/kernel, the deadlock switches, the running
-    counters (here: of the current round), ``store`` (itself -- see
+    system with a private codec/kernel, the workload-deadlock switch, the
+    running counters (here: of the current round), ``store`` (itself -- see
     :meth:`intern`) and :meth:`failure`.  State IDs inside the worker are
     *positions* in its level; :attr:`ids` maps them to the store's.
     """
@@ -168,7 +175,6 @@ class _WorkerState:
         self.invariants = ctx.invariants
         self.perms = ctx.perms
         self.kernel_codes = ctx.kernel_codes
-        self.check_deadlock = ctx.check_deadlock
         self.check_workload_deadlock = ctx.check_workload_deadlock
         self.codec = self.system.codec()
         self.kernel = self.system.kernel() if self.kernel_codes is not None else None
@@ -179,8 +185,10 @@ class _WorkerState:
         self.encode_event = (
             self.codec.encode_event if self.kernel is None else lambda eev: eev
         )
-        self.shard = SpillableKeySet(ctx.spill_dir, tag=f"w{wid}")
-        self.shard.seed(seed_blob, self.nworkers, wid)
+        #: The digests this worker owns: its slice of the visited set.
+        digests = (seed_blob[i : i + DIGEST_BYTES]
+                   for i in range(0, len(seed_blob), DIGEST_BYTES))
+        self.shard = {d for d in digests if shard_of(d, nworkers) == wid}
         self.emitted: set = set()
         self.bucket_arena = _Arena()
         self.store = self
@@ -293,7 +301,7 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
                 pairs = ws.expander.lower(ws.level)
                 conn.send(("lowered", wid, [(ws.ids[pos], key) for pos, key in pairs]))
             elif op == "dump":
-                conn.send(("dump", wid, ws.shard.dump()))
+                conn.send(("dump", wid, b"".join(ws.shard)))
             elif op == "stop":
                 break
     except LaneOverflow as exc:  # a verdict on the configuration, not a crash
@@ -305,7 +313,6 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
             pass
     finally:
         ws.bucket_arena.destroy()
-        ws.shard.close()
 
 
 def _worker_expand(ws, limit):
@@ -380,7 +387,7 @@ def _worker_dedup(ws, directory):
             shm.close()
     links = len(level), ws.link_parent, ws.link_event, ws.link_perm, list(ws.events)
     return (
-        "deduped", wid, links, failures, shard.spill_bytes,
+        "deduped", wid, links, failures,
         {
             "explored": ws.explored,
             "transitions": ws.transitions,
@@ -563,12 +570,11 @@ class ShmEngine(Expander):
         deduped = self._collect("deduped")
 
         failures: list = []
-        for _kind, wid, _links, worker_failures, _spilled, counters in deduped:
+        for _kind, wid, _links, worker_failures, counters in deduped:
             failures.extend(worker_failures)
             ctx.worker_states[wid] += counters["explored"]
             for name, value in counters.items():
                 setattr(ctx, name, getattr(ctx, name) + value)
-        ctx.spill_bytes = sum(msg[4] for msg in deduped)
         if failures:
             return None, self._report_failure(failures)
 

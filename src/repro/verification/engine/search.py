@@ -334,15 +334,12 @@ class ParallelBreadthFirst(SearchStrategy):
 
 
 def resolve_strategy(spec, *, processes: int | None = None) -> SearchStrategy:
-    """Map a strategy name (or pass through an instance) to a strategy."""
-    if isinstance(spec, SearchStrategy):
-        return spec
-    name = str(spec).lower()
-    if name in ("bfs", "breadth-first"):
+    """Map a strategy name to a strategy."""
+    if spec == "bfs":
         return BreadthFirst()
-    if name in ("dfs", "depth-first"):
+    if spec == "dfs":
         return DepthFirst()
-    if name in ("parallel", "parallel-bfs"):
+    if spec == "parallel":
         return ParallelBreadthFirst(processes=processes)
     raise ValueError(
         f"unknown search strategy {spec!r} (expected 'bfs', 'dfs' or 'parallel')"

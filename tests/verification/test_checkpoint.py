@@ -250,16 +250,16 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [-1, 4])
+    @pytest.mark.parametrize("version", [-1, 4, 5])
     @pytest.mark.parametrize("fingerprint", ["kept", "foreign"])
     def test_stale_payload_version(self, saved_checkpoint, version, fingerprint):
         """An intact file (its checksum holds) of another payload version
-        -- the previous one included: no reader is kept for it.  Version 4
-        kept the hash-compaction flag in its store snapshot and its
-        fingerprint material, so its fingerprint never matches one taken
-        now: the refusal names the version, not a different search
-        configuration."""
-        assert CHECKPOINT_VERSION == 5
+        -- the previous ones included: no reader is kept for any.  Version 5
+        kept the deadlock-check flag in its fingerprint material and
+        version 4 the hash-compaction flag as well, so neither fingerprint
+        matches one taken now: the refusal names the version, not a
+        different search configuration."""
+        assert CHECKPOINT_VERSION == 6
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
@@ -271,7 +271,7 @@ class TestMismatchRejection:
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
         with pytest.raises(CheckpointMismatch,
-                           match=f"version {version}, expected 5") as refused:
+                           match=f"version {version}, expected 6") as refused:
             verify(system, max_states=40_000, checkpoint=path)
         assert "configuration" not in str(refused.value)
 

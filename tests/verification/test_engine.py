@@ -104,20 +104,24 @@ class TestStrategies:
 
     def test_resolve_strategy(self):
         assert isinstance(resolve_strategy("bfs"), BreadthFirst)
-        assert isinstance(resolve_strategy("depth-first"), DepthFirst)
+        assert isinstance(resolve_strategy("dfs"), DepthFirst)
         parallel = resolve_strategy("parallel", processes=3)
         assert isinstance(parallel, ParallelBreadthFirst)
         assert parallel.processes == 3
-        strategy = DepthFirst()
-        assert resolve_strategy(strategy) is strategy
         with pytest.raises(ValueError):
             resolve_strategy("bogo-search")
 
-    def test_strategy_instance_accepted_by_verify(self, msi_nonstalling):
+    ALIASES = ["breadth-first", "depth-first", "parallel-bfs", "BFS"]
+
+    @pytest.mark.parametrize("spec", [*ALIASES, DepthFirst()],
+                             ids=[*ALIASES, "instance"])
+    def test_only_the_three_names_are_strategies(self, msi_nonstalling, spec):
+        """No alias, no other case and no instance: the error names the
+        three strategies there are."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1))
-        result = verify(system, strategy=DepthFirst())
-        assert result.ok and result.strategy == "dfs"
+        with pytest.raises(ValueError, match="'bfs', 'dfs' or 'parallel'"):
+            verify(system, strategy=spec)
 
     def test_parallel_truncation_is_bounded(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,
@@ -189,16 +193,15 @@ class TestBackwardCompatibility:
         assert result.transitions_explored == 3078
         assert not result.symmetry_reduced
 
-    def test_verify_takes_ten_keywords(self):
+    def test_verify_takes_eight_keywords(self):
         """Every keyword earns its place; one more is a deliberate edit
         here, not a drive-by."""
         import inspect
 
         params = inspect.signature(verify).parameters
         assert list(params) == [
-            "system", "invariants", "max_states", "check_deadlock",
-            "deadlock", "symmetry", "strategy", "processes", "kernel",
-            "checkpoint", "spill_dir",
+            "system", "invariants", "max_states", "deadlock", "symmetry",
+            "strategy", "processes", "kernel", "checkpoint",
         ]
         assert all(p.kind is p.KEYWORD_ONLY for p in list(params.values())[1:])
 
@@ -467,9 +470,10 @@ class TestSearchStats:
 
     def test_forked_parallel_run_reports_worker_telemetry(self, msi_nonstalling):
         """A search on the shared-memory fleet must say what the workers
-        did: states expanded per worker, chunks stolen beyond the
-        one-per-worker baseline, and bytes spilled (zero without a
-        spill dir)."""
+        did: states expanded per worker and chunks stolen beyond the
+        one-per-worker baseline.  Those two are the only keys it adds to an
+        in-process search's: a worker's visited set is one in-memory digest
+        set, with no disk tier to report on."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, symmetry=True, strategy="parallel", processes=2)
@@ -481,7 +485,8 @@ class TestSearchStats:
         # Nothing is stolen under the hash partition (the key stays for the
         # bench harness, which sums it).
         assert stats["steal_count"] == 0
-        assert stats["spill_bytes"] == 0
+        serial = verify(system, symmetry=True).stats
+        assert stats.keys() - serial.keys() == {"steal_count", "worker_states"}
         assert stats["resume_level"] is None
         # One round per BFS level; with two owners some, but
         # fewer than all, candidates cross to the other shard.
@@ -498,7 +503,6 @@ class TestSearchStats:
         result = verify(system, symmetry=True)
         assert "worker_states" not in result.stats
         assert "steal_count" not in result.stats
-        assert "spill_bytes" not in result.stats
         assert result.stats["round_count"] is None
         assert result.stats["cross_shard_share"] is None
         assert result.stats["resume_level"] is None

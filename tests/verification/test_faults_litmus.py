@@ -645,6 +645,9 @@ class TestLitmusMutantsCatchInjectedBugs:
 
 
 class TestSymmetryComposition:
+    """``verify(symmetry=True)`` is the one place symmetry is asked for, and
+    it rejects the unsupported combinations with an error naming each."""
+
     def test_faulted_search_reduces_with_identical_verdict(self, msi_nonstalling):
         make = lambda: System(msi_nonstalling, num_caches=3,
                               workload=Workload(max_accesses_per_cache=1),
@@ -671,7 +674,7 @@ class TestSymmetryComposition:
                         workload=Workload(max_accesses_per_cache=1),
                         num_addresses=2)
         assert not system.supports_symmetry
-        with pytest.raises(ValueError, match="symmetry"):
+        with pytest.raises(ValueError, match="num_addresses=2"):
             verify(system, symmetry=True)
 
     def test_litmus_symmetry_is_rejected(self, msi_nonstalling):
@@ -680,52 +683,19 @@ class TestSymmetryComposition:
         test = store_buffering()
         system = System(msi_nonstalling, num_caches=2, workload=test.workload)
         assert not system.supports_symmetry
-        with pytest.raises(ValueError, match="symmetry"):
+        with pytest.raises(ValueError, match="litmus"):
             verify(system, symmetry=True, invariants=test.invariants())
+
+    def test_system_takes_no_symmetry_argument(self, msi_nonstalling):
+        with pytest.raises(TypeError, match="symmetry"):
+            System(msi_nonstalling, num_caches=3,
+                   workload=Workload(max_accesses_per_cache=1), symmetry=True)
 
     def test_faults_alone_keep_symmetry_support(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1),
                         faults=FaultModel(duplicate=True))
         assert system.supports_symmetry
-
-
-class TestSymmetryRejectedAtConstruction:
-    """Declaring symmetry intent on the ``System`` itself fails fast: the
-    unsupported combinations raise at construction with a message naming
-    the combination, instead of surfacing mid-verify."""
-
-    def test_multi_address_symmetry_raises_at_construction(
-        self, msi_nonstalling
-    ):
-        with pytest.raises(ValueError, match="num_addresses=2"):
-            System(msi_nonstalling, num_caches=2,
-                   workload=Workload(max_accesses_per_cache=1),
-                   num_addresses=2, symmetry=True)
-
-    def test_litmus_symmetry_raises_at_construction(self, msi_nonstalling):
-        from repro.verification import store_buffering
-
-        test = store_buffering()
-        with pytest.raises(ValueError, match="litmus"):
-            System(msi_nonstalling, num_caches=2, workload=test.workload,
-                   symmetry=True)
-
-    def test_verify_error_names_the_combination(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1),
-                        num_addresses=2)
-        with pytest.raises(ValueError, match="num_addresses=2"):
-            verify(system, symmetry=True)
-
-    def test_constructed_symmetry_intent_flows_into_verify(
-        self, msi_nonstalling
-    ):
-        system = System(msi_nonstalling, num_caches=3,
-                        workload=Workload(max_accesses_per_cache=1),
-                        symmetry=True)
-        result = verify(system)  # no explicit symmetry argument
-        assert result.ok and result.symmetry_reduced
 
     def test_random_walk_coverage_rejects_unsupported_symmetry(
         self, msi_nonstalling

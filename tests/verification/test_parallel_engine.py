@@ -7,8 +7,8 @@ link columns) and the sharded checkpoint.
 
 Contracts under test:
 
-* count parity with the serial engine across the symmetry / kernel / spill
-  axes and two fleet sizes (the engine shares the serial
+* count parity with the serial engine across the symmetry / kernel axes
+  and two fleet sizes (the engine shares the serial
   search's canonical frames, so states, transitions and complete-state
   counts must match exactly);
 * failure verdicts (protocol error, SWMR violation, deadlock) survive the
@@ -19,8 +19,6 @@ Contracts under test:
 * determinism: nothing is claimed or stolen, so two runs at one worker
   count agree on per-worker counts, every stored trace link and every
   failure trace;
-* cold visited-set partitions spill to disk when a ``spill_dir`` is given
-  (forced here with a tiny threshold) without changing any count;
 * a sharded checkpoint resumes under a *different* worker count -- the
   digest dumps are re-sharded on seed and the pending pairs re-dealt by
   owner -- and still lands on the serial totals;
@@ -39,7 +37,6 @@ import pytest
 from repro.system import System, Workload
 from repro.verification import verify
 from repro.verification.engine import parallel as parallel_mod
-from repro.verification.engine.shard import SpillableKeySet
 
 from verification_helpers import (
     MessageDroppingSystem,
@@ -72,21 +69,17 @@ PARITY_MODES = [
     dict(symmetry=True),
     dict(kernel="object"),
     dict(symmetry=True, kernel="object"),
-    dict(spill_dir=True),  # stands for the test's tmp_path
 ]
 
 
 @pytest.mark.parametrize("processes", [2, 3])
 @pytest.mark.parametrize("mode", PARITY_MODES, ids=lambda m: "-".join(
     f"{k}={v}" for k, v in m.items()) or "compiled")
-def test_forked_search_matches_serial_counts(msi_nonstalling, tmp_path, mode,
-                                             processes):
+def test_forked_search_matches_serial_counts(msi_nonstalling, mode, processes):
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    mode = dict(mode)
-    fleet_only = {"spill_dir": str(tmp_path)} if mode.pop("spill_dir", None) else {}
     serial = verify(system, **mode)
-    result = on_the_fleet(system, processes=processes, **mode, **fleet_only)
+    result = on_the_fleet(system, processes=processes, **mode)
 
     assert result.ok == serial.ok is True
     assert result.states_explored == serial.states_explored
@@ -162,29 +155,6 @@ class TestForkedFailureVerdicts:
         result = failing_twice(system)
         assert result.deadlock
         replay_and_check(system, result)
-
-
-def test_spill_dir_bounds_shards_without_changing_counts(
-        msi_nonstalling, tmp_path, monkeypatch):
-    """A tiny spill threshold forces every worker shard onto the cold tier;
-    membership answers must come back from the sorted disk runs with the
-    same totals, and the spilled bytes must be reported."""
-    class TinySpill(SpillableKeySet):
-        def __init__(self, spill_dir=None, **kwargs):
-            kwargs.setdefault("spill_threshold", 64)
-            super().__init__(spill_dir, **kwargs)
-
-    monkeypatch.setattr(parallel_mod, "SpillableKeySet", TinySpill)
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    serial = verify(system, symmetry=True)
-    result = on_the_fleet(system, symmetry=True, spill_dir=str(tmp_path))
-
-    assert result.ok
-    assert result.states_explored == serial.states_explored
-    assert result.transitions_explored == serial.transitions_explored
-    assert result.complete_states == serial.complete_states
-    assert result.stats["spill_bytes"] > 0
 
 
 def test_sharded_checkpoint_resumes_under_different_worker_count(
