@@ -75,28 +75,25 @@ def test_stalling_msi_three_caches_full_unreduced_kernel_axis(generated):
     """The full (unreduced) 174 189-state Murphi configuration, run once per
     transition kernel: the reference workload for the backend ladder.
     (The count moved from the 158 007 pinned at compiled-kernel time when
-    fault hardening grew the generated protocols.)  Each backend must
-    reproduce the object executor's exploration exactly; how fast each one
-    does it is ``bench/``'s ``full-3c`` vs ``full-3c-vec``."""
+    fault hardening grew the generated protocols.)  Both backends must
+    explore it exactly alike; how fast each one does it is ``bench/``'s
+    ``full-3c`` vs ``full-3c-vec``."""
     protocol = generated[("MSI", "stalling")]
     system = System(protocol, num_caches=3,
                     workload=Workload(max_accesses_per_cache=2))
 
     compiled = verify(system)
-    objected = verify(system, kernel="object")
     vectorized = verify(system, kernel="vectorized")
 
     banner("E7 -- stalling MSI, 3 caches x 2 accesses (full, kernel axis)")
     print(f"  compiled kernel   : {compiled.summary}")
-    print(f"  object kernel     : {objected.summary}")
     print(f"  vectorized kernel : {vectorized.summary}")
 
-    assert compiled.ok and objected.ok and vectorized.ok
+    assert compiled.ok and vectorized.ok
     assert vectorized.kernel == "vectorized"
-    assert (compiled.states_explored == objected.states_explored
-            == vectorized.states_explored == 174_189)
-    assert (compiled.transitions_explored == objected.transitions_explored
-            == vectorized.transitions_explored == 449_079)
+    assert compiled.states_explored == vectorized.states_explored == 174_189
+    assert (compiled.transitions_explored == vectorized.transitions_explored
+            == 449_079)
     assert vectorized.stats["fallback_transitions"] == 0
     # What the batch kernel's plan tables hold at the end: one entry per
     # distinct network section and per distinct (section, delivered record,

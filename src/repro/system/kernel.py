@@ -87,6 +87,9 @@ AMBIGUOUS = object()
 #: Compiled invariant codes accepted by :meth:`TransitionKernel.check`.
 INV_SWMR = "swmr"
 INV_SINGLE_OWNER = "single_owner"
+#: Code of a predicate with no encoded evaluator: ``check`` never vouches
+#: for it, so the caller decodes the state and runs the predicate itself.
+INV_DECODED = "decoded"
 
 #: The default invariant pair, fused into one pass by :meth:`TransitionKernel.check`.
 #: Public under ``DEFAULT_CODES`` so the vectorized kernel's batch
@@ -1160,6 +1163,7 @@ class TransitionKernel:
         invariant arrives as the tuple code ``("litmus", clauses)`` with each
         clause a tuple of ``(cache_id, addr, version)`` observations, and
         fires only on complete states where some clause matches in full.
+        :data:`INV_DECODED` always reads False.
         """
         permission = self.spec.cache.permission
         stable = self.spec.cache.stable
@@ -1184,6 +1188,8 @@ class TransitionKernel:
             return True
         complete = None  # lazily evaluated, shared across litmus codes
         for code in codes:
+            if code == INV_DECODED:
+                return False
             if code == INV_SWMR:
                 for addr in range(self.num_addresses):
                     plane = addr * stride
@@ -1225,5 +1231,6 @@ __all__ = [
     "AMBIGUOUS",
     "INV_SWMR",
     "INV_SINGLE_OWNER",
+    "INV_DECODED",
     "DEFAULT_CODES",
 ]

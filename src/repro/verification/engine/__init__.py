@@ -4,12 +4,12 @@ The engine is the repo's Murphi stand-in.  One loop searches; everything
 else plugs into it:
 
 * :mod:`~repro.verification.engine.driver` -- the one search loop (budget
-  clip, checkpoint save, depth counter) and the two per-state expanders,
-  object and compiled;
+  clip, checkpoint save, depth counter) and the one per-state expander,
+  on the compiled kernel;
 * :mod:`~repro.verification.engine.search` -- the strategies (BFS, DFS,
   parallel BFS: which frontier order and which expander the driver gets)
   and the vectorized batch expander;
-* :mod:`~repro.verification.engine.parallel` -- the fourth expander, a
+* :mod:`~repro.verification.engine.parallel` -- the third expander, a
   fleet of forked workers in owner-computes rounds: a state is deduped,
   checked, kept and expanded by the worker that owns its digest (one
   in-memory digest set per worker), only foreign successors cross a

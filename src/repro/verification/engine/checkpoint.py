@@ -40,7 +40,8 @@ import pickle
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
 #: 6: the fingerprint material lost the (now always-on) deadlock-check flag.
-CHECKPOINT_VERSION = 6
+#: 7: ... and the (now always-compiled) transition-kernel flag.
+CHECKPOINT_VERSION = 7
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32
@@ -71,7 +72,6 @@ def fingerprint(ctx) -> str:
         repr(system.workload),
         len(ctx.perms) if ctx.perms is not None else 0,
         ctx.vkernel is not None,
-        ctx.kernel is not None,
         ctx.strategy_name,
         tuple(getattr(inv, "__name__", repr(inv)) for inv in ctx.invariants),
         ctx.check_workload_deadlock,

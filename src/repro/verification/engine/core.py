@@ -68,10 +68,10 @@ class VerificationResult:
     #: Name of the search strategy that produced this result.
     strategy: str = "bfs"
     #: Which transition backend expanded states: "compiled" (the lowered
-    #: table kernel over encoded states, one state at a time), "vectorized"
-    #: (the same tables over whole BFS levels as NumPy matrices of IDs) or
-    #: "object" (the dataclass executor).
-    kernel: str = "object"
+    #: table kernel over encoded states, one state at a time) or
+    #: "vectorized" (the same tables over whole BFS levels as NumPy
+    #: matrices of IDs).
+    kernel: str = "compiled"
     #: Measured search breakdown, so bottleneck claims come from numbers
     #: instead of inference: ``kernel`` / ``strategy`` (the backends that
     #: ran), ``decode_count`` (``GlobalState`` decodes across the search,
@@ -168,8 +168,8 @@ class Exploration:
         store: StateStore,
         max_states: int,
         strategy_name: str,
-        kernel=None,
-        kernel_codes: tuple[str, ...] | None = None,
+        kernel,
+        kernel_codes: tuple[str | tuple, ...],
         check_workload_deadlock: bool = False,
         vkernel=None,
         checkpoint_path: str | None = None,
@@ -181,21 +181,21 @@ class Exploration:
         self.store = store
         self.max_states = max_states
         self.strategy_name = strategy_name
-        #: Compiled :class:`~repro.system.kernel.TransitionKernel`, or None
-        #: to interpret the object model (``System.apply``) directly.
+        #: Compiled :class:`~repro.system.kernel.TransitionKernel`: every
+        #: search expands states on it.
         self.kernel = kernel
-        #: Encoded evaluator codes for ``invariants`` (compiled mode only).
+        #: Encoded evaluator codes for ``invariants``
+        #: (:func:`~repro.verification.invariants.compiled_invariant_codes`).
         self.kernel_codes = kernel_codes
         #: Report quiescent states that still hold unissued workload budget
         #: as deadlocks (``verify(..., deadlock=True)``).
         self.check_workload_deadlock = check_workload_deadlock
         #: :class:`~repro.system.vectorized.VectorizedKernel` for the
-        #: frontier-batch BFS, or None.  Requires ``kernel`` (the compiled
-        #: kernel stays on as the memo-miss oracle and the fallback).
+        #: frontier-batch BFS, or None.  The compiled kernel stays on as the
+        #: memo-miss oracle and the fallback.
         self.vkernel = vkernel
-        #: Set by the expander that actually ran ("vectorized") to override
-        #: the kernel/backed-off naming in :meth:`_result`; None means the
-        #: compiled/object naming applies.
+        #: Set by the expander that actually ran ("vectorized"); None means
+        #: the compiled kernel ran.
         self.kernel_name: str | None = None
         #: Batch telemetry (vectorized searches): levels expanded as one
         #: batch, total rows across those batches, and the split of applied
@@ -288,12 +288,10 @@ class Exploration:
         sigma = links[0][1]
         events: list[SystemEvent] = []
         decode_event = self.codec.decode_event
-        for event, perm in links[1:]:
-            assert event is not None
-            if not isinstance(event, SystemEvent):
-                # The hot path stores codec event encodings; traces are the
-                # only consumer, so they decode lazily -- here, on failure.
-                event = decode_event(event)
+        for eev, perm in links[1:]:
+            # The store holds codec event encodings; traces are their only
+            # consumer, so they decode lazily -- here, on failure.
+            event = decode_event(eev)
             events.append(relabel_event(event, None if sigma is None else invert(sigma)))
             if perm is not None:
                 sigma = perm if sigma is None else compose(perm, sigma)
@@ -306,9 +304,7 @@ class Exploration:
     # -- result constructors -----------------------------------------------------
     def _result(self, ok: bool, **kwargs) -> VerificationResult:
         elapsed = time.perf_counter() - self.start
-        kernel = self.kernel_name or (
-            "compiled" if self.kernel is not None else "object"
-        )
+        kernel = self.kernel_name or "compiled"
         stats = {
             "kernel": kernel,
             "strategy": self.strategy_name,
@@ -436,37 +432,25 @@ class Exploration:
 
 
 def _resolve_kernel(system, kernel, invariant_tuple):
-    """Resolve the ``kernel=`` argument to ``(TransitionKernel | None, codes)``.
+    """``(TransitionKernel, codes)`` for the ``kernel=`` argument.
 
-    "compiled" falls back to the object backend -- silently, because the two
-    backends are pinned to identical exploration -- whenever the compiled
-    fast path cannot reproduce the object semantics exactly:
-
-    * *system* is a ``System`` subclass (tests and tooling override event
-      enumeration or application);
-    * an invariant has no encoded evaluator
-      (:func:`repro.verification.invariants.compiled_invariant_codes`);
-    * the protocol uses a construct the table form cannot express
-      (:class:`repro.core.fsm.CompilationUnsupported`).
+    Every search runs on the compiled tables, so what they cannot stand for
+    is refused rather than run some other way: a ``System`` subclass (its
+    ``enabled_events`` / ``apply`` overrides are not in the tables) raises
+    ``TypeError``, and a protocol the table form cannot express raises
+    :class:`~repro.core.fsm.CompilationUnsupported` from ``system.kernel()``.
     """
-    if kernel == "object":
-        return None, None
     if kernel not in ("compiled", "vectorized"):
         raise ValueError(
-            f"unknown kernel {kernel!r} "
-            "(expected 'compiled', 'vectorized' or 'object')"
+            f"unknown kernel {kernel!r} (expected 'compiled' or 'vectorized')"
         )
     if type(system) is not System:
-        return None, None
-    codes = compiled_invariant_codes(invariant_tuple)
-    if codes is None:
-        return None, None
-    from repro.core.fsm import CompilationUnsupported
-
-    try:
-        return system.kernel(), codes
-    except CompilationUnsupported:
-        return None, None
+        raise TypeError(
+            f"verify() runs the compiled transition tables, which would "
+            f"ignore {type(system).__name__}'s enabled_events / apply "
+            "overrides; pass a plain System"
+        )
+    return system.kernel(), compiled_invariant_codes(invariant_tuple)
 
 
 def _is_litmus(system: System) -> bool:
@@ -535,12 +519,13 @@ def verify(
         ``"compiled"`` (default) expands states with the compiled transition
         kernel (:mod:`repro.system.kernel`): the generated protocol is
         lowered to integer dispatch tables at setup and successors, events
-        and invariant verdicts are computed directly on encoded states --
-        the exploration (order, counts, verdicts, traces) is bit-identical
-        to the object backend, just faster.  ``"object"`` forces the
-        dataclass executor; the compiled mode also falls back to it
-        automatically for ``System`` subclasses, unrecognized invariant
-        callables, or protocols the table form cannot express.
+        and invariant verdicts are computed directly on encoded states.  An
+        invariant with no encoded evaluator still runs: each new state is
+        decoded for it.  Every search runs on these tables, so a ``System``
+        subclass (whose ``enabled_events`` / ``apply`` overrides the tables
+        would ignore) raises ``TypeError``, and a protocol the table form
+        cannot express raises
+        :class:`~repro.core.fsm.CompilationUnsupported`.
         ``"vectorized"`` expands whole frontier levels at once as NumPy
         operations over a 2-D matrix of hash-consed block, version and
         section IDs (:mod:`repro.system.vectorized`);
@@ -588,11 +573,7 @@ def verify(
     kernel_impl, kernel_codes = _resolve_kernel(system, kernel, invariant_tuple)
     vkernel = None
     # Only BFS batches whole levels; DFS and the fleet expand per state.
-    if (
-        kernel == "vectorized"
-        and kernel_impl is not None
-        and strat.name == BreadthFirst.name
-    ):
+    if kernel == "vectorized" and strat.name == BreadthFirst.name:
         from repro.system.vectorized import VectorizedUnavailable
 
         try:

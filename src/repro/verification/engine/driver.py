@@ -13,18 +13,19 @@ Every strategy, backend and worker process runs the same two pieces:
   it *is* the native one: a state at rest is the ``bytes`` the store keys
   on, unpacked into lanes only while it is expanded, so no lane tuple
   outlives a level.  The expanders whose native level is something else
-  (decoded objects, a row matrix, per-owner counts) convert with ``lift``
-  / ``lower``.  A native level is a list, or anything else with ``len()``
-  and slicing.
+  (a row matrix, per-owner counts) convert with ``lift`` / ``lower``.  A
+  native level is a list, or anything else with ``len()`` and slicing.
 
-:class:`ObjectExpander` and :class:`CompiledExpander` hold the only two
-per-state bodies in ``src/`` (enabled events -> leaf verdict -> apply ->
-pack -> canonicalize -> intern -> invariant check); ``intern`` is the only
-dedup a successor meets.
+:class:`CompiledExpander` holds the only per-state body in ``src/``
+(enabled plans -> leaf verdict -> apply -> pack -> canonicalize -> intern
+-> invariant check); ``intern`` is the only dedup a successor meets.
+``System.apply`` is not on the search path: the body calls it only to
+replay the one transition the kernel declines (an error), and the dataclass
+oracle the body is checked against lives in the tests.
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
-fourth expander in the parent (its native level is a count per owner) and
-a *user* of the per-state ones in every worker, against a context whose
+third expander in the parent (its native level is a count per owner) and
+a *user* of the per-state one in every worker, against a context whose
 ``store.intern`` is the shard sink
 (:mod:`~repro.verification.engine.parallel`).  This module imports neither,
 so both can import it.
@@ -108,15 +109,16 @@ class Expander:
         return None
 
 
-class _PerState(Expander):
-    """What the two per-state bodies share: the symmetry plumbing, the leaf
-    verdict and the object-level invariant walk.  ``quiescent`` /
-    ``unfinished`` take whatever form of a state the body expands."""
+class CompiledExpander(Expander):
+    """Per-state expansion on the compiled kernel.  The native level is the
+    portable one -- ``(state_id, packed_key)`` pairs whose key is the very
+    ``bytes`` object the store keys on -- so ``lift``/``lower`` are the
+    base-class identity and a checkpoint saves the frontier as it stands.
+    Nothing decodes until a failure is reported (asserted by the codec's
+    ``decode_count`` instrumentation)."""
 
-    def __init__(self, ctx, quiescent, unfinished):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.quiescent = quiescent
-        self.unfinished = unfinished
         self.canonicalizer = (
             canonicalizer_for(ctx.codec, ctx.perms)
             if ctx.perms is not None
@@ -128,126 +130,39 @@ class _PerState(Expander):
             else None
         )
 
-    def leaf(self, sid, state):
-        """Verdict for a state with no enabled events (failure or None).
+    def leaf(self, sid, enc):
+        """Verdict for a state (its lanes *enc*) with no enabled events
+        (failure or None).
 
         Fine if nothing is actually outstanding (quiescent); otherwise it
         is a deadlock.  A quiescent state that still holds workload budget
         can never absorb it -- reported only under ``deadlock=True``.
         """
         ctx = self.ctx
-        if self.quiescent(state):
-            if ctx.check_workload_deadlock and self.unfinished(state):
+        if ctx.kernel.is_quiescent(enc):
+            if ctx.check_workload_deadlock and ctx.kernel.workload_remaining(enc):
                 return ctx.failure(deadlock=True, leaf_id=sid)
             ctx.complete_states += 1
             return None
         return ctx.failure(deadlock=True, leaf_id=sid)
 
-    def violation(self, state):
-        """The first invariant violation of a native level payload --
-        whatever ``lift`` pairs with a state ID; here a decoded *state* --
-        or None.  The one seam for a caller that holds a state only as its
-        packed key (the fleet's owners): lift the key, pass the payload."""
+    def violation(self, key):
+        """The first invariant violation of the state packed as *key*, or
+        None.  The kernel's encoded check answers first; where it does not
+        vouch for the state (a violation, or a predicate with no encoded
+        evaluator) the state is decoded and every invariant walked in
+        order.  The one seam for a caller that holds a state only as its
+        packed key (the fleet's owners)."""
         ctx = self.ctx
+        enc = ctx.codec.unpack(key)
+        if ctx.kernel.check(enc, ctx.kernel_codes):
+            return None
+        state = ctx.codec.decode(enc)
         for invariant in ctx.invariants:
             violation = invariant(ctx.system, state)
             if violation is not None:
                 return violation
         return None
-
-
-class ObjectExpander(_PerState):
-    """Per-state expansion through ``System.apply`` (the differential
-    oracle's body, and the backend of ``System`` subclasses).
-
-    The frontier holds decoded canonical state objects (expansion needs
-    them); the visited set holds only packed encodings.  With symmetry off
-    the raw successor *is* canonical, so no state is ever re-decoded; with
-    symmetry on, only genuinely new representatives that changed under
-    relabeling pay a decode.
-    """
-
-    def __init__(self, ctx):
-        system = ctx.system
-        super().__init__(
-            ctx, system.is_quiescent, lambda state: not system.is_complete(state)
-        )
-
-    def lift(self, pairs):
-        decode_packed = self.ctx.codec.decode_packed
-        return [(sid, decode_packed(key)) for sid, key in pairs]
-
-    def lower(self, level):
-        codec = self.ctx.codec
-        return [(sid, codec.pack(codec.encode(state))) for sid, state in level]
-
-    def expand(self, level):
-        ctx = self.ctx
-        system = ctx.system
-        codec = ctx.codec
-        identity = ctx.perms[0] if ctx.perms is not None else None
-        canonicalize = self.canonicalize
-        encode_packed = codec.encode_packed
-        intern = ctx.store.intern
-        successors: list = []
-        # Consume the level rather than iterate it: each expanded state is
-        # released at once, so one level is resident, not two.
-        level.reverse()
-        while level:
-            sid, state = level.pop()
-            ctx.explored += 1
-            events = system.enabled_events(state)
-            if not events:
-                failure = self.leaf(sid, state)
-                if failure is not None:
-                    return None, failure
-                continue
-            for event in events:
-                ctx.transitions += 1
-                outcome = system.apply(state, event)
-                if outcome.error is not None:
-                    return None, ctx.failure(
-                        error=outcome.error, leaf_id=sid, final_event=event
-                    )
-                successor = outcome.state
-                key = encode_packed(successor)
-                perm = None
-                if canonicalize is not None:
-                    start = perf_counter()
-                    key, perm = canonicalize(key)
-                    ctx.canon_seconds += perf_counter() - start
-                new_id, is_new = intern(key, sid, event, perm)
-                if not is_new:
-                    continue
-                if perm is not None and perm != identity:
-                    # Relabeled: a decode, now that it turned out new.
-                    successor = codec.decode_packed(key)
-                violation = self.violation(successor)
-                if violation is not None:
-                    return None, ctx.failure(violation=violation, leaf_id=new_id)
-                successors.append((new_id, successor))
-        return successors, None
-
-
-class CompiledExpander(_PerState):
-    """Per-state expansion on the compiled kernel.  The native level is the
-    portable one -- ``(state_id, packed_key)`` pairs whose key is the very
-    ``bytes`` object the store keys on -- so ``lift``/``lower`` are the
-    base-class identity and a checkpoint saves the frontier as it stands.
-    Nothing decodes until a failure is reported (asserted by the codec's
-    ``decode_count`` instrumentation)."""
-
-    def __init__(self, ctx):
-        super().__init__(
-            ctx, ctx.kernel.is_quiescent, ctx.kernel.workload_remaining
-        )
-
-    def violation(self, key):
-        ctx = self.ctx
-        enc = ctx.codec.unpack(key)
-        if ctx.kernel.check(enc, ctx.kernel_codes):
-            return None
-        return super().violation(ctx.codec.decode(enc))
 
     def expand(self, level):
         ctx = self.ctx
@@ -261,7 +176,9 @@ class CompiledExpander(_PerState):
         enabled = ctx.kernel.enabled
         check = ctx.kernel.check
         successors: list = []
-        level.reverse()  # consumed, like the object body's
+        # Consume the level rather than iterate it: each expanded state is
+        # released at once, so one level is resident, not two.
+        level.reverse()
         while level:
             sid, packed = level.pop()
             ctx.explored += 1
@@ -279,9 +196,8 @@ class CompiledExpander(_PerState):
                 if succ is None:
                     # The kernel returns None instead of reproducing error
                     # behaviour; replaying the single event through
-                    # ``System.apply`` yields the exact seed-identical error
-                    # (or, for benign corner cases, the successor state) --
-                    # the object executor is the oracle.
+                    # ``System.apply`` yields the exact error (or, for
+                    # benign corner cases, the successor state).
                     event = codec.decode_event(plan[1])
                     outcome = ctx.system.apply(codec.decode(enc), event)
                     if outcome.error is not None:
@@ -314,10 +230,4 @@ class CompiledExpander(_PerState):
         return successors, None
 
 
-def per_state_expander(ctx) -> _PerState:
-    """The per-state expander for *ctx*'s transition backend."""
-    return CompiledExpander(ctx) if ctx.kernel is not None else ObjectExpander(ctx)
-
-
-__all__ = ["CompiledExpander", "Expander", "ObjectExpander", "drive",
-           "per_state_expander", "start_point"]
+__all__ = ["CompiledExpander", "Expander", "drive", "start_point"]

@@ -1,7 +1,7 @@
 """The shared-memory parallel BFS engine: owner-computes rounds over a
 digest-partitioned state space, and a parent that never sees a key.
 
-:class:`ShmEngine` is the driver's fourth expander: its ``expand`` is one
+:class:`ShmEngine` is the driver's third expander: its ``expand`` is one
 *round* -- one frontier level expanded by a fleet of forked workers -- and
 :func:`~repro.verification.engine.driver.drive` supplies the budget,
 checkpoint and verdict semantics of level-synchronous BFS exactly as it
@@ -16,10 +16,11 @@ does for the in-process expanders.  The layout is parallel Murphi's:
   for a given worker count state IDs, per-worker counts and traces repeat
   exactly from run to run.
 
-* **The same per-state bodies.**  A worker expands its level with the
-  ordinary per-state expander against a :class:`_WorkerState` that
-  duck-types the exploration context: its ``store.intern`` is the sink
-  below, its ``failure`` records coordinates instead of building a result.
+* **The same per-state body.**  A worker expands its level with the
+  ordinary :class:`~repro.verification.engine.driver.CompiledExpander`
+  against a :class:`_WorkerState` that duck-types the exploration context:
+  its ``store.intern`` is the sink below, its ``failure`` records
+  coordinates instead of building a result.
 
 * **Only foreign successors travel.**  A successor the producer owns is
   deduped against its shard at once, invariant-checked on the lanes already
@@ -27,10 +28,9 @@ does for the in-process expanders.  The layout is parallel Murphi's:
   as packed records in the producer's ``multiprocessing.shared_memory``
   bucket arena (grow-only, reused round after round), one span per owner;
   after the round's expand phase every owner walks the spans addressed to
-  it, dedups, lifts the new keys into its expander's native level (for the
-  compiled expander the key itself: a worker's pending states are packed
-  bytes, like the serial frontier) and checks their invariants through the
-  expander's ``violation`` seam.
+  it, dedups, appends the new keys to its pending level (a worker's
+  pending states are packed bytes, like the serial frontier) and checks
+  their invariants through the expander's ``violation`` seam.
 
 * **The parent is off the data path.**  Per round and worker it receives a
   count and three packed link columns -- parent ID, index into the worker's
@@ -67,7 +67,7 @@ from array import array
 from multiprocessing import shared_memory
 
 from repro.system.codec import LaneOverflow
-from repro.verification.engine.driver import Expander, drive, per_state_expander
+from repro.verification.engine.driver import CompiledExpander, Expander, drive
 
 #: Digest width in bytes (128 bits).
 DIGEST_BYTES = 16
@@ -161,7 +161,7 @@ class _FleetLevel:
 class _WorkerState:
     """Per-process expansion context (built once, after fork).
 
-    Duck-types what a per-state expander uses of an ``Exploration``: the
+    Duck-types what the compiled expander uses of an ``Exploration``: the
     system with a private codec/kernel, the workload-deadlock switch, the
     running counters (here: of the current round), ``store`` (itself -- see
     :meth:`intern`) and :meth:`failure`.  State IDs inside the worker are
@@ -177,14 +177,9 @@ class _WorkerState:
         self.kernel_codes = ctx.kernel_codes
         self.check_workload_deadlock = ctx.check_workload_deadlock
         self.codec = self.system.codec()
-        self.kernel = self.system.kernel() if self.kernel_codes is not None else None
+        self.kernel = self.system.kernel()
         self.perm_index = {perm: i for i, perm in enumerate(self.perms or ())}
         self.perm_index[None] = len(self.perm_index)
-        #: Link-column form of an expander's event: the compiled kernel
-        #: already hands over the encoding.
-        self.encode_event = (
-            self.codec.encode_event if self.kernel is None else lambda eev: eev
-        )
         #: The digests this worker owns: its slice of the visited set.
         digests = (seed_blob[i : i + DIGEST_BYTES]
                    for i in range(0, len(seed_blob), DIGEST_BYTES))
@@ -192,9 +187,8 @@ class _WorkerState:
         self.emitted: set = set()
         self.bucket_arena = _Arena()
         self.store = self
-        self.expander = per_state_expander(self)
-        #: The owned pending level in the expander's native form
-        #: (``(position, packed_key)`` pairs on the compiled kernel), and
+        self.expander = CompiledExpander(self)
+        #: The owned pending level as ``(position, packed_key)`` pairs, and
         #: the store ID of each position in it.
         self.level: list = []
         self.ids = ()
@@ -239,7 +233,7 @@ class _WorkerState:
                 return None, False
             shard.add(digest)
             position = self.accept(
-                self.ids[parent], self.encode_event(event), self.perm_index[perm]
+                self.ids[parent], event, self.perm_index[perm]
             )
             return position, True
         emitted = self.emitted
@@ -248,13 +242,12 @@ class _WorkerState:
         if len(emitted) >= _EMITTED_LIMIT:
             emitted.clear()
         emitted.add(digest)
-        eev = self.encode_event(event)
         self.sent += 1
         self.buckets[owner] += (
             struct.pack(_REC_HEADER, self.ids[parent], self.transitions,
-                        self.perm_index[perm], len(eev), len(key))
+                        self.perm_index[perm], len(event), len(key))
             + digest
-            + struct.pack(f"<{len(eev)}i", *eev)
+            + struct.pack(f"<{len(event)}i", *event)
             + key
         )
         return None, False
@@ -296,10 +289,10 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
             elif op == "base":
                 ws.ids = range(msg[1], msg[1] + len(ws.level))
             elif op == "load":  # a portable level: the root's, or a resumed one
-                ws.ids, ws.level = msg[1], ws.expander.lift(list(enumerate(msg[2])))
+                ws.ids, ws.level = msg[1], list(enumerate(msg[2]))
             elif op == "lower":
-                pairs = ws.expander.lower(ws.level)
-                conn.send(("lowered", wid, [(ws.ids[pos], key) for pos, key in pairs]))
+                pairs = [(ws.ids[pos], key) for pos, key in ws.level]
+                conn.send(("lowered", wid, pairs))
             elif op == "dump":
                 conn.send(("dump", wid, b"".join(ws.shard)))
             elif op == "stop":
@@ -318,7 +311,7 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
 def _worker_expand(ws, limit):
     """Expand the first *limit* states of the owned level.
 
-    The per-state expander keeps the owned new successors (they become the
+    The compiled expander keeps the owned new successors (they become the
     next level) and buckets the foreign ones, which are published through
     the bucket arena for their owners' dedup phase.
     """
@@ -341,17 +334,15 @@ def _worker_dedup(ws, directory):
     """Owner phase: take in the candidates the other workers sent.
 
     Walks every producer's span for this shard in producer order; a record
-    whose digest is genuinely new is inserted, lifted to the expander's
-    native payload, checked through its ``violation`` seam (which takes
-    exactly that payload, whichever expander runs) and appended to the
-    owned next level.  The reply carries the whole round:
+    whose digest is genuinely new is inserted, checked through the
+    expander's ``violation`` seam (which takes the packed key) and appended
+    to the owned next level.  The reply carries the whole round:
     its trace links (owned successors first), its failures, and what it
     adds to the context's counters, by attribute name.
     """
     wid = ws.wid
     shard = ws.shard
     level = ws.level
-    lift = ws.expander.lift
     violation_of = ws.expander.violation
     failures = ws.failures
     for arena_name, spans in directory:
@@ -375,13 +366,13 @@ def _worker_dedup(ws, directory):
                     continue
                 shard.add(digest)
                 eev = struct.unpack_from(f"<{eev_len}i", buf, eev_at)
-                native = lift([(len(level), bytes(buf[key_at:pos]))])[0]
-                violation = violation_of(native[1])
+                key = bytes(buf[key_at:pos])
+                violation = violation_of(key)
                 if violation is not None:
                     failures.append((parent_id, seq, "vio", (violation, eev, perm_idx)))
                     continue
                 ws.accept(parent_id, eev, perm_idx)
-                level.append(native)
+                level.append((len(level), key))
         finally:
             del buf
             shm.close()

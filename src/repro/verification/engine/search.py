@@ -15,20 +15,19 @@ driver (:func:`~repro.verification.engine.driver.drive`) runs.
   per-state footprint stays flat.  Falls back to serial BFS when ``fork``
   is unavailable or fewer than two workers are requested.
 
-There are four expanders.  Two are per-state and live beside the driver:
-the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
-encoded states end-to-end, decoding only to report a failure -- its level
-is the portable ``(state_id, packed_key)`` frontier itself, each key
-unpacked into lanes only while that state is expanded -- and the
-**object backend** interprets ``System.apply`` over dataclass trees (for
-``System`` subclasses and custom invariants).  :class:`VectorizedExpander`
-below expands a whole BFS level as NumPy operations -- its level is a row
+There are three expanders.  The **compiled kernel**
+(:mod:`repro.system.kernel`) is the only per-state one and lives beside the
+driver: it expands encoded states end-to-end, decoding only to report a
+failure -- its level is the portable ``(state_id, packed_key)`` frontier
+itself, each key unpacked into lanes only while that state is expanded.
+:class:`VectorizedExpander` below expands a whole BFS level as NumPy
+operations -- its level is a row
 matrix (a state is a ``uint32`` vector of hash-consed IDs: a block per
 controller, the version, the network section), its visited
 set the store's :class:`~repro.system.rowtable.RowTable` of
 those same rows, so a state is never a packed key on its way from birth to
 rest -- and *is* a compiled expander for every level it cannot express;
-the fourth is the fleet.  All
+the third is the fleet.  All
 visit the same states in the same order, report identically-shaped
 results, and get the same ``max_states`` semantics from the driver: per
 level (a level that would cross the budget is clipped, or saved whole when
@@ -43,12 +42,7 @@ from array import array
 from itertools import repeat
 from time import perf_counter
 
-from repro.verification.engine.driver import (
-    CompiledExpander,
-    drive,
-    per_state_expander,
-    start_point,
-)
+from repro.verification.engine.driver import CompiledExpander, drive, start_point
 from repro.verification.engine.parallel import ShmEngine
 from repro.verification.engine.store import RowTable
 
@@ -107,7 +101,7 @@ class VectorizedExpander(CompiledExpander):
     failing state ID and the trace still match exactly).
 
     A level containing *any* row the batch path cannot express (unexpected
-    message, ambiguous guards, object errors, a tail-memo key field wider
+    message, ambiguous guards, protocol errors, a tail-memo key field wider
     than its bits) replays wholesale through the
     inherited per-state body -- same row order, same per-plan order, its
     keys converted to rows one :meth:`~StateStore.intern` at a time -- which
@@ -280,7 +274,7 @@ class BreadthFirst(SearchStrategy):
         expander = (
             VectorizedExpander(ctx)
             if ctx.vkernel is not None
-            else per_state_expander(ctx)
+            else CompiledExpander(ctx)
         )
         return drive(ctx, expander, *start_point(ctx))
 
@@ -289,7 +283,7 @@ class DepthFirst(SearchStrategy):
     name = "dfs"
 
     def run(self, ctx):
-        return drive(ctx, per_state_expander(ctx), *start_point(ctx), lifo=True)
+        return drive(ctx, CompiledExpander(ctx), *start_point(ctx), lifo=True)
 
 
 def _schedulable_cores() -> int:

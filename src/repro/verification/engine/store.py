@@ -5,8 +5,10 @@ integer ID, and records the search tree column-wise:
 
 * ``parent[id]`` -- ID of the state this one was first reached from (-1 for
   the root);
-* ``event[id]``  -- the :class:`~repro.system.system.SystemEvent` applied to
-  the parent *representative* to reach this state;
+* ``event[id]``  -- the codec encoding
+  (:meth:`~repro.system.codec.StateCodec.encode_event`) of the
+  :class:`~repro.system.system.SystemEvent` applied to the parent
+  *representative* to reach this state;
 * ``perm[id]``   -- the cache permutation that canonicalized the raw
   successor into the stored representative (``None`` when symmetry reduction
   is off or the successor was already canonical).
@@ -39,7 +41,6 @@ from __future__ import annotations
 from array import array
 
 from repro.system.rowtable import RowTable
-from repro.system.system import SystemEvent
 
 from repro.verification.engine.canonical import Permutation
 
@@ -89,7 +90,7 @@ class StateStore:
         self,
         state: object,
         parent: int = NO_PARENT,
-        event: SystemEvent | None = None,
+        event: tuple | None = None,
         perm: Permutation | None = None,
     ) -> tuple[int, bool]:
         """Return ``(id, is_new)``; records the parent link only when new.
@@ -161,7 +162,7 @@ class StateStore:
     def append_link(
         self,
         parent: int,
-        event: SystemEvent | None,
+        event: tuple | None,
         perm: Permutation | None,
     ) -> int:
         """Append a trace link for a key deduplicated *elsewhere*; returns its ID.
@@ -266,7 +267,7 @@ class StateStore:
         else:
             self._ids = {key: state_id for state_id, key in enumerate(keys)}
 
-    def link(self, state_id: int) -> tuple[int, SystemEvent | None, Permutation | None]:
+    def link(self, state_id: int) -> tuple[int, tuple | None, Permutation | None]:
         """The ``(parent_id, event, perm)`` triple recorded for *state_id*."""
         return (
             self._parent[state_id],
@@ -276,9 +277,9 @@ class StateStore:
 
     def chain(
         self, state_id: int
-    ) -> list[tuple[SystemEvent | None, Permutation | None]]:
+    ) -> list[tuple[tuple | None, Permutation | None]]:
         """The root-to-*state_id* sequence of ``(event, perm)`` links."""
-        links: list[tuple[SystemEvent | None, Permutation | None]] = []
+        links: list[tuple[tuple | None, Permutation | None]] = []
         current = state_id
         while current != NO_PARENT:
             parent, event, perm = self.link(current)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.system.kernel import INV_DECODED
 from repro.system.system import GlobalState, System
 
 
@@ -139,15 +140,15 @@ COMPILED_INVARIANTS: dict[Invariant, str] = {
 
 def compiled_invariant_codes(
     invariants: Sequence[Invariant],
-) -> tuple[str | tuple, ...] | None:
+) -> tuple[str | tuple, ...]:
     """Kernel evaluator codes for *invariants*, in order.
 
     Litmus invariants compile to the structured ``("litmus", clauses)`` code
     (the checker is parameterized by its clause table, not its identity).
-
-    Returns ``None`` when any invariant has no encoded evaluator -- the
-    search then runs on the object backend, which calls arbitrary
-    ``(system, state)`` predicates unchanged.
+    Any other predicate gets :data:`~repro.system.kernel.INV_DECODED`, for
+    which :meth:`TransitionKernel.check` never vouches: every new state is
+    then decoded and the ``(system, state)`` predicates are called on it
+    unchanged, so a custom invariant runs on the compiled kernel too.
     """
     codes = []
     for invariant in invariants:
@@ -155,9 +156,6 @@ def compiled_invariant_codes(
             # Litmus checkers are data, not identity: the kernel evaluates
             # the clause table directly on encoded last-observed lanes.
             codes.append(("litmus", invariant.clauses))
-            continue
-        code = COMPILED_INVARIANTS.get(invariant)
-        if code is None:
-            return None
-        codes.append(code)
+        else:
+            codes.append(COMPILED_INVARIANTS.get(invariant, INV_DECODED))
     return tuple(codes)

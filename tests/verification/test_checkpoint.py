@@ -16,9 +16,10 @@ The contract under test (``verify(..., checkpoint=PATH)``):
   instead of silently corrupting the search.
 
 There is one checkpoint shape; what varies is who lowers the frontier into
-it.  Covered here: the per-state expanders under BFS (compiled and object
-kernels, both symmetry modes) and DFS (whose boundary is the exact pop),
-the vectorized expander, and the worker fleet, whose
+it.  Covered here: the per-state expander under BFS (with the default
+invariants and with one the kernel cannot evaluate, both symmetry modes)
+and DFS (whose boundary is the exact pop), the vectorized expander, and
+the worker fleet, whose
 checkpoint carries shard digests in place of store keys (resuming under a
 different worker count is in ``test_parallel_engine.py``).
 """
@@ -36,7 +37,7 @@ from repro.verification import verify
 from repro.verification.engine import CheckpointMismatch
 from repro.verification.engine.checkpoint import CHECKPOINT_VERSION
 
-from verification_helpers import make_swmr_mutant
+from verification_helpers import DECODED, make_swmr_mutant, mode_id
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +66,19 @@ def run_sliced(system, path, budgets, **mode):
 
 
 # Every expander that lowers a frontier into the checkpoint: per-state under
-# BFS (compiled / object / symmetry axes) and DFS, the vectorized one, and
-# the fleet.  The last mode is the parallel strategy's serial stand-in: it
+# BFS (default / decoded invariants x symmetry) and DFS, the vectorized one,
+# and the fleet.  The last mode is the parallel strategy's serial stand-in: it
 # used to take the name "bfs" only inside ``run``, after the resuming leg
 # had fingerprinted "parallel", and so rejected its own file.
 CHECKPOINT_MODES = [
     dict(),
-    dict(kernel="object"),
+    dict(invariants=DECODED),
     dict(symmetry=True),
-    dict(symmetry=True, kernel="object"),
+    dict(symmetry=True, invariants=DECODED),
     dict(kernel="vectorized"),
     dict(symmetry=True, kernel="vectorized"),
     dict(strategy="dfs"),
-    dict(strategy="dfs", kernel="object"),
+    dict(strategy="dfs", invariants=DECODED),
     dict(strategy="dfs", symmetry=True),
     dict(strategy="parallel", processes=2),
     dict(strategy="parallel", processes=2, symmetry=True),
@@ -85,8 +86,7 @@ CHECKPOINT_MODES = [
 ]
 
 
-@pytest.mark.parametrize("mode", CHECKPOINT_MODES, ids=lambda m: "-".join(
-    f"{k}={v}" for k, v in m.items()) or "compiled")
+@pytest.mark.parametrize("mode", CHECKPOINT_MODES, ids=mode_id)
 class TestResumeParity:
     def test_sliced_pass_matches_uninterrupted(self, msi_nonstalling,
                                                tmp_path, mode):
@@ -134,13 +134,14 @@ class TestResumeParity:
 @pytest.fixture(scope="module")
 def uninterrupted():
     """Uninterrupted runs, by ``(mutant, kernel, symmetry, strategy)``: the
-    property below compares every drawn budget against the same one."""
+    property below compares every drawn budget against the same one.
+    ``kernel="decoded"`` is the compiled kernel with :data:`DECODED`."""
     return {}
 
 
 @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
 @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "reduced"])
-@pytest.mark.parametrize("kernel", ["compiled", "object", "vectorized"])
+@pytest.mark.parametrize("kernel", ["compiled", "decoded", "vectorized"])
 @pytest.mark.parametrize("mutant", [False, True], ids=["msi", "swmr-mutant"])
 @given(data=st.data())
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
@@ -152,7 +153,11 @@ def test_resume_at_any_budget_equals_the_uninterrupted_run(
     SWMR mutant its verdict and trace."""
     protocol = msi_swmr_mutant if mutant else msi_nonstalling
     workload = Workload(max_accesses_per_cache=2)
-    mode = dict(kernel=kernel, symmetry=symmetry, strategy=strategy)
+    mode = dict(symmetry=symmetry, strategy=strategy)
+    if kernel == "decoded":
+        mode.update(invariants=DECODED)
+    else:
+        mode.update(kernel=kernel)
     run = (mutant, kernel, symmetry, strategy)
     if run not in uninterrupted:
         uninterrupted[run] = verify(
@@ -224,7 +229,7 @@ class TestMismatchRejection:
         system, path = saved_checkpoint
         with pytest.raises(CheckpointMismatch):
             verify(system, max_states=40_000, checkpoint=path,
-                   kernel="object")
+                   kernel="vectorized")
 
     def test_workload_mismatch(self, msi_nonstalling, saved_checkpoint):
         _, path = saved_checkpoint
@@ -250,16 +255,17 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [-1, 4, 5])
+    @pytest.mark.parametrize("version", [-1, 4, 5, 6])
     @pytest.mark.parametrize("fingerprint", ["kept", "foreign"])
     def test_stale_payload_version(self, saved_checkpoint, version, fingerprint):
         """An intact file (its checksum holds) of another payload version
-        -- the previous ones included: no reader is kept for any.  Version 5
-        kept the deadlock-check flag in its fingerprint material and
-        version 4 the hash-compaction flag as well, so neither fingerprint
-        matches one taken now: the refusal names the version, not a
-        different search configuration."""
-        assert CHECKPOINT_VERSION == 6
+        -- the previous ones included: no reader is kept for any.  Version 6
+        kept the transition-kernel flag in its fingerprint material,
+        version 5 the deadlock-check flag as well and version 4 the
+        hash-compaction flag too, so no such fingerprint matches one taken
+        now: the refusal names the version, not a different search
+        configuration."""
+        assert CHECKPOINT_VERSION == 7
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
@@ -271,7 +277,7 @@ class TestMismatchRejection:
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
         with pytest.raises(CheckpointMismatch,
-                           match=f"version {version}, expected 6") as refused:
+                           match=f"version {version}, expected 7") as refused:
             verify(system, max_states=40_000, checkpoint=path)
         assert "configuration" not in str(refused.value)
 

@@ -6,7 +6,8 @@ the remaining accesses: the protocol has wedged the workload, not just a
 message.  The seed explorer counts such states as completed runs, so the
 check is **off by default** (keeping the pinned state counts); with
 ``deadlock=True`` the state is reported as a deadlock failure with a
-replayable trace, on both transition kernels and every search strategy.
+replayable trace, on every backend and search strategy, at the depth
+``reference_search`` finds it.
 """
 
 import pytest
@@ -17,6 +18,8 @@ from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.system.system import DuplicateMessage, FaultModel, IssueAccess
 from repro.verification import verify
+
+from verification_helpers import assert_matches_reference, reference_search
 
 
 def drop_cache_accesses(generated, state: str):
@@ -50,7 +53,7 @@ def _system(generated, num_caches=2):
 
 MODES = [
     dict(),
-    dict(kernel="object"),
+    dict(kernel="vectorized"),
     dict(symmetry=True),
     dict(symmetry=True, strategy="parallel", processes=2),
 ]
@@ -83,14 +86,13 @@ def test_workload_deadlock_off_by_default(wedged_msi):
     assert result.ok and result.complete_states > 0
 
 
-def test_kernels_agree_on_workload_deadlock_point(wedged_msi):
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_workload_deadlock_point_matches_the_reference(wedged_msi, symmetry):
     system = _system(wedged_msi)
-    compiled = verify(system, deadlock=True)
-    objected = verify(system, deadlock=True, kernel="object")
-    assert not compiled.ok and not objected.ok
-    assert compiled.deadlock and objected.deadlock
-    assert compiled.states_explored == objected.states_explored
-    assert compiled.trace == objected.trace
+    result = verify(system, deadlock=True, symmetry=symmetry)
+    expected = reference_search(system, symmetry, deadlock=True)
+    assert expected.kind == "deadlock"
+    assert_matches_reference(result, expected)
 
 
 def test_deadlock_flag_keeps_counts_on_correct_protocols(msi_nonstalling):
@@ -129,12 +131,12 @@ class TestFaultBudgetVsWorkloadDeadlock:
         system = System(msi_stalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1),
                         faults=faults)
-        compiled = verify(system, deadlock=True)
-        objected = verify(system, deadlock=True, kernel="object")
-        for result in (compiled, objected):
-            assert result.ok and not result.deadlock, result.summary
-            assert result.complete_states > 0
-        assert compiled.states_explored == objected.states_explored
+        result = verify(system, deadlock=True)
+        assert result.ok and not result.deadlock, result.summary
+        assert result.complete_states > 0
+        assert_matches_reference(
+            result, reference_search(system, False, deadlock=True)
+        )
 
     def test_exhausted_budget_replay_is_complete_not_deadlocked(
         self, msi_nonstalling

@@ -32,8 +32,11 @@ from repro.verification.random_walk import random_walk
 
 from verification_helpers import (
     MessageDroppingSystem,
+    assert_matches_reference,
     make_missing_inv_mutant,
+    make_stalled_request_mutant,
     make_swmr_mutant,
+    reference_search,
     replay_and_check,
 )
 
@@ -78,15 +81,26 @@ class TestCounterexampleTracesReplay:
         assert result.violation.name == "SWMR"
         replay_and_check(system, result)
 
-    def test_deadlock_trace(self, msi_stalling, mode):
-        system = MessageDroppingSystem(
-            msi_stalling, num_caches=2,
-            workload=Workload(max_accesses_per_cache=1),
-            dropped_mtype="GetM",
-        )
+    def test_deadlock_trace(self, msi_spec, msi_stalling, mode):
+        """A directory that never takes a GetM in strands its requestor: the
+        engine reports the reference's deadlock at its depth, replayably.
+        ``MessageDroppingSystem`` expresses the same fault as a ``System``
+        override, which ``verify()`` refuses and the reference runs."""
+        symmetry = mode.get("symmetry", False)
+        workload = Workload(max_accesses_per_cache=1)
+        system = System(make_stalled_request_mutant(msi_spec), num_caches=2,
+                        workload=workload)
         result = verify(system, **mode)
-        assert not result.ok and result.deadlock
+        assert result.deadlock
+        expected = reference_search(system, symmetry)
+        assert_matches_reference(result, expected)
         replay_and_check(system, result)
+        dropping = MessageDroppingSystem(msi_stalling, num_caches=2,
+                                         workload=workload,
+                                         dropped_mtype="GetM")
+        with pytest.raises(TypeError, match="MessageDroppingSystem"):
+            verify(dropping, **mode)
+        assert reference_search(dropping, symmetry) == expected
 
 
 class TestStrategies:
@@ -315,8 +329,7 @@ class TestSearchStats:
 
     def test_lane_width_and_parse_memo_size(self, msi_nonstalling):
         """Beside the two symmetry caches: the lane width the codec derived
-        and the distinct packed network sections its parse memo holds (the
-        object backend never parses an encoded section)."""
+        and the distinct packed network sections its parse memo holds."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         full = verify(system).stats
@@ -325,9 +338,6 @@ class TestSearchStats:
         fresh = System(msi_nonstalling, num_caches=2,
                        workload=Workload(max_accesses_per_cache=2))
         assert verify(fresh, symmetry=True).stats["parse_memo_entries"] == 340
-        fresh = System(msi_nonstalling, num_caches=2,
-                       workload=Workload(max_accesses_per_cache=2))
-        assert verify(fresh, kernel="object").stats["parse_memo_entries"] == 0
 
     def test_visited_bytes_is_the_row_table(self, msi_nonstalling):
         """Bytes per stored state as a reported count: the batch path's row
@@ -343,8 +353,7 @@ class TestSearchStats:
         assert full.stats["visited_bytes"] == 1702 * 20 + 4096 * 4
         reduced = verify(system, kernel="vectorized", symmetry=True)
         assert reduced.stats["visited_bytes"] == 862 * 20 + 2048 * 4
-        for mode in (dict(), dict(kernel="object"),
-                     dict(kernel="vectorized", strategy="dfs"),
+        for mode in (dict(), dict(kernel="vectorized", strategy="dfs"),
                      dict(strategy="parallel", processes=2)):
             assert verify(system, **mode).stats["visited_bytes"] is None, mode
 
@@ -380,8 +389,7 @@ class TestSearchStats:
         ]
         # ... and under symmetry the relabeled representatives' sections.
         assert 1 < reduced["parse_memo_entries"] < reduced["section_entries"]
-        for mode in (dict(), dict(kernel="object"),
-                     dict(kernel="vectorized", strategy="dfs")):
+        for mode in (dict(), dict(kernel="vectorized", strategy="dfs")):
             assert not set(tables) & set(stats(**mode)), mode
 
     def test_omission_bound_says_what_a_digest_can_miss(self, msi_nonstalling):
@@ -394,8 +402,7 @@ class TestSearchStats:
                         workload=Workload(max_accesses_per_cache=2))
         bound = 1702 * 1701 / 2 / 2**128
         assert 0 < bound < 1e-32
-        for mode in (dict(), dict(kernel="object"), dict(strategy="dfs"),
-                     dict(symmetry=True)):
+        for mode in (dict(), dict(strategy="dfs"), dict(symmetry=True)):
             assert verify(system, **mode).stats["omission_bound"] is None, mode
         if importlib.util.find_spec("numpy") is not None:
             rows = verify(system, kernel="vectorized")
@@ -407,14 +414,16 @@ class TestSearchStats:
         assert fleet.states_explored == 1702
         assert fleet.stats["omission_bound"] == bound
 
-    def test_object_backend_counts_its_decodes(self, msi_nonstalling):
-        """The object backend decodes by design (the differential baseline);
-        its stats must say so rather than pretend otherwise."""
+    def test_decoded_invariant_counts_its_decodes(self, msi_nonstalling):
+        """An invariant with no encoded evaluator is called on a decoded
+        state, one decode per new state; the stats must say so rather than
+        pretend otherwise."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, symmetry=True, kernel="object")
-        assert result.kernel == "object"
-        assert result.stats["decode_count"] > 0
+        result = verify(system, symmetry=True,
+                        invariants=[lambda system, state: None])
+        assert result.ok and result.kernel == "compiled"
+        assert result.stats["decode_count"] >= result.states_explored - 1
 
     def test_vectorized_reduced_search_batch_telemetry(self, msi_stalling):
         """The batch kernel's hot-path contract, pinned by telemetry: on a
@@ -548,7 +557,7 @@ class TestNoSilentWrap:
         assert system.codec().typecode == "B"
         return system
 
-    @pytest.mark.parametrize("kernel", ["compiled", "vectorized", "object"])
+    @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
     def test_serial_paths_raise(self, aged, kernel):
         from repro.system import LaneOverflow
 
@@ -596,7 +605,7 @@ class TestLaneWidthParity:
         assert system.codec().typecode == typecode
         return system
 
-    @pytest.mark.parametrize("kernel", ["compiled", "vectorized", "object"])
+    @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
     def test_full_search_counts(self, system, kernel):
         if kernel == "vectorized":
             pytest.importorskip("numpy")

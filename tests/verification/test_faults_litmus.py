@@ -2,7 +2,8 @@
 
 Three new ``verify()`` axes ride on the same differential-oracle contract as
 the rest of the engine -- the compiled kernel must agree bit-identically with
-the object executor on every one of them:
+the object executor (``System.apply``, per state) and with
+``reference_search`` (whole searches) on every one of them:
 
 * **fault injection** -- per-channel message duplication and bounded
   adjacent reordering beyond the unordered model
@@ -22,8 +23,8 @@ A duplicated response is absorbed by generated idempotence reactions
 (miss-report + directory-side recovery), and a reordered ordered channel no
 longer head-of-line-deadlocks the stalling configurations (re-queue
 semantics).  The full PASS matrix is pinned per protocol and per concurrency
-policy, bit-identical across both kernels with zero decodes on the compiled
-reduced path.  The pre-hardening counterexamples survive in
+policy, identical to the reference search with zero decodes on the compiled
+path.  The pre-hardening counterexamples survive in
 ``test_fault_regressions.py`` against ``harden=False`` builds.
 """
 
@@ -51,7 +52,12 @@ from repro.verification import (
 from repro.verification.engine.canonical import relabel_event
 from repro.verification.invariants import compiled_invariant_codes
 
-from verification_helpers import sample_reachable_states
+from verification_helpers import (
+    assert_matches_reference,
+    reference_search,
+    replay_and_check,
+    sample_reachable_states,
+)
 
 ALL_PROTOCOLS = protocols.available_protocols()
 ORDERED_PROTOCOLS = [n for n in ALL_PROTOCOLS if n != "MSI-Unordered"]
@@ -303,17 +309,15 @@ def test_litmus_expansion_parity(all_generated, name):
 # ---------------------------------------------------------------------------
 
 
-def _search_pair(system_factory, **kwargs):
-    compiled = verify(system_factory(), **kwargs)
-    objected = verify(system_factory(), kernel="object", **kwargs)
-    assert compiled.kernel == "compiled" and objected.kernel == "object"
-    assert compiled.states_explored == objected.states_explored
-    assert compiled.transitions_explored == objected.transitions_explored
-    assert compiled.ok == objected.ok
-    assert compiled.error == objected.error
-    assert compiled.deadlock == objected.deadlock
-    assert compiled.trace == objected.trace
-    return compiled
+def _search_checked(system_factory, *, invariants):
+    """``verify()`` on a fresh system, held to ``reference_search`` on
+    another: the counts of a pass, the verdict and depth of a failure."""
+    result = verify(system_factory(), invariants=invariants)
+    assert result.kernel == "compiled"
+    assert_matches_reference(
+        result, reference_search(system_factory(), False, invariants=invariants)
+    )
+    return result
 
 
 # Exact hardened fault-matrix pins: (states, transitions) per protocol and
@@ -347,9 +351,9 @@ def test_duplication_passes_every_hardened_protocol_on_both_kernels(
     reactions: the caches report served-elsewhere forwards back to the
     directory, the directory recovers missed handoffs from (provably
     current) memory, and duplicate responses in stable states are silently
-    consumed.  Both kernels agree on the full passing search, with zero
-    decodes on the compiled reduced path and the exact pinned layout."""
-    result = _search_pair(
+    consumed.  The search agrees with the reference search, with zero
+    decodes and the exact pinned layout."""
+    result = _search_checked(
         lambda: System(all_generated[(name, policy)], num_caches=2,
                        workload=_workload(name, 1),
                        faults=FaultModel(duplicate=True)),
@@ -370,9 +374,9 @@ def test_reorder_passes_every_hardened_ordered_protocol_identically(
     """Re-queue semantics replace head-of-line blocking: a stalled ordered
     channel head rotates behind deliverable messages, so one adjacent swap
     (e.g. a forward past the response it chases) no longer deadlocks the
-    stalling configurations.  Bit-identical on both kernels, zero decodes,
-    exact pinned layout."""
-    result = _search_pair(
+    stalling configurations.  Identical to the reference search, zero
+    decodes, exact pinned layout."""
+    result = _search_checked(
         lambda: System(all_generated[(name, policy)], num_caches=2,
                        workload=Workload(max_accesses_per_cache=2),
                        faults=FaultModel(reorder=True)),
@@ -388,7 +392,7 @@ def test_reorder_passes_every_hardened_ordered_protocol_identically(
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_two_address_search_parity(all_generated, name):
-    result = _search_pair(
+    result = _search_checked(
         lambda: System(all_generated[(name, "nonstalling")], num_caches=2,
                        workload=_workload(name, 1), num_addresses=2),
         invariants=_plain_invariants(name),
@@ -418,11 +422,10 @@ def test_single_address_fault_free_layout_is_unchanged(msi_nonstalling):
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_litmus_passes_fault_free_on_every_protocol(all_generated, name, build):
     """SB, MP and coRR hold on every bundled protocol under fault-free
-    delivery, on both kernels, with bit-identical searches and zero decodes
-    on the compiled path."""
+    delivery, identically to the reference search and with zero decodes."""
     test = build()
     invariants = _litmus_invariants(name, test)
-    result = _search_pair(
+    result = _search_checked(
         lambda: System(all_generated[(name, "stalling")], num_caches=2,
                        workload=test.workload),
         invariants=invariants,
@@ -446,9 +449,9 @@ def test_litmus_passes_under_duplication_on_hardened_msi(
 ):
     """Litmus runs under fault injection compose with the hardening pass:
     the store-buffering and message-passing outcomes hold with a duplicated
-    message in flight, identically on both kernels."""
+    message in flight, identically to the reference search."""
     test = next(b() for b in LITMUS_TESTS if b().name == litmus)
-    result = _search_pair(
+    result = _search_checked(
         lambda: System(all_generated[("MSI", "stalling")], num_caches=2,
                        workload=test.workload,
                        faults=FaultModel(duplicate=True)),
@@ -513,22 +516,25 @@ def test_corr_duplication_aliasing_is_the_documented_residual(all_generated):
     hardening deliberately does not add).  Pin the residual so a future
     tagging scheme flips this test knowingly."""
     test = next(b() for b in LITMUS_TESTS if b().name == "litmus-coRR")
-    result = verify(
-        System(all_generated[("MSI", "stalling")], num_caches=2,
-               workload=test.workload, faults=FaultModel(duplicate=True)),
-        invariants=test.invariants(), kernel="object",
-    )
+    system = System(all_generated[("MSI", "stalling")], num_caches=2,
+                    workload=test.workload, faults=FaultModel(duplicate=True))
+    invariants = test.invariants()
+    result = verify(system, invariants=invariants)
     assert not result.ok
     assert result.violation is not None
     assert "SWMR" in str(result.violation)
     assert any(line.startswith("duplicate Data") for line in result.trace)
+    assert_matches_reference(
+        result, reference_search(system, False, invariants=invariants)
+    )
+    replay_and_check(system, result, invariants)
 
 
 def test_litmus_sb_passes_under_reorder_on_hardened_msi(all_generated):
     from repro.verification import store_buffering
 
     test = store_buffering()
-    result = _search_pair(
+    result = _search_checked(
         lambda: System(all_generated[("MSI", "stalling")], num_caches=2,
                        workload=test.workload,
                        faults=FaultModel(reorder=True)),
@@ -548,8 +554,9 @@ class StaleDataSystem(System):
     planes carry stale data -- any payload version ``>= min_version`` is
     replaced with the initial value (version 0) just before delivery.
 
-    A ``System`` subclass, so searches run on the object backend (the
-    compiled kernel's fallback contract); the corruption is a deterministic
+    A ``System`` subclass: ``verify()`` refuses it (the compiled tables
+    would ignore the ``apply`` override), so it runs on ``reference_search``,
+    which calls the override as written.  The corruption is a deterministic
     function of the delivered message, keeping the state space well-defined.
     """
 
@@ -594,6 +601,14 @@ def _replace_message(network, old, new):
     return UnorderedNetwork(messages=tuple(sorted(msgs, key=message_sort_key)))
 
 
+def _first_failure(system, invariants):
+    """The reference search's verdict on a ``System`` subclass, after
+    checking that ``verify()`` refuses it."""
+    with pytest.raises(TypeError, match="StaleDataSystem"):
+        verify(system, invariants=invariants)
+    return reference_search(system, False, invariants=invariants)
+
+
 class TestLitmusMutantsCatchInjectedBugs:
     def test_sb_catches_stale_reads_of_both_locations(self, msi_stalling):
         from repro.verification import store_buffering
@@ -602,11 +617,8 @@ class TestLitmusMutantsCatchInjectedBugs:
         system = StaleDataSystem(msi_stalling, num_caches=2,
                                  workload=test.workload,
                                  corrupt_addrs={0, 1}, min_version=1)
-        result = verify(system, invariants=test.invariants())
-        assert not result.ok
-        assert result.violation is not None
-        assert result.violation.name == "litmus-SB"
-        assert result.kernel == "object"  # mutants take the fallback path
+        failure = _first_failure(system, test.invariants())
+        assert (failure.kind, failure.detail) == ("violation", "litmus-SB")
 
     def test_mp_catches_stale_data_behind_a_fresh_flag(self, msi_stalling):
         from repro.verification import message_passing
@@ -615,10 +627,8 @@ class TestLitmusMutantsCatchInjectedBugs:
         system = StaleDataSystem(msi_stalling, num_caches=2,
                                  workload=test.workload,
                                  corrupt_addrs={0}, min_version=1)
-        result = verify(system, invariants=test.invariants())
-        assert not result.ok
-        assert result.violation is not None
-        assert result.violation.name == "litmus-MP"
+        failure = _first_failure(system, test.invariants())
+        assert (failure.kind, failure.detail) == ("violation", "litmus-MP")
 
     def test_corr_catches_backwards_reads_via_the_substrate(self, msi_stalling):
         from repro.verification import coherent_read_read
@@ -627,9 +637,8 @@ class TestLitmusMutantsCatchInjectedBugs:
         system = StaleDataSystem(msi_stalling, num_caches=2,
                                  workload=test.workload,
                                  corrupt_addrs={0}, min_version=2)
-        result = verify(system, invariants=test.invariants())
-        assert not result.ok
-        assert result.error is not None and "went backwards" in result.error
+        failure = _first_failure(system, test.invariants())
+        assert failure.kind == "error" and "went backwards" in failure.detail
 
     def test_the_unmutated_substrate_passes_all_three(self, msi_stalling):
         for build in LITMUS_TESTS:
@@ -658,16 +667,14 @@ class TestSymmetryComposition:
         assert reduced.states_explored < full.states_explored
         assert reduced.stats["decode_count"] == 0
 
-    def test_reduced_fault_search_parity_across_kernels(self, msi_nonstalling):
-        make = lambda: System(msi_nonstalling, num_caches=3,
-                              workload=Workload(max_accesses_per_cache=1),
-                              faults=FaultModel(duplicate=True))
-        compiled = verify(make(), symmetry=True)
-        objected = verify(make(), symmetry=True, kernel="object")
-        assert compiled.states_explored == objected.states_explored
-        assert compiled.transitions_explored == objected.transitions_explored
-        assert compiled.ok == objected.ok
-        assert compiled.trace == objected.trace
+    def test_reduced_fault_search_matches_the_reference(self, msi_nonstalling):
+        system = System(msi_nonstalling, num_caches=3,
+                        workload=Workload(max_accesses_per_cache=1),
+                        faults=FaultModel(duplicate=True))
+        assert_matches_reference(
+            verify(system, symmetry=True),
+            reference_search(system, True, invariants=default_invariants()),
+        )
 
     def test_multi_address_symmetry_is_rejected(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,
@@ -728,14 +735,14 @@ class TestPartialAbortStats:
         assert isinstance(stats["expansion_seconds"], float)
         assert stats["expansion_seconds"] >= 0.0
 
-    def test_budgeted_abort_on_faulted_object_search(self, msi_nonstalling):
+    def test_budgeted_abort_on_faulted_search(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2),
                         faults=FaultModel(duplicate=True, reorder=True,
                                           budget=2))
-        result = verify(system, max_states=50, kernel="object")
+        result = verify(system, max_states=50)
         assert result.states_explored == 50
         stats = result.stats
-        assert stats["kernel"] == "object"
+        assert stats["kernel"] == "compiled"
         assert stats["strategy"] == "bfs"
         assert stats["expansion_seconds"] is not None

@@ -1,8 +1,8 @@
 """Differential tests: the compiled transition kernel vs the object executor.
 
-The compiled kernel (:mod:`repro.system.kernel`) is the default search
-backend, so its correctness argument is *exact agreement* with the object
-execution substrate it replaced on the hot path:
+The compiled kernel (:mod:`repro.system.kernel`) is the search backend, so
+its correctness argument is *exact agreement* with the object execution
+substrate (``System.enabled_events`` / ``System.apply``):
 
 * per-state expansion parity -- identical enabled events (in order),
   bit-identical successor encodings, identical error positions, identical
@@ -10,12 +10,13 @@ execution substrate it replaced on the hot path:
   samples of every bundled protocol in both generation configs, including
   the MOSI saved-requestor (deferred-send) states and the MSI-Unordered
   late-absorb redirect states;
-* whole-search parity -- ``verify(kernel="compiled")`` reproduces the object
-  backend's exploration exactly (states, transitions, verdicts), pinned to
-  the seed counts, and mutant protocols fail with the same error text and
-  the same replayable trace;
-* the fallback contract -- ``System`` subclasses and unrecognized invariant
-  callables silently run on the object backend.
+* whole-search parity -- ``verify()`` reproduces the exploration of
+  ``reference_search`` (a plain-``set`` BFS over ``System.apply``): states,
+  transitions and verdicts, pinned to the seed counts, and mutant
+  protocols fail with the reference's verdict at its depth, with a
+  replayable trace;
+* the kernel contract -- a custom invariant runs on the compiled kernel, a
+  ``System`` subclass and an unknown backend name are refused.
 """
 
 import pytest
@@ -25,13 +26,16 @@ from repro.core import GenerationConfig, generate
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.system.network import OrderedNetwork
-from repro.verification import default_invariants, verify
+from repro.verification import InvariantViolation, default_invariants, verify
 from repro.verification.invariants import compiled_invariant_codes
 
 from verification_helpers import (
     MessageDroppingSystem,
+    assert_matches_reference,
     make_missing_inv_mutant,
     make_swmr_mutant,
+    reference_search,
+    replay_and_check,
     sample_reachable_states,
 )
 
@@ -125,19 +129,22 @@ def test_late_absorb_states_parity(all_generated):
 
 @pytest.mark.parametrize("config_label", CONFIGS)
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_whole_search_parity_with_object_backend(all_generated, name, config_label):
+def test_whole_search_parity_with_reference_search(all_generated, name, config_label):
+    """Every shipped protocol compiles (``CompilationUnsupported`` would
+    propagate) and its search checks the invariants the reference checks,
+    with the reference's verdict and counts."""
     from repro.verification import single_owner_invariant
 
-    invariants = [single_owner_invariant] if name == "TSO-CC" else None
+    invariants = (
+        [single_owner_invariant] if name == "TSO-CC" else default_invariants()
+    )
     system = System(all_generated[(name, config_label)], num_caches=2,
                     workload=_workload(name))
     compiled = verify(system, invariants=invariants)
-    objected = verify(system, invariants=invariants, kernel="object")
-    assert compiled.kernel == "compiled" and objected.kernel == "object"
-    assert compiled.ok and objected.ok
-    assert compiled.states_explored == objected.states_explored
-    assert compiled.transitions_explored == objected.transitions_explored
-    assert compiled.complete_states == objected.complete_states
+    assert compiled.kernel == "compiled"
+    assert_matches_reference(
+        compiled, reference_search(system, False, invariants=invariants)
+    )
 
 
 @pytest.mark.parametrize("name", ["MSI", "MSI-Unordered"])
@@ -190,28 +197,23 @@ def test_pinned_seed_counts_on_compiled_kernel(msi_nonstalling):
 
 
 @pytest.mark.parametrize("symmetry", [False, True])
-def test_error_traces_identical_across_kernels(msi_spec, symmetry):
+def test_error_traces_match_the_reference(msi_spec, symmetry):
     mutant = make_missing_inv_mutant(msi_spec)
     system = System(mutant, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
     compiled = verify(system, symmetry=symmetry)
-    objected = verify(system, symmetry=symmetry, kernel="object")
-    assert not compiled.ok and not objected.ok
-    assert compiled.error == objected.error
-    assert compiled.trace == objected.trace
-    assert compiled.states_explored == objected.states_explored
+    assert_matches_reference(compiled, reference_search(system, symmetry))
+    replay_and_check(system, compiled)
 
 
-def test_violation_traces_identical_across_kernels(msi_spec):
+def test_violation_traces_match_the_reference(msi_spec):
     mutant = make_swmr_mutant(msi_spec)
     system = System(mutant, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
     compiled = verify(system)
-    objected = verify(system, kernel="object")
-    assert not compiled.ok and not objected.ok
-    assert compiled.violation is not None and objected.violation is not None
-    assert str(compiled.violation) == str(objected.violation)
-    assert compiled.trace == objected.trace
+    expected = reference_search(system, False, invariants=default_invariants())
+    assert_matches_reference(compiled, expected)
+    replay_and_check(system, compiled)
 
 
 def test_parallel_strategy_runs_on_compiled_kernel(msi_nonstalling):
@@ -225,25 +227,62 @@ def test_parallel_strategy_runs_on_compiled_kernel(msi_nonstalling):
     assert parallel.transitions_explored == serial.transitions_explored
 
 
-class TestFallbackContract:
-    def test_system_subclass_falls_back_to_object(self, msi_stalling):
+def _no_cache_in(fsm_state):
+    """A custom invariant (no encoded evaluator): no cache sits in
+    *fsm_state*."""
+    def invariant(system, state):
+        holders = [i for i, cache in enumerate(state.caches)
+                   if cache.fsm_state == fsm_state]
+        if holders:
+            return InvariantViolation(f"no-{fsm_state}", f"caches {holders}")
+        return None
+
+    return invariant
+
+
+class TestKernelContract:
+    def test_system_subclass_is_rejected(self, msi_stalling):
         system = MessageDroppingSystem(
             msi_stalling, num_caches=2,
             workload=Workload(max_accesses_per_cache=1),
             dropped_mtype="GetM",
         )
-        result = verify(system)
-        assert result.kernel == "object"
-        assert not result.ok and result.deadlock
+        with pytest.raises(TypeError, match="enabled_events / apply"):
+            verify(system)
+        # The reference runs the override as written: a dropped GetM
+        # strands its requestor.
+        assert reference_search(system, False).kind == "deadlock"
 
-    def test_custom_invariant_falls_back_to_object(self, msi_nonstalling):
+    def test_custom_invariant_that_never_fires_stays_compiled(
+            self, msi_nonstalling):
         def never_fails(system, state):
             return None
 
         system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1))
+                        workload=Workload(max_accesses_per_cache=2))
         result = verify(system, invariants=[never_fails])
-        assert result.kernel == "object" and result.ok
+        assert result.kernel == "compiled" and result.ok
+        assert (result.states_explored, result.transitions_explored) == (
+            1702, 3078
+        )
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
+    def test_custom_invariant_that_fires_reports_a_replayable_violation(
+            self, msi_nonstalling, kernel, symmetry):
+        if kernel == "vectorized":
+            pytest.importorskip("numpy")
+        invariants = (*default_invariants(), _no_cache_in("M"))
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        result = verify(system, invariants=invariants, kernel=kernel,
+                        symmetry=symmetry)
+        assert result.kernel == kernel
+        assert result.violation.name == "no-M"
+        assert_matches_reference(
+            result, reference_search(system, symmetry, invariants=invariants)
+        )
+        replay_and_check(system, result, invariants)
 
     def test_known_invariant_subset_stays_compiled(self, msi_nonstalling):
         from repro.verification import swmr_invariant
@@ -253,11 +292,13 @@ class TestFallbackContract:
         result = verify(system, invariants=[swmr_invariant])
         assert result.kernel == "compiled" and result.ok
 
-    def test_explicit_object_kernel_is_honored(self, msi_nonstalling):
+    @pytest.mark.parametrize("retired", ["object"])
+    def test_object_kernel_is_rejected(self, msi_nonstalling, retired):
+        """The dataclass executor is the tests' oracle, not a backend."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1))
-        result = verify(system, kernel="object")
-        assert result.kernel == "object" and result.ok
+        with pytest.raises(ValueError, match="'compiled' or 'vectorized'"):
+            verify(system, kernel=retired)
 
     def test_unknown_kernel_name_rejected(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2)

@@ -7,10 +7,10 @@ link columns) and the sharded checkpoint.
 
 Contracts under test:
 
-* count parity with the serial engine across the symmetry / kernel axes
-  and two fleet sizes (the engine shares the serial
-  search's canonical frames, so states, transitions and complete-state
-  counts must match exactly);
+* count parity with the serial engine and ``reference_search`` across the
+  symmetry / invariant axes and two fleet sizes (the engine shares the
+  serial search's canonical frames, so states, transitions and
+  complete-state counts must match exactly);
 * failure verdicts (protocol error, SWMR violation, deadlock) survive the
   fleet: the winning counterexample replays step-by-step through
   ``System.apply``.  Which equal-depth counterexample wins differs from the
@@ -37,11 +37,17 @@ import pytest
 from repro.system import System, Workload
 from repro.verification import verify
 from repro.verification.engine import parallel as parallel_mod
+from repro.verification.engine.driver import CompiledExpander
 
 from verification_helpers import (
+    DECODED,
     MessageDroppingSystem,
+    assert_matches_reference,
     make_missing_inv_mutant,
+    make_stalled_request_mutant,
     make_swmr_mutant,
+    mode_id,
+    reference_search,
     replay_and_check,
 )
 
@@ -67,19 +73,29 @@ def on_the_fleet(system, **kwargs):
 PARITY_MODES = [
     dict(),
     dict(symmetry=True),
-    dict(kernel="object"),
-    dict(symmetry=True, kernel="object"),
+    dict(invariants=DECODED),
+    dict(symmetry=True, invariants=DECODED),
 ]
 
 
+@pytest.fixture(scope="module")
+def msi_reference(msi_nonstalling):
+    """``reference_search`` of MSI nonstalling 2c x 2a, by symmetry."""
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    return {symmetry: reference_search(system, symmetry)
+            for symmetry in (False, True)}
+
+
 @pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("mode", PARITY_MODES, ids=lambda m: "-".join(
-    f"{k}={v}" for k, v in m.items()) or "compiled")
-def test_forked_search_matches_serial_counts(msi_nonstalling, mode, processes):
+@pytest.mark.parametrize("mode", PARITY_MODES, ids=mode_id)
+def test_forked_search_matches_serial_counts(msi_nonstalling, msi_reference,
+                                             mode, processes):
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
     serial = verify(system, **mode)
     result = on_the_fleet(system, processes=processes, **mode)
+    assert_matches_reference(result, msi_reference[mode.get("symmetry", False)])
 
     assert result.ok == serial.ok is True
     assert result.states_explored == serial.states_explored
@@ -143,18 +159,26 @@ class TestForkedFailureVerdicts:
         assert result.violation.name == "SWMR"
         replay_and_check(system, result)
 
-    def test_deadlock_trace(self, msi_stalling):
-        """The dropped-message system overrides ``enabled_events``, which
-        pushes the workers onto the object executor -- the fleet's
-        decode-and-apply fallback gets exercised too."""
-        system = MessageDroppingSystem(
-            msi_stalling, num_caches=2,
-            workload=Workload(max_accesses_per_cache=1),
-            dropped_mtype="GetM",
-        )
+    def test_deadlock_trace(self, msi_spec, msi_stalling):
+        """A directory that never takes a GetM in: the fleet reports the
+        reference's deadlock at its depth.  The same fault as a ``System``
+        override (``MessageDroppingSystem``) is refused before any worker
+        forks, and the reference agrees on its verdict."""
+        workload = Workload(max_accesses_per_cache=1)
+        system = System(make_stalled_request_mutant(msi_spec), num_caches=2,
+                        workload=workload)
         result = failing_twice(system)
         assert result.deadlock
+        expected = reference_search(system, True)
+        assert_matches_reference(result, expected)
         replay_and_check(system, result)
+        dropping = MessageDroppingSystem(msi_stalling, num_caches=2,
+                                         workload=workload,
+                                         dropped_mtype="GetM")
+        with pytest.raises(TypeError, match="MessageDroppingSystem"):
+            verify(dropping, strategy="parallel", processes=2)
+        assert not multiprocessing.active_children()
+        assert reference_search(dropping, True) == expected
 
 
 def test_sharded_checkpoint_resumes_under_different_worker_count(
@@ -243,18 +267,17 @@ def test_fleet_level_is_per_owner_counts(msi_nonstalling, monkeypatch):
             assert not hasattr(engine, gone)
 
 
-@pytest.mark.parametrize("kernel", ["compiled", "object"])
+@pytest.mark.parametrize("invariants", [None, DECODED],
+                         ids=["encoded", "decoded"])
 def test_owners_check_foreign_states_through_the_expander_seam(
-        msi_swmr_mutant, explorations, kernel):
-    """An owner holds a foreign successor only as its packed key; it lifts
-    the key and hands the payload to ``violation`` -- one call that suits
-    both per-state expanders (a key for the compiled one, a decoded state
-    for the object one), so the worker never branches on the backend."""
-    from repro.verification.engine.driver import per_state_expander
-
+        msi_swmr_mutant, explorations, invariants):
+    """An owner holds a foreign successor only as its packed key and hands
+    it to ``violation`` -- the compiled expander's one seam, which answers
+    from the kernel's encoded check, or decodes the state when an invariant
+    has no encoded evaluator."""
     system = System(msi_swmr_mutant, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    result = on_the_fleet(system, kernel=kernel)
+    result = on_the_fleet(system, invariants=invariants)
     assert not result.ok and result.violation.name == "SWMR"
     replay_and_check(system, result)
 
@@ -262,15 +285,10 @@ def test_owners_check_foreign_states_through_the_expander_seam(
     state = system.initial_state()
     for event in result.trace_events:
         state = system.apply(state, event).state
-    expander = per_state_expander(ctx)
-    assert type(expander).__name__ == (
-        "CompiledExpander" if kernel == "compiled" else "ObjectExpander"
-    )
+    expander = CompiledExpander(ctx)
     for packed, violated in ((ctx.root_key, False),
                              (ctx.codec.encode_packed(state), True)):
-        ((position, payload),) = expander.lift([(7, packed)])
-        assert position == 7
-        violation = expander.violation(payload)
+        violation = expander.violation(packed)
         assert (violation is not None) == violated
     assert violation.name == "SWMR"
 

@@ -2,7 +2,7 @@
 
 Every pinned count in this repository was produced by ``verify()`` itself at
 some earlier commit.  ``reference_search`` (``verification_helpers``) is the
-independent half of that comparison: a ``deque``, a plain ``set`` of
+independent half of that comparison: a ``deque``, a plain ``dict`` of
 ``GlobalState`` objects, ``System.enabled_events`` / ``System.apply`` and the
 three-line definition of the canonical representative -- no codec, store,
 kernel or canonicalizer.  A search backend that drops, merges or double-counts

@@ -2,9 +2,10 @@
 
 The batch path's contract is *bit-exactness*: ``kernel="vectorized"`` must
 return the same verdicts, the same traces and (on passing searches) the same
-exploration counts as the compiled per-state kernel and the object executor,
-while performing zero ``GlobalState`` decodes on the hot path.  Three layers
-pin that contract:
+exploration counts as the compiled per-state kernel (both are held to
+``reference_search`` in ``test_reference_search.py``), while performing
+zero ``GlobalState`` decodes on the hot path.  Three layers pin that
+contract:
 
 * **Expansion parity** -- for sampled reachable states, one
   :meth:`VectorizedKernel.collect_level` call must enumerate exactly the
@@ -17,7 +18,7 @@ pin that contract:
   lane width.
 * **Whole-search parity** -- every bundled protocol x {stalling,
   nonstalling} x {plain, symmetry-reduced}, plus failing mutants, compared
-  across all three kernels.
+  across both kernels.
 * **The explicit-fallback contract** -- fault models, multi-address planes
   and litmus workloads are *outside* the batch model: requesting
   ``kernel="vectorized"`` there must transparently run (and report) the
@@ -44,7 +45,7 @@ np = pytest.importorskip("numpy")
 
 from repro.system.rowtable import RowTable
 
-KERNELS = ("compiled", "vectorized", "object")
+KERNELS = ("compiled", "vectorized")
 
 
 def _workload(name: str) -> Workload:
@@ -429,7 +430,7 @@ class TestRawSuccessorRows:
 
 
 class TestWholeSearchParity:
-    """verify() across the three kernels: identical results everywhere."""
+    """verify() across both kernels: identical results everywhere."""
 
     @pytest.mark.parametrize("symmetry", [False, True])
     @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
@@ -452,7 +453,6 @@ class TestWholeSearchParity:
             assert result.transitions_explored == ref.transitions_explored, k
             assert result.complete_states == ref.complete_states, k
         assert results["vectorized"].kernel == "vectorized"
-        assert results["object"].kernel == "object"
 
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_three_cache_reference_counts(self, msi_stalling, symmetry):

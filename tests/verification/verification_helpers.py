@@ -2,9 +2,9 @@
 random reachable-state sampling (hand-rolled, deterministic generators) and
 the two **reference oracles** the engine is checked against -- the
 definition of symmetry canonicalization executed as written
-(:func:`reference_canonicalize`) and a plain-``set`` breadth-first search
-built on it (:func:`reference_search`).  Neither touches the codec, the
-store, a kernel or the engine's canonicalizer.
+(:func:`reference_canonicalize`) and a plain breadth-first search built on
+it (:func:`reference_search`), which is also the verdict oracle.  Neither
+touches the codec, the store, a kernel or the engine's canonicalizer.
 
 Kept out of conftest.py on purpose: test modules import these helpers by
 module name, and ``conftest`` is ambiguous once several test roots (tests/,
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -26,9 +27,10 @@ from repro.verification import default_invariants
 from repro.verification.engine.canonical import canonicalizer_for
 
 
-def replay_and_check(system, result):
+def replay_and_check(system, result, invariants=None):
     """Replay ``result.trace_events`` from the initial state and assert the
-    reported outcome is reproduced exactly."""
+    reported outcome is reproduced exactly (a violation by one of
+    *invariants*, the default pair when omitted)."""
     state = system.initial_state()
     events = result.trace_events
     assert [str(e) for e in events] == result.trace
@@ -47,7 +49,8 @@ def replay_and_check(system, result):
     if result.violation is not None:
         reproduced = [
             v
-            for v in (inv(system, state) for inv in default_invariants())
+            for v in (inv(system, state)
+                      for inv in invariants or default_invariants())
             if v is not None and str(v) == str(result.violation)
         ]
         assert reproduced, f"violation {result.violation} not reproduced by replay"
@@ -103,10 +106,47 @@ def make_missing_inv_mutant(msi_spec):
     return drop_cache_handler(generate(msi_spec, GenerationConfig()), "S", "Inv")
 
 
+def never_fires(system, state):
+    """An invariant with no encoded evaluator: the kernel never vouches for
+    it, so every new state is decoded and it is called on the object."""
+    return None
+
+
+#: The default pair plus a predicate only a decoded state can answer.
+DECODED = (*default_invariants(), never_fires)
+
+
+def mode_id(mode):
+    """Test ID of a ``verify()`` keyword dict (``DECODED`` reads "decoded")."""
+    return "-".join(
+        f"{k}={'decoded' if k == 'invariants' else v}" for k, v in mode.items()
+    ) or "compiled"
+
+
 def make_swmr_mutant(msi_spec):
     """Generate MSI, then pretend IS_D already grants write permission."""
     generated = generate(msi_spec, GenerationConfig())
     generated.cache.state("IS_D").permission = Permission.READ_WRITE
+    return generated
+
+
+def make_stalled_request_mutant(msi_spec, mtype: str = "GetM"):
+    """Generate stalling MSI, then make the directory stall *mtype* in every
+    state: a request of that type is never taken in, so its requestor waits
+    forever -- a non-quiescent deadlock, symmetric in the cache IDs.  The
+    protocol-level twin of :class:`MessageDroppingSystem` (same verdict, same
+    depth), expressed in the tables, so ``verify()`` can run it."""
+    generated = generate(msi_spec, GenerationConfig.stalling())
+    directory = generated.directory
+    directory._transitions = [
+        replace(t, stall=True, actions=(), next_state=t.state)
+        if isinstance(t.event, MessageEvent) and t.event.message == mtype
+        else t
+        for t in directory.transitions()
+    ]
+    directory._index = {}
+    for t in directory._transitions:
+        directory._index.setdefault((t.state, event_key(t.event)), []).append(t)
     return generated
 
 
@@ -115,7 +155,9 @@ class MessageDroppingSystem(System):
 
     Dropping a request type is symmetric in the cache IDs, so it is a valid
     subject for the symmetry-reduced search; it deadlocks as soon as any
-    cache waits on a response to the dropped request.
+    cache waits on a response to the dropped request.  ``verify()`` refuses
+    it (the compiled tables would ignore the override): it runs on
+    :func:`reference_search` only.
     """
 
     def __init__(self, *args, dropped_mtype: str, **kwargs):
@@ -186,31 +228,101 @@ def production_canonicalize(system: System, state: GlobalState):
     return codec.decode_packed(rep_key), perm
 
 
-def reference_search(system: System, symmetry: bool) -> tuple[int, int]:
+@dataclass(frozen=True)
+class ReferenceFailure:
+    """The first failure :func:`reference_search` meets in FIFO order.
+
+    ``kind`` is ``"error"``, ``"deadlock"`` or ``"violation"``; ``detail``
+    the error text (in the frame of the state that raised it) or the
+    violation's name, None for a deadlock; ``depth`` the events a BFS
+    counterexample takes from the root, so a BFS ``verify()`` reports a
+    trace of exactly that length."""
+
+    kind: str
+    detail: str | None
+    depth: int
+
+
+def reference_search(
+    system: System, symmetry: bool, invariants=(), deadlock: bool = False
+) -> tuple[int, int] | ReferenceFailure:
     """``(states, transitions)`` of *system*'s reachable space by the
     plainest search there is: a FIFO of ``GlobalState`` objects, a Python
-    ``set`` of them as the visited set, ``System.enabled_events`` /
-    ``System.apply`` for successors, one representative per orbit by
-    :func:`reference_canonicalize` when *symmetry* is set, every applied
-    transition counted.  It shares ``System`` with the engine and nothing
-    else."""
+    ``dict`` of them (to their depth) as the visited set,
+    ``System.enabled_events`` / ``System.apply`` for successors, one
+    representative per orbit by :func:`reference_canonicalize` when
+    *symmetry* is set, every applied transition counted.  It shares
+    ``System`` with the engine and nothing else.
+
+    It is the verdict oracle too: the first failure in FIFO order -- a
+    protocol error, a deadlock (a non-quiescent state with no enabled
+    event; with *deadlock* also a quiescent one with workload left), or
+    a new state failing one of *invariants* -- is returned as a
+    :class:`ReferenceFailure` instead of the counts.  ``System``
+    subclasses run here as written, overrides included."""
     perms = system.symmetry_permutations()
 
     def representative(state):
         return reference_canonicalize(state, perms)[0] if symmetry else state
 
+    def violated(state):
+        for invariant in invariants:
+            violation = invariant(system, state)
+            if violation is not None:
+                return violation.name
+        return None
+
     root = representative(system.initial_state())
-    seen = {root}
+    if (name := violated(root)) is not None:
+        return ReferenceFailure("violation", name, 0)
+    depth_of = {root: 0}
     frontier = deque([root])
     transitions = 0
     while frontier:
         state = frontier.popleft()
-        for event in system.enabled_events(state):
+        depth = depth_of[state]
+        events = system.enabled_events(state)
+        if not events and (
+            not system.is_quiescent(state)
+            or deadlock and not system.is_complete(state)
+        ):
+            return ReferenceFailure("deadlock", None, depth)
+        for event in events:
             transitions += 1
             outcome = system.apply(state, event)
-            assert outcome.error is None, outcome.error
+            if outcome.error is not None:
+                return ReferenceFailure("error", outcome.error, depth + 1)
             successor = representative(outcome.state)
-            if successor not in seen:
-                seen.add(successor)
+            if successor not in depth_of:
+                depth_of[successor] = depth + 1
+                if (name := violated(successor)) is not None:
+                    return ReferenceFailure("violation", name, depth + 1)
                 frontier.append(successor)
-    return len(seen), transitions
+    return len(depth_of), transitions
+
+
+def assert_matches_reference(result, expected):
+    """*result* (a ``verify()`` result) against :func:`reference_search`'s
+    *expected*: the counts on a pass; on a failure its kind, its trace
+    length (the reference's depth; a DFS trace is only bounded below by
+    it), a violation's name and, without symmetry, an error's text."""
+    if not isinstance(expected, ReferenceFailure):
+        assert result.ok and not result.partial, result.summary
+        assert (result.states_explored, result.transitions_explored) == expected
+        return
+    assert not result.ok, result.summary
+    kind = (
+        "error" if result.error is not None
+        else "violation" if result.violation is not None
+        else "deadlock" if result.deadlock
+        else None
+    )
+    assert kind == expected.kind, (result.summary, expected)
+    if result.strategy == "dfs":
+        assert len(result.trace) >= expected.depth, (result.summary, expected)
+    else:
+        assert len(result.trace) == expected.depth, (result.summary, expected)
+    if kind == "violation":
+        assert result.violation.name == expected.detail
+    if kind == "error" and not result.symmetry_reduced:
+        assert result.error == expected.detail
