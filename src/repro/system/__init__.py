@@ -6,7 +6,7 @@ from repro.system.message import DIRECTORY_ID, Message
 from repro.system.network import Network, OrderedNetwork, UnorderedNetwork, make_network
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 from repro.system.executor import Observation, ProtocolRuntimeError
-from repro.system.vectorized import VectorizedKernel, VectorizedUnavailable
+from repro.system.vectorized import VectorizedKernel
 from repro.system.system import (
     DeliverMessage,
     DuplicateMessage,
@@ -45,7 +45,6 @@ __all__ = [
     "TransitionKernel",
     "UnorderedNetwork",
     "VectorizedKernel",
-    "VectorizedUnavailable",
     "Workload",
     "make_network",
 ]

@@ -345,10 +345,8 @@ class System:
         configuration (built lazily, cached like the codec; wraps and caches
         :meth:`kernel`).
 
-        Raises :class:`repro.system.vectorized.VectorizedUnavailable` when
-        NumPy is not installed, and propagates
-        :class:`repro.core.fsm.CompilationUnsupported` from the underlying
-        compiled kernel.  A returned kernel may still have
+        Propagates :class:`repro.core.fsm.CompilationUnsupported` from the
+        underlying compiled kernel.  A returned kernel may still have
         ``supported=False`` (fault models, litmus workloads, multi-address
         planes): the search then falls back to the compiled kernel.
         """

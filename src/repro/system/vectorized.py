@@ -133,6 +133,8 @@ from array import array
 from bisect import bisect_right
 from itertools import groupby
 
+import numpy as np
+
 from repro.core.fsm import (
     CompilationUnsupported,
     transition_lane_ops,
@@ -145,16 +147,6 @@ from repro.system.kernel import (
     TransitionKernel,
 )
 from repro.system.rowtable import RowTable
-
-try:  # NumPy is an optional dependency of the engine (requirements-dev).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-
-class VectorizedUnavailable(RuntimeError):
-    """``kernel="vectorized"`` was requested but NumPy is not installed."""
-
 
 #: In place of an outcome ID: a stalled delivery (not an enabled plan).
 _STALLED = -1
@@ -222,8 +214,7 @@ class VectorizedKernel:
     """Frontier-batch expansion over a NumPy matrix of block-ID rows.
 
     Wraps a system's :class:`TransitionKernel` (the lowering input and the
-    oracle for memo misses) and its codec.  Construction requires NumPy
-    (:class:`VectorizedUnavailable` otherwise); ``supported`` reports
+    oracle for memo misses) and its codec.  ``supported`` reports
     whether this configuration can run the batch path at all -- fault
     models, litmus workloads, multi-address planes and any transition whose
     lane-op descriptor is not block-confined make the whole search fall
@@ -231,13 +222,7 @@ class VectorizedKernel:
     """
 
     def __init__(self, system):
-        if _np is None:
-            raise VectorizedUnavailable(
-                "kernel=\"vectorized\" requires numpy, which is not "
-                "installed (pip install numpy, or see requirements-dev.txt); "
-                "verify() falls back to the compiled kernel without it"
-            )
-        self.np = _np
+        self.np = np
         self.system = system
         self.kernel: TransitionKernel = system.kernel()
         self.codec = codec = system.codec()
@@ -247,7 +232,7 @@ class VectorizedKernel:
         self.dir_offset = layout["dir_offset"]
         self.version_offset = layout["version_offset"]
         self.net_offset = layout["net_offset"]
-        self.dtype = _np.dtype(layout["numpy_dtype"])
+        self.dtype = np.dtype(layout["numpy_dtype"])
         #: ``uint32`` columns of a whole-state row: a block ID per cache,
         #: the directory's, the version and the section ID.
         self.row_width = self.num_caches + 3
@@ -295,7 +280,7 @@ class VectorizedKernel:
         # columns, hash-consed in an exact row table whose arena index is
         # the section ID; per ID its deliverable records, in delivery
         # order, as a CSR.
-        self._sections = RowTable(_np, 4 * len(columns))
+        self._sections = RowTable(np, 4 * len(columns))
         self._sec_ptr = array("i", [0])
         self._sec_rec = array("i")       # message record ID
         # The boundary caches: packed tail -> section ID (`intern_sections`)
@@ -1117,4 +1102,4 @@ class VectorizedKernel:
         )
 
 
-__all__ = ["VectorizedKernel", "VectorizedUnavailable", "LevelExpansion"]
+__all__ = ["VectorizedKernel", "LevelExpansion"]

@@ -13,14 +13,11 @@ states, identical verdicts, replayable counterexample traces) -- through one
 canonicalizer, which searches, seeding and ``random_walk`` coverage all
 share (:func:`repro.verification.engine.canonical.canonicalizer_for`) --
 states are interned in a compact, exact store, and
-the search strategy is pluggable (BFS, DFS, or a fork-based parallel BFS).
+``verify(strategy=...)`` names the search order: ``"bfs"``, ``"dfs"`` or
+``"parallel"`` (BFS on forked workers).
 """
 
 from repro.verification.engine import (
-    BreadthFirst,
-    DepthFirst,
-    ParallelBreadthFirst,
-    SearchStrategy,
     StateStore,
     VerificationResult,
     relabel_event,
@@ -44,16 +41,12 @@ from repro.verification.litmus import (
 from repro.verification.random_walk import RandomWalkResult, random_walk
 
 __all__ = [
-    "BreadthFirst",
-    "DepthFirst",
     "Invariant",
     "InvariantViolation",
     "LITMUS_TESTS",
     "LitmusInvariant",
     "LitmusTest",
-    "ParallelBreadthFirst",
     "RandomWalkResult",
-    "SearchStrategy",
     "StateStore",
     "VerificationResult",
     "coherent_read_read",

@@ -6,9 +6,9 @@ else plugs into it:
 * :mod:`~repro.verification.engine.driver` -- the one search loop (budget
   clip, checkpoint save, depth counter) and the one per-state expander,
   on the compiled kernel;
-* :mod:`~repro.verification.engine.search` -- the strategies (BFS, DFS,
-  parallel BFS: which frontier order and which expander the driver gets)
-  and the vectorized batch expander;
+* :mod:`~repro.verification.engine.search` -- ``search``, the one place
+  that maps the ``strategy`` string (BFS, DFS, parallel BFS) to a
+  frontier order and an expander, and the vectorized batch expander;
 * :mod:`~repro.verification.engine.parallel` -- the third expander, a
   fleet of forked workers in owner-computes rounds: a state is deduped,
   checked, kept and expanded by the worker that owns its digest (one
@@ -16,7 +16,7 @@ else plugs into it:
   shared-memory arena, and the parent receives trace-link columns, never
   keys;
 * :mod:`~repro.verification.engine.checkpoint` -- budget checkpoint/resume,
-  one file shape for all of the above;
+  one file shape for the in-process searches (the fleet takes none);
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation
   algebra and the one scalarset-style canonicalizer
   (:func:`canonicalizer_for`: the smallest relabeling of a state, evaluated
@@ -45,23 +45,12 @@ from repro.verification.engine.canonical import (
 from repro.verification.engine.checkpoint import CheckpointMismatch
 from repro.verification.engine.core import Exploration, VerificationResult, verify
 from repro.verification.engine.parallel import ShmEngine
-from repro.verification.engine.search import (
-    BreadthFirst,
-    DepthFirst,
-    ParallelBreadthFirst,
-    SearchStrategy,
-    resolve_strategy,
-)
 from repro.verification.engine.store import StateStore
 
 __all__ = [
-    "BreadthFirst",
     "CheckpointMismatch",
-    "DepthFirst",
     "Exploration",
-    "ParallelBreadthFirst",
     "Permutation",
-    "SearchStrategy",
     "ShmEngine",
     "StateStore",
     "VerificationResult",
@@ -70,6 +59,5 @@ __all__ = [
     "identity_permutation",
     "invert",
     "relabel_event",
-    "resolve_strategy",
     "verify",
 ]

@@ -1,15 +1,14 @@
 """Checkpoint/resume for budgeted searches.
 
 A checkpoint is one pickle file capturing everything a search needs to
-continue *bit-identically*, in one shape for every strategy and backend:
+continue *bit-identically*, in one shape for BFS and DFS on every backend:
 the pending frontier as ``(state_id, packed_key)`` pairs, the depth it
 stands at, the store's typed trace-link columns with the intern keys in ID
 order -- the exact visited set, whole keys (the batch search's row table is
 saved as the keys its rows stand for: a row names its network section by a
-process-local ID) -- and the running counters.  A search on the worker fleet has no keys in its store
-(its visited set lives in the workers' digest sets from the root on); its
-checkpoint carries those digests instead (re-shardable under
-a different worker count on resume).
+process-local ID) -- and the running counters.  A search on the worker
+fleet takes none: its visited set lives in the workers, and ``verify()``
+refuses the combination.
 
 The pickle body is followed by its BLAKE2b digest, verified before
 anything is unpickled: a file that was cut short *or* had a bit flipped
@@ -27,9 +26,8 @@ The **fingerprint** binds a checkpoint to the search that wrote it: codec
 index tables and lane width (the frontier and the visited set are packed
 keys: keys of another width can never match), cache/address counts,
 workload, symmetry group size, backend, strategy and invariant names.
-``max_states`` and the worker count are deliberately excluded --
-continuing a budgeted nightly run under a new budget (or on a box with
-different cores) is the whole point.
+``max_states`` is deliberately excluded -- continuing a budgeted nightly
+run under a new budget is the whole point.
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ import pickle
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
 #: 6: the fingerprint material lost the (now always-on) deadlock-check flag.
 #: 7: ... and the (now always-compiled) transition-kernel flag.
-CHECKPOINT_VERSION = 7
+#: 8: the payload lost the worker fleet's shard digests.
+CHECKPOINT_VERSION = 8
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32
@@ -49,7 +48,7 @@ _CHECKSUM_BYTES = 32
 
 #: The payload's keys (:func:`save` writes them, :func:`load` reads them).
 _FIELDS = frozenset({"version", "fingerprint", "level", "frontier", "store",
-                     "explored", "transitions", "complete_states", "shards"})
+                     "explored", "transitions", "complete_states"})
 
 
 class CheckpointMismatch(ValueError):
@@ -79,12 +78,11 @@ def fingerprint(ctx) -> str:
     return hashlib.blake2b(material, digest_size=16).hexdigest()
 
 
-def save(ctx, frontier, level: int, shard_blobs: list[bytes] | None) -> None:
+def save(ctx, frontier, level: int) -> None:
     """Write *ctx*'s search state to ``ctx.checkpoint_path`` atomically.
 
     *frontier* is the driver's pending frontier as ``(state_id,
-    packed_key)`` pairs, in its order; *level* the depth it stands at.  *shard_blobs* are the worker fleet's
-    digest dumps, when the visited set lives there and not in the store.
+    packed_key)`` pairs, in its order; *level* the depth it stands at.
     """
     path = ctx.checkpoint_path
     payload = {
@@ -96,7 +94,6 @@ def save(ctx, frontier, level: int, shard_blobs: list[bytes] | None) -> None:
         "explored": ctx.explored,
         "transitions": ctx.transitions,
         "complete_states": ctx.complete_states,
-        "shards": shard_blobs,
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
@@ -137,8 +134,8 @@ def _read_verified(path: str) -> dict:
 def load(ctx) -> dict | None:
     """Read, validate and apply the checkpoint at ``ctx.checkpoint_path``.
 
-    Returns the payload (the strategy picks frontier, level and shards up
-    from ``ctx.resume``) or ``None`` when no checkpoint file exists.  Raises
+    Returns the payload (the search picks frontier and level up from
+    ``ctx.resume``) or ``None`` when no checkpoint file exists.  Raises
     :class:`CheckpointMismatch` -- before anything is restored -- when the
     file cannot be read back (truncated, damaged, not a checkpoint) or was
     written by a different search configuration or payload version.

@@ -9,10 +9,10 @@ The engine composes three orthogonal pieces:
   dense integer IDs and typed parent-link columns; the only dedup a
   successor meets in this process, and an exact one: whole packed keys, or
   on the batch search whole rows of an open-addressed row table;
-* **one search driver** (:mod:`repro.verification.engine.driver`) run by
-  pluggable strategies (:mod:`repro.verification.engine.search`) --
-  breadth-first (default), depth-first, and breadth-first on a fleet of
-  forked worker processes.
+* **one search driver** (:mod:`repro.verification.engine.driver`) over
+  the expander :func:`~repro.verification.engine.search.search` picks for
+  the ``strategy`` string -- breadth-first (default), depth-first, or
+  breadth-first on a fleet of forked worker processes.
 
 Counterexample traces remain valid under symmetry reduction: every stored
 transition records the permutation that canonicalized its successor, and
@@ -37,7 +37,6 @@ from repro.verification.engine.canonical import (
     invert,
     relabel_event,
 )
-from repro.verification.engine import checkpoint as checkpoint_mod
 from repro.verification.engine.store import StateStore
 from repro.verification.invariants import (
     Invariant,
@@ -151,7 +150,8 @@ class VerificationResult:
 
 
 class Exploration:
-    """Mutable context shared between :func:`verify` and a search strategy.
+    """Mutable context shared between :func:`verify`, the search and its
+    expander.
 
     Holds the system under test, the invariants, the (optional) symmetry
     permutation group, the interned state store, and the running counters;
@@ -222,8 +222,8 @@ class Exploration:
         #: disables checkpointing entirely.
         self.checkpoint_path = checkpoint_path
         #: Loaded checkpoint payload, less the store snapshot (set by
-        #: ``checkpoint.load``); strategies pick their frontier up from
-        #: here instead of the root.
+        #: ``checkpoint.load``); the search picks its frontier up from here
+        #: instead of the root.
         self.resume: dict | None = None
         #: Depth the loaded checkpoint stopped at -- BFS levels, or DFS pops
         #: (None = fresh run).
@@ -509,12 +509,17 @@ def verify(
         frame and stay replayable.
     ``strategy``
         ``"bfs"`` (default), ``"dfs"`` or ``"parallel"`` (BFS on forked
-        shared-memory workers, every level from the root's on).
-        All strategies explore the same state set and report the same
-        verdicts; BFS yields shortest counterexamples.
+        shared-memory workers, every level from the root's on); any other
+        value raises ``ValueError``.  All strategies explore the same state
+        set and report the same verdicts; BFS yields shortest
+        counterexamples.  ``"parallel"`` always forks: on a platform
+        without ``fork`` it raises the ``ValueError`` of
+        ``multiprocessing.get_context("fork")``, never runs a serial search
+        in its place.
     ``processes``
-        Worker count for the parallel strategy (ignored otherwise); by
-        default the cores this process may be scheduled on, within 2..8.
+        Worker count for the parallel strategy (ignored otherwise), one
+        included; below one raises ``ValueError``.  By default the cores
+        this process may be scheduled on, within 2..8.
     ``kernel``
         ``"compiled"`` (default) expands states with the compiled transition
         kernel (:mod:`repro.system.kernel`): the generated protocol is
@@ -528,19 +533,19 @@ def verify(
         :class:`~repro.core.fsm.CompilationUnsupported`.
         ``"vectorized"`` expands whole frontier levels at once as NumPy
         operations over a 2-D matrix of hash-consed block, version and
-        section IDs (:mod:`repro.system.vectorized`);
-        it requires NumPy (clear :class:`VectorizedUnavailable` error from
-        ``System.vectorized_kernel()`` otherwise, with ``verify()`` falling
-        back to the compiled kernel) and runs on the BFS strategy for
+        section IDs (:mod:`repro.system.vectorized`; NumPy is a dependency
+        of the package) and runs on the BFS strategy for
         fault-free single-address non-litmus configurations, falling back
         to the compiled kernel -- per level or whole-search -- everywhere
         else.  ``result.kernel`` records which backend actually ran.
     ``checkpoint``
-        Path of a resumable budget checkpoint.  When the search stops at the
-        ``max_states`` budget it saves its frontier, store links and
-        counters there (atomically) -- one file shape for every strategy and
-        backend; a later ``verify`` call with the same configuration and the
-        same path resumes where it stopped -- under a fresh budget -- and
+        Path of a resumable budget checkpoint, for a ``"bfs"`` or ``"dfs"``
+        search (with ``"parallel"`` it raises ``ValueError`` before any
+        worker forks).  When the search stops at the ``max_states`` budget
+        it saves its frontier, store links and counters there (atomically)
+        -- one file shape for both strategies and every backend; a later
+        ``verify`` call with the same configuration and the same path
+        resumes where it stopped -- under a fresh budget -- and
         the completed search reports counters, verdict and trace identical
         to an uninterrupted run.  With a checkpoint path a BFS does not
         clip the level that would cross the budget: it stops at the last
@@ -551,12 +556,11 @@ def verify(
         back, or one written by a different configuration, raises
         :class:`~repro.verification.engine.checkpoint.CheckpointMismatch`.
     """
-    from repro.verification.engine.search import BreadthFirst, resolve_strategy
+    from repro.verification.engine.search import search
 
     invariant_tuple = (
         tuple(invariants) if invariants is not None else tuple(default_invariants())
     )
-    strat = resolve_strategy(strategy, processes=processes)
     if symmetry and system.num_caches > 1 and not system.supports_symmetry:
         combination = (
             "a litmus workload (litmus programs distinguish the caches)"
@@ -573,14 +577,9 @@ def verify(
     kernel_impl, kernel_codes = _resolve_kernel(system, kernel, invariant_tuple)
     vkernel = None
     # Only BFS batches whole levels; DFS and the fleet expand per state.
-    if kernel == "vectorized" and strat.name == BreadthFirst.name:
-        from repro.system.vectorized import VectorizedUnavailable
-
-        try:
-            candidate = system.vectorized_kernel()
-        except VectorizedUnavailable:
-            candidate = None  # no numpy: fall back to the compiled kernel
-        if candidate is not None and candidate.supported:
+    if kernel == "vectorized" and strategy == "bfs":
+        candidate = system.vectorized_kernel()
+        if candidate.supported:
             vkernel = candidate
     ctx = Exploration(
         system=system,
@@ -588,19 +587,13 @@ def verify(
         perms=perms,
         store=StateStore(),
         max_states=max_states,
-        strategy_name=strat.name,
+        strategy_name=strategy,
         kernel=kernel_impl,
         kernel_codes=kernel_codes,
         check_workload_deadlock=deadlock,
         vkernel=vkernel,
         checkpoint_path=checkpoint,
     )
-    early = ctx.seed()
-    if early is not None:
-        return early
-    # A checkpoint (if one exists at the path) replaces the freshly seeded
-    # store wholesale -- the snapshot's ID 0 is the same canonical root.
-    checkpoint_mod.load(ctx)
     # The search allocates millions of short-lived, cycle-free tuples and
     # byte strings; generational GC scans buy nothing there and cost ~10 %
     # of the wall-clock, so collection pauses while the search runs.
@@ -608,11 +601,7 @@ def verify(
     if gc_was_enabled:
         gc.disable()
     try:
-        result = strat.run(ctx)
+        return search(ctx, strategy, processes)
     finally:
         if gc_was_enabled:
             gc.enable()
-    if checkpoint is not None and not result.truncated:
-        # The search ran to its end: the checkpoint is consumed.
-        checkpoint_mod.clear(checkpoint)
-    return result

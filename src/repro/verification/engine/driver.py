@@ -9,12 +9,15 @@ Every strategy, backend and worker process runs the same two pieces:
   returns ``(next_level, result)``: the successors that turned out new, or
   the :class:`VerificationResult` that ends the search.  The portable
   frontier is ``(state_id, packed_key)`` pairs -- the checkpoint's currency
-  and what the fleet is handed at spin-up -- and for the compiled expander
-  it *is* the native one: a state at rest is the ``bytes`` the store keys
-  on, unpacked into lanes only while it is expanded, so no lane tuple
-  outlives a level.  The expanders whose native level is something else
-  (a row matrix, per-owner counts) convert with ``lift`` / ``lower``.  A
-  native level is a list, or anything else with ``len()`` and slicing.
+  and the root level the fleet is dealt at spin-up -- and for the compiled
+  expander it *is* the native one: a state at rest is the ``bytes`` the
+  store keys on, unpacked into lanes only while it is expanded, so no lane
+  tuple outlives a level.  The expanders whose native level is something
+  else convert with ``lift`` (a row matrix, per-owner counts) and, where a
+  checkpoint may be saved, ``lower`` (the row matrix).  A native level is
+  a list, or anything else with ``len()`` and slicing.
+
+:func:`~repro.verification.engine.search.search` picks the expander.
 
 :class:`CompiledExpander` holds the only per-state body in ``src/``
 (enabled plans -> leaf verdict -> apply -> pack -> canonicalize -> intern
@@ -68,9 +71,7 @@ def drive(ctx, expander, frontier, depth, lifo=False):
         if (1 if lifo else len(level)) > remaining:
             ctx.truncated = True
             if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx, expander.lower(level), depth, expander.shard_blobs()
-                )
+                checkpoint_mod.save(ctx, expander.lower(level), depth)
                 break
             if remaining <= 0:
                 break
@@ -103,10 +104,6 @@ class Expander:
     def expand(self, level):
         """Consume native *level*; return ``(next_level, result)``."""
         raise NotImplementedError
-
-    def shard_blobs(self):
-        """Visited-set digests held outside ``ctx.store`` (fleet only)."""
-        return None
 
 
 class CompiledExpander(Expander):

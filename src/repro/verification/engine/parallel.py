@@ -3,9 +3,9 @@ digest-partitioned state space, and a parent that never sees a key.
 
 :class:`ShmEngine` is the driver's third expander: its ``expand`` is one
 *round* -- one frontier level expanded by a fleet of forked workers -- and
-:func:`~repro.verification.engine.driver.drive` supplies the budget,
-checkpoint and verdict semantics of level-synchronous BFS exactly as it
-does for the in-process expanders.  The layout is parallel Murphi's:
+:func:`~repro.verification.engine.driver.drive` supplies the budget and
+verdict semantics of level-synchronous BFS exactly as it does for the
+in-process expanders.  The layout is parallel Murphi's:
 
 * **A state lives on the worker that owns it.**  Every canonical state is
   hashed to a 128-bit BLAKE2b digest of its packed key, and the digest's
@@ -38,8 +38,7 @@ does for the in-process expanders.  The layout is parallel Murphi's:
   store's trace columns with them
   (:meth:`~repro.verification.engine.store.StateStore.extend_links`) and
   tells the worker the dense-ID base of its block.  Its native level
-  (:class:`_FleetLevel`) is one count per owner; keys come back to it only
-  when a checkpoint asks (:meth:`ShmEngine.lower`).
+  (:class:`_FleetLevel`) is one count per owner; no key ever comes back.
 
 * **Failure semantics.**  Errors and deadlocks are found during expansion
   (a worker stops expanding at its first), invariant violations wherever a
@@ -50,11 +49,9 @@ does for the in-process expanders.  The layout is parallel Murphi's:
   stored chain to the failing state is still a real counterexample.  On
   passing runs all exploration counts match the serial strategies exactly.
 
-Checkpoint/resume: a checkpoint saved at a round boundary carries every
-worker's shard digests (:meth:`ShmEngine.shard_blobs`) in place of store
-keys, and the owners' pending pairs; resuming re-seeds the shards from the
-digests and :meth:`ShmEngine.lift` deals the pairs out by owner (so the
-worker count may change between runs).
+A fleet search starts from the root and takes no checkpoint: ``verify()``
+refuses ``strategy="parallel"`` with a checkpoint path before any worker
+forks.
 """
 
 from __future__ import annotations
@@ -168,7 +165,7 @@ class _WorkerState:
     *positions* in its level; :attr:`ids` maps them to the store's.
     """
 
-    def __init__(self, wid, nworkers, ctx, seed_blob):
+    def __init__(self, wid, nworkers, ctx, root_digest):
         self.wid = wid
         self.nworkers = nworkers
         self.system = ctx.system
@@ -181,9 +178,9 @@ class _WorkerState:
         self.perm_index = {perm: i for i, perm in enumerate(self.perms or ())}
         self.perm_index[None] = len(self.perm_index)
         #: The digests this worker owns: its slice of the visited set.
-        digests = (seed_blob[i : i + DIGEST_BYTES]
-                   for i in range(0, len(seed_blob), DIGEST_BYTES))
-        self.shard = {d for d in digests if shard_of(d, nworkers) == wid}
+        self.shard = (
+            {root_digest} if shard_of(root_digest, nworkers) == wid else set()
+        )
         self.emitted: set = set()
         self.bucket_arena = _Arena()
         self.store = self
@@ -273,11 +270,10 @@ class _WorkerState:
         return True
 
 
-def _worker_main(wid, nworkers, ctx, conn, seed_blob):
+def _worker_main(wid, nworkers, ctx, conn, root_digest):
     """Worker loop: serve the parent's commands until "stop"."""
     gc.disable()
-    ws = _WorkerState(wid, nworkers, ctx, seed_blob)
-    del seed_blob  # parent's copy serves resumes; drop the fork duplicate
+    ws = _WorkerState(wid, nworkers, ctx, root_digest)
     try:
         while True:
             msg = conn.recv()
@@ -288,13 +284,8 @@ def _worker_main(wid, nworkers, ctx, conn, seed_blob):
                 conn.send(_worker_dedup(ws, msg[1]))
             elif op == "base":
                 ws.ids = range(msg[1], msg[1] + len(ws.level))
-            elif op == "load":  # a portable level: the root's, or a resumed one
+            elif op == "load":  # the root's level, as portable pairs
                 ws.ids, ws.level = msg[1], list(enumerate(msg[2]))
-            elif op == "lower":
-                pairs = [(ws.ids[pos], key) for pos, key in ws.level]
-                conn.send(("lowered", wid, pairs))
-            elif op == "dump":
-                conn.send(("dump", wid, b"".join(ws.shard)))
             elif op == "stop":
                 break
     except LaneOverflow as exc:  # a verdict on the configuration, not a crash
@@ -411,13 +402,10 @@ class ShmEngine(Expander):
 
     # -- lifecycle -------------------------------------------------------------
     def spinup(self) -> None:
-        """Fork the workers, seeding their shards with the visited set: the
-        root's digest on a fresh search, the checkpoint's shard dumps on a
-        resumed one (re-sharded under whatever worker count this run uses).
-        The blob is inherited by fork -- zero-copy -- and each worker keeps
-        only its shard.  From here on membership and the pending states
-        live on the workers: the parent drops its key index and only
-        extends trace links.
+        """Fork the workers, seeding the root's owner's shard with its
+        digest.  From here on membership and the pending states live on the
+        workers: the parent drops its key index and only extends trace
+        links.
         """
         # Start the resource tracker *before* forking so every worker
         # inherits the parent's tracker (one shared registry with set
@@ -428,16 +416,13 @@ class ShmEngine(Expander):
 
         resource_tracker.ensure_running()
         ctx = self.ctx
-        if ctx.resume is not None:
-            seed_blob = b"".join(ctx.resume["shards"])
-        else:
-            seed_blob = digest128(ctx.root_key)
+        root_digest = digest128(ctx.root_key)
         ctx.store.drop_index()
         for wid in range(self.nworkers):
             ours, theirs = self.mp.Pipe()
             proc = self.mp.Process(
                 target=_worker_main,
-                args=(wid, self.nworkers, ctx, theirs, seed_blob),
+                args=(wid, self.nworkers, ctx, theirs, root_digest),
                 daemon=True,
             )
             proc.start()
@@ -543,11 +528,6 @@ class ShmEngine(Expander):
             self._send(wid, ("load", sids, keys))
         return _FleetLevel([len(sids) for sids, _keys in owned])
 
-    def lower(self, level):
-        """The owners' pending pairs (a checkpoint is the only caller)."""
-        self._broadcast(("lower",))
-        return [pair for msg in self._collect("lowered") for pair in msg[2]]
-
     def _round(self, level):
         """One owner-computes round: every worker expands its share of
         *level*, takes in what the others sent it, and reports links."""
@@ -604,11 +584,6 @@ class ShmEngine(Expander):
         # Looked up per call, not aliased: ``_round`` is what outside-in
         # tracers (bench/trace.py) replace on the class.
         return self._round(level)
-
-    def shard_blobs(self):
-        """Every worker's shard digests, for a checkpoint."""
-        self._broadcast(("dump",))
-        return [msg[2] for msg in self._collect("dump")]
 
 
 __all__ = ["ShmEngine"]

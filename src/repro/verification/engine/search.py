@@ -1,19 +1,20 @@
-"""Search strategies: which frontier order, and which expander, the one
-driver (:func:`~repro.verification.engine.driver.drive`) runs.
+"""The search strategies: :func:`search` picks the frontier order, and the
+expander, that the one driver
+(:func:`~repro.verification.engine.driver.drive`) runs.
 
-* :class:`BreadthFirst` -- the default; hands the driver whole levels.
-  Identical exploration order (and, with symmetry off, identical state
-  counts) to the seed explorer, and the shortest counterexamples.
-* :class:`DepthFirst` -- hands the driver the top of a stack instead;
-  explores the same state set and reports the same verdicts, with longer
-  counterexample traces.
-* :class:`ParallelBreadthFirst` -- BFS on the **shared-memory worker
-  fleet** (:mod:`repro.verification.engine.parallel`), forked before the
-  first level.  Every state stays on the worker that owns its digest and
-  the parent keeps no key at all -- it only extends columnar trace links --
-  so traces work exactly as in the serial strategies while the parent's
-  per-state footprint stays flat.  Falls back to serial BFS when ``fork``
-  is unavailable or fewer than two workers are requested.
+* ``"bfs"`` -- the default; hands the driver whole levels.  Identical
+  exploration order (and, with symmetry off, identical state counts) to the
+  seed explorer, and the shortest counterexamples.
+* ``"dfs"`` -- hands the driver the top of a stack instead; explores the
+  same state set and reports the same verdicts, with longer counterexample
+  traces.
+* ``"parallel"`` -- BFS on the **shared-memory worker fleet**
+  (:mod:`repro.verification.engine.parallel`), forked before the first
+  level, with however many workers were asked for, one included.  Every
+  state stays on the worker that owns its digest and the parent keeps no
+  key at all -- it only extends columnar trace links -- so traces work
+  exactly as in the serial strategies while the parent's per-state
+  footprint stays flat.  It takes no checkpoint.
 
 There are three expanders.  The **compiled kernel**
 (:mod:`repro.system.kernel`) is the only per-state one and lives beside the
@@ -42,6 +43,7 @@ from array import array
 from itertools import repeat
 from time import perf_counter
 
+from repro.verification.engine import checkpoint as checkpoint_mod
 from repro.verification.engine.driver import CompiledExpander, drive, start_point
 from repro.verification.engine.parallel import ShmEngine
 from repro.verification.engine.store import RowTable
@@ -255,37 +257,6 @@ class VectorizedExpander(CompiledExpander):
         return _Rows(new_ids, V), None
 
 
-# -- strategies ----------------------------------------------------------------
-
-
-class SearchStrategy:
-    """Interface: run the exploration described by a context to completion."""
-
-    name = "base"
-
-    def run(self, ctx):
-        raise NotImplementedError
-
-
-class BreadthFirst(SearchStrategy):
-    name = "bfs"
-
-    def run(self, ctx):
-        expander = (
-            VectorizedExpander(ctx)
-            if ctx.vkernel is not None
-            else CompiledExpander(ctx)
-        )
-        return drive(ctx, expander, *start_point(ctx))
-
-
-class DepthFirst(SearchStrategy):
-    name = "dfs"
-
-    def run(self, ctx):
-        return drive(ctx, CompiledExpander(ctx), *start_point(ctx), lifo=True)
-
-
 def _schedulable_cores() -> int:
     """Cores this process may run on: ``os.cpu_count()`` reports the host's
     CPUs even inside a cgroup/affinity-limited container."""
@@ -295,46 +266,62 @@ def _schedulable_cores() -> int:
         return os.cpu_count() or 2
 
 
-class ParallelBreadthFirst(SearchStrategy):
-    """Level-synchronous BFS on the shared-memory worker fleet
-    (:mod:`repro.verification.engine.parallel`), from the root: asking for
-    workers forks them, whatever the size of the space (two pipe barriers a
-    round: 0.07-0.12 s against 0.02-0.03 s in-process on a 1 702-state,
-    19-level one)."""
+def search(ctx, strategy: str, processes: int | None):
+    """Run the search *strategy* names on *ctx*; returns its result.
 
-    name = "parallel"
+    The one place that reads ``strategy`` and picks the expander the driver
+    runs: the worker fleet (:class:`ShmEngine`) for ``"parallel"``,
+    :class:`VectorizedExpander` wherever ``verify()`` built a batch kernel
+    (BFS only), :class:`CompiledExpander` otherwise; ``"dfs"`` drives it
+    LIFO.  What the fleet cannot do is refused before anything runs, not
+    swapped for a serial search: fewer than one worker, a checkpoint path
+    (its visited set lives in the workers), or a platform without ``fork``
+    (``multiprocessing.get_context`` raises).  ``processes=None`` sizes the
+    fleet from the cores this process may be scheduled on, within 2..8;
+    ``processes`` is ignored by the other strategies.
 
-    def __init__(self, processes: int | None = None):
-        try:
-            self.mp = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            self.mp = None
-        self.processes = processes or max(2, min(8, _schedulable_cores()))
-        if self.mp is None or self.processes <= 1:
-            # Serial BFS stand-in, named so from construction: the name is
-            # part of the checkpoint fingerprint (taken before ``run``), and
-            # the result must not be attributed to the parallel strategy.
-            self.name = BreadthFirst.name
-
-    def run(self, ctx):
-        if self.name == BreadthFirst.name:
-            return BreadthFirst().run(ctx)
-        engine = ShmEngine(ctx, self.mp, self.processes)
+    The root is seeded and a checkpoint, if one waits at the path, is
+    loaded only after those checks, so a refused search reads no file; a
+    search that runs to its end deletes it.
+    """
+    if strategy not in ("bfs", "dfs", "parallel"):
+        raise ValueError(
+            f"unknown search strategy {strategy!r} "
+            "(expected 'bfs', 'dfs' or 'parallel')"
+        )
+    if strategy == "parallel":
+        if processes is None:
+            processes = max(2, min(8, _schedulable_cores()))
+        elif processes < 1:
+            raise ValueError(
+                f"processes={processes!r} with strategy='parallel': the "
+                "worker fleet needs at least one worker"
+            )
+        if ctx.checkpoint_path is not None:
+            raise ValueError(
+                "checkpoint is unsupported with strategy='parallel' (the "
+                "fleet's visited set lives in its workers); checkpoint a "
+                "'bfs' or 'dfs' search"
+            )
+        mp = multiprocessing.get_context("fork")
+    early = ctx.seed()
+    if early is not None:
+        return early
+    # A checkpoint (if one exists at the path) replaces the freshly seeded
+    # store wholesale -- the snapshot's ID 0 is the same canonical root.
+    checkpoint_mod.load(ctx)
+    if strategy == "parallel":
+        engine = ShmEngine(ctx, mp, processes)
         try:
             engine.spinup()
             return engine.drive(*start_point(ctx))
         finally:
             engine.shutdown()
-
-
-def resolve_strategy(spec, *, processes: int | None = None) -> SearchStrategy:
-    """Map a strategy name to a strategy."""
-    if spec == "bfs":
-        return BreadthFirst()
-    if spec == "dfs":
-        return DepthFirst()
-    if spec == "parallel":
-        return ParallelBreadthFirst(processes=processes)
-    raise ValueError(
-        f"unknown search strategy {spec!r} (expected 'bfs', 'dfs' or 'parallel')"
+    expander = (
+        VectorizedExpander(ctx) if ctx.vkernel is not None else CompiledExpander(ctx)
     )
+    result = drive(ctx, expander, *start_point(ctx), lifo=strategy == "dfs")
+    if not result.truncated:
+        # The search ran to its end: the checkpoint is consumed.
+        checkpoint_mod.clear(ctx.checkpoint_path)
+    return result

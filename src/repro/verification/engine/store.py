@@ -220,25 +220,21 @@ class StateStore:
         it is a dict (not measurable from here) or lives in the shards."""
         return self._rows.nbytes if self._rows is not None else None
 
-    def _keys(self) -> list | None:
-        """The intern keys in ID order (None: the visited set is elsewhere)."""
+    def _keys(self) -> list:
+        """The intern keys in ID order."""
         if self._rows is not None:
             table = self._rows
             return self._row_codec.keys_of(table.rows(table.np.uint32))
-        if self._ids is not None:
-            return list(self._ids)
-        return None
+        return list(self._ids)
 
     # -- checkpoint support --------------------------------------------------------
     def snapshot(self) -> dict:
         """Picklable copy of the store for a checkpoint.
 
         Keys are saved in dense ID order so :meth:`restore` rebuilds the
-        exact same ID assignment; after :meth:`drop_index` there are none
-        (the checkpoint carries the worker shards' digests instead).  A row
-        table is saved as the packed keys its rows stand for -- a row names
-        its network section by a process-local ID, so it means nothing
-        without the tail it names.
+        exact same ID assignment.  A row table is saved as the packed keys
+        its rows stand for -- a row names its network section by a
+        process-local ID, so it means nothing without the tail it names.
         """
         return {
             "keys": self._keys(),
@@ -261,11 +257,7 @@ class StateStore:
         self._events = _Interned(snapshot["events"])
         self._perms = _Interned(snapshot["perms"])
         self._rows = self._row_codec = None
-        keys = snapshot["keys"]
-        if keys is None:
-            self._ids = None
-        else:
-            self._ids = {key: state_id for state_id, key in enumerate(keys)}
+        self._ids = {key: state_id for state_id, key in enumerate(snapshot["keys"])}
 
     def link(self, state_id: int) -> tuple[int, tuple | None, Permutation | None]:
         """The ``(parent_id, event, perm)`` triple recorded for *state_id*."""

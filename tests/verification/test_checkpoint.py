@@ -16,12 +16,11 @@ The contract under test (``verify(..., checkpoint=PATH)``):
   instead of silently corrupting the search.
 
 There is one checkpoint shape; what varies is who lowers the frontier into
-it.  Covered here: the per-state expander under BFS (with the default
-invariants and with one the kernel cannot evaluate, both symmetry modes)
-and DFS (whose boundary is the exact pop), the vectorized expander, and
-the worker fleet, whose
-checkpoint carries shard digests in place of store keys (resuming under a
-different worker count is in ``test_parallel_engine.py``).
+it.  Covered here: the per-state expander (with the default invariants and
+with one the kernel cannot evaluate) and the vectorized expander, each
+under BFS and DFS (whose boundary is the exact pop) and both symmetry
+modes.  The worker fleet takes none: ``test_parallel_engine.py`` checks that it
+refuses a checkpoint path.
 """
 
 import hashlib
@@ -65,11 +64,10 @@ def run_sliced(system, path, budgets, **mode):
     return result
 
 
-# Every expander that lowers a frontier into the checkpoint: per-state under
-# BFS (default / decoded invariants x symmetry) and DFS, the vectorized one,
-# and the fleet.  The last mode is the parallel strategy's serial stand-in: it
-# used to take the name "bfs" only inside ``run``, after the resuming leg
-# had fingerprinted "parallel", and so rejected its own file.
+# Every expander that lowers a frontier into the checkpoint: per-state
+# (default / decoded invariants) and vectorized, each under BFS and DFS
+# (whose boundary is the exact pop) and both symmetry modes.  The fleet
+# takes no checkpoint (``test_parallel_engine.py``).
 CHECKPOINT_MODES = [
     dict(),
     dict(invariants=DECODED),
@@ -80,9 +78,9 @@ CHECKPOINT_MODES = [
     dict(strategy="dfs"),
     dict(strategy="dfs", invariants=DECODED),
     dict(strategy="dfs", symmetry=True),
-    dict(strategy="parallel", processes=2),
-    dict(strategy="parallel", processes=2, symmetry=True),
-    dict(strategy="parallel", processes=1),
+    dict(strategy="dfs", symmetry=True, invariants=DECODED),
+    dict(strategy="dfs", kernel="vectorized"),
+    dict(strategy="dfs", symmetry=True, kernel="vectorized"),
 ]
 
 
@@ -255,17 +253,17 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [-1, 4, 5, 6])
+    @pytest.mark.parametrize("version", [-1, 4, 5, 6, 7])
     @pytest.mark.parametrize("fingerprint", ["kept", "foreign"])
     def test_stale_payload_version(self, saved_checkpoint, version, fingerprint):
         """An intact file (its checksum holds) of another payload version
-        -- the previous ones included: no reader is kept for any.  Version 6
-        kept the transition-kernel flag in its fingerprint material,
-        version 5 the deadlock-check flag as well and version 4 the
-        hash-compaction flag too, so no such fingerprint matches one taken
-        now: the refusal names the version, not a different search
-        configuration."""
-        assert CHECKPOINT_VERSION == 7
+        -- the previous ones included: no reader is kept for any.  Version 7
+        carried the worker fleet's shard digests, version 6 kept the
+        transition-kernel flag in its fingerprint material, version 5 the
+        deadlock-check flag as well and version 4 the hash-compaction flag
+        too: the refusal names the version, not a different search
+        configuration, whether or not the fingerprint matches."""
+        assert CHECKPOINT_VERSION == 8
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
@@ -277,7 +275,7 @@ class TestMismatchRejection:
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
         with pytest.raises(CheckpointMismatch,
-                           match=f"version {version}, expected 7") as refused:
+                           match=f"version {version}, expected 8") as refused:
             verify(system, max_states=40_000, checkpoint=path)
         assert "configuration" not in str(refused.value)
 
@@ -297,24 +295,18 @@ class TestMismatchRejection:
     @pytest.mark.parametrize("mode", [
         dict(),
         dict(kernel="vectorized"),
-        dict(strategy="parallel", processes=2),
-    ], ids=["serial", "vectorized", "fleet"])
+    ], ids=["serial", "vectorized"])
     def test_flipped_byte_is_refused(self, msi_nonstalling, tmp_path, mode):
         """A checkpoint still unpickles with one byte flipped inside a key
         or a column; the payload checksum is what refuses it -- whoever
-        wrote the file: the serial store, the row table, the fleet's
-        shard dumps."""
+        wrote the file: the serial store or the row table."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         path = str(tmp_path / "run.ckpt")
         leg = verify(system, max_states=600, checkpoint=path, **mode)
         assert leg.partial and os.path.exists(path)
-        if "strategy" in mode and leg.strategy != "parallel":
-            pytest.skip("parallel strategy unavailable on this platform")
         with open(path, "rb") as f:
             blob = bytearray(f.read())
-        # The fleet's visited set is in the shard dumps, not the store.
-        assert (pickle.loads(blob)["shards"] is not None) == ("strategy" in mode)
         blob[len(blob) // 2] ^= 0x01
         with open(path, "wb") as f:
             f.write(blob)

@@ -10,20 +10,13 @@ tests replay each reported counterexample step-by-step through
 violation / error / deadlock is reproduced.
 """
 
-import importlib.util
 from array import array
 
 import pytest
 
 from repro.system import System, Workload
 from repro.verification import verify
-from repro.verification.engine import (
-    BreadthFirst,
-    DepthFirst,
-    ParallelBreadthFirst,
-    StateStore,
-    resolve_strategy,
-)
+from repro.verification.engine import StateStore
 from repro.verification.engine.canonical import (
     EncodedCanonicalizer,
     canonicalizer_for,
@@ -116,22 +109,12 @@ class TestStrategies:
         assert bfs.transitions_explored == dfs.transitions_explored
         assert (bfs.strategy, dfs.strategy, par.strategy) == ("bfs", "dfs", "parallel")
 
-    def test_resolve_strategy(self):
-        assert isinstance(resolve_strategy("bfs"), BreadthFirst)
-        assert isinstance(resolve_strategy("dfs"), DepthFirst)
-        parallel = resolve_strategy("parallel", processes=3)
-        assert isinstance(parallel, ParallelBreadthFirst)
-        assert parallel.processes == 3
-        with pytest.raises(ValueError):
-            resolve_strategy("bogo-search")
-
     ALIASES = ["breadth-first", "depth-first", "parallel-bfs", "BFS"]
 
-    @pytest.mark.parametrize("spec", [*ALIASES, DepthFirst()],
-                             ids=[*ALIASES, "instance"])
+    @pytest.mark.parametrize("spec", ALIASES)
     def test_only_the_three_names_are_strategies(self, msi_nonstalling, spec):
-        """No alias, no other case and no instance: the error names the
-        three strategies there are."""
+        """No alias and no other case: the error names the three strategies
+        there are."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1))
         with pytest.raises(ValueError, match="'bfs', 'dfs' or 'parallel'"):
@@ -345,7 +328,6 @@ class TestSearchStats:
         per cache, the directory's, the version, the section) plus the
         int32 slot table; a dict or the fleet's shards are not measurable
         from the store and report None."""
-        pytest.importorskip("numpy")
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         full = verify(system, kernel="vectorized")
@@ -366,7 +348,6 @@ class TestSearchStats:
         of -- distinct cache and directory blocks -- and the distinct
         ``(outcome, column, new block, new version)`` plans.  Absent on the
         other backends, like ``expansion_batches``."""
-        pytest.importorskip("numpy")
 
         def stats(**mode):
             fresh = System(msi_nonstalling, num_caches=2,
@@ -404,13 +385,10 @@ class TestSearchStats:
         assert 0 < bound < 1e-32
         for mode in (dict(), dict(strategy="dfs"), dict(symmetry=True)):
             assert verify(system, **mode).stats["omission_bound"] is None, mode
-        if importlib.util.find_spec("numpy") is not None:
-            rows = verify(system, kernel="vectorized")
-            assert rows.kernel == "vectorized"
-            assert rows.stats["omission_bound"] is None
+        rows = verify(system, kernel="vectorized")
+        assert rows.kernel == "vectorized"
+        assert rows.stats["omission_bound"] is None
         fleet = verify(system, strategy="parallel", processes=2)
-        if fleet.strategy != "parallel":  # fork unavailable: serial fallback
-            pytest.skip("parallel strategy unavailable on this platform")
         assert fleet.states_explored == 1702
         assert fleet.stats["omission_bound"] == bound
 
@@ -429,7 +407,6 @@ class TestSearchStats:
         """The batch kernel's hot-path contract, pinned by telemetry: on a
         fault-free single-address reduced search every transition is expanded
         by the lane-matrix path (zero fallbacks) with zero object decodes."""
-        pytest.importorskip("numpy")
         system = System(msi_stalling, num_caches=3,
                         workload=Workload(max_accesses_per_cache=1))
         codec = system.codec()
@@ -449,7 +426,6 @@ class TestSearchStats:
         assert stats["decode_count"] == 0
 
     def test_vectorized_full_search_batch_telemetry(self, msi_nonstalling):
-        pytest.importorskip("numpy")
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, kernel="vectorized")
@@ -472,8 +448,6 @@ class TestSearchStats:
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, symmetry=True, strategy="parallel", processes=2)
-        if result.strategy != "parallel":  # fork unavailable: serial fallback
-            pytest.skip("parallel strategy unavailable on this platform")
         assert result.stats["decode_count"] == 0
         assert result.stats["canonicalization_seconds"] > 0.0
 
@@ -486,8 +460,6 @@ class TestSearchStats:
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, symmetry=True, strategy="parallel", processes=2)
-        if result.strategy != "parallel":  # fork unavailable: serial fallback
-            pytest.skip("parallel strategy unavailable on this platform")
         stats = result.stats
         assert len(stats["worker_states"]) == 2
         assert sum(stats["worker_states"]) > 0
@@ -524,8 +496,6 @@ class TestSearchStats:
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, symmetry=True, strategy="parallel", processes=2)
-        if result.strategy != "parallel":  # fork unavailable: serial fallback
-            pytest.skip("parallel strategy unavailable on this platform")
         assert result.ok
         assert result.stats["expansion_seconds"] is None
 
@@ -561,8 +531,6 @@ class TestNoSilentWrap:
     def test_serial_paths_raise(self, aged, kernel):
         from repro.system import LaneOverflow
 
-        if kernel == "vectorized":
-            pytest.importorskip("numpy")
         with pytest.raises(LaneOverflow, match="lane value 256"):
             verify(aged, kernel=kernel)
 
@@ -571,8 +539,6 @@ class TestNoSilentWrap:
 
         from repro.system import LaneOverflow
 
-        if resolve_strategy("parallel", processes=2).name != "parallel":
-            pytest.skip("parallel strategy unavailable on this platform")
         with pytest.raises(LaneOverflow, match="lane value 256"):
             verify(aged, strategy="parallel", processes=2)
         assert not multiprocessing.active_children()
@@ -607,8 +573,6 @@ class TestLaneWidthParity:
 
     @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
     def test_full_search_counts(self, system, kernel):
-        if kernel == "vectorized":
-            pytest.importorskip("numpy")
         result = verify(system, kernel=kernel)
         assert result.ok and result.kernel == kernel
         assert result.states_explored == 1702
@@ -619,8 +583,6 @@ class TestLaneWidthParity:
 
     @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
     def test_reduced_search_counts_and_cache_sizes(self, system, kernel):
-        if kernel == "vectorized":
-            pytest.importorskip("numpy")
         result = verify(system, symmetry=True, kernel=kernel)
         assert result.ok and result.kernel == kernel
         assert (result.states_explored, result.transitions_explored) == (862, 1557)
@@ -630,8 +592,6 @@ class TestLaneWidthParity:
     def test_fleet_counts(self, system, symmetry):
         result = verify(system, symmetry=symmetry, strategy="parallel",
                         processes=2)
-        if result.strategy != "parallel":  # fork unavailable: serial fallback
-            pytest.skip("parallel strategy unavailable on this platform")
         assert result.ok and sum(result.stats["worker_states"]) > 0
         assert (result.states_explored, result.transitions_explored) == (
             (862, 1557) if symmetry else (1702, 3078)
@@ -688,16 +648,12 @@ class TestRetainedObjects:
         assert shared > 0
 
     def test_one_region_memo_keyed_by_packed_regions(self, ctx, canonicalized):
-        from repro.system.vectorized import VectorizedKernel, VectorizedUnavailable
+        from repro.system.vectorized import VectorizedKernel
 
         canonicalizer = canonicalizer_for(ctx.codec, ctx.perms)
         assert not hasattr(canonicalizer, "_saved_memo")
         assert not hasattr(EncodedCanonicalizer, "saved_candidates")
-        try:
-            vkernel = VectorizedKernel(ctx.system)
-        except VectorizedUnavailable:  # no NumPy here: nothing to look at
-            vkernel = None
-        assert not hasattr(vkernel, "_region_orbits")
+        assert not hasattr(VectorizedKernel(ctx.system), "_region_orbits")
         width = ctx.codec.dir_offset * ctx.codec.lane_bytes
         assert canonicalizer._orbit_memo
         for region in canonicalizer._orbit_memo:
@@ -776,22 +732,17 @@ class TestRetainedObjects:
             assert store_keys[key] is key
 
     def test_no_second_frontier_form_survives(self, ctx):
-        from repro.system.vectorized import VectorizedKernel, VectorizedUnavailable
-        from repro.verification.engine.driver import CompiledExpander, Expander
+        from repro.system.vectorized import VectorizedKernel
+        from repro.verification.engine.driver import CompiledExpander
 
         assert "lift" not in vars(CompiledExpander)
         assert "lower" not in vars(CompiledExpander)
-        assert CompiledExpander.lift is Expander.lift
-        assert CompiledExpander.lower is Expander.lower
         # A fresh system: a codec whose parse memo the compiled search
         # above has not filled.
         fresh = System(ctx.system.protocol, num_caches=ctx.system.num_caches,
                        workload=ctx.system.workload)
         codec = fresh.codec()
-        try:
-            vkernel = VectorizedKernel(fresh)
-        except VectorizedUnavailable:  # no NumPy here: nothing to look at
-            return
+        vkernel = VectorizedKernel(fresh)
         root = vkernel.rows_of([ctx.root_key])
         level = vkernel.collect_level([ctx.root_id], root)
         created = set(level.sids.tolist()) - set(root[:, -1].tolist())
@@ -840,8 +791,6 @@ def test_stored_events_are_shared_off_the_hot_loop(
                     workload=Workload(max_accesses_per_cache=1), **axes)
     result = verify(system, **mode)
     assert result.ok and result.kernel == "compiled"
-    if mode and result.strategy != "parallel":
-        pytest.skip("parallel strategy unavailable on this platform")
     store = explorations[-1].store
     events = [store.link(state_id)[1] for state_id in range(1, len(store))]
     assert len(events) > 50

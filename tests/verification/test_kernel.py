@@ -270,8 +270,6 @@ class TestKernelContract:
     @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
     def test_custom_invariant_that_fires_reports_a_replayable_violation(
             self, msi_nonstalling, kernel, symmetry):
-        if kernel == "vectorized":
-            pytest.importorskip("numpy")
         invariants = (*default_invariants(), _no_cache_in("M"))
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))

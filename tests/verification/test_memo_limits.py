@@ -28,8 +28,6 @@ from repro.system import vectorized as vectorized_module
 from repro.verification import verify
 from repro.verification.engine import canonical
 
-pytest.importorskip("numpy")
-
 _LOAD_STORE = (AccessKind.LOAD, AccessKind.STORE)
 
 #: (protocol, policy, caches, accesses, access kinds) -> (states, transitions)

@@ -3,7 +3,7 @@
 ``strategy="parallel"`` forks its worker fleet before the first level, so
 even the small two-cache spaces the fast tier can afford exercise the
 owner-computes rounds (hash-partitioned levels, bucket arenas, owner dedup,
-link columns) and the sharded checkpoint.
+link columns).
 
 Contracts under test:
 
@@ -19,9 +19,10 @@ Contracts under test:
 * determinism: nothing is claimed or stolen, so two runs at one worker
   count agree on per-worker counts, every stored trace link and every
   failure trace;
-* a sharded checkpoint resumes under a *different* worker count -- the
-  digest dumps are re-sharded on seed and the pending pairs re-dealt by
-  owner -- and still lands on the serial totals;
+* asking for the fleet gets the fleet or an error, never a serial search
+  in its place: one worker is a one-worker fleet, and no worker, a
+  checkpoint path or a platform without ``fork`` raise before anything
+  forks, while BFS and DFS ignore ``processes``;
 * robustness: a worker killed outright ends the search with an error
   naming it, and no run -- passing, failing, killed or interrupted in the
   parent -- leaves a child process or a ``/dev/shm`` segment behind.
@@ -64,10 +65,7 @@ def msi_swmr_mutant(msi_spec):
 
 def on_the_fleet(system, **kwargs):
     kwargs.setdefault("processes", 2)
-    result = verify(system, strategy="parallel", **kwargs)
-    if result.strategy != "parallel":  # fork unavailable: serial fallback
-        pytest.skip("parallel strategy unavailable on this platform")
-    return result
+    return verify(system, strategy="parallel", **kwargs)
 
 
 PARITY_MODES = [
@@ -181,30 +179,73 @@ class TestForkedFailureVerdicts:
         assert reference_search(dropping, True) == expected
 
 
-def test_sharded_checkpoint_resumes_under_different_worker_count(
-        msi_nonstalling, tmp_path):
-    """The checkpoint carries worker digest dumps, not a key dict; seeding
-    re-shards them, so leg 2 may run a different fleet size than leg 1 and
-    must still land on the uninterrupted totals."""
+# -- the fleet or an error -----------------------------------------------------
+
+
+def test_one_worker_is_a_one_worker_fleet(msi_nonstalling):
+    """``processes=1`` forks one worker that owns every digest; the result
+    is the fleet's, not a serial search's under another name."""
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    serial = verify(system, symmetry=True)
-    path = str(tmp_path / "run.ckpt")
+    result = on_the_fleet(system, processes=1)
+    assert result.ok and result.strategy == "parallel"
+    assert (result.states_explored, result.transitions_explored) == (1702, 3078)
+    assert result.stats["worker_states"] == [1702]
+    assert result.stats["cross_shard_share"] == 0.0
 
-    cut = max(2, serial.states_explored // 2)
-    leg = on_the_fleet(system, symmetry=True, max_states=cut, checkpoint=path)
-    assert leg.partial and leg.ok
-    assert os.path.exists(path), "the budgeted leg must persist a checkpoint"
 
-    result = on_the_fleet(system, symmetry=True, processes=3,
-                          max_states=10 ** 6, checkpoint=path)
-    assert result.ok and not result.partial
-    assert result.stats["resume_level"] is not None
-    assert result.states_explored == serial.states_explored
-    assert result.transitions_explored == serial.transitions_explored
-    assert result.complete_states == serial.complete_states
-    assert len(result.stats["worker_states"]) == 3
-    assert not os.path.exists(path), "a completed run consumes its checkpoint"
+@pytest.mark.parametrize("processes", [0, -2])
+def test_fewer_than_one_worker_is_refused(msi_nonstalling, processes):
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=1))
+    with pytest.raises(ValueError, match=f"processes={processes}"):
+        on_the_fleet(system, processes=processes)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+def test_serial_strategies_ignore_processes(msi_nonstalling, strategy):
+    """Only the fleet reads ``processes``: a serial search given none, or a
+    count the fleet would refuse, runs as if it had not been passed."""
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    for processes in (None, 0):
+        result = verify(system, strategy=strategy, processes=processes)
+        assert result.ok and result.strategy == strategy
+        assert (result.states_explored,
+                result.transitions_explored) == (1702, 3078)
+    assert not multiprocessing.active_children()
+
+
+def test_a_checkpoint_path_is_refused_before_anything_forks(
+        msi_nonstalling, tmp_path, monkeypatch):
+    """The fleet's visited set lives in its workers, so it has no
+    checkpoint to write: the combination is a named error, raised before
+    a worker forks or a file is read or written."""
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a refused search must not fork")
+
+    monkeypatch.setattr(parallel_mod.ShmEngine, "spinup", no_fork)
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(ValueError, match="checkpoint.*strategy='parallel'"):
+        on_the_fleet(system, max_states=300, checkpoint=str(path))
+    assert not path.exists() and not os.listdir(tmp_path)
+    assert not multiprocessing.active_children()
+
+
+def test_a_platform_without_fork_raises(msi_nonstalling, monkeypatch):
+    """Where ``fork`` is missing, ``get_context("fork")`` raises and so does
+    ``verify``: no serial BFS reports itself in the fleet's place."""
+    def no_fork_context(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=1))
+    with pytest.raises(ValueError, match="cannot find context for 'fork'"):
+        on_the_fleet(system)
 
 
 # -- determinism ---------------------------------------------------------------

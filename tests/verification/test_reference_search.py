@@ -41,7 +41,6 @@ def _counts(system, **kwargs):
 def test_every_backend_counts_what_the_reference_search_counts(
     all_generated, name, policy, symmetry
 ):
-    pytest.importorskip("numpy")  # kernel="vectorized" degrades without it
     system = System(all_generated[(name, policy)], num_caches=2,
                     workload=two_access_workload(name))
     expected = reference_search(system, symmetry)

@@ -13,9 +13,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.system import System, Workload
 from repro.dsl import AccessKind

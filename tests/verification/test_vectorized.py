@@ -25,12 +25,14 @@ contract:
   compiled kernel, never a wrong batch answer.
 """
 
+import numpy as np
 import pytest
 
 from repro import protocols
 from repro.core import GenerationConfig, generate
 from repro.dsl.types import AccessKind
 from repro.system import FaultModel, LitmusWorkload, System, Workload
+from repro.system.rowtable import RowTable
 from repro.verification import verify
 
 from verification_helpers import (
@@ -40,10 +42,6 @@ from verification_helpers import (
     make_swmr_mutant,
     sample_reachable_states,
 )
-
-np = pytest.importorskip("numpy")
-
-from repro.system.rowtable import RowTable
 
 KERNELS = ("compiled", "vectorized")
 
@@ -606,18 +604,3 @@ class TestExplicitFallbackContract:
                         workload=Workload(max_accesses_per_cache=1))
         with pytest.raises(ValueError, match="vectorized"):
             verify(system, kernel="simd")
-
-    def test_missing_numpy_raises_and_verify_falls_back(
-        self, msi_nonstalling, monkeypatch
-    ):
-        import repro.system.vectorized as vec
-        from repro.system import VectorizedUnavailable
-
-        monkeypatch.setattr(vec, "_np", None)
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1))
-        with pytest.raises(VectorizedUnavailable, match="numpy"):
-            system.vectorized_kernel()
-        result = verify(system, kernel="vectorized")
-        assert result.kernel == "compiled"
-        assert result.ok
