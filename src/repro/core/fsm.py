@@ -18,24 +18,9 @@ from repro.dsl.errors import GenerationError
 from repro.dsl.types import (
     AccessKind,
     Action,
-    AddOwnerToSharers,
-    AddRequestorToSharers,
-    ClearOwner,
-    ClearSharers,
     ControllerKind,
-    CopyDataFromMessage,
-    Dest,
-    IncrementAcksReceived,
-    InvalidateData,
     Permission,
     PerformAccess,
-    RemoveRequestorFromSharers,
-    ResetAckCounters,
-    SaveRequestor,
-    Send,
-    SetAcksExpectedFromMessage,
-    SetOwnerToRequestor,
-    WriteDataToMemory,
 )
 
 
@@ -296,9 +281,9 @@ class GeneratedProtocol:
         (:class:`repro.system.kernel.TransitionKernel` via
         :meth:`repro.system.System.kernel`) cache at the system level, where
         the codec tables are snapshotted at the same time.  Raises
-        :class:`CompilationUnsupported` when the protocol uses an action or
-        guard the table form cannot express; callers treat that as
-        "interpret the object FSM instead".
+        :class:`CompilationUnsupported` when the protocol uses a guard, an
+        event or a message type the tables cannot index; there is no other
+        backend to run such a protocol on.
         """
         return compile_spec(self)
 
@@ -320,14 +305,16 @@ class GeneratedProtocol:
 # Compiled (table-form) spec
 # ---------------------------------------------------------------------------
 #
-# The execution substrate interprets `ControllerFsm` objects: string-keyed
-# state lookups, dataclass events, isinstance chains over action objects.
-# That is the right representation for generation and for rendering, but the
-# model checker executes millions of transitions per search, where every
-# string hash and every `isinstance` shows up.  `compile_spec` lowers a
-# generated protocol into flat integer-indexed tables -- the same lowering
-# Murphi performs when it compiles a model to C -- which the encoded-state
-# kernel (`repro.system.kernel`) interprets directly over packed states.
+# The object executor (`repro.system.executor`) interprets `ControllerFsm`
+# objects: string-keyed state lookups, dataclass events, isinstance chains
+# over action objects.  That is the right representation for generation, for
+# rendering and for the tests' oracle, but the model checker executes
+# millions of transitions per search, where every string hash shows up.
+# `compile_spec` indexes a generated protocol into flat integer-keyed dispatch
+# tables -- states, guards, message types -- and keeps each transition's
+# `Action` tuple as it is: the encoded-state kernel (`repro.system.kernel`)
+# turns every transition's actions into one generated function over packed
+# states, the way Murphi compiles a model's rules to C.
 #
 # Index conventions (shared with `repro.system.codec.StateCodec`): FSM states
 # and message types are indexed through their *sorted* name lists, access
@@ -356,34 +343,6 @@ GUARD_CODES: dict[str, int] = {
     "owner_not_requestor": 12,
 }
 
-# Action opcodes (cache controller).
-OP_SEND = 1
-OP_COPY_DATA = 2
-OP_INVALIDATE_DATA = 3
-OP_SET_ACKS_FROM_MSG = 4
-OP_INC_ACKS = 5
-OP_RESET_ACKS = 6
-OP_SAVE_REQUESTOR = 7
-OP_PERFORM_ACCESS = 8
-# Action opcodes (directory controller).
-OP_DIR_SEND = 9
-OP_WRITE_MEMORY = 10
-OP_SET_OWNER_REQ = 11
-OP_CLEAR_OWNER = 12
-OP_ADD_REQ_SHARER = 13
-OP_ADD_OWNER_SHARER = 14
-OP_RM_REQ_SHARER = 15
-OP_CLEAR_SHARERS = 16
-
-# Send destination codes (cache sends).
-DEST_DIRECTORY = 0
-DEST_REQUESTOR = 1
-DEST_SELF = 2
-DEST_SAVED_SLOT = 3
-# Send destination codes (directory sends; REQUESTOR shared).
-DEST_OWNER = 2
-DEST_SHARERS = 3
-
 
 class CompilationUnsupported(GenerationError):
     """The protocol uses a construct the table form cannot express."""
@@ -391,14 +350,13 @@ class CompilationUnsupported(GenerationError):
 
 @dataclass(frozen=True)
 class CompiledTransition:
-    """One lowered `FsmTransition`: guard code, opcode list, next-state index."""
+    """One indexed `FsmTransition`: guard code, actions, next-state index."""
 
     guard: int          # 0 = unguarded, else a GUARD_CODES value
     next_state: int     # index into the controller's sorted state-name list
-    ops: tuple[tuple, ...]
+    actions: tuple[Action, ...]  # the transition's own actions; () for a stall
     stall: bool
-    has_perform: bool   # any PerformAccess op (clears pending_access after)
-    source: FsmTransition  # the object-form transition this was lowered from
+    has_perform: bool   # any PerformAccess action (clears pending_access after)
 
 
 @dataclass(frozen=True)
@@ -429,227 +387,10 @@ class CompiledSpec:
     mtype_vnet: tuple[int, ...]
 
 
-# -- lane-op descriptors --------------------------------------------------------
-#
-# Symbolic lane fields a compiled transition may read or write, expressed in
-# layout-independent terms (the codec/kernel map them to absolute lane
-# offsets).  The batch-vectorized kernel uses these descriptors to *prove*
-# that a transition's effect is confined to its own controller block plus the
-# shared version lane -- the soundness condition for reusing one computed
-# block delta across every frontier row that shares the (message, block)
-# key.  A transition whose opcode list strays outside this catalog is
-# reported rather than silently mis-batched.
-
-#: Cache-block fields (relative to the cache block) plus the shared lanes.
-FIELD_STATE = "state"
-FIELD_ISSUED = "issued"
-FIELD_DATA = "data"
-FIELD_ACKS_EXPECTED = "acks_expected"
-FIELD_ACKS_RECEIVED = "acks_received"
-FIELD_SAVED = "saved"              # saved-requestor slots (arg = slot index)
-FIELD_PENDING = "pending"
-FIELD_LAST_OBSERVED = "last_observed"
-FIELD_VERSION = "version"          # the shared latest_version lane
-#: Directory-block fields.
-FIELD_DIR_STATE = "dir_state"
-FIELD_OWNER = "owner"
-FIELD_SHARERS = "sharers"
-FIELD_MEMORY = "memory"
-#: Pseudo-field: the transition appends message records to the network.
-FIELD_SENDS = "sends"
-
-
-@dataclass(frozen=True)
-class TransitionLaneOps:
-    """Lane-level read/write footprint of one :class:`CompiledTransition`.
-
-    ``reads``/``writes`` are frozensets of the ``FIELD_*`` names above;
-    ``sends`` counts the maximum message records the transition can append
-    (``-1`` for a sharer fan-out, whose width depends on the directory
-    state); ``may_abort`` marks transitions with a data/requestor
-    precondition that can route to the object-executor slow path.
-    """
-
-    reads: frozenset
-    writes: frozenset
-    sends: int
-    may_abort: bool
-
-
-#: Per-opcode (reads, writes, sends, may_abort) contributions, cache side.
-_CACHE_OP_FOOTPRINT = {
-    OP_COPY_DATA: ((), (FIELD_DATA,), 0, True),
-    OP_INVALIDATE_DATA: ((), (FIELD_DATA,), 0, False),
-    OP_SET_ACKS_FROM_MSG: ((), (FIELD_ACKS_EXPECTED,), 0, False),
-    OP_INC_ACKS: ((FIELD_ACKS_RECEIVED,), (FIELD_ACKS_RECEIVED,), 0, False),
-    OP_RESET_ACKS: ((), (FIELD_ACKS_EXPECTED, FIELD_ACKS_RECEIVED), 0, False),
-    OP_SAVE_REQUESTOR: ((), (FIELD_SAVED,), 0, False),
-    OP_PERFORM_ACCESS: (
-        (FIELD_DATA, FIELD_LAST_OBSERVED, FIELD_VERSION),
-        (FIELD_DATA, FIELD_LAST_OBSERVED, FIELD_VERSION),
-        0,
-        True,
-    ),
-}
-
-#: Directory-side opcode footprints (sends handled separately).
-_DIR_OP_FOOTPRINT = {
-    OP_WRITE_MEMORY: ((), (FIELD_MEMORY,), 0, True),
-    OP_SET_OWNER_REQ: ((), (FIELD_OWNER,), 0, False),
-    OP_CLEAR_OWNER: ((), (FIELD_OWNER,), 0, False),
-    OP_ADD_REQ_SHARER: ((FIELD_SHARERS,), (FIELD_SHARERS,), 0, True),
-    OP_ADD_OWNER_SHARER: ((FIELD_OWNER, FIELD_SHARERS), (FIELD_SHARERS,), 0, False),
-    OP_RM_REQ_SHARER: ((FIELD_SHARERS,), (FIELD_SHARERS,), 0, False),
-    OP_CLEAR_SHARERS: ((), (FIELD_SHARERS,), 0, False),
-}
-
-
-def transition_lane_ops(ct: CompiledTransition, *, is_cache: bool) -> TransitionLaneOps:
-    """The :class:`TransitionLaneOps` descriptor for *ct*.
-
-    Derived from the opcode tuples alone; raises
-    :class:`CompilationUnsupported` for an opcode outside the known catalog
-    (so a future opcode cannot be silently treated as block-confined).
-    """
-    reads: set = set()
-    writes: set = {FIELD_STATE if is_cache else FIELD_DIR_STATE}
-    sends = 0
-    may_abort = False
-    for op in ct.ops:
-        code = op[0]
-        if is_cache and code == OP_SEND:
-            _, _mt, _vnet, dest, _arg, from_slot, with_data = op
-            if dest == DEST_SAVED_SLOT or from_slot is not None:
-                reads.add(FIELD_SAVED)
-                may_abort = True
-            if dest == DEST_REQUESTOR:
-                may_abort = True
-            if with_data:
-                reads.add(FIELD_DATA)
-            sends += 1
-            continue
-        if not is_cache and code == OP_DIR_SEND:
-            _, _mt, _vnet, dest, with_data, with_ack = op
-            if with_data:
-                reads.add(FIELD_MEMORY)
-            if with_ack or dest == DEST_SHARERS:
-                reads.add(FIELD_SHARERS)
-            if dest == DEST_OWNER:
-                reads.add(FIELD_OWNER)
-                may_abort = True
-            if dest == DEST_REQUESTOR:
-                may_abort = True
-            sends = -1 if (sends == -1 or dest == DEST_SHARERS) else sends + 1
-            continue
-        footprint = (_CACHE_OP_FOOTPRINT if is_cache else _DIR_OP_FOOTPRINT).get(code)
-        if footprint is None:
-            raise CompilationUnsupported(
-                f"opcode {code} has no lane-op descriptor "
-                f"({'cache' if is_cache else 'directory'} transition)"
-            )
-        op_reads, op_writes, op_sends, op_abort = footprint
-        reads.update(op_reads)
-        writes.update(op_writes)
-        sends += op_sends
-        may_abort = may_abort or op_abort
-    if is_cache and ct.has_perform:
-        writes.add(FIELD_PENDING)
-    if sends:
-        writes.add(FIELD_SENDS)
-    return TransitionLaneOps(
-        reads=frozenset(reads),
-        writes=frozenset(writes),
-        sends=sends,
-        may_abort=may_abort,
-    )
-
-
-def _compile_actions(
-    transition: FsmTransition,
-    *,
-    is_cache: bool,
-    mtype_index: dict[str, int],
-    mtype_vnet: tuple[int, ...],
-) -> tuple[tuple, ...]:
-    ops: list[tuple] = []
-    for action in transition.actions:
-        if isinstance(action, Send):
-            try:
-                mt = mtype_index[action.message]
-            except KeyError:
-                raise CompilationUnsupported(
-                    f"send of unknown message type {action.message!r}"
-                ) from None
-            vnet = mtype_vnet[mt]
-            if is_cache:
-                if action.requestor_slot is not None:
-                    dest, arg = DEST_SAVED_SLOT, action.requestor_slot
-                elif action.to is Dest.DIRECTORY:
-                    dest, arg = DEST_DIRECTORY, 0
-                elif action.to is Dest.REQUESTOR:
-                    dest, arg = DEST_REQUESTOR, 0
-                elif action.to is Dest.SELF:
-                    dest, arg = DEST_SELF, 0
-                else:
-                    raise CompilationUnsupported(
-                        f"cache send destination {action.to!r}"
-                    )
-                ops.append((OP_SEND, mt, vnet, dest, arg,
-                            action.requestor_from_slot, action.with_data))
-            else:
-                if action.to is Dest.REQUESTOR:
-                    dest = DEST_REQUESTOR
-                elif action.to is Dest.OWNER:
-                    dest = DEST_OWNER
-                elif action.to is Dest.SHARERS:
-                    dest = DEST_SHARERS
-                else:
-                    raise CompilationUnsupported(
-                        f"directory send destination {action.to!r}"
-                    )
-                ops.append((OP_DIR_SEND, mt, vnet, dest,
-                            action.with_data, action.with_ack_count))
-        elif isinstance(action, CopyDataFromMessage):
-            ops.append((OP_COPY_DATA,) if is_cache else (OP_WRITE_MEMORY,))
-        elif isinstance(action, WriteDataToMemory):
-            if is_cache:
-                raise CompilationUnsupported("WriteDataToMemory on a cache")
-            ops.append((OP_WRITE_MEMORY,))
-        elif isinstance(action, InvalidateData):
-            ops.append((OP_INVALIDATE_DATA,))
-        elif isinstance(action, SetAcksExpectedFromMessage):
-            ops.append((OP_SET_ACKS_FROM_MSG,))
-        elif isinstance(action, IncrementAcksReceived):
-            ops.append((OP_INC_ACKS,))
-        elif isinstance(action, ResetAckCounters):
-            ops.append((OP_RESET_ACKS,))
-        elif isinstance(action, SaveRequestor):
-            ops.append((OP_SAVE_REQUESTOR, action.slot))
-        elif isinstance(action, PerformAccess):
-            ops.append((OP_PERFORM_ACCESS,))
-        elif isinstance(action, SetOwnerToRequestor):
-            ops.append((OP_SET_OWNER_REQ,))
-        elif isinstance(action, ClearOwner):
-            ops.append((OP_CLEAR_OWNER,))
-        elif isinstance(action, AddRequestorToSharers):
-            ops.append((OP_ADD_REQ_SHARER,))
-        elif isinstance(action, AddOwnerToSharers):
-            ops.append((OP_ADD_OWNER_SHARER,))
-        elif isinstance(action, RemoveRequestorFromSharers):
-            ops.append((OP_RM_REQ_SHARER,))
-        elif isinstance(action, ClearSharers):
-            ops.append((OP_CLEAR_SHARERS,))
-        else:
-            raise CompilationUnsupported(f"action {action!r}")
-    return tuple(ops)
-
-
 def _compile_controller(
     fsm: ControllerFsm,
     *,
-    is_cache: bool,
     mtype_index: dict[str, int],
-    mtype_vnet: tuple[int, ...],
     access_kinds: tuple[AccessKind, ...],
 ) -> CompiledController:
     state_names = tuple(sorted(fsm.state_names()))
@@ -668,15 +409,13 @@ def _compile_controller(
         if transition.stall:
             # Stalled cells never execute; next_state may be a placeholder.
             next_state = state_index.get(transition.next_state, 0)
-            return CompiledTransition(guard, next_state, (), True, False, transition)
+            return CompiledTransition(guard, next_state, (), True, False)
         return CompiledTransition(
             guard,
             state_index[transition.next_state],
-            _compile_actions(transition, is_cache=is_cache,
-                             mtype_index=mtype_index, mtype_vnet=mtype_vnet),
+            transition.actions,
             False,
             any(isinstance(a, PerformAccess) for a in transition.actions),
-            transition,
         )
 
     on_access: list[tuple] = []
@@ -712,14 +451,14 @@ def _compile_controller(
 
 
 def compile_spec(protocol: GeneratedProtocol) -> CompiledSpec:
-    """Lower *protocol* into integer-indexed dispatch tables.
+    """Index *protocol* into integer-keyed dispatch tables.
 
     The index conventions (sorted state / message-type names, value-sorted
     access kinds) are exactly those of
     :class:`repro.system.codec.StateCodec`, so a table lookup on an encoded
-    field needs no translation.  Raises :class:`CompilationUnsupported` for
-    constructs the tables cannot express (the caller then interprets the
-    object FSM instead).
+    field needs no translation.  Actions are kept as the transitions hold
+    them.  Raises :class:`CompilationUnsupported` for an unknown guard, an
+    unknown event kind or a handler for an unknown message type.
     """
     mtype_names = tuple(sorted(protocol.messages.names()))
     mtype_index = {name: i for i, name in enumerate(mtype_names)}
@@ -731,12 +470,10 @@ def compile_spec(protocol: GeneratedProtocol) -> CompiledSpec:
     access_kinds = tuple(sorted(AccessKind, key=lambda a: a.value))
     return CompiledSpec(
         cache=_compile_controller(
-            protocol.cache, is_cache=True, mtype_index=mtype_index,
-            mtype_vnet=mtype_vnet, access_kinds=access_kinds,
+            protocol.cache, mtype_index=mtype_index, access_kinds=access_kinds
         ),
         directory=_compile_controller(
-            protocol.directory, is_cache=False, mtype_index=mtype_index,
-            mtype_vnet=mtype_vnet, access_kinds=access_kinds,
+            protocol.directory, mtype_index=mtype_index, access_kinds=access_kinds
         ),
         mtype_names=mtype_names,
         access_kinds=access_kinds,

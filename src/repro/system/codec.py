@@ -395,41 +395,6 @@ class StateCodec:
         lanes = len(packed) // self.lane_bytes
         return (self._layouts.get(lanes) or self._layout(lanes)).unpack(packed)
 
-    def pack_tail(self, tail: tuple) -> bytes:
-        """Pack a lane slice (e.g. a network section) on its own.
-
-        ``pack(enc) == pack_tail(enc[:k]) + pack_tail(enc[k:])`` for any
-        split point ``k`` -- the packed form is a flat native-endian lane
-        dump with no framing -- so batch expansion can assemble intern keys
-        from a NumPy prefix row's ``tobytes()`` plus a per-section packed
-        tail without ever materializing the full tuple.
-        """
-        return self.pack(tail)
-
-    def layout(self) -> dict:
-        """Lane-offset metadata for batch (matrix) operations over encodings.
-
-        Everything a batch kernel needs to slice/scatter the fixed-width
-        prefix of this codec's encodings without reaching into private
-        attributes: absolute offsets, block widths, the lane dtype string
-        (NumPy-compatible) and the saved-requestor lanes.
-        """
-        return {
-            "num_caches": self.num_caches,
-            "num_addresses": self.num_addresses,
-            "cache_width": self.cache_width,
-            "dir_offset": self.dir_offset,
-            "dir_width": self.dir_width,
-            "version_offset": self.version_offset,
-            "plane_stride": self.plane_stride,
-            "fault_offset": self.fault_offset,
-            "net_offset": self.net_offset,
-            "lane_bytes": self.lane_bytes,
-            "numpy_dtype": f"uint{8 * self.lane_bytes}",
-            "saved_lanes": self._saved_lanes,
-            "message_width": MESSAGE_ENCODED_WIDTH,
-        }
-
     # -- relabeling --------------------------------------------------------------
     def perm_tables(self, perm: tuple[int, ...]) -> tuple:
         """``(gather, t1, t2)`` for *perm*, built once and cached.

@@ -5,9 +5,10 @@ current architectural state and a stimulus (a core access or an incoming
 message), it selects the matching transition, executes its actions and
 returns the new node state plus the messages to inject into the network.
 
-Two backends interpret the same generated spec: this object executor, and
-the compiled kernel (:mod:`repro.system.kernel`) that runs the lowered table
-form (:func:`repro.core.fsm.compile_spec`) directly over encoded states.
+Two backends run the same generated spec: this object executor, and the
+compiled kernel (:mod:`repro.system.kernel`), which generates one function
+per transition from the same actions, indexed by
+:func:`repro.core.fsm.compile_spec`, and runs it over encoded states.
 They share the guard vocabulary (:data:`repro.core.fsm.GUARD_CODES`,
 evaluated here by :func:`evaluate_guard`) and the transition-selection
 policy; the object executor is the differential oracle -- the kernel

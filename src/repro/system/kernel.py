@@ -8,14 +8,16 @@ construction and a full re-encode.  Murphi gets its throughput by compiling
 the transition relation down to operations on packed bit-vector states; the
 :class:`TransitionKernel` is that representation shift for this engine:
 
-* the generated protocol is lowered once into integer-indexed dispatch
-  tables (:func:`repro.core.fsm.compile_spec`);
-* at kernel construction every transition's opcode list is additionally
-  specialized into a flat generated function with its constants, lane
-  offsets and destination kinds burned in (:meth:`TransitionKernel._compile_cache_fn`
-  / :meth:`TransitionKernel._compile_directory_fn`), and plans carry their
-  bound apply handler so the search loop dispatches without a single
-  string comparison;
+* the generated protocol is indexed once into integer-keyed dispatch
+  tables (:func:`repro.core.fsm.compile_spec`), every transition keeping
+  its own :class:`~repro.dsl.types.Action` tuple;
+* at kernel construction every transition's actions are generated into a
+  flat function with its constants, lane offsets and destination kinds
+  burned in (:meth:`TransitionKernel._compile_cache_fn`
+  / :meth:`TransitionKernel._compile_directory_fn`) -- the executor's
+  interpretation and this generator are the only two places that say what
+  an action does -- and plans carry their bound apply handler so the
+  search loop dispatches without a single string comparison;
 * enabled-event enumeration, guard evaluation, successor construction,
   quiescence and the default invariants (SWMR, single-owner) then run
   directly on the flat int-tuple encoding of
@@ -29,10 +31,11 @@ where it is not**: every successor it produces is bit-identical to
 ``codec.encode(system.apply(state, event).state)`` (property-tested across
 all bundled protocols in ``tests/verification/test_kernel.py``), and any
 path that would produce an error outcome -- unexpected message, ambiguous
-guards, missing data/requestor, a data-value violation -- returns ``None``
-instead, telling the caller to decode the state and replay the single event
-through the object executor, which is kept as the differential oracle and
-produces the exact seed-identical error text.
+guards, missing data/requestor/owner, a data-value violation, an action or
+a destination the controller cannot execute -- returns ``None`` instead,
+telling the caller to decode the state and replay the single event through
+the object executor, which is kept as the differential oracle and produces
+the exact seed-identical error text.
 
 Layout knowledge (field offsets, +1/+2 shifts) mirrors
 :mod:`repro.system.codec`; both import their widths from
@@ -41,32 +44,26 @@ Layout knowledge (field offsets, +1/+2 shifts) mirrors
 
 from __future__ import annotations
 
-from repro.core.fsm import (
-    DEST_DIRECTORY,
-    DEST_OWNER,
-    DEST_REQUESTOR,
-    DEST_SAVED_SLOT,
-    DEST_SELF,
-    DEST_SHARERS,
-    OP_ADD_OWNER_SHARER,
-    OP_ADD_REQ_SHARER,
-    OP_CLEAR_OWNER,
-    OP_CLEAR_SHARERS,
-    OP_COPY_DATA,
-    OP_DIR_SEND,
-    OP_INC_ACKS,
-    OP_INVALIDATE_DATA,
-    OP_PERFORM_ACCESS,
-    OP_RM_REQ_SHARER,
-    OP_RESET_ACKS,
-    OP_SAVE_REQUESTOR,
-    OP_SEND,
-    OP_SET_ACKS_FROM_MSG,
-    OP_SET_OWNER_REQ,
-    OP_WRITE_MEMORY,
-    CompilationUnsupported,
+from repro.core.fsm import CompilationUnsupported
+from repro.dsl.types import (
+    AccessKind,
+    AddOwnerToSharers,
+    AddRequestorToSharers,
+    ClearOwner,
+    ClearSharers,
+    CopyDataFromMessage,
+    Dest,
+    IncrementAcksReceived,
+    InvalidateData,
+    PerformAccess,
+    RemoveRequestorFromSharers,
+    ResetAckCounters,
+    SaveRequestor,
+    Send,
+    SetAcksExpectedFromMessage,
+    SetOwnerToRequestor,
+    WriteDataToMemory,
 )
-from repro.dsl.types import AccessKind
 from repro.system.message import MESSAGE_ENCODED_WIDTH
 from repro.system.node_state import CACHE_ENCODED_WIDTH, NUM_SAVED_SLOTS
 
@@ -79,6 +76,15 @@ CF_ACKS_RECEIVED = 4
 CF_SAVED = 5
 CF_PENDING = 5 + NUM_SAVED_SLOTS
 CF_LAST_OBSERVED = 6 + NUM_SAVED_SLOTS
+
+#: Directory actions that read or write the sharer set, and those that read
+#: or write the owner lane (besides sends to ``SHARERS`` / ``OWNER``).  A
+#: directory function builds the set / the owner local, and writes them back,
+#: only when one of its actions needs it.
+_SHARER_ACTIONS = (
+    AddRequestorToSharers, AddOwnerToSharers, RemoveRequestorFromSharers, ClearSharers,
+)
+_OWNER_ACTIONS = (SetOwnerToRequestor, ClearOwner, AddOwnerToSharers)
 
 #: Sentinel plan: more than one transition matched (the object executor
 #: raises the "ambiguous transitions" protocol error for these).
@@ -130,12 +136,6 @@ class TransitionKernel:
             or spec.access_kinds != codec.access_kinds
         ):
             raise CompilationUnsupported("spec/codec index tables disagree")
-        if spec.mtype_vnet != tuple(
-            0 if name in system._request_names else 1 for name in spec.mtype_names
-        ):
-            # The spec derives vnets from the message catalog on its own;
-            # they must match the tagging System._tag applies to sends.
-            raise CompilationUnsupported("spec/system vnet tagging disagrees")
         for row in spec.cache.on_message:
             for cands in row.values():
                 if any(ct.guard > 4 for ct in cands):
@@ -196,17 +196,7 @@ class TransitionKernel:
         )
         self.ai_load = codec.access_kinds.index(AccessKind.LOAD)
         self.ai_store = codec.access_kinds.index(AccessKind.STORE)
-        def touches_sharers(ct) -> bool:
-            for op in ct.ops:
-                code = op[0]
-                if code in (OP_ADD_REQ_SHARER, OP_ADD_OWNER_SHARER,
-                            OP_RM_REQ_SHARER, OP_CLEAR_SHARERS):
-                    return True
-                if code == OP_DIR_SEND and (op[5] or op[3] == DEST_SHARERS):
-                    return True
-            return False
-
-        #: Per-transition specialized op functions (see
+        #: Per-transition generated functions (see
         #: :meth:`_compile_cache_fn`); keyed by ``id(ct)`` -- the spec is
         #: compiled fresh per kernel, so the transitions are kernel-owned.
         self._cache_fns: dict[int, object] = {}
@@ -220,18 +210,6 @@ class TransitionKernel:
                     if id(ct) not in self._cache_fns:
                         self._cache_fns[id(ct)] = self._compile_cache_fn(ct)
 
-        #: Directory transitions that read or write the sharer set (ack
-        #: counts, sharer fan-out, add/remove/clear).  Every other directory
-        #: transition leaves the sharer run lanes untouched, so `apply`
-        #: skips the set build and the sorted writeback for them.
-        self._dir_sharer_cts = {
-            id(ct)
-            for row in spec.directory.on_message
-            for cands in row.values()
-            for ct in cands
-            if touches_sharers(ct)
-        }
-
         #: Specialized directory-transition functions, keyed like
         #: ``_cache_fns`` (see :meth:`_compile_directory_fn`).
         self._dir_fns: dict[int, object] = {}
@@ -241,7 +219,7 @@ class TransitionKernel:
                     if id(ct) not in self._dir_fns:
                         self._dir_fns[id(ct)] = self._compile_directory_fn(ct)
 
-        #: Per-state-index issuable ``(access_index, transition, op_fn)``
+        #: Per-state-index issuable ``(access_index, transition, fn)``
         #: triples in workload order -- the access half of ``enabled()``
         #: reduces to a table walk (stall/None filtering done once here, at
         #: build time).
@@ -694,45 +672,48 @@ class TransitionKernel:
         return tuple(out)
 
     def _compile_cache_fn(self, ct):
-        """Specialize one cache transition's opcode list into a flat function.
+        """Generate one cache transition's function from its actions.
 
-        The opcode interpreter paid a dispatch chain per op per applied
-        transition; here every op's constants (message type, vnet,
-        destination kind, slot numbers, lane offsets) are burned into
-        generated straight-line source instead, executed once per kernel
-        construction.  ``fn(out, base, cid, rec, ai, sends) -> bool`` has
-        the exact interpreter semantics: mutate the cache block in place,
-        append encoded send records, and return False to route the event to
-        the object-executor slow path.  Returns ``None`` for an empty op
-        list (callers skip the call entirely).
+        Every action's constants (message type, vnet, destination kind, slot
+        numbers, lane offsets) are burned into straight-line source, run once
+        per distinct text (:func:`_compiled`).  ``fn(out, base, cid, rec, ai,
+        sends) -> bool`` does to the encoded cache block what
+        :func:`repro.system.executor.execute_cache_transition` does to the
+        object one: mutate it in place, append encoded send records, and
+        return False wherever the executor reports an error -- an action or
+        a destination a cache cannot execute included -- so the event
+        replays through ``System.apply``, which reports it.  Returns
+        ``None`` for an empty action list (callers skip the call entirely).
         """
-        if not ct.ops:
+        if not ct.actions:
             return None
         # Plane-0 version offset as a default arg: single-plane callers omit
         # it, multi-address callers pass their plane's absolute offset.
         lines = [f"def fn(out, base, cid, rec, ai, sends, vo={self.version_offset}):"]
         emit = lines.append
         tmp = 0
-        for op in ct.ops:
-            code = op[0]
-            if code == OP_SEND:
-                _, mt, vnet, dest, arg, from_slot, with_data = op
-                if dest == DEST_DIRECTORY:
-                    dst = "1"
-                elif dest == DEST_REQUESTOR:
-                    emit(" if rec is None or not rec[4]:")
-                    emit("  return False  # no requestor available")
-                    dst = "rec[5]"
-                elif dest == DEST_SELF:
-                    dst = "cid + 2"
-                else:  # DEST_SAVED_SLOT
-                    emit(f" s{tmp} = out[base + {CF_SAVED + arg}]")
+        for action in ct.actions:
+            if isinstance(action, Send):
+                mt, vnet = self._message_type(action)
+                if action.requestor_slot is not None:
+                    emit(f" s{tmp} = out[base + {CF_SAVED + action.requestor_slot}]")
                     emit(f" if s{tmp} == 0:")
                     emit("  return False  # deferred response without saved requestor")
                     dst = f"s{tmp} + 1"
                     tmp += 1
-                if from_slot is not None:
-                    emit(f" s{tmp} = out[base + {CF_SAVED + from_slot}]")
+                elif action.to is Dest.DIRECTORY:
+                    dst = "1"
+                elif action.to is Dest.REQUESTOR:
+                    emit(" if rec is None or not rec[4]:")
+                    emit("  return False  # no requestor available")
+                    dst = "rec[5]"
+                elif action.to is Dest.SELF:
+                    dst = "cid + 2"
+                else:
+                    emit(" return False  # unsupported destination")
+                    break
+                if action.requestor_from_slot is not None:
+                    emit(f" s{tmp} = out[base + {CF_SAVED + action.requestor_from_slot}]")
                     emit(f" if s{tmp} == 0:")
                     emit("  return False")
                     req = f"s{tmp} + 1"
@@ -741,7 +722,7 @@ class TransitionKernel:
                     emit(" req = rec[5] if rec is not None and rec[4] else cid + 2")
                     req = "req"
                 head = f"({mt}, cid + 2, {dst}, {vnet}, 1, {req}"
-                if with_data:
+                if action.with_data:
                     emit(f" data = out[base + {CF_DATA}]")
                     emit(" if data:")
                     emit(f"  sends.append({head}, 1, data + 1, 0, 0))")
@@ -749,28 +730,28 @@ class TransitionKernel:
                     emit(f"  sends.append({head}, 0, 0, 0, 0))")
                 else:
                     emit(f" sends.append({head}, 0, 0, 0, 0))")
-            elif code == OP_COPY_DATA:
+            elif isinstance(action, CopyDataFromMessage):
                 emit(" if rec is None or not rec[6]:")
                 emit('  return False  # "expected data in <message>"')
                 emit(f" out[base + {CF_DATA}] = rec[7] - 1")
-            elif code == OP_INVALIDATE_DATA:
+            elif isinstance(action, InvalidateData):
                 emit(f" out[base + {CF_DATA}] = 0")
-            elif code == OP_SET_ACKS_FROM_MSG:
+            elif isinstance(action, SetAcksExpectedFromMessage):
                 emit(
                     f" out[base + {CF_ACKS_EXPECTED}] ="
                     " rec[9] - 1 if rec is not None and rec[8] else 0"
                 )
-            elif code == OP_INC_ACKS:
+            elif isinstance(action, IncrementAcksReceived):
                 emit(f" out[base + {CF_ACKS_RECEIVED}] += 1")
-            elif code == OP_RESET_ACKS:
+            elif isinstance(action, ResetAckCounters):
                 emit(f" out[base + {CF_ACKS_EXPECTED}] = 0")
                 emit(f" out[base + {CF_ACKS_RECEIVED}] = 0")
-            elif code == OP_SAVE_REQUESTOR:
+            elif isinstance(action, SaveRequestor):
                 emit(
-                    f" out[base + {CF_SAVED + op[1]}] ="
+                    f" out[base + {CF_SAVED + action.slot}] ="
                     " rec[5] - 1 if rec is not None and rec[4] else 0"
                 )
-            else:  # OP_PERFORM_ACCESS
+            elif isinstance(action, PerformAccess):
                 emit(" if ai is not None:")
                 emit(f"  if ai == {self.ai_load}:")
                 emit(f"   data = out[base + {CF_DATA}]")
@@ -787,8 +768,21 @@ class TransitionKernel:
                 emit(f"   out[base + {CF_LAST_OBSERVED}] = version + 1")
                 emit("  else:  # replacement: the block leaves the cache")
                 emit(f"   out[base + {CF_DATA}] = 0")
+            else:
+                emit(" return False  # an action a cache cannot execute")
+                break
         emit(" return True")
         return _compiled("\n".join(lines))
+
+    def _message_type(self, action: Send) -> tuple[int, int]:
+        """``(message-type index, vnet)`` of the message *action* sends."""
+        try:
+            mt = self.spec.mtype_names.index(action.message)
+        except ValueError:
+            raise CompilationUnsupported(
+                f"send of unknown message type {action.message!r}"
+            ) from None
+        return mt, self.spec.mtype_vnet[mt]
 
     def _apply_directory(self, enc, rec, ct, net, where):
         out = list(enc[: self.net_offset])
@@ -804,21 +798,25 @@ class TransitionKernel:
         ``fn(out, rec, sends) -> bool`` runs the whole directory-side
         mutation for one transition: lane offsets, destination kinds and
         data/ack flags are burned in at generation time, the owner local and
-        the sharer set are materialized only when some op actually reads or
-        writes them, and the sorted sharer-run writeback happens only for
-        transitions that touch the set.  False routes to the object-executor
-        slow path, exactly like the interpreted loop it replaces.
+        the sharer set are materialized only when some action actually reads
+        or writes them, and the sorted sharer-run writeback happens only for
+        transitions that touch the set.  False routes the event to
+        ``System.apply``, wherever
+        :func:`repro.system.executor.execute_directory_transition` reports an
+        error.
         """
         d0 = self.dir_offset
         n = self.num_caches
         mem_i = d0 + 2 + n
-        codes = [op[0] for op in ct.ops]
-        touches_sharers = id(ct) in self._dir_sharer_cts
+        touches_sharers = any(
+            isinstance(a, _SHARER_ACTIONS)
+            or isinstance(a, Send) and (a.with_ack_count or a.to is Dest.SHARERS)
+            for a in ct.actions
+        )
         uses_owner = any(
-            c in (OP_SET_OWNER_REQ, OP_CLEAR_OWNER, OP_ADD_OWNER_SHARER)
-            for c in codes
-        ) or any(
-            op[0] == OP_DIR_SEND and op[3] == DEST_OWNER for op in ct.ops
+            isinstance(a, _OWNER_ACTIONS)
+            or isinstance(a, Send) and a.to is Dest.OWNER
+            for a in ct.actions
         )
         # Plane-0 lanes as default args: single-plane callers omit them,
         # multi-address callers pass their plane's absolute offsets.
@@ -830,52 +828,57 @@ class TransitionKernel:
             emit(" owner = out[d0 + 1]")
         if touches_sharers:
             emit(" sharers = {v for v in out[d0 + 2:mem_i] if v}")
-        for op in ct.ops:
-            code = op[0]
-            if code == OP_DIR_SEND:
-                _, mt, vnet, dest, with_data, with_ack = op
-                if with_data:
+        for action in ct.actions:
+            if isinstance(action, Send):
+                mt, vnet = self._message_type(action)
+                if action.to not in (Dest.REQUESTOR, Dest.OWNER, Dest.SHARERS):
+                    emit(" return False  # unsupported destination")
+                    break
+                if action.with_data:
                     emit(" dv = out[mem_i] + 2")
                     df, dv = "1", "dv"
                 else:
                     df, dv = "0", "0"
-                if with_ack:
+                if action.with_ack_count:
                     emit(" av = len(sharers) - (1 if reqf and reqv in sharers else 0) + 2")
                     af, av = "1", "av"
                 else:
                     af, av = "0", "0"
                 record_tail = f"{vnet}, reqf, reqv, {df}, {dv}, {af}, {av})"
-                if dest == DEST_REQUESTOR:
+                if action.to is Dest.REQUESTOR:
                     emit(" if not reqf:")
                     emit('  return False  # "needs a requestor"')
                     emit(f" sends.append(({mt}, 1, reqv, {record_tail})")
-                elif dest == DEST_OWNER:
+                elif action.to is Dest.OWNER:
                     emit(" if owner == 0:")
                     emit('  return False  # "needs an owner"')
                     emit(f" sends.append(({mt}, 1, owner, {record_tail})")
-                else:  # DEST_SHARERS
+                else:
                     emit(" for dst in sorted(s for s in sharers if not (reqf and s == reqv)):")
                     emit(f"  sends.append(({mt}, 1, dst, {record_tail})")
-            elif code == OP_WRITE_MEMORY:
+            elif isinstance(action, (CopyDataFromMessage, WriteDataToMemory)):
                 emit(" if not rec[6]:")
                 emit('  return False  # "expected data in <message>"')
                 emit(" out[mem_i] = rec[7] - 2")
-            elif code == OP_SET_OWNER_REQ:
+            elif isinstance(action, SetOwnerToRequestor):
                 emit(" owner = reqv if reqf else 0")
-            elif code == OP_CLEAR_OWNER:
+            elif isinstance(action, ClearOwner):
                 emit(" owner = 0")
-            elif code == OP_ADD_REQ_SHARER:
+            elif isinstance(action, AddRequestorToSharers):
                 emit(" if not reqf:")
                 emit("  return False  # object path would record a null sharer")
                 emit(" sharers.add(reqv)")
-            elif code == OP_ADD_OWNER_SHARER:
+            elif isinstance(action, AddOwnerToSharers):
                 emit(" if owner:")
                 emit("  sharers.add(owner)")
-            elif code == OP_RM_REQ_SHARER:
+            elif isinstance(action, RemoveRequestorFromSharers):
                 emit(" if reqf:")
                 emit("  sharers.discard(reqv)")
-            else:  # OP_CLEAR_SHARERS
+            elif isinstance(action, ClearSharers):
                 emit(" sharers.clear()")
+            else:
+                emit(" return False  # an action the directory cannot execute")
+                break
         emit(f" out[d0] = {ct.next_state}")
         if uses_owner:
             emit(" out[d0 + 1] = owner")

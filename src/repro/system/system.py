@@ -331,8 +331,8 @@ class System:
         this configuration (built lazily, cached like the codec).
 
         Raises :class:`repro.core.fsm.CompilationUnsupported` when the
-        protocol uses constructs the table form cannot express; callers fall
-        back to interpreting this object model directly.
+        protocol uses a construct the tables cannot index; there is no other
+        backend, so ``verify()`` raises it too.
         """
         if self._kernel is None:
             from repro.system.kernel import TransitionKernel
@@ -597,14 +597,21 @@ class System:
 
     # -- event application -------------------------------------------------------
     def apply(self, state: GlobalState, event: SystemEvent) -> StepOutcome:
-        if isinstance(event, IssueAccess):
-            return self._apply_access(state, event)
-        if isinstance(event, DeliverMessage):
-            return self._apply_delivery(state, event)
-        if isinstance(event, DuplicateMessage):
-            return self._apply_duplicate(state, event)
-        if isinstance(event, ReorderMessage):
-            return self._apply_reorder(state, event)
+        """The outcome of *event* in *state*.  A protocol error -- returned
+        by the executor or raised by it as :class:`ProtocolRuntimeError`,
+        on whichever controller and event kind -- is the outcome's
+        ``error``, with *state* unchanged."""
+        try:
+            if isinstance(event, IssueAccess):
+                return self._apply_access(state, event)
+            if isinstance(event, DeliverMessage):
+                return self._apply_delivery(state, event)
+            if isinstance(event, DuplicateMessage):
+                return self._apply_duplicate(state, event)
+            if isinstance(event, ReorderMessage):
+                return self._apply_reorder(state, event)
+        except ProtocolRuntimeError as exc:
+            return StepOutcome(state=state, error=str(exc))
         raise TypeError(f"unknown event {event!r}")
 
     def _apply_access(self, state: GlobalState, event: IssueAccess) -> StepOutcome:
@@ -642,10 +649,7 @@ class System:
     def _apply_delivery(self, state: GlobalState, event: DeliverMessage) -> StepOutcome:
         message = event.message
         addr = event.addr
-        try:
-            transition, node = self._transition_for_message(state, message, addr)
-        except ProtocolRuntimeError as exc:
-            return StepOutcome(state=state, error=str(exc))
+        transition, node = self._transition_for_message(state, message, addr)
         if transition is None:
             receiver = "directory" if message.dst == DIRECTORY_ID else f"cache {message.dst}"
             holder_state = node.fsm_state
@@ -682,17 +686,14 @@ class System:
             return StepOutcome(state=new_state, observations=result.observations)
 
         idx = addr * self.num_caches + message.dst
-        try:
-            result = execute_cache_transition(
-                transition,
-                state.caches[idx],
-                message.dst,
-                message=message,
-                access=None,
-                latest_version=self._plane_version(state, addr),
-            )
-        except ProtocolRuntimeError as exc:
-            return StepOutcome(state=state, error=str(exc))
+        result = execute_cache_transition(
+            transition,
+            state.caches[idx],
+            message.dst,
+            message=message,
+            access=None,
+            latest_version=self._plane_version(state, addr),
+        )
         if result.error:
             return StepOutcome(state=state, error=result.error)
         caches = list(state.caches)

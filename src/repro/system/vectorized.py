@@ -39,21 +39,22 @@ arena index *is* the section ID.  Sections multiply as a product of channel
 contents; the channel contents themselves saturate after a few hundred
 values, so everything that needs Python runs per cell, not per section.
 
-Expansion then exploits the locality the lane-op descriptors
-(:func:`repro.core.fsm.transition_lane_ops`) prove: a compiled transition
-reads and writes nothing outside *its controller's block*, the shared
-version lane, the delivered message, and the network section.  Its effect
-is therefore a pure function of a small key -- ``(message, receiver block,
+Expansion then exploits the locality of a transition's generated function
+(:meth:`TransitionKernel._compile_cache_fn` / ``_compile_directory_fn``):
+it reads nothing outside *its controller's block*, the shared version lane
+and the delivered message -- the only lanes it addresses -- and what it
+writes is checked where its plan is filed
+(:meth:`VectorizedKernel._intern_plan`): a write outside the block (and,
+for a cache, the version lane) makes the plan a fallback.  Its effect is
+therefore a pure function of a small key -- ``(message, receiver block,
 version)`` for deliveries, ``(cache id, block, version)`` for accesses,
 ``(section id, delivered record, sends)`` for the network splice -- and
 those keys recur across far more rows than they have distinct values.  The
 keys are integers read straight off a row's columns.  Each distinct delivery
-or access key is evaluated **once**, by running the existing per-transition
-specialized function (:meth:`TransitionKernel._compile_cache_fn` /
-``_compile_directory_fn``) on the lanes of a representative row, rebuilt
-from the block tables -- exact by construction -- and what it yields is kept
-in **append-only plan tables** that a level indexes as a whole, so no Python
-statement runs per row:
+or access key is evaluated **once**, by running that function on the lanes
+of a representative row, rebuilt from the block tables -- exact by
+construction -- and what it yields is kept in **append-only plan tables**
+that a level indexes as a whole, so no Python statement runs per row:
 
 * **guard IDs** -- every distinct ``(block ID, version)`` pair of each cache
   is a dense int drawn from one counter (so a guard ID names its cache); the
@@ -116,12 +117,12 @@ The compiled interpreter stays on as the differential oracle (its
 :meth:`TransitionKernel._emit_net` is what the array splice is tested
 against) and the
 fallback: any plan the batch path cannot express (unexpected message,
-ambiguous guards, missing data/requestor -- anything the compiled kernel
-itself would route to the object executor -- a write outside the
-controller's block, or a tail key wider than its bit field) flips its whole
-frontier level to the per-state compiled loop,
-preserving the exact serial failure order; fault models, multi-address
-planes and litmus workloads fall back whole-search
+ambiguous guards, missing data/requestor, an action the controller cannot
+execute -- anything the compiled kernel itself would route to the object
+executor -- a write outside the controller's block, or a tail key wider
+than its bit field) flips its whole frontier level to the per-state
+compiled loop, preserving the exact serial failure order; fault models,
+multi-address planes and litmus workloads fall back whole-search
 (``VectorizedKernel.supported`` is False).  The fault-free single-address
 hot path never leaves the batch loop -- pinned as zero fallback transitions
 and zero object decodes in the engine tests.
@@ -135,10 +136,6 @@ from itertools import groupby
 
 import numpy as np
 
-from repro.core.fsm import (
-    CompilationUnsupported,
-    transition_lane_ops,
-)
 from repro.system.kernel import (
     AMBIGUOUS,
     CF_PENDING,
@@ -216,9 +213,8 @@ class VectorizedKernel:
     Wraps a system's :class:`TransitionKernel` (the lowering input and the
     oracle for memo misses) and its codec.  ``supported`` reports
     whether this configuration can run the batch path at all -- fault
-    models, litmus workloads, multi-address planes and any transition whose
-    lane-op descriptor is not block-confined make the whole search fall
-    back to the compiled kernel.
+    models, litmus workloads and multi-address planes make the whole search
+    fall back to the compiled kernel.
     """
 
     def __init__(self, system):
@@ -226,17 +222,16 @@ class VectorizedKernel:
         self.system = system
         self.kernel: TransitionKernel = system.kernel()
         self.codec = codec = system.codec()
-        layout = codec.layout()
-        self.num_caches = layout["num_caches"]
-        self.cache_width = layout["cache_width"]
-        self.dir_offset = layout["dir_offset"]
-        self.version_offset = layout["version_offset"]
-        self.net_offset = layout["net_offset"]
-        self.dtype = np.dtype(layout["numpy_dtype"])
+        self.num_caches = codec.num_caches
+        self.cache_width = codec.cache_width
+        self.dir_offset = codec.dir_offset
+        self.version_offset = codec.version_offset
+        self.net_offset = codec.net_offset
+        self.dtype = np.dtype(f"uint{8 * codec.lane_bytes}")
         #: ``uint32`` columns of a whole-state row: a block ID per cache,
         #: the directory's, the version and the section ID.
         self.row_width = self.num_caches + 3
-        self.supported = self.kernel._simple and self._lane_ops_confined()
+        self.supported = self.kernel._simple
         # The plan tables (module docstring).  All are append-only typed
         # arrays read through NumPy views taken per level -- a view pins its
         # array's size, so none outlives the method that takes it -- and
@@ -325,32 +320,6 @@ class VectorizedKernel:
         # key is a sentinel above every real one, so a probe's insertion
         # point always indexes the arrays.
         self._reset_tails()
-
-    def _lane_ops_confined(self) -> bool:
-        """Every compiled transition's footprint fits the batch model.
-
-        The lane-op descriptors are the soundness proof for delta reuse: a
-        transition reading or writing outside the known field catalog would
-        make the memo keys incomplete, so it must force the whole-search
-        fallback rather than be silently mis-batched.
-        """
-        spec = self.kernel.spec
-        try:
-            for row in spec.cache.on_access:
-                for ct in row:
-                    if ct is not None:
-                        transition_lane_ops(ct, is_cache=True)
-            for row in spec.cache.on_message:
-                for cands in row.values():
-                    for ct in cands:
-                        transition_lane_ops(ct, is_cache=True)
-            for row in spec.directory.on_message:
-                for cands in row.values():
-                    for ct in cands:
-                        transition_lane_ops(ct, is_cache=False)
-        except CompilationUnsupported:
-            return False
-        return True
 
     # -- what a search retains (``result.stats``) ----------------------------------
     @property

@@ -66,8 +66,8 @@ class VerificationResult:
     symmetry_reduced: bool = False
     #: Name of the search strategy that produced this result.
     strategy: str = "bfs"
-    #: Which transition backend expanded states: "compiled" (the lowered
-    #: table kernel over encoded states, one state at a time) or
+    #: Which transition backend expanded states: "compiled" (the generated
+    #: per-transition functions over encoded states, one state at a time) or
     #: "vectorized" (the same tables over whole BFS levels as NumPy
     #: matrices of IDs).
     kernel: str = "compiled"
@@ -522,9 +522,10 @@ def verify(
         this process may be scheduled on, within 2..8.
     ``kernel``
         ``"compiled"`` (default) expands states with the compiled transition
-        kernel (:mod:`repro.system.kernel`): the generated protocol is
-        lowered to integer dispatch tables at setup and successors, events
-        and invariant verdicts are computed directly on encoded states.  An
+        kernel (:mod:`repro.system.kernel`): at setup the generated
+        protocol is indexed into integer dispatch tables and each transition
+        generated into a function, and successors, events and invariant
+        verdicts are computed directly on encoded states.  An
         invariant with no encoded evaluator still runs: each new state is
         decoded for it.  Every search runs on these tables, so a ``System``
         subclass (whose ``enabled_events`` / ``apply`` overrides the tables

@@ -16,14 +16,19 @@ substrate (``System.enabled_events`` / ``System.apply``):
   protocols fail with the reference's verdict at its depth, with a
   replayable trace;
 * the kernel contract -- a custom invariant runs on the compiled kernel, a
-  ``System`` subclass and an unknown backend name are refused.
+  ``System`` subclass and an unknown backend name are refused;
+* the generated code -- the transition sources of a fixed grid of
+  configurations, pinned by hash.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro import protocols
 from repro.core import GenerationConfig, generate
-from repro.dsl.types import AccessKind
+from repro.core.fsm import AccessEvent, MessageEvent
+from repro.dsl.types import AccessKind, ClearOwner, Dest, InvalidateData, Send
 from repro.system import System, Workload
 from repro.system.network import OrderedNetwork
 from repro.verification import InvariantViolation, default_invariants, verify
@@ -36,6 +41,7 @@ from verification_helpers import (
     make_swmr_mutant,
     reference_search,
     replay_and_check,
+    rewrite_actions,
     sample_reachable_states,
 )
 
@@ -214,6 +220,69 @@ def test_violation_traces_match_the_reference(msi_spec):
     expected = reference_search(system, False, invariants=default_invariants())
     assert_matches_reference(compiled, expected)
     replay_and_check(system, compiled)
+
+
+def _retarget(to):
+    return lambda actions: tuple(
+        replace(a, to=to) if isinstance(a, Send) else a for a in actions
+    )
+
+
+#: MSI stalling mutants whose transition does something the executor refuses
+#: on that controller: ``(accesses per cache, controller, state, event,
+#: rewrite, the reference's error)``.
+REFUSED_ACTION_MUTANTS = {
+    "cache-clears-owner": (
+        2, "cache", "M", AccessEvent(AccessKind.LOAD),
+        lambda actions: actions + (ClearOwner(),),
+        "cache 0 cannot execute action ClearOwner()",
+    ),
+    "directory-invalidates-data": (
+        1, "directory", "I", MessageEvent("GetS"),
+        lambda actions: actions + (InvalidateData(),),
+        "directory cannot execute action InvalidateData()",
+    ),
+    "directory-sends-to-no-owner": (
+        2, "directory", "I", MessageEvent("GetS"), _retarget(Dest.OWNER),
+        "directory: Data needs an owner",
+    ),
+    "access-sends-to-no-requestor": (
+        2, "cache", "I", AccessEvent(AccessKind.LOAD), _retarget(Dest.REQUESTOR),
+        "cache 0: GetS needs a requestor but none is available",
+    ),
+    "cache-sends-to-owner": (
+        2, "cache", "I", AccessEvent(AccessKind.LOAD), _retarget(Dest.OWNER),
+        "cache 0: unsupported destination Dest.OWNER for GetS",
+    ),
+    "directory-sends-to-directory": (
+        2, "directory", "I", MessageEvent("GetS"), _retarget(Dest.DIRECTORY),
+        "directory: unsupported destination Dest.DIRECTORY for Data",
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
+@pytest.mark.parametrize("mutant", sorted(REFUSED_ACTION_MUTANTS))
+def test_refused_actions_fail_like_the_reference(msi_spec, mutant, kernel):
+    """An action or a destination the receiving controller cannot execute --
+    wherever it sits, on an access or a delivery -- is the executor's error,
+    found at the reference's depth on both kernels, never a verdict on a
+    state the executor would not reach."""
+    accesses, controller, state, event, rewrite, error = (
+        REFUSED_ACTION_MUTANTS[mutant]
+    )
+    generated = rewrite_actions(
+        generate(msi_spec, GenerationConfig.stalling()),
+        controller, state, event, rewrite,
+    )
+    system = System(generated, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=accesses))
+    expected = reference_search(system, False, invariants=default_invariants())
+    assert (expected.kind, expected.detail) == ("error", error)
+    result = verify(system, kernel=kernel)
+    assert result.kernel == kernel
+    assert_matches_reference(result, expected)
+    replay_and_check(system, result)
 
 
 def test_parallel_strategy_runs_on_compiled_kernel(msi_nonstalling):
@@ -447,3 +516,54 @@ class TestGeneratedSourceIsCompiledOnce:
             theirs = list(getattr(second, table).values())
             assert len(ours) == len(theirs) > 0
             assert all(a is b for a, b in zip(ours, theirs))
+
+
+#: Count and sha256 of the distinct transition sources the kernels of
+#: ``test_generated_sources_are_pinned``'s grid generate.  A kernel edit that
+#: changes what any transition compiles to moves them; update them only for
+#: an intended change of the generated code.
+PINNED_SOURCES = (
+    217, "fd99b5862bb0f730eb846c6c6f1bd14a11d74a81d31572da5071843bfca54c28"
+)
+
+
+def test_generated_sources_are_pinned(all_generated, monkeypatch):
+    """Every source handed to ``_compiled`` while building the kernels of a
+    fixed grid -- every protocol x policy x ``harden`` at 2 caches, MSI
+    stalling at 3 caches, a 2-address, a duplicate-fault and a litmus
+    configuration -- hashes to the pinned value."""
+    import hashlib
+
+    from repro.system import FaultModel, LitmusWorkload
+    from repro.system import kernel as kernel_mod
+
+    sources = set()
+    compiled = kernel_mod._compiled
+
+    def recording(source):
+        sources.add(source)
+        return compiled(source)
+
+    monkeypatch.setattr(kernel_mod, "_compiled", recording)
+
+    def build(generated, num_caches=2, **kwargs):
+        System(generated, num_caches=num_caches, **kwargs).kernel()
+
+    for name in ALL_PROTOCOLS:
+        for policy in CONFIGS:
+            build(all_generated[(name, policy)], workload=_workload(name))
+            bare = generate(protocols.load(name),
+                            getattr(GenerationConfig, policy)(harden=False))
+            build(bare, workload=_workload(name))
+    build(all_generated[("MSI", "stalling")], num_caches=3,
+          workload=_workload("MSI"))
+    msi = all_generated[("MSI", "nonstalling")]
+    one_access = Workload(max_accesses_per_cache=1)
+    build(msi, workload=one_access, num_addresses=2)
+    build(msi, workload=one_access, faults=FaultModel(duplicate=True))
+    build(msi, workload=LitmusWorkload(programs=(
+        ((AccessKind.STORE, 0),),
+        ((AccessKind.LOAD, 0),),
+    )))
+    digest = hashlib.sha256("\0".join(sorted(sources)).encode()).hexdigest()
+    assert (len(sources), digest) == PINNED_SOURCES

@@ -101,6 +101,16 @@ MUTANT_DROPS = {
 }
 
 
+def rewrite_actions(generated, controller: str, state: str, event, rewrite):
+    """Sabotage a generated protocol in place: the actions of
+    *controller*'s (``"cache"`` / ``"directory"``) transition for *event* in
+    *state* become ``rewrite(actions)``."""
+    fsm = getattr(generated, controller)
+    (old,) = [t for t in fsm.candidates(state, event) if t.event == event]
+    fsm.replace_transition(old, old.with_actions(rewrite(old.actions)))
+    return generated
+
+
 def make_missing_inv_mutant(msi_spec):
     """Generate MSI, then drop the Invalidation handling in S."""
     return drop_cache_handler(generate(msi_spec, GenerationConfig()), "S", "Inv")
