@@ -40,6 +40,14 @@ asserted against: :attr:`StateCodec.decode_count` increments on every
 :meth:`decode`, and a compiled-kernel symmetry-reduced search must leave it
 flat outside failure reporting.
 
+Every bounded cache of the engine is a :class:`Memo` -- here the two
+block-decode memos, the parse memos and the three relabel memos; the
+canonicalizer's region memo and block table; the batch kernel's delivery,
+cell-operation and two boundary memos -- and :data:`_MEMO_LIMIT` is the
+one bound they share (the batch kernel's NumPy tail memo reads it too).  A
+full memo is cleared whole; correctness never depends on a hit.  Encoding
+is not memoized: a search encodes its root and nothing else.
+
 Layout (lanes are as narrow as the configuration's static bound on every
 lane value allows: ``array('B')`` for all bundled protocols at every pinned
 configuration, ``'H'`` or ``'I'`` for larger catalogs, cache counts or
@@ -78,16 +86,14 @@ from operator import itemgetter
 from repro.dsl.types import AccessKind
 from repro.system.message import (
     MESSAGE_ENCODED_WIDTH,
-    Message,
     decode_message,
     translate_encoded_message,
 )
-from repro.system.network import Network, OrderedNetwork, UnorderedNetwork
+from repro.system.network import OrderedNetwork, UnorderedNetwork
 from repro.system.node_state import (
     CACHE_ENCODED_WIDTH,
-    NUM_SAVED_SLOTS,
-    CacheNodeState,
-    DirectoryNodeState,
+    CF_PENDING,
+    CF_SAVED,
     decode_cache_block,
     decode_directory_block,
 )
@@ -100,11 +106,41 @@ from repro.system.system import (
     SystemEvent,
 )
 
-#: First saved-requestor slot inside a cache block.
-_SAVED_OFFSET = 5
-
-#: Bound on per-component memo tables (a few MB at most; cleared when hit).
+#: Entries a :class:`Memo` holds before it is cleared (a few MB at most).
 _MEMO_LIMIT = 1 << 20
+
+
+class Memo(dict):
+    """A bounded memo: a hit is a plain ``memo[key]`` subscript; a miss
+    calls ``compute(key)`` and keeps the result.
+
+    A memo that already holds :data:`_MEMO_LIMIT` entries is cleared whole
+    before it keeps the next one.  A clear drops keys only: a key asked for
+    again is recomputed to an equal value.  ``misses`` counts the values
+    kept and ``clears`` the clears.  A memo without *compute* is filled
+    through :meth:`store` alone.
+    """
+
+    __slots__ = ("compute", "misses", "clears")
+
+    def __init__(self, compute=None):
+        super().__init__()
+        self.compute = compute
+        self.misses = 0
+        self.clears = 0
+
+    def __missing__(self, key):
+        return self.store(key, self.compute(key))
+
+    def store(self, key, value):
+        """Keep *value* under *key* within the bound, and return it: a miss
+        computed by the caller (the batch kernel fills many at once)."""
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+            self.clears += 1
+        self.misses += 1
+        self[key] = value
+        return value
 
 
 class LaneOverflow(ValueError):
@@ -142,8 +178,8 @@ class StateCodec:
         # bound on every lane value -- 8 bits for every bundled protocol at
         # every pinned configuration, 16 or 32 for bigger catalogs, cache
         # counts or workloads.  All orderings and offsets are lane-width
-        # independent; only `pack`/`unpack` (and the NumPy dtype of
-        # `layout`) change.  The bound covers the index lanes (catalogs,
+        # independent; only `pack`/`unpack` (and the batch kernel's NumPy
+        # dtype) change.  The bound covers the index lanes (catalogs,
         # +2-shifted node IDs), the data lanes (*value_bound* ghost
         # versions, +2-shifted, which also bounds the issued/ack counters)
         # and the count lanes: the channels of a section (one per (src,
@@ -187,15 +223,14 @@ class StateCodec:
         self.fault_offset = num_addresses * self.plane_stride if faults else None
         self.net_offset = num_addresses * self.plane_stride + (1 if faults else 0)
 
-        # Sub-object memo tables: node states, networks and messages recur
-        # across huge numbers of global states, so encoding each distinct
-        # component once and reusing the tuple keeps `encode` off the
-        # dataclass-walking slow path.
-        self._cache_memo: dict[CacheNodeState, tuple] = {}
-        self._dir_memo: dict[DirectoryNodeState, tuple] = {}
-        self._net_memo: dict[Network, tuple] = {}
-        self._dec_cache_memo: dict[tuple, CacheNodeState] = {}
-        self._dec_dir_memo: dict[tuple, DirectoryNodeState] = {}
+        # Block -> node state: a custom invariant decodes every new state,
+        # and its blocks recur across huge numbers of them.
+        self._decoded_caches = Memo(
+            lambda block: decode_cache_block(block, self.cache_states, self.access_kinds)
+        )
+        self._decoded_dirs = Memo(
+            lambda block: decode_directory_block(block, self.dir_states)
+        )
 
         #: Decodes performed (instrumentation): a compiled-kernel reduced
         #: search must not move this counter outside failure reporting.
@@ -211,17 +246,21 @@ class StateCodec:
         # computed once per (section, permutation) pair.
         self._perm_tables: dict[tuple[int, ...], tuple] = {}
         self._saved_lanes: tuple[int, ...] = tuple(
-            cid * CACHE_ENCODED_WIDTH + _SAVED_OFFSET + slot
+            cid * CACHE_ENCODED_WIDTH + lane
             for cid in range(num_caches)
-            for slot in range(NUM_SAVED_SLOTS)
+            for lane in range(CF_SAVED, CF_PENDING)
         )
         #: Byte offsets of the directory block and of the network sections
         #: inside a packed key.
         self.dir_byte_offset = self.dir_offset * self.lane_bytes
         self.net_byte_offset = self.net_offset * self.lane_bytes
-        #: Parse memo: packed network section -> parse handle (see
-        #: :meth:`parsed_network`).
-        self._net_items_memo: dict[bytes, tuple] = {}
+        #: Parse memos: packed network section -> parse handle (see
+        #: :meth:`parsed_network`), and packed multi-plane suffix -> the
+        #: handles of its planes (:meth:`parsed_planes`).
+        self._net_items_memo = Memo(
+            lambda section: self._parse_section(self.unpack(section), 0)
+        )
+        self._planes_memo = Memo(self._parse_planes)
         #: Event-encoding intern table (see :meth:`intern_event`): a few
         #: hundred distinct tuples however many states a search stores.
         self._events: dict[tuple, tuple] = {}
@@ -231,10 +270,9 @@ class StateCodec:
         #: hundred distinct parts.
         self._parts: dict[tuple, tuple] = {}
         # All three keyed ``(packed lanes, perm)``: slices of a visited-set key.
-        self._net_key_memo: dict[tuple, tuple] = {}
-        self._dir_key_memo: dict[tuple, tuple] = {}
-        self._packed_suffixes: dict[tuple, bytes] = {}
-        self._planes_memo: dict[bytes, tuple] = {}
+        self._net_key_memo = Memo(lambda key: tuple(self._relabeled_items(*key)))
+        self._dir_key_memo = Memo(self._relabel_directory)
+        self._packed_suffixes = Memo(self._relabel_suffix)
 
     @classmethod
     def for_system(cls, system) -> "StateCodec":
@@ -251,69 +289,23 @@ class StateCodec:
         )
 
     # -- encoding ----------------------------------------------------------------
-    def _encode_cache(self, cache: CacheNodeState) -> tuple:
-        block = self._cache_memo.get(cache)
-        if block is None:
-            if len(self._cache_memo) >= _MEMO_LIMIT:
-                self._cache_memo.clear()
-            block = cache.encoded(self._cache_index, self._access_index)
-            self._cache_memo[cache] = block
-        return block
-
-    def _encode_dir(self, directory: DirectoryNodeState) -> tuple:
-        dir_block = self._dir_memo.get(directory)
-        if dir_block is None:
-            if len(self._dir_memo) >= _MEMO_LIMIT:
-                self._dir_memo.clear()
-            dir_block = directory.encoded(self._dir_index, self.num_caches)
-            self._dir_memo[directory] = dir_block
-        return dir_block
-
-    def _encode_net(self, network: Network) -> tuple:
-        net_section = self._net_memo.get(network)
-        if net_section is None:
-            if len(self._net_memo) >= _MEMO_LIMIT:
-                self._net_memo.clear()
-            net_section = network.encoded(self._mtype_index)
-            self._net_memo[network] = net_section
-        return net_section
-
     def encode(self, state: GlobalState) -> tuple:
         """Flat int-tuple encoding of *state* (bijective; see module docs)."""
         out: list[int] = []
         n = self.num_caches
         for addr in range(self.num_addresses):
             for cache in state.caches[addr * n : (addr + 1) * n]:
-                out.extend(self._encode_cache(cache))
+                out.extend(cache.encoded(self._cache_index, self._access_index))
             directory = state.directory if addr == 0 else state.extra_dirs[addr - 1]
-            out.extend(self._encode_dir(directory))
+            out.extend(directory.encoded(self._dir_index, n))
             out.append(
                 state.latest_version if addr == 0 else state.extra_versions[addr - 1]
             )
         if self.faults:
             out.append(state.faults_used)
-        out.extend(self._encode_net(state.network))
-        for network in state.extra_networks:
-            out.extend(self._encode_net(network))
+        for network in (state.network, *state.extra_networks):
+            out.extend(network.encoded(self._mtype_index))
         return tuple(out)
-
-    def _decode_cache(self, block: tuple) -> CacheNodeState:
-        cache = self._dec_cache_memo.get(block)
-        if cache is None:
-            if len(self._dec_cache_memo) >= _MEMO_LIMIT:
-                self._dec_cache_memo.clear()
-            cache = decode_cache_block(block, self.cache_states, self.access_kinds)
-            self._dec_cache_memo[block] = cache
-        return cache
-
-    def _decode_dir(self, dir_block: tuple) -> DirectoryNodeState:
-        directory = self._dec_dir_memo.get(dir_block)
-        if directory is None:
-            if len(self._dec_dir_memo) >= _MEMO_LIMIT:
-                self._dec_dir_memo.clear()
-            directory = decode_directory_block(dir_block, self.dir_states)
-            self._dec_dir_memo[dir_block] = directory
-        return directory
 
     def decode(self, enc: tuple) -> GlobalState:
         """Exact inverse of :meth:`encode`."""
@@ -327,9 +319,9 @@ class StateCodec:
             plane = addr * stride
             for i in range(self.num_caches):
                 base = plane + i * width
-                caches.append(self._decode_cache(enc[base : base + width]))
+                caches.append(self._decoded_caches[enc[base : base + width]])
             dirs.append(
-                self._decode_dir(enc[plane + self.dir_offset : plane + self.version_offset])
+                self._decoded_dirs[enc[plane + self.dir_offset : plane + self.version_offset]]
             )
             versions.append(enc[plane + self.version_offset])
         faults_used = enc[self.fault_offset] if self.faults else 0
@@ -454,21 +446,19 @@ class StateCodec:
         cache blocks plus one ``(suffix, perm)`` lookup: no lane tuple and
         no second :meth:`pack`.
         """
-        key = (suffix, perm)
-        memo = self._packed_suffixes
-        out = memo.get(key)
-        if out is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            net = self.net_byte_offset - self.dir_byte_offset
-            cut = self.dir_width * self.lane_bytes
-            out = memo[key] = (
-                self.pack(self.relabeled_directory_key(suffix[:cut], perm))
-                # version lane plus the (perm-invariant) fault lane when present
-                + suffix[cut:net]
-                + self._relabeled_net_section(suffix[net:], perm)
-            )
-        return out
+        return self._packed_suffixes[suffix, perm]
+
+    def _relabel_suffix(self, key: tuple) -> bytes:
+        """:meth:`relabeled_suffix`'s memo miss."""
+        suffix, perm = key
+        net = self.net_byte_offset - self.dir_byte_offset
+        cut = self.dir_width * self.lane_bytes
+        return (
+            self.pack(self.relabeled_directory_key(suffix[:cut], perm))
+            # version lane plus the (perm-invariant) fault lane when present
+            + suffix[cut:net]
+            + self._relabeled_net_section(suffix[net:], perm)
+        )
 
     def _relabeled_items(self, section: bytes, perm: tuple[int, ...]) -> list:
         """The content of the packed *section* under *perm*, re-normalized:
@@ -541,13 +531,7 @@ class StateCodec:
     def parsed_section(self, section: bytes):
         """:meth:`parsed_network` for a packed section on its own (what the
         batch kernel hash-conses)."""
-        memo = self._net_items_memo
-        parsed = memo.get(section)
-        if parsed is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            parsed = memo[section] = self._parse_section(self.unpack(section), 0)
-        return parsed
+        return self._net_items_memo[section]
 
     @property
     def parse_memo_entries(self) -> int:
@@ -611,23 +595,19 @@ class StateCodec:
         if self.num_addresses == 1:
             return (self.parsed_network(enc, key) + (self.net_offset,),)
         if key is None:
-            suffix = self.pack(enc[self.net_offset :])
-        else:
-            suffix = key[self.net_byte_offset :]
-        memo = self._planes_memo
-        parsed = memo.get(suffix)
-        if parsed is not None:
-            return parsed
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
+            return self._planes_memo[self.pack(enc[self.net_offset :])]
+        return self._planes_memo[key[self.net_byte_offset :]]
+
+    def _parse_planes(self, suffix: bytes) -> tuple:
+        """:meth:`parsed_planes`' memo miss, parsed from the packed suffix."""
+        lanes = self.unpack(suffix)
         planes = []
-        pos = self.net_offset
+        pos = 0
         for _ in range(self.num_addresses):
-            section = self._parse_section(enc, pos)
-            planes.append(section + (pos,))
+            section = self._parse_section(lanes, pos)
+            planes.append(section + (self.net_offset + pos,))
             pos += section[1][-1]
-        parsed = memo[suffix] = tuple(planes)
-        return parsed
+        return tuple(planes)
 
     # -- canonicalization keys -----------------------------------------------------
     def has_saved_ids(self, enc: tuple) -> bool:
@@ -635,8 +615,8 @@ class StateCodec:
         have permutation-dependent signatures: no signature sort)."""
         width = self.cache_width
         for i in range(self.num_caches):
-            base = i * width + _SAVED_OFFSET
-            if any(enc[base : base + NUM_SAVED_SLOTS]):
+            base = i * width
+            if any(enc[base + CF_SAVED : base + CF_PENDING]):
                 return True
         return False
 
@@ -649,26 +629,22 @@ class StateCodec:
         canonicalization evaluates this once per candidate permutation, and
         directory blocks recur across many states.
         """
-        key = (block, perm)
-        memo = self._dir_key_memo
-        result = memo.get(key)
-        if result is not None:
-            return result
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
+        return self._dir_key_memo[block, perm]
+
+    def _relabel_directory(self, key: tuple) -> tuple:
+        """:meth:`relabeled_directory_key`'s memo miss."""
+        block, perm = key
         t2 = self.perm_tables(perm)[2]
         lanes = self.unpack(block)
         owner = lanes[1]
         sharers = sorted(t2[s] for s in lanes[2:-1] if s != 0)
-        result = (
+        return (
             lanes[0],
             t2[owner] if owner >= 2 else owner,
             *sharers,
             *((0,) * (self.num_caches - len(sharers))),
             lanes[-1],
         )
-        memo[key] = result
-        return result
 
     def relabeled_network_key(self, section: bytes, perm: tuple[int, ...]) -> tuple:
         """Order-isomorphic to ``network.relabeled(perm).sort_key()``, for
@@ -680,15 +656,7 @@ class StateCodec:
         same winner.  Memoized per (network section, perm) — this is the
         expensive final tie-break stage, and sections recur heavily.
         """
-        key = (section, perm)
-        memo = self._net_key_memo
-        result = memo.get(key)
-        if result is not None:
-            return result
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        result = memo[key] = tuple(self._relabeled_items(section, perm))
-        return result
+        return self._net_key_memo[section, perm]
 
     # -- events ------------------------------------------------------------------
     def encode_event(self, event: SystemEvent) -> tuple:
@@ -759,4 +727,4 @@ class StateCodec:
         return self.decode(self.unpack(packed))
 
 
-__all__ = ["LaneOverflow", "StateCodec"]
+__all__ = ["LaneOverflow", "Memo", "StateCodec"]

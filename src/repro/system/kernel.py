@@ -37,9 +37,10 @@ telling the caller to decode the state and replay the single event through
 the object executor, which is kept as the differential oracle and produces
 the exact seed-identical error text.
 
-Layout knowledge (field offsets, +1/+2 shifts) mirrors
-:mod:`repro.system.codec`; both import their widths from
-:mod:`repro.system.node_state` and :mod:`repro.system.message`.
+The layout is :mod:`repro.system.codec`'s: the kernel and the codec import
+the cache-block widths and lane offsets (``CF_*``) from
+:mod:`repro.system.node_state` and the message width from
+:mod:`repro.system.message`.
 """
 
 from __future__ import annotations
@@ -65,17 +66,17 @@ from repro.dsl.types import (
     WriteDataToMemory,
 )
 from repro.system.message import MESSAGE_ENCODED_WIDTH
-from repro.system.node_state import CACHE_ENCODED_WIDTH, NUM_SAVED_SLOTS
-
-#: Offsets inside one encoded cache block (see ``CacheNodeState.encoded``).
-CF_STATE = 0
-CF_ISSUED = 1
-CF_DATA = 2
-CF_ACKS_EXPECTED = 3
-CF_ACKS_RECEIVED = 4
-CF_SAVED = 5
-CF_PENDING = 5 + NUM_SAVED_SLOTS
-CF_LAST_OBSERVED = 6 + NUM_SAVED_SLOTS
+from repro.system.node_state import (
+    CACHE_ENCODED_WIDTH,
+    CF_ACKS_EXPECTED,
+    CF_ACKS_RECEIVED,
+    CF_DATA,
+    CF_ISSUED,
+    CF_LAST_OBSERVED,
+    CF_PENDING,
+    CF_SAVED,
+    CF_STATE,
+)
 
 #: Directory actions that read or write the sharer set, and those that read
 #: or write the owner lane (besides sends to ``SHARERS`` / ``OWNER``).  A

@@ -28,21 +28,34 @@ NUM_SAVED_SLOTS = 4
 #: Width of one encoded cache block (see :meth:`CacheNodeState.encoded`).
 CACHE_ENCODED_WIDTH = 7 + NUM_SAVED_SLOTS
 
+#: Lane offsets inside one encoded cache block, in :meth:`CacheNodeState.encoded`
+#: order; the codec, the canonicalizer and both kernels read them from here.
+CF_STATE = 0
+CF_ISSUED = 1
+CF_DATA = 2
+CF_ACKS_EXPECTED = 3
+CF_ACKS_RECEIVED = 4
+CF_SAVED = 5
+CF_PENDING = CF_SAVED + NUM_SAVED_SLOTS
+CF_LAST_OBSERVED = CF_PENDING + 1
+
 
 def decode_cache_block(
     block: tuple, state_names: tuple[str, ...], access_kinds: tuple
 ) -> "CacheNodeState":
     """Inverse of :meth:`CacheNodeState.encoded`."""
-    pending = block[5 + NUM_SAVED_SLOTS]
+    pending = block[CF_PENDING]
     return CacheNodeState(
-        fsm_state=state_names[block[0]],
-        issued=block[1],
-        data=None if block[2] == 0 else block[2] - 1,
-        acks_expected=None if block[3] == 0 else block[3] - 1,
-        acks_received=block[4],
-        saved=tuple(None if s == 0 else s - 1 for s in block[5 : 5 + NUM_SAVED_SLOTS]),
+        fsm_state=state_names[block[CF_STATE]],
+        issued=block[CF_ISSUED],
+        data=None if block[CF_DATA] == 0 else block[CF_DATA] - 1,
+        acks_expected=(
+            None if block[CF_ACKS_EXPECTED] == 0 else block[CF_ACKS_EXPECTED] - 1
+        ),
+        acks_received=block[CF_ACKS_RECEIVED],
+        saved=tuple(None if s == 0 else s - 1 for s in block[CF_SAVED:CF_PENDING]),
         pending_access=None if pending == 0 else access_kinds[pending - 1],
-        last_observed=block[6 + NUM_SAVED_SLOTS] - 1,
+        last_observed=block[CF_LAST_OBSERVED] - 1,
     )
 
 
@@ -73,8 +86,9 @@ class CacheNodeState:
 
     def with_state(self, fsm_state: str) -> "CacheNodeState":
         # Direct construction: ``dataclasses.replace`` resolves fields through
-        # the descriptor machinery on every call, and this runs once per
-        # applied transition on the search hot path.
+        # the descriptor machinery on every call, and the executor calls this
+        # once per cache transition it applies (the tests' oracle, and the
+        # replay of an event the compiled kernel refers back).
         return CacheNodeState(
             fsm_state=fsm_state,
             data=self.data,

@@ -136,13 +136,10 @@ from itertools import groupby
 
 import numpy as np
 
-from repro.system.kernel import (
-    AMBIGUOUS,
-    CF_PENDING,
-    CF_STATE,
-    DEFAULT_CODES,
-    TransitionKernel,
-)
+from repro.system import codec as codec_module
+from repro.system.codec import Memo
+from repro.system.kernel import AMBIGUOUS, DEFAULT_CODES, TransitionKernel
+from repro.system.node_state import CF_PENDING, CF_STATE
 from repro.system.rowtable import RowTable
 
 #: In place of an outcome ID: a stalled delivery (not an enabled plan).
@@ -150,13 +147,6 @@ _STALLED = -1
 #: In place of an outcome ID: this plan must take the compiled/object slow
 #: path.
 _FALLBACK = -2
-
-#: Bound on each of the per-kernel memos -- delivery, tail, cell-operation,
-#: and the two boundary caches between packed tails and section IDs
-#: (cleared when hit, like the codec's component memos -- correctness never
-#: depends on a memo hit, and a clear drops keys only: outcome, send-list,
-#: record, cell and section IDs stay valid).
-_MEMO_LIMIT = 1 << 20
 
 #: Bits of a tail-memo key given to the delivered record ID + 1 and to the
 #: send-list ID each (the section ID takes the rest); a level holding a
@@ -235,7 +225,10 @@ class VectorizedKernel:
         # The plan tables (module docstring).  All are append-only typed
         # arrays read through NumPy views taken per level -- a view pins its
         # array's size, so none outlives the method that takes it -- and
-        # every ID is dense, first-sight ordered and never reused.
+        # every ID is dense, first-sight ordered and never reused.  The
+        # memos beside them (delivery, cell operation, the two boundary
+        # caches: codec `Memo`s; the tail memo) are bounded, and a clear
+        # drops keys only -- every ID stays valid.
         #
         # Message records: a record ID names the interned 10-lane record,
         # its destination node and its column (below).
@@ -269,8 +262,10 @@ class VectorizedKernel:
         self._cell_ptr = array("i", [0, 0])
         self._cell_heads = array("i")
         # ``(cell, record, insert?) -> cell``: the two functions a splice
-        # is made of, memoized.
-        self._cell_ops: dict[int, int] = {}
+        # is made of, memoized (keys packed as in `_cell_ops_of`).
+        self._cell_ops = Memo(
+            lambda key: self._cell_op(key >> 33, key >> 1 & 0xFFFF_FFFF, key & 1)
+        )
         # Section table: a section is its vector of cell IDs over the
         # columns, hash-consed in an exact row table whose arena index is
         # the section ID; per ID its deliverable records, in delivery
@@ -280,8 +275,8 @@ class VectorizedKernel:
         self._sec_rec = array("i")       # message record ID
         # The boundary caches: packed tail -> section ID (`intern_sections`)
         # and section ID -> packed tail (`packed_tails`).
-        self._tail_ids: dict[bytes, int] = {}
-        self._packed: dict[int, bytes] = {}
+        self._tail_ids = Memo()
+        self._packed = Memo()
         # The controllers' blocks: lanes <-> dense block ID, the lanes also
         # flat in a typed array so a boundary gathers them as one matrix.
         # One table serves every cache; next to each cache block what the
@@ -315,7 +310,7 @@ class VectorizedKernel:
         self._plan_ver = array("q")
         # Delivery memo: ``rec_id << 32 | gid`` -> plan ID, `_STALLED` or
         # `_FALLBACK`.
-        self._deliv_memo: dict[int, int] = {}
+        self._deliv_memo = Memo()
         # Tail memo: sorted keys and their successor section IDs.  The last
         # key is a sentinel above every real one, so a probe's insertion
         # point always indexes the arrays.
@@ -473,17 +468,7 @@ class VectorizedKernel:
         np = self.np
         keys = (cells.astype(np.int64) << 32 | rids) << 1 | insert
         uniq, inv = np.unique(keys, return_inverse=True)
-        uniq = uniq.tolist()
-        memo = self._cell_ops
-        found = list(map(memo.get, uniq))
-        for k, cell in enumerate(found):
-            if cell is None:
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                key = uniq[k]
-                found[k] = memo[key] = self._cell_op(
-                    key >> 33, key >> 1 & 0xFFFF_FFFF, insert
-                )
+        found = list(map(self._cell_ops.__getitem__, uniq.tolist()))
         return np.asarray(found, dtype=np.uint32)[inv]
 
     def _intern_vectors(self, V):
@@ -553,9 +538,7 @@ class VectorizedKernel:
                 for col, cell in self._cells_of(tail):
                     V[row, col] = cell
             for tail, sid in zip(missing, self._intern_vectors(V).tolist()):
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                missing[tail] = memo[tail] = sid
+                missing[tail] = memo.store(tail, sid)
             found = [
                 missing[tail] if sid is None else sid
                 for tail, sid in zip(packed_tails, found)
@@ -593,9 +576,7 @@ class VectorizedKernel:
                         lanes[0] += len(rids)
                     for rid in rids:
                         lanes.extend(recs[rid])
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                tails[k] = memo[sids[k]] = self.codec.pack(lanes)
+                tails[k] = memo.store(sids[k], self.codec.pack(lanes))
         return tails
 
     def section_tail(self, sid: int) -> tuple:
@@ -758,10 +739,8 @@ class VectorizedKernel:
             at = first[misses]
             prefixes = self.prefixes_of(R[owner[at]]).tolist()
             for k, rid, prefix in zip(misses, rec[at].tolist(), prefixes):
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                found[k] = memo[uniq[k]] = self._compute_delivery(
-                    self._recs[rid], tuple(prefix)
+                found[k] = memo.store(
+                    uniq[k], self._compute_delivery(self._recs[rid], tuple(prefix))
                 )
         pids = np.asarray(found, dtype=np.int32)[inv]
         enabled = np.flatnonzero(pids != _STALLED)
@@ -854,7 +833,7 @@ class VectorizedKernel:
             new_keys, inv = np.unique(keys[missed], return_inverse=True)
             new_sids = self._emit_tails(new_keys)
             found[missed] = new_sids[inv]
-            if len(table) > _MEMO_LIMIT:
+            if len(table) > codec_module._MEMO_LIMIT:
                 self._reset_tails()
             # Two sorted runs: a stable sort of their concatenation is one
             # merge pass.

@@ -41,7 +41,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
-from repro.system.node_state import NUM_SAVED_SLOTS
+from repro.system.codec import Memo
+from repro.system.node_state import CF_PENDING, CF_SAVED
 from repro.system.system import (
     DeliverMessage,
     DuplicateMessage,
@@ -51,13 +52,6 @@ from repro.system.system import (
 )
 
 Permutation = tuple[int, ...]
-
-#: First saved-requestor lane inside an encoded cache block (codec layout).
-_SAVED_OFFSET = 5
-
-#: Bound on the region memo and on the block table (see
-#: :class:`EncodedCanonicalizer`).
-_ORBIT_MEMO_LIMIT = 1 << 20
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -203,7 +197,7 @@ class EncodedCanonicalizer:
     """
 
     __slots__ = (
-        "codec", "perms", "identity", "identity_orbit", "classifications",
+        "codec", "perms", "identity", "identity_orbit",
         "_orbit_memo", "_blocks", "_cuts", "_region_bytes",
         "_inverses", "_index", "_tied_orbits",
     )
@@ -221,12 +215,10 @@ class EncodedCanonicalizer:
         self.codec = codec
         self.perms = perms
         self.identity = perms[0]
-        #: Regions classified so far (region-memo misses).
-        self.classifications = 0
         # packed region -> orbit record (see `orbit_for`)
-        self._orbit_memo: dict[bytes, tuple] = {}
+        self._orbit_memo = Memo(self._classify)
         # packed cache block -> (lanes, translations | None) (see `_entry`)
-        self._blocks: dict[bytes, tuple] = {}
+        self._blocks = Memo(self._entry)
         self._region_bytes = codec.dir_byte_offset
         width = codec.cache_width * codec.lane_bytes
         # where each packed cache block sits in a key
@@ -245,6 +237,11 @@ class EncodedCanonicalizer:
     def memo_entries(self) -> int:
         """Distinct regions the memo currently holds."""
         return len(self._orbit_memo)
+
+    @property
+    def classifications(self) -> int:
+        """Regions classified so far (region-memo misses)."""
+        return self._orbit_memo.misses
 
     @property
     def block_entries(self) -> int:
@@ -270,14 +267,7 @@ class EncodedCanonicalizer:
         cache-key-minimal permutations (one shared record per distinct
         candidate set).
         """
-        memo = self._orbit_memo
-        orbit = memo.get(region)
-        if orbit is None:
-            if len(memo) >= _ORBIT_MEMO_LIMIT:
-                memo.clear()
-            self.classifications += 1
-            orbit = memo[region] = self._classify(region)
-        return orbit
+        return self._orbit_memo[region]
 
     def canonicalize(self, key: bytes) -> tuple[bytes, Permutation]:
         """``(canonical_key, witness_perm)`` for the packed *key*, with
@@ -306,25 +296,17 @@ class EncodedCanonicalizer:
         """The packed cache blocks of *region* (or of a whole key) and the
         block-table entry of each (see :meth:`_entry`)."""
         blocks = [region[cut] for cut in self._cuts]
-        entries = list(map(self._blocks.get, blocks))
-        if None in entries:
-            entries = [
-                entry or self._entry(block) for block, entry in zip(blocks, entries)
-            ]
-        return blocks, entries
+        return blocks, list(map(self._blocks.__getitem__, blocks))
 
     def _entry(self, block: bytes) -> tuple:
-        """Files and returns the block-table entry of a packed cache block
-        seen for the first time: ``(lanes, None)``, or ``(lanes,
-        translations)`` when a saved-requestor slot holds a cache ID -- the
-        one cache-local field a relabeling rewrites -- with
-        ``translations[k]`` the block's ``(lanes, packed bytes)`` under
-        ``perms[k]``."""
-        if len(self._blocks) >= _ORBIT_MEMO_LIMIT:
-            self._blocks.clear()
+        """The block-table entry of a packed cache block seen for the first
+        time: ``(lanes, None)``, or ``(lanes, translations)`` when a
+        saved-requestor slot holds a cache ID -- the one cache-local field a
+        relabeling rewrites -- with ``translations[k]`` the block's
+        ``(lanes, packed bytes)`` under ``perms[k]``."""
         codec = self.codec
         lanes = codec.unpack(block)
-        lo, hi = _SAVED_OFFSET, _SAVED_OFFSET + NUM_SAVED_SLOTS
+        lo, hi = CF_SAVED, CF_PENDING
         translations = None
         if any(lanes[lo:hi]):
             translations = []
@@ -332,8 +314,7 @@ class EncodedCanonicalizer:
                 t1 = codec.perm_tables(perm)[1]
                 moved = lanes[:lo] + tuple(t1[v] for v in lanes[lo:hi]) + lanes[hi:]
                 translations.append((moved, codec.pack(moved)))
-        entry = self._blocks[block] = (lanes, translations)
-        return entry
+        return (lanes, translations)
 
     def _relabeled(self, blocks: list, entries: list, perm: Permutation) -> bytes:
         """The packed region of *blocks* (their table *entries* beside

@@ -25,7 +25,8 @@ bit-identical to an uninterrupted one (IDs, counts, verdict, trace).
 The **fingerprint** binds a checkpoint to the search that wrote it: codec
 index tables and lane width (the frontier and the visited set are packed
 keys: keys of another width can never match), cache/address counts,
-workload, symmetry group size, backend, strategy and invariant names.
+workload, fault model (kinds and budget), network order, symmetry group
+size, backend, strategy and invariant names.
 ``max_states`` is deliberately excluded -- continuing a budgeted nightly
 run under a new budget is the whole point.
 """
@@ -40,7 +41,8 @@ import pickle
 #: 6: the fingerprint material lost the (now always-on) deadlock-check flag.
 #: 7: ... and the (now always-compiled) transition-kernel flag.
 #: 8: the payload lost the worker fleet's shard digests.
-CHECKPOINT_VERSION = 8
+#: 9: the fingerprint material gained the fault model and the network order.
+CHECKPOINT_VERSION = 9
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32
@@ -69,6 +71,8 @@ def fingerprint(ctx) -> str:
         system.num_caches,
         system.num_addresses,
         repr(system.workload),
+        repr(system.faults),
+        system.ordered,
         len(ctx.perms) if ctx.perms is not None else 0,
         ctx.vkernel is not None,
         ctx.strategy_name,
@@ -167,8 +171,8 @@ def load(ctx) -> dict | None:
     if payload["fingerprint"] != fingerprint(ctx):
         raise CheckpointMismatch(
             f"checkpoint {path!r} was written by a different search "
-            "configuration (protocol/lane width/workload/symmetry/backend/"
-            "strategy mismatch); delete it to start over"
+            "configuration (protocol/lane width/workload/faults/network order/"
+            "symmetry/backend/strategy mismatch); delete it to start over"
         )
     ctx.store.restore(payload.pop("store"))
     ctx.explored = payload["explored"]

@@ -11,7 +11,8 @@ The contract under test (``verify(..., checkpoint=PATH)``):
   counterexample trace -- as a single uninterrupted run;
 * a completed run consumes its checkpoint file;
 * a checkpoint written by a *different* search configuration (symmetry,
-  workload, backend, payload version), or one that cannot be read back
+  workload, fault model, network order, backend, payload version), or one
+  that cannot be read back
   (truncated, garbage), refuses to resume with :class:`CheckpointMismatch`
   instead of silently corrupting the search.
 
@@ -31,7 +32,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.system import System, Workload
+from repro.system import FaultModel, System, Workload
 from repro.verification import verify
 from repro.verification.engine import CheckpointMismatch
 from repro.verification.engine.checkpoint import CHECKPOINT_VERSION
@@ -236,6 +237,28 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch):
             verify(other, max_states=40_000, checkpoint=path)
 
+    @pytest.mark.parametrize("saved, resumed", [
+        (dict(faults=FaultModel(duplicate=True)), dict(faults=FaultModel(reorder=True))),
+        (dict(ordered=True), dict(ordered=False)),
+        (dict(faults=FaultModel(duplicate=True, budget=1)),
+         dict(faults=FaultModel(duplicate=True, budget=2))),
+    ], ids=["fault-kind", "network-order", "fault-budget"])
+    def test_fault_model_and_network_order_mismatch(
+            self, msi_stalling, tmp_path, saved, resumed):
+        """The fault model and the network order shape the successor
+        relation as much as the workload does: a frontier saved under one
+        and expanded under another reports a verdict neither search has
+        (an SWMR FAIL, a directory that cannot handle a message) or stops
+        at another count."""
+        path = str(tmp_path / "run.ckpt")
+        workload = Workload(max_accesses_per_cache=2)
+        leg = verify(System(msi_stalling, num_caches=2, workload=workload, **saved),
+                     max_states=200, checkpoint=path)
+        assert leg.partial and os.path.exists(path)
+        other = System(msi_stalling, num_caches=2, workload=workload, **resumed)
+        with pytest.raises(CheckpointMismatch, match="run.ckpt"):
+            verify(other, max_states=40_000, checkpoint=path)
+
     def test_lane_width_mismatch(self, msi_nonstalling, tmp_path, monkeypatch):
         """The frontier and the visited set are packed keys: a payload saved
         under wider lanes could never match one key of this search, so it
@@ -253,17 +276,19 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [-1, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [-1, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("fingerprint", ["kept", "foreign"])
     def test_stale_payload_version(self, saved_checkpoint, version, fingerprint):
         """An intact file (its checksum holds) of another payload version
-        -- the previous ones included: no reader is kept for any.  Version 7
-        carried the worker fleet's shard digests, version 6 kept the
-        transition-kernel flag in its fingerprint material, version 5 the
-        deadlock-check flag as well and version 4 the hash-compaction flag
-        too: the refusal names the version, not a different search
-        configuration, whether or not the fingerprint matches."""
-        assert CHECKPOINT_VERSION == 8
+        -- the previous ones included: no reader is kept for any.  Version 8
+        left the fault model and the network order out of its fingerprint
+        material, version 7 carried the worker fleet's shard digests,
+        version 6 kept the transition-kernel flag in its fingerprint
+        material, version 5 the deadlock-check flag as well and version 4
+        the hash-compaction flag too: the refusal names the version, not a
+        different search configuration, whether or not the fingerprint
+        matches."""
+        assert CHECKPOINT_VERSION == 9
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
@@ -275,7 +300,7 @@ class TestMismatchRejection:
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
         with pytest.raises(CheckpointMismatch,
-                           match=f"version {version}, expected 8") as refused:
+                           match=f"version {version}, expected 9") as refused:
             verify(system, max_states=40_000, checkpoint=path)
         assert "configuration" not in str(refused.value)
 

@@ -1,16 +1,18 @@
-"""Memo clears never change a verdict.
+"""Memo clears never change a verdict, and every bounded memo does clear.
 
-Three limits bound the caches on the search hot paths, each cache cleared
-whole when it reaches its limit and each documented as "correctness never
-depends on a hit": the batch kernel's memos (``vectorized._MEMO_LIMIT``:
-delivery, tail, ``(cell, record, operation)``, and the two boundary caches
--- packed tail -> section ID and section ID -> packed tail), the codec's
-component, parse and relabel memos (``codec._MEMO_LIMIT``; the
-packed-suffix memo a representative's key is concatenated from is one), and
-the canonicalizer's region memo and block table
-(``canonical._ORBIT_MEMO_LIMIT``).  No bundled tier-1 space is big enough
-to reach a limit, so here each limit is forced down to 8 entries -- every
-search then clears constantly -- and the counts must not move.
+Every bounded cache on the search hot paths is a ``codec.Memo``: the
+codec's block-decode, parse and relabel memos (the packed-suffix memo a
+representative's key is concatenated from is one), the canonicalizer's
+region memo and block table, and the batch kernel's delivery,
+``(cell, record, operation)`` and two boundary memos -- packed tail ->
+section ID and section ID -> packed tail.  ``codec._MEMO_LIMIT`` is the one
+bound they share (the batch kernel's NumPy tail memo reads it too), each
+memo is cleared whole when it reaches it, and correctness never depends on
+a hit.  No bundled tier-1 space is big enough to reach the bound, so here
+it is forced down to 8 entries -- every search then clears constantly --
+and the counts must not move.  The bound must also be live: a memo that
+kept more than 8 values in a run must report a clear, so one that lost its
+bound fails here instead of passing unnoticed.
 
 For the batch kernel's plan tables this is also the test that an ID handed
 out before a clear stays valid: a cleared delivery memo re-evaluates to the
@@ -24,9 +26,9 @@ import pytest
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.system import codec as codec_module
-from repro.system import vectorized as vectorized_module
+from repro.system.codec import Memo
 from repro.verification import verify
-from repro.verification.engine import canonical
+from repro.verification.engine.canonical import canonicalizer_for
 
 _LOAD_STORE = (AccessKind.LOAD, AccessKind.STORE)
 
@@ -39,15 +41,20 @@ SPACES = {
     ("MSI-Unordered", "nonstalling", 3, 1, _LOAD_STORE): ((2274, 4890), (410, 893)),
 }
 
-#: Where each limit is read from.
-LIMITS = {
-    "vectorized._MEMO_LIMIT": [(vectorized_module, "_MEMO_LIMIT")],
-    "codec._MEMO_LIMIT": [(codec_module, "_MEMO_LIMIT")],
-    "canonical._ORBIT_MEMO_LIMIT": [(canonical, "_ORBIT_MEMO_LIMIT")],
-}
+#: Memos per owner: the codec's seven, the canonicalizer's two and the
+#: batch kernel's four.
+CODEC_MEMOS, CANONICAL_MEMOS, VECTORIZED_MEMOS = 7, 2, 4
+
+
+def _memos(owner) -> list:
+    """Every :class:`Memo` *owner* holds (the canonicalizer has slots)."""
+    names = getattr(type(owner), "__slots__", None) or vars(owner)
+    return [memo for memo in (getattr(owner, name) for name in names)
+            if isinstance(memo, Memo)]
 
 
 def _outcome(all_generated, space, kernel, symmetry):
+    """The run's counts and table sizes, and the memos it filled."""
     name, policy, caches, accesses, kinds = space
     workload = (
         Workload(max_accesses_per_cache=accesses)
@@ -60,41 +67,78 @@ def _outcome(all_generated, space, kernel, symmetry):
                     workload=workload)
     result = verify(system, kernel=kernel, symmetry=symmetry)
     assert result.kernel == kernel
+    memos = _memos(system.codec())
+    assert len(memos) == CODEC_MEMOS
     if symmetry:
-        codec = system.codec()
-        assert 0 < len(codec._packed_suffixes) <= codec_module._MEMO_LIMIT
-        for entries in ("orbit_memo_entries", "block_table_entries"):
-            assert 0 < result.stats[entries] <= canonical._ORBIT_MEMO_LIMIT
+        canonicalizer = canonicalizer_for(system.codec(),
+                                          system.symmetry_permutations())
+        assert (result.stats["orbit_classifications"]
+                == canonicalizer._orbit_memo.misses > 0)
+        memos += _memos(canonicalizer)
+        assert len(memos) == CODEC_MEMOS + CANONICAL_MEMOS
     if kernel == "vectorized":
-        vk = system.vectorized_kernel()
-        for memo in (vk._deliv_memo, vk._cell_ops, vk._tail_ids, vk._packed):
-            assert len(memo) <= vectorized_module._MEMO_LIMIT
+        memos += _memos(system.vectorized_kernel())
+        assert len(memos) == (CODEC_MEMOS + CANONICAL_MEMOS * symmetry
+                              + VECTORIZED_MEMOS)
     # The batch kernel's table sizes ride along (None on the compiled
     # kernel): a clear must not mint a second ID for a section, a cell, a
     # record, an outcome, a block or a plan it has already numbered.
-    return (result.ok, result.states_explored, result.transitions_explored,
-            *map(result.stats.get,
-                 ("fallback_transitions", "section_entries", "outcome_entries",
-                  "cell_entries", "record_entries", "cache_block_entries",
-                  "dir_block_entries", "plan_entries")))
+    counts = (result.ok, result.states_explored, result.transitions_explored,
+              *map(result.stats.get,
+                   ("fallback_transitions", "section_entries", "outcome_entries",
+                    "cell_entries", "record_entries", "cache_block_entries",
+                    "dir_block_entries", "plan_entries")))
+    return counts, memos
+
+
+def test_a_memo_computes_each_miss_once():
+    computed = []
+    memo = Memo(lambda key: computed.append(key) or key * 2)
+    assert [memo[k] for k in (1, 2, 1, 2, 3)] == [2, 4, 2, 4, 6]
+    assert computed == [1, 2, 3]
+    assert (memo.misses, memo.clears) == (3, 0)
+    assert memo.get(4) is None and 4 not in memo  # a probe computes nothing
+
+
+def test_a_full_memo_is_cleared_before_it_keeps_the_next_value(monkeypatch):
+    monkeypatch.setattr(codec_module, "_MEMO_LIMIT", 2)
+    memo = Memo(str)
+    assert [memo[k] for k in (1, 2, 3)] == ["1", "2", "3"]
+    assert dict(memo) == {3: "3"}
+    assert memo[1] == "1"  # dropped by the clear: computed again
+    assert (memo.misses, memo.clears) == (4, 1)
+
+
+def test_store_applies_the_same_bound(monkeypatch):
+    monkeypatch.setattr(codec_module, "_MEMO_LIMIT", 2)
+    memo = Memo()
+    assert [memo.store(k, -k) for k in (1, 2, 3)] == [-1, -2, -3]
+    assert dict(memo) == {3: -3}
+    assert (memo.misses, memo.clears) == (3, 1)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s[0]}-{s[2]}c{s[3]}a")
-@pytest.mark.parametrize("limit", LIMITS)
-def test_a_limit_of_eight_entries_changes_no_count(
-        all_generated, monkeypatch, limit, space):
+def test_a_limit_of_eight_entries_changes_no_count(all_generated, monkeypatch, space):
     runs = [(kernel, symmetry)
             for kernel in ("compiled", "vectorized")
             for symmetry in (False, True)]
-    unpatched = {run: _outcome(all_generated, space, *run) for run in runs}
+    unpatched = {}
     for kernel, symmetry in runs:
+        counts, memos = _outcome(all_generated, space, kernel, symmetry)
         states, transitions = SPACES[space][symmetry]
-        assert unpatched[kernel, symmetry][:3] == (True, states, transitions)
-        assert unpatched[kernel, symmetry][3] == (
-            0 if kernel == "vectorized" else None
-        )
-    for module, name in LIMITS[limit]:
-        assert getattr(module, name) > 8
-        monkeypatch.setattr(module, name, 8)
+        assert counts[:3] == (True, states, transitions)
+        assert counts[3] == (0 if kernel == "vectorized" else None)
+        assert not any(memo.clears for memo in memos)
+        unpatched[kernel, symmetry] = counts
+    assert codec_module._MEMO_LIMIT > 8
+    monkeypatch.setattr(codec_module, "_MEMO_LIMIT", 8)
+    cleared = 0
     for run in runs:
-        assert _outcome(all_generated, space, *run) == unpatched[run], run
+        counts, memos = _outcome(all_generated, space, *run)
+        assert counts == unpatched[run], run
+        for memo in memos:
+            assert len(memo) <= 8
+            if memo.misses > 8:
+                assert memo.clears > 0, run
+                cleared += 1
+    assert cleared
