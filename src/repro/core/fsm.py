@@ -305,26 +305,25 @@ class GeneratedProtocol:
 # Compiled (table-form) spec
 # ---------------------------------------------------------------------------
 #
-# The object executor (`repro.system.executor`) interprets `ControllerFsm`
-# objects: string-keyed state lookups, dataclass events, isinstance chains
-# over action objects.  That is the right representation for generation, for
-# rendering and for the tests' oracle, but the model checker executes
-# millions of transitions per search, where every string hash shows up.
-# `compile_spec` indexes a generated protocol into flat integer-keyed dispatch
-# tables -- states, guards, message types -- and keeps each transition's
-# `Action` tuple as it is: the encoded-state kernel (`repro.system.kernel`)
-# turns every transition's actions into one generated function over packed
-# states, the way Murphi compiles a model's rules to C.
+# `ControllerFsm` objects -- string-keyed state lookups, dataclass events,
+# action objects -- are the right representation for generation, for
+# rendering and for the tests' object-level oracle, but the model checker
+# executes millions of transitions per search, where every string hash shows
+# up.  `compile_spec` indexes a generated protocol into flat integer-keyed
+# dispatch tables -- states, guards, message types -- and keeps each
+# transition's `Action` tuple as it is: the encoded-state kernel
+# (`repro.system.kernel`), the one interpretation of a protocol in this
+# package, turns every transition's actions into one generated function over
+# packed states, the way Murphi compiles a model's rules to C.
 #
 # Index conventions (shared with `repro.system.codec.StateCodec`): FSM states
 # and message types are indexed through their *sorted* name lists, access
-# kinds through `AccessKind` sorted by value.  The object executor
-# (`repro.system.executor`) consumes the same guard vocabulary below, so the
-# two backends cannot drift on what a guard means.
+# kinds through `AccessKind` sorted by value.
 
-#: Guard codes (message-event trigger conditions).  The object executor and
-#: the compiled kernel both dispatch on these; an unknown guard string fails
-#: compilation here and raises at execution time there.
+#: Guard codes (message-event trigger conditions).  The compiled kernel and
+#: the tests' object-level oracle both dispatch on these, so the two cannot
+#: drift on what a guard means; an unknown guard string fails compilation
+#: here.
 GUARD_CODES: dict[str, int] = {
     "ack_count_zero": 1,
     "ack_count_nonzero": 2,

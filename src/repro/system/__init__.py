@@ -5,7 +5,6 @@ from repro.system.kernel import TransitionKernel
 from repro.system.message import DIRECTORY_ID, Message
 from repro.system.network import Network, OrderedNetwork, UnorderedNetwork, make_network
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
-from repro.system.executor import Observation, ProtocolRuntimeError
 from repro.system.vectorized import VectorizedKernel
 from repro.system.system import (
     DeliverMessage,
@@ -15,7 +14,6 @@ from repro.system.system import (
     IssueAccess,
     LitmusWorkload,
     ReorderMessage,
-    StepOutcome,
     System,
     SystemEvent,
     Workload,
@@ -34,12 +32,9 @@ __all__ = [
     "LitmusWorkload",
     "Message",
     "Network",
-    "Observation",
     "OrderedNetwork",
-    "ProtocolRuntimeError",
     "ReorderMessage",
     "StateCodec",
-    "StepOutcome",
     "System",
     "SystemEvent",
     "TransitionKernel",

@@ -10,8 +10,8 @@ on to ``bytes``), and back.
 The encoding is designed around three invariants the engine relies on:
 
 1. **Bijective.**  ``decode(encode(s)) == s`` exactly, so de-duplicating on
-   encodings preserves the seed explorer's bit-identical state counts and
-   counterexample traces still replay through ``System.apply``.
+   encodings preserves the seed explorer's bit-identical state counts, and
+   a decoded counterexample state is the object state the trace reaches.
 2. **Order-isomorphic.**  Every component section compares (as an int tuple)
    exactly like the component's ``sort_key()``: FSM states and message types
    are indexed through *sorted* name lists, optional ints are shifted so

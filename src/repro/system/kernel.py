@@ -1,12 +1,10 @@
-"""Compiled transition kernel: the search hot path over encoded states.
+"""Compiled transition kernel: the one interpretation of the generated tables.
 
-The object execution substrate (:mod:`repro.system.system` /
-:mod:`repro.system.executor`) interprets the generated FSMs over dataclass
-trees -- the right representation for clarity and for counterexample
-replay, but every explored transition pays for event objects, dataclass
-construction and a full re-encode.  Murphi gets its throughput by compiling
-the transition relation down to operations on packed bit-vector states; the
-:class:`TransitionKernel` is that representation shift for this engine:
+Murphi gets its throughput by compiling the transition relation down to
+operations on packed bit-vector states; the :class:`TransitionKernel` is
+that representation for this engine, and the only code in ``src/`` that
+executes a generated transition -- every search, the random walk and the
+concretization of a reduced counterexample step through it:
 
 * the generated protocol is indexed once into integer-keyed dispatch
   tables (:func:`repro.core.fsm.compile_spec`), every transition keeping
@@ -14,10 +12,10 @@ the transition relation down to operations on packed bit-vector states; the
 * at kernel construction every transition's actions are generated into a
   flat function with its constants, lane offsets and destination kinds
   burned in (:meth:`TransitionKernel._compile_cache_fn`
-  / :meth:`TransitionKernel._compile_directory_fn`) -- the executor's
-  interpretation and this generator are the only two places that say what
-  an action does -- and plans carry their bound apply handler so the
-  search loop dispatches without a single string comparison;
+  / :meth:`TransitionKernel._compile_directory_fn`) -- the one place in
+  ``src/`` that says what an action does -- and plans carry their bound
+  apply handler so the search loop dispatches without a single string
+  comparison;
 * enabled-event enumeration, guard evaluation, successor construction,
   quiescence and the default invariants (SWMR, single-owner) then run
   directly on the flat int-tuple encoding of
@@ -26,16 +24,19 @@ the transition relation down to operations on packed bit-vector states; the
   and network re-normalization copies untouched channels as single slices
   of the parent encoding.
 
-The kernel is **exact by construction where it is fast, and delegating
-where it is not**: every successor it produces is bit-identical to
-``codec.encode(system.apply(state, event).state)`` (property-tested across
-all bundled protocols in ``tests/verification/test_kernel.py``), and any
-path that would produce an error outcome -- unexpected message, ambiguous
-guards, missing data/requestor/owner, a data-value violation, an action or
-a destination the controller cannot execute -- returns ``None`` instead,
-telling the caller to decode the state and replay the single event through
-the object executor, which is kept as the differential oracle and produces
-the exact seed-identical error text.
+The kernel **reports its own errors**.  Every failure site of a generated
+function -- missing data, requestor or owner, a data-value violation, an
+action or a destination the controller cannot execute -- returns a small
+error code (``None`` is success, so the hot path tests one truthiness),
+and a delivery no transition takes, or several do, is a plan whose
+transition is ``None`` / :data:`AMBIGUOUS`.  Only then does the kernel
+format the protocol error's text (:meth:`TransitionKernel._error`,
+:meth:`TransitionKernel._undeliverable`), from the code, the failing
+:class:`~repro.dsl.types.Action`, the lanes the transition had written so
+far and the decoded message.  The tests hold every successor and every
+error text to an independent object-level interpreter of the same
+generated protocol (``tests/verification/reference_system.py``), per state
+and per search.
 
 The layout is :mod:`repro.system.codec`'s: the kernel and the codec import
 the cache-block widths and lane offsets (``CF_*``) from
@@ -45,7 +46,7 @@ the cache-block widths and lane offsets (``CF_*``) from
 
 from __future__ import annotations
 
-from repro.core.fsm import CompilationUnsupported
+from repro.core.fsm import GUARD_CODES, CompilationUnsupported, MessageEvent
 from repro.dsl.types import (
     AccessKind,
     AddOwnerToSharers,
@@ -65,7 +66,7 @@ from repro.dsl.types import (
     SetOwnerToRequestor,
     WriteDataToMemory,
 )
-from repro.system.message import MESSAGE_ENCODED_WIDTH
+from repro.system.message import MESSAGE_ENCODED_WIDTH, decode_message
 from repro.system.node_state import (
     CACHE_ENCODED_WIDTH,
     CF_ACKS_EXPECTED,
@@ -87,9 +88,50 @@ _SHARER_ACTIONS = (
 )
 _OWNER_ACTIONS = (SetOwnerToRequestor, ClearOwner, AddOwnerToSharers)
 
-#: Sentinel plan: more than one transition matched (the object executor
-#: raises the "ambiguous transitions" protocol error for these).
+#: Sentinel plan: more than one transition matched (applying it reports the
+#: "ambiguous transitions" protocol error).
 AMBIGUOUS = object()
+
+#: What a generated transition function returns at a failure site:
+#: ``kind + _ACTION_STRIDE * i`` for its ``i``-th action, where *kind* keys
+#: :data:`_ERROR_TEXTS`.  Formatted by :meth:`TransitionKernel._error` with
+#: ``cid`` (the cache), ``action``, ``message`` (the delivered one, or None
+#: for an access) and, for a cache, ``data`` / ``last`` / ``version``: the
+#: block's data and last observed version and the plane's latest version as
+#: the transition's earlier actions left them.
+_ACTION_STRIDE = 32
+_ERROR_TEXTS = {
+    1: "cache {cid} expected data in {message}",
+    2: "cache {cid} cannot execute action {action!r}",
+    3: "cache {cid}: unsupported destination {action.to} for {action.message}",
+    4: "cache {cid}: {action.message} needs a requestor but none is available",
+    5: "cache {cid}: deferred response {action.message} has no saved requestor",
+    6: "cache {cid}: deferred response {action.message} has no saved requestor"
+       " to send on behalf of",
+    7: "cache {cid} performed a load without data",
+    8: "cache {cid} load went backwards: saw version {data} after {last}"
+       " (per-location SC violation)",
+    9: "cache {cid} performed a store without data",
+    10: "data-value invariant violated: cache {cid} stores on top of version"
+        " {data} but the latest written version is {version}",
+    11: "directory expected data in {message}",
+    12: "directory cannot execute action {action!r}",
+    13: "directory: unsupported destination {action.to} for {action.message}",
+    14: "directory: {action.message} needs a requestor",
+    15: "directory: {action.message} needs an owner",
+    # A sharer set would hold a null cache ID, which no encoding
+    # represents: named as an error like the other sites.
+    16: "directory: {action!r} needs a requestor",
+}
+(
+    _E_CACHE_DATA, _E_CACHE_ACTION, _E_CACHE_DEST, _E_NO_REQUESTOR,
+    _E_NO_SAVED, _E_NO_SAVED_BEHALF, _E_LOAD_NO_DATA, _E_LOAD_BACKWARDS,
+    _E_STORE_NO_DATA, _E_DATA_VALUE, _E_DIR_DATA, _E_DIR_ACTION,
+    _E_DIR_DEST, _E_DIR_REQUESTOR, _E_DIR_OWNER, _E_DIR_SHARER,
+) = _ERROR_TEXTS
+
+#: Guard code -> its name, for the "ambiguous transitions" text.
+_GUARD_NAMES = {code: name for name, code in GUARD_CODES.items()}
 
 #: Compiled invariant codes accepted by :meth:`TransitionKernel.check`.
 INV_SWMR = "swmr"
@@ -244,11 +286,12 @@ class TransitionKernel:
 
     # -- event enumeration -------------------------------------------------------
     def enabled(self, enc: tuple, key: bytes | None = None) -> tuple[list, tuple]:
-        """``(plans, net)`` for *enc*: one plan per enabled event, in exactly
-        the order :meth:`repro.system.System.enabled_events` yields them.
-        *key* is ``codec.pack(enc)`` when the caller holds it (a search
-        unpacked *enc* from it): the network-parse memo is keyed by a slice
-        of it.
+        """``(plans, net)`` for *enc*: one plan per enabled event -- accesses
+        cache by cache in workload order, then deliveries in network order
+        -- the order the state IDs, the traces and a seeded
+        :func:`~repro.verification.random_walk` all follow.  *key* is
+        ``codec.pack(enc)`` when the caller holds it (a search unpacked
+        *enc* from it): the network-parse memo is keyed by a slice of it.
 
         A plan is ``(handler, eev, cache_id, ct)`` for an access or
         ``(handler, eev, record, ct, where)`` for a delivery -- ``handler``
@@ -258,7 +301,9 @@ class TransitionKernel:
         (``None`` when no transition matches -- applying will error -- or
         :data:`AMBIGUOUS`), and ``where`` locates the delivered message in
         the network (channel index when ordered, record index when
-        unordered).  *net* is the state's parsed-network handle — opaque to
+        unordered).  A delivery with no transition, or several, is enabled:
+        applying it reports the protocol error (Murphi's "unexpected
+        message").  *net* is the state's parsed-network handle — opaque to
         callers, who only thread it back into :meth:`apply` (internally the
         codec's memoized ``(items, channel lane offsets, deliveries)``
         triple, parsed once per distinct packed section).  Every ``eev`` is the
@@ -319,9 +364,8 @@ class TransitionKernel:
     def _enabled_general(self, enc: tuple, key: bytes | None) -> tuple[list, tuple]:
         """Plane-aware twin of :meth:`enabled` for multi-address, fault-model
         and litmus configurations.  Returns ``(plans, planes)`` where
-        *planes* is the :meth:`StateCodec.parsed_planes` handle; plan order
-        mirrors :meth:`repro.system.System.enabled_events` exactly
-        (accesses, then deliveries plane by plane, then faults)."""
+        *planes* is the :meth:`StateCodec.parsed_planes` handle; plans come
+        accesses first, then deliveries plane by plane, then faults."""
         plans: list = []
         planes = self.codec.parsed_planes(enc, key)
         num_addresses = self.num_addresses
@@ -377,10 +421,10 @@ class TransitionKernel:
             items = planes[addr][0]
             d0 = addr * stride + self.dir_offset
             if bypass:
-                # Re-queue semantics (mirrors the object model's fault-mode
-                # `_delivery_events`): per channel, plan the first record
-                # whose transition does not stall -- stalled heads are
-                # bypassed rather than blocking the channel.
+                # Re-queue semantics (`FaultModel.requeue`): per channel,
+                # plan the first record whose transition does not stall --
+                # stalled heads are bypassed rather than blocking the
+                # channel.
                 for idx, item in enumerate(items):
                     for pos, rec in enumerate(item[3]):
                         fn = None
@@ -459,10 +503,12 @@ class TransitionKernel:
     def _select(
         self, cands: tuple, rec: tuple, enc: tuple, base: int | None, d0: int
     ):
-        """Mirror of :func:`repro.system.executor.select_transition` over
-        encoded fields: evaluate guards, prefer a unique guarded match.
-        The caller (``enabled``) resolves the single-unguarded-candidate
-        case inline, so every *cands* seen here needs the full walk."""
+        """The transition of *cands* that takes message record *rec*:
+        evaluate the guards over encoded fields and prefer a unique guarded
+        match; ``None`` when none matches, :data:`AMBIGUOUS` when several
+        do and no one guarded match stands out.  The caller (``enabled``)
+        resolves the single-unguarded-candidate case inline, so every
+        *cands* seen here needs the full walk."""
         matching = []
         guarded = []
         for ct in cands:
@@ -483,7 +529,15 @@ class TransitionKernel:
     def _guard(
         self, g: int, rec: tuple, enc: tuple, base: int | None, d0: int
     ) -> bool:
-        """Encoded mirror of :func:`repro.system.executor.evaluate_guard`."""
+        """Guard *g* (a :data:`~repro.core.fsm.GUARD_CODES` value) of message
+        record *rec* at the cache block at *base* or the directory at *d0*.
+
+        ``ack_count_*`` compare the Data response's ack count against the
+        acks already received (they can race ahead of the Data);
+        ``acks_*`` ask whether counting this Inv_Ack completes the expected
+        count; the directory guards test the sender (``from_owner``,
+        ``last_sharer``, ``from_sharer``) or the carried requestor
+        (``owner_is_requestor``) against its owner and sharers."""
         if g <= 2:  # ack_count_zero / ack_count_nonzero
             outstanding = (rec[9] - 2 if rec[8] else 0) - enc[base + CF_ACKS_RECEIVED]
             return outstanding <= 0 if g == 1 else outstanding > 0
@@ -514,11 +568,10 @@ class TransitionKernel:
         return is_sharer if g == 9 else not is_sharer
 
     # -- successor construction ---------------------------------------------------
-    def apply(self, enc: tuple, plan: tuple, net: tuple) -> tuple | None:
-        """The successor encoding for *plan*, or ``None`` for "take the slow
-        path": decode and replay the one event through ``System.apply`` (it
-        reproduces the exact error outcome, or in rare benign cases the
-        successor, at object speed).
+    def apply(self, enc: tuple, plan: tuple, net: tuple) -> tuple | str:
+        """The successor encoding for *plan*, or the text of the protocol
+        error applying it reports (a ``str``, never a tuple): that is the
+        one test a caller makes.
 
         ``plan[0]`` *is* the bound apply handler (set by :meth:`enabled`),
         so the per-transition hot loops may call ``plan[0](enc, plan, net)``
@@ -526,14 +579,58 @@ class TransitionKernel:
         """
         return plan[0](enc, plan, net)
 
+    def _error(self, code, ct, rec, cid=None, out=None, base=0, vo=0) -> str:
+        """The text of failure *code* of transition *ct* (see
+        :data:`_ACTION_STRIDE`), on message record *rec* (None: an access),
+        at cache *cid* whose lanes *out* the transition has written so far
+        from *base* on (its plane's version lane at *vo*); a directory
+        failure passes neither."""
+        i, kind = divmod(code, _ACTION_STRIDE)
+        fields = {
+            "cid": cid,
+            "action": ct.actions[i],
+            "message": None if rec is None else decode_message(rec, self.codec.mtypes),
+        }
+        if out is not None:
+            fields["data"] = out[base + CF_DATA] - 1
+            fields["last"] = out[base + CF_LAST_OBSERVED] - 1
+            fields["version"] = out[vo]
+        return _ERROR_TEXTS[kind].format(**fields)
+
+    def _undeliverable(self, enc: tuple, rec: tuple, ct, plane: int = 0) -> str:
+        """The text of delivering message record *rec* on the plane at lane
+        *plane* when no transition takes it (*ct* None) or several do
+        (*ct* :data:`AMBIGUOUS`; they are listed in candidate order)."""
+        message = decode_message(rec, self.codec.mtypes)
+        d0 = plane + self.dir_offset
+        if rec[2] == 1:
+            receiver, controller, base = "directory", self.spec.directory, None
+            si = enc[d0]
+        else:
+            receiver, controller = f"cache {message.dst}", self.spec.cache
+            base = plane + message.dst * CACHE_ENCODED_WIDTH
+            si = enc[base]
+        state = controller.state_names[si]
+        if ct is None:
+            return f"{receiver} in state {state!r} cannot handle message {message}"
+        matching = ", ".join(
+            str(MessageEvent(message.mtype, _GUARD_NAMES.get(c.guard)))
+            for c in controller.on_message[si][rec[0]]
+            if not c.guard or self._guard(c.guard, rec, enc, base, d0)
+        )
+        return (
+            f"ambiguous transitions for {message.mtype} in state {state!r}: "
+            f"{matching}"
+        )
+
     def _apply_access_plan(self, enc: tuple, plan: tuple, net: tuple):
         return self._apply_access(enc, plan[2], plan[1][2], plan[3], net, plan[4])
 
     def _apply_delivery_plan(self, enc: tuple, plan: tuple, net: tuple):
         ct = plan[3]
-        if ct is None or ct is AMBIGUOUS:
-            return None  # unexpected message / ambiguous guards -> object error
         rec = plan[2]
+        if ct is None or ct is AMBIGUOUS:
+            return self._undeliverable(enc, rec, ct)
         if rec[2] == 1:
             return self._apply_directory(enc, rec, ct, net, plan[4])
         return self._apply_cache_delivery(enc, rec, ct, net, plan[4], plan[5])
@@ -544,8 +641,8 @@ class TransitionKernel:
         out[base + CF_ISSUED] += 1
         out[base + CF_PENDING] = ai + 1
         sends: list = []
-        if fn is not None and not fn(out, base, cid, None, ai, sends):
-            return None
+        if fn is not None and (err := fn(out, base, cid, None, ai, sends)):
+            return self._error(err, ct, None, cid, out, base, self.version_offset)
         out[base + CF_STATE] = ct.next_state
         if ct.has_perform:
             out[base + CF_PENDING] = 0
@@ -559,8 +656,8 @@ class TransitionKernel:
         pending = out[base + CF_PENDING]
         ai = pending - 1 if pending else None
         sends: list = []
-        if fn is not None and not fn(out, base, cid, rec, ai, sends):
-            return None
+        if fn is not None and (err := fn(out, base, cid, rec, ai, sends)):
+            return self._error(err, ct, rec, cid, out, base, self.version_offset)
         out[base + CF_STATE] = ct.next_state
         if ct.has_perform:
             out[base + CF_PENDING] = 0
@@ -590,10 +687,9 @@ class TransitionKernel:
         out[base + CF_ISSUED] += 1
         out[base + CF_PENDING] = ai + 1
         sends: list = []
-        if fn is not None and not fn(
-            out, base, cid, None, ai, sends, plane + self.version_offset
-        ):
-            return None
+        vo = plane + self.version_offset
+        if fn is not None and (err := fn(out, base, cid, None, ai, sends, vo)):
+            return self._error(err, ct, None, cid, out, base, vo)
         out[base + CF_STATE] = ct.next_state
         if ct.has_perform:
             out[base + CF_PENDING] = 0
@@ -602,30 +698,29 @@ class TransitionKernel:
 
     def _apply_delivery_plan_general(self, enc: tuple, plan: tuple, planes: tuple):
         ct = plan[3]
-        if ct is None or ct is AMBIGUOUS:
-            return None  # unexpected message / ambiguous guards -> object error
         rec = plan[2]
         addr = plan[6]
-        where = plan[4]
         plane = addr * self.plane_stride
+        if ct is None or ct is AMBIGUOUS:
+            return self._undeliverable(enc, rec, ct, plane)
+        where = plan[4]
         out = list(enc[: self.net_offset])
         sends: list = []
         if rec[2] == 1:  # directory delivery
             d0 = plane + self.dir_offset
-            if not self._dir_fns[id(ct)](
+            if err := self._dir_fns[id(ct)](
                 out, rec, sends, d0, d0 + 2 + self.num_caches
             ):
-                return None
+                return self._error(err, ct, rec)
         else:
             cid = rec[2] - 2
             base = plane + cid * CACHE_ENCODED_WIDTH
             pending = out[base + CF_PENDING]
             ai = pending - 1 if pending else None
             fn = plan[5]
-            if fn is not None and not fn(
-                out, base, cid, rec, ai, sends, plane + self.version_offset
-            ):
-                return None
+            vo = plane + self.version_offset
+            if fn is not None and (err := fn(out, base, cid, rec, ai, sends, vo)):
+                return self._error(err, ct, rec, cid, out, base, vo)
             out[base + CF_STATE] = ct.next_state
             if ct.has_perform:
                 out[base + CF_PENDING] = 0
@@ -678,13 +773,14 @@ class TransitionKernel:
         Every action's constants (message type, vnet, destination kind, slot
         numbers, lane offsets) are burned into straight-line source, run once
         per distinct text (:func:`_compiled`).  ``fn(out, base, cid, rec, ai,
-        sends) -> bool`` does to the encoded cache block what
-        :func:`repro.system.executor.execute_cache_transition` does to the
-        object one: mutate it in place, append encoded send records, and
-        return False wherever the executor reports an error -- an action or
-        a destination a cache cannot execute included -- so the event
-        replays through ``System.apply``, which reports it.  Returns
-        ``None`` for an empty action list (callers skip the call entirely).
+        sends)`` executes the transition on the encoded cache block: it
+        mutates the block in place, appends encoded send records and returns
+        None, or at the first action that fails -- missing data or
+        requestor, a load or store the data-value checks refuse, an action
+        or a destination a cache cannot execute -- returns that site's error
+        code (see :data:`_ACTION_STRIDE`), leaving the lanes as the earlier
+        actions wrote them.  Returns ``None`` instead of a function for an
+        empty action list (callers skip the call entirely).
         """
         if not ct.actions:
             return None
@@ -693,30 +789,31 @@ class TransitionKernel:
         lines = [f"def fn(out, base, cid, rec, ai, sends, vo={self.version_offset}):"]
         emit = lines.append
         tmp = 0
-        for action in ct.actions:
+        for i, action in enumerate(ct.actions):
+            at = _ACTION_STRIDE * i
             if isinstance(action, Send):
                 mt, vnet = self._message_type(action)
                 if action.requestor_slot is not None:
                     emit(f" s{tmp} = out[base + {CF_SAVED + action.requestor_slot}]")
                     emit(f" if s{tmp} == 0:")
-                    emit("  return False  # deferred response without saved requestor")
+                    emit(f"  return {at + _E_NO_SAVED}")
                     dst = f"s{tmp} + 1"
                     tmp += 1
                 elif action.to is Dest.DIRECTORY:
                     dst = "1"
                 elif action.to is Dest.REQUESTOR:
                     emit(" if rec is None or not rec[4]:")
-                    emit("  return False  # no requestor available")
+                    emit(f"  return {at + _E_NO_REQUESTOR}")
                     dst = "rec[5]"
                 elif action.to is Dest.SELF:
                     dst = "cid + 2"
                 else:
-                    emit(" return False  # unsupported destination")
+                    emit(f" return {at + _E_CACHE_DEST}")
                     break
                 if action.requestor_from_slot is not None:
                     emit(f" s{tmp} = out[base + {CF_SAVED + action.requestor_from_slot}]")
                     emit(f" if s{tmp} == 0:")
-                    emit("  return False")
+                    emit(f"  return {at + _E_NO_SAVED_BEHALF}")
                     req = f"s{tmp} + 1"
                     tmp += 1
                 else:
@@ -733,7 +830,7 @@ class TransitionKernel:
                     emit(f" sends.append({head}, 0, 0, 0, 0))")
             elif isinstance(action, CopyDataFromMessage):
                 emit(" if rec is None or not rec[6]:")
-                emit('  return False  # "expected data in <message>"')
+                emit(f"  return {at + _E_CACHE_DATA}")
                 emit(f" out[base + {CF_DATA}] = rec[7] - 1")
             elif isinstance(action, InvalidateData):
                 emit(f" out[base + {CF_DATA}] = 0")
@@ -753,16 +850,21 @@ class TransitionKernel:
                     " rec[5] - 1 if rec is not None and rec[4] else 0"
                 )
             elif isinstance(action, PerformAccess):
+                # Nothing pending (a replayed hit) makes it a no-op.
                 emit(" if ai is not None:")
                 emit(f"  if ai == {self.ai_load}:")
                 emit(f"   data = out[base + {CF_DATA}]")
-                emit(f"   if data == 0 or data < out[base + {CF_LAST_OBSERVED}]:")
-                emit("    return False  # load without data / went backwards")
+                emit("   if data == 0:")
+                emit(f"    return {at + _E_LOAD_NO_DATA}")
+                emit(f"   if data < out[base + {CF_LAST_OBSERVED}]:")
+                emit(f"    return {at + _E_LOAD_BACKWARDS}")
                 emit(f"   out[base + {CF_LAST_OBSERVED}] = data")
                 emit(f"  elif ai == {self.ai_store}:")
                 emit(f"   data = out[base + {CF_DATA}]")
-                emit("   if data == 0 or data - 1 != out[vo]:")
-                emit("    return False  # store without data / data-value violation")
+                emit("   if data == 0:")
+                emit(f"    return {at + _E_STORE_NO_DATA}")
+                emit("   if data - 1 != out[vo]:")
+                emit(f"    return {at + _E_DATA_VALUE}")
                 emit("   version = out[vo] + 1")
                 emit("   out[vo] = version")
                 emit(f"   out[base + {CF_DATA}] = version + 1")
@@ -770,9 +872,8 @@ class TransitionKernel:
                 emit("  else:  # replacement: the block leaves the cache")
                 emit(f"   out[base + {CF_DATA}] = 0")
             else:
-                emit(" return False  # an action a cache cannot execute")
+                emit(f" return {at + _E_CACHE_ACTION}")
                 break
-        emit(" return True")
         return _compiled("\n".join(lines))
 
     def _message_type(self, action: Send) -> tuple[int, int]:
@@ -788,23 +889,22 @@ class TransitionKernel:
     def _apply_directory(self, enc, rec, ct, net, where):
         out = list(enc[: self.net_offset])
         sends: list = []
-        if not self._dir_fns[id(ct)](out, rec, sends):
-            return None
+        if err := self._dir_fns[id(ct)](out, rec, sends):
+            return self._error(err, ct, rec)
         self._emit_net(out, enc, net, where, sends, self.net_offset, len(enc))
         return tuple(out)
 
     def _compile_directory_fn(self, ct):
         """Directory twin of :meth:`_compile_cache_fn`.
 
-        ``fn(out, rec, sends) -> bool`` runs the whole directory-side
-        mutation for one transition: lane offsets, destination kinds and
-        data/ack flags are burned in at generation time, the owner local and
-        the sharer set are materialized only when some action actually reads
-        or writes them, and the sorted sharer-run writeback happens only for
-        transitions that touch the set.  False routes the event to
-        ``System.apply``, wherever
-        :func:`repro.system.executor.execute_directory_transition` reports an
-        error.
+        ``fn(out, rec, sends)`` runs the whole directory-side mutation for
+        one transition: lane offsets, destination kinds and data/ack flags
+        are burned in at generation time, the owner local and the sharer set
+        are materialized only when some action actually reads or writes
+        them, and the sorted sharer-run writeback happens only for
+        transitions that touch the set.  Returns None, or the first failing
+        action's error code: missing data, requestor or owner, or an action
+        or a destination the directory cannot execute.
         """
         d0 = self.dir_offset
         n = self.num_caches
@@ -829,11 +929,12 @@ class TransitionKernel:
             emit(" owner = out[d0 + 1]")
         if touches_sharers:
             emit(" sharers = {v for v in out[d0 + 2:mem_i] if v}")
-        for action in ct.actions:
+        for i, action in enumerate(ct.actions):
+            at = _ACTION_STRIDE * i
             if isinstance(action, Send):
                 mt, vnet = self._message_type(action)
                 if action.to not in (Dest.REQUESTOR, Dest.OWNER, Dest.SHARERS):
-                    emit(" return False  # unsupported destination")
+                    emit(f" return {at + _E_DIR_DEST}")
                     break
                 if action.with_data:
                     emit(" dv = out[mem_i] + 2")
@@ -848,18 +949,18 @@ class TransitionKernel:
                 record_tail = f"{vnet}, reqf, reqv, {df}, {dv}, {af}, {av})"
                 if action.to is Dest.REQUESTOR:
                     emit(" if not reqf:")
-                    emit('  return False  # "needs a requestor"')
+                    emit(f"  return {at + _E_DIR_REQUESTOR}")
                     emit(f" sends.append(({mt}, 1, reqv, {record_tail})")
                 elif action.to is Dest.OWNER:
                     emit(" if owner == 0:")
-                    emit('  return False  # "needs an owner"')
+                    emit(f"  return {at + _E_DIR_OWNER}")
                     emit(f" sends.append(({mt}, 1, owner, {record_tail})")
                 else:
                     emit(" for dst in sorted(s for s in sharers if not (reqf and s == reqv)):")
                     emit(f"  sends.append(({mt}, 1, dst, {record_tail})")
             elif isinstance(action, (CopyDataFromMessage, WriteDataToMemory)):
                 emit(" if not rec[6]:")
-                emit('  return False  # "expected data in <message>"')
+                emit(f"  return {at + _E_DIR_DATA}")
                 emit(" out[mem_i] = rec[7] - 2")
             elif isinstance(action, SetOwnerToRequestor):
                 emit(" owner = reqv if reqf else 0")
@@ -867,7 +968,7 @@ class TransitionKernel:
                 emit(" owner = 0")
             elif isinstance(action, AddRequestorToSharers):
                 emit(" if not reqf:")
-                emit("  return False  # object path would record a null sharer")
+                emit(f"  return {at + _E_DIR_SHARER}")
                 emit(" sharers.add(reqv)")
             elif isinstance(action, AddOwnerToSharers):
                 emit(" if owner:")
@@ -878,7 +979,7 @@ class TransitionKernel:
             elif isinstance(action, ClearSharers):
                 emit(" sharers.clear()")
             else:
-                emit(" return False  # an action the directory cannot execute")
+                emit(f" return {at + _E_DIR_ACTION}")
                 break
         emit(f" out[d0] = {ct.next_state}")
         if uses_owner:
@@ -887,7 +988,6 @@ class TransitionKernel:
             emit(" run = sorted(sharers)")
             emit(f" run.extend(0 for _ in range({n} - len(run)))")
             emit(" out[d0 + 2:mem_i] = run")
-        emit(" return True")
         return _compiled("\n".join(lines))
 
     def _emit_net(

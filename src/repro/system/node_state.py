@@ -86,9 +86,8 @@ class CacheNodeState:
 
     def with_state(self, fsm_state: str) -> "CacheNodeState":
         # Direct construction: ``dataclasses.replace`` resolves fields through
-        # the descriptor machinery on every call, and the executor calls this
-        # once per cache transition it applies (the tests' oracle, and the
-        # replay of an event the compiled kernel refers back).
+        # the descriptor machinery on every call, and the tests' object-level
+        # reference system calls this once per cache transition it applies.
         return CacheNodeState(
             fsm_state=fsm_state,
             data=self.data,

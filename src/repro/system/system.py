@@ -1,29 +1,28 @@
 """Whole-system model: N caches + directory + interconnect for one block.
 
-The :class:`System` assembles a generated protocol into an executable model
-that the model checker (:mod:`repro.verification`) explores exhaustively and
-the random-walk simulator samples.  The model is deliberately the same kind
-of model the paper verifies with Murphi: a small number of caches, a single
+The :class:`System` binds a generated protocol to a configuration -- cache
+count, workload, network ordering, address planes, fault model -- that the
+model checker (:mod:`repro.verification`) explores exhaustively and the
+random-walk simulator samples.  The model is deliberately the same kind of
+model the paper verifies with Murphi: a small number of caches, a single
 cache block, non-deterministic core accesses bounded per cache, and
 non-deterministic message delivery.
+
+What a transition does is the compiled kernel's (:meth:`System.kernel`),
+which steps encoded states.  This module holds the vocabulary the kernel's
+results are reported in: the :class:`GlobalState` a state decodes to (what
+invariants and counterexamples read), the :class:`SystemEvent` kinds a trace
+is made of, and the predicates over decoded states.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
-from repro.core.fsm import AccessEvent, GeneratedProtocol, MessageEvent
+from repro.core.fsm import GeneratedProtocol
 from repro.dsl.types import AccessKind, Permission
-from repro.system.executor import (
-    Observation,
-    ProtocolRuntimeError,
-    execute_cache_transition,
-    execute_directory_transition,
-    select_transition,
-)
-from repro.system.message import DIRECTORY_ID, Message
+from repro.system.message import Message
 from repro.system.network import Network, make_network
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 
@@ -159,15 +158,6 @@ class ReorderMessage(SystemEvent):
         )
 
 
-@dataclass
-class StepOutcome:
-    """Result of applying one event to a global state."""
-
-    state: GlobalState
-    observations: tuple[Observation, ...] = ()
-    error: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # Workload description
 # ---------------------------------------------------------------------------
@@ -244,7 +234,8 @@ class FaultModel:
 
 
 class System:
-    """Executable model of a generated protocol."""
+    """A generated protocol in one model configuration; its compiled
+    :meth:`kernel` is what executes it."""
 
     def __init__(
         self,
@@ -284,10 +275,6 @@ class System:
         if ordered is None:
             ordered = getattr(protocol.source_spec, "ordered_network", True)
         self.ordered = ordered
-        try:
-            self._request_names = {m.name for m in protocol.messages.requests}
-        except AttributeError:  # pragma: no cover - untyped message catalogs
-            self._request_names = set()
         self._codec = None
         self._kernel = None
         self._vkernel = None
@@ -356,17 +343,6 @@ class System:
             self._vkernel = VectorizedKernel(self)
         return self._vkernel
 
-    def _tag(self, sends: tuple[Message, ...]) -> tuple[Message, ...]:
-        """Assign each outgoing message to its virtual network (0 = requests).
-
-        Messages are built with the response vnet (1), so only requests need
-        the rebuild -- responses and forwards pass through untouched.
-        """
-        return tuple(
-            replace(m, vnet=0) if m.mtype in self._request_names and m.vnet != 0 else m
-            for m in sends
-        )
-
     # -- construction ---------------------------------------------------------
     def initial_state(self) -> GlobalState:
         n_planes = self.num_addresses
@@ -390,363 +366,15 @@ class System:
             ),
         )
 
-    # -- per-address plane accessors -----------------------------------------
-    def _plane_network(self, state: GlobalState, addr: int) -> Network:
-        return state.network if addr == 0 else state.extra_networks[addr - 1]
-
-    def _plane_directory(self, state: GlobalState, addr: int) -> DirectoryNodeState:
-        return state.directory if addr == 0 else state.extra_dirs[addr - 1]
-
-    def _plane_version(self, state: GlobalState, addr: int) -> int:
-        return state.latest_version if addr == 0 else state.extra_versions[addr - 1]
-
-    def _with_plane(
-        self,
-        state: GlobalState,
-        addr: int,
-        *,
-        caches: tuple[CacheNodeState, ...] | None = None,
-        directory: DirectoryNodeState | None = None,
-        network: Network | None = None,
-        version: int | None = None,
-        faults_used: int | None = None,
-    ) -> GlobalState:
-        """Rebuild *state* with plane-*addr* components replaced."""
-        changes: dict = {}
-        if caches is not None:
-            changes["caches"] = caches
-        if faults_used is not None:
-            changes["faults_used"] = faults_used
-        if addr == 0:
-            if directory is not None:
-                changes["directory"] = directory
-            if network is not None:
-                changes["network"] = network
-            if version is not None:
-                changes["latest_version"] = version
-        else:
-            if directory is not None:
-                dirs = list(state.extra_dirs)
-                dirs[addr - 1] = directory
-                changes["extra_dirs"] = tuple(dirs)
-            if network is not None:
-                nets = list(state.extra_networks)
-                nets[addr - 1] = network
-                changes["extra_networks"] = tuple(nets)
-            if version is not None:
-                versions = list(state.extra_versions)
-                versions[addr - 1] = version
-                changes["extra_versions"] = tuple(versions)
-        return replace(state, **changes)
-
     def symmetry_permutations(self) -> tuple[tuple[int, ...], ...]:
         """All cache permutations, identity first.
 
         The workload bounds and access kinds are uniform across caches, so
         the full symmetric group on cache IDs is a valid symmetry of the
-        transition system (``apply(perm(s), perm(e)) == perm(apply(s, e))``).
+        transition system: applying ``perm(e)`` in ``perm(s)`` leads to
+        ``perm`` of where ``e`` leads from ``s``.
         """
         return tuple(itertools.permutations(range(self.num_caches)))
-
-    # -- event enumeration ------------------------------------------------------
-    def enabled_events(self, state: GlobalState) -> list[SystemEvent]:
-        events: list[SystemEvent] = []
-        events.extend(self._access_events(state))
-        events.extend(self._delivery_events(state))
-        events.extend(self._fault_events(state))
-        return events
-
-    def _access_events(self, state: GlobalState) -> Iterable[SystemEvent]:
-        if isinstance(self.workload, LitmusWorkload):
-            yield from self._litmus_access_events(state)
-            return
-        fsm = self.protocol.cache
-        n = self.num_caches
-        for cache_id in range(n):
-            for addr in range(self.num_addresses):
-                cache = state.caches[addr * n + cache_id]
-                if cache.issued >= self.workload.max_accesses_per_cache:
-                    continue
-                if not fsm.state(cache.fsm_state).is_stable:
-                    # One outstanding transaction per block and per cache.
-                    continue
-                for access in self.workload.access_kinds:
-                    transition = select_transition(
-                        fsm, cache.fsm_state, AccessEvent(access),
-                        message=None, cache=cache,
-                    )
-                    if transition is None or transition.stall:
-                        continue
-                    yield IssueAccess(cache_id=cache_id, access=access, addr=addr)
-
-    def _litmus_access_events(self, state: GlobalState) -> Iterable[SystemEvent]:
-        fsm = self.protocol.cache
-        n = self.num_caches
-        for cache_id in range(n):
-            program = self.workload.programs[cache_id]
-            blocks = [
-                state.caches[addr * n + cache_id]
-                for addr in range(self.num_addresses)
-            ]
-            pc = sum(block.issued for block in blocks)
-            if pc >= len(program):
-                continue
-            if not all(fsm.state(b.fsm_state).is_stable for b in blocks):
-                # Strict program order: the previous op must fully complete.
-                continue
-            access, addr = program[pc]
-            cache = blocks[addr]
-            transition = select_transition(
-                fsm, cache.fsm_state, AccessEvent(access), message=None, cache=cache
-            )
-            if transition is None or transition.stall:
-                continue
-            yield IssueAccess(cache_id=cache_id, access=access, addr=addr)
-
-    def _delivery_events(self, state: GlobalState) -> Iterable[SystemEvent]:
-        for addr in range(self.num_addresses):
-            network = self._plane_network(state, addr)
-            if self.faults is not None and self.faults.requeue and network.ordered:
-                # Re-queue semantics under a fault model: a stalled channel
-                # head no longer blocks the channel -- the first deliverable
-                # message behind it may be delivered instead (one candidate
-                # per channel keeps FIFO among the non-stalled messages and
-                # the branching bounded).
-                for _, msgs in network.channels:
-                    for message in msgs:
-                        if self._delivery_enabled(state, message, addr):
-                            yield DeliverMessage(message=message, addr=addr)
-                            break
-                continue
-            for message in network.deliverable():
-                if self._delivery_enabled(state, message, addr):
-                    yield DeliverMessage(message=message, addr=addr)
-
-    def _fault_events(self, state: GlobalState) -> Iterable[SystemEvent]:
-        faults = self.faults
-        if faults is None or state.faults_used >= faults.budget:
-            return
-        if faults.duplicate:
-            for addr in range(self.num_addresses):
-                # deliverable() enumerates exactly the duplication candidates:
-                # channel heads (ordered) / distinct messages (unordered).
-                for message in self._plane_network(state, addr).deliverable():
-                    yield DuplicateMessage(message=message, addr=addr)
-        if faults.reorder and self.ordered:
-            for addr in range(self.num_addresses):
-                for src, dst, vnet, pos in self._plane_network(
-                    state, addr
-                ).reorderable():
-                    yield ReorderMessage(
-                        src=src, dst=dst, vnet=vnet, position=pos, addr=addr
-                    )
-
-    def _delivery_enabled(
-        self, state: GlobalState, message: Message, addr: int = 0
-    ) -> bool:
-        """A delivery is enabled unless the receiving controller stalls it.
-
-        A message the receiver has *no* entry for at all is still enabled:
-        applying it produces an error outcome that the model checker reports
-        as a protocol bug (this mirrors Murphi's "unexpected message" error).
-        """
-        try:
-            transition, _ = self._transition_for_message(state, message, addr)
-        except ProtocolRuntimeError:
-            return True
-        if transition is None:
-            return True
-        return not transition.stall
-
-    def _bypass_position(
-        self, state: GlobalState, network: Network, message: Message, addr: int
-    ) -> int | None:
-        """Position of *message* in its channel under re-queue order.
-
-        The first *enabled* message of a channel is the only one deliverable
-        (stalled messages ahead of it are bypassed); returns ``None`` when
-        *message* is not that first enabled message."""
-        key = (message.src, message.dst, message.vnet)
-        for chan_key, msgs in network.channels:
-            if chan_key != key:
-                continue
-            for position, queued in enumerate(msgs):
-                if self._delivery_enabled(state, queued, addr):
-                    return position if queued == message else None
-            return None
-        return None
-
-    def _transition_for_message(
-        self, state: GlobalState, message: Message, addr: int = 0
-    ):
-        if message.dst == DIRECTORY_ID:
-            fsm = self.protocol.directory
-            node = self._plane_directory(state, addr)
-            transition = select_transition(
-                fsm, node.fsm_state, MessageEvent(message.mtype),
-                message=message, directory=node,
-            )
-            return transition, node
-        fsm = self.protocol.cache
-        node = state.caches[addr * self.num_caches + message.dst]
-        transition = select_transition(
-            fsm, node.fsm_state, MessageEvent(message.mtype),
-            message=message, cache=node,
-        )
-        return transition, node
-
-    # -- event application -------------------------------------------------------
-    def apply(self, state: GlobalState, event: SystemEvent) -> StepOutcome:
-        """The outcome of *event* in *state*.  A protocol error -- returned
-        by the executor or raised by it as :class:`ProtocolRuntimeError`,
-        on whichever controller and event kind -- is the outcome's
-        ``error``, with *state* unchanged."""
-        try:
-            if isinstance(event, IssueAccess):
-                return self._apply_access(state, event)
-            if isinstance(event, DeliverMessage):
-                return self._apply_delivery(state, event)
-            if isinstance(event, DuplicateMessage):
-                return self._apply_duplicate(state, event)
-            if isinstance(event, ReorderMessage):
-                return self._apply_reorder(state, event)
-        except ProtocolRuntimeError as exc:
-            return StepOutcome(state=state, error=str(exc))
-        raise TypeError(f"unknown event {event!r}")
-
-    def _apply_access(self, state: GlobalState, event: IssueAccess) -> StepOutcome:
-        fsm = self.protocol.cache
-        addr = event.addr
-        idx = addr * self.num_caches + event.cache_id
-        cache = state.caches[idx]
-        transition = select_transition(
-            fsm, cache.fsm_state, AccessEvent(event.access), message=None, cache=cache
-        )
-        if transition is None or transition.stall:
-            return StepOutcome(state=state, error=f"access {event} issued while not enabled")
-        issuing = replace(cache, pending_access=event.access, issued=cache.issued + 1)
-        result = execute_cache_transition(
-            transition,
-            issuing,
-            event.cache_id,
-            message=None,
-            access=event.access,
-            latest_version=self._plane_version(state, addr),
-        )
-        if result.error:
-            return StepOutcome(state=state, error=result.error)
-        caches = list(state.caches)
-        caches[idx] = result.node
-        new_state = self._with_plane(
-            state,
-            addr,
-            caches=tuple(caches),
-            network=self._plane_network(state, addr).send(*self._tag(result.sends)),
-            version=result.latest_version,
-        )
-        return StepOutcome(state=new_state, observations=result.observations)
-
-    def _apply_delivery(self, state: GlobalState, event: DeliverMessage) -> StepOutcome:
-        message = event.message
-        addr = event.addr
-        transition, node = self._transition_for_message(state, message, addr)
-        if transition is None:
-            receiver = "directory" if message.dst == DIRECTORY_ID else f"cache {message.dst}"
-            holder_state = node.fsm_state
-            return StepOutcome(
-                state=state,
-                error=f"{receiver} in state {holder_state!r} cannot handle message {message}",
-            )
-        if transition.stall:
-            return StepOutcome(state=state, error=f"stalled message {message} was delivered")
-
-        network = self._plane_network(state, addr)
-        if self.faults is not None and self.faults.requeue and network.ordered:
-            position = self._bypass_position(state, network, message, addr)
-            if position is None:
-                return StepOutcome(
-                    state=state,
-                    error=f"message {message} is not deliverable under re-queue order",
-                )
-            network = network.deliver_at(message, position)
-        else:
-            network = network.deliver(message)
-        if message.dst == DIRECTORY_ID:
-            result = execute_directory_transition(
-                transition, self._plane_directory(state, addr), message=message
-            )
-            if result.error:
-                return StepOutcome(state=state, error=result.error)
-            new_state = self._with_plane(
-                state,
-                addr,
-                directory=result.node,
-                network=network.send(*self._tag(result.sends)),
-            )
-            return StepOutcome(state=new_state, observations=result.observations)
-
-        idx = addr * self.num_caches + message.dst
-        result = execute_cache_transition(
-            transition,
-            state.caches[idx],
-            message.dst,
-            message=message,
-            access=None,
-            latest_version=self._plane_version(state, addr),
-        )
-        if result.error:
-            return StepOutcome(state=state, error=result.error)
-        caches = list(state.caches)
-        caches[idx] = result.node
-        new_state = self._with_plane(
-            state,
-            addr,
-            caches=tuple(caches),
-            network=network.send(*self._tag(result.sends)),
-            version=result.latest_version,
-        )
-        return StepOutcome(state=new_state, observations=result.observations)
-
-    def _fault_precondition(self, state: GlobalState) -> str | None:
-        if self.faults is None:
-            return "fault event applied without an active fault model"
-        if state.faults_used >= self.faults.budget:
-            return "fault event applied with the fault budget exhausted"
-        return None
-
-    def _apply_duplicate(
-        self, state: GlobalState, event: DuplicateMessage
-    ) -> StepOutcome:
-        error = self._fault_precondition(state)
-        if error is None and not self.faults.duplicate:
-            error = "duplication fault applied but the model does not enable it"
-        if error is not None:
-            return StepOutcome(state=state, error=error)
-        try:
-            network = self._plane_network(state, event.addr).duplicate(event.message)
-        except ValueError as exc:
-            return StepOutcome(state=state, error=str(exc))
-        new_state = self._with_plane(
-            state, event.addr, network=network, faults_used=state.faults_used + 1
-        )
-        return StepOutcome(state=new_state)
-
-    def _apply_reorder(self, state: GlobalState, event: ReorderMessage) -> StepOutcome:
-        error = self._fault_precondition(state)
-        if error is None and not self.faults.reorder:
-            error = "reorder fault applied but the model does not enable it"
-        if error is not None:
-            return StepOutcome(state=state, error=error)
-        try:
-            network = self._plane_network(state, event.addr).reorder(
-                event.src, event.dst, event.vnet, event.position
-            )
-        except ValueError as exc:
-            return StepOutcome(state=state, error=str(exc))
-        new_state = self._with_plane(
-            state, event.addr, network=network, faults_used=state.faults_used + 1
-        )
-        return StepOutcome(state=new_state)
 
     # -- predicates ----------------------------------------------------------------
     def is_quiescent(self, state: GlobalState) -> bool:

@@ -116,12 +116,13 @@ asked.
 The compiled interpreter stays on as the differential oracle (its
 :meth:`TransitionKernel._emit_net` is what the array splice is tested
 against) and the
-fallback: any plan the batch path cannot express (unexpected message,
-ambiguous guards, missing data/requestor, an action the controller cannot
-execute -- anything the compiled kernel itself would route to the object
-executor -- a write outside the controller's block, or a tail key wider
-than its bit field) flips its whole frontier level to the per-state
-compiled loop, preserving the exact serial failure order; fault models,
+fallback: any plan the batch path cannot express (a protocol error --
+unexpected message, ambiguous guards, missing data/requestor, an action
+the controller cannot execute, anything a generated function returns an
+error code for, whose text only the per-state kernel formats -- a write
+outside the controller's block, or a tail key wider than its bit field)
+flips its whole frontier level to the per-state compiled loop, preserving
+the exact serial failure order; fault models,
 multi-address planes and litmus workloads fall back whole-search
 (``VectorizedKernel.supported`` is False).  The fault-free single-address
 hot path never leaves the batch loop -- pinned as zero fallback transitions
@@ -996,7 +997,7 @@ class VectorizedKernel:
             out[base + 1] += 1          # CF_ISSUED
             out[base + CF_PENDING] = ai + 1
             sends: list = []
-            if fn is not None and not fn(out, base, cid, None, ai, sends):
+            if fn is not None and fn(out, base, cid, None, ai, sends):
                 acc.append(_FALLBACK)
                 continue
             out[base + CF_STATE] = ct.next_state
@@ -1022,7 +1023,7 @@ class VectorizedKernel:
             base = cid * self.cache_width
             cands = k.spec.cache.on_message[prefix[base + CF_STATE]].get(rec[0])
         if not cands:
-            return _FALLBACK  # unexpected message -> object-executor error
+            return _FALLBACK  # unexpected message: the per-state error
         if len(cands) == 1 and cands[0].guard == 0:
             ct = cands[0]
         else:
@@ -1034,13 +1035,13 @@ class VectorizedKernel:
         out = list(prefix)
         sends: list = []
         if base is None:
-            if not k._dir_fns[id(ct)](out, rec, sends):
+            if k._dir_fns[id(ct)](out, rec, sends):
                 return _FALLBACK
         else:
             pending = out[base + CF_PENDING]
             ai = pending - 1 if pending else None
             fn = k._cache_fns[id(ct)]
-            if fn is not None and not fn(out, base, cid, rec, ai, sends):
+            if fn is not None and fn(out, base, cid, rec, ai, sends):
                 return _FALLBACK
             out[base + CF_STATE] = ct.next_state
             if ct.has_perform:

@@ -18,8 +18,9 @@ Counterexample traces remain valid under symmetry reduction: every stored
 transition records the permutation that canonicalized its successor, and
 :meth:`Exploration.trace_events` relabels each event back through the
 inverse of the accumulated permutation chain, so the reported event sequence
-replays step-by-step through :meth:`repro.system.System.apply` from the real
-initial state.
+steps through the compiled kernel from the real initial state, and
+:meth:`Exploration._concretized` does exactly that to restate the failure in
+the trace's frame.
 """
 
 from __future__ import annotations
@@ -280,8 +281,7 @@ class Exploration:
         the stored event relabeled through ``sigma_i`` **inverse**, and
         ``sigma_{i+1} = perm_{i+1} . sigma_i`` where ``perm_{i+1}`` is the
         permutation that canonicalized the raw successor.  The resulting
-        sequence replays through :meth:`System.apply` from
-        :meth:`System.initial_state`.
+        sequence steps through the kernel from :meth:`System.initial_state`.
         """
         links = self.store.chain(leaf_id)
         # links[0] belongs to the root: no event, just its canonicalizing perm.
@@ -387,17 +387,23 @@ class Exploration:
         Under symmetry reduction the violation/error was produced while
         inspecting a *canonical* state, so its text mentions canonical cache
         IDs; the reconstructed trace, however, is relabeled to the concrete
-        frame.  Replaying the trace once regenerates the same verdict with
-        IDs consistent with the reported events.
+        frame.  Stepping the kernel through the trace once -- each event
+        matched to its plan by its encoding -- regenerates the same verdict
+        with IDs consistent with the reported events; the last state is
+        decoded only for a violation's invariants.
         """
-        state = self.system.initial_state()
+        codec, kernel = self.codec, self.kernel
+        enc = codec.encode(self.system.initial_state())
         for event in events:
-            outcome = self.system.apply(state, event)
-            if outcome.error is not None:
+            eev = codec.encode_event(event)
+            plans, net = kernel.enabled(enc)
+            plan = next(plan for plan in plans if plan[1] == eev)
+            enc = plan[0](enc, plan, net)
+            if type(enc) is str:
                 # Error traces end with the failing event by construction.
-                return violation, outcome.error
-            state = outcome.state
+                return violation, enc
         if violation is not None:
+            state = codec.decode(enc)
             for invariant in self.invariants:
                 concrete = invariant(self.system, state)
                 if concrete is not None and concrete.name == violation.name:
@@ -431,26 +437,33 @@ class Exploration:
         return self._result(True, truncated=self.truncated)
 
 
-def _resolve_kernel(system, kernel, invariant_tuple):
-    """``(TransitionKernel, codes)`` for the ``kernel=`` argument.
+def compiled_tables(system, invariants):
+    """``(TransitionKernel, codes)`` for stepping *system* under *invariants*
+    -- what :func:`verify` and :func:`~repro.verification.random_walk` run.
 
-    Every search runs on the compiled tables, so what they cannot stand for
-    is refused rather than run some other way: a ``System`` subclass (its
-    ``enabled_events`` / ``apply`` overrides are not in the tables) raises
+    The compiled tables are the only interpretation of a protocol, so what
+    they cannot stand for is refused rather than run some other way: a
+    ``System`` subclass (its overrides are not in the tables) raises
     ``TypeError``, and a protocol the table form cannot express raises
     :class:`~repro.core.fsm.CompilationUnsupported` from ``system.kernel()``.
     """
+    if type(system) is not System:
+        raise TypeError(
+            f"verify() and random_walk() run the compiled transition tables, "
+            f"which would ignore {type(system).__name__}'s overrides; pass a "
+            "plain System"
+        )
+    return system.kernel(), compiled_invariant_codes(invariants)
+
+
+def _resolve_kernel(system, kernel, invariant_tuple):
+    """``(TransitionKernel, codes)`` for the ``kernel=`` argument (see
+    :func:`compiled_tables`)."""
     if kernel not in ("compiled", "vectorized"):
         raise ValueError(
             f"unknown kernel {kernel!r} (expected 'compiled' or 'vectorized')"
         )
-    if type(system) is not System:
-        raise TypeError(
-            f"verify() runs the compiled transition tables, which would "
-            f"ignore {type(system).__name__}'s enabled_events / apply "
-            "overrides; pass a plain System"
-        )
-    return system.kernel(), compiled_invariant_codes(invariant_tuple)
+    return compiled_tables(system, invariant_tuple)
 
 
 def _is_litmus(system: System) -> bool:
@@ -528,8 +541,8 @@ def verify(
         verdicts are computed directly on encoded states.  An
         invariant with no encoded evaluator still runs: each new state is
         decoded for it.  Every search runs on these tables, so a ``System``
-        subclass (whose ``enabled_events`` / ``apply`` overrides the tables
-        would ignore) raises ``TypeError``, and a protocol the table form
+        subclass (whose overrides the tables would ignore) raises
+        ``TypeError``, and a protocol the table form
         cannot express raises
         :class:`~repro.core.fsm.CompilationUnsupported`.
         ``"vectorized"`` expands whole frontier levels at once as NumPy

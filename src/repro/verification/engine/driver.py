@@ -21,9 +21,9 @@ Every strategy, backend and worker process runs the same two pieces:
 
 :class:`CompiledExpander` holds the only per-state body in ``src/``
 (enabled plans -> leaf verdict -> apply -> pack -> canonicalize -> intern
--> invariant check); ``intern`` is the only dedup a successor meets.
-``System.apply`` is not on the search path: the body calls it only to
-replay the one transition the kernel declines (an error), and the dataclass
+-> invariant check); ``intern`` is the only dedup a successor meets.  The
+kernel is the only thing that applies a transition: a plan that fails
+returns its protocol error's text, which ends the search, and the object
 oracle the body is checked against lives in the tests.
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
@@ -40,6 +40,22 @@ from time import perf_counter
 
 from repro.verification.engine import checkpoint as checkpoint_mod
 from repro.verification.engine.canonical import canonicalizer_for
+
+
+def first_violation(system, invariants, codes, enc):
+    """The first of *invariants* (compiled to *codes*) the state with lanes
+    *enc* violates, or None.  The kernel's encoded check answers first;
+    where it does not vouch for the state (a violation, or a predicate with
+    no encoded evaluator) the state is decoded and every invariant walked
+    in order."""
+    if system.kernel().check(enc, codes):
+        return None
+    state = system.codec().decode(enc)
+    for invariant in invariants:
+        violation = invariant(system, state)
+        if violation is not None:
+            return violation
+    return None
 
 
 def start_point(ctx):
@@ -144,22 +160,13 @@ class CompiledExpander(Expander):
         return ctx.failure(deadlock=True, leaf_id=sid)
 
     def violation(self, key):
-        """The first invariant violation of the state packed as *key*, or
-        None.  The kernel's encoded check answers first; where it does not
-        vouch for the state (a violation, or a predicate with no encoded
-        evaluator) the state is decoded and every invariant walked in
-        order.  The one seam for a caller that holds a state only as its
-        packed key (the fleet's owners)."""
+        """:func:`first_violation` of the state packed as *key*: the one
+        seam for a caller that holds a state only as its packed key (the
+        fleet's owners)."""
         ctx = self.ctx
-        enc = ctx.codec.unpack(key)
-        if ctx.kernel.check(enc, ctx.kernel_codes):
-            return None
-        state = ctx.codec.decode(enc)
-        for invariant in ctx.invariants:
-            violation = invariant(ctx.system, state)
-            if violation is not None:
-                return violation
-        return None
+        return first_violation(
+            ctx.system, ctx.invariants, ctx.kernel_codes, ctx.codec.unpack(key)
+        )
 
     def expand(self, level):
         ctx = self.ctx
@@ -190,18 +197,11 @@ class CompiledExpander(Expander):
             for plan in plans:
                 ctx.transitions += 1
                 succ = plan[0](enc, plan, net)
-                if succ is None:
-                    # The kernel returns None instead of reproducing error
-                    # behaviour; replaying the single event through
-                    # ``System.apply`` yields the exact error (or, for
-                    # benign corner cases, the successor state).
-                    event = codec.decode_event(plan[1])
-                    outcome = ctx.system.apply(codec.decode(enc), event)
-                    if outcome.error is not None:
-                        return None, ctx.failure(
-                            error=outcome.error, leaf_id=sid, final_event=event
-                        )
-                    succ = codec.encode(outcome.state)
+                if type(succ) is str:  # the protocol error's text
+                    return None, ctx.failure(
+                        error=succ, leaf_id=sid,
+                        final_event=codec.decode_event(plan[1]),
+                    )
                 key = pack(succ)
                 perm = None
                 if canonicalize is not None:
@@ -227,4 +227,4 @@ class CompiledExpander(Expander):
         return successors, None
 
 
-__all__ = ["CompiledExpander", "Expander", "drive", "start_point"]
+__all__ = ["CompiledExpander", "Expander", "drive", "first_violation", "start_point"]

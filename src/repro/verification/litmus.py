@@ -99,7 +99,7 @@ def coherent_read_read() -> LitmusTest:
     """coRR: per-location reads must be monotone in coherence order.
 
     No forbidden clause: a backwards read is already a substrate error
-    (``load went backwards`` from the executor's data-value check), which
+    (``load went backwards`` from the kernel's data-value check), which
     ``verify`` reports as a failing trace.  The empty-clause invariant
     still routes the search through the litmus machinery (completion
     semantics, value tracking) on both backends.

@@ -24,6 +24,8 @@ from typing import Sequence
 
 from repro.system.system import System
 from repro.verification.engine.canonical import canonicalizer_for
+from repro.verification.engine.core import compiled_tables
+from repro.verification.engine.driver import first_violation
 from repro.verification.invariants import Invariant, InvariantViolation, default_invariants
 
 
@@ -67,11 +69,20 @@ def random_walk(
 ) -> RandomWalkResult:
     """Run *runs* random schedules of up to *max_steps* events each.
 
+    Every step is a uniform draw among the compiled kernel's enabled plans,
+    applied by the kernel -- the tables :func:`~repro.verification.verify`
+    searches, so a ``System`` subclass raises the same ``TypeError``.  A
+    state is decoded only for an invariant with no encoded evaluator, and
+    events only for the failing run's trace.
+
     ``track_coverage`` counts distinct visited states in
     :attr:`RandomWalkResult.unique_states`; with ``symmetry`` (the default)
     the count is over cache-permutation orbits rather than raw states.
     """
     invariants = tuple(invariants) if invariants is not None else tuple(default_invariants())
+    kernel, codes = compiled_tables(system, invariants)
+    codec = system.codec()
+    root = codec.encode(system.initial_state())
     rng = random.Random(seed)
     start = time.perf_counter()
     total_steps = 0
@@ -80,7 +91,6 @@ def random_walk(
     seen: set[bytes] | None = None
     if track_coverage:
         seen = set()
-        codec = system.codec()
         if symmetry and system.num_caches > 1:
             if not system.supports_symmetry:
                 raise ValueError(
@@ -92,29 +102,30 @@ def random_walk(
                 codec, system.symmetry_permutations()
             ).canonicalize
 
-    def note(state) -> None:
+    def note(enc) -> None:
         if seen is None:
             return
-        key = codec.encode_packed(state)
+        key = codec.pack(enc)
         if canonicalize is not None:
             key = canonicalize(key)[0]
         seen.add(key)
 
-    def finish(**kwargs) -> RandomWalkResult:
+    def finish(trace=(), **kwargs) -> RandomWalkResult:
         return RandomWalkResult(
             elapsed_seconds=time.perf_counter() - start,
             unique_states=len(seen) if seen is not None else 0,
+            trace=[str(codec.decode_event(eev)) for eev in trace],
             **kwargs,
         )
 
     for run in range(runs):
-        state = system.initial_state()
-        note(state)
-        trace: list[str] = []
+        enc = root
+        note(enc)
+        trace: list[tuple] = []
         for _ in range(max_steps):
-            events = system.enabled_events(state)
-            if not events:
-                if not system.is_quiescent(state):
+            plans, net = kernel.enabled(enc)
+            if not plans:
+                if not kernel.is_quiescent(enc):
                     return finish(
                         ok=False,
                         runs=run + 1,
@@ -123,29 +134,27 @@ def random_walk(
                         trace=trace,
                     )
                 break
-            event = rng.choice(events)
-            trace.append(str(event))
+            plan = rng.choice(plans)
+            trace.append(plan[1])
             total_steps += 1
-            outcome = system.apply(state, event)
-            if outcome.error is not None:
+            enc = plan[0](enc, plan, net)
+            if type(enc) is str:  # the protocol error's text
                 return finish(
                     ok=False,
                     runs=run + 1,
                     steps=total_steps,
-                    error=outcome.error,
+                    error=enc,
                     trace=trace,
                 )
-            state = outcome.state
-            note(state)
-            for invariant in invariants:
-                violation = invariant(system, state)
-                if violation is not None:
-                    return finish(
-                        ok=False,
-                        runs=run + 1,
-                        steps=total_steps,
-                        violation=violation,
-                        trace=trace,
-                    )
+            note(enc)
+            violation = first_violation(system, invariants, codes, enc)
+            if violation is not None:
+                return finish(
+                    ok=False,
+                    runs=run + 1,
+                    steps=total_steps,
+                    violation=violation,
+                    trace=trace,
+                )
 
     return finish(ok=True, runs=runs, steps=total_steps)

@@ -1,10 +1,10 @@
-"""Tests for the whole-system model (event enumeration and application)."""
+"""Tests for the whole-system model: construction and the predicates over
+decoded states.  What events do is the kernel's; the tests hold it to the
+reference system (``tests/verification/reference_system.py``)."""
 
 import pytest
 
-from repro.dsl.types import AccessKind
-from repro.system import DIRECTORY_ID, System, Workload
-from repro.system.system import DeliverMessage, IssueAccess
+from repro.system import System, Workload
 
 
 @pytest.fixture
@@ -29,96 +29,20 @@ class TestInitialState:
             System(msi_nonstalling, num_caches=0)
 
 
-class TestEventEnumeration:
-    def test_initial_events_are_loads_and_stores(self, system):
-        events = system.enabled_events(system.initial_state())
-        accesses = {(e.cache_id, e.access) for e in events if isinstance(e, IssueAccess)}
-        # Replacements are meaningless in I, so only loads and stores appear.
-        assert accesses == {
-            (0, AccessKind.LOAD), (0, AccessKind.STORE),
-            (1, AccessKind.LOAD), (1, AccessKind.STORE),
-        }
-
-    def test_workload_bound_respected(self, msi_nonstalling):
-        system = System(
-            msi_nonstalling, num_caches=1, workload=Workload(max_accesses_per_cache=0)
-        )
-        assert system.enabled_events(system.initial_state()) == []
-
-    def test_access_kinds_can_be_restricted(self, msi_nonstalling):
-        system = System(
-            msi_nonstalling,
-            num_caches=1,
-            workload=Workload(max_accesses_per_cache=1, access_kinds=(AccessKind.LOAD,)),
-        )
-        events = system.enabled_events(system.initial_state())
-        assert {e.access for e in events} == {AccessKind.LOAD}
-
-
-class TestSimpleScenario:
-    """Drive one cache through a full load transaction by hand."""
-
-    def test_load_round_trip(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=1,
-                        workload=Workload(max_accesses_per_cache=1))
-        state = system.initial_state()
-
-        out = system.apply(state, IssueAccess(cache_id=0, access=AccessKind.LOAD))
-        assert out.error is None
-        state = out.state
-        assert state.caches[0].fsm_state == "IS_D"
-        [gets] = state.network.in_flight()
-        assert gets.mtype == "GetS" and gets.dst == DIRECTORY_ID and gets.vnet == 0
-
-        out = system.apply(state, DeliverMessage(gets))
-        state = out.state
-        assert state.directory.fsm_state == "S"
-        [data] = state.network.in_flight()
-        assert data.mtype == "Data" and data.dst == 0 and data.vnet == 1
-
-        out = system.apply(state, DeliverMessage(data))
-        state = out.state
-        assert state.caches[0].fsm_state == "S"
-        assert out.observations and out.observations[0].access is AccessKind.LOAD
-        assert system.is_complete(state)
-
-    def test_store_bumps_version(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=1,
-                        workload=Workload(max_accesses_per_cache=1))
-        state = system.initial_state()
-        out = system.apply(state, IssueAccess(cache_id=0, access=AccessKind.STORE))
-        state = out.state
-        [getm] = state.network.in_flight()
-        state = system.apply(state, DeliverMessage(getm)).state
-        [data] = state.network.in_flight()
-        out = system.apply(state, DeliverMessage(data))
-        assert out.state.caches[0].fsm_state == "M"
-        assert out.state.latest_version == 1
-        assert out.state.caches[0].data == 1
-
-
-class TestDeliveryGating:
-    def test_stalled_messages_are_not_enabled(self, msi_stalling):
-        system = System(msi_stalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1))
-        state = system.initial_state()
-        # C0 starts a store; C1 starts a store; the directory serves C0 first.
-        state = system.apply(state, IssueAccess(0, AccessKind.STORE)).state
-        state = system.apply(state, IssueAccess(1, AccessKind.STORE)).state
-        getm0 = [m for m in state.network.in_flight() if m.src == 0][0]
-        state = system.apply(state, DeliverMessage(getm0)).state
-        getm1 = [m for m in state.network.in_flight() if m.src == 1][0]
-        state = system.apply(state, DeliverMessage(getm1)).state
-        # The directory forwarded C1's GetM to C0, which is still in IM_AD;
-        # the stalling protocol must not deliver it yet.
-        fwd = [m for m in state.network.in_flight() if m.mtype == "Fwd_GetM"][0]
-        enabled = system.enabled_events(state)
-        assert DeliverMessage(fwd) not in enabled
-        # The Data response for C0 is still deliverable (separate event).
-        data = [m for m in state.network.in_flight() if m.mtype == "Data" and m.dst == 0][0]
-        assert DeliverMessage(data) in enabled
-
+class TestPermissions:
     def test_writers_and_readers(self, system):
         state = system.initial_state()
         writers, readers = system.writers_and_readers(state)
         assert writers == [] and readers == []
+
+
+def test_system_holds_no_second_interpretation():
+    """The compiled kernel is the one production interpretation of a
+    protocol: no object-level executor or event half is left in the
+    package."""
+    import importlib
+
+    assert not hasattr(System, "apply")
+    assert not hasattr(System, "enabled_events")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.system.executor")

@@ -1,0 +1,855 @@
+"""The tests' reference system: the generated FSMs interpreted over objects.
+
+The compiled kernel (:mod:`repro.system.kernel`) is the only interpretation
+of a generated protocol in ``src/``.  This module is the second, written
+the plainest way there is and kept here as the oracle the kernel is held
+to: given a controller FSM, a node's dataclass state and a stimulus (a
+core access or an incoming message), it selects the matching transition,
+executes its actions and returns the new node state plus the messages to
+inject into the network (:func:`select_transition`,
+:func:`execute_cache_transition`, :func:`execute_directory_transition`);
+:class:`ReferenceSystem` adds the whole-system half -- which events are
+enabled in a :class:`~repro.system.system.GlobalState` and what applying
+one does -- over the same ``System`` configuration ``verify()`` takes.
+
+It shares with the engine the configuration, the state dataclasses and
+the guard vocabulary (:data:`repro.core.fsm.GUARD_CODES`), and nothing
+else: no codec, no kernel.  ``reference_search`` / ``replay_and_check`` /
+``sample_reachable_states`` (``verification_helpers``) run on it, and the
+per-state parity checks pin the kernel to its successors, event order and
+error texts.
+
+Guard semantics
+---------------
+
+``ack_count_zero`` / ``ack_count_nonzero``
+    Compare the acknowledgment count carried by a Data response against the
+    acknowledgments that have *already* been received: invalidation acks can
+    race ahead of the Data response, so "zero" really means "no further acks
+    outstanding once this message is accounted for".
+``acks_complete`` / ``acks_incomplete``
+    Whether counting the current Inv_Ack makes the received count reach the
+    expected count.
+``from_owner`` / ``not_from_owner`` and ``last_sharer`` / ``not_last_sharer``
+    Directory-side guards on the sender of the message relative to the
+    directory's auxiliary state.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Iterable
+
+from repro.core.fsm import (
+    GUARD_CODES,
+    AccessEvent,
+    ControllerFsm,
+    Event,
+    FsmTransition,
+    MessageEvent,
+)
+from repro.dsl.errors import VerificationError
+from repro.dsl.types import (
+    AccessKind,
+    AddOwnerToSharers,
+    AddRequestorToSharers,
+    ClearOwner,
+    ClearSharers,
+    CopyDataFromMessage,
+    Dest,
+    IncrementAcksReceived,
+    InvalidateData,
+    PerformAccess,
+    RemoveRequestorFromSharers,
+    ResetAckCounters,
+    SaveRequestor,
+    Send,
+    SetAcksExpectedFromMessage,
+    SetOwnerToRequestor,
+    WriteDataToMemory,
+)
+from repro.system.message import DIRECTORY_ID, Message
+from repro.system.network import Network
+from repro.system.node_state import CacheNodeState, DirectoryNodeState
+from repro.system.system import (
+    DeliverMessage,
+    DuplicateMessage,
+    GlobalState,
+    IssueAccess,
+    LitmusWorkload,
+    ReorderMessage,
+    System,
+    SystemEvent,
+)
+
+
+@dataclass(frozen=True)
+class Observation:
+    """A load or store performed by a cache (used by the invariant checks)."""
+
+    cache_id: int
+    access: AccessKind
+    value: int | None
+
+
+@dataclass
+class StepResult:
+    """Outcome of presenting one stimulus to one controller."""
+
+    stalled: bool = False
+    node: object | None = None
+    sends: tuple[Message, ...] = ()
+    observations: tuple[Observation, ...] = ()
+    latest_version: int = 0
+    error: str | None = None
+
+
+class ProtocolRuntimeError(VerificationError):
+    """The controller received a stimulus its FSM does not know how to handle."""
+
+
+# ---------------------------------------------------------------------------
+# Transition selection
+# ---------------------------------------------------------------------------
+
+
+def select_transition(
+    fsm: ControllerFsm,
+    state_name: str,
+    event: Event,
+    *,
+    message: Message | None,
+    cache: CacheNodeState | None = None,
+    directory: DirectoryNodeState | None = None,
+) -> FsmTransition | None:
+    """Pick the transition matching *event* under the current guards.
+
+    Returns ``None`` if the FSM has no entry at all for the stimulus (the
+    caller reports this as a protocol error for messages, or treats the
+    stimulus as disabled for accesses).
+    """
+    candidates = fsm.candidates(state_name, event)
+    if not candidates:
+        return None
+    matching = [
+        t for t in candidates
+        if _guard_satisfied(t.event, message=message, cache=cache, directory=directory)
+    ]
+    if not matching:
+        return None
+    # Prefer a guarded (more specific) transition over an unguarded default.
+    guarded = [t for t in matching if isinstance(t.event, MessageEvent) and t.event.guard]
+    if len(guarded) == 1:
+        return guarded[0]
+    if len(matching) == 1:
+        return matching[0]
+    raise ProtocolRuntimeError(
+        f"ambiguous transitions for {event} in state {state_name!r}: "
+        + ", ".join(str(t.event) for t in matching)
+    )
+
+
+def _guard_satisfied(
+    event: Event,
+    *,
+    message: Message | None,
+    cache: CacheNodeState | None,
+    directory: DirectoryNodeState | None,
+) -> bool:
+    if not isinstance(event, MessageEvent) or event.guard is None:
+        return True
+    code = GUARD_CODES.get(event.guard)
+    if code is None:
+        raise ProtocolRuntimeError(f"unknown guard {event.guard!r}")
+    return evaluate_guard(code, message=message, cache=cache, directory=directory)
+
+
+def evaluate_guard(
+    code: int,
+    *,
+    message: Message | None,
+    cache: CacheNodeState | None,
+    directory: DirectoryNodeState | None,
+) -> bool:
+    """Evaluate one guard code over object-form node state.
+
+    The object half of the shared guard vocabulary
+    (:data:`repro.core.fsm.GUARD_CODES`); the compiled kernel evaluates the
+    same codes over encoded fields, and the parity tests pin the two in
+    agreement.
+    """
+    if code <= 2:  # ack_count_zero / ack_count_nonzero
+        assert message is not None and cache is not None
+        outstanding = (message.ack_count or 0) - cache.acks_received
+        return outstanding <= 0 if code == 1 else outstanding > 0
+    if code <= 4:  # acks_complete / acks_incomplete
+        assert cache is not None
+        if cache.acks_expected is None:
+            return code == 4
+        complete = cache.acks_received + 1 >= cache.acks_expected
+        return complete if code == 3 else not complete
+    assert message is not None and directory is not None
+    if code <= 6:  # from_owner / not_from_owner
+        is_owner = directory.owner is not None and message.src == directory.owner
+        return is_owner if code == 5 else not is_owner
+    if code <= 8:  # last_sharer / not_last_sharer
+        last = message.src in directory.sharers and len(directory.sharers) == 1
+        return last if code == 7 else not last
+    if code <= 10:  # from_sharer / not_from_sharer
+        is_sharer = message.src in directory.sharers
+        return is_sharer if code == 9 else not is_sharer
+    # owner_is_requestor / owner_not_requestor: unlike from_owner these test
+    # the message's carried requestor identity, not its sender.  Both
+    # require a recorded owner (the recovery transitions they guard act on
+    # it), so with no owner neither matches and an unguarded default wins.
+    is_req_owner = (
+        directory.owner is not None and message.requestor == directory.owner
+    )
+    if code == 11:
+        return is_req_owner
+    return directory.owner is not None and not is_req_owner
+
+
+# ---------------------------------------------------------------------------
+# Cache execution
+# ---------------------------------------------------------------------------
+
+
+def execute_cache_transition(
+    transition: FsmTransition,
+    cache: CacheNodeState,
+    cache_id: int,
+    *,
+    message: Message | None,
+    access: AccessKind | None,
+    latest_version: int,
+) -> StepResult:
+    """Execute *transition* for cache *cache_id* and return the outcome."""
+    if transition.stall:
+        return StepResult(stalled=True, node=cache, latest_version=latest_version)
+
+    node = cache
+    sends: list[Message] = []
+    observations: list[Observation] = []
+    version = latest_version
+    requestor = message.requestor if message is not None else None
+    pending = access if access is not None else node.pending_access
+
+    for action in transition.actions:
+        if isinstance(action, Send):
+            sends.append(_cache_send(action, node, cache_id, message))
+        elif isinstance(action, CopyDataFromMessage):
+            if message is None or message.data is None:
+                return StepResult(
+                    error=f"cache {cache_id} expected data in {message}", latest_version=version
+                )
+            node = replace(node, data=message.data)
+        elif isinstance(action, InvalidateData):
+            node = replace(node, data=None)
+        elif isinstance(action, SetAcksExpectedFromMessage):
+            node = replace(node, acks_expected=(message.ack_count if message else None))
+        elif isinstance(action, IncrementAcksReceived):
+            node = replace(node, acks_received=node.acks_received + 1)
+        elif isinstance(action, ResetAckCounters):
+            node = replace(node, acks_expected=None, acks_received=0)
+        elif isinstance(action, SaveRequestor):
+            saved = list(node.saved)
+            saved[action.slot] = requestor
+            node = replace(node, saved=tuple(saved))
+        elif isinstance(action, PerformAccess):
+            node, version, observation, error = _perform_access(node, cache_id, pending, version)
+            if error is not None:
+                return StepResult(error=error, latest_version=version)
+            if observation is not None:
+                observations.append(observation)
+        else:
+            return StepResult(
+                error=f"cache {cache_id} cannot execute action {action!r}",
+                latest_version=version,
+            )
+
+    node = node.with_state(transition.next_state)
+    if any(isinstance(a, PerformAccess) for a in transition.actions):
+        node = replace(node, pending_access=None)
+    return StepResult(
+        node=node,
+        sends=tuple(sends),
+        observations=tuple(observations),
+        latest_version=version,
+    )
+
+
+def _cache_send(
+    action: Send, node: CacheNodeState, cache_id: int, message: Message | None
+) -> Message:
+    if action.requestor_slot is not None:
+        dst = node.saved[action.requestor_slot]
+        if dst is None:
+            raise ProtocolRuntimeError(
+                f"cache {cache_id}: deferred response {action.message} has no saved requestor"
+            )
+    elif action.to is Dest.DIRECTORY:
+        dst = DIRECTORY_ID
+    elif action.to is Dest.REQUESTOR:
+        if message is None or message.requestor is None:
+            raise ProtocolRuntimeError(
+                f"cache {cache_id}: {action.message} needs a requestor but none is available"
+            )
+        dst = message.requestor
+    elif action.to is Dest.SELF:
+        dst = cache_id
+    else:
+        raise ProtocolRuntimeError(
+            f"cache {cache_id}: unsupported destination {action.to} for {action.message}"
+        )
+    # Responses sent while handling a forwarded request keep the original
+    # requestor; messages the cache originates on its own behalf carry its own
+    # id (so the directory knows whom to respond to).  Deferred responses
+    # execute when the *own* transaction completes, so the redirecting
+    # forward's requestor -- banked in a saved slot at redirect time -- takes
+    # precedence over the completion message's.
+    if action.requestor_from_slot is not None:
+        requestor = node.saved[action.requestor_from_slot]
+        if requestor is None:
+            raise ProtocolRuntimeError(
+                f"cache {cache_id}: deferred response {action.message} has no "
+                f"saved requestor to send on behalf of"
+            )
+    else:
+        requestor = message.requestor if message is not None else cache_id
+        if requestor is None:
+            requestor = cache_id
+    return Message(
+        mtype=action.message,
+        src=cache_id,
+        dst=dst,
+        requestor=requestor,
+        data=node.data if action.with_data else None,
+    )
+
+
+def _perform_access(
+    node: CacheNodeState,
+    cache_id: int,
+    access: AccessKind | None,
+    latest_version: int,
+) -> tuple[CacheNodeState, int, Observation | None, str | None]:
+    """Perform the pending core access; enforce the data-value invariant."""
+    if access is None:
+        # A PerformAccess with nothing pending is a no-op (e.g. a replayed hit).
+        return node, latest_version, None, None
+    if access is AccessKind.LOAD:
+        if node.data is None:
+            return node, latest_version, None, (
+                f"cache {cache_id} performed a load without data"
+            )
+        if node.data < node.last_observed:
+            return node, latest_version, None, (
+                f"cache {cache_id} load went backwards: saw version {node.data} after "
+                f"{node.last_observed} (per-location SC violation)"
+            )
+        node = replace(node, last_observed=node.data)
+        return node, latest_version, Observation(cache_id, access, node.data), None
+    if access is AccessKind.STORE:
+        if node.data is None:
+            return node, latest_version, None, (
+                f"cache {cache_id} performed a store without data"
+            )
+        if node.data != latest_version:
+            return node, latest_version, None, (
+                f"data-value invariant violated: cache {cache_id} stores on top of version "
+                f"{node.data} but the latest written version is {latest_version}"
+            )
+        new_version = latest_version + 1
+        node = replace(node, data=new_version, last_observed=new_version)
+        return node, new_version, Observation(cache_id, access, new_version), None
+    # Replacement: the block simply leaves the cache.
+    return replace(node, data=None), latest_version, Observation(cache_id, access, None), None
+
+
+# ---------------------------------------------------------------------------
+# Directory execution
+# ---------------------------------------------------------------------------
+
+
+def execute_directory_transition(
+    transition: FsmTransition,
+    directory: DirectoryNodeState,
+    *,
+    message: Message | None,
+) -> StepResult:
+    if transition.stall:
+        return StepResult(stalled=True, node=directory)
+
+    node = directory
+    sends: list[Message] = []
+    requestor = message.requestor if message is not None else None
+
+    for action in transition.actions:
+        if isinstance(action, Send):
+            sends.extend(_directory_sends(action, node, message))
+        elif isinstance(action, (CopyDataFromMessage, WriteDataToMemory)):
+            if message is None or message.data is None:
+                return StepResult(error=f"directory expected data in {message}")
+            node = replace(node, memory=message.data)
+        elif isinstance(action, SetOwnerToRequestor):
+            node = replace(node, owner=requestor)
+        elif isinstance(action, ClearOwner):
+            node = replace(node, owner=None)
+        elif isinstance(action, AddRequestorToSharers):
+            if requestor is None:
+                raise ProtocolRuntimeError(f"directory: {action!r} needs a requestor")
+            node = replace(node, sharers=node.sharers | {requestor})
+        elif isinstance(action, AddOwnerToSharers):
+            if node.owner is not None:
+                node = replace(node, sharers=node.sharers | {node.owner})
+        elif isinstance(action, RemoveRequestorFromSharers):
+            node = replace(node, sharers=node.sharers - {requestor})
+        elif isinstance(action, ClearSharers):
+            node = replace(node, sharers=frozenset())
+        else:
+            return StepResult(error=f"directory cannot execute action {action!r}")
+
+    node = node.with_state(transition.next_state)
+    return StepResult(node=node, sends=tuple(sends))
+
+
+def _directory_sends(
+    action: Send, node: DirectoryNodeState, message: Message | None
+) -> list[Message]:
+    requestor = message.requestor if message is not None else None
+    data = node.memory if action.with_data else None
+    ack_count = None
+    if action.with_ack_count:
+        ack_count = len(node.sharers - ({requestor} if requestor is not None else set()))
+
+    def build(dst: int) -> Message:
+        return Message(
+            mtype=action.message,
+            src=DIRECTORY_ID,
+            dst=dst,
+            requestor=requestor,
+            data=data,
+            ack_count=ack_count,
+        )
+
+    if action.to is Dest.REQUESTOR:
+        if requestor is None:
+            raise ProtocolRuntimeError(f"directory: {action.message} needs a requestor")
+        return [build(requestor)]
+    if action.to is Dest.OWNER:
+        if node.owner is None:
+            raise ProtocolRuntimeError(f"directory: {action.message} needs an owner")
+        return [build(node.owner)]
+    if action.to is Dest.SHARERS:
+        targets = sorted(node.sharers - ({requestor} if requestor is not None else set()))
+        return [build(t) for t in targets]
+    raise ProtocolRuntimeError(
+        f"directory: unsupported destination {action.to} for {action.message}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The whole system: enabled events and their outcomes
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class StepOutcome:
+    """Result of applying one event to a global state."""
+
+    state: GlobalState
+    observations: tuple[Observation, ...] = ()
+    error: str | None = None
+
+
+class ReferenceSystem(System):
+    """A :class:`~repro.system.system.System` that also enumerates and
+    applies events on ``GlobalState`` objects, through the executor above.
+
+    ``verify()`` refuses it like any ``System`` subclass; build one from a
+    plain system with :func:`reference`.  The tests' ``System``-subclass
+    mutants override its methods and run on ``reference_search``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        try:
+            self._request_names = {m.name for m in self.protocol.messages.requests}
+        except AttributeError:  # pragma: no cover - untyped message catalogs
+            self._request_names = set()
+
+    def _tag(self, sends: tuple[Message, ...]) -> tuple[Message, ...]:
+        """Assign each outgoing message to its virtual network (0 = requests).
+
+        Messages are built with the response vnet (1), so only requests need
+        the rebuild -- responses and forwards pass through untouched.
+        """
+        return tuple(
+            replace(m, vnet=0) if m.mtype in self._request_names and m.vnet != 0 else m
+            for m in sends
+        )
+
+    # -- per-address plane accessors -----------------------------------------
+    def _plane_network(self, state: GlobalState, addr: int) -> Network:
+        return state.network if addr == 0 else state.extra_networks[addr - 1]
+
+    def _plane_directory(self, state: GlobalState, addr: int) -> DirectoryNodeState:
+        return state.directory if addr == 0 else state.extra_dirs[addr - 1]
+
+    def _plane_version(self, state: GlobalState, addr: int) -> int:
+        return state.latest_version if addr == 0 else state.extra_versions[addr - 1]
+
+    def _with_plane(
+        self,
+        state: GlobalState,
+        addr: int,
+        *,
+        caches: tuple[CacheNodeState, ...] | None = None,
+        directory: DirectoryNodeState | None = None,
+        network: Network | None = None,
+        version: int | None = None,
+        faults_used: int | None = None,
+    ) -> GlobalState:
+        """Rebuild *state* with plane-*addr* components replaced."""
+        changes: dict = {}
+        if caches is not None:
+            changes["caches"] = caches
+        if faults_used is not None:
+            changes["faults_used"] = faults_used
+        if addr == 0:
+            if directory is not None:
+                changes["directory"] = directory
+            if network is not None:
+                changes["network"] = network
+            if version is not None:
+                changes["latest_version"] = version
+        else:
+            if directory is not None:
+                dirs = list(state.extra_dirs)
+                dirs[addr - 1] = directory
+                changes["extra_dirs"] = tuple(dirs)
+            if network is not None:
+                nets = list(state.extra_networks)
+                nets[addr - 1] = network
+                changes["extra_networks"] = tuple(nets)
+            if version is not None:
+                versions = list(state.extra_versions)
+                versions[addr - 1] = version
+                changes["extra_versions"] = tuple(versions)
+        return replace(state, **changes)
+
+    # -- event enumeration ------------------------------------------------------
+    def enabled_events(self, state: GlobalState) -> list[SystemEvent]:
+        events: list[SystemEvent] = []
+        events.extend(self._access_events(state))
+        events.extend(self._delivery_events(state))
+        events.extend(self._fault_events(state))
+        return events
+
+    def _access_events(self, state: GlobalState) -> Iterable[SystemEvent]:
+        if isinstance(self.workload, LitmusWorkload):
+            yield from self._litmus_access_events(state)
+            return
+        fsm = self.protocol.cache
+        n = self.num_caches
+        for cache_id in range(n):
+            for addr in range(self.num_addresses):
+                cache = state.caches[addr * n + cache_id]
+                if cache.issued >= self.workload.max_accesses_per_cache:
+                    continue
+                if not fsm.state(cache.fsm_state).is_stable:
+                    # One outstanding transaction per block and per cache.
+                    continue
+                for access in self.workload.access_kinds:
+                    transition = select_transition(
+                        fsm, cache.fsm_state, AccessEvent(access),
+                        message=None, cache=cache,
+                    )
+                    if transition is None or transition.stall:
+                        continue
+                    yield IssueAccess(cache_id=cache_id, access=access, addr=addr)
+
+    def _litmus_access_events(self, state: GlobalState) -> Iterable[SystemEvent]:
+        fsm = self.protocol.cache
+        n = self.num_caches
+        for cache_id in range(n):
+            program = self.workload.programs[cache_id]
+            blocks = [
+                state.caches[addr * n + cache_id]
+                for addr in range(self.num_addresses)
+            ]
+            pc = sum(block.issued for block in blocks)
+            if pc >= len(program):
+                continue
+            if not all(fsm.state(b.fsm_state).is_stable for b in blocks):
+                # Strict program order: the previous op must fully complete.
+                continue
+            access, addr = program[pc]
+            cache = blocks[addr]
+            transition = select_transition(
+                fsm, cache.fsm_state, AccessEvent(access), message=None, cache=cache
+            )
+            if transition is None or transition.stall:
+                continue
+            yield IssueAccess(cache_id=cache_id, access=access, addr=addr)
+
+    def _delivery_events(self, state: GlobalState) -> Iterable[SystemEvent]:
+        for addr in range(self.num_addresses):
+            network = self._plane_network(state, addr)
+            if self.faults is not None and self.faults.requeue and network.ordered:
+                # Re-queue semantics under a fault model: a stalled channel
+                # head no longer blocks the channel -- the first deliverable
+                # message behind it may be delivered instead (one candidate
+                # per channel keeps FIFO among the non-stalled messages and
+                # the branching bounded).
+                for _, msgs in network.channels:
+                    for message in msgs:
+                        if self._delivery_enabled(state, message, addr):
+                            yield DeliverMessage(message=message, addr=addr)
+                            break
+                continue
+            for message in network.deliverable():
+                if self._delivery_enabled(state, message, addr):
+                    yield DeliverMessage(message=message, addr=addr)
+
+    def _fault_events(self, state: GlobalState) -> Iterable[SystemEvent]:
+        faults = self.faults
+        if faults is None or state.faults_used >= faults.budget:
+            return
+        if faults.duplicate:
+            for addr in range(self.num_addresses):
+                # deliverable() enumerates exactly the duplication candidates:
+                # channel heads (ordered) / distinct messages (unordered).
+                for message in self._plane_network(state, addr).deliverable():
+                    yield DuplicateMessage(message=message, addr=addr)
+        if faults.reorder and self.ordered:
+            for addr in range(self.num_addresses):
+                for src, dst, vnet, pos in self._plane_network(
+                    state, addr
+                ).reorderable():
+                    yield ReorderMessage(
+                        src=src, dst=dst, vnet=vnet, position=pos, addr=addr
+                    )
+
+    def _delivery_enabled(
+        self, state: GlobalState, message: Message, addr: int = 0
+    ) -> bool:
+        """A delivery is enabled unless the receiving controller stalls it.
+
+        A message the receiver has *no* entry for at all is still enabled:
+        applying it produces an error outcome that the model checker reports
+        as a protocol bug (this mirrors Murphi's "unexpected message" error).
+        """
+        try:
+            transition, _ = self._transition_for_message(state, message, addr)
+        except ProtocolRuntimeError:
+            return True
+        if transition is None:
+            return True
+        return not transition.stall
+
+    def _bypass_position(
+        self, state: GlobalState, network: Network, message: Message, addr: int
+    ) -> int | None:
+        """Position of *message* in its channel under re-queue order.
+
+        The first *enabled* message of a channel is the only one deliverable
+        (stalled messages ahead of it are bypassed); returns ``None`` when
+        *message* is not that first enabled message."""
+        key = (message.src, message.dst, message.vnet)
+        for chan_key, msgs in network.channels:
+            if chan_key != key:
+                continue
+            for position, queued in enumerate(msgs):
+                if self._delivery_enabled(state, queued, addr):
+                    return position if queued == message else None
+            return None
+        return None
+
+    def _transition_for_message(
+        self, state: GlobalState, message: Message, addr: int = 0
+    ):
+        if message.dst == DIRECTORY_ID:
+            fsm = self.protocol.directory
+            node = self._plane_directory(state, addr)
+            transition = select_transition(
+                fsm, node.fsm_state, MessageEvent(message.mtype),
+                message=message, directory=node,
+            )
+            return transition, node
+        fsm = self.protocol.cache
+        node = state.caches[addr * self.num_caches + message.dst]
+        transition = select_transition(
+            fsm, node.fsm_state, MessageEvent(message.mtype),
+            message=message, cache=node,
+        )
+        return transition, node
+
+    # -- event application -------------------------------------------------------
+    def apply(self, state: GlobalState, event: SystemEvent) -> StepOutcome:
+        """The outcome of *event* in *state*.  A protocol error -- returned
+        by the executor or raised by it as :class:`ProtocolRuntimeError`,
+        on whichever controller and event kind -- is the outcome's
+        ``error``, with *state* unchanged."""
+        try:
+            if isinstance(event, IssueAccess):
+                return self._apply_access(state, event)
+            if isinstance(event, DeliverMessage):
+                return self._apply_delivery(state, event)
+            if isinstance(event, DuplicateMessage):
+                return self._apply_duplicate(state, event)
+            if isinstance(event, ReorderMessage):
+                return self._apply_reorder(state, event)
+        except ProtocolRuntimeError as exc:
+            return StepOutcome(state=state, error=str(exc))
+        raise TypeError(f"unknown event {event!r}")
+
+    def _apply_access(self, state: GlobalState, event: IssueAccess) -> StepOutcome:
+        fsm = self.protocol.cache
+        addr = event.addr
+        idx = addr * self.num_caches + event.cache_id
+        cache = state.caches[idx]
+        transition = select_transition(
+            fsm, cache.fsm_state, AccessEvent(event.access), message=None, cache=cache
+        )
+        if transition is None or transition.stall:
+            return StepOutcome(state=state, error=f"access {event} issued while not enabled")
+        issuing = replace(cache, pending_access=event.access, issued=cache.issued + 1)
+        result = execute_cache_transition(
+            transition,
+            issuing,
+            event.cache_id,
+            message=None,
+            access=event.access,
+            latest_version=self._plane_version(state, addr),
+        )
+        if result.error:
+            return StepOutcome(state=state, error=result.error)
+        caches = list(state.caches)
+        caches[idx] = result.node
+        new_state = self._with_plane(
+            state,
+            addr,
+            caches=tuple(caches),
+            network=self._plane_network(state, addr).send(*self._tag(result.sends)),
+            version=result.latest_version,
+        )
+        return StepOutcome(state=new_state, observations=result.observations)
+
+    def _apply_delivery(self, state: GlobalState, event: DeliverMessage) -> StepOutcome:
+        message = event.message
+        addr = event.addr
+        transition, node = self._transition_for_message(state, message, addr)
+        if transition is None:
+            receiver = "directory" if message.dst == DIRECTORY_ID else f"cache {message.dst}"
+            holder_state = node.fsm_state
+            return StepOutcome(
+                state=state,
+                error=f"{receiver} in state {holder_state!r} cannot handle message {message}",
+            )
+        if transition.stall:
+            return StepOutcome(state=state, error=f"stalled message {message} was delivered")
+
+        network = self._plane_network(state, addr)
+        if self.faults is not None and self.faults.requeue and network.ordered:
+            position = self._bypass_position(state, network, message, addr)
+            if position is None:
+                return StepOutcome(
+                    state=state,
+                    error=f"message {message} is not deliverable under re-queue order",
+                )
+            network = network.deliver_at(message, position)
+        else:
+            network = network.deliver(message)
+        if message.dst == DIRECTORY_ID:
+            result = execute_directory_transition(
+                transition, self._plane_directory(state, addr), message=message
+            )
+            if result.error:
+                return StepOutcome(state=state, error=result.error)
+            new_state = self._with_plane(
+                state,
+                addr,
+                directory=result.node,
+                network=network.send(*self._tag(result.sends)),
+            )
+            return StepOutcome(state=new_state, observations=result.observations)
+
+        idx = addr * self.num_caches + message.dst
+        result = execute_cache_transition(
+            transition,
+            state.caches[idx],
+            message.dst,
+            message=message,
+            access=None,
+            latest_version=self._plane_version(state, addr),
+        )
+        if result.error:
+            return StepOutcome(state=state, error=result.error)
+        caches = list(state.caches)
+        caches[idx] = result.node
+        new_state = self._with_plane(
+            state,
+            addr,
+            caches=tuple(caches),
+            network=network.send(*self._tag(result.sends)),
+            version=result.latest_version,
+        )
+        return StepOutcome(state=new_state, observations=result.observations)
+
+    def _fault_precondition(self, state: GlobalState) -> str | None:
+        if self.faults is None:
+            return "fault event applied without an active fault model"
+        if state.faults_used >= self.faults.budget:
+            return "fault event applied with the fault budget exhausted"
+        return None
+
+    def _apply_duplicate(
+        self, state: GlobalState, event: DuplicateMessage
+    ) -> StepOutcome:
+        error = self._fault_precondition(state)
+        if error is None and not self.faults.duplicate:
+            error = "duplication fault applied but the model does not enable it"
+        if error is not None:
+            return StepOutcome(state=state, error=error)
+        try:
+            network = self._plane_network(state, event.addr).duplicate(event.message)
+        except ValueError as exc:
+            return StepOutcome(state=state, error=str(exc))
+        new_state = self._with_plane(
+            state, event.addr, network=network, faults_used=state.faults_used + 1
+        )
+        return StepOutcome(state=new_state)
+
+    def _apply_reorder(self, state: GlobalState, event: ReorderMessage) -> StepOutcome:
+        error = self._fault_precondition(state)
+        if error is None and not self.faults.reorder:
+            error = "reorder fault applied but the model does not enable it"
+        if error is not None:
+            return StepOutcome(state=state, error=error)
+        try:
+            network = self._plane_network(state, event.addr).reorder(
+                event.src, event.dst, event.vnet, event.position
+            )
+        except ValueError as exc:
+            return StepOutcome(state=state, error=str(exc))
+        new_state = self._with_plane(
+            state, event.addr, network=network, faults_used=state.faults_used + 1
+        )
+        return StepOutcome(state=new_state)
+
+
+def reference(system: System) -> ReferenceSystem:
+    """*system* as a :class:`ReferenceSystem` (itself when it is one
+    already, a mutant included): the same configuration, object-level
+    events."""
+    if isinstance(system, ReferenceSystem):
+        return system
+    return ReferenceSystem(
+        system.protocol,
+        system.num_caches,
+        workload=system.workload,
+        ordered=system.ordered,
+        num_addresses=system.num_addresses,
+        faults=system.faults,
+    )

@@ -20,13 +20,18 @@ There is one checkpoint shape; what varies is who lowers the frontier into
 it.  Covered here: the per-state expander (with the default invariants and
 with one the kernel cannot evaluate) and the vectorized expander, each
 under BFS and DFS (whose boundary is the exact pop) and both symmetry
-modes.  The worker fleet takes none: ``test_parallel_engine.py`` checks that it
+modes; the per-state expander's reduced BFS and DFS also with each leg in a
+fresh interpreter (the vectorized expander's: ``test_row_table.py``).  The
+worker fleet takes none: ``test_parallel_engine.py`` checks that it
 refuses a checkpoint path.
 """
 
 import hashlib
+import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -37,7 +42,12 @@ from repro.verification import verify
 from repro.verification.engine import CheckpointMismatch
 from repro.verification.engine.checkpoint import CHECKPOINT_VERSION
 
-from verification_helpers import DECODED, make_swmr_mutant, mode_id
+from verification_helpers import (
+    DECODED,
+    make_missing_inv_mutant,
+    make_swmr_mutant,
+    mode_id,
+)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +189,65 @@ def test_resume_at_any_budget_equals_the_uninterrupted_run(
         whole.complete_states)
     assert str(resumed.violation) == str(whole.violation)
     assert resumed.trace == whole.trace
+
+
+#: One budgeted leg of the symmetry-reduced search of the missing-Inv MSI
+#: mutant, run in a fresh interpreter; prints the result as JSON.
+_LEG = """
+import json, sys
+from repro import protocols
+from repro.system import System, Workload
+from repro.verification import verify
+from verification_helpers import make_missing_inv_mutant
+
+system = System(make_missing_inv_mutant(protocols.load("MSI")), num_caches=2,
+                workload=Workload(max_accesses_per_cache=2))
+result = verify(system, symmetry=True, strategy=%(strategy)r,
+                max_states=%(budget)d, checkpoint=%(path)r)
+json.dump({
+    "partial": result.partial,
+    "counts": [result.states_explored, result.transitions_explored,
+               result.complete_states],
+    "error": result.error,
+    "trace": result.trace,
+    "resume_level": result.stats["resume_level"],
+}, sys.stdout)
+"""
+
+
+def _leg_in_a_fresh_interpreter(strategy, budget, path):
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, "..", "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         _LEG % dict(strategy=strategy, budget=budget, path=path)],
+        env=dict(os.environ,
+                 PYTHONPATH=os.pathsep.join([os.path.abspath(src), here])),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+def test_per_state_resume_across_fresh_interpreters(msi_spec, tmp_path, strategy):
+    """The per-state expander under symmetry: the budgeted leg runs in one
+    new interpreter and the resume in another, and the chain ends with the
+    uninterrupted run's counters, error (concretized through the kernel)
+    and trace."""
+    system = System(make_missing_inv_mutant(msi_spec), num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+    whole = verify(system, symmetry=True, strategy=strategy)
+    assert whole.error is not None and whole.kernel == "compiled"
+    path = str(tmp_path / "run.ckpt")
+    leg = _leg_in_a_fresh_interpreter(strategy, whole.states_explored // 2, path)
+    assert leg["partial"] and leg["error"] is None and os.path.exists(path)
+    resumed = _leg_in_a_fresh_interpreter(strategy, 10 ** 6, path)
+    assert resumed["resume_level"] is not None
+    assert resumed["counts"] == [whole.states_explored, whole.transitions_explored,
+                                 whole.complete_states]
+    assert (resumed["error"], resumed["trace"]) == (whole.error, whole.trace)
+    assert not os.path.exists(path), "a completed run consumes its checkpoint"
 
 
 class TestCheckpointLifecycle:

@@ -29,6 +29,7 @@ from repro import protocols
 from repro.system import System, Workload
 from repro.verification.engine.canonical import canonicalizer_for, invert
 
+from reference_system import reference
 from verification_helpers import (
     LATE_ABSORB_STATES,
     production_canonicalize,
@@ -103,9 +104,10 @@ class TestRoundTrip:
     def test_event_codec_round_trips(self, sampled_by_protocol, name):
         system, states = sampled_by_protocol[name]
         codec = system.codec()
+        replay = reference(system)
         seen = 0
         for state in states[:80]:
-            for event in system.enabled_events(state):
+            for event in replay.enabled_events(state):
                 assert codec.decode_event(codec.encode_event(event)) == event
                 seen += 1
         assert seen > 0

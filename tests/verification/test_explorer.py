@@ -14,6 +14,13 @@ from repro.verification import (
     verify,
 )
 
+from verification_helpers import (
+    MessageDroppingSystem,
+    make_missing_inv_mutant,
+    make_swmr_mutant,
+    reference_walk,
+)
+
 
 @pytest.fixture(scope="module")
 def msi_system(msi_nonstalling):
@@ -114,3 +121,41 @@ class TestRandomWalk:
         a = random_walk(system, runs=5, max_steps=100, seed=11)
         b = random_walk(system, runs=5, max_steps=100, seed=11)
         assert a.steps == b.steps
+
+    @pytest.mark.parametrize("subject", ["pass", "error", "violation"])
+    def test_walk_equals_the_reference_walk(self, msi_spec, msi_nonstalling,
+                                            subject):
+        """The walk steps the compiled kernel; drawing among its plans --
+        which come in the reference system's event order -- makes the same
+        choices as a walk over the reference system with the same seed:
+        same steps, same failing trace, same error or violation."""
+        protocol, caches = {
+            "pass": (msi_nonstalling, 3),
+            "error": (make_missing_inv_mutant(msi_spec), 2),
+            "violation": (make_swmr_mutant(msi_spec), 2),
+        }[subject]
+        system = System(protocol, num_caches=caches,
+                        workload=Workload(max_accesses_per_cache=2))
+        result = random_walk(system, runs=20, max_steps=120, seed=13)
+        ok, steps, trace, error, violation = reference_walk(
+            system, runs=20, max_steps=120, seed=13
+        )
+        assert (result.ok, result.steps, result.trace, result.error) == (
+            ok, steps, trace, error
+        )
+        assert str(result.violation) == str(violation)
+        assert result.ok == (subject == "pass")
+
+    def test_system_subclass_is_refused_like_verify(self, msi_stalling):
+        """The walk runs the tables ``verify()`` searches, so a ``System``
+        subclass's overrides would be ignored: both refuse it, alike."""
+        system = MessageDroppingSystem(
+            msi_stalling, num_caches=2,
+            workload=Workload(max_accesses_per_cache=1),
+            dropped_mtype="GetM",
+        )
+        with pytest.raises(TypeError, match="MessageDroppingSystem's overrides") as walk:
+            random_walk(system, runs=1, max_steps=5)
+        with pytest.raises(TypeError) as search:
+            verify(system)
+        assert str(walk.value) == str(search.value)

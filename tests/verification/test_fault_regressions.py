@@ -3,8 +3,9 @@
 Both traces are verbatim model-checker counterexamples from the first
 fault-augmented searches of the bundled MSI protocol -- measured against
 **un-hardened** builds (``GenerationConfig(harden=False)``), the generation
-mode PR 6 shipped.  They are replayed step by step through ``System.apply``
-so the original bug evidence survives the hardening fix:
+mode PR 6 shipped.  They are replayed step by step through the tests'
+reference system (``reference_system``) so the original bug evidence
+survives the hardening fix:
 
 * **Duplicated response** (nonstalling MSI): the directory's ``Data``
   response to a ``GetS`` is duplicated in flight.  The first copy completes
@@ -37,6 +38,8 @@ from repro.system.system import (
     ReorderMessage,
 )
 from repro.verification import verify
+
+from reference_system import reference
 
 
 #: Nonstalling MSI, 2 caches x 1 access, FaultModel(duplicate=True): C0's
@@ -94,6 +97,16 @@ def reorder_system(bare_msi_stalling):
 
 
 @pytest.fixture(scope="module")
+def duplication_replay(duplication_system):
+    return reference(duplication_system)
+
+
+@pytest.fixture(scope="module")
+def reorder_replay(reorder_system):
+    return reference(reorder_system)
+
+
+@pytest.fixture(scope="module")
 def hardened_duplication_system(msi_nonstalling):
     return System(msi_nonstalling, num_caches=2,
                   workload=Workload(max_accesses_per_cache=1),
@@ -108,36 +121,36 @@ def hardened_reorder_system(msi_stalling):
 
 
 class TestDuplicatedDataCounterexampleReplay:
-    def test_prefix_applies_without_error(self, duplication_system):
-        state = duplication_system.initial_state()
+    def test_prefix_applies_without_error(self, duplication_replay):
+        state = duplication_replay.initial_state()
         for event in DUPLICATED_DATA_TRACE:
-            outcome = duplication_system.apply(state, event)
+            outcome = duplication_replay.apply(state, event)
             assert outcome.error is None, f"{event}: {outcome.error}"
             state = outcome.state
 
     def test_duplicate_leaves_two_copies_and_burns_the_budget(
-        self, duplication_system
+        self, duplication_replay
     ):
-        state = duplication_system.initial_state()
+        state = duplication_replay.initial_state()
         for event in DUPLICATED_DATA_TRACE[:3]:
-            state = duplication_system.apply(state, event).state
+            state = duplication_replay.apply(state, event).state
         assert state.faults_used == 1
         copies = [m for m in state.network.in_flight() if m.mtype == "Data"]
         assert len(copies) == 2 and copies[0] == copies[1]
         # The budget is spent: no further fault events are offered.
         assert not any(
             isinstance(e, DuplicateMessage)
-            for e in duplication_system.enabled_events(state)
+            for e in duplication_replay.enabled_events(state)
         )
 
     def test_second_copy_is_an_unexpected_message_in_stable_s(
-        self, duplication_system
+        self, duplication_replay
     ):
-        state = duplication_system.initial_state()
+        state = duplication_replay.initial_state()
         for event in DUPLICATED_DATA_TRACE:
-            state = duplication_system.apply(state, event).state
+            state = duplication_replay.apply(state, event).state
         assert state.caches[0].fsm_state == "S"
-        final = duplication_system.apply(state, DUPLICATED_DATA_FINAL)
+        final = duplication_replay.apply(state, DUPLICATED_DATA_FINAL)
         assert final.error is not None
         assert "cannot handle message" in final.error
 
@@ -148,34 +161,34 @@ class TestDuplicatedDataCounterexampleReplay:
 
 
 class TestReorderedForwardCounterexampleReplay:
-    def test_trace_applies_without_error(self, reorder_system):
-        state = reorder_system.initial_state()
+    def test_trace_applies_without_error(self, reorder_replay):
+        state = reorder_replay.initial_state()
         for event in REORDERED_FORWARD_TRACE:
-            outcome = reorder_system.apply(state, event)
+            outcome = reorder_replay.apply(state, event)
             assert outcome.error is None, f"{event}: {outcome.error}"
             state = outcome.state
 
-    def test_swap_puts_the_forward_ahead_of_the_data(self, reorder_system):
-        state = reorder_system.initial_state()
+    def test_swap_puts_the_forward_ahead_of_the_data(self, reorder_replay):
+        state = reorder_replay.initial_state()
         for event in REORDERED_FORWARD_TRACE[:-1]:
-            state = reorder_system.apply(state, event).state
+            state = reorder_replay.apply(state, event).state
         channel = dict(state.network.channels)[(-1, 1, 1)]
         assert [m.mtype for m in channel] == ["Data", "Fwd_GetS"]
-        state = reorder_system.apply(state, REORDERED_FORWARD_TRACE[-1]).state
+        state = reorder_replay.apply(state, REORDERED_FORWARD_TRACE[-1]).state
         channel = dict(state.network.channels)[(-1, 1, 1)]
         assert [m.mtype for m in channel] == ["Fwd_GetS", "Data"]
         assert state.faults_used == 1
 
-    def test_reordered_state_is_a_head_of_line_deadlock(self, reorder_system):
+    def test_reordered_state_is_a_head_of_line_deadlock(self, reorder_replay):
         """C1 (IM_AD) stalls the forward, the Data it needs is stuck behind
         it, and no other event is enabled: a genuine deadlock state."""
-        state = reorder_system.initial_state()
+        state = reorder_replay.initial_state()
         for event in REORDERED_FORWARD_TRACE:
-            state = reorder_system.apply(state, event).state
+            state = reorder_replay.apply(state, event).state
         assert state.caches[1].fsm_state == "IM_AD"
         assert state.caches[0].fsm_state == "IS_D"
-        assert not reorder_system.is_quiescent(state)
-        assert reorder_system.enabled_events(state) == []
+        assert not reorder_replay.is_quiescent(state)
+        assert reorder_replay.enabled_events(state) == []
 
     def test_search_reports_the_deadlock(self, reorder_system):
         result = verify(reorder_system)
@@ -189,7 +202,7 @@ class TestHardenedDuplicationReplay:
     def test_second_copy_is_silently_absorbed_in_stable_s(
         self, hardened_duplication_system
     ):
-        system = hardened_duplication_system
+        system = reference(hardened_duplication_system)
         state = system.initial_state()
         for event in DUPLICATED_DATA_TRACE:
             outcome = system.apply(state, event)
@@ -211,7 +224,7 @@ class TestHardenedReorderReplay:
     """The same reordered-forward trace against the default hardened build."""
 
     def test_reordered_state_is_no_longer_stuck(self, hardened_reorder_system):
-        system = hardened_reorder_system
+        system = reference(hardened_reorder_system)
         state = system.initial_state()
         for event in REORDERED_FORWARD_TRACE:
             outcome = system.apply(state, event)

@@ -2,7 +2,7 @@
 
 Three new ``verify()`` axes ride on the same differential-oracle contract as
 the rest of the engine -- the compiled kernel must agree bit-identically with
-the object executor (``System.apply``, per state) and with
+the reference system (``reference_system``, per state) and with
 ``reference_search`` (whole searches) on every one of them:
 
 * **fault injection** -- per-channel message duplication and bounded
@@ -50,9 +50,10 @@ from repro.verification import (
     verify,
 )
 from repro.verification.engine.canonical import relabel_event
-from repro.verification.invariants import compiled_invariant_codes
 
+from reference_system import ReferenceSystem
 from verification_helpers import (
+    assert_expansion_parity,
     assert_matches_reference,
     reference_search,
     replay_and_check,
@@ -160,8 +161,8 @@ class TestModelValidation:
                    num_addresses=1)
 
     def test_fault_events_rejected_without_a_fault_model(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1))
+        system = ReferenceSystem(msi_nonstalling, num_caches=2,
+                                 workload=Workload(max_accesses_per_cache=1))
         state = system.initial_state()
         outcome = system.apply(state, DuplicateMessage(message=_msg()))
         assert outcome.error is not None
@@ -216,39 +217,8 @@ class TestFaultEventCodecAndRelabel:
 
 
 # ---------------------------------------------------------------------------
-# Expansion parity: kernel vs object executor, per state, per axis
+# Expansion parity: kernel vs reference system, per state, per axis
 # ---------------------------------------------------------------------------
-
-
-def assert_expansion_parity(system, state, invariants):
-    """One-state differential check over every new axis' machinery:
-    codec round-trip, event enumeration, successor construction, and the
-    quiescence/completion/invariant predicates."""
-    codec = system.codec()
-    kernel = system.kernel()
-    enc = codec.encode(state)
-    assert codec.decode(enc) == state
-    events = system.enabled_events(state)
-    plans, net = kernel.enabled(enc)
-    assert [plan[1] for plan in plans] == [codec.encode_event(e) for e in events]
-    assert kernel.is_quiescent(enc) == system.is_quiescent(state)
-    assert kernel.is_complete(enc) == system.is_complete(state)
-    codes = compiled_invariant_codes(invariants)
-    expected_verdict = all(inv(system, state) is None for inv in invariants)
-    assert kernel.check(enc, codes) == expected_verdict
-    for event, plan in zip(events, plans):
-        outcome = system.apply(state, event)
-        succ = kernel.apply(enc, plan, net)
-        if succ is None:
-            assert outcome.error is not None, (
-                f"kernel delegated {event} but the object executor succeeded"
-            )
-        else:
-            assert outcome.error is None, (
-                f"kernel applied {event} but the object executor errored: "
-                f"{outcome.error}"
-            )
-            assert succ == codec.encode(outcome.state), f"successor mismatch on {event}"
 
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
@@ -549,13 +519,14 @@ def test_litmus_sb_passes_under_reorder_on_hardened_msi(all_generated):
 # ---------------------------------------------------------------------------
 
 
-class StaleDataSystem(System):
+class StaleDataSystem(ReferenceSystem):
     """Injected consistency bug: deliveries to caches on selected address
     planes carry stale data -- any payload version ``>= min_version`` is
     replaced with the initial value (version 0) just before delivery.
 
-    A ``System`` subclass: ``verify()`` refuses it (the compiled tables
-    would ignore the ``apply`` override), so it runs on ``reference_search``,
+    A ``ReferenceSystem`` subclass: ``verify()`` refuses it (the compiled
+    tables would ignore the ``apply`` override), so it runs on
+    ``reference_search``,
     which calls the override as written.  The corruption is a deterministic
     function of the delivered message, keeping the state space well-defined.
     """

@@ -1,17 +1,17 @@
-"""Differential tests: the compiled transition kernel vs the object executor.
+"""Differential tests: the compiled transition kernel vs the reference system.
 
-The compiled kernel (:mod:`repro.system.kernel`) is the search backend, so
-its correctness argument is *exact agreement* with the object execution
-substrate (``System.enabled_events`` / ``System.apply``):
+The compiled kernel (:mod:`repro.system.kernel`) is the only interpretation
+of a protocol in ``src/``, so its correctness argument is *exact agreement*
+with the tests' object-level reference system (``reference_system``):
 
 * per-state expansion parity -- identical enabled events (in order),
-  bit-identical successor encodings, identical error positions, identical
+  bit-identical successor encodings, identical error texts, identical
   quiescence and invariant verdicts -- property-tested over random-walk
   samples of every bundled protocol in both generation configs, including
   the MOSI saved-requestor (deferred-send) states and the MSI-Unordered
   late-absorb redirect states;
 * whole-search parity -- ``verify()`` reproduces the exploration of
-  ``reference_search`` (a plain-``set`` BFS over ``System.apply``): states,
+  ``reference_search`` (a plain-``set`` BFS over the reference system): states,
   transitions and verdicts, pinned to the seed counts, and mutant
   protocols fail with the reference's verdict at its depth, with a
   replayable trace;
@@ -28,28 +28,34 @@ import pytest
 from repro import protocols
 from repro.core import GenerationConfig, generate
 from repro.core.fsm import AccessEvent, MessageEvent
-from repro.dsl.types import AccessKind, ClearOwner, Dest, InvalidateData, Send
+from repro.dsl.types import (
+    AccessKind,
+    ClearOwner,
+    CopyDataFromMessage,
+    Dest,
+    InvalidateData,
+    PerformAccess,
+    Send,
+)
 from repro.system import System, Workload
 from repro.system.network import OrderedNetwork
 from repro.verification import InvariantViolation, default_invariants, verify
-from repro.verification.invariants import compiled_invariant_codes
 
 from verification_helpers import (
     MessageDroppingSystem,
+    assert_expansion_parity,
     assert_matches_reference,
     make_missing_inv_mutant,
     make_swmr_mutant,
+    mode_id,
     reference_search,
     replay_and_check,
-    rewrite_actions,
+    rewrite_transition,
     sample_reachable_states,
 )
 
 ALL_PROTOCOLS = protocols.available_protocols()
 CONFIGS = ["nonstalling", "stalling"]
-
-#: Kernel evaluator codes for the default invariants (SWMR, single-owner).
-DEFAULT_CODES = compiled_invariant_codes(tuple(default_invariants()))
 
 
 def _workload(name: str) -> Workload:
@@ -57,37 +63,6 @@ def _workload(name: str) -> Workload:
         return Workload(max_accesses_per_cache=2,
                         access_kinds=(AccessKind.LOAD, AccessKind.STORE))
     return Workload(max_accesses_per_cache=2)
-
-
-def assert_expansion_parity(system, state):
-    """One-state differential check: enumeration, application, predicates.
-
-    The kernel may return ``None`` from ``apply`` (its slow-path delegation
-    signal); parity then requires the object executor to report an error for
-    that event -- on the bundled protocols every delegation is an error path.
-    """
-    codec = system.codec()
-    kernel = system.kernel()
-    enc = codec.encode(state)
-    events = system.enabled_events(state)
-    plans, net = kernel.enabled(enc)
-    assert [plan[1] for plan in plans] == [codec.encode_event(e) for e in events]
-    assert kernel.is_quiescent(enc) == system.is_quiescent(state)
-    expected_verdict = all(inv(system, state) is None for inv in default_invariants())
-    assert kernel.check(enc, DEFAULT_CODES) == expected_verdict
-    for event, plan in zip(events, plans):
-        outcome = system.apply(state, event)
-        succ = kernel.apply(enc, plan, net)
-        if succ is None:
-            assert outcome.error is not None, (
-                f"kernel delegated {event} but the object executor succeeded"
-            )
-        else:
-            assert outcome.error is None, (
-                f"kernel applied {event} but the object executor errored: "
-                f"{outcome.error}"
-            )
-            assert succ == codec.encode(outcome.state), f"successor mismatch on {event}"
 
 
 @pytest.mark.parametrize("config_label", CONFIGS)
@@ -179,7 +154,7 @@ def test_general_fork_expands_a_simple_configuration_like_the_simple_one(
         for plan, general_plan in zip(plans, general_plans):
             succ = simple.apply(enc, plan, net)
             assert general.apply(enc, general_plan, planes) == succ
-            if succ is not None and succ not in seen:
+            if type(succ) is tuple and succ not in seen:
                 seen.add(succ)
                 pending.append(succ)
     result = verify(general.system)  # runs on ``general``: kernels are cached
@@ -222,67 +197,176 @@ def test_violation_traces_match_the_reference(msi_spec):
     replay_and_check(system, compiled)
 
 
-def _retarget(to):
-    return lambda actions: tuple(
-        replace(a, to=to) if isinstance(a, Send) else a for a in actions
+def _actions(rewrite):
+    """A transition rewrite that replaces its actions by ``rewrite(actions)``."""
+    return lambda transition: transition.with_actions(rewrite(transition.actions))
+
+
+def _append(*extra):
+    return _actions(lambda actions: actions + extra)
+
+
+def _prepend(*extra):
+    return _actions(lambda actions: extra + actions)
+
+
+def _without(kind):
+    return _actions(lambda actions: tuple(a for a in actions if not isinstance(a, kind)))
+
+
+def _sends(**fields):
+    """Every ``Send`` of the transition with *fields* replaced."""
+    return _actions(lambda actions: tuple(
+        replace(a, **fields) if isinstance(a, Send) else a for a in actions
+    ))
+
+
+def _guard(guard):
+    return lambda transition: replace(
+        transition, event=replace(transition.event, guard=guard)
     )
 
 
-#: MSI stalling mutants whose transition does something the executor refuses
-#: on that controller: ``(accesses per cache, controller, state, event,
-#: rewrite, the reference's error)``.
-REFUSED_ACTION_MUTANTS = {
+LOAD, STORE = AccessEvent(AccessKind.LOAD), AccessEvent(AccessKind.STORE)
+
+#: MSI stalling mutants, one per protocol error the kernel reports: ``(caches,
+#: accesses per cache, controller, state, event, rewrite of that transition,
+#: the reference's error)``.  Not here: a directory transition short of a
+#: requestor (a send to it, or ``AddRequestorToSharers``) -- every message the
+#: directory receives carries one, so no table edit reaches it
+#: (``test_requestorless_deliveries_fail_like_the_reference``); and the
+#: unexpected message (``make_missing_inv_mutant``).
+ERROR_MUTANTS = {
+    # Actions or destinations the controller cannot execute.
     "cache-clears-owner": (
-        2, "cache", "M", AccessEvent(AccessKind.LOAD),
-        lambda actions: actions + (ClearOwner(),),
+        2, 2, "cache", "M", LOAD, _append(ClearOwner()),
         "cache 0 cannot execute action ClearOwner()",
     ),
     "directory-invalidates-data": (
-        1, "directory", "I", MessageEvent("GetS"),
-        lambda actions: actions + (InvalidateData(),),
+        2, 1, "directory", "I", MessageEvent("GetS"), _append(InvalidateData()),
         "directory cannot execute action InvalidateData()",
     ),
     "directory-sends-to-no-owner": (
-        2, "directory", "I", MessageEvent("GetS"), _retarget(Dest.OWNER),
+        2, 2, "directory", "I", MessageEvent("GetS"), _sends(to=Dest.OWNER),
         "directory: Data needs an owner",
     ),
     "access-sends-to-no-requestor": (
-        2, "cache", "I", AccessEvent(AccessKind.LOAD), _retarget(Dest.REQUESTOR),
+        2, 2, "cache", "I", LOAD, _sends(to=Dest.REQUESTOR),
         "cache 0: GetS needs a requestor but none is available",
     ),
     "cache-sends-to-owner": (
-        2, "cache", "I", AccessEvent(AccessKind.LOAD), _retarget(Dest.OWNER),
+        2, 2, "cache", "I", LOAD, _sends(to=Dest.OWNER),
         "cache 0: unsupported destination Dest.OWNER for GetS",
     ),
     "directory-sends-to-directory": (
-        2, "directory", "I", MessageEvent("GetS"), _retarget(Dest.DIRECTORY),
+        2, 2, "directory", "I", MessageEvent("GetS"), _sends(to=Dest.DIRECTORY),
         "directory: unsupported destination Dest.DIRECTORY for Data",
+    ),
+    # Two guarded candidates match a Data with no acks outstanding.
+    "ambiguous-guards": (
+        2, 1, "cache", "IM_AD", MessageEvent("Data", "ack_count_nonzero"),
+        _guard("acks_incomplete"),
+        "ambiguous transitions for Data in state 'IM_AD': "
+        "Data[ack_count_zero], Data[acks_incomplete]",
+    ),
+    # Data, saved requestors and the data-value checks.
+    "cache-copies-from-inv": (
+        2, 1, "cache", "S", MessageEvent("Inv"), _prepend(CopyDataFromMessage()),
+        "cache 0 expected data in Inv Dir->C0 (req=C1)",
+    ),
+    "directory-copies-from-gets": (
+        2, 1, "directory", "I", MessageEvent("GetS"),
+        _prepend(CopyDataFromMessage()),
+        "directory expected data in GetS C0->Dir (req=C0)",
+    ),
+    "ack-to-empty-slot": (
+        2, 1, "cache", "S", MessageEvent("Inv"), _sends(requestor_slot=0),
+        "cache 0: deferred response Inv_Ack has no saved requestor",
+    ),
+    "request-on-behalf-of-empty-slot": (
+        2, 1, "cache", "I", LOAD, _sends(requestor_from_slot=0),
+        "cache 0: deferred response GetS has no saved requestor to send on "
+        "behalf of",
+    ),
+    "load-before-data": (
+        2, 1, "cache", "I", LOAD, _append(PerformAccess()),
+        "cache 0 performed a load without data",
+    ),
+    "store-before-data": (
+        2, 1, "cache", "I", STORE, _append(PerformAccess()),
+        "cache 0 performed a store without data",
+    ),
+    # Memory misses the downgraded owner's data: the next store from S
+    # builds on the stale copy.
+    "directory-drops-downgrade-data": (
+        2, 2, "directory", "S_D", MessageEvent("Data"),
+        _without(CopyDataFromMessage),
+        "data-value invariant violated: cache 0 stores on top of version 0 "
+        "but the latest written version is 1",
+    ),
+    # Memory misses the written-back data: store, evict, load reads stale.
+    "directory-drops-writeback-data": (
+        1, 3, "directory", "M", MessageEvent("PutM", "from_owner"),
+        _without(CopyDataFromMessage),
+        "cache 0 load went backwards: saw version 0 after 1 (per-location SC "
+        "violation)",
     ),
 }
 
 
-@pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
-@pytest.mark.parametrize("mutant", sorted(REFUSED_ACTION_MUTANTS))
-def test_refused_actions_fail_like_the_reference(msi_spec, mutant, kernel):
-    """An action or a destination the receiving controller cannot execute --
-    wherever it sits, on an access or a delivery -- is the executor's error,
-    found at the reference's depth on both kernels, never a verdict on a
-    state the executor would not reach."""
-    accesses, controller, state, event, rewrite, error = (
-        REFUSED_ACTION_MUTANTS[mutant]
+@pytest.mark.parametrize("mode", [{"kernel": "compiled"}, {"kernel": "vectorized"},
+                                  {"symmetry": True}], ids=mode_id)
+@pytest.mark.parametrize("mutant", sorted(ERROR_MUTANTS))
+def test_error_mutants_fail_like_the_reference(msi_spec, mutant, mode):
+    """Every protocol error the kernel reports -- wherever its transition
+    sits, on an access or a delivery -- is the reference system's error,
+    with its exact text, found at the reference's depth on both kernels,
+    never a verdict on a state the reference would not reach.  Under
+    symmetry the reported text is the concrete trace's, and replays."""
+    caches, accesses, controller, state, event, rewrite, error = (
+        ERROR_MUTANTS[mutant]
     )
-    generated = rewrite_actions(
+    generated = rewrite_transition(
         generate(msi_spec, GenerationConfig.stalling()),
         controller, state, event, rewrite,
     )
-    system = System(generated, num_caches=2,
+    system = System(generated, num_caches=caches,
                     workload=Workload(max_accesses_per_cache=accesses))
     expected = reference_search(system, False, invariants=default_invariants())
     assert (expected.kind, expected.detail) == ("error", error)
-    result = verify(system, kernel=kernel)
-    assert result.kernel == kernel
+    symmetry = mode.get("symmetry", False)
+    if symmetry:
+        expected = reference_search(system, True, invariants=default_invariants())
+    result = verify(system, **mode)
+    assert result.kernel == mode.get("kernel", "compiled")
     assert_matches_reference(result, expected)
     replay_and_check(system, result)
+
+
+@pytest.mark.parametrize("rewrite, error", [
+    (None, "directory: Data needs a requestor"),
+    (_actions(lambda actions: actions[::-1]),
+     "directory: AddRequestorToSharers() needs a requestor"),
+], ids=["send", "add-sharer"])
+def test_requestorless_deliveries_fail_like_the_reference(msi_spec, rewrite, error):
+    """A directory transition that needs the requestor of a message with
+    none: no search reaches one (caches stamp every message they send), so
+    the state is built by hand and the kernel's text held to the
+    reference's.  Recording a null sharer is an error too, not a state no
+    encoding can hold."""
+    from repro.system.message import DIRECTORY_ID, Message
+    from repro.system.network import make_network
+
+    generated = generate(msi_spec, GenerationConfig.stalling())
+    if rewrite is not None:
+        rewrite_transition(generated, "directory", "I", MessageEvent("GetS"), rewrite)
+    system = System(generated, num_caches=2)
+    gets = Message("GetS", src=0, dst=DIRECTORY_ID, vnet=0)
+    state = replace(system.initial_state(), network=make_network(True).send(gets))
+    assert_expansion_parity(system, state)
+    enc = system.codec().encode(state)
+    plans, net = system.kernel().enabled(enc)
+    assert [system.kernel().apply(enc, plan, net) for plan in plans][-1] == error
 
 
 def test_parallel_strategy_runs_on_compiled_kernel(msi_nonstalling):
@@ -316,7 +400,7 @@ class TestKernelContract:
             workload=Workload(max_accesses_per_cache=1),
             dropped_mtype="GetM",
         )
-        with pytest.raises(TypeError, match="enabled_events / apply"):
+        with pytest.raises(TypeError, match="MessageDroppingSystem's overrides"):
             verify(system)
         # The reference runs the override as written: a dropped GetM
         # strands its requestor.
@@ -361,7 +445,8 @@ class TestKernelContract:
 
     @pytest.mark.parametrize("retired", ["object"])
     def test_object_kernel_is_rejected(self, msi_nonstalling, retired):
-        """The dataclass executor is the tests' oracle, not a backend."""
+        """The object-level reference system is the tests' oracle, not a
+        backend."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1))
         with pytest.raises(ValueError, match="'compiled' or 'vectorized'"):
@@ -523,7 +608,7 @@ class TestGeneratedSourceIsCompiledOnce:
 #: changes what any transition compiles to moves them; update them only for
 #: an intended change of the generated code.
 PINNED_SOURCES = (
-    217, "fd99b5862bb0f730eb846c6c6f1bd14a11d74a81d31572da5071843bfca54c28"
+    217, "2371f5f91dce0272a53c9aa100b67b2dc7a265ac5e0d5db285d80cb795988a60"
 )
 
 

@@ -21,9 +21,11 @@ import pytest
 
 from repro.dsl.types import AccessKind
 from repro.core.fsm import MessageEvent
-from repro.system import System, Workload
+from repro.system import Workload
 from repro.system.message import Message
 from repro.system.system import DeliverMessage, IssueAccess
+
+from reference_system import ReferenceSystem
 
 
 #: The verbatim counterexample from PR 1's E9 benchmark: C0's load completes,
@@ -52,7 +54,7 @@ def unordered_msi(all_generated):
 
 @pytest.fixture(scope="module")
 def deep_system(unordered_msi):
-    return System(
+    return ReferenceSystem(
         unordered_msi,
         num_caches=3,
         workload=Workload(max_accesses_per_cache=2,

@@ -12,7 +12,7 @@ latent hole ``TestFourCacheTier`` used to pin as ``EXPECTED_OK["MOSI"] =
 False``.
 
 Deferred directory-destined responses now bank the redirect requestor in a
-saved slot (``Send.requestor_from_slot``, honored by the executor) whenever
+saved slot (``Send.requestor_from_slot``, honored by the kernel and the reference system) whenever
 the directory actually reads the requestor of that message type.  These
 tests pin the generated structure, drive the exact four-cache scenario by
 hand, and run the previously-failing tier exhaustively.
@@ -26,6 +26,8 @@ from repro.dsl.types import AccessKind, Dest, Send
 from repro.system import DIRECTORY_ID, System, Workload
 from repro.system.system import DeliverMessage, IssueAccess
 from repro.verification import verify
+
+from reference_system import ReferenceSystem
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +67,7 @@ def _deliver(system, state, mtype, dst, src=None):
 
 def test_recall_data_reaches_the_recalling_requestor(mosi_protocol):
     """Drive the exact counterexample scenario; the recall must answer C1."""
-    system = System(
+    system = ReferenceSystem(
         mosi_protocol,
         num_caches=4,
         workload=Workload(max_accesses_per_cache=1,

@@ -12,8 +12,8 @@ Contracts under test:
   serial search's canonical frames, so states, transitions and
   complete-state counts must match exactly);
 * failure verdicts (protocol error, SWMR violation, deadlock) survive the
-  fleet: the winning counterexample replays step-by-step through
-  ``System.apply``.  Which equal-depth counterexample wins differs from the
+  fleet: the winning counterexample replays step-by-step through the
+  reference system.  Which equal-depth counterexample wins differs from the
   serial run's after sharded dedup, so traces are replay-verified rather
   than compared to it;
 * determinism: nothing is claimed or stolen, so two runs at one worker
@@ -40,6 +40,7 @@ from repro.verification import verify
 from repro.verification.engine import parallel as parallel_mod
 from repro.verification.engine.driver import CompiledExpander
 
+from reference_system import reference
 from verification_helpers import (
     DECODED,
     MessageDroppingSystem,
@@ -323,9 +324,10 @@ def test_owners_check_foreign_states_through_the_expander_seam(
     replay_and_check(system, result)
 
     ctx = explorations[-1]
-    state = system.initial_state()
+    replay = reference(system)
+    state = replay.initial_state()
     for event in result.trace_events:
-        state = system.apply(state, event).state
+        state = replay.apply(state, event).state
     expander = CompiledExpander(ctx)
     for packed, violated in ((ctx.root_key, False),
                              (ctx.codec.encode_packed(state), True)):

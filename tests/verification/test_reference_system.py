@@ -1,4 +1,6 @@
-"""Unit tests for FSM interpretation: guards, sends, access semantics."""
+"""Unit tests for the tests' reference system (``reference_system``): FSM
+interpretation -- guards, sends, access semantics -- and the whole-system
+event half, enumeration and application."""
 
 import pytest
 
@@ -16,14 +18,19 @@ from repro.dsl.types import (
     Send,
     SetAcksExpectedFromMessage,
 )
-from repro.system.executor import (
+from repro.system import Workload
+from repro.system.message import DIRECTORY_ID, Message
+from repro.system.node_state import CacheNodeState, DirectoryNodeState
+from repro.system.system import DeliverMessage, IssueAccess
+
+from reference_system import (
     ProtocolRuntimeError,
+    ReferenceSystem,
+    _guard_satisfied,
     execute_cache_transition,
     execute_directory_transition,
     select_transition,
 )
-from repro.system.message import DIRECTORY_ID, Message
-from repro.system.node_state import CacheNodeState, DirectoryNodeState
 
 
 def _transition(actions=(), next_state="X", stall=False, guard=None):
@@ -84,8 +91,6 @@ class TestGuardEvaluation:
         directory = DirectoryNodeState(fsm_state="S0", owner=1, sharers=frozenset({2}))
         from_owner = Message("Data", src=1, dst=DIRECTORY_ID)
         from_other = Message("Data", src=2, dst=DIRECTORY_ID)
-        from repro.system.executor import _guard_satisfied
-
         assert _guard_satisfied(MessageEvent("Data", "from_owner"), message=from_owner,
                                 cache=None, directory=directory)
         assert not _guard_satisfied(MessageEvent("Data", "from_owner"), message=from_other,
@@ -98,8 +103,6 @@ class TestGuardEvaluation:
                                     cache=None, directory=directory)
 
     def test_unknown_guard_rejected(self):
-        from repro.system.executor import _guard_satisfied
-
         with pytest.raises(ProtocolRuntimeError):
             _guard_satisfied(MessageEvent("Data", "sometimes"), message=None,
                              cache=None, directory=None)
@@ -240,3 +243,109 @@ class TestDirectoryExecution:
         transition = _transition(actions=[CopyDataFromMessage()])
         result = execute_directory_transition(transition, directory, message=message)
         assert result.error is not None
+
+    def test_sharer_without_requestor_is_an_error(self):
+        """A null cache ID has no place in the sharer set (no encoding
+        represents it): the kernel and this executor both refuse it."""
+        directory = DirectoryNodeState(fsm_state="S0")
+        message = Message("GetS", src=1, dst=DIRECTORY_ID)
+        transition = _transition(actions=[AddRequestorToSharers()])
+        with pytest.raises(ProtocolRuntimeError,
+                           match=r"AddRequestorToSharers\(\) needs a requestor"):
+            execute_directory_transition(transition, directory, message=message)
+
+
+@pytest.fixture
+def system(msi_nonstalling):
+    return ReferenceSystem(msi_nonstalling, num_caches=2,
+                           workload=Workload(max_accesses_per_cache=2))
+
+
+class TestEventEnumeration:
+    def test_initial_events_are_loads_and_stores(self, system):
+        events = system.enabled_events(system.initial_state())
+        accesses = {(e.cache_id, e.access) for e in events if isinstance(e, IssueAccess)}
+        # Replacements are meaningless in I, so only loads and stores appear.
+        assert accesses == {
+            (0, AccessKind.LOAD), (0, AccessKind.STORE),
+            (1, AccessKind.LOAD), (1, AccessKind.STORE),
+        }
+
+    def test_workload_bound_respected(self, msi_nonstalling):
+        system = ReferenceSystem(
+            msi_nonstalling, num_caches=1, workload=Workload(max_accesses_per_cache=0)
+        )
+        assert system.enabled_events(system.initial_state()) == []
+
+    def test_access_kinds_can_be_restricted(self, msi_nonstalling):
+        system = ReferenceSystem(
+            msi_nonstalling,
+            num_caches=1,
+            workload=Workload(max_accesses_per_cache=1, access_kinds=(AccessKind.LOAD,)),
+        )
+        events = system.enabled_events(system.initial_state())
+        assert {e.access for e in events} == {AccessKind.LOAD}
+
+
+class TestSimpleScenario:
+    """Drive one cache through a full load transaction by hand."""
+
+    def test_load_round_trip(self, msi_nonstalling):
+        system = ReferenceSystem(msi_nonstalling, num_caches=1,
+                                 workload=Workload(max_accesses_per_cache=1))
+        state = system.initial_state()
+
+        out = system.apply(state, IssueAccess(cache_id=0, access=AccessKind.LOAD))
+        assert out.error is None
+        state = out.state
+        assert state.caches[0].fsm_state == "IS_D"
+        [gets] = state.network.in_flight()
+        assert gets.mtype == "GetS" and gets.dst == DIRECTORY_ID and gets.vnet == 0
+
+        out = system.apply(state, DeliverMessage(gets))
+        state = out.state
+        assert state.directory.fsm_state == "S"
+        [data] = state.network.in_flight()
+        assert data.mtype == "Data" and data.dst == 0 and data.vnet == 1
+
+        out = system.apply(state, DeliverMessage(data))
+        state = out.state
+        assert state.caches[0].fsm_state == "S"
+        assert out.observations and out.observations[0].access is AccessKind.LOAD
+        assert system.is_complete(state)
+
+    def test_store_bumps_version(self, msi_nonstalling):
+        system = ReferenceSystem(msi_nonstalling, num_caches=1,
+                                 workload=Workload(max_accesses_per_cache=1))
+        state = system.initial_state()
+        out = system.apply(state, IssueAccess(cache_id=0, access=AccessKind.STORE))
+        state = out.state
+        [getm] = state.network.in_flight()
+        state = system.apply(state, DeliverMessage(getm)).state
+        [data] = state.network.in_flight()
+        out = system.apply(state, DeliverMessage(data))
+        assert out.state.caches[0].fsm_state == "M"
+        assert out.state.latest_version == 1
+        assert out.state.caches[0].data == 1
+
+
+class TestDeliveryGating:
+    def test_stalled_messages_are_not_enabled(self, msi_stalling):
+        system = ReferenceSystem(msi_stalling, num_caches=2,
+                                 workload=Workload(max_accesses_per_cache=1))
+        state = system.initial_state()
+        # C0 starts a store; C1 starts a store; the directory serves C0 first.
+        state = system.apply(state, IssueAccess(0, AccessKind.STORE)).state
+        state = system.apply(state, IssueAccess(1, AccessKind.STORE)).state
+        getm0 = [m for m in state.network.in_flight() if m.src == 0][0]
+        state = system.apply(state, DeliverMessage(getm0)).state
+        getm1 = [m for m in state.network.in_flight() if m.src == 1][0]
+        state = system.apply(state, DeliverMessage(getm1)).state
+        # The directory forwarded C1's GetM to C0, which is still in IM_AD;
+        # the stalling protocol must not deliver it yet.
+        fwd = [m for m in state.network.in_flight() if m.mtype == "Fwd_GetM"][0]
+        enabled = system.enabled_events(state)
+        assert DeliverMessage(fwd) not in enabled
+        # The Data response for C0 is still deliverable (separate event).
+        data = [m for m in state.network.in_flight() if m.mtype == "Data" and m.dst == 0][0]
+        assert DeliverMessage(data) in enabled

@@ -63,12 +63,13 @@ def _invariants(name: str):
 
 def _serial_stream(kernel, enc):
     """``enabled`` + ``apply`` of one encoded state: its ``(event,
-    successor)`` pairs in plan order (``None``: a plan needs the slow path)."""
+    successor)`` pairs in plan order (``None``: a plan reports a protocol
+    error)."""
     plans, net = kernel.enabled(enc)
     stream = []
     for plan in plans:
         succ = plan[0](enc, plan, net)
-        if succ is None:
+        if type(succ) is str:
             return None
         stream.append((plan[1], succ))
     return stream

@@ -1,10 +1,12 @@
 """Shared helpers for the verification-layer tests: protocol mutants,
 random reachable-state sampling (hand-rolled, deterministic generators) and
-the two **reference oracles** the engine is checked against -- the
-definition of symmetry canonicalization executed as written
-(:func:`reference_canonicalize`) and a plain breadth-first search built on
-it (:func:`reference_search`), which is also the verdict oracle.  Neither
-touches the codec, the store, a kernel or the engine's canonicalizer.
+the **reference oracles** the engine is checked against -- the object-level
+reference system (``reference_system``: what an event does, per state;
+:func:`assert_expansion_parity` holds the kernel to it), the definition of
+symmetry canonicalization executed as written (:func:`reference_canonicalize`)
+and a plain breadth-first search built on both (:func:`reference_search`),
+which is also the verdict oracle.  None of them touches the codec, the
+store, a kernel or the engine's canonicalizer.
 
 Kept out of conftest.py on purpose: test modules import these helpers by
 module name, and ``conftest`` is ambiguous once several test roots (tests/,
@@ -25,12 +27,16 @@ from repro.system import System, Workload
 from repro.system.system import DeliverMessage, GlobalState
 from repro.verification import default_invariants
 from repro.verification.engine.canonical import canonicalizer_for
+from repro.verification.invariants import compiled_invariant_codes
+
+from reference_system import ReferenceSystem, reference
 
 
 def replay_and_check(system, result, invariants=None):
-    """Replay ``result.trace_events`` from the initial state and assert the
-    reported outcome is reproduced exactly (a violation by one of
-    *invariants*, the default pair when omitted)."""
+    """Replay ``result.trace_events`` from the initial state on the
+    reference system and assert the reported outcome is reproduced exactly
+    (a violation by one of *invariants*, the default pair when omitted)."""
+    system = reference(system)
     state = system.initial_state()
     events = result.trace_events
     assert [str(e) for e in events] == result.trace
@@ -101,13 +107,13 @@ MUTANT_DROPS = {
 }
 
 
-def rewrite_actions(generated, controller: str, state: str, event, rewrite):
-    """Sabotage a generated protocol in place: the actions of
-    *controller*'s (``"cache"`` / ``"directory"``) transition for *event* in
-    *state* become ``rewrite(actions)``."""
+def rewrite_transition(generated, controller: str, state: str, event, rewrite):
+    """Sabotage a generated protocol in place: *controller*'s (``"cache"`` /
+    ``"directory"``) transition for *event* in *state* becomes
+    ``rewrite(transition)``, in the same candidate slot."""
     fsm = getattr(generated, controller)
     (old,) = [t for t in fsm.candidates(state, event) if t.event == event]
-    fsm.replace_transition(old, old.with_actions(rewrite(old.actions)))
+    fsm.replace_transition(old, rewrite(old))
     return generated
 
 
@@ -160,7 +166,7 @@ def make_stalled_request_mutant(msi_spec, mtype: str = "GetM"):
     return generated
 
 
-class MessageDroppingSystem(System):
+class MessageDroppingSystem(ReferenceSystem):
     """A system whose network silently refuses to deliver one message type.
 
     Dropping a request type is symmetric in the cache IDs, so it is a valid
@@ -202,7 +208,9 @@ def two_access_workload(name: str) -> Workload:
 def sample_reachable_states(
     system: System, *, seed: int, walks: int = 8, max_steps: int = 40
 ) -> list[GlobalState]:
-    """Deterministic random-walk generator of reachable global states."""
+    """Deterministic random-walk generator of reachable global states (on
+    the reference system)."""
+    system = reference(system)
     rng = random.Random(seed)
     states: list[GlobalState] = [system.initial_state()]
     for _ in range(walks):
@@ -217,6 +225,38 @@ def sample_reachable_states(
             state = outcome.state
             states.append(state)
     return states
+
+
+def reference_walk(system, *, runs, max_steps, seed, invariants=None):
+    """:func:`~repro.verification.random_walk` executed on the reference
+    system: the same draws (a seeded ``rng.choice`` among the enabled
+    events, in order) and the same checks.  Returns ``(ok, steps, trace,
+    error, violation)``, the trace as event strings."""
+    system = reference(system)
+    invariants = tuple(invariants or default_invariants())
+    rng = random.Random(seed)
+    steps = 0
+    for _ in range(runs):
+        state = system.initial_state()
+        trace = []
+        for _ in range(max_steps):
+            events = system.enabled_events(state)
+            if not events:
+                if not system.is_quiescent(state):
+                    return False, steps, trace, None, None
+                break
+            event = rng.choice(events)
+            trace.append(str(event))
+            steps += 1
+            outcome = system.apply(state, event)
+            if outcome.error is not None:
+                return False, steps, trace, outcome.error, None
+            state = outcome.state
+            for invariant in invariants:
+                violation = invariant(system, state)
+                if violation is not None:
+                    return False, steps, trace, None, violation
+    return True, steps, [], None, None
 
 
 def reference_canonicalize(state: GlobalState, perms) -> tuple[GlobalState, tuple]:
@@ -258,18 +298,20 @@ def reference_search(
 ) -> tuple[int, int] | ReferenceFailure:
     """``(states, transitions)`` of *system*'s reachable space by the
     plainest search there is: a FIFO of ``GlobalState`` objects, a Python
-    ``dict`` of them (to their depth) as the visited set,
-    ``System.enabled_events`` / ``System.apply`` for successors, one
+    ``dict`` of them (to their depth) as the visited set, the reference
+    system's ``enabled_events`` / ``apply`` for successors, one
     representative per orbit by :func:`reference_canonicalize` when
-    *symmetry* is set, every applied transition counted.  It shares
-    ``System`` with the engine and nothing else.
+    *symmetry* is set, every applied transition counted.  It shares the
+    ``System`` configuration and state dataclasses with the engine and
+    nothing else.
 
     It is the verdict oracle too: the first failure in FIFO order -- a
     protocol error, a deadlock (a non-quiescent state with no enabled
     event; with *deadlock* also a quiescent one with workload left), or
     a new state failing one of *invariants* -- is returned as a
-    :class:`ReferenceFailure` instead of the counts.  ``System``
+    :class:`ReferenceFailure` instead of the counts.  ``ReferenceSystem``
     subclasses run here as written, overrides included."""
+    system = reference(system)
     perms = system.symmetry_permutations()
 
     def representative(state):
@@ -336,3 +378,35 @@ def assert_matches_reference(result, expected):
         assert result.violation.name == expected.detail
     if kind == "error" and not result.symmetry_reduced:
         assert result.error == expected.detail
+
+
+def assert_expansion_parity(system, state, invariants=None):
+    """One-state differential check of the kernel against the reference
+    system: the codec round trip, enabled events (in order), successors
+    (bit-identical encodings), error texts (exact), and the quiescence,
+    completion and invariant verdicts (*invariants*: the default pair when
+    omitted)."""
+    invariants = tuple(invariants or default_invariants())
+    ref = reference(system)
+    codec = system.codec()
+    kernel = system.kernel()
+    enc = codec.encode(state)
+    assert codec.decode(enc) == state
+    events = ref.enabled_events(state)
+    plans, net = kernel.enabled(enc)
+    assert [plan[1] for plan in plans] == [codec.encode_event(e) for e in events]
+    assert kernel.is_quiescent(enc) == ref.is_quiescent(state)
+    assert kernel.is_complete(enc) == ref.is_complete(state)
+    expected_verdict = all(inv(ref, state) is None for inv in invariants)
+    assert kernel.check(enc, compiled_invariant_codes(invariants)) == expected_verdict
+    for event, plan in zip(events, plans):
+        outcome = ref.apply(state, event)
+        succ = kernel.apply(enc, plan, net)
+        if type(succ) is str:
+            assert outcome.error == succ, f"error text mismatch on {event}"
+        else:
+            assert outcome.error is None, (
+                f"kernel applied {event} but the reference errored: "
+                f"{outcome.error}"
+            )
+            assert succ == codec.encode(outcome.state), f"successor mismatch on {event}"
