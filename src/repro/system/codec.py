@@ -42,8 +42,10 @@ flat outside failure reporting.
 
 Every bounded cache of the engine is a :class:`Memo` -- here the two
 block-decode memos, the parse memos and the three relabel memos; the
-canonicalizer's region memo and block table; the batch kernel's delivery,
-cell-operation and two boundary memos -- and :data:`_MEMO_LIMIT` is the
+compiled kernel's access and delivery memos and its record and outcome
+intern tables; the canonicalizer's region
+memo and block table; the batch kernel's delivery, cell-operation and two
+boundary memos -- and :data:`_MEMO_LIMIT` is the
 one bound they share (the batch kernel's NumPy tail memo reads it too).  A
 full memo is cleared whole; correctness never depends on a hit.  Encoding
 is not memoized: a search encodes its root and nothing else.
@@ -63,7 +65,9 @@ are :data:`~repro.system.message.MESSAGE_ENCODED_WIDTH` ints).  The packed
 ``bytes`` form (:meth:`StateCodec.pack`) is what the visited set keys on, what
 the search frontiers hold between levels, what the network-parse memo is
 keyed by (the section's slice of it) and what the parallel search ships
-between processes; the lane tuple lives only while one state is expanded.
+between processes; on a single-plane, fault-free, non-litmus system the
+per-state search splices successors out of it and builds a lane tuple only
+on a memo miss or at a leaf.
 
 Multi-address systems repeat the fixed-width part once per address plane
 (``plane_stride`` lanes each) and append one network section per plane;

@@ -16,13 +16,30 @@ concretization of a reduced counterexample step through it:
   ``src/`` that says what an action does -- and plans carry their bound
   apply handler so the search loop dispatches without a single string
   comparison;
-* enabled-event enumeration, guard evaluation, successor construction,
-  quiescence and the default invariants (SWMR, single-owner) then run
-  directly on the flat int-tuple encoding of
-  :class:`~repro.system.codec.StateCodec` -- no :class:`GlobalState`,
-  :class:`Message` or event object is ever materialized on the hot path,
-  and network re-normalization copies untouched channels as single slices
-  of the parent encoding.
+* a transition touches three spans of a state -- one controller's block,
+  the version lane and the network section -- and reads nothing else, so
+  what it does is a pure function of a small key.  One **per-key
+  evaluator** (:meth:`TransitionKernel.access_outcomes`,
+  :meth:`TransitionKernel.delivery_outcome`) runs the generated function
+  for one access ``(cache id, block)`` or one delivery ``(record, receiver
+  block)`` and returns *stalled*, *failed* or ``(event, new block lanes,
+  new version | unchanged, sends)``; the batch kernel
+  (:mod:`repro.system.vectorized`) files what it returns in its plan
+  tables, and the per-state search keeps it in two bounded memos keyed on
+  the parent's packed bytes.  A successor is then **spliced, not built**:
+  ``key[:lo] + block + key[hi:v] + version + tail``, the tail spliced in
+  bytes out of the parent's section through its parse handle's offsets
+  (:meth:`TransitionKernel._splicer`).  Lanes are unpacked only on a
+  memo miss, at a leaf and for the invariant check of a new state -- no
+  :class:`GlobalState`, :class:`Message` or event object is materialized
+  on the hot path;
+* multi-address, fault-model and litmus configurations run the
+  **plane-aware fork** instead: the same generated functions on the whole
+  lane tuple, the network re-normalized lane by lane
+  (:meth:`TransitionKernel._emit_net`) and the result packed.  A plan the
+  splice does not build -- a protocol error, a write outside the block, a
+  value too wide for its lane -- is replayed through that fork for its
+  exact text (or error) at its serial position.
 
 The kernel **reports its own errors**.  Every failure site of a generated
 function -- missing data, requestor or owner, a data-value violation, an
@@ -46,6 +63,10 @@ the cache-block widths and lane offsets (``CF_*``) from
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
 from repro.core.fsm import GUARD_CODES, CompilationUnsupported, MessageEvent
 from repro.dsl.types import (
     AccessKind,
@@ -66,6 +87,7 @@ from repro.dsl.types import (
     SetOwnerToRequestor,
     WriteDataToMemory,
 )
+from repro.system.codec import LaneOverflow, Memo
 from repro.system.message import MESSAGE_ENCODED_WIDTH, decode_message
 from repro.system.node_state import (
     CACHE_ENCODED_WIDTH,
@@ -91,6 +113,19 @@ _OWNER_ACTIONS = (SetOwnerToRequestor, ClearOwner, AddOwnerToSharers)
 #: Sentinel plan: more than one transition matched (applying it reports the
 #: "ambiguous transitions" protocol error).
 AMBIGUOUS = object()
+
+#: What the per-key evaluator returns besides an outcome: a delivery whose
+#: transition stalls (not an enabled plan), and a plan it does not express
+#: -- a protocol error, or a write outside the controller's block (plus,
+#: for a cache, the version lane) -- which its caller replays through the
+#: plane-aware handler (the batch kernel: through the per-state loop).
+STALLED = object()
+FAILED = object()
+
+#: Edit order of a byte splice: by lane, then skip width -- an insertion
+#: (skip 0) goes before a removal at the same lane; equal keys keep their
+#: order (several insertions at one lane, in sorted record order).
+_START_SKIP = itemgetter(0, 1)
 
 #: What a generated transition function returns at a failure site:
 #: ``kind + _ACTION_STRIDE * i`` for its ``i``-th action, where *kind* keys
@@ -222,16 +257,15 @@ class TransitionKernel:
                 codec.access_kinds.index(kind) for kind in workload.access_kinds
             )
             self._litmus_ops = None
-        #: Which of the two enumeration/apply forks runs: the simple one for
-        #: a single plane with no fault lane and no litmus program, the
-        #: general (plane-aware) one for everything else.  The general fork
-        #: expands a simple configuration identically (``test_kernel.py``
-        #: forces it over whole 2c x 2a spaces) -- both stay because it is
-        #: slower there: a plane tuple per state, an ``_event`` call and two
-        #: more fields per plan.  Forced onto bench ``full-3c`` it costs
-        #: ``pass_cpu_s`` 3.05 -> 3.83 s (+25 %, higher in 6 of 6 pairs), on
-        #: ``reduced-3c`` 0.99 -> 1.05 s (+6 %, 5 of 6); ``matrix-2c`` is the
-        #: workload on the general side.
+        #: Which of the two forks runs -- the configuration alone decides:
+        #: the spliced plans for a single plane with no fault lane and no
+        #: litmus program, the plane-aware fork for everything else
+        #: (``matrix-2c``'s side).  The plane-aware fork expands a simple
+        #: configuration identically (``test_kernel.py`` holds the two to
+        #: each other over whole 2c x 2a spaces, byte for byte); it stays
+        #: off them because it is slower there: forced onto bench
+        #: ``full-3c`` it costs ``pass_s`` 1.44-1.50 -> 3.23-3.24 s (x2.2,
+        #: 2 of 2 pairs, 2-core VM).
         self._simple = (
             self.num_addresses == 1
             and self.fault_offset is None
@@ -284,88 +318,113 @@ class TransitionKernel:
             for cid in range(self.num_caches)
         )
 
-    # -- event enumeration -------------------------------------------------------
-    def enabled(self, enc: tuple, key: bytes | None = None) -> tuple[list, tuple]:
-        """``(plans, net)`` for *enc*: one plan per enabled event -- accesses
-        cache by cache in workload order, then deliveries in network order
-        -- the order the state IDs, the traces and a seeded
-        :func:`~repro.verification.random_walk` all follow.  *key* is
-        ``codec.pack(enc)`` when the caller holds it (a search unpacked
-        *enc* from it): the network-parse memo is keyed by a slice of it.
+        # The spliced fork's byte layout: lane width, and per receiver the
+        # byte span of its block -- ``_spans[cid]`` for a cache, the
+        # directory's at ``_spans[-1]`` -- and of the version lane.
+        lb = self.lane_bytes = codec.lane_bytes
+        self._spans = tuple(
+            (cid * CACHE_ENCODED_WIDTH * lb, (cid + 1) * CACHE_ENCODED_WIDTH * lb)
+            for cid in range(self.num_caches)
+        ) + ((self.dir_offset * lb, self.version_offset * lb),)
+        #: Per cache: its packed ID -- what its access memo keys start
+        #: with -- and its block's span.
+        self._cache_spans = tuple(
+            (codec.pack((cid,)), *self._spans[cid]) for cid in range(self.num_caches)
+        )
+        self._version_span = (self.version_offset * lb, (self.version_offset + 1) * lb)
+        self._net_byte_offset = codec.net_byte_offset
+        #: Packed lanes of the small values a splice writes into a count lane.
+        self._small_lanes = tuple(
+            value.to_bytes(lb, sys.byteorder)
+            for value in range(min(256, codec.lane_max + 1))
+        )
+        #: The per-state search's two memos, keyed on packed bytes -- slices
+        #: of the parent's key behind a packed cache ID or message record:
+        #: ``cid + block + version`` -> that cache's access plans in workload
+        #: order, and ``record + receiver block [+ version, for a cache]``
+        #: -> the delivery's outcome (or :data:`STALLED`).  A miss unpacks
+        #: its key and runs the per-key evaluator.  Tails are not memoized:
+        #: they multiply as the sections do.
+        self._access_memo = Memo(self._access_miss)
+        self._delivery_memo = Memo(self._delivery_miss)
+        #: Message record -> packed, the head of its delivery memo keys.
+        self._record_tags = Memo(codec.pack)
+        #: The outcome of a plan the splice does not build (see :meth:`_replay`),
+        #: and the handler every other outcome shares, bound once.
+        self._replayed = (self._replay,)
+        self._splice_handler = self._apply_spliced
+        #: Intern table of the memos' outcomes and of their packed blocks and
+        #: sends (:meth:`_intern`): the memos hold far more keys than
+        #: outcomes (bench ``unordered-reduced-3c``: 6 146 for 2 454).  A
+        #: ``Memo`` like them, so all four stay within ``_MEMO_LIMIT``
+        #: entries however long a search runs.
+        self._interned = Memo()
 
-        A plan is ``(handler, eev, cache_id, ct)`` for an access or
-        ``(handler, eev, record, ct, where)`` for a delivery -- ``handler``
-        is the bound apply specialization for that plan kind (so the hot
-        loop dispatches with zero string comparisons) -- where ``eev`` is the
-        codec event encoding, ``ct`` the selected compiled transition
-        (``None`` when no transition matches -- applying will error -- or
-        :data:`AMBIGUOUS`), and ``where`` locates the delivered message in
-        the network (channel index when ordered, record index when
-        unordered).  A delivery with no transition, or several, is enabled:
-        applying it reports the protocol error (Murphi's "unexpected
-        message").  *net* is the state's parsed-network handle — opaque to
-        callers, who only thread it back into :meth:`apply` (internally the
-        codec's memoized ``(items, channel lane offsets, deliveries)``
-        triple, parsed once per distinct packed section).  Every ``eev`` is the
-        codec's interned tuple for that event, never a fresh one.
+    def memo_stats(self) -> dict:
+        """Entries held and misses computed by the per-state search's two
+        memos (``result.stats`` reports them)."""
+        return {
+            "access_memo_entries": len(self._access_memo),
+            "access_memo_misses": self._access_memo.misses,
+            "delivery_memo_entries": len(self._delivery_memo),
+            "delivery_memo_misses": self._delivery_memo.misses,
+        }
+
+    # -- event enumeration -------------------------------------------------------
+    def enabled(self, key: bytes) -> tuple[list, tuple]:
+        """``(plans, net)`` for the state packed as *key*: one plan per
+        enabled event -- accesses cache by cache in workload order, then
+        deliveries in network order -- the order the state IDs, the traces
+        and a seeded :func:`~repro.verification.random_walk` all follow.
+
+        A plan is a tuple whose ``plan[0]`` is its bound apply handler and
+        ``plan[1]`` the codec's interned event encoding: ``plan[0](key,
+        plan, net)`` returns the successor's packed key, or the text of the
+        protocol error applying it reports (a ``str``, never ``bytes``) --
+        :meth:`apply` is the same call.  A delivery with no transition, or
+        several, is enabled: applying it reports the protocol error
+        (Murphi's "unexpected message"); a stalled one is not.  *net* is
+        opaque to callers, who only thread it back into the handler.
+
+        On a simple configuration the plans come out of the two memos
+        keyed on slices of *key* (nothing is unpacked unless one misses)
+        and a plan splices its successor out of *key*
+        (:meth:`_apply_spliced`); *net* is the section's memoized parse
+        handle.  Everything else unpacks *key* and runs the plane-aware
+        fork (:meth:`_enabled_general`).
         """
         if not self._simple:
+            enc = self.codec.unpack(key)
             return self._enabled_general(enc, key)
         plans: list = []
-        apply_access = self._apply_access_plan
-        apply_delivery = self._apply_delivery_plan
-        stable = self.spec.cache.stable
-        access_plans = self._access_plans
-        access_eevs = self._access_eevs
-        width = CACHE_ENCODED_WIDTH
-        max_accesses = self.max_accesses
-        for cid in range(self.num_caches):
-            base = cid * width
-            if enc[base + CF_ISSUED] >= max_accesses:
-                continue
-            si = enc[base]
-            if stable[si]:
-                eevs = access_eevs[cid]
-                for ai, ct, fn in access_plans[si]:
-                    plans.append((apply_access, eevs[ai], cid, ct, fn))
-        net = self.codec.parsed_network(enc, key)
-        # Delivery planning, inlined (one call per in-flight message adds up):
-        # pick the receiving controller's candidate row, resolve the unique
-        # unguarded candidate without the `_select` call, and drop stalled
-        # deliveries -- they are not enabled.
-        dir_rows = self.spec.directory.on_message
-        cache_rows = self.spec.cache.on_message
-        cache_fns = self._cache_fns
-        d0 = self.dir_offset
-        select = self._select
-        for idx, rec, eev in net[2]:
-            fn = None
-            if rec[2] == 1:  # destination is the directory (id -1, +2 shift)
-                cands = dir_rows[enc[d0]].get(rec[0])
-                base = None
+        access = self._access_memo
+        vlo, vhi = self._version_span
+        version = key[vlo:vhi]
+        for tag, lo, hi in self._cache_spans:
+            plans += access[tag + key[lo:hi] + version]
+        net = self.codec.parsed_section(key[self._net_byte_offset :])
+        deliver = self._delivery_memo
+        tag_of = self._record_tags
+        spans = self._spans
+        for where, rec, eev in net[2]:
+            tag = tag_of[rec]
+            dst = rec[2]
+            if dst == 1:  # the directory (id -1, +2 shift)
+                lo, hi = spans[-1]
+                outcome = deliver[tag + key[lo:hi]]
             else:
-                base = (rec[2] - 2) * width
-                cands = cache_rows[enc[base]].get(rec[0])
-            if cands:
-                if len(cands) == 1 and cands[0].guard == 0:
-                    ct = cands[0]
-                else:
-                    ct = select(cands, rec, enc, base, d0)
-                if ct is not None and ct is not AMBIGUOUS:
-                    if ct.stall:
-                        continue  # stalled deliveries are not enabled
-                    if base is not None:
-                        fn = cache_fns[id(ct)]
-            else:
-                ct = None
-            plans.append((apply_delivery, eev, rec, ct, idx, fn))
+                lo, hi = spans[dst - 2]
+                outcome = deliver[tag + key[lo:hi] + version]
+            if outcome is not STALLED:
+                plans.append((outcome[0], eev, outcome, where))
         return plans, net
 
-    def _enabled_general(self, enc: tuple, key: bytes | None) -> tuple[list, tuple]:
+    def _enabled_general(self, enc: tuple, key: bytes) -> tuple[list, tuple]:
         """Plane-aware twin of :meth:`enabled` for multi-address, fault-model
-        and litmus configurations.  Returns ``(plans, planes)`` where
-        *planes* is the :meth:`StateCodec.parsed_planes` handle; plans come
-        accesses first, then deliveries plane by plane, then faults."""
+        and litmus configurations, on the lanes *enc* of *key*.  Returns
+        ``(plans, (enc, planes))`` where *planes* is the
+        :meth:`StateCodec.parsed_planes` handle; plans come accesses first,
+        then deliveries plane by plane, then faults, and apply on *enc*."""
         plans: list = []
         planes = self.codec.parsed_planes(enc, key)
         num_addresses = self.num_addresses
@@ -491,7 +550,7 @@ class TransitionKernel:
                             if msgs[pos] != msgs[pos + 1]:
                                 eev = event((3, src, dst, vnet, pos), addr)
                                 plans.append((apply_reorder, eev, addr, idx, pos))
-        return plans, planes
+        return plans, (enc, planes)
 
     def _event(self, fields: tuple, addr: int) -> tuple:
         """The codec's interned event encoding for *fields* on plane *addr*
@@ -568,16 +627,16 @@ class TransitionKernel:
         return is_sharer if g == 9 else not is_sharer
 
     # -- successor construction ---------------------------------------------------
-    def apply(self, enc: tuple, plan: tuple, net: tuple) -> tuple | str:
-        """The successor encoding for *plan*, or the text of the protocol
-        error applying it reports (a ``str``, never a tuple): that is the
-        one test a caller makes.
+    def apply(self, key: bytes, plan: tuple, net: tuple) -> bytes | str:
+        """The successor's packed key for *plan* (from :meth:`enabled` of
+        *key*), or the text of the protocol error applying it reports (a
+        ``str``, never ``bytes``): that is the one test a caller makes.
 
-        ``plan[0]`` *is* the bound apply handler (set by :meth:`enabled`),
-        so the per-transition hot loops may call ``plan[0](enc, plan, net)``
-        directly; this method is the equivalent stable entry point.
+        ``plan[0]`` *is* the bound apply handler, so the per-transition hot
+        loops may call ``plan[0](key, plan, net)`` directly; this method is
+        the equivalent stable entry point.
         """
-        return plan[0](enc, plan, net)
+        return plan[0](key, plan, net)
 
     def _error(self, code, ct, rec, cid=None, out=None, base=0, vo=0) -> str:
         """The text of failure *code* of transition *ct* (see
@@ -623,46 +682,308 @@ class TransitionKernel:
             f"{matching}"
         )
 
-    def _apply_access_plan(self, enc: tuple, plan: tuple, net: tuple):
-        return self._apply_access(enc, plan[2], plan[1][2], plan[3], net, plan[4])
+    # -- the per-key evaluator -----------------------------------------------------
+    def access_outcomes(self, cid: int, lanes) -> tuple:
+        """The outcomes of cache *cid*'s access plans, in workload order, in
+        a state whose lanes (at least through the version lane) are
+        *lanes*: empty when its budget is spent or its block is transient.
+        They depend on nothing but the cache's block and the version lane
+        (see :meth:`_evaluate`)."""
+        base = cid * CACHE_ENCODED_WIDTH
+        si = lanes[base + CF_STATE]
+        if lanes[base + CF_ISSUED] >= self.max_accesses:
+            return ()
+        if not self.spec.cache.stable[si]:
+            return ()
+        eevs = self._access_eevs[cid]
+        return tuple(
+            self._evaluate(eevs[ai], ct, fn, lanes, cid, None, ai)
+            for ai, ct, fn in self._access_plans[si]
+        )
 
-    def _apply_delivery_plan(self, enc: tuple, plan: tuple, net: tuple):
-        ct = plan[3]
-        rec = plan[2]
+    def delivery_outcome(self, rec: tuple, lanes):
+        """The outcome of delivering message record *rec* in a state whose
+        lanes (at least through the version lane) are *lanes*:
+        :data:`STALLED`, :data:`FAILED` (no transition takes it, several
+        do, or see :meth:`_evaluate`) or an outcome.  It depends on nothing
+        but *rec*, the receiver's block and, for a cache, the version
+        lane."""
+        d0 = self.dir_offset
+        if rec[2] == 1:  # the directory (id -1, +2 shift)
+            cid = base = None
+            cands = self.spec.directory.on_message[lanes[d0]].get(rec[0])
+        else:
+            cid = rec[2] - 2
+            base = cid * CACHE_ENCODED_WIDTH
+            cands = self.spec.cache.on_message[lanes[base]].get(rec[0])
+        if not cands:
+            return FAILED
+        if len(cands) == 1 and cands[0].guard == 0:
+            ct = cands[0]
+        else:
+            ct = self._select(cands, rec, lanes, base, d0)
         if ct is None or ct is AMBIGUOUS:
-            return self._undeliverable(enc, rec, ct)
-        if rec[2] == 1:
-            return self._apply_directory(enc, rec, ct, net, plan[4])
-        return self._apply_cache_delivery(enc, rec, ct, net, plan[4], plan[5])
-
-    def _apply_access(self, enc, cid, ai, ct, net, fn):
-        out = list(enc[: self.net_offset])
-        base = cid * CACHE_ENCODED_WIDTH
-        out[base + CF_ISSUED] += 1
-        out[base + CF_PENDING] = ai + 1
-        sends: list = []
-        if fn is not None and (err := fn(out, base, cid, None, ai, sends)):
-            return self._error(err, ct, None, cid, out, base, self.version_offset)
-        out[base + CF_STATE] = ct.next_state
-        if ct.has_perform:
-            out[base + CF_PENDING] = 0
-        self._emit_net(out, enc, net, None, sends, self.net_offset, len(enc))
-        return tuple(out)
-
-    def _apply_cache_delivery(self, enc, rec, ct, net, where, fn):
-        cid = rec[2] - 2
-        out = list(enc[: self.net_offset])
-        base = cid * CACHE_ENCODED_WIDTH
-        pending = out[base + CF_PENDING]
+            return FAILED
+        if ct.stall:
+            return STALLED
+        eev = self.codec.intern_event((1,) + rec)
+        if cid is None:
+            fn = self._dir_fns[id(ct)]
+            return self._evaluate(eev, ct, fn, lanes, None, rec, None)
+        pending = lanes[base + CF_PENDING]
         ai = pending - 1 if pending else None
+        return self._evaluate(eev, ct, self._cache_fns[id(ct)], lanes, cid, rec, ai)
+
+    def _evaluate(self, eev, ct, fn, lanes, cid, rec, ai):
+        """Run transition *ct* (its generated function *fn*) for event *eev*
+        at cache *cid* (None: the directory) on a copy of *lanes*, and
+        return ``(eev, new block lanes, new version | None: unchanged,
+        sends)`` -- or :data:`FAILED` when the function reports an error
+        code, or when it wrote outside the controller's block (plus, for a
+        cache, the version lane): the outcome is a function of that key
+        only if nothing else changed."""
+        vo = self.version_offset
+        before = list(lanes[: vo + 1])
+        out = before.copy()
         sends: list = []
-        if fn is not None and (err := fn(out, base, cid, rec, ai, sends)):
-            return self._error(err, ct, rec, cid, out, base, self.version_offset)
-        out[base + CF_STATE] = ct.next_state
-        if ct.has_perform:
-            out[base + CF_PENDING] = 0
-        self._emit_net(out, enc, net, where, sends, self.net_offset, len(enc))
-        return tuple(out)
+        if cid is None:
+            lo, hi = self.dir_offset, vo
+            if fn(out, rec, sends):
+                return FAILED
+            confined = out[vo] == before[vo]
+        else:
+            lo = cid * CACHE_ENCODED_WIDTH
+            hi = lo + CACHE_ENCODED_WIDTH
+            if rec is None:  # an access
+                out[lo + CF_ISSUED] += 1
+                out[lo + CF_PENDING] = ai + 1
+            if fn is not None and fn(out, lo, cid, rec, ai, sends):
+                return FAILED
+            out[lo + CF_STATE] = ct.next_state
+            if ct.has_perform:
+                out[lo + CF_PENDING] = 0
+            confined = True
+        if not (confined and out[:lo] == before[:lo] and out[hi:vo] == before[hi:vo]):
+            return FAILED
+        version = out[vo] if out[vo] != before[vo] else None
+        return eev, tuple(out[lo:hi]), version, tuple(sends)
+
+    # -- the spliced fork ----------------------------------------------------------
+    def _scratch(self, base: int, block, version: int = 0) -> list:
+        """Lanes through the version lane holding the *block* lanes from
+        lane *base* on and *version* (zeros elsewhere: the evaluator reads
+        neither): what a memo miss evaluates on."""
+        lanes = [0] * (self.version_offset + 1)
+        lanes[base : base + len(block)] = block
+        lanes[-1] = version
+        return lanes
+
+    def _access_miss(self, key: bytes) -> tuple:
+        """The access memo's miss: *key* packs a cache ID, that cache's
+        block and the version; returns the cache's plans."""
+        lanes = self.codec.unpack(key)
+        cid = lanes[0]
+        base = cid * CACHE_ENCODED_WIDTH
+        lanes = self._scratch(base, lanes[1:-1], lanes[-1])
+        outcomes = self.access_outcomes(cid, lanes)
+        if not outcomes:
+            return ()
+        eevs = self._access_eevs[cid]
+        plans = []
+        for (ai, _ct, _fn), outcome in zip(self._access_plans[lanes[base]], outcomes):
+            spliced = self._spliced(outcome, cid)
+            plans.append((spliced[0], eevs[ai], spliced, None))
+        return tuple(plans)
+
+    def _delivery_miss(self, key: bytes):
+        """The delivery memo's miss: *key* packs a message record, its
+        receiver's block and, for a cache, the version; returns the
+        delivery's outcome, ready to splice, or :data:`STALLED`."""
+        lanes = self.codec.unpack(key)
+        mw = MESSAGE_ENCODED_WIDTH
+        rec = lanes[:mw]
+        if rec[2] == 1:  # the directory
+            cid = None
+            lanes = self._scratch(self.dir_offset, lanes[mw:])
+        else:
+            cid = rec[2] - 2
+            lanes = self._scratch(cid * CACHE_ENCODED_WIDTH, lanes[mw:-1], lanes[-1])
+        outcome = self.delivery_outcome(rec, lanes)
+        if outcome is STALLED:
+            return STALLED
+        return self._spliced(outcome, cid)
+
+    def _intern(self, value):
+        """*value*, or the equal value the intern table already holds."""
+        held = self._interned.get(value)
+        return self._interned.store(value, value) if held is None else held
+
+    def _spliced(self, outcome, cid: int | None) -> tuple:
+        """The memos' form of an evaluator *outcome* at cache *cid* (None:
+        the directory): ``(handler, lo, hi, block, version | None, sends,
+        splice | None)`` -- the receiver's byte span in a key, its packed
+        new block and version, the sends as :meth:`_packed_sends` groups
+        them and the tail's splice (:meth:`_splicer`), each interned.  A
+        :data:`FAILED` outcome, or one holding a value too wide for its
+        lane, is replayed instead (:meth:`_replay`: the plane-aware handler
+        raises the :class:`LaneOverflow` at the plan's serial position)."""
+        if outcome is FAILED:
+            return self._replayed
+        eev, block, version, sends = outcome
+        lo, hi = self._spans[-1 if cid is None else cid]
+        pack = self.codec.pack
+        intern = self._intern
+        try:
+            block = pack(block)
+            if version is not None:
+                version = pack((version,))
+            sends = self._packed_sends(sends)
+        except LaneOverflow:
+            return self._replayed
+        splice = self._splicer(eev[0] == 1, len(sends))
+        return intern((
+            self._splice_handler, lo, hi, intern(block), version,
+            intern(sends), splice,
+        ))
+
+    def _packed_sends(self, sends) -> tuple:
+        """What the splices insert for the send records *sends*.  Unordered:
+        ``(record, packed record)`` per send, sorted by record, as they go
+        into the bag.  Ordered: ``(channel key, count, packed records,
+        packed new-channel header + records)`` per channel sent to, in
+        channel order, its records in send order."""
+        pack = self.codec.pack
+        if not self.ordered:
+            return tuple((m, pack(m)) for m in sorted(sends))
+        channels: dict = {}
+        for m in sends:
+            channels.setdefault(m[1:4], []).append(m)
+        groups = []
+        for channel, msgs in sorted(channels.items()):
+            packed = b"".join(map(pack, msgs))
+            groups.append(
+                (channel, len(msgs), packed, pack(channel + (len(msgs),)) + packed)
+            )
+        return tuple(groups)
+
+    def _apply_spliced(self, key: bytes, plan: tuple, net: tuple) -> bytes:
+        """A simple configuration's plan: the successor spliced out of the
+        parent's *key* -- ``key[:lo] + block + key[hi:v] + version + tail``,
+        the tail the parent's section unless the plan delivers or sends."""
+        _handler, lo, hi, block, version, sends, splice = plan[2]
+        if version is not None:  # a store: the version lane is spliced too
+            vlo, vhi = self._version_span
+            block += key[hi:vlo] + version
+            hi = vhi
+        if splice is None:
+            return key[:lo] + block + key[hi:]
+        nb = self._net_byte_offset
+        tail = splice(self, key[nb:], net, plan[3], sends)
+        return key[:lo] + block + key[hi:nb] + tail
+
+    def _replay(self, key: bytes, plan: tuple, net: tuple):
+        """A plan the splice does not build, applied by the plane-aware
+        handler of the same event: the protocol error's text, or the
+        :class:`LaneOverflow` packing its successor raises -- or, for a
+        write outside the controller's block, that successor."""
+        enc = self.codec.unpack(key)
+        plans, general = self._enabled_general(enc, key)
+        eev = plan[1]
+        replayed = next(p for p in plans if p[1] == eev)
+        return replayed[0](key, replayed, general)
+
+    # -- the byte splice of a network section --------------------------------------
+    #
+    # A splice takes ``(section, net, where, sends)``: the parent's packed
+    # network section and its parse handle, the delivered record's place --
+    # the head of channel *where* when ordered, record *where* of the bag
+    # when unordered, None for an access -- and the :meth:`_packed_sends`
+    # groups.  It returns the successor's packed section, re-normalized
+    # exactly like ``Network.deliver`` + ``Network.send`` and bit-identical
+    # to :meth:`_emit_net` followed by ``pack`` (tested): a list of local
+    # edits applied to the parent's section by :meth:`_edited`, the count
+    # lanes that change re-packed (:meth:`_lane`: :class:`LaneOverflow`
+    # above ``lane_max``).
+    def _splicer(self, delivers: bool, sends: int):
+        """The splice -- a function of ``(self, section, net, where,
+        sends)`` -- of a plan that *delivers* (or not) and sends *sends*
+        messages; None when the section stays the parent's."""
+        if not (delivers or sends):
+            return None
+        cls = TransitionKernel
+        return cls._fifo_splice if self.ordered else cls._bag_splice
+
+    def _lane(self, value: int) -> bytes:
+        """*value* packed as one lane; :class:`LaneOverflow` (the codec's
+        message) when it does not fit."""
+        try:
+            return self._small_lanes[value]
+        except IndexError:
+            try:
+                return value.to_bytes(self.lane_bytes, sys.byteorder)
+            except OverflowError:
+                raise self.codec.overflow(value) from None
+
+    def _edited(self, section: bytes, count: int, edits: list) -> bytes:
+        """*section* with its count lane set to *count* and each ``(lane,
+        skip, replacement)`` of *edits* applied: *skip* lanes from *lane* on
+        replaced by the *replacement* bytes.  The edits are sorted by
+        ``(lane, skip)`` first; a stable sort, so insertions at one lane
+        keep the order they were listed in."""
+        edits.sort(key=_START_SKIP)
+        lb = self.lane_bytes
+        parts = [self._lane(count)]
+        pos = lb
+        for start, skip, replacement in edits:
+            parts += (section[pos : start * lb], replacement)
+            pos = (start + skip) * lb
+        parts.append(section[pos:])
+        return b"".join(parts)
+
+    def _bag_splice(self, section: bytes, net: tuple, where, sends) -> bytes:
+        """Unordered: each record inserted at its sorted place in the bag
+        (*sends* are sorted, so equal places keep their order), the
+        delivered one taken out."""
+        items, offsets = net[0], net[1]
+        edits = [(offsets[bisect_right(items, s[0])], 0, s[1]) for s in sends]
+        count = len(items) + len(edits)
+        if where is not None:
+            edits.append((offsets[where], MESSAGE_ENCODED_WIDTH, b""))
+            count -= 1
+        return self._edited(section, count, edits)
+
+    def _fifo_splice(self, section: bytes, net: tuple, where, sends) -> bytes:
+        """Ordered: each channel's sends appended to it -- found by
+        bisection on the sorted channel items, which a 3-field key sorts
+        just below -- or framed as a new channel there, and the delivered
+        channel's head taken out, with its header when that empties it and
+        nothing is sent to it.  The groups come in channel order, so
+        insertions at one lane are listed in the order they go in."""
+        items, offsets = net[0], net[1]
+        lane = self._lane
+        nchan = total = len(items)
+        edits: list = []
+        if where is not None:
+            left = len(items[where][3]) - 1
+        for channel, count, packed, opened in sends:
+            idx = bisect_left(items, channel)
+            if idx == nchan or items[idx][:3] != channel:
+                edits.append((offsets[idx], 0, opened))
+                total += 1
+                continue
+            edits.append((offsets[idx + 1], 0, packed))
+            if idx == where:
+                left += count  # re-opened in place when the delivery empties it
+            else:
+                edits.append((offsets[idx] + 3, 1, lane(len(items[idx][3]) + count)))
+        if where is not None:
+            at = offsets[where]
+            if left:
+                edits += ((at + 3, 1, lane(left)), (at + 4, MESSAGE_ENCODED_WIDTH, b""))
+            else:
+                edits.append((at, 4 + MESSAGE_ENCODED_WIDTH, b""))
+                total -= 1
+        return self._edited(section, total, edits)
 
     # -- general (plane-aware) apply handlers -------------------------------------
     def _emit_net_plane(self, out, enc, planes, addr, where, sends, pos=0):
@@ -675,7 +996,8 @@ class TransitionKernel:
         self._emit_net(out, enc, plane, where, sends, start, end, pos)
         out.extend(enc[end:])
 
-    def _apply_access_plan_general(self, enc: tuple, plan: tuple, planes: tuple):
+    def _apply_access_plan_general(self, key: bytes, plan: tuple, net: tuple):
+        enc, planes = net
         addr = plan[5]
         cid = plan[2]
         ai = plan[1][2]
@@ -694,9 +1016,10 @@ class TransitionKernel:
         if ct.has_perform:
             out[base + CF_PENDING] = 0
         self._emit_net_plane(out, enc, planes, addr, None, sends)
-        return tuple(out)
+        return self.codec.pack(out)
 
-    def _apply_delivery_plan_general(self, enc: tuple, plan: tuple, planes: tuple):
+    def _apply_delivery_plan_general(self, key: bytes, plan: tuple, net: tuple):
+        enc, planes = net
         ct = plan[3]
         rec = plan[2]
         addr = plan[6]
@@ -725,12 +1048,13 @@ class TransitionKernel:
             if ct.has_perform:
                 out[base + CF_PENDING] = 0
         self._emit_net_plane(out, enc, planes, addr, where, sends, plan[7])
-        return tuple(out)
+        return self.codec.pack(out)
 
-    def _apply_duplicate_plan(self, enc: tuple, plan: tuple, planes: tuple):
+    def _apply_duplicate_plan(self, key: bytes, plan: tuple, net: tuple):
         """Decode-free duplication: splice an extra copy of the duplicated
         record into its section (behind the head for ordered channels,
         adjacent to its twin in the sorted unordered bag)."""
+        enc, planes = net
         addr, where = plan[2], plan[3]
         _items, offsets, _deliveries, start = planes[addr]
         end = start + offsets[-1]
@@ -751,10 +1075,11 @@ class TransitionKernel:
             out.extend(enc[at : at + mw])  # the copy, kept adjacent (sorted)
             out.extend(enc[at : end])
         out.extend(enc[end:])
-        return tuple(out)
+        return self.codec.pack(out)
 
-    def _apply_reorder_plan(self, enc: tuple, plan: tuple, planes: tuple):
+    def _apply_reorder_plan(self, key: bytes, plan: tuple, net: tuple):
         """Decode-free reorder: swap two adjacent message records in place."""
+        enc, planes = net
         addr, chan, pos = plan[2], plan[3], plan[4]
         offsets, start = planes[addr][1], planes[addr][3]
         mw = MESSAGE_ENCODED_WIDTH
@@ -765,7 +1090,7 @@ class TransitionKernel:
         out.extend(enc[first + mw : first + 2 * mw])
         out.extend(enc[first : first + mw])
         out.extend(enc[first + 2 * mw :])
-        return tuple(out)
+        return self.codec.pack(out)
 
     def _compile_cache_fn(self, ct):
         """Generate one cache transition's function from its actions.
@@ -886,14 +1211,6 @@ class TransitionKernel:
             ) from None
         return mt, self.spec.mtype_vnet[mt]
 
-    def _apply_directory(self, enc, rec, ct, net, where):
-        out = list(enc[: self.net_offset])
-        sends: list = []
-        if err := self._dir_fns[id(ct)](out, rec, sends):
-            return self._error(err, ct, rec)
-        self._emit_net(out, enc, net, where, sends, self.net_offset, len(enc))
-        return tuple(out)
-
     def _compile_directory_fn(self, ct):
         """Directory twin of :meth:`_compile_cache_fn`.
 
@@ -998,7 +1315,8 @@ class TransitionKernel:
         the delivered message (record *pos* of channel *where* when ordered
         -- non-zero only under fault-mode re-queue bypass -- or record index
         *where* when unordered) plus *sends*, re-normalized exactly like
-        ``Network.deliver`` + ``Network.send``.
+        ``Network.deliver`` + ``Network.send``: the plane-aware fork's
+        network step.
 
         The parent section is already normalized (channels sorted, FIFO
         order inside each), so the successor section is a sorted merge with
@@ -1007,10 +1325,11 @@ class TransitionKernel:
         verbatim, a pure absorption splices out one message record (and its
         channel header, if emptied), and sends rebuild only the channels
         they touch -- every untouched channel is one slice copy through the
-        per-section channel offsets of *net* (the parse handle built by
-        :meth:`enabled`).  *no*/*end* bound the section's lanes in *enc*
-        (the whole suffix for single-plane states, one plane's section for
-        multi-address states -- *net*'s offsets are relative to *no*).
+        per-section channel offsets of *net* (the codec's parse handle).
+        *no*/*end* bound the section's lanes in *enc* (one plane's section
+        -- *net*'s offsets are relative to *no*).  A single send takes the
+        same merge: a one-send specialization measured no faster on bench
+        ``matrix-2c``, the one workload that runs this path.
         """
         if not sends and where is None:
             out.extend(enc[no:end])
@@ -1046,11 +1365,6 @@ class TransitionKernel:
             out.append(nmsgs - 1)
             out.extend(enc[at + 4 : rec0])
             out.extend(enc[rec0 + mw : end])
-            return
-        if len(sends) == 1:
-            self._emit_net_single(
-                out, enc, items, offsets, where, sends[0], no, end, pos
-            )
             return
         send_map: dict = {}
         for m in sends:
@@ -1113,93 +1427,6 @@ class TransitionKernel:
             for m in queue:
                 out.extend(m)
             flushed += 1
-
-    def _emit_net_single(
-        self, out: list, enc: tuple, items: list, offsets: tuple,
-        where: int | None, m: tuple, no: int, end: int, pos: int = 0,
-    ) -> None:
-        """One-send ordered specialization of :meth:`_emit_net`.
-
-        The vast majority of sending transitions emit exactly one message,
-        and a single send plus (at most) one absorbed record touch at most
-        two channels of an already-sorted section -- so the successor section
-        is the parent's lanes with one or two local edits, emitted as slice
-        copies around them.  Bit-identical to the general merge (*pos* is the
-        absorbed record's index in channel *where*; non-zero only under
-        fault-mode re-queue bypass), which handles one send too: sending
-        every single send through the merge costs bench ``full-3c``
-        ``pass_cpu_s`` 3.05 -> 3.27 s (+7 %, higher in 5 of 6 pairs).
-        """
-        mw = MESSAGE_ENCODED_WIDTH
-        k0, k1, k2 = m[1], m[2], m[3]
-        nchan = enc[no]
-        emptied = False
-        if where is not None:
-            at_w = no + offsets[where]
-            emptied = enc[at_w + 3] == 1
-        # Locate the send's channel: a match to append into, or the first
-        # channel whose key sorts above (the insertion point).  The emptied
-        # channel is no match -- re-opening its key recreates the channel in
-        # place, which the combined edit below handles.
-        target = insert_before = None
-        for idx in range(len(items)):
-            at = no + offsets[idx]
-            c0, c1, c2 = enc[at], enc[at + 1], enc[at + 2]
-            if c0 < k0 or (c0 == k0 and (c1 < k1 or (c1 == k1 and c2 <= k2))):
-                if c0 == k0 and c1 == k1 and c2 == k2 and not (
-                    emptied and idx == where
-                ):
-                    target = idx
-                    break
-                continue
-            insert_before = idx
-            break
-        edits: list[tuple] = []  # (abs_start, skip_lanes, replacement)
-        #: The delivery edit is folded into the send edit when both touch
-        #: the same channel; only an unhandled `where` takes the standalone
-        #: head-removal edit below.
-        where_handled = where is None
-        if target is not None:
-            at_t = no + offsets[target]
-            if target == where:
-                # Record absorbed, send appended: the count is unchanged.
-                edits.append((at_t + 4 + pos * mw, mw, ()))
-                edits.append((no + offsets[target + 1], 0, m))
-                where_handled = True
-            else:
-                edits.append((at_t + 3, 1, (enc[at_t + 3] + 1,)))
-                edits.append((no + offsets[target + 1], 0, m))
-        else:
-            if emptied and enc[at_w] == k0 and enc[at_w + 1] == k1 and enc[at_w + 2] == k2:
-                # Re-opened in place: the old single message becomes `m`,
-                # the channel (and the count) survives.
-                edits.append((at_w + 4, mw, m))
-                where_handled = True
-            else:
-                at_i = (
-                    no + offsets[insert_before]
-                    if insert_before is not None
-                    else end
-                )
-                edits.append((at_i, 0, (k0, k1, k2, 1) + m))
-                nchan += 1
-        if not where_handled:
-            if emptied:
-                edits.append((at_w, 4 + mw, ()))
-                nchan -= 1
-            else:
-                edits.append((at_w + 3, 1, (enc[at_w + 3] - 1,)))
-                edits.append((at_w + 4 + pos * mw, mw, ()))
-        # Plain tuple sort: same-position edits order by skip width, which
-        # puts an insertion (skip 0) before a removal at the same lane.
-        edits.sort()
-        out.append(nchan)
-        pos = no + 1
-        for start, skip, replacement in edits:
-            out.extend(enc[pos:start])
-            out.extend(replacement)
-            pos = start + skip
-        out.extend(enc[pos:end])
 
     # -- predicates and invariants --------------------------------------------------
     def is_quiescent(self, enc: tuple) -> bool:

@@ -43,18 +43,21 @@ Expansion then exploits the locality of a transition's generated function
 (:meth:`TransitionKernel._compile_cache_fn` / ``_compile_directory_fn``):
 it reads nothing outside *its controller's block*, the shared version lane
 and the delivered message -- the only lanes it addresses -- and what it
-writes is checked where its plan is filed
-(:meth:`VectorizedKernel._intern_plan`): a write outside the block (and,
-for a cache, the version lane) makes the plan a fallback.  Its effect is
+writes is checked by the compiled kernel's per-key evaluator
+(:meth:`TransitionKernel.access_outcomes` /
+:meth:`~TransitionKernel.delivery_outcome`, the one that serves the
+per-state search too): a write outside the block (and, for a cache, the
+version lane) is refused, and its plan is a fallback.  Its effect is
 therefore a pure function of a small key -- ``(message, receiver block,
 version)`` for deliveries, ``(cache id, block, version)`` for accesses,
 ``(section id, delivered record, sends)`` for the network splice -- and
 those keys recur across far more rows than they have distinct values.  The
 keys are integers read straight off a row's columns.  Each distinct delivery
-or access key is evaluated **once**, by running that function on the lanes
-of a representative row, rebuilt from the block tables -- exact by
-construction -- and what it yields is kept in **append-only plan tables**
-that a level indexes as a whole, so no Python statement runs per row:
+or access key is evaluated **once**, by that evaluator on the lanes of a
+representative row, rebuilt from the block tables -- exact by construction
+-- and what it returns is filed (:meth:`VectorizedKernel._intern_plan`) in
+**append-only plan tables** that a level indexes as a whole, so no Python
+statement runs per row:
 
 * **guard IDs** -- every distinct ``(block ID, version)`` pair of each cache
   is a dense int drawn from one counter (so a guard ID names its cache); the
@@ -113,10 +116,10 @@ parsed, then one table probe) and keeps a bounded cache, so a section the
 hot path created has no packed tail and no parse handle unless something
 asked.
 
-The compiled interpreter stays on as the differential oracle (its
-:meth:`TransitionKernel._emit_net` is what the array splice is tested
-against) and the
-fallback: any plan the batch path cannot express (a protocol error --
+The compiled kernel is the evaluator of every miss, the differential
+oracle (its :meth:`TransitionKernel._emit_net` is what the array splice is
+tested against) and the fallback: any plan the batch path cannot express
+(a protocol error --
 unexpected message, ambiguous guards, missing data/requestor, an action
 the controller cannot execute, anything a generated function returns an
 error code for, whose text only the per-state kernel formats -- a write
@@ -139,8 +142,8 @@ import numpy as np
 
 from repro.system import codec as codec_module
 from repro.system.codec import Memo
-from repro.system.kernel import AMBIGUOUS, DEFAULT_CODES, TransitionKernel
-from repro.system.node_state import CF_PENDING, CF_STATE
+from repro.system.kernel import DEFAULT_CODES, FAILED, STALLED, TransitionKernel
+from repro.system.node_state import CF_STATE
 from repro.system.rowtable import RowTable
 
 #: In place of an outcome ID: a stalled delivery (not an enabled plan).
@@ -692,7 +695,10 @@ class VectorizedKernel:
                 prefixes = self.prefixes_of(R[first[misses]]).tolist()
                 for k, prefix in zip(misses, prefixes):
                     gids[k] = table[uniq[k]] = len(self._acc_ptr) - 1
-                    self._acc_pids.extend(self._compute_access(cid, tuple(prefix)))
+                    self._acc_pids.extend(
+                        self._intern_plan(outcome, cid)
+                        for outcome in self.kernel.access_outcomes(cid, prefix)
+                    )
                     self._acc_ptr.append(len(self._acc_pids))
             G[1 + cid] = np.asarray(gids, dtype=np.int32)[inv]
         return G
@@ -740,8 +746,14 @@ class VectorizedKernel:
             at = first[misses]
             prefixes = self.prefixes_of(R[owner[at]]).tolist()
             for k, rid, prefix in zip(misses, rec[at].tolist(), prefixes):
+                record = self._recs[rid]
+                outcome = self.kernel.delivery_outcome(record, prefix)
                 found[k] = memo.store(
-                    uniq[k], self._compute_delivery(self._recs[rid], tuple(prefix))
+                    uniq[k],
+                    _STALLED if outcome is STALLED
+                    else self._intern_plan(
+                        outcome, None if record[2] == 1 else record[2] - 2
+                    ),
                 )
         pids = np.asarray(found, dtype=np.int32)[inv]
         enabled = np.flatnonzero(pids != _STALLED)
@@ -931,35 +943,28 @@ class VectorizedKernel:
             | (stable_writers > 1)
         )
 
-    # -- memo-miss evaluation (the only transition code on the batch path) ---------
-    def _intern_plan(self, eev: tuple, prefix: tuple, out: list, cid, sends: list):
-        """Plan ID for event *eev* turning the lanes *prefix* into *out*
-        inside controller *cid* (``None``: the directory) and sending
-        *sends* -- `_FALLBACK` if the change is not confined to the
-        controller's block (plus, for a cache, the version lane): a write
-        outside it would make the memo key unsound."""
-        vo = self.version_offset
-        out = tuple(out)
-        if cid is None:
-            lo, hi, column = self.dir_offset, vo, self.num_caches
-            confined = out[:lo] == prefix[:lo] and out[vo:] == prefix[vo:]
-        else:
-            lo = cid * self.cache_width
-            hi, column = lo + self.cache_width, cid
-            confined = out[:lo] == prefix[:lo] and out[hi:vo] == prefix[hi:vo]
-        if not confined:
+    # -- memo misses: the compiled kernel's per-key evaluator, filed as plans -----
+    def _intern_plan(self, outcome, cid: int | None) -> int:
+        """Plan ID for an outcome of the compiled kernel's per-key evaluator
+        (:meth:`TransitionKernel.access_outcomes` /
+        :meth:`~TransitionKernel.delivery_outcome`) at cache *cid*
+        (``None``: the directory) -- `_FALLBACK` for :data:`FAILED`: a
+        protocol error, whose text only the per-state kernel formats, or a
+        write outside the controller's block, which would make the memo key
+        unsound."""
+        if outcome is FAILED:
             return _FALLBACK
+        eev, lanes, version, sends = outcome
         # "Unchanged" unless written: a directory plan is keyed without the
         # version, so it is applied to rows of other versions than this one.
-        version = -1
-        if out[vo] != prefix[vo]:
-            version = out[vo]
-            if version > self.codec.lane_max:
-                raise self.codec.overflow(version)
-        lanes = out[lo:hi]
-        block = (
-            self._dir_block_id(lanes) if cid is None else self._cache_block_id(lanes)
-        )
+        if version is None:
+            version = -1
+        elif version > self.codec.lane_max:
+            raise self.codec.overflow(version)
+        if cid is None:
+            column, block = self.num_caches, self._dir_block_id(lanes)
+        else:
+            column, block = cid, self._cache_block_id(lanes)
         sends = tuple(map(self._record_id, sends))
         sends_id = self._sends_ids.get(sends)
         if sends_id is None:
@@ -980,75 +985,6 @@ class VectorizedKernel:
             self._plan_block.append(block)
             self._plan_ver.append(version)
         return pid
-
-    def _compute_access(self, cid: int, prefix: tuple) -> list:
-        """The access plans of one distinct cache guard, as plan IDs (or
-        `_FALLBACK`) in plan order, evaluated on the lanes *prefix* of a row
-        carrying it; computed once per guard ID and stored in the access
-        CSR by the caller."""
-        k = self.kernel
-        base = cid * self.cache_width
-        si = prefix[base + CF_STATE]
-        if prefix[base + 1] >= k.max_accesses or not k.spec.cache.stable[si]:
-            return []  # CF_ISSUED budget spent / transient: no plans
-        acc = []
-        for ai, ct, fn in k._access_plans[si]:
-            out = list(prefix)
-            out[base + 1] += 1          # CF_ISSUED
-            out[base + CF_PENDING] = ai + 1
-            sends: list = []
-            if fn is not None and fn(out, base, cid, None, ai, sends):
-                acc.append(_FALLBACK)
-                continue
-            out[base + CF_STATE] = ct.next_state
-            if ct.has_perform:
-                out[base + CF_PENDING] = 0
-            acc.append(self._intern_plan(
-                k._access_eevs[cid][ai], prefix, out, cid, sends
-            ))
-        return acc
-
-    def _compute_delivery(self, rec: tuple, prefix: tuple) -> int:
-        """Plan ID (or `_STALLED` / `_FALLBACK`) of message record *rec*
-        reaching its destination in a row with lanes *prefix*; mirrors
-        ``TransitionKernel.enabled`` + ``apply`` for a single plan, minus
-        the network splice (which is keyed separately on the section).
-        Computed once per delivery key and memoized by the caller."""
-        k = self.kernel
-        if rec[2] == 1:  # directory delivery
-            base = cid = None
-            cands = k.spec.directory.on_message[prefix[self.dir_offset]].get(rec[0])
-        else:
-            cid = rec[2] - 2
-            base = cid * self.cache_width
-            cands = k.spec.cache.on_message[prefix[base + CF_STATE]].get(rec[0])
-        if not cands:
-            return _FALLBACK  # unexpected message: the per-state error
-        if len(cands) == 1 and cands[0].guard == 0:
-            ct = cands[0]
-        else:
-            ct = k._select(cands, rec, prefix, base, self.dir_offset)
-        if ct is None or ct is AMBIGUOUS:
-            return _FALLBACK
-        if ct.stall:
-            return _STALLED
-        out = list(prefix)
-        sends: list = []
-        if base is None:
-            if k._dir_fns[id(ct)](out, rec, sends):
-                return _FALLBACK
-        else:
-            pending = out[base + CF_PENDING]
-            ai = pending - 1 if pending else None
-            fn = k._cache_fns[id(ct)]
-            if fn is not None and fn(out, base, cid, rec, ai, sends):
-                return _FALLBACK
-            out[base + CF_STATE] = ct.next_state
-            if ct.has_perform:
-                out[base + CF_PENDING] = 0
-        return self._intern_plan(
-            self.codec.intern_event((1,) + rec), prefix, out, cid, sends
-        )
 
 
 __all__ = ["VectorizedKernel", "LevelExpansion"]

@@ -82,7 +82,12 @@ class VerificationResult:
     #: search end -- on ``kernel="vectorized"`` the boundary parses only:
     #: the sections of keys handed to the batch kernel, 1 on a fresh full
     #: search, the root's; the sections it creates are never packed or
-    #: parsed), ``visited_bytes`` (bytes of the visited set where it is
+    #: parsed), ``access_memo_entries`` / ``access_memo_misses`` and
+    #: ``delivery_memo_entries`` / ``delivery_memo_misses`` (the compiled
+    #: kernel's two per-key memos in this process: what they hold at search
+    #: end and how often the generated functions ran on a miss -- the
+    #: vectorized kernel fills them on fallback levels only, the fleet in
+    #: its workers), ``visited_bytes`` (bytes of the visited set where it is
     #: the batch path's row table -- rows in use plus the slot table, so
     #: bytes per state is a reported count; ``None`` where it is a dict or
     #: lives in the workers' in-memory digest sets, one per worker),
@@ -324,6 +329,7 @@ class Exploration:
         stats["resume_level"] = self.resume_level
         stats["lane_bytes"] = self.codec.lane_bytes
         stats["parse_memo_entries"] = self.codec.parse_memo_entries
+        stats.update(self.kernel.memo_stats())
         stats["visited_bytes"] = self.store.visited_bytes
         fleet = self.worker_states is not None
         stored = len(self.store)
@@ -393,17 +399,17 @@ class Exploration:
         decoded only for a violation's invariants.
         """
         codec, kernel = self.codec, self.kernel
-        enc = codec.encode(self.system.initial_state())
+        key = codec.encode_packed(self.system.initial_state())
         for event in events:
             eev = codec.encode_event(event)
-            plans, net = kernel.enabled(enc)
+            plans, net = kernel.enabled(key)
             plan = next(plan for plan in plans if plan[1] == eev)
-            enc = plan[0](enc, plan, net)
-            if type(enc) is str:
+            key = plan[0](key, plan, net)
+            if type(key) is str:
                 # Error traces end with the failing event by construction.
-                return violation, enc
+                return violation, key
         if violation is not None:
-            state = codec.decode(enc)
+            state = codec.decode_packed(key)
             for invariant in self.invariants:
                 concrete = invariant(self.system, state)
                 if concrete is not None and concrete.name == violation.name:

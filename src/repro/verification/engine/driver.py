@@ -10,21 +10,26 @@ Every strategy, backend and worker process runs the same two pieces:
   the :class:`VerificationResult` that ends the search.  The portable
   frontier is ``(state_id, packed_key)`` pairs -- the checkpoint's currency
   and the root level the fleet is dealt at spin-up -- and for the compiled
-  expander it *is* the native one: a state at rest is the ``bytes`` the
-  store keys on, unpacked into lanes only while it is expanded, so no lane
-  tuple outlives a level.  The expanders whose native level is something
-  else convert with ``lift`` (a row matrix, per-owner counts) and, where a
-  checkpoint may be saved, ``lower`` (the row matrix).  A native level is
-  a list, or anything else with ``len()`` and slicing.
+  expander it *is* the native one: a state is the ``bytes`` the store
+  keys on from birth to rest -- its successors are spliced out of it, and
+  it is unpacked into lanes only at a leaf and for a new state's invariant
+  check -- so no lane tuple outlives a state.  The expanders whose native
+  level is something else convert with ``lift`` (a row matrix, per-owner
+  counts) and, where a checkpoint may be saved, ``lower`` (the row
+  matrix).  A native level is a list, or anything else with ``len()`` and
+  slicing.
 
 :func:`~repro.verification.engine.search.search` picks the expander.
 
 :class:`CompiledExpander` holds the only per-state body in ``src/``
-(enabled plans -> leaf verdict -> apply -> pack -> canonicalize -> intern
--> invariant check); ``intern`` is the only dedup a successor meets.  The
-kernel is the only thing that applies a transition: a plan that fails
-returns its protocol error's text, which ends the search, and the object
-oracle the body is checked against lives in the tests.
+(enabled plans -> leaf verdict -> apply -> canonicalize -> intern ->
+invariant check); ``intern`` is the only dedup a successor meets.  The
+kernel is the only thing that applies a transition, key to key: a plan
+returns its successor's packed key -- spliced out of the parent's on a
+simple configuration, packed by the plane-aware fork otherwise
+(:mod:`repro.system.kernel`) -- or its protocol error's text, which ends
+the search; the object oracle the body is checked against lives in the
+tests.
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
 third expander in the parent (its native level is a count per owner) and
@@ -127,7 +132,12 @@ class CompiledExpander(Expander):
     portable one -- ``(state_id, packed_key)`` pairs whose key is the very
     ``bytes`` object the store keys on -- so ``lift``/``lower`` are the
     base-class identity and a checkpoint saves the frontier as it stands.
-    Nothing decodes until a failure is reported (asserted by the codec's
+
+    ``expand`` calls :meth:`TransitionKernel.enabled` once per state, on its
+    key, and each plan's handler once per transition, which returns the
+    successor's key: no lanes are built for a state unless it is a leaf or
+    new (its invariant check).  Nothing
+    decodes until a failure is reported (asserted by the codec's
     ``decode_count`` instrumentation)."""
 
     def __init__(self, ctx):
@@ -174,7 +184,6 @@ class CompiledExpander(Expander):
         codes = ctx.kernel_codes
         canonicalize = self.canonicalize
         timer = perf_counter
-        pack = codec.pack
         unpack = codec.unpack
         intern = ctx.store.intern
         enabled = ctx.kernel.enabled
@@ -186,38 +195,29 @@ class CompiledExpander(Expander):
         while level:
             sid, packed = level.pop()
             ctx.explored += 1
-            # The lanes live from here to the end of this iteration.
-            enc = unpack(packed)
-            plans, net = enabled(enc, packed)
+            plans, net = enabled(packed)
             if not plans:
-                failure = self.leaf(sid, enc)
+                failure = self.leaf(sid, unpack(packed))
                 if failure is not None:
                     return None, failure
                 continue
             for plan in plans:
                 ctx.transitions += 1
-                succ = plan[0](enc, plan, net)
-                if type(succ) is str:  # the protocol error's text
+                key = plan[0](packed, plan, net)
+                if type(key) is str:  # the protocol error's text
                     return None, ctx.failure(
-                        error=succ, leaf_id=sid,
+                        error=key, leaf_id=sid,
                         final_event=codec.decode_event(plan[1]),
                     )
-                key = pack(succ)
                 perm = None
                 if canonicalize is not None:
                     start = timer()
-                    canonical, perm = canonicalize(key)
+                    key, perm = canonicalize(key)
                     ctx.canon_seconds += timer() - start
-                    if canonical is not key:
-                        # Relabeled: its lanes only if it turns out new.
-                        key = canonical
-                        succ = None
                 new_id, is_new = intern(key, sid, plan[1], perm)
                 if not is_new:
                     continue
-                if succ is None:
-                    succ = unpack(key)
-                if not check(succ, codes):
+                if not check(unpack(key), codes):
                     violation = self.violation(key)
                     if violation is not None:
                         return None, ctx.failure(

@@ -82,7 +82,7 @@ def random_walk(
     invariants = tuple(invariants) if invariants is not None else tuple(default_invariants())
     kernel, codes = compiled_tables(system, invariants)
     codec = system.codec()
-    root = codec.encode(system.initial_state())
+    root = codec.encode_packed(system.initial_state())
     rng = random.Random(seed)
     start = time.perf_counter()
     total_steps = 0
@@ -102,10 +102,9 @@ def random_walk(
                 codec, system.symmetry_permutations()
             ).canonicalize
 
-    def note(enc) -> None:
+    def note(key: bytes) -> None:
         if seen is None:
             return
-        key = codec.pack(enc)
         if canonicalize is not None:
             key = canonicalize(key)[0]
         seen.add(key)
@@ -119,13 +118,13 @@ def random_walk(
         )
 
     for run in range(runs):
-        enc = root
-        note(enc)
+        key = root
+        note(key)
         trace: list[tuple] = []
         for _ in range(max_steps):
-            plans, net = kernel.enabled(enc)
+            plans, net = kernel.enabled(key)
             if not plans:
-                if not kernel.is_quiescent(enc):
+                if not kernel.is_quiescent(codec.unpack(key)):
                     return finish(
                         ok=False,
                         runs=run + 1,
@@ -137,17 +136,17 @@ def random_walk(
             plan = rng.choice(plans)
             trace.append(plan[1])
             total_steps += 1
-            enc = plan[0](enc, plan, net)
-            if type(enc) is str:  # the protocol error's text
+            key = plan[0](key, plan, net)
+            if type(key) is str:  # the protocol error's text
                 return finish(
                     ok=False,
                     runs=run + 1,
                     steps=total_steps,
-                    error=enc,
+                    error=key,
                     trace=trace,
                 )
-            note(enc)
-            violation = first_violation(system, invariants, codes, enc)
+            note(key)
+            violation = first_violation(system, invariants, codes, codec.unpack(key))
             if violation is not None:
                 return finish(
                     ok=False,

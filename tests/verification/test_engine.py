@@ -323,6 +323,24 @@ class TestSearchStats:
                        workload=Workload(max_accesses_per_cache=2))
         assert verify(fresh, symmetry=True).stats["parse_memo_entries"] == 340
 
+    def test_kernel_memos_say_what_they_hold(self, msi_nonstalling):
+        """The compiled kernel's two per-key memos: what they hold at search
+        end and how often a miss ran the generated functions (nothing is
+        cleared at this size, so the two agree).  The batch kernel leaves
+        them empty: it evaluates its own misses, and no level falls back."""
+        names = ("access_memo_entries", "access_memo_misses",
+                 "delivery_memo_entries", "delivery_memo_misses")
+
+        def memos(**mode):
+            fresh = System(msi_nonstalling, num_caches=2,
+                           workload=Workload(max_accesses_per_cache=2))
+            stats = verify(fresh, **mode).stats
+            return [stats[name] for name in names]
+
+        assert memos() == memos(strategy="dfs") == [384, 384, 440, 440]
+        assert memos(symmetry=True) == [256, 256, 303, 303]
+        assert memos(kernel="vectorized") == [0, 0, 0, 0]
+
     def test_visited_bytes_is_the_row_table(self, msi_nonstalling):
         """Bytes per stored state as a reported count: the batch path's row
         table is its rows in use (five ``uint32`` IDs at 2 caches: a block

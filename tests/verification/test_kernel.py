@@ -128,37 +128,46 @@ def test_whole_search_parity_with_reference_search(all_generated, name, config_l
     )
 
 
-@pytest.mark.parametrize("name", ["MSI", "MSI-Unordered"])
-def test_general_fork_expands_a_simple_configuration_like_the_simple_one(
-        all_generated, name):
-    """``enabled`` picks the plane-aware fork for multi-address, fault and
-    litmus configurations and the simple one for the rest, so no search runs
-    the general fork on a *simple* configuration.  Forced onto one, it must
-    enumerate the same events and build the same successors, state for
-    state over the whole reachable space, and search it to the same counts."""
-    def fresh_kernel():
-        return System(all_generated[(name, "nonstalling")], num_caches=2,
-                      workload=_workload(name)).kernel()
-
-    simple, general = fresh_kernel(), fresh_kernel()
-    assert simple._simple and general._simple
-    general._simple = False
-    root = simple.codec.encode(simple.system.initial_state())
-    seen, pending, transitions = {root}, [root], 0
+@pytest.mark.parametrize("name", ["MSI", "MSI-Unordered", "MSI-missing-Inv"])
+def test_spliced_successors_equal_the_plane_aware_forks(all_generated, msi_spec, name):
+    """``enabled`` picks the fork by configuration alone: spliced plans for
+    a simple one, the plane-aware fork for multi-address, fault and litmus
+    configurations -- so no search runs the plane-aware fork on a *simple*
+    configuration.  Over every reachable state of one it must enumerate the
+    same events, and every spliced successor must be the plane-aware
+    fork's, byte for byte; a failing plan fails at the same position with
+    the same text (the mutant's reachable space has them)."""
+    if name == "MSI-missing-Inv":
+        generated = make_missing_inv_mutant(msi_spec)
+        workload = _workload("MSI")
+    else:
+        generated = all_generated[(name, "nonstalling")]
+        workload = _workload(name)
+    system = System(generated, num_caches=2, workload=workload)
+    kernel, codec = system.kernel(), system.codec()
+    assert kernel._simple
+    root = codec.encode_packed(system.initial_state())
+    seen, pending, transitions, failing = {root}, [root], 0, 0
     while pending:
-        enc = pending.pop()
-        plans, net = simple.enabled(enc)
-        general_plans, planes = general.enabled(enc)
+        key = pending.pop()
+        plans, net = kernel.enabled(key)
+        general_plans, general = kernel._enabled_general(codec.unpack(key), key)
         assert [plan[1] for plan in general_plans] == [plan[1] for plan in plans]
         transitions += len(plans)
         for plan, general_plan in zip(plans, general_plans):
-            succ = simple.apply(enc, plan, net)
-            assert general.apply(enc, general_plan, planes) == succ
-            if type(succ) is tuple and succ not in seen:
+            succ = kernel.apply(key, plan, net)
+            assert kernel.apply(key, general_plan, general) == succ
+            if type(succ) is str:
+                failing += 1
+            elif succ not in seen:
                 seen.add(succ)
                 pending.append(succ)
-    result = verify(general.system)  # runs on ``general``: kernels are cached
-    assert result.ok and result.kernel == "compiled"
+    result = verify(system)
+    assert result.kernel == "compiled"
+    if name == "MSI-missing-Inv":
+        assert failing and result.error
+        return
+    assert not failing and result.ok
     assert (result.states_explored, result.transitions_explored) == (
         len(seen), transitions
     )
@@ -364,9 +373,9 @@ def test_requestorless_deliveries_fail_like_the_reference(msi_spec, rewrite, err
     gets = Message("GetS", src=0, dst=DIRECTORY_ID, vnet=0)
     state = replace(system.initial_state(), network=make_network(True).send(gets))
     assert_expansion_parity(system, state)
-    enc = system.codec().encode(state)
-    plans, net = system.kernel().enabled(enc)
-    assert [system.kernel().apply(enc, plan, net) for plan in plans][-1] == error
+    key = system.codec().encode_packed(state)
+    plans, net = system.kernel().enabled(key)
+    assert [system.kernel().apply(key, plan, net) for plan in plans][-1] == error
 
 
 def test_parallel_strategy_runs_on_compiled_kernel(msi_nonstalling):
@@ -458,44 +467,53 @@ class TestKernelContract:
             verify(system, kernel="jit")
 
 
-class TestEmitNetDifferential:
-    """The kernel's slice-spliced network re-normalization vs the object model.
+def _state_with(system, network):
+    """The initial state of *system*, its network replaced by *network*."""
+    return replace(system.initial_state(), network=network)
 
-    `_emit_net` (and its one-send specialization) rebuild the successor
-    network section from lane edits on the parent encoding; the oracle is
-    `Network.deliver` + `Network.send` followed by `encoded()`.  The
-    randomized sweep plus the pinned corner cases cover the edit
-    interactions — in particular a send re-opening the very channel its
-    delivery just emptied, which a first version of the one-send path
-    corrupted (count lane decremented to zero with the record left behind).
+
+def _byte_splice(kernel, section, net, where, sends):
+    """The kernel's byte splice of the packed *section* (parse handle *net*)
+    for a delivery at *where* (None: none) and the send records *sends*:
+    the splice its memoized outcome would pick."""
+    splice = kernel._splicer(where is not None, len(sends))
+    if splice is None:
+        return section
+    return splice(kernel, section, net, where, kernel._packed_sends(sends))
+
+
+class TestEmitNetDifferential:
+    """The kernel's network re-normalization vs the object model, both ways
+    it is done: `_emit_net` rebuilds the successor section from lane edits
+    on the parent encoding -- the plane-aware fork's way -- and the byte
+    splices (`_splicer`) edit the parent's packed section -- the spliced
+    plans' way.  The oracle is `Network.deliver` + `Network.send` followed
+    by `encoded()` (and `pack`, for the splice).  The randomized sweep plus
+    the pinned corner cases cover the edit interactions on both network
+    kinds -- in particular a send re-opening the very channel its delivery
+    just emptied, which a first version of a one-send path corrupted (count
+    lane decremented to zero with the record left behind).
     """
 
-    @pytest.fixture(scope="class")
-    def msi_system(self, all_generated):
-        return System(all_generated[("MSI", "stalling")], num_caches=3,
-                      workload=Workload(max_accesses_per_cache=2))
+    @pytest.fixture(scope="class", params=["ordered", "unordered"])
+    def system(self, request, all_generated):
+        name = "MSI" if request.param == "ordered" else "MSI-Unordered"
+        system = System(all_generated[(name, "stalling")], num_caches=3,
+                        workload=_workload(name))
+        assert system.ordered == (request.param == "ordered")
+        return system
 
-    def _assert_matches_oracle(self, system, network, where, send_msgs):
-        from repro.system.node_state import CacheNodeState, DirectoryNodeState
-        from repro.system.system import GlobalState
-
+    def _assert_matches_oracle(self, system, network, which, send_msgs):
+        """Deliver ``network.deliverable()[which]`` (None: nothing) and send
+        *send_msgs*, all three ways."""
         codec = system.codec()
         kernel = system.kernel()
-        state = GlobalState(
-            caches=tuple(
-                CacheNodeState(fsm_state=system.protocol.cache.initial_state)
-                for _ in range(system.num_caches)
-            ),
-            directory=DirectoryNodeState(
-                fsm_state=system.protocol.directory.initial_state
-            ),
-            network=network,
-        )
-        enc = codec.encode(state)
+        enc = codec.encode(_state_with(system, network))
         net = codec.parsed_network(enc)
-        expected_net = network
-        if where is not None:
-            expected_net = expected_net.deliver(network.deliverable()[where])
+        expected_net, where = network, None
+        if which is not None:
+            expected_net = expected_net.deliver(network.deliverable()[which])
+            where = net[2][which][0]
         expected_net = expected_net.send(*send_msgs)
         expected = enc[: codec.net_offset] + expected_net.encoded(
             codec._mtype_index
@@ -503,33 +521,65 @@ class TestEmitNetDifferential:
         out = list(enc[: codec.net_offset])
         sends = [msg.encoded(codec._mtype_index) for msg in send_msgs]
         kernel._emit_net(out, enc, net, where, sends, codec.net_offset, len(enc))
-        assert tuple(out) == expected, (
-            f"where={where}, sends={send_msgs}, network={network}"
-        )
+        case = f"where={where}, sends={send_msgs}, network={network}"
+        assert tuple(out) == expected, case
+        cut = codec.net_byte_offset
+        spliced = _byte_splice(kernel, codec.pack(enc)[cut:], net, where, sends)
+        assert spliced == codec.pack(expected)[cut:], case
 
-    def test_send_reopens_the_channel_its_delivery_emptied(self, msi_system):
+    def test_send_reopens_the_channel_its_delivery_emptied(self, system):
         """Deliver the only message of a channel and emit one send with the
         same (src, dst, vnet) key: the channel must survive with count 1 and
-        the new record — the corruption class the fuzz sweep caught."""
+        the new record — the corruption class the fuzz sweep caught.  On a
+        bag: the only message out and an equal one, or a neighbour, in."""
         from repro.system.message import Message
+        from repro.system.network import make_network
 
-        mtype = msi_system.codec().mtypes[0]
+        mtype = system.codec().mtypes[0]
         old = Message(mtype=mtype, src=0, dst=0, vnet=1)
         new = Message(mtype=mtype, src=0, dst=0, vnet=1, data=1)
-        network = OrderedNetwork().send(old)
-        self._assert_matches_oracle(msi_system, network, 0, [new])
+        network = make_network(system.ordered).send(old)
+        for sends in ([new], [old], [new, old], [old, new]):
+            self._assert_matches_oracle(system, network, 0, sends)
+        # One copy of two equal messages out, one in (a FIFO of two).
+        self._assert_matches_oracle(system, network.send(old), 0, [old])
 
-    def test_randomized_against_the_object_network(self, msi_system):
+    def test_several_sends_across_channels(self, system):
+        """Several sends at once: two into a channel that does not exist yet,
+        one into the channel the delivery empties (re-opened in place) and
+        one into a channel that sorts next to it -- insertions that meet at
+        one place in the section must go in in channel order."""
+        from repro.system.message import Message
+        from repro.system.network import make_network
+
+        mtypes = system.codec().mtypes
+
+        def msg(src, dst, vnet, data=None, mtype=0):
+            return Message(mtype=mtypes[mtype], src=src, dst=dst, vnet=vnet,
+                           data=data)
+
+        network = make_network(system.ordered).send(
+            msg(0, -1, 0), msg(1, -1, 1), msg(1, -1, 1, data=2))
+        sends = [msg(2, 0, 0), msg(0, -1, 0, data=1), msg(0, -1, 1),
+                 msg(2, 0, 0, data=1), msg(1, -1, 1, mtype=1)]
+        for which in (None, *range(len(network.deliverable()))):
+            for cut in range(1, len(sends) + 1):
+                self._assert_matches_oracle(system, network, which, sends[:cut])
+                self._assert_matches_oracle(system, network, which,
+                                            sends[:cut][::-1])
+
+    def test_randomized_against_the_object_network(self, system):
         import random
 
         from repro.system.message import Message
+        from repro.system.network import make_network
 
         rng = random.Random(20260731)
-        codec = msi_system.codec()
+        codec = system.codec()
         mtypes = codec.mtypes
         nodes = [-1, 0, 1, 2]
         for _ in range(1500):
-            network = OrderedNetwork()
+            network = make_network(system.ordered)
             for _ in range(rng.randrange(0, 5)):
                 network = network.send(Message(
                     mtype=rng.choice(mtypes),
@@ -540,7 +590,7 @@ class TestEmitNetDifferential:
                     ack_count=rng.choice([None, 0, 2]),
                 ))
             deliverable = network.deliverable()
-            where = (
+            which = (
                 rng.randrange(len(deliverable))
                 if deliverable and rng.random() < 0.7
                 else None
@@ -554,9 +604,66 @@ class TestEmitNetDifferential:
                 )
                 for _ in range(rng.randrange(0, 3))
             ]
-            if where is None and not sends:
+            if which is None and not sends:
                 continue
-            self._assert_matches_oracle(msi_system, network, where, sends)
+            self._assert_matches_oracle(system, network, which, sends)
+
+
+class TestSpliceLaneOverflow:
+    """A count lane the byte splice writes -- a channel's message count,
+    the section's channel count, the bag's size -- that outgrows its
+    ``"B"`` lane raises the codec's :class:`LaneOverflow`, never an
+    ``IndexError`` or a wrapped byte.  The states are built by hand: no
+    bundled search gets near 255 messages in flight."""
+
+    @staticmethod
+    def _splice(system, network, sends, which=None):
+        codec, kernel = system.codec(), system.kernel()
+        assert codec.typecode == "B"
+        enc = codec.encode(_state_with(system, network))
+        net = codec.parsed_network(enc)
+        where = None if which is None else net[2][which][0]
+        sends = [m.encoded(codec._mtype_index) for m in sends]
+        return _byte_splice(
+            kernel, codec.pack(enc)[codec.net_byte_offset :], net, where, sends
+        )
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["fifo", "bag"])
+    def test_a_message_count_past_the_lane(self, all_generated, ordered):
+        from repro.system import LaneOverflow
+        from repro.system.message import Message
+        from repro.system.network import make_network
+
+        name = "MSI" if ordered else "MSI-Unordered"
+        system = System(all_generated[(name, "stalling")], num_caches=3,
+                        workload=_workload(name))
+        mtype = system.codec().mtypes[0]
+        message = Message(mtype=mtype, src=0, dst=-1, vnet=0)
+        network = make_network(ordered).send(*[message] * 254)
+        # 255 fits, and a delivery makes room for one more ...
+        assert self._splice(system, network, [message])
+        full = network.send(message)
+        assert self._splice(system, full, [message], which=0)
+        # ... but the 256th does not.
+        with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
+            self._splice(system, full, [message])
+
+    def test_a_channel_count_past_the_lane(self, msi_stalling):
+        from repro.system import LaneOverflow
+        from repro.system.message import Message
+        from repro.system.network import OrderedNetwork
+
+        system = System(msi_stalling, num_caches=3)
+        mtype = system.codec().mtypes[0]
+        network = OrderedNetwork().send(*[
+            Message(mtype=mtype, src=src, dst=-1, vnet=vnet)
+            for src in range(128) for vnet in range(2)
+        ][:255])
+        opening = Message(mtype=mtype, src=200, dst=-1, vnet=0)
+        with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
+            self._splice(system, network, [opening])
+        # Emptying a channel on the way leaves the count where it was.
+        assert self._splice(system, network, [opening], which=0)
 
 
 class TestGeneratedSourceIsCompiledOnce:

@@ -2,15 +2,16 @@
 
 Every bounded cache on the search hot paths is a ``codec.Memo``: the
 codec's block-decode, parse and relabel memos (the packed-suffix memo a
-representative's key is concatenated from is one), the canonicalizer's
-region memo and block table, and the batch kernel's delivery,
-``(cell, record, operation)`` and two boundary memos -- packed tail ->
-section ID and section ID -> packed tail.  ``codec._MEMO_LIMIT`` is the one
-bound they share (the batch kernel's NumPy tail memo reads it too), each
-memo is cleared whole when it reaches it, and correctness never depends on
-a hit.  No bundled tier-1 space is big enough to reach the bound, so here
-it is forced down to 8 entries -- every search then clears constantly --
-and the counts must not move.  The bound must also be live: a memo that
+representative's key is concatenated from is one), the compiled kernel's
+access and delivery memos (what the per-state search splices successors
+from) with its packed-record and outcome intern tables, the canonicalizer's region memo and block table, and the batch
+kernel's delivery, ``(cell, record, operation)`` and two boundary memos --
+packed tail -> section ID and section ID -> packed tail.
+``codec._MEMO_LIMIT`` is the one bound they share (the batch kernel's NumPy
+tail memo reads it too), each memo is cleared whole when it reaches it, and
+correctness never depends on a hit.  No bundled tier-1 space is big enough
+to reach the bound, so here it is forced down to 8 entries -- every search
+then clears constantly -- and the counts must not move.  The bound must also be live: a memo that
 kept more than 8 values in a run must report a clear, so one that lost its
 bound fails here instead of passing unnoticed.
 
@@ -41,9 +42,10 @@ SPACES = {
     ("MSI-Unordered", "nonstalling", 3, 1, _LOAD_STORE): ((2274, 4890), (410, 893)),
 }
 
-#: Memos per owner: the codec's seven, the canonicalizer's two and the
-#: batch kernel's four.
-CODEC_MEMOS, CANONICAL_MEMOS, VECTORIZED_MEMOS = 7, 2, 4
+#: Memos per owner: the codec's seven, the compiled kernel's four (access,
+#: delivery, record tags and the outcome intern table), the canonicalizer's
+#: two and the batch kernel's four.
+CODEC_MEMOS, KERNEL_MEMOS, CANONICAL_MEMOS, VECTORIZED_MEMOS = 7, 4, 2, 4
 
 
 def _memos(owner) -> list:
@@ -69,17 +71,22 @@ def _outcome(all_generated, space, kernel, symmetry):
     assert result.kernel == kernel
     memos = _memos(system.codec())
     assert len(memos) == CODEC_MEMOS
+    kernel_memos = _memos(system.kernel())
+    assert len(kernel_memos) == KERNEL_MEMOS
+    # The per-state search runs on them; the batch path falls back nowhere.
+    assert all(memo.misses for memo in kernel_memos) == (kernel == "compiled")
+    memos += kernel_memos
     if symmetry:
         canonicalizer = canonicalizer_for(system.codec(),
                                           system.symmetry_permutations())
         assert (result.stats["orbit_classifications"]
                 == canonicalizer._orbit_memo.misses > 0)
         memos += _memos(canonicalizer)
-        assert len(memos) == CODEC_MEMOS + CANONICAL_MEMOS
+        assert len(memos) == CODEC_MEMOS + KERNEL_MEMOS + CANONICAL_MEMOS
     if kernel == "vectorized":
         memos += _memos(system.vectorized_kernel())
-        assert len(memos) == (CODEC_MEMOS + CANONICAL_MEMOS * symmetry
-                              + VECTORIZED_MEMOS)
+        assert len(memos) == (CODEC_MEMOS + KERNEL_MEMOS
+                              + CANONICAL_MEMOS * symmetry + VECTORIZED_MEMOS)
     # The batch kernel's table sizes ride along (None on the compiled
     # kernel): a clear must not mint a second ID for a section, a cell, a
     # record, an outcome, a block or a plan it has already numbered.

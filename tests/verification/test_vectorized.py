@@ -63,15 +63,17 @@ def _invariants(name: str):
 
 def _serial_stream(kernel, enc):
     """``enabled`` + ``apply`` of one encoded state: its ``(event,
-    successor)`` pairs in plan order (``None``: a plan reports a protocol
-    error)."""
-    plans, net = kernel.enabled(enc)
+    successor lanes)`` pairs in plan order (``None``: a plan reports a
+    protocol error)."""
+    codec = kernel.codec
+    key = codec.pack(enc)
+    plans, net = kernel.enabled(key)
     stream = []
     for plan in plans:
-        succ = plan[0](enc, plan, net)
+        succ = plan[0](key, plan, net)
         if type(succ) is str:
             return None
-        stream.append((plan[1], succ))
+        stream.append((plan[1], codec.unpack(succ)))
     return stream
 
 
@@ -258,7 +260,9 @@ class TestSectionAlgebra:
         prefix = (0,) * no
 
         def send_list_id(sends):
-            pid = vk._intern_plan((0,), prefix, list(prefix), None, sends)
+            outcome = ((0,), prefix[vk.dir_offset : vk.version_offset], None,
+                       tuple(sends))
+            pid = vk._intern_plan(outcome, None)
             return vk._out_sends[vk._plan_oid[pid]]
 
         real = [
@@ -388,33 +392,50 @@ class TestRawSuccessorRows:
         vk = system.vectorized_kernel()
         assert vk.dtype == np.dtype(dtype)
         lane_max = vk.codec.lane_max
-        prefix = (0,) * vk.net_offset
-        for cid, lane in ((None, vk.dir_offset), (1, vk.cache_width + 2)):
-            out = list(prefix)
-            out[lane] = lane_max
-            pid = vk._intern_plan((0,), prefix, out, cid, [])
+        for cid, width, lane in ((None, vk.version_offset - vk.dir_offset, 0),
+                                 (1, vk.cache_width, 2)):
+            block = [0] * width
+            block[lane] = lane_max
+            pid = vk._intern_plan(((0,), tuple(block), None, ()), cid)
             assert pid >= 0 and vk._plan_ver[pid] == -1
-            out[lane] += 1
+            block[lane] += 1
             with pytest.raises(LaneOverflow):
-                vk._intern_plan((0,), prefix, out, cid, [])
-        out = list(prefix)
-        out[vk.version_offset] = lane_max
-        assert vk._plan_ver[vk._intern_plan((0,), prefix, out, 0, [])] == lane_max
-        out[vk.version_offset] += 1
+                vk._intern_plan(((0,), tuple(block), None, ()), cid)
+        block = (0,) * vk.cache_width
+        pid = vk._intern_plan(((0,), block, lane_max, ()), 0)
+        assert vk._plan_ver[pid] == lane_max
         with pytest.raises(LaneOverflow):
-            vk._intern_plan((0,), prefix, out, 0, [])
+            vk._intern_plan(((0,), block, lane_max + 1, ()), 0)
 
     def test_a_write_outside_the_controllers_block_is_refused(
         self, msi_nonstalling, widened, dtype
     ):
-        """A plan replaces one column (and maybe the version): a transition
-        that changed anything else cannot be one, and falls back."""
+        """A plan replaces one column (and maybe the version): the compiled
+        kernel's per-key evaluator refuses a transition that changed
+        anything else, and the batch kernel files the refusal as a
+        fallback."""
+        from types import SimpleNamespace
+
         import repro.system.vectorized as vec
+        from repro.system.kernel import FAILED
 
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         vk = system.vectorized_kernel()
+        kernel = system.kernel()
         prefix = (0,) * vk.net_offset
+        rec = (0,) * 10
+        ct = SimpleNamespace(next_state=0, has_perform=False)
+
+        def writing(lane):
+            def fn(out, *args):
+                out[lane] = 1
+            return fn
+
+        # A cache may write its own block and the version lane.
+        for lane in (vk.cache_width + 3, vk.version_offset):
+            outcome = kernel._evaluate((0,), ct, writing(lane), prefix, 1, rec, None)
+            assert outcome is not FAILED
         for cid, lane in (
             (0, vk.cache_width),        # cache 0 writing cache 1's block
             (1, 0),                     # cache 1 writing cache 0's
@@ -422,9 +443,9 @@ class TestRawSuccessorRows:
             (None, 0),                  # the directory writing a cache's
             (None, vk.version_offset),  # the directory writing the version
         ):
-            out = list(prefix)
-            out[lane] = 1
-            assert vk._intern_plan((0,), prefix, out, cid, []) == vec._FALLBACK
+            outcome = kernel._evaluate((0,), ct, writing(lane), prefix, cid, rec, None)
+            assert outcome is FAILED
+            assert vk._intern_plan(outcome, cid) == vec._FALLBACK
         assert vk.plan_entries == 0
 
 

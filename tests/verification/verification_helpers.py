@@ -392,8 +392,9 @@ def assert_expansion_parity(system, state, invariants=None):
     kernel = system.kernel()
     enc = codec.encode(state)
     assert codec.decode(enc) == state
+    key = codec.pack(enc)
     events = ref.enabled_events(state)
-    plans, net = kernel.enabled(enc)
+    plans, net = kernel.enabled(key)
     assert [plan[1] for plan in plans] == [codec.encode_event(e) for e in events]
     assert kernel.is_quiescent(enc) == ref.is_quiescent(state)
     assert kernel.is_complete(enc) == ref.is_complete(state)
@@ -401,7 +402,7 @@ def assert_expansion_parity(system, state, invariants=None):
     assert kernel.check(enc, compiled_invariant_codes(invariants)) == expected_verdict
     for event, plan in zip(events, plans):
         outcome = ref.apply(state, event)
-        succ = kernel.apply(enc, plan, net)
+        succ = kernel.apply(key, plan, net)
         if type(succ) is str:
             assert outcome.error == succ, f"error text mismatch on {event}"
         else:
@@ -409,4 +410,6 @@ def assert_expansion_parity(system, state, invariants=None):
                 f"kernel applied {event} but the reference errored: "
                 f"{outcome.error}"
             )
-            assert succ == codec.encode(outcome.state), f"successor mismatch on {event}"
+            assert succ == codec.encode_packed(outcome.state), (
+                f"successor mismatch on {event}"
+            )
