@@ -42,8 +42,8 @@ flat outside failure reporting.
 
 Every bounded cache of the engine is a :class:`Memo` -- here the two
 block-decode memos, the parse memos and the three relabel memos; the
-compiled kernel's access and delivery memos and its record and outcome
-intern tables; the canonicalizer's region
+compiled kernel's access and delivery memos and its outcome intern
+table; the canonicalizer's region
 memo and block table; the batch kernel's delivery, cell-operation and two
 boundary memos -- and :data:`_MEMO_LIMIT` is the
 one bound they share (the batch kernel's NumPy tail memo reads it too).  A
@@ -65,9 +65,9 @@ are :data:`~repro.system.message.MESSAGE_ENCODED_WIDTH` ints).  The packed
 ``bytes`` form (:meth:`StateCodec.pack`) is what the visited set keys on, what
 the search frontiers hold between levels, what the network-parse memo is
 keyed by (the section's slice of it) and what the parallel search ships
-between processes; on a single-plane, fault-free, non-litmus system the
-per-state search splices successors out of it and builds a lane tuple only
-on a memo miss or at a leaf.
+between processes; on every configuration the per-state search splices
+successors out of it and builds a lane tuple only on a memo miss or at a
+leaf.
 
 Multi-address systems repeat the fixed-width part once per address plane
 (``plane_stride`` lanes each) and append one network section per plane;
@@ -268,11 +268,11 @@ class StateCodec:
         #: Event-encoding intern table (see :meth:`intern_event`): a few
         #: hundred distinct tuples however many states a search stores.
         self._events: dict[tuple, tuple] = {}
-        #: Intern table of what parse handles are made of -- message records,
-        #: channel items, ``(where, record, eev)`` delivery triples and lane
-        #: offset tuples: tens of thousands of distinct sections share a few
-        #: hundred distinct parts.
-        self._parts: dict[tuple, tuple] = {}
+        #: Intern table of what parse handles are made of -- message records
+        #: and their packed bytes, channel items, ``(where, record, packed)``
+        #: delivery triples and lane offset tuples: tens of thousands of
+        #: distinct sections share a few hundred distinct parts.
+        self._parts: dict = {}
         # All three keyed ``(packed lanes, perm)``: slices of a visited-set key.
         self._net_key_memo = Memo(lambda key: tuple(self._relabeled_items(*key)))
         self._dir_key_memo = Memo(self._relabel_directory)
@@ -500,8 +500,8 @@ class StateCodec:
 
     # -- network section helpers --------------------------------------------------
     def parsed_network(self, enc: tuple, key: bytes | None = None):
-        """``(items, offsets, deliveries)`` — the memoized parse handle of
-        *enc*'s section.
+        """``(items, offsets, deliveries, start)`` — the memoized parse handle
+        of *enc*'s section.
 
         *key* is ``pack(enc)`` when the caller holds it (the searches do:
         it is the frontier entry being expanded), which makes the memo
@@ -516,16 +516,17 @@ class StateCodec:
         (``offsets[0] == 1``, past the count lane) and ``offsets[n]`` is the
         section length, so item *i* occupies ``enc[net_offset + offsets[i] :
         net_offset + offsets[i + 1]]``.  *deliveries* lists the deliverable messages in
-        delivery order as ``(where, record, eev)`` -- channel heads when
+        delivery order as ``(where, record, packed)`` -- channel heads when
         ordered, the distinct records of the sorted bag when unordered
         (identical in-flight messages lead to the same successor; the
-        object model de-duplicates them the same way) -- with *eev* the
-        interned delivery-event encoding (:meth:`intern_event`), so
-        enumerating a state's deliveries allocates nothing.  Records,
+        object model de-duplicates them the same way) -- with *packed* the
+        record's bytes, which head the kernel's delivery memo keys, so
+        enumerating a state's deliveries allocates nothing.  *start* is the
+        section's first byte in a packed key.  Records,
         channel items, delivery triples and offset tuples are interned
         (equal parts of different sections are one object).  The kernel
-        threads this handle from ``enabled`` into ``apply``, where the
-        network re-normalization copies untouched channels as single slices
+        threads this handle from ``enabled`` into ``apply``, where a
+        plan's byte splice copies untouched channels as single slices
         through the offsets.
         """
         if key is None:
@@ -544,10 +545,12 @@ class StateCodec:
         return len(self._net_items_memo) + len(self._planes_memo)
 
     def _parse_section(self, enc: tuple, start: int):
-        """Parse one network section beginning at lane *start*.
+        """Parse one network section beginning at lane *start* of *enc*, the
+        lanes from ``net_offset`` on.
 
-        Returns ``(items, offsets, deliveries)`` with offsets relative to
-        *start* (``offsets[0] == 1``, ``offsets[-1]`` the section length)."""
+        Returns ``(items, offsets, deliveries, start)`` with offsets relative
+        to lane *start* (``offsets[0] == 1``, ``offsets[-1]`` the section
+        length) and the section's first byte in a packed key."""
         pos = start
         count = enc[pos]
         pos += 1
@@ -580,26 +583,25 @@ class StateCodec:
             offsets = tuple(offs)
             heads = [(i, item[3][0]) for i, item in enumerate(items)]
         offsets = part(offsets, offsets)
-        intern = self.intern_event
         deliveries = []
         for i, rec in heads:
-            triple = (i, rec, intern((1,) + rec))
+            packed = self.pack(rec)
+            triple = (i, rec, part(packed, packed))
             deliveries.append(part(triple, triple))
-        return (items, offsets, tuple(deliveries))
+        begin = self.net_byte_offset + start * self.lane_bytes
+        return (items, offsets, tuple(deliveries), begin)
 
     def parsed_planes(self, enc: tuple, key: bytes | None = None):
-        """Per-address ``(items, offsets, deliveries, start)`` handles
-        (absolute starts; the first three as in :meth:`parsed_network`,
-        *key* likewise).
+        """Per-address parse handles, as :meth:`parsed_network` returns
+        them (*key* likewise).
 
-        The general (multi-address / fault-model) kernel path threads this
-        from ``enabled`` into ``apply`` the same way the single-plane path
-        threads :meth:`parsed_network`.  Memoized per distinct packed
-        suffix."""
-        if self.num_addresses == 1:
-            return (self.parsed_network(enc, key) + (self.net_offset,),)
+        The kernel threads them from ``enabled`` into ``apply``, where a
+        plan splices its plane's section through them.  With several planes
+        memoized per distinct packed suffix."""
         if key is None:
-            return self._planes_memo[self.pack(enc[self.net_offset :])]
+            key = self.pack(enc)
+        if self.num_addresses == 1:
+            return (self._net_items_memo[key[self.net_byte_offset :]],)
         return self._planes_memo[key[self.net_byte_offset :]]
 
     def _parse_planes(self, suffix: bytes) -> tuple:
@@ -609,7 +611,7 @@ class StateCodec:
         pos = 0
         for _ in range(self.num_addresses):
             section = self._parse_section(lanes, pos)
-            planes.append(section + (self.net_offset + pos,))
+            planes.append(section)
             pos += section[1][-1]
         return tuple(planes)
 
@@ -688,8 +690,7 @@ class StateCodec:
     def intern_event(self, eev: tuple) -> tuple:
         """The one shared tuple equal to the event encoding *eev*.
 
-        Every parse handle keeps the delivery events of its section and
-        every memoized outcome the event it applies; distinct events number
+        Every memoized outcome keeps the event it applies; distinct events number
         in the hundreds, so producers share the interned object instead of
         holding a fresh equal tuple each (the store keeps one of each in
         its event side table whatever it is handed).

@@ -16,30 +16,23 @@ concretization of a reduced counterexample step through it:
   ``src/`` that says what an action does -- and plans carry their bound
   apply handler so the search loop dispatches without a single string
   comparison;
-* a transition touches three spans of a state -- one controller's block,
-  the version lane and the network section -- and reads nothing else, so
-  what it does is a pure function of a small key.  One **per-key
+* a transition touches a few spans of a state -- one controller's block,
+  its plane's version lane and network section, for a fault the
+  ``faults_used`` lane -- and reads nothing else.  One **per-key
   evaluator** (:meth:`TransitionKernel.access_outcomes`,
   :meth:`TransitionKernel.delivery_outcome`) runs the generated function
   for one access ``(cache id, block)`` or one delivery ``(record, receiver
-  block)`` and returns *stalled*, *failed* or ``(event, new block lanes,
-  new version | unchanged, sends)``; the batch kernel
-  (:mod:`repro.system.vectorized`) files what it returns in its plan
-  tables, and the per-state search keeps it in two bounded memos keyed on
-  the parent's packed bytes.  A successor is then **spliced, not built**:
-  ``key[:lo] + block + key[hi:v] + version + tail``, the tail spliced in
-  bytes out of the parent's section through its parse handle's offsets
-  (:meth:`TransitionKernel._splicer`).  Lanes are unpacked only on a
-  memo miss, at a leaf and for the invariant check of a new state -- no
-  :class:`GlobalState`, :class:`Message` or event object is materialized
-  on the hot path;
-* multi-address, fault-model and litmus configurations run the
-  **plane-aware fork** instead: the same generated functions on the whole
-  lane tuple, the network re-normalized lane by lane
-  (:meth:`TransitionKernel._emit_net`) and the result packed.  A plan the
-  splice does not build -- a protocol error, a write outside the block, a
-  value too wide for its lane -- is replayed through that fork for its
-  exact text (or error) at its serial position.
+  block)`` on plane-0 lanes (every plane has the same block shape) and
+  returns *stalled*, *failed* or ``(event, new block lanes, new version |
+  unchanged, sends)``; the batch kernel (:mod:`repro.system.vectorized`)
+  files that in its plan tables, the per-state search in two bounded
+  memos keyed on the parent's packed bytes and the plane.  On every
+  configuration a successor is then **spliced, not built**: ``key[:lo] +
+  block + key[hi:v] + version + tail``, the tail that plane's section
+  edited in bytes through its parse handle's offsets
+  (:meth:`TransitionKernel._splicer`) -- a duplicated or reordered message
+  is one more edit, with ``faults_used`` raised.  Lanes are unpacked only
+  on a memo miss, at a leaf and for the invariant check of a new state.
 
 The kernel **reports its own errors**.  Every failure site of a generated
 function -- missing data, requestor or owner, a data-value violation, an
@@ -117,8 +110,9 @@ AMBIGUOUS = object()
 #: What the per-key evaluator returns besides an outcome: a delivery whose
 #: transition stalls (not an enabled plan), and a plan it does not express
 #: -- a protocol error, or a write outside the controller's block (plus,
-#: for a cache, the version lane) -- which its caller replays through the
-#: plane-aware handler (the batch kernel: through the per-state loop).
+#: for a cache, the version lane).  The per-state memos file the error's
+#: text in its place (:meth:`TransitionKernel._filed`); the batch kernel
+#: runs that level through the per-state loop.
 STALLED = object()
 FAILED = object()
 
@@ -175,18 +169,14 @@ INV_SINGLE_OWNER = "single_owner"
 #: for it, so the caller decodes the state and runs the predicate itself.
 INV_DECODED = "decoded"
 
-#: The default invariant pair, fused into one pass by :meth:`TransitionKernel.check`.
-#: Public under ``DEFAULT_CODES`` so the vectorized kernel's batch
-#: checker can recognize exactly the code tuple the fused pass covers.
+#: The default invariant pair, one pass in :meth:`TransitionKernel.check`;
+#: public so the vectorized kernel's batch checker can recognize it.
 _DEFAULT_CODES = DEFAULT_CODES = (INV_SWMR, INV_SINGLE_OWNER)
 
 #: Generated transition source -> its function, process-wide.  The generated
-#: functions close over nothing -- every constant is burned into the text --
-#: so equal text means an interchangeable function: a kernel build makes
-#: thousands of per-transition calls for a few hundred distinct sources (one
-#: ``matrix-2c`` pass: 13 282 for 154), and every kernel of a process shares
-#: them.  Grows by one small function per distinct source and is never
-#: cleared.
+#: functions close over nothing, so equal text means an interchangeable
+#: function (one ``matrix-2c`` pass generates 13 282 sources, 154 distinct).
+#: Grows by one small function per distinct source and is never cleared.
 _COMPILED_SOURCES: dict[str, object] = {}
 
 
@@ -198,6 +188,11 @@ def _compiled(source: str):
         exec(source, namespace)  # noqa: S102 - trusted generated source
         fn = _COMPILED_SOURCES[source] = namespace["fn"]
     return fn
+
+
+def _message_transitions(controller) -> list:
+    """Every candidate transition of *controller*'s message table."""
+    return [ct for row in controller.on_message for cands in row.values() for ct in cands]
 
 
 class TransitionKernel:
@@ -214,14 +209,10 @@ class TransitionKernel:
             or spec.access_kinds != codec.access_kinds
         ):
             raise CompilationUnsupported("spec/codec index tables disagree")
-        for row in spec.cache.on_message:
-            for cands in row.values():
-                if any(ct.guard > 4 for ct in cands):
-                    raise CompilationUnsupported("directory guard on a cache")
-        for row in spec.directory.on_message:
-            for cands in row.values():
-                if any(0 < ct.guard <= 4 for ct in cands):
-                    raise CompilationUnsupported("cache guard on the directory")
+        if any(ct.guard > 4 for ct in _message_transitions(spec.cache)):
+            raise CompilationUnsupported("directory guard on a cache")
+        if any(0 < ct.guard <= 4 for ct in _message_transitions(spec.directory)):
+            raise CompilationUnsupported("cache guard on the directory")
         self.spec = spec
         self.num_caches = system.num_caches
         self.ordered = system.ordered
@@ -231,11 +222,7 @@ class TransitionKernel:
         self.num_addresses = codec.num_addresses
         self.plane_stride = codec.plane_stride
         self.fault_offset = codec.fault_offset
-        faults = system.faults
-        self.fault_budget = faults.budget if faults is not None else 0
-        self.fault_duplicate = bool(faults is not None and faults.duplicate)
-        self.fault_reorder = bool(faults is not None and faults.reorder)
-        self.fault_requeue = bool(faults is not None and faults.requeue)
+        self.faults = system.faults
         from repro.system.system import LitmusWorkload
 
         workload = system.workload
@@ -257,44 +244,24 @@ class TransitionKernel:
                 codec.access_kinds.index(kind) for kind in workload.access_kinds
             )
             self._litmus_ops = None
-        #: Which of the two forks runs -- the configuration alone decides:
-        #: the spliced plans for a single plane with no fault lane and no
-        #: litmus program, the plane-aware fork for everything else
-        #: (``matrix-2c``'s side).  The plane-aware fork expands a simple
-        #: configuration identically (``test_kernel.py`` holds the two to
-        #: each other over whole 2c x 2a spaces, byte for byte); it stays
-        #: off them because it is slower there: forced onto bench
-        #: ``full-3c`` it costs ``pass_s`` 1.44-1.50 -> 3.23-3.24 s (x2.2,
-        #: 2 of 2 pairs, 2-core VM).
-        self._simple = (
-            self.num_addresses == 1
-            and self.fault_offset is None
-            and self._litmus_ops is None
+        #: The first lane of every cache block: per cache, then per plane.
+        self._cache_lanes = tuple(
+            a * self.plane_stride + cid * CACHE_ENCODED_WIDTH
+            for cid in range(self.num_caches)
+            for a in range(self.num_addresses)
         )
         self.ai_load = codec.access_kinds.index(AccessKind.LOAD)
         self.ai_store = codec.access_kinds.index(AccessKind.STORE)
-        #: Per-transition generated functions (see
-        #: :meth:`_compile_cache_fn`); keyed by ``id(ct)`` -- the spec is
-        #: compiled fresh per kernel, so the transitions are kernel-owned.
-        self._cache_fns: dict[int, object] = {}
-        for row in spec.cache.on_access:
-            for ct in row:
-                if ct is not None and id(ct) not in self._cache_fns:
-                    self._cache_fns[id(ct)] = self._compile_cache_fn(ct)
-        for row in spec.cache.on_message:
-            for cands in row.values():
-                for ct in cands:
-                    if id(ct) not in self._cache_fns:
-                        self._cache_fns[id(ct)] = self._compile_cache_fn(ct)
-
-        #: Specialized directory-transition functions, keyed like
-        #: ``_cache_fns`` (see :meth:`_compile_directory_fn`).
-        self._dir_fns: dict[int, object] = {}
-        for row in spec.directory.on_message:
-            for cands in row.values():
-                for ct in cands:
-                    if id(ct) not in self._dir_fns:
-                        self._dir_fns[id(ct)] = self._compile_directory_fn(ct)
+        #: Per-transition generated functions (see :meth:`_compile_cache_fn`
+        #: / :meth:`_compile_directory_fn`); keyed by ``id(ct)`` -- the spec
+        #: is compiled fresh per kernel, so the transitions are kernel-owned.
+        cache_cts = [ct for row in spec.cache.on_access for ct in row if ct is not None]
+        cache_cts += _message_transitions(spec.cache)
+        self._cache_fns = {id(ct): self._compile_cache_fn(ct) for ct in cache_cts}
+        self._dir_fns = {
+            id(ct): self._compile_directory_fn(ct)
+            for ct in _message_transitions(spec.directory)
+        }
 
         #: Per-state-index issuable ``(access_index, transition, fn)``
         #: triples in workload order -- the access half of ``enabled()``
@@ -318,45 +285,77 @@ class TransitionKernel:
             for cid in range(self.num_caches)
         )
 
-        # The spliced fork's byte layout: lane width, and per receiver the
-        # byte span of its block -- ``_spans[cid]`` for a cache, the
-        # directory's at ``_spans[-1]`` -- and of the version lane.
+        # The splice's byte layout: lane width, and per receiver the byte
+        # span of its plane-0 block -- ``_spans[cid]`` for a cache, the
+        # directory's at ``_spans[-1]`` -- and of the version lane.  Plane
+        # *a*'s spans sit ``a * plane_stride`` lanes further on.
         lb = self.lane_bytes = codec.lane_bytes
         self._spans = tuple(
             (cid * CACHE_ENCODED_WIDTH * lb, (cid + 1) * CACHE_ENCODED_WIDTH * lb)
             for cid in range(self.num_caches)
         ) + ((self.dir_offset * lb, self.version_offset * lb),)
-        #: Per cache: its packed ID -- what its access memo keys start
-        #: with -- and its block's span.
-        self._cache_spans = tuple(
-            (codec.pack((cid,)), *self._spans[cid]) for cid in range(self.num_caches)
-        )
         self._version_span = (self.version_offset * lb, (self.version_offset + 1) * lb)
+        self._plane_bytes = self.plane_stride * lb
         self._net_byte_offset = codec.net_byte_offset
+        #: What the memo keys of plane *a* start with: its packed plane
+        #: lane, present only with several planes.
+        ptags = tuple(
+            codec.pack((a,)) if self.num_addresses > 1 else b""
+            for a in range(self.num_addresses)
+        )
+        shifts = [a * self._plane_bytes for a in range(self.num_addresses)]
+        vlo, vhi = self._version_span
+        #: Per cache, then per plane (the order accesses are enabled in):
+        #: its access memo key's tag -- plane and cache ID -- and the byte
+        #: spans of its block and of the plane's version lane.
+        self._access_keys = tuple(
+            (ptags[a] + codec.pack((cid,)), lo + s, hi + s, vlo + s, vhi + s)
+            for cid, (lo, hi) in enumerate(self._spans[:-1])
+            for a, s in enumerate(shifts)
+        )
+        #: A litmus program's next access depends on the cache's blocks on
+        #: every plane: per cache, its tag and the spans of its block and
+        #: the version lane on each plane, concatenated into one key.
+        self._litmus_keys = None if self._litmus_ops is None else tuple(
+            (codec.pack((cid,)), tuple(
+                span for s in shifts for span in ((lo + s, hi + s), (vlo + s, vhi + s))
+            ))
+            for cid, (lo, hi) in enumerate(self._spans[:-1])
+        )
+        #: Per plane: its index, its tag, every receiver's block span and
+        #: the version lane's span -- what its deliveries' memo keys are
+        #: sliced from.
+        self._plane_keys = tuple(
+            (a, ptag, tuple((lo + s, hi + s) for lo, hi in self._spans), vlo + s, vhi + s)
+            for a, (ptag, s) in enumerate(zip(ptags, shifts))
+        )
+        #: Bound once: ``enabled`` parses every state's sections through it.
+        self._parsed_planes = codec.parsed_planes
+        #: Re-queue semantics (`FaultModel.requeue`) on an ordered network:
+        #: a channel delivers its first record that does not stall.
+        self._bypass = self.faults is not None and self.faults.requeue and self.ordered
         #: Packed lanes of the small values a splice writes into a count lane.
         self._small_lanes = tuple(
             value.to_bytes(lb, sys.byteorder)
             for value in range(min(256, codec.lane_max + 1))
         )
-        #: The per-state search's two memos, keyed on packed bytes -- slices
-        #: of the parent's key behind a packed cache ID or message record:
-        #: ``cid + block + version`` -> that cache's access plans in workload
-        #: order, and ``record + receiver block [+ version, for a cache]``
-        #: -> the delivery's outcome (or :data:`STALLED`).  A miss unpacks
-        #: its key and runs the per-key evaluator.  Tails are not memoized:
-        #: they multiply as the sections do.
-        self._access_memo = Memo(self._access_miss)
+        #: The per-state search's two memos, keyed on slices of the parent's
+        #: key: ``[plane +] cid + block + version`` -> that cache's access
+        #: plans on that plane (litmus: ``cid`` + its block and version on
+        #: every plane -> its program's next one), and ``[plane +] record +
+        #: receiver block [+ version, for a cache]`` -> the delivery's
+        #: outcome (or :data:`STALLED`).  Tails are not memoized: they
+        #: multiply as the sections do.
+        self._access_memo = Memo(
+            self._access_miss if self._litmus_ops is None else self._litmus_miss
+        )
         self._delivery_memo = Memo(self._delivery_miss)
-        #: Message record -> packed, the head of its delivery memo keys.
-        self._record_tags = Memo(codec.pack)
-        #: The outcome of a plan the splice does not build (see :meth:`_replay`),
-        #: and the handler every other outcome shares, bound once.
-        self._replayed = (self._replay,)
+        #: The handler every spliced outcome shares, bound once.
         self._splice_handler = self._apply_spliced
         #: Intern table of the memos' outcomes and of their packed blocks and
         #: sends (:meth:`_intern`): the memos hold far more keys than
         #: outcomes (bench ``unordered-reduced-3c``: 6 146 for 2 454).  A
-        #: ``Memo`` like them, so all four stay within ``_MEMO_LIMIT``
+        #: ``Memo`` like them, so all three stay within ``_MEMO_LIMIT``
         #: entries however long a search runs.
         self._interned = Memo()
 
@@ -373,184 +372,85 @@ class TransitionKernel:
     # -- event enumeration -------------------------------------------------------
     def enabled(self, key: bytes) -> tuple[list, tuple]:
         """``(plans, net)`` for the state packed as *key*: one plan per
-        enabled event -- accesses cache by cache in workload order, then
-        deliveries in network order -- the order the state IDs, the traces
-        and a seeded :func:`~repro.verification.random_walk` all follow.
+        enabled event -- accesses cache by cache (plane by plane) in
+        workload order, then deliveries plane by plane in network order,
+        then duplications and reorders -- the order the state IDs, the
+        traces and a seeded :func:`~repro.verification.random_walk` follow.
 
-        A plan is a tuple whose ``plan[0]`` is its bound apply handler and
-        ``plan[1]`` the codec's interned event encoding: ``plan[0](key,
-        plan, net)`` returns the successor's packed key, or the text of the
-        protocol error applying it reports (a ``str``, never ``bytes``) --
-        :meth:`apply` is the same call.  A delivery with no transition, or
-        several, is enabled: applying it reports the protocol error
-        (Murphi's "unexpected message"); a stalled one is not.  *net* is
-        opaque to callers, who only thread it back into the handler.
-
-        On a simple configuration the plans come out of the two memos
-        keyed on slices of *key* (nothing is unpacked unless one misses)
-        and a plan splices its successor out of *key*
-        (:meth:`_apply_spliced`); *net* is the section's memoized parse
-        handle.  Everything else unpacks *key* and runs the plane-aware
-        fork (:meth:`_enabled_general`).
-        """
-        if not self._simple:
-            enc = self.codec.unpack(key)
-            return self._enabled_general(enc, key)
+        ``plan[0]`` is the plan's bound apply handler and ``plan[1]`` the
+        codec's interned event encoding (see :meth:`apply`).  A delivery no
+        transition takes, or several do, is enabled: applying it reports
+        the protocol error (Murphi's "unexpected message"); a stalled one
+        is not.  *net*, the sections' parse handles, is opaque to callers,
+        who only thread it back into the handler."""
         plans: list = []
         access = self._access_memo
-        vlo, vhi = self._version_span
-        version = key[vlo:vhi]
-        for tag, lo, hi in self._cache_spans:
-            plans += access[tag + key[lo:hi] + version]
-        net = self.codec.parsed_section(key[self._net_byte_offset :])
-        deliver = self._delivery_memo
-        tag_of = self._record_tags
-        spans = self._spans
-        for where, rec, eev in net[2]:
-            tag = tag_of[rec]
-            dst = rec[2]
-            if dst == 1:  # the directory (id -1, +2 shift)
-                lo, hi = spans[-1]
-                outcome = deliver[tag + key[lo:hi]]
-            else:
-                lo, hi = spans[dst - 2]
-                outcome = deliver[tag + key[lo:hi] + version]
-            if outcome is not STALLED:
-                plans.append((outcome[0], eev, outcome, where))
-        return plans, net
-
-    def _enabled_general(self, enc: tuple, key: bytes) -> tuple[list, tuple]:
-        """Plane-aware twin of :meth:`enabled` for multi-address, fault-model
-        and litmus configurations, on the lanes *enc* of *key*.  Returns
-        ``(plans, (enc, planes))`` where *planes* is the
-        :meth:`StateCodec.parsed_planes` handle; plans come accesses first,
-        then deliveries plane by plane, then faults, and apply on *enc*."""
-        plans: list = []
-        planes = self.codec.parsed_planes(enc, key)
-        num_addresses = self.num_addresses
-        stride = self.plane_stride
-        width = CACHE_ENCODED_WIDTH
-        stable = self.spec.cache.stable
-        event = self._event
-        access_eevs = self._access_eevs
-        apply_access = self._apply_access_plan_general
-        if self._litmus_ops is not None:
-            on_access = self.spec.cache.on_access
-            for cid in range(self.num_caches):
-                ops = self._litmus_ops[cid]
-                pc = sum(
-                    enc[a * stride + cid * width + CF_ISSUED]
-                    for a in range(num_addresses)
-                )
-                if pc >= len(ops):
-                    continue
-                if not all(
-                    stable[enc[a * stride + cid * width]]
-                    for a in range(num_addresses)
-                ):
-                    continue
-                ai, addr = ops[pc]
-                ct = on_access[enc[addr * stride + cid * width]][ai]
-                if ct is None or ct.stall:
-                    continue
-                eev = event(access_eevs[cid][ai], addr)
-                plans.append(
-                    (apply_access, eev, cid, ct, self._cache_fns[id(ct)], addr)
-                )
+        if self._litmus_keys is None:
+            for tag, lo, hi, vlo, vhi in self._access_keys:
+                plans += access[tag + key[lo:hi] + key[vlo:vhi]]
         else:
-            access_plans = self._access_plans
-            max_accesses = self.max_accesses
-            for cid in range(self.num_caches):
-                for addr in range(num_addresses):
-                    base = addr * stride + cid * width
-                    if enc[base + CF_ISSUED] >= max_accesses:
-                        continue
-                    si = enc[base]
-                    if stable[si]:
-                        for ai, ct, fn in access_plans[si]:
-                            eev = event(access_eevs[cid][ai], addr)
-                            plans.append((apply_access, eev, cid, ct, fn, addr))
-        apply_delivery = self._apply_delivery_plan_general
-        dir_rows = self.spec.directory.on_message
-        cache_rows = self.spec.cache.on_message
-        cache_fns = self._cache_fns
-        select = self._select
-        bypass = self.fault_offset is not None and self.fault_requeue and self.ordered
-        for addr in range(num_addresses):
-            items = planes[addr][0]
-            d0 = addr * stride + self.dir_offset
-            if bypass:
-                # Re-queue semantics (`FaultModel.requeue`): per channel,
-                # plan the first record whose transition does not stall --
-                # stalled heads are bypassed rather than blocking the
-                # channel.
-                for idx, item in enumerate(items):
-                    for pos, rec in enumerate(item[3]):
-                        fn = None
-                        if rec[2] == 1:  # destination is the directory
-                            cands = dir_rows[enc[d0]].get(rec[0])
-                            base = None
-                        else:
-                            base = addr * stride + (rec[2] - 2) * width
-                            cands = cache_rows[enc[base]].get(rec[0])
-                        if cands:
-                            if len(cands) == 1 and cands[0].guard == 0:
-                                ct = cands[0]
-                            else:
-                                ct = select(cands, rec, enc, base, d0)
-                            if ct is not None and ct is not AMBIGUOUS:
-                                if ct.stall:
-                                    continue  # bypass: try the next record
-                                if base is not None:
-                                    fn = cache_fns[id(ct)]
-                        else:
-                            ct = None
-                        eev = event((1,) + rec, addr)
-                        plans.append(
-                            (apply_delivery, eev, rec, ct, idx, fn, addr, pos)
-                        )
-                        break
-                continue
-            for idx, rec, eev in planes[addr][2]:
-                fn = None
-                if rec[2] == 1:  # destination is the directory
-                    cands = dir_rows[enc[d0]].get(rec[0])
-                    base = None
+            for tag, spans in self._litmus_keys:
+                plans += access[tag + b"".join([key[lo:hi] for lo, hi in spans])]
+        planes = self._parsed_planes(None, key)
+        deliver = self._delivery_memo
+        bypass = self._bypass
+        for addr, ptag, spans, vlo, vhi in self._plane_keys:
+            handle = planes[addr]
+            version = key[vlo:vhi]
+            for where, rec, packed in handle[2]:
+                dst = rec[2]
+                lo, hi = spans[dst - 2]  # the directory (id -1, +2 shift) is last
+                if dst == 1:
+                    outcome = deliver[ptag + packed + key[lo:hi]]
                 else:
-                    base = addr * stride + (rec[2] - 2) * width
-                    cands = cache_rows[enc[base]].get(rec[0])
-                if cands:
-                    if len(cands) == 1 and cands[0].guard == 0:
-                        ct = cands[0]
-                    else:
-                        ct = select(cands, rec, enc, base, d0)
-                    if ct is not None and ct is not AMBIGUOUS:
-                        if ct.stall:
-                            continue  # stalled deliveries are not enabled
-                        if base is not None:
-                            fn = cache_fns[id(ct)]
-                else:
-                    ct = None
-                eev = event(eev, addr)
-                plans.append((apply_delivery, eev, rec, ct, idx, fn, addr, 0))
-        fault_lane = self.fault_offset
-        if fault_lane is not None and enc[fault_lane] < self.fault_budget:
-            if self.fault_duplicate:
-                apply_dup = self._apply_duplicate_plan
-                for addr in range(num_addresses):
-                    for idx, rec, _eev in planes[addr][2]:
-                        eev = event((2,) + rec, addr)
-                        plans.append((apply_dup, eev, addr, idx))
-            if self.fault_reorder and self.ordered:
-                apply_reorder = self._apply_reorder_plan
-                for addr in range(num_addresses):
-                    items = planes[addr][0]
-                    for idx, (src, dst, vnet, msgs) in enumerate(items):
-                        for pos in range(len(msgs) - 1):
-                            if msgs[pos] != msgs[pos + 1]:
-                                eev = event((3, src, dst, vnet, pos), addr)
-                                plans.append((apply_reorder, eev, addr, idx, pos))
-        return plans, (enc, planes)
+                    outcome = deliver[ptag + packed + key[lo:hi] + version]
+                if outcome is not STALLED:
+                    plans.append((outcome[0], outcome[1], outcome, where, 0))
+                elif bypass:
+                    plans += self._bypassed(key, handle, where, ptag, spans, version)
+        if self.fault_offset is not None:
+            plans += self._fault_plans(key, planes)
+        return plans, planes
+
+    def _bypassed(self, key, handle, where, ptag, spans, version) -> list:
+        """The plan of the first record of channel *where* (of the section
+        parsed as *handle*) behind its stalled head whose delivery does not
+        stall (re-queue order), if any."""
+        width = MESSAGE_ENCODED_WIDTH * self.lane_bytes
+        at = self._head_byte(handle, where)
+        for pos, rec in enumerate(handle[0][where][3][1:], 1):
+            lo, hi = spans[rec[2] - 2]
+            block = key[lo:hi] if rec[2] == 1 else key[lo:hi] + version
+            packed = key[at + pos * width : at + (pos + 1) * width]
+            outcome = self._delivery_memo[ptag + packed + block]
+            if outcome is not STALLED:
+                return [(outcome[0], outcome[1], outcome, where, pos)]
+        return []
+
+    def _fault_plans(self, key: bytes, planes: tuple) -> list:
+        """The duplication and reorder plans of *key* while the fault budget
+        lasts: a copy of each deliverable record, then a swap of each pair
+        of adjacent differing records in a channel, plane by plane."""
+        lb = self.lane_bytes
+        at = self.fault_offset * lb
+        faults = self.faults
+        if int.from_bytes(key[at : at + lb], sys.byteorder) >= faults.budget:
+            return []
+        event = self._event
+        plans: list = []
+        if faults.duplicate:
+            for addr, handle in enumerate(planes):
+                for where, rec, packed in handle[2]:
+                    eev = event((2,) + rec, addr)
+                    plans.append((self._apply_duplicate, eev, addr, where, packed))
+        if faults.reorder and self.ordered:
+            for addr, handle in enumerate(planes):
+                for where, (src, dst, vnet, msgs) in enumerate(handle[0]):
+                    for pos in range(len(msgs) - 1):
+                        if msgs[pos] != msgs[pos + 1]:
+                            eev = event((3, src, dst, vnet, pos), addr)
+                            plans.append((self._apply_reorder, eev, addr, where, pos))
+        return plans
 
     def _event(self, fields: tuple, addr: int) -> tuple:
         """The codec's interned event encoding for *fields* on plane *addr*
@@ -562,12 +462,10 @@ class TransitionKernel:
     def _select(
         self, cands: tuple, rec: tuple, enc: tuple, base: int | None, d0: int
     ):
-        """The transition of *cands* that takes message record *rec*:
-        evaluate the guards over encoded fields and prefer a unique guarded
-        match; ``None`` when none matches, :data:`AMBIGUOUS` when several
-        do and no one guarded match stands out.  The caller (``enabled``)
-        resolves the single-unguarded-candidate case inline, so every
-        *cands* seen here needs the full walk."""
+        """The transition of *cands* that takes message record *rec*: a
+        unique guarded match first; ``None`` when none matches,
+        :data:`AMBIGUOUS` when several do and no one guarded match stands
+        out."""
         matching = []
         guarded = []
         for ct in cands:
@@ -630,52 +528,48 @@ class TransitionKernel:
     def apply(self, key: bytes, plan: tuple, net: tuple) -> bytes | str:
         """The successor's packed key for *plan* (from :meth:`enabled` of
         *key*), or the text of the protocol error applying it reports (a
-        ``str``, never ``bytes``): that is the one test a caller makes.
-
-        ``plan[0]`` *is* the bound apply handler, so the per-transition hot
-        loops may call ``plan[0](key, plan, net)`` directly; this method is
-        the equivalent stable entry point.
-        """
+        ``str``): ``plan[0](key, plan, net)``, which hot loops call
+        directly."""
         return plan[0](key, plan, net)
 
-    def _error(self, code, ct, rec, cid=None, out=None, base=0, vo=0) -> str:
+    def _error(self, code, ct, rec, cid=None, out=None) -> str:
         """The text of failure *code* of transition *ct* (see
         :data:`_ACTION_STRIDE`), on message record *rec* (None: an access),
-        at cache *cid* whose lanes *out* the transition has written so far
-        from *base* on (its plane's version lane at *vo*); a directory
-        failure passes neither."""
+        at cache *cid* (None: the directory) whose plane-0 lanes *out* the
+        transition has written so far."""
         i, kind = divmod(code, _ACTION_STRIDE)
         fields = {
             "cid": cid,
             "action": ct.actions[i],
             "message": None if rec is None else decode_message(rec, self.codec.mtypes),
         }
-        if out is not None:
+        if cid is not None:
+            base = cid * CACHE_ENCODED_WIDTH
             fields["data"] = out[base + CF_DATA] - 1
             fields["last"] = out[base + CF_LAST_OBSERVED] - 1
-            fields["version"] = out[vo]
+            fields["version"] = out[self.version_offset]
         return _ERROR_TEXTS[kind].format(**fields)
 
-    def _undeliverable(self, enc: tuple, rec: tuple, ct, plane: int = 0) -> str:
-        """The text of delivering message record *rec* on the plane at lane
-        *plane* when no transition takes it (*ct* None) or several do
-        (*ct* :data:`AMBIGUOUS`; they are listed in candidate order)."""
+    def _undeliverable(self, lanes, rec: tuple, ct) -> str:
+        """The text of delivering message record *rec* in the plane-0
+        *lanes* when no transition takes it (*ct* None) or several do (*ct*
+        :data:`AMBIGUOUS`; they are listed in candidate order)."""
         message = decode_message(rec, self.codec.mtypes)
-        d0 = plane + self.dir_offset
+        d0 = self.dir_offset
         if rec[2] == 1:
             receiver, controller, base = "directory", self.spec.directory, None
-            si = enc[d0]
+            si = lanes[d0]
         else:
             receiver, controller = f"cache {message.dst}", self.spec.cache
-            base = plane + message.dst * CACHE_ENCODED_WIDTH
-            si = enc[base]
+            base = message.dst * CACHE_ENCODED_WIDTH
+            si = lanes[base]
         state = controller.state_names[si]
         if ct is None:
             return f"{receiver} in state {state!r} cannot handle message {message}"
         matching = ", ".join(
             str(MessageEvent(message.mtype, _GUARD_NAMES.get(c.guard)))
             for c in controller.on_message[si][rec[0]]
-            if not c.guard or self._guard(c.guard, rec, enc, base, d0)
+            if not c.guard or self._guard(c.guard, rec, lanes, base, d0)
         )
         return (
             f"ambiguous transitions for {message.mtype} in state {state!r}: "
@@ -687,8 +581,7 @@ class TransitionKernel:
         """The outcomes of cache *cid*'s access plans, in workload order, in
         a state whose lanes (at least through the version lane) are
         *lanes*: empty when its budget is spent or its block is transient.
-        They depend on nothing but the cache's block and the version lane
-        (see :meth:`_evaluate`)."""
+        See :meth:`_evaluate`."""
         base = cid * CACHE_ENCODED_WIDTH
         si = lanes[base + CF_STATE]
         if lanes[base + CF_ISSUED] >= self.max_accesses:
@@ -708,31 +601,56 @@ class TransitionKernel:
         do, or see :meth:`_evaluate`) or an outcome.  It depends on nothing
         but *rec*, the receiver's block and, for a cache, the version
         lane."""
-        d0 = self.dir_offset
-        if rec[2] == 1:  # the directory (id -1, +2 shift)
-            cid = base = None
-            cands = self.spec.directory.on_message[lanes[d0]].get(rec[0])
-        else:
-            cid = rec[2] - 2
-            base = cid * CACHE_ENCODED_WIDTH
-            cands = self.spec.cache.on_message[lanes[base]].get(rec[0])
-        if not cands:
-            return FAILED
-        if len(cands) == 1 and cands[0].guard == 0:
-            ct = cands[0]
-        else:
-            ct = self._select(cands, rec, lanes, base, d0)
+        cid, ct, ai = self._delivery(rec, lanes)
         if ct is None or ct is AMBIGUOUS:
             return FAILED
         if ct.stall:
             return STALLED
         eev = self.codec.intern_event((1,) + rec)
+        return self._evaluate(eev, ct, self._fn(ct, cid), lanes, cid, rec, ai)
+
+    def _delivery(self, rec: tuple, lanes) -> tuple:
+        """``(cid, transition, pending access)`` of delivering message
+        record *rec* in *lanes*: the receiving cache (None: the directory),
+        the transition that takes it (None: none does, :data:`AMBIGUOUS`:
+        several do) and the cache's pending access (None: none)."""
+        d0 = self.dir_offset
+        if rec[2] == 1:  # the directory (id -1, +2 shift)
+            cid = base = ai = None
+            cands = self.spec.directory.on_message[lanes[d0]].get(rec[0])
+        else:
+            cid = rec[2] - 2
+            base = cid * CACHE_ENCODED_WIDTH
+            cands = self.spec.cache.on_message[lanes[base]].get(rec[0])
+            pending = lanes[base + CF_PENDING]
+            ai = pending - 1 if pending else None
+        if not cands:
+            return cid, None, ai
+        if len(cands) == 1 and cands[0].guard == 0:
+            return cid, cands[0], ai
+        return cid, self._select(cands, rec, lanes, base, d0), ai
+
+    def _fn(self, ct, cid: int | None):
+        """The generated function of transition *ct* at cache *cid* (None:
+        the directory)."""
+        return (self._dir_fns if cid is None else self._cache_fns)[id(ct)]
+
+    def _run(self, ct, fn, out: list, cid, rec, ai, sends: list):
+        """Run transition *ct* (its generated function *fn*) at cache *cid*
+        (None: the directory) on the plane-0 lanes *out* in place, its sends
+        appended to *sends*: None, or the failing action's error code."""
         if cid is None:
-            fn = self._dir_fns[id(ct)]
-            return self._evaluate(eev, ct, fn, lanes, None, rec, None)
-        pending = lanes[base + CF_PENDING]
-        ai = pending - 1 if pending else None
-        return self._evaluate(eev, ct, self._cache_fns[id(ct)], lanes, cid, rec, ai)
+            return fn(out, rec, sends)
+        base = cid * CACHE_ENCODED_WIDTH
+        if rec is None:  # an access
+            out[base + CF_ISSUED] += 1
+            out[base + CF_PENDING] = ai + 1
+        if fn is not None and (code := fn(out, base, cid, rec, ai, sends)):
+            return code
+        out[base + CF_STATE] = ct.next_state
+        if ct.has_perform:
+            out[base + CF_PENDING] = 0
+        return None
 
     def _evaluate(self, eev, ct, fn, lanes, cid, rec, ai):
         """Run transition *ct* (its generated function *fn*) for event *eev*
@@ -746,104 +664,141 @@ class TransitionKernel:
         before = list(lanes[: vo + 1])
         out = before.copy()
         sends: list = []
+        if self._run(ct, fn, out, cid, rec, ai, sends):
+            return FAILED
         if cid is None:
-            lo, hi = self.dir_offset, vo
-            if fn(out, rec, sends):
-                return FAILED
-            confined = out[vo] == before[vo]
+            lo, hi, top = self.dir_offset, vo, vo + 1
         else:
             lo = cid * CACHE_ENCODED_WIDTH
-            hi = lo + CACHE_ENCODED_WIDTH
-            if rec is None:  # an access
-                out[lo + CF_ISSUED] += 1
-                out[lo + CF_PENDING] = ai + 1
-            if fn is not None and fn(out, lo, cid, rec, ai, sends):
-                return FAILED
-            out[lo + CF_STATE] = ct.next_state
-            if ct.has_perform:
-                out[lo + CF_PENDING] = 0
-            confined = True
-        if not (confined and out[:lo] == before[:lo] and out[hi:vo] == before[hi:vo]):
+            hi, top = lo + CACHE_ENCODED_WIDTH, vo
+        if out[:lo] != before[:lo] or out[hi:top] != before[hi:top]:
             return FAILED
         version = out[vo] if out[vo] != before[vo] else None
         return eev, tuple(out[lo:hi]), version, tuple(sends)
 
-    # -- the spliced fork ----------------------------------------------------------
+    # -- the memos: outcomes filed ready to splice -------------------------------
     def _scratch(self, base: int, block, version: int = 0) -> list:
-        """Lanes through the version lane holding the *block* lanes from
-        lane *base* on and *version* (zeros elsewhere: the evaluator reads
-        neither): what a memo miss evaluates on."""
+        """Plane-0 lanes through the version lane holding the *block* lanes
+        from lane *base* on and *version* (zeros elsewhere: the evaluator
+        reads neither): what a memo miss evaluates on."""
         lanes = [0] * (self.version_offset + 1)
         lanes[base : base + len(block)] = block
         lanes[-1] = version
         return lanes
 
+    def _plane_of(self, lanes: tuple) -> tuple:
+        """``(plane, the rest)`` of a memo key's lanes: the plane lane leads
+        them only with several planes."""
+        if self.num_addresses == 1:
+            return 0, lanes
+        return lanes[0], lanes[1:]
+
     def _access_miss(self, key: bytes) -> tuple:
-        """The access memo's miss: *key* packs a cache ID, that cache's
-        block and the version; returns the cache's plans."""
-        lanes = self.codec.unpack(key)
+        """The access memo's miss: *key* packs [the plane,] a cache ID, that
+        cache's block and the plane's version; returns the cache's plans."""
+        addr, lanes = self._plane_of(self.codec.unpack(key))
         cid = lanes[0]
         base = cid * CACHE_ENCODED_WIDTH
         lanes = self._scratch(base, lanes[1:-1], lanes[-1])
-        outcomes = self.access_outcomes(cid, lanes)
-        if not outcomes:
-            return ()
         eevs = self._access_eevs[cid]
         plans = []
-        for (ai, _ct, _fn), outcome in zip(self._access_plans[lanes[base]], outcomes):
-            spliced = self._spliced(outcome, cid)
-            plans.append((spliced[0], eevs[ai], spliced, None))
+        outcomes = self.access_outcomes(cid, lanes)
+        for (ai, ct, fn), outcome in zip(self._access_plans[lanes[base]], outcomes):
+            filed = self._filed(outcome, eevs[ai], ct, fn, lanes, cid, None, ai, addr)
+            plans.append((filed[0], filed[1], filed, None, 0))
         return tuple(plans)
 
-    def _delivery_miss(self, key: bytes):
-        """The delivery memo's miss: *key* packs a message record, its
-        receiver's block and, for a cache, the version; returns the
-        delivery's outcome, ready to splice, or :data:`STALLED`."""
+    def _litmus_miss(self, key: bytes) -> tuple:
+        """The access memo's miss on a litmus workload: *key* packs a cache
+        ID and, plane by plane, that cache's block and the plane's version;
+        returns the plan of the program's next access -- none when the
+        program is done, an earlier access is still in flight on any plane
+        or the transition stalls."""
         lanes = self.codec.unpack(key)
+        cid = lanes[0]
+        width = CACHE_ENCODED_WIDTH + 1
+        blocks = [lanes[at : at + width] for at in range(1, len(lanes), width)]
+        ops = self._litmus_ops[cid]
+        pc = sum(block[CF_ISSUED] for block in blocks)
+        stable = self.spec.cache.stable
+        if pc >= len(ops) or not all(stable[block[CF_STATE]] for block in blocks):
+            return ()
+        ai, addr = ops[pc]
+        ct = self.spec.cache.on_access[blocks[addr][CF_STATE]][ai]
+        if ct is None or ct.stall:
+            return ()
+        block = blocks[addr]
+        lanes = self._scratch(cid * CACHE_ENCODED_WIDTH, block[:-1], block[-1])
+        fn = self._cache_fns[id(ct)]
+        eev = self._access_eevs[cid][ai]
+        outcome = self._evaluate(eev, ct, fn, lanes, cid, None, ai)
+        filed = self._filed(outcome, eev, ct, fn, lanes, cid, None, ai, addr)
+        return ((filed[0], filed[1], filed, None, 0),)
+
+    def _delivery_miss(self, key: bytes):
+        """The delivery memo's miss: *key* packs [the plane,] a message
+        record, its receiver's block and, for a cache, the plane's version;
+        returns the delivery's outcome, ready to splice, or
+        :data:`STALLED`."""
+        addr, lanes = self._plane_of(self.codec.unpack(key))
         mw = MESSAGE_ENCODED_WIDTH
         rec = lanes[:mw]
         if rec[2] == 1:  # the directory
-            cid = None
             lanes = self._scratch(self.dir_offset, lanes[mw:])
         else:
-            cid = rec[2] - 2
-            lanes = self._scratch(cid * CACHE_ENCODED_WIDTH, lanes[mw:-1], lanes[-1])
-        outcome = self.delivery_outcome(rec, lanes)
-        if outcome is STALLED:
+            base = (rec[2] - 2) * CACHE_ENCODED_WIDTH
+            lanes = self._scratch(base, lanes[mw:-1], lanes[-1])
+        cid, ct, ai = self._delivery(rec, lanes)
+        eev = self.codec.intern_event((1,) + rec)
+        if ct is None or ct is AMBIGUOUS:
+            text = self._undeliverable(lanes, rec, ct)
+            return (self._apply_failed, self._event(eev, addr), text)
+        if ct.stall:
             return STALLED
-        return self._spliced(outcome, cid)
+        fn = self._fn(ct, cid)
+        outcome = self._evaluate(eev, ct, fn, lanes, cid, rec, ai)
+        return self._filed(outcome, eev, ct, fn, lanes, cid, rec, ai, addr)
 
     def _intern(self, value):
         """*value*, or the equal value the intern table already holds."""
         held = self._interned.get(value)
         return self._interned.store(value, value) if held is None else held
 
-    def _spliced(self, outcome, cid: int | None) -> tuple:
-        """The memos' form of an evaluator *outcome* at cache *cid* (None:
-        the directory): ``(handler, lo, hi, block, version | None, sends,
-        splice | None)`` -- the receiver's byte span in a key, its packed
-        new block and version, the sends as :meth:`_packed_sends` groups
-        them and the tail's splice (:meth:`_splicer`), each interned.  A
-        :data:`FAILED` outcome, or one holding a value too wide for its
-        lane, is replayed instead (:meth:`_replay`: the plane-aware handler
-        raises the :class:`LaneOverflow` at the plan's serial position)."""
+    def _filed(self, outcome, eev, ct, fn, lanes, cid, rec, ai, addr: int) -> tuple:
+        """What a memo keeps for the evaluator's *outcome* of event *eev*
+        (transition *ct*, function *fn*, on the plane-0 *lanes*) at cache
+        *cid* (None: the directory) on plane *addr*: ``(handler, plane's
+        eev, ...)``.  An outcome: ``(lo, hi, block, version, sends, splice,
+        addr)`` -- the receiver's byte span, its packed block, ``(lo, hi,
+        packed)`` of a new version, the :meth:`_packed_sends` groups and
+        the section's :meth:`_splicer`, interned.  A :data:`FAILED` one,
+        run again: a protocol error's text, formatted once, or the
+        transition itself for a write outside the block.  A value too wide
+        for its lane: the :class:`LaneOverflow`, raised when the plan is
+        applied, at its serial position."""
+        eev = self._event(eev, addr)
         if outcome is FAILED:
-            return self._replayed
-        eev, block, version, sends = outcome
+            out = list(lanes)
+            if code := self._run(ct, fn, out, cid, rec, ai, []):
+                return (self._apply_failed, eev, self._error(code, ct, rec, cid, out))
+            return (self._apply_unconfined, eev, ct, fn, cid, rec, ai, addr)
+        _eev, block, version, sends = outcome
+        shift = addr * self._plane_bytes
         lo, hi = self._spans[-1 if cid is None else cid]
         pack = self.codec.pack
         intern = self._intern
         try:
             block = pack(block)
             if version is not None:
-                version = pack((version,))
+                vlo, vhi = self._version_span
+                version = (vlo + shift, vhi + shift, pack((version,)))
             sends = self._packed_sends(sends)
-        except LaneOverflow:
-            return self._replayed
+        except LaneOverflow as exc:
+            return (self._apply_overflow, eev, exc)
         splice = self._splicer(eev[0] == 1, len(sends))
         return intern((
-            self._splice_handler, lo, hi, intern(block), version,
-            intern(sends), splice,
+            self._splice_handler, eev, lo + shift, hi + shift, intern(block),
+            version, intern(sends), splice, addr,
         ))
 
     def _packed_sends(self, sends) -> tuple:
@@ -866,47 +821,104 @@ class TransitionKernel:
             )
         return tuple(groups)
 
+    # -- the apply handlers ------------------------------------------------------
     def _apply_spliced(self, key: bytes, plan: tuple, net: tuple) -> bytes:
-        """A simple configuration's plan: the successor spliced out of the
-        parent's *key* -- ``key[:lo] + block + key[hi:v] + version + tail``,
-        the tail the parent's section unless the plan delivers or sends."""
-        _handler, lo, hi, block, version, sends, splice = plan[2]
+        """An access or a delivery: the successor spliced out of the parent's
+        *key* -- ``key[:lo] + block + key[hi:v] + version + tail``, the tail
+        the parent's unless the plan delivers or sends, and then only its
+        plane's section edited."""
+        _handler, _eev, lo, hi, block, version, sends, splice, addr = plan[2]
         if version is not None:  # a store: the version lane is spliced too
-            vlo, vhi = self._version_span
-            block += key[hi:vlo] + version
+            vlo, vhi, packed = version
+            block += key[hi:vlo] + packed
             hi = vhi
         if splice is None:
             return key[:lo] + block + key[hi:]
-        nb = self._net_byte_offset
-        tail = splice(self, key[nb:], net, plan[3], sends)
-        return key[:lo] + block + key[hi:nb] + tail
+        handle = net[addr]
+        start = handle[3]
+        tail = splice(self, key[start:], handle, plan[3], sends, plan[4])
+        return key[:lo] + block + key[hi:start] + tail
 
-    def _replay(self, key: bytes, plan: tuple, net: tuple):
-        """A plan the splice does not build, applied by the plane-aware
-        handler of the same event: the protocol error's text, or the
-        :class:`LaneOverflow` packing its successor raises -- or, for a
-        write outside the controller's block, that successor."""
-        enc = self.codec.unpack(key)
-        plans, general = self._enabled_general(enc, key)
-        eev = plan[1]
-        replayed = next(p for p in plans if p[1] == eev)
-        return replayed[0](key, replayed, general)
+    def _apply_failed(self, key: bytes, plan: tuple, net: tuple) -> str:
+        return plan[2][2]  # the protocol error's text
+
+    def _apply_overflow(self, key: bytes, plan: tuple, net: tuple):
+        raise plan[2][2].with_traceback(None)  # a value too wide for its lane
+
+    def _apply_unconfined(self, key: bytes, plan: tuple, net: tuple):
+        """A transition that writes outside its controller's block -- only a
+        hand-built one does: run on its plane's unpacked lanes, which are
+        spliced back whole, with the plane's section."""
+        _handler, _eev, ct, fn, cid, rec, ai, addr = plan[2]
+        lo = addr * self._plane_bytes
+        hi = lo + self._plane_bytes
+        out = list(self.codec.unpack(key[lo:hi]))
+        sends: list = []
+        if code := self._run(ct, fn, out, cid, rec, ai, sends):
+            return self._error(code, ct, rec, cid, out)
+        start = net[addr][3]
+        tail = key[start:]
+        if splice := self._splicer(rec is not None, len(sends)):
+            sends = self._packed_sends(sends)
+            tail = splice(self, tail, net[addr], plan[3], sends, plan[4])
+        return key[:lo] + self.codec.pack(out) + key[hi:start] + tail
+
+    def _apply_duplicate(self, key: bytes, plan: tuple, net: tuple) -> bytes:
+        """A duplicated message: one more copy of the record beside its twin
+        -- behind a channel's head, the channel's count raised, or in the
+        bag -- and ``faults_used`` raised."""
+        handle = net[plan[2]]
+        items, offsets, where, record = handle[0], handle[1], plan[3], plan[4]
+        if self.ordered:
+            at = offsets[where]
+            count = len(items)
+            edits = [
+                (at + 3, 1, self._lane(len(items[where][3]) + 1)),
+                (at + 4, 0, record),
+            ]
+        else:
+            count = len(items) + 1
+            edits = [(offsets[where], 0, record)]
+        return self._faulted(key, handle, count, edits)
+
+    def _apply_reorder(self, key: bytes, plan: tuple, net: tuple) -> bytes:
+        """A reordered channel: records *pos* and *pos + 1* swapped, and
+        ``faults_used`` raised."""
+        handle = net[plan[2]]
+        where, pos = plan[3], plan[4]
+        mw = MESSAGE_ENCODED_WIDTH
+        width = mw * self.lane_bytes
+        first = self._head_byte(handle, where) + pos * width
+        swapped = key[first + width : first + 2 * width] + key[first : first + width]
+        edits = [(handle[1][where] + 4 + pos * mw, 2 * mw, swapped)]
+        return self._faulted(key, handle, len(handle[0]), edits)
+
+    def _head_byte(self, handle: tuple, where: int) -> int:
+        """The first byte in a key of the head of channel *where* of the
+        section parsed as *handle*."""
+        return handle[3] + (handle[1][where] + 4) * self.lane_bytes
+
+    def _faulted(self, key: bytes, handle: tuple, count: int, edits: list) -> bytes:
+        """*key* with ``faults_used`` raised by one and the section parsed as
+        *handle* edited (:meth:`_edited`)."""
+        at = self.fault_offset * self.lane_bytes
+        nb = self._net_byte_offset
+        start = handle[3]
+        used = self._lane(int.from_bytes(key[at:nb], sys.byteorder) + 1)
+        return key[:at] + used + key[nb:start] + self._edited(key[start:], count, edits)
 
     # -- the byte splice of a network section --------------------------------------
     #
-    # A splice takes ``(section, net, where, sends)``: the parent's packed
-    # network section and its parse handle, the delivered record's place --
-    # the head of channel *where* when ordered, record *where* of the bag
-    # when unordered, None for an access -- and the :meth:`_packed_sends`
-    # groups.  It returns the successor's packed section, re-normalized
-    # exactly like ``Network.deliver`` + ``Network.send`` and bit-identical
-    # to :meth:`_emit_net` followed by ``pack`` (tested): a list of local
-    # edits applied to the parent's section by :meth:`_edited`, the count
-    # lanes that change re-packed (:meth:`_lane`: :class:`LaneOverflow`
-    # above ``lane_max``).
+    # A splice takes ``(section, net, where, sends, pos)``: the key from one
+    # plane's section on (the later planes' sections ride along), that
+    # section's parse handle, the delivered record's place -- record *pos*
+    # of channel *where* when ordered, record *where* of the bag when
+    # unordered, None for an access -- and the :meth:`_packed_sends` groups.
+    # It returns them with the section as ``Network.deliver`` +
+    # ``Network.send`` normalize it: local edits applied by :meth:`_edited`.
     def _splicer(self, delivers: bool, sends: int):
-        """The splice -- a function of ``(self, section, net, where,
-        sends)`` -- of a plan that *delivers* (or not) and sends *sends*
+        """The splice -- a function of ``(self, section, net, where, sends,
+        pos)`` -- of a plan that *delivers* (or not) and sends *sends*
         messages; None when the section stays the parent's."""
         if not (delivers or sends):
             return None
@@ -925,11 +937,11 @@ class TransitionKernel:
                 raise self.codec.overflow(value) from None
 
     def _edited(self, section: bytes, count: int, edits: list) -> bytes:
-        """*section* with its count lane set to *count* and each ``(lane,
-        skip, replacement)`` of *edits* applied: *skip* lanes from *lane* on
-        replaced by the *replacement* bytes.  The edits are sorted by
-        ``(lane, skip)`` first; a stable sort, so insertions at one lane
-        keep the order they were listed in."""
+        """*section* (and whatever follows it) with its count lane set to
+        *count* and each ``(lane, skip, replacement)`` of *edits* applied:
+        *skip* lanes from *lane* on replaced by the *replacement* bytes.
+        The edits are sorted by ``(lane, skip)`` first; a stable sort, so
+        insertions at one lane keep the order they were listed in."""
         edits.sort(key=_START_SKIP)
         lb = self.lane_bytes
         parts = [self._lane(count)]
@@ -940,7 +952,7 @@ class TransitionKernel:
         parts.append(section[pos:])
         return b"".join(parts)
 
-    def _bag_splice(self, section: bytes, net: tuple, where, sends) -> bytes:
+    def _bag_splice(self, section: bytes, net: tuple, where, sends, pos=0) -> bytes:
         """Unordered: each record inserted at its sorted place in the bag
         (*sends* are sorted, so equal places keep their order), the
         delivered one taken out."""
@@ -952,12 +964,12 @@ class TransitionKernel:
             count -= 1
         return self._edited(section, count, edits)
 
-    def _fifo_splice(self, section: bytes, net: tuple, where, sends) -> bytes:
+    def _fifo_splice(self, section: bytes, net: tuple, where, sends, pos=0) -> bytes:
         """Ordered: each channel's sends appended to it -- found by
         bisection on the sorted channel items, which a 3-field key sorts
-        just below -- or framed as a new channel there, and the delivered
-        channel's head taken out, with its header when that empties it and
-        nothing is sent to it.  The groups come in channel order, so
+        just below -- or framed as a new channel there, and record *pos* of
+        the delivered channel taken out, with its header when that empties
+        it and nothing is sent to it.  The groups come in channel order, so
         insertions at one lane are listed in the order they go in."""
         items, offsets = net[0], net[1]
         lane = self._lane
@@ -979,138 +991,24 @@ class TransitionKernel:
         if where is not None:
             at = offsets[where]
             if left:
-                edits += ((at + 3, 1, lane(left)), (at + 4, MESSAGE_ENCODED_WIDTH, b""))
+                mw = MESSAGE_ENCODED_WIDTH
+                edits += ((at + 3, 1, lane(left)), (at + 4 + pos * mw, mw, b""))
             else:
                 edits.append((at, 4 + MESSAGE_ENCODED_WIDTH, b""))
                 total -= 1
         return self._edited(section, total, edits)
 
-    # -- general (plane-aware) apply handlers -------------------------------------
-    def _emit_net_plane(self, out, enc, planes, addr, where, sends, pos=0):
-        """Emit the successor's network sections: earlier planes verbatim,
-        plane *addr* through :meth:`_emit_net`, later planes verbatim."""
-        plane = planes[addr]
-        start = plane[3]
-        end = start + plane[1][-1]
-        out.extend(enc[self.net_offset : start])
-        self._emit_net(out, enc, plane, where, sends, start, end, pos)
-        out.extend(enc[end:])
-
-    def _apply_access_plan_general(self, key: bytes, plan: tuple, net: tuple):
-        enc, planes = net
-        addr = plan[5]
-        cid = plan[2]
-        ai = plan[1][2]
-        ct = plan[3]
-        fn = plan[4]
-        plane = addr * self.plane_stride
-        out = list(enc[: self.net_offset])
-        base = plane + cid * CACHE_ENCODED_WIDTH
-        out[base + CF_ISSUED] += 1
-        out[base + CF_PENDING] = ai + 1
-        sends: list = []
-        vo = plane + self.version_offset
-        if fn is not None and (err := fn(out, base, cid, None, ai, sends, vo)):
-            return self._error(err, ct, None, cid, out, base, vo)
-        out[base + CF_STATE] = ct.next_state
-        if ct.has_perform:
-            out[base + CF_PENDING] = 0
-        self._emit_net_plane(out, enc, planes, addr, None, sends)
-        return self.codec.pack(out)
-
-    def _apply_delivery_plan_general(self, key: bytes, plan: tuple, net: tuple):
-        enc, planes = net
-        ct = plan[3]
-        rec = plan[2]
-        addr = plan[6]
-        plane = addr * self.plane_stride
-        if ct is None or ct is AMBIGUOUS:
-            return self._undeliverable(enc, rec, ct, plane)
-        where = plan[4]
-        out = list(enc[: self.net_offset])
-        sends: list = []
-        if rec[2] == 1:  # directory delivery
-            d0 = plane + self.dir_offset
-            if err := self._dir_fns[id(ct)](
-                out, rec, sends, d0, d0 + 2 + self.num_caches
-            ):
-                return self._error(err, ct, rec)
-        else:
-            cid = rec[2] - 2
-            base = plane + cid * CACHE_ENCODED_WIDTH
-            pending = out[base + CF_PENDING]
-            ai = pending - 1 if pending else None
-            fn = plan[5]
-            vo = plane + self.version_offset
-            if fn is not None and (err := fn(out, base, cid, rec, ai, sends, vo)):
-                return self._error(err, ct, rec, cid, out, base, vo)
-            out[base + CF_STATE] = ct.next_state
-            if ct.has_perform:
-                out[base + CF_PENDING] = 0
-        self._emit_net_plane(out, enc, planes, addr, where, sends, plan[7])
-        return self.codec.pack(out)
-
-    def _apply_duplicate_plan(self, key: bytes, plan: tuple, net: tuple):
-        """Decode-free duplication: splice an extra copy of the duplicated
-        record into its section (behind the head for ordered channels,
-        adjacent to its twin in the sorted unordered bag)."""
-        enc, planes = net
-        addr, where = plan[2], plan[3]
-        _items, offsets, _deliveries, start = planes[addr]
-        end = start + offsets[-1]
-        mw = MESSAGE_ENCODED_WIDTH
-        out = list(enc[: self.net_offset])
-        out[self.fault_offset] += 1
-        out.extend(enc[self.net_offset : start])
-        if self.ordered:
-            at = start + offsets[where]  # channel header
-            out.extend(enc[start : at + 3])
-            out.append(enc[at + 3] + 1)
-            out.extend(enc[at + 4 : at + 4 + mw])  # the head, again
-            out.extend(enc[at + 4 : end])
-        else:
-            at = start + offsets[where]  # the record itself
-            out.append(enc[start] + 1)
-            out.extend(enc[start + 1 : at])
-            out.extend(enc[at : at + mw])  # the copy, kept adjacent (sorted)
-            out.extend(enc[at : end])
-        out.extend(enc[end:])
-        return self.codec.pack(out)
-
-    def _apply_reorder_plan(self, key: bytes, plan: tuple, net: tuple):
-        """Decode-free reorder: swap two adjacent message records in place."""
-        enc, planes = net
-        addr, chan, pos = plan[2], plan[3], plan[4]
-        offsets, start = planes[addr][1], planes[addr][3]
-        mw = MESSAGE_ENCODED_WIDTH
-        out = list(enc[: self.net_offset])
-        out[self.fault_offset] += 1
-        first = start + offsets[chan] + 4 + pos * mw
-        out.extend(enc[self.net_offset : first])
-        out.extend(enc[first + mw : first + 2 * mw])
-        out.extend(enc[first : first + mw])
-        out.extend(enc[first + 2 * mw :])
-        return self.codec.pack(out)
-
     def _compile_cache_fn(self, ct):
-        """Generate one cache transition's function from its actions.
-
-        Every action's constants (message type, vnet, destination kind, slot
-        numbers, lane offsets) are burned into straight-line source, run once
-        per distinct text (:func:`_compiled`).  ``fn(out, base, cid, rec, ai,
-        sends)`` executes the transition on the encoded cache block: it
-        mutates the block in place, appends encoded send records and returns
-        None, or at the first action that fails -- missing data or
-        requestor, a load or store the data-value checks refuse, an action
-        or a destination a cache cannot execute -- returns that site's error
-        code (see :data:`_ACTION_STRIDE`), leaving the lanes as the earlier
-        actions wrote them.  Returns ``None`` instead of a function for an
-        empty action list (callers skip the call entirely).
-        """
+        """Generate one cache transition's function from its actions: its
+        constants burned into straight-line source, run once per distinct
+        text (:func:`_compiled`).  ``fn(out, base, cid, rec, ai, sends)``
+        mutates the cache block in place and appends encoded send records;
+        it returns None, or the first failing action's error code (see
+        :data:`_ACTION_STRIDE`).  ``None`` instead of a function for an
+        empty action list."""
         if not ct.actions:
             return None
-        # Plane-0 version offset as a default arg: single-plane callers omit
-        # it, multi-address callers pass their plane's absolute offset.
+        # The version offset: a default arg every caller leaves at plane 0.
         lines = [f"def fn(out, base, cid, rec, ai, sends, vo={self.version_offset}):"]
         emit = lines.append
         tmp = 0
@@ -1212,17 +1110,9 @@ class TransitionKernel:
         return mt, self.spec.mtype_vnet[mt]
 
     def _compile_directory_fn(self, ct):
-        """Directory twin of :meth:`_compile_cache_fn`.
-
-        ``fn(out, rec, sends)`` runs the whole directory-side mutation for
-        one transition: lane offsets, destination kinds and data/ack flags
-        are burned in at generation time, the owner local and the sharer set
-        are materialized only when some action actually reads or writes
-        them, and the sorted sharer-run writeback happens only for
-        transitions that touch the set.  Returns None, or the first failing
-        action's error code: missing data, requestor or owner, or an action
-        or a destination the directory cannot execute.
-        """
+        """Directory twin of :meth:`_compile_cache_fn`: ``fn(out, rec,
+        sends)``.  The owner local and the sharer set are built, and written
+        back, only when some action reads or writes them."""
         d0 = self.dir_offset
         n = self.num_caches
         mem_i = d0 + 2 + n
@@ -1236,8 +1126,7 @@ class TransitionKernel:
             or isinstance(a, Send) and a.to is Dest.OWNER
             for a in ct.actions
         )
-        # Plane-0 lanes as default args: single-plane callers omit them,
-        # multi-address callers pass their plane's absolute offsets.
+        # Lane offsets: default args every caller leaves at plane 0.
         lines = [f"def fn(out, rec, sends, d0={d0}, mem_i={mem_i}):"]
         emit = lines.append
         emit(" reqf = rec[4]")
@@ -1307,175 +1196,34 @@ class TransitionKernel:
             emit(" out[d0 + 2:mem_i] = run")
         return _compiled("\n".join(lines))
 
-    def _emit_net(
-        self, out: list, enc: tuple, net: tuple, where: int | None, sends: list,
-        no: int, end: int, pos: int = 0,
-    ) -> None:
-        """Append the successor network section: the parent's section minus
-        the delivered message (record *pos* of channel *where* when ordered
-        -- non-zero only under fault-mode re-queue bypass -- or record index
-        *where* when unordered) plus *sends*, re-normalized exactly like
-        ``Network.deliver`` + ``Network.send``: the plane-aware fork's
-        network step.
-
-        The parent section is already normalized (channels sorted, FIFO
-        order inside each), so the successor section is a sorted merge with
-        at most a couple of touched channels, built from *enc* slices: a
-        transition with no sends and no delivery copies the section
-        verbatim, a pure absorption splices out one message record (and its
-        channel header, if emptied), and sends rebuild only the channels
-        they touch -- every untouched channel is one slice copy through the
-        per-section channel offsets of *net* (the codec's parse handle).
-        *no*/*end* bound the section's lanes in *enc* (one plane's section
-        -- *net*'s offsets are relative to *no*).  A single send takes the
-        same merge: a one-send specialization measured no faster on bench
-        ``matrix-2c``, the one workload that runs this path.
-        """
-        if not sends and where is None:
-            out.extend(enc[no:end])
-            return
-        items, offsets = net[0], net[1]
-        mw = MESSAGE_ENCODED_WIDTH
-        if not self.ordered:
-            if not sends:
-                at = no + 1 + where * mw
-                out.append(enc[no] - 1)
-                out.extend(enc[no + 1 : at])
-                out.extend(enc[at + mw : end])
-                return
-            msgs = [m for i, m in enumerate(items) if i != where]
-            msgs.extend(sends)
-            msgs.sort()
-            out.append(len(msgs))
-            for m in msgs:
-                out.extend(m)
-            return
-        if not sends:
-            # Drop record `pos` of channel `where` by lane splicing alone.
-            at = no + offsets[where]
-            nmsgs = enc[at + 3]
-            if nmsgs == 1:
-                out.append(enc[no] - 1)
-                out.extend(enc[no + 1 : at])
-                out.extend(enc[at + 4 + mw : end])
-                return
-            rec0 = at + 4 + pos * mw
-            out.append(enc[no])
-            out.extend(enc[no + 1 : at + 3])
-            out.append(nmsgs - 1)
-            out.extend(enc[at + 4 : rec0])
-            out.extend(enc[rec0 + mw : end])
-            return
-        send_map: dict = {}
-        for m in sends:
-            key = (m[1], m[2], m[3])
-            queue = send_map.get(key)
-            if queue is None:
-                send_map[key] = [m]
-            else:
-                queue.append(m)
-        emptied = where is not None and len(items[where][3]) == 1
-        pending = []
-        for key in send_map:
-            for idx, item in enumerate(items):
-                if (
-                    item[0] == key[0]
-                    and item[1] == key[1]
-                    and item[2] == key[2]
-                    and not (emptied and idx == where)
-                ):
-                    break
-            else:
-                pending.append(key)
-        pending.sort()
-        flush_at = len(pending)
-        out.append(len(items) - (1 if emptied else 0) + flush_at)
-        flushed = 0
-        for idx, item in enumerate(items):
-            if flushed < flush_at:
-                key = item[:3]
-                while flushed < flush_at and pending[flushed] < key:
-                    fresh = pending[flushed]
-                    queue = send_map[fresh]
-                    out.extend(fresh)
-                    out.append(len(queue))
-                    for m in queue:
-                        out.extend(m)
-                    flushed += 1
-            if idx == where and emptied:
-                # Removed; if a send re-opens this key the merge above (or
-                # the tail flush) emits it at the same sorted position.
-                continue
-            extra = send_map.get(item[:3])
-            if extra is None:
-                if idx != where:
-                    out.extend(enc[no + offsets[idx] : no + offsets[idx + 1]])
-                    continue
-                msgs = item[3][:pos] + item[3][pos + 1 :]
-            elif idx == where:
-                msgs = item[3][:pos] + item[3][pos + 1 :] + tuple(extra)
-            else:
-                msgs = item[3] + tuple(extra)
-            out.extend((item[0], item[1], item[2], len(msgs)))
-            for m in msgs:
-                out.extend(m)
-        while flushed < flush_at:
-            fresh = pending[flushed]
-            queue = send_map[fresh]
-            out.extend(fresh)
-            out.append(len(queue))
-            for m in queue:
-                out.extend(m)
-            flushed += 1
-
     # -- predicates and invariants --------------------------------------------------
     def is_quiescent(self, enc: tuple) -> bool:
         """Encoded mirror of :meth:`repro.system.System.is_quiescent`."""
-        stable = self.spec.cache.stable
-        width = CACHE_ENCODED_WIDTH
-        if self.num_addresses == 1:
-            if enc[self.net_offset] != 0:
-                return False
-            if not self.spec.directory.stable[enc[self.dir_offset]]:
-                return False
-            return all(stable[enc[cid * width]] for cid in range(self.num_caches))
         # All sections empty <=> the suffix is exactly one zero count lane
         # per plane (a non-empty section is always longer than one lane).
-        num_addresses = self.num_addresses
-        if len(enc) != self.net_offset + num_addresses:
+        if len(enc) != self.net_offset + self.num_addresses:
             return False
+        stable = self.spec.cache.stable
+        if not all(stable[enc[lane]] for lane in self._cache_lanes):
+            return False
+        stable = self.spec.directory.stable
         stride = self.plane_stride
-        dir_stable = self.spec.directory.stable
-        for addr in range(num_addresses):
-            plane = addr * stride
-            if not dir_stable[enc[plane + self.dir_offset]]:
-                return False
-            if not all(
-                stable[enc[plane + cid * width]] for cid in range(self.num_caches)
-            ):
-                return False
-        return True
+        return all(
+            stable[enc[plane + self.dir_offset]]
+            for plane in range(0, self.num_addresses * stride, stride)
+        )
 
     def workload_remaining(self, enc: tuple) -> bool:
         """True when some cache still has accesses left in its budget."""
-        width = CACHE_ENCODED_WIDTH
         if self._litmus_ops is not None:
-            stride = self.plane_stride
-            num_addresses = self.num_addresses
+            planes, lanes = self.num_addresses, self._cache_lanes
             return any(
-                sum(
-                    enc[a * stride + cid * width + CF_ISSUED]
-                    for a in range(num_addresses)
-                )
-                < len(self._litmus_ops[cid])
-                for cid in range(self.num_caches)
+                sum(enc[at + CF_ISSUED] for at in lanes[cid * planes : (cid + 1) * planes])
+                < len(ops)
+                for cid, ops in enumerate(self._litmus_ops)
             )
-        max_accesses = self.max_accesses
-        stride = self.plane_stride
         return any(
-            enc[addr * stride + cid * width + CF_ISSUED] < max_accesses
-            for addr in range(self.num_addresses)
-            for cid in range(self.num_caches)
+            enc[lane + CF_ISSUED] < self.max_accesses for lane in self._cache_lanes
         )
 
     def is_complete(self, enc: tuple) -> bool:
@@ -1485,57 +1233,39 @@ class TransitionKernel:
     def check(self, enc: tuple, codes: tuple) -> bool:
         """Evaluate the compiled invariants named by *codes*; True = all hold.
 
-        On a False return the caller decodes the state and re-runs the object
-        invariants to build the exact violation report -- verdicts are a
-        function of the state alone, so the slow path reproduces them.  The
-        default pair (SWMR + single-owner) runs as one fused pass over the
-        cache state lanes.  SWMR and single-owner are per-address properties:
-        with several planes each plane is checked independently.  A litmus
-        invariant arrives as the tuple code ``("litmus", clauses)`` with each
-        clause a tuple of ``(cache_id, addr, version)`` observations, and
-        fires only on complete states where some clause matches in full.
-        :data:`INV_DECODED` always reads False.
-        """
+        On False the caller decodes the state and re-runs the object
+        invariants for the exact report.  SWMR and single-owner hold per
+        address plane.  A litmus invariant is the code ``("litmus",
+        clauses)``, each clause ``(cache_id, addr, version)`` observations:
+        it fires on a complete state where a clause matches in full.
+        :data:`INV_DECODED` always reads False."""
         permission = self.spec.cache.permission
-        stable = self.spec.cache.stable
         width = CACHE_ENCODED_WIDTH
         n = self.num_caches
-        stride = self.plane_stride
+        planes = range(0, self.num_addresses * self.plane_stride, self.plane_stride)
         if codes == _DEFAULT_CODES:
-            for addr in range(self.num_addresses):
-                plane = addr * stride
-                writers = readers = stable_writers = 0
+            # SWMR alone: two stable writers are two writers.
+            for plane in planes:
+                writers = readers = 0
                 for cid in range(n):
-                    si = enc[plane + cid * width]
-                    p = permission[si]
+                    p = permission[enc[plane + cid * width]]
                     if p == 2:
                         writers += 1
-                        if stable[si]:
-                            stable_writers += 1
                     elif p == 1:
                         readers += 1
-                if writers > 1 or (writers and readers) or stable_writers > 1:
+                if writers > 1 or (writers and readers):
                     return False
             return True
+        stable = self.spec.cache.stable
         complete = None  # lazily evaluated, shared across litmus codes
         for code in codes:
             if code == INV_DECODED:
                 return False
             if code == INV_SWMR:
-                for addr in range(self.num_addresses):
-                    plane = addr * stride
-                    writers = readers = 0
-                    for cid in range(n):
-                        p = permission[enc[plane + cid * width]]
-                        if p == 2:
-                            writers += 1
-                        elif p == 1:
-                            readers += 1
-                    if writers > 1 or (writers and readers):
-                        return False
+                if not self.check(enc, _DEFAULT_CODES):
+                    return False
             elif code == INV_SINGLE_OWNER:
-                for addr in range(self.num_addresses):
-                    plane = addr * stride
+                for plane in planes:
                     stable_writers = 0
                     for cid in range(n):
                         si = enc[plane + cid * width]
@@ -1548,6 +1278,7 @@ class TransitionKernel:
                     complete = self.is_complete(enc)
                 if not complete:
                     continue
+                stride = self.plane_stride
                 for clause in code[1]:
                     if all(
                         enc[a * stride + c * width + CF_LAST_OBSERVED] == v + 1

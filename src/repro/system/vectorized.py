@@ -117,9 +117,8 @@ hot path created has no packed tail and no parse handle unless something
 asked.
 
 The compiled kernel is the evaluator of every miss, the differential
-oracle (its :meth:`TransitionKernel._emit_net` is what the array splice is
-tested against) and the fallback: any plan the batch path cannot express
-(a protocol error --
+oracle (the batch plans are tested against its ``enabled`` + ``apply``)
+and the fallback: any plan the batch path cannot express (a protocol error --
 unexpected message, ambiguous guards, missing data/requestor, an action
 the controller cannot execute, anything a generated function returns an
 error code for, whose text only the per-state kernel formats -- a write
@@ -225,7 +224,13 @@ class VectorizedKernel:
         #: ``uint32`` columns of a whole-state row: a block ID per cache,
         #: the directory's, the version and the section ID.
         self.row_width = self.num_caches + 3
-        self.supported = self.kernel._simple
+        #: The batch model covers one address plane, no fault lane and no
+        #: litmus program; any other configuration runs the per-state loop.
+        self.supported = (
+            codec.num_addresses == 1
+            and codec.fault_offset is None
+            and self.kernel._litmus_ops is None
+        )
         # The plan tables (module docstring).  All are append-only typed
         # arrays read through NumPy views taken per level -- a view pins its
         # array's size, so none outlives the method that takes it -- and

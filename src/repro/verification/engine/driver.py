@@ -25,11 +25,10 @@ Every strategy, backend and worker process runs the same two pieces:
 (enabled plans -> leaf verdict -> apply -> canonicalize -> intern ->
 invariant check); ``intern`` is the only dedup a successor meets.  The
 kernel is the only thing that applies a transition, key to key: a plan
-returns its successor's packed key -- spliced out of the parent's on a
-simple configuration, packed by the plane-aware fork otherwise
-(:mod:`repro.system.kernel`) -- or its protocol error's text, which ends
-the search; the object oracle the body is checked against lives in the
-tests.
+returns its successor's packed key -- spliced out of the parent's, on
+every configuration (:mod:`repro.system.kernel`) -- or its protocol
+error's text, which ends the search; the object oracle the body is
+checked against lives in the tests.
 The vectorized batch expander subclasses the compiled one
 (:mod:`~repro.verification.engine.search`), and the worker fleet is both a
 third expander in the parent (its native level is a count per owner) and

@@ -340,6 +340,12 @@ class TestSearchStats:
         assert memos() == memos(strategy="dfs") == [384, 384, 440, 440]
         assert memos(symmetry=True) == [256, 256, 303, 303]
         assert memos(kernel="vectorized") == [0, 0, 0, 0]
+        # A second address plane: one key per (plane, cache, block) and per
+        # (plane, record, receiver block), the evaluator still run once each.
+        two_planes = System(msi_nonstalling, num_caches=2, num_addresses=2,
+                            workload=Workload(max_accesses_per_cache=1))
+        stats = verify(two_planes).stats
+        assert [stats[name] for name in names] == [72, 72, 72, 72]
 
     def test_visited_bytes_is_the_row_table(self, msi_nonstalling):
         """Bytes per stored state as a reported count: the batch path's row
@@ -709,15 +715,15 @@ class TestRetainedObjects:
         records: each is one object, like the interned events."""
         codec = ctx.codec
         records = []
-        for items, _offsets, deliveries in codec._net_items_memo.values():
+        for items, _offsets, deliveries, *_span in codec._net_items_memo.values():
             for item in items:
                 records.extend(item[3] if codec.ordered else (item,))
-            records.extend(rec for _where, rec, _eev in deliveries)
+            records.extend(rec for _where, rec, _packed in deliveries)
         assert len(records) > 100
         assert len({id(rec) for rec in records}) == len(set(records))
         triples = [
             triple
-            for _items, _offsets, deliveries in codec._net_items_memo.values()
+            for _items, _offsets, deliveries, *_span in codec._net_items_memo.values()
             for triple in deliveries
         ]
         assert len({id(triple) for triple in triples}) == len(set(triples))

@@ -37,10 +37,16 @@ from repro.dsl.types import (
     PerformAccess,
     Send,
 )
-from repro.system import System, Workload
+from repro.system import FaultModel, System, Workload
 from repro.system.network import OrderedNetwork
-from repro.verification import InvariantViolation, default_invariants, verify
+from repro.verification import (
+    InvariantViolation,
+    default_invariants,
+    message_passing,
+    verify,
+)
 
+from reference_network import emit_net
 from verification_helpers import (
     MessageDroppingSystem,
     assert_expansion_parity,
@@ -128,51 +134,80 @@ def test_whole_search_parity_with_reference_search(all_generated, name, config_l
     )
 
 
-@pytest.mark.parametrize("name", ["MSI", "MSI-Unordered", "MSI-missing-Inv"])
-def test_spliced_successors_equal_the_plane_aware_forks(all_generated, msi_spec, name):
-    """``enabled`` picks the fork by configuration alone: spliced plans for
-    a simple one, the plane-aware fork for multi-address, fault and litmus
-    configurations -- so no search runs the plane-aware fork on a *simple*
-    configuration.  Over every reachable state of one it must enumerate the
-    same events, and every spliced successor must be the plane-aware
-    fork's, byte for byte; a failing plan fails at the same position with
-    the same text (the mutant's reachable space has them)."""
-    if name == "MSI-missing-Inv":
+#: Whole-space configurations on 2 caches: label -> (policy, accesses per
+#: cache, system options, what ``verify()`` finds).  Each needs more than
+#: one address plane, a fault lane or a litmus program -- what the memo keys
+#: carry a plane for, what edits ``faults_used``, what reads all of a
+#: cache's planes.  The reorder spaces run the stalling tables: under
+#: re-queue order a stalled channel head is bypassed, and only a stalling
+#: controller stalls a head; under strict order one wedges its channel.
+WHOLE_SPACES = {
+    "two-address": ("nonstalling", 1, dict(num_addresses=2), "ok"),
+    "duplicate": ("nonstalling", 1, dict(faults=FaultModel(duplicate=True)), "ok"),
+    "reorder-requeue": ("stalling", 2, dict(faults=FaultModel(reorder=True)), "ok"),
+    "reorder-strict": (
+        "stalling", 2, dict(faults=FaultModel(reorder=True, requeue=False)),
+        "deadlock",
+    ),
+    "litmus": ("stalling", 0, dict(workload=message_passing().workload), "ok"),
+    "missing-inv-two-address": ("nonstalling", 1, dict(num_addresses=2), "error"),
+}
+
+
+@pytest.mark.parametrize("label, name", [
+    (label, name)
+    for label in WHOLE_SPACES
+    for name in ("MSI", "MSI-Unordered")
+    # No reorder axis on an unordered network; one mutant.
+    if name == "MSI" or not label.startswith(("reorder", "missing-inv"))
+])
+def test_whole_spaces_expand_like_the_reference(all_generated, msi_spec, label, name):
+    """Every configuration builds its successors with the one byte splice.
+    Over every reachable state of each multi-address, fault and litmus
+    configuration -- MSI, and MSI-Unordered where the axis applies -- the
+    kernel must enumerate the reference system's events in order, build
+    its successors byte for byte and fail with its texts
+    (:func:`assert_expansion_parity`).  The space it spans is the one
+    ``verify()`` counts on a pass; the strict-order space wedges and the
+    mutant's holds failing plans."""
+    policy, accesses, options, verdict = WHOLE_SPACES[label]
+    if label.startswith("missing-inv"):
         generated = make_missing_inv_mutant(msi_spec)
-        workload = _workload("MSI")
     else:
-        generated = all_generated[(name, "nonstalling")]
-        workload = _workload(name)
-    system = System(generated, num_caches=2, workload=workload)
+        generated = all_generated[(name, policy)]
+    options = {
+        "workload": replace(_workload(name), max_accesses_per_cache=accesses),
+        **options,
+    }
+    system = System(generated, num_caches=2, **options)
     kernel, codec = system.kernel(), system.codec()
-    assert kernel._simple
     root = codec.encode_packed(system.initial_state())
-    seen, pending, transitions, failing = {root}, [root], 0, 0
+    seen, pending, transitions, failing, requeued = {root}, [root], 0, 0, 0
     while pending:
         key = pending.pop()
+        assert_expansion_parity(system, codec.decode_packed(key))
         plans, net = kernel.enabled(key)
-        general_plans, general = kernel._enabled_general(codec.unpack(key), key)
-        assert [plan[1] for plan in general_plans] == [plan[1] for plan in plans]
         transitions += len(plans)
-        for plan, general_plan in zip(plans, general_plans):
+        for plan in plans:
+            # A delivery plan's last field: the record's place in its channel.
+            requeued += plan[1][0] == 1 and plan[4] > 0
             succ = kernel.apply(key, plan, net)
-            assert kernel.apply(key, general_plan, general) == succ
             if type(succ) is str:
                 failing += 1
             elif succ not in seen:
                 seen.add(succ)
                 pending.append(succ)
+    assert bool(requeued) == (label == "reorder-requeue")
+    assert bool(failing) == (verdict == "error")
     result = verify(system)
     assert result.kernel == "compiled"
-    if name == "MSI-missing-Inv":
-        assert failing and result.error
-        return
-    assert not failing and result.ok
-    assert (result.states_explored, result.transitions_explored) == (
-        len(seen), transitions
+    assert (result.ok, result.deadlock, bool(result.error)) == (
+        verdict == "ok", verdict == "deadlock", verdict == "error"
     )
-    if name == "MSI":
-        assert (len(seen), transitions) == (1702, 3078)
+    if result.ok:
+        assert (result.states_explored, result.transitions_explored) == (
+            len(seen), transitions
+        )
 
 
 def test_pinned_seed_counts_on_compiled_kernel(msi_nonstalling):
@@ -472,27 +507,48 @@ def _state_with(system, network):
     return replace(system.initial_state(), network=network)
 
 
-def _byte_splice(kernel, section, net, where, sends):
+def _byte_splice(kernel, section, net, where, sends, pos=0):
     """The kernel's byte splice of the packed *section* (parse handle *net*)
-    for a delivery at *where* (None: none) and the send records *sends*:
-    the splice its memoized outcome would pick."""
+    for a delivery of record *pos* at *where* (None: none) and the send
+    records *sends*: the splice its memoized outcome would pick."""
     splice = kernel._splicer(where is not None, len(sends))
     if splice is None:
         return section
-    return splice(kernel, section, net, where, kernel._packed_sends(sends))
+    return splice(kernel, section, net, where, kernel._packed_sends(sends), pos)
+
+
+def _random_network(rng, ordered, mtypes, messages=5):
+    """A network of up to *messages* random messages among three caches and
+    the directory."""
+    from repro.system.message import Message
+    from repro.system.network import make_network
+
+    network = make_network(ordered)
+    for _ in range(rng.randrange(0, messages)):
+        network = network.send(Message(
+            mtype=rng.choice(mtypes),
+            src=rng.choice(_NODES), dst=rng.choice(_NODES),
+            vnet=rng.randrange(2),
+            requestor=rng.choice([None, -1, 0, 1, 2]),
+            data=rng.choice([None, 1, 2]),
+            ack_count=rng.choice([None, 0, 2]),
+        ))
+    return network
+
+
+_NODES = [-1, 0, 1, 2]
 
 
 class TestEmitNetDifferential:
-    """The kernel's network re-normalization vs the object model, both ways
-    it is done: `_emit_net` rebuilds the successor section from lane edits
-    on the parent encoding -- the plane-aware fork's way -- and the byte
-    splices (`_splicer`) edit the parent's packed section -- the spliced
-    plans' way.  The oracle is `Network.deliver` + `Network.send` followed
-    by `encoded()` (and `pack`, for the splice).  The randomized sweep plus
-    the pinned corner cases cover the edit interactions on both network
-    kinds -- in particular a send re-opening the very channel its delivery
-    just emptied, which a first version of a one-send path corrupted (count
-    lane decremented to zero with the record left behind).
+    """The kernel's byte splices of a network section vs two oracles: the
+    object network -- `Network.deliver` / `deliver_at` / `send` /
+    `duplicate` / `reorder` followed by `encoded()` and `pack` -- and the
+    tests' lane-level `emit_net`, which rebuilds the successor section from
+    the parent's lanes.  The randomized sweeps plus the pinned corner cases
+    cover the edit interactions on both network kinds -- in particular a
+    send re-opening the very channel its delivery just emptied, which a
+    first version of a one-send path corrupted (count lane decremented to
+    zero with the record left behind).
     """
 
     @pytest.fixture(scope="class", params=["ordered", "unordered"])
@@ -520,7 +576,8 @@ class TestEmitNetDifferential:
         )
         out = list(enc[: codec.net_offset])
         sends = [msg.encoded(codec._mtype_index) for msg in send_msgs]
-        kernel._emit_net(out, enc, net, where, sends, codec.net_offset, len(enc))
+        emit_net(system.ordered, out, enc, net, where, sends, codec.net_offset,
+                 len(enc))
         case = f"where={where}, sends={send_msgs}, network={network}"
         assert tuple(out) == expected, case
         cut = codec.net_byte_offset
@@ -572,23 +629,11 @@ class TestEmitNetDifferential:
         import random
 
         from repro.system.message import Message
-        from repro.system.network import make_network
 
         rng = random.Random(20260731)
-        codec = system.codec()
-        mtypes = codec.mtypes
-        nodes = [-1, 0, 1, 2]
+        mtypes = system.codec().mtypes
         for _ in range(1500):
-            network = make_network(system.ordered)
-            for _ in range(rng.randrange(0, 5)):
-                network = network.send(Message(
-                    mtype=rng.choice(mtypes),
-                    src=rng.choice(nodes), dst=rng.choice(nodes),
-                    vnet=rng.randrange(2),
-                    requestor=rng.choice([None, -1, 0, 1, 2]),
-                    data=rng.choice([None, 1, 2]),
-                    ack_count=rng.choice([None, 0, 2]),
-                ))
+            network = _random_network(rng, system.ordered, mtypes)
             deliverable = network.deliverable()
             which = (
                 rng.randrange(len(deliverable))
@@ -598,7 +643,7 @@ class TestEmitNetDifferential:
             sends = [
                 Message(
                     mtype=rng.choice(mtypes),
-                    src=rng.choice(nodes), dst=rng.choice(nodes),
+                    src=rng.choice(_NODES), dst=rng.choice(_NODES),
                     vnet=rng.randrange(2),
                     data=rng.choice([None, 1]),
                 )
@@ -607,6 +652,120 @@ class TestEmitNetDifferential:
             if which is None and not sends:
                 continue
             self._assert_matches_oracle(system, network, which, sends)
+
+    @staticmethod
+    def _faulted(system):
+        """*system* with duplicates and reorders enabled."""
+        return System(system.protocol, num_caches=3, workload=system.workload,
+                      faults=FaultModel(duplicate=True, reorder=True))
+
+    @staticmethod
+    def _fault_successor(faulted, network, event):
+        """The kernel's successor for the fault *event* in a state of
+        *faulted* holding *network* -- the plan ``enabled`` lists for it."""
+        codec, kernel = faulted.codec(), faulted.kernel()
+        key = codec.encode_packed(_state_with(faulted, network))
+        plans, net = kernel.enabled(key)
+        eev = codec.encode_event(event)
+        (plan,) = [plan for plan in plans if plan[1] == eev]
+        return kernel.apply(key, plan, net)
+
+    def test_duplicate_goes_in_beside_its_twin(self, system):
+        """A duplicated record: a second copy at the head of its channel,
+        whose count lane is raised, or one more in the bag -- where it is
+        also what the lane emitter makes of sending a copy."""
+        import random
+
+        from repro.system.system import DuplicateMessage
+
+        faulted = self._faulted(system)
+        codec = faulted.codec()
+        rng = random.Random(20261017)
+        duplicated = 0
+        for _ in range(300):
+            network = _random_network(rng, system.ordered, codec.mtypes)
+            for which, message in enumerate(network.deliverable()):
+                expected = replace(_state_with(faulted, network),
+                                   network=network.duplicate(message),
+                                   faults_used=1)
+                succ = self._fault_successor(
+                    faulted, network, DuplicateMessage(message=message))
+                case = f"{message} in {network}"
+                assert succ == codec.encode_packed(expected), case
+                duplicated += 1
+                if system.ordered:
+                    continue
+                enc = codec.encode(_state_with(faulted, network))
+                out = list(enc[: codec.net_offset])
+                out[codec.fault_offset] += 1
+                emit_net(False, out, enc, codec.parsed_network(enc), None,
+                         [message.encoded(codec._mtype_index)],
+                         codec.net_offset, len(enc))
+                assert codec.pack(out) == succ, case
+        assert duplicated > 300
+
+    def test_reorder_swaps_two_adjacent_records(self, system):
+        """A reordered channel: records *pos* and *pos + 1* swapped, from
+        the head to the channel's last pair.  An unordered network has no
+        reorder axis."""
+        import random
+
+        from repro.system.system import ReorderMessage
+
+        faulted = self._faulted(system)
+        codec = faulted.codec()
+        rng = random.Random(20261018)
+        swapped = 0
+        for _ in range(300):
+            network = _random_network(rng, system.ordered, codec.mtypes, 8)
+            for src, dst, vnet, pos in network.reorderable():
+                expected = replace(_state_with(faulted, network),
+                                   network=network.reorder(src, dst, vnet, pos),
+                                   faults_used=1)
+                succ = self._fault_successor(faulted, network, ReorderMessage(
+                    src=src, dst=dst, vnet=vnet, position=pos))
+                assert succ == codec.encode_packed(expected), network
+                swapped += 1
+        assert bool(swapped) == system.ordered
+
+    def test_requeue_delivers_a_record_behind_the_head(self, all_generated):
+        """Under re-queue order a channel delivers its first record that
+        does not stall: record *pos* leaves the channel, the head stays --
+        for every *pos* up to the channel's last record, with no send, with
+        a send elsewhere, and with one that re-enters the channel."""
+        from repro.system.message import Message
+        from repro.system.network import OrderedNetwork
+
+        system = System(all_generated[("MSI", "stalling")], num_caches=3,
+                        workload=_workload("MSI"))
+        codec, kernel = system.codec(), system.kernel()
+        mtypes = codec.mtypes
+
+        def msg(src, dst, vnet, mtype=0, data=None):
+            return Message(mtype=mtypes[mtype], src=src, dst=dst, vnet=vnet,
+                           data=data)
+
+        channel = [msg(0, -1, 0, m) for m in range(4)]
+        network = OrderedNetwork().send(msg(-1, 1, 1), *channel, msg(2, -1, 0))
+        for pos, message in enumerate(channel):
+            for send_msgs in ([], [msg(1, 0, 1)], [msg(0, -1, 0, 1, data=1)],
+                              [msg(0, -1, 0, 2), msg(-1, 1, 1, 1)]):
+                enc = codec.encode(_state_with(system, network))
+                net = codec.parsed_network(enc)
+                where = next(i for i, item in enumerate(net[0])
+                             if item[:3] == (2, 1, 0))
+                expected = enc[: codec.net_offset] + network.deliver_at(
+                    message, pos).send(*send_msgs).encoded(codec._mtype_index)
+                sends = [m.encoded(codec._mtype_index) for m in send_msgs]
+                out = list(enc[: codec.net_offset])
+                emit_net(True, out, enc, net, where, sends, codec.net_offset,
+                         len(enc), pos)
+                case = f"pos={pos}, sends={send_msgs}"
+                assert tuple(out) == expected, case
+                cut = codec.net_byte_offset
+                spliced = _byte_splice(kernel, codec.pack(enc)[cut:], net, where,
+                                       sends, pos)
+                assert spliced == codec.pack(expected)[cut:], case
 
 
 class TestSpliceLaneOverflow:
@@ -664,6 +823,72 @@ class TestSpliceLaneOverflow:
             self._splice(system, network, [opening])
         # Emptying a channel on the way leaves the count where it was.
         assert self._splice(system, network, [opening], which=0)
+
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["fifo", "bag"])
+    def test_a_duplicate_past_the_lane(self, all_generated, ordered):
+        """A channel, or the bag, holding 255 records, and one of them
+        duplicated: ``enabled`` still lists the plan, and applying it
+        raises."""
+        from repro.system import LaneOverflow
+        from repro.system.message import Message
+        from repro.system.network import make_network
+        from repro.system.system import DuplicateMessage
+
+        name = "MSI" if ordered else "MSI-Unordered"
+        system = System(all_generated[(name, "stalling")], num_caches=3,
+                        workload=_workload(name),
+                        faults=FaultModel(duplicate=True))
+        codec, kernel = system.codec(), system.kernel()
+        assert codec.typecode == "B"
+        message = Message(mtype=codec.mtypes[0], src=0, dst=-1, vnet=0)
+        network = make_network(ordered).send(*[message] * 255)
+        key = codec.encode_packed(_state_with(system, network))
+        plans, net = kernel.enabled(key)
+        eev = codec.encode_event(DuplicateMessage(message=message))
+        (plan,) = [plan for plan in plans if plan[1] == eev]
+        with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
+            kernel.apply(key, plan, net)
+
+
+def test_a_write_outside_the_block_is_spliced_with_its_plane(
+        msi_nonstalling, monkeypatch):
+    """A transition that writes outside its controller's block -- only a
+    hand-built one does -- runs on its plane's unpacked lanes, which go
+    back into the successor whole: it is the unmutated successor but for
+    the lane written, on the access's plane."""
+    from repro.system.kernel import TransitionKernel
+
+    def system():
+        return System(msi_nonstalling, num_caches=2, num_addresses=2,
+                      workload=Workload(max_accesses_per_cache=1))
+
+    plain = system()
+    codec = plain.codec()
+    root = codec.encode_packed(plain.initial_state())
+    plans, net = plain.kernel().enabled(root)
+    expected = [plain.kernel().apply(root, plan, net) for plan in plans]
+    memory = codec.version_offset - 1  # the directory's memory lane
+    compile_cache_fn = TransitionKernel._compile_cache_fn
+
+    def writing_memory(kernel, ct):
+        fn = compile_cache_fn(kernel, ct)
+
+        def written(out, *args):
+            out[memory] = 5
+            return None if fn is None else fn(out, *args)
+
+        return written
+
+    monkeypatch.setattr(TransitionKernel, "_compile_cache_fn", writing_memory)
+    kernel = system().kernel()
+    plans, net = kernel.enabled(root)
+    assert len(plans) == len(expected) > 0
+    for plan, succ in zip(plans, expected):
+        assert plan[0] == kernel._apply_unconfined
+        lanes = list(codec.unpack(succ))
+        lanes[codec.decode_event(plan[1]).addr * codec.plane_stride + memory] = 5
+        assert kernel.apply(root, plan, net) == codec.pack(lanes)
 
 
 class TestGeneratedSourceIsCompiledOnce:

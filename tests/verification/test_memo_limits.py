@@ -4,7 +4,7 @@ Every bounded cache on the search hot paths is a ``codec.Memo``: the
 codec's block-decode, parse and relabel memos (the packed-suffix memo a
 representative's key is concatenated from is one), the compiled kernel's
 access and delivery memos (what the per-state search splices successors
-from) with its packed-record and outcome intern tables, the canonicalizer's region memo and block table, and the batch
+from) with its outcome intern table, the canonicalizer's region memo and block table, and the batch
 kernel's delivery, ``(cell, record, operation)`` and two boundary memos --
 packed tail -> section ID and section ID -> packed tail.
 ``codec._MEMO_LIMIT`` is the one bound they share (the batch kernel's NumPy
@@ -25,7 +25,7 @@ cache that forgot a section finds it again in the section table.
 import pytest
 
 from repro.dsl.types import AccessKind
-from repro.system import System, Workload
+from repro.system import FaultModel, System, Workload
 from repro.system import codec as codec_module
 from repro.system.codec import Memo
 from repro.verification import verify
@@ -33,19 +33,34 @@ from repro.verification.engine.canonical import canonicalizer_for
 
 _LOAD_STORE = (AccessKind.LOAD, AccessKind.STORE)
 
-#: (protocol, policy, caches, accesses, access kinds) -> (states, transitions)
-#: of the full and of the symmetry-reduced space.
+#: (protocol, policy, caches, accesses, access kinds, axis) -> (states,
+#: transitions) of the full and of the symmetry-reduced space (None: a
+#: two-address system has no symmetric search).  The axis -- a second
+#: address plane or a duplication fault -- puts a plane lane in the compiled
+#: kernel's memo keys or fault plans beside them; the batch kernel does not
+#: take either, so those spaces run on the compiled kernel only.
 SPACES = {
-    ("MSI", "nonstalling", 2, 2, None): ((1702, 3078), (862, 1557)),
-    ("MSI", "stalling", 3, 1, _LOAD_STORE): ((981, 1956), (192, 394)),
-    ("MOSI", "nonstalling", 3, 1, None): ((1079, 2043), (204, 402)),
-    ("MSI-Unordered", "nonstalling", 3, 1, _LOAD_STORE): ((2274, 4890), (410, 893)),
+    ("MSI", "nonstalling", 2, 2, None, None): ((1702, 3078), (862, 1557)),
+    ("MSI", "stalling", 3, 1, _LOAD_STORE, None): ((981, 1956), (192, 394)),
+    ("MOSI", "nonstalling", 3, 1, None, None): ((1079, 2043), (204, 402)),
+    ("MSI-Unordered", "nonstalling", 3, 1, _LOAD_STORE, None): (
+        (2274, 4890), (410, 893),
+    ),
+    ("MSI", "nonstalling", 2, 1, None, "two-address"): ((5476, 16280), None),
+    ("MSI", "nonstalling", 2, 1, None, "duplicate"): ((508, 894), (258, 455)),
 }
 
-#: Memos per owner: the codec's seven, the compiled kernel's four (access,
-#: delivery, record tags and the outcome intern table), the canonicalizer's
-#: two and the batch kernel's four.
-CODEC_MEMOS, KERNEL_MEMOS, CANONICAL_MEMOS, VECTORIZED_MEMOS = 7, 4, 2, 4
+#: What each axis adds to a system.
+AXES = {
+    None: {},
+    "two-address": {"num_addresses": 2},
+    "duplicate": {"faults": FaultModel(duplicate=True)},
+}
+
+#: Memos per owner: the codec's seven, the compiled kernel's three (access,
+#: delivery and the outcome intern table), the canonicalizer's two and the
+#: batch kernel's four.
+CODEC_MEMOS, KERNEL_MEMOS, CANONICAL_MEMOS, VECTORIZED_MEMOS = 7, 3, 2, 4
 
 
 def _memos(owner) -> list:
@@ -57,7 +72,7 @@ def _memos(owner) -> list:
 
 def _outcome(all_generated, space, kernel, symmetry):
     """The run's counts and table sizes, and the memos it filled."""
-    name, policy, caches, accesses, kinds = space
+    name, policy, caches, accesses, kinds, axis = space
     workload = (
         Workload(max_accesses_per_cache=accesses)
         if kinds is None
@@ -66,7 +81,7 @@ def _outcome(all_generated, space, kernel, symmetry):
     # A fresh system: fresh codec, kernels and canonicalizer, so no memo
     # filled by another run (or under another limit) is carried in.
     system = System(all_generated[(name, policy)], num_caches=caches,
-                    workload=workload)
+                    workload=workload, **AXES[axis])
     result = verify(system, kernel=kernel, symmetry=symmetry)
     assert result.kernel == kernel
     memos = _memos(system.codec())
@@ -124,11 +139,14 @@ def test_store_applies_the_same_bound(monkeypatch):
     assert (memo.misses, memo.clears) == (3, 1)
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s[0]}-{s[2]}c{s[3]}a")
+@pytest.mark.parametrize(
+    "space", SPACES, ids=lambda s: f"{s[0]}-{s[2]}c{s[3]}a" + (f"-{s[5]}" if s[5] else "")
+)
 def test_a_limit_of_eight_entries_changes_no_count(all_generated, monkeypatch, space):
     runs = [(kernel, symmetry)
             for kernel in ("compiled", "vectorized")
-            for symmetry in (False, True)]
+            for symmetry in (False, True)
+            if SPACES[space][symmetry] and (kernel == "compiled" or not space[5])]
     unpatched = {}
     for kernel, symmetry in runs:
         counts, memos = _outcome(all_generated, space, kernel, symmetry)

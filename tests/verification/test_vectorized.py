@@ -35,6 +35,7 @@ from repro.system import FaultModel, LitmusWorkload, System, Workload
 from repro.system.rowtable import RowTable
 from repro.verification import verify
 
+from reference_network import emit_net
 from verification_helpers import (
     MUTANT_DROPS,
     drop_cache_handler,
@@ -225,9 +226,9 @@ class TestExpansionParity:
 class TestSectionAlgebra:
     """The network as a product of channels: a section is a vector of cell
     IDs, and a splice -- deliver one record, send a list -- is cell
-    operations on the touched columns.  The oracle is the compiled kernel's
-    lane-splicing :meth:`TransitionKernel._emit_net` (itself checked
-    against the object network in ``test_kernel.py``), on the same
+    operations on the touched columns.  The oracle is the lane-level
+    :func:`reference_network.emit_net` (itself checked against the object
+    network in ``test_kernel.py``), on the same
     ``(section, delivered, sends)`` matrix: every deliverable message of
     every sampled section, or none, against a pool of send lists."""
 
@@ -241,7 +242,6 @@ class TestSectionAlgebra:
         generated = all_generated[(name, config_label)]
         system = System(generated, num_caches=3, workload=_workload(name))
         vk = system.vectorized_kernel()
-        kernel = system.kernel()
         codec = system.codec()
         no = vk.net_offset
         encs = list(dict.fromkeys(
@@ -278,7 +278,7 @@ class TestSectionAlgebra:
             tail = enc[no:]
             assert vk.section_tail(sid) == tail
             net = codec.parsed_network(enc)
-            for where, rec, _eev in ((None, None, None), *net[2]):
+            for where, rec, _packed in ((None, None, None), *net[2]):
                 pool = list(real)
                 if rec is not None:
                     # Back into the channel it left (re-opening it where it
@@ -293,7 +293,8 @@ class TestSectionAlgebra:
                     if where is None and not sends:
                         continue
                     out: list = []
-                    kernel._emit_net(out, tail, net, where, list(sends), 0, len(tail))
+                    emit_net(codec.ordered, out, tail, net, where, list(sends), 0,
+                             len(tail))
                     slot = 0 if rec is None else vk._rec_ids[rec] + 1
                     splices.append((
                         (sid << bits | slot) << bits | send_list_id(sends),
