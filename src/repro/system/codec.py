@@ -258,13 +258,12 @@ class StateCodec:
         #: inside a packed key.
         self.dir_byte_offset = self.dir_offset * self.lane_bytes
         self.net_byte_offset = self.net_offset * self.lane_bytes
-        #: Parse memos: packed network section -> parse handle (see
-        #: :meth:`parsed_network`), and packed multi-plane suffix -> the
-        #: handles of its planes (:meth:`parsed_planes`).
-        self._net_items_memo = Memo(
-            lambda section: self._parse_section(self.unpack(section), 0)
-        )
-        self._planes_memo = Memo(self._parse_planes)
+        #: Parse memos: one plane's packed network section -> its parse
+        #: handle (see :meth:`parsed_network`), and, with several planes,
+        #: the packed suffix of every section -> the handles of its planes
+        #: (:meth:`parsed_planes`), which share the section memo's parts.
+        self._net_items_memo = Memo(self._parse_section)
+        self._planes_memo = Memo(self._plane_handles)
         #: Event-encoding intern table (see :meth:`intern_event`): a few
         #: hundred distinct tuples however many states a search stores.
         self._events: dict[tuple, tuple] = {}
@@ -346,8 +345,9 @@ class StateCodec:
             faults_used=faults_used,
         )
 
-    def _section_length(self, enc: tuple, pos: int) -> int:
-        """Lane count of the network section starting at *pos*."""
+    def _section_length(self, enc, pos: int) -> int:
+        """Lane count of the network section starting at lane *pos* of
+        *enc* (a lane tuple, or a packed key cast to lanes)."""
         mw = MESSAGE_ENCODED_WIDTH
         count = enc[pos]
         if not self.ordered:
@@ -390,6 +390,12 @@ class StateCodec:
         """Inverse of :meth:`pack`."""
         lanes = len(packed) // self.lane_bytes
         return (self._layouts.get(lanes) or self._layout(lanes)).unpack(packed)
+
+    def view(self, packed: bytes) -> memoryview:
+        """The lanes of *packed*, read in place: ``pack`` writes native
+        order, so the cast reads what :meth:`unpack` would return, without
+        building the tuple (what the searches check a new state on)."""
+        return memoryview(packed).cast(self.typecode)
 
     # -- relabeling --------------------------------------------------------------
     def perm_tables(self, perm: tuple[int, ...]) -> tuple:
@@ -500,33 +506,32 @@ class StateCodec:
 
     # -- network section helpers --------------------------------------------------
     def parsed_network(self, enc: tuple, key: bytes | None = None):
-        """``(items, offsets, deliveries, start)`` — the memoized parse handle
-        of *enc*'s section.
+        """``(items, offsets, deliveries, start, end)`` — the memoized parse
+        handle of *enc*'s section (a single-plane encoding).
 
-        *key* is ``pack(enc)`` when the caller holds it (the searches do:
-        it is the frontier entry being expanded), which makes the memo
-        probe one slice of it; without it the section is packed here.
+        *key* is ``pack(enc)`` when the caller holds it, which makes the
+        memo probe one slice of it; without it the section is packed here.
 
         *items* is the section's content -- ordered networks yield
         ``[(src, dst, vnet, (msg record, ...)), ...]`` (encoded node IDs,
         FIFO message order), unordered networks a flat list of message
         records; the list is shared, callers must not mutate it -- and
         *offsets* maps each item to its lanes: ``offsets[i]`` is the lane
-        index of channel (or record) *i* relative to ``net_offset``
-        (``offsets[0] == 1``, past the count lane) and ``offsets[n]`` is the
-        section length, so item *i* occupies ``enc[net_offset + offsets[i] :
-        net_offset + offsets[i + 1]]``.  *deliveries* lists the deliverable messages in
-        delivery order as ``(where, record, packed)`` -- channel heads when
-        ordered, the distinct records of the sorted bag when unordered
-        (identical in-flight messages lead to the same successor; the
-        object model de-duplicates them the same way) -- with *packed* the
-        record's bytes, which head the kernel's delivery memo keys, so
-        enumerating a state's deliveries allocates nothing.  *start* is the
-        section's first byte in a packed key.  Records,
-        channel items, delivery triples and offset tuples are interned
-        (equal parts of different sections are one object).  The kernel
-        threads this handle from ``enabled`` into ``apply``, where a
-        plan's byte splice copies untouched channels as single slices
+        index of channel (or record) *i* relative to the section's first
+        lane (``offsets[0] == 1``, past the count lane) and ``offsets[n]``
+        is the section length, so item *i* occupies ``enc[net_offset +
+        offsets[i] : net_offset + offsets[i + 1]]``.  *deliveries* lists
+        the deliverable messages in delivery order as ``(where, record,
+        packed)`` -- channel heads when ordered, the distinct records of the
+        sorted bag when unordered (identical in-flight messages lead to the
+        same successor; the object model de-duplicates them the same way)
+        -- with *packed* the record's bytes, which head the kernel's
+        delivery memo keys, so enumerating a state's deliveries allocates
+        nothing.  *start* and *end* bound the section's bytes in a packed
+        key.  Records, channel items, delivery triples and offset tuples
+        are interned (equal parts of different sections are one object).
+        The kernel threads this handle from ``enabled`` into ``apply``,
+        where a plan's splice writes the successor section in one pass
         through the offsets.
         """
         if key is None:
@@ -534,26 +539,22 @@ class StateCodec:
         return self.parsed_section(key[self.net_byte_offset :])
 
     def parsed_section(self, section: bytes):
-        """:meth:`parsed_network` for a packed section on its own (what the
-        batch kernel hash-conses)."""
+        """:meth:`parsed_network` for one packed section on its own (what
+        the batch kernel hash-conses), placed at plane 0's bytes."""
         return self._net_items_memo[section]
 
     @property
     def parse_memo_entries(self) -> int:
-        """Distinct packed sections (or multi-plane suffixes) the parse memo
-        currently holds."""
+        """Distinct packed sections (and multi-plane suffixes) the parse
+        memos currently hold."""
         return len(self._net_items_memo) + len(self._planes_memo)
 
-    def _parse_section(self, enc: tuple, start: int):
-        """Parse one network section beginning at lane *start* of *enc*, the
-        lanes from ``net_offset`` on.
-
-        Returns ``(items, offsets, deliveries, start)`` with offsets relative
-        to lane *start* (``offsets[0] == 1``, ``offsets[-1]`` the section
-        length) and the section's first byte in a packed key."""
-        pos = start
-        count = enc[pos]
-        pos += 1
+    def _parse_section(self, section: bytes):
+        """:meth:`parsed_section`'s memo miss: the parse handle of one
+        packed network *section*, placed at ``net_byte_offset``."""
+        enc = self.unpack(section)
+        count = enc[0]
+        pos = 1
         mw = MESSAGE_ENCODED_WIDTH
         part = self._parts.setdefault
         if not self.ordered:
@@ -563,7 +564,7 @@ class StateCodec:
                 items.append(part(rec, rec))
             offsets = tuple(1 + i * mw for i in range(count + 1))
             heads = [
-                (i, rec) for i, rec in enumerate(items)
+                (i, rec, offsets[i]) for i, rec in enumerate(items)
                 if i == 0 or rec != items[i - 1]
             ]
         else:
@@ -579,41 +580,52 @@ class StateCodec:
                 pos += nmsgs * mw
                 item = (src, dst, vnet, tuple(msgs))
                 items.append(part(item, item))
-                offs.append(pos - start)
+                offs.append(pos)
             offsets = tuple(offs)
-            heads = [(i, item[3][0]) for i, item in enumerate(items)]
+            heads = [(i, item[3][0], offs[i] + 4) for i, item in enumerate(items)]
         offsets = part(offsets, offsets)
+        lb = self.lane_bytes
         deliveries = []
-        for i, rec in heads:
-            packed = self.pack(rec)
+        for i, rec, at in heads:
+            packed = section[at * lb : (at + mw) * lb]
             triple = (i, rec, part(packed, packed))
             deliveries.append(part(triple, triple))
-        begin = self.net_byte_offset + start * self.lane_bytes
-        return (items, offsets, tuple(deliveries), begin)
+        start = self.net_byte_offset
+        return (items, offsets, tuple(deliveries), start, start + len(section))
 
     def parsed_planes(self, enc: tuple, key: bytes | None = None):
         """Per-address parse handles, as :meth:`parsed_network` returns
-        them (*key* likewise).
+        them (*key* likewise), each placed at its plane's section.
 
         The kernel threads them from ``enabled`` into ``apply``, where a
-        plan splices its plane's section through them.  With several planes
-        memoized per distinct packed suffix."""
+        plan splices its plane's section through them.  A section is parsed
+        once, in the one section memo, however many multi-plane suffixes
+        hold it; with several planes the handles are memoized per distinct
+        packed suffix, found by a walk over its count lanes and channel
+        headers (:meth:`_plane_handles`)."""
         if key is None:
             key = self.pack(enc)
         if self.num_addresses == 1:
             return (self._net_items_memo[key[self.net_byte_offset :]],)
         return self._planes_memo[key[self.net_byte_offset :]]
 
-    def _parse_planes(self, suffix: bytes) -> tuple:
-        """:meth:`parsed_planes`' memo miss, parsed from the packed suffix."""
-        lanes = self.unpack(suffix)
-        planes = []
+    def _plane_handles(self, suffix: bytes) -> tuple:
+        """:meth:`parsed_planes`' memo miss: each plane's section bounded
+        through its count lanes and channel headers, looked up in the
+        section memo and moved to that plane's bytes."""
+        lanes = self.view(suffix)
+        lb = self.lane_bytes
+        base = self.net_byte_offset
+        handles = []
         pos = 0
         for _ in range(self.num_addresses):
-            section = self._parse_section(lanes, pos)
-            planes.append(section)
-            pos += section[1][-1]
-        return tuple(planes)
+            end = pos + self._section_length(lanes, pos)
+            handle = self._net_items_memo[suffix[pos * lb : end * lb]]
+            if pos:
+                handle = handle[:3] + (base + pos * lb, base + end * lb)
+            handles.append(handle)
+            pos = end
+        return tuple(handles)
 
     # -- canonicalization keys -----------------------------------------------------
     def has_saved_ids(self, enc: tuple) -> bool:

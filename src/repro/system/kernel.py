@@ -28,11 +28,12 @@ concretization of a reduced counterexample step through it:
   files that in its plan tables, the per-state search in two bounded
   memos keyed on the parent's packed bytes and the plane.  On every
   configuration a successor is then **spliced, not built**: ``key[:lo] +
-  block + key[hi:v] + version + tail``, the tail that plane's section
-  edited in bytes through its parse handle's offsets
-  (:meth:`TransitionKernel._splicer`) -- a duplicated or reordered message
-  is one more edit, with ``faults_used`` raised.  Lanes are unpacked only
-  on a memo miss, at a leaf and for the invariant check of a new state.
+  block + key[hi:v] + version + ...``, and of the network only that
+  plane's section is rewritten, in one pass through its parse handle's
+  offsets (:meth:`TransitionKernel._splicer`) -- a duplicated or reordered
+  message is a few direct slices, with ``faults_used`` raised.  Lanes are
+  unpacked only on a memo miss; a leaf and a new state's invariant check
+  read them in place.
 
 The kernel **reports its own errors**.  Every failure site of a generated
 function -- missing data, requestor or owner, a data-value violation, an
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
 
 from repro.core.fsm import GUARD_CODES, CompilationUnsupported, MessageEvent
 from repro.dsl.types import (
@@ -115,11 +115,6 @@ AMBIGUOUS = object()
 #: runs that level through the per-state loop.
 STALLED = object()
 FAILED = object()
-
-#: Edit order of a byte splice: by lane, then skip width -- an insertion
-#: (skip 0) goes before a removal at the same lane; equal keys keep their
-#: order (several insertions at one lane, in sorted record order).
-_START_SKIP = itemgetter(0, 1)
 
 #: What a generated transition function returns at a failure site:
 #: ``kind + _ACTION_STRIDE * i`` for its ``i``-th action, where *kind* keys
@@ -824,9 +819,10 @@ class TransitionKernel:
     # -- the apply handlers ------------------------------------------------------
     def _apply_spliced(self, key: bytes, plan: tuple, net: tuple) -> bytes:
         """An access or a delivery: the successor spliced out of the parent's
-        *key* -- ``key[:lo] + block + key[hi:v] + version + tail``, the tail
+        *key* -- ``key[:lo] + block + key[hi:v] + version + ...``, the rest
         the parent's unless the plan delivers or sends, and then only its
-        plane's section edited."""
+        plane's section rewritten: ``key[hi:start] + section + key[end:]``,
+        the later planes' sections copied through."""
         _handler, _eev, lo, hi, block, version, sends, splice, addr = plan[2]
         if version is not None:  # a store: the version lane is spliced too
             vlo, vhi, packed = version
@@ -835,9 +831,9 @@ class TransitionKernel:
         if splice is None:
             return key[:lo] + block + key[hi:]
         handle = net[addr]
-        start = handle[3]
-        tail = splice(self, key[start:], handle, plan[3], sends, plan[4])
-        return key[:lo] + block + key[hi:start] + tail
+        start, end = handle[3], handle[4]
+        section = splice(self, key[start:end], handle, plan[3], sends, plan[4])
+        return key[:lo] + block + key[hi:start] + section + key[end:]
 
     def _apply_failed(self, key: bytes, plan: tuple, net: tuple) -> str:
         return plan[2][2]  # the protocol error's text
@@ -856,66 +852,67 @@ class TransitionKernel:
         sends: list = []
         if code := self._run(ct, fn, out, cid, rec, ai, sends):
             return self._error(code, ct, rec, cid, out)
-        start = net[addr][3]
-        tail = key[start:]
+        handle = net[addr]
+        start, end = handle[3], handle[4]
+        section = key[start:end]
         if splice := self._splicer(rec is not None, len(sends)):
             sends = self._packed_sends(sends)
-            tail = splice(self, tail, net[addr], plan[3], sends, plan[4])
-        return key[:lo] + self.codec.pack(out) + key[hi:start] + tail
+            section = splice(self, section, handle, plan[3], sends, plan[4])
+        return key[:lo] + self.codec.pack(out) + key[hi:start] + section + key[end:]
 
     def _apply_duplicate(self, key: bytes, plan: tuple, net: tuple) -> bytes:
         """A duplicated message: one more copy of the record beside its twin
-        -- behind a channel's head, the channel's count raised, or in the
-        bag -- and ``faults_used`` raised."""
-        handle = net[plan[2]]
-        items, offsets, where, record = handle[0], handle[1], plan[3], plan[4]
+        -- at a channel's head, the channel's count raised, or in the bag,
+        the bag's count raised -- and ``faults_used`` raised."""
+        items, offsets, _deliveries, start, _end = net[plan[2]]
+        where, record = plan[3], plan[4]
+        lb = self.lane_bytes
         if self.ordered:
-            at = offsets[where]
-            count = len(items)
-            edits = [
-                (at + 3, 1, self._lane(len(items[where][3]) + 1)),
-                (at + 4, 0, record),
-            ]
-        else:
-            count = len(items) + 1
-            edits = [(offsets[where], 0, record)]
-        return self._faulted(key, handle, count, edits)
+            at = start + (offsets[where] + 3) * lb  # the channel's count lane
+            count = self._lane(len(items[where][3]) + 1)
+            return self._faulted(key, at) + count + record + key[at + lb :]
+        at = start + offsets[where] * lb
+        count = self._lane(len(items) + 1)
+        return self._faulted(key, start) + count + key[start + lb : at] + record + key[at:]
 
     def _apply_reorder(self, key: bytes, plan: tuple, net: tuple) -> bytes:
         """A reordered channel: records *pos* and *pos + 1* swapped, and
         ``faults_used`` raised."""
-        handle = net[plan[2]]
-        where, pos = plan[3], plan[4]
-        mw = MESSAGE_ENCODED_WIDTH
-        width = mw * self.lane_bytes
-        first = self._head_byte(handle, where) + pos * width
-        swapped = key[first + width : first + 2 * width] + key[first : first + width]
-        edits = [(handle[1][where] + 4 + pos * mw, 2 * mw, swapped)]
-        return self._faulted(key, handle, len(handle[0]), edits)
+        width = MESSAGE_ENCODED_WIDTH * self.lane_bytes
+        first = self._head_byte(net[plan[2]], plan[3]) + plan[4] * width
+        second = first + width
+        return (
+            self._faulted(key, first) + key[second : second + width]
+            + key[first:second] + key[second + width :]
+        )
 
     def _head_byte(self, handle: tuple, where: int) -> int:
         """The first byte in a key of the head of channel *where* of the
         section parsed as *handle*."""
         return handle[3] + (handle[1][where] + 4) * self.lane_bytes
 
-    def _faulted(self, key: bytes, handle: tuple, count: int, edits: list) -> bytes:
-        """*key* with ``faults_used`` raised by one and the section parsed as
-        *handle* edited (:meth:`_edited`)."""
-        at = self.fault_offset * self.lane_bytes
-        nb = self._net_byte_offset
-        start = handle[3]
-        used = self._lane(int.from_bytes(key[at:nb], sys.byteorder) + 1)
-        return key[:at] + used + key[nb:start] + self._edited(key[start:], count, edits)
+    def _faulted(self, key: bytes, at: int) -> bytes:
+        """``key[:at]`` with ``faults_used`` raised by one: a duplicate's or
+        a reorder's successor up to its one edit of a section, which it
+        continues with direct slices of *key* -- the rest of that section
+        and the later planes' sections copied through."""
+        lb = self.lane_bytes
+        fa = self.fault_offset * lb
+        used = self._lane(int.from_bytes(key[fa : fa + lb], sys.byteorder) + 1)
+        return key[:fa] + used + key[fa + lb : at]
 
-    # -- the byte splice of a network section --------------------------------------
+    # -- the one-pass splice of a network section ----------------------------------
     #
-    # A splice takes ``(section, net, where, sends, pos)``: the key from one
-    # plane's section on (the later planes' sections ride along), that
-    # section's parse handle, the delivered record's place -- record *pos*
-    # of channel *where* when ordered, record *where* of the bag when
-    # unordered, None for an access -- and the :meth:`_packed_sends` groups.
-    # It returns them with the section as ``Network.deliver`` +
-    # ``Network.send`` normalize it: local edits applied by :meth:`_edited`.
+    # A splice takes ``(section, net, where, sends, pos)``: one plane's packed
+    # network section, its parse handle, the delivered record's place --
+    # record *pos* of channel *where* when ordered, record *where* of the bag
+    # when unordered, None for an access -- and the :meth:`_packed_sends`
+    # groups.  It returns the successor section as ``Network.deliver`` +
+    # ``Network.send`` normalize it, written front to back in one pass over
+    # the handle's offsets: each untouched run of channels (or records) is
+    # one slice of *section*, each touched channel its header, its new
+    # count lane and its records, and the section's count lane goes first.
+    # The caller copies the key around it, later planes included.
     def _splicer(self, delivers: bool, sends: int):
         """The splice -- a function of ``(self, section, net, where, sends,
         pos)`` -- of a plan that *delivers* (or not) and sends *sends*
@@ -936,67 +933,94 @@ class TransitionKernel:
             except OverflowError:
                 raise self.codec.overflow(value) from None
 
-    def _edited(self, section: bytes, count: int, edits: list) -> bytes:
-        """*section* (and whatever follows it) with its count lane set to
-        *count* and each ``(lane, skip, replacement)`` of *edits* applied:
-        *skip* lanes from *lane* on replaced by the *replacement* bytes.
-        The edits are sorted by ``(lane, skip)`` first; a stable sort, so
-        insertions at one lane keep the order they were listed in."""
-        edits.sort(key=_START_SKIP)
-        lb = self.lane_bytes
-        parts = [self._lane(count)]
-        pos = lb
-        for start, skip, replacement in edits:
-            parts += (section[pos : start * lb], replacement)
-            pos = (start + skip) * lb
-        parts.append(section[pos:])
-        return b"".join(parts)
-
     def _bag_splice(self, section: bytes, net: tuple, where, sends, pos=0) -> bytes:
         """Unordered: each record inserted at its sorted place in the bag
         (*sends* are sorted, so equal places keep their order), the
-        delivered one taken out."""
+        delivered one taken out after any insertion at its own place."""
         items, offsets = net[0], net[1]
-        edits = [(offsets[bisect_right(items, s[0])], 0, s[1]) for s in sends]
-        count = len(items) + len(edits)
-        if where is not None:
-            edits.append((offsets[where], MESSAGE_ENCODED_WIDTH, b""))
-            count -= 1
-        return self._edited(section, count, edits)
+        lb = self.lane_bytes
+        width = MESSAGE_ENCODED_WIDTH * lb
+        parts = [self._lane(len(items) + len(sends) - (where is not None))]
+        prev = lb
+        cut = None if where is None else offsets[where] * lb
+        for rec, packed in sends:
+            at = offsets[bisect_right(items, rec)] * lb
+            if cut is not None and cut < at:
+                parts.append(section[prev:cut])
+                prev = cut + width
+                cut = None
+            parts += (section[prev:at], packed)
+            prev = at
+        if cut is not None:
+            parts.append(section[prev:cut])
+            prev = cut + width
+        parts.append(section[prev:])
+        return b"".join(parts)
 
     def _fifo_splice(self, section: bytes, net: tuple, where, sends, pos=0) -> bytes:
         """Ordered: each channel's sends appended to it -- found by
         bisection on the sorted channel items, which a 3-field key sorts
-        just below -- or framed as a new channel there, and record *pos* of
-        the delivered channel taken out, with its header when that empties
-        it and nothing is sent to it.  The groups come in channel order, so
-        insertions at one lane are listed in the order they go in."""
+        just below -- or framed as a new channel in front of it, and record
+        *pos* of the delivered channel taken out (:meth:`_take`).  The
+        groups come in channel order, so every channel is written once, in
+        place: a channel opened at the delivered one's index goes in before
+        it, and sends into the delivered channel are written with it."""
         items, offsets = net[0], net[1]
+        lb = self.lane_bytes
         lane = self._lane
         nchan = total = len(items)
-        edits: list = []
-        if where is not None:
-            left = len(items[where][3]) - 1
+        parts = [b""]  # the channel count, known last
+        prev = lb
+        taken, extra, more = where, b"", 0
         for channel, count, packed, opened in sends:
             idx = bisect_left(items, channel)
-            if idx == nchan or items[idx][:3] != channel:
-                edits.append((offsets[idx], 0, opened))
-                total += 1
+            joins = idx < nchan and items[idx][:3] == channel
+            if joins and idx == where:  # written with the delivery
+                extra, more = packed, count
                 continue
-            edits.append((offsets[idx + 1], 0, packed))
-            if idx == where:
-                left += count  # re-opened in place when the delivery empties it
+            if taken is not None and taken < idx:
+                prev = self._take(section, net, taken, pos, extra, more, parts, prev)
+                taken = None
+            at = offsets[idx] * lb
+            if joins:
+                end = offsets[idx + 1] * lb
+                parts += (
+                    section[prev : at + 3 * lb], lane(len(items[idx][3]) + count),
+                    section[at + 4 * lb : end], packed,
+                )
+                prev = end
             else:
-                edits.append((offsets[idx] + 3, 1, lane(len(items[idx][3]) + count)))
-        if where is not None:
-            at = offsets[where]
-            if left:
-                mw = MESSAGE_ENCODED_WIDTH
-                edits += ((at + 3, 1, lane(left)), (at + 4 + pos * mw, mw, b""))
-            else:
-                edits.append((at, 4 + MESSAGE_ENCODED_WIDTH, b""))
-                total -= 1
-        return self._edited(section, total, edits)
+                parts += (section[prev:at], opened)
+                prev = at
+                total += 1
+        if taken is not None:
+            prev = self._take(section, net, taken, pos, extra, more, parts, prev)
+        if where is not None and not more and len(items[where][3]) == 1:
+            total -= 1  # the delivery emptied its channel
+        parts[0] = lane(total)
+        parts.append(section[prev:])
+        return b"".join(parts)
+
+    def _take(self, section: bytes, net: tuple, where: int, pos: int,
+              extra: bytes, more: int, parts: list, prev: int) -> int:
+        """Write *section* from byte *prev* through channel *where* into
+        *parts*: record *pos* taken out of that channel and the *more*
+        packed records *extra* appended to it -- the channel left out,
+        header and all, when that empties it.  Returns the byte after the
+        channel."""
+        lb = self.lane_bytes
+        at = net[1][where] * lb
+        end = net[1][where + 1] * lb
+        left = len(net[0][where][3]) - 1 + more
+        if not left:
+            parts.append(section[prev:at])
+            return end
+        cut = at + (4 + pos * MESSAGE_ENCODED_WIDTH) * lb
+        parts += (
+            section[prev : at + 3 * lb], self._lane(left), section[at + 4 * lb : cut],
+            section[cut + MESSAGE_ENCODED_WIDTH * lb : end], extra,
+        )
+        return end
 
     def _compile_cache_fn(self, ct):
         """Generate one cache transition's function from its actions: its
@@ -1230,8 +1254,10 @@ class TransitionKernel:
         """Encoded mirror of :meth:`repro.system.System.is_complete`."""
         return self.is_quiescent(enc) and not self.workload_remaining(enc)
 
-    def check(self, enc: tuple, codes: tuple) -> bool:
-        """Evaluate the compiled invariants named by *codes*; True = all hold.
+    def check(self, enc, codes: tuple) -> bool:
+        """Evaluate the compiled invariants named by *codes* on the lanes
+        *enc* (a tuple, or :meth:`StateCodec.view` of a packed key); True =
+        all hold.
 
         On False the caller decodes the state and re-runs the object
         invariants for the exact report.  SWMR and single-owner hold per

@@ -12,8 +12,9 @@ Every strategy, backend and worker process runs the same two pieces:
   and the root level the fleet is dealt at spin-up -- and for the compiled
   expander it *is* the native one: a state is the ``bytes`` the store
   keys on from birth to rest -- its successors are spliced out of it, and
-  it is unpacked into lanes only at a leaf and for a new state's invariant
-  check -- so no lane tuple outlives a state.  The expanders whose native
+  a leaf and a new state's invariant check read its lanes in place
+  (:meth:`~repro.system.codec.StateCodec.view`) -- so no lane tuple is
+  built for a state that does not fail.  The expanders whose native
   level is something else convert with ``lift`` (a row matrix, per-owner
   counts) and, where a checkpoint may be saved, ``lower`` (the row
   matrix).  A native level is a list, or anything else with ``len()`` and
@@ -183,7 +184,7 @@ class CompiledExpander(Expander):
         codes = ctx.kernel_codes
         canonicalize = self.canonicalize
         timer = perf_counter
-        unpack = codec.unpack
+        view = codec.view
         intern = ctx.store.intern
         enabled = ctx.kernel.enabled
         check = ctx.kernel.check
@@ -196,7 +197,7 @@ class CompiledExpander(Expander):
             ctx.explored += 1
             plans, net = enabled(packed)
             if not plans:
-                failure = self.leaf(sid, unpack(packed))
+                failure = self.leaf(sid, view(packed))
                 if failure is not None:
                     return None, failure
                 continue
@@ -216,7 +217,7 @@ class CompiledExpander(Expander):
                 new_id, is_new = intern(key, sid, plan[1], perm)
                 if not is_new:
                     continue
-                if not check(unpack(key), codes):
+                if not check(view(key), codes):
                     violation = self.violation(key)
                     if violation is not None:
                         return None, ctx.failure(

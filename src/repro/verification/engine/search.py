@@ -20,7 +20,7 @@ There are three expanders.  The **compiled kernel**
 (:mod:`repro.system.kernel`) is the only per-state one and lives beside the
 driver: it expands encoded states end-to-end, decoding only to report a
 failure -- its level is the portable ``(state_id, packed_key)`` frontier
-itself, each key unpacked into lanes only while that state is expanded.
+itself, each key's lanes read in place only while that state is expanded.
 :class:`VectorizedExpander` below expands a whole BFS level as NumPy
 operations -- its level is a row
 matrix (a state is a ``uint32`` vector of hash-consed IDs: a block per
@@ -227,14 +227,14 @@ class VectorizedExpander(CompiledExpander):
         new_ids, V = new_ids[fresh], S[fresh]
         del S
         # Default-invariant verdicts of the new rows as one mask (None for
-        # non-default codes: then the per-state check, on lanes unpacked
-        # only here).
+        # non-default codes: then the per-state check, on each packed key's
+        # lanes read in place).
         ok = vk.check_level(V, ctx.kernel_codes)
         if ok is None:
             check = ctx.kernel.check
-            unpack = ctx.codec.unpack
+            view = ctx.codec.view
             ok = np.asarray(
-                [check(unpack(key), ctx.kernel_codes) for key in vk.keys_of(V)],
+                [check(view(key), ctx.kernel_codes) for key in vk.keys_of(V)],
                 dtype=bool,
             )
         # Failures surface in stream order: the leaves that precede a new

@@ -794,6 +794,29 @@ class TestRetainedObjects:
         assert codec.parse_memo_entries == 1 + len(created)
 
 
+def test_each_plane_section_is_parsed_once(msi_nonstalling, explorations):
+    """With two address planes every entry of the section memo is one
+    plane's section, parsed once: its misses are the distinct plane
+    sections of the states the search expanded, however many multi-plane
+    suffixes combine them."""
+    system = System(msi_nonstalling, num_caches=2, num_addresses=2,
+                    workload=Workload(max_accesses_per_cache=1))
+    result = verify(system)
+    assert result.ok and result.states_explored == 5476
+    codec = system.codec()
+    sections = set()
+    for key in explorations[-1].store._ids:
+        state = codec.decode_packed(key)
+        for network in (state.network, *state.extra_networks):
+            sections.add(codec.pack(network.encoded(codec._mtype_index)))
+    memo = codec._net_items_memo
+    assert set(memo) == sections
+    assert memo.misses == len(sections) < len(codec._planes_memo)
+    assert not memo.clears
+    assert result.stats["parse_memo_entries"] == len(sections) + len(
+        codec._planes_memo)
+
+
 @pytest.mark.parametrize("axes", [
     dict(faults=dict(duplicate=True, reorder=True)),
     dict(num_addresses=2),

@@ -625,6 +625,79 @@ class TestEmitNetDifferential:
                 self._assert_matches_oracle(system, network, which,
                                             sends[:cut][::-1])
 
+    def test_one_pass_places_every_edit(self, system):
+        """The places where the one-pass splice meets two edits at once: a
+        send into the delivered channel, a channel opened just before and
+        just after it, a delivery that empties its channel with and
+        without a send back into it -- and on a bag, a record sent into
+        the removed record's place, just below it and equal to it."""
+        from repro.system.message import Message
+        from repro.system.network import make_network
+
+        mtypes = system.codec().mtypes
+
+        def msg(src, dst, vnet, mtype=0, data=None):
+            return Message(mtype=mtypes[mtype], src=src, dst=dst, vnet=vnet,
+                           data=data)
+
+        # Channels (src, dst, vnet), in section order: (-1, 0, 1) first,
+        # the delivered (0, -1, 1), and (1, -1, 0) last; (0, -1, 0) sorts
+        # just before the delivered one and (0, 0, 0) just after it.
+        head, second = msg(0, -1, 1, 2), msg(0, -1, 1, 3)
+        network = make_network(system.ordered).send(
+            msg(-1, 0, 1), head, msg(1, -1, 0))
+        which = network.deliverable().index(head)
+        into, before, after = msg(0, -1, 1, 4), msg(0, -1, 0), msg(0, 0, 0)
+        for fuller in (False, True):  # the delivery empties its channel, or not
+            parent = network.send(second) if fuller else network
+            for sends in ([into], [before], [after], [before, after],
+                          [before, into, after], [], [msg(1, -1, 0, 1)]):
+                self._assert_matches_oracle(system, parent, which, sends)
+        if system.ordered:
+            return
+        # A bag: sends at the removed record's place -- just below it (in
+        # front of it), equal to it (behind it) -- and beside both.
+        below = msg(0, -1, 0, 2)
+        index = system.codec()._mtype_index
+        assert below.encoded(index) < head.encoded(index)
+        for sends in ([below], [head], [below, head], [below, head, into]):
+            self._assert_matches_oracle(system, network, which, sends)
+
+    def test_the_other_plane_comes_back_byte_identical(self, system):
+        """Two address planes: every plan of a random two-plane state is
+        the reference system's successor, and a plan on one plane leaves
+        the other plane's section byte-identical -- before it (its bytes
+        at the same place) or after it (shifted by the edited section's
+        change in length)."""
+        import random
+
+        two = System(system.protocol, num_caches=3, num_addresses=2,
+                     workload=Workload(max_accesses_per_cache=1))
+        codec, kernel = two.codec(), two.kernel()
+        rng = random.Random(20261019)
+        checked = 0
+        for _ in range(120):
+            state = replace(
+                two.initial_state(),
+                network=_random_network(rng, system.ordered, codec.mtypes),
+                extra_networks=(
+                    _random_network(rng, system.ordered, codec.mtypes),),
+            )
+            assert_expansion_parity(two, state)
+            key = codec.encode_packed(state)
+            plans, net = kernel.enabled(key)
+            for plan in plans:
+                succ = kernel.apply(key, plan, net)
+                if type(succ) is str:
+                    continue
+                addr = codec.decode_event(plan[1]).addr
+                other = 1 - addr
+                after = codec.parsed_planes(None, succ)
+                assert (succ[after[other][3] : after[other][4]]
+                        == key[net[other][3] : net[other][4]])
+                checked += 1
+        assert checked > 100
+
     def test_randomized_against_the_object_network(self, system):
         import random
 
@@ -849,6 +922,39 @@ class TestSpliceLaneOverflow:
         (plan,) = [plan for plan in plans if plan[1] == eev]
         with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
             kernel.apply(key, plan, net)
+
+
+def test_a_plane_one_overflow_raises_the_codecs_error(msi_stalling):
+    """A delivery on plane 1 of a two-address key whose response joins a
+    channel already holding 255 records: ``apply`` splices plane 1's
+    section and raises the codec's :class:`LaneOverflow`, never an
+    ``IndexError``; the same delivery on plane 0 still fits."""
+    from repro.system import LaneOverflow
+    from repro.system.message import Message
+    from repro.system.system import DeliverMessage
+
+    system = System(msi_stalling, num_caches=3, num_addresses=2,
+                    workload=Workload(max_accesses_per_cache=1))
+    codec, kernel = system.codec(), system.kernel()
+    assert codec.typecode == "B"
+    request = Message(mtype="GetS", src=0, dst=-1, requestor=0, vnet=0)
+    full = [Message(mtype="Inv", src=-1, dst=0, requestor=1)] * 255
+    state = replace(
+        system.initial_state(),
+        network=OrderedNetwork().send(request, *full[:254]),
+        extra_networks=(OrderedNetwork().send(request, *full),),
+    )
+    key = codec.encode_packed(state)
+    plans, net = kernel.enabled(key)
+
+    def delivery(addr):
+        eev = codec.encode_event(DeliverMessage(message=request, addr=addr))
+        (plan,) = [plan for plan in plans if plan[1] == eev]
+        return plan
+
+    assert type(kernel.apply(key, delivery(0), net)) is bytes
+    with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
+        kernel.apply(key, delivery(1), net)
 
 
 def test_a_write_outside_the_block_is_spliced_with_its_plane(
