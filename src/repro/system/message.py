@@ -107,9 +107,6 @@ class Message:
         suffix = f" ({', '.join(extra)})" if extra else ""
         return f"{self.mtype} {node(self.src)}->{node(self.dst)}{suffix}"
 
-    def redirect(self, dst: int) -> "Message":
-        return replace(self, dst=dst)
-
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
         """Flat 10-int record, order-isomorphic to :func:`message_sort_key`.
 

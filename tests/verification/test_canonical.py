@@ -40,7 +40,7 @@ from verification_helpers import (
     production_canonicalize,
     reference_canonicalize,
     sample_reachable_states,
-    two_access_workload,
+    workload_for,
 )
 
 
@@ -112,7 +112,7 @@ def test_packed_representative_and_witness_equal_the_definition(
     if typecode == "H":
         monkeypatch.setattr(System, "value_bound", lambda self: 300)
     system = System(all_generated[(name, policy)], num_caches=num_caches,
-                    workload=two_access_workload(name))
+                    workload=workload_for(name))
     codec = system.codec()
     assert codec.typecode == typecode
     perms = system.symmetry_permutations()

@@ -17,13 +17,17 @@ The contract under test (``verify(..., checkpoint=PATH)``):
   instead of silently corrupting the search.
 
 There is one checkpoint shape; what varies is who lowers the frontier into
-it.  Covered here: the per-state expander (with the default invariants and
-with one the kernel cannot evaluate) and the vectorized expander, each
-under BFS and DFS (whose boundary is the exact pop) and both symmetry
-modes; the per-state expander's reduced BFS and DFS also with each leg in a
-fresh interpreter (the vectorized expander's: ``test_row_table.py``).  The
-worker fleet takes none: ``test_parallel_engine.py`` checks that it
-refuses a checkpoint path.
+it.  Every configuration of the conformance matrix (``test_conformance.py``)
+on the MSI family runs a ``resume-bfs`` and a ``resume-dfs`` row: a leg at
+half the space, then the resume, held to the reference search and to the
+uninterrupted run's trace.  Covered here: a resume at any budget on a fresh
+``System`` for the per-state expander (with the default invariants and with
+one the kernel cannot evaluate) and the vectorized expander, each under BFS
+and DFS (whose boundary is the exact pop) and both symmetry modes; the
+per-state expander's reduced BFS and DFS also with each leg in a fresh
+interpreter (the vectorized expander's: ``test_row_table.py``).  The worker
+fleet takes none: ``test_parallel_engine.py`` checks that it refuses a
+checkpoint path.
 """
 
 import hashlib
@@ -42,102 +46,12 @@ from repro.verification import verify
 from repro.verification.engine import CheckpointMismatch
 from repro.verification.engine.checkpoint import CHECKPOINT_VERSION
 
-from verification_helpers import (
-    DECODED,
-    make_missing_inv_mutant,
-    make_swmr_mutant,
-    mode_id,
-)
+from verification_helpers import DECODED, make_missing_inv_mutant, make_swmr_mutant
 
 
 @pytest.fixture(scope="module")
 def msi_swmr_mutant(msi_spec):
     return make_swmr_mutant(msi_spec)
-
-
-def run_sliced(system, path, budgets, **mode):
-    """Run the search as a chain of budgeted legs resuming one checkpoint.
-
-    Every leg but the last must stop partial (with the checkpoint on disk
-    and strictly more states than the leg before); the final leg's budget
-    sits comfortably above the space, so it completes and consumes the file.
-    """
-    explored = 0
-    for budget in budgets[:-1]:
-        leg = verify(system, max_states=budget, checkpoint=path, **mode)
-        assert leg.partial, f"budget {budget} should truncate the search"
-        assert leg.ok, "no verdict may be reported from a truncated prefix"
-        assert os.path.exists(path), "a truncated leg must persist a checkpoint"
-        assert leg.states_explored > explored, "a resumed leg must progress"
-        explored = leg.states_explored
-    result = verify(system, max_states=budgets[-1], checkpoint=path, **mode)
-    assert not os.path.exists(path), "a completed run consumes its checkpoint"
-    return result
-
-
-# Every expander that lowers a frontier into the checkpoint: per-state
-# (default / decoded invariants) and vectorized, each under BFS and DFS
-# (whose boundary is the exact pop) and both symmetry modes.  The fleet
-# takes no checkpoint (``test_parallel_engine.py``).
-CHECKPOINT_MODES = [
-    dict(),
-    dict(invariants=DECODED),
-    dict(symmetry=True),
-    dict(symmetry=True, invariants=DECODED),
-    dict(kernel="vectorized"),
-    dict(symmetry=True, kernel="vectorized"),
-    dict(strategy="dfs"),
-    dict(strategy="dfs", invariants=DECODED),
-    dict(strategy="dfs", symmetry=True),
-    dict(strategy="dfs", symmetry=True, invariants=DECODED),
-    dict(strategy="dfs", kernel="vectorized"),
-    dict(strategy="dfs", symmetry=True, kernel="vectorized"),
-]
-
-
-@pytest.mark.parametrize("mode", CHECKPOINT_MODES, ids=mode_id)
-class TestResumeParity:
-    def test_sliced_pass_matches_uninterrupted(self, msi_nonstalling,
-                                               tmp_path, mode):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        baseline = verify(system, **mode)
-        assert baseline.ok and not baseline.partial
-
-        path = str(tmp_path / "run.ckpt")
-        result = run_sliced(system, path, [300, 600, 40_000], **mode)
-
-        assert result.ok and not result.partial
-        assert result.states_explored == baseline.states_explored
-        assert result.transitions_explored == baseline.transitions_explored
-        assert result.complete_states == baseline.complete_states
-
-    def test_sliced_failure_verdict_and_trace_identical(
-            self, msi_swmr_mutant, tmp_path, mode):
-        """The violation must land in a *resumed* leg and still carry the
-        exact trace an uninterrupted search reports (the traces themselves
-        are replay-verified in test_engine.py)."""
-        system = System(msi_swmr_mutant, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        baseline = verify(system, **mode)
-        assert not baseline.ok and baseline.violation is not None
-
-        path = str(tmp_path / "run.ckpt")
-        cut = max(1, baseline.states_explored // 2)
-        leg = verify(system, max_states=cut, checkpoint=path, **mode)
-        assert leg.partial and leg.ok, (
-            "the half-budget leg must stop before the violation"
-        )
-        result = verify(system, max_states=10 ** 6, checkpoint=path, **mode)
-
-        assert not result.ok
-        assert result.violation is not None
-        assert str(result.violation) == str(baseline.violation)
-        assert result.trace == baseline.trace
-        assert result.states_explored == baseline.states_explored
-        # A failing resumed run is finished, not truncated: the checkpoint
-        # is consumed like any other completed search's.
-        assert not os.path.exists(path)
 
 
 @pytest.fixture(scope="module")

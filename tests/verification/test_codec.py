@@ -35,7 +35,7 @@ from verification_helpers import (
     production_canonicalize,
     reference_canonicalize,
     sample_reachable_states,
-    two_access_workload,
+    workload_for,
 )
 
 ALL_PROTOCOLS = protocols.available_protocols()
@@ -152,7 +152,7 @@ def test_msi_unordered_late_absorb_states_agree_on_all_pipelines(all_generated):
     relabel against the object model through them."""
     system = System(all_generated[("MSI-Unordered", "nonstalling")],
                     num_caches=3,
-                    workload=two_access_workload("MSI-Unordered"))
+                    workload=workload_for("MSI-Unordered"))
     codec = system.codec()
     perms = system.symmetry_permutations()
     states = sample_reachable_states(system, seed=43, walks=10, max_steps=60)

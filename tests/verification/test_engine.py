@@ -1,13 +1,15 @@
-"""Engine-level tests: trace replay under canonicalization, the interned
-state store, search strategies and the search statistics.
+"""Engine-level tests: the interned state store, search strategies, the
+search statistics and what a search retains.
 
-The central regression here is satellite-proofing `_build_trace`'s successor:
-under symmetry reduction the stored search tree lives in canonical frames,
-so a naive readback would interleave incompatible cache labelings.  The
-engine relabels every event through the inverse permutation chain; these
-tests replay each reported counterexample step-by-step through
-``System.apply`` from the true initial state and demand that the exact
-violation / error / deadlock is reproduced.
+Whole searches -- every strategy and backend held to ``reference_search``,
+and every reported counterexample replayed -- are the rows of the
+conformance matrix (``test_conformance.py``).  Under symmetry reduction the
+stored search tree lives in canonical frames, so a naive readback would
+interleave incompatible cache labelings; the engine relabels every event
+through the inverse permutation chain, and each failing row replays its
+trace step by step on the tests' reference system (``replay_and_check``
+steps ``ReferenceSystem``, from the true initial state), demanding the
+exact violation, error or deadlock.
 """
 
 from array import array
@@ -24,92 +26,9 @@ from repro.verification.engine.canonical import (
 from repro.verification.random_walk import random_walk
 
 from reference_system import ReferenceSystem
-from verification_helpers import (
-    MessageDroppingSystem,
-    assert_matches_reference,
-    make_missing_inv_mutant,
-    make_stalled_request_mutant,
-    make_swmr_mutant,
-    reference_search,
-    replay_and_check,
-)
-
-
-@pytest.fixture(scope="module")
-def msi_missing_inv_mutant(msi_spec):
-    return make_missing_inv_mutant(msi_spec)
-
-
-@pytest.fixture(scope="module")
-def msi_swmr_mutant(msi_spec):
-    return make_swmr_mutant(msi_spec)
-
-
-MODES = [
-    dict(),
-    dict(symmetry=True),
-    dict(symmetry=True, strategy="dfs"),
-    dict(symmetry=True, strategy="parallel", processes=2),
-    dict(symmetry=True, kernel="vectorized"),
-]
-
-
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: "-".join(
-    f"{k}={v}" for k, v in m.items()) or "default")
-class TestCounterexampleTracesReplay:
-    @pytest.mark.parametrize("num_caches", [2, 3])
-    def test_protocol_error_trace(self, msi_missing_inv_mutant, num_caches, mode):
-        system = System(msi_missing_inv_mutant, num_caches=num_caches,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, **mode)
-        assert not result.ok and result.error is not None
-        assert result.trace, "a counterexample trace must be reported"
-        replay_and_check(system, result)
-
-    @pytest.mark.parametrize("num_caches", [2, 3])
-    def test_invariant_violation_trace(self, msi_swmr_mutant, num_caches, mode):
-        system = System(msi_swmr_mutant, num_caches=num_caches,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, **mode)
-        assert not result.ok and result.violation is not None
-        assert result.violation.name == "SWMR"
-        replay_and_check(system, result)
-
-    def test_deadlock_trace(self, msi_spec, msi_stalling, mode):
-        """A directory that never takes a GetM in strands its requestor: the
-        engine reports the reference's deadlock at its depth, replayably.
-        ``MessageDroppingSystem`` expresses the same fault as a ``System``
-        override, which ``verify()`` refuses and the reference runs."""
-        symmetry = mode.get("symmetry", False)
-        workload = Workload(max_accesses_per_cache=1)
-        system = System(make_stalled_request_mutant(msi_spec), num_caches=2,
-                        workload=workload)
-        result = verify(system, **mode)
-        assert result.deadlock
-        expected = reference_search(system, symmetry)
-        assert_matches_reference(result, expected)
-        replay_and_check(system, result)
-        dropping = MessageDroppingSystem(msi_stalling, num_caches=2,
-                                         workload=workload,
-                                         dropped_mtype="GetM")
-        with pytest.raises(TypeError, match="MessageDroppingSystem"):
-            verify(dropping, **mode)
-        assert reference_search(dropping, symmetry) == expected
 
 
 class TestStrategies:
-    def test_all_strategies_agree_on_pass_and_counts(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        bfs = verify(system, symmetry=True)
-        dfs = verify(system, symmetry=True, strategy="dfs")
-        par = verify(system, symmetry=True, strategy="parallel", processes=2)
-        assert bfs.ok and dfs.ok and par.ok
-        # The explored canonical state set is order-independent.
-        assert bfs.states_explored == dfs.states_explored == par.states_explored
-        assert bfs.transitions_explored == dfs.transitions_explored
-        assert (bfs.strategy, dfs.strategy, par.strategy) == ("bfs", "dfs", "parallel")
-
     ALIASES = ["breadth-first", "depth-first", "parallel-bfs", "BFS"]
 
     @pytest.mark.parametrize("spec", ALIASES)
@@ -180,17 +99,6 @@ class TestStateStore:
 
 
 class TestBackwardCompatibility:
-    def test_default_arguments_match_seed_counts(self, msi_nonstalling):
-        """With no new arguments the engine reproduces the seed explorer's
-        exact exploration (state and transition counts)."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system)
-        assert result.ok
-        assert result.states_explored == 1702
-        assert result.transitions_explored == 3078
-        assert not result.symmetry_reduced
-
     def test_verify_takes_eight_keywords(self):
         """Every keyword earns its place; one more is a deliberate edit
         here, not a drive-by."""
@@ -248,6 +156,23 @@ class TestRandomWalkCoverage:
         assert result.ok and result.unique_states == 0
 
 
+@pytest.fixture(scope="module")
+def msi_2c2a(msi_nonstalling):
+    """``verify()`` of a fresh MSI nonstalling 2c x 2a system, once per
+    keyword set: a stats test reads a run's result, never its system."""
+    runs = {}
+
+    def run(**mode):
+        key = tuple(sorted(mode.items()))
+        if key not in runs:
+            runs[key] = verify(System(msi_nonstalling, num_caches=2,
+                                      workload=Workload(max_accesses_per_cache=2)),
+                               **mode)
+        return runs[key]
+
+    return run
+
+
 class TestSearchStats:
     """`VerificationResult.stats`: measured time split and decode counting.
 
@@ -280,10 +205,8 @@ class TestSearchStats:
         assert codec.decode_count == before
         assert result.stats["decode_count"] == 0
 
-    def test_stats_fields_and_time_split(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, symmetry=True)
+    def test_stats_fields_and_time_split(self, msi_2c2a):
+        result = msi_2c2a(symmetry=True)
         stats = result.stats
         assert stats["kernel"] == result.kernel
         assert stats["strategy"] == result.strategy
@@ -294,36 +217,25 @@ class TestSearchStats:
             <= result.elapsed_seconds + 1e-6
         )
 
-    def test_full_search_reports_no_canonicalization_time(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system)
-        assert result.stats["canonicalization_seconds"] == 0.0
+    def test_full_search_reports_no_canonicalization_time(self, msi_2c2a):
+        assert msi_2c2a().stats["canonicalization_seconds"] == 0.0
 
-    def test_symmetry_cache_sizes(self, msi_nonstalling):
+    def test_symmetry_cache_sizes(self, msi_2c2a):
         """The symmetry pipeline's region memo reports its size at search
         end (distinct cache-block regions classified); without symmetry
         there is nothing to report."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        full = verify(system).stats
-        assert full["orbit_memo_entries"] is None
-        reduced = verify(system, symmetry=True).stats
-        assert reduced["orbit_memo_entries"] == 577
+        assert msi_2c2a().stats["orbit_memo_entries"] is None
+        assert msi_2c2a(symmetry=True).stats["orbit_memo_entries"] == 577
 
-    def test_lane_width_and_parse_memo_size(self, msi_nonstalling):
+    def test_lane_width_and_parse_memo_size(self, msi_2c2a):
         """Beside the two symmetry caches: the lane width the codec derived
         and the distinct packed network sections its parse memo holds."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        full = verify(system).stats
+        full = msi_2c2a().stats
         assert full["lane_bytes"] == 1
         assert full["parse_memo_entries"] == 442
-        fresh = System(msi_nonstalling, num_caches=2,
-                       workload=Workload(max_accesses_per_cache=2))
-        assert verify(fresh, symmetry=True).stats["parse_memo_entries"] == 340
+        assert msi_2c2a(symmetry=True).stats["parse_memo_entries"] == 340
 
-    def test_kernel_memos_say_what_they_hold(self, msi_nonstalling):
+    def test_kernel_memos_say_what_they_hold(self, msi_nonstalling, msi_2c2a):
         """The compiled kernel's two per-key memos: what they hold at search
         end and how often a miss ran the generated functions (nothing is
         cleared at this size, so the two agree).  The batch kernel leaves
@@ -332,9 +244,7 @@ class TestSearchStats:
                  "delivery_memo_entries", "delivery_memo_misses")
 
         def memos(**mode):
-            fresh = System(msi_nonstalling, num_caches=2,
-                           workload=Workload(max_accesses_per_cache=2))
-            stats = verify(fresh, **mode).stats
+            stats = msi_2c2a(**mode).stats
             return [stats[name] for name in names]
 
         assert memos() == memos(strategy="dfs") == [384, 384, 440, 440]
@@ -347,24 +257,22 @@ class TestSearchStats:
         stats = verify(two_planes).stats
         assert [stats[name] for name in names] == [72, 72, 72, 72]
 
-    def test_visited_bytes_is_the_row_table(self, msi_nonstalling):
+    def test_visited_bytes_is_the_row_table(self, msi_2c2a):
         """Bytes per stored state as a reported count: the batch path's row
         table is its rows in use (five ``uint32`` IDs at 2 caches: a block
         per cache, the directory's, the version, the section) plus the
         int32 slot table; a dict or the fleet's shards are not measurable
         from the store and report None."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        full = verify(system, kernel="vectorized")
+        full = msi_2c2a(kernel="vectorized")
         assert (full.kernel, full.states_explored) == ("vectorized", 1702)
         assert full.stats["visited_bytes"] == 1702 * 20 + 4096 * 4
-        reduced = verify(system, kernel="vectorized", symmetry=True)
+        reduced = msi_2c2a(kernel="vectorized", symmetry=True)
         assert reduced.stats["visited_bytes"] == 862 * 20 + 2048 * 4
         for mode in (dict(), dict(kernel="vectorized", strategy="dfs"),
                      dict(strategy="parallel", processes=2)):
-            assert verify(system, **mode).stats["visited_bytes"] is None, mode
+            assert msi_2c2a(**mode).stats["visited_bytes"] is None, mode
 
-    def test_batch_kernel_says_what_it_retains(self, msi_nonstalling):
+    def test_batch_kernel_says_what_it_retains(self, msi_2c2a):
         """The plan tables a batch search leaves behind, as counts that
         repeat exactly: hash-consed network sections, tail-memo keys
         ``(section, delivered record, sends)``, distinct ``(event, sends)``
@@ -375,9 +283,7 @@ class TestSearchStats:
         other backends, like ``expansion_batches``."""
 
         def stats(**mode):
-            fresh = System(msi_nonstalling, num_caches=2,
-                           workload=Workload(max_accesses_per_cache=2))
-            return verify(fresh, **mode).stats
+            return msi_2c2a(**mode).stats
 
         tables = ("section_entries", "tail_memo_entries", "outcome_entries",
                   "cell_entries", "record_entries", "cache_block_entries",
@@ -398,22 +304,20 @@ class TestSearchStats:
         for mode in (dict(), dict(kernel="vectorized", strategy="dfs")):
             assert not set(tables) & set(stats(**mode)), mode
 
-    def test_omission_bound_says_what_a_digest_can_miss(self, msi_nonstalling):
+    def test_omission_bound_says_what_a_digest_can_miss(self, msi_2c2a):
         """Membership by 128-bit digest can merge two distinct states; the
         result states the birthday bound on that over the states stored.
         Only the fleet's shards hold digests: where keys or rows are
         compared whole -- every in-process search -- there is nothing to
         bound."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
         bound = 1702 * 1701 / 2 / 2**128
         assert 0 < bound < 1e-32
         for mode in (dict(), dict(strategy="dfs"), dict(symmetry=True)):
-            assert verify(system, **mode).stats["omission_bound"] is None, mode
-        rows = verify(system, kernel="vectorized")
+            assert msi_2c2a(**mode).stats["omission_bound"] is None, mode
+        rows = msi_2c2a(kernel="vectorized")
         assert rows.kernel == "vectorized"
         assert rows.stats["omission_bound"] is None
-        fleet = verify(system, strategy="parallel", processes=2)
+        fleet = msi_2c2a(strategy="parallel", processes=2)
         assert fleet.states_explored == 1702
         assert fleet.stats["omission_bound"] == bound
 
@@ -450,10 +354,8 @@ class TestSearchStats:
         assert codec.decode_count == before
         assert stats["decode_count"] == 0
 
-    def test_vectorized_full_search_batch_telemetry(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, kernel="vectorized")
+    def test_vectorized_full_search_batch_telemetry(self, msi_2c2a):
+        result = msi_2c2a(kernel="vectorized")
         assert result.ok and result.kernel == "vectorized"
         assert result.stats["expansion_batches"] > 0
         assert result.stats["fallback_transitions"] == 0
@@ -469,29 +371,25 @@ class TestSearchStats:
         assert "expansion_batches" not in result.stats
         assert "fallback_transitions" not in result.stats
 
-    def test_parallel_search_aggregates_worker_stats(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, symmetry=True, strategy="parallel", processes=2)
+    def test_parallel_search_aggregates_worker_stats(self, msi_2c2a):
+        result = msi_2c2a(symmetry=True, strategy="parallel", processes=2)
         assert result.stats["decode_count"] == 0
         assert result.stats["canonicalization_seconds"] > 0.0
 
-    def test_forked_parallel_run_reports_worker_telemetry(self, msi_nonstalling):
+    def test_forked_parallel_run_reports_worker_telemetry(self, msi_2c2a):
         """A search on the shared-memory fleet must say what the workers
         did: states expanded per worker and chunks stolen beyond the
         one-per-worker baseline.  Those two are the only keys it adds to an
         in-process search's: a worker's visited set is one in-memory digest
         set, with no disk tier to report on."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, symmetry=True, strategy="parallel", processes=2)
+        result = msi_2c2a(symmetry=True, strategy="parallel", processes=2)
         stats = result.stats
         assert len(stats["worker_states"]) == 2
         assert sum(stats["worker_states"]) > 0
         # Nothing is stolen under the hash partition (the key stays for the
         # bench harness, which sums it).
         assert stats["steal_count"] == 0
-        serial = verify(system, symmetry=True).stats
+        serial = msi_2c2a(symmetry=True).stats
         assert stats.keys() - serial.keys() == {"steal_count", "worker_states"}
         assert stats["resume_level"] is None
         # One round per BFS level; with two owners some, but
@@ -499,28 +397,20 @@ class TestSearchStats:
         assert 0 < stats["round_count"] < result.states_explored
         assert 0.0 < stats["cross_shard_share"] < 1.0
 
-    def test_in_process_search_reports_no_worker_telemetry(
-        self, msi_nonstalling
-    ):
+    def test_in_process_search_reports_no_worker_telemetry(self, msi_2c2a):
         """Worker counters are fleet-only: a search that never forked must
         not fabricate them (mirrors the batch-telemetry rule above)."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, symmetry=True)
+        result = msi_2c2a(symmetry=True)
         assert "worker_states" not in result.stats
         assert "steal_count" not in result.stats
         assert result.stats["round_count"] is None
         assert result.stats["cross_shard_share"] is None
         assert result.stats["resume_level"] is None
 
-    def test_parallel_pool_spinup_suppresses_expansion_split(
-        self, msi_nonstalling
-    ):
+    def test_parallel_pool_spinup_suppresses_expansion_split(self, msi_2c2a):
         """The multi-process contract: worker CPU time is summed, so no
         wall-clock expansion figure is fabricated."""
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, symmetry=True, strategy="parallel", processes=2)
+        result = msi_2c2a(symmetry=True, strategy="parallel", processes=2)
         assert result.ok
         assert result.stats["expansion_seconds"] is None
 

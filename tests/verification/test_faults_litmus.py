@@ -1,9 +1,11 @@
 """The fault-injection and litmus-test workload axes.
 
-Three new ``verify()`` axes ride on the same differential-oracle contract as
+Three ``verify()`` axes ride on the same differential-oracle contract as
 the rest of the engine -- the compiled kernel must agree bit-identically with
-the reference system (``reference_system``, per state) and with
-``reference_search`` (whole searches) on every one of them:
+the reference system (``reference_system``, per state, here) and with
+``reference_search`` (whole searches: the ``duplicate-``, ``reorder-``,
+``two-address-`` and ``litmus-`` rows of ``test_conformance.py``) on every
+one of them:
 
 * **fault injection** -- per-channel message duplication and bounded
   adjacent reordering beyond the unordered model
@@ -16,16 +18,16 @@ the reference system (``reference_system``, per state) and with
   final-observed-value outcomes (SB, MP, coRR bundled in
   :mod:`repro.verification.litmus`).
 
-The empirical headline this module pins: **every bundled protocol passes all
+The empirical headline the matrix pins: **every bundled protocol passes all
 three litmus tests fault-free, and -- with the generation-level hardening
 pass (``GenerationConfig.harden``) -- survives both measured fault classes.**
 A duplicated response is absorbed by generated idempotence reactions
 (miss-report + directory-side recovery), and a reordered ordered channel no
 longer head-of-line-deadlocks the stalling configurations (re-queue
-semantics).  The full PASS matrix is pinned per protocol and per concurrency
-policy, identical to the reference search with zero decodes on the compiled
-path.  The pre-hardening counterexamples survive in
-``test_fault_regressions.py`` against ``harden=False`` builds.
+semantics).  This module holds the primitives, the per-state parity, the
+residuals that still fail and the symmetry gates.  The pre-hardening
+counterexamples survive in ``test_fault_regressions.py`` against
+``harden=False`` builds.
 """
 
 import pytest
@@ -43,45 +45,22 @@ from repro.system.system import (
     LitmusWorkload,
     ReorderMessage,
 )
-from repro.verification import (
-    LITMUS_TESTS,
-    default_invariants,
-    single_owner_invariant,
-    verify,
-)
+from repro.verification import LITMUS_TESTS, default_invariants, verify
 from repro.verification.engine.canonical import relabel_event
 
 from reference_system import ReferenceSystem
 from verification_helpers import (
     assert_expansion_parity,
     assert_matches_reference,
+    invariants_for,
     reference_search,
     replay_and_check,
     sample_reachable_states,
+    workload_for,
 )
 
 ALL_PROTOCOLS = protocols.available_protocols()
 ORDERED_PROTOCOLS = [n for n in ALL_PROTOCOLS if n != "MSI-Unordered"]
-
-
-def _workload(name: str, accesses: int = 1) -> Workload:
-    if name == "MSI-Unordered":
-        # The unordered variant has no eviction path by design.
-        return Workload(max_accesses_per_cache=accesses,
-                        access_kinds=(AccessKind.LOAD, AccessKind.STORE))
-    return Workload(max_accesses_per_cache=accesses)
-
-
-def _plain_invariants(name: str):
-    if name == "TSO-CC":
-        # TSO-CC intentionally breaks SWMR in physical time (stale untracked
-        # readers); check single ownership, as the rest of the suite does.
-        return (single_owner_invariant,)
-    return tuple(default_invariants())
-
-
-def _litmus_invariants(name: str, test):
-    return _plain_invariants(name) + (test.invariant,)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +203,7 @@ class TestFaultEventCodecAndRelabel:
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_duplication_expansion_parity(all_generated, name):
     system = System(all_generated[(name, "nonstalling")], num_caches=2,
-                    workload=_workload(name, 2),
+                    workload=workload_for(name),
                     faults=FaultModel(duplicate=True))
     states = sample_reachable_states(system, seed=61 + len(name), walks=6,
                                      max_steps=30)
@@ -236,7 +215,7 @@ def test_duplication_expansion_parity(all_generated, name):
 @pytest.mark.parametrize("name", ORDERED_PROTOCOLS)
 def test_reorder_expansion_parity(all_generated, name):
     system = System(all_generated[(name, "nonstalling")], num_caches=2,
-                    workload=_workload(name, 2),
+                    workload=workload_for(name),
                     faults=FaultModel(reorder=True, budget=2))
     states = sample_reachable_states(system, seed=67 + len(name), walks=6,
                                      max_steps=30)
@@ -247,7 +226,7 @@ def test_reorder_expansion_parity(all_generated, name):
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_two_address_expansion_parity(all_generated, name):
     system = System(all_generated[(name, "nonstalling")], num_caches=2,
-                    workload=_workload(name, 1), num_addresses=2)
+                    workload=workload_for(name, 1), num_addresses=2)
     states = sample_reachable_states(system, seed=71 + len(name), walks=6,
                                      max_steps=30)
     assert any(
@@ -271,104 +250,12 @@ def test_litmus_expansion_parity(all_generated, name):
         "walks never completed the litmus programs"
     )
     for state in states:
-        assert_expansion_parity(system, state, _litmus_invariants(name, test))
+        assert_expansion_parity(system, state, invariants_for(name, test))
 
 
 # ---------------------------------------------------------------------------
-# Whole-search parity and the documented fault outcomes
+# The historical layout and the documented fault outcomes
 # ---------------------------------------------------------------------------
-
-
-def _search_checked(system_factory, *, invariants):
-    """``verify()`` on a fresh system, held to ``reference_search`` on
-    another: the counts of a pass, the verdict and depth of a failure."""
-    result = verify(system_factory(), invariants=invariants)
-    assert result.kernel == "compiled"
-    assert_matches_reference(
-        result, reference_search(system_factory(), False, invariants=invariants)
-    )
-    return result
-
-
-# Exact hardened fault-matrix pins: (states, transitions) per protocol and
-# concurrency policy, measured with the default harden=True generation.  Any
-# drift here means the hardening pass (or the search) changed behaviour.
-DUPLICATION_MATRIX = {
-    # name: {"stalling": (states, transitions), "nonstalling": ...}
-    "MSI": {"stalling": (476, 840), "nonstalling": (508, 894)},
-    "MESI": {"stalling": (515, 878), "nonstalling": (547, 932)},
-    "MOSI": {"stalling": (442, 778), "nonstalling": (488, 852)},
-    "MSI-Upgrade": {"stalling": (476, 840), "nonstalling": (508, 894)},
-    "MSI-Unordered": {"stalling": (525, 936), "nonstalling": (923, 1708)},
-    "TSO-CC": {"stalling": (380, 686), "nonstalling": (390, 700)},
-}
-
-REORDER_MATRIX = {
-    "MSI": {"stalling": (2682, 4922), "nonstalling": (3336, 5890)},
-    "MESI": {"stalling": (2758, 5072), "nonstalling": (3691, 6470)},
-    "MOSI": {"stalling": (2430, 4106), "nonstalling": (2815, 4582)},
-    "MSI-Upgrade": {"stalling": (2762, 5082), "nonstalling": (3396, 6006)},
-    "TSO-CC": {"stalling": (1292, 2250), "nonstalling": (1414, 2364)},
-}
-
-
-@pytest.mark.parametrize("policy", ["stalling", "nonstalling"])
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_duplication_passes_every_hardened_protocol_on_both_kernels(
-    all_generated, name, policy
-):
-    """A duplicated message is absorbed by the generated idempotence
-    reactions: the caches report served-elsewhere forwards back to the
-    directory, the directory recovers missed handoffs from (provably
-    current) memory, and duplicate responses in stable states are silently
-    consumed.  The search agrees with the reference search, with zero
-    decodes and the exact pinned layout."""
-    result = _search_checked(
-        lambda: System(all_generated[(name, policy)], num_caches=2,
-                       workload=_workload(name, 1),
-                       faults=FaultModel(duplicate=True)),
-        invariants=_plain_invariants(name),
-    )
-    assert result.ok, f"{name}/{policy}: {result.summary}"
-    assert result.stats["decode_count"] == 0
-    assert (result.states_explored, result.transitions_explored) == (
-        DUPLICATION_MATRIX[name][policy]
-    )
-
-
-@pytest.mark.parametrize("policy", ["stalling", "nonstalling"])
-@pytest.mark.parametrize("name", ORDERED_PROTOCOLS)
-def test_reorder_passes_every_hardened_ordered_protocol_identically(
-    all_generated, name, policy
-):
-    """Re-queue semantics replace head-of-line blocking: a stalled ordered
-    channel head rotates behind deliverable messages, so one adjacent swap
-    (e.g. a forward past the response it chases) no longer deadlocks the
-    stalling configurations.  Identical to the reference search, zero
-    decodes, exact pinned layout."""
-    result = _search_checked(
-        lambda: System(all_generated[(name, policy)], num_caches=2,
-                       workload=Workload(max_accesses_per_cache=2),
-                       faults=FaultModel(reorder=True)),
-        invariants=_plain_invariants(name),
-    )
-    assert result.ok, f"{name}/{policy}: {result.summary}"
-    assert not result.deadlock
-    assert result.stats["decode_count"] == 0
-    assert (result.states_explored, result.transitions_explored) == (
-        REORDER_MATRIX[name][policy]
-    )
-
-
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_two_address_search_parity(all_generated, name):
-    result = _search_checked(
-        lambda: System(all_generated[(name, "nonstalling")], num_caches=2,
-                       workload=_workload(name, 1), num_addresses=2),
-        invariants=_plain_invariants(name),
-    )
-    assert result.ok
-    assert result.stats["decode_count"] == 0
 
 
 def test_single_address_fault_free_layout_is_unchanged(msi_nonstalling):
@@ -381,56 +268,6 @@ def test_single_address_fault_free_layout_is_unchanged(msi_nonstalling):
     assert codec.net_offset == codec.version_offset + 1
     result = verify(system)
     assert (result.states_explored, result.transitions_explored) == (1702, 3078)
-
-
-# ---------------------------------------------------------------------------
-# The litmus matrix
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("build", LITMUS_TESTS, ids=lambda b: b().name)
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_litmus_passes_fault_free_on_every_protocol(all_generated, name, build):
-    """SB, MP and coRR hold on every bundled protocol under fault-free
-    delivery, identically to the reference search and with zero decodes."""
-    test = build()
-    invariants = _litmus_invariants(name, test)
-    result = _search_checked(
-        lambda: System(all_generated[(name, "stalling")], num_caches=2,
-                       workload=test.workload),
-        invariants=invariants,
-    )
-    assert result.ok, f"{name}/{test.name}: {result.summary}"
-    assert result.complete_states > 0
-    assert result.stats["decode_count"] == 0
-
-
-LITMUS_DUPLICATION_PINS = {
-    # Single-transaction-per-location litmus programs pass under duplication
-    # on hardened MSI; coRR is the documented residual (below).
-    "litmus-SB": (1524, 3364),
-    "litmus-MP": (1778, 4083),
-}
-
-
-@pytest.mark.parametrize("litmus", sorted(LITMUS_DUPLICATION_PINS))
-def test_litmus_passes_under_duplication_on_hardened_msi(
-    all_generated, litmus
-):
-    """Litmus runs under fault injection compose with the hardening pass:
-    the store-buffering and message-passing outcomes hold with a duplicated
-    message in flight, identically to the reference search."""
-    test = next(b() for b in LITMUS_TESTS if b().name == litmus)
-    result = _search_checked(
-        lambda: System(all_generated[("MSI", "stalling")], num_caches=2,
-                       workload=test.workload,
-                       faults=FaultModel(duplicate=True)),
-        invariants=test.invariants(),
-    )
-    assert result.ok, f"{litmus}: {result.summary}"
-    assert (result.states_explored, result.transitions_explored) == (
-        LITMUS_DUPLICATION_PINS[litmus]
-    )
 
 
 class TestThreeCacheResiduals:
@@ -498,20 +335,6 @@ def test_corr_duplication_aliasing_is_the_documented_residual(all_generated):
         result, reference_search(system, False, invariants=invariants)
     )
     replay_and_check(system, result, invariants)
-
-
-def test_litmus_sb_passes_under_reorder_on_hardened_msi(all_generated):
-    from repro.verification import store_buffering
-
-    test = store_buffering()
-    result = _search_checked(
-        lambda: System(all_generated[("MSI", "stalling")], num_caches=2,
-                       workload=test.workload,
-                       faults=FaultModel(reorder=True)),
-        invariants=test.invariants(),
-    )
-    assert result.ok and not result.deadlock
-    assert (result.states_explored, result.transitions_explored) == (211, 348)
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +434,6 @@ class TestLitmusMutantsCatchInjectedBugs:
         failure = _first_failure(system, test.invariants())
         assert failure.kind == "error" and "went backwards" in failure.detail
 
-    def test_the_unmutated_substrate_passes_all_three(self, msi_stalling):
-        for build in LITMUS_TESTS:
-            test = build()
-            system = System(msi_stalling, num_caches=2, workload=test.workload)
-            result = verify(system, invariants=test.invariants())
-            assert result.ok, f"{test.name}: {result.summary}"
-
-
 # ---------------------------------------------------------------------------
 # Symmetry: faults compose, litmus and multi-address gate off
 # ---------------------------------------------------------------------------
@@ -626,26 +441,9 @@ class TestLitmusMutantsCatchInjectedBugs:
 
 class TestSymmetryComposition:
     """``verify(symmetry=True)`` is the one place symmetry is asked for, and
-    it rejects the unsupported combinations with an error naming each."""
-
-    def test_faulted_search_reduces_with_identical_verdict(self, msi_nonstalling):
-        make = lambda: System(msi_nonstalling, num_caches=3,
-                              workload=Workload(max_accesses_per_cache=1),
-                              faults=FaultModel(reorder=True))
-        full = verify(make())
-        reduced = verify(make(), symmetry=True)
-        assert full.ok and reduced.ok
-        assert reduced.states_explored < full.states_explored
-        assert reduced.stats["decode_count"] == 0
-
-    def test_reduced_fault_search_matches_the_reference(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=3,
-                        workload=Workload(max_accesses_per_cache=1),
-                        faults=FaultModel(duplicate=True))
-        assert_matches_reference(
-            verify(system, symmetry=True),
-            reference_search(system, True, invariants=default_invariants()),
-        )
+    it rejects the unsupported combinations with an error naming each.
+    Faults compose with it: the reduced fault rows of the conformance
+    matrix, ``3c-duplicate-`` and ``3c-reorder-`` among them."""
 
     def test_multi_address_symmetry_is_rejected(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,

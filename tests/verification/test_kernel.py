@@ -10,11 +10,10 @@ with the tests' object-level reference system (``reference_system``):
   samples of every bundled protocol in both generation configs, including
   the MOSI saved-requestor (deferred-send) states and the MSI-Unordered
   late-absorb redirect states;
-* whole-search parity -- ``verify()`` reproduces the exploration of
-  ``reference_search`` (a plain-``set`` BFS over the reference system): states,
-  transitions and verdicts, pinned to the seed counts, and mutant
-  protocols fail with the reference's verdict at its depth, with a
-  replayable trace;
+* whole spaces -- every reachable state of the 2-cache multi-address,
+  fault and litmus configurations expands like the reference (whole
+  *searches* against ``reference_search``, the table mutants of
+  ``ERROR_MUTANTS`` among them, are the rows of ``test_conformance.py``);
 * the kernel contract -- a custom invariant runs on the compiled kernel, a
   ``System`` subclass and an unknown backend name are refused;
 * the generated code -- the transition sources of a fixed grid of
@@ -27,16 +26,8 @@ import pytest
 
 from repro import protocols
 from repro.core import GenerationConfig, generate
-from repro.core.fsm import AccessEvent, MessageEvent
-from repro.dsl.types import (
-    AccessKind,
-    ClearOwner,
-    CopyDataFromMessage,
-    Dest,
-    InvalidateData,
-    PerformAccess,
-    Send,
-)
+from repro.core.fsm import MessageEvent
+from repro.dsl.types import AccessKind
 from repro.system import FaultModel, System, Workload
 from repro.system.network import OrderedNetwork
 from repro.verification import (
@@ -52,30 +43,23 @@ from verification_helpers import (
     assert_expansion_parity,
     assert_matches_reference,
     make_missing_inv_mutant,
-    make_swmr_mutant,
-    mode_id,
     reference_search,
     replay_and_check,
+    rewrite_actions,
     rewrite_transition,
     sample_reachable_states,
+    workload_for,
 )
 
 ALL_PROTOCOLS = protocols.available_protocols()
 CONFIGS = ["nonstalling", "stalling"]
 
 
-def _workload(name: str) -> Workload:
-    if name == "MSI-Unordered":
-        return Workload(max_accesses_per_cache=2,
-                        access_kinds=(AccessKind.LOAD, AccessKind.STORE))
-    return Workload(max_accesses_per_cache=2)
-
-
 @pytest.mark.parametrize("config_label", CONFIGS)
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_random_walk_expansion_parity(all_generated, name, config_label):
     system = System(all_generated[(name, config_label)], num_caches=2,
-                    workload=_workload(name))
+                    workload=workload_for(name))
     states = sample_reachable_states(system, seed=17 + len(name), walks=6,
                                      max_steps=30)
     for state in states:
@@ -112,26 +96,6 @@ def test_late_absorb_states_parity(all_generated):
     ), "sampling never reached a late-absorb state; pick another seed"
     for state in states:
         assert_expansion_parity(system, state)
-
-
-@pytest.mark.parametrize("config_label", CONFIGS)
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_whole_search_parity_with_reference_search(all_generated, name, config_label):
-    """Every shipped protocol compiles (``CompilationUnsupported`` would
-    propagate) and its search checks the invariants the reference checks,
-    with the reference's verdict and counts."""
-    from repro.verification import single_owner_invariant
-
-    invariants = (
-        [single_owner_invariant] if name == "TSO-CC" else default_invariants()
-    )
-    system = System(all_generated[(name, config_label)], num_caches=2,
-                    workload=_workload(name))
-    compiled = verify(system, invariants=invariants)
-    assert compiled.kernel == "compiled"
-    assert_matches_reference(
-        compiled, reference_search(system, False, invariants=invariants)
-    )
 
 
 #: Whole-space configurations on 2 caches: label -> (policy, accesses per
@@ -176,7 +140,7 @@ def test_whole_spaces_expand_like_the_reference(all_generated, msi_spec, label, 
     else:
         generated = all_generated[(name, policy)]
     options = {
-        "workload": replace(_workload(name), max_accesses_per_cache=accesses),
+        "workload": workload_for(name, accesses),
         **options,
     }
     system = System(generated, num_caches=2, **options)
@@ -210,186 +174,9 @@ def test_whole_spaces_expand_like_the_reference(all_generated, msi_spec, label, 
         )
 
 
-def test_pinned_seed_counts_on_compiled_kernel(msi_nonstalling):
-    """The compiled default reproduces the seed explorer bit-exactly."""
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    result = verify(system)
-    assert result.kernel == "compiled"
-    assert result.ok
-    assert result.states_explored == 1702
-    assert result.transitions_explored == 3078
-
-
-@pytest.mark.parametrize("symmetry", [False, True])
-def test_error_traces_match_the_reference(msi_spec, symmetry):
-    mutant = make_missing_inv_mutant(msi_spec)
-    system = System(mutant, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    compiled = verify(system, symmetry=symmetry)
-    assert_matches_reference(compiled, reference_search(system, symmetry))
-    replay_and_check(system, compiled)
-
-
-def test_violation_traces_match_the_reference(msi_spec):
-    mutant = make_swmr_mutant(msi_spec)
-    system = System(mutant, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    compiled = verify(system)
-    expected = reference_search(system, False, invariants=default_invariants())
-    assert_matches_reference(compiled, expected)
-    replay_and_check(system, compiled)
-
-
-def _actions(rewrite):
-    """A transition rewrite that replaces its actions by ``rewrite(actions)``."""
-    return lambda transition: transition.with_actions(rewrite(transition.actions))
-
-
-def _append(*extra):
-    return _actions(lambda actions: actions + extra)
-
-
-def _prepend(*extra):
-    return _actions(lambda actions: extra + actions)
-
-
-def _without(kind):
-    return _actions(lambda actions: tuple(a for a in actions if not isinstance(a, kind)))
-
-
-def _sends(**fields):
-    """Every ``Send`` of the transition with *fields* replaced."""
-    return _actions(lambda actions: tuple(
-        replace(a, **fields) if isinstance(a, Send) else a for a in actions
-    ))
-
-
-def _guard(guard):
-    return lambda transition: replace(
-        transition, event=replace(transition.event, guard=guard)
-    )
-
-
-LOAD, STORE = AccessEvent(AccessKind.LOAD), AccessEvent(AccessKind.STORE)
-
-#: MSI stalling mutants, one per protocol error the kernel reports: ``(caches,
-#: accesses per cache, controller, state, event, rewrite of that transition,
-#: the reference's error)``.  Not here: a directory transition short of a
-#: requestor (a send to it, or ``AddRequestorToSharers``) -- every message the
-#: directory receives carries one, so no table edit reaches it
-#: (``test_requestorless_deliveries_fail_like_the_reference``); and the
-#: unexpected message (``make_missing_inv_mutant``).
-ERROR_MUTANTS = {
-    # Actions or destinations the controller cannot execute.
-    "cache-clears-owner": (
-        2, 2, "cache", "M", LOAD, _append(ClearOwner()),
-        "cache 0 cannot execute action ClearOwner()",
-    ),
-    "directory-invalidates-data": (
-        2, 1, "directory", "I", MessageEvent("GetS"), _append(InvalidateData()),
-        "directory cannot execute action InvalidateData()",
-    ),
-    "directory-sends-to-no-owner": (
-        2, 2, "directory", "I", MessageEvent("GetS"), _sends(to=Dest.OWNER),
-        "directory: Data needs an owner",
-    ),
-    "access-sends-to-no-requestor": (
-        2, 2, "cache", "I", LOAD, _sends(to=Dest.REQUESTOR),
-        "cache 0: GetS needs a requestor but none is available",
-    ),
-    "cache-sends-to-owner": (
-        2, 2, "cache", "I", LOAD, _sends(to=Dest.OWNER),
-        "cache 0: unsupported destination Dest.OWNER for GetS",
-    ),
-    "directory-sends-to-directory": (
-        2, 2, "directory", "I", MessageEvent("GetS"), _sends(to=Dest.DIRECTORY),
-        "directory: unsupported destination Dest.DIRECTORY for Data",
-    ),
-    # Two guarded candidates match a Data with no acks outstanding.
-    "ambiguous-guards": (
-        2, 1, "cache", "IM_AD", MessageEvent("Data", "ack_count_nonzero"),
-        _guard("acks_incomplete"),
-        "ambiguous transitions for Data in state 'IM_AD': "
-        "Data[ack_count_zero], Data[acks_incomplete]",
-    ),
-    # Data, saved requestors and the data-value checks.
-    "cache-copies-from-inv": (
-        2, 1, "cache", "S", MessageEvent("Inv"), _prepend(CopyDataFromMessage()),
-        "cache 0 expected data in Inv Dir->C0 (req=C1)",
-    ),
-    "directory-copies-from-gets": (
-        2, 1, "directory", "I", MessageEvent("GetS"),
-        _prepend(CopyDataFromMessage()),
-        "directory expected data in GetS C0->Dir (req=C0)",
-    ),
-    "ack-to-empty-slot": (
-        2, 1, "cache", "S", MessageEvent("Inv"), _sends(requestor_slot=0),
-        "cache 0: deferred response Inv_Ack has no saved requestor",
-    ),
-    "request-on-behalf-of-empty-slot": (
-        2, 1, "cache", "I", LOAD, _sends(requestor_from_slot=0),
-        "cache 0: deferred response GetS has no saved requestor to send on "
-        "behalf of",
-    ),
-    "load-before-data": (
-        2, 1, "cache", "I", LOAD, _append(PerformAccess()),
-        "cache 0 performed a load without data",
-    ),
-    "store-before-data": (
-        2, 1, "cache", "I", STORE, _append(PerformAccess()),
-        "cache 0 performed a store without data",
-    ),
-    # Memory misses the downgraded owner's data: the next store from S
-    # builds on the stale copy.
-    "directory-drops-downgrade-data": (
-        2, 2, "directory", "S_D", MessageEvent("Data"),
-        _without(CopyDataFromMessage),
-        "data-value invariant violated: cache 0 stores on top of version 0 "
-        "but the latest written version is 1",
-    ),
-    # Memory misses the written-back data: store, evict, load reads stale.
-    "directory-drops-writeback-data": (
-        1, 3, "directory", "M", MessageEvent("PutM", "from_owner"),
-        _without(CopyDataFromMessage),
-        "cache 0 load went backwards: saw version 0 after 1 (per-location SC "
-        "violation)",
-    ),
-}
-
-
-@pytest.mark.parametrize("mode", [{"kernel": "compiled"}, {"kernel": "vectorized"},
-                                  {"symmetry": True}], ids=mode_id)
-@pytest.mark.parametrize("mutant", sorted(ERROR_MUTANTS))
-def test_error_mutants_fail_like_the_reference(msi_spec, mutant, mode):
-    """Every protocol error the kernel reports -- wherever its transition
-    sits, on an access or a delivery -- is the reference system's error,
-    with its exact text, found at the reference's depth on both kernels,
-    never a verdict on a state the reference would not reach.  Under
-    symmetry the reported text is the concrete trace's, and replays."""
-    caches, accesses, controller, state, event, rewrite, error = (
-        ERROR_MUTANTS[mutant]
-    )
-    generated = rewrite_transition(
-        generate(msi_spec, GenerationConfig.stalling()),
-        controller, state, event, rewrite,
-    )
-    system = System(generated, num_caches=caches,
-                    workload=Workload(max_accesses_per_cache=accesses))
-    expected = reference_search(system, False, invariants=default_invariants())
-    assert (expected.kind, expected.detail) == ("error", error)
-    symmetry = mode.get("symmetry", False)
-    if symmetry:
-        expected = reference_search(system, True, invariants=default_invariants())
-    result = verify(system, **mode)
-    assert result.kernel == mode.get("kernel", "compiled")
-    assert_matches_reference(result, expected)
-    replay_and_check(system, result)
-
-
 @pytest.mark.parametrize("rewrite, error", [
     (None, "directory: Data needs a requestor"),
-    (_actions(lambda actions: actions[::-1]),
+    (rewrite_actions(lambda actions: actions[::-1]),
      "directory: AddRequestorToSharers() needs a requestor"),
 ], ids=["send", "add-sharer"])
 def test_requestorless_deliveries_fail_like_the_reference(msi_spec, rewrite, error):
@@ -411,17 +198,6 @@ def test_requestorless_deliveries_fail_like_the_reference(msi_spec, rewrite, err
     key = system.codec().encode_packed(state)
     plans, net = system.kernel().enabled(key)
     assert [system.kernel().apply(key, plan, net) for plan in plans][-1] == error
-
-
-def test_parallel_strategy_runs_on_compiled_kernel(msi_nonstalling):
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    serial = verify(system, symmetry=True)
-    parallel = verify(system, symmetry=True, strategy="parallel", processes=2)
-    assert parallel.kernel == "compiled"
-    assert parallel.ok and serial.ok
-    assert parallel.states_explored == serial.states_explored
-    assert parallel.transitions_explored == serial.transitions_explored
 
 
 def _no_cache_in(fsm_state):
@@ -446,9 +222,6 @@ class TestKernelContract:
         )
         with pytest.raises(TypeError, match="MessageDroppingSystem's overrides"):
             verify(system)
-        # The reference runs the override as written: a dropped GetM
-        # strands its requestor.
-        assert reference_search(system, False).kind == "deadlock"
 
     def test_custom_invariant_that_never_fires_stays_compiled(
             self, msi_nonstalling):
@@ -464,20 +237,19 @@ class TestKernelContract:
         )
 
     @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("kernel", ["compiled", "vectorized"])
     def test_custom_invariant_that_fires_reports_a_replayable_violation(
-            self, msi_nonstalling, kernel, symmetry):
+            self, msi_nonstalling, symmetry):
         invariants = (*default_invariants(), _no_cache_in("M"))
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
-        result = verify(system, invariants=invariants, kernel=kernel,
-                        symmetry=symmetry)
-        assert result.kernel == kernel
-        assert result.violation.name == "no-M"
-        assert_matches_reference(
-            result, reference_search(system, symmetry, invariants=invariants)
-        )
-        replay_and_check(system, result, invariants)
+        expected = reference_search(system, symmetry, invariants=invariants)
+        for kernel in ("compiled", "vectorized"):
+            result = verify(system, invariants=invariants, kernel=kernel,
+                            symmetry=symmetry)
+            assert result.kernel == kernel
+            assert result.violation.name == "no-M"
+            assert_matches_reference(result, expected)
+            replay_and_check(system, result, invariants)
 
     def test_known_invariant_subset_stays_compiled(self, msi_nonstalling):
         from repro.verification import swmr_invariant
@@ -555,7 +327,7 @@ class TestEmitNetDifferential:
     def system(self, request, all_generated):
         name = "MSI" if request.param == "ordered" else "MSI-Unordered"
         system = System(all_generated[(name, "stalling")], num_caches=3,
-                        workload=_workload(name))
+                        workload=workload_for(name))
         assert system.ordered == (request.param == "ordered")
         return system
 
@@ -810,7 +582,7 @@ class TestEmitNetDifferential:
         from repro.system.network import OrderedNetwork
 
         system = System(all_generated[("MSI", "stalling")], num_caches=3,
-                        workload=_workload("MSI"))
+                        workload=workload_for("MSI"))
         codec, kernel = system.codec(), system.kernel()
         mtypes = codec.mtypes
 
@@ -868,7 +640,7 @@ class TestSpliceLaneOverflow:
 
         name = "MSI" if ordered else "MSI-Unordered"
         system = System(all_generated[(name, "stalling")], num_caches=3,
-                        workload=_workload(name))
+                        workload=workload_for(name))
         mtype = system.codec().mtypes[0]
         message = Message(mtype=mtype, src=0, dst=-1, vnet=0)
         network = make_network(ordered).send(*[message] * 254)
@@ -910,7 +682,7 @@ class TestSpliceLaneOverflow:
 
         name = "MSI" if ordered else "MSI-Unordered"
         system = System(all_generated[(name, "stalling")], num_caches=3,
-                        workload=_workload(name),
+                        workload=workload_for(name),
                         faults=FaultModel(duplicate=True))
         codec, kernel = system.codec(), system.kernel()
         assert codec.typecode == "B"
@@ -1074,12 +846,12 @@ def test_generated_sources_are_pinned(all_generated, monkeypatch):
 
     for name in ALL_PROTOCOLS:
         for policy in CONFIGS:
-            build(all_generated[(name, policy)], workload=_workload(name))
+            build(all_generated[(name, policy)], workload=workload_for(name))
             bare = generate(protocols.load(name),
                             getattr(GenerationConfig, policy)(harden=False))
-            build(bare, workload=_workload(name))
+            build(bare, workload=workload_for(name))
     build(all_generated[("MSI", "stalling")], num_caches=3,
-          workload=_workload("MSI"))
+          workload=workload_for("MSI"))
     msi = all_generated[("MSI", "nonstalling")]
     one_access = Workload(max_accesses_per_cache=1)
     build(msi, workload=one_access, num_addresses=2)

@@ -5,20 +5,13 @@ even the small two-cache spaces the fast tier can afford exercise the
 owner-computes rounds (hash-partitioned levels, bucket arenas, owner dedup,
 link columns).
 
-Contracts under test:
+Contracts under test (count parity with ``reference_search`` and failure
+verdicts -- a protocol error, an SWMR violation, a deadlock -- on every
+axis, replay-verified and repeated run to run, are the ``fleet`` rows of
+the conformance matrix, ``test_conformance.py``):
 
-* count parity with the serial engine and ``reference_search`` across the
-  symmetry / invariant axes and two fleet sizes (the engine shares the
-  serial search's canonical frames, so states, transitions and
-  complete-state counts must match exactly);
-* failure verdicts (protocol error, SWMR violation, deadlock) survive the
-  fleet: the winning counterexample replays step-by-step through the
-  reference system.  Which equal-depth counterexample wins differs from the
-  serial run's after sharded dedup, so traces are replay-verified rather
-  than compared to it;
 * determinism: nothing is claimed or stolen, so two runs at one worker
-  count agree on per-worker counts, every stored trace link and every
-  failure trace;
+  count agree on per-worker counts and every stored trace link;
 * asking for the fleet gets the fleet or an error, never a serial search
   in its place: one worker is a one-worker fleet, and no worker, a
   checkpoint path or a platform without ``fork`` raise before anything
@@ -41,22 +34,7 @@ from repro.verification.engine import parallel as parallel_mod
 from repro.verification.engine.driver import CompiledExpander
 
 from reference_system import reference
-from verification_helpers import (
-    DECODED,
-    MessageDroppingSystem,
-    assert_matches_reference,
-    make_missing_inv_mutant,
-    make_stalled_request_mutant,
-    make_swmr_mutant,
-    mode_id,
-    reference_search,
-    replay_and_check,
-)
-
-
-@pytest.fixture(scope="module")
-def msi_missing_inv_mutant(msi_spec):
-    return make_missing_inv_mutant(msi_spec)
+from verification_helpers import DECODED, make_swmr_mutant, replay_and_check
 
 
 @pytest.fixture(scope="module")
@@ -67,41 +45,6 @@ def msi_swmr_mutant(msi_spec):
 def on_the_fleet(system, **kwargs):
     kwargs.setdefault("processes", 2)
     return verify(system, strategy="parallel", **kwargs)
-
-
-PARITY_MODES = [
-    dict(),
-    dict(symmetry=True),
-    dict(invariants=DECODED),
-    dict(symmetry=True, invariants=DECODED),
-]
-
-
-@pytest.fixture(scope="module")
-def msi_reference(msi_nonstalling):
-    """``reference_search`` of MSI nonstalling 2c x 2a, by symmetry."""
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    return {symmetry: reference_search(system, symmetry)
-            for symmetry in (False, True)}
-
-
-@pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("mode", PARITY_MODES, ids=mode_id)
-def test_forked_search_matches_serial_counts(msi_nonstalling, msi_reference,
-                                             mode, processes):
-    system = System(msi_nonstalling, num_caches=2,
-                    workload=Workload(max_accesses_per_cache=2))
-    serial = verify(system, **mode)
-    result = on_the_fleet(system, processes=processes, **mode)
-    assert_matches_reference(result, msi_reference[mode.get("symmetry", False)])
-
-    assert result.ok == serial.ok is True
-    assert result.states_explored == serial.states_explored
-    assert result.transitions_explored == serial.transitions_explored
-    assert result.complete_states == serial.complete_states
-    assert len(result.stats["worker_states"]) == processes
-    assert sum(result.stats["worker_states"]) > 0
 
 
 def test_asking_for_workers_forks_them_from_the_root(msi_nonstalling):
@@ -131,53 +74,6 @@ def test_default_fleet_size_follows_schedulable_cores(msi_nonstalling,
     result = on_the_fleet(system, processes=None)
     assert result.ok
     assert len(result.stats["worker_states"]) == 3
-
-
-def failing_twice(system):
-    """The fleet's verdict on a broken *system* -- reached twice: nothing is
-    claimed or stolen, so the second run must report the very same trace."""
-    result, again = (on_the_fleet(system, symmetry=True) for _ in range(2))
-    assert not result.ok and result.trace, "a counterexample must be reported"
-    assert again.trace == result.trace
-    return result
-
-
-class TestForkedFailureVerdicts:
-    def test_protocol_error_trace(self, msi_missing_inv_mutant):
-        system = System(msi_missing_inv_mutant, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = failing_twice(system)
-        assert result.error is not None
-        replay_and_check(system, result)
-
-    def test_invariant_violation_trace(self, msi_swmr_mutant):
-        system = System(msi_swmr_mutant, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        result = failing_twice(system)
-        assert result.violation is not None
-        assert result.violation.name == "SWMR"
-        replay_and_check(system, result)
-
-    def test_deadlock_trace(self, msi_spec, msi_stalling):
-        """A directory that never takes a GetM in: the fleet reports the
-        reference's deadlock at its depth.  The same fault as a ``System``
-        override (``MessageDroppingSystem``) is refused before any worker
-        forks, and the reference agrees on its verdict."""
-        workload = Workload(max_accesses_per_cache=1)
-        system = System(make_stalled_request_mutant(msi_spec), num_caches=2,
-                        workload=workload)
-        result = failing_twice(system)
-        assert result.deadlock
-        expected = reference_search(system, True)
-        assert_matches_reference(result, expected)
-        replay_and_check(system, result)
-        dropping = MessageDroppingSystem(msi_stalling, num_caches=2,
-                                         workload=workload,
-                                         dropped_mtype="GetM")
-        with pytest.raises(TypeError, match="MessageDroppingSystem"):
-            verify(dropping, strategy="parallel", processes=2)
-        assert not multiprocessing.active_children()
-        assert reference_search(dropping, True) == expected
 
 
 # -- the fleet or an error -----------------------------------------------------

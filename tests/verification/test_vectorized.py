@@ -2,10 +2,12 @@
 
 The batch path's contract is *bit-exactness*: ``kernel="vectorized"`` must
 return the same verdicts, the same traces and (on passing searches) the same
-exploration counts as the compiled per-state kernel (both are held to
-``reference_search`` in ``test_reference_search.py``), while performing
-zero ``GlobalState`` decodes on the hot path.  Three layers pin that
-contract:
+exploration counts as the compiled per-state kernel, while performing zero
+``GlobalState`` decodes on the hot path.  Whole searches -- every plain
+configuration, full and reduced, failing mutants among them, and the
+fallback contract (fault models, multi-address planes, litmus workloads and
+DFS run, and report, the compiled kernel) -- are rows of the conformance
+matrix (``test_conformance.py``).  Here, the layers below them:
 
 * **Expansion parity** -- for sampled reachable states, one
   :meth:`VectorizedKernel.collect_level` call must enumerate exactly the
@@ -14,52 +16,24 @@ contract:
   and with all of them as the rows of one level.  A state is a row of
   block, version and section IDs there; the successor rows ``assemble``
   lays out are read back through the block tables.
+* **The section algebra** -- every array splice against the tests'
+  lane-level network emitter.
 * **The row boundary** -- packed keys in, rows out, and back, at every
   lane width.
-* **Whole-search parity** -- every bundled protocol x {stalling,
-  nonstalling} x {plain, symmetry-reduced}, plus failing mutants, compared
-  across both kernels.
-* **The explicit-fallback contract** -- fault models, multi-address planes
-  and litmus workloads are *outside* the batch model: requesting
-  ``kernel="vectorized"`` there must transparently run (and report) the
-  compiled kernel, never a wrong batch answer.
+* **Tail-key overflow** -- a field too wide for its bits replays the level,
+  never wraps.
 """
 
 import numpy as np
 import pytest
 
 from repro import protocols
-from repro.core import GenerationConfig, generate
-from repro.dsl.types import AccessKind
-from repro.system import FaultModel, LitmusWorkload, System, Workload
+from repro.system import System, Workload
 from repro.system.rowtable import RowTable
 from repro.verification import verify
 
 from reference_network import emit_net
-from verification_helpers import (
-    MUTANT_DROPS,
-    drop_cache_handler,
-    make_missing_inv_mutant,
-    make_swmr_mutant,
-    sample_reachable_states,
-)
-
-KERNELS = ("compiled", "vectorized")
-
-
-def _workload(name: str) -> Workload:
-    if name == "MSI-Unordered":
-        # The unordered variant has no eviction path by design.
-        return Workload(max_accesses_per_cache=2,
-                        access_kinds=(AccessKind.LOAD, AccessKind.STORE))
-    return Workload(max_accesses_per_cache=2)
-
-
-def _invariants(name: str):
-    if name == "TSO-CC":
-        from repro.verification import single_owner_invariant
-        return [single_owner_invariant]
-    return None
+from verification_helpers import sample_reachable_states, workload_for
 
 
 def _serial_stream(kernel, enc):
@@ -99,7 +73,7 @@ class TestExpansionParity:
         self, all_generated, name, config_label
     ):
         generated = all_generated[(name, config_label)]
-        system = System(generated, num_caches=3, workload=_workload(name))
+        system = System(generated, num_caches=3, workload=workload_for(name))
         vk = system.vectorized_kernel()
         assert vk.supported, f"{name}/{config_label} should support batching"
         kernel = system.kernel()
@@ -135,7 +109,7 @@ class TestExpansionParity:
         -- duplicate rows included, leaf rows in the middle -- must read as
         the per-state ``enabled`` + ``apply`` streams end to end."""
         generated = all_generated[(name, config_label)]
-        system = System(generated, num_caches=3, workload=_workload(name))
+        system = System(generated, num_caches=3, workload=workload_for(name))
         vk = system.vectorized_kernel()
         kernel = system.kernel()
         codec = system.codec()
@@ -195,7 +169,7 @@ class TestExpansionParity:
         it).  Every sampled state next to its twin one version on, as one
         level, on a kernel that has evaluated nothing yet."""
         generated = all_generated[(name, config_label)]
-        system = System(generated, num_caches=3, workload=_workload(name))
+        system = System(generated, num_caches=3, workload=workload_for(name))
         vk = system.vectorized_kernel()
         kernel = system.kernel()
         codec = system.codec()
@@ -240,7 +214,7 @@ class TestSectionAlgebra:
         import repro.system.vectorized as vec
 
         generated = all_generated[(name, config_label)]
-        system = System(generated, num_caches=3, workload=_workload(name))
+        system = System(generated, num_caches=3, workload=workload_for(name))
         vk = system.vectorized_kernel()
         codec = system.codec()
         no = vk.net_offset
@@ -352,7 +326,7 @@ class TestRawSuccessorRows:
         """``keys_of(rows_of(keys)) == keys``, and ``prefixes_of`` gathers
         from the block tables the very lanes ``codec.unpack`` reads."""
         generated = all_generated[(name, config_label)]
-        system = System(generated, num_caches=3, workload=_workload(name))
+        system = System(generated, num_caches=3, workload=workload_for(name))
         vk = system.vectorized_kernel()
         codec = system.codec()
         assert vk.dtype == np.dtype(dtype)
@@ -450,96 +424,6 @@ class TestRawSuccessorRows:
         assert vk.plan_entries == 0
 
 
-class TestWholeSearchParity:
-    """verify() across both kernels: identical results everywhere."""
-
-    @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("config_label", ["nonstalling", "stalling"])
-    @pytest.mark.parametrize("name", protocols.available_protocols())
-    def test_counts_and_verdicts_match(
-        self, all_generated, name, config_label, symmetry
-    ):
-        generated = all_generated[(name, config_label)]
-        system = System(generated, num_caches=2, workload=_workload(name))
-        invariants = _invariants(name)
-        results = {
-            k: verify(system, invariants=invariants, symmetry=symmetry, kernel=k)
-            for k in KERNELS
-        }
-        ref = results["compiled"]
-        assert ref.ok, f"{name}/{config_label}: {ref.summary}"
-        for k, result in results.items():
-            assert result.ok, f"{name}/{config_label}/{k}: {result.summary}"
-            assert result.states_explored == ref.states_explored, k
-            assert result.transitions_explored == ref.transitions_explored, k
-            assert result.complete_states == ref.complete_states, k
-        assert results["vectorized"].kernel == "vectorized"
-
-    @pytest.mark.parametrize("symmetry", [False, True])
-    def test_three_cache_reference_counts(self, msi_stalling, symmetry):
-        """The paper's stalling-MSI tier at 3 caches: counts bit-identical
-        across kernels (1-access workload keeps the cell fast)."""
-        system = System(
-            msi_stalling, num_caches=3,
-            workload=Workload(max_accesses_per_cache=1,
-                              access_kinds=(AccessKind.LOAD, AccessKind.STORE)),
-        )
-        compiled = verify(system, symmetry=symmetry, kernel="compiled")
-        vectorized = verify(system, symmetry=symmetry, kernel="vectorized")
-        assert compiled.ok and vectorized.ok
-        assert vectorized.states_explored == compiled.states_explored
-        assert vectorized.transitions_explored == compiled.transitions_explored
-        assert vectorized.kernel == "vectorized"
-        assert vectorized.stats["fallback_transitions"] == 0
-
-
-class TestFailureTraceParity:
-    """Failing searches: verdict, violation/error and trace must match the
-    serial kernels exactly (counts may differ within the failing level --
-    the batch commits whole levels)."""
-
-    @pytest.mark.parametrize("symmetry", [False, True])
-    def test_swmr_mutant_trace(self, msi_spec, symmetry):
-        mutant = make_swmr_mutant(msi_spec)
-        system = System(mutant, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        compiled = verify(system, symmetry=symmetry, kernel="compiled")
-        vectorized = verify(system, symmetry=symmetry, kernel="vectorized")
-        assert not compiled.ok and not vectorized.ok
-        assert compiled.violation is not None and vectorized.violation is not None
-        assert vectorized.violation.name == compiled.violation.name == "SWMR"
-        assert vectorized.trace == compiled.trace
-
-    @pytest.mark.parametrize("symmetry", [False, True])
-    def test_missing_inv_mutant_trace(self, msi_spec, symmetry):
-        mutant = make_missing_inv_mutant(msi_spec)
-        system = System(mutant, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        compiled = verify(system, symmetry=symmetry, kernel="compiled")
-        vectorized = verify(system, symmetry=symmetry, kernel="vectorized")
-        assert not compiled.ok and not vectorized.ok
-        assert compiled.error is not None and vectorized.error is not None
-        assert "cannot handle message Inv" in vectorized.error
-        assert vectorized.error == compiled.error
-        assert vectorized.trace == compiled.trace
-
-    @pytest.mark.parametrize("name", protocols.available_protocols())
-    def test_dropped_handler_mutants_fail_identically(self, name):
-        state, message = MUTANT_DROPS[name]
-        mutant = drop_cache_handler(
-            generate(protocols.load(name), GenerationConfig.nonstalling()),
-            state, message,
-        )
-        system = System(mutant, num_caches=2, workload=_workload(name))
-        invariants = _invariants(name)
-        compiled = verify(system, invariants=invariants, kernel="compiled")
-        vectorized = verify(system, invariants=invariants, kernel="vectorized")
-        assert not compiled.ok and not vectorized.ok
-        assert compiled.error is not None and vectorized.error is not None
-        assert vectorized.error == compiled.error
-        assert vectorized.trace == compiled.trace
-
-
 class TestTailKeyOverflow:
     """A tail-memo key packs ``(section ID, delivered record ID + 1,
     send-list ID)`` into one integer; a record or send-list ID too wide for
@@ -579,51 +463,8 @@ class TestTailKeyOverflow:
         assert by_row.snapshot() == by_key.snapshot()
 
 
-class TestExplicitFallbackContract:
-    """Configurations outside the batch model run the compiled kernel and
-    say so -- never a silently wrong batch answer."""
-
-    def test_fault_model_falls_back(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1),
-                        faults=FaultModel(duplicate=True))
-        result = verify(system, kernel="vectorized")
-        reference = verify(system, kernel="compiled")
-        assert result.kernel == "compiled"
-        assert result.ok == reference.ok
-        assert result.states_explored == reference.states_explored
-
-    def test_multi_address_falls_back(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1),
-                        num_addresses=2)
-        result = verify(system, kernel="vectorized")
-        reference = verify(system, kernel="compiled")
-        assert result.kernel == "compiled"
-        assert result.ok == reference.ok
-        assert result.states_explored == reference.states_explored
-
-    def test_litmus_workload_falls_back(self, msi_nonstalling):
-        workload = LitmusWorkload(programs=(
-            ((AccessKind.STORE, 0),),
-            ((AccessKind.LOAD, 0),),
-        ))
-        system = System(msi_nonstalling, num_caches=2, workload=workload)
-        result = verify(system, kernel="vectorized")
-        reference = verify(system, kernel="compiled")
-        assert result.kernel == "compiled"
-        assert result.ok == reference.ok
-        assert result.states_explored == reference.states_explored
-
-    def test_dfs_strategy_falls_back(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1))
-        result = verify(system, kernel="vectorized", strategy="dfs")
-        assert result.kernel == "compiled"
-        assert result.ok
-
-    def test_unsupported_kernel_name_rejected(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=1))
-        with pytest.raises(ValueError, match="vectorized"):
-            verify(system, kernel="simd")
+def test_an_unknown_kernel_name_is_refused(msi_nonstalling):
+    system = System(msi_nonstalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=1))
+    with pytest.raises(ValueError, match="vectorized"):
+        verify(system, kernel="simd")

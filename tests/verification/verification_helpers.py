@@ -21,11 +21,20 @@ from dataclasses import dataclass, replace
 import pytest
 
 from repro.core import GenerationConfig, generate
-from repro.core.fsm import MessageEvent, event_key
-from repro.dsl.types import AccessKind, Permission
+from repro.core.fsm import AccessEvent, MessageEvent, event_key
+from repro.dsl.types import (
+    AccessKind,
+    ClearOwner,
+    CopyDataFromMessage,
+    Dest,
+    InvalidateData,
+    PerformAccess,
+    Permission,
+    Send,
+)
 from repro.system import System, Workload
 from repro.system.system import DeliverMessage, GlobalState
-from repro.verification import default_invariants
+from repro.verification import default_invariants, single_owner_invariant
 from repro.verification.engine.canonical import canonicalizer_for
 from repro.verification.invariants import compiled_invariant_codes
 
@@ -117,6 +126,125 @@ def rewrite_transition(generated, controller: str, state: str, event, rewrite):
     return generated
 
 
+def rewrite_actions(rewrite):
+    """A transition rewrite that replaces its actions by ``rewrite(actions)``."""
+    return lambda transition: transition.with_actions(rewrite(transition.actions))
+
+
+def _append(*extra):
+    return rewrite_actions(lambda actions: actions + extra)
+
+
+def _prepend(*extra):
+    return rewrite_actions(lambda actions: extra + actions)
+
+
+def _without(kind):
+    return rewrite_actions(
+        lambda actions: tuple(a for a in actions if not isinstance(a, kind))
+    )
+
+
+def _sends(**fields):
+    """Every ``Send`` of the transition with *fields* replaced."""
+    return rewrite_actions(lambda actions: tuple(
+        replace(a, **fields) if isinstance(a, Send) else a for a in actions
+    ))
+
+
+def _guard(guard):
+    return lambda transition: replace(
+        transition, event=replace(transition.event, guard=guard)
+    )
+
+
+LOAD, STORE = AccessEvent(AccessKind.LOAD), AccessEvent(AccessKind.STORE)
+
+#: MSI stalling mutants, one per protocol error the kernel reports: ``(caches,
+#: accesses per cache, controller, state, event, rewrite of that transition,
+#: the reference's error)``.  Not here: a directory transition short of a
+#: requestor (a send to it, or ``AddRequestorToSharers``) -- every message the
+#: directory receives carries one, so no table edit reaches it
+#: (``test_kernel.py::test_requestorless_deliveries_fail_like_the_reference``);
+#: and the unexpected message (``make_missing_inv_mutant``).
+ERROR_MUTANTS = {
+    # Actions or destinations the controller cannot execute.
+    "cache-clears-owner": (
+        2, 2, "cache", "M", LOAD, _append(ClearOwner()),
+        "cache 0 cannot execute action ClearOwner()",
+    ),
+    "directory-invalidates-data": (
+        2, 1, "directory", "I", MessageEvent("GetS"), _append(InvalidateData()),
+        "directory cannot execute action InvalidateData()",
+    ),
+    "directory-sends-to-no-owner": (
+        2, 2, "directory", "I", MessageEvent("GetS"), _sends(to=Dest.OWNER),
+        "directory: Data needs an owner",
+    ),
+    "access-sends-to-no-requestor": (
+        2, 2, "cache", "I", LOAD, _sends(to=Dest.REQUESTOR),
+        "cache 0: GetS needs a requestor but none is available",
+    ),
+    "cache-sends-to-owner": (
+        2, 2, "cache", "I", LOAD, _sends(to=Dest.OWNER),
+        "cache 0: unsupported destination Dest.OWNER for GetS",
+    ),
+    "directory-sends-to-directory": (
+        2, 2, "directory", "I", MessageEvent("GetS"), _sends(to=Dest.DIRECTORY),
+        "directory: unsupported destination Dest.DIRECTORY for Data",
+    ),
+    # Two guarded candidates match a Data with no acks outstanding.
+    "ambiguous-guards": (
+        2, 1, "cache", "IM_AD", MessageEvent("Data", "ack_count_nonzero"),
+        _guard("acks_incomplete"),
+        "ambiguous transitions for Data in state 'IM_AD': "
+        "Data[ack_count_zero], Data[acks_incomplete]",
+    ),
+    # Data, saved requestors and the data-value checks.
+    "cache-copies-from-inv": (
+        2, 1, "cache", "S", MessageEvent("Inv"), _prepend(CopyDataFromMessage()),
+        "cache 0 expected data in Inv Dir->C0 (req=C1)",
+    ),
+    "directory-copies-from-gets": (
+        2, 1, "directory", "I", MessageEvent("GetS"),
+        _prepend(CopyDataFromMessage()),
+        "directory expected data in GetS C0->Dir (req=C0)",
+    ),
+    "ack-to-empty-slot": (
+        2, 1, "cache", "S", MessageEvent("Inv"), _sends(requestor_slot=0),
+        "cache 0: deferred response Inv_Ack has no saved requestor",
+    ),
+    "request-on-behalf-of-empty-slot": (
+        2, 1, "cache", "I", LOAD, _sends(requestor_from_slot=0),
+        "cache 0: deferred response GetS has no saved requestor to send on "
+        "behalf of",
+    ),
+    "load-before-data": (
+        2, 1, "cache", "I", LOAD, _append(PerformAccess()),
+        "cache 0 performed a load without data",
+    ),
+    "store-before-data": (
+        2, 1, "cache", "I", STORE, _append(PerformAccess()),
+        "cache 0 performed a store without data",
+    ),
+    # Memory misses the downgraded owner's data: the next store from S
+    # builds on the stale copy.
+    "directory-drops-downgrade-data": (
+        2, 2, "directory", "S_D", MessageEvent("Data"),
+        _without(CopyDataFromMessage),
+        "data-value invariant violated: cache 0 stores on top of version 0 "
+        "but the latest written version is 1",
+    ),
+    # Memory misses the written-back data: store, evict, load reads stale.
+    "directory-drops-writeback-data": (
+        1, 3, "directory", "M", MessageEvent("PutM", "from_owner"),
+        _without(CopyDataFromMessage),
+        "cache 0 load went backwards: saw version 0 after 1 (per-location SC "
+        "violation)",
+    ),
+}
+
+
 def make_missing_inv_mutant(msi_spec):
     """Generate MSI, then drop the Invalidation handling in S."""
     return drop_cache_handler(generate(msi_spec, GenerationConfig()), "S", "Inv")
@@ -130,13 +258,6 @@ def never_fires(system, state):
 
 #: The default pair plus a predicate only a decoded state can answer.
 DECODED = (*default_invariants(), never_fires)
-
-
-def mode_id(mode):
-    """Test ID of a ``verify()`` keyword dict (``DECODED`` reads "decoded")."""
-    return "-".join(
-        f"{k}={'decoded' if k == 'invariants' else v}" for k, v in mode.items()
-    ) or "compiled"
 
 
 def make_swmr_mutant(msi_spec):
@@ -196,13 +317,24 @@ LATE_ABSORB_STATES = {"IM_AD_I", "IM_AD_SI", "IM_A_I", "IM_A_SI", "SM_AD_I",
                       "SM_A_I", "IS_D_I"}
 
 
-def two_access_workload(name: str) -> Workload:
-    """Two accesses per cache for protocol *name*: every access kind, except
+def workload_for(name: str, accesses: int = 2) -> Workload:
+    """*accesses* per cache for protocol *name*: every access kind, except
     for MSI-Unordered, which has no eviction path by design."""
     if name == "MSI-Unordered":
-        return Workload(max_accesses_per_cache=2,
+        return Workload(max_accesses_per_cache=accesses,
                         access_kinds=(AccessKind.LOAD, AccessKind.STORE))
-    return Workload(max_accesses_per_cache=2)
+    return Workload(max_accesses_per_cache=accesses)
+
+
+def invariants_for(name: str, litmus=None) -> tuple | None:
+    """The invariants a search of protocol *name* checks -- ``None`` (the
+    default pair), except for TSO-CC, which breaks SWMR in physical time by
+    design (stale untracked readers) and is held to single ownership -- plus
+    the outcome checker of the *litmus* test, if one is given."""
+    invariants = (single_owner_invariant,) if name == "TSO-CC" else None
+    if litmus is None:
+        return invariants
+    return (*(invariants or default_invariants()), litmus.invariant)
 
 
 def sample_reachable_states(
@@ -357,7 +489,8 @@ def assert_matches_reference(result, expected):
     """*result* (a ``verify()`` result) against :func:`reference_search`'s
     *expected*: the counts on a pass; on a failure its kind, its trace
     length (the reference's depth; a DFS trace is only bounded below by
-    it), a violation's name and, without symmetry, an error's text."""
+    it), a violation's name and, on an unreduced BFS (the reference's
+    order), an error's text."""
     if not isinstance(expected, ReferenceFailure):
         assert result.ok and not result.partial, result.summary
         assert (result.states_explored, result.transitions_explored) == expected
@@ -376,7 +509,7 @@ def assert_matches_reference(result, expected):
         assert len(result.trace) == expected.depth, (result.summary, expected)
     if kind == "violation":
         assert result.violation.name == expected.detail
-    if kind == "error" and not result.symmetry_reduced:
+    if kind == "error" and result.strategy == "bfs" and not result.symmetry_reduced:
         assert result.error == expected.detail
 
 
