@@ -31,18 +31,6 @@ class GenerationError(ProtoGenError):
     that ProtoGen relies on, such as a missing restart transaction)."""
 
 
-class ParseError(ProtoGenError):
-    """The text DSL could not be parsed."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        location = ""
-        if line is not None:
-            location = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + location)
-
-
 class VerificationError(ProtoGenError):
     """An invariant was violated during model checking or simulation."""
 

@@ -166,7 +166,7 @@ INV_DECODED = "decoded"
 
 #: The default invariant pair, one pass in :meth:`TransitionKernel.check`;
 #: public so the vectorized kernel's batch checker can recognize it.
-_DEFAULT_CODES = DEFAULT_CODES = (INV_SWMR, INV_SINGLE_OWNER)
+DEFAULT_CODES = (INV_SWMR, INV_SINGLE_OWNER)
 
 #: Generated transition source -> its function, process-wide.  The generated
 #: functions close over nothing, so equal text means an interchangeable
@@ -907,11 +907,12 @@ class TransitionKernel:
     # network section, its parse handle, the delivered record's place --
     # record *pos* of channel *where* when ordered, record *where* of the bag
     # when unordered, None for an access -- and the :meth:`_packed_sends`
-    # groups.  It returns the successor section as ``Network.deliver`` +
-    # ``Network.send`` normalize it, written front to back in one pass over
-    # the handle's offsets: each untouched run of channels (or records) is
-    # one slice of *section*, each touched channel its header, its new
-    # count lane and its records, and the section's count lane goes first.
+    # groups.  It returns the successor section as the reference network's
+    # ``deliver`` + ``send`` (``tests/verification/reference_system.py``)
+    # normalize it, written front to back in one pass over the handle's
+    # offsets: each untouched run of channels (or records) is one slice of
+    # *section*, each touched channel its header, its new count lane and its
+    # records, and the section's count lane goes first.
     # The caller copies the key around it, later planes included.
     def _splicer(self, delivers: bool, sends: int):
         """The splice -- a function of ``(self, section, net, where, sends,
@@ -1269,7 +1270,7 @@ class TransitionKernel:
         width = CACHE_ENCODED_WIDTH
         n = self.num_caches
         planes = range(0, self.num_addresses * self.plane_stride, self.plane_stride)
-        if codes == _DEFAULT_CODES:
+        if codes == DEFAULT_CODES:
             # SWMR alone: two stable writers are two writers.
             for plane in planes:
                 writers = readers = 0
@@ -1288,7 +1289,7 @@ class TransitionKernel:
             if code == INV_DECODED:
                 return False
             if code == INV_SWMR:
-                if not self.check(enc, _DEFAULT_CODES):
+                if not self.check(enc, DEFAULT_CODES):
                     return False
             elif code == INV_SINGLE_OWNER:
                 for plane in planes:

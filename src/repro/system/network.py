@@ -9,9 +9,12 @@ paper:
 * :class:`UnorderedNetwork` -- no ordering at all: any in-flight message may
   be delivered next.  Used by the MSI variant of Section VI-C.
 
-Both networks are immutable value objects: ``send`` and ``deliver`` return
-new network instances, so the model checker can hash and store them as part
-of a global state snapshot.
+Both are immutable values of what is in flight: ``codec.decode`` builds
+them out of a packed key and ``codec.encode`` lays them back out, while the
+checker itself stores packed keys and splices their network sections in
+bytes (:mod:`repro.system.kernel`).  Nothing here steps a network: the
+tests' reference system delivers and sends on these values with its own
+network functions.
 """
 
 from __future__ import annotations
@@ -29,46 +32,8 @@ from repro.system.message import (
 class Network:
     """Interface shared by both network models."""
 
-    def send(self, *messages: Message) -> "Network":
-        raise NotImplementedError
-
-    def deliverable(self) -> tuple[Message, ...]:
-        """Messages that may be delivered next (one per ordered channel, or
-        every in-flight message for the unordered network)."""
-        raise NotImplementedError
-
-    def deliver(self, message: Message) -> "Network":
-        """Remove *message* (which must be deliverable) and return the new network."""
-        raise NotImplementedError
-
-    def deliver_at(self, message: Message, position: int) -> "Network":
-        """Remove *message* from *position* in its channel (re-queue
-        semantics: a stalled channel head is bypassed, so deliveries may
-        target a message behind it).  Ordered networks only -- the unordered
-        bag has no positions to bypass."""
-        raise ValueError("positional delivery applies to ordered networks only")
-
-    def duplicate(self, message: Message) -> "Network":
-        """Fault injection: add an extra copy of *message* (which must be
-        deliverable) and return the new network."""
-        raise NotImplementedError
-
-    def reorderable(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Fault injection: the ``(src, dst, vnet, position)`` swaps that
-        change the network (adjacent differing messages in one FIFO).  Empty
-        for unordered networks -- the bag already admits every order."""
-        return ()
-
-    def reorder(self, src: int, dst: int, vnet: int, position: int) -> "Network":
-        """Fault injection: swap the messages at ``position`` and
-        ``position + 1`` in the ``(src, dst, vnet)`` channel."""
-        raise ValueError("reorder faults apply to ordered networks only")
-
     @property
     def empty(self) -> bool:
-        raise NotImplementedError
-
-    def in_flight(self) -> tuple[Message, ...]:
         raise NotImplementedError
 
     @property
@@ -103,82 +68,9 @@ class OrderedNetwork(Network):
 
     channels: tuple[tuple[tuple[int, int, int], tuple[Message, ...]], ...] = ()
 
-    def _as_dict(self) -> dict[tuple[int, int, int], tuple[Message, ...]]:
-        return {key: msgs for key, msgs in self.channels}
-
-    @staticmethod
-    def _from_dict(
-        channels: dict[tuple[int, int, int], tuple[Message, ...]]
-    ) -> "OrderedNetwork":
-        non_empty = {key: msgs for key, msgs in channels.items() if msgs}
-        return OrderedNetwork(channels=tuple(sorted(non_empty.items())))
-
-    def send(self, *messages: Message) -> "OrderedNetwork":
-        channels = self._as_dict()
-        for message in messages:
-            key = (message.src, message.dst, message.vnet)
-            channels[key] = channels.get(key, ()) + (message,)
-        return self._from_dict(channels)
-
-    def deliverable(self) -> tuple[Message, ...]:
-        return tuple(msgs[0] for _, msgs in self.channels if msgs)
-
-    def deliver(self, message: Message) -> "OrderedNetwork":
-        channels = self._as_dict()
-        key = (message.src, message.dst, message.vnet)
-        queue = channels.get(key, ())
-        if not queue or queue[0] != message:
-            raise ValueError(f"message {message} is not at the head of its channel")
-        channels[key] = queue[1:]
-        return self._from_dict(channels)
-
-    def deliver_at(self, message: Message, position: int) -> "OrderedNetwork":
-        channels = self._as_dict()
-        key = (message.src, message.dst, message.vnet)
-        queue = channels.get(key, ())
-        if not (0 <= position < len(queue)) or queue[position] != message:
-            raise ValueError(
-                f"message {message} is not at position {position} of its channel"
-            )
-        channels[key] = queue[:position] + queue[position + 1 :]
-        return self._from_dict(channels)
-
-    def duplicate(self, message: Message) -> "OrderedNetwork":
-        channels = self._as_dict()
-        key = (message.src, message.dst, message.vnet)
-        queue = channels.get(key, ())
-        if not queue or queue[0] != message:
-            raise ValueError(f"message {message} is not at the head of its channel")
-        channels[key] = (message,) + queue
-        return self._from_dict(channels)
-
-    def reorderable(self) -> tuple[tuple[int, int, int, int], ...]:
-        swaps = []
-        for (src, dst, vnet), msgs in self.channels:
-            for pos in range(len(msgs) - 1):
-                if msgs[pos] != msgs[pos + 1]:
-                    swaps.append((src, dst, vnet, pos))
-        return tuple(swaps)
-
-    def reorder(self, src: int, dst: int, vnet: int, position: int) -> "OrderedNetwork":
-        channels = self._as_dict()
-        key = (src, dst, vnet)
-        queue = channels.get(key, ())
-        if not 0 <= position < len(queue) - 1:
-            raise ValueError(
-                f"no adjacent pair at position {position} in channel {key}"
-            )
-        msgs = list(queue)
-        msgs[position], msgs[position + 1] = msgs[position + 1], msgs[position]
-        channels[key] = tuple(msgs)
-        return self._from_dict(channels)
-
     @property
     def empty(self) -> bool:
         return not self.channels
-
-    def in_flight(self) -> tuple[Message, ...]:
-        return tuple(m for _, msgs in self.channels for m in msgs)
 
     @property
     def ordered(self) -> bool:
@@ -193,7 +85,7 @@ class OrderedNetwork(Network):
                 vnet,
             )
             channels[key] = tuple(m.relabeled(perm) for m in msgs)
-        return self._from_dict(channels)
+        return OrderedNetwork(channels=tuple(sorted(channels.items())))
 
     def sort_key(self) -> tuple:
         return tuple(
@@ -237,41 +129,9 @@ class UnorderedNetwork(Network):
 
     messages: tuple[Message, ...] = ()
 
-    def send(self, *new_messages: Message) -> "UnorderedNetwork":
-        return UnorderedNetwork(
-            messages=tuple(
-                sorted(self.messages + tuple(new_messages), key=message_sort_key)
-            )
-        )
-
-    def deliverable(self) -> tuple[Message, ...]:
-        # Deduplicate identical messages: delivering either copy leads to the
-        # same successor state.
-        seen: list[Message] = []
-        for message in self.messages:
-            if message not in seen:
-                seen.append(message)
-        return tuple(seen)
-
-    def deliver(self, message: Message) -> "UnorderedNetwork":
-        messages = list(self.messages)
-        try:
-            messages.remove(message)
-        except ValueError:
-            raise ValueError(f"message {message} is not in flight") from None
-        return UnorderedNetwork(messages=tuple(messages))
-
-    def duplicate(self, message: Message) -> "UnorderedNetwork":
-        if message not in self.messages:
-            raise ValueError(f"message {message} is not in flight")
-        return self.send(message)
-
     @property
     def empty(self) -> bool:
         return not self.messages
-
-    def in_flight(self) -> tuple[Message, ...]:
-        return self.messages
 
     @property
     def ordered(self) -> bool:

@@ -84,21 +84,6 @@ class CacheNodeState:
     #: Number of accesses this cache has issued so far (bounds the workload).
     issued: int = 0
 
-    def with_state(self, fsm_state: str) -> "CacheNodeState":
-        # Direct construction: ``dataclasses.replace`` resolves fields through
-        # the descriptor machinery on every call, and the tests' object-level
-        # reference system calls this once per cache transition it applies.
-        return CacheNodeState(
-            fsm_state=fsm_state,
-            data=self.data,
-            acks_expected=self.acks_expected,
-            acks_received=self.acks_received,
-            saved=self.saved,
-            pending_access=self.pending_access,
-            last_observed=self.last_observed,
-            issued=self.issued,
-        )
-
     def relabeled(self, perm: tuple[int, ...]) -> "CacheNodeState":
         """Remap the cache IDs in the saved-requestor slots through *perm*."""
         saved = tuple(s if s is None or s < 0 else perm[s] for s in self.saved)
@@ -149,14 +134,6 @@ class DirectoryNodeState:
     owner: int | None = None
     sharers: frozenset[int] = frozenset()
     memory: int = 0
-
-    def with_state(self, fsm_state: str) -> "DirectoryNodeState":
-        return DirectoryNodeState(
-            fsm_state=fsm_state,
-            owner=self.owner,
-            sharers=self.sharers,
-            memory=self.memory,
-        )
 
     def relabeled(self, perm: tuple[int, ...]) -> "DirectoryNodeState":
         """Remap the owner and sharer cache IDs through *perm*."""

@@ -109,8 +109,7 @@ tables gathered as arrays), for a checkpoint, a per-state fallback level, a
 level's symmetry relabels or a violation report;
 :meth:`~VectorizedKernel.encodings_of` rebuilds whole encodings, for a
 level's leaves;
-:meth:`~VectorizedKernel.packed_tails` /
-:meth:`~VectorizedKernel.section_tail` rebuild a section's tail.  Each
+:meth:`~VectorizedKernel.packed_tails` rebuilds sections' packed tails.  Each
 boundary works on all it is handed at once (the distinct unknown tails
 parsed, then one table probe) and keeps a bounded cache, so a section the
 hot path created has no packed tail and no parse handle unless something
@@ -554,10 +553,6 @@ class VectorizedKernel:
             ]
         return np.asarray(found, dtype=np.uint32)
 
-    def intern_section(self, packed_tail: bytes) -> int:
-        """:meth:`intern_sections` for one packed section."""
-        return int(self.intern_sections((packed_tail,))[0])
-
     def packed_tails(self, sids) -> list:
         """The packed tail of each section ID in *sids* (a sequence of
         ints), rebuilt from its vector (columns in order, each cell's
@@ -587,14 +582,6 @@ class VectorizedKernel:
                         lanes.extend(recs[rid])
                 tails[k] = memo.store(sids[k], self.codec.pack(lanes))
         return tails
-
-    def section_tail(self, sid: int) -> tuple:
-        """The section's lanes -- unpacked per call from the boundary
-        cache's packed tail: nothing on the hot path reads them."""
-        packed = self._packed.get(sid)
-        if packed is None:
-            packed = self.packed_tails((sid,))[0]
-        return self.codec.unpack(packed)
 
     # -- rows: a whole state as one fixed-width vector of IDs -----------------------
     def rows_of(self, keys):
@@ -869,9 +856,10 @@ class VectorizedKernel:
         its cell minus the record, then send *j* of every key's send list
         in one step -- the record's column by its cell plus the record,
         ``j = 0 .. longest list`` -- and intern the vectors with one table
-        probe.  Exactly ``Network.deliver`` + ``Network.send``: a channel
-        emptied and re-opened passes through cell 0, and a key's sends into
-        one FIFO append in list order.  Python runs per distinct ``(cell,
+        probe.  Exactly the reference network's ``deliver`` + ``send``
+        (``tests/verification/reference_system.py``): a channel emptied and
+        re-opened passes through cell 0, and a key's sends into one FIFO
+        append in list order.  Python runs per distinct ``(cell,
         record, operation)`` (:meth:`_cell_ops_of`), never per key."""
         np = self.np
         bits = _TAIL_FIELD_BITS

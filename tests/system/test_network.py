@@ -1,92 +1,54 @@
-"""Unit and property tests for the interconnect models."""
+"""Tests for the network values: what a decoded state holds in flight.
 
-import pytest
+Stepping a network -- delivery, sends, faults -- is the tests' reference
+network (``tests/verification/reference_system.py``) and is tested there.
+"""
+
 from hypothesis import given, settings, strategies as st
 
-from repro.system.message import DIRECTORY_ID, Message, message_sort_key
+from repro.system.message import Message, message_sort_key
 from repro.system.network import OrderedNetwork, UnorderedNetwork, make_network
+
+MTYPES = ("Data", "GetM", "GetS", "Inv", "Put_Ack")
 
 
 def _msg(mtype="Data", src=0, dst=1, vnet=1, **kw):
     return Message(mtype=mtype, src=src, dst=dst, vnet=vnet, **kw)
 
 
-class TestOrderedNetwork:
-    def test_fifo_order_within_channel(self):
-        net = OrderedNetwork().send(_msg("A"), _msg("B"), _msg("C"))
-        assert [m.mtype for m in net.deliverable()] == ["A"]
-        net = net.deliver(net.deliverable()[0])
-        assert [m.mtype for m in net.deliverable()] == ["B"]
+def _values(messages):
+    """*messages* in flight as both network values, laid out as the codec
+    lays them out: FIFO channels sorted by key, a bag sorted by
+    ``message_sort_key``."""
+    channels: dict = {}
+    for m in messages:
+        channels.setdefault((m.src, m.dst, m.vnet), []).append(m)
+    ordered = OrderedNetwork(tuple(sorted((k, tuple(q)) for k, q in channels.items())))
+    return ordered, UnorderedNetwork(tuple(sorted(messages, key=message_sort_key)))
 
-    def test_channels_are_independent(self):
-        net = OrderedNetwork().send(_msg("A", src=0, dst=1), _msg("B", src=1, dst=0))
-        assert {m.mtype for m in net.deliverable()} == {"A", "B"}
 
-    def test_virtual_networks_are_independent(self):
-        request = _msg("GetM", vnet=0)
-        response = _msg("Data", vnet=1)
-        net = OrderedNetwork().send(request, response)
-        # Both are at the head of their own virtual network.
-        assert {m.mtype for m in net.deliverable()} == {"GetM", "Data"}
-
-    def test_deliver_requires_head_of_queue(self):
-        net = OrderedNetwork().send(_msg("A"), _msg("B"))
-        tail = net.in_flight()[1]
-        with pytest.raises(ValueError, match="not at the head"):
-            net.deliver(tail)
-
-    def test_empty_and_in_flight(self):
-        net = OrderedNetwork()
-        assert net.empty
-        net = net.send(_msg("A"))
-        assert not net.empty
-        assert len(net.in_flight()) == 1
-        assert net.deliver(net.deliverable()[0]).empty
-
+class TestNetworkValues:
     def test_is_value_object(self):
-        a = OrderedNetwork().send(_msg("A"))
-        b = OrderedNetwork().send(_msg("A"))
+        a, b = _values([_msg("A")]), _values([_msg("A")])
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_empty(self):
+        assert OrderedNetwork().empty and UnorderedNetwork().empty
+        assert not any(net.empty for net in _values([_msg("A")]))
 
     def test_ordered_flag(self):
         assert OrderedNetwork().ordered
         assert not UnorderedNetwork().ordered
 
-
-class TestUnorderedNetwork:
-    def test_every_message_deliverable(self):
-        net = UnorderedNetwork().send(_msg("A"), _msg("B"), _msg("C"))
-        assert {m.mtype for m in net.deliverable()} == {"A", "B", "C"}
-
-    def test_duplicate_messages_deduplicated_in_deliverable(self):
-        net = UnorderedNetwork().send(_msg("A"), _msg("A"))
-        assert len(net.deliverable()) == 1
-        assert len(net.in_flight()) == 2
-
-    def test_deliver_removes_one_copy(self):
-        net = UnorderedNetwork().send(_msg("A"), _msg("A"))
-        net = net.deliver(_msg("A"))
-        assert len(net.in_flight()) == 1
-
-    def test_deliver_unknown_message_rejected(self):
-        with pytest.raises(ValueError, match="not in flight"):
-            UnorderedNetwork().deliver(_msg("A"))
-
-
-class TestFactory:
     def test_make_network(self):
-        assert isinstance(make_network(True), OrderedNetwork)
-        assert isinstance(make_network(False), UnorderedNetwork)
+        assert make_network(True) == OrderedNetwork()
+        assert make_network(False) == UnorderedNetwork()
 
-
-# ---------------------------------------------------------------------------
-# Property-based tests
-# ---------------------------------------------------------------------------
 
 _messages = st.builds(
     Message,
-    mtype=st.sampled_from(["GetS", "GetM", "Data", "Inv", "Put_Ack"]),
+    mtype=st.sampled_from(MTYPES),
     src=st.integers(min_value=-1, max_value=2),
     dst=st.integers(min_value=-1, max_value=2),
     requestor=st.none() | st.integers(min_value=0, max_value=2),
@@ -97,41 +59,16 @@ _messages = st.builds(
 
 
 class TestNetworkProperties:
-    @given(st.lists(_messages, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_ordered_network_preserves_per_channel_fifo(self, messages):
-        net = OrderedNetwork().send(*messages)
-        per_channel: dict = {}
-        for message in messages:
-            per_channel.setdefault((message.src, message.dst, message.vnet), []).append(message)
-        # Drain the network completely, always taking deliverable heads, and
-        # check each channel is received in send order.
-        received: dict = {}
-        while not net.empty:
-            head = net.deliverable()[0]
-            received.setdefault((head.src, head.dst, head.vnet), []).append(head)
-            net = net.deliver(head)
-        for channel, sent in per_channel.items():
-            assert received.get(channel, []) == sent
-
-    @given(st.lists(_messages, max_size=10))
-    @settings(max_examples=60, deadline=None)
-    def test_unordered_network_conserves_messages(self, messages):
-        net = UnorderedNetwork().send(*messages)
-        assert sorted(net.in_flight(), key=message_sort_key) == sorted(
-            messages, key=message_sort_key
-        )
-        drained = []
-        while not net.empty:
-            head = net.deliverable()[0]
-            drained.append(head)
-            net = net.deliver(head)
-        assert sorted(drained, key=message_sort_key) == sorted(messages, key=message_sort_key)
-
     @given(st.lists(_messages, max_size=10))
     @settings(max_examples=40, deadline=None)
     def test_networks_hashable_for_state_snapshots(self, messages):
-        ordered = OrderedNetwork().send(*messages)
-        unordered = UnorderedNetwork().send(*messages)
-        assert hash(ordered) == hash(OrderedNetwork().send(*messages))
-        assert hash(unordered) == hash(UnorderedNetwork().send(*messages))
+        for net, again in zip(_values(messages), _values(messages)):
+            assert hash(net) == hash(again)
+
+    @given(st.lists(_messages, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_encoded_round_trips(self, messages):
+        index = {name: i for i, name in enumerate(MTYPES)}
+        for net in _values(messages):
+            fields = (7, *net.encoded(index))
+            assert type(net).from_encoded(fields, 1, MTYPES) == net

@@ -10,11 +10,15 @@ inject into the network (:func:`select_transition`,
 :func:`execute_cache_transition`, :func:`execute_directory_transition`);
 :class:`ReferenceSystem` adds the whole-system half -- which events are
 enabled in a :class:`~repro.system.system.GlobalState` and what applying
-one does -- over the same ``System`` configuration ``verify()`` takes.
+one does -- over the same ``System`` configuration ``verify()`` takes --
+with its own network (:func:`send`, :func:`deliver`, :func:`duplicate`,
+:func:`reorder` ...), the one oracle every network splice of both kernels
+is held to.
 
-It shares with the engine the configuration, the state dataclasses and
-the guard vocabulary (:data:`repro.core.fsm.GUARD_CODES`), and nothing
-else: no codec, no kernel.  ``reference_search`` / ``replay_and_check`` /
+It shares with the engine the configuration, the state and network value
+dataclasses (which it steps itself) and the guard vocabulary
+(:data:`repro.core.fsm.GUARD_CODES`), and nothing else: no codec, no
+kernel.  ``reference_search`` / ``replay_and_check`` /
 ``sample_reachable_states`` (``verification_helpers``) run on it, and the
 per-state parity checks pin the kernel to its successors, event order and
 error texts.
@@ -68,8 +72,8 @@ from repro.dsl.types import (
     SetOwnerToRequestor,
     WriteDataToMemory,
 )
-from repro.system.message import DIRECTORY_ID, Message
-from repro.system.network import Network
+from repro.system.message import DIRECTORY_ID, Message, message_sort_key
+from repro.system.network import Network, OrderedNetwork, UnorderedNetwork
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 from repro.system.system import (
     DeliverMessage,
@@ -268,7 +272,7 @@ def execute_cache_transition(
                 latest_version=version,
             )
 
-    node = node.with_state(transition.next_state)
+    node = replace(node, fsm_state=transition.next_state)
     if any(isinstance(a, PerformAccess) for a in transition.actions):
         node = replace(node, pending_access=None)
     return StepResult(
@@ -410,7 +414,7 @@ def execute_directory_transition(
         else:
             return StepResult(error=f"directory cannot execute action {action!r}")
 
-    node = node.with_state(transition.next_state)
+    node = replace(node, fsm_state=transition.next_state)
     return StepResult(node=node, sends=tuple(sends))
 
 
@@ -447,6 +451,69 @@ def _directory_sends(
     raise ProtocolRuntimeError(
         f"directory: unsupported destination {action.to} for {action.message}"
     )
+
+
+# ---------------------------------------------------------------------------
+# The network: one FIFO per (src, dst, vnet) channel, or a sorted bag
+# ---------------------------------------------------------------------------
+# Steps on ``codec.decode``'s values, in the codec's layout: sorted, none empty.
+
+
+def _edit(network: Network, key: tuple, edit) -> OrderedNetwork:
+    channels = dict(network.channels)
+    channels[key] = edit(channels.get(key, ()))
+    return OrderedNetwork(tuple(sorted((k, q) for k, q in channels.items() if q)))
+
+
+def in_flight(network: Network) -> tuple[Message, ...]:
+    if not network.ordered:
+        return network.messages
+    return tuple(m for _, queue in network.channels for m in queue)
+
+
+def deliverable(network: Network) -> tuple[Message, ...]:
+    """Each channel's head, or each distinct message of the bag."""
+    if not network.ordered:
+        return tuple(dict.fromkeys(network.messages))
+    return tuple(queue[0] for _, queue in network.channels)
+
+
+def send(network: Network, *messages: Message) -> Network:
+    if not network.ordered:
+        return UnorderedNetwork(tuple(sorted(network.messages + messages, key=message_sort_key)))
+    for m in messages:
+        network = _edit(network, (m.src, m.dst, m.vnet), lambda q: q + (m,))
+    return network
+
+
+def deliver(network: Network, m: Message, position: int = 0) -> Network:
+    """One copy of *m* out of the bag, or record *position* of its channel."""
+    if not network.ordered:
+        i = network.messages.index(m)
+        return UnorderedNetwork(network.messages[:i] + network.messages[i + 1 :])
+    if dict(network.channels).get((m.src, m.dst, m.vnet), ())[position : position + 1] != (m,):
+        raise ValueError(f"message {m} is not at position {position} of its channel")
+    return _edit(network, (m.src, m.dst, m.vnet), lambda q: q[:position] + q[position + 1 :])
+
+
+def duplicate(network: Network, m: Message) -> Network:
+    if m not in deliverable(network):
+        raise ValueError(f"message {m} is not deliverable")
+    if not network.ordered:
+        return send(network, m)
+    return _edit(network, (m.src, m.dst, m.vnet), lambda q: (m,) + q)
+
+
+def reorderable(network: Network) -> tuple[tuple[int, int, int, int], ...]:
+    """Adjacent differing records of a channel; a bag admits every order."""
+    channels = network.channels if network.ordered else ()
+    return tuple((*key, i) for key, q in channels for i in range(len(q) - 1) if q[i] != q[i + 1])
+
+
+def reorder(network: Network, src: int, dst: int, vnet: int, i: int) -> Network:
+    if (src, dst, vnet, i) not in reorderable(network):
+        raise ValueError(f"no adjacent differing pair at {i} in channel {(src, dst, vnet)}")
+    return _edit(network, (src, dst, vnet), lambda q: (*q[:i], q[i + 1], q[i], *q[i + 2 :]))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +675,7 @@ class ReferenceSystem(System):
                             yield DeliverMessage(message=message, addr=addr)
                             break
                 continue
-            for message in network.deliverable():
+            for message in deliverable(network):
                 if self._delivery_enabled(state, message, addr):
                     yield DeliverMessage(message=message, addr=addr)
 
@@ -620,13 +687,11 @@ class ReferenceSystem(System):
             for addr in range(self.num_addresses):
                 # deliverable() enumerates exactly the duplication candidates:
                 # channel heads (ordered) / distinct messages (unordered).
-                for message in self._plane_network(state, addr).deliverable():
+                for message in deliverable(self._plane_network(state, addr)):
                     yield DuplicateMessage(message=message, addr=addr)
         if faults.reorder and self.ordered:
             for addr in range(self.num_addresses):
-                for src, dst, vnet, pos in self._plane_network(
-                    state, addr
-                ).reorderable():
+                for src, dst, vnet, pos in reorderable(self._plane_network(state, addr)):
                     yield ReorderMessage(
                         src=src, dst=dst, vnet=vnet, position=pos, addr=addr
                     )
@@ -731,7 +796,7 @@ class ReferenceSystem(System):
             state,
             addr,
             caches=tuple(caches),
-            network=self._plane_network(state, addr).send(*self._tag(result.sends)),
+            network=send(self._plane_network(state, addr), *self._tag(result.sends)),
             version=result.latest_version,
         )
         return StepOutcome(state=new_state, observations=result.observations)
@@ -758,9 +823,9 @@ class ReferenceSystem(System):
                     state=state,
                     error=f"message {message} is not deliverable under re-queue order",
                 )
-            network = network.deliver_at(message, position)
+            network = deliver(network, message, position)
         else:
-            network = network.deliver(message)
+            network = deliver(network, message)
         if message.dst == DIRECTORY_ID:
             result = execute_directory_transition(
                 transition, self._plane_directory(state, addr), message=message
@@ -771,7 +836,7 @@ class ReferenceSystem(System):
                 state,
                 addr,
                 directory=result.node,
-                network=network.send(*self._tag(result.sends)),
+                network=send(network, *self._tag(result.sends)),
             )
             return StepOutcome(state=new_state, observations=result.observations)
 
@@ -792,7 +857,7 @@ class ReferenceSystem(System):
             state,
             addr,
             caches=tuple(caches),
-            network=network.send(*self._tag(result.sends)),
+            network=send(network, *self._tag(result.sends)),
             version=result.latest_version,
         )
         return StepOutcome(state=new_state, observations=result.observations)
@@ -813,7 +878,7 @@ class ReferenceSystem(System):
         if error is not None:
             return StepOutcome(state=state, error=error)
         try:
-            network = self._plane_network(state, event.addr).duplicate(event.message)
+            network = duplicate(self._plane_network(state, event.addr), event.message)
         except ValueError as exc:
             return StepOutcome(state=state, error=str(exc))
         new_state = self._with_plane(
@@ -828,9 +893,8 @@ class ReferenceSystem(System):
         if error is not None:
             return StepOutcome(state=state, error=error)
         try:
-            network = self._plane_network(state, event.addr).reorder(
-                event.src, event.dst, event.vnet, event.position
-            )
+            network = reorder(self._plane_network(state, event.addr),
+                              event.src, event.dst, event.vnet, event.position)
         except ValueError as exc:
             return StepOutcome(state=state, error=str(exc))
         new_state = self._with_plane(

@@ -39,7 +39,7 @@ from repro.system.system import (
 )
 from repro.verification import verify
 
-from reference_system import reference
+from reference_system import in_flight, reference
 
 
 #: Nonstalling MSI, 2 caches x 1 access, FaultModel(duplicate=True): C0's
@@ -135,7 +135,7 @@ class TestDuplicatedDataCounterexampleReplay:
         for event in DUPLICATED_DATA_TRACE[:3]:
             state = duplication_replay.apply(state, event).state
         assert state.faults_used == 1
-        copies = [m for m in state.network.in_flight() if m.mtype == "Data"]
+        copies = [m for m in in_flight(state.network) if m.mtype == "Data"]
         assert len(copies) == 2 and copies[0] == copies[1]
         # The budget is spent: no further fault events are offered.
         assert not any(

@@ -24,8 +24,10 @@ pass (``GenerationConfig.harden``) -- survives both measured fault classes.**
 A duplicated response is absorbed by generated idempotence reactions
 (miss-report + directory-side recovery), and a reordered ordered channel no
 longer head-of-line-deadlocks the stalling configurations (re-queue
-semantics).  This module holds the primitives, the per-state parity, the
-residuals that still fail and the symmetry gates.  The pre-hardening
+semantics).  This module holds the fault model and its events, the
+per-state parity, the residuals that still fail and the symmetry gates (the
+duplicate and reorder primitives are the reference network's, tested in
+``test_reference_system.py``).  The pre-hardening
 counterexamples survive in ``test_fault_regressions.py`` against
 ``harden=False`` builds.
 """
@@ -64,57 +66,13 @@ ORDERED_PROTOCOLS = [n for n in ALL_PROTOCOLS if n != "MSI-Unordered"]
 
 
 # ---------------------------------------------------------------------------
-# Network fault primitives
+# The fault model and its events
 # ---------------------------------------------------------------------------
 
 
 def _msg(mtype="GetS", src=0, dst=-1, vnet=0, data=None):
     return Message(mtype=mtype, src=src, dst=dst, requestor=max(src, 0),
                    vnet=vnet, data=data)
-
-
-class TestNetworkFaultPrimitives:
-    def test_ordered_duplicate_prepends_a_copy_at_the_head(self):
-        m = _msg()
-        net = OrderedNetwork().send(m, _msg(data=1))
-        dup = net.duplicate(m)
-        (_, msgs), = dup.channels
-        assert msgs == (m, m, _msg(data=1))
-
-    def test_ordered_duplicate_rejects_non_head_messages(self):
-        net = OrderedNetwork().send(_msg(), _msg(data=1))
-        with pytest.raises(ValueError):
-            net.duplicate(_msg(data=1))
-
-    def test_unordered_duplicate_adds_a_copy_of_any_in_flight_message(self):
-        m = _msg()
-        net = UnorderedNetwork().send(m, _msg(data=1))
-        dup = net.duplicate(m)
-        assert sorted(dup.messages, key=message_sort_key) == sorted(
-            (m, m, _msg(data=1)), key=message_sort_key
-        )
-        with pytest.raises(ValueError):
-            net.duplicate(_msg(mtype="GetM"))
-
-    def test_ordered_reorderable_lists_adjacent_differing_pairs_only(self):
-        a, b = _msg(dst=0, vnet=1), _msg(dst=0, vnet=1, data=1)
-        net = OrderedNetwork().send(a, a, b)
-        # positions: (a,a) equal -> skipped; (a,b) differ -> swap at 1.
-        assert net.reorderable() == ((0, 0, 1, 1),)
-        swapped = net.reorder(0, 0, 1, 1)
-        (_, msgs), = swapped.channels
-        assert msgs == (a, b, a)
-
-    def test_ordered_reorder_rejects_out_of_range_positions(self):
-        net = OrderedNetwork().send(_msg(), _msg(data=1))
-        with pytest.raises(ValueError):
-            net.reorder(0, -1, 0, 5)
-
-    def test_unordered_network_has_no_reorder_axis(self):
-        net = UnorderedNetwork().send(_msg(), _msg(data=1))
-        assert net.reorderable() == ()
-        with pytest.raises(ValueError):
-            net.reorder(0, -1, 0, 0)
 
 
 class TestModelValidation:

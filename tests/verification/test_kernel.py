@@ -29,7 +29,7 @@ from repro.core import GenerationConfig, generate
 from repro.core.fsm import MessageEvent
 from repro.dsl.types import AccessKind
 from repro.system import FaultModel, System, Workload
-from repro.system.network import OrderedNetwork
+from repro.system.network import OrderedNetwork, make_network
 from repro.verification import (
     InvariantViolation,
     default_invariants,
@@ -37,7 +37,7 @@ from repro.verification import (
     verify,
 )
 
-from reference_network import emit_net
+from reference_system import deliver, deliverable, duplicate, reorder, reorderable, send
 from verification_helpers import (
     MessageDroppingSystem,
     assert_expansion_parity,
@@ -186,14 +186,13 @@ def test_requestorless_deliveries_fail_like_the_reference(msi_spec, rewrite, err
     reference's.  Recording a null sharer is an error too, not a state no
     encoding can hold."""
     from repro.system.message import DIRECTORY_ID, Message
-    from repro.system.network import make_network
 
     generated = generate(msi_spec, GenerationConfig.stalling())
     if rewrite is not None:
         rewrite_transition(generated, "directory", "I", MessageEvent("GetS"), rewrite)
     system = System(generated, num_caches=2)
     gets = Message("GetS", src=0, dst=DIRECTORY_ID, vnet=0)
-    state = replace(system.initial_state(), network=make_network(True).send(gets))
+    state = replace(system.initial_state(), network=send(make_network(True), gets))
     assert_expansion_parity(system, state)
     key = system.codec().encode_packed(state)
     plans, net = system.kernel().enabled(key)
@@ -293,11 +292,10 @@ def _random_network(rng, ordered, mtypes, messages=5):
     """A network of up to *messages* random messages among three caches and
     the directory."""
     from repro.system.message import Message
-    from repro.system.network import make_network
 
     network = make_network(ordered)
     for _ in range(rng.randrange(0, messages)):
-        network = network.send(Message(
+        network = send(network, Message(
             mtype=rng.choice(mtypes),
             src=rng.choice(_NODES), dst=rng.choice(_NODES),
             vnet=rng.randrange(2),
@@ -311,16 +309,15 @@ def _random_network(rng, ordered, mtypes, messages=5):
 _NODES = [-1, 0, 1, 2]
 
 
-class TestEmitNetDifferential:
-    """The kernel's byte splices of a network section vs two oracles: the
-    object network -- `Network.deliver` / `deliver_at` / `send` /
-    `duplicate` / `reorder` followed by `encoded()` and `pack` -- and the
-    tests' lane-level `emit_net`, which rebuilds the successor section from
-    the parent's lanes.  The randomized sweeps plus the pinned corner cases
-    cover the edit interactions on both network kinds -- in particular a
-    send re-opening the very channel its delivery just emptied, which a
-    first version of a one-send path corrupted (count lane decremented to
-    zero with the record left behind).
+class TestSpliceDifferential:
+    """The kernel's byte splices of a network section vs the reference
+    network (``reference_system``): its `deliver` / `send` / `duplicate` /
+    `reorder` on the decoded network, packed back through the codec.  The
+    randomized sweeps plus the pinned corner cases cover the edit
+    interactions on both network kinds -- in particular a send re-opening
+    the very channel its delivery just emptied, which a first version of a
+    one-send path corrupted (count lane decremented to zero with the record
+    left behind).
     """
 
     @pytest.fixture(scope="class", params=["ordered", "unordered"])
@@ -331,30 +328,30 @@ class TestEmitNetDifferential:
         assert system.ordered == (request.param == "ordered")
         return system
 
-    def _assert_matches_oracle(self, system, network, which, send_msgs):
-        """Deliver ``network.deliverable()[which]`` (None: nothing) and send
-        *send_msgs*, all three ways."""
+    def _assert_matches_oracle(self, system, network, which, send_msgs,
+                               pos=0):
+        """Deliver record *pos* of the channel of ``deliverable(network)
+        [which]`` (None: nothing) and send *send_msgs*: the byte splice
+        against the reference network."""
         codec = system.codec()
-        kernel = system.kernel()
         enc = codec.encode(_state_with(system, network))
         net = codec.parsed_network(enc)
-        expected_net, where = network, None
+        expected, where = network, None
         if which is not None:
-            expected_net = expected_net.deliver(network.deliverable()[which])
+            message = deliverable(network)[which]
+            if pos:
+                key = (message.src, message.dst, message.vnet)
+                message = dict(network.channels)[key][pos]
+            expected = deliver(network, message, pos)
             where = net[2][which][0]
-        expected_net = expected_net.send(*send_msgs)
-        expected = enc[: codec.net_offset] + expected_net.encoded(
-            codec._mtype_index
-        )
-        out = list(enc[: codec.net_offset])
+        expected = _state_with(system, send(expected, *send_msgs))
         sends = [msg.encoded(codec._mtype_index) for msg in send_msgs]
-        emit_net(system.ordered, out, enc, net, where, sends, codec.net_offset,
-                 len(enc))
-        case = f"where={where}, sends={send_msgs}, network={network}"
-        assert tuple(out) == expected, case
         cut = codec.net_byte_offset
-        spliced = _byte_splice(kernel, codec.pack(enc)[cut:], net, where, sends)
-        assert spliced == codec.pack(expected)[cut:], case
+        spliced = _byte_splice(system.kernel(), codec.pack(enc)[cut:], net,
+                               where, sends, pos)
+        assert spliced == codec.encode_packed(expected)[cut:], (
+            f"where={where}, pos={pos}, sends={send_msgs}, network={network}"
+        )
 
     def test_send_reopens_the_channel_its_delivery_emptied(self, system):
         """Deliver the only message of a channel and emit one send with the
@@ -362,16 +359,15 @@ class TestEmitNetDifferential:
         the new record — the corruption class the fuzz sweep caught.  On a
         bag: the only message out and an equal one, or a neighbour, in."""
         from repro.system.message import Message
-        from repro.system.network import make_network
 
         mtype = system.codec().mtypes[0]
         old = Message(mtype=mtype, src=0, dst=0, vnet=1)
         new = Message(mtype=mtype, src=0, dst=0, vnet=1, data=1)
-        network = make_network(system.ordered).send(old)
+        network = send(make_network(system.ordered), old)
         for sends in ([new], [old], [new, old], [old, new]):
             self._assert_matches_oracle(system, network, 0, sends)
         # One copy of two equal messages out, one in (a FIFO of two).
-        self._assert_matches_oracle(system, network.send(old), 0, [old])
+        self._assert_matches_oracle(system, send(network, old), 0, [old])
 
     def test_several_sends_across_channels(self, system):
         """Several sends at once: two into a channel that does not exist yet,
@@ -379,7 +375,6 @@ class TestEmitNetDifferential:
         one into a channel that sorts next to it -- insertions that meet at
         one place in the section must go in in channel order."""
         from repro.system.message import Message
-        from repro.system.network import make_network
 
         mtypes = system.codec().mtypes
 
@@ -387,11 +382,11 @@ class TestEmitNetDifferential:
             return Message(mtype=mtypes[mtype], src=src, dst=dst, vnet=vnet,
                            data=data)
 
-        network = make_network(system.ordered).send(
-            msg(0, -1, 0), msg(1, -1, 1), msg(1, -1, 1, data=2))
+        network = send(make_network(system.ordered),
+                       msg(0, -1, 0), msg(1, -1, 1), msg(1, -1, 1, data=2))
         sends = [msg(2, 0, 0), msg(0, -1, 0, data=1), msg(0, -1, 1),
                  msg(2, 0, 0, data=1), msg(1, -1, 1, mtype=1)]
-        for which in (None, *range(len(network.deliverable()))):
+        for which in (None, *range(len(deliverable(network)))):
             for cut in range(1, len(sends) + 1):
                 self._assert_matches_oracle(system, network, which, sends[:cut])
                 self._assert_matches_oracle(system, network, which,
@@ -404,7 +399,6 @@ class TestEmitNetDifferential:
         without a send back into it -- and on a bag, a record sent into
         the removed record's place, just below it and equal to it."""
         from repro.system.message import Message
-        from repro.system.network import make_network
 
         mtypes = system.codec().mtypes
 
@@ -416,12 +410,12 @@ class TestEmitNetDifferential:
         # the delivered (0, -1, 1), and (1, -1, 0) last; (0, -1, 0) sorts
         # just before the delivered one and (0, 0, 0) just after it.
         head, second = msg(0, -1, 1, 2), msg(0, -1, 1, 3)
-        network = make_network(system.ordered).send(
-            msg(-1, 0, 1), head, msg(1, -1, 0))
-        which = network.deliverable().index(head)
+        network = send(make_network(system.ordered),
+                       msg(-1, 0, 1), head, msg(1, -1, 0))
+        which = deliverable(network).index(head)
         into, before, after = msg(0, -1, 1, 4), msg(0, -1, 0), msg(0, 0, 0)
         for fuller in (False, True):  # the delivery empties its channel, or not
-            parent = network.send(second) if fuller else network
+            parent = send(network, second) if fuller else network
             for sends in ([into], [before], [after], [before, after],
                           [before, into, after], [], [msg(1, -1, 0, 1)]):
                 self._assert_matches_oracle(system, parent, which, sends)
@@ -470,7 +464,7 @@ class TestEmitNetDifferential:
                 checked += 1
         assert checked > 100
 
-    def test_randomized_against_the_object_network(self, system):
+    def test_randomized_against_the_reference(self, system):
         import random
 
         from repro.system.message import Message
@@ -479,10 +473,10 @@ class TestEmitNetDifferential:
         mtypes = system.codec().mtypes
         for _ in range(1500):
             network = _random_network(rng, system.ordered, mtypes)
-            deliverable = network.deliverable()
+            heads = deliverable(network)
             which = (
-                rng.randrange(len(deliverable))
-                if deliverable and rng.random() < 0.7
+                rng.randrange(len(heads))
+                if heads and rng.random() < 0.7
                 else None
             )
             sends = [
@@ -517,8 +511,7 @@ class TestEmitNetDifferential:
 
     def test_duplicate_goes_in_beside_its_twin(self, system):
         """A duplicated record: a second copy at the head of its channel,
-        whose count lane is raised, or one more in the bag -- where it is
-        also what the lane emitter makes of sending a copy."""
+        whose count lane is raised, or one more in the bag."""
         import random
 
         from repro.system.system import DuplicateMessage
@@ -529,24 +522,15 @@ class TestEmitNetDifferential:
         duplicated = 0
         for _ in range(300):
             network = _random_network(rng, system.ordered, codec.mtypes)
-            for which, message in enumerate(network.deliverable()):
+            for message in deliverable(network):
                 expected = replace(_state_with(faulted, network),
-                                   network=network.duplicate(message),
+                                   network=duplicate(network, message),
                                    faults_used=1)
                 succ = self._fault_successor(
                     faulted, network, DuplicateMessage(message=message))
-                case = f"{message} in {network}"
-                assert succ == codec.encode_packed(expected), case
+                assert succ == codec.encode_packed(expected), (
+                    f"{message} in {network}")
                 duplicated += 1
-                if system.ordered:
-                    continue
-                enc = codec.encode(_state_with(faulted, network))
-                out = list(enc[: codec.net_offset])
-                out[codec.fault_offset] += 1
-                emit_net(False, out, enc, codec.parsed_network(enc), None,
-                         [message.encoded(codec._mtype_index)],
-                         codec.net_offset, len(enc))
-                assert codec.pack(out) == succ, case
         assert duplicated > 300
 
     def test_reorder_swaps_two_adjacent_records(self, system):
@@ -563,9 +547,9 @@ class TestEmitNetDifferential:
         swapped = 0
         for _ in range(300):
             network = _random_network(rng, system.ordered, codec.mtypes, 8)
-            for src, dst, vnet, pos in network.reorderable():
+            for src, dst, vnet, pos in reorderable(network):
                 expected = replace(_state_with(faulted, network),
-                                   network=network.reorder(src, dst, vnet, pos),
+                                   network=reorder(network, src, dst, vnet, pos),
                                    faults_used=1)
                 succ = self._fault_successor(faulted, network, ReorderMessage(
                     src=src, dst=dst, vnet=vnet, position=pos))
@@ -579,38 +563,23 @@ class TestEmitNetDifferential:
         for every *pos* up to the channel's last record, with no send, with
         a send elsewhere, and with one that re-enters the channel."""
         from repro.system.message import Message
-        from repro.system.network import OrderedNetwork
 
         system = System(all_generated[("MSI", "stalling")], num_caches=3,
                         workload=workload_for("MSI"))
-        codec, kernel = system.codec(), system.kernel()
-        mtypes = codec.mtypes
+        mtypes = system.codec().mtypes
 
         def msg(src, dst, vnet, mtype=0, data=None):
             return Message(mtype=mtypes[mtype], src=src, dst=dst, vnet=vnet,
                            data=data)
 
         channel = [msg(0, -1, 0, m) for m in range(4)]
-        network = OrderedNetwork().send(msg(-1, 1, 1), *channel, msg(2, -1, 0))
-        for pos, message in enumerate(channel):
+        network = send(OrderedNetwork(), msg(-1, 1, 1), *channel, msg(2, -1, 0))
+        which = deliverable(network).index(channel[0])
+        for pos in range(len(channel)):
             for send_msgs in ([], [msg(1, 0, 1)], [msg(0, -1, 0, 1, data=1)],
                               [msg(0, -1, 0, 2), msg(-1, 1, 1, 1)]):
-                enc = codec.encode(_state_with(system, network))
-                net = codec.parsed_network(enc)
-                where = next(i for i, item in enumerate(net[0])
-                             if item[:3] == (2, 1, 0))
-                expected = enc[: codec.net_offset] + network.deliver_at(
-                    message, pos).send(*send_msgs).encoded(codec._mtype_index)
-                sends = [m.encoded(codec._mtype_index) for m in send_msgs]
-                out = list(enc[: codec.net_offset])
-                emit_net(True, out, enc, net, where, sends, codec.net_offset,
-                         len(enc), pos)
-                case = f"pos={pos}, sends={send_msgs}"
-                assert tuple(out) == expected, case
-                cut = codec.net_byte_offset
-                spliced = _byte_splice(kernel, codec.pack(enc)[cut:], net, where,
-                                       sends, pos)
-                assert spliced == codec.pack(expected)[cut:], case
+                self._assert_matches_oracle(system, network, which, send_msgs,
+                                            pos)
 
 
 class TestSpliceLaneOverflow:
@@ -636,17 +605,16 @@ class TestSpliceLaneOverflow:
     def test_a_message_count_past_the_lane(self, all_generated, ordered):
         from repro.system import LaneOverflow
         from repro.system.message import Message
-        from repro.system.network import make_network
 
         name = "MSI" if ordered else "MSI-Unordered"
         system = System(all_generated[(name, "stalling")], num_caches=3,
                         workload=workload_for(name))
         mtype = system.codec().mtypes[0]
         message = Message(mtype=mtype, src=0, dst=-1, vnet=0)
-        network = make_network(ordered).send(*[message] * 254)
+        network = send(make_network(ordered), *[message] * 254)
         # 255 fits, and a delivery makes room for one more ...
         assert self._splice(system, network, [message])
-        full = network.send(message)
+        full = send(network, message)
         assert self._splice(system, full, [message], which=0)
         # ... but the 256th does not.
         with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
@@ -655,11 +623,10 @@ class TestSpliceLaneOverflow:
     def test_a_channel_count_past_the_lane(self, msi_stalling):
         from repro.system import LaneOverflow
         from repro.system.message import Message
-        from repro.system.network import OrderedNetwork
 
         system = System(msi_stalling, num_caches=3)
         mtype = system.codec().mtypes[0]
-        network = OrderedNetwork().send(*[
+        network = send(OrderedNetwork(), *[
             Message(mtype=mtype, src=src, dst=-1, vnet=vnet)
             for src in range(128) for vnet in range(2)
         ][:255])
@@ -677,7 +644,6 @@ class TestSpliceLaneOverflow:
         raises."""
         from repro.system import LaneOverflow
         from repro.system.message import Message
-        from repro.system.network import make_network
         from repro.system.system import DuplicateMessage
 
         name = "MSI" if ordered else "MSI-Unordered"
@@ -687,7 +653,7 @@ class TestSpliceLaneOverflow:
         codec, kernel = system.codec(), system.kernel()
         assert codec.typecode == "B"
         message = Message(mtype=codec.mtypes[0], src=0, dst=-1, vnet=0)
-        network = make_network(ordered).send(*[message] * 255)
+        network = send(make_network(ordered), *[message] * 255)
         key = codec.encode_packed(_state_with(system, network))
         plans, net = kernel.enabled(key)
         eev = codec.encode_event(DuplicateMessage(message=message))
@@ -713,8 +679,8 @@ def test_a_plane_one_overflow_raises_the_codecs_error(msi_stalling):
     full = [Message(mtype="Inv", src=-1, dst=0, requestor=1)] * 255
     state = replace(
         system.initial_state(),
-        network=OrderedNetwork().send(request, *full[:254]),
-        extra_networks=(OrderedNetwork().send(request, *full),),
+        network=send(OrderedNetwork(), request, *full[:254]),
+        extra_networks=(send(OrderedNetwork(), request, *full),),
     )
     key = codec.encode_packed(state)
     plans, net = kernel.enabled(key)

@@ -25,7 +25,7 @@ from repro.system import Workload
 from repro.system.message import Message
 from repro.system.system import DeliverMessage, IssueAccess
 
-from reference_system import ReferenceSystem
+from reference_system import ReferenceSystem, in_flight
 
 
 #: The verbatim counterexample from PR 1's E9 benchmark: C0's load completes,
@@ -83,7 +83,7 @@ class TestDoubleInvCounterexampleReplay:
         assert final.error is None
         assert final.state.caches[0].fsm_state == "IM_AD_I"
         acks = [
-            m for m in final.state.network.in_flight()
+            m for m in in_flight(final.state.network)
             if m.mtype == "Inv_Ack" and m.src == 0 and m.dst == 2
         ]
         assert acks, "the late Inv must be acknowledged immediately"

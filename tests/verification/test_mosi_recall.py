@@ -27,7 +27,7 @@ from repro.system import DIRECTORY_ID, System, Workload
 from repro.system.system import DeliverMessage, IssueAccess
 from repro.verification import verify
 
-from reference_system import ReferenceSystem
+from reference_system import ReferenceSystem, deliverable, in_flight
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +53,12 @@ def test_deferred_directory_responses_carry_the_saved_requestor(mosi_protocol):
 def _deliver(system, state, mtype, dst, src=None):
     matches = [
         m
-        for m in state.network.deliverable()
+        for m in deliverable(state.network)
         if m.mtype == mtype and m.dst == dst and (src is None or m.src == src)
     ]
     assert len(matches) == 1, (
         f"expected exactly one deliverable {mtype} -> {dst}, "
-        f"in flight: {[str(m) for m in state.network.in_flight()]}"
+        f"in flight: {[str(m) for m in in_flight(state.network)]}"
     )
     outcome = system.apply(state, DeliverMessage(message=matches[0]))
     assert outcome.error is None, outcome.error
@@ -95,7 +95,7 @@ def test_recall_data_reaches_the_recalling_requestor(mosi_protocol):
     state = _deliver(system, state, "Data", 2, src=3)  # C2 completes, defers fire
 
     [recall] = [
-        m for m in state.network.in_flight()
+        m for m in in_flight(state.network)
         if m.mtype == "Data" and m.dst == DIRECTORY_ID
     ]
     assert recall.requestor == 1, (
@@ -105,7 +105,7 @@ def test_recall_data_reaches_the_recalling_requestor(mosi_protocol):
 
     state = _deliver(system, state, "Data", DIRECTORY_ID, src=2)
     directory_answers = [
-        m for m in state.network.in_flight()
+        m for m in in_flight(state.network)
         if m.mtype == "Data" and m.src == DIRECTORY_ID
     ]
     assert [m.dst for m in directory_answers] == [1], (
@@ -116,10 +116,10 @@ def test_recall_data_reaches_the_recalling_requestor(mosi_protocol):
     # Drain the remaining messages in a fixed order; the run must complete
     # without protocol errors and reach global quiescence.
     for _ in range(64):
-        deliverable = state.network.deliverable()
-        if not deliverable:
+        heads = deliverable(state.network)
+        if not heads:
             break
-        outcome = system.apply(state, DeliverMessage(message=deliverable[0]))
+        outcome = system.apply(state, DeliverMessage(message=heads[0]))
         assert outcome.error is None, outcome.error
         state = outcome.state
     assert system.is_complete(state)

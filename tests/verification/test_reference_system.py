@@ -1,8 +1,9 @@
 """Unit tests for the tests' reference system (``reference_system``): FSM
-interpretation -- guards, sends, access semantics -- and the whole-system
-event half, enumeration and application."""
+interpretation -- guards, sends, access semantics --, the network it steps,
+and the whole-system event half, enumeration and application."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.fsm import FsmTransition, MessageEvent
 from repro.dsl.types import (
@@ -19,7 +20,8 @@ from repro.dsl.types import (
     SetAcksExpectedFromMessage,
 )
 from repro.system import Workload
-from repro.system.message import DIRECTORY_ID, Message
+from repro.system.message import DIRECTORY_ID, Message, message_sort_key
+from repro.system.network import OrderedNetwork, UnorderedNetwork
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 from repro.system.system import DeliverMessage, IssueAccess
 
@@ -27,9 +29,16 @@ from reference_system import (
     ProtocolRuntimeError,
     ReferenceSystem,
     _guard_satisfied,
+    deliver,
+    deliverable,
+    duplicate,
     execute_cache_transition,
     execute_directory_transition,
+    in_flight,
+    reorder,
+    reorderable,
     select_transition,
+    send,
 )
 
 
@@ -38,6 +47,138 @@ def _transition(actions=(), next_state="X", stall=False, guard=None):
         state="S0", event=MessageEvent("Data", guard), actions=tuple(actions),
         next_state=next_state, stall=stall,
     )
+
+
+def _msg(mtype="Data", src=0, dst=1, vnet=1, **kw):
+    return Message(mtype=mtype, src=src, dst=dst, vnet=vnet, **kw)
+
+
+FIFO, BAG = OrderedNetwork(), UnorderedNetwork()
+
+
+class TestReferenceNetwork:
+    def test_fifo_order_within_channel(self):
+        net = send(FIFO, _msg("A"), _msg("B"), _msg("C"))
+        assert [m.mtype for m in deliverable(net)] == ["A"]
+        net = deliver(net, deliverable(net)[0])
+        assert [m.mtype for m in deliverable(net)] == ["B"]
+
+    def test_channels_are_independent(self):
+        net = send(FIFO, _msg("A", src=0, dst=1), _msg("B", src=1, dst=0))
+        assert {m.mtype for m in deliverable(net)} == {"A", "B"}
+
+    def test_virtual_networks_are_independent(self):
+        net = send(FIFO, _msg("GetM", vnet=0), _msg("Data", vnet=1))
+        # Both are at the head of their own virtual network.
+        assert {m.mtype for m in deliverable(net)} == {"GetM", "Data"}
+
+    def test_deliver_requires_head_of_queue(self):
+        net = send(FIFO, _msg("A"), _msg("B"), _msg("C"))
+        with pytest.raises(ValueError, match="not at position 0"):
+            deliver(net, _msg("B"))
+
+    def test_deliver_takes_the_record_at_its_position(self):
+        net = send(FIFO, _msg("A"), _msg("B"), _msg("C"))
+        # Re-queue order: a record behind the head leaves, the head stays.
+        assert in_flight(deliver(net, _msg("B"), 1)) == (_msg("A"), _msg("C"))
+
+    def test_delivering_the_last_message_empties_the_network(self):
+        for net in (FIFO, BAG):
+            net = send(net, _msg("A"))
+            assert not net.empty and len(in_flight(net)) == 1
+            assert deliver(net, deliverable(net)[0]).empty
+
+    def test_every_message_of_a_bag_is_deliverable(self):
+        net = send(BAG, _msg("A"), _msg("B"), _msg("C"))
+        assert {m.mtype for m in deliverable(net)} == {"A", "B", "C"}
+
+    def test_equal_messages_of_a_bag_are_one_delivery(self):
+        net = send(BAG, _msg("A"), _msg("A"))
+        assert len(deliverable(net)) == 1 and len(in_flight(net)) == 2
+        assert len(in_flight(deliver(net, _msg("A")))) == 1
+
+    def test_deliver_unknown_message_rejected(self):
+        with pytest.raises(ValueError):
+            deliver(BAG, _msg("A"))
+        with pytest.raises(ValueError):
+            deliver(send(BAG, _msg("A")), _msg("B"))
+
+    def test_ordered_duplicate_prepends_a_copy_at_the_head(self):
+        m, n = _msg(), _msg(data=1)
+        assert in_flight(duplicate(send(FIFO, m, n), m)) == (m, m, n)
+
+    def test_ordered_duplicate_rejects_non_head_messages(self):
+        m, n = _msg(), _msg(data=1)
+        with pytest.raises(ValueError, match="not deliverable"):
+            duplicate(send(FIFO, m, n), n)
+
+    def test_unordered_duplicate_adds_a_copy_of_any_in_flight_message(self):
+        m, n = _msg(), _msg(data=1)
+        net = send(BAG, m, n)
+        assert sorted(in_flight(duplicate(net, n)), key=message_sort_key) == sorted(
+            (m, n, n), key=message_sort_key
+        )
+        with pytest.raises(ValueError, match="not deliverable"):
+            duplicate(net, _msg(mtype="GetM"))
+
+    def test_reorder_swaps_adjacent_differing_records_only(self):
+        a, b = _msg(dst=0), _msg(dst=0, data=1)
+        net = send(FIFO, a, a, b)
+        # (a, a) at 0 is no reorder; (a, b) at 1 is.
+        assert reorderable(net) == ((0, 0, 1, 1),)
+        assert in_flight(reorder(net, 0, 0, 1, 1)) == (a, b, a)
+
+    def test_ordered_reorder_rejects_out_of_range_positions(self):
+        a, b = _msg(dst=0), _msg(dst=0, data=1)
+        net = send(FIFO, a, a, b)
+        # Position 0 holds an equal pair; 5 is past the channel.
+        for position in (0, 5):
+            with pytest.raises(ValueError, match="no adjacent differing pair"):
+                reorder(net, 0, 0, 1, position)
+
+    def test_a_bag_has_no_reorder_axis(self):
+        net = send(BAG, _msg(), _msg(data=1))
+        assert reorderable(net) == ()
+        with pytest.raises(ValueError):
+            reorder(net, 0, 1, 1, 0)
+
+    _messages = st.builds(
+        Message,
+        mtype=st.sampled_from(["GetS", "GetM", "Data", "Inv", "Put_Ack"]),
+        src=st.integers(min_value=-1, max_value=2),
+        dst=st.integers(min_value=-1, max_value=2),
+        requestor=st.none() | st.integers(min_value=0, max_value=2),
+        data=st.none() | st.integers(min_value=0, max_value=3),
+        ack_count=st.none() | st.integers(min_value=0, max_value=2),
+        vnet=st.integers(min_value=0, max_value=1),
+    )
+
+    @given(st.lists(_messages, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_per_channel_fifo_is_preserved(self, messages):
+        sent: dict = {}
+        for message in messages:
+            sent.setdefault((message.src, message.dst, message.vnet), []).append(message)
+        # Drain the network, always taking a head: each channel is received
+        # in send order.
+        net, received = send(FIFO, *messages), {}
+        while not net.empty:
+            head = deliverable(net)[0]
+            received.setdefault((head.src, head.dst, head.vnet), []).append(head)
+            net = deliver(net, head)
+        assert received == sent
+
+    @given(st.lists(_messages, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_a_bag_conserves_messages(self, messages):
+        net, drained = send(BAG, *messages), []
+        assert sorted(in_flight(net), key=message_sort_key) == sorted(
+            messages, key=message_sort_key)
+        while not net.empty:
+            drained.append(deliverable(net)[0])
+            net = deliver(net, drained[-1])
+        assert sorted(drained, key=message_sort_key) == sorted(
+            messages, key=message_sort_key)
 
 
 class TestGuardEvaluation:
@@ -299,13 +440,13 @@ class TestSimpleScenario:
         assert out.error is None
         state = out.state
         assert state.caches[0].fsm_state == "IS_D"
-        [gets] = state.network.in_flight()
+        [gets] = in_flight(state.network)
         assert gets.mtype == "GetS" and gets.dst == DIRECTORY_ID and gets.vnet == 0
 
         out = system.apply(state, DeliverMessage(gets))
         state = out.state
         assert state.directory.fsm_state == "S"
-        [data] = state.network.in_flight()
+        [data] = in_flight(state.network)
         assert data.mtype == "Data" and data.dst == 0 and data.vnet == 1
 
         out = system.apply(state, DeliverMessage(data))
@@ -320,9 +461,9 @@ class TestSimpleScenario:
         state = system.initial_state()
         out = system.apply(state, IssueAccess(cache_id=0, access=AccessKind.STORE))
         state = out.state
-        [getm] = state.network.in_flight()
+        [getm] = in_flight(state.network)
         state = system.apply(state, DeliverMessage(getm)).state
-        [data] = state.network.in_flight()
+        [data] = in_flight(state.network)
         out = system.apply(state, DeliverMessage(data))
         assert out.state.caches[0].fsm_state == "M"
         assert out.state.latest_version == 1
@@ -337,15 +478,15 @@ class TestDeliveryGating:
         # C0 starts a store; C1 starts a store; the directory serves C0 first.
         state = system.apply(state, IssueAccess(0, AccessKind.STORE)).state
         state = system.apply(state, IssueAccess(1, AccessKind.STORE)).state
-        getm0 = [m for m in state.network.in_flight() if m.src == 0][0]
+        getm0 = [m for m in in_flight(state.network) if m.src == 0][0]
         state = system.apply(state, DeliverMessage(getm0)).state
-        getm1 = [m for m in state.network.in_flight() if m.src == 1][0]
+        getm1 = [m for m in in_flight(state.network) if m.src == 1][0]
         state = system.apply(state, DeliverMessage(getm1)).state
         # The directory forwarded C1's GetM to C0, which is still in IM_AD;
         # the stalling protocol must not deliver it yet.
-        fwd = [m for m in state.network.in_flight() if m.mtype == "Fwd_GetM"][0]
+        fwd = [m for m in in_flight(state.network) if m.mtype == "Fwd_GetM"][0]
         enabled = system.enabled_events(state)
         assert DeliverMessage(fwd) not in enabled
         # The Data response for C0 is still deliverable (separate event).
-        data = [m for m in state.network.in_flight() if m.mtype == "Data" and m.dst == 0][0]
+        data = [m for m in in_flight(state.network) if m.mtype == "Data" and m.dst == 0][0]
         assert DeliverMessage(data) in enabled

@@ -17,7 +17,7 @@ matrix (``test_conformance.py``).  Here, the layers below them:
   block, version and section IDs there; the successor rows ``assemble``
   lays out are read back through the block tables.
 * **The section algebra** -- every array splice against the tests'
-  lane-level network emitter.
+  reference network.
 * **The row boundary** -- packed keys in, rows out, and back, at every
   lane width.
 * **Tail-key overflow** -- a field too wide for its bits replays the level,
@@ -29,10 +29,11 @@ import pytest
 
 from repro import protocols
 from repro.system import System, Workload
+from repro.system.message import decode_message
 from repro.system.rowtable import RowTable
 from repro.verification import verify
 
-from reference_network import emit_net
+from reference_system import deliver, send
 from verification_helpers import sample_reachable_states, workload_for
 
 
@@ -200,9 +201,9 @@ class TestExpansionParity:
 class TestSectionAlgebra:
     """The network as a product of channels: a section is a vector of cell
     IDs, and a splice -- deliver one record, send a list -- is cell
-    operations on the touched columns.  The oracle is the lane-level
-    :func:`reference_network.emit_net` (itself checked against the object
-    network in ``test_kernel.py``), on the same
+    operations on the touched columns.  The oracle is the reference
+    network's ``deliver`` + ``send`` (``reference_system``, the one the
+    compiled kernel's byte splices are held to in ``test_kernel.py``), on a
     ``(section, delivered, sends)`` matrix: every deliverable message of
     every sampled section, or none, against a pool of send lists."""
 
@@ -245,13 +246,19 @@ class TestSectionAlgebra:
             for k in range(min(10, len(vk._sends_ptr) - 1))
         ]
         assert [] in real and max(map(len, real)) >= 1
+
+        def message(rec):
+            return decode_message(rec, codec.mtypes)
+
         bits = vec._TAIL_FIELD_BITS
-        splices = []  # (tail-memo key, the lanes `_emit_net` emits for it)
+        splices = []  # (tail-memo key, the reference network's lanes for it)
         reopened = False
+        assert list(map(codec.unpack, vk.packed_tails(sids.tolist()))) == [
+            enc[no:] for enc in encs
+        ]
         for enc, sid in zip(encs, sids.tolist()):
-            tail = enc[no:]
-            assert vk.section_tail(sid) == tail
             net = codec.parsed_network(enc)
+            network = codec.decode(enc).network
             for where, rec, _packed in ((None, None, None), *net[2]):
                 pool = list(real)
                 if rec is not None:
@@ -263,16 +270,15 @@ class TestSectionAlgebra:
                         len(net[0][where][3]) == 1 if codec.ordered
                         else net[0].count(rec) == 1
                     )
+                left = network if rec is None else deliver(network, message(rec))
                 for sends in pool:
                     if where is None and not sends:
                         continue
-                    out: list = []
-                    emit_net(codec.ordered, out, tail, net, where, list(sends), 0,
-                             len(tail))
+                    after = send(left, *map(message, sends))
                     slot = 0 if rec is None else vk._rec_ids[rec] + 1
                     splices.append((
                         (sid << bits | slot) << bits | send_list_id(sends),
-                        tuple(out),
+                        after.encoded(codec._mtype_index),
                     ))
         assert reopened and len(splices) > 200
         successors = vk._emit_tails(
@@ -280,10 +286,13 @@ class TestSectionAlgebra:
         ).tolist()
         hot = set(successors) - set(sids.tolist())
         assert hot and not hot & set(vk._packed)  # created, never packed
-        for (key, lanes), succ in zip(splices, successors):
-            assert vk.section_tail(succ) == lanes, (name, config_label, key)
-            # ... and the boundary names the same section for those lanes.
-            assert vk.intern_section(codec.pack(lanes)) == succ
+        tails = vk.packed_tails(successors)
+        for (key, lanes), tail in zip(splices, tails):
+            assert codec.unpack(tail) == lanes, (name, config_label, key)
+        # ... and the boundary names the same sections for those lanes.
+        assert vk.intern_sections(
+            [codec.pack(lanes) for _key, lanes in splices]
+        ).tolist() == successors
         # Every section is one row: equal lanes, equal ID, and back.
         assert len({lanes for _key, lanes in splices}) == len(set(successors))
         emitted = [
