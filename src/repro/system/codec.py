@@ -259,7 +259,7 @@ class StateCodec:
         self.dir_byte_offset = self.dir_offset * self.lane_bytes
         self.net_byte_offset = self.net_offset * self.lane_bytes
         #: Parse memos: one plane's packed network section -> its parse
-        #: handle (see :meth:`parsed_network`), and, with several planes,
+        #: handle (see :meth:`parsed_section`), and, with several planes,
         #: the packed suffix of every section -> the handles of its planes
         #: (:meth:`parsed_planes`), which share the section memo's parts.
         self._net_items_memo = Memo(self._parse_section)
@@ -366,7 +366,9 @@ class StateCodec:
     def pack(self, enc: tuple) -> bytes:
         """Pack an encoding into ``bytes`` (the visited-set / IPC form): the
         bytes of ``array(typecode, enc).tobytes()``, built ~3x faster by a
-        compiled ``struct`` layout -- the searches pack once per transition.
+        compiled ``struct`` layout.  A search's successors are spliced out
+        of their parent's key, so it packs its root and its memo misses
+        only (a plan's outcome, a block's translation, a relabeled suffix).
         Raises :class:`LaneOverflow` for a value wider than a lane.
         """
         try:
@@ -505,12 +507,10 @@ class StateCodec:
         return self.pack(out)
 
     # -- network section helpers --------------------------------------------------
-    def parsed_network(self, enc: tuple, key: bytes | None = None):
+    def parsed_section(self, section: bytes):
         """``(items, offsets, deliveries, start, end)`` — the memoized parse
-        handle of *enc*'s section (a single-plane encoding).
-
-        *key* is ``pack(enc)`` when the caller holds it, which makes the
-        memo probe one slice of it; without it the section is packed here.
+        handle of one packed network *section* (what the batch kernel
+        hash-conses), placed at plane 0's bytes.
 
         *items* is the section's content -- ordered networks yield
         ``[(src, dst, vnet, (msg record, ...)), ...]`` (encoded node IDs,
@@ -530,17 +530,10 @@ class StateCodec:
         nothing.  *start* and *end* bound the section's bytes in a packed
         key.  Records, channel items, delivery triples and offset tuples
         are interned (equal parts of different sections are one object).
-        The kernel threads this handle from ``enabled`` into ``apply``,
-        where a plan's splice writes the successor section in one pass
-        through the offsets.
+        The kernel threads this handle (through :meth:`parsed_planes`) from
+        ``enabled`` into ``apply``, where a plan's splice writes the
+        successor section in one pass through the offsets.
         """
-        if key is None:
-            return self.parsed_section(self.pack(enc[self.net_offset :]))
-        return self.parsed_section(key[self.net_byte_offset :])
-
-    def parsed_section(self, section: bytes):
-        """:meth:`parsed_network` for one packed section on its own (what
-        the batch kernel hash-conses), placed at plane 0's bytes."""
         return self._net_items_memo[section]
 
     @property
@@ -594,8 +587,10 @@ class StateCodec:
         return (items, offsets, tuple(deliveries), start, start + len(section))
 
     def parsed_planes(self, enc: tuple, key: bytes | None = None):
-        """Per-address parse handles, as :meth:`parsed_network` returns
-        them (*key* likewise), each placed at its plane's section.
+        """Per-address parse handles, as :meth:`parsed_section` returns
+        them, each placed at its plane's section.  *key* is ``pack(enc)``
+        when the caller holds it, which makes the memo probe one slice of
+        it; without it *enc* is packed here.
 
         The kernel threads them from ``enabled`` into ``apply``, where a
         plan splices its plane's section through them.  A section is parsed
@@ -628,16 +623,6 @@ class StateCodec:
         return tuple(handles)
 
     # -- canonicalization keys -----------------------------------------------------
-    def has_saved_ids(self, enc: tuple) -> bool:
-        """True when any cache block holds a saved requestor ID (these states
-        have permutation-dependent signatures: no signature sort)."""
-        width = self.cache_width
-        for i in range(self.num_caches):
-            base = i * width
-            if any(enc[base + CF_SAVED : base + CF_PENDING]):
-                return True
-        return False
-
     def relabeled_directory_key(self, block: bytes, perm: tuple[int, ...]) -> tuple:
         """Order-isomorphic to ``directory.relabeled(perm).sort_key()``; its
         lanes are the relabeled directory block.  *block* is the packed

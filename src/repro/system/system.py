@@ -293,6 +293,25 @@ class System:
             self.workload, LitmusWorkload
         )
 
+    def symmetry_group(self) -> tuple[tuple[int, ...], ...] | None:
+        """What a symmetry-reduced search or coverage count canonicalizes
+        over: :meth:`symmetry_permutations`, or ``None`` with one cache
+        (nothing to permute).  A configuration without
+        :attr:`supports_symmetry` raises ``ValueError`` naming it -- the
+        one refusal ``verify(symmetry=True)`` and ``random_walk``'s
+        coverage count share."""
+        if self.num_caches == 1:
+            return None
+        if not self.supports_symmetry:
+            combination = (
+                "a litmus workload (litmus programs distinguish the caches)"
+                if isinstance(self.workload, LitmusWorkload)
+                else f"num_addresses={self.num_addresses} (the encoded "
+                "canonicalizer only handles single-plane layouts)"
+            )
+            raise ValueError(f"symmetry=True is unsupported with {combination}")
+        return self.symmetry_permutations()
+
     def value_bound(self) -> int:
         """Exclusive upper bound on ghost data versions per address."""
         if isinstance(self.workload, LitmusWorkload):

@@ -106,9 +106,7 @@ section's packed tail -- reappear only at a boundary:
 :meth:`~VectorizedKernel.prefixes_of` convert a batch at a time (blocks
 interned with one ``np.unique`` and one probe per distinct block; block
 tables gathered as arrays), for a checkpoint, a per-state fallback level, a
-level's symmetry relabels or a violation report;
-:meth:`~VectorizedKernel.encodings_of` rebuilds whole encodings, for a
-level's leaves;
+level's symmetry relabels, its leaves or a violation report;
 :meth:`~VectorizedKernel.packed_tails` rebuilds sections' packed tails.  Each
 boundary works on all it is handed at once (the distinct unknown tails
 parsed, then one table probe) and keeps a bounded cache, so a section the
@@ -381,18 +379,12 @@ class VectorizedKernel:
 
     def _cache_block_id(self, lanes: tuple) -> int:
         """Dense ID of one cache's block *lanes*; a first sight files what
-        :meth:`check_level` counts of its FSM state -- writer, reader,
-        stable writer, a byte each."""
+        :meth:`check_level` counts of its FSM state -- writer and reader, a
+        byte each."""
         bid = self._block_id(self._cblock_ids, self._cb_lanes, lanes)
         if bid == len(self._cb_check):
-            cache = self.kernel.spec.cache
-            state = lanes[CF_STATE]
-            writer = cache.permission[state] == 2
-            self._cb_check.append(
-                writer
-                | (cache.permission[state] == 1) << 8
-                | (writer and bool(cache.stable[state])) << 16
-            )
+            permission = self.kernel.spec.cache.permission[lanes[CF_STATE]]
+            self._cb_check.append((permission == 2) | (permission == 1) << 8)
         return bid
 
     def _dir_block_id(self, lanes: tuple) -> int:
@@ -642,17 +634,6 @@ class VectorizedKernel:
         return [
             prefixes[pos * cut : (pos + 1) * cut] + tails[k]
             for pos, k in enumerate(inv.tolist())
-        ]
-
-    def encodings_of(self, R) -> list:
-        """The whole lane encoding (a tuple) of each row of *R* -- for the
-        rows that need one: a level's leaves, a test -- prefixes and the
-        distinct sections' tails a batch each."""
-        uniq, inv = self.np.unique(R[:, -1], return_inverse=True)
-        tails = list(map(self.codec.unpack, self.packed_tails(uniq.tolist())))
-        return [
-            tuple(prefix) + tails[k]
-            for prefix, k in zip(self.prefixes_of(R).tolist(), inv.tolist())
         ]
 
     def events_of(self, pids) -> list:
@@ -914,10 +895,10 @@ class VectorizedKernel:
 
         Returns a boolean row mask over *V* -- True where SWMR **and**
         single-owner hold, counted off what each cache block filed at its
-        first sight (one byte each: writer, reader, stable writer; a row's
-        counts are the sum over its cache columns) -- or ``None`` when
-        *codes* is not the fused default pair (custom/litmus codes keep the
-        per-row ``TransitionKernel.check``).  SWMR and single-owner
+        first sight (one byte each: writer, reader; a row's counts are the
+        sum over its cache columns; two stable writers are two writers) --
+        or ``None`` when *codes* is not the fused default pair
+        (custom/litmus codes keep the per-row ``TransitionKernel.check``).  SWMR and single-owner
         aggregate over the caches symmetrically, so the verdict of a raw
         successor is its canonical representative's.
         """
@@ -928,13 +909,8 @@ class VectorizedKernel:
         for cid in range(1, self.num_caches):
             counts += filed[V[:, cid]]
         writers = counts & 0xFF
-        readers = counts >> 8 & 0xFF
-        stable_writers = counts >> 16
-        return ~(
-            (writers > 1)
-            | ((writers > 0) & (readers > 0))
-            | (stable_writers > 1)
-        )
+        readers = counts >> 8
+        return ~((writers > 1) | ((writers > 0) & (readers > 0)))
 
     # -- memo misses: the compiled kernel's per-key evaluator, filed as plans -----
     def _intern_plan(self, outcome, cid: int | None) -> int:

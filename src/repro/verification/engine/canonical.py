@@ -18,13 +18,14 @@ every verdict (safety violations, protocol errors, deadlocks).
 **The implementation** is :class:`EncodedCanonicalizer`, the only
 canonicalizer in ``src/``: it evaluates that definition on packed
 :class:`~repro.system.codec.StateCodec` keys (their lanes order-isomorphic
-to ``sort_key``) without building a relabeled state or unpacking a key --
-a per-block translation table, signature sort, orbit pruning and a region
-memo decide most states from their cache blocks alone, staged tie-breaks
-on memoized keys decide the rest, and the representative's key is two
-memoized byte strings concatenated.  Every search,
-:meth:`Exploration.seed` and ``random_walk``'s coverage count obtain it
-through :func:`canonicalizer_for`.  The definition itself is executed only
+to ``sort_key``) without building a relabeled state or unpacking a key.
+One rule decides most states from their cache blocks alone: rank the
+permutations position by position, in permutation order, each block
+translated through a per-block table and each region ranked once into a
+memo.  Staged tie-breaks on memoized keys decide the rest, and the
+representative's key is two memoized byte strings concatenated.  Every
+search, :meth:`Exploration.seed` and ``random_walk``'s coverage count
+obtain it through :func:`canonicalizer_for`.  The definition itself is executed only
 by the tests (``reference_canonicalize`` in
 ``tests/verification/verification_helpers.py``), which pin the two to the
 same representative *and* witness permutation.
@@ -99,87 +100,35 @@ def relabel_event(event: SystemEvent, perm: Permutation | None) -> SystemEvent:
     return event
 
 
-def _signature_orbit(
-    keys: list,
-) -> tuple[Permutation | None, list[Permutation]]:
-    """Signature sort + orbit pruning over per-cache signature *keys*.
-
-    Returns ``(perm, [])`` when the sorted signatures are fully
-    distinguished (the minimal placement is unique), or ``(None,
-    candidates)`` with the orbit of the equal-signature groups -- the only
-    permutations that can be minimal -- sorted lexicographically so that
-    first-minimum tie-breaking matches the definition's iteration order
-    (identity-first when applicable).  *keys* only need a total order.
-    """
-    n = len(keys)
-    order = sorted(range(n), key=keys.__getitem__)  # position -> old cache ID
-    groups: list[list[int]] = []  # runs of equal signatures, in position order
-    begin = 0
-    for i in range(1, n + 1):
-        if i == n or keys[order[i]] != keys[order[begin]]:
-            groups.append(order[begin:i])
-            begin = i
-    if all(len(group) == 1 for group in groups):
-        best_list = [0] * n
-        for pos, old_id in enumerate(order):
-            best_list[old_id] = pos
-        return tuple(best_list), []
-    candidates: list[Permutation] = []
-    for arrangement in itertools.product(
-        *(itertools.permutations(group) for group in groups)
-    ):
-        flat = [old_id for group in arrangement for old_id in group]
-        perm_list = [0] * n
-        for pos, old_id in enumerate(flat):
-            perm_list[old_id] = pos
-        candidates.append(tuple(perm_list))
-    candidates.sort()
-    return None, candidates
-
-
-#: ``_ORDER3[(b0 < b1, b1 < b2, b0 < b2)]``: the sorting permutation of three
-#: pairwise-distinct cache blocks (the reference tier's common case).
-_ORDER3 = {
-    (True, True, True): (0, 1, 2),
-    (True, False, True): (0, 2, 1),
-    (True, False, False): (1, 2, 0),
-    (False, True, True): (1, 0, 2),
-    (False, True, False): (2, 0, 1),
-    (False, False, False): (2, 1, 0),
-}
-
-
 class EncodedCanonicalizer:
     """The symmetry pipeline, specialized to one ``(codec, perms)``.
 
     Evaluates the module's definition on *packed keys*, one cache block at
     a time.  Encoded cache blocks are order-isomorphic to the per-cache
-    sort keys, so three stages pick the same representative and witness as
-    the ``min`` over relabeled states:
+    sort keys, and the cache components lead the state key, so two stages
+    pick the same representative and witness as the ``min`` over relabeled
+    states:
 
-    1. **Signature sort.**  When no cache holds a saved requestor ID, each
-       cache block is a permutation-invariant signature, so the minimal
-       placement is the caches sorted by block -- ``O(n log n)`` instead of
-       ``n!`` placements.
-    2. **Orbit pruning.**  Only permutations that keep the sorted order can
-       be minimal: the orbit of the equal-signature groups (a single
-       permutation for fully distinguished states).  A saved-requestor slot
-       holding a cache ID makes its block permutation-dependent; a region
-       with one is ranked position by position over the surviving
-       permutations instead (:meth:`_rank`), each block's translations read
-       from the block table.
-    3. **Staged tie-breaks.**  Surviving candidates rank by the relabeled
-       directory key, then -- only for genuine ties -- the relabeled network
-       key, both memoized per (packed section, permutation) in the codec.
+    1. **Rank.**  Each cache position in turn keeps, among the permutations
+       still in the running (in *perms* order), those that put the smallest
+       translated block there (:meth:`_rank`).  A block whose
+       saved-requestor slot holds a cache ID is permutation-dependent, and
+       its translation under each permutation is read from the block table;
+       any other block is its own translation.  What survives the last
+       position is the cache-key-minimal permutations, in *perms* order:
+       one is the winner of every state with these cache blocks.
+    2. **Staged tie-breaks.**  Several surviving candidates rank by the
+       relabeled directory key, then -- only for genuine ties -- the
+       relabeled network key, both memoized per (packed section,
+       permutation) in the codec.
 
     Two tables carry it.  The **block table** maps a packed cache block to
     its lanes and, if a saved slot is occupied, its translation under every
     permutation (lanes for comparing -- bytes only order like lanes at 8
-    bits -- and bytes for emitting; any other block is its own
-    translation): a few hundred entries however many states a search
-    stores.  Stages 1 and 2 read nothing outside the cache-block *region*
-    of a key, and regions recur across far more states than they have
-    distinct values, so each is classified once into the **region memo**
+    bits -- and bytes for emitting): a few hundred entries however many
+    states a search stores.  Stage 1 reads nothing outside the cache-block
+    *region* of a key, and regions recur across far more states than they
+    have distinct values, so each is ranked once into the **region memo**
     (:meth:`orbit_for`), keyed by the region's packed bytes -- a slice of
     the state's visited-set key -- by slicing its blocks out and looking
     them up; nothing is unpacked.  A representative's key is then two
@@ -188,10 +137,10 @@ class EncodedCanonicalizer:
 
     *perms* must be the full symmetric group on the codec's caches in
     lexicographic order, identity first -- what
-    :meth:`repro.system.System.symmetry_permutations` returns: stages 1 and
-    2 assume every permutation is available, and the lexicographic candidate
-    order is what makes "first minimum" resolve ties to the identity.
-    Anything else is a ``ValueError``.  Obtain instances through
+    :meth:`repro.system.System.symmetry_permutations` returns, the only
+    group a search passes; keeping the first minimum in that order is what
+    resolves ties to the identity, as the definition does.  Anything else
+    is a ``ValueError``.  Obtain instances through
     :func:`canonicalizer_for`; they are cached on the codec so the tables
     warm across searches of the same system.
     """
@@ -199,7 +148,7 @@ class EncodedCanonicalizer:
     __slots__ = (
         "codec", "perms", "identity", "identity_orbit",
         "_orbit_memo", "_blocks", "_cuts", "_region_bytes",
-        "_inverses", "_index", "_tied_orbits",
+        "_inverses", "_sources", "_index", "_tied_orbits",
     )
 
     def __init__(self, codec, perms: tuple[Permutation, ...]):
@@ -208,8 +157,8 @@ class EncodedCanonicalizer:
             raise ValueError(
                 f"EncodedCanonicalizer needs the full symmetric group on the "
                 f"{n} caches in lexicographic order, identity first "
-                f"(System.symmetry_permutations()): signature sort and orbit "
-                f"pruning assume every permutation is available; got "
+                f"(System.symmetry_permutations(), the group every search "
+                f"passes); got "
                 f"{len(perms)} permutation(s) starting with {perms[:1]}"
             )
         self.codec = codec
@@ -223,8 +172,10 @@ class EncodedCanonicalizer:
         width = codec.cache_width * codec.lane_bytes
         # where each packed cache block sits in a key
         self._cuts = [slice(at, at + width) for at in range(0, self._region_bytes, width)]
-        # ``_inverses[k][pos]``: the cache ``perms[k]`` moves to position *pos*
+        # ``_inverses[k][pos]`` and ``_sources[pos][k]``: the cache
+        # ``perms[k]`` moves to position *pos*
         self._inverses = tuple(map(invert, perms))
+        self._sources = tuple(zip(*self._inverses))
         self._index = {perm: k for k, perm in enumerate(perms)}
         # Records are shared wherever regions agree on them: one per
         # distinct candidate set and, public because batch callers test for
@@ -250,7 +201,7 @@ class EncodedCanonicalizer:
 
     def orbit_for(self, region: bytes) -> tuple:
         """The memoized orbit record of one packed cache-block region
-        (``key[:dir_byte_offset]``): what stages 1 and 2 decide about every
+        (``key[:dir_byte_offset]``): what stage 1 decides about every
         state with these cache blocks.  Opaque outside this module except
         for :attr:`identity_orbit`; :meth:`resolve` turns it and a state's
         key into that state's representative.
@@ -280,13 +231,13 @@ class EncodedCanonicalizer:
     def resolve(self, key: bytes, orbit: tuple) -> tuple[bytes, Permutation]:
         """:meth:`canonicalize` for a caller that already holds *key*'s
         region record (the batch expander classifies each distinct region
-        of a level once): stage 3 and the relabel."""
+        of a level once): stage 2 and the relabel."""
         best, region = orbit
         if best is None:
             best = self._tie_break(key, region)
             if best == self.identity:
                 return key, best
-            region = self._relabeled(*self._lookup(key), best)
+            region = self._relabeled(*self._lookup(key), self._index[best])
         elif region is None:
             return key, best
         suffix = key[self._region_bytes :]
@@ -316,10 +267,9 @@ class EncodedCanonicalizer:
                 translations.append((moved, codec.pack(moved)))
         return (lanes, translations)
 
-    def _relabeled(self, blocks: list, entries: list, perm: Permutation) -> bytes:
+    def _relabeled(self, blocks: list, entries: list, k: int) -> bytes:
         """The packed region of *blocks* (their table *entries* beside
-        them) relabeled through *perm*."""
-        k = self._index[perm]
+        them) relabeled through ``perms[k]``."""
         return b"".join([
             blocks[old] if entries[old][1] is None else entries[old][1][k][1]
             for old in self._inverses[k]
@@ -328,52 +278,42 @@ class EncodedCanonicalizer:
     def _classify(self, region: bytes) -> tuple:
         """The orbit record of one packed cache-block region."""
         blocks, entries = self._lookup(region)
-        if any(translations for _lanes, translations in entries):
-            candidates = self._rank(entries)
-            best = candidates[0] if len(candidates) == 1 else None
-        elif len(blocks) == 3 and len(set(blocks)) == 3:
-            # The reference tier: the all-distinct case (the vast majority
-            # of regions) skips the generic sort-and-group walk.
-            (b0, _), (b1, _), (b2, _) = entries
-            best = _ORDER3[(b0 < b1, b1 < b2, b0 < b2)]
-        else:
-            best, candidates = _signature_orbit([lanes for lanes, _ in entries])
-        if best is None:
+        survivors = self._rank(entries)
+        if len(survivors) > 1:
             # Candidate sets number a handful, the regions mapping to them
             # tens of thousands.
-            candidates = tuple(candidates)
+            candidates = tuple(map(self.perms.__getitem__, survivors))
             return self._tied_orbits.setdefault(candidates, (None, candidates))
-        if best == self.identity:
+        k = survivors[0]
+        if k == 0:
             return self.identity_orbit
-        return (best, self._relabeled(blocks, entries, best))
+        return (self.perms[k], self._relabeled(blocks, entries, k))
 
-    def _rank(self, entries: list) -> list[Permutation]:
-        """The cache-key-minimal permutations, in *perms* order, of a
-        region some of whose blocks (*entries*) are permutation-dependent:
-        the relabeled cache keys compare lexicographically, so each
+    def _rank(self, entries: list) -> list[int]:
+        """The indices in *perms* of the cache-key-minimal permutations of
+        the region whose blocks' table *entries* are given, in *perms*
+        order: the relabeled cache keys compare lexicographically, so each
         position in turn keeps the permutations that put the smallest
         translated block there."""
         survivors = range(len(self.perms))
-        inverses = self._inverses
-        for pos in range(len(entries)):
-            smallest = None
-            kept: list[int] = []
+        for sources in self._sources:
+            kept = None
             for k in survivors:
-                lanes, translations = entries[inverses[k][pos]]
+                lanes, translations = entries[sources[k]]
                 if translations is not None:
                     lanes = translations[k][0]
-                if smallest is None or lanes < smallest:
+                if kept is None or lanes < smallest:
                     smallest = lanes
                     kept = [k]
                 elif lanes == smallest:
                     kept.append(k)
             survivors = kept
-            if len(survivors) == 1:
+            if len(kept) == 1:
                 break
-        return [self.perms[k] for k in survivors]
+        return survivors
 
     def _tie_break(self, key: bytes, tied: tuple) -> Permutation:
-        """Stage 3: the minimum of *tied* by the relabeled (directory,
+        """Stage 2: the minimum of *tied* by the relabeled (directory,
         network) key of the state packed as *key*.
 
         ``latest_version`` is permutation-invariant, so the directory and

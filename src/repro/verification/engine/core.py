@@ -38,6 +38,7 @@ from repro.verification.engine.canonical import (
     invert,
     relabel_event,
 )
+from repro.verification.engine.driver import first_violation
 from repro.verification.engine.store import StateStore
 from repro.verification.invariants import (
     Invariant,
@@ -255,22 +256,21 @@ class Exploration:
         """Intern the (canonicalized, encoded) initial state and check it.
 
         Returns a failure result if an invariant is already violated in the
-        initial state, ``None`` otherwise.
+        initial state, ``None`` otherwise: the root is checked on its key's
+        lanes through :func:`first_violation`, like every other state.
         """
         codec = self.codec
-        initial = self.system.initial_state()
-        key = codec.encode_packed(initial)
+        key = codec.encode_packed(self.system.initial_state())
         root_perm: Permutation | None = None
         if self.perms is not None:
             key, root_perm = canonicalizer_for(codec, self.perms).canonicalize(key)
-            if root_perm != self.perms[0]:
-                initial = codec.decode_packed(key)
         self.root_key = key
         self.root_id, _ = self.store.intern(key, perm=root_perm)
-        for invariant in self.invariants:
-            violation = invariant(self.system, initial)
-            if violation is not None:
-                return self.failure(violation=violation, leaf_id=self.root_id)
+        violation = first_violation(
+            self.system, self.invariants, self.kernel_codes, codec.unpack(key)
+        )
+        if violation is not None:
+            return self.failure(violation=violation, leaf_id=self.root_id)
         return None
 
     # -- trace reconstruction ----------------------------------------------------
@@ -472,12 +472,6 @@ def _resolve_kernel(system, kernel, invariant_tuple):
     return compiled_tables(system, invariant_tuple)
 
 
-def _is_litmus(system: System) -> bool:
-    from repro.system.system import LitmusWorkload
-
-    return isinstance(system.workload, LitmusWorkload)
-
-
 def verify(
     system: System,
     *,
@@ -525,7 +519,9 @@ def verify(
         reduction).  Explores one representative per cache-permutation orbit
         -- up to ``num_caches!`` fewer states -- while preserving every
         verdict; counterexample traces are relabeled back to the concrete
-        frame and stay replayable.
+        frame and stay replayable.  A configuration it does not support (a
+        litmus workload, several addresses) raises ``ValueError`` naming it
+        (:meth:`System.symmetry_group`).
     ``strategy``
         ``"bfs"`` (default), ``"dfs"`` or ``"parallel"`` (BFS on forked
         shared-memory workers, every level from the root's on); any other
@@ -581,19 +577,7 @@ def verify(
     invariant_tuple = (
         tuple(invariants) if invariants is not None else tuple(default_invariants())
     )
-    if symmetry and system.num_caches > 1 and not system.supports_symmetry:
-        combination = (
-            "a litmus workload (litmus programs distinguish the caches)"
-            if _is_litmus(system)
-            else f"num_addresses={system.num_addresses} (the encoded "
-            "canonicalizer only handles single-plane layouts)"
-        )
-        raise ValueError(f"symmetry=True is unsupported with {combination}")
-    perms = (
-        system.symmetry_permutations()
-        if symmetry and system.num_caches > 1
-        else None
-    )
+    perms = system.symmetry_group() if symmetry else None
     kernel_impl, kernel_codes = _resolve_kernel(system, kernel, invariant_tuple)
     vkernel = None
     # Only BFS batches whole levels; DFS and the fleet expand per state.

@@ -132,7 +132,7 @@ class VectorizedExpander(CompiledExpander):
         return list(zip(level.ids.tolist(), self.ctx.vkernel.keys_of(level.R)))
 
     def _leaves(self, leaves, encs, done, upto):
-        """Leaf verdicts for ``leaves[done:]`` (their encodings in *encs*)
+        """Leaf verdicts for ``leaves[done:]`` (their lanes in *encs*)
         that precede successor *upto* in stream order (leaf ``(k, ...)``
         precedes successor ``u`` iff ``k <= u``; ``None`` = all that
         remain).  Returns ``(done, failure)``."""
@@ -229,10 +229,10 @@ class VectorizedExpander(CompiledExpander):
         # Default-invariant verdicts of the new rows as one mask (None for
         # non-default codes: then the per-state check, on each packed key's
         # lanes read in place).
+        view = ctx.codec.view
         ok = vk.check_level(V, ctx.kernel_codes)
         if ok is None:
             check = ctx.kernel.check
-            view = ctx.codec.view
             ok = np.asarray(
                 [check(view(key), ctx.kernel_codes) for key in vk.keys_of(V)],
                 dtype=bool,
@@ -240,7 +240,7 @@ class VectorizedExpander(CompiledExpander):
         # Failures surface in stream order: the leaves that precede a new
         # row failing its check, then that row.
         leaves = plans.leaves
-        encs = vk.encodings_of(R[[pos for _seq, _state_id, pos in leaves]])
+        encs = [view(key) for key in vk.keys_of(R[[pos for _seq, _sid, pos in leaves]])]
         done = 0
         for j in np.flatnonzero(~ok).tolist():
             done, failure = self._leaves(leaves, encs, done, int(fresh[j]))

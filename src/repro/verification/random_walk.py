@@ -77,7 +77,9 @@ def random_walk(
 
     ``track_coverage`` counts distinct visited states in
     :attr:`RandomWalkResult.unique_states`; with ``symmetry`` (the default)
-    the count is over cache-permutation orbits rather than raw states.
+    the count is over cache-permutation orbits rather than raw states, and
+    a configuration the reduction does not support raises ``verify``'s
+    ``ValueError`` (:meth:`System.symmetry_group`).
     """
     invariants = tuple(invariants) if invariants is not None else tuple(default_invariants())
     kernel, codes = compiled_tables(system, invariants)
@@ -91,16 +93,9 @@ def random_walk(
     seen: set[bytes] | None = None
     if track_coverage:
         seen = set()
-        if symmetry and system.num_caches > 1:
-            if not system.supports_symmetry:
-                raise ValueError(
-                    "symmetry=True coverage is unsupported for this system "
-                    "(litmus workloads and num_addresses>1 distinguish the "
-                    "caches); pass symmetry=False to count raw states"
-                )
-            canonicalize = canonicalizer_for(
-                codec, system.symmetry_permutations()
-            ).canonicalize
+        perms = system.symmetry_group() if symmetry else None
+        if perms is not None:
+            canonicalize = canonicalizer_for(codec, perms).canonicalize
 
     def note(key: bytes) -> None:
         if seen is None:

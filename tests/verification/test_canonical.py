@@ -37,6 +37,7 @@ from repro.verification.engine.canonical import (
 from reference_system import reference
 from verification_helpers import (
     LATE_ABSORB_STATES,
+    has_saved_ids,
     production_canonicalize,
     reference_canonicalize,
     sample_reachable_states,
@@ -76,8 +77,8 @@ class TestPermutationAlgebra:
 
 class TestCanonicalizerConstruction:
     """The canonicalizer takes exactly what ``symmetry_permutations()``
-    returns -- signature sort and orbit pruning assume the whole group --
-    and says so instead of enumerating whatever it is handed."""
+    returns -- the one group every search passes -- and says so instead of
+    ranking whatever it is handed."""
 
     def test_rejects_a_proper_subgroup(self, msi_nonstalling):
         system = _system(msi_nonstalling)
@@ -121,7 +122,7 @@ def test_packed_representative_and_witness_equal_the_definition(
         system, seed=len(name) + num_caches, walks=10, max_steps=50
     )
     if policy == "nonstalling":
-        assert any(codec.has_saved_ids(codec.encode(s)) for s in states), (
+        assert any(has_saved_ids(codec, codec.encode(s)) for s in states), (
             "sample never reached a saved-requestor state"
         )
         if name == "MSI-Unordered":
@@ -151,7 +152,7 @@ def test_region_records_say_what_the_cache_blocks_alone_decide(msi_nonstalling):
     seen = set()
     for state in sample_reachable_states(system, seed=7, walks=10, max_steps=60):
         enc = codec.encode(state)
-        if not codec.has_saved_ids(enc):
+        if not has_saved_ids(codec, enc):
             continue
         keys = {p: tuple(c.sort_key() for c in state.relabeled(p).caches)
                 for p in perms}
@@ -189,7 +190,7 @@ def test_wide_lanes_are_compared_as_lanes_not_bytes(msi_nonstalling, monkeypatch
         lanes = list(codec.encode(state))
         lanes[: codec.dir_offset : codec.cache_width] = (256, 1, 2)
         enc = tuple(lanes)
-        saved.add(codec.has_saved_ids(enc))
+        saved.add(has_saved_ids(codec, enc))
         perm = min(perms, key=lambda p: codec.relabel_via_tables(enc, p))
         assert canonicalizer.canonicalize(codec.pack(enc)) == (
             codec.pack(codec.relabel_via_tables(enc, perm)), perm
@@ -231,8 +232,8 @@ class TestCanonicalizationProperties:
             assert state.relabeled(perm) == rep
 
     def test_canonical_key_is_minimal(self, sampled):
-        """The pipeline (signature sort, orbit pruning, staged tie-breaks,
-        all on encodings) must pick the minimum over all fully-relabeled
+        """The pipeline (ranking the cache blocks, staged tie-breaks, all on
+        encodings) must pick the minimum over all fully-relabeled
         states, and the first permutation that attains it."""
         system, states = sampled
         perms = system.symmetry_permutations()
@@ -254,13 +255,13 @@ class TestCanonicalizationProperties:
 
 
 class TestSortedSignaturePrecanonicalization:
-    """The 4-cache fast path: signature sort -> orbit pruning -> tie-break.
+    """The 4-cache pipeline: rank the cache blocks -> tie-break.
 
-    The canonicalizer avoids enumerating all ``4! = 24`` permutations when
-    no cache holds a saved requestor ID; these properties pin its exact
-    agreement with the enumeration the definition prescribes on random
-    reachable 4-cache states (both sampled and adversarially symmetric
-    ones).
+    The canonicalizer ranks the ``4! = 24`` permutations position by
+    position instead of relabeling the state under each; these properties
+    pin its exact agreement with the enumeration the definition prescribes
+    on random reachable 4-cache states (both sampled and adversarially
+    symmetric ones).
     """
 
     @pytest.fixture(scope="class", params=["stalling", "nonstalling"])
@@ -307,7 +308,7 @@ class TestSortedSignaturePrecanonicalization:
 
     def test_fully_symmetric_state_hits_the_orbit_path(self, four_cache_sampled):
         """The initial state (four identical caches) has the maximal orbit:
-        every permutation ties on signatures, so the tie-break must resolve
+        every permutation ties on the cache blocks, so the tie-break must resolve
         to the identity and the state must already be canonical."""
         system, _ = four_cache_sampled
         perms = system.symmetry_permutations()
@@ -317,9 +318,9 @@ class TestSortedSignaturePrecanonicalization:
         assert perm == perms[0]
 
     def test_saved_requestor_states_fall_back_consistently(self, four_cache_sampled):
-        """States whose saved slots hold cache IDs have no signature sort
-        (every permutation's cache blocks are ranked); their representatives
-        must still agree across every relabeling."""
+        """States whose saved slots hold cache IDs rank translated blocks
+        (each permutation's own translation); their representatives must
+        still agree across every relabeling."""
         system, states = four_cache_sampled
         perms = system.symmetry_permutations()
         with_saved = [

@@ -11,7 +11,8 @@ states, so two properties carry the whole correctness argument:
   representative *and* same witness permutation as
   ``reference_canonicalize`` (``min`` over the relabeled states' sort keys,
   executed on objects), including the states whose saved-requestor slots
-  rule out the signature sort (the whole matrix is in ``test_canonical.py``)
+  make their blocks permutation-dependent (the whole matrix is in
+  ``test_canonical.py``)
   -- and the lane-level relabel that pipeline's packed one is pinned
   against, ``relabel_via_tables``, equals
   ``encode(decode(enc).relabeled(perm))``.
@@ -32,6 +33,7 @@ from repro.verification.engine.canonical import canonicalizer_for, invert
 from reference_system import reference
 from verification_helpers import (
     LATE_ABSORB_STATES,
+    has_saved_ids,
     production_canonicalize,
     reference_canonicalize,
     sample_reachable_states,
@@ -137,7 +139,7 @@ def test_mosi_saved_requestor_states_agree_on_all_pipelines(all_generated):
     codec = system.codec()
     perms = system.symmetry_permutations()
     states = sample_reachable_states(system, seed=29, walks=10, max_steps=60)
-    with_saved = [s for s in states if codec.has_saved_ids(codec.encode(s))]
+    with_saved = [s for s in states if has_saved_ids(codec, codec.encode(s))]
     assert with_saved, "sampling never reached a saved-requestor state"
     for state in with_saved:
         assert production_canonicalize(system, state) == reference_canonicalize(

@@ -17,8 +17,8 @@ from array import array
 import pytest
 
 from repro.system import System, Workload
-from repro.verification import verify
-from repro.verification.engine import StateStore
+from repro.verification import InvariantViolation, verify
+from repro.verification.engine import Exploration, StateStore
 from repro.verification.engine.canonical import (
     EncodedCanonicalizer,
     canonicalizer_for,
@@ -45,6 +45,35 @@ class TestStrategies:
                         workload=Workload(max_accesses_per_cache=2))
         result = verify(system, strategy="parallel", processes=2, max_states=50)
         assert result.truncated and result.ok
+
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("strategy", ["bfs", "parallel"])
+    def test_an_invariant_the_root_violates_fails_state_0(
+        self, msi_nonstalling, explorations, monkeypatch, strategy, symmetry
+    ):
+        """The root is checked like every other state, through
+        ``first_violation`` on its key's lanes: an invariant it violates
+        fails the search at state ID 0 with an empty trace, before anything
+        is expanded (or forked)."""
+        def always_fires(system, state):
+            return InvariantViolation(name="always", detail="fires everywhere")
+
+        failed_at = []
+        failure = Exploration.failure
+
+        def recorded(self, **kwargs):
+            failed_at.append(kwargs.get("leaf_id"))
+            return failure(self, **kwargs)
+
+        monkeypatch.setattr(Exploration, "failure", recorded)
+        system = System(msi_nonstalling, num_caches=3,
+                        workload=Workload(max_accesses_per_cache=1))
+        result = verify(system, invariants=(always_fires,), symmetry=symmetry,
+                        strategy=strategy, processes=1)
+        assert not result.ok and result.violation.name == "always"
+        assert failed_at == [0] and explorations[-1].root_id == 0
+        assert result.trace == [] and result.trace_events == []
+        assert result.states_explored == 0
 
     def test_max_states_budget_aborts_cleanly(self, msi_nonstalling):
         """A budgeted run stops at exactly the budget with a partial report."""

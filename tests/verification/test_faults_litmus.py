@@ -434,13 +434,20 @@ class TestSymmetryComposition:
     def test_random_walk_coverage_rejects_unsupported_symmetry(
         self, msi_nonstalling
     ):
-        from repro.verification import random_walk
+        """The coverage count refuses what ``verify`` refuses, with the
+        same message naming the combination."""
+        from repro.verification import random_walk, store_buffering
 
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1),
                         num_addresses=2)
-        with pytest.raises(ValueError, match="symmetry"):
+        with pytest.raises(ValueError, match="unsupported with num_addresses=2"):
             random_walk(system, runs=1, max_steps=5, track_coverage=True)
+        test = store_buffering()
+        system = System(msi_nonstalling, num_caches=2, workload=test.workload)
+        with pytest.raises(ValueError, match="unsupported with a litmus workload"):
+            random_walk(system, runs=1, max_steps=5, track_coverage=True,
+                        invariants=test.invariants())
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from verification_helpers import (
     MessageDroppingSystem,
     assert_expansion_parity,
     assert_matches_reference,
+    has_saved_ids,
     make_missing_inv_mutant,
     reference_search,
     replay_and_check,
@@ -74,7 +75,7 @@ def test_saved_requestor_states_parity(all_generated):
                     workload=Workload(max_accesses_per_cache=2))
     states = sample_reachable_states(system, seed=29, walks=10, max_steps=60)
     codec = system.codec()
-    assert any(codec.has_saved_ids(codec.encode(s)) for s in states), (
+    assert any(has_saved_ids(codec, codec.encode(s)) for s in states), (
         "sampling never reached a saved-requestor state; pick another seed"
     )
     for state in states:
@@ -335,7 +336,7 @@ class TestSpliceDifferential:
         against the reference network."""
         codec = system.codec()
         enc = codec.encode(_state_with(system, network))
-        net = codec.parsed_network(enc)
+        net = codec.parsed_planes(enc)[0]
         expected, where = network, None
         if which is not None:
             message = deliverable(network)[which]
@@ -594,7 +595,7 @@ class TestSpliceLaneOverflow:
         codec, kernel = system.codec(), system.kernel()
         assert codec.typecode == "B"
         enc = codec.encode(_state_with(system, network))
-        net = codec.parsed_network(enc)
+        net = codec.parsed_planes(enc)[0]
         where = None if which is None else net[2][which][0]
         sends = [m.encoded(codec._mtype_index) for m in sends]
         return _byte_splice(

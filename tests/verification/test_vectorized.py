@@ -22,13 +22,18 @@ matrix (``test_conformance.py``).  Here, the layers below them:
   lane width.
 * **Tail-key overflow** -- a field too wide for its bits replays the level,
   never wraps.
+* **The batch invariant check** -- ``check_level`` against the per-state
+  ``TransitionKernel.check``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro import protocols
 from repro.system import System, Workload
+from repro.system.kernel import DEFAULT_CODES
 from repro.system.message import decode_message
 from repro.system.rowtable import RowTable
 from repro.verification import verify
@@ -60,7 +65,7 @@ def _batch_stream(vk, R, level):
     return list(zip(
         level.parent_pos.tolist(),
         vk.events_of(level.pids),
-        vk.encodings_of(vk.assemble(R, level)),
+        map(vk.codec.unpack, vk.keys_of(vk.assemble(R, level))),
     ))
 
 
@@ -257,7 +262,7 @@ class TestSectionAlgebra:
             enc[no:] for enc in encs
         ]
         for enc, sid in zip(encs, sids.tolist()):
-            net = codec.parsed_network(enc)
+            net = codec.parsed_planes(enc)[0]
             network = codec.decode(enc).network
             for where, rec, _packed in ((None, None, None), *net[2]):
                 pool = list(real)
@@ -356,7 +361,6 @@ class TestRawSuccessorRows:
         assert [tuple(row) for row in P.tolist()] == [
             enc[: vk.net_offset] for enc in encs
         ]
-        assert vk.encodings_of(R) == encs
         # All three caches share one block table: far fewer blocks than
         # (state, cache) pairs.
         assert R[:, :3].max() + 1 == vk.cache_block_entries < len(keys)
@@ -477,3 +481,21 @@ def test_an_unknown_kernel_name_is_refused(msi_nonstalling):
                     workload=Workload(max_accesses_per_cache=1))
     with pytest.raises(ValueError, match="vectorized"):
         verify(system, kernel="simd")
+
+
+def test_the_batch_invariant_check_equals_the_per_state_one(msi_nonstalling):
+    """``check_level`` files a writer and a reader count per cache block:
+    on every assignment of FSM states to three caches -- two writers, a
+    writer beside a reader, two stable writers, neither -- its mask equals
+    ``TransitionKernel.check`` on the same keys."""
+    system = System(msi_nonstalling, num_caches=3,
+                    workload=Workload(max_accesses_per_cache=1))
+    codec, kernel, vk = system.codec(), system.kernel(), system.vectorized_kernel()
+    lanes = list(codec.encode(system.initial_state()))
+    keys = []
+    for states in itertools.product(range(len(kernel.spec.cache.permission)), repeat=3):
+        lanes[: codec.dir_offset : codec.cache_width] = states
+        keys.append(codec.pack(lanes))
+    expected = [kernel.check(codec.view(key), DEFAULT_CODES) for key in keys]
+    assert 0 < sum(expected) < len(keys)
+    assert vk.check_level(vk.rows_of(keys), DEFAULT_CODES).tolist() == expected

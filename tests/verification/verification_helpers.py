@@ -33,6 +33,7 @@ from repro.dsl.types import (
     Send,
 )
 from repro.system import System, Workload
+from repro.system.node_state import CF_PENDING, CF_SAVED
 from repro.system.system import DeliverMessage, GlobalState
 from repro.verification import default_invariants, single_owner_invariant
 from repro.verification.engine.canonical import canonicalizer_for
@@ -408,6 +409,17 @@ def production_canonicalize(system: System, state: GlobalState):
     canonicalizer = canonicalizer_for(codec, system.symmetry_permutations())
     rep_key, perm = canonicalizer.canonicalize(codec.encode_packed(state))
     return codec.decode_packed(rep_key), perm
+
+
+def has_saved_ids(codec, enc: tuple) -> bool:
+    """True when any cache block of the encoding *enc* holds a saved
+    requestor ID: the blocks a relabeling rewrites, which the
+    canonicalizer translates through its block table."""
+    width = codec.cache_width
+    return any(
+        any(enc[base + CF_SAVED : base + CF_PENDING])
+        for base in range(0, codec.num_caches * width, width)
+    )
 
 
 @dataclass(frozen=True)
