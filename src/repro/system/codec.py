@@ -12,16 +12,15 @@ The encoding is designed around three invariants the engine relies on:
 1. **Bijective.**  ``decode(encode(s)) == s`` exactly, so de-duplicating on
    encodings preserves the seed explorer's bit-identical state counts, and
    a decoded counterexample state is the object state the trace reaches.
-2. **Order-isomorphic.**  Every component section compares (as an int tuple)
-   exactly like the component's ``sort_key()``: FSM states and message types
-   are indexed through *sorted* name lists, optional ints are shifted so
-   ``None`` lands below every real value, sharer sets become zero-padded
-   ascending runs.  Canonicalization (pick the permutation minimizing the
-   state key) therefore runs entirely on encoded arrays
-   (:class:`repro.verification.engine.canonical.EncodedCanonicalizer`) and
-   still picks the representative its definition on the object model names,
-   ``min(perms, key=lambda p: state.relabeled(p).sort_key())`` -- which the
-   tests check it against.
+2. **Order-isomorphic.**  Every block (and a section's parsed items)
+   compares like its component's object-level sort key: FSM states and
+   message types are indexed through *sorted* name lists, optional ints
+   are shifted so ``None`` lands below every real value, sharer sets
+   become zero-padded ascending runs.  So the canonical form -- the
+   smallest relabeling, first minimum in permutation order -- is computed
+   on encodings (:class:`~repro.verification.engine.canonical.EncodedCanonicalizer`);
+   the object-level relabel and sort key defining it are the tests'
+   (``tests/verification/reference_system.py``).
 3. **Relabelable.**  Cache-ID permutations apply directly to the encoded
    form: cache blocks move to their permuted positions, saved-requestor
    slots, directory owner/sharers and message endpoints are remapped in
@@ -32,13 +31,14 @@ The encoding is designed around three invariants the engine relies on:
    :class:`~repro.verification.engine.canonical.EncodedCanonicalizer`);
    :meth:`StateCodec.relabel_via_tables` is the plain lane-level relabel of
    a whole encoding through the per-permutation tables
-   (:meth:`StateCodec.perm_tables`), equal to
-   ``encode(decode(enc).relabeled(perm))``, property-tested.
+   (:meth:`StateCodec.perm_tables`), property-tested against the object
+   relabel; a trace's events relabel through the same tables
+   (:meth:`StateCodec.relabeled_event`).
 
 The codec also carries the instrumentation the zero-decode invariant is
 asserted against: :attr:`StateCodec.decode_count` increments on every
-:meth:`decode`, and a compiled-kernel symmetry-reduced search must leave it
-flat outside failure reporting.
+:meth:`decode`, and a search with compiled invariants must leave it flat,
+failures included (the kernel words a violation from the lanes).
 
 Every bounded cache of the engine is a :class:`Memo` -- here the two
 block-decode memos, the parse memos and the three relabel memos; the
@@ -151,9 +151,9 @@ class LaneOverflow(ValueError):
     """A lane value does not fit the codec's lane width.
 
     The width comes from a static bound on every lane (see
-    ``StateCodec.__init__``); its estimate of the in-flight message counts
-    is not a proof, so the packers check instead of wrapping: a state that
-    outgrows its lanes ends the search with this error, never with a
+    ``StateCodec.__init__``); its in-flight message bound is argued and
+    tested, not proved, so the packers check instead of wrapping: a state
+    that outgrows its lanes ends the search with this error, never with a
     truncated key and a wrong verdict.
     """
 
@@ -191,8 +191,9 @@ class StateCodec:
         # transaction per cache, each costing at most a request, a response,
         # and an invalidation plus its ack per other cache, a writeback
         # pair, and one more per injected fault (so ``faults_used`` is
-        # covered too).  That last figure is an estimate, which is why
-        # `pack` checks.
+        # covered too).  That last figure is argued, not proved (the
+        # conformance matrix asserts it on every reference-searched state),
+        # which is why `pack` checks.
         in_flight = num_caches * (2 * num_caches + 2) + fault_budget
         largest = max(
             len(self.cache_states), len(self.dir_states), len(self.mtypes),
@@ -236,8 +237,8 @@ class StateCodec:
             lambda block: decode_directory_block(block, self.dir_states)
         )
 
-        #: Decodes performed (instrumentation): a compiled-kernel reduced
-        #: search must not move this counter outside failure reporting.
+        #: Decodes performed (instrumentation): a search with compiled
+        #: invariants must not move this counter, failing or not.
         self.decode_count = 0
         #: Opaque per-codec scratch for engine-layer caches (e.g. the
         #: canonicalizers of :mod:`repro.verification.engine.canonical`);
@@ -433,7 +434,7 @@ class StateCodec:
         return tables
 
     def relabel_via_tables(self, enc: tuple, perm: tuple[int, ...]) -> tuple:
-        """``encode(decode(enc).relabeled(perm))`` computed on the encoding,
+        """*enc* relabeled through *perm* (``perm[old] = new``), computed
         through the precomputed :meth:`perm_tables`: one gather over the
         cache blocks, a table lookup on every saved-requestor lane, and the
         relabeled suffix.  Single-plane layouts only (symmetry reduction is
@@ -469,41 +470,35 @@ class StateCodec:
             self.pack(self.relabeled_directory_key(suffix[:cut], perm))
             # version lane plus the (perm-invariant) fault lane when present
             + suffix[cut:net]
-            + self._relabeled_net_section(suffix[net:], perm)
+            + self.packed_section(self._relabeled_items(suffix[net:], perm))
         )
 
     def _relabeled_items(self, section: bytes, perm: tuple[int, ...]) -> list:
-        """The content of the packed *section* under *perm*, re-normalized:
-        the sorted translated records of an unordered network, the
-        ``((src, dst, vnet), (record, ...))`` channels of an ordered one
-        sorted by their relabeled channel key."""
+        """The parse-handle items of the packed *section* under *perm*,
+        re-normalized: a bag's translated records sorted, an ordered
+        network's channels sorted by their relabeled channel key."""
         t2 = self.perm_tables(perm)[2]
         items = self.parsed_section(section)[0]
         if not self.ordered:
             return sorted(translate_encoded_message(m, t2) for m in items)
         return sorted(
-            (
-                (
-                    (t2[src], t2[dst], vnet),
-                    tuple(translate_encoded_message(m, t2) for m in msgs),
-                )
-                for src, dst, vnet, msgs in items
-            ),
-            key=lambda item: item[0],
+            (t2[src], t2[dst], vnet, tuple(translate_encoded_message(m, t2) for m in msgs))
+            for src, dst, vnet, msgs in items
         )
 
-    def _relabeled_net_section(self, section: bytes, perm: tuple[int, ...]) -> bytes:
-        """The packed *section*, translated and re-sorted under *perm*."""
-        items = self._relabeled_items(section, perm)
+    def packed_section(self, items) -> bytes:
+        """The packed network section holding *items*, shaped like a parse
+        handle's (:meth:`parsed_section`), in section order: the one writer
+        of a section from its content (relabels and the batch kernel's)."""
         out = [len(items)]
         if not self.ordered:
             for record in items:
-                out.extend(record)
+                out += record
         else:
-            for channel, msgs in items:
-                out.extend((*channel, len(msgs)))
+            for src, dst, vnet, msgs in items:
+                out += (src, dst, vnet, len(msgs))
                 for record in msgs:
-                    out.extend(record)
+                    out += record
         return self.pack(out)
 
     # -- network section helpers --------------------------------------------------
@@ -624,8 +619,8 @@ class StateCodec:
 
     # -- canonicalization keys -----------------------------------------------------
     def relabeled_directory_key(self, block: bytes, perm: tuple[int, ...]) -> tuple:
-        """Order-isomorphic to ``directory.relabeled(perm).sort_key()``; its
-        lanes are the relabeled directory block.  *block* is the packed
+        """The lanes of the directory block relabeled through *perm*, which
+        compare like its object-level sort key.  *block* is the packed
         directory block (``key[dir_byte_offset:][: dir_width * lane_bytes]``).
 
         Memoized per (directory block, perm): the tie-break stage of
@@ -650,20 +645,18 @@ class StateCodec:
         )
 
     def relabeled_network_key(self, section: bytes, perm: tuple[int, ...]) -> tuple:
-        """Order-isomorphic to ``network.relabeled(perm).sort_key()``, for
-        the packed *section* (``key[net_byte_offset:]``).
-
-        The nested tuple shape mirrors the object-level key exactly
-        (channels sorted by their relabeled channel key, message records
-        compared field by field), so minimizing over permutations picks the
-        same winner.  Memoized per (network section, perm) — this is the
+        """The items of the packed *section* (``key[net_byte_offset:]``)
+        relabeled through *perm*, which compare like the relabeled
+        network's object-level sort key (channels by key, then records
+        field by field), so minimizing over permutations picks the same
+        winner.  Memoized per (network section, perm) — this is the
         expensive final tie-break stage, and sections recur heavily.
         """
         return self._net_key_memo[section, perm]
 
     # -- events ------------------------------------------------------------------
     def encode_event(self, event: SystemEvent) -> tuple:
-        """Flat int encoding of a system event (for cross-process records).
+        """Flat int encoding of a system event (what plans, the store and traces carry).
 
         Single-address encodings keep their historical shape; with several
         addresses the plane index is appended as one trailing lane (the
@@ -683,6 +676,18 @@ class StateCodec:
             return fields
         addr = getattr(event, "addr", 0)
         return fields + (addr,)
+
+    def relabeled_event(self, eev: tuple, perm: tuple[int, ...]) -> tuple:
+        """The event encoding *eev* with every cache ID remapped through
+        *perm* (``perm[old] = new``), through :meth:`perm_tables`: what a
+        trace's stored events are relabeled by before their one decode."""
+        t2 = self.perm_tables(perm)[2]
+        tag = eev[0]
+        if tag == 0:  # IssueAccess: a raw cache ID
+            return (0, perm[eev[1]], *eev[2:])
+        if tag == 3:  # ReorderMessage: +2-shifted channel endpoints
+            return (3, t2[eev[1]], t2[eev[2]], *eev[3:])
+        return (tag, *translate_encoded_message(eev[1:], t2))
 
     def intern_event(self, eev: tuple) -> tuple:
         """The one shared tuple equal to the event encoding *eev*.

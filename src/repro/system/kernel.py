@@ -44,10 +44,11 @@ transition is ``None`` / :data:`AMBIGUOUS`.  Only then does the kernel
 format the protocol error's text (:meth:`TransitionKernel._error`,
 :meth:`TransitionKernel._undeliverable`), from the code, the failing
 :class:`~repro.dsl.types.Action`, the lanes the transition had written so
-far and the decoded message.  The tests hold every successor and every
-error text to an independent object-level interpreter of the same
-generated protocol (``tests/verification/reference_system.py``), per state
-and per search.
+far and the decoded message; an invariant violation :meth:`check` finds
+is worded from the same lanes (:meth:`TransitionKernel.violation`).  The
+tests hold every successor, error text and violation to an independent
+object-level interpreter of the same generated protocol
+(``tests/verification/reference_system.py``), per state and per search.
 
 The layout is :mod:`repro.system.codec`'s: the kernel and the codec import
 the cache-block widths and lane offsets (``CF_*``) from
@@ -1223,7 +1224,8 @@ class TransitionKernel:
 
     # -- predicates and invariants --------------------------------------------------
     def is_quiescent(self, enc: tuple) -> bool:
-        """Encoded mirror of :meth:`repro.system.System.is_quiescent`."""
+        """True when nothing is in flight and every controller is in a
+        stable state."""
         # All sections empty <=> the suffix is exactly one zero count lane
         # per plane (a non-empty section is always longer than one lane).
         if len(enc) != self.net_offset + self.num_addresses:
@@ -1252,7 +1254,7 @@ class TransitionKernel:
         )
 
     def is_complete(self, enc: tuple) -> bool:
-        """Encoded mirror of :meth:`repro.system.System.is_complete`."""
+        """Quiescent, and every cache has exhausted its workload."""
         return self.is_quiescent(enc) and not self.workload_remaining(enc)
 
     def check(self, enc, codes: tuple) -> bool:
@@ -1260,12 +1262,12 @@ class TransitionKernel:
         *enc* (a tuple, or :meth:`StateCodec.view` of a packed key); True =
         all hold.
 
-        On False the caller decodes the state and re-runs the object
-        invariants for the exact report.  SWMR and single-owner hold per
-        address plane.  A litmus invariant is the code ``("litmus",
-        clauses)``, each clause ``(cache_id, addr, version)`` observations:
-        it fires on a complete state where a clause matches in full.
-        :data:`INV_DECODED` always reads False."""
+        On False the caller words the report through :meth:`violation`
+        (and decodes the state for :data:`INV_DECODED` only).  SWMR and
+        single-owner hold per address plane.  A litmus invariant is the
+        code ``("litmus", clauses, name)``, each clause ``(cache_id, addr,
+        version)`` observations: it fires on a complete state where a
+        clause matches in full.  :data:`INV_DECODED` always reads False."""
         permission = self.spec.cache.permission
         width = CACHE_ENCODED_WIDTH
         n = self.num_caches
@@ -1300,7 +1302,7 @@ class TransitionKernel:
                             stable_writers += 1
                     if stable_writers > 1:
                         return False
-            else:  # ("litmus", clauses)
+            else:  # ("litmus", clauses, name)
                 if complete is None:
                     complete = self.is_complete(enc)
                 if not complete:
@@ -1313,6 +1315,40 @@ class TransitionKernel:
                     ):
                         return False
         return True
+
+    def violation(self, enc, code) -> tuple[str, str] | None:
+        """``(name, detail)`` of compiled invariant *code*'s violation on
+        the lanes *enc*, or None where it holds: the wording of what
+        :meth:`check` refused, cold -- it runs once a check has failed.
+        SWMR and single owner name the caches of the first plane that
+        breaks them; a litmus code ``("litmus", clauses, name)`` names the
+        first forbidden outcome a complete state reached."""
+        stride, width = self.plane_stride, CACHE_ENCODED_WIDTH
+        if code not in (INV_SWMR, INV_SINGLE_OWNER):  # a litmus code
+            for clause in code[1] if self.is_complete(enc) else ():
+                if all(enc[a * stride + c * width + CF_LAST_OBSERVED] == v + 1
+                       for c, a, v in clause):
+                    outcome = ", ".join(f"C{c} observed v{v} at a{a}" for c, a, v in clause)
+                    return code[2], f"forbidden outcome reached: {outcome}"
+            return None
+        permission, stable = self.spec.cache.permission, self.spec.cache.stable
+        for addr in range(self.num_addresses):
+            held = [enc[addr * stride + c * width] for c in range(self.num_caches)]
+            at = f" on address {addr}" if addr else ""
+            writers = [c for c, s in enumerate(held) if permission[s] == 2]
+            if code == INV_SINGLE_OWNER:
+                owners = [c for c in writers if stable[held[c]]]
+                if len(owners) > 1:
+                    return "single-owner", (
+                        f"caches {owners} are simultaneously in a stable writable state{at}")
+                continue
+            readers = [c for c, s in enumerate(held) if permission[s] == 1]
+            if len(writers) > 1:
+                return "SWMR", f"caches {writers} hold write permission simultaneously{at}"
+            if writers and readers:
+                return "SWMR", (f"cache {writers[0]} holds write permission while "
+                                 f"caches {readers} can read{at}")
+        return None
 
 
 __all__ = [

@@ -1,29 +1,12 @@
-"""Concrete in-flight coherence messages used by the execution substrate."""
+"""Concrete in-flight coherence messages: the decoded value of a message
+record, its 10-int encoding and the relabel of an encoded record."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Node id of the directory / LLC in the system model.
 DIRECTORY_ID = -1
-
-
-def message_sort_key(message: "Message") -> tuple:
-    """Total ordering key for messages (None fields sort before integers)."""
-
-    def k(value):
-        return (0, 0) if value is None else (1, value)
-
-    return (
-        message.mtype,
-        message.src,
-        message.dst,
-        message.vnet,
-        k(message.requestor),
-        k(message.data),
-        k(message.ack_count),
-    )
-
 
 #: Number of integers in one encoded message record (see :meth:`Message.encoded`).
 MESSAGE_ENCODED_WIDTH = 10
@@ -47,8 +30,8 @@ def decode_message(fields: tuple, mtypes: tuple[str, ...]) -> "Message":
 
 
 def translate_encoded_message(fields: tuple, table: tuple[int, ...]) -> tuple:
-    """``message.relabeled(perm).encoded(...)`` computed on the encoded
-    record, through a precomputed +2-shift table.
+    """The encoded record *fields* with its cache IDs remapped through a
+    permutation, via that permutation's precomputed +2-shift table.
 
     *table* maps every encoded node-ID lane value to its relabeled value
     (``table[0] = 0`` for the absent-requestor placeholder, ``table[1] = 1``
@@ -108,16 +91,18 @@ class Message:
         return f"{self.mtype} {node(self.src)}->{node(self.dst)}{suffix}"
 
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
-        """Flat 10-int record, order-isomorphic to :func:`message_sort_key`.
+        """Flat 10-int record, in the order that defines message order.
 
-        Field layout mirrors the sort key position by position: the message
-        type becomes its index in the *sorted* type catalog (so integer order
-        matches string order), node IDs are shifted by +2 (the directory's
-        ``-1`` stays representable and ordering is preserved), and each
-        optional field becomes a ``(flag, value)`` pair exactly like the
-        ``k()`` helper of the sort key.  Comparing two encoded records
-        therefore gives the same answer as comparing the two messages'
-        sort keys -- the property the encoded canonicalization relies on.
+        Fields are ``(mtype, src, dst, vnet, requestor, data, ack_count)``
+        position by position: the message type becomes its index in the
+        *sorted* type catalog (so integer order matches string order), node
+        IDs are shifted by +2 (the directory's ``-1`` stays representable
+        and ordering is preserved), and each optional field becomes a
+        ``(flag, value)`` pair, so ``None`` sorts below every value.
+        Comparing two encoded records therefore compares the two messages
+        field by field -- the order a bag is kept in and the encoded
+        canonicalization ranks by (the tests' object-level sort key states
+        it on messages).
         """
 
         def pair(value: int | None) -> tuple[int, int]:
@@ -132,20 +117,3 @@ class Message:
             *pair(self.data),
             *pair(self.ack_count),
         )
-
-    def relabeled(self, perm: tuple[int, ...]) -> "Message":
-        """Remap every cache-ID field through *perm* (``perm[old] = new``).
-
-        The directory (and any other negative node id) is a fixed point of
-        every cache permutation.  This is the message-level hook the symmetry
-        engine (:mod:`repro.verification.engine.canonical`) uses to relabel
-        in-flight messages when it permutes a global state.
-        """
-
-        def m(i: int | None) -> int | None:
-            return i if i is None or i < 0 else perm[i]
-
-        src, dst, requestor = m(self.src), m(self.dst), m(self.requestor)
-        if (src, dst, requestor) == (self.src, self.dst, self.requestor):
-            return self
-        return replace(self, src=src, dst=dst, requestor=requestor)

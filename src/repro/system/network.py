@@ -12,21 +12,17 @@ paper:
 Both are immutable values of what is in flight: ``codec.decode`` builds
 them out of a packed key and ``codec.encode`` lays them back out, while the
 checker itself stores packed keys and splices their network sections in
-bytes (:mod:`repro.system.kernel`).  Nothing here steps a network: the
-tests' reference system delivers and sends on these values with its own
-network functions.
+bytes (:mod:`repro.system.kernel`).  Nothing here steps, relabels or
+orders a network: the tests' reference system delivers and sends on these
+values with its own network functions, and relabels and ranks them for the
+canonical form (``tests/verification/reference_system.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.system.message import (
-    MESSAGE_ENCODED_WIDTH,
-    Message,
-    decode_message,
-    message_sort_key,
-)
+from repro.system.message import MESSAGE_ENCODED_WIDTH, Message, decode_message
 
 
 class Network:
@@ -38,14 +34,6 @@ class Network:
 
     @property
     def ordered(self) -> bool:
-        raise NotImplementedError
-
-    def relabeled(self, perm: tuple[int, ...]) -> "Network":
-        """Return this network with every cache ID remapped through *perm*."""
-        raise NotImplementedError
-
-    def sort_key(self) -> tuple:
-        """Total-order key over networks (symmetry-canonicalization hook)."""
         raise NotImplementedError
 
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
@@ -75,23 +63,6 @@ class OrderedNetwork(Network):
     @property
     def ordered(self) -> bool:
         return True
-
-    def relabeled(self, perm: tuple[int, ...]) -> "OrderedNetwork":
-        channels: dict[tuple[int, int, int], tuple[Message, ...]] = {}
-        for (src, dst, vnet), msgs in self.channels:
-            key = (
-                src if src < 0 else perm[src],
-                dst if dst < 0 else perm[dst],
-                vnet,
-            )
-            channels[key] = tuple(m.relabeled(perm) for m in msgs)
-        return OrderedNetwork(channels=tuple(sorted(channels.items())))
-
-    def sort_key(self) -> tuple:
-        return tuple(
-            (key, tuple(message_sort_key(m) for m in msgs))
-            for key, msgs in self.channels
-        )
 
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
         """``(n_channels, then per channel: src+2, dst+2, vnet, count, msgs...)``.
@@ -125,7 +96,9 @@ class OrderedNetwork(Network):
 
 @dataclass(frozen=True)
 class UnorderedNetwork(Network):
-    """A bag of in-flight messages; any of them may be delivered next."""
+    """A bag of in-flight messages; any of them may be delivered next.
+
+    *messages* are in sorted order: the order of their encoded records."""
 
     messages: tuple[Message, ...] = ()
 
@@ -137,22 +110,12 @@ class UnorderedNetwork(Network):
     def ordered(self) -> bool:
         return False
 
-    def relabeled(self, perm: tuple[int, ...]) -> "UnorderedNetwork":
-        return UnorderedNetwork(
-            messages=tuple(
-                sorted((m.relabeled(perm) for m in self.messages), key=message_sort_key)
-            )
-        )
-
-    def sort_key(self) -> tuple:
-        return tuple(message_sort_key(m) for m in self.messages)
-
     def encoded(self, mtype_index: dict[str, int]) -> tuple:
         """``(n_messages, then the message records in stored order)``.
 
-        The stored order is already sorted by :func:`message_sort_key`, and
-        encoded records are order-isomorphic to that key, so the section is
-        sorted under integer comparison too.
+        The stored order is sorted, records compared as their encodings
+        (the order ``codec.decode`` reads them in), so the section is sorted
+        under integer comparison.
         """
         out = [len(self.messages)]
         for m in self.messages:

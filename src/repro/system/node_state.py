@@ -1,21 +1,17 @@
 """Immutable per-node states used in global system snapshots.
 
-Both node-state classes carry their part of the *definition* of cache-ID
-symmetry (``GlobalState.relabeled`` / ``GlobalState.sort_key``; the engine's
-canonicalizer evaluates it on encodings and the tests execute it as
-written):
-
-* ``relabeled(perm)`` -- remap every cache-ID reference held in auxiliary
-  state (saved requestor slots, directory owner / sharer sets) through a
-  cache permutation ``perm`` (``perm[old] = new``);
-* ``sort_key()`` -- a total-order key over node states: the canonical
-  representative of a global state is its relabeling with the smallest key
-  (the Murphi scalarset trick), and ``encoded`` blocks compare like it.
+Plain data plus its encoding: ``encoded`` lays a node state out as a
+fixed-width int block and ``decode_cache_block`` /
+``decode_directory_block`` read it back.  A block's lanes compare like the
+node's object-level sort key (``None`` fields below every integer, FSM
+states by name, sharers as a sorted run), which is what lets the engine
+rank cache-ID relabelings on encodings; the relabel and the sort key
+themselves are the tests' (``tests/verification/reference_system.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.dsl.types import AccessKind
 
@@ -84,35 +80,16 @@ class CacheNodeState:
     #: Number of accesses this cache has issued so far (bounds the workload).
     issued: int = 0
 
-    def relabeled(self, perm: tuple[int, ...]) -> "CacheNodeState":
-        """Remap the cache IDs in the saved-requestor slots through *perm*."""
-        saved = tuple(s if s is None or s < 0 else perm[s] for s in self.saved)
-        if saved == self.saved:
-            return self
-        return replace(self, saved=saved)
-
-    def sort_key(self) -> tuple:
-        """Total-order key (``None`` fields sort below every integer)."""
-        return (
-            self.fsm_state,
-            self.issued,
-            -1 if self.data is None else self.data,
-            -1 if self.acks_expected is None else self.acks_expected,
-            self.acks_received,
-            tuple(-1 if s is None else s for s in self.saved),
-            "" if self.pending_access is None else self.pending_access.value,
-            self.last_observed,
-        )
-
     def encoded(self, state_index: dict[str, int], access_index: dict) -> tuple:
-        """Flat fixed-width int block, order-isomorphic to :meth:`sort_key`.
+        """Flat fixed-width int block, order-isomorphic to the cache's
+        object-level sort key (see the module docstring).
 
-        Every field is shifted into the non-negative range by the exact
-        transformation the sort key applies plus a constant (``None`` maps
-        below every integer, the FSM state becomes its index in the *sorted*
-        state-name list so integer order matches string order), and fields
-        appear in sort-key order -- so comparing two encoded blocks compares
-        the two node states' sort keys.
+        Fields appear in key order -- FSM state, issued, data, acks
+        expected and received, saved slots, pending access, last observed
+        -- each shifted into the non-negative range (``None`` maps below
+        every integer, the FSM state becomes its index in the *sorted*
+        state-name list so integer order matches string order), so
+        comparing two encoded blocks compares the two node states' keys.
         """
         return (
             state_index[self.fsm_state],
@@ -135,29 +112,15 @@ class DirectoryNodeState:
     sharers: frozenset[int] = frozenset()
     memory: int = 0
 
-    def relabeled(self, perm: tuple[int, ...]) -> "DirectoryNodeState":
-        """Remap the owner and sharer cache IDs through *perm*."""
-        owner = self.owner if self.owner is None or self.owner < 0 else perm[self.owner]
-        sharers = frozenset(s if s < 0 else perm[s] for s in self.sharers)
-        if owner == self.owner and sharers == self.sharers:
-            return self
-        return replace(self, owner=owner, sharers=sharers)
-
-    def sort_key(self) -> tuple:
-        return (
-            self.fsm_state,
-            -2 if self.owner is None else self.owner,
-            tuple(sorted(self.sharers)),
-            self.memory,
-        )
-
     def encoded(self, state_index: dict[str, int], num_caches: int) -> tuple:
-        """Flat ``3 + num_caches``-int block, order-isomorphic to :meth:`sort_key`.
+        """Flat ``3 + num_caches``-int block, order-isomorphic to the
+        directory's object-level sort key (FSM state, owner, sorted
+        sharers, memory).
 
         The sharer set becomes a fixed-width ascending run padded with zeros;
         since every encoded sharer is ``>= 2`` and a shorter sorted tuple that
         is a prefix of a longer one must compare smaller, the zero padding
-        preserves the sort key's variable-length tuple ordering.
+        preserves the sorted tuple's variable-length ordering.
         """
         sharers = sorted(self.sharers)
         return (

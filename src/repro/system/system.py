@@ -8,11 +8,12 @@ model the paper verifies with Murphi: a small number of caches, a single
 cache block, non-deterministic core accesses bounded per cache, and
 non-deterministic message delivery.
 
-What a transition does is the compiled kernel's (:meth:`System.kernel`),
-which steps encoded states.  This module holds the vocabulary the kernel's
-results are reported in: the :class:`GlobalState` a state decodes to (what
-invariants and counterexamples read), the :class:`SystemEvent` kinds a trace
-is made of, and the predicates over decoded states.
+What a transition does and what a state satisfies is the compiled
+kernel's (:meth:`System.kernel`), on encoded states.  This module holds, as
+plain data, the vocabulary its results are reported in: the
+:class:`GlobalState` a state decodes to and the :class:`SystemEvent` kinds
+a trace is made of.  The object-level predicates, relabel and sort key are
+the tests' (``tests/verification/reference_system.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.core.fsm import GeneratedProtocol
-from repro.dsl.types import AccessKind, Permission
+from repro.dsl.types import AccessKind
 from repro.system.message import Message
 from repro.system.network import Network, make_network
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
@@ -38,11 +39,9 @@ class GlobalState:
 
     Cache IDs are interchangeable (the workload and the protocol treat all
     caches identically), so global states that differ only by a renaming of
-    the caches are behaviourally equivalent.  ``relabeled`` applies such a
-    renaming consistently -- to the cache tuple itself and to every cache-ID
-    reference buried in directory auxiliary state and in-flight messages --
-    and ``sort_key`` provides the total order the verification engine uses
-    to pick one representative per equivalence class.
+    the caches are behaviourally equivalent; the engine picks one
+    representative per equivalence class on encodings
+    (:mod:`repro.verification.engine.canonical`).
 
     Multi-address systems hold one protocol *plane* per address: ``caches``
     grows address-major (``caches[addr * num_caches + cache_id]``) and the
@@ -61,37 +60,6 @@ class GlobalState:
     extra_versions: tuple[int, ...] = ()
     extra_networks: tuple[Network, ...] = ()
     faults_used: int = 0
-
-    def relabeled(self, perm: tuple[int, ...]) -> "GlobalState":
-        """Apply the cache permutation *perm* (``perm[old] = new``) everywhere."""
-        n = len(perm)
-        caches: list[CacheNodeState | None] = [None] * len(self.caches)
-        for idx, cache in enumerate(self.caches):
-            plane = idx - idx % n
-            caches[plane + perm[idx % n]] = cache.relabeled(perm)
-        return GlobalState(
-            caches=tuple(caches),  # type: ignore[arg-type]
-            directory=self.directory.relabeled(perm),
-            network=self.network.relabeled(perm),
-            latest_version=self.latest_version,
-            extra_dirs=tuple(d.relabeled(perm) for d in self.extra_dirs),
-            extra_versions=self.extra_versions,
-            extra_networks=tuple(nw.relabeled(perm) for nw in self.extra_networks),
-            faults_used=self.faults_used,
-        )
-
-    def sort_key(self) -> tuple:
-        """Total-order key over global states (canonicalization hook)."""
-        return (
-            tuple(c.sort_key() for c in self.caches),
-            self.directory.sort_key(),
-            self.network.sort_key(),
-            self.latest_version,
-            tuple(d.sort_key() for d in self.extra_dirs),
-            self.extra_versions,
-            tuple(n.sort_key() for n in self.extra_networks),
-            self.faults_used,
-        )
 
 
 @dataclass(frozen=True)
@@ -394,55 +362,3 @@ class System:
         ``perm`` of where ``e`` leads from ``s``.
         """
         return tuple(itertools.permutations(range(self.num_caches)))
-
-    # -- predicates ----------------------------------------------------------------
-    def is_quiescent(self, state: GlobalState) -> bool:
-        """True when nothing is in flight and every controller is in a stable state."""
-        if not state.network.empty:
-            return False
-        if any(not network.empty for network in state.extra_networks):
-            return False
-        if not self.protocol.directory.state(state.directory.fsm_state).is_stable:
-            return False
-        if any(
-            not self.protocol.directory.state(d.fsm_state).is_stable
-            for d in state.extra_dirs
-        ):
-            return False
-        return all(
-            self.protocol.cache.state(c.fsm_state).is_stable for c in state.caches
-        )
-
-    def is_complete(self, state: GlobalState) -> bool:
-        """Quiescent and every cache has exhausted its workload."""
-        if not self.is_quiescent(state):
-            return False
-        if isinstance(self.workload, LitmusWorkload):
-            n = self.num_caches
-            return all(
-                sum(
-                    state.caches[addr * n + cache_id].issued
-                    for addr in range(self.num_addresses)
-                )
-                >= len(self.workload.programs[cache_id])
-                for cache_id in range(n)
-            )
-        return all(
-            c.issued >= self.workload.max_accesses_per_cache for c in state.caches
-        )
-
-    def writers_and_readers(
-        self, state: GlobalState, addr: int = 0
-    ) -> tuple[list[int], list[int]]:
-        """Cache IDs currently holding write / read permission on *addr*."""
-        writers: list[int] = []
-        readers: list[int] = []
-        base = addr * self.num_caches
-        for cache_id in range(self.num_caches):
-            cache = state.caches[base + cache_id]
-            permission = self.protocol.cache.state(cache.fsm_state).permission
-            if permission is Permission.READ_WRITE:
-                writers.append(cache_id)
-            elif permission is Permission.READ:
-                readers.append(cache_id)
-        return writers, readers

@@ -548,8 +548,9 @@ class VectorizedKernel:
     def packed_tails(self, sids) -> list:
         """The packed tail of each section ID in *sids* (a sequence of
         ints), rebuilt from its vector (columns in order, each cell's
-        records in order) where the boundary cache does not hold it: the
-        boundary out of the batch kernel, a batch at a time."""
+        records in order, laid out by :meth:`StateCodec.packed_section`)
+        where the boundary cache does not hold it: the boundary out of the
+        batch kernel, a batch at a time."""
         memo = self._packed
         tails = list(map(memo.get, sids))
         missing = [k for k, tail in enumerate(tails) if tail is None]
@@ -557,22 +558,19 @@ class VectorizedKernel:
             vectors = self._sections.rows(self.np.uint32)[
                 [sids[k] for k in missing]
             ].tolist()
-            ordered = self.codec.ordered
+            codec = self.codec
             cells = self._cells
             recs = self._recs
             for k, vector in zip(missing, vectors):
-                lanes = [0]
-                for cell in filter(None, vector):
-                    rids = cells[cell]
-                    if ordered:
-                        lanes[0] += 1
-                        lanes.extend(recs[rids[0]][1:4])
-                        lanes.append(len(rids))
-                    else:
-                        lanes[0] += len(rids)
-                    for rid in rids:
-                        lanes.extend(recs[rid])
-                tails[k] = memo.store(sids[k], self.codec.pack(lanes))
+                groups = [cells[cell] for cell in vector if cell]
+                if codec.ordered:
+                    items = [
+                        (*recs[rids[0]][1:4], [recs[rid] for rid in rids])
+                        for rids in groups
+                    ]
+                else:
+                    items = [recs[rid] for rids in groups for rid in rids]
+                tails[k] = memo.store(sids[k], codec.packed_section(items))
         return tails
 
     # -- rows: a whole state as one fixed-width vector of IDs -----------------------

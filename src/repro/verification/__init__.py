@@ -20,7 +20,6 @@ states are interned in a compact, exact store, and
 from repro.verification.engine import (
     StateStore,
     VerificationResult,
-    relabel_event,
     verify,
 )
 from repro.verification.invariants import (
@@ -53,7 +52,6 @@ __all__ = [
     "default_invariants",
     "message_passing",
     "random_walk",
-    "relabel_event",
     "single_owner_invariant",
     "store_buffering",
     "swmr_invariant",

@@ -20,8 +20,8 @@ else plugs into it:
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation
   algebra and the one scalarset-style canonicalizer
   (:func:`canonicalizer_for`: the smallest relabeling of a state, evaluated
-  on encodings; the definition itself, ``GlobalState.relabeled`` +
-  ``sort_key``, is executed only by the tests that check it);
+  on encodings; the definition itself, over object-level relabels and
+  sort keys, is executed only by the tests that check it);
 * :mod:`~repro.verification.engine.store` -- interned state store with
   columnar parent links: the one, exact, visited set of an in-process
   search;
@@ -40,7 +40,6 @@ from repro.verification.engine.canonical import (
     compose,
     identity_permutation,
     invert,
-    relabel_event,
 )
 from repro.verification.engine.checkpoint import CheckpointMismatch
 from repro.verification.engine.core import Exploration, VerificationResult, verify
@@ -58,6 +57,5 @@ __all__ = [
     "compose",
     "identity_permutation",
     "invert",
-    "relabel_event",
     "verify",
 ]

@@ -7,50 +7,46 @@ caches of a reachable global state therefore yields another reachable global
 state with identical invariant verdicts -- exactly the property Murphi
 exploits with ``scalarset`` types.
 
-**The definition** lives on the object model and is three lines long: the
-representative of a state is its smallest relabeling,
-``min(perms, key=lambda p: state.relabeled(p).sort_key())`` -- the first
-minimum in permutation order, so ties resolve to the identity and a
-representative canonicalizes to itself.  De-duplicating on representatives
-shrinks the explored state space by up to ``num_caches!`` while preserving
-every verdict (safety violations, protocol errors, deadlocks).
+**The definition** is one line: the representative of a state is its
+smallest relabeling -- the relabeled state whose key (cache blocks, then
+directory, then network) is least, the first minimum in permutation order,
+so ties resolve to the identity and a representative canonicalizes to
+itself.  De-duplicating on representatives shrinks the explored state
+space by up to ``num_caches!`` while preserving every verdict (safety
+violations, protocol errors, deadlocks).
 
 **The implementation** is :class:`EncodedCanonicalizer`, the only
 canonicalizer in ``src/``: it evaluates that definition on packed
-:class:`~repro.system.codec.StateCodec` keys (their lanes order-isomorphic
-to ``sort_key``) without building a relabeled state or unpacking a key.
+:class:`~repro.system.codec.StateCodec` keys (their blocks
+order-isomorphic to the object-level sort keys) without building a
+relabeled state or unpacking a key.
 One rule decides most states from their cache blocks alone: rank the
 permutations position by position, in permutation order, each block
 translated through a per-block table and each region ranked once into a
 memo.  Staged tie-breaks on memoized keys decide the rest, and the
 representative's key is two memoized byte strings concatenated.  Every
 search, :meth:`Exploration.seed` and ``random_walk``'s coverage count
-obtain it through :func:`canonicalizer_for`.  The definition itself is executed only
-by the tests (``reference_canonicalize`` in
-``tests/verification/verification_helpers.py``), which pin the two to the
-same representative *and* witness permutation.
+obtain it through :func:`canonicalizer_for`.  The definition itself --
+with the object-level relabel and sort keys it is written in -- is
+executed only by the tests (``reference_canonicalize`` in
+``tests/verification/verification_helpers.py``, over
+``tests/verification/reference_system.py``), which pin the two to the same
+representative *and* witness permutation.
 
 Permutations are tuples with ``perm[old_id] = new_id``.  The helpers here are
 the small group-theory toolkit the engine needs to keep counterexample traces
 valid: every stored transition records the permutation that canonicalized its
-successor, and :mod:`repro.verification.engine.core` relabels events back
-through the inverse of the accumulated permutation chain.
+successor, and :mod:`repro.verification.engine.core` relabels event
+encodings back through the inverse of the accumulated permutation chain
+(:meth:`~repro.system.codec.StateCodec.relabeled_event`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from repro.system.codec import Memo
 from repro.system.node_state import CF_PENDING, CF_SAVED
-from repro.system.system import (
-    DeliverMessage,
-    DuplicateMessage,
-    IssueAccess,
-    ReorderMessage,
-    SystemEvent,
-)
 
 Permutation = tuple[int, ...]
 
@@ -70,34 +66,6 @@ def invert(perm: Permutation) -> Permutation:
 def compose(outer: Permutation, inner: Permutation) -> Permutation:
     """``compose(p, q)[i] == p[q[i]]`` (apply *inner* first, then *outer*)."""
     return tuple(outer[inner[i]] for i in range(len(inner)))
-
-
-def relabel_event(event: SystemEvent, perm: Permutation | None) -> SystemEvent:
-    """Remap the cache IDs mentioned by *event* through *perm*."""
-    if perm is None:
-        return event
-    if isinstance(event, IssueAccess):
-        new_id = event.cache_id if event.cache_id < 0 else perm[event.cache_id]
-        if new_id == event.cache_id:
-            return event
-        return replace(event, cache_id=new_id)
-    if isinstance(event, DeliverMessage):
-        message = event.message.relabeled(perm)
-        if message is event.message:
-            return event
-        return DeliverMessage(message=message, addr=event.addr)
-    if isinstance(event, DuplicateMessage):
-        message = event.message.relabeled(perm)
-        if message is event.message:
-            return event
-        return DuplicateMessage(message=message, addr=event.addr)
-    if isinstance(event, ReorderMessage):
-        src = event.src if event.src < 0 else perm[event.src]
-        dst = event.dst if event.dst < 0 else perm[event.dst]
-        if src == event.src and dst == event.dst:
-            return event
-        return replace(event, src=src, dst=dst)
-    return event
 
 
 class EncodedCanonicalizer:

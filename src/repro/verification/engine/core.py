@@ -36,9 +36,8 @@ from repro.verification.engine.canonical import (
     canonicalizer_for,
     compose,
     invert,
-    relabel_event,
 )
-from repro.verification.engine.driver import first_violation
+from repro.verification.engine.driver import first_violation, violations
 from repro.verification.engine.store import StateStore
 from repro.verification.invariants import (
     Invariant,
@@ -275,9 +274,10 @@ class Exploration:
 
     # -- trace reconstruction ----------------------------------------------------
     def trace_events(
-        self, leaf_id: int, final_event: SystemEvent | None = None
-    ) -> list[SystemEvent]:
-        """Rebuild the root-to-leaf event sequence in the *concrete* frame.
+        self, leaf_id: int, final_event: tuple | None = None
+    ) -> list[tuple]:
+        """The root-to-leaf event encodings in the *concrete* frame, then
+        *final_event* (an encoding too) when given.
 
         The store records events in the frame of each canonical parent.  Let
         ``sigma_i`` be the accumulated permutation mapping the concrete run
@@ -286,24 +286,20 @@ class Exploration:
         the stored event relabeled through ``sigma_i`` **inverse**, and
         ``sigma_{i+1} = perm_{i+1} . sigma_i`` where ``perm_{i+1}`` is the
         permutation that canonicalized the raw successor.  The resulting
-        sequence steps through the kernel from :meth:`System.initial_state`.
+        sequence steps through the kernel from :meth:`System.initial_state`;
+        :meth:`failure` decodes each encoding once, for the report.
         """
         links = self.store.chain(leaf_id)
+        if final_event is not None:
+            links.append((final_event, None))
         # links[0] belongs to the root: no event, just its canonicalizing perm.
         sigma = links[0][1]
-        events: list[SystemEvent] = []
-        decode_event = self.codec.decode_event
+        relabel = self.codec.relabeled_event
+        events: list[tuple] = []
         for eev, perm in links[1:]:
-            # The store holds codec event encodings; traces are their only
-            # consumer, so they decode lazily -- here, on failure.
-            event = decode_event(eev)
-            events.append(relabel_event(event, None if sigma is None else invert(sigma)))
+            events.append(eev if sigma is None else relabel(eev, invert(sigma)))
             if perm is not None:
                 sigma = perm if sigma is None else compose(perm, sigma)
-        if final_event is not None:
-            events.append(
-                relabel_event(final_event, None if sigma is None else invert(sigma))
-            )
         return events
 
     # -- result constructors -----------------------------------------------------
@@ -384,7 +380,7 @@ class Exploration:
 
     def _concretized(
         self,
-        events: list[SystemEvent],
+        events: list[tuple],
         violation: InvariantViolation | None,
         error: str | None,
     ) -> tuple[InvariantViolation | None, str | None]:
@@ -393,15 +389,14 @@ class Exploration:
         Under symmetry reduction the violation/error was produced while
         inspecting a *canonical* state, so its text mentions canonical cache
         IDs; the reconstructed trace, however, is relabeled to the concrete
-        frame.  Stepping the kernel through the trace once -- each event
-        matched to its plan by its encoding -- regenerates the same verdict
-        with IDs consistent with the reported events; the last state is
-        decoded only for a violation's invariants.
+        frame.  Stepping the kernel through the trace's event encodings
+        once -- each matched to its plan -- regenerates the same verdict
+        with IDs consistent with the reported events; a violation is worded
+        again on the last key's lanes (:func:`violations`).
         """
         codec, kernel = self.codec, self.kernel
         key = codec.encode_packed(self.system.initial_state())
-        for event in events:
-            eev = codec.encode_event(event)
+        for eev in events:
             plans, net = kernel.enabled(key)
             plan = next(plan for plan in plans if plan[1] == eev)
             key = plan[0](key, plan, net)
@@ -409,10 +404,10 @@ class Exploration:
                 # Error traces end with the failing event by construction.
                 return violation, key
         if violation is not None:
-            state = codec.decode_packed(key)
-            for invariant in self.invariants:
-                concrete = invariant(self.system, state)
-                if concrete is not None and concrete.name == violation.name:
+            for concrete in violations(
+                self.system, self.invariants, self.kernel_codes, codec.unpack(key)
+            ):
+                if concrete.name == violation.name:
                     return concrete, error
         return violation, error
 
@@ -420,16 +415,19 @@ class Exploration:
         self,
         *,
         leaf_id: int | None = None,
-        final_event: SystemEvent | None = None,
+        final_event: tuple | None = None,
         violation: InvariantViolation | None = None,
         error: str | None = None,
         deadlock: bool = False,
     ) -> VerificationResult:
-        events = (
+        """The failing result; *final_event* is the encoding (``plan[1]``)
+        of the event that raised *error*."""
+        encodings = (
             self.trace_events(leaf_id, final_event) if leaf_id is not None else []
         )
-        if self.perms is not None and events:
-            violation, error = self._concretized(events, violation, error)
+        if self.perms is not None and encodings:
+            violation, error = self._concretized(encodings, violation, error)
+        events = list(map(self.codec.decode_event, encodings))
         return self._result(
             False,
             violation=violation,

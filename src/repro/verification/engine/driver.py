@@ -43,24 +43,38 @@ from __future__ import annotations
 
 from time import perf_counter
 
+from repro.system.kernel import INV_DECODED
 from repro.verification.engine import checkpoint as checkpoint_mod
 from repro.verification.engine.canonical import canonicalizer_for
+from repro.verification.invariants import InvariantViolation
 
 
 def first_violation(system, invariants, codes, enc):
     """The first of *invariants* (compiled to *codes*) the state with lanes
     *enc* violates, or None.  The kernel's encoded check answers first;
-    where it does not vouch for the state (a violation, or a predicate with
-    no encoded evaluator) the state is decoded and every invariant walked
-    in order."""
+    where it does not vouch for the state, :func:`violations` words the
+    first failure."""
     if system.kernel().check(enc, codes):
         return None
-    state = system.codec().decode(enc)
-    for invariant in invariants:
-        violation = invariant(system, state)
+    return next(violations(system, invariants, codes, enc), None)
+
+
+def violations(system, invariants, codes, enc):
+    """Each violation of *invariants* (compiled to *codes*) on the lanes
+    *enc*, in order: worded by the kernel, or -- for an ``INV_DECODED``
+    predicate only -- by the predicate on the state decoded once."""
+    kernel = system.kernel()
+    state = None
+    for invariant, code in zip(invariants, codes):
+        if code == INV_DECODED:
+            if state is None:
+                state = system.codec().decode(enc)
+            violation = invariant(system, state)
+        else:
+            worded = kernel.violation(enc, code)
+            violation = None if worded is None else InvariantViolation(*worded)
         if violation is not None:
-            return violation
-    return None
+            yield violation
 
 
 def start_point(ctx):
@@ -136,8 +150,8 @@ class CompiledExpander(Expander):
     ``expand`` calls :meth:`TransitionKernel.enabled` once per state, on its
     key, and each plan's handler once per transition, which returns the
     successor's key: no lanes are built for a state unless it is a leaf or
-    new (its invariant check).  Nothing
-    decodes until a failure is reported (asserted by the codec's
+    new (its invariant check).  Nothing decodes, failures included, but
+    for a predicate with no compiled code (asserted by the codec's
     ``decode_count`` instrumentation)."""
 
     def __init__(self, ctx):
@@ -206,8 +220,7 @@ class CompiledExpander(Expander):
                 key = plan[0](packed, plan, net)
                 if type(key) is str:  # the protocol error's text
                     return None, ctx.failure(
-                        error=key, leaf_id=sid,
-                        final_event=codec.decode_event(plan[1]),
+                        error=key, leaf_id=sid, final_event=plan[1],
                     )
                 perm = None
                 if canonicalize is not None:
@@ -227,4 +240,5 @@ class CompiledExpander(Expander):
         return successors, None
 
 
-__all__ = ["CompiledExpander", "Expander", "drive", "first_violation", "start_point"]
+__all__ = ["CompiledExpander", "Expander", "drive", "first_violation", "start_point",
+           "violations"]

@@ -263,9 +263,8 @@ class _WorkerState:
         elif deadlock:
             self.failures.append((self.ids[leaf_id], -1, "dead", None))
         else:
-            eev = self.codec.encode_event(final_event)
             self.failures.append(
-                (self.ids[leaf_id], self.transitions, "err", (eev, error))
+                (self.ids[leaf_id], self.transitions, "err", (final_event, error))
             )
         return True
 
@@ -574,8 +573,7 @@ class ShmEngine(Expander):
             return ctx.failure(deadlock=True, leaf_id=sid)
         if kind == "err":
             eev, message = payload
-            final_event = ctx.codec.decode_event(eev)
-            return ctx.failure(error=message, leaf_id=sid, final_event=final_event)
+            return ctx.failure(error=message, leaf_id=sid, final_event=eev)
         violation, eev, perm_idx = payload
         leaf_id = ctx.store.append_link(sid, eev, self.perm_table[perm_idx])
         return ctx.failure(violation=violation, leaf_id=leaf_id)

@@ -1,6 +1,7 @@
-"""Tests for the whole-system model: construction and the predicates over
-decoded states.  What events do is the kernel's; the tests hold it to the
-reference system (``tests/verification/reference_system.py``)."""
+"""Tests for the whole-system model: construction and the initial state.
+What events do, and every predicate over a state, is the kernel's; the
+tests hold it to the reference system
+(``tests/verification/reference_system.py``)."""
 
 import pytest
 
@@ -18,8 +19,9 @@ class TestInitialState:
         assert all(c.fsm_state == "I" for c in state.caches)
         assert state.directory.fsm_state == "I"
         assert state.network.empty
-        assert system.is_quiescent(state)
-        assert not system.is_complete(state)
+        enc = system.codec().encode(state)
+        assert system.kernel().is_quiescent(enc)
+        assert not system.kernel().is_complete(enc)
 
     def test_initial_state_is_hashable(self, system):
         assert hash(system.initial_state()) == hash(system.initial_state())
@@ -29,20 +31,14 @@ class TestInitialState:
             System(msi_nonstalling, num_caches=0)
 
 
-class TestPermissions:
-    def test_writers_and_readers(self, system):
-        state = system.initial_state()
-        writers, readers = system.writers_and_readers(state)
-        assert writers == [] and readers == []
-
-
 def test_system_holds_no_second_interpretation():
     """The compiled kernel is the one production interpretation of a
-    protocol: no object-level executor or event half is left in the
-    package."""
+    protocol: no object-level executor, event half or predicate is left in
+    the package."""
     import importlib
 
-    assert not hasattr(System, "apply")
-    assert not hasattr(System, "enabled_events")
+    for name in ("apply", "enabled_events", "is_quiescent", "is_complete",
+                 "writers_and_readers"):
+        assert not hasattr(System, name), name
     with pytest.raises(ImportError):
         importlib.import_module("repro.system.executor")

@@ -13,15 +13,16 @@ enabled in a :class:`~repro.system.system.GlobalState` and what applying
 one does -- over the same ``System`` configuration ``verify()`` takes --
 with its own network (:func:`send`, :func:`deliver`, :func:`duplicate`,
 :func:`reorder` ...), the one oracle every network splice of both kernels
-is held to.
+is held to -- its own state predicates and invariants, restated from the
+paper (:func:`restated`), and the relabel and order that define the
+canonical form (:func:`relabeled`, :func:`sort_key`).
 
 It shares with the engine the configuration, the state and network value
-dataclasses (which it steps itself) and the guard vocabulary
-(:data:`repro.core.fsm.GUARD_CODES`), and nothing else: no codec, no
-kernel.  ``reference_search`` / ``replay_and_check`` /
-``sample_reachable_states`` (``verification_helpers``) run on it, and the
-per-state parity checks pin the kernel to its successors, event order and
-error texts.
+dataclasses, the guard vocabulary (:data:`repro.core.fsm.GUARD_CODES`) and
+the invariants' names, and nothing else: no codec, no kernel.
+``reference_search`` / ``replay_and_check`` / ``sample_reachable_states``
+(``verification_helpers``) run on it, and the per-state parity checks pin
+the kernel to its successors, event order, error texts and violations.
 
 Guard semantics
 ---------------
@@ -64,6 +65,7 @@ from repro.dsl.types import (
     IncrementAcksReceived,
     InvalidateData,
     PerformAccess,
+    Permission,
     RemoveRequestorFromSharers,
     ResetAckCounters,
     SaveRequestor,
@@ -72,7 +74,7 @@ from repro.dsl.types import (
     SetOwnerToRequestor,
     WriteDataToMemory,
 )
-from repro.system.message import DIRECTORY_ID, Message, message_sort_key
+from repro.system.message import DIRECTORY_ID, Message
 from repro.system.network import Network, OrderedNetwork, UnorderedNetwork
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 from repro.system.system import (
@@ -84,6 +86,12 @@ from repro.system.system import (
     ReorderMessage,
     System,
     SystemEvent,
+)
+from repro.verification import (
+    InvariantViolation,
+    LitmusInvariant,
+    single_owner_invariant,
+    swmr_invariant,
 )
 
 
@@ -517,6 +525,75 @@ def reorder(network: Network, src: int, dst: int, vnet: int, i: int) -> Network:
 
 
 # ---------------------------------------------------------------------------
+# Cache-ID symmetry: the relabel and the total order the canonical form is
+# defined by (``reference_canonicalize``: the smallest relabeling)
+# ---------------------------------------------------------------------------
+
+
+def message_sort_key(m: Message) -> tuple:
+    """Messages in field order, ``None`` below every value."""
+    def k(value):
+        return (0, 0) if value is None else (1, value)
+
+    return (m.mtype, m.src, m.dst, m.vnet, k(m.requestor), k(m.data), k(m.ack_count))
+
+
+def relabeled(state: GlobalState, perm: tuple[int, ...]) -> GlobalState:
+    """*state* with every cache ID -- cache positions, saved requestors,
+    directory owner and sharers, message endpoints and requestors --
+    remapped through *perm* (``perm[old] = new``); the directory is a
+    fixed point, and sorted collections are sorted again."""
+    def node(i):
+        return i if i is None or i < 0 else perm[i]
+
+    def message(m):
+        return replace(m, src=node(m.src), dst=node(m.dst), requestor=node(m.requestor))
+
+    def directory(d):
+        return replace(d, owner=node(d.owner), sharers=frozenset(map(node, d.sharers)))
+
+    def network(nw):
+        if not nw.ordered:
+            return UnorderedNetwork(tuple(sorted(map(message, nw.messages), key=message_sort_key)))
+        return OrderedNetwork(tuple(sorted(
+            ((node(src), node(dst), vnet), tuple(map(message, queue)))
+            for (src, dst, vnet), queue in nw.channels)))
+
+    n = len(perm)
+    caches = [None] * len(state.caches)
+    for idx, cache in enumerate(state.caches):
+        caches[idx - idx % n + perm[idx % n]] = replace(cache, saved=tuple(map(node, cache.saved)))
+    return replace(
+        state, caches=tuple(caches), directory=directory(state.directory),
+        network=network(state.network), extra_dirs=tuple(map(directory, state.extra_dirs)),
+        extra_networks=tuple(map(network, state.extra_networks)))
+
+
+def sort_key(state: GlobalState) -> tuple:
+    """The total order over global states: caches, directory, network,
+    version, then the extra planes and the fault count; ``None`` sorts
+    below every value."""
+    def cache(c):
+        return (c.fsm_state, c.issued, -1 if c.data is None else c.data,
+                -1 if c.acks_expected is None else c.acks_expected, c.acks_received,
+                tuple(-1 if s is None else s for s in c.saved),
+                "" if c.pending_access is None else c.pending_access.value, c.last_observed)
+
+    def directory(d):
+        return (d.fsm_state, -2 if d.owner is None else d.owner, tuple(sorted(d.sharers)), d.memory)
+
+    def network(nw):
+        if not nw.ordered:
+            return tuple(map(message_sort_key, nw.messages))
+        return tuple((key, tuple(map(message_sort_key, queue))) for key, queue in nw.channels)
+
+    return (tuple(map(cache, state.caches)), directory(state.directory),
+            network(state.network), state.latest_version,
+            tuple(map(directory, state.extra_dirs)), state.extra_versions,
+            tuple(map(network, state.extra_networks)), state.faults_used)
+
+
+# ---------------------------------------------------------------------------
 # The whole system: enabled events and their outcomes
 # ---------------------------------------------------------------------------
 
@@ -604,6 +681,28 @@ class ReferenceSystem(System):
                 versions[addr - 1] = version
                 changes["extra_versions"] = tuple(versions)
         return replace(state, **changes)
+
+    # -- predicates -------------------------------------------------------------
+    def is_quiescent(self, state: GlobalState) -> bool:
+        """Nothing in flight, and every controller in a stable state."""
+        return (
+            not any(map(in_flight, (state.network, *state.extra_networks)))
+            and all(self.protocol.directory.state(d.fsm_state).is_stable
+                    for d in (state.directory, *state.extra_dirs))
+            and all(self.protocol.cache.state(c.fsm_state).is_stable for c in state.caches)
+        )
+
+    def is_complete(self, state: GlobalState) -> bool:
+        """Quiescent, and every cache has exhausted its workload."""
+        if not self.is_quiescent(state):
+            return False
+        n = self.num_caches
+        if isinstance(self.workload, LitmusWorkload):
+            return all(
+                sum(state.caches[addr * n + cid].issued for addr in range(self.num_addresses))
+                >= len(program)
+                for cid, program in enumerate(self.workload.programs))
+        return all(c.issued >= self.workload.max_accesses_per_cache for c in state.caches)
 
     # -- event enumeration ------------------------------------------------------
     def enabled_events(self, state: GlobalState) -> list[SystemEvent]:
@@ -917,3 +1016,73 @@ def reference(system: System) -> ReferenceSystem:
         num_addresses=system.num_addresses,
         faults=system.faults,
     )
+
+
+# ---------------------------------------------------------------------------
+# The invariants, restated from the paper over the objects
+# ---------------------------------------------------------------------------
+
+
+def _held(system: ReferenceSystem, state: GlobalState, addr: int) -> list:
+    """The FSM state of each cache on address *addr*."""
+    n = system.num_caches
+    return [system.protocol.cache.state(c.fsm_state)
+            for c in state.caches[addr * n : (addr + 1) * n]]
+
+
+def swmr(system: ReferenceSystem, state: GlobalState) -> InvariantViolation | None:
+    """Single writer, multiple readers, per address: at most one cache may
+    write a block, and none may read it while one can write."""
+    for addr in range(system.num_addresses):
+        held = _held(system, state, addr)
+        writers = [cid for cid, s in enumerate(held) if s.permission is Permission.READ_WRITE]
+        readers = [cid for cid, s in enumerate(held) if s.permission is Permission.READ]
+        at = f" on address {addr}" if addr else ""
+        if len(writers) > 1:
+            return InvariantViolation(
+                "SWMR", f"caches {writers} hold write permission simultaneously{at}")
+        if writers and readers:
+            return InvariantViolation("SWMR", f"cache {writers[0]} holds write "
+                                      f"permission while caches {readers} can read{at}")
+    return None
+
+
+def single_owner(system: ReferenceSystem, state: GlobalState) -> InvariantViolation | None:
+    """Per address, at most one cache in a stable state with write permission."""
+    for addr in range(system.num_addresses):
+        owners = [cid for cid, s in enumerate(_held(system, state, addr))
+                  if s.is_stable and s.permission is Permission.READ_WRITE]
+        if len(owners) > 1:
+            at = f" on address {addr}" if addr else ""
+            return InvariantViolation("single-owner", f"caches {owners} are "
+                                      f"simultaneously in a stable writable state{at}")
+    return None
+
+
+def forbidden_outcome(invariant: LitmusInvariant):
+    """*invariant*'s litmus check: a complete state where each ``(c, a, v)``
+    of a clause holds -- cache ``c`` last saw version ``v`` of ``a``."""
+    def check(system: ReferenceSystem, state: GlobalState) -> InvariantViolation | None:
+        if not system.is_complete(state):
+            return None
+        n = system.num_caches
+        for clause in invariant.clauses:
+            if all(state.caches[a * n + c].last_observed == v for c, a, v in clause):
+                outcome = ", ".join(f"C{c} observed v{v} at a{a}" for c, a, v in clause)
+                return InvariantViolation(invariant.name, f"forbidden outcome reached: {outcome}")
+        return None
+
+    return check
+
+
+def restated(invariants) -> tuple:
+    """The restatement here of each of *invariants* (``verify()``'s default
+    pair when ``None``); a test's own object-level predicate as it is."""
+    if invariants is None:
+        return (swmr, single_owner)
+    return tuple(
+        swmr if invariant is swmr_invariant
+        else single_owner if invariant is single_owner_invariant
+        else forbidden_outcome(invariant) if isinstance(invariant, LitmusInvariant)
+        else invariant
+        for invariant in invariants)

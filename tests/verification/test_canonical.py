@@ -25,7 +25,6 @@ import pytest
 
 from repro import protocols
 from repro.system import System, Workload
-from repro.verification import default_invariants, relabel_event
 from repro.verification.engine.canonical import (
     EncodedCanonicalizer,
     canonicalizer_for,
@@ -34,7 +33,7 @@ from repro.verification.engine.canonical import (
     invert,
 )
 
-from reference_system import reference
+from reference_system import reference, relabeled, restated, sort_key
 from verification_helpers import (
     LATE_ABSORB_STATES,
     has_saved_ids,
@@ -43,6 +42,12 @@ from verification_helpers import (
     sample_reachable_states,
     workload_for,
 )
+
+
+def _relabeled_event(system, event, perm):
+    """*event* relabeled as a trace's are: its encoding, by the codec."""
+    codec = system.codec()
+    return codec.decode_event(codec.relabeled_event(codec.encode_event(event), perm))
 
 
 def _system(protocol, num_caches=3):
@@ -154,8 +159,7 @@ def test_region_records_say_what_the_cache_blocks_alone_decide(msi_nonstalling):
         enc = codec.encode(state)
         if not has_saved_ids(codec, enc):
             continue
-        keys = {p: tuple(c.sort_key() for c in state.relabeled(p).caches)
-                for p in perms}
+        keys = {p: sort_key(relabeled(state, p))[0] for p in perms}
         minimal = tuple(p for p in perms if keys[p] == min(keys.values()))
         record = canonicalizer.orbit_for(codec.pack(enc[: codec.dir_offset]))
         if len(minimal) > 1:
@@ -165,8 +169,8 @@ def test_region_records_say_what_the_cache_blocks_alone_decide(msi_nonstalling):
             assert record is canonicalizer.identity_orbit
             seen.add("identity")
         else:
-            relabeled = codec.encode(state.relabeled(minimal[0]))
-            assert record == (minimal[0], codec.pack(relabeled[: codec.dir_offset]))
+            moved = codec.encode(relabeled(state, minimal[0]))
+            assert record == (minimal[0], codec.pack(moved[: codec.dir_offset]))
             seen.add("unique")
     assert seen == {"tied", "identity", "unique"}, "sample missed a record shape"
 
@@ -214,8 +218,7 @@ class TestCanonicalizationProperties:
         for state in states:
             rep, _ = production_canonicalize(system, state)
             for perm in perms:
-                relabeled = state.relabeled(perm)
-                rep2, _ = production_canonicalize(system, relabeled)
+                rep2, _ = production_canonicalize(system, relabeled(state, perm))
                 assert rep2 == rep
 
     def test_relabel_roundtrip(self, sampled):
@@ -223,13 +226,13 @@ class TestCanonicalizationProperties:
         perms = system.symmetry_permutations()
         for state in states:
             for perm in perms:
-                assert state.relabeled(perm).relabeled(invert(perm)) == state
+                assert relabeled(relabeled(state, perm), invert(perm)) == state
 
     def test_canonicalize_returns_witness_permutation(self, sampled):
         system, states = sampled
         for state in states:
             rep, perm = production_canonicalize(system, state)
-            assert state.relabeled(perm) == rep
+            assert relabeled(state, perm) == rep
 
     def test_canonical_key_is_minimal(self, sampled):
         """The pipeline (ranking the cache blocks, staged tie-breaks, all on
@@ -239,16 +242,17 @@ class TestCanonicalizationProperties:
         perms = system.symmetry_permutations()
         for state in states:
             rep, perm = production_canonicalize(system, state)
-            assert rep.sort_key() == min(state.relabeled(p).sort_key() for p in perms)
+            assert sort_key(rep) == min(sort_key(relabeled(state, p)) for p in perms)
             assert (rep, perm) == reference_canonicalize(state, perms)
 
     def test_invariant_verdicts_preserved(self, sampled):
         system, states = sampled
+        ref = reference(system)
         for state in states:
             rep, _ = production_canonicalize(system, state)
-            for invariant in default_invariants():
-                original = invariant(system, state)
-                canonical = invariant(system, rep)
+            for invariant in restated(None):
+                original = invariant(ref, state)
+                canonical = invariant(ref, rep)
                 assert (original is None) == (canonical is None)
                 if original is not None:
                     assert original.name == canonical.name
@@ -286,7 +290,7 @@ class TestSortedSignaturePrecanonicalization:
         for state in states:
             rep, perm = production_canonicalize(system, state)
             assert (rep, perm) == reference_canonicalize(state, perms)
-            assert state.relabeled(perm) == rep
+            assert relabeled(state, perm) == rep
 
     def test_permutation_invariant(self, four_cache_sampled):
         system, states = four_cache_sampled
@@ -294,7 +298,7 @@ class TestSortedSignaturePrecanonicalization:
         for state in states[:60]:
             rep, _ = production_canonicalize(system, state)
             for perm in perms:
-                rep2, _ = production_canonicalize(system, state.relabeled(perm))
+                rep2, _ = production_canonicalize(system, relabeled(state, perm))
                 assert rep2 == rep
 
     def test_idempotent(self, four_cache_sampled):
@@ -330,14 +334,15 @@ class TestSortedSignaturePrecanonicalization:
         for state in with_saved:
             rep, _ = production_canonicalize(system, state)
             for perm in perms[:8]:
-                rep2, _ = production_canonicalize(system, state.relabeled(perm))
+                rep2, _ = production_canonicalize(system, relabeled(state, perm))
                 assert rep2 == rep
 
 
 class TestTransitionEquivariance:
     def test_apply_commutes_with_relabeling(self, sampled):
         """apply(perm(s), perm(e)) == perm(apply(s, e)) -- the property that
-        makes exploring one representative per orbit sound."""
+        makes exploring one representative per orbit sound -- with events
+        relabeled on their encodings, as a trace's are."""
         system, states = sampled
         system = reference(system)
         perms = system.symmetry_permutations()
@@ -348,11 +353,11 @@ class TestTransitionEquivariance:
                 if outcome.error is not None:
                     continue
                 for perm in perms:
-                    relabeled_outcome = system.apply(
-                        state.relabeled(perm), relabel_event(event, perm)
+                    moved = system.apply(
+                        relabeled(state, perm), _relabeled_event(system, event, perm)
                     )
-                    assert relabeled_outcome.error is None
-                    assert relabeled_outcome.state == outcome.state.relabeled(perm)
+                    assert moved.error is None
+                    assert moved.state == relabeled(outcome.state, perm)
 
     def test_enabled_events_equivariant(self, sampled):
         system, states = sampled
@@ -361,7 +366,5 @@ class TestTransitionEquivariance:
         for state in states[:40]:
             events = set(system.enabled_events(state))
             for perm in perms:
-                relabeled = {
-                    relabel_event(e, perm) for e in events
-                }
-                assert set(system.enabled_events(state.relabeled(perm))) == relabeled
+                moved = {_relabeled_event(system, e, perm) for e in events}
+                assert set(system.enabled_events(relabeled(state, perm))) == moved

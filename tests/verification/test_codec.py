@@ -14,8 +14,8 @@ states, so two properties carry the whole correctness argument:
   make their blocks permutation-dependent (the whole matrix is in
   ``test_canonical.py``)
   -- and the lane-level relabel that pipeline's packed one is pinned
-  against, ``relabel_via_tables``, equals
-  ``encode(decode(enc).relabeled(perm))``.
+  against, ``relabel_via_tables``, equals the object-level ``relabeled``
+  of the reference system, encoded.
 
 States are sampled with the deterministic random-walk generator used by the
 canonicalization property tests, across all six bundled protocols (the
@@ -30,7 +30,7 @@ from repro import protocols
 from repro.system import System, Workload
 from repro.verification.engine.canonical import canonicalizer_for, invert
 
-from reference_system import reference
+from reference_system import reference, relabeled
 from verification_helpers import (
     LATE_ABSORB_STATES,
     has_saved_ids,
@@ -89,8 +89,8 @@ class TestRoundTrip:
         assert len({codec.encode(s) for s in distinct}) == len(distinct)
 
     def test_relabel_commutes_with_object_relabeling(self, sampled_by_protocol, name):
-        """The gather-table relabel is the object model's ``relabeled``
-        computed on the encoding, on every sampled state and every
+        """The gather-table relabel is the reference's object-level
+        ``relabeled`` computed on the encoding, on every sampled state and every
         permutation — including the saved-requestor states whose slots hold
         cache IDs — and a group action like it."""
         system, states = sampled_by_protocol[name]
@@ -99,9 +99,9 @@ class TestRoundTrip:
         for state in states[:120]:
             enc = codec.encode(state)
             for perm in perms:
-                relabeled = codec.relabel_via_tables(enc, perm)
-                assert relabeled == codec.encode(state.relabeled(perm))
-                assert codec.relabel_via_tables(relabeled, invert(perm)) == enc
+                moved = codec.relabel_via_tables(enc, perm)
+                assert moved == codec.encode(relabeled(state, perm))
+                assert codec.relabel_via_tables(moved, invert(perm)) == enc
 
     def test_event_codec_round_trips(self, sampled_by_protocol, name):
         system, states = sampled_by_protocol[name]
@@ -170,7 +170,7 @@ def test_msi_unordered_late_absorb_states_agree_on_all_pipelines(all_generated):
         enc = codec.encode(state)
         for perm in perms:
             assert codec.relabel_via_tables(enc, perm) == codec.encode(
-                state.relabeled(perm)
+                relabeled(state, perm)
             )
 
 

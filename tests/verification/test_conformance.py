@@ -30,14 +30,17 @@ It asserts:
   plain BFS only: every other configuration falls back to the compiled
   one, and says so);
 * on a failure, that the trace replays on the reference system to the same
-  verdict and repeats the trace of the uninterrupted search it stands for
+  verdict (a violation's name and detail as its restated invariant words
+  them) and repeats the trace of the uninterrupted search it stands for
   (a reduced 2-cache fleet's: its own, run twice);
+* with built-in invariants, that nothing was decoded, failing or not;
 * on a ``resume-`` row, that each leg of the chain stops partial with a
   checkpoint and gets further than the last, a resumed one included
   (:func:`resumed`);
 * reduced <= full, and strictly (by the cell's factor) at 3 caches or more.
 
-The reference searches a (cell, symmetry) once, and only where
+The reference searches a (cell, symmetry) once, asserting the codec's
+in-flight bound on every state it keeps, and only where
 :attr:`Cell.reference` says so -- the object-level search is the slow half
 of a row; a (cell, symmetry) it does not search is held to the cell's BFS
 compiled search, which carries the cell's verdict and pins.  Every cell
@@ -64,11 +67,7 @@ from repro import protocols
 from repro.core import GenerationConfig, generate
 from repro.dsl.types import AccessKind
 from repro.system import FaultModel, System, Workload
-from repro.verification import (
-    LITMUS_TESTS,
-    default_invariants,
-    verify,
-)
+from repro.verification import LITMUS_TESTS, LitmusInvariant, LitmusTest, verify
 
 from verification_helpers import (
     DECODED,
@@ -87,6 +86,7 @@ from verification_helpers import (
     rewrite_transition,
     workload_for,
 )
+from reference_system import in_flight
 
 ALL_PROTOCOLS = protocols.available_protocols()
 POLICIES = ("nonstalling", "stalling")
@@ -290,6 +290,17 @@ def protocol_cells():
             symmetries=(False,), reference=(False,), batch=False,
             modes=modes("MSI", True),
         )
+    # A reachable outcome (flag and data seen) declared forbidden after MP's
+    # clause: the kernel words the second clause's violation in every mode.
+    mp = next(b() for b in LITMUS_TESTS if b().name == "litmus-MP")
+    yield Cell(
+        "allowed-MP-MSI-stalling",
+        configured("MSI", "stalling", workload=mp.workload),
+        invariants_for("MSI", LitmusTest("allowed-MP", mp.workload, LitmusInvariant(
+            "litmus-MP-allowed", (*mp.invariant.clauses, ((1, 1, 1), (1, 0, 1)))))),
+        verdict="violation", detail="litmus-MP-allowed", symmetries=(False,),
+        reference=(False,), batch=False, modes=modes("MSI", True),
+    )
     # Under the slow marker: the paper's Murphi configuration (3 caches x 2
     # accesses; MSI's reduced search is the reduced-3c pin), where reduction
     # approaches 3! = 6, and the 4-cache tier, where it approaches 4! = 24.
@@ -401,7 +412,7 @@ def outcome(result):
         return ReferenceFailure("error", result.error, len(result.trace))
     if result.violation is not None:
         return ReferenceFailure("violation", result.violation.name,
-                                len(result.trace))
+                                len(result.trace), result.violation)
     return ReferenceFailure("deadlock", None, len(result.trace))
 
 
@@ -446,9 +457,18 @@ class Matrix:
         if (cell.name, symmetry) not in self.expected:
             runs = self.runs(cell)
             if symmetry in cell.reference:
-                expected = reference_search(
-                    runs.system, symmetry,
-                    invariants=cell.invariants or tuple(default_invariants()))
+                peak = [0]  # the most messages in flight on one plane
+
+                def keep(state):
+                    planes = (state.network, *state.extra_networks)
+                    peak[0] = max(peak[0], *(len(in_flight(nw)) for nw in planes))
+
+                expected = reference_search(runs.system, symmetry, on_state=keep,
+                                            invariants=cell.invariants)
+                # The bound StateCodec.__init__ sizes its count lanes by.
+                n, faults = runs.system.num_caches, runs.system.faults
+                bound = n * (2 * n + 2) + (faults.budget if faults else 0)
+                assert peak[0] <= bound, (cell.name, peak, bound)
             else:
                 expected = outcome(runs.run("bfs", symmetry))
             self.expected[cell.name, symmetry] = expected
@@ -534,16 +554,19 @@ def test_row(matrix, tmp_path, cell, mode, symmetry):
         assert len(result.stats["worker_states"]) == options["processes"]
 
     anchor = runs.run("bfs", symmetry)
+    if "invariants" not in options:
+        # Built-in invariants only: the kernel checks every state and words
+        # a violation from its lanes, so nothing is decoded, failing or not.
+        assert result.stats["decode_count"] == 0
     if result.ok:
-        if "invariants" not in options:
-            assert result.stats["decode_count"] == 0
         assert result.complete_states == anchor.complete_states > 0
         if symmetry in cell.pins:
             assert (result.states_explored,
                     result.transitions_explored) == cell.pins[symmetry]
     else:
-        replay_and_check(runs.system, result,
-                         cell.invariants or default_invariants())
+        # The violation's name and detail are the restated predicate's on
+        # the state the trace reaches, in every mode, full and reduced.
+        replay_and_check(runs.system, result, cell.invariants)
         if options.get("strategy") == "parallel":
             # Which equal-depth counterexample wins is the fleet's own, and
             # nothing is claimed or stolen: a second run reports it again.
@@ -577,5 +600,4 @@ def test_a_dropped_request_type_is_the_stalled_cells_twin(
     assert not multiprocessing.active_children()
     expected = matrix.expect(STALLED, symmetry)
     assert expected.kind == "deadlock"
-    assert reference_search(dropping, symmetry,
-                            invariants=tuple(default_invariants())) == expected
+    assert reference_search(dropping, symmetry, invariants=None) == expected

@@ -205,34 +205,10 @@ def msi_2c2a(msi_nonstalling):
 class TestSearchStats:
     """`VerificationResult.stats`: measured time split and decode counting.
 
-    The compiled kernel's reduced hot path is specified to be *fully
-    encoded*: outside failure reporting, no `GlobalState` is ever decoded —
-    asserted here via the codec's `decode_count` instrumentation rather than
-    inferred from code reading.
+    A search with built-in invariants decodes no `GlobalState`, failing or
+    not: the conformance matrix pins ``stats["decode_count"]`` to 0 on
+    every such row; here, a decoded invariant counts its decodes.
     """
-
-    def test_compiled_reduced_search_performs_zero_decodes(self, msi_stalling):
-        system = System(msi_stalling, num_caches=3,
-                        workload=Workload(max_accesses_per_cache=1))
-        codec = system.codec()
-        before = codec.decode_count
-        result = verify(system, symmetry=True)
-        assert result.ok and result.kernel == "compiled" and result.symmetry_reduced
-        assert codec.decode_count == before, (
-            "the reduced compiled-kernel search decoded a GlobalState on a "
-            "passing run"
-        )
-        assert result.stats["decode_count"] == 0
-
-    def test_compiled_full_search_performs_zero_decodes(self, msi_nonstalling):
-        system = System(msi_nonstalling, num_caches=2,
-                        workload=Workload(max_accesses_per_cache=2))
-        codec = system.codec()
-        before = codec.decode_count
-        result = verify(system)
-        assert result.ok and result.kernel == "compiled"
-        assert codec.decode_count == before
-        assert result.stats["decode_count"] == 0
 
     def test_stats_fields_and_time_split(self, msi_2c2a):
         result = msi_2c2a(symmetry=True)

@@ -5,10 +5,13 @@ reference search, are the rows of the conformance matrix
 (``test_conformance.py``); here, the result's surface and the random walk.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import GenerationConfig, generate
 from repro.system import System, Workload
+from repro.system.node_state import CacheNodeState
 from repro.verification import (
     default_invariants,
     random_walk,
@@ -55,9 +58,12 @@ class TestInvariantHelpers:
         assert swmr_invariant in tuple(default_invariants())
         assert single_owner_invariant in tuple(default_invariants())
 
-    def test_swmr_invariant_accepts_single_writer(self, msi_system):
+    def test_an_invariant_called_on_a_state_asks_the_kernel(self, msi_system):
         state = msi_system.initial_state()
         assert swmr_invariant(msi_system, state) is None
+        both = replace(state, caches=(CacheNodeState("M"),) * 2)
+        assert swmr_invariant(msi_system, both).detail.endswith("simultaneously")
+        assert single_owner_invariant(msi_system, both).name == "single-owner"
 
 
 class TestRandomWalk:

@@ -37,7 +37,7 @@ import pytest
 from repro import protocols
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
-from repro.system.message import Message, message_sort_key
+from repro.system.message import Message
 from repro.system.network import OrderedNetwork, UnorderedNetwork
 from repro.system.system import (
     DeliverMessage,
@@ -47,10 +47,9 @@ from repro.system.system import (
     LitmusWorkload,
     ReorderMessage,
 )
-from repro.verification import LITMUS_TESTS, default_invariants, verify
-from repro.verification.engine.canonical import relabel_event
+from repro.verification import LITMUS_TESTS, verify
 
-from reference_system import ReferenceSystem
+from reference_system import ReferenceSystem, message_sort_key, reference
 from verification_helpers import (
     assert_expansion_parity,
     assert_matches_reference,
@@ -141,16 +140,18 @@ class TestFaultEventCodecAndRelabel:
         for event in events:
             assert codec.decode_event(codec.encode_event(event)) == event
 
-    def test_relabel_permutes_fault_event_endpoints(self):
-        perm = (1, 0)
-        dup = DuplicateMessage(message=_msg(src=0, dst=1, vnet=1))
-        relabeled = relabel_event(dup, perm)
-        assert isinstance(relabeled, DuplicateMessage)
-        assert (relabeled.message.src, relabeled.message.dst) == (1, 0)
-        reo = relabel_event(ReorderMessage(src=-1, dst=0, vnet=1, position=3), perm)
-        assert (reo.src, reo.dst, reo.position) == (-1, 1, 3)
-        # Identity stays the same object (the hot-path fast exit).
-        assert relabel_event(dup, (0, 1)) is dup
+    def test_relabel_permutes_fault_event_endpoints(self, fault_system):
+        """A trace's events relabel on their encodings: cache endpoints
+        move, the directory and the reorder position stay."""
+        codec = fault_system.codec()
+        for event, moved in (
+            (DuplicateMessage(message=_msg(mtype=codec.mtypes[0], src=0, dst=1)),
+             DuplicateMessage(message=_msg(mtype=codec.mtypes[0], src=1, dst=0))),
+            (ReorderMessage(src=-1, dst=0, vnet=1, position=3),
+             ReorderMessage(src=-1, dst=1, vnet=1, position=3)),
+        ):
+            eev = codec.relabeled_event(codec.encode_event(event), (1, 0))
+            assert codec.decode_event(eev) == moved
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,7 @@ def test_duplication_expansion_parity(all_generated, name):
                                      max_steps=30)
     assert any(s.faults_used for s in states), "walks never injected a fault"
     for state in states:
-        assert_expansion_parity(system, state, tuple(default_invariants()))
+        assert_expansion_parity(system, state)
 
 
 @pytest.mark.parametrize("name", ORDERED_PROTOCOLS)
@@ -178,7 +179,7 @@ def test_reorder_expansion_parity(all_generated, name):
     states = sample_reachable_states(system, seed=67 + len(name), walks=6,
                                      max_steps=30)
     for state in states:
-        assert_expansion_parity(system, state, tuple(default_invariants()))
+        assert_expansion_parity(system, state)
 
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
@@ -192,7 +193,7 @@ def test_two_address_expansion_parity(all_generated, name):
         for s in states for c in s.caches[system.num_caches:]
     ), "walks never touched the second address plane"
     for state in states:
-        assert_expansion_parity(system, state, tuple(default_invariants()))
+        assert_expansion_parity(system, state)
 
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
@@ -204,7 +205,7 @@ def test_litmus_expansion_parity(all_generated, name):
                     workload=test.workload)
     states = sample_reachable_states(system, seed=73 + len(name), walks=6,
                                      max_steps=30)
-    assert any(system.is_complete(s) for s in states), (
+    assert any(reference(system).is_complete(s) for s in states), (
         "walks never completed the litmus programs"
     )
     for state in states:

@@ -20,6 +20,7 @@ with the tests' object-level reference system (``reference_system``):
   configurations, pinned by hash.
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,7 @@ from repro.core import GenerationConfig, generate
 from repro.core.fsm import MessageEvent
 from repro.dsl.types import AccessKind
 from repro.system import FaultModel, System, Workload
+from repro.system.kernel import DEFAULT_CODES
 from repro.system.network import OrderedNetwork, make_network
 from repro.verification import (
     InvariantViolation,
@@ -37,7 +39,8 @@ from repro.verification import (
     verify,
 )
 
-from reference_system import deliver, deliverable, duplicate, reorder, reorderable, send
+from reference_system import (deliver, deliverable, duplicate, reference, reorder,
+                              reorderable, restated, send)
 from verification_helpers import (
     MessageDroppingSystem,
     assert_expansion_parity,
@@ -173,6 +176,27 @@ def test_whole_spaces_expand_like_the_reference(all_generated, msi_spec, label, 
         assert (result.states_explored, result.transitions_explored) == (
             len(seen), transitions
         )
+
+
+@pytest.mark.parametrize("name", ["MSI", "TSO-CC"])
+def test_every_cache_assignment_is_worded_like_the_reference(all_generated, name):
+    """On every assignment of FSM states to three caches -- two writers, a
+    writer beside readers, two stable owners, none -- the kernel's check
+    and its worded violations equal the restated invariants."""
+    system = System(all_generated[(name, "stalling")], num_caches=3)
+    codec, kernel, ref = system.codec(), system.kernel(), reference(system)
+    lanes = list(codec.encode(system.initial_state()))
+    details = set()
+    for states in itertools.product(range(len(codec.cache_states)), repeat=3):
+        lanes[: codec.dir_offset : codec.cache_width] = states
+        state = codec.decode(tuple(lanes))
+        expected = [inv(ref, state) for inv in restated(None)]
+        assert kernel.check(lanes, DEFAULT_CODES) == (expected == [None, None])
+        for code, violation in zip(DEFAULT_CODES, expected):
+            worded = kernel.violation(lanes, code)
+            assert (worded and InvariantViolation(*worded)) == violation
+            details.add(violation and violation.detail.rsplit("] ", 1)[1].split()[0])
+    assert details == {None, "hold", "can", "are"}, "an invariant text was never hit"
 
 
 @pytest.mark.parametrize("rewrite, error", [

@@ -20,7 +20,7 @@ from repro.dsl.types import (
     SetAcksExpectedFromMessage,
 )
 from repro.system import Workload
-from repro.system.message import DIRECTORY_ID, Message, message_sort_key
+from repro.system.message import DIRECTORY_ID, Message
 from repro.system.network import OrderedNetwork, UnorderedNetwork
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 from repro.system.system import DeliverMessage, IssueAccess
@@ -35,6 +35,7 @@ from reference_system import (
     execute_cache_transition,
     execute_directory_transition,
     in_flight,
+    message_sort_key,
     reorder,
     reorderable,
     select_transition,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -35,17 +35,19 @@ from repro.dsl.types import (
 from repro.system import System, Workload
 from repro.system.node_state import CF_PENDING, CF_SAVED
 from repro.system.system import DeliverMessage, GlobalState
-from repro.verification import default_invariants, single_owner_invariant
+from repro.system.kernel import INV_DECODED
+from repro.verification import InvariantViolation, single_owner_invariant, swmr_invariant
 from repro.verification.engine.canonical import canonicalizer_for
 from repro.verification.invariants import compiled_invariant_codes
 
-from reference_system import ReferenceSystem, reference
+from reference_system import ReferenceSystem, reference, relabeled, restated, sort_key
 
 
 def replay_and_check(system, result, invariants=None):
     """Replay ``result.trace_events`` from the initial state on the
     reference system and assert the reported outcome is reproduced exactly
-    (a violation by one of *invariants*, the default pair when omitted)."""
+    (a violation, name and detail, by the restatement of one of
+    *invariants*, the default pair when omitted)."""
     system = reference(system)
     state = system.initial_state()
     events = result.trace_events
@@ -63,13 +65,9 @@ def replay_and_check(system, result, invariants=None):
     if result.error is not None:
         pytest.fail("error trace replayed without reproducing the error")
     if result.violation is not None:
-        reproduced = [
-            v
-            for v in (inv(system, state)
-                      for inv in invariants or default_invariants())
-            if v is not None and str(v) == str(result.violation)
-        ]
-        assert reproduced, f"violation {result.violation} not reproduced by replay"
+        reproduced = [inv(system, state) for inv in restated(invariants)]
+        assert result.violation in reproduced, (
+            f"violation {result.violation} not reproduced by replay: {reproduced}")
         return
     if result.deadlock:
         assert not system.enabled_events(state)
@@ -258,7 +256,7 @@ def never_fires(system, state):
 
 
 #: The default pair plus a predicate only a decoded state can answer.
-DECODED = (*default_invariants(), never_fires)
+DECODED = (swmr_invariant, single_owner_invariant, never_fires)
 
 
 def make_swmr_mutant(msi_spec):
@@ -332,10 +330,11 @@ def invariants_for(name: str, litmus=None) -> tuple | None:
     default pair), except for TSO-CC, which breaks SWMR in physical time by
     design (stale untracked readers) and is held to single ownership -- plus
     the outcome checker of the *litmus* test, if one is given."""
-    invariants = (single_owner_invariant,) if name == "TSO-CC" else None
     if litmus is None:
-        return invariants
-    return (*(invariants or default_invariants()), litmus.invariant)
+        return (single_owner_invariant,) if name == "TSO-CC" else None
+    if name == "TSO-CC":
+        return (single_owner_invariant, litmus.invariant)
+    return (swmr_invariant, single_owner_invariant, litmus.invariant)
 
 
 def sample_reachable_states(
@@ -366,7 +365,7 @@ def reference_walk(system, *, runs, max_steps, seed, invariants=None):
     events, in order) and the same checks.  Returns ``(ok, steps, trace,
     error, violation)``, the trace as event strings."""
     system = reference(system)
-    invariants = tuple(invariants or default_invariants())
+    invariants = restated(invariants)
     rng = random.Random(seed)
     steps = 0
     for _ in range(runs):
@@ -396,9 +395,9 @@ def reference_canonicalize(state: GlobalState, perms) -> tuple[GlobalState, tupl
     """The definition of the canonical representative, executed literally:
     the smallest relabeling of *state*, first minimum in *perms* order.
     Returns ``(representative, witness)`` with ``representative ==
-    state.relabeled(witness)``."""
-    perm = min(perms, key=lambda p: state.relabeled(p).sort_key())
-    return state.relabeled(perm), perm
+    relabeled(state, witness)``."""
+    perm = min(perms, key=lambda p: sort_key(relabeled(state, p)))
+    return relabeled(state, perm), perm
 
 
 def production_canonicalize(system: System, state: GlobalState):
@@ -435,10 +434,13 @@ class ReferenceFailure:
     kind: str
     detail: str | None
     depth: int
+    #: A violation's restated verdict (not compared: frames differ).
+    violation: InvariantViolation | None = field(default=None, compare=False)
 
 
 def reference_search(
-    system: System, symmetry: bool, invariants=(), deadlock: bool = False
+    system: System, symmetry: bool, invariants=(), deadlock: bool = False,
+    on_state=None,
 ) -> tuple[int, int] | ReferenceFailure:
     """``(states, transitions)`` of *system*'s reachable space by the
     plainest search there is: a FIFO of ``GlobalState`` objects, a Python
@@ -452,25 +454,25 @@ def reference_search(
     It is the verdict oracle too: the first failure in FIFO order -- a
     protocol error, a deadlock (a non-quiescent state with no enabled
     event; with *deadlock* also a quiescent one with workload left), or
-    a new state failing one of *invariants* -- is returned as a
-    :class:`ReferenceFailure` instead of the counts.  ``ReferenceSystem``
-    subclasses run here as written, overrides included."""
+    a new state failing the restatement of one of *invariants* -- is
+    returned as a :class:`ReferenceFailure` instead of the counts.
+    ``ReferenceSystem`` subclasses run here as written, overrides included.
+    *on_state*, when given, is called with every state the search keeps."""
     system = reference(system)
     perms = system.symmetry_permutations()
+    invariants = restated(invariants)
 
     def representative(state):
         return reference_canonicalize(state, perms)[0] if symmetry else state
 
     def violated(state):
-        for invariant in invariants:
-            violation = invariant(system, state)
-            if violation is not None:
-                return violation.name
-        return None
+        return next(filter(None, (inv(system, state) for inv in invariants)), None)
 
+    keep = on_state or (lambda state: None)
     root = representative(system.initial_state())
-    if (name := violated(root)) is not None:
-        return ReferenceFailure("violation", name, 0)
+    keep(root)
+    if (violation := violated(root)) is not None:
+        return ReferenceFailure("violation", violation.name, 0, violation)
     depth_of = {root: 0}
     frontier = deque([root])
     transitions = 0
@@ -491,8 +493,10 @@ def reference_search(
             successor = representative(outcome.state)
             if successor not in depth_of:
                 depth_of[successor] = depth + 1
-                if (name := violated(successor)) is not None:
-                    return ReferenceFailure("violation", name, depth + 1)
+                keep(successor)
+                if (violation := violated(successor)) is not None:
+                    return ReferenceFailure(
+                        "violation", violation.name, depth + 1, violation)
                 frontier.append(successor)
     return len(depth_of), transitions
 
@@ -502,7 +506,7 @@ def assert_matches_reference(result, expected):
     *expected*: the counts on a pass; on a failure its kind, its trace
     length (the reference's depth; a DFS trace is only bounded below by
     it), a violation's name and, on an unreduced BFS (the reference's
-    order), an error's text."""
+    order), an error's text and a violation's detail."""
     if not isinstance(expected, ReferenceFailure):
         assert result.ok and not result.partial, result.summary
         assert (result.states_explored, result.transitions_explored) == expected
@@ -519,9 +523,12 @@ def assert_matches_reference(result, expected):
         assert len(result.trace) >= expected.depth, (result.summary, expected)
     else:
         assert len(result.trace) == expected.depth, (result.summary, expected)
+    in_order = result.strategy == "bfs" and not result.symmetry_reduced
     if kind == "violation":
         assert result.violation.name == expected.detail
-    if kind == "error" and result.strategy == "bfs" and not result.symmetry_reduced:
+        if in_order and expected.violation is not None:
+            assert result.violation == expected.violation
+    if kind == "error" and in_order:
         assert result.error == expected.detail
 
 
@@ -531,7 +538,7 @@ def assert_expansion_parity(system, state, invariants=None):
     (bit-identical encodings), error texts (exact), and the quiescence,
     completion and invariant verdicts (*invariants*: the default pair when
     omitted)."""
-    invariants = tuple(invariants or default_invariants())
+    invariants = tuple(invariants or (swmr_invariant, single_owner_invariant))
     ref = reference(system)
     codec = system.codec()
     kernel = system.kernel()
@@ -543,8 +550,13 @@ def assert_expansion_parity(system, state, invariants=None):
     assert [plan[1] for plan in plans] == [codec.encode_event(e) for e in events]
     assert kernel.is_quiescent(enc) == ref.is_quiescent(state)
     assert kernel.is_complete(enc) == ref.is_complete(state)
-    expected_verdict = all(inv(ref, state) is None for inv in invariants)
-    assert kernel.check(enc, compiled_invariant_codes(invariants)) == expected_verdict
+    codes = compiled_invariant_codes(invariants)
+    expected = [inv(ref, state) for inv in restated(invariants)]
+    assert kernel.check(enc, codes) == (expected == [None] * len(expected))
+    for code, violation in zip(codes, expected):
+        if code != INV_DECODED:
+            worded = kernel.violation(enc, code)
+            assert (worded and InvariantViolation(*worded)) == violation
     for event, plan in zip(events, plans):
         outcome = ref.apply(state, event)
         succ = kernel.apply(key, plan, net)
