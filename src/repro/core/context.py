@@ -137,7 +137,7 @@ class CacheGenContext:
         self.fsm = ControllerFsm(
             name=f"{spec.name}-cache",
             kind=spec.cache.kind,
-            initial_state=spec.cache.initial_state,
+            initial=spec.cache.initial,
         )
         self.state_sets = StateSets(stable_states=spec.cache.state_names())
         #: FSM state name -> descriptor

@@ -46,7 +46,7 @@ def generate_directory(spec: ProtocolSpec, config: GenerationConfig) -> Controll
     fsm = ControllerFsm(
         name=f"{spec.name}-directory",
         kind=spec.directory.kind,
-        initial_state=spec.directory.initial_state,
+        initial=spec.directory.initial,
     )
     _add_stable_states(spec, fsm)
     _emit_transactions(spec, fsm)

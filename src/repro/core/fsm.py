@@ -129,10 +129,10 @@ class FsmTransition:
 class ControllerFsm:
     """A complete generated controller."""
 
-    def __init__(self, name: str, kind: ControllerKind, initial_state: str):
+    def __init__(self, name: str, kind: ControllerKind, initial: str):
         self.name = name
         self.kind = kind
-        self.initial_state = initial_state
+        self.initial = initial
         self._states: dict[str, FsmState] = {}
         self._transitions: list[FsmTransition] = []
         self._index: dict[tuple, list[FsmTransition]] = {}
@@ -164,15 +164,6 @@ class ControllerFsm:
 
     def transient_states(self) -> list[FsmState]:
         return [s for s in self._states.values() if not s.is_stable]
-
-    def resolve_state(self, name: str) -> str:
-        """Resolve *name*, accepting aliases of merged states."""
-        if name in self._states:
-            return name
-        for state in self._states.values():
-            if name in state.aliases:
-                return state.name
-        raise GenerationError(f"unknown FSM state or alias {name!r}")
 
     # -- transitions ----------------------------------------------------------
     def add_transition(self, transition: FsmTransition) -> FsmTransition:
@@ -363,7 +354,6 @@ class CompiledController:
     """Integer-indexed dispatch tables for one controller FSM."""
 
     state_names: tuple[str, ...]           # sorted; index = state id
-    initial_state: int
     stable: tuple[bool, ...]               # per state id
     permission: tuple[int, ...]            # per state id (Permission int value)
     #: per state id: tuple over access-kind index of CompiledTransition | None
@@ -441,7 +431,6 @@ def _compile_controller(
 
     return CompiledController(
         state_names=state_names,
-        initial_state=state_index[fsm.initial_state],
         stable=tuple(fsm.state(n).is_stable for n in state_names),
         permission=tuple(int(fsm.state(n).permission) for n in state_names),
         on_access=tuple(on_access),

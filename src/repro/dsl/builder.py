@@ -268,7 +268,7 @@ class _ControllerBuilder:
         return ControllerSpec(
             kind=self.kind,
             states=dict(self._states),
-            initial_state=self._initial,
+            initial=self._initial,
             transactions=list(self._transactions),
             reactions=list(self._reactions),
         )

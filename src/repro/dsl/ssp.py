@@ -213,13 +213,13 @@ class ControllerSpec:
 
     kind: ControllerKind
     states: dict[str, StateSpec]
-    initial_state: str
+    initial: str
     transactions: list[Transaction] = field(default_factory=list)
     reactions: list[Reaction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.initial_state not in self.states:
-            raise SpecError(f"initial state {self.initial_state!r} is not declared")
+        if self.initial not in self.states:
+            raise SpecError(f"initial state {self.initial!r} is not declared")
 
     # -- queries -------------------------------------------------------------
     def state(self, name: str) -> StateSpec:
@@ -253,13 +253,6 @@ class ControllerSpec:
                 handled.add(transaction.initiator)
         return handled
 
-    def accesses_starting_transactions(self, state: str) -> set[AccessKind]:
-        return {
-            t.initiator
-            for t in self.transactions_from(state)
-            if isinstance(t.initiator, AccessKind)
-        }
-
     def request_for_access(self, state: str, access: AccessKind) -> str | None:
         """Name of the request message that *access* issues from *state*."""
         transaction = self.transaction_for(state, access)
@@ -280,7 +273,7 @@ class ControllerSpec:
         return ControllerSpec(
             kind=self.kind,
             states=dict(self.states),
-            initial_state=self.initial_state,
+            initial=self.initial,
             transactions=list(self.transactions),
             reactions=list(self.reactions),
         )
@@ -320,11 +313,6 @@ class ProtocolSpec:
         from repro.dsl.types import MessageClass
 
         return [m.name for m in self.messages.by_class(MessageClass.FORWARD)]
-
-    def request_messages(self) -> list[str]:
-        from repro.dsl.types import MessageClass
-
-        return [m.name for m in self.messages.by_class(MessageClass.REQUEST)]
 
     def cache_arrival_states(self, forwarded_message: str) -> list[str]:
         """Stable cache states in which *forwarded_message* can arrive."""

@@ -177,7 +177,7 @@ def _validate_permissions(spec: ProtocolSpec, report: ValidationReport) -> None:
     # The directory must have a state from which it can supply data for the
     # very first request (the initial state).
     directory = spec.directory
-    initial = directory.initial_state
+    initial = directory.initial
     handled_in_initial = directory.messages_handled_in(initial)
     get_like = [m.name for m in spec.messages.requests if not m.name.lower().startswith("put")]
     missing = [m for m in get_like if m not in handled_in_initial]

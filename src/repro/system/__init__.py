@@ -3,7 +3,7 @@
 from repro.system.codec import LaneOverflow, StateCodec
 from repro.system.kernel import TransitionKernel
 from repro.system.message import DIRECTORY_ID, Message
-from repro.system.network import Network, OrderedNetwork, UnorderedNetwork, make_network
+from repro.system.network import Network, OrderedNetwork, UnorderedNetwork
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 from repro.system.vectorized import VectorizedKernel
 from repro.system.system import (
@@ -41,5 +41,4 @@ __all__ = [
     "UnorderedNetwork",
     "VectorizedKernel",
     "Workload",
-    "make_network",
 ]

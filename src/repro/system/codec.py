@@ -1,17 +1,22 @@
 """Compact integer encoding of global states (the Murphi bit-vector analogue).
 
-The verification engine used to hash, store, and ship whole ``GlobalState``
-object trees.  Murphi is fast precisely because its states are packed
-bit-vectors; this module provides the same representation shift for the
-reproduction: a :class:`StateCodec` built from a :class:`~repro.system.system.System`
-maps every global state to a flat tuple of small non-negative integers (and
-on to ``bytes``), and back.
+A state at rest is a packed key: as Murphi packs its states into
+bit-vectors, a :class:`StateCodec` built from a
+:class:`~repro.system.system.System` lays every global state out as a flat
+tuple of small non-negative integers (and on to ``bytes``).  The whole
+layout lives in this module -- the lane constants, the one writer of a key
+from objects (:meth:`StateCodec.encode`), its readers (:meth:`StateCodec.decode`,
+:func:`decode_message`, :func:`decode_cache_block`,
+:func:`decode_directory_block`) and the initial state's key
+(:meth:`StateCodec.root`, written straight into the layout: the searches
+never build a root object).  The value classes of
+:mod:`repro.system.message`, :mod:`~repro.system.node_state` and
+:mod:`~repro.system.network` are plain data.
 
 The encoding is designed around three invariants the engine relies on:
 
-1. **Bijective.**  ``decode(encode(s)) == s`` exactly, so de-duplicating on
-   encodings preserves the seed explorer's bit-identical state counts, and
-   a decoded counterexample state is the object state the trace reaches.
+1. **Bijective.**  ``decode(encode(s)) == s`` exactly, so a decoded
+   counterexample state is the object state the trace reaches.
 2. **Order-isomorphic.**  Every block (and a section's parsed items)
    compares like its component's object-level sort key: FSM states and
    message types are indexed through *sorted* name lists, optional ints
@@ -47,8 +52,9 @@ table; the canonicalizer's region
 memo and block table; the batch kernel's delivery, cell-operation and two
 boundary memos -- and :data:`_MEMO_LIMIT` is the
 one bound they share (the batch kernel's NumPy tail memo reads it too).  A
-full memo is cleared whole; correctness never depends on a hit.  Encoding
-is not memoized: a search encodes its root and nothing else.
+full memo is cleared whole; correctness never depends on a hit.  Nothing
+in a search encodes: its root comes from :meth:`StateCodec.root`, and every
+other key is spliced out of its parent's.
 
 Layout (lanes are as narrow as the configuration's static bound on every
 lane value allows: ``array('B')`` for all bundled protocols at every pinned
@@ -59,9 +65,9 @@ its lane raises :class:`LaneOverflow`, it never wraps)::
     [cache 0 block | ... | cache n-1 block | directory block |
      latest_version | network section]
 
-with fixed-width cache/directory blocks (:data:`~repro.system.node_state.CACHE_ENCODED_WIDTH`,
+with fixed-width cache/directory blocks (:data:`CACHE_ENCODED_WIDTH`,
 ``3 + num_caches``) and a variable-length network section (message records
-are :data:`~repro.system.message.MESSAGE_ENCODED_WIDTH` ints).  The packed
+are :data:`MESSAGE_ENCODED_WIDTH` ints).  The packed
 ``bytes`` form (:meth:`StateCodec.pack`) is what the visited set keys on, what
 the search frontiers hold between levels, what the network-parse memo is
 keyed by (the section's slice of it) and what the parallel search ships
@@ -88,19 +94,9 @@ from array import array
 from operator import itemgetter
 
 from repro.dsl.types import AccessKind
-from repro.system.message import (
-    MESSAGE_ENCODED_WIDTH,
-    decode_message,
-    translate_encoded_message,
-)
+from repro.system.message import Message
 from repro.system.network import OrderedNetwork, UnorderedNetwork
-from repro.system.node_state import (
-    CACHE_ENCODED_WIDTH,
-    CF_PENDING,
-    CF_SAVED,
-    decode_cache_block,
-    decode_directory_block,
-)
+from repro.system.node_state import NUM_SAVED_SLOTS, CacheNodeState, DirectoryNodeState
 from repro.system.system import (
     DeliverMessage,
     DuplicateMessage,
@@ -109,6 +105,94 @@ from repro.system.system import (
     ReorderMessage,
     SystemEvent,
 )
+
+#: Lanes of one message record (see :meth:`StateCodec.encode`).
+MESSAGE_ENCODED_WIDTH = 10
+
+#: Lane offsets inside one cache block, in :meth:`StateCodec.encode` order;
+#: the canonicalizer and both kernels read them from here.
+CF_STATE = 0
+CF_ISSUED = 1
+CF_DATA = 2
+CF_ACKS_EXPECTED = 3
+CF_ACKS_RECEIVED = 4
+CF_SAVED = 5
+CF_PENDING = CF_SAVED + NUM_SAVED_SLOTS
+CF_LAST_OBSERVED = CF_PENDING + 1
+#: Lanes of one cache block.
+CACHE_ENCODED_WIDTH = CF_LAST_OBSERVED + 1
+
+
+def _opt_lane(value: int | None, shift: int) -> int:
+    """An optional field's lane: 0 for ``None``, *value* + *shift* otherwise."""
+    return 0 if value is None else value + shift
+
+
+def _opt_value(lane: int, shift: int) -> int | None:
+    """Inverse of :func:`_opt_lane`."""
+    return None if lane == 0 else lane - shift
+
+
+def _pair(value: int | None) -> tuple[int, int]:
+    """An optional message field as a ``(flag, value + 2)`` pair."""
+    return (0, 0) if value is None else (1, value + 2)
+
+
+def decode_message(fields: tuple, mtypes: tuple[str, ...]) -> Message:
+    """The message of one record *fields* (:data:`MESSAGE_ENCODED_WIDTH` lanes)."""
+    return Message(
+        mtype=mtypes[fields[0]],
+        src=fields[1] - 2,
+        dst=fields[2] - 2,
+        vnet=fields[3],
+        requestor=fields[5] - 2 if fields[4] else None,
+        data=fields[7] - 2 if fields[6] else None,
+        ack_count=fields[9] - 2 if fields[8] else None,
+    )
+
+
+def translate_encoded_message(fields: tuple, table: tuple[int, ...]) -> tuple:
+    """The record *fields* with its cache IDs remapped through a
+    permutation's +2-shift table (``table[0] = 0`` for an absent requestor,
+    ``table[1] = 1`` for the directory, ``table[v] = perm[v - 2] + 2``; see
+    :meth:`StateCodec.perm_tables`): three lookups."""
+    return (
+        fields[0],
+        table[fields[1]],
+        table[fields[2]],
+        fields[3],
+        fields[4],
+        table[fields[5]],
+        *fields[6:],
+    )
+
+
+def decode_cache_block(
+    block: tuple, state_names: tuple[str, ...], access_kinds: tuple
+) -> CacheNodeState:
+    """The cache node state of one cache block."""
+    pending = block[CF_PENDING]
+    return CacheNodeState(
+        fsm_state=state_names[block[CF_STATE]],
+        issued=block[CF_ISSUED],
+        data=_opt_value(block[CF_DATA], 1),
+        acks_expected=_opt_value(block[CF_ACKS_EXPECTED], 1),
+        acks_received=block[CF_ACKS_RECEIVED],
+        saved=tuple(_opt_value(s, 1) for s in block[CF_SAVED:CF_PENDING]),
+        pending_access=access_kinds[pending - 1] if pending else None,
+        last_observed=block[CF_LAST_OBSERVED] - 1,
+    )
+
+
+def decode_directory_block(block: tuple, state_names: tuple[str, ...]) -> DirectoryNodeState:
+    """The directory node state of one directory block (``3 + n`` lanes)."""
+    return DirectoryNodeState(
+        fsm_state=state_names[block[0]],
+        owner=_opt_value(block[1], 2),
+        sharers=frozenset(s - 2 for s in block[2:-1] if s != 0),
+        memory=block[-1],
+    )
+
 
 #: Entries a :class:`Memo` holds before it is cleared (a few MB at most).
 _MEMO_LIMIT = 1 << 20
@@ -178,6 +262,8 @@ class StateCodec:
         self._dir_index = {name: i for i, name in enumerate(self.dir_states)}
         self._mtype_index = {name: i for i, name in enumerate(self.mtypes)}
         self._access_index = {kind: i for i, kind in enumerate(self.access_kinds)}
+        self._initial_cache = self._cache_index[protocol.cache.initial]
+        self._initial_dir = self._dir_index[protocol.directory.initial]
         # Lane selection: the narrowest unsigned lane that holds the static
         # bound on every lane value -- 8 bits for every bundled protocol at
         # every pinned configuration, 16 or 32 for bigger catalogs, cache
@@ -293,22 +379,66 @@ class StateCodec:
         )
 
     # -- encoding ----------------------------------------------------------------
+    def root(self) -> bytes:
+        """The packed key of the initial state, written straight into the
+        layout: on every address plane each cache and the directory in its
+        FSM's initial state with every other lane 0 (no data, owner or
+        sharer, version 0), no fault used, and an empty network section per
+        plane.  Every search and random walk starts here."""
+        cache = (self._initial_cache,) + (0,) * (CACHE_ENCODED_WIDTH - 1)
+        plane = cache * self.num_caches + (self._initial_dir,) + (0,) * self.dir_width
+        return self.pack(plane * self.num_addresses + (0,) * (self.faults + self.num_addresses))
+
     def encode(self, state: GlobalState) -> tuple:
-        """Flat int-tuple encoding of *state* (bijective; see module docs)."""
-        out: list[int] = []
+        """The lanes of *state*, exact inverse of :meth:`decode`: the one
+        writer of a key from objects (only the tests call it).
+
+        Optional ints are shifted so ``None`` lands below every value and
+        node IDs by +2 (the directory's ``-1`` stays representable).  A
+        cache block is :data:`CF_STATE` .. :data:`CF_LAST_OBSERVED`; a
+        directory block its state, owner, sharers as an ascending run
+        zero-padded to ``num_caches`` lanes (every sharer lane is ``>= 2``,
+        so a shorter run still compares smaller), and memory; a message record
+        ``(mtype, src, dst, vnet)`` and a ``(flag, value)`` pair each for
+        requestor, data and ack count.  An ordered section is
+        ``(n_channels, then per channel: src, dst, vnet, count, records)``
+        in channel-key order, an unordered one ``(n_messages, records)``.
+        """
         n = self.num_caches
+        mtype_index = self._mtype_index
+
+        def record(m: Message) -> tuple:
+            return (mtype_index[m.mtype], m.src + 2, m.dst + 2, m.vnet,
+                    *_pair(m.requestor), *_pair(m.data), *_pair(m.ack_count))
+
+        out: list[int] = []
         for addr in range(self.num_addresses):
-            for cache in state.caches[addr * n : (addr + 1) * n]:
-                out.extend(cache.encoded(self._cache_index, self._access_index))
-            directory = state.directory if addr == 0 else state.extra_dirs[addr - 1]
-            out.extend(directory.encoded(self._dir_index, n))
-            out.append(
-                state.latest_version if addr == 0 else state.extra_versions[addr - 1]
-            )
+            for c in state.caches[addr * n : (addr + 1) * n]:
+                out += (
+                    self._cache_index[c.fsm_state], c.issued, _opt_lane(c.data, 1),
+                    _opt_lane(c.acks_expected, 1), c.acks_received,
+                    *(_opt_lane(s, 1) for s in c.saved),
+                    0 if c.pending_access is None else self._access_index[c.pending_access] + 1,
+                    c.last_observed + 1,
+                )
+            d = state.directory if addr == 0 else state.extra_dirs[addr - 1]
+            sharers = sorted(s + 2 for s in d.sharers)
+            out += (self._dir_index[d.fsm_state], _opt_lane(d.owner, 2), *sharers,
+                    *(0,) * (n - len(sharers)), d.memory)
+            out.append(state.latest_version if addr == 0 else state.extra_versions[addr - 1])
         if self.faults:
             out.append(state.faults_used)
         for network in (state.network, *state.extra_networks):
-            out.extend(network.encoded(self._mtype_index))
+            if self.ordered:
+                out.append(len(network.channels))
+                for (src, dst, vnet), msgs in network.channels:
+                    out += (src + 2, dst + 2, vnet, len(msgs))
+                    for m in msgs:
+                        out += record(m)
+            else:
+                out.append(len(network.messages))
+                for m in network.messages:
+                    out += record(m)
         return tuple(out)
 
     def decode(self, enc: tuple) -> GlobalState:
@@ -329,12 +459,12 @@ class StateCodec:
             )
             versions.append(enc[plane + self.version_offset])
         faults_used = enc[self.fault_offset] if self.faults else 0
-        network_cls = OrderedNetwork if self.ordered else UnorderedNetwork
         networks = []
         pos = self.net_offset
         for _ in range(self.num_addresses):
-            networks.append(network_cls.from_encoded(enc, pos, self.mtypes))
-            pos += self._section_length(enc, pos)
+            end = pos + self._section_length(enc, pos)
+            networks.append(self._decoded_network(enc[pos:end]))
+            pos = end
         return GlobalState(
             caches=tuple(caches),
             directory=dirs[0],
@@ -345,6 +475,28 @@ class StateCodec:
             extra_networks=tuple(networks[1:]),
             faults_used=faults_used,
         )
+
+    def _decoded_network(self, section: tuple):
+        """The network value of one section's lanes."""
+        mw = MESSAGE_ENCODED_WIDTH
+        mtypes = self.mtypes
+        if not self.ordered:
+            return UnorderedNetwork(tuple(
+                decode_message(section[pos : pos + mw], mtypes)
+                for pos in range(1, len(section), mw)
+            ))
+        channels = []
+        pos = 1
+        for _ in range(section[0]):
+            src, dst, vnet, count = section[pos : pos + 4]
+            pos += 4
+            msgs = tuple(
+                decode_message(section[at : at + mw], mtypes)
+                for at in range(pos, pos + count * mw, mw)
+            )
+            pos += count * mw
+            channels.append(((src - 2, dst - 2, vnet), msgs))
+        return OrderedNetwork(tuple(channels))
 
     def _section_length(self, enc, pos: int) -> int:
         """Lane count of the network section starting at lane *pos* of
@@ -655,28 +807,6 @@ class StateCodec:
         return self._net_key_memo[section, perm]
 
     # -- events ------------------------------------------------------------------
-    def encode_event(self, event: SystemEvent) -> tuple:
-        """Flat int encoding of a system event (what plans, the store and traces carry).
-
-        Single-address encodings keep their historical shape; with several
-        addresses the plane index is appended as one trailing lane (the
-        record kinds are fixed-width per tag, so decoding stays unambiguous).
-        """
-        if isinstance(event, IssueAccess):
-            fields = (0, event.cache_id, self._access_index[event.access])
-        elif isinstance(event, DeliverMessage):
-            fields = (1, *event.message.encoded(self._mtype_index))
-        elif isinstance(event, DuplicateMessage):
-            fields = (2, *event.message.encoded(self._mtype_index))
-        elif isinstance(event, ReorderMessage):
-            fields = (3, event.src + 2, event.dst + 2, event.vnet, event.position)
-        else:
-            raise TypeError(f"unknown event {event!r}")
-        if self.num_addresses == 1:
-            return fields
-        addr = getattr(event, "addr", 0)
-        return fields + (addr,)
-
     def relabeled_event(self, eev: tuple, perm: tuple[int, ...]) -> tuple:
         """The event encoding *eev* with every cache ID remapped through
         *perm* (``perm[old] = new``), through :meth:`perm_tables`: what a
@@ -700,7 +830,12 @@ class StateCodec:
         return self._events.setdefault(eev, eev)
 
     def decode_event(self, fields: tuple) -> SystemEvent:
-        """Inverse of :meth:`encode_event`."""
+        """The event of an encoding: ``(0, cache, access index)`` for an
+        access, ``(1 | 2, message record...)`` for a delivery or a
+        duplicate, ``(3, src, dst, vnet, position)`` for a reorder (node
+        IDs +2-shifted), with the plane appended as one trailing lane when
+        there are several addresses (what plans, the store and traces
+        carry)."""
         addr = 0
         if self.num_addresses > 1:
             addr = fields[-1]
@@ -725,13 +860,6 @@ class StateCodec:
             position=fields[4],
             addr=addr,
         )
-
-    # -- conveniences ---------------------------------------------------------------
-    def encode_packed(self, state: GlobalState) -> bytes:
-        return self.pack(self.encode(state))
-
-    def decode_packed(self, packed: bytes) -> GlobalState:
-        return self.decode(self.unpack(packed))
 
 
 __all__ = ["LaneOverflow", "Memo", "StateCodec"]

@@ -50,10 +50,9 @@ tests hold every successor, error text and violation to an independent
 object-level interpreter of the same generated protocol
 (``tests/verification/reference_system.py``), per state and per search.
 
-The layout is :mod:`repro.system.codec`'s: the kernel and the codec import
-the cache-block widths and lane offsets (``CF_*``) from
-:mod:`repro.system.node_state` and the message width from
-:mod:`repro.system.message`.
+The layout is :mod:`repro.system.codec`'s: the kernel reads the
+cache-block width, the lane offsets (``CF_*``) and the message width from
+there.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ from repro.dsl.types import (
     SetOwnerToRequestor,
     WriteDataToMemory,
 )
-from repro.system.codec import LaneOverflow, Memo
-from repro.system.message import MESSAGE_ENCODED_WIDTH, decode_message
-from repro.system.node_state import (
+from repro.system.codec import (
     CACHE_ENCODED_WIDTH,
     CF_ACKS_EXPECTED,
     CF_ACKS_RECEIVED,
@@ -93,6 +90,10 @@ from repro.system.node_state import (
     CF_PENDING,
     CF_SAVED,
     CF_STATE,
+    MESSAGE_ENCODED_WIDTH,
+    LaneOverflow,
+    Memo,
+    decode_message,
 )
 
 #: Directory actions that read or write the sharer set, and those that read

@@ -9,11 +9,13 @@ cache block, non-deterministic core accesses bounded per cache, and
 non-deterministic message delivery.
 
 What a transition does and what a state satisfies is the compiled
-kernel's (:meth:`System.kernel`), on encoded states.  This module holds, as
-plain data, the vocabulary its results are reported in: the
-:class:`GlobalState` a state decodes to and the :class:`SystemEvent` kinds
-a trace is made of.  The object-level predicates, relabel and sort key are
-the tests' (``tests/verification/reference_system.py``).
+kernel's (:meth:`System.kernel`), on encoded states, and a search's
+initial state is the codec's key (:meth:`StateCodec.root
+<repro.system.codec.StateCodec.root>`).  This module holds, as plain data,
+the vocabulary results are reported in: the :class:`GlobalState` a state
+decodes to and the :class:`SystemEvent` kinds a trace is made of.  The
+initial state as an object, the object-level predicates, relabel and sort
+key are the tests' (``tests/verification/reference_system.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from repro.core.fsm import GeneratedProtocol
 from repro.dsl.types import AccessKind
 from repro.system.message import Message
-from repro.system.network import Network, make_network
+from repro.system.network import Network
 from repro.system.node_state import CacheNodeState, DirectoryNodeState
 
 
@@ -329,29 +331,6 @@ class System:
 
             self._vkernel = VectorizedKernel(self)
         return self._vkernel
-
-    # -- construction ---------------------------------------------------------
-    def initial_state(self) -> GlobalState:
-        n_planes = self.num_addresses
-        caches = tuple(
-            CacheNodeState(fsm_state=self.protocol.cache.initial_state)
-            for _ in range(self.num_caches * n_planes)
-        )
-        directory = DirectoryNodeState(fsm_state=self.protocol.directory.initial_state)
-        return GlobalState(
-            caches=caches,
-            directory=directory,
-            network=make_network(self.ordered),
-            latest_version=0,
-            extra_dirs=tuple(
-                DirectoryNodeState(fsm_state=self.protocol.directory.initial_state)
-                for _ in range(n_planes - 1)
-            ),
-            extra_versions=(0,) * (n_planes - 1),
-            extra_networks=tuple(
-                make_network(self.ordered) for _ in range(n_planes - 1)
-            ),
-        )
 
     def symmetry_permutations(self) -> tuple[tuple[int, ...], ...]:
         """All cache permutations, identity first.

@@ -137,9 +137,8 @@ from itertools import groupby
 import numpy as np
 
 from repro.system import codec as codec_module
-from repro.system.codec import Memo
+from repro.system.codec import CF_STATE, Memo
 from repro.system.kernel import DEFAULT_CODES, FAILED, STALLED, TransitionKernel
-from repro.system.node_state import CF_STATE
 from repro.system.rowtable import RowTable
 
 #: In place of an outcome ID: a stalled delivery (not an enabled plan).

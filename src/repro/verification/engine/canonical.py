@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.system.codec import Memo
-from repro.system.node_state import CF_PENDING, CF_SAVED
+from repro.system.codec import CF_PENDING, CF_SAVED, Memo
 
 Permutation = tuple[int, ...]
 

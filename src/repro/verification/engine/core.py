@@ -18,7 +18,8 @@ Counterexample traces remain valid under symmetry reduction: every stored
 transition records the permutation that canonicalized its successor, and
 :meth:`Exploration.trace_events` relabels each event back through the
 inverse of the accumulated permutation chain, so the reported event sequence
-steps through the compiled kernel from the real initial state, and
+steps through the compiled kernel from the real initial state
+(:meth:`StateCodec.root <repro.system.codec.StateCodec.root>`), and
 :meth:`Exploration._concretized` does exactly that to restate the failure in
 the trace's frame.
 """
@@ -252,14 +253,15 @@ class Exploration:
 
     # -- setup -----------------------------------------------------------------
     def seed(self) -> VerificationResult | None:
-        """Intern the (canonicalized, encoded) initial state and check it.
+        """Intern the (canonicalized) root key, :meth:`StateCodec.root
+        <repro.system.codec.StateCodec.root>`, and check it.
 
         Returns a failure result if an invariant is already violated in the
         initial state, ``None`` otherwise: the root is checked on its key's
         lanes through :func:`first_violation`, like every other state.
         """
         codec = self.codec
-        key = codec.encode_packed(self.system.initial_state())
+        key = codec.root()
         root_perm: Permutation | None = None
         if self.perms is not None:
             key, root_perm = canonicalizer_for(codec, self.perms).canonicalize(key)
@@ -286,7 +288,7 @@ class Exploration:
         the stored event relabeled through ``sigma_i`` **inverse**, and
         ``sigma_{i+1} = perm_{i+1} . sigma_i`` where ``perm_{i+1}`` is the
         permutation that canonicalized the raw successor.  The resulting
-        sequence steps through the kernel from :meth:`System.initial_state`;
+        sequence steps through the kernel from the root key;
         :meth:`failure` decodes each encoding once, for the report.
         """
         links = self.store.chain(leaf_id)
@@ -395,7 +397,7 @@ class Exploration:
         again on the last key's lanes (:func:`violations`).
         """
         codec, kernel = self.codec, self.kernel
-        key = codec.encode_packed(self.system.initial_state())
+        key = codec.root()
         for eev in events:
             plans, net = kernel.enabled(key)
             plan = next(plan for plan in plans if plan[1] == eev)
@@ -492,9 +494,10 @@ def verify(
     in-memory digest set per worker.
 
     ``invariants``
-        The predicates every reachable state must satisfy
+        The invariants every reachable state must satisfy
         (:func:`~repro.verification.invariants.default_invariants` when
-        omitted).
+        omitted): built-in ones, which carry their kernel ``code``, or
+        ``(system, state)`` predicates, called on decoded states.
     ``max_states``
         State budget: the search aborts cleanly once the budget is reached
         and returns a **partial** result (``result.partial`` /

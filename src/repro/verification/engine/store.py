@@ -5,8 +5,8 @@ integer ID, and records the search tree column-wise:
 
 * ``parent[id]`` -- ID of the state this one was first reached from (-1 for
   the root);
-* ``event[id]``  -- the codec encoding
-  (:meth:`~repro.system.codec.StateCodec.encode_event`) of the
+* ``event[id]``  -- the event encoding (read back by
+  :meth:`~repro.system.codec.StateCodec.decode_event`) of the
   :class:`~repro.system.system.SystemEvent` applied to the parent
   *representative* to reach this state;
 * ``perm[id]``   -- the cache permutation that canonicalized the raw

@@ -12,17 +12,19 @@ must never go backwards).  This module names the invariants a caller hands
 * **Single owner** -- no two caches in a stable writable state at once.
 * **Litmus outcomes** -- :class:`LitmusInvariant`'s forbidden outcomes.
 
-Each compiles to a :mod:`repro.system.kernel` code that the kernel checks
-and words (:meth:`TransitionKernel.violation`) on a state's lanes, so
-called on a ``GlobalState`` an invariant encodes it and asks the kernel.
-Any other ``(system, state)`` predicate runs on the decoded state.  The
-tests restate all three over objects (``reference_system.py``).
+Each is a value carrying its :mod:`repro.system.kernel` code (``code``),
+which the kernel checks and words (:meth:`TransitionKernel.violation`) on
+a state's lanes; none is called on a ``GlobalState``.  To check a state by
+hand, ask the kernel: ``system.kernel().violation(codec.encode(state),
+invariant.code)``.  Any other ``(system, state)`` predicate runs on the
+decoded state.  The tests restate all three over objects
+(``reference_system.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 from repro.system.kernel import INV_DECODED, INV_SINGLE_OWNER, INV_SWMR
 from repro.system.system import GlobalState, System
@@ -39,27 +41,28 @@ class InvariantViolation:
         return f"{self.name}: {self.detail}"
 
 
-Invariant = Callable[[System, GlobalState], InvariantViolation | None]
+class KernelInvariant:
+    """A built-in invariant: its name and the kernel :attr:`code` that
+    checks and words it.  ``__name__`` is the name of the function it
+    once was, which a checkpoint's fingerprint records."""
+
+    __slots__ = ("__name__", "code")
+
+    def __init__(self, name: str, code: str):
+        self.__name__ = name
+        self.code = code
+
+    def __repr__(self) -> str:
+        return self.__name__
 
 
-def _asked(system: System, state: GlobalState, code) -> InvariantViolation | None:
-    """The kernel's verdict on compiled invariant *code* in *state*."""
-    worded = system.kernel().violation(system.codec().encode(state), code)
-    return None if worded is None else InvariantViolation(*worded)
+#: Single-Writer / Multiple-Reader over the generated permission map, per
+#: address plane (writers on different blocks may coexist).
+swmr_invariant = KernelInvariant("swmr_invariant", INV_SWMR)
 
-
-def swmr_invariant(system: System, state: GlobalState) -> InvariantViolation | None:
-    """Single-Writer / Multiple-Reader over the generated permission map.
-
-    A per-address property: with several address planes each plane is
-    checked independently (writers on different blocks may coexist)."""
-    return _asked(system, state, INV_SWMR)
-
-
-def single_owner_invariant(system: System, state: GlobalState) -> InvariantViolation | None:
-    """No two caches may simultaneously sit in a stable MODIFIED-like state
-    (per address, like SWMR)."""
-    return _asked(system, state, INV_SINGLE_OWNER)
+#: No two caches simultaneously in a stable MODIFIED-like state (per
+#: address, like SWMR).
+single_owner_invariant = KernelInvariant("single_owner_invariant", INV_SINGLE_OWNER)
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,8 @@ class LitmusInvariant:
     when, in a **complete** state (quiescent, every program finished), every
     listed cache's last observed value on the listed address equals the
     listed ghost version.  Any matched clause is a consistency violation.
-
-    Callable with the ``(system, state)`` invariant signature so it drops
-    into ``verify(invariants=...)`` next to the default pair; it compiles to
-    the kernel code ``("litmus", clauses, name)`` (:attr:`code`).
+    It drops into ``verify(invariants=...)`` next to the default pair,
+    compiled to the kernel code ``("litmus", clauses, name)`` (:attr:`code`).
     """
 
     name: str
@@ -84,39 +85,24 @@ class LitmusInvariant:
     def code(self) -> tuple:
         return ("litmus", self.clauses, self.name)
 
-    def __call__(
-        self, system: System, state: GlobalState
-    ) -> InvariantViolation | None:
-        return _asked(system, state, self.code)
+
+Invariant = Union[
+    KernelInvariant,
+    LitmusInvariant,
+    Callable[[System, GlobalState], "InvariantViolation | None"],
+]
 
 
 def default_invariants() -> Sequence[Invariant]:
     return (swmr_invariant, single_owner_invariant)
 
 
-#: Invariants the compiled kernel can evaluate directly on encoded states,
-#: mapped to their :mod:`repro.system.kernel` evaluator codes.
-COMPILED_INVARIANTS: dict[Invariant, str] = {
-    swmr_invariant: INV_SWMR,
-    single_owner_invariant: INV_SINGLE_OWNER,
-}
-
-
 def compiled_invariant_codes(
     invariants: Sequence[Invariant],
 ) -> tuple[str | tuple, ...]:
-    """Kernel evaluator codes for *invariants*, in order.
-
-    Litmus invariants compile to their structured :attr:`LitmusInvariant.code`
-    (the checker is parameterized by its clause table, not its identity).
-    Any other predicate gets :data:`~repro.system.kernel.INV_DECODED`, for
-    which :meth:`TransitionKernel.check` never vouches: every new state is
-    then decoded and the ``(system, state)`` predicates are called on it
-    unchanged, so a custom invariant runs on the compiled kernel too.
-    """
-    return tuple(
-        invariant.code
-        if isinstance(invariant, LitmusInvariant)
-        else COMPILED_INVARIANTS.get(invariant, INV_DECODED)
-        for invariant in invariants
-    )
+    """Kernel evaluator codes for *invariants*, in order: each one's
+    ``code``, or :data:`~repro.system.kernel.INV_DECODED` for a
+    ``(system, state)`` predicate, for which :meth:`TransitionKernel.check`
+    never vouches: every new state is then decoded and the predicate called
+    on it, so a custom invariant runs on the compiled kernel too."""
+    return tuple(getattr(invariant, "code", INV_DECODED) for invariant in invariants)

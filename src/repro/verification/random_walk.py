@@ -84,7 +84,7 @@ def random_walk(
     invariants = tuple(invariants) if invariants is not None else tuple(default_invariants())
     kernel, codes = compiled_tables(system, invariants)
     codec = system.codec()
-    root = codec.encode_packed(system.initial_state())
+    root = codec.root()
     rng = random.Random(seed)
     start = time.perf_counter()
     total_steps = 0

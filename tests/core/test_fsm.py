@@ -17,7 +17,7 @@ from repro.dsl.types import AccessKind, ControllerKind, PerformAccess, Permissio
 
 @pytest.fixture
 def fsm():
-    fsm = ControllerFsm("test-cache", ControllerKind.CACHE, initial_state="I")
+    fsm = ControllerFsm("test-cache", ControllerKind.CACHE, initial="I")
     fsm.add_state(FsmState("I", StateKind.STABLE, Permission.NONE, frozenset({"I"})))
     fsm.add_state(FsmState("S", StateKind.STABLE, Permission.READ, frozenset({"S"})))
     fsm.add_state(
@@ -39,12 +39,6 @@ class TestStates:
     def test_stable_and_transient_partitions(self, fsm):
         assert {s.name for s in fsm.stable_states()} == {"I", "S"}
         assert {s.name for s in fsm.transient_states()} == {"IS_D"}
-
-    def test_resolve_state_handles_aliases(self, fsm):
-        assert fsm.resolve_state("IS_D_alias") == "IS_D"
-        assert fsm.resolve_state("I") == "I"
-        with pytest.raises(GenerationError):
-            fsm.resolve_state("nope")
 
 
 class TestTransitions:

@@ -121,9 +121,6 @@ class TestTableVINonStallingStates:
         assert "SM_A_I" in cache.state("IM_A_I").aliases
         assert "SM_A_SI" in cache.state("IM_A_SI").aliases
 
-    def test_resolve_state_accepts_aliases(self, cache):
-        assert cache.resolve_state("SM_AD_I") == "IM_AD_I"
-
     def test_state_count_in_paper_range(self, cache):
         # Paper Section VI-B: 18-20 states for the non-stalling protocols.
         # Our generator keeps SM_A_S separate (it can still serve load hits),

@@ -117,11 +117,6 @@ class TestControllerSpecQueries:
         directory = msi_spec.directory
         assert {"GetS", "GetM", "PutS"} <= directory.messages_handled_in("S")
 
-    def test_accesses_starting_transactions(self, msi_spec):
-        cache = msi_spec.cache
-        assert cache.accesses_starting_transactions("I") == {AccessKind.LOAD, AccessKind.STORE}
-        assert AccessKind.REPLACEMENT in cache.accesses_starting_transactions("M")
-
     def test_state_lookup_error(self, msi_spec):
         with pytest.raises(SpecError, match="unknown state"):
             msi_spec.cache.state("Z")
@@ -130,9 +125,6 @@ class TestControllerSpecQueries:
 class TestProtocolSpecQueries:
     def test_forwarded_messages(self, msi_spec):
         assert set(msi_spec.forwarded_messages()) == {"Fwd_GetS", "Fwd_GetM", "Inv"}
-
-    def test_request_messages(self, msi_spec):
-        assert set(msi_spec.request_messages()) == {"GetS", "GetM", "PutS", "PutM"}
 
     def test_cache_arrival_states(self, msi_spec, mosi_spec):
         assert msi_spec.cache_arrival_states("Inv") == ["S"]

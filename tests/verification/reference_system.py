@@ -473,6 +473,11 @@ def _edit(network: Network, key: tuple, edit) -> OrderedNetwork:
     return OrderedNetwork(tuple(sorted((k, q) for k, q in channels.items() if q)))
 
 
+def make_network(ordered: bool) -> Network:
+    """An empty network of the requested kind."""
+    return OrderedNetwork() if ordered else UnorderedNetwork()
+
+
 def in_flight(network: Network) -> tuple[Message, ...]:
     if not network.ordered:
         return network.messages
@@ -631,6 +636,22 @@ class ReferenceSystem(System):
         return tuple(
             replace(m, vnet=0) if m.mtype in self._request_names and m.vnet != 0 else m
             for m in sends
+        )
+
+    def initial_state(self) -> GlobalState:
+        """Every cache and directory in its FSM's initial state on every
+        plane, nothing in flight (the object the codec's root key
+        decodes to)."""
+        planes = self.num_addresses
+        directory = DirectoryNodeState(fsm_state=self.protocol.directory.initial)
+        return GlobalState(
+            caches=(CacheNodeState(fsm_state=self.protocol.cache.initial),)
+            * (self.num_caches * planes),
+            directory=directory,
+            network=make_network(self.ordered),
+            extra_dirs=(directory,) * (planes - 1),
+            extra_versions=(0,) * (planes - 1),
+            extra_networks=(make_network(self.ordered),) * (planes - 1),
         )
 
     # -- per-address plane accessors -----------------------------------------

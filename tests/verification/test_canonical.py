@@ -35,6 +35,8 @@ from repro.verification.engine.canonical import (
 
 from reference_system import reference, relabeled, restated, sort_key
 from verification_helpers import (
+    encode_event,
+    encode_packed,
     LATE_ABSORB_STATES,
     has_saved_ids,
     production_canonicalize,
@@ -47,7 +49,7 @@ from verification_helpers import (
 def _relabeled_event(system, event, perm):
     """*event* relabeled as a trace's are: its encoding, by the codec."""
     codec = system.codec()
-    return codec.decode_event(codec.relabeled_event(codec.encode_event(event), perm))
+    return codec.decode_event(codec.relabeled_event(encode_event(codec, event), perm))
 
 
 def _system(protocol, num_caches=3):
@@ -137,8 +139,8 @@ def test_packed_representative_and_witness_equal_the_definition(
             ), "sample never reached a late-absorb state"
     for state in states:
         rep, perm = reference_canonicalize(state, perms)
-        assert canonicalizer.canonicalize(codec.encode_packed(state)) == (
-            codec.encode_packed(rep), perm
+        assert canonicalizer.canonicalize(encode_packed(codec, state)) == (
+            encode_packed(codec, rep), perm
         )
 
 
@@ -316,7 +318,7 @@ class TestSortedSignaturePrecanonicalization:
         to the identity and the state must already be canonical."""
         system, _ = four_cache_sampled
         perms = system.symmetry_permutations()
-        initial = system.initial_state()
+        initial = reference(system).initial_state()
         rep, perm = production_canonicalize(system, initial)
         assert rep == initial
         assert perm == perms[0]

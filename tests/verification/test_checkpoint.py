@@ -42,9 +42,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.system import FaultModel, System, Workload
-from repro.verification import verify
+from repro.verification import (
+    message_passing,
+    single_owner_invariant,
+    swmr_invariant,
+    verify,
+)
 from repro.verification.engine import CheckpointMismatch
-from repro.verification.engine.checkpoint import CHECKPOINT_VERSION
+from repro.verification.engine.checkpoint import CHECKPOINT_VERSION, fingerprint
 
 from verification_helpers import DECODED, make_missing_inv_mutant, make_swmr_mutant
 
@@ -328,3 +333,26 @@ class TestMismatchRejection:
         system, path = saved_checkpoint
         result = verify(system, max_states=40_000, checkpoint=path)
         assert result.ok and not result.partial
+
+
+@pytest.mark.parametrize("litmus, digest", [
+    (False, "50f844e914b6af7282a34e7d4e4cfa23"),
+    (True, "13285eb751e92fc297ebdc0dca5c405b"),
+], ids=["msi-2c2a", "litmus-MP"])
+def test_invariant_values_keep_the_fingerprint(msi_nonstalling, msi_stalling,
+                                               explorations, litmus, digest):
+    """The built-in invariants are values named like the functions they
+    replaced, and a litmus invariant is named by its repr, so a checkpoint
+    written while they were functions still resumes: the digests are the
+    ones those functions gave (MSI 2c x 2a with the default pair, and MP on
+    MSI stalling with both and its outcome check)."""
+    if litmus:
+        mp = message_passing()
+        system = System(msi_stalling, num_caches=2, workload=mp.workload)
+        options = {"invariants": (swmr_invariant, single_owner_invariant, mp.invariant)}
+    else:
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        options = {}
+    verify(system, max_states=5, **options)
+    assert fingerprint(explorations[-1]) == digest

@@ -32,6 +32,9 @@ from repro.verification.engine.canonical import canonicalizer_for, invert
 
 from reference_system import reference, relabeled
 from verification_helpers import (
+    decode_packed,
+    encode_event,
+    encode_packed,
     LATE_ABSORB_STATES,
     has_saved_ids,
     production_canonicalize,
@@ -80,7 +83,7 @@ class TestRoundTrip:
             assert packed == array(codec.typecode, enc).tobytes()
             cut = codec.net_offset
             assert packed == codec.pack(enc[:cut]) + codec.pack(enc[cut:])
-            assert codec.decode_packed(codec.encode_packed(state)) == state
+            assert decode_packed(codec, encode_packed(codec, state)) == state
 
     def test_encoding_is_injective_on_the_sample(self, sampled_by_protocol, name):
         system, states = sampled_by_protocol[name]
@@ -110,7 +113,7 @@ class TestRoundTrip:
         seen = 0
         for state in states[:80]:
             for event in replay.enabled_events(state):
-                assert codec.decode_event(codec.encode_event(event)) == event
+                assert codec.decode_event(encode_event(codec, event)) == event
                 seen += 1
         assert seen > 0
 
@@ -123,7 +126,7 @@ class TestEncodedCanonicalAgreement:
         perms = system.symmetry_permutations()
         canonicalize = canonicalizer_for(codec, perms).canonicalize
         for state in states[:100]:
-            rep_key, _ = canonicalize(codec.encode_packed(state))
+            rep_key, _ = canonicalize(encode_packed(codec, state))
             again, perm = canonicalize(rep_key)
             assert again is rep_key, "an identity winner returns its argument"
             assert perm == perms[0]
@@ -177,6 +180,7 @@ def test_msi_unordered_late_absorb_states_agree_on_all_pipelines(all_generated):
 class _NameTable:
     def __init__(self, names):
         self._names = list(names)
+        self.initial = self._names[0]
 
     def state_names(self):
         return self._names
@@ -186,7 +190,8 @@ class _NameTable:
 
 
 class _SyntheticProtocol:
-    """Protocol stub exposing just the catalogs the codec indexes."""
+    """Protocol stub exposing just the catalogs the codec indexes (and an
+    initial state per controller, for the root)."""
 
     def __init__(self, *, cache_states, dir_states, mtypes):
         self.cache = _NameTable(cache_states)
@@ -232,7 +237,7 @@ class TestLaneWidening:
         assert len(packed) == 4 * len(enc)
         assert packed == array(codec.typecode, enc).tobytes()
         assert codec.unpack(packed) == enc
-        assert codec.decode_packed(codec.encode_packed(state)) == state
+        assert decode_packed(codec, encode_packed(codec, state)) == state
 
     def test_value_bound_alone_widens_the_lanes(self):
         from repro.system import StateCodec
@@ -310,7 +315,7 @@ class TestLaneWidening:
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         codec = system.codec()
-        enc = codec.encode(system.initial_state())
+        enc = codec.unpack(codec.root())
         assert codec.pack(enc[:-1] + (codec.lane_max,))
         with pytest.raises(LaneOverflow, match="8-bit lanes"):
             codec.pack(enc[:-1] + (codec.lane_max + 1,))

@@ -34,6 +34,8 @@ It asserts:
   them) and repeats the trace of the uninterrupted search it stands for
   (a reduced 2-cache fleet's: its own, run twice);
 * with built-in invariants, that nothing was decoded, failing or not;
+* that the search's root key, ``codec.root()``, is the reference's initial
+  state encoded;
 * on a ``resume-`` row, that each leg of the chain stops partial with a
   checkpoint and gets further than the last, a resumed one included
   (:func:`resumed`);
@@ -71,6 +73,7 @@ from repro.verification import LITMUS_TESTS, LitmusInvariant, LitmusTest, verify
 
 from verification_helpers import (
     DECODED,
+    encode_packed,
     ERROR_MUTANTS,
     MUTANT_DROPS,
     MessageDroppingSystem,
@@ -86,7 +89,7 @@ from verification_helpers import (
     rewrite_transition,
     workload_for,
 )
-from reference_system import in_flight
+from reference_system import in_flight, reference
 
 ALL_PROTOCOLS = protocols.available_protocols()
 POLICIES = ("nonstalling", "stalling")
@@ -541,6 +544,8 @@ def test_row(matrix, tmp_path, cell, mode, symmetry):
     else:
         result = runs.run(mode, symmetry)
 
+    codec = runs.system.codec()
+    assert codec.root() == encode_packed(codec, reference(runs.system).initial_state())
     batch = (cell.batch and options.get("kernel") == "vectorized"
              and "strategy" not in options)
     assert result.kernel == ("vectorized" if batch else "compiled")

@@ -425,23 +425,24 @@ class TestNoSilentWrap:
     error on every path -- NumPy casts wrap where ``struct.pack`` raises, so
     none of them may get that far -- never with a truncated key and a PASS.
 
-    The width is forced one size too narrow by ageing the initial state:
+    The width is forced one size too narrow by ageing the root key:
     ``value_bound`` promises data versions below 6, the search starts at
     version 254, and the first data message carries lane value 256.
     """
 
     @pytest.fixture
     def aged(self, msi_nonstalling, monkeypatch):
-        from dataclasses import replace
+        from repro.system import StateCodec
 
-        fresh_state = System.initial_state
+        fresh_root = StateCodec.root
 
-        def aged_state(self):
-            state = fresh_state(self)
-            return replace(state, latest_version=254,
-                           directory=replace(state.directory, memory=254))
+        def aged_root(self):
+            lanes = list(self.unpack(fresh_root(self)))
+            # The directory's memory lane, then the plane's version lane.
+            lanes[self.version_offset - 1] = lanes[self.version_offset] = 254
+            return self.pack(lanes)
 
-        monkeypatch.setattr(System, "initial_state", aged_state)
+        monkeypatch.setattr(StateCodec, "root", aged_root)
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         assert system.codec().typecode == "B"
@@ -516,6 +517,34 @@ class TestLaneWidthParity:
         assert (result.states_explored, result.transitions_explored) == (
             (862, 1557) if symmetry else (1702, 3078)
         )
+
+
+@pytest.mark.parametrize("run", [
+    lambda system: verify(system),
+    lambda system: verify(system, strategy="dfs"),
+    lambda system: verify(system, kernel="vectorized"),
+    lambda system: verify(system, symmetry=True),
+    lambda system: random_walk(system, runs=5, max_steps=40, seed=3,
+                               track_coverage=True),
+], ids=["bfs", "dfs", "vectorized", "reduced", "random-walk"])
+def test_a_passing_search_builds_no_state_object(msi_nonstalling, monkeypatch, run):
+    """The root is the codec's key (``StateCodec.root``) and every other key
+    is spliced out of its parent's: a passing search with the built-in
+    invariants constructs no ``GlobalState`` at all."""
+    from repro.system import GlobalState
+
+    built = []
+    init = GlobalState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GlobalState, "__init__", counted)
+    result = run(System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=1)))
+    assert result.ok
+    assert built == []
 
 
 @pytest.mark.parametrize("cell", [
@@ -700,9 +729,12 @@ def test_each_plane_section_is_parsed_once(msi_nonstalling, explorations):
     codec = system.codec()
     sections = set()
     for key in explorations[-1].store._ids:
-        state = codec.decode_packed(key)
-        for network in (state.network, *state.extra_networks):
-            sections.add(codec.pack(network.encoded(codec._mtype_index)))
+        enc = codec.unpack(key)
+        pos = codec.net_offset
+        for _ in range(codec.num_addresses):
+            end = pos + codec._section_length(enc, pos)
+            sections.add(codec.pack(enc[pos:end]))
+            pos = end
     memo = codec._net_items_memo
     assert set(memo) == sections
     assert memo.misses == len(sections) < len(codec._planes_memo)

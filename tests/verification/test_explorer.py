@@ -58,12 +58,14 @@ class TestInvariantHelpers:
         assert swmr_invariant in tuple(default_invariants())
         assert single_owner_invariant in tuple(default_invariants())
 
-    def test_an_invariant_called_on_a_state_asks_the_kernel(self, msi_system):
-        state = msi_system.initial_state()
-        assert swmr_invariant(msi_system, state) is None
-        both = replace(state, caches=(CacheNodeState("M"),) * 2)
-        assert swmr_invariant(msi_system, both).detail.endswith("simultaneously")
-        assert single_owner_invariant(msi_system, both).name == "single-owner"
+    def test_a_state_is_checked_through_its_invariants_code(self, msi_system):
+        codec, kernel = msi_system.codec(), msi_system.kernel()
+        state = codec.decode(codec.unpack(codec.root()))
+        assert kernel.violation(codec.encode(state), swmr_invariant.code) is None
+        both = codec.encode(replace(state, caches=(CacheNodeState("M"),) * 2))
+        assert kernel.violation(both, swmr_invariant.code)[1].endswith("simultaneously")
+        assert kernel.violation(both, single_owner_invariant.code)[0] == "single-owner"
+        assert not callable(swmr_invariant)
 
 
 class TestRandomWalk:

@@ -31,7 +31,7 @@ from repro.core.fsm import MessageEvent
 from repro.dsl.types import AccessKind
 from repro.system import FaultModel, System, Workload
 from repro.system.kernel import DEFAULT_CODES
-from repro.system.network import OrderedNetwork, make_network
+from repro.system.network import OrderedNetwork
 from repro.verification import (
     InvariantViolation,
     default_invariants,
@@ -39,9 +39,13 @@ from repro.verification import (
     verify,
 )
 
-from reference_system import (deliver, deliverable, duplicate, reference, reorder,
-                              reorderable, restated, send)
+from reference_system import (deliver, deliverable, duplicate, make_network, reference,
+                              reorder, reorderable, restated, send)
 from verification_helpers import (
+    decode_packed,
+    encode_event,
+    encode_packed,
+    message_record,
     MessageDroppingSystem,
     assert_expansion_parity,
     assert_matches_reference,
@@ -149,11 +153,11 @@ def test_whole_spaces_expand_like_the_reference(all_generated, msi_spec, label, 
     }
     system = System(generated, num_caches=2, **options)
     kernel, codec = system.kernel(), system.codec()
-    root = codec.encode_packed(system.initial_state())
+    root = codec.root()
     seen, pending, transitions, failing, requeued = {root}, [root], 0, 0, 0
     while pending:
         key = pending.pop()
-        assert_expansion_parity(system, codec.decode_packed(key))
+        assert_expansion_parity(system, decode_packed(codec, key))
         plans, net = kernel.enabled(key)
         transitions += len(plans)
         for plan in plans:
@@ -185,7 +189,7 @@ def test_every_cache_assignment_is_worded_like_the_reference(all_generated, name
     and its worded violations equal the restated invariants."""
     system = System(all_generated[(name, "stalling")], num_caches=3)
     codec, kernel, ref = system.codec(), system.kernel(), reference(system)
-    lanes = list(codec.encode(system.initial_state()))
+    lanes = list(codec.unpack(codec.root()))
     details = set()
     for states in itertools.product(range(len(codec.cache_states)), repeat=3):
         lanes[: codec.dir_offset : codec.cache_width] = states
@@ -217,9 +221,9 @@ def test_requestorless_deliveries_fail_like_the_reference(msi_spec, rewrite, err
         rewrite_transition(generated, "directory", "I", MessageEvent("GetS"), rewrite)
     system = System(generated, num_caches=2)
     gets = Message("GetS", src=0, dst=DIRECTORY_ID, vnet=0)
-    state = replace(system.initial_state(), network=send(make_network(True), gets))
+    state = replace(reference(system).initial_state(), network=send(make_network(True), gets))
     assert_expansion_parity(system, state)
-    key = system.codec().encode_packed(state)
+    key = encode_packed(system.codec(), state)
     plans, net = system.kernel().enabled(key)
     assert [system.kernel().apply(key, plan, net) for plan in plans][-1] == error
 
@@ -300,7 +304,7 @@ class TestKernelContract:
 
 def _state_with(system, network):
     """The initial state of *system*, its network replaced by *network*."""
-    return replace(system.initial_state(), network=network)
+    return replace(reference(system).initial_state(), network=network)
 
 
 def _byte_splice(kernel, section, net, where, sends, pos=0):
@@ -370,11 +374,11 @@ class TestSpliceDifferential:
             expected = deliver(network, message, pos)
             where = net[2][which][0]
         expected = _state_with(system, send(expected, *send_msgs))
-        sends = [msg.encoded(codec._mtype_index) for msg in send_msgs]
+        sends = [message_record(codec, msg) for msg in send_msgs]
         cut = codec.net_byte_offset
         spliced = _byte_splice(system.kernel(), codec.pack(enc)[cut:], net,
                                where, sends, pos)
-        assert spliced == codec.encode_packed(expected)[cut:], (
+        assert spliced == encode_packed(codec, expected)[cut:], (
             f"where={where}, pos={pos}, sends={send_msgs}, network={network}"
         )
 
@@ -449,8 +453,8 @@ class TestSpliceDifferential:
         # A bag: sends at the removed record's place -- just below it (in
         # front of it), equal to it (behind it) -- and beside both.
         below = msg(0, -1, 0, 2)
-        index = system.codec()._mtype_index
-        assert below.encoded(index) < head.encoded(index)
+        codec = system.codec()
+        assert message_record(codec, below) < message_record(codec, head)
         for sends in ([below], [head], [below, head], [below, head, into]):
             self._assert_matches_oracle(system, network, which, sends)
 
@@ -469,13 +473,13 @@ class TestSpliceDifferential:
         checked = 0
         for _ in range(120):
             state = replace(
-                two.initial_state(),
+                reference(two).initial_state(),
                 network=_random_network(rng, system.ordered, codec.mtypes),
                 extra_networks=(
                     _random_network(rng, system.ordered, codec.mtypes),),
             )
             assert_expansion_parity(two, state)
-            key = codec.encode_packed(state)
+            key = encode_packed(codec, state)
             plans, net = kernel.enabled(key)
             for plan in plans:
                 succ = kernel.apply(key, plan, net)
@@ -528,9 +532,9 @@ class TestSpliceDifferential:
         """The kernel's successor for the fault *event* in a state of
         *faulted* holding *network* -- the plan ``enabled`` lists for it."""
         codec, kernel = faulted.codec(), faulted.kernel()
-        key = codec.encode_packed(_state_with(faulted, network))
+        key = encode_packed(codec, _state_with(faulted, network))
         plans, net = kernel.enabled(key)
-        eev = codec.encode_event(event)
+        eev = encode_event(codec, event)
         (plan,) = [plan for plan in plans if plan[1] == eev]
         return kernel.apply(key, plan, net)
 
@@ -553,7 +557,7 @@ class TestSpliceDifferential:
                                    faults_used=1)
                 succ = self._fault_successor(
                     faulted, network, DuplicateMessage(message=message))
-                assert succ == codec.encode_packed(expected), (
+                assert succ == encode_packed(codec, expected), (
                     f"{message} in {network}")
                 duplicated += 1
         assert duplicated > 300
@@ -578,7 +582,7 @@ class TestSpliceDifferential:
                                    faults_used=1)
                 succ = self._fault_successor(faulted, network, ReorderMessage(
                     src=src, dst=dst, vnet=vnet, position=pos))
-                assert succ == codec.encode_packed(expected), network
+                assert succ == encode_packed(codec, expected), network
                 swapped += 1
         assert bool(swapped) == system.ordered
 
@@ -621,7 +625,7 @@ class TestSpliceLaneOverflow:
         enc = codec.encode(_state_with(system, network))
         net = codec.parsed_planes(enc)[0]
         where = None if which is None else net[2][which][0]
-        sends = [m.encoded(codec._mtype_index) for m in sends]
+        sends = [message_record(codec, m) for m in sends]
         return _byte_splice(
             kernel, codec.pack(enc)[codec.net_byte_offset :], net, where, sends
         )
@@ -679,9 +683,9 @@ class TestSpliceLaneOverflow:
         assert codec.typecode == "B"
         message = Message(mtype=codec.mtypes[0], src=0, dst=-1, vnet=0)
         network = send(make_network(ordered), *[message] * 255)
-        key = codec.encode_packed(_state_with(system, network))
+        key = encode_packed(codec, _state_with(system, network))
         plans, net = kernel.enabled(key)
-        eev = codec.encode_event(DuplicateMessage(message=message))
+        eev = encode_event(codec, DuplicateMessage(message=message))
         (plan,) = [plan for plan in plans if plan[1] == eev]
         with pytest.raises(LaneOverflow, match="lane value 256 does not fit"):
             kernel.apply(key, plan, net)
@@ -703,15 +707,15 @@ def test_a_plane_one_overflow_raises_the_codecs_error(msi_stalling):
     request = Message(mtype="GetS", src=0, dst=-1, requestor=0, vnet=0)
     full = [Message(mtype="Inv", src=-1, dst=0, requestor=1)] * 255
     state = replace(
-        system.initial_state(),
+        reference(system).initial_state(),
         network=send(OrderedNetwork(), request, *full[:254]),
         extra_networks=(send(OrderedNetwork(), request, *full),),
     )
-    key = codec.encode_packed(state)
+    key = encode_packed(codec, state)
     plans, net = kernel.enabled(key)
 
     def delivery(addr):
-        eev = codec.encode_event(DeliverMessage(message=request, addr=addr))
+        eev = encode_event(codec, DeliverMessage(message=request, addr=addr))
         (plan,) = [plan for plan in plans if plan[1] == eev]
         return plan
 
@@ -734,7 +738,7 @@ def test_a_write_outside_the_block_is_spliced_with_its_plane(
 
     plain = system()
     codec = plain.codec()
-    root = codec.encode_packed(plain.initial_state())
+    root = codec.root()
     plans, net = plain.kernel().enabled(root)
     expected = [plain.kernel().apply(root, plan, net) for plan in plans]
     memory = codec.version_offset - 1  # the directory's memory lane

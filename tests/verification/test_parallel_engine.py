@@ -34,7 +34,7 @@ from repro.verification.engine import parallel as parallel_mod
 from repro.verification.engine.driver import CompiledExpander
 
 from reference_system import reference
-from verification_helpers import DECODED, make_swmr_mutant, replay_and_check
+from verification_helpers import DECODED, encode_packed, make_swmr_mutant, replay_and_check
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +226,7 @@ def test_owners_check_foreign_states_through_the_expander_seam(
         state = replay.apply(state, event).state
     expander = CompiledExpander(ctx)
     for packed, violated in ((ctx.root_key, False),
-                             (ctx.codec.encode_packed(state), True)):
+                             (encode_packed(ctx.codec, state), True)):
         violation = expander.violation(packed)
         assert (violation is not None) == violated
     assert violation.name == "SWMR"

@@ -86,8 +86,8 @@ class TestReferenceNetwork:
     def test_delivering_the_last_message_empties_the_network(self):
         for net in (FIFO, BAG):
             net = send(net, _msg("A"))
-            assert not net.empty and len(in_flight(net)) == 1
-            assert deliver(net, deliverable(net)[0]).empty
+            assert len(in_flight(net)) == 1
+            assert not in_flight(deliver(net, deliverable(net)[0]))
 
     def test_every_message_of_a_bag_is_deliverable(self):
         net = send(BAG, _msg("A"), _msg("B"), _msg("C"))
@@ -163,7 +163,7 @@ class TestReferenceNetwork:
         # Drain the network, always taking a head: each channel is received
         # in send order.
         net, received = send(FIFO, *messages), {}
-        while not net.empty:
+        while in_flight(net):
             head = deliverable(net)[0]
             received.setdefault((head.src, head.dst, head.vnet), []).append(head)
             net = deliver(net, head)
@@ -175,7 +175,7 @@ class TestReferenceNetwork:
         net, drained = send(BAG, *messages), []
         assert sorted(in_flight(net), key=message_sort_key) == sorted(
             messages, key=message_sort_key)
-        while not net.empty:
+        while in_flight(net):
             drained.append(deliverable(net)[0])
             net = deliver(net, drained[-1])
         assert sorted(drained, key=message_sort_key) == sorted(

@@ -27,14 +27,15 @@ matrix (``test_conformance.py``).  Here, the layers below them:
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import protocols
 from repro.system import System, Workload
+from repro.system.codec import decode_message
 from repro.system.kernel import DEFAULT_CODES
-from repro.system.message import decode_message
 from repro.system.rowtable import RowTable
 from repro.verification import verify
 
@@ -263,7 +264,8 @@ class TestSectionAlgebra:
         ]
         for enc, sid in zip(encs, sids.tolist()):
             net = codec.parsed_planes(enc)[0]
-            network = codec.decode(enc).network
+            state = codec.decode(enc)
+            network = state.network
             for where, rec, _packed in ((None, None, None), *net[2]):
                 pool = list(real)
                 if rec is not None:
@@ -283,7 +285,7 @@ class TestSectionAlgebra:
                     slot = 0 if rec is None else vk._rec_ids[rec] + 1
                     splices.append((
                         (sid << bits | slot) << bits | send_list_id(sends),
-                        after.encoded(codec._mtype_index),
+                        codec.encode(replace(state, network=after))[no:],
                     ))
         assert reopened and len(splices) > 200
         successors = vk._emit_tails(
@@ -491,7 +493,7 @@ def test_the_batch_invariant_check_equals_the_per_state_one(msi_nonstalling):
     system = System(msi_nonstalling, num_caches=3,
                     workload=Workload(max_accesses_per_cache=1))
     codec, kernel, vk = system.codec(), system.kernel(), system.vectorized_kernel()
-    lanes = list(codec.encode(system.initial_state()))
+    lanes = list(codec.unpack(codec.root()))
     keys = []
     for states in itertools.product(range(len(kernel.spec.cache.permission)), repeat=3):
         lanes[: codec.dir_offset : codec.cache_width] = states

@@ -6,7 +6,10 @@ reference system (``reference_system``: what an event does, per state;
 symmetry canonicalization executed as written (:func:`reference_canonicalize`)
 and a plain breadth-first search built on both (:func:`reference_search`),
 which is also the verdict oracle.  None of them touches the codec, the
-store, a kernel or the engine's canonicalizer.
+store, a kernel or the engine's canonicalizer.  Beside them sit the codec
+helpers only tests need (:func:`encode_packed`, :func:`decode_packed`,
+:func:`encode_event`, and :func:`message_record`, the record layout
+restated): a search never encodes, its root is ``codec.root()``.
 
 Kept out of conftest.py on purpose: test modules import these helpers by
 module name, and ``conftest`` is ambiguous once several test roots (tests/,
@@ -33,14 +36,56 @@ from repro.dsl.types import (
     Send,
 )
 from repro.system import System, Workload
-from repro.system.node_state import CF_PENDING, CF_SAVED
-from repro.system.system import DeliverMessage, GlobalState
+from repro.system.codec import CF_PENDING, CF_SAVED
+from repro.system.system import (
+    DeliverMessage,
+    DuplicateMessage,
+    GlobalState,
+    IssueAccess,
+    ReorderMessage,
+)
 from repro.system.kernel import INV_DECODED
 from repro.verification import InvariantViolation, single_owner_invariant, swmr_invariant
 from repro.verification.engine.canonical import canonicalizer_for
 from repro.verification.invariants import compiled_invariant_codes
 
 from reference_system import ReferenceSystem, reference, relabeled, restated, sort_key
+
+
+def encode_packed(codec, state: GlobalState) -> bytes:
+    """*state*'s packed key (the searches never encode: their root is
+    ``codec.root()``)."""
+    return codec.pack(codec.encode(state))
+
+
+def decode_packed(codec, key: bytes) -> GlobalState:
+    return codec.decode(codec.unpack(key))
+
+
+def message_record(codec, m) -> tuple:
+    """The lanes of message *m*, restated: ``(mtype, src, dst, vnet)``,
+    node IDs +2-shifted, then a ``(flag, value + 2)`` pair per optional
+    field."""
+    def pair(value):
+        return (0, 0) if value is None else (1, value + 2)
+
+    return (codec.mtypes.index(m.mtype), m.src + 2, m.dst + 2, m.vnet,
+            *pair(m.requestor), *pair(m.data), *pair(m.ack_count))
+
+
+def encode_event(codec, event) -> tuple:
+    """Inverse of ``codec.decode_event``: the encoding plans, the store and
+    traces carry, the plane appended when there are several addresses."""
+    if isinstance(event, IssueAccess):
+        fields = (0, event.cache_id, codec.access_kinds.index(event.access))
+    elif isinstance(event, (DeliverMessage, DuplicateMessage)):
+        fields = (1 if isinstance(event, DeliverMessage) else 2,
+                  *message_record(codec, event.message))
+    elif isinstance(event, ReorderMessage):
+        fields = (3, event.src + 2, event.dst + 2, event.vnet, event.position)
+    else:
+        raise TypeError(f"unknown event {event!r}")
+    return fields if codec.num_addresses == 1 else fields + (event.addr,)
 
 
 def replay_and_check(system, result, invariants=None):
@@ -406,8 +451,8 @@ def production_canonicalize(system: System, state: GlobalState):
     back to an object."""
     codec = system.codec()
     canonicalizer = canonicalizer_for(codec, system.symmetry_permutations())
-    rep_key, perm = canonicalizer.canonicalize(codec.encode_packed(state))
-    return codec.decode_packed(rep_key), perm
+    rep_key, perm = canonicalizer.canonicalize(encode_packed(codec, state))
+    return decode_packed(codec, rep_key), perm
 
 
 def has_saved_ids(codec, enc: tuple) -> bool:
@@ -547,7 +592,7 @@ def assert_expansion_parity(system, state, invariants=None):
     key = codec.pack(enc)
     events = ref.enabled_events(state)
     plans, net = kernel.enabled(key)
-    assert [plan[1] for plan in plans] == [codec.encode_event(e) for e in events]
+    assert [plan[1] for plan in plans] == [encode_event(codec, e) for e in events]
     assert kernel.is_quiescent(enc) == ref.is_quiescent(state)
     assert kernel.is_complete(enc) == ref.is_complete(state)
     codes = compiled_invariant_codes(invariants)
@@ -567,6 +612,6 @@ def assert_expansion_parity(system, state, invariants=None):
                 f"kernel applied {event} but the reference errored: "
                 f"{outcome.error}"
             )
-            assert succ == codec.encode_packed(outcome.state), (
+            assert succ == encode_packed(codec, outcome.state), (
                 f"successor mismatch on {event}"
             )
