@@ -53,5 +53,5 @@ def test_table1_and_table2_msi_ssp():
     # Shape checks mirroring the paper's tables.
     assert set(cache.state_names()) == {"I", "S", "M"}
     assert set(directory.state_names()) == {"I", "S", "M"}
-    assert cache.request_for_access("I", AccessKind.LOAD) == "GetS"
+    assert cache.transaction_for("I", AccessKind.LOAD).request.message == "GetS"
     assert directory.transaction_for("M", "GetS") is not None

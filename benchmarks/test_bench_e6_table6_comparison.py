@@ -26,8 +26,12 @@ def test_table6_nonstalling_msi_vs_primer():
     print(render_table(generated.cache))
 
     banner("Comparison against the primer's non-stalling MSI cache controller")
-    for line in report.summary_lines():
-        print("  " + line)
+    print(f"  generated {report.generated_name}: {len(report.generated_states)} states")
+    print(f"  baseline  {report.baseline_name}: {len(report.baseline_states)} states")
+    print(f"  extra states in generated protocol: {sorted(report.extra_states)}")
+    print(f"  baseline states merged by the generator: {sorted(report.merged_states.items())}")
+    print(f"  cells un-stalled relative to baseline: {sorted(report.unstalled_cells)}")
+    print(f"  cells newly stalled relative to baseline: {sorted(report.newly_stalled_cells)}")
     print(f"  paper-reported extra states:      {sorted(primer.PROTOGEN_EXTRA_STATES)}")
     print(f"  paper-reported un-stalled cells:  {sorted(primer.PROTOGEN_UNSTALLED_CELLS)}")
     print(f"  paper-reported merged pairs:      {sorted(primer.PROTOGEN_MERGED_PAIRS)}")

@@ -52,22 +52,6 @@ class ComparisonReport:
     #: cells stalled by the generated FSM but not by the baseline
     newly_stalled_cells: set[tuple[str, str]] = field(default_factory=set)
 
-    @property
-    def stalls_removed(self) -> int:
-        return len(self.unstalled_cells)
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"generated {self.generated_name}: {len(self.generated_states)} states",
-            f"baseline  {self.baseline_name}: {len(self.baseline_states)} states",
-            f"extra states in generated protocol: {sorted(self.extra_states)}",
-            f"baseline states merged by the generator: "
-            f"{ {k: list(v) for k, v in sorted(self.merged_states.items())} }",
-            f"cells un-stalled relative to baseline: {sorted(self.unstalled_cells)}",
-            f"cells newly stalled relative to baseline: {sorted(self.newly_stalled_cells)}",
-        ]
-        return lines
-
 
 def _generated_names_with_aliases(fsm: ControllerFsm) -> dict[str, str]:
     """Map every generated name *and alias* to its canonical generated name."""

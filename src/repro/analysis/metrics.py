@@ -25,9 +25,6 @@ class ControllerMetrics:
     protocol_transitions: int
     stalls: int
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def protocol_transition_count(fsm: ControllerFsm) -> int:
     """Transitions excluding stall markers, same-state access hits, and
@@ -65,23 +62,6 @@ class ProtocolMetrics:
     protocol: str
     cache: ControllerMetrics
     directory: ControllerMetrics
-
-    @property
-    def total_states(self) -> int:
-        return self.cache.states + self.directory.states
-
-    @property
-    def total_protocol_transitions(self) -> int:
-        return self.cache.protocol_transitions + self.directory.protocol_transitions
-
-    def as_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "cache": self.cache.as_dict(),
-            "directory": self.directory.as_dict(),
-            "total_states": self.total_states,
-            "total_protocol_transitions": self.total_protocol_transitions,
-        }
 
 
 def protocol_metrics(generated: GeneratedProtocol) -> ProtocolMetrics:

@@ -19,12 +19,9 @@ from __future__ import annotations
 from repro.core.fsm import (
     AccessEvent,
     ControllerFsm,
-    FsmTransition,
     GeneratedProtocol,
-    MessageEvent,
 )
 from repro.dsl.types import (
-    AccessKind,
     Action,
     AddOwnerToSharers,
     AddRequestorToSharers,

@@ -22,10 +22,6 @@ class ConcurrencyPolicy(enum.Enum):
     #: per-location sequential consistency).
     NONSTALLING_IMMEDIATE = "nonstalling-immediate"
 
-    @property
-    def is_stalling(self) -> bool:
-        return self is ConcurrencyPolicy.STALLING
-
 
 class DirectoryPolicy(enum.Enum):
     """How the generated directory handles requests arriving in a transient
@@ -102,7 +98,3 @@ class GenerationConfig:
         defaults = dict(policy=policy)
         defaults.update(overrides)
         return cls(**defaults)
-
-    @property
-    def is_stalling(self) -> bool:
-        return self.policy.is_stalling

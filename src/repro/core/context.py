@@ -9,7 +9,7 @@ state descriptors, and the worklist of descriptors whose concurrency handling
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.config import GenerationConfig
 from repro.core.fsm import ControllerFsm, FsmState, StateKind

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.dsl.errors import GenerationError
 from repro.dsl.types import (
@@ -222,13 +222,6 @@ class ControllerFsm:
         key = (state, event_key(event))
         return list(self._index.get(key, []))
 
-    def messages_handled_in(self, state: str) -> set[str]:
-        return {
-            t.event.message
-            for t in self.transitions_from(state)
-            if isinstance(t.event, MessageEvent)
-        }
-
     # -- metrics --------------------------------------------------------------
     @property
     def num_states(self) -> int:
@@ -241,12 +234,6 @@ class ControllerFsm:
     @property
     def num_stalls(self) -> int:
         return sum(1 for t in self._transitions if t.stall)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ControllerFsm {self.name} ({self.kind.value}): "
-            f"{self.num_states} states, {self.num_transitions} transitions>"
-        )
 
 
 @dataclass
@@ -261,9 +248,6 @@ class GeneratedProtocol:
     source_spec: "object"  # the (preprocessed) ProtocolSpec
     renamings: dict[str, list[str]] = field(default_factory=dict)
 
-    def controller(self, kind: ControllerKind) -> ControllerFsm:
-        return self.cache if kind is ControllerKind.CACHE else self.directory
-
     def compiled(self) -> "CompiledSpec":
         """The integer-indexed table form of this protocol.
 
@@ -277,19 +261,6 @@ class GeneratedProtocol:
         backend to run such a protocol on.
         """
         return compile_spec(self)
-
-    def summary(self) -> dict:
-        return {
-            "protocol": self.name,
-            "cache_states": self.cache.num_states,
-            "cache_transitions": self.cache.num_transitions,
-            "cache_stalls": self.cache.num_stalls,
-            "directory_states": self.directory.num_states,
-            "directory_transitions": self.directory.num_transitions,
-            "directory_stalls": self.directory.num_stalls,
-            "total_states": self.cache.num_states + self.directory.num_states,
-            "total_transitions": self.cache.num_transitions + self.directory.num_transitions,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.dsl.errors import GenerationError
-from repro.dsl.ssp import ControllerSpec, ProtocolSpec, Reaction, Transaction, Trigger, AwaitStage
+from repro.dsl.ssp import ControllerSpec, ProtocolSpec, AwaitStage
 from repro.dsl.types import Action, MessageClass, Send
 
 
@@ -28,13 +28,6 @@ class PreprocessResult:
     #: original forwarded-request name -> list of names it was split into
     #: (the first entry is the name kept for the "canonical" arrival state).
     renamings: dict[str, list[str]] = field(default_factory=dict)
-
-    @property
-    def renamed_messages(self) -> list[str]:
-        out: list[str] = []
-        for original, names in self.renamings.items():
-            out.extend(n for n in names if n != original)
-        return out
 
 
 def forwarded_arrival_states(spec: ProtocolSpec) -> dict[str, list[str]]:

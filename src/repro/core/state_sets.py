@@ -29,12 +29,3 @@ class StateSets:
             if stable not in self._members:
                 raise KeyError(f"unknown stable state {stable!r}")
             self._members[stable].add(state_name)
-
-    def members(self, stable: str) -> frozenset[str]:
-        return frozenset(self._members[stable])
-
-    def as_dict(self) -> dict[str, frozenset[str]]:
-        return {stable: frozenset(members) for stable, members in self._members.items()}
-
-    def __contains__(self, stable: str) -> bool:
-        return stable in self._members

@@ -18,7 +18,6 @@ plain Python.  A typical cache-side snippet::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from repro.dsl.errors import SpecError
@@ -218,14 +217,6 @@ class _ControllerBuilder:
         self._states[name] = StateSpec(name=name, permission=permission, owner_view=owner_view)
         return self
 
-    def states(self, *specs) -> "_ControllerBuilder":
-        for spec in specs:
-            if isinstance(spec, StateSpec):
-                self._states[spec.name] = spec
-            else:
-                self.state(*spec)
-        return self
-
     def _register_transaction(self, transaction: Transaction) -> None:
         self._check_state(transaction.start_state)
         self._check_state(transaction.final_state)
@@ -251,18 +242,6 @@ class _ControllerBuilder:
                      actions=tuple(actions), guard=guard)
         )
         return self
-
-    def absorb(
-        self, state: str, message: str, *, guard: str | None = None
-    ) -> "_ControllerBuilder":
-        """Absorption reaction: consume *message* in *state* idempotently.
-
-        Shorthand for a no-action self-loop -- the spec-level form of the
-        absorption transitions the hardening pass (:mod:`repro.core.harden`)
-        generates, for protocols that want to declare duplicate tolerance
-        explicitly.
-        """
-        return self.react(state, message, state, guard=guard)
 
     def build(self) -> ControllerSpec:
         return ControllerSpec(

@@ -29,11 +29,3 @@ class ValidationError(ProtoGenError):
 class GenerationError(ProtoGenError):
     """The generator could not complete (e.g. the SSP violates an assumption
     that ProtoGen relies on, such as a missing restart transaction)."""
-
-
-class VerificationError(ProtoGenError):
-    """An invariant was violated during model checking or simulation."""
-
-    def __init__(self, message: str, trace: list | None = None):
-        super().__init__(message)
-        self.trace = trace or []

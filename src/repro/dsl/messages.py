@@ -36,10 +36,6 @@ class MessageType:
     carries_ack_count: bool = False
     renamed_from: str | None = None
 
-    @property
-    def virtual_channel(self) -> int:
-        return self.message_class.virtual_channel
-
     def rename(self, new_name: str) -> "MessageType":
         return replace(self, name=new_name, renamed_from=self.name)
 
@@ -69,9 +65,6 @@ class MessageCatalog:
 
     def __iter__(self) -> Iterator[MessageType]:
         return iter(self._messages.values())
-
-    def __len__(self) -> int:
-        return len(self._messages)
 
     # -- mutation ------------------------------------------------------------
     def add(self, message: MessageType) -> MessageType:
@@ -114,10 +107,6 @@ class MessageCatalog:
     @property
     def requests(self) -> list[MessageType]:
         return self.by_class(MessageClass.REQUEST)
-
-    @property
-    def forwards(self) -> list[MessageType]:
-        return self.by_class(MessageClass.FORWARD)
 
     @property
     def responses(self) -> list[MessageType]:

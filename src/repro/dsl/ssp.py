@@ -20,8 +20,7 @@ Two behaviours are distinguished:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
 
 from repro.dsl.errors import SpecError
 from repro.dsl.messages import MessageCatalog
@@ -42,9 +41,6 @@ class StateSpec:
     name: str
     permission: Permission = Permission.NONE
     owner_view: str | None = None
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,6 @@ class AwaitStage:
         if not self.triggers:
             raise SpecError(f"await stage {self.name!r} has no triggers")
 
-    def trigger_messages(self) -> set[str]:
-        return {t.message for t in self.triggers}
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -158,22 +151,6 @@ class Transaction:
     def is_silent(self) -> bool:
         """True when the transaction needs no messages at all (e.g. E->M)."""
         return self.request is None and not self.stages and not self.issue_actions
-
-    @property
-    def first_stage(self) -> AwaitStage | None:
-        return self.stages[0] if self.stages else None
-
-    def stage(self, name: str) -> AwaitStage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise SpecError(f"unknown stage {name!r}")
-
-    def stage_index(self, name: str) -> int:
-        for index, stage in enumerate(self.stages):
-            if stage.name == name:
-                return index
-        raise SpecError(f"unknown stage {name!r}")
 
     def all_actions(self) -> list[Action]:
         actions: list[Action] = list(self.issue_actions)
@@ -252,13 +229,6 @@ class ControllerSpec:
             if not isinstance(transaction.initiator, AccessKind):
                 handled.add(transaction.initiator)
         return handled
-
-    def request_for_access(self, state: str, access: AccessKind) -> str | None:
-        """Name of the request message that *access* issues from *state*."""
-        transaction = self.transaction_for(state, access)
-        if transaction is None or transaction.request is None:
-            return None
-        return transaction.request.message
 
     # -- mutation helpers used by preprocessing ------------------------------
     def replace_transaction(self, old: Transaction, new: Transaction) -> None:

@@ -13,7 +13,7 @@ transaction completes, ...).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Permission(enum.IntEnum):
@@ -68,10 +68,6 @@ class MessageClass(enum.Enum):
     REQUEST = "request"
     FORWARD = "forward"
     RESPONSE = "response"
-
-    @property
-    def virtual_channel(self) -> int:
-        return {"request": 0, "forward": 1, "response": 2}[self.value]
 
 
 class Dest(enum.Enum):

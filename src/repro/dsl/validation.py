@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.dsl.errors import ValidationError
 from repro.dsl.messages import MessageCatalog
 from repro.dsl.ssp import ControllerSpec, ProtocolSpec, Transaction
-from repro.dsl.types import AccessKind, Action, ControllerKind, MessageClass, Permission, Send
+from repro.dsl.types import AccessKind, MessageClass, Permission, Send
 
 
 @dataclass
@@ -32,10 +32,6 @@ class ValidationReport:
 
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
     def error(self, message: str) -> None:
         self.errors.append(message)

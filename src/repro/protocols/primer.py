@@ -181,63 +181,6 @@ def nonstalling_msi_cache() -> BaselineController:
     return BaselineController(name="primer-nonstalling-MSI-cache", rows=rows)
 
 
-def stalling_msi_cache() -> BaselineController:
-    """The primer's *stalling* MSI cache controller (Section VI-A baseline).
-
-    In the stalling protocol a cache in a transient state stalls every
-    forwarded request until its own transaction completes; the extra
-    ``IM_A_S``-style states do not exist.
-    """
-    rows = {
-        "I": _row(Load=("send GetS to Dir", "IS_D"), Store=("send GetM to Dir", "IM_AD")),
-        "IS_D": _row(
-            Load="stall", Store="stall", Replacement="stall", Inv="stall",
-            Data_ack0=("-", "S"), Data_acks=("-", "S"),
-        ),
-        "IM_AD": _row(
-            Load="stall", Store="stall", Replacement="stall",
-            Fwd_GetS="stall", Fwd_GetM="stall",
-            Data_ack0=("-", "M"), Data_acks=("-", "IM_A"), Inv_Ack=("ack--", "IM_AD"),
-        ),
-        "IM_A": _row(
-            Load="stall", Store="stall", Replacement="stall",
-            Fwd_GetS="stall", Fwd_GetM="stall",
-            Inv_Ack=("ack--", "IM_A"), Last_Inv_Ack=("-", "M"),
-        ),
-        "S": _row(
-            Load=("hit", "S"), Store=("send GetM to Dir", "SM_AD"),
-            Replacement=("send PutS to Dir", "SI_A"),
-            Inv=("send Inv-Ack to Req", "I"),
-        ),
-        "SM_AD": _row(
-            Load=("hit", "SM_AD"), Store="stall", Replacement="stall",
-            Fwd_GetS="stall", Fwd_GetM="stall", Inv="stall",
-            Data_ack0=("-", "M"), Data_acks=("-", "SM_A"), Inv_Ack=("ack--", "SM_AD"),
-        ),
-        "SM_A": _row(
-            Load=("hit", "SM_A"), Store="stall", Replacement="stall",
-            Fwd_GetS="stall", Fwd_GetM="stall",
-            Inv_Ack=("ack--", "SM_A"), Last_Inv_Ack=("-", "M"),
-        ),
-        "M": _row(
-            Load=("hit", "M"), Store=("hit", "M"),
-            Replacement=("send PutM + Data to Dir", "MI_A"),
-            Fwd_GetS=("send Data to Req and Dir", "S"),
-            Fwd_GetM=("send Data to Req", "I"),
-        ),
-        "MI_A": _row(
-            Load="stall", Store="stall", Replacement="stall",
-            Fwd_GetS="stall", Fwd_GetM="stall",
-            Put_Ack=("-", "I"),
-        ),
-        "SI_A": _row(
-            Load="stall", Store="stall", Replacement="stall", Inv="stall",
-            Put_Ack=("-", "I"),
-        ),
-    }
-    return BaselineController(name="primer-stalling-MSI-cache", rows=rows)
-
-
 #: The cells where the paper reports ProtoGen stalls less than the primer's
 #: non-stalling protocol (Table VI, bold entries replacing struck-out stalls).
 PROTOGEN_UNSTALLED_CELLS = {

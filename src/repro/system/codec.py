@@ -678,7 +678,7 @@ class StateCodec:
         key.  Records, channel items, delivery triples and offset tuples
         are interned (equal parts of different sections are one object).
         The kernel threads this handle (through :meth:`parsed_planes`) from
-        ``enabled`` into ``apply``, where a plan's splice writes the
+        ``enabled`` into a plan's apply handler, whose splice writes the
         successor section in one pass through the offsets.
         """
         return self._net_items_memo[section]
@@ -739,12 +739,12 @@ class StateCodec:
         when the caller holds it, which makes the memo probe one slice of
         it; without it *enc* is packed here.
 
-        The kernel threads them from ``enabled`` into ``apply``, where a
-        plan splices its plane's section through them.  A section is parsed
-        once, in the one section memo, however many multi-plane suffixes
-        hold it; with several planes the handles are memoized per distinct
-        packed suffix, found by a walk over its count lanes and channel
-        headers (:meth:`_plane_handles`)."""
+        The kernel threads them from ``enabled`` into a plan's apply
+        handler, which splices its plane's section through them.  A section
+        is parsed once, in the one section memo, however many multi-plane
+        suffixes hold it; with several planes the handles are memoized per
+        distinct packed suffix, found by a walk over its count lanes and
+        channel headers (:meth:`_plane_handles`)."""
         if key is None:
             key = self.pack(enc)
         if self.num_addresses == 1:

@@ -375,7 +375,9 @@ class TransitionKernel:
         traces and a seeded :func:`~repro.verification.random_walk` follow.
 
         ``plan[0]`` is the plan's bound apply handler and ``plan[1]`` the
-        codec's interned event encoding (see :meth:`apply`).  A delivery no
+        codec's interned event encoding: ``plan[0](key, plan, net)`` is the
+        successor's packed key, or the text of the protocol error applying
+        it reports (a ``str``).  A delivery no
         transition takes, or several do, is enabled: applying it reports
         the protocol error (Murphi's "unexpected message"); a stalled one
         is not.  *net*, the sections' parse handles, is opaque to callers,
@@ -522,13 +524,6 @@ class TransitionKernel:
         return is_sharer if g == 9 else not is_sharer
 
     # -- successor construction ---------------------------------------------------
-    def apply(self, key: bytes, plan: tuple, net: tuple) -> bytes | str:
-        """The successor's packed key for *plan* (from :meth:`enabled` of
-        *key*), or the text of the protocol error applying it reports (a
-        ``str``): ``plan[0](key, plan, net)``, which hot loops call
-        directly."""
-        return plan[0](key, plan, net)
-
     def _error(self, code, ct, rec, cid=None, out=None) -> str:
         """The text of failure *code* of transition *ct* (see
         :data:`_ACTION_STRIDE`), on message record *rec* (None: an access),
@@ -769,8 +764,8 @@ class TransitionKernel:
         addr)`` -- the receiver's byte span, its packed block, ``(lo, hi,
         packed)`` of a new version, the :meth:`_packed_sends` groups and
         the section's :meth:`_splicer`, interned.  A :data:`FAILED` one,
-        run again: a protocol error's text, formatted once, or the
-        transition itself for a write outside the block.  A value too wide
+        run again: a protocol error's text, formatted once; a write outside
+        the block raises :class:`CompilationUnsupported`.  A value too wide
         for its lane: the :class:`LaneOverflow`, raised when the plan is
         applied, at its serial position."""
         eev = self._event(eev, addr)
@@ -778,7 +773,8 @@ class TransitionKernel:
             out = list(lanes)
             if code := self._run(ct, fn, out, cid, rec, ai, []):
                 return (self._apply_failed, eev, self._error(code, ct, rec, cid, out))
-            return (self._apply_unconfined, eev, ct, fn, cid, rec, ai, addr)
+            raise CompilationUnsupported(
+                "a transition writes outside its controller's block")
         _eev, block, version, sends = outcome
         shift = addr * self._plane_bytes
         lo, hi = self._spans[-1 if cid is None else cid]
@@ -842,25 +838,6 @@ class TransitionKernel:
 
     def _apply_overflow(self, key: bytes, plan: tuple, net: tuple):
         raise plan[2][2].with_traceback(None)  # a value too wide for its lane
-
-    def _apply_unconfined(self, key: bytes, plan: tuple, net: tuple):
-        """A transition that writes outside its controller's block -- only a
-        hand-built one does: run on its plane's unpacked lanes, which are
-        spliced back whole, with the plane's section."""
-        _handler, _eev, ct, fn, cid, rec, ai, addr = plan[2]
-        lo = addr * self._plane_bytes
-        hi = lo + self._plane_bytes
-        out = list(self.codec.unpack(key[lo:hi]))
-        sends: list = []
-        if code := self._run(ct, fn, out, cid, rec, ai, sends):
-            return self._error(code, ct, rec, cid, out)
-        handle = net[addr]
-        start, end = handle[3], handle[4]
-        section = key[start:end]
-        if splice := self._splicer(rec is not None, len(sends)):
-            sends = self._packed_sends(sends)
-            section = splice(self, section, handle, plan[3], sends, plan[4])
-        return key[:lo] + self.codec.pack(out) + key[hi:start] + section + key[end:]
 
     def _apply_duplicate(self, key: bytes, plan: tuple, net: tuple) -> bytes:
         """A duplicated message: one more copy of the record beside its twin

@@ -215,24 +215,5 @@ class RowTable:
         ids[late] = ids[-2 - ids[late]]
         return fresh, ids
 
-    def find(self, rows):
-        """Arena index of each row of matrix *rows*, -1 where absent."""
-        np = self.np
-        words = self._as_words(rows)
-        found = np.full(len(words), -1, dtype=np.int64)
-        slots = self._slots
-        mask = len(slots) - 1
-        at = self._home(words)
-        pend = np.arange(len(words))
-        while pend.size:
-            ref = slots[at]
-            live = np.flatnonzero(ref != _EMPTY)  # an empty slot: absent
-            pend, at, ref = pend[live], at[live], ref[live]
-            same = (self._arena[ref] == words[pend]).all(axis=1)
-            found[pend[same]] = ref[same]
-            pend = pend[~same]
-            at = (at[~same] + 1) & mask
-        return found
-
 
 __all__ = ["RowTable"]

@@ -168,11 +168,6 @@ class LitmusWorkload:
             (addr for program in self.programs for _, addr in program), default=0
         )
 
-    @property
-    def access_kinds(self) -> tuple[AccessKind, ...]:
-        """Catalog of kinds for codec index tables (full, for stability)."""
-        return (AccessKind.LOAD, AccessKind.STORE, AccessKind.REPLACEMENT)
-
 
 @dataclass(frozen=True)
 class FaultModel:

@@ -114,7 +114,7 @@ hot path created has no packed tail and no parse handle unless something
 asked.
 
 The compiled kernel is the evaluator of every miss, the differential
-oracle (the batch plans are tested against its ``enabled`` + ``apply``)
+oracle (the batch plans are tested against its ``enabled`` plans, applied)
 and the fallback: any plan the batch path cannot express (a protocol error --
 unexpected message, ambiguous guards, missing data/requestor, an action
 the controller cannot execute, anything a generated function returns an

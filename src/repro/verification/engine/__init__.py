@@ -38,7 +38,6 @@ from repro.verification.engine.canonical import (
     Permutation,
     canonicalizer_for,
     compose,
-    identity_permutation,
     invert,
 )
 from repro.verification.engine.checkpoint import CheckpointMismatch
@@ -55,7 +54,6 @@ __all__ = [
     "VerificationResult",
     "canonicalizer_for",
     "compose",
-    "identity_permutation",
     "invert",
     "verify",
 ]

@@ -50,10 +50,6 @@ from repro.system.codec import CF_PENDING, CF_SAVED, Memo
 Permutation = tuple[int, ...]
 
 
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(n))
-
-
 def invert(perm: Permutation) -> Permutation:
     """Inverse permutation: ``invert(perm)[perm[i]] == i``."""
     inv = [0] * len(perm)

@@ -136,10 +136,6 @@ class Expander:
         """``(state_id, packed_key)`` pairs for a native *level*."""
         return level
 
-    def expand(self, level):
-        """Consume native *level*; return ``(next_level, result)``."""
-        raise NotImplementedError
-
 
 class CompiledExpander(Expander):
     """Per-state expansion on the compiled kernel.  The native level is the

@@ -190,7 +190,7 @@ class StateStore:
     def drop_index(self) -> None:
         """Release the key dict (membership moves to the workers' shards).
 
-        After this, :meth:`intern`/:meth:`__contains__` are invalid;
+        After this, :meth:`intern` is invalid;
         :meth:`append_link`, :meth:`link` and :meth:`chain` -- everything
         trace reconstruction needs -- keep working.
         """
@@ -203,7 +203,7 @@ class StateStore:
         (``rows_of(keys) -> matrix``, ``keys_of(matrix) -> keys``).  The
         keys interned so far enter the table in ID order, so from here on
         a state's ID *is* its arena index; the dict is dropped as at fleet
-        spin-up (so :meth:`__contains__` is invalid),
+        spin-up,
         :meth:`intern_batch` becomes valid, and :meth:`intern` keeps
         working on packed keys.
         """
@@ -282,6 +282,3 @@ class StateStore:
 
     def __len__(self) -> int:
         return len(self._parent)
-
-    def __contains__(self, state: object) -> bool:
-        return state in self._ids

@@ -26,16 +26,20 @@ class TestMetrics:
         MESI are expected inside the exact ranges."""
         for name in ("MSI", "MESI"):
             metrics = protocol_metrics(all_generated[(name, "nonstalling")])
-            assert 18 <= metrics.total_states <= 34
+            cache, directory = metrics.cache, metrics.directory
+            assert 18 <= cache.states + directory.states <= 34
             # Our transition count also includes guarded variants and the
             # generated stale-Put handling, so the upper bound is looser than
             # the paper's 60.
-            assert 46 <= metrics.total_protocol_transitions <= 120
+            assert 46 <= (cache.protocol_transitions
+                          + directory.protocol_transitions) <= 120
 
-    def test_protocol_metrics_as_dict(self, msi_nonstalling):
-        data = protocol_metrics(msi_nonstalling).as_dict()
-        assert data["protocol"] == "MSI"
-        assert data["cache"]["states"] == msi_nonstalling.cache.num_states
+    def test_protocol_metrics_name_and_counts(self, msi_nonstalling):
+        metrics = protocol_metrics(msi_nonstalling)
+        assert metrics.protocol == "MSI"
+        assert metrics.cache.states == msi_nonstalling.cache.num_states
+        assert metrics.directory.states == msi_nonstalling.directory.num_states
+        assert metrics.directory.stalls == msi_nonstalling.directory.num_stalls
 
     def test_transition_count_excludes_stalls_and_hits(self, msi_nonstalling):
         cache = msi_nonstalling.cache
@@ -63,7 +67,6 @@ class TestTableVIComparison:
 
     def test_generated_unstalls_the_papers_cells(self, report):
         assert primer.PROTOGEN_UNSTALLED_CELLS <= report.unstalled_cells
-        assert report.stalls_removed >= len(primer.PROTOGEN_UNSTALLED_CELLS)
 
     def test_no_baseline_state_is_unaccounted_for(self, report):
         assert report.missing_states == set()
@@ -71,12 +74,9 @@ class TestTableVIComparison:
     def test_no_new_stalls_introduced(self, report):
         assert report.newly_stalled_cells == set()
 
-    def test_summary_lines_mention_the_key_findings(self, report):
-        text = "\n".join(report.summary_lines())
-        assert "IM_AD_S" in text and "un-stalled" in text
-
-    def test_stalling_configuration_matches_primer_stall_cells(self, msi_stalling):
-        report = compare_with_baseline(msi_stalling.cache, primer.stalling_msi_cache())
+    def test_stalling_configuration_matches_primer_stall_cells(
+            self, msi_stalling, primer_stalling_cache):
+        report = compare_with_baseline(msi_stalling.cache, primer_stalling_cache)
         # The stalling configuration should not remove the baseline's stalls
         # on forwarded requests in IM_AD / SM_AD.
         assert ("IM_AD", "Fwd_GetS") not in report.unstalled_cells

@@ -87,7 +87,13 @@ class TestTransitions:
     def test_messages_handled_in(self, fsm):
         fsm.add_transition(FsmTransition("IS_D", MessageEvent("Data"), (), "S"))
         fsm.add_transition(FsmTransition("IS_D", AccessEvent(AccessKind.LOAD), (), "IS_D", stall=True))
-        assert fsm.messages_handled_in("IS_D") == {"Data"}
+        handled = {t.event.message for t in fsm.transitions_from("IS_D")
+                   if isinstance(t.event, MessageEvent) and not t.stall}
+        assert handled == {"Data"}
+        assert fsm.has_transition("IS_D", MessageEvent("Data"))
+        assert not fsm.has_transition("IS_D", MessageEvent("Inv"))
+        [load] = fsm.candidates("IS_D", AccessEvent(AccessKind.LOAD))
+        assert load.stall
 
 
 class TestEventKey:

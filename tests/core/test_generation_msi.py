@@ -206,9 +206,9 @@ class TestPendingTransactionLimit:
         [t2] = cache.candidates(t1.next_state, MessageEvent("Inv"))
         assert t2.stall
 
-    def test_directory_summary_counts(self, msi_nonstalling):
-        summary = msi_nonstalling.summary()
-        assert summary["cache_states"] == msi_nonstalling.cache.num_states
-        assert summary["total_states"] == (
-            msi_nonstalling.cache.num_states + msi_nonstalling.directory.num_states
-        )
+    def test_directory_summary_counts(self, msi_spec, msi_nonstalling):
+        directory = msi_nonstalling.directory
+        stable = {s.name for s in directory.stable_states()}
+        assert set(msi_spec.directory.state_names()) <= stable
+        assert [s.name for s in directory.transient_states()] == ["S_D"]
+        assert len(stable) + 1 == directory.num_states

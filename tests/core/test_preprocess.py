@@ -10,7 +10,6 @@ class TestMsiNeedsNoRenaming:
     def test_no_renamings(self, msi_spec):
         result = preprocess(msi_spec)
         assert result.renamings == {}
-        assert result.renamed_messages == []
 
     def test_each_forward_arrives_in_one_state(self, msi_spec):
         arrival = forwarded_arrival_states(msi_spec)

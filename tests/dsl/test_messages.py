@@ -30,12 +30,12 @@ class TestCatalogBasics:
             catalog.declare("GetS", MessageClass.REQUEST)
 
     def test_len_and_iteration(self, catalog):
-        assert len(catalog) == 3
+        assert len(catalog.names()) == 3
         assert {m.name for m in catalog} == {"GetS", "Fwd_GetS", "Data"}
 
     def test_by_class_partitions(self, catalog):
         assert [m.name for m in catalog.requests] == ["GetS"]
-        assert [m.name for m in catalog.forwards] == ["Fwd_GetS"]
+        assert [m.name for m in catalog.by_class(MessageClass.FORWARD)] == ["Fwd_GetS"]
         assert [m.name for m in catalog.responses] == ["Data"]
 
     def test_copy_is_independent(self, catalog):
@@ -56,7 +56,7 @@ class TestRenaming:
         first = catalog.derive_renamed("Fwd_GetS", "O_Fwd_GetS")
         second = catalog.derive_renamed("Fwd_GetS", "O_Fwd_GetS")
         assert first is second
-        assert len(catalog) == 4
+        assert len(catalog.names()) == 4
 
     def test_message_type_rename_helper(self):
         original = MessageType("Fwd_GetS", MessageClass.FORWARD)
@@ -64,6 +64,13 @@ class TestRenaming:
         assert renamed.name == "O_Fwd_GetS"
         assert renamed.renamed_from == "Fwd_GetS"
 
-    def test_virtual_channel_follows_class(self, catalog):
-        assert catalog["GetS"].virtual_channel == MessageClass.REQUEST.virtual_channel
-        assert catalog["Data"].virtual_channel == MessageClass.RESPONSE.virtual_channel
+    def test_virtual_channel_follows_class(self, mosi_nonstalling):
+        """MOSI's renamed forwards keep their class, so they travel on the
+        virtual network of the message they were renamed from."""
+        compiled = mosi_nonstalling.compiled()
+        vnet = dict(zip(compiled.mtype_names, compiled.mtype_vnet))
+        renamed = [m for m in mosi_nonstalling.messages if m.renamed_from]
+        assert {m.name for m in renamed} == {"O_Fwd_GetS", "O_Fwd_GetM"}
+        for message in renamed:
+            assert message.message_class is MessageClass.FORWARD
+            assert vnet[message.name] == vnet[message.renamed_from]

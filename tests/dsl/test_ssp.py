@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.fsm import MessageEvent
 from repro.dsl.errors import SpecError
 from repro.dsl.ssp import AwaitStage, Reaction, Transaction, Trigger
 from repro.dsl.types import AccessKind, Dest, Send
@@ -39,12 +40,16 @@ class TestAwaitStage:
         with pytest.raises(SpecError, match="no triggers"):
             AwaitStage(name="D", triggers=())
 
-    def test_trigger_messages(self):
-        stage = AwaitStage(
-            name="AD",
-            triggers=(Trigger(message="Data"), Trigger(message="Inv_Ack", next_stage="AD")),
-        )
-        assert stage.trigger_messages() == {"Data", "Inv_Ack"}
+    def test_trigger_messages(self, msi_spec, msi_nonstalling):
+        """Each await stage becomes a transient state that handles every
+        one of the stage's trigger messages without stalling."""
+        transaction = msi_spec.cache.transaction_for("I", AccessKind.STORE)
+        [stage, _] = transaction.stages
+        assert {t.message for t in stage.triggers} == {"Data", "Inv_Ack"}
+        for trigger in stage.triggers:
+            transitions = msi_nonstalling.cache.candidates(
+                "IM_AD", MessageEvent(trigger.message))
+            assert transitions and not any(t.stall for t in transitions)
 
 
 class TestTransaction:
@@ -65,14 +70,22 @@ class TestTransaction:
             start_state="E", initiator=AccessKind.STORE, final_state="M"
         )
         assert silent.is_silent
-        assert silent.first_stage is None
 
     def test_stage_lookup(self):
-        transaction = _simple_transaction()
-        assert transaction.stage("D").name == "D"
-        assert transaction.stage_index("D") == 0
-        with pytest.raises(SpecError):
-            transaction.stage("Z")
+        """A trigger may name a later stage or its own (a loop while acks
+        arrive); both resolve among the transaction's stage names."""
+        transaction = _simple_transaction(stages=(
+            AwaitStage(name="AD", triggers=(
+                Trigger(message="Data", next_stage="A"),
+                Trigger(message="Inv_Ack", next_stage="AD"),
+            )),
+            AwaitStage(name="A", triggers=(Trigger(message="Inv_Ack"),)),
+        ))
+        assert [stage.name for stage in transaction.stages] == ["AD", "A"]
+        with pytest.raises(SpecError, match="unknown stage 'Z'"):
+            _simple_transaction(stages=(
+                AwaitStage(name="AD", triggers=(Trigger(message="Data", next_stage="Z"),)),
+            ))
 
     def test_all_actions_include_request_and_triggers(self):
         extra = Send("Inv_Ack", Dest.REQUESTOR)
@@ -104,9 +117,10 @@ class TestControllerSpecQueries:
 
     def test_request_for_access(self, msi_spec):
         cache = msi_spec.cache
-        assert cache.request_for_access("I", AccessKind.STORE) == "GetM"
-        assert cache.request_for_access("S", AccessKind.STORE) == "GetM"
-        assert cache.request_for_access("M", AccessKind.REPLACEMENT) == "PutM"
+        for state, access, request in (("I", AccessKind.STORE, "GetM"),
+                                       ("S", AccessKind.STORE, "GetM"),
+                                       ("M", AccessKind.REPLACEMENT, "PutM")):
+            assert cache.transaction_for(state, access).request.message == request
 
     def test_reactions_for(self, msi_spec):
         cache = msi_spec.cache

@@ -47,12 +47,15 @@ class TestPermission:
 
 
 class TestMessageClass:
-    def test_virtual_channels_are_distinct(self):
-        channels = {mc.virtual_channel for mc in MessageClass}
-        assert len(channels) == len(MessageClass)
-
-    def test_request_is_channel_zero(self):
-        assert MessageClass.REQUEST.virtual_channel == 0
+    def test_request_is_channel_zero(self, all_generated):
+        """Requests travel on virtual network 0 and every forward or
+        response on another one, in every generated protocol."""
+        for generated in all_generated.values():
+            compiled = generated.compiled()
+            vnet = dict(zip(compiled.mtype_names, compiled.mtype_vnet))
+            for message in generated.messages:
+                is_request = message.message_class is MessageClass.REQUEST
+                assert (vnet[message.name] == 0) == is_request, message.name
 
 
 class TestSend:

@@ -54,12 +54,12 @@ class TestValidProtocolsPass:
     @pytest.mark.parametrize("name", protocols.available_protocols())
     def test_bundled_protocols_validate(self, name):
         report = validate_protocol(protocols.load(name), strict=True)
-        assert report.ok
+        assert not report.errors
 
     def test_skeleton_validates(self):
         protocol, cache, directory = _skeleton()
         report = validate_protocol(protocol.build(cache, directory), strict=False)
-        assert report.ok
+        assert not report.errors
 
 
 class TestInvalidProtocolsFail:

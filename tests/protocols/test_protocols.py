@@ -35,11 +35,11 @@ class TestMsiSpec:
 
     def test_table1_transactions(self, msi_spec):
         cache = msi_spec.cache
-        assert cache.request_for_access("I", AccessKind.LOAD) == "GetS"
-        assert cache.request_for_access("I", AccessKind.STORE) == "GetM"
-        assert cache.request_for_access("S", AccessKind.STORE) == "GetM"
-        assert cache.request_for_access("S", AccessKind.REPLACEMENT) == "PutS"
-        assert cache.request_for_access("M", AccessKind.REPLACEMENT) == "PutM"
+        assert cache.transaction_for("I", AccessKind.LOAD).request.message == "GetS"
+        assert cache.transaction_for("I", AccessKind.STORE).request.message == "GetM"
+        assert cache.transaction_for("S", AccessKind.STORE).request.message == "GetM"
+        assert cache.transaction_for("S", AccessKind.REPLACEMENT).request.message == "PutS"
+        assert cache.transaction_for("M", AccessKind.REPLACEMENT).request.message == "PutM"
 
     def test_table1_forwarded_request_reactions(self, msi_spec):
         cache = msi_spec.cache
@@ -85,8 +85,8 @@ class TestOtherSpecs:
 
     def test_msi_upgrade_uses_upgrade_from_s(self):
         spec = protocols.load("MSI-Upgrade")
-        assert spec.cache.request_for_access("S", AccessKind.STORE) == "Upgrade"
-        assert spec.cache.request_for_access("I", AccessKind.STORE) == "GetM"
+        assert spec.cache.transaction_for("S", AccessKind.STORE).request.message == "Upgrade"
+        assert spec.cache.transaction_for("I", AccessKind.STORE).request.message == "GetM"
 
     def test_tso_cc_has_no_invalidation_and_no_sharer_state(self):
         spec = protocols.load("TSO-CC")
@@ -95,7 +95,7 @@ class TestOtherSpecs:
 
     @pytest.mark.parametrize("name", protocols.available_protocols())
     def test_every_spec_validates(self, name):
-        assert validate_protocol(protocols.load(name), strict=True).ok
+        assert not validate_protocol(protocols.load(name), strict=True).errors
 
 
 class TestPrimerBaselines:
@@ -103,8 +103,8 @@ class TestPrimerBaselines:
         baseline = protocols.primer.nonstalling_msi_cache()
         assert baseline.num_states == 18
 
-    def test_stalling_baseline_has_primer_states(self):
-        baseline = protocols.primer.stalling_msi_cache()
+    def test_stalling_baseline_has_primer_states(self, primer_stalling_cache):
+        baseline = primer_stalling_cache
         assert baseline.num_states == 11 - 1  # II_A does not exist when Inv stalls in SI_A
 
     def test_baseline_stall_cells_include_imad_forwards(self):

@@ -53,7 +53,7 @@ from repro.core.fsm import (
     FsmTransition,
     MessageEvent,
 )
-from repro.dsl.errors import VerificationError
+from repro.dsl.errors import ProtoGenError
 from repro.dsl.types import (
     AccessKind,
     AddOwnerToSharers,
@@ -116,7 +116,7 @@ class StepResult:
     error: str | None = None
 
 
-class ProtocolRuntimeError(VerificationError):
+class ProtocolRuntimeError(ProtoGenError):
     """The controller received a stimulus its FSM does not know how to handle."""
 
 

@@ -103,7 +103,7 @@ class TestStateStore:
         again, new = store.intern(successor, parent=99, event=None)
         assert not new and again == child
         assert store.link(child) == (root, event, None)
-        assert initial in store and successor in store
+        assert initial in store._ids and successor in store._ids
         chain = store.chain(child)
         assert [e for e, _ in chain] == [None, event]
 

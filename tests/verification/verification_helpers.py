@@ -62,6 +62,13 @@ def decode_packed(codec, key: bytes) -> GlobalState:
     return codec.decode(codec.unpack(key))
 
 
+def apply_plan(key: bytes, plan: tuple, net: tuple) -> bytes | str:
+    """The successor's packed key for *plan* (from ``kernel.enabled(key)``,
+    which also returned *net*), or the text of the protocol error applying
+    it reports (a ``str``): what the search loops call inline."""
+    return plan[0](key, plan, net)
+
+
 def message_record(codec, m) -> tuple:
     """The lanes of message *m*, restated: ``(mtype, src, dst, vnet)``,
     node IDs +2-shifted, then a ``(flag, value + 2)`` pair per optional
@@ -604,7 +611,7 @@ def assert_expansion_parity(system, state, invariants=None):
             assert (worded and InvariantViolation(*worded)) == violation
     for event, plan in zip(events, plans):
         outcome = ref.apply(state, event)
-        succ = kernel.apply(key, plan, net)
+        succ = apply_plan(key, plan, net)
         if type(succ) is str:
             assert outcome.error == succ, f"error text mismatch on {event}"
         else:
