@@ -31,7 +31,7 @@ def test_table1_and_table2_msi_ssp():
                            f"-> {transaction.final_state}")
             elif cache.state(state).permission.allows(access):
                 row.append(f"{access}: hit")
-        for reaction in cache.reactions_in(state):
+        for reaction in (r for r in cache.reactions if r.state == state):
             actions = ", ".join(describe_action(a) for a in reaction.actions)
             row.append(f"{reaction.message}: {actions} -> {reaction.next_state}")
         print("  " + " | ".join(row))
@@ -40,7 +40,7 @@ def test_table1_and_table2_msi_ssp():
     directory = spec.directory
     for state in directory.state_names():
         row = [f"state {state}:"]
-        for reaction in directory.reactions_in(state):
+        for reaction in (r for r in directory.reactions if r.state == state):
             actions = ", ".join(describe_action(a) for a in reaction.actions)
             guard = f" [{reaction.guard}]" if reaction.guard else ""
             row.append(f"{reaction.message}{guard}: {actions} -> {reaction.next_state}")

@@ -71,37 +71,49 @@ def accommodate_concurrency(ctx: CacheGenContext) -> None:
 def _handle_forwarded_requests(
     ctx: CacheGenContext, name: str, descriptor: TransientDescriptor
 ) -> None:
+    """Route every forwarded request that can arrive in *name* to its case and
+    add the transition: the reaction of the stable state the message is
+    routed as arriving in, with that reaction's guard."""
     for message in ctx.spec.forwarded_messages():
-        arrival_states = set(ctx.spec.cache_arrival_states(message))
         if ctx.fsm.has_transition(name, MessageEvent(message)):
             # Already handled (e.g. the forwarded request doubles as a trigger
             # of the own transaction in an unusual SSP).
             continue
-        if descriptor.late_absorb_for(message) is not None:
+        late = descriptor.late_absorb_for(message)
+        relevant = set(ctx.spec.cache_arrival_states(message)) & descriptor.membership
+        if late is not None:
             # A message of an earlier-ordered transaction arriving late on an
             # unordered network: acknowledge it in place (see module docs).
-            _absorb_late_arrival(ctx, name, descriptor, message)
+            reaction = _single_reaction(ctx, late[1], message)
+            actions, target = _absorb_late_arrival(ctx, name, descriptor, reaction, late)
+        elif not relevant:
             continue
-        relevant = arrival_states & set(descriptor.membership)
-        if not relevant:
-            continue
-        if (
-            not descriptor.redirected
-            and descriptor.start in relevant
-            and descriptor.start not in descriptor.reachable_finals()
-        ):
-            _case1_other_ordered_earlier(ctx, name, descriptor, message, descriptor.start)
+        elif _ordered_earlier(descriptor, relevant):
+            reaction = _single_reaction(ctx, descriptor.start, message)
+            actions, target = _case1_other_ordered_earlier(ctx, descriptor, reaction)
         else:
-            arrival = _pick_case2_arrival_state(descriptor, relevant)
-            _case2_other_ordered_after(ctx, name, descriptor, message, arrival)
+            # Prefer an arrival state the own transaction can complete in.
+            arrival = min(relevant & descriptor.reachable_finals() or relevant)
+            reaction = _single_reaction(ctx, arrival, message)
+            actions, target = _case2_other_ordered_after(ctx, descriptor, reaction)
+        ctx.fsm.add_transition(FsmTransition(
+            name, MessageEvent(message, guard=reaction.guard), tuple(actions),
+            target or name, stall=target is None,
+        ))
 
 
-def _pick_case2_arrival_state(descriptor: TransientDescriptor, relevant: set[str]) -> str:
-    finals = descriptor.reachable_finals()
-    for state in relevant:
-        if state in finals:
-            return state
-    return sorted(relevant)[0]
+def _ordered_earlier(descriptor: TransientDescriptor, arrival_states) -> bool:
+    """The Case-1 routing rule: a forwarded request that can arrive in
+    *arrival_states* belongs to a transaction ordered before the own one
+    when one of them is the own transaction's start state, that state is
+    still in the descriptor's State Sets (no redirect has happened) and the
+    transaction cannot already complete in it."""
+    return (
+        not descriptor.redirected
+        and descriptor.start in descriptor.membership
+        and descriptor.start in arrival_states
+        and descriptor.start not in descriptor.reachable_finals()
+    )
 
 
 def _single_reaction(ctx: CacheGenContext, state: str, message: str) -> Reaction:
@@ -123,37 +135,34 @@ def _case1_messages(
 ) -> frozenset[tuple[str, str]]:
     """``(message, reacting_state)`` pairs *descriptor* routes through Case 1.
 
-    Mirrors the dispatch of :func:`_handle_forwarded_requests`, including its
-    already-handled guard: a forwarded request that doubles as a trigger of
-    the own transaction's current stage is consumed by the transaction, never
-    by Case 1.  (The dispatch expresses that guard as ``has_transition``,
-    which is equivalent only at the message's own loop iteration; here the
-    trigger set is consulted directly so the answer is independent of how
-    much of the forwarded loop has already run.)  The remaining condition:
-    the message can arrive in the transaction's start state and the start
-    state is not one the transaction can already complete in.  These are
-    exactly the messages that may still be in flight -- and, on an unordered
-    network, arrive late -- once a Case-2 redirect proves the own transaction
-    was serialized at the directory.
+    The dispatch of :func:`_handle_forwarded_requests` -- the one Case-1
+    rule, :func:`_ordered_earlier` -- including its already-handled guard: a
+    forwarded request that doubles as a trigger of the own transaction's
+    current stage is consumed by the transaction, never by Case 1.  (The
+    dispatch expresses that guard as ``has_transition``, which is equivalent
+    only at the message's own loop iteration; here the trigger set is
+    consulted directly so the answer is independent of how much of the
+    forwarded loop has already run.)  These are exactly the messages that may
+    still be in flight -- and, on an unordered network, arrive late -- once a
+    Case-2 redirect proves the own transaction was serialized at the
+    directory.
     """
     own_triggers = {t.message for t in descriptor.current_stage.triggers}
-    pairs = set()
-    for message in ctx.spec.forwarded_messages():
-        if message in own_triggers:
-            continue
-        relevant = set(ctx.spec.cache_arrival_states(message)) & set(descriptor.membership)
-        if (
-            not descriptor.redirected
-            and descriptor.start in relevant
-            and descriptor.start not in descriptor.reachable_finals()
-        ):
-            pairs.add((message, descriptor.start))
-    return frozenset(pairs)
+    return frozenset(
+        (message, descriptor.start)
+        for message in ctx.spec.forwarded_messages()
+        if message not in own_triggers
+        and _ordered_earlier(descriptor, ctx.spec.cache_arrival_states(message))
+    )
 
 
 def _absorb_late_arrival(
-    ctx: CacheGenContext, name: str, descriptor: TransientDescriptor, message: str
-) -> None:
+    ctx: CacheGenContext,
+    name: str,
+    descriptor: TransientDescriptor,
+    reaction: Reaction,
+    pair: tuple[str, str],
+) -> tuple[list[Action], str]:
     """Acknowledge a late earlier-ordered *message* and drop the dead copy.
 
     The cache already logically gave up the copy the message targets (its own
@@ -170,34 +179,20 @@ def _absorb_late_arrival(
     original copy no longer contributes access permission, which is what
     keeps SWMR intact once the invalidating writer completes.
     """
-    pair = descriptor.late_absorb_for(message)
-    assert pair is not None
-    _, reacting_state = pair
-    reaction = _single_reaction(ctx, reacting_state, message)
-    sends: list[Action] = []
     for action in reaction.actions:
         if not isinstance(action, Send) or is_data_send(action):
             raise GenerationError(
-                f"cannot absorb late {message!r} in transient state {name!r}: "
-                f"the {reacting_state!r} reaction requires {action!r}, which "
+                f"cannot absorb late {reaction.message!r} in transient state {name!r}: "
+                f"the {reaction.state!r} reaction requires {action!r}, which "
                 "cannot be performed after the copy was given up; extend the "
                 "SSP to resolve this race explicitly"
             )
-        sends.append(action)
     landed = replace(
         descriptor,
         start=reaction.next_state,
         late_absorbs=descriptor.late_absorbs - {pair},
     )
-    target = ctx.ensure_state(landed)
-    ctx.fsm.add_transition(
-        FsmTransition(
-            state=name,
-            event=MessageEvent(message, guard=reaction.guard),
-            actions=tuple(sends),
-            next_state=target,
-        )
-    )
+    return list(reaction.actions), ctx.ensure_state(landed)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +201,8 @@ def _absorb_late_arrival(
 
 
 def _case1_other_ordered_earlier(
-    ctx: CacheGenContext,
-    name: str,
-    descriptor: TransientDescriptor,
-    message: str,
-    arrival_state: str,
-) -> None:
-    reaction = _single_reaction(ctx, arrival_state, message)
+    ctx: CacheGenContext, descriptor: TransientDescriptor, reaction: Reaction
+) -> tuple[list[Action], str]:
     landing = reaction.next_state
     actions: list[Action] = list(reaction.actions)
 
@@ -221,23 +211,9 @@ def _case1_other_ordered_earlier(
         # Restart the own transaction from the landing state: move to that
         # transaction's first transient state.  No new request is issued; if
         # the landing state would have issued a different request, the
-        # directory reinterprets the one already in flight (Section V-D1).
-        if (
-            restart.request is not None
-            and descriptor.request is not None
-            and restart.request.message != descriptor.request
-        ):
-            ctx.reinterpretations.add((descriptor.request, restart.request.message))
-        target = ctx.ensure_state(ctx.descriptor_for_stage(restart, 0))
-        ctx.fsm.add_transition(
-            FsmTransition(
-                state=name,
-                event=MessageEvent(message, guard=reaction.guard),
-                actions=tuple(actions),
-                next_state=target,
-            )
-        )
-        return
+        # directory reinterprets the one already in flight (Section V-D1,
+        # :func:`repro.core.directory._reinterpret_requests`).
+        return actions, ctx.ensure_state(ctx.descriptor_for_stage(restart, 0))
 
     # No restart transaction is needed (or it completes without waiting): the
     # access either already hits in the landing state or needs nothing (a
@@ -257,15 +233,7 @@ def _case1_other_ordered_earlier(
         stale=True,
         access_performed=access_performed,
     )
-    target = ctx.ensure_state(stale)
-    ctx.fsm.add_transition(
-        FsmTransition(
-            state=name,
-            event=MessageEvent(message, guard=reaction.guard),
-            actions=tuple(actions),
-            next_state=target,
-        )
-    )
+    return actions, ctx.ensure_state(stale)
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +242,14 @@ def _case1_other_ordered_earlier(
 
 
 def _case2_other_ordered_after(
-    ctx: CacheGenContext,
-    name: str,
-    descriptor: TransientDescriptor,
-    message: str,
-    arrival_state: str,
-) -> None:
+    ctx: CacheGenContext, descriptor: TransientDescriptor, reaction: Reaction
+) -> tuple[list[Action], str | None]:
+    """The redirect's actions and target state, or no target: stall."""
     config = ctx.config
-    reaction = _single_reaction(ctx, arrival_state, message)
-
     if config.policy is ConcurrencyPolicy.STALLING or (
         len(descriptor.chain) >= config.pending_transaction_limit
     ):
-        ctx.fsm.add_transition(
-            FsmTransition(
-                state=name,
-                event=MessageEvent(message, guard=reaction.guard),
-                actions=(),
-                next_state=name,
-                stall=True,
-            )
-        )
-        return
+        return [], None
 
     immediate, deferred, save_slot = _partition_actions(
         ctx, reaction.actions, descriptor.slots_used
@@ -320,15 +274,7 @@ def _case2_other_ordered_after(
         slots_used=slots_used,
         late_absorbs=late_absorbs,
     )
-    target = ctx.ensure_state(redirected)
-    ctx.fsm.add_transition(
-        FsmTransition(
-            state=name,
-            event=MessageEvent(message, guard=reaction.guard),
-            actions=tuple(transition_actions),
-            next_state=target,
-        )
-    )
+    return transition_actions, ctx.ensure_state(redirected)
 
 
 def _directory_reads_requestor(ctx: CacheGenContext, message: str) -> bool:
@@ -362,14 +308,9 @@ def _directory_reads_requestor(ctx: CacheGenContext, message: str) -> bool:
         return False
 
     directory = ctx.spec.directory
-    for reaction in directory.reactions:
-        if reaction.message == message and reads(reaction.actions):
-            return True
+    if any(reads(handler.actions) for handler in directory.handlers(message)):
+        return True
     for transaction in directory.transactions:
-        if transaction.initiator == message and reads(transaction.issue_actions):
-            # Directory transactions are initiated by an incoming message;
-            # its requestor flows into the issue actions.
-            return True
         for stage in transaction.stages:
             for trigger in stage.triggers:
                 if trigger.message != message:

@@ -1,9 +1,10 @@
 """Shared mutable context for cache-controller generation.
 
 The generator passes a single :class:`CacheGenContext` between Steps 1-4.
-It owns the output FSM, the Step-1 State Sets, the registry of transient
-state descriptors, and the worklist of descriptors whose concurrency handling
-(Step 3) is still pending.
+It owns the output FSM (each state carries its Step-1 State-Set membership,
+:attr:`FsmState.state_sets`), the registry of transient state descriptors,
+and the worklist of descriptors whose concurrency handling (Step 3) is still
+pending.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 from repro.core.config import GenerationConfig
 from repro.core.fsm import ControllerFsm, FsmState, StateKind
 from repro.core.naming import redirected_name, stale_request_name, transient_name
-from repro.core.state_sets import StateSets
 from repro.dsl.ssp import AwaitStage, ProtocolSpec, Transaction
 from repro.dsl.types import AccessKind, Action, Permission
 
@@ -139,7 +139,6 @@ class CacheGenContext:
             kind=spec.cache.kind,
             initial=spec.cache.initial,
         )
-        self.state_sets = StateSets(stable_states=spec.cache.state_names())
         #: FSM state name -> descriptor
         self.descriptors: dict[str, TransientDescriptor] = {}
         #: structural key -> canonical FSM state name (redirected / stale states only)
@@ -148,8 +147,6 @@ class CacheGenContext:
         self._name_index: dict[tuple, str] = {}
         #: descriptors waiting for wait-transition emission and Step-3 handling
         self.worklist: deque[str] = deque()
-        #: (original request, reinterpreted request) pairs discovered during Case 1
-        self.reinterpretations: set[tuple[str, str]] = set()
 
     # -- stable states ---------------------------------------------------------
     def add_stable_states(self) -> None:
@@ -208,7 +205,6 @@ class CacheGenContext:
             },
         )
         self.fsm.add_state(state)
-        self.state_sets.add(name, descriptor.membership)
         self.descriptors[name] = descriptor
         self._name_index[(descriptor.name, merge_key)] = name
         if merge_eligible:

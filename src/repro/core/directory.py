@@ -29,15 +29,15 @@ from dataclasses import replace
 from repro.core.config import GenerationConfig
 from repro.core.fsm import ControllerFsm, FsmState, FsmTransition, MessageEvent, StateKind
 from repro.core.naming import directory_transient_name
-from repro.core.transient import implicit_trigger_actions
+from repro.core.transient import emit_reactions, implicit_trigger_actions
 from repro.dsl.errors import GenerationError
 from repro.dsl.ssp import ProtocolSpec, Transaction
 from repro.dsl.types import (
     AccessKind,
-    Action,
     Dest,
     MessageClass,
     Permission,
+    RemoveRequestorFromSharers,
     Send,
 )
 
@@ -50,7 +50,7 @@ def generate_directory(spec: ProtocolSpec, config: GenerationConfig) -> Controll
     )
     _add_stable_states(spec, fsm)
     _emit_transactions(spec, fsm)
-    _emit_reactions(spec, fsm)
+    emit_reactions(fsm, spec.directory)
     _reinterpret_requests(spec, fsm)
     if config.generate_stale_put_handling:
         _generate_stale_put_handling(spec, fsm)
@@ -76,26 +76,12 @@ def _add_stable_states(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
 
 def _emit_transactions(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
     for transaction in spec.directory.transactions:
-        initiator = transaction.initiator
-        if isinstance(initiator, AccessKind):
+        if isinstance(transaction.initiator, AccessKind):
             raise GenerationError("directory transactions must be initiated by requests")
-        if not transaction.stages:
-            actions = transaction.issue_actions + transaction.completion_actions
-            fsm.add_transition(
-                FsmTransition(
-                    state=transaction.start_state,
-                    event=MessageEvent(initiator),
-                    actions=actions,
-                    next_state=transaction.final_state,
-                )
-            )
-            continue
-        _emit_waiting_transaction(spec, fsm, transaction)
+        _emit_transaction(fsm, transaction)
 
 
-def _emit_waiting_transaction(
-    spec: ProtocolSpec, fsm: ControllerFsm, transaction: Transaction
-) -> None:
+def _emit_transaction(fsm: ControllerFsm, transaction: Transaction) -> None:
     stage_names = {
         stage.name: directory_transient_name(
             transaction.start_state, transaction.final_state, stage.name
@@ -119,44 +105,28 @@ def _emit_waiting_transaction(
                 )
             )
 
-    first = stage_names[transaction.stages[0].name]
-    fsm.add_transition(
-        FsmTransition(
-            state=transaction.start_state,
-            event=MessageEvent(str(transaction.initiator)),
-            actions=transaction.issue_actions,
-            next_state=first,
-        )
-    )
+    if transaction.stages:
+        actions, target = transaction.issue_actions, stage_names[transaction.stages[0].name]
+    else:
+        actions = transaction.issue_actions + transaction.completion_actions
+        target = transaction.final_state
+    fsm.add_transition(FsmTransition(
+        transaction.start_state, MessageEvent(transaction.initiator), actions, target
+    ))
     for stage in transaction.stages:
-        name = stage_names[stage.name]
         for trigger in stage.triggers:
-            actions: list[Action] = implicit_trigger_actions(trigger) + list(trigger.actions)
+            actions = implicit_trigger_actions(trigger) + list(trigger.actions)
             if trigger.next_stage is not None:
-                next_state = stage_names[trigger.next_stage]
+                target = stage_names[trigger.next_stage]
             else:
-                next_state = trigger.final_state or transaction.final_state
+                target = trigger.final_state or transaction.final_state
                 actions.extend(transaction.completion_actions)
-            fsm.add_transition(
-                FsmTransition(
-                    state=name,
-                    event=MessageEvent(trigger.message, guard=trigger.condition),
-                    actions=tuple(actions),
-                    next_state=next_state,
-                )
-            )
-
-
-def _emit_reactions(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
-    for reaction in spec.directory.reactions:
-        fsm.add_transition(
-            FsmTransition(
-                state=reaction.state,
-                event=MessageEvent(reaction.message, guard=reaction.guard),
-                actions=reaction.actions,
-                next_state=reaction.next_state,
-            )
-        )
+            fsm.add_transition(FsmTransition(
+                stage_names[stage.name],
+                MessageEvent(trigger.message, guard=trigger.condition),
+                tuple(actions),
+                target,
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +144,7 @@ def _requests_by_access(spec: ProtocolSpec) -> dict[AccessKind, set[str]]:
 
 def _reinterpret_requests(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
     by_access = _requests_by_access(spec)
-    put_requests = _put_requests(spec)
+    put_requests = by_access.get(AccessKind.REPLACEMENT, set())
     for access, requests in by_access.items():
         if len(requests) < 2:
             continue
@@ -243,68 +213,42 @@ def _reinterpret_put(
 
 def _put_requests(spec: ProtocolSpec) -> set[str]:
     """Requests issued by replacement transactions ("Put"-style downgrades)."""
-    puts: set[str] = set()
-    for transaction in spec.cache.transactions:
-        if transaction.initiator is AccessKind.REPLACEMENT and transaction.request is not None:
-            puts.add(transaction.request.message)
-    return puts
+    return _requests_by_access(spec).get(AccessKind.REPLACEMENT, set())
 
 
 def _put_ack_template(spec: ProtocolSpec, put_request: str) -> Send | None:
     """Find the acknowledgment the SSP directory sends for *put_request*."""
-    def sends_of(actions: tuple[Action, ...]):
-        for action in actions:
-            if isinstance(action, Send) and action.to is Dest.REQUESTOR and not action.with_data:
-                if spec.messages[action.message].message_class is MessageClass.RESPONSE:
-                    yield action
-
-    for reaction in spec.directory.reactions:
-        if reaction.message == put_request:
-            for send in sends_of(reaction.actions):
-                return Send(message=send.message, to=Dest.REQUESTOR)
-    for transaction in spec.directory.transactions:
-        if transaction.initiator == put_request:
-            for send in sends_of(transaction.issue_actions + transaction.completion_actions):
-                return Send(message=send.message, to=Dest.REQUESTOR)
+    for handler in spec.directory.handlers(put_request):
+        for action in handler.actions:
+            if (
+                isinstance(action, Send)
+                and action.to is Dest.REQUESTOR
+                and not action.with_data
+                and spec.messages[action.message].message_class is MessageClass.RESPONSE
+            ):
+                return Send(message=action.message, to=Dest.REQUESTOR)
     return None
 
 
 def _generate_stale_put_handling(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
     # A stale Put is acknowledged in *every* state -- including transient
-    # directory states -- so the issuer can finish its stale transaction.
-    # We also drop the issuer from the sharer list (a no-op when it is not a
-    # sharer); this keeps the directory's sharer list from accumulating caches
-    # that have already given up the block, which would otherwise cause
-    # spurious Invalidations to caches in I.
-    from repro.dsl.types import RemoveRequestorFromSharers
-
+    # directory states -- so the issuer can finish its stale transaction:
+    # unguarded where nothing handles it, and as the complement of a
+    # ``from_owner`` handler.  We also drop the issuer from the sharer list
+    # (a no-op when it is not a sharer); this keeps the directory's sharer
+    # list from accumulating caches that have already given up the block,
+    # which would otherwise cause spurious Invalidations to caches in I.
     for put_request in sorted(_put_requests(spec)):
         ack = _put_ack_template(spec, put_request)
         if ack is None:
             continue
         stale_actions = (ack, RemoveRequestorFromSharers())
-        for state in fsm.states():
-            existing = fsm.candidates(state.name, MessageEvent(put_request))
-            if not existing:
-                fsm.add_transition(
-                    FsmTransition(
-                        state=state.name,
-                        event=MessageEvent(put_request),
-                        actions=stale_actions,
-                        next_state=state.name,
-                    )
-                )
-                continue
-            guards = {t.event.guard for t in existing}
-            if guards == {"from_owner"}:
-                fsm.add_transition(
-                    FsmTransition(
-                        state=state.name,
-                        event=MessageEvent(put_request, guard="not_from_owner"),
-                        actions=stale_actions,
-                        next_state=state.name,
-                    )
-                )
+        for state in fsm.state_names():
+            fsm.fill(state, MessageEvent(put_request), stale_actions)
+            fsm.fill(
+                state, MessageEvent(put_request, guard="not_from_owner"), stale_actions,
+                vacant=lambda guards: guards == {"from_owner"},
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +257,6 @@ def _generate_stale_put_handling(spec: ProtocolSpec, fsm: ControllerFsm) -> None
 
 
 def _stall_requests_in_transient_states(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
-    request_names = [m.name for m in spec.messages.requests]
     for state in fsm.transient_states():
-        for request in request_names:
-            if fsm.candidates(state.name, MessageEvent(request)):
-                continue
-            fsm.add_transition(
-                FsmTransition(
-                    state=state.name,
-                    event=MessageEvent(request),
-                    actions=(),
-                    next_state=state.name,
-                    stall=True,
-                )
-            )
+        for request in spec.messages.requests:
+            fsm.fill(state.name, MessageEvent(request.name), stall=True)

@@ -11,8 +11,9 @@ substrate in :mod:`repro.system` and rendered by the backends.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.dsl.errors import GenerationError
 from repro.dsl.types import (
@@ -37,6 +38,8 @@ class StateKind(enum.Enum):
 @dataclass(frozen=True)
 class Event:
     """Base event class (marker)."""
+
+    guard = None  # only a MessageEvent carries one
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,14 @@ class FsmState:
     """One state of a generated controller.
 
     ``state_sets`` is the set of *stable* state names whose State Set this
-    state belongs to (paper Step 1); for a stable state it is the singleton
-    of its own name.  ``aliases`` records alternative names for states merged
-    by the generator (e.g. ``IM_A_S`` / ``SM_A_S``).
+    state belongs to (paper Step 1, Section V-B).  A State Set exists for
+    every stable state, which is the one member of its own; a transient
+    state belongs to the set of every stable state in which the directory
+    might currently see the block while the cache holds it in that transient
+    state.  The generator reads the membership to decide whether an incoming
+    forwarded request belongs to an earlier- or a later-ordered transaction.
+    ``aliases`` records alternative names for states merged by the generator
+    (e.g. ``IM_A_S`` / ``SM_A_S``).
     """
 
     name: str
@@ -187,6 +195,34 @@ class ControllerFsm:
         existing.append(transition)
         self._transitions.append(transition)
         return transition
+
+    def fill(
+        self,
+        state: str,
+        event: Event,
+        actions: tuple[Action, ...] = (),
+        *,
+        next_state: str | None = None,
+        stall: bool = False,
+        absorb: bool = False,
+        vacant: Callable[[set[str | None]], bool] = operator.not_,
+    ) -> None:
+        """Give *state*'s unhandled slot for *event* its generated default.
+
+        A default is a hit, a stall or an absorbing self-loop, with optional
+        guard (the event's) and actions; miss recovery alone moves to another
+        *next_state*.  The slot is unhandled when ``vacant(guards)`` holds
+        for the guards of the transitions already competing for *event*'s
+        stimulus -- by default, when there are none.  Every pass that
+        completes a generated controller fills its slots through here, one
+        ``(state, event)`` index lookup each.
+        """
+        guards = {t.event.guard for t in self._index.get((state, event_key(event)), ())}
+        if vacant(guards):
+            self.add_transition(FsmTransition(
+                state, event, actions, state if next_state is None else next_state,
+                stall, absorb,
+            ))
 
     def replace_transition(self, old: FsmTransition, new: FsmTransition) -> FsmTransition:
         """Swap *old* for *new* in place (used by the hardening pass to

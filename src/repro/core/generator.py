@@ -5,14 +5,29 @@ state protocol specification and a :class:`~repro.core.config.GenerationConfig`
 it runs:
 
 1. SSP validation and preprocessing (forwarded-request renaming);
-2. Step 1 -- State-Set initialization;
+2. Step 1 -- State Sets (Section V-B): every stable state starts its own
+   State Set; a transient state joins the set of every stable state in which
+   the directory might see the block while the cache holds it in that
+   transient state.  The membership is recorded on each state
+   (:attr:`~repro.core.fsm.FsmState.state_sets`) and is what Step 3 reads to
+   tell an earlier-ordered forwarded request from a later-ordered one;
 3. Step 2 -- transient states in the absence of concurrency;
 4. Step 3 -- concurrency accommodation, to fixpoint;
 5. Step 4 -- access-permission assignment;
 6. directory-controller generation;
+7. the optional hardening pass (:mod:`repro.core.harden`).
 
-and returns a :class:`~repro.core.fsm.GeneratedProtocol` containing the cache
-and directory finite state machines.
+Two rules are written once and shared by the steps.  The SSP is walked
+through :meth:`~repro.dsl.ssp.ControllerSpec.handlers` (each reaction, then
+each transaction, with its state, initiator and actions), and rewritten
+through :meth:`~repro.dsl.ssp.ControllerSpec.rewrite_actions`.  Every table
+entry the SSP does not specify -- hits, stalls, stale-Put
+acknowledgments, absorptions, miss recoveries -- is added by
+:meth:`~repro.core.fsm.ControllerFsm.fill`, which gives an unhandled
+``(state, event)`` slot its generated default.
+
+:func:`generate` returns a :class:`~repro.core.fsm.GeneratedProtocol`
+containing the cache and directory finite state machines.
 """
 
 from __future__ import annotations
@@ -21,11 +36,11 @@ from repro.core.concurrency import accommodate_concurrency
 from repro.core.config import GenerationConfig
 from repro.core.context import CacheGenContext
 from repro.core.directory import generate_directory
-from repro.core.fsm import ControllerFsm, FsmTransition, GeneratedProtocol, MessageEvent
+from repro.core.fsm import ControllerFsm, GeneratedProtocol
 from repro.core.harden import harden_protocol
 from repro.core.permissions import assign_access_permissions
 from repro.core.preprocess import preprocess
-from repro.core.transient import build_initial_transients
+from repro.core.transient import build_initial_transients, emit_reactions
 from repro.dsl.ssp import ProtocolSpec
 from repro.dsl.validation import validate_protocol
 
@@ -62,21 +77,9 @@ def generate(
 
 def _generate_cache(spec: ProtocolSpec, config: GenerationConfig) -> ControllerFsm:
     ctx = CacheGenContext(spec, config)
-    ctx.add_stable_states()          # Step 1: State Sets start as {stable}
-    _emit_stable_reactions(ctx)      # SSP behaviour at stable states
-    build_initial_transients(ctx)    # Step 2
-    accommodate_concurrency(ctx)     # Step 3 (drains the worklist to fixpoint)
-    assign_access_permissions(ctx)   # Step 4
+    ctx.add_stable_states()                  # Step 1: State Sets start as {stable}
+    emit_reactions(ctx.fsm, ctx.spec.cache)  # SSP behaviour at stable states
+    build_initial_transients(ctx)            # Step 2
+    accommodate_concurrency(ctx)             # Step 3 (drains the worklist to fixpoint)
+    assign_access_permissions(ctx)           # Step 4
     return ctx.fsm
-
-
-def _emit_stable_reactions(ctx: CacheGenContext) -> None:
-    for reaction in ctx.spec.cache.reactions:
-        ctx.fsm.add_transition(
-            FsmTransition(
-                state=reaction.state,
-                event=MessageEvent(reaction.message, guard=reaction.guard),
-                actions=reaction.actions,
-                next_state=reaction.next_state,
-            )
-        )

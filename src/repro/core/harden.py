@@ -85,6 +85,14 @@ fixed.  Five rules cooperate:
   their cells): re-delivered responses -- including ``*_Miss`` responses in
   states that need no recovery -- are absorbed silently.
 
+Every transition the rules add is a default for a slot the generated
+tables leave open, so each one goes through the one default-fill rule,
+:meth:`~repro.core.fsm.ControllerFsm.fill` (a self-loop, or a recovery move,
+added only when the guards already on the slot leave it unhandled); what the
+SSP's cache does on a forward is read through the one SSP walk,
+:meth:`~repro.dsl.ssp.ControllerSpec.handlers`.  Only the ``_cap`` split and
+the capture rewrite edit existing transitions.
+
 Known residuals (documented, not hidden): a duplicated ``Inv_Ack`` arriving
 while the requestor is still *counting* acknowledgments is counted twice,
 and a stale-Put capture behind a newer writeback can transiently rewind
@@ -102,7 +110,6 @@ from repro.core.directory import _put_requests
 from repro.core.fsm import (
     ControllerFsm,
     FsmState,
-    FsmTransition,
     MessageEvent,
     StateKind,
 )
@@ -112,6 +119,7 @@ from repro.dsl.types import (
     CopyDataFromMessage,
     Dest,
     MessageClass,
+    Permission,
     Send,
     SetOwnerToRequestor,
     WriteDataToMemory,
@@ -131,7 +139,8 @@ def harden_protocol(
     miss_names = _declare_miss_messages(spec)
     _harden_cache(spec, cache_fsm, miss_names)
     _capture_stale_put_data(spec, directory_fsm)
-    _recover_missed_forwards(spec, directory_fsm, miss_names)
+    _recover_transients(spec, directory_fsm, miss_names)
+    _recover_stable_states(spec, directory_fsm, miss_names)
     _split_captured_states(spec, directory_fsm, miss_names)
     _absorb_duplicate_ownership(spec, directory_fsm)
     _absorb_directory_responses(spec, directory_fsm)
@@ -142,22 +151,12 @@ def harden_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _cache_handler_actions(spec: ProtocolSpec, forward: str):
-    """All action tuples the cache SSP runs when handling *forward*."""
-    for reaction in spec.cache.reactions:
-        if reaction.message == forward:
-            yield reaction.actions
-    for transaction in spec.cache.transactions:
-        if transaction.initiator == forward:
-            yield tuple(transaction.all_actions())
-
-
 def _serve_send(spec: ProtocolSpec, forward: str) -> Send | None:
     """The data response the *owner* would have sent to the requestor when
     handling *forward* -- the exact message the requestor is waiting for --
     re-targeted so the directory can send it from memory instead."""
-    for actions in _cache_handler_actions(spec, forward):
-        for action in actions:
+    for handler in spec.cache.handlers(forward):
+        for action in handler.actions:
             if isinstance(action, Send) and action.with_data and action.to is Dest.REQUESTOR:
                 return Send(
                     message=action.message,
@@ -180,8 +179,8 @@ def _declare_miss_messages(spec: ProtocolSpec) -> dict[str, str]:
     for forward in sorted(spec.forwarded_messages()):
         serves_data = any(
             isinstance(action, Send) and action.with_data
-            for actions in _cache_handler_actions(spec, forward)
-            for action in actions
+            for handler in spec.cache.handlers(forward)
+            for action in handler.actions
         )
         if not serves_data:
             continue
@@ -235,26 +234,15 @@ def _harden_cache(
     responses = sorted(
         m.name for m in spec.messages.responses if m.name not in miss_names.values()
     )
-    templates: dict[str, Send | None] = {}
-    for name in forwards:
-        if name in miss_names:
-            templates[name] = Send(message=miss_names[name], to=Dest.DIRECTORY)
-        else:
-            templates[name] = _reack_template(fsm, name)
-    for state in fsm.states():
+    templates: dict[str, Send | None] = {
+        name: Send(message=miss_names[name], to=Dest.DIRECTORY)
+        if name in miss_names else _reack_template(fsm, name)
+        for name in forwards
+    }
+    for state in fsm.state_names():
         for name in forwards + responses:
-            if fsm.candidates(state.name, MessageEvent(name)):
-                continue
             template = templates.get(name)
-            fsm.add_transition(
-                FsmTransition(
-                    state=state.name,
-                    event=MessageEvent(name),
-                    actions=(template,) if template is not None else (),
-                    next_state=state.name,
-                    absorb=True,
-                )
-            )
+            fsm.fill(state, MessageEvent(name), (template,) if template else (), absorb=True)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +337,10 @@ def _recover_transients(
                 if serve is None:
                     continue
                 actions = (serve,) + tail
-            next_state = trigger.final_state or tx.final_state
             for forward in forwards:
-                miss = miss_names[forward]
-                if fsm.candidates(tname, MessageEvent(miss)):
-                    continue
-                fsm.add_transition(
-                    FsmTransition(
-                        state=tname,
-                        event=MessageEvent(miss),
-                        actions=actions,
-                        next_state=next_state,
-                        absorb=True,
-                    )
+                fsm.fill(
+                    tname, MessageEvent(miss_names[forward]), actions,
+                    next_state=trigger.final_state or tx.final_state, absorb=True,
                 )
 
 
@@ -371,11 +350,10 @@ def _recover_stable_states(
     # Requests whose directory handling (in some state) issues each forward:
     # the replay sources for states that serve the request from memory.
     origins: dict[str, set[str]] = {f: set() for f in miss_names}
+    requests = {m.name for m in spec.messages.requests}
     for transition in fsm.transitions():
         event = transition.event
-        if not isinstance(event, MessageEvent):
-            continue
-        if event.message not in {m.name for m in spec.messages.requests}:
+        if not isinstance(event, MessageEvent) or event.message not in requests:
             continue
         for forward in _forwards_issued(transition.actions, miss_names):
             origins[forward].add(event.message)
@@ -383,8 +361,6 @@ def _recover_stable_states(
     for forward in sorted(miss_names):
         miss = miss_names[forward]
         for state in fsm.stable_states():
-            if fsm.candidates(state.name, MessageEvent(miss)):
-                continue
             forwarding = [
                 t
                 for t in fsm.transitions_from(state.name)
@@ -392,14 +368,9 @@ def _recover_stable_states(
             ]
             if forwarding:
                 handler = forwarding[0]
-                fsm.add_transition(
-                    FsmTransition(
-                        state=state.name,
-                        event=MessageEvent(miss, guard="owner_not_requestor"),
-                        actions=handler.actions,
-                        next_state=handler.next_state,
-                        absorb=True,
-                    )
+                fsm.fill(
+                    state.name, MessageEvent(miss, guard="owner_not_requestor"),
+                    handler.actions, next_state=handler.next_state, absorb=True,
                 )
                 # owner *is* the miss's requestor: the handoff target itself
                 # reported the miss.  Either the forward was duplicated (the
@@ -411,14 +382,9 @@ def _recover_stable_states(
                 # Serving *again* from memory here is unsound: in the
                 # duplication case memory is stale and the recovery data
                 # races the real data.  Absorb silently instead.
-                fsm.add_transition(
-                    FsmTransition(
-                        state=state.name,
-                        event=MessageEvent(miss, guard="owner_is_requestor"),
-                        actions=(),
-                        next_state=state.name,
-                        absorb=True,
-                    )
+                fsm.fill(
+                    state.name, MessageEvent(miss, guard="owner_is_requestor"), absorb=True,
+                    vacant=lambda guards: guards == {"owner_not_requestor"},
                 )
                 continue
             # No forwarding handler here: replay the memory-serving handler
@@ -432,23 +398,11 @@ def _recover_stable_states(
                     and _serves_requestor(t.actions)
                 ]
                 if replays:
-                    fsm.add_transition(
-                        FsmTransition(
-                            state=state.name,
-                            event=MessageEvent(miss),
-                            actions=replays[0].actions,
-                            next_state=replays[0].next_state,
-                            absorb=True,
-                        )
+                    fsm.fill(
+                        state.name, MessageEvent(miss), replays[0].actions,
+                        next_state=replays[0].next_state, absorb=True,
                     )
                     break
-
-
-def _recover_missed_forwards(
-    spec: ProtocolSpec, fsm: ControllerFsm, miss_names: dict[str, str]
-) -> None:
-    _recover_transients(spec, fsm, miss_names)
-    _recover_stable_states(spec, fsm, miss_names)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +542,6 @@ def _requests_issued_from(spec: ProtocolSpec, states: set[str]) -> set[str]:
 
 def _ownership_requests(spec: ProtocolSpec) -> set[str]:
     """Requests whose completion can install the issuer as read-write owner."""
-    from repro.dsl.types import Permission
-
     requests: set[str] = set()
     cache = spec.cache
     for transaction in cache.transactions:
@@ -620,17 +572,10 @@ def _absorb_duplicate_ownership(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
                 # The believed owner state can legitimately issue this
                 # request (MOSI's O->M upgrade): not an echo, keep it live.
                 continue
-            candidates = fsm.candidates(state.name, MessageEvent(request))
-            if not candidates or any(t.event.guard for t in candidates):
-                continue
-            fsm.add_transition(
-                FsmTransition(
-                    state=state.name,
-                    event=MessageEvent(request, guard="from_owner"),
-                    actions=(),
-                    next_state=state.name,
-                    absorb=True,
-                )
+            # An unguarded handler alone: shadow it for the owner's echo.
+            fsm.fill(
+                state.name, MessageEvent(request, guard="from_owner"), absorb=True,
+                vacant=lambda guards: guards == {None},
             )
 
 
@@ -641,24 +586,13 @@ def _absorb_duplicate_ownership(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
 
 def _absorb_directory_responses(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
     responses = sorted(m.name for m in spec.messages.responses)
-    for state in fsm.states():
+    for state in fsm.state_names():
         for name in responses:
-            candidates = fsm.candidates(state.name, MessageEvent(name))
-            if any(
-                not isinstance(t.event, MessageEvent) or t.event.guard is None
-                for t in candidates
-            ):
-                continue
             # No handler at all, or only guarded recovery variants: add the
             # unguarded absorption as the default (guards win when they
             # match -- e.g. a miss whose guard pair finds no recorded owner
             # falls through to this).
-            fsm.add_transition(
-                FsmTransition(
-                    state=state.name,
-                    event=MessageEvent(name),
-                    actions=(),
-                    next_state=state.name,
-                    absorb=True,
-                )
+            fsm.fill(
+                state, MessageEvent(name), absorb=True,
+                vacant=lambda guards: None not in guards,
             )

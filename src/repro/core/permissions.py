@@ -4,53 +4,26 @@ For stable states the permissions come directly from the SSP.  For transient
 states the permission was computed when the state was created (the meet of
 the initial and final stable-state permissions, or NONE when transient
 accesses are disabled).  This pass turns those permissions into explicit
-table entries:
+table entries, through the one default-fill rule
+(:meth:`~repro.core.fsm.ControllerFsm.fill`: only an access slot no
+transition handles yet is filled):
 
-* a *hit* transition for every access the state's permission allows,
+* a *hit* transition for every access the state's permission allows;
 * a *stall* entry for every access a transient state cannot satisfy
-  (the core must wait for the own transaction to complete),
+  (the core must wait for the own transaction to complete).
 """
 
 from __future__ import annotations
 
 from repro.core.context import CacheGenContext
-from repro.core.fsm import AccessEvent, FsmTransition
+from repro.core.fsm import AccessEvent
 from repro.dsl.types import AccessKind, PerformAccess
 
 
 def assign_access_permissions(ctx: CacheGenContext) -> None:
     for state in ctx.fsm.states():
-        for access in (AccessKind.LOAD, AccessKind.STORE):
-            event = AccessEvent(access)
-            if ctx.fsm.has_transition(state.name, event):
-                continue
+        for access in AccessKind:
             if state.permission.allows(access):
-                ctx.fsm.add_transition(
-                    FsmTransition(
-                        state=state.name,
-                        event=event,
-                        actions=(PerformAccess(),),
-                        next_state=state.name,
-                    )
-                )
+                ctx.fsm.fill(state.name, AccessEvent(access), (PerformAccess(),))
             elif not state.is_stable:
-                ctx.fsm.add_transition(
-                    FsmTransition(
-                        state=state.name,
-                        event=event,
-                        actions=(),
-                        next_state=state.name,
-                        stall=True,
-                    )
-                )
-        replacement = AccessEvent(AccessKind.REPLACEMENT)
-        if not state.is_stable and not ctx.fsm.has_transition(state.name, replacement):
-            ctx.fsm.add_transition(
-                FsmTransition(
-                    state=state.name,
-                    event=replacement,
-                    actions=(),
-                    next_state=state.name,
-                    stall=True,
-                )
-            )
+                ctx.fsm.fill(state.name, AccessEvent(access), stall=True)

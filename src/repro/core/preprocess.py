@@ -13,10 +13,10 @@ actions that send it so the directory emits the disambiguated name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.dsl.errors import GenerationError
-from repro.dsl.ssp import ControllerSpec, ProtocolSpec, AwaitStage
+from repro.dsl.ssp import ControllerSpec, ProtocolSpec
 from repro.dsl.types import Action, MessageClass, Send
 
 
@@ -93,54 +93,39 @@ def _split_forwarded_request(
         new_names.append(new_name)
 
     _rewrite_cache_arrivals(spec.cache, message_name, per_state_name)
-    _rewrite_directory_sends(spec, message_name, per_state_name, classes[0][0])
+    _rewrite_directory_sends(spec, message_name, per_state_name)
     return new_names
 
 
 def _rewrite_cache_arrivals(
     cache: ControllerSpec, message_name: str, per_state_name: dict[str, str]
 ) -> None:
-    for reaction in list(cache.reactions):
-        if reaction.message != message_name:
-            continue
-        new_name = per_state_name.get(reaction.state)
-        if new_name is None or new_name == message_name:
-            continue
-        cache.replace_reaction(reaction, replace(reaction, message=new_name))
-    for transaction in list(cache.transactions):
-        if transaction.initiator != message_name:
-            continue
-        new_name = per_state_name.get(transaction.start_state)
-        if new_name is None or new_name == message_name:
-            continue
-        cache.replace_transaction(transaction, replace(transaction, initiator=new_name))
+    for handler in cache.handlers(message_name):
+        new_name = per_state_name.get(handler.state, message_name)
+        if new_name != message_name:
+            cache.rename_initiator(handler, new_name)
 
 
 def _rewrite_directory_sends(
-    spec: ProtocolSpec,
-    message_name: str,
-    per_state_name: dict[str, str],
-    kept_state: str,
+    spec: ProtocolSpec, message_name: str, per_state_name: dict[str, str]
 ) -> None:
     """Rewrite directory Send actions so the right renamed variant is emitted.
 
     The variant is chosen from, in priority order: the Send's explicit
     ``recipient_state`` annotation, then the ``owner_view`` of the directory
     state the send occurs in.  If neither identifies the recipient's stable
-    state, the send is left with the original (kept) name -- which is only
-    correct if the recipient is in *kept_state*, so we raise instead of
-    guessing wrong silently.
+    state, keeping the original name would be right only for a recipient in
+    the first arrival class, so we raise instead of guessing wrong silently.
     """
     directory = spec.directory
 
     def rewrite_actions(actions: tuple[Action, ...], dir_state: str) -> tuple[Action, ...]:
-        rewritten: list[Action] = []
-        for action in actions:
-            if isinstance(action, Send) and action.message == message_name:
-                rewritten.append(action.renamed(_variant_for(action, dir_state)))
-            else:
-                rewritten.append(action)
-        return tuple(rewritten)
+        return tuple(
+            action.renamed(_variant_for(action, dir_state))
+            if isinstance(action, Send) and action.message == message_name
+            else action
+            for action in actions
+        )
 
     def _variant_for(action: Send, dir_state: str) -> str:
         recipient_state = action.recipient_state
@@ -159,40 +144,7 @@ def _rewrite_directory_sends(
             )
         return per_state_name[recipient_state]
 
-    for reaction in list(directory.reactions):
-        new_actions = rewrite_actions(reaction.actions, reaction.state)
-        if new_actions != reaction.actions:
-            directory.replace_reaction(reaction, replace(reaction, actions=new_actions))
-
-    for transaction in list(directory.transactions):
-        changed = False
-        new_issue = rewrite_actions(transaction.issue_actions, transaction.start_state)
-        if new_issue != transaction.issue_actions:
-            changed = True
-        new_stages = []
-        for stage in transaction.stages:
-            new_triggers = []
-            for trigger in stage.triggers:
-                new_trigger_actions = rewrite_actions(trigger.actions, transaction.start_state)
-                if new_trigger_actions != trigger.actions:
-                    changed = True
-                    new_triggers.append(replace(trigger, actions=new_trigger_actions))
-                else:
-                    new_triggers.append(trigger)
-            new_stages.append(AwaitStage(name=stage.name, triggers=tuple(new_triggers)))
-        new_completion = rewrite_actions(transaction.completion_actions, transaction.start_state)
-        if new_completion != transaction.completion_actions:
-            changed = True
-        if changed:
-            directory.replace_transaction(
-                transaction,
-                replace(
-                    transaction,
-                    issue_actions=new_issue,
-                    stages=tuple(new_stages),
-                    completion_actions=new_completion,
-                ),
-            )
+    directory.rewrite_actions(rewrite_actions)
 
 
 def _check_invariant(spec: ProtocolSpec) -> None:

@@ -16,9 +16,9 @@ for states created later by Step 3 -- the deferred responses.
 from __future__ import annotations
 
 from repro.core.context import CacheGenContext, TransientDescriptor
-from repro.core.fsm import AccessEvent, FsmTransition, MessageEvent
+from repro.core.fsm import AccessEvent, ControllerFsm, FsmTransition, MessageEvent
 from repro.dsl.errors import GenerationError
-from repro.dsl.ssp import Transaction, Trigger
+from repro.dsl.ssp import ControllerSpec, Transaction, Trigger
 from repro.dsl.types import (
     AccessKind,
     Action,
@@ -45,44 +45,35 @@ def build_initial_transients(ctx: CacheGenContext) -> None:
 
 
 def _emit_access_transition(ctx: CacheGenContext, transaction: Transaction) -> None:
-    access = transaction.initiator
-    event = AccessEvent(access)
     actions: list[Action] = list(transaction.issue_actions)
-
-    if not transaction.stages:
+    request = [transaction.request] if transaction.request is not None else []
+    if transaction.stages:
+        actions += [ResetAckCounters(), *request]
+        target = ctx.ensure_state(ctx.descriptor_for_stage(transaction, 0))
+    else:
         # Silent or single-step transaction: complete immediately.
-        if transaction.request is not None:
-            actions.append(transaction.request)
-        actions.append(PerformAccess())
-        actions.extend(transaction.completion_actions)
-        ctx.fsm.add_transition(
-            FsmTransition(
-                state=transaction.start_state,
-                event=event,
-                actions=tuple(actions),
-                next_state=transaction.final_state,
-            )
-        )
-        return
-
-    actions.append(ResetAckCounters())
-    if transaction.request is not None:
-        actions.append(transaction.request)
-    descriptor = ctx.descriptor_for_stage(transaction, 0)
-    first_state = ctx.ensure_state(descriptor)
-    ctx.fsm.add_transition(
-        FsmTransition(
-            state=transaction.start_state,
-            event=event,
-            actions=tuple(actions),
-            next_state=first_state,
-        )
-    )
+        actions += [*request, PerformAccess(), *transaction.completion_actions]
+        target = transaction.final_state
+    ctx.fsm.add_transition(FsmTransition(
+        transaction.start_state, AccessEvent(transaction.initiator), tuple(actions), target
+    ))
 
 
 # ---------------------------------------------------------------------------
-# Wait transitions for one transient state (used by Step 2 and Step 3 alike)
+# SSP behaviour as it is written: reactions (cache and directory alike) and
+# the wait transitions of one transient state (Step 2 and Step 3 alike)
 # ---------------------------------------------------------------------------
+
+
+def emit_reactions(fsm: ControllerFsm, controller: ControllerSpec) -> None:
+    """One transition per SSP reaction, at its stable state."""
+    for reaction in controller.reactions:
+        fsm.add_transition(FsmTransition(
+            reaction.state,
+            MessageEvent(reaction.message, guard=reaction.guard),
+            reaction.actions,
+            reaction.next_state,
+        ))
 
 
 def implicit_trigger_actions(trigger: Trigger) -> list[Action]:
@@ -98,27 +89,19 @@ def implicit_trigger_actions(trigger: Trigger) -> list[Action]:
 
 def emit_wait_transitions(ctx: CacheGenContext, name: str, descriptor: TransientDescriptor) -> None:
     """Emit the own-transaction transitions (advance / complete) for *descriptor*."""
-    stage = descriptor.current_stage
-    for trigger in stage.triggers:
-        event = MessageEvent(trigger.message, guard=trigger.condition)
+    for trigger in descriptor.current_stage.triggers:
         actions = implicit_trigger_actions(trigger) + list(trigger.actions)
         if trigger.next_stage is not None:
-            advanced = ctx.advanced(descriptor, trigger.next_stage)
-            next_name = ctx.ensure_state(advanced)
-            ctx.fsm.add_transition(
-                FsmTransition(state=name, event=event, actions=tuple(actions), next_state=next_name)
+            target = ctx.ensure_state(ctx.advanced(descriptor, trigger.next_stage))
+        else:  # completion
+            target = descriptor.logical_target if descriptor.redirected else (
+                trigger.final_state or descriptor.final
             )
-            continue
-
-        # Completion.
-        final_stable = descriptor.logical_target if descriptor.redirected else (
-            trigger.final_state or descriptor.final
-        )
-        if not descriptor.access_performed and not descriptor.stale:
-            actions.append(PerformAccess())
-        if not descriptor.stale:
-            actions.extend(descriptor.completion_actions)
-        actions.extend(descriptor.deferred)
-        ctx.fsm.add_transition(
-            FsmTransition(state=name, event=event, actions=tuple(actions), next_state=final_stable)
-        )
+            if not descriptor.access_performed and not descriptor.stale:
+                actions.append(PerformAccess())
+            if not descriptor.stale:
+                actions.extend(descriptor.completion_actions)
+            actions.extend(descriptor.deferred)
+        ctx.fsm.add_transition(FsmTransition(
+            name, MessageEvent(trigger.message, guard=trigger.condition), tuple(actions), target
+        ))

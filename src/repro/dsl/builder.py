@@ -158,37 +158,22 @@ class _TransactionBuilder:
 class _TriggerBuilder:
     """Terminates a ``when(...)`` clause with ``complete()`` or ``goto_stage()``."""
 
-    def __init__(self, transaction: _TransactionBuilder, **kwargs):
+    def __init__(self, transaction: _TransactionBuilder, *, actions: tuple[Action, ...], **kwargs):
         self._transaction = transaction
+        self._actions = actions
         self._kwargs = kwargs
 
-    def complete(self, final_state: str | None = None, *actions: Action) -> _TransactionBuilder:
-        trigger = Trigger(
-            message=self._kwargs["message"],
-            condition=self._kwargs["condition"],
-            next_stage=None,
-            final_state=final_state,
-            actions=self._kwargs["actions"] + tuple(actions),
-            receives_data=self._kwargs["receives_data"],
-            latches_ack_count=self._kwargs["latches_ack_count"],
-            counts_ack=self._kwargs["counts_ack"],
+    def _add(self, actions: tuple[Action, ...], **target) -> _TransactionBuilder:
+        self._transaction._add_trigger(
+            Trigger(actions=self._actions + actions, **target, **self._kwargs)
         )
-        self._transaction._add_trigger(trigger)
         return self._transaction
 
+    def complete(self, final_state: str | None = None, *actions: Action) -> _TransactionBuilder:
+        return self._add(actions, final_state=final_state)
+
     def goto_stage(self, stage: str, *actions: Action) -> _TransactionBuilder:
-        trigger = Trigger(
-            message=self._kwargs["message"],
-            condition=self._kwargs["condition"],
-            next_stage=stage,
-            final_state=None,
-            actions=self._kwargs["actions"] + tuple(actions),
-            receives_data=self._kwargs["receives_data"],
-            latches_ack_count=self._kwargs["latches_ack_count"],
-            counts_ack=self._kwargs["counts_ack"],
-        )
-        self._transaction._add_trigger(trigger)
-        return self._transaction
+        return self._add(actions, next_stage=stage)
 
     def stay(self, *actions: Action) -> _TransactionBuilder:
         """Trigger that is absorbed without advancing (e.g. an early Inv-Ack)."""

@@ -20,11 +20,12 @@ Two behaviours are distinguished:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.dsl.errors import SpecError
 from repro.dsl.messages import MessageCatalog
-from repro.dsl.types import AccessKind, Action, ControllerKind, Permission, Send
+from repro.dsl.types import AccessKind, Action, ControllerKind, MessageClass, Permission, Send
 
 
 @dataclass(frozen=True)
@@ -152,15 +153,22 @@ class Transaction:
         """True when the transaction needs no messages at all (e.g. E->M)."""
         return self.request is None and not self.stages and not self.issue_actions
 
-    def all_actions(self) -> list[Action]:
+    @property
+    def state(self) -> str:
+        """The state the transaction starts in, as for a :class:`Reaction`."""
+        return self.start_state
+
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        """Every action the transaction can run, in order: issue actions,
+        request, each trigger's actions, completion actions."""
         actions: list[Action] = list(self.issue_actions)
         if self.request is not None:
             actions.append(self.request)
         for stage in self.stages:
             for trigger in stage.triggers:
                 actions.extend(trigger.actions)
-        actions.extend(self.completion_actions)
-        return actions
+        return tuple(actions) + self.completion_actions
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,11 @@ class Reaction:
     def __post_init__(self) -> None:
         if self.guard not in self.VALID_GUARDS:
             raise SpecError(f"unknown reaction guard {self.guard!r}")
+
+    @property
+    def initiator(self) -> str:
+        """The message the reaction handles, as for a :class:`Transaction`."""
+        return self.message
 
 
 @dataclass
@@ -217,27 +230,55 @@ class ControllerSpec:
                 return transaction
         return None
 
-    def reactions_in(self, state: str) -> list[Reaction]:
-        return [r for r in self.reactions if r.state == state]
-
     def reactions_for(self, state: str, message: str) -> list[Reaction]:
         return [r for r in self.reactions if r.state == state and r.message == message]
 
+    def handlers(self, initiator: AccessKind | str | None = None) -> list[Reaction | Transaction]:
+        """Every handler -- each reaction, then each transaction -- or only
+        those *initiator* starts.  Both kinds answer ``state``, ``initiator``
+        and ``actions``: this is the one walk over an SSP's behaviour."""
+        return [
+            handler for handler in (*self.reactions, *self.transactions)
+            if initiator is None or handler.initiator == initiator
+        ]
+
     def messages_handled_in(self, state: str) -> set[str]:
-        handled = {r.message for r in self.reactions_in(state)}
-        for transaction in self.transactions_from(state):
-            if not isinstance(transaction.initiator, AccessKind):
-                handled.add(transaction.initiator)
-        return handled
+        return {
+            h.initiator for h in self.handlers()
+            if h.state == state and not isinstance(h.initiator, AccessKind)
+        }
 
-    # -- mutation helpers used by preprocessing ------------------------------
-    def replace_transaction(self, old: Transaction, new: Transaction) -> None:
-        index = self.transactions.index(old)
-        self.transactions[index] = new
+    # -- rewriting, used by preprocessing --------------------------------------
+    def rename_initiator(self, handler: Reaction | Transaction, initiator: str) -> None:
+        """Make *handler* handle the message *initiator* instead."""
+        if isinstance(handler, Reaction):
+            self.reactions[self.reactions.index(handler)] = replace(handler, message=initiator)
+        else:
+            index = self.transactions.index(handler)
+            self.transactions[index] = replace(handler, initiator=initiator)
 
-    def replace_reaction(self, old: Reaction, new: Reaction) -> None:
-        index = self.reactions.index(old)
-        self.reactions[index] = new
+    def rewrite_actions(
+        self, rewrite: Callable[[tuple[Action, ...], str], tuple[Action, ...]]
+    ) -> None:
+        """Pass every handler's own actions through ``rewrite(actions,
+        state)``: a reaction's, and a transaction's issue, trigger and
+        completion actions (a cache's request is its own, never rewritten)."""
+        self.reactions = [replace(r, actions=rewrite(r.actions, r.state)) for r in self.reactions]
+        self.transactions = [
+            replace(
+                t,
+                issue_actions=rewrite(t.issue_actions, t.state),
+                stages=tuple(
+                    replace(stage, triggers=tuple(
+                        replace(trigger, actions=rewrite(trigger.actions, t.state))
+                        for trigger in stage.triggers
+                    ))
+                    for stage in t.stages
+                ),
+                completion_actions=rewrite(t.completion_actions, t.state),
+            )
+            for t in self.transactions
+        ]
 
     def copy(self) -> "ControllerSpec":
         return ControllerSpec(
@@ -280,17 +321,8 @@ class ProtocolSpec:
 
     # Convenience queries used throughout the generator ----------------------
     def forwarded_messages(self) -> list[str]:
-        from repro.dsl.types import MessageClass
-
         return [m.name for m in self.messages.by_class(MessageClass.FORWARD)]
 
     def cache_arrival_states(self, forwarded_message: str) -> list[str]:
         """Stable cache states in which *forwarded_message* can arrive."""
-        states = []
-        for reaction in self.cache.reactions:
-            if reaction.message == forwarded_message and reaction.state not in states:
-                states.append(reaction.state)
-        for transaction in self.cache.transactions:
-            if transaction.initiator == forwarded_message and transaction.start_state not in states:
-                states.append(transaction.start_state)
-        return states
+        return list(dict.fromkeys(h.state for h in self.cache.handlers(forwarded_message)))

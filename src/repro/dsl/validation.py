@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.dsl.errors import ValidationError
 from repro.dsl.messages import MessageCatalog
-from repro.dsl.ssp import ControllerSpec, ProtocolSpec, Transaction
+from repro.dsl.ssp import ControllerSpec, ProtocolSpec
 from repro.dsl.types import AccessKind, MessageClass, Permission, Send
 
 
@@ -72,10 +72,13 @@ def _validate_messages(spec: ProtocolSpec, report: ValidationReport) -> None:
         report.error("protocol declares no response messages")
 
 
-def _iter_sends(transaction: Transaction):
-    for action in transaction.all_actions():
-        if isinstance(action, Send):
-            yield action
+def _sends(controller: ControllerSpec):
+    """Every Send of every handler, with where it is (``"reaction in 'M'"``)."""
+    for handler in controller.handlers():
+        where = f"{type(handler).__name__.lower()} in {handler.state!r}"
+        for action in handler.actions:
+            if isinstance(action, Send):
+                yield where, action
 
 
 def _validate_controller(
@@ -87,9 +90,6 @@ def _validate_controller(
             report.error(f"{kind}: transaction starts in unknown state {transaction.start_state!r}")
         if transaction.final_state not in controller.states:
             report.error(f"{kind}: transaction ends in unknown state {transaction.final_state!r}")
-        for send in _iter_sends(transaction):
-            if send.message not in messages:
-                report.error(f"{kind}: transaction sends undeclared message {send.message!r}")
         for stage in transaction.stages:
             for trigger in stage.triggers:
                 if trigger.message not in messages:
@@ -109,9 +109,9 @@ def _validate_controller(
             report.error(f"{kind}: reaction goes to unknown state {reaction.next_state!r}")
         if reaction.message not in messages:
             report.error(f"{kind}: reaction handles undeclared message {reaction.message!r}")
-        for action in reaction.actions:
-            if isinstance(action, Send) and action.message not in messages:
-                report.error(f"{kind}: reaction sends undeclared message {action.message!r}")
+    for where, send in _sends(controller):
+        if send.message not in messages:
+            report.error(f"{kind}: {where} sends undeclared message {send.message!r}")
 
 
 def _validate_cache_accesses(spec: ProtocolSpec, report: ValidationReport) -> None:
@@ -131,38 +131,16 @@ def _validate_message_directions(spec: ProtocolSpec, report: ValidationReport) -
     # Requests are issued by caches; forwarded requests are issued only by the
     # directory.  This is what lets caches use forwarded requests to deduce
     # serialization order, so we enforce it.
-    for transaction in spec.cache.transactions:
-        for send in _iter_sends(transaction):
+    for controller, forbidden, rule in (
+        (spec.cache, MessageClass.FORWARD, "sends forwarded request {!r}; only the "
+                                           "directory may send forwards"),
+        (spec.directory, MessageClass.REQUEST, "issues request {!r}; only caches may "
+                                               "issue requests"),
+    ):
+        for where, send in _sends(controller):
             if send.message in spec.messages and \
-                    spec.messages[send.message].message_class is MessageClass.FORWARD:
-                report.error(
-                    f"cache: transaction from {transaction.start_state!r} sends forwarded "
-                    f"request {send.message!r}; only the directory may send forwards"
-                )
-    for reaction in spec.cache.reactions:
-        for action in reaction.actions:
-            if isinstance(action, Send) and action.message in spec.messages and \
-                    spec.messages[action.message].message_class is MessageClass.FORWARD:
-                report.error(
-                    f"cache: reaction in {reaction.state!r} sends forwarded request "
-                    f"{action.message!r}; only the directory may send forwards"
-                )
-    for transaction in spec.directory.transactions:
-        for send in _iter_sends(transaction):
-            if send.message in spec.messages and \
-                    spec.messages[send.message].message_class is MessageClass.REQUEST:
-                report.error(
-                    f"directory: transaction in {transaction.start_state!r} issues request "
-                    f"{send.message!r}; only caches may issue requests"
-                )
-    for reaction in spec.directory.reactions:
-        for action in reaction.actions:
-            if isinstance(action, Send) and action.message in spec.messages and \
-                    spec.messages[action.message].message_class is MessageClass.REQUEST:
-                report.error(
-                    f"directory: reaction in {reaction.state!r} issues request "
-                    f"{action.message!r}; only caches may issue requests"
-                )
+                    spec.messages[send.message].message_class is forbidden:
+                report.error(f"{controller.kind.value}: {where} " + rule.format(send.message))
 
 
 def _validate_permissions(spec: ProtocolSpec, report: ValidationReport) -> None:

@@ -83,24 +83,17 @@ class TestDisambiguationErrors:
         spec.directory.states = {
             name: replace(state, owner_view=None) for name, state in spec.directory.states.items()
         }
-        for reaction in list(spec.directory.reactions):
-            new_actions = tuple(
-                a.renamed(a.message) if isinstance(a, Send) and a.recipient_state else a
-                for a in reaction.actions
-            )
-            new_actions = tuple(
-                replace(a, recipient_state=None) if isinstance(a, Send) else a
-                for a in new_actions
-            )
-            spec.directory.replace_reaction(reaction, replace(reaction, actions=new_actions))
+        spec.directory.rewrite_actions(lambda actions, _state: tuple(
+            replace(a, recipient_state=None) if isinstance(a, Send) else a
+            for a in actions
+        ))
         with pytest.raises(GenerationError, match="cannot disambiguate"):
             preprocess(spec)
 
 
 def _messages_sent_from(directory, state: str) -> set[str]:
-    sent: set[str] = set()
-    for reaction in directory.reactions_in(state):
-        sent.update(a.message for a in reaction.actions if isinstance(a, Send))
-    for transaction in directory.transactions_from(state):
-        sent.update(a.message for a in transaction.all_actions() if isinstance(a, Send))
-    return sent
+    return {
+        a.message
+        for handler in directory.handlers() if handler.state == state
+        for a in handler.actions if isinstance(a, Send)
+    }

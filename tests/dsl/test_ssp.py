@@ -94,7 +94,7 @@ class TestTransaction:
                 AwaitStage(name="D", triggers=(Trigger(message="Data", actions=(extra,)),)),
             )
         )
-        actions = transaction.all_actions()
+        actions = transaction.actions
         assert Send("GetS", Dest.DIRECTORY) in actions
         assert extra in actions
 
