@@ -44,7 +44,7 @@ from repro.core.context import CacheGenContext, TransientDescriptor
 from repro.core.fsm import FsmTransition, MessageEvent
 from repro.core.transient import emit_wait_transitions
 from repro.dsl.errors import GenerationError
-from repro.dsl.ssp import Reaction
+from repro.dsl.ssp import Reaction, Transaction
 from repro.dsl.types import (
     Action,
     AddRequestorToSharers,
@@ -308,7 +308,12 @@ def _directory_reads_requestor(ctx: CacheGenContext, message: str) -> bool:
         return False
 
     directory = ctx.spec.directory
-    if any(reads(handler.actions) for handler in directory.handlers(message)):
+    # A directory transaction is initiated by an incoming message; its
+    # requestor flows into the issue actions.  Triggers are checked below.
+    if any(
+        reads(h.issue_actions if isinstance(h, Transaction) else h.actions)
+        for h in directory.handlers(message)
+    ):
         return True
     for transaction in directory.transactions:
         for stage in transaction.stages:

@@ -144,7 +144,7 @@ def _requests_by_access(spec: ProtocolSpec) -> dict[AccessKind, set[str]]:
 
 def _reinterpret_requests(spec: ProtocolSpec, fsm: ControllerFsm) -> None:
     by_access = _requests_by_access(spec)
-    put_requests = by_access.get(AccessKind.REPLACEMENT, set())
+    put_requests = _put_requests(spec)
     for access, requests in by_access.items():
         if len(requests) < 2:
             continue
@@ -217,9 +217,15 @@ def _put_requests(spec: ProtocolSpec) -> set[str]:
 
 
 def _put_ack_template(spec: ProtocolSpec, put_request: str) -> Send | None:
-    """Find the acknowledgment the SSP directory sends for *put_request*."""
+    """Find the acknowledgment the SSP directory sends for *put_request*:
+    in a reaction's actions, or a transaction's issue and completion
+    actions (never a trigger's, which answer the awaited message)."""
     for handler in spec.directory.handlers(put_request):
-        for action in handler.actions:
+        if isinstance(handler, Transaction):
+            actions = handler.issue_actions + handler.completion_actions
+        else:
+            actions = handler.actions
+        for action in actions:
             if (
                 isinstance(action, Send)
                 and action.to is Dest.REQUESTOR

@@ -213,9 +213,11 @@ class ControllerFsm:
         guard (the event's) and actions; miss recovery alone moves to another
         *next_state*.  The slot is unhandled when ``vacant(guards)`` holds
         for the guards of the transitions already competing for *event*'s
-        stimulus -- by default, when there are none.  Every pass that
-        completes a generated controller fills its slots through here, one
-        ``(state, event)`` index lookup each.
+        stimulus -- by default, when there are none.  Every default-fill
+        pass (access permissions, directory stalls, stale-Put handling,
+        hardening) adds its transitions through here, one ``(state,
+        event)`` index lookup each; request reinterpretation, which copies
+        SSP transitions, does not.
         """
         guards = {t.event.guard for t in self._index.get((state, event_key(event)), ())}
         if vacant(guards):

@@ -20,11 +20,12 @@ it runs:
 Two rules are written once and shared by the steps.  The SSP is walked
 through :meth:`~repro.dsl.ssp.ControllerSpec.handlers` (each reaction, then
 each transaction, with its state, initiator and actions), and rewritten
-through :meth:`~repro.dsl.ssp.ControllerSpec.rewrite_actions`.  Every table
-entry the SSP does not specify -- hits, stalls, stale-Put
-acknowledgments, absorptions, miss recoveries -- is added by
-:meth:`~repro.core.fsm.ControllerFsm.fill`, which gives an unhandled
-``(state, event)`` slot its generated default.
+through :meth:`~repro.dsl.ssp.ControllerSpec.rewrite_actions`.  Every
+generated default -- hits, stalls, stale-Put acknowledgments, absorptions,
+miss recoveries -- is added by :meth:`~repro.core.fsm.ControllerFsm.fill`,
+which gives an unhandled ``(state, event)`` slot its default.  Request
+reinterpretation is no default: the directory copies the SSP's transitions
+for one request onto another (:mod:`repro.core.directory`).
 
 :func:`generate` returns a :class:`~repro.core.fsm.GeneratedProtocol`
 containing the cache and directory finite state machines.

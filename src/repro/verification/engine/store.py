@@ -124,6 +124,20 @@ class StateStore:
             self.extend_links((parent,), (event,), (perm,))
         return row_id, row_id == known
 
+    def intern_children(
+        self, parent: int, children
+    ) -> list[tuple[int, object]]:
+        """Batch :meth:`intern` of ``(event, key, perm)`` triples from one
+        parent.  Returns ``[(id, key), ...]`` for the genuinely new keys, in
+        input order; already known keys record nothing, like :meth:`intern`.
+        """
+        out: list[tuple[int, object]] = []
+        for event, key, perm in children:
+            new_id, is_new = self.intern(key, parent, event, perm)
+            if is_new:
+                out.append((new_id, key))
+        return out
+
     def intern_batch(self, rows, links):
         """Batch :meth:`intern` of a matrix of *rows* against the row table
         (:meth:`adopt_rows`): one vectorized probe for a whole level, raw --

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import GenerationConfig, generate
+from repro.core.directory import _put_ack_template
 from repro.core.fsm import MessageEvent, StateKind
-from repro.dsl.types import RemoveRequestorFromSharers, Send
+from repro.dsl.ssp import AwaitStage, Transaction, Trigger
+from repro.dsl.types import Dest, RemoveRequestorFromSharers, Send
 
 
 class TestMsiDirectory:
@@ -66,6 +68,23 @@ class TestStalePutHandling:
         directory = msi_nonstalling.directory
         guards = {t.event.guard for t in directory.candidates("M", MessageEvent("PutM"))}
         assert guards == {"from_owner", "not_from_owner"}
+
+    def test_ack_comes_from_a_waiting_put_transactions_completion(self, msi_spec):
+        # A waiting Put transaction whose trigger answers the requestor with
+        # another response: the stale-Put ack is the completion's Put_Ack,
+        # never the trigger's send.
+        spec = msi_spec.copy()
+        spec.directory.reactions = [
+            r for r in spec.directory.reactions if r.message != "PutM"
+        ]
+        spec.directory.transactions.append(Transaction(
+            start_state="M", initiator="PutM", final_state="I",
+            stages=(AwaitStage("W", (Trigger(
+                "Data", actions=(Send("Inv_Ack", to=Dest.REQUESTOR),),
+            ),)),),
+            completion_actions=(Send("Put_Ack", to=Dest.REQUESTOR),),
+        ))
+        assert _put_ack_template(spec, "PutM") == Send("Put_Ack", to=Dest.REQUESTOR)
 
     def test_stale_handling_can_be_disabled(self, msi_spec):
         generated = generate(msi_spec, GenerationConfig(generate_stale_put_handling=False))

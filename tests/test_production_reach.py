@@ -69,6 +69,8 @@ ALLOWLIST: dict[str, str] = {
         f"{PROBE}: used only by StateCodec.encode",
     "repro.system.codec.StateCodec.relabel_via_tables":
         f"{PROBE}: codec.relabel_via_tables (bench/trace.py)",
+    "repro.verification.engine.store.StateStore.intern_children":
+        f"{PROBE}: store.intern_children (bench/trace.py)",
 }
 
 
