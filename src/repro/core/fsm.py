@@ -144,12 +144,15 @@ class ControllerFsm:
         self._states: dict[str, FsmState] = {}
         self._transitions: list[FsmTransition] = []
         self._index: dict[tuple, list[FsmTransition]] = {}
+        #: state name -> its transitions, in insertion order.
+        self._by_state: dict[str, list[FsmTransition]] = {}
 
     # -- states ---------------------------------------------------------------
     def add_state(self, state: FsmState) -> FsmState:
         if state.name in self._states:
             raise GenerationError(f"duplicate FSM state {state.name!r}")
         self._states[state.name] = state
+        self._by_state[state.name] = []
         return state
 
     def has_state(self, name: str) -> bool:
@@ -194,6 +197,7 @@ class ControllerFsm:
                 )
         existing.append(transition)
         self._transitions.append(transition)
+        self._by_state[transition.state].append(transition)
         return transition
 
     def fill(
@@ -235,8 +239,9 @@ class ControllerFsm:
                 "replace_transition requires matching (state, event) slots"
             )
         self._transitions[self._transitions.index(old)] = new
-        bucket = self._index[(old.state, event_key(old.event))]
-        bucket[bucket.index(old)] = new
+        for bucket in (self._index[(old.state, event_key(old.event))],
+                       self._by_state[old.state]):
+            bucket[bucket.index(old)] = new
         return new
 
     def has_transition(self, state: str, event: Event) -> bool:
@@ -247,7 +252,7 @@ class ControllerFsm:
         return list(self._transitions)
 
     def transitions_from(self, state: str) -> list[FsmTransition]:
-        return [t for t in self._transitions if t.state == state]
+        return list(self._by_state.get(state, ()))
 
     def candidates(self, state: str, event: Event) -> list[FsmTransition]:
         """All transitions in *state* that compete for *event*'s stimulus.

@@ -376,8 +376,10 @@ def _recover_stable_states(
                 # reported the miss.  Either the forward was duplicated (the
                 # duplicate was served, the real data response is in flight
                 # to the requestor on another channel) or the old owner
-                # evicted (its Put was processed first -- see the causality
-                # note on ``_handoff_serve_send`` -- and the capture-time
+                # evicted (its Put was processed first: the missing cache
+                # gives the block up only on ``Put_Ack``, so the directory
+                # took the Put before the miss was generated -- see
+                # :func:`_split_captured_states` -- and the capture-time
                 # serve already pushed current memory to the requestor).
                 # Serving *again* from memory here is unsound: in the
                 # duplication case memory is stale and the recovery data

@@ -660,9 +660,9 @@ class StateCodec:
         hash-conses), placed at plane 0's bytes.
 
         *items* is the section's content -- ordered networks yield
-        ``[(src, dst, vnet, (msg record, ...)), ...]`` (encoded node IDs,
-        FIFO message order), unordered networks a flat list of message
-        records; the list is shared, callers must not mutate it -- and
+        ``((src, dst, vnet, (msg record, ...)), ...)`` (encoded node IDs,
+        FIFO message order), unordered networks a flat tuple of message
+        records -- and
         *offsets* maps each item to its lanes: ``offsets[i]`` is the lane
         index of channel (or record) *i* relative to the section's first
         lane (``offsets[0] == 1``, past the count lane) and ``offsets[n]``
@@ -723,6 +723,7 @@ class StateCodec:
                 offs.append(pos)
             offsets = tuple(offs)
             heads = [(i, item[3][0], offs[i] + 4) for i, item in enumerate(items)]
+        items = tuple(items)  # retained per distinct section
         offsets = part(offsets, offsets)
         lb = self.lane_bytes
         deliveries = []

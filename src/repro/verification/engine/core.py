@@ -88,10 +88,11 @@ class VerificationResult:
     #: kernel's two per-key memos in this process: what they hold at search
     #: end and how often the generated functions ran on a miss -- the
     #: vectorized kernel fills them on fallback levels only, the fleet in
-    #: its workers), ``visited_bytes`` (bytes of the visited set where it is
-    #: the batch path's row table -- rows in use plus the slot table, so
-    #: bytes per state is a reported count; ``None`` where it is a dict or
-    #: lives in the workers' in-memory digest sets, one per worker),
+    #: its workers), ``visited_bytes`` (bytes of the visited set, so bytes
+    #: per state is a reported count: the batch path's row table is its
+    #: rows in use plus the slot table, a key dict its table plus a
+    #: ``bytes`` header and the bytes of each key; ``None`` where it lives
+    #: in the workers' in-memory digest sets, one per worker),
     #: ``orbit_memo_entries`` / ``block_table_entries`` (sizes of the
     #: symmetry pipeline's caches, likewise) and ``orbit_classifications``
     #: (regions classified, i.e. region-memo misses, over the cached

@@ -199,7 +199,7 @@ class _WorkerState:
         #: Trace links of the states accepted this round, by next-level
         #: position: parent ID, index into ``events``, permutation index.
         self.events: dict = {}
-        self.link_parent = array("q")
+        self.link_parent = array("i")  # the store's parent column type
         self.link_event = array("I")
         self.link_perm = array("H")
 

@@ -213,8 +213,11 @@ class VectorizedExpander(CompiledExpander):
             perms = self._representatives(S)
 
         def links(new):
-            parents = array("q")
-            parents.frombytes(ids[plans.parent_pos[new]].tobytes())
+            # The store's parent column is ``array('i')``, and every ID it
+            # hands out fits: narrow first, as int64 bytes would read back
+            # as twice as many parents.
+            parents = array("i")
+            parents.frombytes(ids[plans.parent_pos[new]].astype(np.int32).tobytes())
             return (
                 parents,
                 vk.events_of(plans.pids[new]),

@@ -1,7 +1,8 @@
 """Interned state store: dense integer IDs plus columnar parent links.
 
 The store interns each (canonical) state exactly once, hands out a dense
-integer ID, and records the search tree column-wise:
+integer ID -- its position in insertion order -- and records the search
+tree column-wise:
 
 * ``parent[id]`` -- ID of the state this one was first reached from (-1 for
   the root);
@@ -20,11 +21,15 @@ speed and cost tens of bytes per state.  The store itself is agnostic --
 any hashable key works, so object-keyed use (tests, tooling) stays valid.
 It is the only place a search in this process deduplicates a successor,
 and it is exact: keys (or rows, below) are compared whole, never a digest.
+The visited dict holds the keys only (each maps to ``None``): a key's ID
+is its insertion position, and no search asks the ID of a known key, so a
+stored state costs its key and a dict slot.
 
-The three link columns are typed arrays: ``array('q')`` parent IDs, and
+The three link columns are typed arrays: ``array('i')`` parent IDs, and
 small-int event / permutation columns indexing two side tables of the
 distinct values (hundreds of events, at most ``num_caches!`` permutations),
-so a link costs 14 bytes whichever expander wrote it.
+so a link costs 10 bytes whichever expander wrote it.  An ID past
+:data:`MAX_STATE_ID` raises :class:`StateIdOverflow`; it is never wrapped.
 
 The batch (vectorized) search keeps its visited set in its own native form
 instead of the key dict: a :class:`~repro.system.rowtable.RowTable`
@@ -38,6 +43,7 @@ state ID; and packed keys reappear only at the boundaries (a checkpoint's
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 from repro.system.rowtable import RowTable
@@ -46,6 +52,14 @@ from repro.verification.engine.canonical import Permutation
 
 #: Sentinel parent ID of the root state.
 NO_PARENT = -1
+
+#: The largest state ID the ``array('i')`` parent column holds.
+MAX_STATE_ID = 2**31 - 1
+
+
+class StateIdOverflow(OverflowError):
+    """A state ID past :data:`MAX_STATE_ID`: the store hands out none, and
+    a parent link past it is refused rather than wrapped."""
 
 
 class _Interned(dict):
@@ -73,12 +87,13 @@ class StateStore:
                  "_events", "_perms")
 
     def __init__(self):
-        self._ids: dict[object, int] | None = {}
+        #: The visited set: key -> ``None``, in ID order.
+        self._ids: dict[object, None] | None = {}
         #: The visited set as a :class:`RowTable` (see :meth:`adopt_rows`),
         #: with the object that converts packed keys to rows and back.
         self._rows: RowTable | None = None
         self._row_codec = None
-        self._parent = array("q")
+        self._parent = array("i")
         #: Per state, the index of its event / permutation in the side
         #: tables below.
         self._event = array("I")
@@ -92,8 +107,9 @@ class StateStore:
         parent: int = NO_PARENT,
         event: tuple | None = None,
         perm: Permutation | None = None,
-    ) -> tuple[int, bool]:
-        """Return ``(id, is_new)``; records the parent link only when new.
+    ) -> tuple[int | None, bool]:
+        """Return ``(new_id, True)`` for a new *state*, recording its parent
+        link, and ``(None, False)`` for a known one, recording nothing.
 
         *state* is any hashable key -- the packed codec encoding on the
         search hot path, or a ``GlobalState`` in object-keyed use.
@@ -105,24 +121,29 @@ class StateStore:
         ids = self._ids
         if ids is None:
             return self._intern_row(state, parent, event, perm)
-        existing = ids.get(state)
-        if existing is not None:
-            return existing, False
+        if state in ids:
+            return None, False
         new_id = len(self._parent)
-        ids[state] = new_id
-        self._parent.append(parent)
+        if new_id > MAX_STATE_ID:
+            raise StateIdOverflow(f"state ID {new_id} exceeds {MAX_STATE_ID}")
+        try:
+            self._parent.append(parent)
+        except OverflowError:
+            raise StateIdOverflow(f"parent ID {parent} exceeds {MAX_STATE_ID}") from None
+        ids[state] = None
         self._event.append(self._events[event])
         self._perm.append(self._perms[perm])
         return new_id, True
 
-    def _intern_row(self, key, parent, event, perm) -> tuple[int, bool]:
+    def _intern_row(self, key, parent, event, perm) -> tuple[int | None, bool]:
         """:meth:`intern` against the row table: the batch search's
         per-state fallback levels land here one key at a time."""
         known = len(self._rows)
         row_id = int(self._rows.intern(self._row_codec.rows_of((key,)))[0])
-        if row_id == known:
-            self.extend_links((parent,), (event,), (perm,))
-        return row_id, row_id == known
+        if row_id != known:
+            return None, False
+        self.extend_links((parent,), (event,), (perm,))
+        return row_id, True
 
     def intern_children(
         self, parent: int, children
@@ -180,9 +201,19 @@ class StateStore:
         iterables, one per column; returns the block's first ID (the rest
         follow densely).  Events and permutations are translated to their
         side-table indices at C speed (a first sight costs one Python
-        call), and an ``array('q')`` of parents is one ``memcpy``."""
-        base = len(self._parent)
-        self._parent.extend(parents)
+        call), and an ``array('i')`` of parents is one ``memcpy``.  Raises
+        :class:`StateIdOverflow`, leaving the store as it was, when an ID
+        does not fit the parent column."""
+        column = self._parent
+        base = len(column)
+        try:
+            column.extend(parents)
+        except OverflowError:
+            del column[base:]
+            raise StateIdOverflow(f"a parent ID exceeds {MAX_STATE_ID}") from None
+        if len(column) - 1 > MAX_STATE_ID:
+            del column[base:]
+            raise StateIdOverflow(f"state IDs past {MAX_STATE_ID}")
         self._event.extend(map(self._events.__getitem__, events))
         self._perm.extend(map(self._perms.__getitem__, perms))
         return base
@@ -216,9 +247,21 @@ class StateStore:
 
     @property
     def visited_bytes(self) -> int | None:
-        """Bytes of the visited set when it is a row table; ``None`` while
-        it is a dict (not measurable from here) or lives in the shards."""
-        return self._rows.nbytes if self._rows is not None else None
+        """Bytes of the visited set: a row table's arena and slots in use,
+        or the key dict's table plus a ``bytes`` header per key and the
+        key bytes themselves (:func:`sys.getsizeof` of each part -- an
+        O(states) walk, read once when a search ends); ``None`` when it
+        lives in the fleet's shards."""
+        if self._rows is not None:
+            return self._rows.nbytes
+        ids = self._ids
+        if ids is None:
+            return None
+        return (
+            sys.getsizeof(ids)
+            + len(ids) * sys.getsizeof(b"")
+            + sum(map(len, ids))
+        )
 
     def _keys(self) -> list:
         """The intern keys in ID order."""
@@ -251,13 +294,13 @@ class StateStore:
         The visited set comes back as the key dict whatever it was saved
         from; the batch search re-adopts it.
         """
-        self._parent = array("q", snapshot["parent"])
+        self._parent = array("i", snapshot["parent"])
         self._event = array("I", snapshot["event"])
         self._perm = array("H", snapshot["perm"])
         self._events = _Interned(snapshot["events"])
         self._perms = _Interned(snapshot["perms"])
         self._rows = self._row_codec = None
-        self._ids = {key: state_id for state_id, key in enumerate(snapshot["keys"])}
+        self._ids = dict.fromkeys(snapshot["keys"])
 
     def link(self, state_id: int) -> tuple[int, tuple | None, Permutation | None]:
         """The ``(parent_id, event, perm)`` triple recorded for *state_id*."""

@@ -96,6 +96,35 @@ class TestTransitions:
         assert load.stall
 
 
+    def test_transitions_from_is_the_filter_in_insertion_order(self, fsm):
+        """The per-state index reads what a scan of ``transitions()`` would:
+        insertion order, a replacement in its old place, a copy."""
+        load = FsmTransition("I", AccessEvent(AccessKind.LOAD), (), "IS_D")
+        for t in (load,
+                  FsmTransition("S", MessageEvent("Inv"), (), "I"),
+                  FsmTransition("I", MessageEvent("Inv"), (), "I"),
+                  FsmTransition("I", MessageEvent("Data"), (), "S")):
+            fsm.add_transition(t)
+        hit = fsm.replace_transition(load, load.with_actions((PerformAccess(),)))
+
+        def scanned(state):
+            return [t for t in fsm.transitions() if t.state == state]
+
+        assert fsm.transitions_from("I")[0] is hit
+        for state in ("I", "S", "IS_D", "unknown"):
+            assert fsm.transitions_from(state) == scanned(state)
+        fsm.transitions_from("I").clear()
+        assert len(fsm.transitions_from("I")) == 3
+
+    def test_generated_controllers_index_every_transition(self, all_generated):
+        for generated in all_generated.values():
+            for fsm in (generated.cache, generated.directory):
+                for name in fsm.state_names():
+                    assert fsm.transitions_from(name) == [
+                        t for t in fsm.transitions() if t.state == name
+                    ], (fsm.name, name)
+
+
 class TestEventKey:
     def test_access_and_message_keys_differ(self):
         assert event_key(AccessEvent(AccessKind.LOAD)) != event_key(MessageEvent("Load"))

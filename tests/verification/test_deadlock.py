@@ -13,28 +13,29 @@ replayable trace, on every backend and search strategy, at the depth
 import pytest
 
 from repro.core import GenerationConfig, generate
-from repro.core.fsm import AccessEvent, event_key
+from repro.core.fsm import AccessEvent
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.system.system import DuplicateMessage, FaultModel, IssueAccess
 from repro.verification import verify
 
 from reference_system import ReferenceSystem, reference
-from verification_helpers import assert_matches_reference, reference_search
+from verification_helpers import (
+    assert_matches_reference,
+    reference_search,
+    set_transitions,
+)
 
 
 def drop_cache_accesses(generated, state: str):
     """Sabotage a generated protocol: remove every core-access transition
     from cache state *state* (mutation in place -- generate freshly)."""
     cache = generated.cache
-    cache._transitions = [
+    set_transitions(cache, (
         t
         for t in cache.transitions()
         if not (t.state == state and isinstance(t.event, AccessEvent))
-    ]
-    cache._index = {}
-    for t in cache._transitions:
-        cache._index.setdefault((t.state, event_key(t.event)), []).append(t)
+    ))
     return generated
 
 

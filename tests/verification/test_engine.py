@@ -19,6 +19,7 @@ import pytest
 from repro.system import System, Workload
 from repro.verification import InvariantViolation, verify
 from repro.verification.engine import Exploration, StateStore
+from repro.verification.engine.store import MAX_STATE_ID, StateIdOverflow
 from repro.verification.engine.canonical import (
     EncodedCanonicalizer,
     canonicalizer_for,
@@ -100,17 +101,22 @@ class TestStateStore:
         successor = system.apply(initial, event).state
         child, new = store.intern(successor, parent=root, event=event)
         assert new and child == 1
-        again, new = store.intern(successor, parent=99, event=None)
-        assert not new and again == child
+        # A known key records nothing: no ID read back, no link, no growth.
+        assert store.intern(successor, parent=99, event=None) == (None, False)
+        assert store.intern(initial, parent=child) == (None, False)
+        assert len(store) == 2
+        assert store.link(root) == (-1, None, None)
         assert store.link(child) == (root, event, None)
-        assert initial in store._ids and successor in store._ids
+        # The visited set is the keys alone, in ID order.
+        assert store._ids == {initial: None, successor: None}
+        assert list(store._ids) == [initial, successor]
         chain = store.chain(child)
         assert [e for e, _ in chain] == [None, event]
 
     def test_extend_links_equals_repeated_append_link(self):
         """The fleet lands a round's trace links as three columns; the block
         must read back exactly as the same links appended one by one."""
-        parents = array("q", [0, 0, 1, 3, 2])
+        parents = array("i", [0, 0, 1, 3, 2])
         events = [(0, 1, 0), (1, 4, 0, 1), (0, 1, 0), None, (2, 4, 1, 0)]
         perms = [None, (1, 0), (0, 1), None, (1, 0)]
         one_by_one, blockwise = StateStore(), StateStore()
@@ -125,6 +131,62 @@ class TestStateStore:
             assert blockwise.link(state_id) == one_by_one.link(state_id)
         assert blockwise.chain(5) == one_by_one.chain(5)
         assert blockwise.extend_links((), (), ()) == 6 and len(blockwise) == 6
+
+    def test_a_parent_id_past_the_column_raises_and_records_nothing(self):
+        """The parent column is ``array('i')``: an ID of 2**31 is refused
+        by name on every writer, never wrapped, and leaves the store as it
+        was."""
+        assert MAX_STATE_ID == 2**31 - 1
+        store = StateStore()
+        root, _ = store.intern(b"root")
+        for write in (
+            lambda: store.intern(b"child", 2**31),
+            lambda: store.append_link(2**31, None, None),
+            lambda: store.extend_links([0, 2**31], [None, None], [None, None]),
+        ):
+            with pytest.raises(StateIdOverflow):
+                write()
+            assert len(store) == 1 and list(store._ids) == [b"root"]
+        assert store.intern(b"child", MAX_STATE_ID) == (1, True)
+        with pytest.raises(TypeError):  # an int64 column is not silently read
+            store.extend_links(array("q", [root]), [None], [None])
+
+    def test_no_id_past_the_column_is_handed_out(self, monkeypatch):
+        """Every ID the store hands out can be a parent, so the batch path's
+        ``int32`` narrowing of level IDs never wraps."""
+        import repro.verification.engine.store as store_module
+
+        monkeypatch.setattr(store_module, "MAX_STATE_ID", 2)
+        store = StateStore()
+        assert [store.intern(key)[0] for key in (b"a", b"b", b"c")] == [0, 1, 2]
+        with pytest.raises(StateIdOverflow):
+            store.intern(b"d", 2)
+        with pytest.raises(StateIdOverflow):
+            store.append_link(2, None, None)
+        assert len(store) == 3 and b"d" not in store._ids
+
+    def test_a_stored_state_costs_its_key_and_at_most_48_bytes(self):
+        """What the visited set and the link columns add to a state's key,
+        counted exactly by ``tracemalloc`` over 20 000 pre-built keys: a
+        dict slot (the key maps to ``None``: no ``int`` per state) and a
+        10-byte link."""
+        import tracemalloc
+
+        count = 20_000
+        keys = [i.to_bytes(4, "little") * 8 for i in range(count)]
+        events = [(i % 7, 1, 0) for i in range(7)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = StateStore()
+            intern = store.intern
+            for i, key in enumerate(keys):
+                intern(key, i - 1, events[i % 7])
+            per_state = (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+        assert len(store) == count
+        assert per_state <= 48, per_state
 
 
 class TestBackwardCompatibility:
@@ -266,16 +328,36 @@ class TestSearchStats:
         """Bytes per stored state as a reported count: the batch path's row
         table is its rows in use (five ``uint32`` IDs at 2 caches: a block
         per cache, the directory's, the version, the section) plus the
-        int32 slot table; a dict or the fleet's shards are not measurable
-        from the store and report None."""
+        int32 slot table; the fleet's shards are not measurable from the
+        store and report None."""
         full = msi_2c2a(kernel="vectorized")
         assert (full.kernel, full.states_explored) == ("vectorized", 1702)
         assert full.stats["visited_bytes"] == 1702 * 20 + 4096 * 4
         reduced = msi_2c2a(kernel="vectorized", symmetry=True)
         assert reduced.stats["visited_bytes"] == 862 * 20 + 2048 * 4
-        for mode in (dict(), dict(kernel="vectorized", strategy="dfs"),
-                     dict(strategy="parallel", processes=2)):
-            assert msi_2c2a(**mode).stats["visited_bytes"] is None, mode
+        fleet = msi_2c2a(strategy="parallel", processes=2)
+        assert fleet.stats["visited_bytes"] is None
+
+    @pytest.mark.parametrize("mode", [
+        dict(), dict(kernel="vectorized", strategy="dfs"), dict(symmetry=True),
+    ], ids=["bfs", "vectorized-dfs", "reduced"])
+    def test_visited_bytes_is_the_key_dict(self, msi_nonstalling, explorations, mode):
+        """A key dict reports its table, a ``bytes`` header per key and the
+        key bytes: what the store keeps per state, read once at the end."""
+        import sys
+
+        result = verify(System(msi_nonstalling, num_caches=2,
+                               workload=Workload(max_accesses_per_cache=2)), **mode)
+        assert result.ok
+        ids = explorations[-1].store._ids
+        assert len(ids) == result.states_explored in (1702, 862)
+        assert all(type(key) is bytes for key in ids)
+        key_bytes = sum(len(key) for key in ids)
+        assert result.stats["visited_bytes"] == (
+            sys.getsizeof(ids) + len(ids) * sys.getsizeof(b"") + key_bytes
+        )
+        # A key maps to nothing: no boxed ID per state outside the table.
+        assert set(ids.values()) == {None}
 
     def test_batch_kernel_says_what_it_retains(self, msi_2c2a):
         """The plan tables a batch search leaves behind, as counts that
@@ -589,7 +671,7 @@ class TestRetainedObjects:
         store = ctx.store
         identity = ctx.perms[0]
         shared = 0
-        for key, state_id in store._ids.items():
+        for state_id, key in enumerate(store._ids):
             if state_id != ctx.root_id and store.link(state_id)[2] == identity:
                 assert type(key) is bytes
                 assert canonicalized.get(id(key)) is key
@@ -613,7 +695,7 @@ class TestRetainedObjects:
         memo = set(canonicalizer._orbit_memo)
         store = ctx.store
         stored = {
-            key[:width] for key, state_id in store._ids.items()
+            key[:width] for state_id, key in enumerate(store._ids)
             if store.link(state_id)[2] == ctx.perms[0]
         }
         assert stored and stored <= memo

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import pytest
 
 from repro.core import GenerationConfig, generate
-from repro.core.fsm import AccessEvent, MessageEvent, event_key
+from repro.core.fsm import AccessEvent, MessageEvent
 from repro.dsl.types import (
     AccessKind,
     ClearOwner,
@@ -128,6 +128,16 @@ def replay_and_check(system, result, invariants=None):
     pytest.fail("failing result carried no violation/error/deadlock")
 
 
+def set_transitions(fsm, transitions) -> None:
+    """Replace *fsm*'s transitions with *transitions* (mutation in place),
+    re-adding each through ``add_transition`` so every index follows."""
+    kept = list(transitions)
+    fsm._transitions, fsm._index = [], {}
+    fsm._by_state = {name: [] for name in fsm.state_names()}
+    for t in kept:
+        fsm.add_transition(t)
+
+
 def drop_cache_handler(generated, state: str, message: str):
     """Sabotage a generated protocol: remove the cache transition(s) for
     *message* in *state*.
@@ -138,7 +148,7 @@ def drop_cache_handler(generated, state: str, message: str):
     fixtures must not be handed to it.
     """
     cache = generated.cache
-    cache._transitions = [
+    set_transitions(cache, (
         t
         for t in cache.transitions()
         if not (
@@ -146,10 +156,7 @@ def drop_cache_handler(generated, state: str, message: str):
             and isinstance(t.event, MessageEvent)
             and t.event.message == message
         )
-    ]
-    cache._index = {}
-    for t in cache._transitions:
-        cache._index.setdefault((t.state, event_key(t.event)), []).append(t)
+    ))
     return generated
 
 
@@ -326,15 +333,12 @@ def make_stalled_request_mutant(msi_spec, mtype: str = "GetM"):
     depth), expressed in the tables, so ``verify()`` can run it."""
     generated = generate(msi_spec, GenerationConfig.stalling())
     directory = generated.directory
-    directory._transitions = [
+    set_transitions(directory, (
         replace(t, stall=True, actions=(), next_state=t.state)
         if isinstance(t.event, MessageEvent) and t.event.message == mtype
         else t
         for t in directory.transitions()
-    ]
-    directory._index = {}
-    for t in directory._transitions:
-        directory._index.setdefault((t.state, event_key(t.event)), []).append(t)
+    ))
     return generated
 
 
