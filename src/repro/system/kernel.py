@@ -1218,22 +1218,20 @@ class TransitionKernel:
             for plane in range(0, self.num_addresses * stride, stride)
         )
 
-    def workload_remaining(self, enc: tuple) -> bool:
-        """True when some cache still has accesses left in its budget."""
+    def is_complete(self, enc: tuple) -> bool:
+        """Quiescent, and every cache has exhausted its workload: the only
+        state with no enabled event that is not a deadlock."""
+        if not self.is_quiescent(enc):
+            return False
+        lanes = self._cache_lanes
         if self._litmus_ops is not None:
-            planes, lanes = self.num_addresses, self._cache_lanes
-            return any(
+            planes = self.num_addresses
+            return all(
                 sum(enc[at + CF_ISSUED] for at in lanes[cid * planes : (cid + 1) * planes])
-                < len(ops)
+                >= len(ops)
                 for cid, ops in enumerate(self._litmus_ops)
             )
-        return any(
-            enc[lane + CF_ISSUED] < self.max_accesses for lane in self._cache_lanes
-        )
-
-    def is_complete(self, enc: tuple) -> bool:
-        """Quiescent, and every cache has exhausted its workload."""
-        return self.is_quiescent(enc) and not self.workload_remaining(enc)
+        return all(enc[lane + CF_ISSUED] >= self.max_accesses for lane in lanes)
 
     def check(self, enc, codes: tuple) -> bool:
         """Evaluate the compiled invariants named by *codes* on the lanes

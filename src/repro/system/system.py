@@ -238,7 +238,7 @@ class System:
         self.num_addresses = num_addresses
         self.faults = faults
         if ordered is None:
-            ordered = getattr(protocol.source_spec, "ordered_network", True)
+            ordered = protocol.source_spec.ordered_network
         self.ordered = ordered
         self._codec = None
         self._kernel = None

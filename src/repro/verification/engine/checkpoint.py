@@ -42,7 +42,8 @@ import pickle
 #: 7: ... and the (now always-compiled) transition-kernel flag.
 #: 8: the payload lost the worker fleet's shard digests.
 #: 9: the fingerprint material gained the fault model and the network order.
-CHECKPOINT_VERSION = 9
+#: 10: ... and lost the workload-deadlock flag (the check is always on).
+CHECKPOINT_VERSION = 10
 
 #: Length of the payload checksum that ends the file.
 _CHECKSUM_BYTES = 32
@@ -77,7 +78,6 @@ def fingerprint(ctx) -> str:
         ctx.vkernel is not None,
         ctx.strategy_name,
         tuple(getattr(inv, "__name__", repr(inv)) for inv in ctx.invariants),
-        ctx.check_workload_deadlock,
     )).encode()
     return hashlib.blake2b(material, digest_size=16).hexdigest()
 

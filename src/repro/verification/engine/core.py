@@ -178,7 +178,6 @@ class Exploration:
         strategy_name: str,
         kernel,
         kernel_codes: tuple[str | tuple, ...],
-        check_workload_deadlock: bool = False,
         vkernel=None,
         checkpoint_path: str | None = None,
     ):
@@ -195,9 +194,6 @@ class Exploration:
         #: Encoded evaluator codes for ``invariants``
         #: (:func:`~repro.verification.invariants.compiled_invariant_codes`).
         self.kernel_codes = kernel_codes
-        #: Report quiescent states that still hold unissued workload budget
-        #: as deadlocks (``verify(..., deadlock=True)``).
-        self.check_workload_deadlock = check_workload_deadlock
         #: :class:`~repro.system.vectorized.VectorizedKernel` for the
         #: frontier-batch BFS, or None.  The compiled kernel stays on as the
         #: memo-miss oracle and the fallback.
@@ -478,7 +474,6 @@ def verify(
     *,
     invariants: Sequence[Invariant] | None = None,
     max_states: int = 2_000_000,
-    deadlock: bool = False,
     symmetry: bool = False,
     strategy: str = "bfs",
     processes: int | None = None,
@@ -487,12 +482,16 @@ def verify(
 ) -> VerificationResult:
     """Exhaustively explore *system* and check all invariants.
 
-    Every parameter but *system* is optional -- eight keywords; the defaults
+    Every parameter but *system* is optional -- seven keywords; the defaults
     are an exhaustive serial BFS on the compiled kernel without symmetry
     reduction.  Every in-process search deduplicates successors in one
     place, the state store, and compares whole keys (or whole rows) there;
     only the parallel strategy decides membership by digest, in one
-    in-memory digest set per worker.
+    in-memory digest set per worker.  A state with no enabled event passes
+    only if its run is complete -- quiescent, with every cache's workload
+    used up (``result.complete_states`` counts them); any other stuck
+    state is reported as a deadlock with a replayable trace, as Murphi
+    reports it.  No keyword turns that check off.
 
     ``invariants``
         The invariants every reachable state must satisfy
@@ -507,15 +506,6 @@ def verify(
         strategy and backend: the BFS level that would cross the budget is
         clipped to it (DFS stops at the exact state), so without a
         checkpoint exactly ``max_states`` states are expanded.
-    ``deadlock``
-        A non-quiescent state with no enabled event is always reported as a
-        deadlock.  This keyword also reports *workload deadlocks*: a
-        canonically-reachable quiescent state whose caches still hold
-        unissued workload budget but where no transition is enabled can
-        never absorb the remaining accesses; with ``deadlock=True`` it is
-        reported as a deadlock failure with a replayable trace instead of
-        being counted as a completed run (``result.complete_states``).  Off
-        by default.
     ``symmetry``
         Canonicalize cache IDs before de-duplication (Murphi scalarset
         reduction).  Explores one representative per cache-permutation orbit
@@ -596,7 +586,6 @@ def verify(
         strategy_name=strategy,
         kernel=kernel_impl,
         kernel_codes=kernel_codes,
-        check_workload_deadlock=deadlock,
         vkernel=vkernel,
         checkpoint_path=checkpoint,
     )

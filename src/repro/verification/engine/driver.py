@@ -167,14 +167,12 @@ class CompiledExpander(Expander):
         """Verdict for a state (its lanes *enc*) with no enabled events
         (failure or None).
 
-        Fine if nothing is actually outstanding (quiescent); otherwise it
-        is a deadlock.  A quiescent state that still holds workload budget
-        can never absorb it -- reported only under ``deadlock=True``.
+        Fine only if the run is complete: quiescent, with every cache's
+        workload used up.  Any other stuck state is a deadlock, as in
+        Murphi.
         """
         ctx = self.ctx
-        if ctx.kernel.is_quiescent(enc):
-            if ctx.check_workload_deadlock and ctx.kernel.workload_remaining(enc):
-                return ctx.failure(deadlock=True, leaf_id=sid)
+        if ctx.kernel.is_complete(enc):
             ctx.complete_states += 1
             return None
         return ctx.failure(deadlock=True, leaf_id=sid)

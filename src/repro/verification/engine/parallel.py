@@ -159,10 +159,10 @@ class _WorkerState:
     """Per-process expansion context (built once, after fork).
 
     Duck-types what the compiled expander uses of an ``Exploration``: the
-    system with a private codec/kernel, the workload-deadlock switch, the
-    running counters (here: of the current round), ``store`` (itself -- see
-    :meth:`intern`) and :meth:`failure`.  State IDs inside the worker are
-    *positions* in its level; :attr:`ids` maps them to the store's.
+    system with a private codec/kernel, the running counters (here: of the
+    current round), ``store`` (itself -- see :meth:`intern`) and
+    :meth:`failure`.  State IDs inside the worker are *positions* in its
+    level; :attr:`ids` maps them to the store's.
     """
 
     def __init__(self, wid, nworkers, ctx, root_digest):
@@ -172,7 +172,6 @@ class _WorkerState:
         self.invariants = ctx.invariants
         self.perms = ctx.perms
         self.kernel_codes = ctx.kernel_codes
-        self.check_workload_deadlock = ctx.check_workload_deadlock
         self.codec = self.system.codec()
         self.kernel = self.system.kernel()
         self.perm_index = {perm: i for i, perm in enumerate(self.perms or ())}

@@ -73,7 +73,9 @@ def random_walk(
     applied by the kernel -- the tables :func:`~repro.verification.verify`
     searches, so a ``System`` subclass raises the same ``TypeError``.  A
     state is decoded only for an invariant with no encoded evaluator, and
-    events only for the failing run's trace.
+    events only for the failing run's trace.  A run that reaches a state
+    with no enabled event ends there, and fails as a deadlock unless the
+    state is complete -- ``verify``'s leaf rule.
 
     ``track_coverage`` counts distinct visited states in
     :attr:`RandomWalkResult.unique_states`; with ``symmetry`` (the default)
@@ -119,7 +121,7 @@ def random_walk(
         for _ in range(max_steps):
             plans, net = kernel.enabled(key)
             if not plans:
-                if not kernel.is_quiescent(codec.unpack(key)):
+                if not kernel.is_complete(codec.unpack(key)):
                     return finish(
                         ok=False,
                         runs=run + 1,

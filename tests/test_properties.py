@@ -1,6 +1,6 @@
 """Property-based tests over the generator and the execution substrate."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import protocols
 from repro.core import GenerationConfig, generate
@@ -123,8 +123,12 @@ class TestWorkloadShapeProperties:
             min_size=1,
         ),
     )
+    @example(accesses=1, kinds={AccessKind.REPLACEMENT})
     @settings(max_examples=8, deadline=None)
     def test_msi_verifies_for_any_small_workload_shape(self, accesses, kinds):
+        """MSI passes on every shape but one: replacements alone.  No state
+        issues a replacement from I, so the root is stuck with budget left
+        -- a deadlock, as Murphi reports it, at the root."""
         generated = generate(protocols.load("MSI"), GenerationConfig())
         system = System(
             generated,
@@ -132,4 +136,9 @@ class TestWorkloadShapeProperties:
             workload=Workload(max_accesses_per_cache=accesses, access_kinds=tuple(kinds)),
         )
         result = verify(system)
-        assert result.ok, result.summary
+        if kinds == {AccessKind.REPLACEMENT}:
+            assert (result.ok, result.deadlock, result.states_explored,
+                    result.transitions_explored, result.trace) == (
+                False, True, 1, 0, []), result.summary
+        else:
+            assert result.ok, result.summary

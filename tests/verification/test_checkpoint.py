@@ -264,11 +264,12 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointMismatch, match="wide.ckpt"):
             verify(narrow, max_states=40_000, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [-1, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [-1, 4, 5, 6, 7, 8, 9])
     @pytest.mark.parametrize("fingerprint", ["kept", "foreign"])
     def test_stale_payload_version(self, saved_checkpoint, version, fingerprint):
         """An intact file (its checksum holds) of another payload version
-        -- the previous ones included: no reader is kept for any.  Version 8
+        -- the previous ones included: no reader is kept for any.  Version 9
+        kept the workload-deadlock flag in its fingerprint material, version 8
         left the fault model and the network order out of its fingerprint
         material, version 7 carried the worker fleet's shard digests,
         version 6 kept the transition-kernel flag in its fingerprint
@@ -276,7 +277,7 @@ class TestMismatchRejection:
         the hash-compaction flag too: the refusal names the version, not a
         different search configuration, whether or not the fingerprint
         matches."""
-        assert CHECKPOINT_VERSION == 9
+        assert CHECKPOINT_VERSION == 10
         system, path = saved_checkpoint
         with open(path, "rb") as f:
             payload = pickle.load(f)
@@ -288,7 +289,7 @@ class TestMismatchRejection:
         with open(path, "wb") as f:
             f.write(body + hashlib.blake2b(body, digest_size=32).digest())
         with pytest.raises(CheckpointMismatch,
-                           match=f"version {version}, expected 9") as refused:
+                           match=f"version {version}, expected 10") as refused:
             verify(system, max_states=40_000, checkpoint=path)
         assert "configuration" not in str(refused.value)
 
@@ -336,8 +337,8 @@ class TestMismatchRejection:
 
 
 @pytest.mark.parametrize("litmus, digest", [
-    (False, "50f844e914b6af7282a34e7d4e4cfa23"),
-    (True, "13285eb751e92fc297ebdc0dca5c405b"),
+    (False, "927d7a7bc13e368788e721496595df2c"),
+    (True, "55e8ae1c4d9ab57ff478997543ad0639"),
 ], ids=["msi-2c2a", "litmus-MP"])
 def test_invariant_values_keep_the_fingerprint(msi_nonstalling, msi_stalling,
                                                explorations, litmus, digest):
@@ -345,7 +346,8 @@ def test_invariant_values_keep_the_fingerprint(msi_nonstalling, msi_stalling,
     replaced, and a litmus invariant is named by its repr, so a checkpoint
     written while they were functions still resumes: the digests are the
     ones those functions gave (MSI 2c x 2a with the default pair, and MP on
-    MSI stalling with both and its outcome check)."""
+    MSI stalling with both and its outcome check), less the workload-deadlock
+    flag version 10 dropped from the material."""
     if litmus:
         mp = message_passing()
         system = System(msi_stalling, num_caches=2, workload=mp.workload)

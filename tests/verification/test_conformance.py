@@ -84,6 +84,7 @@ from verification_helpers import (
     make_missing_inv_mutant,
     make_stalled_request_mutant,
     make_swmr_mutant,
+    make_wedged_mutant,
     reference_search,
     replay_and_check,
     rewrite_transition,
@@ -373,6 +374,15 @@ def mutant_cells():
         "stalled-request-2c",
         broken(make_stalled_request_mutant, MSI_SPEC,
                workload=Workload(max_accesses_per_cache=1)),
+        verdict="deadlock", modes=("bfs", "vectorized", *SEARCHES),
+    )
+    # Caches that cannot access out of S strand their workload there: the
+    # system goes quiescent with budget left, a deadlock in every mode.
+    yield Cell(
+        "wedged-2c",
+        broken(make_wedged_mutant, MSI_SPEC,
+               workload=Workload(max_accesses_per_cache=2,
+                                 access_kinds=LOAD_STORE)),
         verdict="deadlock", modes=("bfs", "vectorized", *SEARCHES),
     )
     for mutant, (caches, accesses, *_, error) in sorted(ERROR_MUTANTS.items()):

@@ -1,19 +1,17 @@
-"""Workload-deadlock detection (``verify(..., deadlock=True)``).
+"""Workload deadlocks: a stuck state is a deadlock unless it is complete.
 
 A quiescent, canonically-reachable state whose caches still hold unissued
 workload budget -- but where no transition is enabled -- can never absorb
 the remaining accesses: the protocol has wedged the workload, not just a
-message.  The seed explorer counts such states as completed runs, so the
-check is **off by default** (keeping the pinned state counts); with
-``deadlock=True`` the state is reported as a deadlock failure with a
-replayable trace, on every backend and search strategy, at the depth
-``reference_search`` finds it.
+message.  As in Murphi, no flag is needed to see it: every search reports
+it as a deadlock failure with a replayable trace, on every backend and
+search strategy, at the depth ``reference_search`` finds it, and
+``random_walk`` fails on it too (``test_explorer.py``).  On a correct
+protocol the rule never fires, so the pinned counts stand.
 """
 
 import pytest
 
-from repro.core import GenerationConfig, generate
-from repro.core.fsm import AccessEvent
 from repro.dsl.types import AccessKind
 from repro.system import System, Workload
 from repro.system.system import DuplicateMessage, FaultModel, IssueAccess
@@ -22,28 +20,16 @@ from repro.verification import verify
 from reference_system import ReferenceSystem, reference
 from verification_helpers import (
     assert_matches_reference,
+    make_wedged_mutant,
     reference_search,
-    set_transitions,
 )
-
-
-def drop_cache_accesses(generated, state: str):
-    """Sabotage a generated protocol: remove every core-access transition
-    from cache state *state* (mutation in place -- generate freshly)."""
-    cache = generated.cache
-    set_transitions(cache, (
-        t
-        for t in cache.transitions()
-        if not (t.state == state and isinstance(t.event, AccessEvent))
-    ))
-    return generated
 
 
 @pytest.fixture(scope="module")
 def wedged_msi(msi_spec):
     """MSI whose caches can never issue an access out of stable S: a cache
     that loaded once parks in S with budget left and nothing enabled."""
-    return drop_cache_accesses(generate(msi_spec, GenerationConfig()), "S")
+    return make_wedged_mutant(msi_spec)
 
 
 def _system(generated, num_caches=2):
@@ -65,7 +51,7 @@ MODES = [
     f"{k}={v}" for k, v in m.items()) or "compiled")
 def test_workload_deadlock_reported_with_replayable_trace(wedged_msi, mode):
     system = _system(wedged_msi)
-    result = verify(system, deadlock=True, **mode)
+    result = verify(system, **mode)
     assert not result.ok and result.deadlock
     assert result.trace, "a counterexample trace must be reported"
     # Replay: the trace must land in a quiescent state with no enabled
@@ -83,31 +69,31 @@ def test_workload_deadlock_reported_with_replayable_trace(wedged_msi, mode):
                for c in state.caches)
 
 
-def test_workload_deadlock_off_by_default(wedged_msi):
-    """Without the flag, the wedged runs count as complete (seed behaviour)."""
+def test_default_search_reports_the_wedged_workload(wedged_msi):
+    """No keyword asks for it: the default search fails on the wedged runs
+    instead of counting them complete."""
     result = verify(_system(wedged_msi))
-    assert result.ok and result.complete_states > 0
+    assert not result.ok and result.deadlock, result.summary
+    assert result.trace
 
 
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_workload_deadlock_point_matches_the_reference(wedged_msi, symmetry):
     system = _system(wedged_msi)
-    result = verify(system, deadlock=True, symmetry=symmetry)
-    expected = reference_search(system, symmetry, deadlock=True)
+    result = verify(system, symmetry=symmetry)
+    expected = reference_search(system, symmetry)
     assert expected.kind == "deadlock"
     assert_matches_reference(result, expected)
 
 
-def test_deadlock_flag_keeps_counts_on_correct_protocols(msi_nonstalling):
-    """On a correct protocol the stricter check never fires, so the pinned
-    exploration is untouched."""
+def test_leaf_rule_keeps_the_seed_pin_on_a_correct_protocol(msi_nonstalling):
+    """On a correct protocol the rule never fires: every stuck state is
+    complete, so the seed explorer's pin stands."""
     system = System(msi_nonstalling, num_caches=2,
                     workload=Workload(max_accesses_per_cache=2))
-    plain = verify(system)
-    strict = verify(system, deadlock=True)
-    assert plain.ok and strict.ok
-    assert strict.states_explored == plain.states_explored == 1702
-    assert strict.transitions_explored == plain.transitions_explored
+    result = verify(system)
+    assert result.ok and result.complete_states > 0, result.summary
+    assert (result.states_explored, result.transitions_explored) == (1702, 3078)
 
 
 class TestFaultBudgetVsWorkloadDeadlock:
@@ -134,12 +120,10 @@ class TestFaultBudgetVsWorkloadDeadlock:
         system = System(msi_stalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=1),
                         faults=faults)
-        result = verify(system, deadlock=True)
+        result = verify(system)
         assert result.ok and not result.deadlock, result.summary
         assert result.complete_states > 0
-        assert_matches_reference(
-            result, reference_search(system, False, deadlock=True)
-        )
+        assert_matches_reference(result, reference_search(system, False))
 
     def test_exhausted_budget_replay_is_complete_not_deadlocked(
         self, msi_nonstalling
@@ -187,5 +171,5 @@ class TestFaultBudgetVsWorkloadDeadlock:
                                           access_kinds=(AccessKind.LOAD,
                                                         AccessKind.STORE)),
                         faults=FaultModel(duplicate=True))
-        result = verify(system, deadlock=True)
+        result = verify(system)
         assert not result.ok and result.deadlock

@@ -190,14 +190,15 @@ class TestStateStore:
 
 
 class TestBackwardCompatibility:
-    def test_verify_takes_eight_keywords(self):
+    def test_verify_takes_seven_keywords(self):
         """Every keyword earns its place; one more is a deliberate edit
-        here, not a drive-by."""
+        here, not a drive-by.  No keyword turns the deadlock check on or
+        off: a stuck state that is not complete is always a deadlock."""
         import inspect
 
         params = inspect.signature(verify).parameters
         assert list(params) == [
-            "system", "invariants", "max_states", "deadlock", "symmetry",
+            "system", "invariants", "max_states", "symmetry",
             "strategy", "processes", "kernel", "checkpoint",
         ]
         assert all(p.kind is p.KEYWORD_ONLY for p in list(params.values())[1:])

@@ -24,6 +24,7 @@ from verification_helpers import (
     MessageDroppingSystem,
     make_missing_inv_mutant,
     make_swmr_mutant,
+    make_wedged_mutant,
     reference_walk,
 )
 
@@ -93,17 +94,21 @@ class TestRandomWalk:
         b = random_walk(system, runs=5, max_steps=100, seed=11)
         assert a.steps == b.steps
 
-    @pytest.mark.parametrize("subject", ["pass", "error", "violation"])
+    @pytest.mark.parametrize("subject",
+                             ["pass", "error", "violation", "deadlock"])
     def test_walk_equals_the_reference_walk(self, msi_spec, msi_nonstalling,
                                             subject):
         """The walk steps the compiled kernel; drawing among its plans --
         which come in the reference system's event order -- makes the same
         choices as a walk over the reference system with the same seed:
-        same steps, same failing trace, same error or violation."""
+        same steps, same failing trace, same error or violation.  A run
+        stuck short of complete -- here quiescent, with workload left -- is
+        a deadlock, as in ``verify()``."""
         protocol, caches = {
             "pass": (msi_nonstalling, 3),
             "error": (make_missing_inv_mutant(msi_spec), 2),
             "violation": (make_swmr_mutant(msi_spec), 2),
+            "deadlock": (make_wedged_mutant(msi_spec), 2),
         }[subject]
         system = System(protocol, num_caches=caches,
                         workload=Workload(max_accesses_per_cache=2))
@@ -116,6 +121,7 @@ class TestRandomWalk:
         )
         assert str(result.violation) == str(violation)
         assert result.ok == (subject == "pass")
+        assert result.deadlock == (subject == "deadlock")
 
     def test_system_subclass_is_refused_like_verify(self, msi_stalling):
         """The walk runs the tables ``verify()`` searches, so a ``System``

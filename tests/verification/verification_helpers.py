@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import pytest
 
 from repro.core import GenerationConfig, generate
-from repro.core.fsm import AccessEvent, MessageEvent
+from repro.core.fsm import AccessEvent, ControllerFsm, MessageEvent
 from repro.dsl.types import (
     AccessKind,
     ClearOwner,
@@ -123,19 +123,23 @@ def replay_and_check(system, result, invariants=None):
         return
     if result.deadlock:
         assert not system.enabled_events(state)
-        assert not system.is_quiescent(state)
+        assert not system.is_complete(state)
         return
     pytest.fail("failing result carried no violation/error/deadlock")
 
 
-def set_transitions(fsm, transitions) -> None:
-    """Replace *fsm*'s transitions with *transitions* (mutation in place),
-    re-adding each through ``add_transition`` so every index follows."""
-    kept = list(transitions)
-    fsm._transitions, fsm._index = [], {}
-    fsm._by_state = {name: [] for name in fsm.state_names()}
-    for t in kept:
+def set_transitions(generated, controller: str, transitions) -> None:
+    """Replace *generated*'s *controller* (``"cache"`` / ``"directory"``)
+    by a copy holding exactly *transitions*, built through
+    ``ControllerFsm``'s public calls -- constructor, ``add_state``,
+    ``add_transition`` -- so every index the class keeps is rebuilt."""
+    old = getattr(generated, controller)
+    fsm = ControllerFsm(old.name, old.kind, old.initial)
+    for state in old.states():
+        fsm.add_state(state)
+    for t in transitions:
         fsm.add_transition(t)
+    setattr(generated, controller, fsm)
 
 
 def drop_cache_handler(generated, state: str, message: str):
@@ -147,10 +151,9 @@ def drop_cache_handler(generated, state: str, message: str):
     pass a freshly generated protocol -- the mutation is in place, so shared
     fixtures must not be handed to it.
     """
-    cache = generated.cache
-    set_transitions(cache, (
+    set_transitions(generated, "cache", (
         t
-        for t in cache.transitions()
+        for t in generated.cache.transitions()
         if not (
             t.state == state
             and isinstance(t.event, MessageEvent)
@@ -158,6 +161,25 @@ def drop_cache_handler(generated, state: str, message: str):
         )
     ))
     return generated
+
+
+def drop_cache_accesses(generated, state: str):
+    """Sabotage a generated protocol: remove every core-access transition
+    from cache state *state* (mutation in place -- generate freshly)."""
+    set_transitions(generated, "cache", (
+        t
+        for t in generated.cache.transitions()
+        if not (t.state == state and isinstance(t.event, AccessEvent))
+    ))
+    return generated
+
+
+def make_wedged_mutant(msi_spec):
+    """Generate MSI, then drop every access out of stable S: a cache that
+    loaded once parks in S with budget left, and once every cache is parked
+    or done the quiescent system has nothing enabled -- a workload
+    deadlock."""
+    return drop_cache_accesses(generate(msi_spec, GenerationConfig()), "S")
 
 
 #: Per-protocol (state, message) pairs whose dropped handler is reachable on
@@ -332,12 +354,11 @@ def make_stalled_request_mutant(msi_spec, mtype: str = "GetM"):
     protocol-level twin of :class:`MessageDroppingSystem` (same verdict, same
     depth), expressed in the tables, so ``verify()`` can run it."""
     generated = generate(msi_spec, GenerationConfig.stalling())
-    directory = generated.directory
-    set_transitions(directory, (
+    set_transitions(generated, "directory", (
         replace(t, stall=True, actions=(), next_state=t.state)
         if isinstance(t.event, MessageEvent) and t.event.message == mtype
         else t
-        for t in directory.transitions()
+        for t in generated.directory.transitions()
     ))
     return generated
 
@@ -430,7 +451,7 @@ def reference_walk(system, *, runs, max_steps, seed, invariants=None):
         for _ in range(max_steps):
             events = system.enabled_events(state)
             if not events:
-                if not system.is_quiescent(state):
+                if not system.is_complete(state):
                     return False, steps, trace, None, None
                 break
             event = rng.choice(events)
@@ -495,8 +516,7 @@ class ReferenceFailure:
 
 
 def reference_search(
-    system: System, symmetry: bool, invariants=(), deadlock: bool = False,
-    on_state=None,
+    system: System, symmetry: bool, invariants=(), on_state=None,
 ) -> tuple[int, int] | ReferenceFailure:
     """``(states, transitions)`` of *system*'s reachable space by the
     plainest search there is: a FIFO of ``GlobalState`` objects, a Python
@@ -508,8 +528,8 @@ def reference_search(
     nothing else.
 
     It is the verdict oracle too: the first failure in FIFO order -- a
-    protocol error, a deadlock (a non-quiescent state with no enabled
-    event; with *deadlock* also a quiescent one with workload left), or
+    protocol error, a deadlock (a state with no enabled event that is not
+    complete: something is in flight, or some cache has workload left), or
     a new state failing the restatement of one of *invariants* -- is
     returned as a :class:`ReferenceFailure` instead of the counts.
     ``ReferenceSystem`` subclasses run here as written, overrides included.
@@ -536,10 +556,7 @@ def reference_search(
         state = frontier.popleft()
         depth = depth_of[state]
         events = system.enabled_events(state)
-        if not events and (
-            not system.is_quiescent(state)
-            or deadlock and not system.is_complete(state)
-        ):
+        if not events and not system.is_complete(state):
             return ReferenceFailure("deadlock", None, depth)
         for event in events:
             transitions += 1
